@@ -2,10 +2,10 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-BENCH_PKGS = ./internal/btree/ ./internal/store/file/ ./pkg/ekbtree/
+BENCH_PKGS = ./internal/keysub/ ./internal/cipher/ ./internal/node/ ./internal/btree/ ./internal/store/file/ ./pkg/ekbtree/
 BENCH_NOTE ?= local run
 
-.PHONY: all build binaries vet fmt-check test test-sharded race bench bench-raw bench-smoke bench-server server-smoke soak-smoke fuzz-smoke clean
+.PHONY: all build binaries vet fmt-check test test-sharded race bench bench-raw bench-smoke benchmark benchmark-pairs bench-server server-smoke soak-smoke fuzz-smoke clean
 
 all: vet fmt-check build test
 
@@ -51,11 +51,23 @@ bench:
 bench-raw:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 
-# bench-smoke runs the file-backend benchmarks short-form (one iteration
-# each): a cheap CI guard that the benchmark code itself still builds, runs,
-# and exercises every durability mode.
+# bench-smoke runs every Go benchmark short-form (one iteration each): a
+# cheap CI guard that the benchmark code itself still builds, runs, and
+# exercises every durability mode.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
+
+# benchmark runs the repository benchmark (bench/, declared in
+# BENCHMARK.json) in smoke form: every workload, untraced and traced, on a
+# tree shrunk ~200-fold. benchmark-pairs compares two checkouts at full
+# length against BENCHMARK.json's bounds:  make benchmark-pairs A=../parent B=.
+benchmark:
+	$(GO) run ./bench -smoke
+
+A ?= .
+B ?= .
+benchmark-pairs:
+	$(GO) run ./bench/cmd/repeat -a $(A) -b $(B)
 
 # bench-server runs the live load driver against a freshly started ekbtreed
 # on a temp dir and refreshes BENCH_server.json: zipfian/uniform/scan mixes at

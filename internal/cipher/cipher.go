@@ -28,9 +28,16 @@ var ErrOpen = errors.New("cipher: page authentication failed")
 type NodeCipher interface {
 	// Seal enciphers plaintext for the given page ID, returning a fresh
 	// buffer. The same plaintext sealed twice need not produce equal output.
+	// plaintext is the caller's and is reused once Seal (or SealEpoch)
+	// returns; implementations must not retain it.
 	Seal(pageID uint64, plaintext []byte) ([]byte, error)
 	// Open deciphers a sealed page previously produced by Seal with the same
-	// page ID, returning a fresh buffer, or ErrOpen on tampering/mismatch.
+	// page ID, or returns ErrOpen on tampering/mismatch. Open CONSUMES sealed:
+	// the caller must own the buffer (store.PageStore.ReadPage hands out such
+	// buffers) and must not read its contents afterwards, because an
+	// implementation may decipher in place and return a plaintext that
+	// aliases it. On error the buffer's page body is unspecified and nothing
+	// aliasing it is returned; the nonce prefix is left intact either way.
 	Open(pageID uint64, sealed []byte) ([]byte, error)
 	// Overhead returns the number of bytes Seal adds to a plaintext page.
 	Overhead() int
@@ -64,10 +71,39 @@ func NewAESGCM(key []byte) (*AESGCM, error) {
 	return &AESGCM{aead: aead}, nil
 }
 
-func pageAAD(pageID uint64) []byte {
-	var aad [8]byte
+// aadPool recycles the 8-byte associated-data buffers: an AEAD is called
+// through an interface, so a stack array handed to it would be moved to the
+// heap on every seal and open.
+var aadPool = sync.Pool{New: func() any { return new([8]byte) }}
+
+// sealPage appends the ciphertext and tag of plaintext, bound to pageID, to
+// dst, which holds the nonce.
+func sealPage(aead stdcipher.AEAD, pageID uint64, dst, plaintext []byte) []byte {
+	aad := aadPool.Get().(*[8]byte)
 	binary.BigEndian.PutUint64(aad[:], pageID)
-	return aad[:]
+	out := aead.Seal(dst, dst[:aead.NonceSize()], plaintext, aad[:])
+	aadPool.Put(aad)
+	return out
+}
+
+// openPage deciphers sealed (nonce || ciphertext+tag) in place, over its own
+// ciphertext bytes. An AEAD may decipher while it authenticates, so on a tag
+// mismatch the body is wiped rather than left half-deciphered, and the buffer
+// is not returned; the nonce prefix is untouched either way.
+func openPage(aead stdcipher.AEAD, pageID uint64, sealed []byte) ([]byte, error) {
+	nonceSize := aead.NonceSize()
+	if len(sealed) < nonceSize+aead.Overhead() {
+		return nil, ErrOpen
+	}
+	aad := aadPool.Get().(*[8]byte)
+	binary.BigEndian.PutUint64(aad[:], pageID)
+	pt, err := aead.Open(sealed[nonceSize:nonceSize], sealed[:nonceSize], sealed[nonceSize:], aad[:])
+	aadPool.Put(aad)
+	if err != nil {
+		clear(sealed[nonceSize:])
+		return nil, ErrOpen
+	}
+	return pt, nil
 }
 
 func (c *AESGCM) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
@@ -76,19 +112,11 @@ func (c *AESGCM) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
 	if _, err := rand.Read(out[:nonceSize]); err != nil {
 		return nil, fmt.Errorf("cipher: nonce: %w", err)
 	}
-	return c.aead.Seal(out, out[:nonceSize], plaintext, pageAAD(pageID)), nil
+	return sealPage(c.aead, pageID, out, plaintext), nil
 }
 
 func (c *AESGCM) Open(pageID uint64, sealed []byte) ([]byte, error) {
-	nonceSize := c.aead.NonceSize()
-	if len(sealed) < nonceSize+c.aead.Overhead() {
-		return nil, ErrOpen
-	}
-	pt, err := c.aead.Open(nil, sealed[:nonceSize], sealed[nonceSize:], pageAAD(pageID))
-	if err != nil {
-		return nil, ErrOpen
-	}
-	return pt, nil
+	return openPage(c.aead, pageID, sealed)
 }
 
 func (c *AESGCM) Overhead() int { return c.aead.NonceSize() + c.aead.Overhead() }
@@ -197,7 +225,7 @@ func (c *EpochAESGCM) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
 	if _, err := rand.Read(out[:nonceSize]); err != nil {
 		return nil, fmt.Errorf("cipher: nonce: %w", err)
 	}
-	return c.raw.Seal(out, out[:nonceSize], plaintext, pageAAD(pageID)), nil
+	return sealPage(c.raw, pageID, out, plaintext), nil
 }
 
 func (c *EpochAESGCM) SealEpoch(pageID uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error) {
@@ -209,20 +237,12 @@ func (c *EpochAESGCM) SealEpoch(pageID uint64, epoch uint32, counter uint64, pla
 	out := make([]byte, nonceSize, nonceSize+len(plaintext)+aead.Overhead())
 	binary.BigEndian.PutUint32(out[:4], epoch)
 	binary.BigEndian.PutUint64(out[4:nonceSize], counter)
-	return aead.Seal(out, out[:nonceSize], plaintext, pageAAD(pageID)), nil
+	return sealPage(aead, pageID, out, plaintext), nil
 }
 
 func (c *EpochAESGCM) Open(pageID uint64, sealed []byte) ([]byte, error) {
 	if pageID == 0 {
-		nonceSize := c.raw.NonceSize()
-		if len(sealed) < nonceSize+c.raw.Overhead() {
-			return nil, ErrOpen
-		}
-		pt, err := c.raw.Open(nil, sealed[:nonceSize], sealed[nonceSize:], pageAAD(pageID))
-		if err != nil {
-			return nil, ErrOpen
-		}
-		return pt, nil
+		return openPage(c.raw, pageID, sealed)
 	}
 	epoch, ok := c.SealedEpoch(sealed)
 	if !ok {
@@ -232,12 +252,7 @@ func (c *EpochAESGCM) Open(pageID uint64, sealed []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	nonceSize := aead.NonceSize()
-	pt, err := aead.Open(nil, sealed[:nonceSize], sealed[nonceSize:], pageAAD(pageID))
-	if err != nil {
-		return nil, ErrOpen
-	}
-	return pt, nil
+	return openPage(aead, pageID, sealed)
 }
 
 func (c *EpochAESGCM) SealedEpoch(sealed []byte) (uint32, bool) {

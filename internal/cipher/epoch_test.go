@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"github.com/paper-repro/ekbtree/internal/israce"
 )
 
 func newEpochCipher(t *testing.T) *EpochAESGCM {
@@ -159,5 +161,89 @@ func TestEpochTamperDetection(t *testing.T) {
 				t.Errorf("Open = %v, want ErrOpen", err)
 			}
 		})
+	}
+}
+
+// TestOpenConsumesInPlace pins the in-place Open contract on both AES-GCM
+// ciphers: a good page deciphers over its own bytes; a tampered one returns
+// ErrOpen and no buffer, leaves nothing of the plaintext behind, and in both
+// cases the nonce prefix — all SealedEpoch (and so the rotator's stale scan)
+// reads — is untouched.
+func TestOpenConsumesInPlace(t *testing.T) {
+	pt := bytes.Repeat([]byte("plaintext-node-page/"), 64)
+	ec := newEpochCipher(t)
+	legacy, err := NewAESGCM(bytes.Repeat([]byte{0x42}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]NodeCipher{"epoch": ec, "legacy": legacy} {
+		seal := func() []byte {
+			var sealed []byte
+			if name == "epoch" {
+				sealed, err = ec.SealEpoch(7, 9, 12345, pt)
+			} else {
+				sealed, err = c.Seal(7, pt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sealed
+		}
+		sealed := seal()
+		nonce := append([]byte(nil), sealed[:12]...)
+		opened, err := c.Open(7, sealed)
+		if err != nil || !bytes.Equal(opened, pt) {
+			t.Fatalf("%s: Open = (%d bytes, %v)", name, len(opened), err)
+		}
+		if &opened[0] != &sealed[12] {
+			t.Errorf("%s: Open returned a fresh buffer, want the page deciphered in place", name)
+		}
+		if !bytes.Equal(sealed[:12], nonce) {
+			t.Errorf("%s: Open overwrote the nonce prefix", name)
+		}
+
+		tampered := seal()
+		tampered[len(tampered)-1] ^= 0x01 // the tag: the whole body deciphers before the mismatch shows
+		nonce = append(nonce[:0], tampered[:12]...)
+		opened, err = c.Open(7, tampered)
+		if !errors.Is(err, ErrOpen) || opened != nil {
+			t.Fatalf("%s: Open(tampered) = (%v, %v), want (nil, ErrOpen)", name, opened, err)
+		}
+		if bytes.Contains(tampered, pt[:16]) {
+			t.Errorf("%s: rejected page still holds deciphered plaintext", name)
+		}
+		if !bytes.Equal(tampered[:12], nonce) {
+			t.Errorf("%s: failed Open overwrote the nonce prefix", name)
+		}
+	}
+	sealed, _ := ec.SealEpoch(7, 9, 1, pt)
+	sealed[20] ^= 0x01
+	if _, err := ec.Open(7, sealed); !errors.Is(err, ErrOpen) {
+		t.Fatal(err)
+	}
+	if e, ok := ec.SealedEpoch(sealed); !ok || e != 9 {
+		t.Errorf("SealedEpoch after a failed Open = (%d, %v), want (9, true)", e, ok)
+	}
+}
+
+// TestOpenAllocs guards the in-place open: no plaintext buffer, no escaping
+// associated data.
+func TestOpenAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	c := newEpochCipher(t)
+	sealed, err := c.SealEpoch(7, 1, 1, make([]byte, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(sealed))
+	if n := testing.AllocsPerRun(100, func() {
+		copy(buf, sealed)
+		if _, err := c.Open(7, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("EpochAESGCM.Open allocates %.1f times, want <= 1", n)
 	}
 }

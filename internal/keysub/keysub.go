@@ -20,6 +20,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"fmt"
+	"hash"
+	"sync"
 )
 
 // Substituter maps a plaintext search key to a substituted search key.
@@ -55,10 +57,13 @@ const (
 	MaxWidth = sha256.Size
 )
 
-// HMAC substitutes keys via HMAC-SHA256 truncated to a fixed width.
+// HMAC substitutes keys via HMAC-SHA256 truncated to a fixed width. The keyed
+// hash states are built once and recycled through a pool: every operation of
+// the tree starts with a substitution, and constructing an HMAC per key costs
+// two extra SHA-256 compressions and five allocations.
 type HMAC struct {
-	secret []byte
-	width  int
+	width int
+	macs  sync.Pool // of hash.Hash keyed with the secret, always in reset state
 }
 
 // NewHMAC returns an HMAC substituter keyed with secret, producing
@@ -70,14 +75,30 @@ func NewHMAC(secret []byte, width int) (*HMAC, error) {
 	if width < MinWidth || width > MaxWidth {
 		return nil, fmt.Errorf("keysub: width %d out of range [%d, %d]", width, MinWidth, MaxWidth)
 	}
-	return &HMAC{secret: append([]byte(nil), secret...), width: width}, nil
+	secret = append([]byte(nil), secret...)
+	h := &HMAC{width: width}
+	h.macs.New = func() any { return hmac.New(sha256.New, secret) }
+	return h, nil
 }
 
 func (h *HMAC) Substitute(key []byte) []byte {
-	mac := hmac.New(sha256.New, h.secret)
+	return h.appendSubstitute(make([]byte, 0, sha256.Size), key)
+}
+
+// appendSubstitute appends key's substitute to dst, which must have
+// sha256.Size bytes of spare capacity for the untruncated sum, and clips the
+// result's capacity to its length.
+func (h *HMAC) appendSubstitute(dst, key []byte) []byte {
+	mac := h.macs.Get().(hash.Hash)
 	mac.Write(key)
-	sum := mac.Sum(nil)
-	return sum[:h.width:h.width]
+	sum := mac.Sum(dst)
+	// Reset restores the keyed pads from their marshaled state (two
+	// compressions a call instead of four) and leaves nothing of key behind
+	// in the pooled state.
+	mac.Reset()
+	h.macs.Put(mac)
+	n := len(dst) + h.width
+	return sum[:n:n]
 }
 
 func (h *HMAC) Width() int { return h.width }
@@ -91,8 +112,15 @@ func (h *HMAC) Name() string { return fmt.Sprintf("hmac-sha256/%d", h.width) }
 // substituter's (pseudorandom) order.
 type Bucketed struct {
 	inner      Substituter
+	app        appender // inner's single-buffer path, nil if it has none
 	prefixBits int
 	prefixLen  int
+}
+
+// appender is implemented by substituters that can write their output
+// straight after a bucket prefix, sparing the intermediate buffer.
+type appender interface {
+	appendSubstitute(dst, key []byte) []byte
 }
 
 // NewBucketed returns a bucketed substituter with 2^prefixBits buckets.
@@ -105,41 +133,54 @@ func NewBucketed(inner Substituter, prefixBits int) (*Bucketed, error) {
 	if prefixBits < 1 || prefixBits > 64 {
 		return nil, fmt.Errorf("keysub: prefixBits %d out of range [1, 64]", prefixBits)
 	}
-	return &Bucketed{inner: inner, prefixBits: prefixBits, prefixLen: (prefixBits + 7) / 8}, nil
+	b := &Bucketed{inner: inner, prefixBits: prefixBits, prefixLen: (prefixBits + 7) / 8}
+	b.app, _ = inner.(appender)
+	return b, nil
 }
 
 func (b *Bucketed) Substitute(key []byte) []byte {
+	if b.app != nil {
+		out := make([]byte, b.prefixLen, b.prefixLen+sha256.Size)
+		b.putPrefix(out, key)
+		return b.app.appendSubstitute(out, key)
+	}
 	sub := b.inner.Substitute(key)
 	out := make([]byte, b.prefixLen+len(sub))
-	copy(out, b.prefix(key))
+	b.putPrefix(out[:b.prefixLen], key)
 	copy(out[b.prefixLen:], sub)
 	return out
 }
 
-// prefix returns the key's bucket prefix: its leading prefixBits bits.
-// Shorter keys are zero-padded, which keeps the mapping monotone (a prefix
-// sorts before its extensions).
-func (b *Bucketed) prefix(key []byte) []byte {
-	p := make([]byte, b.prefixLen)
+// putPrefix writes key's bucket prefix, its leading prefixBits bits, into the
+// zeroed prefixLen bytes of p. Shorter keys stay zero-padded, which keeps the
+// mapping monotone (a prefix sorts before its extensions).
+func (b *Bucketed) putPrefix(p, key []byte) {
 	copy(p, key)
 	if rem := b.prefixBits % 8; rem != 0 {
 		p[b.prefixLen-1] &= byte(0xFF << (8 - rem))
 	}
-	return p
 }
 
 // SubstituteRange implements RangeSubstituter: lo is from's bare bucket
 // prefix (sorting at or before every substituted key in that bucket), and hi
 // is to's bucket prefix plus one (sorting after every substituted key in
 // to's bucket). The result covers whole boundary buckets — a superset of the
-// plaintext range, never a pseudorandom sample of it.
+// plaintext range, never a pseudorandom sample of it. Both bounds are cut
+// from one buffer, each clipped to its own capacity.
 func (b *Bucketed) SubstituteRange(from, to []byte) (lo, hi []byte) {
+	if from == nil && to == nil {
+		return nil, nil
+	}
+	n := b.prefixLen
+	buf := make([]byte, 2*n)
 	if from != nil {
-		lo = b.prefix(from)
+		lo = buf[:n:n]
+		b.putPrefix(lo, from)
 	}
 	if to != nil {
-		hi = b.prefix(to)
-		for i := len(hi) - 1; i >= 0; i-- {
+		hi = buf[n:]
+		b.putPrefix(hi, to)
+		for i := n - 1; i >= 0; i-- {
 			hi[i]++
 			if hi[i] != 0 {
 				return lo, hi

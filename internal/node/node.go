@@ -25,12 +25,11 @@
 package node
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
-
-	"bytes"
+	"slices"
 )
 
 const (
@@ -93,12 +92,23 @@ type Node struct {
 }
 
 // Search returns the index of the first key >= key, and whether that key is
-// an exact match.
+// an exact match. Keys are strictly increasing, so the binary search may stop
+// at the first equal probe; it is written out because every level of every
+// descent runs it, and sort.Search pays a closure call a probe.
 func (n *Node) Search(key []byte) (int, bool) {
-	i := sort.Search(len(n.Keys), func(i int) bool {
-		return bytes.Compare(n.Keys[i], key) >= 0
-	})
-	return i, i < len(n.Keys) && bytes.Equal(n.Keys[i], key)
+	lo, hi := 0, len(n.Keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(n.Keys[mid], key); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return lo, false
 }
 
 func commonPrefixLen(a, b []byte) int {
@@ -151,6 +161,13 @@ func (n *Node) Encode() ([]byte, error) {
 // EncodeFormat serializes the node to a fresh page buffer in the given
 // format.
 func (n *Node) EncodeFormat(f Format) ([]byte, error) {
+	return n.AppendEncodeFormat(nil, f)
+}
+
+// AppendEncodeFormat appends the node's page in the given format to dst and
+// returns the extended buffer, so a caller sealing page after page can encode
+// into one reused scratch. dst is grown at most once, up front.
+func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 	if f != FormatFull && f != FormatPrefix {
 		return nil, fmt.Errorf("node: unknown format %d", byte(f))
 	}
@@ -166,7 +183,7 @@ func (n *Node) EncodeFormat(f Format) ([]byte, error) {
 	if len(n.Keys) > 1<<16-1 {
 		return nil, fmt.Errorf("node: too many keys: %d", len(n.Keys))
 	}
-	buf := make([]byte, 0, n.EncodedSizeFormat(f))
+	buf := slices.Grow(dst, n.EncodedSizeFormat(f))
 	flags := byte(0)
 	if n.Leaf {
 		flags |= flagLeaf
@@ -273,7 +290,11 @@ func Decode(page []byte) (*Node, error) {
 		return buf[start:len(buf):len(buf)]
 	}
 
-	n.Keys = make([][]byte, nkeys)
+	// Key and value headers share one backing array; each half is clipped to
+	// its own capacity, so an append to Keys reallocates rather than running
+	// into Values.
+	hdrs := make([][]byte, 2*nkeys)
+	n.Keys, n.Values = hdrs[:nkeys:nkeys], hdrs[nkeys:]
 	var prev []byte
 	for i := range n.Keys {
 		if prefix {
@@ -306,7 +327,6 @@ func Decode(page []byte) (*Node, error) {
 		}
 		prev = n.Keys[i]
 	}
-	n.Values = make([][]byte, nkeys)
 	for i := range n.Values {
 		if len(rest) < 4 {
 			return nil, ErrDecode

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -320,6 +321,74 @@ func TestSearch(t *testing.T) {
 		i, eq := n.Search([]byte(tt.key))
 		if i != tt.wantI || eq != tt.wantEq {
 			t.Errorf("Search(%q) = (%d, %v), want (%d, %v)", tt.key, i, eq, tt.wantI, tt.wantEq)
+		}
+	}
+}
+
+// TestSearchMatchesReference checks the hand-rolled binary search against
+// sort.Search for every present and absent key of nodes of every size up to
+// well past a default-order node's 31 keys, the empty node included.
+func TestSearchMatchesReference(t *testing.T) {
+	for size := 0; size <= 70; size++ {
+		n := &Node{Leaf: true}
+		for i := 0; i < size; i++ {
+			n.Keys = append(n.Keys, []byte{byte(2*i + 1)}) // odd bytes: even ones are absent
+		}
+		for probe := 0; probe <= 2*size+1; probe++ {
+			key := []byte{byte(probe)}
+			wantI := sort.Search(size, func(i int) bool { return bytes.Compare(n.Keys[i], key) >= 0 })
+			wantEq := wantI < size && bytes.Equal(n.Keys[wantI], key)
+			if i, eq := n.Search(key); i != wantI || eq != wantEq {
+				t.Fatalf("size %d: Search(%d) = (%d, %v), want (%d, %v)", size, probe, i, eq, wantI, wantEq)
+			}
+		}
+	}
+}
+
+// TestDecodeHeaderIsolation: Keys and Values share one backing array, so
+// growing Keys — what an insert into a decoded node does — must reallocate
+// rather than overwrite Values[0].
+func TestDecodeHeaderIsolation(t *testing.T) {
+	n := &Node{Leaf: true, Keys: [][]byte{[]byte("a"), []byte("b")}, Values: [][]byte{[]byte("v1"), []byte("v2")}}
+	for _, f := range []Format{FormatFull, FormatPrefix} {
+		page, err := n.EncodeFormat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Keys = append(got.Keys, []byte("clobber"))
+		if !bytes.Equal(got.Values[0], []byte("v1")) {
+			t.Errorf("%s: appending to Keys overwrote Values[0] = %q", f, got.Values[0])
+		}
+	}
+}
+
+// TestAppendEncodeFormat: encoding after existing bytes and into a reused
+// scratch both yield exactly EncodeFormat's page.
+func TestAppendEncodeFormat(t *testing.T) {
+	n := &Node{
+		Keys:     [][]byte{[]byte("shared-b"), []byte("shared-d")},
+		Values:   [][]byte{[]byte("vb"), []byte("vd")},
+		Children: []uint64{1, 2, 3},
+	}
+	for _, f := range []Format{FormatFull, FormatPrefix} {
+		want, err := n.EncodeFormat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.AppendEncodeFormat([]byte("head"), f)
+		if err != nil || !bytes.Equal(got, append([]byte("head"), want...)) {
+			t.Errorf("%s: append after a prefix = (%x, %v)", f, got, err)
+		}
+		scratch := make([]byte, 0, 4*len(want))
+		for i := 0; i < 2; i++ {
+			got, err = n.AppendEncodeFormat(scratch[:0], f)
+			if err != nil || !bytes.Equal(got, want) || &got[0] != &scratch[:1][0] {
+				t.Errorf("%s: reuse %d = (%x, %v), want the page written into the scratch", f, i, got, err)
+			}
 		}
 	}
 }

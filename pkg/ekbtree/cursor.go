@@ -53,8 +53,9 @@ type Cursor struct {
 	lo, hi []byte // substituted bounds: lo inclusive, hi exclusive; nil = unbounded
 
 	// One pinned snapshot + iterator per shard the range covers, in shard
-	// (ascending substituted-key) order. Empty if the tree was closed at
-	// creation: every positioning call then reports ErrClosed.
+	// (ascending substituted-key) order. Empty if a snapshot could not be
+	// taken at creation: err holds the reason and every positioning call
+	// reports it.
 	snaps []*engine.Snapshot
 	iters []*engine.Iter
 	// Per-iterator buffered head entry; hk[i] == nil means iterator i is
@@ -94,12 +95,14 @@ func (t *Tree) newCursor(lo, hi []byte) *Cursor {
 	for i := s0; i <= s1; i++ {
 		snap, err := t.shards[i].Snapshot()
 		if err != nil {
-			// Tree already closed: drop the pins taken so far and leave the
-			// cursor snapshot-less.
+			// Drop the pins taken so far and leave the cursor snapshot-less,
+			// latching why: Err reports it now, and so does every later
+			// positioning call.
 			for _, s := range c.snaps {
 				s.Close()
 			}
 			c.snaps, c.iters = nil, nil
+			c.err = err
 			return c
 		}
 		c.snaps = append(c.snaps, snap)
@@ -180,9 +183,12 @@ func (c *Cursor) Next() bool {
 // usable checks the closed states and the snapshot-age bound, recording the
 // appropriate sentinel error.
 func (c *Cursor) usable() bool {
-	if c.closed || len(c.snaps) == 0 || c.t.closed() {
+	if c.closed || c.t.closed() {
 		c.err = ErrClosed
 		return false
+	}
+	if len(c.snaps) == 0 {
+		return false // creation failed; c.err has held the reason since
 	}
 	if max := c.t.maxEpochAge; max > 0 {
 		for _, s := range c.snaps {

@@ -275,6 +275,35 @@ func TestCursorClosed(t *testing.T) {
 	}
 }
 
+// TestCursorSurfacesOpenError pins that a cursor which could take no snapshot
+// reports why, from Err at once and from every positioning call after, rather
+// than a blanket ErrClosed once First is tried.
+func TestCursorSurfacesOpenError(t *testing.T) {
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA8}, 32)})
+	if err := tr.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	// The failure engine.Snapshot can produce today: the tree is closed.
+	closed := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA8}, 32)})
+	closed.Close()
+	if c := closed.Cursor(); !errors.Is(c.Err(), ErrClosed) {
+		t.Errorf("Err on a cursor opened over a closed tree = %v before any call, want ErrClosed", c.Err())
+	}
+	// Any other failure must come through unchanged, over a live tree too.
+	errSnap := errors.New("injected: snapshot refused")
+	c := &Cursor{t: tr, err: errSnap}
+	defer c.Close()
+	if c.First() || !errors.Is(c.Err(), errSnap) {
+		t.Errorf("First: Err = %v, want the open error", c.Err())
+	}
+	if c.Seek([]byte("k")) || !errors.Is(c.Err(), errSnap) {
+		t.Errorf("Seek: Err = %v, want the open error", c.Err())
+	}
+	if c.Next() || !errors.Is(c.Err(), errSnap) {
+		t.Errorf("Next: Err = %v, want the open error", c.Err())
+	}
+}
+
 // TestCursorConcurrentWithWrites iterates while other goroutines mutate the
 // tree; exercised under -race in CI. The cursor must never error, repeat, or
 // go backwards.

@@ -690,12 +690,12 @@ func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substitute
 	return format, nil
 }
 
-// substituteKey maps a plaintext key to its substituted form, defensively
-// copying the result so buffers the tree retains never alias memory a custom
-// Substituter might share with the caller, and validating that it fits the
-// page encoding.
+// substituteKey maps a plaintext key to its substituted form, validating
+// that it fits the page encoding. The tree retains the result as is: the
+// Substituter contract makes it a fresh buffer that is the caller's and
+// aliases nothing.
 func (t *Tree) substituteKey(key []byte) ([]byte, error) {
-	sk := append([]byte(nil), t.sub.Substitute(key)...)
+	sk := t.sub.Substitute(key)
 	if len(sk) > node.MaxKeyLen {
 		return nil, fmt.Errorf("%w: substituted key is %d bytes, limit %d", ErrTooLarge, len(sk), node.MaxKeyLen)
 	}

@@ -88,13 +88,9 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, MapErr(err)
 	}
-	g := &Engine{
-		st:  cfg.Store,
-		io:  newNodeIO(cfg.Store, cfg.Cipher, cfg.CachePages),
-		es:  newEpochs(root),
-		deg: cfg.Order / 2,
-	}
-	g.io.fmt = cfg.NodeFormat
+	io := newNodeIO(cfg.Store, cfg.Cipher, cfg.CachePages)
+	io.fmt = cfg.NodeFormat
+	g := &Engine{st: cfg.Store, io: io, es: newEpochs(io, root), deg: cfg.Order / 2}
 	if g.io.es != nil {
 		sa, err := newSealAlloc(cfg.Store, cfg.SealBudget, cfg.HardSealLimit,
 			cfg.CounterBase, cfg.OnEpochAdvance)
@@ -214,7 +210,7 @@ func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) (error
 		return err, commitDone
 	}
 	defer g.es.release(base)
-	tx := newWriteTxn(g.io, base)
+	tx := newWriteTxn(base)
 	tx.sa = g.sa
 	if err := work(tx); err != nil {
 		return MapErr(err), commitDone
@@ -258,7 +254,7 @@ func (g *Engine) Get(sk []byte) ([]byte, bool, error) {
 		return nil, false, err
 	}
 	defer g.es.release(e)
-	v, ok, err := btree.Lookup(epochReader{io: g.io, e: e}, e.root, sk)
+	v, ok, err := btree.Lookup(e, e.root, sk)
 	if err != nil {
 		return nil, false, MapErr(err)
 	}
@@ -300,7 +296,7 @@ func (s *Snapshot) Age() uint64 {
 // exclusive upper bound hi (nil = unbounded). Position it with Seek before
 // the first Next. The iterator is only valid until the snapshot is closed.
 func (s *Snapshot) Iter(hi []byte) *Iter {
-	return &Iter{it: btree.NewIter(epochReader{io: s.g.io, e: s.e}, s.e.root, hi)}
+	return &Iter{it: btree.NewIter(s.e, s.e.root, hi)}
 }
 
 // Close releases the pin. Closing twice is a no-op.
@@ -363,7 +359,7 @@ func (g *Engine) Stats() (Stats, error) {
 		return Stats{}, err
 	}
 	defer g.es.release(e)
-	s, err := btree.StatsIn(epochReader{io: g.io, e: e}, e.root)
+	s, err := btree.StatsIn(e, e.root)
 	if err != nil {
 		return Stats{}, MapErr(err)
 	}

@@ -237,7 +237,7 @@ func TestBatchRestageAfterFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := newWriteTxn(io, &epoch{root: root, state: epochPublished})
+	tx := newWriteTxn(&epoch{io: io, root: root, state: epochPublished})
 	if err := tx.Free(id); err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,7 @@ const (
 // map, and touched set are immutable from the moment it is linked; refs and
 // state are guarded by the owning epochs mutex.
 type epoch struct {
+	io   *nodeIO // the shard's shared page reader; what Read falls through to
 	seq  uint64
 	root uint64
 	// undo holds the pre-images of the pages that the commit CREATING this
@@ -73,6 +74,28 @@ func (e *epoch) lookupUndo(id uint64) *node.Node {
 		}
 	}
 	return nil
+}
+
+// Read resolves page id as of this epoch, implementing btree.Reader; a pinned
+// *epoch is handed to the btree layer as is. The fetch-then-overlay order is
+// load-bearing: the overlay is consulted FIRST (a hit needs no fetch), but on
+// a miss the shared fetch runs and the overlay is checked AGAIN before the
+// fetched node is trusted. A commit links its undo overlay before it touches
+// the store, so if the fetch observed post-commit state the re-check is
+// guaranteed to see the overlay entry (the store's and cache's internal locks
+// provide the happens-before edge), and the superseded fetch is discarded.
+func (e *epoch) Read(id uint64) (*node.Node, error) {
+	if n := e.lookupUndo(id); n != nil {
+		return n, nil
+	}
+	n, err := e.io.ReadShared(id)
+	if un := e.lookupUndo(id); un != nil {
+		// A commit rewrote or freed the page mid-read; the undo overlay holds
+		// this epoch's version (and explains an ErrNotFound fetch: the page
+		// was freed by a newer epoch).
+		return un, nil
+	}
+	return n, err
 }
 
 // epochs manages the epoch chain for one Tree: pinning, optimistic-commit
@@ -111,8 +134,8 @@ type epochs struct {
 }
 
 // newEpochs seeds the chain with the store's current root as epoch 0.
-func newEpochs(root uint64) *epochs {
-	e := &epoch{seq: 0, root: root, state: epochPublished}
+func newEpochs(io *nodeIO, root uint64) *epochs {
+	e := &epoch{io: io, seq: 0, root: root, state: epochPublished}
 	es := &epochs{current: e, tail: e, head: e, nextSeq: 1}
 	es.turn.L = &es.mu
 	return es
@@ -174,7 +197,7 @@ func (es *epochs) validateAndPrepare(base *epoch, reads map[uint64]struct{}, cs 
 			}
 		}
 	}
-	e := &epoch{seq: es.nextSeq, root: cs.root, undo: cs.undo, touched: cs.touched, state: epochPending}
+	e := &epoch{io: base.io, seq: es.nextSeq, root: cs.root, undo: cs.undo, touched: cs.touched, state: epochPending}
 	es.nextSeq++
 	es.tail.next.Store(e)
 	es.tail = e
@@ -283,31 +306,4 @@ func (es *epochs) close() bool {
 // chain mutex.
 func (es *epochs) isClosed() bool {
 	return es.closed.Load()
-}
-
-// epochReader resolves pages as of a pinned epoch, implementing btree.Reader.
-// The fetch-then-overlay order is load-bearing: the overlay is consulted
-// FIRST (a hit needs no fetch), but on a miss the shared fetch runs and the
-// overlay is checked AGAIN before the fetched node is trusted. A commit links
-// its undo overlay before it touches the store, so if the fetch observed
-// post-commit state the re-check is guaranteed to see the overlay entry (the
-// store's and cache's internal locks provide the happens-before edge), and
-// the superseded fetch is discarded.
-type epochReader struct {
-	io *nodeIO
-	e  *epoch
-}
-
-func (r epochReader) Read(id uint64) (*node.Node, error) {
-	if n := r.e.lookupUndo(id); n != nil {
-		return n, nil
-	}
-	n, err := r.io.ReadShared(id)
-	if un := r.e.lookupUndo(id); un != nil {
-		// A commit rewrote or freed the page mid-read; the undo overlay holds
-		// this epoch's version (and explains an ErrNotFound fetch: the page
-		// was freed by a newer epoch).
-		return un, nil
-	}
-	return n, err
 }

@@ -51,7 +51,7 @@ type nodeIO struct {
 	// façade's header check is what keeps a tree from silently mixing them.
 	fmt node.Format
 	// es is nc's EpochSealer extension when it has one, nil otherwise. With
-	// it set, transactional seals go through sealEpoch with engine-allocated
+	// it set, transactional seals go through SealEpoch with engine-allocated
 	// (epoch, counter) nonces; without it, the legacy Seal path applies.
 	es cipher.EpochSealer
 
@@ -92,11 +92,14 @@ type stagedNode struct {
 // freely: the outer key/value/child slices are fresh (with one slot of
 // headroom for the common single insert), while the inner byte slices are
 // shared — the engine never mutates key or value bytes in place, only
-// replaces whole elements.
+// replaces whole elements. Keys and Values are cut from one array, each
+// clipped to its own capacity so growing one never runs into the other.
 func cloneNode(n *node.Node) *node.Node {
 	c := &node.Node{Leaf: n.Leaf}
-	c.Keys = append(make([][]byte, 0, len(n.Keys)+1), n.Keys...)
-	c.Values = append(make([][]byte, 0, len(n.Values)+1), n.Values...)
+	room := len(n.Keys) + 1
+	hdrs := make([][]byte, 2*room)
+	c.Keys = append(hdrs[:0:room], n.Keys...)
+	c.Values = append(hdrs[room:room:2*room], n.Values...)
 	if !n.Leaf {
 		c.Children = append(make([]uint64, 0, len(n.Children)+1), n.Children...)
 	}
@@ -114,7 +117,7 @@ func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
 }
 
 // ReadShared returns the decoded node for id from the cache or the store. It
-// is the shared read path used by lock-free epoch readers (via epochReader)
+// is the shared read path used by lock-free epoch readers (via epoch.Read)
 // and by the writer as its fetch primitive; the returned node is immutable
 // and may be concurrently shared. The cache mutex is held only around map
 // operations, never across the store read or the decipher.
@@ -167,7 +170,7 @@ func (io *nodeIO) countHit() {
 }
 
 func (io *nodeIO) Write(id uint64, n *node.Node) error {
-	page, err := io.seal(id, n)
+	page, err := io.seal(id, n, false, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -195,24 +198,27 @@ func (io *nodeIO) Write(id uint64, n *node.Node) error {
 	return nil
 }
 
-// seal encodes and seals one node into a store-ready page via the cipher's
-// legacy (scheme-chosen nonce) path.
-func (io *nodeIO) seal(id uint64, n *node.Node) ([]byte, error) {
-	pt, err := n.EncodeFormat(io.fmt)
+// encodeScratch recycles the plaintext page buffers of the commit path: a
+// seal copies the encoded page into the ciphertext it returns, so the encoding
+// itself can live in one reused buffer per sealing goroutine.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// seal encodes and seals one node into a store-ready page: under the
+// engine-allocated (epoch, counter) nonce when counted — callers guarantee the
+// pair is never reused — and otherwise via the cipher's legacy
+// scheme-chosen-nonce path, which ignores the pair.
+func (io *nodeIO) seal(id uint64, n *node.Node, counted bool, epoch uint32, counter uint64) ([]byte, error) {
+	scratch := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(scratch)
+	pt, err := n.AppendEncodeFormat((*scratch)[:0], io.fmt)
 	if err != nil {
 		return nil, err
+	}
+	*scratch = pt
+	if counted {
+		return io.es.SealEpoch(id, epoch, counter, pt)
 	}
 	return io.nc.Seal(id, pt)
-}
-
-// sealEpoch encodes and seals one node under an engine-allocated
-// (epoch, counter) nonce. Callers guarantee the pair is never reused.
-func (io *nodeIO) sealEpoch(id uint64, n *node.Node, epoch uint32, counter uint64) ([]byte, error) {
-	pt, err := n.EncodeFormat(io.fmt)
-	if err != nil {
-		return nil, err
-	}
-	return io.es.SealEpoch(id, epoch, counter, pt)
 }
 
 // cacheGet returns a cached decoded node and marks its reference bit, giving

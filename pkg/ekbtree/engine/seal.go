@@ -244,13 +244,12 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 	if e.root == store.NoRoot {
 		return nil, nil
 	}
-	r := epochReader{io: g.io, e: e}
 	var stale []uint64
 	stack := []uint64{e.root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n, err := r.Read(id)
+		n, err := e.Read(id)
 		if err != nil {
 			if errors.Is(err, store.ErrNotFound) {
 				continue

@@ -206,3 +206,73 @@ func TestCounterMonotonicAcrossReopen(t *testing.T) {
 			g2.sa.next, markBefore.Counter)
 	}
 }
+
+// TestTamperedPageFailsClosed: a page that fails authentication must come
+// back from the shared read path as an error and nothing else — no node, and
+// no cache entry a later reader could be served from — now that Open
+// deciphers over the very buffer the store handed out.
+func TestTamperedPageFailsClosed(t *testing.T) {
+	st := store.NewMem()
+	g := newEpochEngine(t, st, 0, 0, nil)
+	defer g.Close()
+	for i := 0; i < 200; i++ {
+		epochPut(t, g, fmt.Sprintf("key-%04d", i), "v")
+	}
+	root, err := st.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := st.ReadPage(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page[len(page)/2] ^= 0x01
+	if err := st.WritePage(root, page); err != nil {
+		t.Fatal(err)
+	}
+	g.io.invalidate()
+
+	for attempt := 0; attempt < 2; attempt++ {
+		n, err := g.io.ReadShared(root)
+		if n != nil || !errors.Is(err, cipher.ErrOpen) {
+			t.Fatalf("ReadShared(tampered root) = (%v, %v), want (nil, ErrOpen)", n, err)
+		}
+		if pages := g.io.cacheStats().Pages; pages != 0 {
+			t.Fatalf("cache holds %d pages after a rejected read", pages)
+		}
+	}
+	if _, _, err := g.Get([]byte("key-0000")); err == nil {
+		t.Fatal("Get through a tampered root succeeded")
+	}
+}
+
+// TestStaleScanAfterInPlaceOpens: reading every page cold deciphers each one
+// in place, over the reader's own copy; the store's pages must still carry
+// their nonce prefix, which is all the rotator's stale scan looks at.
+func TestStaleScanAfterInPlaceOpens(t *testing.T) {
+	st := store.NewMem()
+	g := newEpochEngine(t, st, 0, 0, nil)
+	defer g.Close()
+	for i := 0; i < 200; i++ {
+		epochPut(t, g, fmt.Sprintf("key-%04d", i), "v")
+	}
+	g.io.invalidate()
+	stats, err := g.Stats() // a cold walk: every page opened once
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AdvanceEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if pending, err := g.PendingReseal(); err != nil || pending != stats.Nodes {
+		t.Fatalf("PendingReseal = (%d, %v), want every one of the %d pages", pending, err, stats.Nodes)
+	}
+	for done := false; !done; {
+		if done, err = g.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pending, _ := g.PendingReseal(); pending != 0 {
+		t.Fatalf("PendingReseal = %d after rotation", pending)
+	}
+}

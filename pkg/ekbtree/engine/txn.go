@@ -45,9 +45,9 @@ type writeTxn struct {
 	pendingRoot *uint64
 }
 
-func newWriteTxn(io *nodeIO, base *epoch) *writeTxn {
+func newWriteTxn(base *epoch) *writeTxn {
 	return &writeTxn{
-		io:       io,
+		io:       base.io,
 		base:     base,
 		baseRoot: base.root,
 		staged:   make(map[uint64]*stagedNode),
@@ -62,7 +62,7 @@ func newWriteTxn(io *nodeIO, base *epoch) *writeTxn {
 // the read-set.
 func (tx *writeTxn) readBase(id uint64) (*node.Node, error) {
 	tx.reads[id] = struct{}{}
-	return epochReader{io: tx.io, e: tx.base}.Read(id)
+	return tx.base.Read(id)
 }
 
 // Read serves the transaction's private staged clone, creating one on first
@@ -242,10 +242,7 @@ const sealParallelMin = 8
 // small commits (or single-proc runs) seal inline.
 func (tx *writeTxn) sealDirty(ids []uint64, out map[uint64][]byte, epoch uint32, start uint64) error {
 	sealOne := func(i int) ([]byte, error) {
-		if tx.sa != nil {
-			return tx.io.sealEpoch(ids[i], tx.staged[ids[i]].n, epoch, start+uint64(i))
-		}
-		return tx.io.seal(ids[i], tx.staged[ids[i]].n)
+		return tx.io.seal(ids[i], tx.staged[ids[i]].n, tx.sa != nil, epoch, start+uint64(i))
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/paper-repro/ekbtree/internal/israce"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -110,5 +111,42 @@ func TestCursorSingleDescent(t *testing.T) {
 		}
 		c.Close()
 		tr.Close()
+	}
+}
+
+// TestGetAllocs guards the hot read path's allocation budget: with every
+// node cached, a Get allocates the substituted key and the value copy, and a
+// miss only the key. Backend and shard count do not matter once the tree is
+// cached, so the guard holds under the whole test matrix.
+func TestGetAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xD6}, 32), CachePages: 4096})
+	defer tr.Close()
+	b := tr.NewBatch()
+	for i := 0; i < 5000; i++ {
+		if err := b.Put([]byte{byte(i >> 8), byte(i), 'k'}, bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	present, absent := []byte{0x07, 0x77, 'k'}, []byte{0x07, 0x77, 'x'}
+	for _, tt := range []struct {
+		key  []byte
+		ok   bool
+		want float64
+	}{{present, true, 2}, {absent, false, 1}} {
+		get := func() {
+			if _, ok, err := tr.Get(tt.key); err != nil || ok != tt.ok {
+				t.Fatalf("Get(%x) = (%v, %v)", tt.key, ok, err)
+			}
+		}
+		get() // the descent's pages are cached from here on
+		if n := testing.AllocsPerRun(200, get); n > tt.want {
+			t.Errorf("cached Get (present=%v) allocates %.1f times, want <= %.0f", tt.ok, n, tt.want)
+		}
 	}
 }
