@@ -23,53 +23,44 @@ import (
 // structurally invalid.
 var ErrOpen = errors.New("cipher: page authentication failed")
 
-// NodeCipher seals and opens serialized node pages. Implementations must be
-// safe for concurrent use.
+// NodeCipher seals and opens serialized node pages under a key-epoch scheme
+// with caller-supplied nonces: the engine allocates a collision-free (epoch,
+// counter) pair for every node-page seal and the cipher never picks a nonce
+// for one. Implementations must be safe for concurrent use.
 type NodeCipher interface {
-	// Seal enciphers plaintext for the given page ID, returning a fresh
-	// buffer. The same plaintext sealed twice need not produce equal output.
-	// plaintext is the caller's and is reused once Seal (or SealEpoch)
-	// returns; implementations must not retain it.
+	// Seal enciphers the façade's header for page ID 0 — the only page that
+	// must open before any epoch state is known — returning a fresh buffer.
+	// Node pages go through SealEpoch. plaintext is the caller's and is reused
+	// once Seal (or SealEpoch) returns; implementations must not retain it.
 	Seal(pageID uint64, plaintext []byte) ([]byte, error)
-	// Open deciphers a sealed page previously produced by Seal with the same
-	// page ID, or returns ErrOpen on tampering/mismatch. Open CONSUMES sealed:
-	// the caller must own the buffer (store.PageStore.ReadPage hands out such
-	// buffers) and must not read its contents afterwards, because an
-	// implementation may decipher in place and return a plaintext that
-	// aliases it. On error the buffer's page body is unspecified and nothing
-	// aliasing it is returned; the nonce prefix is left intact either way.
+	// SealEpoch enciphers plaintext under key epoch's derived key using the
+	// deterministic nonce epoch(32-bit big-endian) || counter(64-bit
+	// big-endian), returning a fresh buffer. The caller must never reuse an
+	// (epoch, counter) pair.
+	SealEpoch(pageID uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error)
+	// SealedEpoch reports the key epoch a sealed page was produced under
+	// (readable from the nonce prefix without deciphering), or false if the
+	// buffer is too short to carry one.
+	SealedEpoch(sealed []byte) (uint32, bool)
+	// Open deciphers a sealed page previously produced by Seal or SealEpoch
+	// with the same page ID, or returns ErrOpen on tampering/mismatch. Open
+	// CONSUMES sealed: the caller must own the buffer
+	// (store.PageStore.ReadPage hands out such buffers) and must not read its
+	// contents afterwards, because an implementation may decipher in place and
+	// return a plaintext that aliases it. On error the buffer's page body is
+	// unspecified and nothing aliasing it is returned; the nonce prefix is
+	// left intact either way.
 	Open(pageID uint64, sealed []byte) ([]byte, error)
-	// Overhead returns the number of bytes Seal adds to a plaintext page.
+	// Overhead returns the number of bytes sealing adds to a plaintext page.
 	Overhead() int
 	// Name identifies the scheme.
 	Name() string
 }
 
-// AESGCM seals pages with AES-GCM using a random 96-bit nonce per seal and
-// the big-endian page ID as associated data. Layout: nonce || ciphertext+tag.
-type AESGCM struct {
-	aead stdcipher.AEAD
-}
-
-// NewAESGCM returns an AES-GCM node cipher. The key must be 16, 24, or 32
-// bytes (AES-128/192/256).
-//
-// Random 96-bit nonces carry the NIST SP 800-38D bound of 2^32 seals per
-// key; past it, nonce-collision risk becomes non-negligible and with it
-// plaintext leakage and forgery. Long-lived high-traffic deployments need
-// key rotation or a counter-based nonce scheme before that bound (tracked
-// in ROADMAP).
-func NewAESGCM(key []byte) (*AESGCM, error) {
-	block, err := stdaes.NewCipher(key)
-	if err != nil {
-		return nil, fmt.Errorf("cipher: %w", err)
-	}
-	aead, err := stdcipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("cipher: %w", err)
-	}
-	return &AESGCM{aead: aead}, nil
-}
+// EpochSealer is the name NodeCipher's epoch methods had while they were an
+// optional extension; bench/ still spells it. Delete it the next time bench/
+// may be touched.
+type EpochSealer = NodeCipher
 
 // aadPool recycles the 8-byte associated-data buffers: an AEAD is called
 // through an interface, so a stack array handed to it would be moved to the
@@ -106,55 +97,19 @@ func openPage(aead stdcipher.AEAD, pageID uint64, sealed []byte) ([]byte, error)
 	return pt, nil
 }
 
-func (c *AESGCM) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
-	nonceSize := c.aead.NonceSize()
-	out := make([]byte, nonceSize, nonceSize+len(plaintext)+c.aead.Overhead())
-	if _, err := rand.Read(out[:nonceSize]); err != nil {
-		return nil, fmt.Errorf("cipher: nonce: %w", err)
-	}
-	return sealPage(c.aead, pageID, out, plaintext), nil
-}
-
-func (c *AESGCM) Open(pageID uint64, sealed []byte) ([]byte, error) {
-	return openPage(c.aead, pageID, sealed)
-}
-
-func (c *AESGCM) Overhead() int { return c.aead.NonceSize() + c.aead.Overhead() }
-
-func (c *AESGCM) Name() string { return "aes-gcm" }
-
-// EpochSealer is the optional NodeCipher extension for key-epoch schemes with
-// caller-supplied nonces. The engine type-asserts for it: when present, every
-// node page is sealed via SealEpoch with an engine-allocated (epoch, counter)
-// pair — collision-free by construction — instead of Seal's scheme-chosen
-// nonce, and budgets/rotation apply. Plain NodeCipher implementations keep the
-// legacy behavior (no budgets, no epochs).
-type EpochSealer interface {
-	NodeCipher
-	// SealEpoch enciphers plaintext under key epoch's derived key using the
-	// deterministic nonce epoch(32-bit big-endian) || counter(64-bit
-	// big-endian). The caller must never reuse an (epoch, counter) pair.
-	SealEpoch(pageID uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error)
-	// SealedEpoch reports the key epoch a sealed page was produced under
-	// (readable from the nonce prefix without deciphering), or false if the
-	// buffer is too short to carry one.
-	SealedEpoch(sealed []byte) (uint32, bool)
-}
-
 // EpochAESGCM seals pages with AES-256-GCM under per-epoch HKDF-derived keys
 // and caller-supplied counter nonces: nonce = epoch(4B BE) || counter(8B BE),
 // so every seal in the tree's lifetime uses a distinct nonce as long as the
 // engine never reissues a counter (a durable high-water mark guarantees that
-// across crash and reopen). The sealed layout is the same nonce || ct+tag as
-// AESGCM — the epoch rides in the nonce prefix, costing no extra bytes — and
-// the big-endian page ID remains the associated data.
+// across crash and reopen). The sealed layout is nonce || ct+tag — the epoch
+// rides in the nonce prefix, costing no extra bytes — and the big-endian page
+// ID is the associated data.
 //
 // Page ID 0 (the façade's header/meta page) is sealed with the RAW subkey and
-// a random nonce, byte-identical to legacy AESGCM: the header must be
-// decipherable before any epoch state is known, and a legacy file opened with
-// this cipher then fails closed with an honest config mismatch (the header
-// deciphers but records scheme "aes-gcm", not "aes-gcm-ctr") rather than a
-// spurious wrong-key error.
+// a random nonce: the header must be decipherable before any epoch state is
+// known, and a header written under the same key by a scheme with another
+// name then fails closed with an honest config mismatch (it deciphers but
+// records that name) rather than a spurious wrong-key error.
 type EpochAESGCM struct {
 	key []byte         // cipher subkey; HKDF secret for per-epoch keys
 	raw stdcipher.AEAD // raw-subkey AEAD for the page-0 header path
@@ -266,18 +221,40 @@ func (c *EpochAESGCM) Overhead() int { return c.raw.NonceSize() + c.raw.Overhead
 
 func (c *EpochAESGCM) Name() string { return "aes-gcm-ctr" }
 
-// Plaintext is a pass-through cipher for tests and debugging. It provides no
-// confidentiality or integrity and must never be used in production.
+// Plaintext is the null epoch cipher for tests and replays: a sealed page is
+// its clear 12-byte epoch || counter nonce followed by the plaintext, so an
+// engine over it runs the same allocator and rotator path as over a real
+// cipher. It provides no confidentiality or integrity and must never be used
+// in production.
 type Plaintext struct{}
 
-func (Plaintext) Seal(_ uint64, plaintext []byte) ([]byte, error) {
-	return append([]byte(nil), plaintext...), nil
+const plainNonceLen = 12
+
+func (p Plaintext) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
+	return p.SealEpoch(pageID, 0, 0, plaintext)
+}
+
+func (Plaintext) SealEpoch(_ uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error) {
+	out := make([]byte, plainNonceLen, plainNonceLen+len(plaintext))
+	binary.BigEndian.PutUint32(out[:4], epoch)
+	binary.BigEndian.PutUint64(out[4:], counter)
+	return append(out, plaintext...), nil
+}
+
+func (Plaintext) SealedEpoch(sealed []byte) (uint32, bool) {
+	if len(sealed) < plainNonceLen {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(sealed[:4]), true
 }
 
 func (Plaintext) Open(_ uint64, sealed []byte) ([]byte, error) {
-	return append([]byte(nil), sealed...), nil
+	if len(sealed) < plainNonceLen {
+		return nil, ErrOpen
+	}
+	return sealed[plainNonceLen:], nil
 }
 
-func (Plaintext) Overhead() int { return 0 }
+func (Plaintext) Overhead() int { return plainNonceLen }
 
 func (Plaintext) Name() string { return "plaintext" }

@@ -96,36 +96,6 @@ func TestEpochKeysAreIndependent(t *testing.T) {
 	}
 }
 
-func TestEpochHeaderPageIsLegacyCompatible(t *testing.T) {
-	key := bytes.Repeat([]byte{0x42}, 32)
-	legacy, _ := NewAESGCM(key)
-	epochc, _ := NewEpochAESGCM(key)
-
-	// Page 0 sealed by the legacy cipher opens under the epoch cipher and
-	// vice versa: the header path uses the raw subkey and a random nonce in
-	// both schemes, which is what lets Open distinguish "wrong key" from
-	// "right key, different scheme" on legacy files.
-	pt := []byte("ekbtree/1 order=32 keysub=hmac cipher=aes-gcm")
-	sealed, err := legacy.Seal(0, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opened, err := epochc.Open(0, sealed)
-	if err != nil {
-		t.Fatalf("epoch cipher failed to open legacy header: %v", err)
-	}
-	if !bytes.Equal(opened, pt) {
-		t.Error("legacy header mismatch through epoch cipher")
-	}
-	sealed2, err := epochc.Seal(0, pt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := legacy.Open(0, sealed2); err != nil {
-		t.Fatalf("legacy cipher failed to open epoch-cipher header: %v", err)
-	}
-}
-
 func TestEpochSealRefusesNodePages(t *testing.T) {
 	c := newEpochCipher(t)
 	if _, err := c.Seal(1, []byte("node page")); err == nil {
@@ -165,24 +135,18 @@ func TestEpochTamperDetection(t *testing.T) {
 }
 
 // TestOpenConsumesInPlace pins the in-place Open contract on both AES-GCM
-// ciphers: a good page deciphers over its own bytes; a tampered one returns
-// ErrOpen and no buffer, leaves nothing of the plaintext behind, and in both
-// cases the nonce prefix — all SealedEpoch (and so the rotator's stale scan)
-// reads — is untouched.
+// paths (epoch-keyed node pages, the raw-key header): a good page deciphers
+// over its own bytes; a tampered one returns ErrOpen and no buffer, leaves
+// nothing of the plaintext behind, and in both cases the nonce prefix — all
+// SealedEpoch (and so the rotator's stale scan) reads — is untouched.
 func TestOpenConsumesInPlace(t *testing.T) {
 	pt := bytes.Repeat([]byte("plaintext-node-page/"), 64)
 	ec := newEpochCipher(t)
-	legacy, err := NewAESGCM(bytes.Repeat([]byte{0x42}, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string]NodeCipher{"epoch": ec, "legacy": legacy} {
+	for name, id := range map[string]uint64{"epoch": 7, "header": 0} {
 		seal := func() []byte {
-			var sealed []byte
-			if name == "epoch" {
-				sealed, err = ec.SealEpoch(7, 9, 12345, pt)
-			} else {
-				sealed, err = c.Seal(7, pt)
+			sealed, err := ec.SealEpoch(id, 9, 12345, pt)
+			if id == 0 {
+				sealed, err = ec.Seal(id, pt)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -191,7 +155,7 @@ func TestOpenConsumesInPlace(t *testing.T) {
 		}
 		sealed := seal()
 		nonce := append([]byte(nil), sealed[:12]...)
-		opened, err := c.Open(7, sealed)
+		opened, err := ec.Open(id, sealed)
 		if err != nil || !bytes.Equal(opened, pt) {
 			t.Fatalf("%s: Open = (%d bytes, %v)", name, len(opened), err)
 		}
@@ -205,7 +169,7 @@ func TestOpenConsumesInPlace(t *testing.T) {
 		tampered := seal()
 		tampered[len(tampered)-1] ^= 0x01 // the tag: the whole body deciphers before the mismatch shows
 		nonce = append(nonce[:0], tampered[:12]...)
-		opened, err = c.Open(7, tampered)
+		opened, err = ec.Open(id, tampered)
 		if !errors.Is(err, ErrOpen) || opened != nil {
 			t.Fatalf("%s: Open(tampered) = (%v, %v), want (nil, ErrOpen)", name, opened, err)
 		}

@@ -10,8 +10,8 @@ import (
 )
 
 // rootUnchanged is the internal sentinel for "keep the applied root": the
-// single-op wrappers (WritePage, SetMeta, Free) must not race a concurrent
-// root flip by reading the root before taking the lock.
+// rootless enqueues (SetMeta, SetSealMark, vacuum relocations) must not race
+// a concurrent root flip by reading the root before taking the lock.
 const rootUnchanged = ^uint64(0)
 
 // fullHold bounds how long the committer lets a Full-mode group gather
@@ -412,10 +412,13 @@ func (s *Store) drain() {
 			// runs strictly after the install above: any reader still inside
 			// ReadPage when the install took the lock had already finished,
 			// and readers admitted since resolve extents that all end at or
-			// below the new frontier — nothing can be mid-read in the cut
-			// region. Correctness never depends on the truncate (the durable
-			// state ignores bytes past fileEnd), but a truncate error means a
-			// sick device, so it fail-stops the store like any flush error.
+			// below the new frontier — no ReadPage can be mid-read in the cut
+			// region. Vacuum's extent reads can be: they hold no lock, and
+			// treat an error as a stale selection once they see the txid this
+			// install moved (see relocate). Correctness never depends on the
+			// truncate (the durable state ignores bytes past fileEnd), but a
+			// truncate error means a sick device, so it fail-stops the store
+			// like any flush error.
 			if err = s.truncateTo(ns.fileEnd); err != nil {
 				s.mu.Lock()
 				s.failed = true

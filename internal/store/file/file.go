@@ -798,10 +798,6 @@ func (s *Store) ReadPage(id uint64) ([]byte, error) {
 	return buf, nil
 }
 
-func (s *Store) WritePage(id uint64, page []byte) error {
-	return s.commit(map[uint64][]byte{id: page}, rootUnchanged, nil, nil, false, nil)
-}
-
 func (s *Store) Alloc() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -813,38 +809,6 @@ func (s *Store) Alloc() (uint64, error) {
 	return id, nil
 }
 
-func (s *Store) Free(id uint64) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return store.ErrClosed
-	}
-	if s.failed {
-		defer s.mu.Unlock()
-		return s.failedErrLocked()
-	}
-	if !s.liveLocked(id) {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: page %d", store.ErrNotFound, id)
-	}
-	res := s.enqueueLocked(nil, s.aroot, []uint64{id}, nil, false, nil, false, false)
-	return s.finish(res)
-}
-
-// liveLocked reports whether id currently maps to a page in the applied
-// state. Callers hold s.mu.
-func (s *Store) liveLocked(id uint64) bool {
-	if g := s.pending; g != nil {
-		if g.frees[id] {
-			return false
-		}
-		if _, ok := g.writes[id]; ok {
-			return true
-		}
-	}
-	return s.liveBelowPendingLocked(id)
-}
-
 // Root returns the applied root: commits observe their own root flips even
 // before the group carrying them is durable.
 func (s *Store) Root() (uint64, error) {
@@ -854,10 +818,6 @@ func (s *Store) Root() (uint64, error) {
 		return store.NoRoot, store.ErrClosed
 	}
 	return s.aroot, nil
-}
-
-func (s *Store) SetRoot(id uint64) error {
-	return s.commit(nil, id, nil, nil, false, nil)
 }
 
 func (s *Store) Meta() ([]byte, error) {

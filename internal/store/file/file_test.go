@@ -23,6 +23,19 @@ func openTemp(t *testing.T) (*Store, string) {
 	return s, path
 }
 
+// commitOne applies a single-page change through CommitPages, the store's
+// only mutator: it writes page to id (nil page: frees id) and keeps the root.
+func commitOne(s *Store, id uint64, page []byte) error {
+	root, err := s.Root()
+	if err != nil {
+		return err
+	}
+	if page == nil {
+		return s.CommitPages(nil, root, []uint64{id})
+	}
+	return s.CommitPages(map[uint64][]byte{id: page}, root, nil)
+}
+
 func TestFileStoreRoundTrip(t *testing.T) {
 	s, _ := openTemp(t)
 	defer s.Close()
@@ -34,14 +47,14 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		t.Errorf("read before write = %v, want ErrNotFound", err)
 	}
 	page := []byte("sealed-bytes")
-	if err := s.WritePage(id, page); err != nil {
+	if err := commitOne(s, id, page); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.ReadPage(id)
 	if err != nil || !bytes.Equal(got, page) {
 		t.Fatalf("ReadPage = (%q, %v)", got, err)
 	}
-	if err := s.SetRoot(id); err != nil {
+	if err := s.CommitPages(nil, id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if root, _ := s.Root(); root != id {
@@ -53,14 +66,15 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if meta, _ := s.Meta(); !bytes.Equal(meta, []byte("sealed-header")) {
 		t.Errorf("Meta = %q", meta)
 	}
-	if err := s.Free(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadPage(id); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("read after free = %v, want ErrNotFound", err)
-	}
-	if err := s.Free(id); !errors.Is(err, store.ErrNotFound) {
-		t.Errorf("double free = %v, want ErrNotFound", err)
+	// A free of a page that is already gone is ignored, like any free of a
+	// never-written ID.
+	for i := 0; i < 2; i++ {
+		if err := commitOne(s, id, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ReadPage(id); !errors.Is(err, store.ErrNotFound) {
+			t.Errorf("read after free %d = %v, want ErrNotFound", i+1, err)
+		}
 	}
 }
 
@@ -73,11 +87,11 @@ func TestFileStoreReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
-		if err := s.WritePage(id, []byte(fmt.Sprintf("page-%d", i))); err != nil {
+		if err := commitOne(s, id, []byte(fmt.Sprintf("page-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetRoot(ids[0]); err != nil {
+	if err := s.CommitPages(nil, ids[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetMeta([]byte("hdr")); err != nil {
@@ -124,9 +138,6 @@ func TestFileStoreClosed(t *testing.T) {
 	if _, err := s.ReadPage(1); !errors.Is(err, store.ErrClosed) {
 		t.Errorf("ReadPage after Close = %v, want ErrClosed", err)
 	}
-	if err := s.WritePage(1, nil); !errors.Is(err, store.ErrClosed) {
-		t.Errorf("WritePage after Close = %v, want ErrClosed", err)
-	}
 	if _, err := s.Alloc(); !errors.Is(err, store.ErrClosed) {
 		t.Errorf("Alloc after Close = %v, want ErrClosed", err)
 	}
@@ -151,10 +162,7 @@ func TestFileStoreBadMagic(t *testing.T) {
 func TestFileStoreTornSlotFallsBack(t *testing.T) {
 	s, path := openTemp(t)
 	id, _ := s.Alloc()
-	if err := s.WritePage(id, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetRoot(id); err != nil {
+	if err := s.CommitPages(map[uint64][]byte{id: []byte("v1")}, id, nil); err != nil {
 		t.Fatal(err)
 	}
 	inactive := slot0Off
@@ -522,8 +530,8 @@ func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 	if err := fs.CommitPages(map[uint64][]byte{id: []byte("should-not-land")}, id, nil); !errors.Is(err, ErrFailed) {
 		t.Fatalf("commit after failed flip = %v, want ErrFailed", err)
 	}
-	if err := fs.WritePage(id, []byte("nor-this")); !errors.Is(err, ErrFailed) {
-		t.Fatalf("WritePage after failed flip = %v, want ErrFailed", err)
+	if err := fs.SetMeta([]byte("nor-this")); !errors.Is(err, ErrFailed) {
+		t.Fatalf("SetMeta after failed flip = %v, want ErrFailed", err)
 	}
 	// …while reads keep serving the pre-commit state.
 	if got, err := fs.ReadPage(id); err != nil || !bytes.Equal(got, []byte("pre-commit")) {
@@ -545,7 +553,7 @@ func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 			t.Fatalf("recovered state is neither pre nor post: %+v", got)
 		}
 	}
-	if err := re.WritePage(id, []byte("recovered")); err != nil {
+	if err := commitOne(re, id, []byte("recovered")); err != nil {
 		t.Fatalf("store still refuses mutations after reopen: %v", err)
 	}
 }
@@ -620,7 +628,7 @@ func TestInitCrashLeavesFreshFile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WritePage(id, []byte("works")); err != nil {
+		if err := commitOne(s, id, []byte("works")); err != nil {
 			t.Fatalf("n=%d: store unusable after init fault: %v", n, err)
 		}
 		s.Close()

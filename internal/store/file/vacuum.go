@@ -138,10 +138,6 @@ func (s *Store) vacuumProgress() (end int64, nfree int, holeSum int64, err error
 // vacuumStep relocates one batch, reporting whether it moved anything (so
 // the caller knows another step could still help).
 func (s *Store) vacuumStep(target int64) (bool, error) {
-	type cand struct {
-		id  uint64
-		ext extent
-	}
 	for attempt := 0; attempt < vacuumRetries; attempt++ {
 		// Select from the durable tail: the pages whose extents reach past
 		// target, highest offsets first — clearing the tail is what lets the
@@ -160,10 +156,10 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 			s.mu.RUnlock()
 			return false, nil
 		}
-		var cands []cand
+		var cands []vacuumCand
 		for id, e := range s.pages {
 			if e.end() > target && s.vacuumQuietLocked(id) {
-				cands = append(cands, cand{id, e})
+				cands = append(cands, vacuumCand{id, e})
 			}
 		}
 		// No movable pages past target doesn't mean the tail is clear: the
@@ -217,58 +213,15 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 			}
 		}
 
-		// Read the live bytes without the lock: a flush never writes into an
-		// extent the durable directory references, so as long as no flush
-		// has INSTALLED since selection (txid unchanged, checked below),
-		// these reads are of stable bytes. A flush already in flight when we
-		// re-lock started from the same durable state and so also leaves
-		// them alone.
-		writes := make(map[uint64][]byte, len(batch))
-		for _, c := range batch {
-			buf := make([]byte, c.ext.len)
-			if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
-				return false, fmt.Errorf("file: vacuum read page %d: %w", c.id, err)
-			}
-			writes[c.id] = buf
+		g, stale, err := s.relocate(batch, selTxid, false, dirDescend)
+		if err != nil {
+			return false, err
 		}
-
-		s.mu.Lock()
-		s.waitCapacityLocked()
-		if s.closed {
-			s.mu.Unlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.Unlock()
-			return false, s.failedErrLocked()
-		}
-		if s.txid != selTxid {
-			// A flush installed while we were reading (or waiting for
-			// capacity): the batch's mappings — and possibly the bytes under
-			// recycled extents — are stale. Reselect.
-			s.mu.Unlock()
+		if stale {
 			continue
 		}
-		// Durable mappings are exactly as selected; drop only pages that
-		// gained overlay state since (their relocation would clobber the
-		// newer applied content in the group).
-		for id := range writes {
-			if !s.vacuumQuietLocked(id) {
-				delete(writes, id)
-			}
-		}
-		if len(writes) == 0 && !dirDescend {
-			s.mu.Unlock()
+		if g == nil {
 			return false, nil
-		}
-		res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, false)
-		g := s.pending
-		s.force = true // a relocation batch flushes now in every mode
-		s.mu.Unlock()
-		s.wake()
-		<-res.done
-		if res.err != nil {
-			return false, res.err
 		}
 		if g.relocated > 0 {
 			return true, nil
@@ -286,13 +239,8 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 // (allocBelow when something fits, the frontier otherwise), so each freed
 // extent coalesces with its hole and the pack phase gets holes it can use.
 // Reports whether it moved anything. Same selection/retry discipline as
-// vacuumStep: durable-state selection under RLock, lock-free reads of stable
-// bytes, txid-capture revalidation before enqueueing.
+// vacuumStep: durable-state selection under RLock, then relocate.
 func (s *Store) liftStep() (bool, error) {
-	type cand struct {
-		id  uint64
-		ext extent
-	}
 	for attempt := 0; attempt < vacuumRetries; attempt++ {
 		s.mu.RLock()
 		if s.closed {
@@ -317,7 +265,7 @@ func (s *Store) liftStep() (bool, error) {
 		// hole by several page-heights — sub-page remainder holes migrate
 		// toward the frontier that much faster.
 		const liftPerHole = 8
-		var batch []cand
+		var batch []vacuumCand
 		total := 0
 		for _, f := range frees {
 			at := f.end()
@@ -327,7 +275,7 @@ func (s *Store) liftStep() (bool, error) {
 					break
 				}
 				e := s.pages[id]
-				batch = append(batch, cand{id, e})
+				batch = append(batch, vacuumCand{id, e})
 				total += int(e.len)
 				at = e.end()
 			}
@@ -341,50 +289,89 @@ func (s *Store) liftStep() (bool, error) {
 			return false, nil
 		}
 
-		writes := make(map[uint64][]byte, len(batch))
-		for _, c := range batch {
-			buf := make([]byte, c.ext.len)
-			if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
-				return false, fmt.Errorf("file: vacuum lift read page %d: %w", c.id, err)
-			}
-			writes[c.id] = buf
+		g, stale, err := s.relocate(batch, selTxid, true, false)
+		if err != nil {
+			return false, err
 		}
-
-		s.mu.Lock()
-		s.waitCapacityLocked()
-		if s.closed {
-			s.mu.Unlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.Unlock()
-			return false, s.failedErrLocked()
-		}
-		if s.txid != selTxid {
-			s.mu.Unlock()
+		if stale {
 			continue
 		}
-		for id := range writes {
-			if !s.vacuumQuietLocked(id) {
-				delete(writes, id)
-			}
-		}
-		if len(writes) == 0 {
-			s.mu.Unlock()
-			return false, nil
-		}
-		res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, true)
-		g := s.pending
-		s.force = true
-		s.mu.Unlock()
-		s.wake()
-		<-res.done
-		if res.err != nil {
-			return false, res.err
-		}
-		return g.relocated > 0, nil
+		return g != nil && g.relocated > 0, nil
 	}
 	return false, nil
+}
+
+// vacuumCand is one page selected for relocation, with the durable extent it
+// was selected at.
+type vacuumCand struct {
+	id  uint64
+	ext extent
+}
+
+// relocate is the second half of a vacuum step: it reads the selected extents
+// with no lock held and, if the durable state is still the one they were
+// selected from, flushes them as one vacuum group (lift marks its writes free
+// to land anywhere; evenEmpty flushes a page-less group, to re-place the
+// directory). stale reports that a flush installed since selection (selTxid
+// moved): the batch's mappings are out of date and the caller reselects. g is
+// the flushed group, nil when nothing was left worth a flush.
+//
+// The unlocked reads are of stable bytes only while selTxid stands — a flush
+// never writes into an extent the durable directory references, and one
+// already in flight when the lock is re-taken started from the same durable
+// state. Once a flush installs, the extents may have been recycled, and a
+// retreating frontier truncates the file under the read, which then fails
+// with EOF. So a read error is judged only after the txid check: it is the
+// file's fault, and returned, only if the durable state has not moved.
+func (s *Store) relocate(batch []vacuumCand, selTxid uint64, lift, evenEmpty bool) (g *group, stale bool, err error) {
+	writes := make(map[uint64][]byte, len(batch))
+	var readErr error
+	for _, c := range batch {
+		buf := make([]byte, c.ext.len)
+		if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
+			readErr = fmt.Errorf("file: vacuum read page %d: %w", c.id, err)
+			break
+		}
+		writes[c.id] = buf
+	}
+
+	s.mu.Lock()
+	s.waitCapacityLocked()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, false, store.ErrClosed
+	}
+	if s.failed {
+		defer s.mu.Unlock()
+		return nil, false, s.failedErrLocked()
+	}
+	if s.txid != selTxid {
+		s.mu.Unlock()
+		return nil, true, nil
+	}
+	if readErr != nil {
+		s.mu.Unlock()
+		return nil, false, readErr
+	}
+	// Durable mappings are exactly as selected; drop only pages that gained
+	// overlay state since (their relocation would clobber the newer applied
+	// content in the group).
+	for id := range writes {
+		if !s.vacuumQuietLocked(id) {
+			delete(writes, id)
+		}
+	}
+	if len(writes) == 0 && !evenEmpty {
+		s.mu.Unlock()
+		return nil, false, nil
+	}
+	res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, lift)
+	g = s.pending
+	s.force = true // a relocation batch flushes now in every mode
+	s.mu.Unlock()
+	s.wake()
+	<-res.done
+	return g, false, res.err
 }
 
 // vacuumQuietLocked reports whether id has no in-flight overlay state.

@@ -7,7 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"github.com/paper-repro/ekbtree/internal/store"
 )
 
 // buildGarbage fills a store with live pages and then churns them —
@@ -394,5 +397,82 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 				break // n exceeded the pass's op count: full sweep done
 			}
 		}
+	}
+}
+
+// parkReadFile is a real file whose next ReadAt in the data region, once
+// armed, parks until released — holding one of Vacuum's lock-free extent
+// reads open while the test changes the durable state underneath it.
+type parkReadFile struct {
+	*os.File
+	armed   atomic.Bool
+	parked  chan struct{} // receives once the armed read is parked
+	release chan struct{} // close to let it proceed
+}
+
+func (p *parkReadFile) ReadAt(b []byte, off int64) (int, error) {
+	if off >= dataStart && p.armed.CompareAndSwap(true, false) {
+		p.parked <- struct{}{}
+		<-p.release
+	}
+	return p.File.ReadAt(b, off)
+}
+
+// TestVacuumReadRacesTruncate is the regression test for vacuum's lock-free
+// extent reads racing the committer's truncate: a foreground flush that
+// installs and retreats the frontier while a selected extent is being read
+// cuts the file under the read, which then comes back EOF. That is a stale
+// selection, not a sick file: Vacuum must reselect and converge.
+func TestVacuumReadRacesTruncate(t *testing.T) {
+	f, err := os.OpenFile(filepath.Join(t.TempDir(), "race.ekb"), os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf := &parkReadFile{File: f, parked: make(chan struct{}), release: make(chan struct{})}
+	s, err := OpenWith(pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	// One page per flush lays them out front to back; freeing the first two
+	// leaves holes every later page fits, so Vacuum selects the tail.
+	var ids []uint64
+	for i := 0; i < 8; i++ {
+		id, _ := s.Alloc()
+		ids = append(ids, id)
+		if err := s.CommitPages(map[uint64][]byte{id: bytes.Repeat([]byte{byte(i)}, 2048)}, ids[0], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.CommitPages(nil, ids[2], ids[:2]); err != nil {
+		t.Fatal(err)
+	}
+	fileBefore, _ := s.Space()
+
+	pf.armed.Store(true)
+	done := make(chan error, 1)
+	go func() { done <- s.Vacuum(0) }()
+	<-pf.parked
+	// Free everything and flush (Full durability: CommitPages returns once the
+	// flip is durable and the retreated frontier has been truncated to).
+	if err := s.CommitPages(nil, store.NoRoot, ids[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := f.Stat(); err != nil || st.Size() >= fileBefore {
+		t.Fatalf("the flush did not truncate under the parked read: size %d of %d (%v)", st.Size(), fileBefore, err)
+	}
+	close(pf.release)
+	if err := <-done; err != nil {
+		t.Fatalf("Vacuum over a truncating flush = %v, want nil", err)
+	}
+	if fileAfter, _ := s.Space(); fileAfter >= fileBefore {
+		t.Errorf("file did not shrink: %d -> %d bytes", fileBefore, fileAfter)
+	}
+	// The store is neither failed nor wedged.
+	if err := s.CommitPages(map[uint64][]byte{ids[0]: []byte("after")}, ids[0], nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.ReadPage(ids[0]); err != nil || !bytes.Equal(got, []byte("after")) {
+		t.Fatalf("ReadPage after the race = (%q, %v)", got, err)
 	}
 }

@@ -42,31 +42,30 @@ type SealMark struct {
 	Counter uint64
 }
 
-// PageStore stores sealed pages. Implementations must be safe for concurrent
-// use: the engine above runs lock-free snapshot readers against the store
-// while commits are in flight, so ReadPage must be callable at any moment —
-// including during CommitPages — and must always return some page state that
-// existed (pre- or post-commit), never a torn one. The engine's epoch layer
-// guarantees that a page rewritten or freed by a commit is never *required*
-// from the store by a snapshot reader afterwards (superseded versions are
-// served from the epoch's in-memory undo overlay), so stores may release
-// freed pages as part of the commit itself; a racing ReadPage of a
-// just-freed page may simply return ErrNotFound.
+// PageStore stores sealed pages behind ten methods: the reads (ReadPage, Root,
+// Meta, SealMark), Alloc, the header and seal-mark setters (SetMeta,
+// SetSealMark), Sync, Close — and CommitPages, the ONLY way pages, the root
+// pointer and frees ever change.
+//
+// Implementations must be safe for concurrent use: the engine above runs
+// lock-free snapshot readers against the store while commits are in flight,
+// so ReadPage must be callable at any moment — including during CommitPages —
+// and must always return some page state that existed (pre- or post-commit),
+// never a torn one. The engine's epoch layer guarantees that a page rewritten
+// or freed by a commit is never *required* from the store by a snapshot
+// reader afterwards (superseded versions are served from the epoch's
+// in-memory undo overlay), so stores may release freed pages as part of the
+// commit itself; a racing ReadPage of a just-freed page may simply return
+// ErrNotFound.
 type PageStore interface {
 	// ReadPage returns the page's contents. The returned buffer is owned by
 	// the caller and never aliases the store's copy.
 	ReadPage(id uint64) ([]byte, error)
-	// WritePage stores the page, copying the buffer.
-	WritePage(id uint64, page []byte) error
 	// Alloc reserves a fresh page ID, never reusing a live one. It fails only
 	// with ErrClosed.
 	Alloc() (uint64, error)
-	// Free releases a page; subsequent reads return ErrNotFound.
-	Free(id uint64) error
 	// Root returns the current root page ID, or NoRoot for an empty tree.
 	Root() (uint64, error)
-	// SetRoot durably records the root page ID.
-	SetRoot(id uint64) error
 	// Meta returns the store's metadata blob (sealed engine header), or an
 	// empty slice if never set.
 	Meta() ([]byte, error)
@@ -158,16 +157,6 @@ func (m *Mem) ReadPage(id uint64) ([]byte, error) {
 	return append([]byte(nil), p...), nil
 }
 
-func (m *Mem) WritePage(id uint64, page []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.pages[id] = append([]byte(nil), page...)
-	return nil
-}
-
 func (m *Mem) Alloc() (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -179,19 +168,6 @@ func (m *Mem) Alloc() (uint64, error) {
 	return id, nil
 }
 
-func (m *Mem) Free(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	if _, ok := m.pages[id]; !ok {
-		return fmt.Errorf("%w: page %d", ErrNotFound, id)
-	}
-	delete(m.pages, id)
-	return nil
-}
-
 func (m *Mem) Root() (uint64, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -199,16 +175,6 @@ func (m *Mem) Root() (uint64, error) {
 		return NoRoot, ErrClosed
 	}
 	return m.root, nil
-}
-
-func (m *Mem) SetRoot(id uint64) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return ErrClosed
-	}
-	m.root = id
-	return nil
 }
 
 func (m *Mem) Meta() ([]byte, error) {

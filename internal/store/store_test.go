@@ -7,6 +7,19 @@ import (
 	"testing"
 )
 
+// commitOne applies a single-page change through CommitPages, the store's
+// only mutator: it writes page to id (nil page: frees id) and keeps the root.
+func commitOne(m *Mem, id uint64, page []byte) error {
+	root, err := m.Root()
+	if err != nil {
+		return err
+	}
+	if page == nil {
+		return m.CommitPages(nil, root, []uint64{id})
+	}
+	return m.CommitPages(map[uint64][]byte{id: page}, root, nil)
+}
+
 func TestMemReadWrite(t *testing.T) {
 	m := NewMem()
 	defer m.Close()
@@ -18,7 +31,7 @@ func TestMemReadWrite(t *testing.T) {
 		t.Errorf("read before write = %v, want ErrNotFound", err)
 	}
 	page := []byte("sealed-bytes")
-	if err := m.WritePage(id, page); err != nil {
+	if err := commitOne(m, id, page); err != nil {
 		t.Fatal(err)
 	}
 	got, err := m.ReadPage(id)
@@ -57,13 +70,10 @@ func TestMemFree(t *testing.T) {
 	m := NewMem()
 	defer m.Close()
 	id, _ := m.Alloc()
-	if err := m.Free(id); !errors.Is(err, ErrNotFound) {
-		t.Errorf("free of never-written page = %v, want ErrNotFound", err)
-	}
-	if err := m.WritePage(id, []byte("p")); err != nil {
+	if err := commitOne(m, id, []byte("p")); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Free(id); err != nil {
+	if err := commitOne(m, id, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.ReadPage(id); !errors.Is(err, ErrNotFound) {
@@ -81,7 +91,7 @@ func TestMemRoot(t *testing.T) {
 	if err != nil || root != NoRoot {
 		t.Fatalf("fresh Root = (%d, %v), want (NoRoot, nil)", root, err)
 	}
-	if err := m.SetRoot(42); err != nil {
+	if err := m.CommitPages(nil, 42, nil); err != nil {
 		t.Fatal(err)
 	}
 	if root, _ = m.Root(); root != 42 {
@@ -117,12 +127,6 @@ func TestMemClosed(t *testing.T) {
 	if _, err := m.ReadPage(1); err == nil {
 		t.Error("ReadPage after Close succeeded")
 	}
-	if err := m.WritePage(1, nil); err == nil {
-		t.Error("WritePage after Close succeeded")
-	}
-	if err := m.SetRoot(1); err == nil {
-		t.Error("SetRoot after Close succeeded")
-	}
 	// Regression: Alloc used to ignore the closed flag and silently hand out
 	// page IDs from a dead store.
 	if id, err := m.Alloc(); !errors.Is(err, ErrClosed) {
@@ -142,7 +146,7 @@ func TestMemCommitPages(t *testing.T) {
 	a, _ := m.Alloc()
 	b, _ := m.Alloc()
 	ghost, _ := m.Alloc() // allocated, never written, freed in the same batch
-	if err := m.WritePage(a, []byte("old-a")); err != nil {
+	if err := commitOne(m, a, []byte("old-a")); err != nil {
 		t.Fatal(err)
 	}
 	page := []byte("new-b")
@@ -168,7 +172,9 @@ func TestMemSnapshotIsDeepCopy(t *testing.T) {
 	m := NewMem()
 	defer m.Close()
 	id, _ := m.Alloc()
-	m.WritePage(id, []byte("original"))
+	if err := commitOne(m, id, []byte("original")); err != nil {
+		t.Fatal(err)
+	}
 	snap := m.Snapshot()
 	snap[id][0] = 'X'
 	got, _ := m.ReadPage(id)
@@ -191,7 +197,7 @@ func TestMemConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := m.WritePage(id, []byte{byte(i)}); err != nil {
+				if err := commitOne(m, id, []byte{byte(i)}); err != nil {
 					t.Error(err)
 					return
 				}

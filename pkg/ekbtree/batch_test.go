@@ -11,34 +11,31 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// countingCipher wraps a NodeCipher and counts Seal/Open calls, so tests can
-// assert how many times pages are actually enciphered.
+// countingCipher wraps a NodeCipher and counts SealEpoch/Open calls, so tests
+// can assert how many times pages are actually enciphered.
 type countingCipher struct {
-	inner cipher.NodeCipher
+	cipher.NodeCipher
 	seals atomic.Int64
 	opens atomic.Int64
 }
 
-func (c *countingCipher) Seal(id uint64, pt []byte) ([]byte, error) {
+func (c *countingCipher) SealEpoch(id uint64, epoch uint32, counter uint64, pt []byte) ([]byte, error) {
 	c.seals.Add(1)
-	return c.inner.Seal(id, pt)
+	return c.NodeCipher.SealEpoch(id, epoch, counter, pt)
 }
 
 func (c *countingCipher) Open(id uint64, sealed []byte) ([]byte, error) {
 	c.opens.Add(1)
-	return c.inner.Open(id, sealed)
+	return c.NodeCipher.Open(id, sealed)
 }
-
-func (c *countingCipher) Overhead() int { return c.inner.Overhead() }
-func (c *countingCipher) Name() string  { return c.inner.Name() }
 
 func countingTree(t *testing.T, opts Options) (*Tree, *countingCipher) {
 	t.Helper()
-	gcm, err := cipher.NewAESGCM(bytes.Repeat([]byte{0xB0}, 32))
+	gcm, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0xB0}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc := &countingCipher{inner: gcm}
+	cc := &countingCipher{NodeCipher: gcm}
 	opts.Cipher = cc
 	if opts.Substituter == nil {
 		sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xB1}, 32), 24)

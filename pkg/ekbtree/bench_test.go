@@ -443,7 +443,7 @@ func BenchmarkFileShardedIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
+			nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -514,7 +514,7 @@ func benchSeqTree(b *testing.B) *Tree {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
 	if err != nil {
 		b.Fatal(err)
 	}

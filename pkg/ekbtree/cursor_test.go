@@ -96,7 +96,7 @@ func bucketedTree(t *testing.T) (*Tree, map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xA4}, 32))
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xA4}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,8 @@ type Options struct {
 	MasterKey []byte
 	// Substituter overrides the derived HMAC substituter.
 	Substituter keysub.Substituter
-	// Cipher overrides the derived AES-256-GCM node cipher.
+	// Cipher overrides the derived AES-256-GCM node cipher. Any NodeCipher
+	// runs under the same seal budgets, epochs and rotation as the derived one.
 	Cipher cipher.NodeCipher
 	// Store is the backing page store. Nil means Path's file-backed store
 	// when Path is set, otherwise a fresh in-memory store. Setting both
@@ -188,14 +189,12 @@ type Options struct {
 	// pages. Zero means DefaultSealBudget; negative disables budget-driven
 	// rotation entirely — the epoch then advances only via AdvanceEpoch, and
 	// a shard that reaches the hard bound (see SealHardLimit) fails its
-	// writes closed with ErrSealsExhausted. Ignored when Cipher is set to a
-	// scheme without key epochs (e.g. NewAESGCMCipher).
+	// writes closed with ErrSealsExhausted.
 	SealBudget int64
 	// SealHardLimit is the per-epoch fail-closed seal bound, PER SHARD: a
 	// commit that would push the current epoch's counter past it fails with
 	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
-	// engine default (2^32); values above 2^56 are clamped. Ignored for
-	// non-epoch ciphers.
+	// engine default (2^32); values above 2^56 are clamped.
 	SealHardLimit uint64
 	// NodeEncoding selects the on-page node format; see the NodeEncoding
 	// constants. The zero value (EncodingAuto) writes new trees with
@@ -234,9 +233,9 @@ const (
 // derived key bounded and the rotation machinery routinely exercised.
 const DefaultSealBudget = 1 << 30
 
-// maxEpochShards is the shard-count ceiling for epoch ciphers: the shard
-// index rides in the top byte of the 64-bit seal counter, partitioning the
-// nonce space so shards sharing one derived key can never collide.
+// maxEpochShards is the shard-count ceiling: the shard index rides in the
+// top byte of the 64-bit seal counter, partitioning the nonce space so shards
+// sharing one derived key can never collide.
 const maxEpochShards = 256
 
 // DefaultCachePages re-exports the engine's default decoded-node cache size.
@@ -270,10 +269,6 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 		if nc == nil {
 			// The derived cipher is the epoch-keyed scheme: per-epoch HKDF
 			// subkeys and counter nonces, rotated by the background rotator.
-			// Files written by the legacy random-nonce scheme record a
-			// different cipher name in their sealed header, so they fail
-			// closed with ErrConfigMismatch instead of silently mixing nonce
-			// disciplines.
 			if nc, err = cipher.NewEpochAESGCM(deriveKey(o.MasterKey, "ekbtree/cipher")); err != nil {
 				return 0, nil, nil, 0, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 			}
@@ -322,8 +317,8 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	case shards > 1 && o.Store != nil:
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards > 1 requires per-shard stores (Path or default), not a single Store", ErrInvalidOptions)
 	}
-	if _, ok := nc.(cipher.EpochSealer); ok && shards > maxEpochShards {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the epoch cipher's nonce-partition limit", ErrInvalidOptions, shards, maxEpochShards)
+	if shards > maxEpochShards {
+		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the nonce-partition limit", ErrInvalidOptions, shards, maxEpochShards)
 	}
 	cachePages = o.CachePages
 	switch {
@@ -430,9 +425,8 @@ type Tree struct {
 	// Options.MaxEpochAge.
 	maxEpochAge uint64
 
-	// Rotator plumbing; all nil for non-epoch ciphers. rotKick holds at most
-	// one pending kick — the rotator sweeps to convergence per kick, so
-	// kicks absorb rather than queue.
+	// Rotator plumbing. rotKick holds at most one pending kick — the rotator
+	// sweeps to convergence per kick, so kicks absorb rather than queue.
 	rotKick chan struct{}
 	rotStop chan struct{}
 	rotDone chan struct{}
@@ -460,22 +454,18 @@ func Open(opts Options) (*Tree, error) {
 			return nil, mapErr(err)
 		}
 	}
-	t := &Tree{sub: sub, router: router, maxEpochAge: uint64(opts.MaxEpochAge)}
-	_, epochCipher := nc.(cipher.EpochSealer)
-	var sealBudget uint64
-	if epochCipher {
-		switch {
-		case opts.SealBudget > 0:
-			sealBudget = uint64(opts.SealBudget)
-		case opts.SealBudget == 0:
-			sealBudget = DefaultSealBudget
-		}
-		// The kick channel must exist before any engine can fire
-		// OnEpochAdvance; the goroutine itself starts only once every shard
-		// opened.
-		t.rotKick = make(chan struct{}, 1)
-		t.rotStop = make(chan struct{})
-		t.rotDone = make(chan struct{})
+	// The kick channel must exist before any engine can fire OnEpochAdvance;
+	// the goroutine itself starts only once every shard opened.
+	t := &Tree{
+		sub: sub, router: router, maxEpochAge: uint64(opts.MaxEpochAge),
+		rotKick: make(chan struct{}, 1), rotStop: make(chan struct{}), rotDone: make(chan struct{}),
+	}
+	var sealBudget uint64 // stays 0 (no budget-driven advance) for a negative SealBudget
+	switch {
+	case opts.SealBudget > 0:
+		sealBudget = uint64(opts.SealBudget)
+	case opts.SealBudget == 0:
+		sealBudget = DefaultSealBudget
 	}
 	// Stores opened here (Path or default) are ours to close on failure; a
 	// caller-provided Store (single-shard only) stays the caller's to manage.
@@ -508,14 +498,11 @@ func Open(opts Options) (*Tree, error) {
 				enc = EncodingPrefix
 			}
 		}
-		cfg := engine.Config{Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: format}
-		if epochCipher {
-			cfg.SealBudget = sealBudget
-			cfg.HardSealLimit = opts.SealHardLimit
-			cfg.CounterBase = uint64(i) << 56
-			cfg.OnEpochAdvance = func(uint32) { t.kickRotator() }
-		}
-		g, err := engine.New(cfg)
+		g, err := engine.New(engine.Config{
+			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: format,
+			SealBudget: sealBudget, HardSealLimit: opts.SealHardLimit, CounterBase: uint64(i) << 56,
+			OnEpochAdvance: func(uint32) { t.kickRotator() },
+		})
 		if err != nil {
 			if ownStore {
 				st.Close()
@@ -524,12 +511,10 @@ func Open(opts Options) (*Tree, error) {
 		}
 		t.shards = append(t.shards, g)
 	}
-	if epochCipher {
-		go t.rotatorLoop()
-		// An initial kick drains any epochs a previous run advanced but
-		// never finished re-sealing (e.g. a crash mid-rotation).
-		t.kickRotator()
-	}
+	go t.rotatorLoop()
+	// An initial kick drains any epochs a previous run advanced but never
+	// finished re-sealing (e.g. a crash mid-rotation).
+	t.kickRotator()
 	return t, nil
 }
 
@@ -537,9 +522,6 @@ func Open(opts Options) (*Tree, error) {
 // to convergence per kick, so a kick that finds one already pending is
 // subsumed by it.
 func (t *Tree) kickRotator() {
-	if t.rotKick == nil {
-		return
-	}
 	select {
 	case t.rotKick <- struct{}{}:
 	default:
@@ -598,12 +580,8 @@ func (t *Tree) rotatorLoop() {
 	}
 }
 
-// stopRotator shuts the rotator down and waits for it to exit. Idempotent;
-// a no-op for non-epoch ciphers.
+// stopRotator shuts the rotator down and waits for it to exit. Idempotent.
 func (t *Tree) stopRotator() {
-	if t.rotStop == nil {
-		return
-	}
 	t.rotOnce.Do(func() { close(t.rotStop) })
 	<-t.rotDone
 }
@@ -613,7 +591,7 @@ func (t *Tree) stopRotator() {
 // re-seal the superseded epochs' pages. This is the operator-driven "rotate
 // now": the new epochs' durable reservations are on disk when the call
 // returns, while the re-sealing itself proceeds in the background (watch
-// Stats.PagesPendingReseal drain to zero). A no-op for non-epoch ciphers.
+// Stats.PagesPendingReseal drain to zero).
 func (t *Tree) AdvanceEpoch() error {
 	for _, g := range t.shards {
 		if err := g.AdvanceEpoch(); err != nil {
@@ -835,8 +813,7 @@ type Stats struct {
 	// Shards is the number of shards (1 for an unsharded tree).
 	Shards int
 	// CipherEpoch is the newest key epoch any shard is sealing under (the
-	// maximum across shards; shards rotate independently). Zero for
-	// non-epoch ciphers.
+	// maximum across shards; shards rotate independently).
 	CipherEpoch uint32
 	// Seals is the number of page seals issued within each shard's current
 	// epoch, summed across shards. It resets to zero as epochs advance.

@@ -193,7 +193,7 @@ func TestBucketedScanOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcm, err := cipher.NewAESGCM(bytes.Repeat([]byte{0x55}, 32))
+	gcm, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0x55}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestBucketedScanRangeSuperset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gcm, err := cipher.NewAESGCM(bytes.Repeat([]byte{0x89}, 32))
+	gcm, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0x89}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,9 @@ import (
 type Config struct {
 	// Store is the shard's page store, already header-checked.
 	Store store.PageStore
-	// Cipher seals and opens this shard's pages. When it implements
-	// cipher.EpochSealer, the engine allocates collision-free (epoch,
-	// counter) nonces for every seal and the lifecycle fields below apply;
-	// a plain NodeCipher keeps the legacy scheme-chosen-nonce behavior.
+	// Cipher seals and opens this shard's pages; the engine allocates the
+	// collision-free (epoch, counter) nonce of every seal, under the
+	// lifecycle fields below.
 	Cipher cipher.NodeCipher
 	// Order is the B-tree order (maximum children per node); validated even
 	// and >= 4 by the caller.
@@ -37,16 +36,15 @@ type Config struct {
 	// this many counters, the next commit advances to a fresh key epoch (and
 	// OnEpochAdvance fires, typically scheduling rotation). 0 disables
 	// budget-driven advances — epochs then move only via AdvanceEpoch.
-	// Ignored for non-epoch ciphers.
 	SealBudget uint64
 	// HardSealLimit is the fail-closed bound: a commit that would push the
 	// current epoch's counter past it fails with ErrSealsExhausted. 0 means
 	// DefaultHardSealLimit; values above 2^56 are clamped (the counter's top
-	// byte carries the shard tag). Ignored for non-epoch ciphers.
+	// byte carries the shard tag).
 	HardSealLimit uint64
 	// CounterBase is ORed into every issued counter; the façade passes
 	// shardIndex<<56 so shards sharing one derived key can never collide in
-	// nonce space. Ignored for non-epoch ciphers.
+	// nonce space.
 	CounterBase uint64
 	// OnEpochAdvance, when set, is called (outside engine locks) each time
 	// the key epoch advances, with the new epoch. The façade points it at
@@ -71,8 +69,8 @@ type Engine struct {
 	st   store.PageStore
 	io   *nodeIO
 	es   *epochs
-	sa   *sealAlloc // nil for non-epoch ciphers
-	deg  int        // btree minimum degree (order/2)
+	sa   *sealAlloc
+	deg  int // btree minimum degree (order/2)
 
 	// Commit-pipeline counters, surfaced through Stats.
 	commits   atomic.Uint64 // successfully published epochs
@@ -88,18 +86,14 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, MapErr(err)
 	}
+	sa, err := newSealAlloc(cfg.Store, cfg.SealBudget, cfg.HardSealLimit,
+		cfg.CounterBase, cfg.OnEpochAdvance)
+	if err != nil {
+		return nil, MapErr(err)
+	}
 	io := newNodeIO(cfg.Store, cfg.Cipher, cfg.CachePages)
 	io.fmt = cfg.NodeFormat
-	g := &Engine{st: cfg.Store, io: io, es: newEpochs(io, root), deg: cfg.Order / 2}
-	if g.io.es != nil {
-		sa, err := newSealAlloc(cfg.Store, cfg.SealBudget, cfg.HardSealLimit,
-			cfg.CounterBase, cfg.OnEpochAdvance)
-		if err != nil {
-			return nil, MapErr(err)
-		}
-		g.sa = sa
-	}
-	return g, nil
+	return &Engine{st: cfg.Store, io: io, es: newEpochs(io, root), sa: sa, deg: cfg.Order / 2}, nil
 }
 
 // maxOptimisticAttempts bounds how many times a mutation retries
@@ -210,8 +204,7 @@ func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) (error
 		return err, commitDone
 	}
 	defer g.es.release(base)
-	tx := newWriteTxn(base)
-	tx.sa = g.sa
+	tx := newWriteTxn(base, g.sa)
 	if err := work(tx); err != nil {
 		return MapErr(err), commitDone
 	}
@@ -339,7 +332,7 @@ type Stats struct {
 	Conflicts uint64
 	Retries   uint64
 
-	// Cipher-lifecycle counters; zero for non-epoch ciphers.
+	// Cipher-lifecycle counters.
 	CipherEpoch        uint32 // key epoch new seals are issued under
 	Seals              uint64 // counters issued within the current epoch
 	PagesPendingReseal int    // live pages still sealed under an older epoch

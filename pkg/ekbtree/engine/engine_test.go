@@ -221,74 +221,53 @@ func TestSnapshotAge(t *testing.T) {
 // it and then immediately release it, leaving any reference to it dangling.
 func TestBatchRestageAfterFree(t *testing.T) {
 	st := store.NewMem()
-	defer st.Close()
-	io := newNodeIO(st, cipher.Plaintext{}, 4)
-
-	id, err := io.Alloc()
+	g := newTestEngine(t, st, 8)
+	defer g.Close()
+	if err := enginePut(g, []byte("k"), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	id, err := st.Root() // one key: the root leaf is the only page
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := &node.Node{Leaf: true, Keys: [][]byte{[]byte("k")}, Values: [][]byte{[]byte("v1")}}
-	if err := io.Write(id, v1); err != nil {
-		t.Fatal(err)
-	}
-
-	root, err := st.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := newWriteTxn(&epoch{io: io, root: root, state: epochPublished})
-	if err := tx.Free(id); err != nil {
-		t.Fatal(err)
-	}
-	v2 := &node.Node{Leaf: true, Keys: [][]byte{[]byte("k")}, Values: [][]byte{[]byte("v2")}}
-	if err := tx.Write(id, v2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.SetRoot(id); err != nil {
-		t.Fatal(err)
-	}
-	cs, err := tx.seal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs == nil {
-		t.Fatal("free+restage transaction harvested as a no-op")
-	}
-	for _, fid := range cs.frees {
-		if fid == id {
-			t.Fatal("re-staged page still in the commit's free set")
+	err = g.applyTxn(func(tx *writeTxn) error {
+		if err := tx.Free(id); err != nil {
+			return err
 		}
-	}
-	if err := st.CommitPages(cs.writes, cs.root, cs.frees); err != nil {
+		v2 := &node.Node{Leaf: true, Keys: [][]byte{[]byte("k")}, Values: [][]byte{[]byte("v2")}}
+		if err := tx.Write(id, v2); err != nil {
+			return err
+		}
+		if tx.freed[id] {
+			t.Error("re-staged page still in the transaction's free set")
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	io.promoteTxn(cs, tx.staged)
 
 	// The re-staged page must be live in the store, not freed at commit.
 	if _, err := st.ReadPage(id); err != nil {
 		t.Fatalf("re-staged page gone from store after commit: %v", err)
 	}
-	io.invalidate() // force the read back through the store
-	n, err := io.Read(id)
-	if err != nil {
-		t.Fatalf("read of re-staged page: %v", err)
-	}
-	if !bytes.Equal(n.Values[0], []byte("v2")) {
-		t.Fatalf("re-staged page holds %q, want v2", n.Values[0])
+	g.io.invalidate() // force the read back through the store
+	if v, ok, err := g.Get([]byte("k")); err != nil || !ok || !bytes.Equal(v, []byte("v2")) {
+		t.Fatalf("Get of re-staged page = (%q, %v, %v), want v2", v, ok, err)
 	}
 }
 
-// TestNodeIOAllocClosed pins Alloc's error propagation: a closed store must
+// TestWriteTxnAllocClosed pins Alloc's error propagation: a closed store must
 // refuse to hand out page IDs instead of silently minting them.
-func TestNodeIOAllocClosed(t *testing.T) {
+func TestWriteTxnAllocClosed(t *testing.T) {
 	st := store.NewMem()
 	io := newNodeIO(st, cipher.Plaintext{}, 4)
-	if _, err := io.Alloc(); err != nil {
+	tx := newWriteTxn(&epoch{io: io, state: epochPublished}, nil)
+	if _, err := tx.Alloc(); err != nil {
 		t.Fatalf("Alloc on open store: %v", err)
 	}
 	st.Close()
-	if _, err := io.Alloc(); !errors.Is(err, store.ErrClosed) {
+	if _, err := tx.Alloc(); !errors.Is(err, store.ErrClosed) {
 		t.Fatalf("Alloc on closed store = %v, want store.ErrClosed", err)
 	}
 }
@@ -296,12 +275,36 @@ func TestNodeIOAllocClosed(t *testing.T) {
 // TestClockEvictionSecondChance pins the clock policy: with a full ring, a
 // recently-referenced page survives the sweep and the cold page goes.
 func TestClockEvictionSecondChance(t *testing.T) {
-	st := store.NewMem()
-	defer st.Close()
-	io := newNodeIO(st, cipher.Plaintext{}, 2)
-	write := func(id uint64) {
-		n := &node.Node{Leaf: true, Keys: [][]byte{{byte(id)}}, Values: [][]byte{{byte(id)}}}
-		if err := io.Write(id, n); err != nil {
+	g, err := New(Config{Store: store.NewMem(), Cipher: cipher.Plaintext{}, Order: 8, CachePages: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	// Three one-key leaves, committed as one transaction, then an empty cache.
+	var ids [3]uint64
+	err = g.applyTxn(func(tx *writeTxn) error {
+		for i := range ids {
+			id, err := tx.Alloc()
+			if err != nil {
+				return err
+			}
+			n := &node.Node{Leaf: true, Keys: [][]byte{{byte(i)}}, Values: [][]byte{{byte(i)}}}
+			if err := tx.Write(id, n); err != nil {
+				return err
+			}
+			ids[i] = id
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io := g.io
+	io.invalidate()
+	evicted := io.cacheStats().Evictions
+	read := func(id uint64) {
+		t.Helper()
+		if _, err := io.ReadShared(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,25 +314,22 @@ func TestClockEvictionSecondChance(t *testing.T) {
 		_, ok := io.cacheIdx[id]
 		return ok
 	}
-	write(1)
-	write(2) // ring full: [1, 2], both ref'd from insert? inserts start unref'd
-	// Touch 1 so it holds a second chance; 2 stays cold.
-	if _, err := io.Read(1); err != nil {
-		t.Fatal(err)
-	}
-	write(3) // clock must clear 1's ref bit or evict 2 — never evict 1 first
-	if !inCache(1) {
+	read(ids[0])
+	read(ids[1]) // ring full, both unreferenced: inserts start without a second chance
+	read(ids[0]) // touch the first so it holds a second chance; the second stays cold
+	read(ids[2]) // the clock must evict the cold page, never the referenced one
+	if !inCache(ids[0]) {
 		t.Fatal("clock evicted the recently-referenced page")
 	}
-	if inCache(2) {
+	if inCache(ids[1]) {
 		t.Fatal("cold page survived while the ring is full")
 	}
-	if !inCache(3) {
+	if !inCache(ids[2]) {
 		t.Fatal("new page not cached")
 	}
 	cs := io.cacheStats()
-	if cs.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", cs.Evictions)
+	if got := cs.Evictions - evicted; got != 1 {
+		t.Fatalf("Evictions advanced by %d, want 1", got)
 	}
 	if cs.Pages != 2 {
 		t.Fatalf("Pages = %d, want 2", cs.Pages)

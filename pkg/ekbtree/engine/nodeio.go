@@ -26,18 +26,18 @@ type CacheStats struct {
 	Pages int
 }
 
-// nodeIO adapts a PageStore + NodeCipher into the btree layer's NodeStore:
-// every node write is encoded then sealed, every read is opened then decoded,
-// so the store only ever holds enciphered pages.
+// nodeIO is the page codec between the engine and its PageStore + NodeCipher:
+// seal encodes then enciphers a node for a commit, ReadShared opens then
+// decodes one, so the store only ever holds enciphered pages. It is not a
+// btree.NodeStore — writeTxn is the only writer and *epoch the only reader.
 //
-// On top of the plain adaptation it keeps a bounded cache of decoded nodes
-// with clock (second-chance) eviction, shared by every concurrent writer
-// transaction and every lock-free epoch reader. Under the epoch scheme cached
-// nodes are IMMUTABLE: the transactional write path (writeTxn) never hands
-// the btree layer a cached node to mutate — it clones on first touch and
-// records the pristine original as the page's pre-image — so readers may
-// share cached nodes without copying or locking beyond the cache's own short
-// mutex sections. A committed transaction's clones enter the cache through
+// On top of the codec it keeps a bounded cache of decoded nodes with clock
+// (second-chance) eviction, shared by every concurrent writer transaction and
+// every lock-free epoch reader. Cached nodes are IMMUTABLE: the transactional
+// write path (writeTxn) never hands the btree layer a cached node to mutate —
+// it clones on first touch and records the pristine original as the page's
+// pre-image — so readers may share cached nodes without copying or locking
+// beyond the cache's own short mutex sections. A committed transaction's clones enter the cache through
 // promoteTxn, before the commit's epoch is published.
 //
 // Locking: cache fields (ring, counters, gen) are guarded by mu and touched
@@ -50,10 +50,6 @@ type nodeIO struct {
 	// so a store written under one format opens fine under another — the
 	// façade's header check is what keeps a tree from silently mixing them.
 	fmt node.Format
-	// es is nc's EpochSealer extension when it has one, nil otherwise. With
-	// it set, transactional seals go through SealEpoch with engine-allocated
-	// (epoch, counter) nonces; without it, the legacy Seal path applies.
-	es cipher.EpochSealer
 
 	mu       sync.Mutex
 	cacheIdx map[uint64]int // page ID -> slot index; nil disables the cache
@@ -108,7 +104,6 @@ func cloneNode(n *node.Node) *node.Node {
 
 func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
 	io := &nodeIO{st: st, nc: nc, maxCache: maxCache}
-	io.es, _ = nc.(cipher.EpochSealer)
 	if maxCache > 0 {
 		io.cacheIdx = make(map[uint64]int, maxCache)
 		io.slots = make([]cacheSlot, 0, maxCache)
@@ -155,13 +150,6 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	return n, nil
 }
 
-// Read implements btree.NodeStore for direct (non-transactional) nodeIO use:
-// it is ReadShared. Façade mutations read through a writeTxn instead, which
-// clones on first touch and tracks the read-set.
-func (io *nodeIO) Read(id uint64) (*node.Node, error) {
-	return io.ReadShared(id)
-}
-
 // countHit records a node read served from a transaction's staged set.
 func (io *nodeIO) countHit() {
 	io.mu.Lock()
@@ -169,45 +157,15 @@ func (io *nodeIO) countHit() {
 	io.mu.Unlock()
 }
 
-func (io *nodeIO) Write(id uint64, n *node.Node) error {
-	page, err := io.seal(id, n, false, 0, 0)
-	if err != nil {
-		return err
-	}
-	// A direct single-page write is still routed through the store's atomic
-	// commit hook so a durable backend never applies it partially. This path
-	// is not used by the façade (every façade mutation commits through a
-	// writeTxn and publishes an epoch); it exists for direct nodeIO use in
-	// tests.
-	root, err := io.st.Root()
-	if err != nil {
-		return err
-	}
-	if err := io.st.CommitPages(map[uint64][]byte{id: page}, root, nil); err != nil {
-		// The store rejected the commit; drop any cached copy so a later
-		// read observes the store's truth, not our intent.
-		io.mu.Lock()
-		io.cacheDelete(id)
-		io.mu.Unlock()
-		return err
-	}
-	io.mu.Lock()
-	io.gen++
-	io.cacheInsert(id, n)
-	io.mu.Unlock()
-	return nil
-}
-
 // encodeScratch recycles the plaintext page buffers of the commit path: a
 // seal copies the encoded page into the ciphertext it returns, so the encoding
 // itself can live in one reused buffer per sealing goroutine.
 var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// seal encodes and seals one node into a store-ready page: under the
-// engine-allocated (epoch, counter) nonce when counted — callers guarantee the
-// pair is never reused — and otherwise via the cipher's legacy
-// scheme-chosen-nonce path, which ignores the pair.
-func (io *nodeIO) seal(id uint64, n *node.Node, counted bool, epoch uint32, counter uint64) ([]byte, error) {
+// seal encodes and seals one node into a store-ready page under the
+// engine-allocated (epoch, counter) nonce; callers guarantee the pair is never
+// reused.
+func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64) ([]byte, error) {
 	scratch := encodeScratch.Get().(*[]byte)
 	defer encodeScratch.Put(scratch)
 	pt, err := n.AppendEncodeFormat((*scratch)[:0], io.fmt)
@@ -215,10 +173,7 @@ func (io *nodeIO) seal(id uint64, n *node.Node, counted bool, epoch uint32, coun
 		return nil, err
 	}
 	*scratch = pt
-	if counted {
-		return io.es.SealEpoch(id, epoch, counter, pt)
-	}
-	return io.nc.Seal(id, pt)
+	return io.nc.SealEpoch(id, epoch, counter, pt)
 }
 
 // cacheGet returns a cached decoded node and marks its reference bit, giving
@@ -290,25 +245,6 @@ func (io *nodeIO) cacheStats() CacheStats {
 		Evictions: io.evictions,
 		Pages:     len(io.slots),
 	}
-}
-
-func (io *nodeIO) Alloc() (uint64, error) {
-	return io.st.Alloc()
-}
-
-func (io *nodeIO) Free(id uint64) error {
-	io.mu.Lock()
-	io.cacheDelete(id)
-	io.mu.Unlock()
-	return io.st.Free(id)
-}
-
-func (io *nodeIO) Root() (uint64, error) {
-	return io.st.Root()
-}
-
-func (io *nodeIO) SetRoot(id uint64) error {
-	return io.st.SetRoot(id)
 }
 
 // invalidate empties the decoded-node cache. The façade calls it on Close;

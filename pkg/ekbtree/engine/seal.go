@@ -28,8 +28,8 @@ const DefaultHardSealLimit = 1 << 32
 // the counter's top byte (see Config.CounterBase) can never be carried into.
 const maxCounterSpace = 1 << 56
 
-// sealAlloc hands out collision-free (epoch, counter) pairs for an
-// EpochSealer cipher and owns the engine's durable seal mark. The invariant
+// sealAlloc hands out the collision-free (epoch, counter) pairs every page
+// seal runs under and owns the engine's durable seal mark. The invariant
 // it maintains: before any counter is handed to a sealer, a mark covering it
 // is DURABLE in the store (SetSealMark + Sync). Sealed bytes reach the file's
 // data region even for commits a crash will discard — the flush writes pages
@@ -178,9 +178,6 @@ func (sa *sealAlloc) cleanAtLeast(epoch uint32) bool {
 // rotation ("rotate now", not "rotate at the budget").
 func (g *Engine) AdvanceEpoch() error {
 	sa := g.sa
-	if sa == nil {
-		return nil
-	}
 	sa.mu.Lock()
 	var advanced uint32
 	err := func() error {
@@ -206,12 +203,8 @@ func (g *Engine) AdvanceEpoch() error {
 }
 
 // SealState reports the cipher-lifecycle counters for Stats: the current key
-// epoch and how many seals it has issued. Engines over a non-epoch cipher
-// report zeros.
+// epoch and how many seals it has issued.
 func (g *Engine) SealState() (epoch uint32, seals uint64) {
-	if g.sa == nil {
-		return 0, 0
-	}
 	e, _, issued := g.sa.state()
 	return e, issued
 }
@@ -230,12 +223,6 @@ const rotateBatch = 64
 // (ErrNotFound means a newer commit already released them, and new seals are
 // always current-epoch).
 func (g *Engine) staleScan(target uint32) ([]uint64, error) {
-	es, ok := g.io.nc.(interface {
-		SealedEpoch([]byte) (uint32, bool)
-	})
-	if !ok {
-		return nil, nil
-	}
 	e, err := g.es.pin()
 	if err != nil {
 		return nil, err
@@ -266,7 +253,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 			}
 			return nil, MapErr(err)
 		}
-		if sealed, ok := es.SealedEpoch(page); ok && sealed < target {
+		if sealed, ok := g.io.nc.SealedEpoch(page); ok && sealed < target {
 			stale = append(stale, id)
 		}
 	}
@@ -307,9 +294,6 @@ func (g *Engine) resealPages(ids []uint64) error {
 // (rotation commits are ordinary OCC commits and retry on conflict); the
 // façade serializes Rotate calls per engine in its rotator goroutine.
 func (g *Engine) Rotate() (bool, error) {
-	if g.sa == nil {
-		return true, nil
-	}
 	target := g.sa.currentEpoch()
 	if g.sa.cleanAtLeast(target) {
 		return true, nil
@@ -338,9 +322,6 @@ func (g *Engine) Rotate() (bool, error) {
 // answers without a walk); during rotation it is a full O(nodes) sweep, the
 // same order as the shape walk Stats already does.
 func (g *Engine) PendingReseal() (int, error) {
-	if g.sa == nil {
-		return 0, nil
-	}
 	target := g.sa.currentEpoch()
 	if g.sa.cleanAtLeast(target) {
 		return 0, nil

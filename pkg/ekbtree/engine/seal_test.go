@@ -18,8 +18,13 @@ func newEpochEngine(t *testing.T, st store.PageStore, budget, hard uint64, onAdv
 	if err != nil {
 		t.Fatalf("NewEpochAESGCM: %v", err)
 	}
+	return newCipherEngine(t, ec, st, budget, hard, onAdvance)
+}
+
+func newCipherEngine(t *testing.T, nc cipher.NodeCipher, st store.PageStore, budget, hard uint64, onAdvance func(uint32)) *Engine {
+	t.Helper()
 	g, err := New(Config{
-		Store: st, Cipher: ec, Order: 8, CachePages: DefaultCachePages,
+		Store: st, Cipher: nc, Order: 8, CachePages: DefaultCachePages,
 		SealBudget: budget, HardSealLimit: hard, OnEpochAdvance: onAdvance,
 	})
 	if err != nil {
@@ -77,10 +82,24 @@ func TestSealMarkOutrunsIssuedCounters(t *testing.T) {
 	}
 }
 
+// TestBudgetAdvancesEpochAndRotateDrains runs over the real cipher and over
+// the null one: cipher.Plaintext takes the same allocator and rotator path,
+// not a private one.
 func TestBudgetAdvancesEpochAndRotateDrains(t *testing.T) {
+	t.Run("aes-gcm-ctr", func(t *testing.T) {
+		ec, err := cipher.NewEpochAESGCM(make([]byte, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		testBudgetAdvancesEpochAndRotateDrains(t, ec)
+	})
+	t.Run("plaintext", func(t *testing.T) { testBudgetAdvancesEpochAndRotateDrains(t, cipher.Plaintext{}) })
+}
+
+func testBudgetAdvancesEpochAndRotateDrains(t *testing.T, nc cipher.NodeCipher) {
 	st := store.NewMem()
 	var advances []uint32
-	g := newEpochEngine(t, st, 32, 0, func(e uint32) { advances = append(advances, e) })
+	g := newCipherEngine(t, nc, st, 32, 0, func(e uint32) { advances = append(advances, e) })
 	defer g.Close()
 	// Enough single-key commits to issue well past the 32-seal budget.
 	for i := 0; i < 64; i++ {
@@ -227,7 +246,7 @@ func TestTamperedPageFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	page[len(page)/2] ^= 0x01
-	if err := st.WritePage(root, page); err != nil {
+	if err := st.CommitPages(map[uint64][]byte{root: page}, root, nil); err != nil {
 		t.Fatal(err)
 	}
 	g.io.invalidate()

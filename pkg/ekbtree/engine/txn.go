@@ -34,7 +34,7 @@ import (
 // not within one.
 type writeTxn struct {
 	io          *nodeIO
-	sa          *sealAlloc // nil for legacy (non-epoch) ciphers
+	sa          *sealAlloc
 	base        *epoch
 	baseRoot    uint64
 	staged      map[uint64]*stagedNode
@@ -45,9 +45,10 @@ type writeTxn struct {
 	pendingRoot *uint64
 }
 
-func newWriteTxn(base *epoch) *writeTxn {
+func newWriteTxn(base *epoch, sa *sealAlloc) *writeTxn {
 	return &writeTxn{
 		io:       base.io,
+		sa:       sa,
 		base:     base,
 		baseRoot: base.root,
 		staged:   make(map[uint64]*stagedNode),
@@ -189,18 +190,12 @@ func (tx *writeTxn) seal() (*commitSet, error) {
 		return nil, nil
 	}
 	cs := &commitSet{writes: make(map[uint64][]byte, len(dirty))}
-	// With an epoch cipher, one contiguous counter block covers the whole
-	// commit: page i seals with nonce (epoch, start+i). The allocation itself
-	// durably reserves the counters (see sealAlloc.take) before any of them
-	// touches the cipher.
-	var epoch uint32
-	var start uint64
-	if tx.sa != nil {
-		var err error
-		epoch, start, err = tx.sa.take(len(dirty))
-		if err != nil {
-			return nil, err
-		}
+	// One contiguous counter block covers the whole commit: page i seals with
+	// nonce (epoch, start+i). The allocation itself durably reserves the
+	// counters (see sealAlloc.take) before any of them touches the cipher.
+	epoch, start, err := tx.sa.take(len(dirty))
+	if err != nil {
+		return nil, err
 	}
 	if err := tx.sealDirty(dirty, cs.writes, epoch, start); err != nil {
 		return nil, err
@@ -233,16 +228,15 @@ func (tx *writeTxn) seal() (*commitSet, error) {
 // encode + AES-GCM; a goroutine handoff is about one).
 const sealParallelMin = 8
 
-// sealDirty encodes and seals the staged dirty pages into out. With an
-// allocator (tx.sa != nil) page ids[i] seals under nonce (epoch, start+i) —
-// counters bind to indices, not goroutines, so the parallel path issues
+// sealDirty encodes and seals the staged dirty pages into out: page ids[i]
+// seals under nonce (epoch, start+i) — counters bind to indices, not goroutines, so the parallel path issues
 // exactly the same nonces as the inline one. Seals are independent pure-CPU
 // work over a stateless cipher, so large commits fan out across up to
 // GOMAXPROCS worker goroutines pulling page indices from a shared counter;
 // small commits (or single-proc runs) seal inline.
 func (tx *writeTxn) sealDirty(ids []uint64, out map[uint64][]byte, epoch uint32, start uint64) error {
 	sealOne := func(i int) ([]byte, error) {
-		return tx.io.seal(ids[i], tx.staged[ids[i]].n, tx.sa != nil, epoch, start+uint64(i))
+		return tx.io.seal(ids[i], tx.staged[ids[i]].n, epoch, start+uint64(i))
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {

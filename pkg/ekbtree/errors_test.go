@@ -3,6 +3,7 @@ package ekbtree
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/keysub"
@@ -52,7 +53,7 @@ func (wideSub) Width() int                   { return node.MaxKeyLen + 1 }
 func (wideSub) Name() string                 { return "wide" }
 
 func TestErrTooLarge(t *testing.T) {
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xC1}, 32))
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC1}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestOpenSentinels(t *testing.T) {
 	// Same cipher key, different explicit cipher scheme name: with the
 	// derived AES key the header still deciphers only under the same key, so
 	// a fully different cipher also reports ErrWrongKey.
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xC4}, 32))
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC4}, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +126,36 @@ func TestOpenSentinels(t *testing.T) {
 	// Matching config still opens.
 	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st}); err != nil {
 		t.Errorf("Open with matching config failed: %v", err)
+	}
+}
+
+// TestLegacyCipherHeaderFailsClosed pins what is left of the removed
+// random-nonce "aes-gcm" page cipher: its headers. That scheme sealed page 0
+// exactly as the epoch cipher's Seal does (raw key, random nonce), so a file
+// it wrote still deciphers at Open — and must then be refused as a different
+// configuration, not misreported as a wrong key and never opened under the
+// other nonce discipline.
+func TestLegacyCipherHeaderFailsClosed(t *testing.T) {
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC6}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xC7}, 32), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=aes-gcm", DefaultOrder, sub.Name())
+	sealed, err := nc.Seal(0, []byte(header))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := store.NewMem()
+	if err := st.SetMeta(sealed); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Options{Substituter: sub, Cipher: nc, Store: st})
+	if !errors.Is(err, ErrConfigMismatch) || errors.Is(err, ErrWrongKey) {
+		t.Fatalf("Open over a legacy-cipher header = %v, want ErrConfigMismatch", err)
 	}
 }
 

@@ -48,27 +48,6 @@ func (fs *faultStore) arm(n int) {
 	fs.remaining, fs.dead = n, false
 }
 
-func (fs *faultStore) WritePage(id uint64, page []byte) error {
-	if err := fs.gate(); err != nil {
-		return err
-	}
-	return fs.PageStore.WritePage(id, page)
-}
-
-func (fs *faultStore) Free(id uint64) error {
-	if err := fs.gate(); err != nil {
-		return err
-	}
-	return fs.PageStore.Free(id)
-}
-
-func (fs *faultStore) SetRoot(id uint64) error {
-	if err := fs.gate(); err != nil {
-		return err
-	}
-	return fs.PageStore.SetRoot(id)
-}
-
 func (fs *faultStore) SetMeta(meta []byte) error {
 	if err := fs.gate(); err != nil {
 		return err

@@ -16,7 +16,8 @@ import (
 type (
 	// Substituter maps plaintext search keys to substituted search keys.
 	Substituter = keysub.Substituter
-	// NodeCipher seals and opens serialized node pages.
+	// NodeCipher seals and opens serialized node pages under engine-allocated
+	// (epoch, counter) nonces; see the six-method contract it aliases.
 	NodeCipher = cipher.NodeCipher
 	// PageStore stores sealed pages and the root pointer.
 	PageStore = store.PageStore
@@ -53,14 +54,6 @@ func NewBucketedSubstituter(secret []byte, width, prefixBits int) (Substituter, 
 		return nil, err
 	}
 	return keysub.NewBucketed(inner, prefixBits)
-}
-
-// NewAESGCMCipher returns the legacy AES-GCM node cipher (random nonces, one
-// static key, no epochs); the key must be 16, 24, or 32 bytes. Use it to
-// reopen stores written before key epochs existed; new trees should prefer
-// NewEpochAESGCMCipher (what a derived MasterKey cipher is).
-func NewAESGCMCipher(key []byte) (NodeCipher, error) {
-	return cipher.NewAESGCM(key)
 }
 
 // NewEpochAESGCMCipher returns the epoch-keyed AES-GCM node cipher: per-epoch

@@ -255,11 +255,8 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xE6}, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Substituter, opts.Cipher = sub, nc
+	opts = epochModelOpts(t, opts, envSealBudget(t))
+	opts.Substituter = sub
 	opts.Order = 8
 	tr, err := Open(opts)
 	if err != nil {

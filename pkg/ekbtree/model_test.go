@@ -238,8 +238,8 @@ func vacuumLoop(tr *Tree, stop <-chan struct{}, fail func(string, ...interface{}
 	}
 }
 
-// epochModelOpts arms opts with the epoch-keyed cipher and a seal budget, for
-// the rotation model legs.
+// epochModelOpts gives opts the production page cipher under an explicit key
+// and a seal budget (0: the default), for harness runs with rotation in play.
 func epochModelOpts(t *testing.T, opts Options, budget int64) Options {
 	t.Helper()
 	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xE3}, 32))
@@ -249,6 +249,23 @@ func epochModelOpts(t *testing.T, opts Options, budget int64) Options {
 	opts.Cipher = nc
 	opts.SealBudget = budget
 	return opts
+}
+
+// envSealBudget reads EKBTREE_SEAL_BUDGET, the CI rotation-smoke seam: a tiny
+// budget makes key epochs advance and the background rotator re-seal pages
+// continuously beneath the full concurrent oracle. Unset means 0, the default
+// budget.
+func envSealBudget(t *testing.T) int64 {
+	t.Helper()
+	env := os.Getenv("EKBTREE_SEAL_BUDGET")
+	if env == "" {
+		return 0
+	}
+	n, err := strconv.ParseInt(env, 10, 64)
+	if err != nil || n == 0 {
+		t.Fatalf("bad EKBTREE_SEAL_BUDGET %q", env)
+	}
+	return n
 }
 
 // runModel drives one harness run. Any background hooks run alongside the
@@ -267,31 +284,15 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	t.Logf("model seed %d (rerun with EKBTREE_MODEL_SEED=%d)", seed, seed)
 
 	// Explicit layers so the test can substitute keys itself and map scanned
-	// (substituted) keys back to plaintext. The cipher is the legacy
-	// random-nonce AES-GCM unless a rotation leg pre-set the epoch cipher
-	// (see epochModelOpts) or EKBTREE_SEAL_BUDGET forces it — the CI
-	// rotation-smoke seam: a tiny budget makes key epochs advance and the
-	// background rotator re-seal pages continuously beneath the full
-	// concurrent oracle.
+	// (substituted) keys back to plaintext. Legs that did not pick a seal
+	// budget of their own (see epochModelOpts) take EKBTREE_SEAL_BUDGET's.
 	sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xE1}, 32), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Substituter = sub
 	if opts.Cipher == nil {
-		if env := os.Getenv("EKBTREE_SEAL_BUDGET"); env != "" {
-			n, err := strconv.ParseInt(env, 10, 64)
-			if err != nil || n == 0 {
-				t.Fatalf("bad EKBTREE_SEAL_BUDGET %q", env)
-			}
-			opts = epochModelOpts(t, opts, n)
-		} else {
-			nc, err := NewAESGCMCipher(bytes.Repeat([]byte{0xE2}, 32))
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.Cipher = nc
-		}
+		opts = epochModelOpts(t, opts, envSealBudget(t))
 	}
 	opts.Order = 8 // small pages: more splits, merges, and multi-page commits
 	tr, err := Open(opts)

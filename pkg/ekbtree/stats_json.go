@@ -20,8 +20,8 @@ type statsJSON struct {
 	// always reports >= 1. Pre-sharding parsers that don't know the field
 	// simply ignore it.
 	Shards int `json:"shards,omitempty"`
-	// Cipher-lifecycle counters, omitted when zero so pre-epoch parsers and
-	// non-epoch trees see the previous shape unchanged.
+	// Cipher-lifecycle counters, omitted when zero so pre-epoch parsers see
+	// the previous shape unchanged.
 	CipherEpoch        uint32 `json:"cipher_epoch,omitempty"`
 	Seals              uint64 `json:"seals,omitempty"`
 	PagesPendingReseal int    `json:"pages_pending_reseal,omitempty"`

@@ -112,10 +112,10 @@ func TestStatsString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", str, part)
 		}
 	}
-	// Epoch fields only render once the epoch machinery has state; a legacy
-	// cipher's all-zero stats stay out of the string.
+	// Epoch fields only render once the epoch machinery has state; a tree
+	// that has sealed nothing keeps its all-zero stats out of the string.
 	if strings.Contains(str, "epoch=") {
-		t.Errorf("String() = %q shows epoch state for a legacy-cipher tree", str)
+		t.Errorf("String() = %q shows epoch state for a tree with none", str)
 	}
 	// Footprint fields only render for stores that measure one; the
 	// in-memory backend's zeros stay out of the string.
