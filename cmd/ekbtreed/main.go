@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -34,90 +35,106 @@ import (
 	"github.com/paper-repro/ekbtree/pkg/ekbtree"
 )
 
+// options is everything the command line decides.
+type options struct {
+	addr, addrFile       string
+	dataDir, tenantsPath string
+	provision, masterHex string
+	tree                 treeConfig
+	srv                  serverConfig
+}
+
+// parseFlags turns the command line (without the program name) into options,
+// reporting a bad flag or value as an error.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("ekbtreed", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:4617", "TCP listen address")
+	fs.StringVar(&o.addrFile, "addr-file", "", "write the bound address to this file once listening (for :0 ports)")
+	fs.StringVar(&o.dataDir, "data", "data", "directory holding per-tenant page files")
+	fs.StringVar(&o.tenantsPath, "tenants", "", "tenants config file (default <data>/tenants.json)")
+	durability := fs.String("durability", "grouped", "commit durability: full, grouped, or async")
+	fs.DurationVar(&o.tree.groupWindow, "group-window", 0, "grouped-durability flush window (0 = store default)")
+	fs.IntVar(&o.tree.shards, "shards", 1, "range-shard every tenant tree across N engines (sealed into the tenant's files on first open)")
+	fs.IntVar(&o.tree.maxEpochAge, "max-epoch-age", 0, "fail cursors whose snapshot fell more than N commits behind (0 = unbounded)")
+	fs.Int64Var(&o.tree.sealBudget, "seal-budget", 0, "per-epoch page-seal budget per shard before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
+	fs.IntVar(&o.srv.maxConns, "max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
+	fs.DurationVar(&o.srv.drainTimeout, "drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
+	fs.Float64Var(&o.srv.autoVacuum, "auto-vacuum", 0, "compact a tenant's files online when dead bytes exceed this fraction of their size, e.g. 0.5 (0 = disabled)")
+	fs.DurationVar(&o.srv.vacuumInterval, "auto-vacuum-interval", time.Minute, "how often the auto-vacuum sweep re-checks tenants")
+	fs.StringVar(&o.provision, "provision", "", "provision tenant NAME into -tenants and exit")
+	fs.StringVar(&o.masterHex, "master-hex", "", "tenant master key (hex) for -provision")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if o.tenantsPath == "" {
+		o.tenantsPath = filepath.Join(o.dataDir, "tenants.json")
+	}
+	if o.tree.shards < 1 {
+		return options{}, fmt.Errorf("-shards %d must be >= 1", o.tree.shards)
+	}
+	if o.tree.maxEpochAge < 0 {
+		return options{}, fmt.Errorf("-max-epoch-age %d must be >= 0", o.tree.maxEpochAge)
+	}
+	if o.srv.autoVacuum < 0 || o.srv.autoVacuum >= 1 {
+		return options{}, fmt.Errorf("-auto-vacuum %v must be in [0, 1)", o.srv.autoVacuum)
+	}
+	switch *durability {
+	case "full":
+		o.tree.durability = ekbtree.DurabilityFull
+	case "grouped":
+		o.tree.durability = ekbtree.DurabilityGrouped
+	case "async":
+		o.tree.durability = ekbtree.DurabilityAsync
+	default:
+		return options{}, fmt.Errorf("unknown -durability %q (want full, grouped, or async)", *durability)
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", "127.0.0.1:4617", "TCP listen address")
-		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for :0 ports)")
-		dataDir      = flag.String("data", "data", "directory holding per-tenant page files")
-		tenantsPath  = flag.String("tenants", "", "tenants config file (default <data>/tenants.json)")
-		durability   = flag.String("durability", "grouped", "commit durability: full, grouped, or async")
-		groupWindow  = flag.Duration("group-window", 0, "grouped-durability flush window (0 = store default)")
-		shards       = flag.Int("shards", 1, "range-shard every tenant tree across N engines (sealed into the tenant's files on first open)")
-		maxEpochAge  = flag.Int("max-epoch-age", 0, "fail cursors whose snapshot fell more than N commits behind (0 = unbounded)")
-		sealBudget   = flag.Int64("seal-budget", 0, "per-epoch page-seal budget per shard before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
-		maxConns     = flag.Int("max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
-		autoVacuum   = flag.Float64("auto-vacuum", 0, "compact a tenant's files online when dead bytes exceed this fraction of their size, e.g. 0.5 (0 = disabled)")
-		vacInterval  = flag.Duration("auto-vacuum-interval", time.Minute, "how often the auto-vacuum sweep re-checks tenants")
-		provision    = flag.String("provision", "", "provision tenant NAME into -tenants and exit")
-		masterHex    = flag.String("master-hex", "", "tenant master key (hex) for -provision")
-	)
-	flag.Parse()
 	log.SetPrefix("ekbtreed: ")
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
-
-	if *tenantsPath == "" {
-		*tenantsPath = filepath.Join(*dataDir, "tenants.json")
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag set has already printed the usage
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 
-	if *provision != "" {
-		if err := os.MkdirAll(filepath.Dir(*tenantsPath), 0o700); err != nil {
+	if o.provision != "" {
+		if err := os.MkdirAll(filepath.Dir(o.tenantsPath), 0o700); err != nil {
 			log.Fatal(err)
 		}
-		if err := provisionTenant(*tenantsPath, *provision, *masterHex); err != nil {
+		if err := provisionTenant(o.tenantsPath, o.provision, o.masterHex); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("provisioned tenant %q in %s\n", *provision, *tenantsPath)
+		fmt.Printf("provisioned tenant %q in %s\n", o.provision, o.tenantsPath)
 		return
 	}
 
-	if *shards < 1 {
-		log.Fatalf("-shards %d must be >= 1", *shards)
-	}
-	if *maxEpochAge < 0 {
-		log.Fatalf("-max-epoch-age %d must be >= 0", *maxEpochAge)
-	}
-	if *autoVacuum < 0 || *autoVacuum >= 1 {
-		log.Fatalf("-auto-vacuum %v must be in [0, 1)", *autoVacuum)
-	}
-	cfg := treeConfig{groupWindow: *groupWindow, shards: *shards, maxEpochAge: *maxEpochAge, sealBudget: *sealBudget}
-	switch *durability {
-	case "full":
-		cfg.durability = ekbtree.DurabilityFull
-	case "grouped":
-		cfg.durability = ekbtree.DurabilityGrouped
-	case "async":
-		cfg.durability = ekbtree.DurabilityAsync
-	default:
-		log.Fatalf("unknown -durability %q (want full, grouped, or async)", *durability)
-	}
-
-	if err := os.MkdirAll(*dataDir, 0o700); err != nil {
+	if err := os.MkdirAll(o.dataDir, 0o700); err != nil {
 		log.Fatal(err)
 	}
-	reg, err := loadRegistry(*tenantsPath, *dataDir, cfg)
+	reg, err := loadRegistry(o.tenantsPath, o.dataDir, o.tree)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (%d tenant(s), durability=%s, shards=%d)", ln.Addr(), len(reg.tenants), *durability, *shards)
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
+	log.Printf("listening on %s (%d tenant(s), durability=%s, shards=%d)", ln.Addr(), len(reg.tenants), o.tree.durability, o.tree.shards)
+	if o.addrFile != "" {
+		if err := os.WriteFile(o.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	srv := newServer(ln, reg, serverConfig{
-		maxConns:       *maxConns,
-		drainTimeout:   *drainTimeout,
-		logf:           log.Printf,
-		autoVacuum:     *autoVacuum,
-		vacuumInterval: *vacInterval,
-	})
+	o.srv.logf = log.Printf
+	srv := newServer(ln, reg, o.srv)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.serve() }()

@@ -35,9 +35,9 @@ type NodeStore interface {
 }
 
 // Reader is the read-only subset of NodeStore. Snapshot readers hand the
-// package-level read functions (Lookup, ScanRangeIn, StatsIn, NewIter) a
-// Reader resolving pages as of a pinned version, together with that version's
-// root, so reads need no access to the mutable tree at all.
+// package-level read functions (Lookup, NewIter, StatsIn) a Reader resolving
+// pages as of a pinned version, together with that version's root, so reads
+// need no access to the mutable tree at all.
 type Reader interface {
 	Read(id uint64) (*node.Node, error)
 }
@@ -478,70 +478,6 @@ func (tr *Tree) minEntry(id uint64) ([]byte, []byte, error) {
 		}
 		id = n.Children[0]
 	}
-}
-
-// Scan visits every entry in ascending (substituted) key order, stopping
-// early if fn returns false.
-func (tr *Tree) Scan(fn func(key, value []byte) bool) error {
-	rootID, err := tr.st.Root()
-	if err != nil {
-		return err
-	}
-	return ScanRangeIn(tr.st, rootID, nil, nil, fn)
-}
-
-// ScanRange visits entries with from <= key < to in ascending order. A nil
-// from means the minimum key; a nil to means no upper bound.
-func (tr *Tree) ScanRange(from, to []byte, fn func(key, value []byte) bool) error {
-	rootID, err := tr.st.Root()
-	if err != nil {
-		return err
-	}
-	return ScanRangeIn(tr.st, rootID, from, to, fn)
-}
-
-// ScanRangeIn is the snapshot-read form of ScanRange: it visits entries with
-// from <= key < to in the tree rooted at rootID, reading pages through r. The
-// slices passed to fn alias node buffers; fn copies what it retains.
-func ScanRangeIn(r Reader, rootID uint64, from, to []byte, fn func(key, value []byte) bool) error {
-	if rootID == store.NoRoot {
-		return nil
-	}
-	_, err := scan(r, rootID, from, to, fn)
-	return err
-}
-
-func scan(r Reader, id uint64, from, to []byte, fn func(key, value []byte) bool) (bool, error) {
-	n, err := r.Read(id)
-	if err != nil {
-		return false, err
-	}
-	start := 0
-	if from != nil {
-		start, _ = n.Search(from)
-	}
-	for i := start; i <= len(n.Keys); i++ {
-		if !n.Leaf {
-			cont, err := scan(r, n.Children[i], from, to, fn)
-			if err != nil || !cont {
-				return cont, err
-			}
-		}
-		if i == len(n.Keys) {
-			break
-		}
-		k := n.Keys[i]
-		if from != nil && bytes.Compare(k, from) < 0 {
-			continue
-		}
-		if to != nil && bytes.Compare(k, to) >= 0 {
-			return false, nil
-		}
-		if !fn(k, n.Values[i]) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // Stats describes tree shape, for diagnostics and benchmarks.

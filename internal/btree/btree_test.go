@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/node"
@@ -156,15 +155,15 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr, _ := newTestTree(t, 2)
+	tr, st := newTestTree(t, 2)
 	if _, ok, err := tr.Get([]byte("missing")); err != nil || ok {
 		t.Errorf("Get on empty = (%v, %v)", ok, err)
 	}
 	if ok, err := tr.Delete([]byte("missing")); err != nil || ok {
 		t.Errorf("Delete on empty = (%v, %v)", ok, err)
 	}
-	if err := tr.Scan(func(_, _ []byte) bool { t.Error("scan visited entry"); return true }); err != nil {
-		t.Fatal(err)
+	if got := iterCollect(t, NewIter(st, st.root, nil), nil); len(got) != 0 {
+		t.Errorf("iterator over empty tree yielded %d entries", len(got))
 	}
 	s, err := tr.Stats()
 	if err != nil || s != (Stats{}) {
@@ -304,7 +303,7 @@ func TestDeleteAcrossDegrees(t *testing.T) {
 }
 
 func TestScanOrder(t *testing.T) {
-	tr, _ := newTestTree(t, 3)
+	tr, st := newTestTree(t, 3)
 	const n = 300
 	rng := rand.New(rand.NewSource(3))
 	for _, i := range rng.Perm(n) {
@@ -312,35 +311,22 @@ func TestScanOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var got [][]byte
-	if err := tr.Scan(func(k, v []byte) bool {
-		if !bytes.Equal(k, v) {
-			t.Errorf("value mismatch for %x", k)
-		}
-		got = append(got, append([]byte(nil), k...))
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := iterCollect(t, NewIter(st, st.root, nil), nil)
 	if len(got) != n {
 		t.Fatalf("scan visited %d entries, want %d", len(got), n)
 	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return bytes.Compare(got[i], got[j]) < 0 }) {
-		t.Error("scan not in ascending key order")
-	}
-	// Early stop.
-	count := 0
-	tr.Scan(func(_, _ []byte) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Errorf("early-stopped scan visited %d entries, want 10", count)
+	for i, e := range got {
+		if !bytes.Equal(e.Key, e.Value) {
+			t.Errorf("value mismatch for %x", e.Key)
+		}
+		if i > 0 && bytes.Compare(got[i-1].Key, e.Key) >= 0 {
+			t.Fatalf("scan not in ascending key order at entry %d", i)
+		}
 	}
 }
 
 func TestScanRange(t *testing.T) {
-	tr, _ := newTestTree(t, 2)
+	tr, st := newTestTree(t, 2)
 	for i := 0; i < 100; i++ {
 		if err := tr.Put(key(i), key(i)); err != nil {
 			t.Fatal(err)
@@ -360,14 +346,11 @@ func TestScanRange(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			var got []int
-			if err := tr.ScanRange(tt.from, tt.to, func(k, _ []byte) bool {
-				got = append(got, int(binary.BigEndian.Uint64(k)))
-				return true
-			}); err != nil {
-				t.Fatal(err)
+			for _, e := range iterCollect(t, NewIter(st, st.root, tt.to), tt.from) {
+				got = append(got, int(binary.BigEndian.Uint64(e.Key)))
 			}
 			if fmt.Sprint(got) != fmt.Sprint(tt.want) {
-				t.Errorf("ScanRange = %v, want %v", got, tt.want)
+				t.Errorf("range = %v, want %v", got, tt.want)
 			}
 		})
 	}

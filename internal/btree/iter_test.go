@@ -37,6 +37,33 @@ func iterCollect(t *testing.T, it *Iter, from []byte) []iterEntry {
 	return out
 }
 
+// recursiveScan is the reference the iterator is checked against: a plain
+// recursive in-order walk emitting entries with from <= key < to (nil bounds
+// are open). It shares no traversal state with Iter — no path stack, no
+// positioning — which is what makes it an oracle.
+func recursiveScan(t *testing.T, r Reader, id uint64, from, to []byte, out *[]iterEntry) {
+	t.Helper()
+	if id == store.NoRoot {
+		return
+	}
+	n, err := r.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= len(n.Keys); i++ {
+		if !n.Leaf {
+			recursiveScan(t, r, n.Children[i], from, to, out)
+		}
+		if i == len(n.Keys) {
+			break
+		}
+		k := n.Keys[i]
+		if (from == nil || bytes.Compare(k, from) >= 0) && (to == nil || bytes.Compare(k, to) < 0) {
+			*out = append(*out, iterEntry{Key: k, Value: n.Values[i]})
+		}
+	}
+}
+
 // TestIterMatchesScanRange cross-checks the path-keeping iterator against the
 // recursive range scan over random trees, bounds, and seek points, for
 // several degrees (so root-only, two-level, and three-level shapes are all
@@ -66,12 +93,7 @@ func TestIterMatchesScanRange(t *testing.T) {
 				for _, from := range bounds {
 					for _, to := range bounds {
 						var want []iterEntry
-						if err := ScanRangeIn(st, root, from, to, func(k, v []byte) bool {
-							want = append(want, iterEntry{Key: k, Value: v})
-							return true
-						}); err != nil {
-							t.Fatal(err)
-						}
+						recursiveScan(t, st, root, from, to, &want)
 						got := iterCollect(t, NewIter(st, root, to), from)
 						if len(got) != len(want) {
 							t.Fatalf("from=%x to=%x: iter yielded %d entries, scan %d", from, to, len(got), len(want))

@@ -13,7 +13,7 @@ import (
 // once when the batch flushes, instead of once per operation. For workloads
 // that touch the same pages repeatedly — bulk loads, sorted ingest, delete
 // sweeps — this removes the dominant per-operation cost (AES-GCM sealing and
-// page encoding; see BENCH_btree.json).
+// page encoding; BenchmarkPutSeqUnbatched vs BenchmarkPutSeqBatched).
 //
 // Operations are applied in the order they were staged, so a later Put or
 // Delete of the same key wins. Staging (Put/Delete) routes each operation to

@@ -67,6 +67,15 @@ func TestCursorFullIteration(t *testing.T) {
 			t.Fatalf("cursor and Scan diverge at %d", i)
 		}
 	}
+
+	// A callback returning false ends the scan there, without an error.
+	count := 0
+	if err := tr.Scan(func(_, _ []byte) bool {
+		count++
+		return count < 10
+	}); err != nil || count != 10 {
+		t.Errorf("early-stopped Scan visited %d entries (err %v), want 10", count, err)
+	}
 }
 
 func TestCursorEmptyTree(t *testing.T) {

@@ -258,20 +258,21 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	}
 	sub, nc = o.Substituter, o.Cipher
 	if sub == nil || nc == nil {
-		if len(o.MasterKey) < 16 {
-			return 0, nil, nil, 0, 0, fmt.Errorf("%w: master key must be at least 16 bytes", ErrInvalidOptions)
+		// One derivation path: whatever the caller did not supply comes from
+		// the same Material a server opening this tree would be handed.
+		m, err := DeriveMaterial(o.MasterKey)
+		if err != nil {
+			return 0, nil, nil, 0, 0, err
+		}
+		derived, err := m.Options(Options{})
+		if err != nil {
+			return 0, nil, nil, 0, 0, err
 		}
 		if sub == nil {
-			if sub, err = keysub.NewHMAC(deriveKey(o.MasterKey, "ekbtree/keysub"), 24); err != nil {
-				return 0, nil, nil, 0, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-			}
+			sub = derived.Substituter
 		}
 		if nc == nil {
-			// The derived cipher is the epoch-keyed scheme: per-epoch HKDF
-			// subkeys and counter nonces, rotated by the background rotator.
-			if nc, err = cipher.NewEpochAESGCM(deriveKey(o.MasterKey, "ekbtree/cipher")); err != nil {
-				return 0, nil, nil, 0, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
-			}
+			nc = derived.Cipher
 		}
 	}
 	switch o.Durability {
@@ -787,49 +788,54 @@ func (t *Tree) cursorScan(c *Cursor, fn func(subKey, value []byte) bool) error {
 // shard's shape is observed against its own pinned epoch, so per-shard
 // figures are individually consistent but the sum is not one cross-shard
 // point in time.
+//
+// The json tags are the stable wire shape ekbtreed's Stats op emits and its
+// clients decode. The omitempty fields are the counters added after the
+// first release: left out when zero, so a parser older than a counter sees
+// the shape it always did (Shards is zero only on a hand-built value).
 type Stats struct {
 	// Keys is the number of live entries.
-	Keys int
+	Keys int `json:"keys"`
 	// Nodes is the number of B-tree pages.
-	Nodes int
+	Nodes int `json:"nodes"`
 	// Height is the tree height in levels (0 for an empty tree); for a
 	// sharded tree, the tallest shard's height.
-	Height int
+	Height int `json:"height"`
 	// Cache counts decoded-node cache hits, misses, and clock evictions,
 	// summed across shards.
-	Cache CacheStats
+	Cache CacheStats `json:"cache"`
 	// Commits is the number of successfully published commit epochs. No-op
 	// mutations (e.g. deleting an absent key) publish nothing and are not
 	// counted. A sharded Batch.Commit counts once per shard it touched.
-	Commits uint64
+	Commits uint64 `json:"commits"`
 	// Conflicts is the number of optimistic commit attempts discarded because
 	// a concurrent commit invalidated the attempt's read-set. Conflicts are
 	// retried internally; callers never observe them as errors.
-	Conflicts uint64
+	Conflicts uint64 `json:"conflicts"`
 	// Retries is the number of mutation re-executions: every conflict, plus
 	// every escalation to the exclusive commit gate (root-moving commits and
 	// the fairness fallback after repeated conflicts).
-	Retries uint64
+	Retries uint64 `json:"retries"`
 	// Shards is the number of shards (1 for an unsharded tree).
-	Shards int
+	Shards int `json:"shards,omitempty"`
 	// CipherEpoch is the newest key epoch any shard is sealing under (the
 	// maximum across shards; shards rotate independently).
-	CipherEpoch uint32
+	CipherEpoch uint32 `json:"cipher_epoch,omitempty"`
 	// Seals is the number of page seals issued within each shard's current
 	// epoch, summed across shards. It resets to zero as epochs advance.
-	Seals uint64
+	Seals uint64 `json:"seals,omitempty"`
 	// PagesPendingReseal is the number of live pages still sealed under an
 	// epoch older than their shard's current one, summed across shards —
 	// the backlog the background rotator is draining. Zero once rotation
 	// has converged.
-	PagesPendingReseal int
+	PagesPendingReseal int `json:"pages_pending_reseal,omitempty"`
 	// FileBytes is the total backing-file size, summed across shards. Zero
 	// for stores without a physical layout (the in-memory backend).
-	FileBytes int64
+	FileBytes int64 `json:"file_bytes,omitempty"`
 	// LiveBytes is the portion of FileBytes referenced by live pages and
 	// store metadata, summed across shards. FileBytes - LiveBytes is the
 	// garbage a Vacuum could reclaim.
-	LiveBytes int64
+	LiveBytes int64 `json:"live_bytes,omitempty"`
 }
 
 // Stats reports tree shape, cache counters, and commit-pipeline counters,

@@ -21,13 +21,12 @@ package ekbtree
 //	EKBTREE_LARGE_KEYS=20000000 ...                               # nightly
 //	EKBTREE_LARGE_KEYS=100000000 ...                              # the knob goes to 100M
 //
-// EKBTREE_LARGE_SHARDS picks the shard count (default 3); EKBTREE_LARGE_OUT
-// writes a BENCH-schema JSON report with the measured bytes/key, ingest and
-// scan throughput, and reopen time.
+// EKBTREE_LARGE_SHARDS picks the shard count (default 3). Each leg logs its
+// measured bytes/key, ingest and scan throughput, and reopen time (run with
+// -v to see them).
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -37,7 +36,6 @@ import (
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/keysub"
-	"github.com/paper-repro/ekbtree/tools/benchjson/schema"
 )
 
 func largeEnvInt(t *testing.T, name string, def int) int {
@@ -285,46 +283,5 @@ func TestLargeIngestSoak(t *testing.T) {
 	// And vacuum keeps the physical file near the live payload.
 	if compact.fileBytes > compact.liveBytes*3/2 {
 		t.Errorf("vacuumed file %d is more than 1.5x live bytes %d", compact.fileBytes, compact.liveBytes)
-	}
-
-	if out := os.Getenv("EKBTREE_LARGE_OUT"); out != "" {
-		rep := schema.Report{
-			Date:       time.Now().UTC().Format("2006-01-02"),
-			CommitNote: fmt.Sprintf("large soak: %d keys, %d shards", keys, shards),
-			Goos:       "linux",
-			Command:    "go test -tags large -run TestLargeIngestSoak ./pkg/ekbtree/",
-		}
-		for _, leg := range []largeLeg{compact, baseline} {
-			rep.Results = append(rep.Results,
-				schema.Result{
-					Pkg: "pkg/ekbtree", Name: "LargeSoak/" + leg.name + "/bytes_per_key",
-					Shards: shards, Iters: int64(keys),
-					BytesPerOp: leg.fileBytes / int64(keys),
-				},
-				schema.Result{
-					// Two generations: 2*keys puts total.
-					Pkg: "pkg/ekbtree", Name: "LargeSoak/" + leg.name + "/ingest",
-					Shards: shards, Iters: int64(2 * keys),
-					NsPerOp:   leg.ingestSecs * 1e9 / float64(2*keys),
-					OpsPerSec: float64(2*keys) / leg.ingestSecs,
-				},
-				schema.Result{
-					Pkg: "pkg/ekbtree", Name: "LargeSoak/" + leg.name + "/scan",
-					Shards: shards, Iters: int64(keys),
-					OpsPerSec: leg.scanKeysPerS,
-				},
-				schema.Result{
-					Pkg: "pkg/ekbtree", Name: "LargeSoak/" + leg.name + "/reopen",
-					Shards: shards, Iters: 1, NsPerOp: float64(leg.reopenNs),
-				})
-		}
-		j, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(j, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("report written to %s", out)
 	}
 }

@@ -12,18 +12,19 @@ import (
 const DefaultCachePages = 256
 
 // CacheStats counts decoded-node cache traffic since the tree was opened.
+// The json tags are part of ekbtree.Stats' wire shape.
 type CacheStats struct {
 	// Hits is the number of node reads served from memory (the cache or a
 	// batch's staged set) without touching the store.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses is the number of node reads that went to the store and paid the
 	// read → decipher → decode round trip.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Evictions is the number of decoded nodes dropped by the clock
 	// replacement policy to make room.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// Pages is the number of decoded nodes currently cached.
-	Pages int
+	Pages int `json:"pages"`
 }
 
 // nodeIO is the page codec between the engine and its PageStore + NodeCipher:

@@ -30,10 +30,10 @@ type Material struct {
 	AuthKey []byte
 }
 
-// DeriveMaterial derives a tenant's Material from its master key, using the
-// same labeled-HMAC derivation Options.MasterKey uses internally — a tree
-// created with Options{MasterKey: m} and one opened via
-// DeriveMaterial(m).Options(...) are the same tree.
+// DeriveMaterial derives a tenant's Material from its master key. It is the
+// only derivation: Options.MasterKey resolves its layers through
+// DeriveMaterial(m).Options, so a tree created with Options{MasterKey: m} and
+// one opened via DeriveMaterial(m).Options(...) are the same tree.
 func DeriveMaterial(master []byte) (Material, error) {
 	if len(master) < 16 {
 		return Material{}, fmt.Errorf("%w: master key must be at least 16 bytes", ErrInvalidOptions)
@@ -56,6 +56,8 @@ func (m Material) Options(base Options) (Options, error) {
 	if err != nil {
 		return Options{}, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
+	// The epoch-keyed scheme: per-epoch HKDF subkeys and counter nonces,
+	// rotated by the background rotator.
 	nc, err := cipher.NewEpochAESGCM(m.CipherKey)
 	if err != nil {
 		return Options{}, fmt.Errorf("%w: %v", ErrInvalidOptions, err)

@@ -8,38 +8,49 @@ import (
 	"testing"
 )
 
-// TestMaterialMatchesMasterKeyDerivation proves the deployment contract: a
-// tree created directly with a master key reopens under the material derived
-// from that master key — the server (holding Material only) and a client
-// (holding the master) see one and the same tree.
+// TestMaterialMatchesMasterKeyDerivation proves the deployment contract in
+// both directions: a tree created with a master key reopens under the
+// material derived from it, and a tree created under material reopens with
+// the master key — the server (holding Material only) and a library client
+// (holding the master) see one and the same tree. It fails if the two ways
+// of keying a tree ever derive different substituters or ciphers.
 func TestMaterialMatchesMasterKeyDerivation(t *testing.T) {
 	master := bytes.Repeat([]byte{0x77}, 32)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "tenant.ekbt")
-
-	tr, err := Open(Options{MasterKey: master, Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Put([]byte("alpha"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	m, err := DeriveMaterial(master)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := OpenWithMaterial(m, Options{Path: path})
-	if err != nil {
-		t.Fatalf("OpenWithMaterial on a MasterKey-created tree: %v", err)
-	}
-	defer tr2.Close()
-	v, ok, err := tr2.Get([]byte("alpha"))
-	if err != nil || !ok || string(v) != "1" {
-		t.Fatalf("Get through material-opened tree: %q %v %v", v, ok, err)
+	withMaster := func(path string) (*Tree, error) { return Open(Options{MasterKey: master, Path: path}) }
+	withMaterial := func(path string) (*Tree, error) { return OpenWithMaterial(m, Options{Path: path}) }
+	for _, tc := range []struct {
+		name           string
+		create, reopen func(path string) (*Tree, error)
+	}{
+		{"master then material", withMaster, withMaterial},
+		{"material then master", withMaterial, withMaster},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tenant.ekbt")
+			tr, err := tc.create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Put([]byte("alpha"), []byte("1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tr2, err := tc.reopen(path)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer tr2.Close()
+			v, ok, err := tr2.Get([]byte("alpha"))
+			if err != nil || !ok || string(v) != "1" {
+				t.Fatalf("Get after reopen: %q %v %v", v, ok, err)
+			}
+		})
 	}
 }
 

@@ -5,75 +5,18 @@ import (
 	"fmt"
 )
 
-// statsJSON is the stable wire shape of Stats: snake_case field names, cache
-// counters nested. The ekbtreed Stats op and the load driver emit exactly
-// this shape, so tooling on both sides of the wire shares one schema.
-type statsJSON struct {
-	Keys      int            `json:"keys"`
-	Nodes     int            `json:"nodes"`
-	Height    int            `json:"height"`
-	Cache     cacheStatsJSON `json:"cache"`
-	Commits   uint64         `json:"commits"`
-	Conflicts uint64         `json:"conflicts"`
-	Retries   uint64         `json:"retries"`
-	// Shards is omitted when zero (a hand-built Stats value); a live tree
-	// always reports >= 1. Pre-sharding parsers that don't know the field
-	// simply ignore it.
-	Shards int `json:"shards,omitempty"`
-	// Cipher-lifecycle counters, omitted when zero so pre-epoch parsers see
-	// the previous shape unchanged.
-	CipherEpoch        uint32 `json:"cipher_epoch,omitempty"`
-	Seals              uint64 `json:"seals,omitempty"`
-	PagesPendingReseal int    `json:"pages_pending_reseal,omitempty"`
-	// Physical-footprint gauges, omitted when zero (in-memory trees and
-	// pre-vacuum parsers see the previous shape unchanged).
-	FileBytes int64 `json:"file_bytes,omitempty"`
-	LiveBytes int64 `json:"live_bytes,omitempty"`
-}
-
-type cacheStatsJSON struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Pages     int    `json:"pages"`
-}
-
-// MarshalJSON renders the stats in their stable snake_case wire shape.
-func (s Stats) MarshalJSON() ([]byte, error) {
-	return json.Marshal(statsJSON{
-		Keys: s.Keys, Nodes: s.Nodes, Height: s.Height,
-		Cache: cacheStatsJSON{
-			Hits: s.Cache.Hits, Misses: s.Cache.Misses,
-			Evictions: s.Cache.Evictions, Pages: s.Cache.Pages,
-		},
-		Commits: s.Commits, Conflicts: s.Conflicts, Retries: s.Retries,
-		Shards:      s.Shards,
-		CipherEpoch: s.CipherEpoch, Seals: s.Seals,
-		PagesPendingReseal: s.PagesPendingReseal,
-		FileBytes:          s.FileBytes, LiveBytes: s.LiveBytes,
-	})
-}
-
-// UnmarshalJSON parses the shape MarshalJSON produces, so Stats round-trips
-// through its own JSON (the wire client decodes a server's Stats response
-// straight back into this type).
+// UnmarshalJSON decodes into a zero Stats and then assigns it, so a field the
+// document omits reads as zero, not as whatever s held before. The omitempty
+// fields make that the only safe rule: a poller decoding successive responses
+// into one Stats would otherwise keep showing the last non-zero
+// PagesPendingReseal after rotation had drained it.
 func (s *Stats) UnmarshalJSON(b []byte) error {
-	var j statsJSON
-	if err := json.Unmarshal(b, &j); err != nil {
+	type fields Stats // same tags, no methods: the decode below cannot recurse
+	var f fields
+	if err := json.Unmarshal(b, &f); err != nil {
 		return err
 	}
-	*s = Stats{
-		Keys: j.Keys, Nodes: j.Nodes, Height: j.Height,
-		Cache: CacheStats{
-			Hits: j.Cache.Hits, Misses: j.Cache.Misses,
-			Evictions: j.Cache.Evictions, Pages: j.Cache.Pages,
-		},
-		Commits: j.Commits, Conflicts: j.Conflicts, Retries: j.Retries,
-		Shards:      j.Shards,
-		CipherEpoch: j.CipherEpoch, Seals: j.Seals,
-		PagesPendingReseal: j.PagesPendingReseal,
-		FileBytes:          j.FileBytes, LiveBytes: j.LiveBytes,
-	}
+	*s = Stats(f)
 	return nil
 }
 

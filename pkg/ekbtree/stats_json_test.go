@@ -104,6 +104,26 @@ func TestStatsJSONShardedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsJSONAbsentFieldsReset pins what decoding into a Stats that already
+// holds values does with fields the document leaves out: they read as zero.
+// The optional counters are omitted when zero, so a caller polling into one
+// Stats must not keep seeing the last non-zero backlog after it drained.
+func TestStatsJSONAbsentFieldsReset(t *testing.T) {
+	got := Stats{
+		Keys: 1, Nodes: 1, Height: 1, Cache: CacheStats{Hits: 9, Pages: 9},
+		Commits: 9, Shards: 3, CipherEpoch: 2, Seals: 99, PagesPendingReseal: 11,
+		FileBytes: 4096, LiveBytes: 2048,
+	}
+	doc := `{"keys":5,"nodes":2,"height":1,"cache":{"hits":1,"misses":0,"evictions":0,"pages":2},"commits":6,"conflicts":0,"retries":0}`
+	if err := json.Unmarshal([]byte(doc), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Keys: 5, Nodes: 2, Height: 1, Cache: CacheStats{Hits: 1, Pages: 2}, Commits: 6}
+	if got != want {
+		t.Fatalf("decode over a non-zero Stats: got %+v, want %+v", got, want)
+	}
+}
+
 func TestStatsString(t *testing.T) {
 	s := Stats{Keys: 1, Nodes: 2, Height: 3, Commits: 4}
 	str := s.String()
