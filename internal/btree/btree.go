@@ -17,14 +17,21 @@ import (
 // NodeStore reads and writes B-tree nodes by page ID. The façade implements
 // it by composing node encoding, node encipherment, and a PageStore.
 //
+// Nodes are copy-on-write. The tree never alters a node it got from Read —
+// not a slice element, not a length. Before changing a page it asks for the
+// page's private copy (Editor.Edit), changes that, and hands it to Write; any
+// pointer to the page it took before the Edit is stale afterwards and is
+// re-taken. A node the tree builds itself for a page it just Alloc'd is
+// private from birth.
+//
 // Contract the façade's optimistic concurrency depends on: the tree ALWAYS
-// Reads a page before Writing or Freeing it (every mutation descends to its
-// leaf through Read, and splits/merges only rewrite pages on that path), and
-// only Writes pages it either Read or just Alloc'd. The façade captures a
-// transaction's read-set from its Read calls, so this read-before-write
-// discipline is what makes page-level conflict detection between concurrent
-// writers sound — a Write to a never-Read, non-fresh page would bypass
-// validation. Keep it load-bearing when changing the algorithms.
+// Reads a page before Editing, Writing or Freeing it (every mutation descends
+// to its leaf through Read, and splits/merges only rewrite pages on that
+// path), and only Writes pages it either Read or just Alloc'd. The façade
+// captures a transaction's read-set from its Read calls, so this
+// read-before-write discipline is what makes page-level conflict detection
+// between concurrent writers sound — a Write to a never-Read, non-fresh page
+// would bypass validation. Keep it load-bearing when changing the algorithms.
 type NodeStore interface {
 	Reader
 	Write(id uint64, n *node.Node) error
@@ -32,6 +39,17 @@ type NodeStore interface {
 	Free(id uint64) error
 	Root() (uint64, error)
 	SetRoot(id uint64) error
+}
+
+// Editor is the copy-on-write half of the NodeStore contract, implemented by
+// every store whose Read returns nodes SHARED with other readers. Edit returns
+// the caller's private copy of page id: it makes one (remembering the shared
+// original as the page's pre-image) on the first call and returns that same
+// node from every later Edit or Read of id, so it is idempotent within a
+// transaction. A NodeStore without Edit declares that Read already hands out
+// nodes nobody else can see; the tree then mutates those.
+type Editor interface {
+	Edit(id uint64) (*node.Node, error)
 }
 
 // Reader is the read-only subset of NodeStore. Snapshot readers hand the
@@ -50,6 +68,7 @@ const MinDegree = 2
 // the façade layer serializes access.
 type Tree struct {
 	st NodeStore
+	ed Editor // st's Edit; nil when st's Read returns private nodes
 	t  int
 }
 
@@ -61,7 +80,16 @@ func New(st NodeStore, t int) (*Tree, error) {
 	if t < MinDegree {
 		return nil, fmt.Errorf("btree: degree %d below minimum %d", t, MinDegree)
 	}
-	return &Tree{st: st, t: t}, nil
+	ed, _ := st.(Editor)
+	return &Tree{st: st, ed: ed, t: t}, nil
+}
+
+// edit returns the private, mutable copy of page id.
+func (tr *Tree) edit(id uint64) (*node.Node, error) {
+	if tr.ed == nil {
+		return tr.st.Read(id)
+	}
+	return tr.ed.Edit(id)
 }
 
 // Degree returns the tree's minimum degree t.
@@ -165,7 +193,7 @@ func (tr *Tree) Put(key, value []byte) error {
 }
 
 // splitChild splits the full child at index i of parent p, writing the two
-// halves and the parent.
+// halves and the parent. p is the caller's private copy of page pid.
 func (tr *Tree) splitChild(pid uint64, p *node.Node, i int) error {
 	childID := p.Children[i]
 	c, err := tr.st.Read(childID)
@@ -175,6 +203,9 @@ func (tr *Tree) splitChild(pid uint64, p *node.Node, i int) error {
 	t := tr.t
 	if len(c.Keys) != tr.maxKeys() {
 		return fmt.Errorf("btree: splitting non-full node %d", childID)
+	}
+	if c, err = tr.edit(childID); err != nil {
+		return err
 	}
 	sibID, err := tr.st.Alloc()
 	if err != nil {
@@ -207,7 +238,7 @@ func (tr *Tree) splitChild(pid uint64, p *node.Node, i int) error {
 }
 
 // insertNonFull inserts into the subtree rooted at a node known to be
-// non-full.
+// non-full, Editing only the pages it changes.
 func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error {
 	for {
 		i, eq := n.Search(key)
@@ -217,10 +248,13 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 				// nothing to re-seal or commit.
 				return nil
 			}
-			n.Values[i] = value
-			return tr.st.Write(id, n)
+			return tr.setValue(id, i, value)
 		}
 		if n.Leaf {
+			n, err := tr.edit(id)
+			if err != nil {
+				return err
+			}
 			n.Keys = insertBytes(n.Keys, i, key)
 			n.Values = insertBytes(n.Values, i, value)
 			return tr.st.Write(id, n)
@@ -234,6 +268,9 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 			if noop, err := tr.isNoOpPut(c, key, value); err != nil || noop {
 				return err
 			}
+			if n, err = tr.edit(id); err != nil {
+				return err
+			}
 			if err := tr.splitChild(id, n, i); err != nil {
 				return err
 			}
@@ -242,8 +279,7 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 				if bytes.Equal(n.Values[i], value) {
 					return nil
 				}
-				n.Values[i] = value
-				return tr.st.Write(id, n)
+				return tr.setValue(id, i, value)
 			case cmp > 0:
 				i++
 			}
@@ -254,6 +290,16 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 		}
 		id, n = childID, c
 	}
+}
+
+// setValue overwrites the value of entry i of page id.
+func (tr *Tree) setValue(id uint64, i int, value []byte) error {
+	n, err := tr.edit(id)
+	if err != nil {
+		return err
+	}
+	n.Values[i] = value
+	return tr.st.Write(id, n)
 }
 
 // Delete removes key, reporting whether it was present.
@@ -270,12 +316,20 @@ func (tr *Tree) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	deleted, err := tr.delete(rootID, root, key)
-	if err != nil {
+	if err != nil || !deleted {
 		return deleted, err
 	}
 	// Collapse the root if deletion emptied it: an empty internal root hands
-	// off to its sole child; an empty leaf root means an empty tree. All
-	// mutations below went through this same *node.Node, so no re-read.
+	// off to its sole child; an empty leaf root means an empty tree. root, as
+	// Read above, is either the private copy (current) or the shared original
+	// (the page before this deletion, which took at most one key out of it):
+	// more than one key either way means not empty, else ask the private copy.
+	if len(root.Keys) > 1 {
+		return true, nil
+	}
+	if root, err = tr.edit(rootID); err != nil {
+		return true, err
+	}
 	if len(root.Keys) == 0 {
 		if root.Leaf {
 			if err := tr.st.Free(rootID); err != nil {
@@ -299,12 +353,16 @@ func (tr *Tree) delete(id uint64, n *node.Node, key []byte) (bool, error) {
 		if !eq {
 			return false, nil
 		}
+		n, err := tr.edit(id)
+		if err != nil {
+			return false, err
+		}
 		n.Keys = removeBytes(n.Keys, i)
 		n.Values = removeBytes(n.Values, i)
 		return true, tr.st.Write(id, n)
 	}
 	if eq {
-		return true, tr.deleteInternal(id, n, i, key)
+		return true, tr.deleteInternal(id, i, key)
 	}
 	childID := n.Children[i]
 	c, err := tr.st.Read(childID)
@@ -317,6 +375,9 @@ func (tr *Tree) delete(id uint64, n *node.Node, key []byte) (bool, error) {
 		if _, ok, err := lookupFrom(tr.st, c, key); err != nil || !ok {
 			return false, err
 		}
+		if n, err = tr.edit(id); err != nil {
+			return false, err
+		}
 		if err := tr.fill(id, n, i); err != nil {
 			return false, err
 		}
@@ -326,10 +387,13 @@ func (tr *Tree) delete(id uint64, n *node.Node, key []byte) (bool, error) {
 	return tr.delete(childID, c, key)
 }
 
-// deleteInternal removes n.Keys[i] (== key) from internal node n by
-// replacing it with its predecessor or successor, or merging its two
-// children around it.
-func (tr *Tree) deleteInternal(id uint64, n *node.Node, i int, key []byte) error {
+// deleteInternal removes entry i (== key) from internal page id by replacing
+// it with its predecessor or successor, or merging its two children around it.
+func (tr *Tree) deleteInternal(id uint64, i int, key []byte) error {
+	n, err := tr.edit(id)
+	if err != nil {
+		return err
+	}
 	leftID := n.Children[i]
 	left, err := tr.st.Read(leftID)
 	if err != nil {
@@ -364,6 +428,9 @@ func (tr *Tree) deleteInternal(id uint64, n *node.Node, i int, key []byte) error
 		_, err = tr.delete(rightID, right, sk)
 		return err
 	}
+	if left, err = tr.edit(leftID); err != nil {
+		return err
+	}
 	if err := tr.merge(id, n, i, leftID, left, rightID, right); err != nil {
 		return err
 	}
@@ -371,8 +438,8 @@ func (tr *Tree) deleteInternal(id uint64, n *node.Node, i int, key []byte) error
 	return err
 }
 
-// fill ensures the child at index i of p holds at least t keys, by borrowing
-// from a sibling or merging with one.
+// fill ensures the child at index i of p (the caller's private copy of page
+// pid) holds at least t keys, by borrowing from a sibling or merging with one.
 func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 	childID := p.Children[i]
 	c, err := tr.st.Read(childID)
@@ -388,6 +455,12 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 		if len(l.Keys) >= tr.t {
 			// Rotate right: parent separator moves down, left sibling's
 			// maximum moves up.
+			if c, err = tr.edit(childID); err != nil {
+				return err
+			}
+			if l, err = tr.edit(leftID); err != nil {
+				return err
+			}
 			c.Keys = insertBytes(c.Keys, 0, p.Keys[i-1])
 			c.Values = insertBytes(c.Values, 0, p.Values[i-1])
 			last := len(l.Keys) - 1
@@ -409,6 +482,12 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 		if len(r.Keys) >= tr.t {
 			// Rotate left: parent separator moves down, right sibling's
 			// minimum moves up.
+			if c, err = tr.edit(childID); err != nil {
+				return err
+			}
+			if r, err = tr.edit(rightID); err != nil {
+				return err
+			}
 			c.Keys = append(c.Keys, p.Keys[i])
 			c.Values = append(c.Values, p.Values[i])
 			p.Keys[i], p.Values[i] = r.Keys[0], r.Values[0]
@@ -419,10 +498,16 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 			}
 			return tr.write3(rightID, r, childID, c, pid, p)
 		}
+		if c, err = tr.edit(childID); err != nil {
+			return err
+		}
 		return tr.merge(pid, p, i, childID, c, rightID, r)
 	}
 	leftID := p.Children[i-1]
-	l, err := tr.st.Read(leftID)
+	if _, err := tr.st.Read(leftID); err != nil {
+		return err
+	}
+	l, err := tr.edit(leftID)
 	if err != nil {
 		return err
 	}
@@ -430,7 +515,8 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 }
 
 // merge folds the separator p.Keys[i] and the child at i+1 into the child at
-// i, freeing the right child. Both children hold t-1 keys on entry.
+// i, freeing the right child. Both children hold t-1 keys on entry; p and
+// left are the caller's private copies, right is only read.
 func (tr *Tree) merge(pid uint64, p *node.Node, i int, leftID uint64, left *node.Node, rightID uint64, right *node.Node) error {
 	left.Keys = append(left.Keys, p.Keys[i])
 	left.Keys = append(left.Keys, right.Keys...)

@@ -61,6 +61,9 @@ func (m *memNodes) SetRoot(id uint64) error {
 	return nil
 }
 
+// shape reports the root pointer and the number of live pages.
+func (m *memNodes) shape() (root uint64, live int) { return m.root, len(m.pages) }
+
 func newTestTree(t *testing.T, degree int) (*Tree, *memNodes) {
 	t.Helper()
 	st := newMemNodes()
@@ -74,11 +77,12 @@ func newTestTree(t *testing.T, degree int) (*Tree, *memNodes) {
 // checkInvariants verifies the full set of B-tree structural invariants:
 // per-node key bounds, strictly sorted keys, separator ordering between
 // parent and children, uniform leaf depth, and no orphaned pages.
-func checkInvariants(t *testing.T, tr *Tree, st *memNodes) {
+func checkInvariants(t *testing.T, tr *Tree, st interface{ shape() (uint64, int) }) {
 	t.Helper()
-	if st.root == store.NoRoot {
-		if len(st.pages) != 0 {
-			t.Fatalf("empty tree but %d pages live", len(st.pages))
+	root, live := st.shape()
+	if root == store.NoRoot {
+		if live != 0 {
+			t.Fatalf("empty tree but %d pages live", live)
 		}
 		return
 	}
@@ -133,9 +137,9 @@ func checkInvariants(t *testing.T, tr *Tree, st *memNodes) {
 			walk(c, clo, chi, depth+1, false)
 		}
 	}
-	walk(st.root, nil, nil, 1, true)
-	if len(visited) != len(st.pages) {
-		t.Fatalf("%d pages live but only %d reachable (leak)", len(st.pages), len(visited))
+	walk(root, nil, nil, 1, true)
+	if len(visited) != live {
+		t.Fatalf("%d pages live but only %d reachable (leak)", live, len(visited))
 	}
 }
 

@@ -73,8 +73,10 @@ type flushResult struct {
 
 // enqueueLocked merges one commit into the pending group, creating it if this
 // is the first commit since the last take. The caller holds s.mu and has
-// already checked closed/failed and validated the request. reloc marks the
-// writes as vacuum relocations (see group.reloc).
+// already checked closed/failed and validated the request. The group keeps
+// the page buffers of writes themselves (CommitPages' ownership contract;
+// Vacuum hands over buffers it read for the purpose), never the map. reloc
+// marks the writes as vacuum relocations (see group.reloc).
 func (s *Store) enqueueLocked(writes map[uint64][]byte, root uint64, frees []uint64, meta []byte, setMeta bool, mark *store.SealMark, reloc, lift bool) *flushResult {
 	g := s.pending
 	if g == nil {
@@ -94,7 +96,7 @@ func (s *Store) enqueueLocked(writes map[uint64][]byte, root uint64, frees []uin
 		if old, ok := g.writes[id]; ok {
 			g.bytes -= len(old)
 		}
-		g.writes[id] = append([]byte(nil), p...)
+		g.writes[id] = p
 		g.bytes += len(p)
 		// A page freed earlier in the group and rewritten now is live again.
 		delete(g.frees, id)

@@ -595,3 +595,74 @@ func TestOpenConfigRejectsUnknownMode(t *testing.T) {
 		t.Fatalf("rejected OpenConfig left a file behind: %v", err)
 	}
 }
+
+// TestCommitPagesTakesOwnership is the conformance test of CommitPages'
+// buffer contract, over the in-memory store and the file store in every
+// durability mode. The store keeps the page buffers it is handed and never
+// writes to them; it does not keep the writes map, which the engine clears
+// and refills for its next commit; and ReadPage returns the committed bytes in
+// a buffer of the reader's own, from the overlay before the flush and from the
+// file after it.
+func TestCommitPagesTakesOwnership(t *testing.T) {
+	stores := map[string]func(t *testing.T) store.PageStore{
+		"mem": func(*testing.T) store.PageStore { return store.NewMem() },
+	}
+	for _, mode := range allModes {
+		stores["file-"+mode.String()] = func(t *testing.T) store.PageStore {
+			s, err := OpenConfig(filepath.Join(t.TempDir(), "own.ekb"), Config{Durability: mode, GroupWindow: hugeWindow})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+	}
+	for name, open := range stores {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			defer s.Close()
+			var ids [3]uint64
+			for i := range ids {
+				var err error
+				if ids[i], err = s.Alloc(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, b, c := ids[0], ids[1], ids[2]
+			pa, pb, pc := []byte("page-a"), []byte("page-b"), []byte("page-c")
+			writes := map[uint64][]byte{a: pa, b: pb}
+			if err := s.CommitPages(writes, a, nil); err != nil {
+				t.Fatal(err)
+			}
+			clear(writes)
+			writes[c] = pc
+			if err := s.CommitPages(writes, a, []uint64{b}); err != nil {
+				t.Fatal(err)
+			}
+			clear(writes)
+			check := func(when string) {
+				t.Helper()
+				for id, want := range map[uint64]string{a: "page-a", c: "page-c"} {
+					got, err := s.ReadPage(id)
+					if err != nil || string(got) != want {
+						t.Fatalf("%s: ReadPage(%d) = (%q, %v), want %q", when, id, got, err, want)
+					}
+					got[0] ^= 0xff // the reader's own buffer
+					if again, _ := s.ReadPage(id); string(again) != want {
+						t.Fatalf("%s: ReadPage(%d) aliases the store's page", when, id)
+					}
+				}
+				if _, err := s.ReadPage(b); !errors.Is(err, store.ErrNotFound) {
+					t.Fatalf("%s: freed page readable: %v", when, err)
+				}
+			}
+			check("applied")
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			check("synced")
+			if string(pa) != "page-a" || string(pb) != "page-b" || string(pc) != "page-c" {
+				t.Errorf("store altered a buffer it took: %q %q %q", pa, pb, pc)
+			}
+		})
+	}
+}

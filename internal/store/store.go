@@ -72,8 +72,11 @@ type PageStore interface {
 	// SetMeta durably records the metadata blob, copying the buffer.
 	SetMeta(meta []byte) error
 	// CommitPages atomically applies one write batch: it stores every page in
-	// writes (copying the buffers), records root as the new root pointer, and
-	// releases the pages in frees, all as a single all-or-nothing commit. IDs
+	// writes, records root as the new root pointer, and releases the pages in
+	// frees, all as a single all-or-nothing commit. The store TAKES OWNERSHIP
+	// of the page buffers: it keeps the slices themselves, so the caller must
+	// not touch them after the call, whatever it returns. The writes map and
+	// the frees slice stay the caller's; the store does not keep them. IDs
 	// in frees that were never written are ignored (a page allocated and
 	// discarded within the same batch has nothing to release); a page ID must
 	// not appear in both writes and frees. Durable implementations must make
@@ -224,7 +227,7 @@ func (m *Mem) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64)
 	// In-memory writes cannot fail, so applying everything under one lock
 	// acquisition is already all-or-nothing.
 	for id, page := range writes {
-		m.pages[id] = append([]byte(nil), page...)
+		m.pages[id] = page
 	}
 	m.root = root
 	for _, id := range frees {

@@ -129,10 +129,12 @@ func (b *Batch) Commit() error {
 	if len(ops) == 0 {
 		return nil
 	}
+	if len(b.t.shards) == 1 {
+		return b.commitShard(0, ops)
+	}
 	// Partition the staged sequence by owning shard, preserving order within
-	// each shard. The common cases stay allocation-light: a batch that only
-	// touches one shard (every unsharded tree, and most range-local sharded
-	// batches) commits directly on the caller's goroutine.
+	// each shard. A batch that only touches one shard commits directly on the
+	// caller's goroutine.
 	perShard := make(map[int][]batchOp, 1)
 	for _, op := range ops {
 		perShard[op.shard] = append(perShard[op.shard], op)

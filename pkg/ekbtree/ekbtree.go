@@ -396,9 +396,10 @@ func openShardStore(opts Options, idx, total int) (store.PageStore, error) {
 // reclaimed only once the last reader pinning an older epoch releases it.
 //
 // Writers run CONCURRENTLY under optimistic concurrency control: each
-// mutation stages private page clones against the epoch it pinned at start,
-// tracking the page-level read-set, then validates at a short critical
-// section — if no commit since its base epoch touched a page it read, it
+// mutation reads the shared nodes of the epoch it pinned at start, clones
+// only the pages it changes, tracks the page-level read-set, then validates
+// at a short critical section — if no commit since its base epoch touched a
+// page it read, it
 // links a provisional epoch, hands the sealed write-set to the store's atomic
 // CommitPages (concurrent commits genuinely overlap there, so a group-commit
 // backend coalesces their fsyncs), and publishes in chain order. On conflict

@@ -72,6 +72,10 @@ type Engine struct {
 	sa   *sealAlloc
 	deg  int // btree minimum degree (order/2)
 
+	// ws is the transaction workspace the last commit left behind, nil while
+	// a commit is using it (see beginTxn).
+	ws atomic.Pointer[writeTxn]
+
 	// Commit-pipeline counters, surfaced through Stats.
 	commits   atomic.Uint64 // successfully published epochs
 	conflicts atomic.Uint64 // failed optimistic validations
@@ -171,8 +175,9 @@ func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
 //  1. under the commit gate — shared for optimistic attempts, so concurrent
 //     commits overlap in the store; exclusive for root-changers and the
 //     fairness fallback — pin the current epoch as the transaction's base;
-//  2. apply stages every touched page as a private decoded clone resolving
-//     reads as of the base epoch, and records the page-level read-set (the
+//  2. apply reads pages as of the base epoch — the shared, immutable nodes,
+//     pinned in the transaction's staged set — clones only the pages it
+//     changes (writeTxn.Edit), and records the page-level read-set (the
 //     shared cache and all pinned epochs stay untouched);
 //  3. seal seals each dirty page once (fanning out across GOMAXPROCS workers
 //     for large commits) and harvests the write-set, the frees, the new
@@ -181,10 +186,11 @@ func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
 //     since the base and links the pre-images into the epoch chain as a
 //     provisional epoch BEFORE the store sees the commit, so readers pinned
 //     to older epochs keep resolving superseded pages from memory;
-//  5. the store applies the whole set atomically (CommitPages) — no engine
-//     mutex or epoch lock is held across this I/O, so concurrent Gets,
-//     cursors, and other committing writers all proceed;
-//  6. in chain order, the staged clones are promoted into the shared cache
+//  5. the store applies the whole set atomically (CommitPages), taking the
+//     sealed buffers as its own — no engine mutex or epoch lock is held
+//     across this I/O, so concurrent Gets, cursors, and other committing
+//     writers all proceed;
+//  6. in chain order, the staged nodes are promoted into the shared cache
 //     and the epoch is published for new readers to pin.
 //
 // On a store error nothing is published: the clones are dropped, the cache
@@ -204,7 +210,8 @@ func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) (error
 		return err, commitDone
 	}
 	defer g.es.release(base)
-	tx := newWriteTxn(base, g.sa)
+	tx := g.beginTxn(base)
+	defer g.endTxn(tx)
 	if err := work(tx); err != nil {
 		return MapErr(err), commitDone
 	}

@@ -261,8 +261,8 @@ func TestBatchRestageAfterFree(t *testing.T) {
 // refuse to hand out page IDs instead of silently minting them.
 func TestWriteTxnAllocClosed(t *testing.T) {
 	st := store.NewMem()
-	io := newNodeIO(st, cipher.Plaintext{}, 4)
-	tx := newWriteTxn(&epoch{io: io, state: epochPublished}, nil)
+	tx := newWriteTxn()
+	tx.io = newNodeIO(st, cipher.Plaintext{}, 4)
 	if _, err := tx.Alloc(); err != nil {
 		t.Fatalf("Alloc on open store: %v", err)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/node"
@@ -35,14 +36,16 @@ type CacheStats struct {
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // (second-chance) eviction, shared by every concurrent writer transaction and
 // every lock-free epoch reader. Cached nodes are IMMUTABLE: the transactional
-// write path (writeTxn) never hands the btree layer a cached node to mutate —
-// it clones on first touch and records the pristine original as the page's
-// pre-image — so readers may share cached nodes without copying or locking
-// beyond the cache's own short mutex sections. A committed transaction's clones enter the cache through
-// promoteTxn, before the commit's epoch is published.
+// write path (writeTxn) hands the btree layer the cached node itself to read,
+// and a clone — made in Edit, with the pristine original recorded as the
+// page's pre-image — to mutate, so readers may share cached nodes without
+// copying or locking beyond the cache's own short mutex sections. A committed
+// transaction's clones enter the cache through promoteTxn, before the commit's
+// epoch is published.
 //
-// Locking: cache fields (ring, counters, gen) are guarded by mu and touched
-// only in short critical sections — never across store I/O or cipher work.
+// Locking: the ring and gen are guarded by mu and touched only in short
+// critical sections — never across store I/O or cipher work. The traffic
+// counters are atomics, so counting a read never takes mu.
 type nodeIO struct {
 	st store.PageStore
 	nc cipher.NodeCipher
@@ -63,9 +66,9 @@ type nodeIO struct {
 	// promoted in the meantime.
 	gen uint64
 
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	hits      atomic.Uint64
+	misses    atomic.Uint64
+	evictions atomic.Uint64
 }
 
 // cacheSlot is one clock-ring entry: an immutable decoded page plus its
@@ -74,15 +77,6 @@ type cacheSlot struct {
 	id  uint64
 	n   *node.Node
 	ref bool
-}
-
-// stagedNode is one transaction-staged decoded page — always a private
-// clone, never a cache-shared node. dirty records whether the transaction
-// wrote it; clean entries exist so in-transaction reads are stable and cheap,
-// and are skipped at commit.
-type stagedNode struct {
-	n     *node.Node
-	dirty bool
 }
 
 // cloneNode returns a private copy of n that the btree layer may mutate
@@ -119,14 +113,14 @@ func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
 // operations, never across the store read or the decipher.
 func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	io.mu.Lock()
-	if n, ok := io.cacheGet(id); ok {
-		io.hits++
-		io.mu.Unlock()
-		return n, nil
-	}
-	io.misses++
+	n, ok := io.cacheGet(id)
 	g0 := io.gen
 	io.mu.Unlock()
+	if ok {
+		io.hits.Add(1)
+		return n, nil
+	}
+	io.misses.Add(1)
 
 	page, err := io.st.ReadPage(id)
 	if err != nil {
@@ -136,7 +130,7 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := node.Decode(pt)
+	n, err = node.Decode(pt)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +146,7 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 }
 
 // countHit records a node read served from a transaction's staged set.
-func (io *nodeIO) countHit() {
-	io.mu.Lock()
-	io.hits++
-	io.mu.Unlock()
-}
+func (io *nodeIO) countHit() { io.hits.Add(1) }
 
 // encodeScratch recycles the plaintext page buffers of the commit path: a
 // seal copies the encoded page into the ciphertext it returns, so the encoding
@@ -211,7 +201,7 @@ func (io *nodeIO) cacheInsert(id uint64, n *node.Node) {
 		io.hand = (io.hand + 1) % len(io.slots)
 	}
 	delete(io.cacheIdx, io.slots[io.hand].id)
-	io.evictions++
+	io.evictions.Add(1)
 	io.slots[io.hand] = cacheSlot{id: id, n: n}
 	io.cacheIdx[id] = io.hand
 	io.hand = (io.hand + 1) % len(io.slots)
@@ -241,9 +231,9 @@ func (io *nodeIO) cacheStats() CacheStats {
 	io.mu.Lock()
 	defer io.mu.Unlock()
 	return CacheStats{
-		Hits:      io.hits,
-		Misses:    io.misses,
-		Evictions: io.evictions,
+		Hits:      io.hits.Load(),
+		Misses:    io.misses.Load(),
+		Evictions: io.evictions.Load(),
 		Pages:     len(io.slots),
 	}
 }
@@ -268,17 +258,20 @@ func (io *nodeIO) cacheReset() {
 	io.hand = 0
 }
 
-// promoteTxn installs a committed transaction's staged clones as the cache's
-// current versions: freed pages leave the cache, staged nodes (dirty AND
-// clean — validation guaranteed nothing between the transaction's base and
-// its commit touched any page it read, so clean clones are still current) go
-// in, and the install-point generation advances so no in-flight reader can
-// insert a superseded version fetched before the commit. The caller publishes
-// the prepared epoch AFTER this returns (both under the epoch mutex), so a
-// reader can never pin the new epoch and still find pre-commit content in the
-// cache. An aborted or conflicted transaction simply drops its clones — the
-// shared cache was never touched, so nothing needs invalidating.
-func (io *nodeIO) promoteTxn(cs *commitSet, staged map[uint64]*stagedNode) {
+// promoteTxn installs a committed transaction's staged nodes as the cache's
+// current versions: freed pages leave the cache, staged nodes go in — the
+// private copies of the pages it changed AND the shared nodes of the pages it
+// only read (validation guaranteed nothing between the transaction's base and
+// its commit touched any page it read, so those are still current; for a page
+// already cached this just renews its second chance) — and the install-point
+// generation advances so no in-flight reader can insert a superseded version
+// fetched before the commit. From here on the private copies are shared and
+// immutable like every cached node. The caller publishes the prepared epoch
+// AFTER this returns (both under the epoch mutex), so a reader can never pin
+// the new epoch and still find pre-commit content in the cache. An aborted or
+// conflicted transaction simply drops its clones — the shared cache was never
+// touched, so nothing needs invalidating.
+func (io *nodeIO) promoteTxn(cs *commitSet, staged map[uint64]stagedNode) {
 	io.mu.Lock()
 	io.gen++
 	for _, id := range cs.frees {

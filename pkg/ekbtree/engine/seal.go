@@ -261,7 +261,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 }
 
 // resealPages re-seals the given pages under the current epoch as one
-// ordinary shadow-paged OCC commit: read, restage identical content, commit.
+// ordinary shadow-paged OCC commit: edit, restage identical content, commit.
 // Crash-safety needs no new machinery — the commit is indistinguishable from
 // a writer rewriting the pages, so a crash at any byte yields the normal
 // pre-or-post-commit state. Pages freed by concurrent commits are skipped;
@@ -270,7 +270,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 func (g *Engine) resealPages(ids []uint64) error {
 	return g.applyTxn(func(tx *writeTxn) error {
 		for _, id := range ids {
-			n, err := tx.Read(id)
+			n, err := tx.Edit(id)
 			if err != nil {
 				if errors.Is(err, store.ErrNotFound) {
 					continue

@@ -17,46 +17,90 @@ import (
 // concurrently — conflicts surface only at validation, never as torn reads
 // mid-descent.
 //
-// The transaction records:
+// The transaction is copy-on-write and records:
 //
 //   - reads: every page ID whose content (or absence) the mutation observed.
 //     The btree layer reads every page before writing or freeing it, so this
 //     doubles as a superset of the non-fresh write-set — the invariant
 //     optimistic validation relies on (see epochs.validateAndPrepare).
-//   - staged: private decoded clones, dirty if written. The shared cache and
-//     all pinned epochs stay untouched until the commit is finalized.
-//   - prev: pristine pre-images, harvested into the new epoch's undo overlay.
+//   - staged: every page touched — the base epoch's shared, immutable node
+//     while only read (so no page is fetched twice), a private clone once
+//     Edited, dirty once Written. The shared cache and all pinned epochs stay
+//     untouched until the commit is finalized.
+//   - prev: pristine pre-images of the pages Edited, Written or Freed,
+//     harvested into the new epoch's undo overlay.
 //   - fresh/freed: pages born in, respectively released by, this transaction.
 //   - pendingRoot: a deferred root flip; a commit that changes the root must
 //     take the exclusive commit gate (see Tree.applyCommit).
+//   - writes: the sealed pages handed to the store at commit.
 //
 // A writeTxn is single-goroutine; concurrency happens between transactions,
-// not within one.
+// not within one. The engine recycles it (beginTxn/endTxn), so nothing may
+// keep a reference to its maps past the commit.
 type writeTxn struct {
 	io          *nodeIO
 	sa          *sealAlloc
 	base        *epoch
 	baseRoot    uint64
-	staged      map[uint64]*stagedNode
+	staged      map[uint64]stagedNode
 	prev        map[uint64]*node.Node
 	reads       map[uint64]struct{}
 	fresh       map[uint64]bool
 	freed       map[uint64]bool
+	writes      map[uint64][]byte
 	pendingRoot *uint64
 }
 
-func newWriteTxn(base *epoch, sa *sealAlloc) *writeTxn {
+// stagedNode is one page a transaction has touched: private marks n as its
+// own copy, free to mutate (else n is the base epoch's shared node), dirty
+// that it wrote the page; clean entries are skipped at commit.
+type stagedNode struct {
+	n       *node.Node
+	private bool
+	dirty   bool
+}
+
+func newWriteTxn() *writeTxn {
 	return &writeTxn{
-		io:       base.io,
-		sa:       sa,
-		base:     base,
-		baseRoot: base.root,
-		staged:   make(map[uint64]*stagedNode),
-		prev:     make(map[uint64]*node.Node),
-		reads:    make(map[uint64]struct{}),
-		fresh:    make(map[uint64]bool),
-		freed:    make(map[uint64]bool),
+		staged: make(map[uint64]stagedNode),
+		prev:   make(map[uint64]*node.Node),
+		reads:  make(map[uint64]struct{}),
+		fresh:  make(map[uint64]bool),
+		freed:  make(map[uint64]bool),
+		writes: make(map[uint64][]byte),
 	}
+}
+
+// workspaceKeep is the most pages a transaction may touch and still have its
+// workspace recycled: Go maps never shrink and clear() walks their capacity,
+// so a bulk load's maps are dropped, not re-cleared by every commit after it.
+const workspaceKeep = 1024
+
+// beginTxn returns an empty transaction over base, reusing the last commit's
+// workspace unless a concurrent commit holds it.
+func (g *Engine) beginTxn(base *epoch) *writeTxn {
+	tx := g.ws.Swap(nil)
+	if tx == nil {
+		tx = newWriteTxn()
+	}
+	tx.io, tx.sa, tx.base, tx.baseRoot = base.io, g.sa, base, base.root
+	return tx
+}
+
+// endTxn empties a finished (committed, conflicted or failed) transaction's
+// workspace and keeps it for the next one.
+func (g *Engine) endTxn(tx *writeTxn) {
+	if len(tx.reads)+len(tx.fresh) > workspaceKeep {
+		return
+	}
+	clear(tx.staged)
+	clear(tx.prev)
+	clear(tx.reads)
+	clear(tx.fresh)
+	clear(tx.freed)
+	clear(tx.writes)
+	tx.base, tx.pendingRoot = nil, nil
+	g.ws.Store(tx)
 }
 
 // readBase fetches id as of the transaction's base epoch and records it in
@@ -66,8 +110,8 @@ func (tx *writeTxn) readBase(id uint64) (*node.Node, error) {
 	return tx.base.Read(id)
 }
 
-// Read serves the transaction's private staged clone, creating one on first
-// touch (and recording the pristine node as the page's pre-image).
+// Read serves the staged node: the private copy if the page was Edited, else
+// the base epoch's shared node (fetched on first touch), not to be altered.
 func (tx *writeTxn) Read(id uint64) (*node.Node, error) {
 	if sn, ok := tx.staged[id]; ok {
 		tx.io.countHit()
@@ -77,12 +121,27 @@ func (tx *writeTxn) Read(id uint64) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := cloneNode(n)
-	tx.staged[id] = &stagedNode{n: c}
-	if _, ok := tx.prev[id]; !ok {
-		tx.prev[id] = n
+	tx.staged[id] = stagedNode{n: n}
+	return n, nil
+}
+
+// Edit returns the transaction's private copy of id: the first call clones the
+// shared node, which becomes the page's pre-image; later Reads and Edits get
+// the same copy.
+func (tx *writeTxn) Edit(id uint64) (*node.Node, error) {
+	sn, ok := tx.staged[id]
+	if !ok {
+		var err error
+		if sn.n, err = tx.readBase(id); err != nil {
+			return nil, err
+		}
 	}
-	return c, nil
+	if !sn.private {
+		tx.prev[id] = sn.n
+		sn.n, sn.private = cloneNode(sn.n), true
+		tx.staged[id] = sn
+	}
+	return sn.n, nil
 }
 
 // capturePreImage records the base-epoch content of id as its pre-image
@@ -96,6 +155,10 @@ func (tx *writeTxn) capturePreImage(id uint64) error {
 	if _, ok := tx.prev[id]; ok {
 		return nil
 	}
+	if sn, ok := tx.staged[id]; ok && !sn.private {
+		tx.prev[id] = sn.n
+		return nil
+	}
 	n, err := tx.readBase(id)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
@@ -107,6 +170,8 @@ func (tx *writeTxn) capturePreImage(id uint64) error {
 	return nil
 }
 
+// Write stages n — the node Edit(id) returned or one the caller built, never
+// one from Read — as the new content of id.
 func (tx *writeTxn) Write(id uint64, n *node.Node) error {
 	// The btree layer always reads a page before writing it, so the
 	// pre-image is normally captured already; the explicit capture guards
@@ -115,7 +180,7 @@ func (tx *writeTxn) Write(id uint64, n *node.Node) error {
 	if err := tx.capturePreImage(id); err != nil {
 		return err
 	}
-	tx.staged[id] = &stagedNode{n: n, dirty: true}
+	tx.staged[id] = stagedNode{n: n, private: true, dirty: true}
 	// A page freed earlier in the same transaction and now re-staged is live
 	// again; leaving it in freed would make commit write it and then
 	// immediately release it, dangling every reference to it.
@@ -160,11 +225,11 @@ func (tx *writeTxn) SetRoot(id uint64) error {
 	return nil
 }
 
-// commitSet is one transaction's harvested commit: the sealed write-set, the
-// new root, the freed page IDs, the undo overlay (pre-images of every
-// rewritten or freed page) for the epoch this commit creates, and the touched
-// set (written + freed page IDs) that later validations intersect read-sets
-// against.
+// commitSet is one transaction's harvested commit: the sealed write-set (the
+// transaction's recycled writes map), the new root, the freed page IDs, the
+// undo overlay (pre-images of every rewritten or freed page) for the epoch
+// this commit creates, and the touched set (written + freed page IDs) that
+// later validations intersect read-sets against.
 type commitSet struct {
 	writes  map[uint64][]byte
 	frees   []uint64
@@ -189,7 +254,7 @@ func (tx *writeTxn) seal() (*commitSet, error) {
 	if len(dirty) == 0 && len(tx.freed) == 0 && tx.pendingRoot == nil {
 		return nil, nil
 	}
-	cs := &commitSet{writes: make(map[uint64][]byte, len(dirty))}
+	cs := &commitSet{writes: tx.writes}
 	// One contiguous counter block covers the whole commit: page i seals with
 	// nonce (epoch, start+i). The allocation itself durably reserves the
 	// counters (see sealAlloc.take) before any of them touches the cipher.
