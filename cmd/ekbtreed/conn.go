@@ -334,15 +334,9 @@ func (c *conn) handleCursorOpen(m *wire.CursorOpen) []byte {
 	if m.HasHi {
 		hi = m.Hi
 	}
-	var cur *ekbtree.Cursor
-	if lo == nil && hi == nil {
-		cur = c.tree.Cursor()
-	} else {
-		cur = c.tree.CursorRange(lo, hi)
-	}
 	id := c.nextID
 	c.nextID++
-	c.cursors[id] = &serverCursor{cur: cur}
+	c.cursors[id] = &serverCursor{cur: c.tree.CursorRange(lo, hi)}
 	return wire.EncodeOK(wire.EncodeCursorIDBody(id))
 }
 

@@ -14,7 +14,7 @@ import (
 )
 
 // TestShardedTenantOverWire runs a tenant on a 3-shard tree end to end: the
-// routed ops and merged cursor behave identically over the wire, Stats
+// routed ops and cross-shard cursor behave identically over the wire, Stats
 // reports the shard count through the shared JSON schema, the per-shard page
 // files land on disk, and a restarted server with the same -shards serves
 // the same data while a mismatched -shards fails the tenant's Open closed.
@@ -39,7 +39,7 @@ func TestShardedTenantOverWire(t *testing.T) {
 	}
 	want := n - 20
 
-	// The merged cursor streams one globally ordered stream of exactly the
+	// The cross-shard cursor streams one globally ordered stream of exactly the
 	// live entries.
 	entries := streamAll(t, c, 33)
 	if len(entries) != want {

@@ -105,50 +105,36 @@ func (h *HMAC) Width() int { return h.width }
 
 func (h *HMAC) Name() string { return fmt.Sprintf("hmac-sha256/%d", h.width) }
 
-// Bucketed wraps an inner substituter and prepends a bucket prefix taken from
+// Bucketed wraps the HMAC substituter and prepends a bucket prefix taken from
 // the leading PrefixBits bits of the plaintext key. Because the prefix is a
 // monotone function of the key, substituted keys in different buckets compare
 // in plaintext order, while keys within a bucket fall back to the inner
 // substituter's (pseudorandom) order.
 type Bucketed struct {
-	inner      Substituter
-	app        appender // inner's single-buffer path, nil if it has none
+	inner      *HMAC
 	prefixBits int
 	prefixLen  int
-}
-
-// appender is implemented by substituters that can write their output
-// straight after a bucket prefix, sparing the intermediate buffer.
-type appender interface {
-	appendSubstitute(dst, key []byte) []byte
 }
 
 // NewBucketed returns a bucketed substituter with 2^prefixBits buckets.
 // prefixBits must be in [1, 64] and a multiple of 8 is recommended; odd bit
 // counts zero the trailing bits of the final prefix byte.
-func NewBucketed(inner Substituter, prefixBits int) (*Bucketed, error) {
+func NewBucketed(inner *HMAC, prefixBits int) (*Bucketed, error) {
 	if inner == nil {
 		return nil, fmt.Errorf("keysub: nil inner substituter")
 	}
 	if prefixBits < 1 || prefixBits > 64 {
 		return nil, fmt.Errorf("keysub: prefixBits %d out of range [1, 64]", prefixBits)
 	}
-	b := &Bucketed{inner: inner, prefixBits: prefixBits, prefixLen: (prefixBits + 7) / 8}
-	b.app, _ = inner.(appender)
-	return b, nil
+	return &Bucketed{inner: inner, prefixBits: prefixBits, prefixLen: (prefixBits + 7) / 8}, nil
 }
 
+// Substitute writes the bucket prefix and the inner substitute into one
+// buffer.
 func (b *Bucketed) Substitute(key []byte) []byte {
-	if b.app != nil {
-		out := make([]byte, b.prefixLen, b.prefixLen+sha256.Size)
-		b.putPrefix(out, key)
-		return b.app.appendSubstitute(out, key)
-	}
-	sub := b.inner.Substitute(key)
-	out := make([]byte, b.prefixLen+len(sub))
-	b.putPrefix(out[:b.prefixLen], key)
-	copy(out[b.prefixLen:], sub)
-	return out
+	out := make([]byte, b.prefixLen, b.prefixLen+sha256.Size)
+	b.putPrefix(out, key)
+	return b.inner.appendSubstitute(out, key)
 }
 
 // putPrefix writes key's bucket prefix, its leading prefixBits bits, into the
@@ -191,12 +177,7 @@ func (b *Bucketed) SubstituteRange(from, to []byte) (lo, hi []byte) {
 	return lo, hi
 }
 
-func (b *Bucketed) Width() int {
-	if w := b.inner.Width(); w >= 0 {
-		return b.prefixLen + w
-	}
-	return -1
-}
+func (b *Bucketed) Width() int { return b.prefixLen + b.inner.Width() }
 
 func (b *Bucketed) Name() string {
 	return fmt.Sprintf("bucketed/%dbit+%s", b.prefixBits, b.inner.Name())

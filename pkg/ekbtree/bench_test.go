@@ -78,61 +78,44 @@ func BenchmarkGetParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkScan measures a full ordered scan of a 10k-key tree through the
-// callback wrapper (which now rides on a Cursor underneath).
-func BenchmarkScan(b *testing.B) {
-	tr := benchTree(b)
-	defer tr.Close()
-	rng := rand.New(rand.NewSource(42))
-	value := make([]byte, 64)
-	for i := 0; i < 10_000; i++ {
-		if err := tr.Put(benchKey(rng, i), value); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		if err := tr.Scan(func(_, _ []byte) bool { count++; return true }); err != nil {
-			b.Fatal(err)
-		}
-		if count != 10_000 {
-			b.Fatalf("scan visited %d", count)
-		}
-	}
-}
-
-// BenchmarkCursorScan measures the same full scan driven directly through
-// the snapshot Cursor API, touching Key and Value for every entry. The
-// path-keeping iterator descends once per scan (vs once per 256 entries for
-// the pre-epoch cursor), so this tracks the old locked callback scan.
+// BenchmarkCursorScan measures a full ordered scan of a 10k-key tree through
+// the snapshot Cursor API (the callback Scan is a ten-line loop over the same
+// cursor), touching Key and Value for every entry, on an unsharded tree and
+// on one whose cursor reads four shards one after another.
 func BenchmarkCursorScan(b *testing.B) {
-	tr := benchTree(b)
-	defer tr.Close()
-	rng := rand.New(rand.NewSource(42))
-	value := make([]byte, 64)
-	for i := 0; i < 10_000; i++ {
-		if err := tr.Put(benchKey(rng, i), value); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := tr.Cursor()
-		count := 0
-		var kb, vb int
-		for ok := c.First(); ok; ok = c.Next() {
-			kb += len(c.Key())
-			vb += len(c.Value())
-			count++
-		}
-		if err := c.Err(); err != nil {
-			b.Fatal(err)
-		}
-		c.Close()
-		if count != 10_000 || vb != 10_000*64 {
-			b.Fatalf("cursor visited %d entries, %d value bytes", count, vb)
-		}
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x99}, 32), Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tr.Close()
+			rng := rand.New(rand.NewSource(42))
+			value := make([]byte, 64)
+			for i := 0; i < 10_000; i++ {
+				if err := tr.Put(benchKey(rng, i), value); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := tr.Cursor()
+				count := 0
+				var kb, vb int
+				for ok := c.First(); ok; ok = c.Next() {
+					kb += len(c.Key())
+					vb += len(c.Value())
+					count++
+				}
+				if err := c.Err(); err != nil {
+					b.Fatal(err)
+				}
+				c.Close()
+				if count != 10_000 || vb != 10_000*64 {
+					b.Fatalf("cursor visited %d entries, %d value bytes", count, vb)
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package ekbtree
 import (
 	"bytes"
 
+	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/keysub"
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 )
@@ -14,11 +15,12 @@ import (
 // is created and reads those versions, lock-free, for its whole life:
 // concurrent Puts, Deletes, and batch commits neither block the cursor nor
 // become visible to it, and the cursor never observes a partially-applied
-// single-shard commit. Internally each shard iterator keeps the root-to-leaf
-// path to its position and the cursor merges them smallest-key-first, so
-// advancing is O(shards) with no re-descent and no per-batch snapshot
-// copying. On an unsharded tree (Shards = 1, the default) this is the same
-// single-iterator cursor as ever.
+// single-shard commit. The shard router is order-preserving — every key of
+// shard i sorts before every key of shard i+1 — so the globally ordered
+// stream is the shards read one after another: the cursor reads one shard's
+// iterator, which keeps the root-to-leaf path to its position (no re-descent,
+// no per-batch snapshot copying), and moves to the next shard when that one
+// is exhausted.
 //
 // For a sharded tree the snapshot is taken per shard, one pin after another:
 // each shard's view is internally consistent, but a commit racing cursor
@@ -52,28 +54,30 @@ type Cursor struct {
 	t      *Tree
 	lo, hi []byte // substituted bounds: lo inclusive, hi exclusive; nil = unbounded
 
-	// One pinned snapshot + iterator per shard the range covers, in shard
-	// (ascending substituted-key) order. Empty if a snapshot could not be
-	// taken at creation: err holds the reason and every positioning call
-	// reports it.
-	snaps []*engine.Snapshot
-	iters []*engine.Iter
-	// Per-iterator buffered head entry; hk[i] == nil means iterator i is
-	// exhausted (or dead). The current cursor position is the minimum head.
-	hk, hv [][]byte
-	cur    int // index of the iterator supplying the current entry
+	// The pinned run: one snapshot and its iterator per shard the range
+	// covers, in shard (ascending substituted-key) order, shards[0] being the
+	// shard that owns lo. Empty if a snapshot could not be taken at creation:
+	// err holds the reason and every positioning call reports it.
+	shards []cursorShard
+	cur    int // index into shards of the shard being read
 
 	k, v   []byte
 	valid  bool
-	err    error
+	err    error // as the layer below reported it; Err maps it
 	closed bool
 }
 
+// cursorShard is one shard's share of a cursor.
+type cursorShard struct {
+	snap engine.Snapshot
+	it   btree.Iter
+}
+
 // Cursor returns a cursor over a snapshot of the whole tree, taken at this
-// call. Position it with First or Seek before reading; Close it when done to
-// release the snapshot.
+// call: CursorRange(nil, nil). Position it with First or Seek before reading;
+// Close it when done to release the snapshot.
 func (t *Tree) Cursor() *Cursor {
-	return t.newCursor(nil, nil)
+	return t.CursorRange(nil, nil)
 }
 
 // CursorRange returns a cursor over the substituted range covering the
@@ -86,30 +90,22 @@ func (t *Tree) Cursor() *Cursor {
 // intersect the bounds are pinned.
 func (t *Tree) CursorRange(fromKey, toKey []byte) *Cursor {
 	lo, hi := t.substituteBounds(fromKey, toKey)
-	return t.newCursor(lo, hi)
-}
-
-func (t *Tree) newCursor(lo, hi []byte) *Cursor {
-	c := &Cursor{t: t, lo: lo, hi: hi}
 	s0, s1 := t.router.RouteRange(lo, hi)
-	for i := s0; i <= s1; i++ {
-		snap, err := t.shards[i].Snapshot()
+	c := &Cursor{t: t, lo: lo, hi: hi, shards: make([]cursorShard, s1-s0+1)}
+	for i := range c.shards {
+		snap, err := t.shards[s0+i].Snapshot()
 		if err != nil {
 			// Drop the pins taken so far and leave the cursor snapshot-less,
 			// latching why: Err reports it now, and so does every later
 			// positioning call.
-			for _, s := range c.snaps {
-				s.Close()
+			for j := range c.shards[:i] {
+				c.shards[j].snap.Close()
 			}
-			c.snaps, c.iters = nil, nil
-			c.err = err
+			c.shards, c.err = nil, err
 			return c
 		}
-		c.snaps = append(c.snaps, snap)
-		c.iters = append(c.iters, snap.Iter(hi))
+		c.shards[i] = cursorShard{snap: snap, it: snap.Iter(hi)}
 	}
-	c.hk = make([][]byte, len(c.iters))
-	c.hv = make([][]byte, len(c.iters))
 	return c
 }
 
@@ -152,19 +148,20 @@ func (c *Cursor) Seek(key []byte) bool {
 	return c.seek(from)
 }
 
-// seek repositions every shard iterator at from and advances to the smallest
-// entry across shards.
+// seek positions the shard that owns from — never below lo, and clamped to
+// the pinned run when at or above hi — and moves to the first entry at or
+// after it. Later shards hold only larger keys, so each starts at its
+// smallest key when the cursor reaches it.
 func (c *Cursor) seek(from []byte) bool {
 	c.valid, c.k, c.v = false, nil, nil
 	if !c.usable() {
 		return false
 	}
 	c.err = nil
-	for i, it := range c.iters {
-		it.Seek(from)
-		c.refill(i)
-	}
-	return c.pickMin()
+	r := c.t.router
+	c.cur = min(r.Route(from)-r.Route(c.lo), len(c.shards)-1)
+	c.shards[c.cur].it.Seek(from)
+	return c.advance()
 }
 
 // Next advances to the following entry, reporting whether one exists.
@@ -176,8 +173,25 @@ func (c *Cursor) Next() bool {
 	if !c.usable() {
 		return false
 	}
-	c.refill(c.cur)
-	return c.pickMin()
+	return c.advance()
+}
+
+// advance takes the next entry of the shard being read; when that shard is
+// exhausted it goes on to the following one, and so past any empty shards.
+// Only the last shard of the run can hold keys at or above hi, so an earlier
+// iterator that stops has run out of keys.
+func (c *Cursor) advance() bool {
+	for {
+		s := &c.shards[c.cur]
+		if c.k, c.v, c.valid = s.it.Next(); c.valid {
+			return true
+		}
+		if c.err = s.it.Err(); c.err != nil || c.cur == len(c.shards)-1 {
+			return false
+		}
+		c.cur++
+		c.shards[c.cur].it.Seek(nil)
+	}
 }
 
 // usable checks the closed states and the snapshot-age bound, recording the
@@ -187,56 +201,17 @@ func (c *Cursor) usable() bool {
 		c.err = ErrClosed
 		return false
 	}
-	if len(c.snaps) == 0 {
+	if len(c.shards) == 0 {
 		return false // creation failed; c.err has held the reason since
 	}
-	if max := c.t.maxEpochAge; max > 0 {
-		for _, s := range c.snaps {
-			if s.Age() > max {
+	if limit := c.t.maxEpochAge; limit > 0 {
+		for i := range c.shards {
+			if c.shards[i].snap.Age() > limit {
 				c.err = ErrSnapshotTooOld
 				return false
 			}
 		}
 	}
-	return true
-}
-
-// refill pulls iterator i's next entry into its head slot, recording nil on
-// exhaustion and capturing any iterator error.
-func (c *Cursor) refill(i int) {
-	k, v, ok := c.iters[i].Next()
-	if !ok {
-		c.hk[i], c.hv[i] = nil, nil
-		if err := c.iters[i].Err(); err != nil {
-			c.err = err
-		}
-		return
-	}
-	c.hk[i], c.hv[i] = k, v
-}
-
-// pickMin makes the smallest buffered head the current entry. With the
-// order-preserving router the live iterator is almost always the same one
-// until its shard drains, but the linear scan keeps the cursor correct for
-// ANY router and costs O(shards) per step.
-func (c *Cursor) pickMin() bool {
-	if c.err != nil {
-		return false
-	}
-	min := -1
-	for i, k := range c.hk {
-		if k == nil {
-			continue
-		}
-		if min < 0 || bytes.Compare(k, c.hk[min]) < 0 {
-			min = i
-		}
-	}
-	if min < 0 {
-		return false
-	}
-	c.cur = min
-	c.k, c.v, c.valid = c.hk[min], c.hv[min], true
 	return true
 }
 
@@ -264,7 +239,7 @@ func (c *Cursor) Value() []byte {
 // Err returns the first error the cursor encountered, or nil. Exhausting the
 // range is not an error.
 func (c *Cursor) Err() error {
-	return c.err
+	return mapErr(c.err)
 }
 
 // Close releases the cursor's snapshot pins, allowing the engines to reclaim
@@ -276,10 +251,10 @@ func (c *Cursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, s := range c.snaps {
-		s.Close()
+	for i := range c.shards {
+		c.shards[i].snap.Close()
 	}
-	c.snaps, c.iters, c.hk, c.hv = nil, nil, nil, nil
+	c.shards = nil
 	c.k, c.v, c.valid = nil, nil, false
 	return nil
 }

@@ -6,7 +6,7 @@
 //
 //	caller ── plaintext key, value
 //	   │
-//	pkg/ekbtree        façade: substitute keys, route to shards, merge cursors
+//	pkg/ekbtree        façade: substitute keys, route to shards, chain cursors
 //	   │
 //	internal/keysub    key substitution (HMAC PRF / bucketed order-preserving)
 //	   │               + ShardRouter: substituted-key range → shard index
@@ -29,13 +29,14 @@
 // (one committer and one fsync stream per shard). Routing happens after
 // substitution, so plaintext never crosses the shard boundary, and because
 // the bucketed substituter is order-preserving the partition is too: range
-// scans touch only the shards their bucket interval spans, and the merged
-// Cursor yields one globally ordered stream. Put/Get/Delete route to exactly
-// one shard and keep their single-tree semantics. Batch.Commit fans out as
-// one OCC commit PER SHARD, running in parallel: each shard's slice of the
-// batch is atomic and publishes as one epoch on that shard, but the batch is
-// NOT atomic across shards — a reader may observe shard A's slice before
-// shard B's lands, and an error on one shard does not roll back the others.
+// scans touch only the shards their bucket interval spans, and a Cursor
+// reading those shards one after another yields one globally ordered stream.
+// Put/Get/Delete route to exactly one shard and keep their single-tree
+// semantics. Batch.Commit fans out as one OCC commit PER SHARD, running in
+// parallel: each shard's slice of the batch is atomic and publishes as one
+// epoch on that shard, but the batch is NOT atomic across shards — a reader
+// may observe shard A's slice before shard B's lands, and an error on one
+// shard does not roll back the others.
 // Each shard's header seals the (index, total) shard layout, so reopening
 // with a different Shards value fails closed with ErrConfigMismatch.
 // Shards=1 (the default) produces byte-identical files to previous versions.

@@ -11,7 +11,7 @@ import (
 )
 
 // snapshotContents iterates a whole snapshot into a map.
-func snapshotContents(s *Snapshot) (map[string]string, error) {
+func snapshotContents(s Snapshot) (map[string]string, error) {
 	out := make(map[string]string)
 	it := s.Iter(nil)
 	it.Seek(nil)

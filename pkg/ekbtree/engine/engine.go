@@ -265,8 +265,10 @@ func (g *Engine) Get(sk []byte) ([]byte, bool, error) {
 }
 
 // Snapshot is a pinned epoch: a frozen, fully readable version of one shard.
-// It holds superseded pre-images in memory until closed, so callers bound its
-// lifetime (see Age). Safe for use by one goroutine at a time.
+// It is a value handle — the façade's cursor keeps one per shard inline — so
+// close it through one variable, never through copies. It holds superseded
+// pre-images in memory until closed, so callers bound its lifetime (see Age).
+// Safe for use by one goroutine at a time.
 type Snapshot struct {
 	g      *Engine
 	e      *epoch
@@ -275,16 +277,13 @@ type Snapshot struct {
 
 // Snapshot pins the current epoch and returns it as a read handle. Every
 // snapshot must be closed exactly once.
-func (g *Engine) Snapshot() (*Snapshot, error) {
+func (g *Engine) Snapshot() (Snapshot, error) {
 	e, err := g.es.pin()
 	if err != nil {
-		return nil, err
+		return Snapshot{}, err
 	}
-	return &Snapshot{g: g, e: e}, nil
+	return Snapshot{g: g, e: e}, nil
 }
-
-// Root returns the page ID of the snapshot's root (store.NoRoot when empty).
-func (s *Snapshot) Root() uint64 { return s.e.root }
 
 // Age reports how many commits have published since this snapshot was
 // pinned — the measure a MaxEpochAge bound cuts off. Lock-free.
@@ -294,9 +293,12 @@ func (s *Snapshot) Age() uint64 {
 
 // Iter returns an in-order iterator over the snapshot, stopping before
 // exclusive upper bound hi (nil = unbounded). Position it with Seek before
-// the first Next. The iterator is only valid until the snapshot is closed.
-func (s *Snapshot) Iter(hi []byte) *Iter {
-	return &Iter{it: btree.NewIter(s.e, s.e.root, hi)}
+// the first Next. The iterator is only valid until the snapshot is closed;
+// the key/value slices its Next returns are read-only views into the
+// snapshot's node set, and its Err is an internal-layer error for the caller
+// to pass through MapErr.
+func (s *Snapshot) Iter(hi []byte) btree.Iter {
+	return *btree.NewIter(s.e, s.e.root, hi)
 }
 
 // Close releases the pin. Closing twice is a no-op.
@@ -307,25 +309,6 @@ func (s *Snapshot) Close() {
 	s.closed = true
 	s.g.es.release(s.e)
 }
-
-// Iter is an in-order iterator over one snapshot. The key/value slices Next
-// returns are read-only views into the snapshot's node set, valid until the
-// owning snapshot is closed.
-type Iter struct {
-	it *btree.Iter
-}
-
-// Seek positions the iterator at the first key >= from (nil = the smallest
-// key). The next Next returns that entry.
-func (it *Iter) Seek(from []byte) { it.it.Seek(from) }
-
-// Next returns the next entry, or ok=false at the end of the range or on
-// error (check Err).
-func (it *Iter) Next() (key, value []byte, ok bool) { return it.it.Next() }
-
-// Err returns the first error the iterator hit, mapped to the sentinel
-// taxonomy, or nil.
-func (it *Iter) Err() error { return MapErr(it.it.Err()) }
 
 // Stats describes one shard: shape (key count, node count, height),
 // decoded-node cache traffic, and commit-pipeline contention counters since

@@ -88,6 +88,26 @@ func (sa *sealAlloc) persistLocked() error {
 	return sa.st.Sync()
 }
 
+// advanceLocked opens the next epoch with a reservation covering its first n
+// counters. The durable mark must record the new epoch (with a fresh
+// reservation) before any of its counters are issued — a crash between the
+// two would otherwise reopen at the old epoch, later advance again, and
+// replay the new epoch's counters from zero. If the mark cannot be made
+// durable the allocator is left as it was. Callers hold sa.mu, have checked
+// that the epoch space is not spent, and fire onAdvance once they drop the
+// lock.
+func (sa *sealAlloc) advanceLocked(n uint64) error {
+	prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
+	sa.epoch++
+	sa.next = 0
+	sa.reserved = min(sealReserveChunk+n, sa.hard)
+	if err := sa.persistLocked(); err != nil {
+		sa.epoch, sa.next, sa.reserved = prevEpoch, prevNext, prevReserved
+		return err
+	}
+	return nil
+}
+
 // take allocates n consecutive counters in the current epoch, returning the
 // epoch and the first counter (base included; the caller uses start+i for
 // page i). Crossing the soft budget advances the epoch first — the new
@@ -98,17 +118,7 @@ func (sa *sealAlloc) take(n int) (uint32, uint64, error) {
 	var advanced uint32
 	epoch, start, err := func() (uint32, uint64, error) {
 		if sa.budget > 0 && sa.next >= sa.budget && sa.epoch < ^uint32(0) {
-			// Soft budget crossed: open the next epoch. The durable mark must
-			// record the new epoch (with a fresh reservation) before any of
-			// its counters are issued — a crash between the two would
-			// otherwise reopen at the old epoch, later advance again, and
-			// replay the new epoch's counters from zero.
-			prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
-			sa.epoch++
-			sa.next = 0
-			sa.reserved = min(uint64(sealReserveChunk)+uint64(n), sa.hard)
-			if err := sa.persistLocked(); err != nil {
-				sa.epoch, sa.next, sa.reserved = prevEpoch, prevNext, prevReserved
+			if err := sa.advanceLocked(uint64(n)); err != nil {
 				return 0, 0, err
 			}
 			advanced = sa.epoch
@@ -179,27 +189,20 @@ func (sa *sealAlloc) cleanAtLeast(epoch uint32) bool {
 func (g *Engine) AdvanceEpoch() error {
 	sa := g.sa
 	sa.mu.Lock()
-	var advanced uint32
-	err := func() error {
-		if sa.epoch == ^uint32(0) {
-			return fmt.Errorf("%w: epoch space exhausted", ErrSealsExhausted)
-		}
-		prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
-		sa.epoch++
-		sa.next = 0
-		sa.reserved = min(uint64(sealReserveChunk), sa.hard)
-		if err := sa.persistLocked(); err != nil {
-			sa.epoch, sa.next, sa.reserved = prevEpoch, prevNext, prevReserved
-			return err
-		}
-		advanced = sa.epoch
-		return nil
-	}()
+	if sa.epoch == ^uint32(0) {
+		sa.mu.Unlock()
+		return fmt.Errorf("%w: epoch space exhausted", ErrSealsExhausted)
+	}
+	err := sa.advanceLocked(0)
+	advanced := sa.epoch
 	sa.mu.Unlock()
-	if advanced != 0 && sa.onAdvance != nil {
+	if err != nil {
+		return MapErr(err)
+	}
+	if sa.onAdvance != nil {
 		sa.onAdvance(advanced)
 	}
-	return MapErr(err)
+	return nil
 }
 
 // SealState reports the cipher-lifecycle counters for Stats: the current key

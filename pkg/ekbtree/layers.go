@@ -1,12 +1,9 @@
 package ekbtree
 
 import (
-	"time"
-
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/keysub"
 	"github.com/paper-repro/ekbtree/internal/store"
-	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // The layer interfaces live in internal packages so their implementations
@@ -26,18 +23,6 @@ type (
 // NewMemStore returns a fresh in-memory page store, e.g. to share one store
 // across Open calls when testing reopen behavior.
 func NewMemStore() PageStore { return store.NewMem() }
-
-// NewFileStore opens (or creates) the crash-safe file-backed page store at
-// path with Full durability. Options.Path is the usual way in; this
-// constructor exists for callers that need the store before (or without)
-// opening a Tree over it.
-func NewFileStore(path string) (PageStore, error) { return file.Open(path) }
-
-// NewFileStoreConfig is NewFileStore with an explicit durability mode and —
-// for DurabilityGrouped — flush window (zero means the store default).
-func NewFileStoreConfig(path string, d Durability, groupWindow time.Duration) (PageStore, error) {
-	return file.OpenConfig(path, file.Config{Durability: d, GroupWindow: groupWindow})
-}
 
 // NewHMACSubstituter returns the pure-PRF substituter (HMAC-SHA256 truncated
 // to width bytes). Substituted-key order is unrelated to plaintext order.

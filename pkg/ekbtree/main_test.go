@@ -17,9 +17,10 @@ import (
 // without an explicit Store gets a fresh crash-safe file-backed store instead
 // of the in-memory one, and with EKBTREE_SHARDS=N (N > 1), every such tree is
 // range-sharded across N engines — so the routed Put/Get/Delete paths, the
-// per-shard batch fan-out, and the merge cursor face the entire suite's
+// per-shard batch fan-out, and the cross-shard cursor face the entire suite's
 // assertions, not just the shard-specific tests. CI and `make test` run the
-// backends; the shard-matrix CI job runs EKBTREE_SHARDS=3.
+// backends; the shard-matrix CI job runs EKBTREE_SHARDS=3, and the cursor,
+// scan and model tests at 16, where most shards of a small tree are empty.
 func TestMain(m *testing.M) {
 	if s := os.Getenv("EKBTREE_SHARDS"); s != "" {
 		n, err := strconv.Atoi(s)

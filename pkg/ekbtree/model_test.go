@@ -16,11 +16,11 @@ package ekbtree
 // per shard, there must exist a single commit sequence number S, within the
 // window the scan ran in, that explains every slice on that shard
 // simultaneously (each shard's snapshot is one pinned epoch; the cursor
-// merges one snapshot per shard, so there is no single cross-shard S). The
+// chains one snapshot per shard, so there is no single cross-shard S). The
 // harness runs with whatever shard count the tree resolves — 1 by default,
 // 3 under the explicit sharded subtests and the EKBTREE_SHARDS matrix — so
-// the same oracle proves routing, the merge cursor, and per-shard commit
-// semantics.
+// the same oracle proves routing, the cross-shard cursor, and per-shard
+// commit semantics.
 
 import (
 	"bytes"
@@ -151,8 +151,8 @@ func modelConfig(t *testing.T, fileBacked bool) modelCfg {
 
 // TestModelConcurrency runs the harness over the default backend and over
 // file-backed trees in each durability mode, then over explicitly sharded
-// trees (Shards=3) so the routed write paths and the merge cursor face the
-// oracle even when the environment doesn't set EKBTREE_SHARDS.
+// trees (Shards=3) so the routed write paths and the cross-shard cursor face
+// the oracle even when the environment doesn't set EKBTREE_SHARDS.
 func TestModelConcurrency(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		runModel(t, Options{}, false)

@@ -152,6 +152,60 @@ func TestGetAllocs(t *testing.T) {
 	}
 }
 
+// TestCursorAllocs guards the scan path's allocation budget: a range cursor
+// over one bucket of ~100 entries, every node cached. Opening and closing one
+// allocates the bounds' buffer, the Cursor and its per-shard slice (snapshot
+// and iterator live in that slice by value); reading it through adds the
+// three doublings of the iterator's path stack and nothing per entry. A
+// one-bucket range pins one shard whatever the shard count. No slack: a
+// fourth per-cursor allocation is the regression this guards against.
+func TestCursorAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	sub, err := NewBucketedSubstituter(bytes.Repeat([]byte{0xD8}, 32), 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xD9}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, Order: 16, CachePages: 4096, Shards: shards})
+		b := tr.NewBatch()
+		for i := 0; i < 5000; i++ { // 50 buckets of 100 keys
+			if err := b.Put([]byte{byte(i / 100 * 5), 0, byte(i % 100)}, []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		from, to := []byte{125, 0, 0}, []byte{125, 0, 99}
+		open := func() { tr.CursorRange(from, to).Close() }
+		scan := func() {
+			c := tr.CursorRange(from, to)
+			n := 0
+			for ok := c.First(); ok; ok = c.Next() {
+				n++
+			}
+			if err := c.Err(); err != nil || n != 100 {
+				t.Fatalf("one-bucket cursor read %d entries (%v), want 100", n, err)
+			}
+			c.Close()
+		}
+		scan() // the bucket's pages are cached from here on
+		if n := testing.AllocsPerRun(200, open); n > 3 {
+			t.Errorf("shards=%d: opening and closing a range cursor allocates %.1f times, want <= 3", shards, n)
+		}
+		if n := testing.AllocsPerRun(200, scan); n > 6 {
+			t.Errorf("shards=%d: a cached one-bucket cursor scan allocates %.1f times, want <= 6", shards, n)
+		}
+		tr.Close()
+	}
+}
+
 // TestBatchCommitAllocs guards the write path's allocation budget the way
 // TestGetAllocs guards the read path's: a 64-mutation batch (24 inserts, 24
 // deletes, 16 overwrites; staging included) against a 5 000-key in-memory

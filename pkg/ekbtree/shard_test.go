@@ -2,17 +2,22 @@ package ekbtree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
 // TestShardedRoundTripAcrossReopen is the end-to-end sharded persistence
 // test: a 4-shard file-backed tree survives close and reopen with identical
-// content, the merged cursor yields one globally ordered stream, every shard
+// content, the cross-shard cursor yields one globally ordered stream, every shard
 // actually holds data, and the on-disk layout is the documented per-shard
 // one (Path itself is never created).
 func TestShardedRoundTripAcrossReopen(t *testing.T) {
@@ -60,12 +65,12 @@ func TestShardedRoundTripAcrossReopen(t *testing.T) {
 			t.Errorf("shard %d is empty after 400 routed puts", i)
 		}
 	}
-	// The merged cursor is one globally ordered stream.
+	// The cross-shard cursor is one globally ordered stream.
 	var prev []byte
 	c := tr.Cursor()
 	for ok := c.First(); ok; ok = c.Next() {
 		if prev != nil && bytes.Compare(c.Key(), prev) <= 0 {
-			t.Fatalf("merged cursor out of order: %x after %x", c.Key(), prev)
+			t.Fatalf("cross-shard cursor out of order: %x after %x", c.Key(), prev)
 		}
 		prev = append(prev[:0], c.Key()...)
 	}
@@ -246,28 +251,58 @@ func TestCursorMaxEpochAge(t *testing.T) {
 	}
 }
 
-// TestCursorMaxEpochAgeSharded: with multiple shards the bound applies per
-// shard snapshot — enough single-key commits age SOME shard past the cap,
-// and the merged cursor reports it.
+// TestCursorMaxEpochAgeSharded: with multiple shards the bound applies to
+// every shard snapshot the cursor pinned, whichever one it is reading. In the
+// first case enough routed single-key commits age SOME shard past the cap; in
+// the second a one-byte bucket prefix places the keys, the cursor is still
+// reading shard 0 with entries left there, and only shard 2 has aged out —
+// the bound caps the memory a pinned snapshot holds, so the cursor must fail
+// before it ever gets to that shard.
 func TestCursorMaxEpochAgeSharded(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x55}, 32), Order: 8, Shards: 3, MaxEpochAge: 1})
-	defer tr.Close()
-	if err := tr.Put([]byte("seed"), []byte("v")); err != nil {
+	bucketed, err := NewBucketedSubstituter(bytes.Repeat([]byte{0x57}, 32), 16, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c := tr.Cursor()
-	defer c.Close()
-	if !c.First() {
-		t.Fatalf("First on a fresh cursor = false (err %v)", c.Err())
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x58}, 32))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// 10 routed commits guarantee some shard publishes more than once.
-	for i := 0; i < 10; i++ {
-		if err := tr.Put([]byte(fmt.Sprintf("age-%d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+	var routed [][]byte
+	for i := 0; i < 10; i++ { // guarantees some shard publishes more than once
+		routed = append(routed, []byte(fmt.Sprintf("age-%d", i)))
 	}
-	if c.Next(); !errors.Is(c.Err(), ErrSnapshotTooOld) {
-		t.Fatalf("stale sharded cursor Err = %v, want ErrSnapshotTooOld", c.Err())
+	for _, tt := range []struct {
+		name        string
+		opts        Options
+		seed, aging [][]byte
+	}{
+		{"some shard", Options{MasterKey: bytes.Repeat([]byte{0x55}, 32)}, [][]byte{[]byte("seed")}, routed},
+		{"only the last shard, cursor on the first", Options{Substituter: bucketed, Cipher: nc},
+			[][]byte{{0x01, 'a'}, {0x02, 'a'}, {0x03, 'a'}}, [][]byte{{0xF0, 'a'}, {0xF1, 'a'}}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tt.opts.Order, tt.opts.Shards, tt.opts.MaxEpochAge = 8, 3, 1
+			tr := mustOpen(t, tt.opts)
+			defer tr.Close()
+			for _, k := range tt.seed {
+				if err := tr.Put(k, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := tr.Cursor()
+			defer c.Close()
+			if !c.First() {
+				t.Fatalf("First on a fresh cursor = false (err %v)", c.Err())
+			}
+			for _, k := range tt.aging {
+				if err := tr.Put(k, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.Next(); !errors.Is(c.Err(), ErrSnapshotTooOld) {
+				t.Fatalf("stale sharded cursor Err = %v, want ErrSnapshotTooOld", c.Err())
+			}
+		})
 	}
 }
 
@@ -331,5 +366,135 @@ func TestShardedBatchSpansShards(t *testing.T) {
 		if v, ok, err := tr.Get([]byte(k)); err != nil || !ok || string(v) != "v"+k[1:] {
 			t.Fatalf("Get(%s) = (%q, %v, %v) after batch fan-out", k, v, ok, err)
 		}
+	}
+}
+
+// TestCursorAcrossShards drives the cursor over the layouts where reading the
+// shards one after another could go wrong: empty shards at the front, in a
+// run in the middle and at the back (the cursor has to move past them, not
+// stop at them), neighbouring keys on either side of a shard boundary, and
+// keys sharing their whole 8-byte routing prefix. A 64-bit bucket prefix
+// makes a key's first eight bytes its routing prefix, so the test places
+// every key in the shard it means to.
+func TestCursorAcrossShards(t *testing.T) {
+	sub, err := NewBucketedSubstituter(bytes.Repeat([]byte{0x59}, 32), 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x5A}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := func(prefix uint64, suffix byte) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, prefix), suffix)
+	}
+	for _, tt := range []struct {
+		shards int
+		empty  []int
+	}{{2, nil}, {3, []int{1}}, {7, []int{0, 3, 4, 6}}} {
+		t.Run(fmt.Sprintf("shards=%d", tt.shards), func(t *testing.T) {
+			tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, Order: 4, Shards: tt.shards})
+			defer tr.Close()
+			// Shard i owns the prefixes first[i]..last[i]; mid[i] is one well
+			// inside it.
+			first, last, mid := make([]uint64, tt.shards), make([]uint64, tt.shards), make([]uint64, tt.shards)
+			last[tt.shards-1] = math.MaxUint64
+			for i := 1; i < tt.shards; i++ {
+				q, r := bits.Div64(uint64(i), 0, uint64(tt.shards))
+				if first[i] = q; r != 0 {
+					first[i]++
+				}
+				last[i-1] = first[i] - 1
+			}
+			type entry struct {
+				prefix uint64
+				sk     string
+			}
+			var want []entry
+			put := func(prefix uint64, suffix byte) {
+				k := plain(prefix, suffix)
+				if err := tr.Put(k, k); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, entry{prefix, string(sub.Substitute(k))})
+			}
+			for i := range mid {
+				mid[i] = first[i] + (last[i]-first[i])/2
+				if got := tr.router.Route(plain(mid[i], 0)); got != i {
+					t.Fatalf("prefix %#x routes to shard %d, want %d", mid[i], got, i)
+				}
+				if slices.Contains(tt.empty, i) {
+					continue
+				}
+				put(first[i], 0)
+				put(last[i], 0)
+				for s := byte(0); s < 5; s++ {
+					put(mid[i], s)
+				}
+			}
+			for i, g := range tr.shards {
+				st, err := g.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (st.Keys == 0) != slices.Contains(tt.empty, i) {
+					t.Fatalf("shard %d holds %d keys; empty shards are meant to be %v", i, st.Keys, tt.empty)
+				}
+			}
+			slices.SortFunc(want, func(a, b entry) int { return strings.Compare(a.sk, b.sk) })
+			// between lists the substituted keys whose prefix is in [lo, hi].
+			between := func(lo, hi uint64) []string {
+				var out []string
+				for _, e := range want {
+					if lo <= e.prefix && e.prefix <= hi {
+						out = append(out, e.sk)
+					}
+				}
+				return out
+			}
+			// check reads c from its position to the end and compares.
+			check := func(what string, c *Cursor, ok bool, want []string) {
+				t.Helper()
+				var got []string
+				for ; ok; ok = c.Next() {
+					if n := len(got); n > 0 && string(c.Key()) <= got[n-1] {
+						t.Fatalf("%s: key %x follows %x, not ascending", what, c.Key(), got[n-1])
+					}
+					if !bytes.Equal(sub.Substitute(c.Value()), c.Key()) {
+						t.Fatalf("%s: key %x carries the value of another key", what, c.Key())
+					}
+					got = append(got, string(c.Key()))
+				}
+				if err := c.Err(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: read %d entries %x, want %d entries %x", what, len(got), got, len(want), want)
+				}
+			}
+
+			full := tr.Cursor()
+			defer full.Close()
+			check("full cursor", full, full.First(), between(0, math.MaxUint64))
+			check("full cursor, First again after the end", full, full.First(), between(0, math.MaxUint64))
+			for i := range mid {
+				check(fmt.Sprintf("Seek into shard %d", i), full, full.Seek(plain(mid[i], 0)), between(mid[i], math.MaxUint64))
+			}
+			// Ranges from inside shard j to inside shard i: the bucket of the
+			// upper bound is included whole.
+			for i := range mid {
+				for j := 0; j <= i; j++ {
+					what := fmt.Sprintf("CursorRange from shard %d to shard %d", j, i)
+					c := tr.CursorRange(plain(mid[j], 0), plain(mid[i], 0))
+					in := between(mid[j], mid[i])
+					check(what, c, c.First(), in)
+					check(what+", Seek below lo", c, c.Seek(plain(0, 0)), in)
+					check(what+", Seek at hi", c, c.Seek(plain(mid[i]+1, 0)), nil)
+					check(what+", Seek after hi", c, c.Seek(plain(math.MaxUint64, 0)), nil)
+					check(what+", First again", c, c.First(), in)
+					c.Close()
+				}
+			}
+		})
 	}
 }
