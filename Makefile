@@ -80,15 +80,17 @@ soak-smoke:
 	EKBTREE_LARGE_KEYS=$(SOAK_KEYS) EKBTREE_LARGE_SHARDS=$(SOAK_SHARDS) \
 	$(GO) test -tags large -run '^TestLargeIngestSoak$$' -timeout 120m -v ./pkg/ekbtree/
 
-# fuzz-smoke runs each fuzz target briefly (the checked-in seed corpora under
-# internal/*/testdata/fuzz always run as plain tests; this actually mutates).
-# FUZZTIME=5m fuzz-smoke for a longer local session.
+# fuzz-smoke runs each fuzz target briefly (the f.Add seeds and the checked-in
+# corpora under */testdata/fuzz always run as plain tests; this actually
+# mutates). FUZZTIME=5m fuzz-smoke for a longer local session.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/node/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefixTruncated$$' -fuzztime $(FUZZTIME) ./internal/node/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/keysub/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRange$$' -fuzztime $(FUZZTIME) ./internal/keysub/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
 
 clean:
 	$(GO) clean ./...

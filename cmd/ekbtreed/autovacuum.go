@@ -11,7 +11,8 @@ const defaultVacuumInterval = time.Minute
 // footprint minus live bytes) exceed the configured fraction of the
 // footprint. Compaction is the tree's online vacuum — ordinary shadow-paged
 // commits — so tenant traffic on every connection proceeds throughout; the
-// sweep only spends I/O on tenants that actually accumulated garbage.
+// sweep only spends I/O on tenants that actually accumulated garbage (the
+// check itself reads the store's space counters, not the tree).
 //
 // The loop stops when stop closes (drain does this before closing the tenant
 // trees); a vacuum racing a concurrent drain simply returns the tree's closed
@@ -42,22 +43,15 @@ func (s *server) vacuumSweep() {
 		if tree == nil {
 			continue // never opened, or already closed by drain
 		}
-		st, err := tree.Stats()
-		if err != nil {
-			s.cfg.logf("auto-vacuum %s: stats: %v", ten.name, err)
-			continue
-		}
-		dead := st.FileBytes - st.LiveBytes
-		if st.FileBytes <= 0 || float64(dead) < s.cfg.autoVacuum*float64(st.FileBytes) {
+		file, live := tree.Space()
+		if file <= 0 || float64(file-live) < s.cfg.autoVacuum*float64(file) {
 			continue
 		}
 		if err := tree.Vacuum(0); err != nil {
 			s.cfg.logf("auto-vacuum %s: %v", ten.name, err)
 			continue
 		}
-		if after, err := tree.Stats(); err == nil {
-			s.cfg.logf("auto-vacuum %s: %d -> %d file bytes (%d dead)",
-				ten.name, st.FileBytes, after.FileBytes, dead)
-		}
+		after, _ := tree.Space()
+		s.cfg.logf("auto-vacuum %s: %d -> %d file bytes (%d dead)", ten.name, file, after, file-live)
 	}
 }

@@ -38,6 +38,11 @@ type iterFrame struct {
 	descend bool
 }
 
+// iterStackRoom is the path stack's first capacity: sized once, where growing
+// it a frame at a time cost a scan three allocations. Eight levels is a tree
+// of billions of entries at any order in use; a deeper one grows the stack.
+const iterStackRoom = 8
+
 // NewIter returns an iterator over the tree rooted at rootID with keys below
 // to (nil = unbounded). Position it with Seek before calling Next.
 func NewIter(r Reader, rootID uint64, to []byte) *Iter {
@@ -52,6 +57,9 @@ func (it *Iter) Seek(from []byte) {
 	it.err = nil
 	if it.root == store.NoRoot {
 		return
+	}
+	if it.stack == nil {
+		it.stack = make([]iterFrame, 0, iterStackRoom)
 	}
 	id := it.root
 	for {

@@ -398,9 +398,10 @@ func openShardStore(opts Options, idx, total int) (store.PageStore, error) {
 //
 // Writers run CONCURRENTLY under optimistic concurrency control: each
 // mutation reads the shared nodes of the epoch it pinned at start, clones
-// only the pages it changes, tracks the page-level read-set, then validates
-// at a short critical section — if no commit since its base epoch touched a
-// page it read, it
+// only the pages it changes, and keeps one record per touched page — the
+// read-set, the write-set and the pre-images are all read off that one
+// table — then validates at a short critical section: if no commit since its
+// base epoch touched a page it read, it
 // links a provisional epoch, hands the sealed write-set to the store's atomic
 // CommitPages (concurrent commits genuinely overlap there, so a group-commit
 // backend coalesces their fsyncs), and publishes in chain order. On conflict
@@ -873,6 +874,19 @@ func (t *Tree) Stats() (Stats, error) {
 		agg.LiveBytes += s.LiveBytes
 	}
 	return agg, nil
+}
+
+// Space reports the physical footprint alone, summed across shards: the
+// FileBytes and LiveBytes that Stats reports, from counters the store keeps —
+// O(1), no page read, no cache traffic — so a monitor may poll it. Zeros for
+// the in-memory backend and for a closed tree.
+func (t *Tree) Space() (fileBytes, liveBytes int64) {
+	for _, g := range t.shards {
+		f, l := g.Space()
+		fileBytes += f
+		liveBytes += l
+	}
+	return fileBytes, liveBytes
 }
 
 // Vacuum compacts the backing store(s) down toward target bytes total:

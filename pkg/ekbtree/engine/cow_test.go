@@ -184,17 +184,15 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 		}
 		return nil
 	}
-	entries := func(tx *writeTxn) int {
-		return len(tx.staged) + len(tx.prev) + len(tx.reads) + len(tx.fresh) + len(tx.freed) + len(tx.writes)
-	}
+	entries := func(tx *writeTxn) int { return len(tx.pages) + len(tx.writes) }
 	empty := func(when string, tx *writeTxn) {
 		t.Helper()
 		if tx == nil {
 			t.Fatalf("%s: no workspace kept", when)
 		}
-		if entries(tx) != 0 || tx.pendingRoot != nil || tx.base != nil {
-			t.Fatalf("%s: workspace not empty: staged %d prev %d reads %d fresh %d freed %d writes %d pendingRoot %v base %v",
-				when, len(tx.staged), len(tx.prev), len(tx.reads), len(tx.fresh), len(tx.freed), len(tx.writes), tx.pendingRoot, tx.base)
+		if entries(tx) != 0 || tx.base != nil {
+			t.Fatalf("%s: workspace not empty: pages %d writes %d base %v",
+				when, len(tx.pages), len(tx.writes), tx.base)
 		}
 	}
 
@@ -259,8 +257,8 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = g.applyTxn(func(tx *writeTxn) error {
-		if n := entries(tx); n != 0 || tx.pendingRoot != nil {
-			t.Errorf("a transaction began with %d stale workspace entries (pendingRoot %v)", n, tx.pendingRoot)
+		if n := entries(tx); n != 0 || tx.root != tx.base.root {
+			t.Errorf("a transaction began with %d stale workspace entries (root %d, base root %d)", n, tx.root, tx.base.root)
 		}
 		bt, err := btree.New(tx, g.deg)
 		if err != nil {
@@ -269,8 +267,8 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 		if err := bt.Put(key(5000), []byte("v2")); err != nil {
 			return err
 		}
-		if len(tx.reads) != st.Height {
-			t.Errorf("read-set holds %d pages, want the %d of one descent", len(tx.reads), st.Height)
+		if got := len(readSet(tx)); got != st.Height {
+			t.Errorf("read-set holds %d pages, want the %d of one descent", got, st.Height)
 		}
 		return nil
 	})

@@ -176,21 +176,22 @@ func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
 //     commits overlap in the store; exclusive for root-changers and the
 //     fairness fallback — pin the current epoch as the transaction's base;
 //  2. apply reads pages as of the base epoch — the shared, immutable nodes,
-//     pinned in the transaction's staged set — clones only the pages it
-//     changes (writeTxn.Edit), and records the page-level read-set (the
-//     shared cache and all pinned epochs stay untouched);
+//     entered in the transaction's page table — and clones only the pages it
+//     changes (writeTxn.Edit); the table's non-fresh records are the
+//     page-level read-set (the shared cache and all pinned epochs stay
+//     untouched);
 //  3. seal seals each dirty page once (fanning out across GOMAXPROCS workers
-//     for large commits) and harvests the write-set, the frees, the new
-//     root, and the pre-images of every superseded page;
+//     for large commits) and builds the provisional epoch: the new root and
+//     the pre-images and IDs of every page written or freed;
 //  4. validateAndPrepare checks the read-set against every commit linked
-//     since the base and links the pre-images into the epoch chain as a
-//     provisional epoch BEFORE the store sees the commit, so readers pinned
-//     to older epochs keep resolving superseded pages from memory;
+//     since the base and links the provisional epoch into the chain BEFORE
+//     the store sees the commit, so readers pinned to older epochs keep
+//     resolving superseded pages from memory;
 //  5. the store applies the whole set atomically (CommitPages), taking the
 //     sealed buffers as its own — no engine mutex or epoch lock is held
 //     across this I/O, so concurrent Gets, cursors, and other committing
 //     writers all proceed;
-//  6. in chain order, the staged nodes are promoted into the shared cache
+//  6. in chain order, the table's nodes are promoted into the shared cache
 //     and the epoch is published for new readers to pin.
 //
 // On a store error nothing is published: the clones are dropped, the cache
@@ -215,32 +216,31 @@ func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) (error
 	if err := work(tx); err != nil {
 		return MapErr(err), commitDone
 	}
-	cs, err := tx.seal()
+	e, err := tx.seal()
 	if err != nil {
 		return MapErr(err), commitDone
 	}
-	if cs == nil {
+	if e == nil {
 		// A no-op (nothing dirtied, freed, or re-rooted) needs no store round
 		// trip and no validation: with no writes, the operation is
 		// serializable at its base epoch — a consistent point inside the
 		// call's window.
 		return nil, commitDone
 	}
-	if !exclusive && cs.root != tx.baseRoot {
+	if !exclusive && e.root != base.root {
 		// Root flips must not race other in-flight commits: the store applies
 		// concurrent CommitPages in arrival order, and a stale same-root
 		// commit landing after the flip would clobber it. Redo exclusively.
 		return nil, commitNeedsExclusive
 	}
-	e, ok := g.es.validateAndPrepare(base, tx.reads, cs)
-	if !ok {
+	if !g.es.validateAndPrepare(tx, e) {
 		return nil, commitConflict
 	}
-	if err := g.st.CommitPages(cs.writes, cs.root, cs.frees); err != nil {
+	if err := g.st.CommitPages(tx.writes, e.root, tx.frees); err != nil {
 		g.es.finalizeFailure(e)
 		return MapErr(err), commitDone
 	}
-	g.es.finalizeSuccess(e, func() { g.io.promoteTxn(cs, tx.staged) })
+	g.es.finalizeSuccess(e, tx)
 	g.commits.Add(1)
 	return nil, commitDone
 }

@@ -238,7 +238,7 @@ func TestBatchRestageAfterFree(t *testing.T) {
 		if err := tx.Write(id, v2); err != nil {
 			return err
 		}
-		if tx.freed[id] {
+		if tx.pages[id].freed {
 			t.Error("re-staged page still in the transaction's free set")
 		}
 		return nil

@@ -36,8 +36,9 @@ const (
 //
 // Epochs form a singly-linked chain, oldest to newest, published via atomic
 // next pointers so readers walk it without locks. An epoch's seq, root, undo
-// map, and touched set are immutable from the moment it is linked; refs and
-// state are guarded by the owning epochs mutex.
+// map, and touched set are immutable from the moment it is linked (a commit
+// builds the epoch in writeTxn.seal and validateAndPrepare numbers it); refs
+// and state are guarded by the owning epochs mutex.
 type epoch struct {
 	io   *nodeIO // the shard's shared page reader; what Read falls through to
 	seq  uint64
@@ -165,12 +166,12 @@ func (es *epochs) release(e *epoch) {
 
 // validateAndPrepare is the optimistic commit's critical section. It checks
 // the writer's read-set against every commit linked after the writer's base
-// epoch and, if no conflict exists, links a provisional epoch for the commit
-// about to reach the store. The epoch MUST be linked before the store
-// observes any of the commit's writes or frees: from that moment, readers
-// pinned to older epochs depend on the undo overlay to keep resolving
-// superseded pages. The epoch becomes visible to overlay walks immediately
-// but is not pinnable until finalized.
+// epoch and, if no conflict exists, links e — the provisional epoch tx.seal
+// built for the commit about to reach the store. The epoch MUST be linked
+// before the store observes any of the commit's writes or frees: from that
+// moment, readers pinned to older epochs depend on the undo overlay to keep
+// resolving superseded pages. The epoch becomes visible to overlay walks
+// immediately but is not pinnable until finalized.
 //
 // A commit conflicts when any epoch in (base, tail] — published or still
 // pending — touched a page the writer read, or changed the root pointer the
@@ -181,27 +182,27 @@ func (es *epochs) release(e *epoch) {
 // to fail too. Two validated in-flight commits always have disjoint touched
 // sets — every non-fresh page a commit writes or frees is in its read-set —
 // which is what makes their store applications composable in either order.
-func (es *epochs) validateAndPrepare(base *epoch, reads map[uint64]struct{}, cs *commitSet) (*epoch, bool) {
+func (es *epochs) validateAndPrepare(tx *writeTxn, e *epoch) bool {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	for f := base.next.Load(); f != nil; f = f.next.Load() {
+	for f := tx.base.next.Load(); f != nil; f = f.next.Load() {
 		if f.state == epochFailed {
 			continue
 		}
-		if f.root != base.root {
-			return nil, false
+		if f.root != tx.base.root {
+			return false
 		}
 		for _, id := range f.touched {
-			if _, ok := reads[id]; ok {
-				return nil, false
+			if tx.observed(id) {
+				return false
 			}
 		}
 	}
-	e := &epoch{io: base.io, seq: es.nextSeq, root: cs.root, undo: cs.undo, touched: cs.touched, state: epochPending}
+	e.seq = es.nextSeq
 	es.nextSeq++
 	es.tail.next.Store(e)
 	es.tail = e
-	return e, true
+	return true
 }
 
 // waitTurnLocked blocks until every epoch linked before e has finalized, so
@@ -214,15 +215,15 @@ func (es *epochs) waitTurnLocked(e *epoch) {
 }
 
 // finalizeSuccess publishes a pending epoch after the store accepted its
-// commit: it waits for the epoch's turn, runs promote (the cache promotion —
-// it must complete before any reader can pin the new epoch), and flips
+// commit: it waits for the epoch's turn, promotes tx's pages into the cache
+// (which must complete before any reader can pin the new epoch), and flips
 // current. Readers pinning from now on see the new version; the happens-
 // before edge through es.mu guarantees they find the promoted cache.
-func (es *epochs) finalizeSuccess(e *epoch, promote func()) {
+func (es *epochs) finalizeSuccess(e *epoch, tx *writeTxn) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	es.waitTurnLocked(e)
-	promote()
+	e.io.promoteTxn(tx.pages)
 	e.pubCount = es.published.Add(1)
 	e.state = epochPublished
 	es.current = e

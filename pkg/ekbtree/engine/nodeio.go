@@ -145,7 +145,7 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	return n, nil
 }
 
-// countHit records a node read served from a transaction's staged set.
+// countHit records a node read served from a transaction's page table.
 func (io *nodeIO) countHit() { io.hits.Add(1) }
 
 // encodeScratch recycles the plaintext page buffers of the commit path: a
@@ -258,27 +258,29 @@ func (io *nodeIO) cacheReset() {
 	io.hand = 0
 }
 
-// promoteTxn installs a committed transaction's staged nodes as the cache's
-// current versions: freed pages leave the cache, staged nodes go in — the
-// private copies of the pages it changed AND the shared nodes of the pages it
-// only read (validation guaranteed nothing between the transaction's base and
-// its commit touched any page it read, so those are still current; for a page
-// already cached this just renews its second chance) — and the install-point
-// generation advances so no in-flight reader can insert a superseded version
-// fetched before the commit. From here on the private copies are shared and
-// immutable like every cached node. The caller publishes the prepared epoch
-// AFTER this returns (both under the epoch mutex), so a reader can never pin
-// the new epoch and still find pre-commit content in the cache. An aborted or
-// conflicted transaction simply drops its clones — the shared cache was never
-// touched, so nothing needs invalidating.
-func (io *nodeIO) promoteTxn(cs *commitSet, staged map[uint64]stagedNode) {
+// promoteTxn installs a committed transaction's page table as the cache's
+// current versions: freed pages (no node) leave the cache, every other node
+// goes in — the private copies of the pages the transaction changed AND the
+// shared nodes of the pages it only read (validation guaranteed nothing
+// between the transaction's base and its commit touched any page it read, so
+// those are still current; for a page already cached this just renews its
+// second chance) — and the install-point generation advances so no in-flight
+// reader can insert a superseded version fetched before the commit. From here
+// on the private copies are shared and immutable like every cached node. The
+// caller publishes the prepared epoch AFTER this returns (both under the
+// epoch mutex), so a reader can never pin the new epoch and still find
+// pre-commit content in the cache. An aborted or conflicted transaction
+// simply drops its clones — the shared cache was never touched, so nothing
+// needs invalidating.
+func (io *nodeIO) promoteTxn(pages map[uint64]txPage) {
 	io.mu.Lock()
 	io.gen++
-	for _, id := range cs.frees {
-		io.cacheDelete(id)
-	}
-	for id, sn := range staged {
-		io.cacheInsert(id, sn.n)
+	for id, p := range pages {
+		if p.n == nil {
+			io.cacheDelete(id)
+		} else {
+			io.cacheInsert(id, p.n)
+		}
 	}
 	io.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,64 +12,61 @@ import (
 )
 
 // writeTxn is one optimistic writer's private workspace, implementing
-// btree.NodeStore over a base epoch pinned at transaction start. Every page
-// the mutation consults resolves as of that base (via the epoch overlay), so
-// the mutation always sees one consistent tree version no matter what commits
-// concurrently — conflicts surface only at validation, never as torn reads
-// mid-descent.
+// btree.NodeStore and btree.Editor over a base epoch pinned at transaction
+// start. Every page the mutation consults resolves as of that base (via the
+// epoch overlay), so the mutation always sees one consistent tree version no
+// matter what commits concurrently — conflicts surface only at validation,
+// never as torn reads mid-descent. The shared cache and all pinned epochs stay
+// untouched until the commit is finalized.
 //
-// The transaction is copy-on-write and records:
+// Everything the transaction knows is in one table, pages: one txPage record
+// per page it has touched. The three sets a commit needs are read off it:
 //
-//   - reads: every page ID whose content (or absence) the mutation observed.
-//     The btree layer reads every page before writing or freeing it, so this
-//     doubles as a superset of the non-fresh write-set — the invariant
-//     optimistic validation relies on (see epochs.validateAndPrepare).
-//   - staged: every page touched — the base epoch's shared, immutable node
-//     while only read (so no page is fetched twice), a private clone once
-//     Edited, dirty once Written. The shared cache and all pinned epochs stay
-//     untouched until the commit is finalized.
-//   - prev: pristine pre-images of the pages Edited, Written or Freed,
-//     harvested into the new epoch's undo overlay.
-//   - fresh/freed: pages born in, respectively released by, this transaction.
-//   - pendingRoot: a deferred root flip; a commit that changes the root must
-//     take the exclusive commit gate (see Tree.applyCommit).
-//   - writes: the sealed pages handed to the store at commit.
+//   - the read-set is every record not born here (observed). The btree layer
+//     reads every page before writing or freeing it, and Write and Free fetch
+//     a page they are handed unread, so it is a superset of the non-fresh
+//     write-set — the invariant optimistic validation relies on (see
+//     epochs.validateAndPrepare).
+//   - the write-set is the dirty records, sealed once each into writes.
+//   - the free-set is the freed records.
+//
+// root is the transaction's root pointer: the base epoch's until SetRoot moves
+// it, and a commit that moves it must take the exclusive commit gate (see
+// Engine.tryCommit).
 //
 // A writeTxn is single-goroutine; concurrency happens between transactions,
 // not within one. The engine recycles it (beginTxn/endTxn), so nothing may
-// keep a reference to its maps past the commit.
+// keep a reference to its maps or slices past the commit.
 type writeTxn struct {
-	io          *nodeIO
-	sa          *sealAlloc
-	base        *epoch
-	baseRoot    uint64
-	staged      map[uint64]stagedNode
-	prev        map[uint64]*node.Node
-	reads       map[uint64]struct{}
-	fresh       map[uint64]bool
-	freed       map[uint64]bool
-	writes      map[uint64][]byte
-	pendingRoot *uint64
+	io     *nodeIO
+	sa     *sealAlloc
+	base   *epoch
+	root   uint64
+	pages  map[uint64]txPage
+	writes map[uint64][]byte // the sealed write-set handed to the store
+	// dirty and frees are seal's scratch: the IDs of the write-set (page
+	// dirty[i] seals under counter start+i) and of the free-set.
+	dirty, frees []uint64
 }
 
-// stagedNode is one page a transaction has touched: private marks n as its
-// own copy, free to mutate (else n is the base epoch's shared node), dirty
-// that it wrote the page; clean entries are skipped at commit.
-type stagedNode struct {
-	n       *node.Node
-	private bool
-	dirty   bool
+// txPage is everything a transaction knows about one page.
+//
+// n is what the page holds now: the base epoch's shared, immutable node while
+// the page is only read (so no page is fetched twice), the transaction's own
+// copy once private, nil once freed (or alloc'd and not yet written). pre is
+// the base epoch's content, captured when the transaction first Edits, Writes
+// or Frees the page and bound for the new epoch's undo overlay; it stays nil
+// for a fresh page and for one the base epoch has no record of, which was
+// never reachable from it. dirty marks a page to seal and hand to the store,
+// freed one to release, fresh one whose ID this transaction alloc'd. A fresh
+// page that is freed leaves the table: it never existed anywhere.
+type txPage struct {
+	n, pre                       *node.Node
+	private, dirty, freed, fresh bool
 }
 
 func newWriteTxn() *writeTxn {
-	return &writeTxn{
-		staged: make(map[uint64]stagedNode),
-		prev:   make(map[uint64]*node.Node),
-		reads:  make(map[uint64]struct{}),
-		fresh:  make(map[uint64]bool),
-		freed:  make(map[uint64]bool),
-		writes: make(map[uint64][]byte),
-	}
+	return &writeTxn{pages: make(map[uint64]txPage), writes: make(map[uint64][]byte)}
 }
 
 // workspaceKeep is the most pages a transaction may touch and still have its
@@ -83,209 +81,174 @@ func (g *Engine) beginTxn(base *epoch) *writeTxn {
 	if tx == nil {
 		tx = newWriteTxn()
 	}
-	tx.io, tx.sa, tx.base, tx.baseRoot = base.io, g.sa, base, base.root
+	tx.io, tx.sa, tx.base, tx.root = base.io, g.sa, base, base.root
 	return tx
 }
 
 // endTxn empties a finished (committed, conflicted or failed) transaction's
 // workspace and keeps it for the next one.
 func (g *Engine) endTxn(tx *writeTxn) {
-	if len(tx.reads)+len(tx.fresh) > workspaceKeep {
+	if len(tx.pages) > workspaceKeep {
 		return
 	}
-	clear(tx.staged)
-	clear(tx.prev)
-	clear(tx.reads)
-	clear(tx.fresh)
-	clear(tx.freed)
+	clear(tx.pages)
 	clear(tx.writes)
-	tx.base, tx.pendingRoot = nil, nil
+	tx.base = nil
 	g.ws.Store(tx)
 }
 
-// readBase fetches id as of the transaction's base epoch and records it in
-// the read-set.
-func (tx *writeTxn) readBase(id uint64) (*node.Node, error) {
-	tx.reads[id] = struct{}{}
-	return tx.base.Read(id)
+// observed reports whether id is in the read-set: the transaction saw the
+// page's base-epoch content, or its absence.
+func (tx *writeTxn) observed(id uint64) bool {
+	p, ok := tx.pages[id]
+	return ok && !p.fresh
 }
 
-// Read serves the staged node: the private copy if the page was Edited, else
-// the base epoch's shared node (fetched on first touch), not to be altered.
+// errGone is what reading a page the transaction freed, or alloc'd and has not
+// written, answers.
+func errGone(id uint64) error {
+	return fmt.Errorf("%w: page %d is not live in this transaction", store.ErrNotFound, id)
+}
+
+// Read serves id's record: the private copy if the page was Edited, else the
+// base epoch's shared node (fetched on first touch), not to be altered.
 func (tx *writeTxn) Read(id uint64) (*node.Node, error) {
-	if sn, ok := tx.staged[id]; ok {
+	if p, ok := tx.pages[id]; ok {
+		if p.n == nil {
+			return nil, errGone(id)
+		}
 		tx.io.countHit()
-		return sn.n, nil
+		return p.n, nil
 	}
-	n, err := tx.readBase(id)
+	n, err := tx.base.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	tx.staged[id] = stagedNode{n: n}
+	tx.pages[id] = txPage{n: n}
 	return n, nil
+}
+
+// change returns id's record ready to be changed: fetched from the base epoch
+// if the transaction has not met the page (a page the base has no record of
+// comes back empty), and with the base content captured as the pre-image if
+// this is the first change. The caller stores the record back.
+func (tx *writeTxn) change(id uint64) (txPage, error) {
+	p, ok := tx.pages[id]
+	if !ok {
+		n, err := tx.base.Read(id)
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			return p, err
+		}
+		p.n = n
+	}
+	if !p.private && !p.freed && !p.fresh {
+		p.pre = p.n
+	}
+	return p, nil
 }
 
 // Edit returns the transaction's private copy of id: the first call clones the
 // shared node, which becomes the page's pre-image; later Reads and Edits get
 // the same copy.
 func (tx *writeTxn) Edit(id uint64) (*node.Node, error) {
-	sn, ok := tx.staged[id]
-	if !ok {
-		var err error
-		if sn.n, err = tx.readBase(id); err != nil {
-			return nil, err
-		}
-	}
-	if !sn.private {
-		tx.prev[id] = sn.n
-		sn.n, sn.private = cloneNode(sn.n), true
-		tx.staged[id] = sn
-	}
-	return sn.n, nil
-}
-
-// capturePreImage records the base-epoch content of id as its pre-image
-// before the transaction overwrites or frees it, if one can exist: pages the
-// transaction alloc'd have none, and a page the base epoch has no record of
-// was never reachable from it.
-func (tx *writeTxn) capturePreImage(id uint64) error {
-	if tx.fresh[id] {
-		return nil
-	}
-	if _, ok := tx.prev[id]; ok {
-		return nil
-	}
-	if sn, ok := tx.staged[id]; ok && !sn.private {
-		tx.prev[id] = sn.n
-		return nil
-	}
-	n, err := tx.readBase(id)
+	p, err := tx.change(id)
 	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			return nil
-		}
-		return err
+		return nil, err
 	}
-	tx.prev[id] = n
-	return nil
+	if p.n == nil {
+		return nil, errGone(id)
+	}
+	if !p.private {
+		p.n, p.private = cloneNode(p.n), true
+		tx.pages[id] = p
+	}
+	return p.n, nil
 }
 
 // Write stages n — the node Edit(id) returned or one the caller built, never
-// one from Read — as the new content of id.
+// one from Read — as the new content of id. A page freed earlier in the same
+// transaction is live again: leaving it freed would make the commit write it
+// and then release it, dangling every reference to it.
 func (tx *writeTxn) Write(id uint64, n *node.Node) error {
-	// The btree layer always reads a page before writing it, so the
-	// pre-image is normally captured already; the explicit capture guards
-	// direct writeTxn use (tests) and future write paths — and keeps the
-	// writes-within-read-set invariant validation depends on.
-	if err := tx.capturePreImage(id); err != nil {
+	p, err := tx.change(id)
+	if err != nil {
 		return err
 	}
-	tx.staged[id] = stagedNode{n: n, private: true, dirty: true}
-	// A page freed earlier in the same transaction and now re-staged is live
-	// again; leaving it in freed would make commit write it and then
-	// immediately release it, dangling every reference to it.
-	delete(tx.freed, id)
+	p.n, p.private, p.dirty, p.freed = n, true, true, false
+	tx.pages[id] = p
 	return nil
 }
 
 func (tx *writeTxn) Alloc() (uint64, error) {
 	id, err := tx.io.st.Alloc()
 	if err == nil {
-		tx.fresh[id] = true
+		tx.pages[id] = txPage{fresh: true}
 	}
 	return id, err
 }
 
 func (tx *writeTxn) Free(id uint64) error {
-	if err := tx.capturePreImage(id); err != nil {
+	p, err := tx.change(id)
+	if err != nil {
 		return err
 	}
-	delete(tx.staged, id)
-	if tx.fresh[id] {
-		// Born and freed within the transaction: it never existed anywhere.
-		delete(tx.fresh, id)
+	if p.fresh {
+		delete(tx.pages, id)
 		return nil
 	}
-	tx.freed[id] = true
+	tx.pages[id] = txPage{pre: p.pre, freed: true}
 	return nil
 }
 
-// Root returns the transaction's view of the root pointer: the deferred flip
-// if one is staged, else the BASE epoch's root — never the store's live root,
-// which a concurrent commit may have advanced past the base.
-func (tx *writeTxn) Root() (uint64, error) {
-	if tx.pendingRoot != nil {
-		return *tx.pendingRoot, nil
-	}
-	return tx.baseRoot, nil
-}
+// Root returns the transaction's view of the root pointer — the base epoch's
+// unless SetRoot moved it, never the store's live root, which a concurrent
+// commit may have advanced past the base.
+func (tx *writeTxn) Root() (uint64, error) { return tx.root, nil }
 
 func (tx *writeTxn) SetRoot(id uint64) error {
-	tx.pendingRoot = &id
+	tx.root = id
 	return nil
 }
 
-// commitSet is one transaction's harvested commit: the sealed write-set (the
-// transaction's recycled writes map), the new root, the freed page IDs, the
-// undo overlay (pre-images of every rewritten or freed page) for the epoch
-// this commit creates, and the touched set (written + freed page IDs) that
-// later validations intersect read-sets against.
-type commitSet struct {
-	writes  map[uint64][]byte
-	frees   []uint64
-	root    uint64
-	undo    map[uint64]*node.Node
-	touched []uint64
-}
-
-// seal seals each DIRTY staged page exactly once and harvests the
-// transaction's commit set; pages the transaction only read are never
+// seal seals each DIRTY page exactly once, into writes, and returns the
+// provisional epoch the commit would create — its root, the pre-images of
+// every page it rewrote or freed (undo) and their IDs (touched) — for
+// validateAndPrepare to link; pages the transaction only read are never
 // re-enciphered or rewritten. It returns (nil, nil) for a no-op transaction
 // (nothing dirtied, freed, or re-rooted): the caller skips the store round
 // trip entirely. seal touches no shared state beyond the (stateless) cipher,
 // so concurrent epoch readers and other transactions are unaffected.
-func (tx *writeTxn) seal() (*commitSet, error) {
-	dirty := make([]uint64, 0, len(tx.staged))
-	for id, sn := range tx.staged {
-		if sn.dirty {
-			dirty = append(dirty, id)
+func (tx *writeTxn) seal() (*epoch, error) {
+	tx.dirty, tx.frees = tx.dirty[:0], tx.frees[:0]
+	for id, p := range tx.pages {
+		if p.dirty {
+			tx.dirty = append(tx.dirty, id)
+		} else if p.freed {
+			tx.frees = append(tx.frees, id)
 		}
 	}
-	if len(dirty) == 0 && len(tx.freed) == 0 && tx.pendingRoot == nil {
+	if len(tx.dirty) == 0 && len(tx.frees) == 0 && tx.root == tx.base.root {
 		return nil, nil
 	}
-	cs := &commitSet{writes: tx.writes}
 	// One contiguous counter block covers the whole commit: page i seals with
 	// nonce (epoch, start+i). The allocation itself durably reserves the
 	// counters (see sealAlloc.take) before any of them touches the cipher.
-	epoch, start, err := tx.sa.take(len(dirty))
+	keyEpoch, start, err := tx.sa.take(len(tx.dirty))
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.sealDirty(dirty, cs.writes, epoch, start); err != nil {
+	if err := tx.sealDirty(keyEpoch, start); err != nil {
 		return nil, err
 	}
-	cs.root = tx.baseRoot
-	if tx.pendingRoot != nil {
-		cs.root = *tx.pendingRoot
-	}
-	cs.frees = make([]uint64, 0, len(tx.freed))
-	for id := range tx.freed {
-		cs.frees = append(cs.frees, id)
-	}
-	cs.undo = make(map[uint64]*node.Node, len(dirty)+len(cs.frees))
-	for _, id := range dirty {
-		if p, ok := tx.prev[id]; ok {
-			cs.undo[id] = p
+	e := &epoch{io: tx.io, root: tx.root, state: epochPending}
+	e.touched = append(append(make([]uint64, 0, len(tx.dirty)+len(tx.frees)), tx.dirty...), tx.frees...)
+	e.undo = make(map[uint64]*node.Node, len(e.touched))
+	for _, id := range e.touched {
+		if pre := tx.pages[id].pre; pre != nil {
+			e.undo[id] = pre
 		}
 	}
-	for _, id := range cs.frees {
-		if p, ok := tx.prev[id]; ok {
-			cs.undo[id] = p
-		}
-	}
-	cs.touched = append(dirty, cs.frees...)
-	return cs, nil
+	return e, nil
 }
 
 // sealParallelMin is the dirty-page count below which fanning seals out
@@ -293,15 +256,16 @@ func (tx *writeTxn) seal() (*commitSet, error) {
 // encode + AES-GCM; a goroutine handoff is about one).
 const sealParallelMin = 8
 
-// sealDirty encodes and seals the staged dirty pages into out: page ids[i]
-// seals under nonce (epoch, start+i) — counters bind to indices, not goroutines, so the parallel path issues
-// exactly the same nonces as the inline one. Seals are independent pure-CPU
-// work over a stateless cipher, so large commits fan out across up to
-// GOMAXPROCS worker goroutines pulling page indices from a shared counter;
-// small commits (or single-proc runs) seal inline.
-func (tx *writeTxn) sealDirty(ids []uint64, out map[uint64][]byte, epoch uint32, start uint64) error {
+// sealDirty encodes and seals the dirty pages into writes: page dirty[i] seals
+// under nonce (epoch, start+i) — counters bind to indices, not goroutines, so
+// the parallel path issues exactly the same nonces as the inline one. Seals
+// are independent pure-CPU work over a stateless cipher, so large commits fan
+// out across up to GOMAXPROCS worker goroutines pulling page indices from a
+// shared counter; small commits (or single-proc runs) seal inline.
+func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
+	ids, out := tx.dirty, tx.writes
 	sealOne := func(i int) ([]byte, error) {
-		return tx.io.seal(ids[i], tx.staged[ids[i]].n, epoch, start+uint64(i))
+		return tx.io.seal(ids[i], tx.pages[ids[i]].n, epoch, start+uint64(i))
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(ids) {

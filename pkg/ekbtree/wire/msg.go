@@ -212,14 +212,8 @@ func (m *BatchCommit) enc(b []byte) []byte {
 	return b
 }
 func (m *BatchCommit) dec(d *decoder) {
-	n := d.uvarint()
+	n := d.count(2) // an op is at least a flag and a key length
 	if d.err != nil {
-		return
-	}
-	// Cap the pre-allocation: a hostile length word must not allocate more
-	// than the frame could physically carry (2 bytes minimum per op).
-	if n > MaxFrame/2 {
-		d.fail()
 		return
 	}
 	m.Ops = make([]BatchOp, 0, n)

@@ -197,11 +197,8 @@ func EncodeEntriesBody(entries []Entry, done bool) []byte {
 // DecodeEntriesBody parses the CursorNext OK body.
 func DecodeEntriesBody(body []byte) (entries []Entry, done bool, err error) {
 	d := &decoder{b: body}
-	n := d.uvarint()
-	if d.err == nil && n > MaxFrame/2 {
-		d.fail()
-	}
-	if d.err == nil && n > 0 {
+	n := d.count(2) // an entry is at least two lengths
+	if n > 0 {
 		entries = make([]Entry, 0, n)
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			entries = append(entries, Entry{SubKey: d.bytes(), Value: d.bytes()})

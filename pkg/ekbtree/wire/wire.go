@@ -173,6 +173,19 @@ func (d *decoder) uvarint() uint64 {
 	return v
 }
 
+// count reads an element count, failing unless what is left of the payload
+// can physically carry that many elements of at least min bytes each: the
+// count sizes an allocation, and a hostile one must not size it beyond what
+// the frame backs.
+func (d *decoder) count(min uint64) uint64 {
+	n := d.uvarint()
+	if n > uint64(len(d.b))/min {
+		d.fail()
+		return 0
+	}
+	return n
+}
+
 func (d *decoder) bytes() []byte {
 	n := d.uvarint()
 	if d.err != nil {
