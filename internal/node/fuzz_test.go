@@ -9,11 +9,19 @@ import (
 // never panic; when it accepts a page, the codec must be canonical —
 // re-encoding the decoded node in the page's own format reproduces the input
 // byte-for-byte — and the decoded node must satisfy the structural
-// invariants Encode enforces and must not alias the input buffer.
+// invariants Encode enforces and must not alias the input buffer. Decoding a
+// clone in place must agree with Decode, on the verdict and on the content.
 func fuzzCanonical(t *testing.T, page []byte) {
+	inPlace, inPlaceErr := DecodeInPlace(bytes.Clone(page))
 	n, err := Decode(page)
+	if (err == nil) != (inPlaceErr == nil) {
+		t.Fatalf("Decode = %v but DecodeInPlace of a clone = %v", err, inPlaceErr)
+	}
 	if err != nil {
 		return
+	}
+	if !nodesEqual(inPlace, n) {
+		t.Fatalf("DecodeInPlace of a clone differs from Decode:\n got %+v\nwant %+v", inPlace, n)
 	}
 	if len(n.Keys) != len(n.Values) {
 		t.Fatalf("decoded %d keys but %d values", len(n.Keys), len(n.Values))

@@ -22,6 +22,12 @@
 // prefix, so every accepted page re-encodes byte-for-byte — and a decoder
 // that predates the flag rejects prefix pages outright (unknown flag bit),
 // never misreading them.
+//
+// There is one decoder, DecodeInPlace, and the page it is handed IS the node
+// it returns: keys and values are views into the deciphered buffer, not copies
+// in a second arena, so a fetched block costs one buffer on its way from the
+// store to a searchable node. Whoever calls it gives the buffer up. Decode is
+// the same decoder over a clone, for a caller that must keep its page.
 package node
 
 import (
@@ -39,7 +45,8 @@ const (
 	flagLeaf   = 1 << 0
 	flagPrefix = 1 << 1
 
-	headerSize = 5 // magic + version + flags + nkeys
+	headerSize    = 5 // magic + version + flags + nkeys
+	prefixHdrSize = 4 // a prefix key record's (shared, suffixLen) header
 
 	// MaxKeyLen and MaxValueLen bound entry sizes as encodable limits.
 	MaxKeyLen   = 1<<16 - 1
@@ -49,8 +56,8 @@ const (
 // ErrDecode is returned when a page does not decode to a valid node.
 var ErrDecode = errors.New("node: malformed page")
 
-// Format selects the on-page key encoding Encode writes. Decode accepts both
-// formats, dispatching on the page's flag byte.
+// Format selects the on-page key encoding Encode writes. The decoder accepts
+// both formats, dispatching on the page's flag byte.
 type Format byte
 
 const (
@@ -73,7 +80,7 @@ func (f Format) String() string {
 }
 
 // FormatOf reports which key encoding a page uses, from its flag byte. It
-// does not validate the page; malformed pages still fail in Decode.
+// does not validate the page; malformed pages still fail to decode.
 func FormatOf(page []byte) Format {
 	if len(page) >= headerSize && page[2]&flagPrefix != 0 {
 		return FormatPrefix
@@ -136,7 +143,7 @@ func (n *Node) EncodedSizeFormat(f Format) int {
 	if f == FormatPrefix {
 		var prev []byte
 		for _, k := range n.Keys {
-			size += 4 + len(k) - commonPrefixLen(prev, k)
+			size += prefixHdrSize + len(k) - commonPrefixLen(prev, k)
 			prev = k
 		}
 	} else {
@@ -224,20 +231,27 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a page produced by Encode or EncodeFormat, dispatching on
-// the page's flag byte. The returned node owns fresh buffers and does not
-// alias the page. All key and value bytes share one backing buffer
-// (allocated once, sized up front) rather than one allocation each —
-// decoding is on the cache-miss path of every read, and per-entry
-// allocations dominated its cost. Each key/value slice is capacity-clipped,
-// so appending to one can never clobber its neighbors.
+// DecodeInPlace parses a page produced by Encode or EncodeFormat, dispatching
+// on the page's flag byte, and ADOPTS the buffer: the page is the node. Values
+// and full-format keys are views into it, and a prefix-coded key that shares
+// at most four bytes with its predecessor is rebuilt over its own four-byte
+// (shared, suffixLen) record header, so it too lies in the page. Only keys
+// that share more — wide bucket prefixes — are rebuilt in one side buffer,
+// sized exactly by the pre-scan. Every key and value slice is
+// capacity-clipped, so appending to one can never clobber its neighbors.
+//
+// Ownership: the caller hands the page over and must neither read nor write
+// it afterwards. The node pins the whole buffer for as long as any of its
+// key or value slices is reachable (clones that share those slices included).
+// A rejected page's buffer is worth nothing — record headers may already have
+// been overwritten — and nobody retains it.
 //
 // Prefix pages are held to canonical truncation: shared must be exactly the
 // longest common prefix with the reconstructed previous key. Over-sharing
 // (shared longer than the previous key) and under-sharing (a suffix whose
 // first byte still matches the previous key at that position) both reject,
 // so an accepted page re-encodes byte-for-byte in its own format.
-func Decode(page []byte) (*Node, error) {
+func DecodeInPlace(page []byte) (*Node, error) {
 	if len(page) < headerSize || page[0] != magic || page[1] != version {
 		return nil, ErrDecode
 	}
@@ -252,22 +266,20 @@ func Decode(page []byte) (*Node, error) {
 	n := &Node{Leaf: flags&flagLeaf != 0}
 	rest := page[headerSize:]
 
-	// Size the arena. For full pages the payload is strictly smaller than the
-	// page. Prefix pages expand when keys are reconstructed, so pre-scan the
-	// key headers (cheap: skips suffix bytes) to find the exact total; the
-	// scan also front-loads the length arithmetic, leaving the decode loop
-	// free of bounds failures.
-	arenaCap := len(page) - headerSize
+	// Pre-scan the prefix records (cheap: skips suffix bytes). It front-loads
+	// the length arithmetic, leaving the decode loop free of bounds failures,
+	// and sizes the side buffer for the keys that cannot be rebuilt in place.
+	var side []byte
 	if prefix {
-		total, prevLen := 0, 0
+		sideCap, prevLen := 0, 0
 		scan := rest
 		for i := 0; i < nkeys; i++ {
-			if len(scan) < 4 {
+			if len(scan) < prefixHdrSize {
 				return nil, ErrDecode
 			}
 			shared := int(binary.BigEndian.Uint16(scan))
 			slen := int(binary.BigEndian.Uint16(scan[2:]))
-			scan = scan[4:]
+			scan = scan[prefixHdrSize:]
 			if len(scan) < slen || shared > prevLen || (i == 0 && shared != 0) {
 				return nil, ErrDecode
 			}
@@ -276,18 +288,14 @@ func Decode(page []byte) (*Node, error) {
 				// Reconstructed key would exceed the encodable bound.
 				return nil, ErrDecode
 			}
-			total += prevLen
+			if shared > prefixHdrSize {
+				sideCap += prevLen
+			}
 			scan = scan[slen:]
 		}
-		// len(scan) is the values+children section; values fit inside it, so
-		// the arena never reallocates.
-		arenaCap = total + len(scan)
-	}
-	buf := make([]byte, 0, arenaCap)
-	take := func(src []byte) []byte {
-		start := len(buf)
-		buf = append(buf, src...)
-		return buf[start:len(buf):len(buf)]
+		if sideCap > 0 {
+			side = make([]byte, 0, sideCap)
+		}
 	}
 
 	// Key and value headers share one backing array; each half is clipped to
@@ -301,18 +309,27 @@ func Decode(page []byte) (*Node, error) {
 			// Bounds were proven by the pre-scan; only canonicality remains.
 			shared := int(binary.BigEndian.Uint16(rest))
 			slen := int(binary.BigEndian.Uint16(rest[2:]))
-			rest = rest[4:]
-			suffix := rest[:slen]
-			rest = rest[slen:]
+			end := prefixHdrSize + slen
+			suffix := rest[prefixHdrSize:end]
 			if shared < len(prev) && slen > 0 && suffix[0] == prev[shared] {
 				// Under-truncated: the canonical encoder would have shared
 				// one more byte.
 				return nil, ErrDecode
 			}
-			start := len(buf)
-			buf = append(buf, prev[:shared]...)
-			buf = append(buf, suffix...)
-			n.Keys[i] = buf[start:len(buf):len(buf)]
+			if shared <= prefixHdrSize {
+				// The shared bytes fit in the record header just parsed: the
+				// key is rebuilt where it lies. prev ends before this record,
+				// so the copy never overlaps its source.
+				start := prefixHdrSize - shared
+				copy(rest[start:prefixHdrSize], prev[:shared])
+				n.Keys[i] = rest[start:end:end]
+			} else {
+				start := len(side)
+				side = append(side, prev[:shared]...)
+				side = append(side, suffix...)
+				n.Keys[i] = side[start:len(side):len(side)]
+			}
+			rest = rest[end:]
 		} else {
 			if len(rest) < 2 {
 				return nil, ErrDecode
@@ -322,7 +339,7 @@ func Decode(page []byte) (*Node, error) {
 			if len(rest) < klen {
 				return nil, ErrDecode
 			}
-			n.Keys[i] = take(rest[:klen])
+			n.Keys[i] = rest[:klen:klen]
 			rest = rest[klen:]
 		}
 		prev = n.Keys[i]
@@ -338,7 +355,7 @@ func Decode(page []byte) (*Node, error) {
 		if uint64(len(rest)) < uint64(vlen32) {
 			return nil, ErrDecode
 		}
-		n.Values[i] = take(rest[:vlen32])
+		n.Values[i] = rest[:vlen32:vlen32]
 		rest = rest[vlen32:]
 	}
 	if !n.Leaf {
@@ -356,4 +373,13 @@ func Decode(page []byte) (*Node, error) {
 		return nil, ErrDecode
 	}
 	return n, nil
+}
+
+// Decode is DecodeInPlace over a private copy of the page: the returned node
+// owns fresh buffers and does not alias the page, which stays the caller's,
+// untouched, whether or not it decodes. It costs one page-sized allocation
+// and copy more than DecodeInPlace; a caller that owns its buffer (the
+// engine's read path does) should hand it over instead.
+func Decode(page []byte) (*Node, error) {
+	return DecodeInPlace(bytes.Clone(page))
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"sort"
@@ -390,5 +391,135 @@ func TestAppendEncodeFormat(t *testing.T) {
 				t.Errorf("%s: reuse %d = (%x, %v), want the page written into the scratch", f, i, got, err)
 			}
 		}
+	}
+}
+
+// within reports whether s lies inside buf's backing array (an empty s lies
+// anywhere).
+func within(s, buf []byte) bool {
+	if len(s) == 0 {
+		return true
+	}
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		if &buf[i] == &s[0] {
+			return len(s) <= len(buf)-i
+		}
+	}
+	return false
+}
+
+// TestDecodeInPlace pins the in-place contract: the node's keys and values
+// are the page that was handed in (no arena, so one allocation fewer than
+// Decode), every slice is clipped so an append never reaches a neighbor, keys
+// sharing more than the four bytes of their record header take the side
+// buffer and still round-trip, and re-encoding the node reproduces the
+// original bytes — compared against a saved copy, since the page itself is
+// rewritten by the decoder.
+func TestDecodeInPlace(t *testing.T) {
+	// Keys as the workloads make them: neighbors share 0-4 bytes, so every one
+	// is rebuilt over its own record header.
+	short := func(leaf bool) *Node {
+		n := &Node{Leaf: leaf}
+		for _, k := range []string{"", "a", "ab-1", "ab-2", "abc-x", "abc-y", "b", "bucket"} {
+			n.Keys = append(n.Keys, []byte(k))
+			n.Values = append(n.Values, []byte("value-of-"+k))
+		}
+		if !leaf {
+			for i := 0; i <= len(n.Keys); i++ {
+				n.Children = append(n.Children, uint64(100+i))
+			}
+		}
+		return n
+	}
+	// A 64-bit bucketed prefix: every key but the first shares eight bytes or
+	// more with its predecessor.
+	wide := &Node{Leaf: true}
+	for i := 0; i < 12; i++ {
+		k := append(bytes.Repeat([]byte{0xB7}, 8), byte(i/4), byte(i), 0x01)
+		wide.Keys = append(wide.Keys, k)
+		wide.Values = append(wide.Values, []byte{byte(i), byte(i)})
+	}
+
+	tests := []struct {
+		name       string
+		n          *Node
+		f          Format
+		allocs     float64 // DecodeInPlace's budget; Decode pays one more
+		sideBuffer bool    // keys 1.. are rebuilt outside the page
+	}{
+		{"full leaf", short(true), FormatFull, 2, false},
+		{"full index", short(false), FormatFull, 3, false},
+		{"prefix leaf", short(true), FormatPrefix, 2, false},
+		{"prefix index", short(false), FormatPrefix, 3, false},
+		{"prefix leaf, wide shared prefix", wide, FormatPrefix, 3, true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			saved, err := tt.n.EncodeFormat(tt.f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tt.sideBuffer {
+				// The real encoder must have produced shared > 4 on every key
+				// but the first, or the case does not test what it says.
+				rest := saved[headerSize:]
+				for i := range tt.n.Keys {
+					shared := int(binary.BigEndian.Uint16(rest))
+					slen := int(binary.BigEndian.Uint16(rest[2:]))
+					if (i > 0) != (shared > prefixHdrSize) {
+						t.Fatalf("key %d encoded with shared=%d", i, shared)
+					}
+					rest = rest[prefixHdrSize+slen:]
+				}
+			}
+			page := bytes.Clone(saved)
+			got, err := DecodeInPlace(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !nodesEqual(got, tt.n) {
+				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tt.n)
+			}
+			for i := range got.Keys {
+				if inPage := within(got.Keys[i], page); inPage == (tt.sideBuffer && i > 0) {
+					t.Errorf("key %d lies in the page: %v", i, inPage)
+				}
+				if !within(got.Values[i], page) {
+					t.Errorf("value %d was copied out of the page", i)
+				}
+			}
+			reenc, err := got.EncodeFormat(tt.f)
+			if err != nil || !bytes.Equal(reenc, saved) {
+				t.Errorf("re-encoding the in-place node = (%x, %v)\nwant %x", reenc, err, saved)
+			}
+			for i := range got.Keys {
+				got.Keys[i] = append(got.Keys[i], 0xEE)
+				got.Values[i] = append(got.Values[i], 0xEE)
+			}
+			for i := range tt.n.Keys {
+				if k, v := got.Keys[i], got.Values[i]; !bytes.Equal(k[:len(k)-1], tt.n.Keys[i]) || !bytes.Equal(v[:len(v)-1], tt.n.Values[i]) {
+					t.Errorf("entry %d corrupted after neighbor appends: %q = %q", i, k, v)
+				}
+			}
+
+			// The decoder rewrites the page, so each measured run decodes a copy
+			// made into a buffer that already exists.
+			scratch := make([]byte, len(saved))
+			inPlace := testing.AllocsPerRun(100, func() {
+				copy(scratch, saved)
+				if _, err := DecodeInPlace(scratch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			copying := testing.AllocsPerRun(100, func() {
+				if _, err := Decode(saved); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if inPlace > tt.allocs || copying != inPlace+1 {
+				t.Errorf("DecodeInPlace allocates %.0f times (want <= %.0f), Decode %.0f (want one more)", inPlace, tt.allocs, copying)
+			}
+		})
 	}
 }

@@ -56,6 +56,7 @@
 package file
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,7 +64,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -755,7 +756,8 @@ func coalesce(exts []extent) []extent {
 	if len(exts) < 2 {
 		return exts
 	}
-	sort.Slice(exts, func(i, j int) bool { return exts[i].off < exts[j].off })
+	// Offsets are unique, so an unstable sort has one possible result.
+	slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 	out := exts[:1]
 	for _, e := range exts[1:] {
 		last := &out[len(out)-1]

@@ -804,7 +804,8 @@ type Stats struct {
 	// Height is the tree height in levels (0 for an empty tree); for a
 	// sharded tree, the tallest shard's height.
 	Height int `json:"height"`
-	// Cache counts decoded-node cache hits, misses, and clock evictions,
+	// Cache counts decoded-node cache hits, misses, and evictions (a clock
+	// over per-page reference counts, index nodes weighted over leaves),
 	// summed across shards.
 	Cache CacheStats `json:"cache"`
 	// Commits is the number of successfully published commit epochs. No-op

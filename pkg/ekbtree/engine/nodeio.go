@@ -22,7 +22,8 @@ type CacheStats struct {
 	// read → decipher → decode round trip.
 	Misses uint64 `json:"misses"`
 	// Evictions is the number of decoded nodes dropped by the clock
-	// replacement policy to make room.
+	// replacement policy (a two-bit reference count per page, index nodes
+	// weighted over leaves) to make room.
 	Evictions uint64 `json:"evictions"`
 	// Pages is the number of decoded nodes currently cached.
 	Pages int `json:"pages"`
@@ -32,16 +33,19 @@ type CacheStats struct {
 // seal encodes then enciphers a node for a commit, ReadShared opens then
 // decodes one, so the store only ever holds enciphered pages. It is not a
 // btree.NodeStore — writeTxn is the only writer and *epoch the only reader.
+// A fetched page is deciphered and decoded where it lies: the buffer ReadPage
+// returned becomes the node's keys and values, so a miss copies the page once,
+// out of the store, and never again.
 //
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
-// (second-chance) eviction, shared by every concurrent writer transaction and
-// every lock-free epoch reader. Cached nodes are IMMUTABLE: the transactional
-// write path (writeTxn) hands the btree layer the cached node itself to read,
-// and a clone — made in Edit, with the pristine original recorded as the
-// page's pre-image — to mutate, so readers may share cached nodes without
-// copying or locking beyond the cache's own short mutex sections. A committed
-// transaction's clones enter the cache through promoteTxn, before the commit's
-// epoch is published.
+// eviction over small reference counts (see cacheSlot), shared by every
+// concurrent writer transaction and every lock-free epoch reader. Cached
+// nodes are IMMUTABLE: the transactional write path (writeTxn) hands the btree
+// layer the cached node itself to read, and a clone — made in Edit, with the
+// pristine original recorded as the page's pre-image — to mutate, so readers
+// may share cached nodes without copying or locking beyond the cache's own
+// short mutex sections. A committed transaction's clones enter the cache
+// through promoteTxn, before the commit's epoch is published.
 //
 // Locking: the ring and gen are guarded by mu and touched only in short
 // critical sections — never across store I/O or cipher work. The traffic
@@ -72,11 +76,39 @@ type nodeIO struct {
 }
 
 // cacheSlot is one clock-ring entry: an immutable decoded page plus its
-// second-chance reference bit.
+// reference count, which is what the page is worth to the hand. The hand takes
+// one from every slot it passes and evicts the first it finds at zero. A leaf
+// starts at zero and earns one per reference, up to maxRef, so a leaf read
+// once is the first to go and a hot one outlives several sweeps; an index
+// node starts at maxRef and returns to it on every reference, because every
+// descent below it needs it again and a miss on it is paid by all of them. An
+// index node nobody references still counts down and leaves, so a hot leaf
+// keeps its slot in a cache smaller than the index (under leaves-first it
+// would not).
 type cacheSlot struct {
 	id  uint64
 	n   *node.Node
-	ref bool
+	ref uint8
+}
+
+// maxRef is the ceiling of a slot's reference count (two bits).
+const maxRef = 3
+
+// fresh is the count a node enters the ring with.
+func fresh(n *node.Node) uint8 {
+	if n.Leaf {
+		return 0
+	}
+	return maxRef
+}
+
+// touch records one reference to the slot's node.
+func (s *cacheSlot) touch() {
+	if !s.n.Leaf {
+		s.ref = maxRef
+	} else if s.ref < maxRef {
+		s.ref++
+	}
 }
 
 // cloneNode returns a private copy of n that the btree layer may mutate
@@ -130,7 +162,9 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err = node.Decode(pt)
+	// The store gave the buffer away and Open deciphered it in place, so it is
+	// this call's alone to decode in place.
+	n, err = node.DecodeInPlace(pt)
 	if err != nil {
 		return nil, err
 	}
@@ -167,42 +201,43 @@ func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64) ([
 	return io.nc.SealEpoch(id, epoch, counter, pt)
 }
 
-// cacheGet returns a cached decoded node and marks its reference bit, giving
-// it a second chance against the clock hand. Callers hold io.mu.
+// cacheGet returns a cached decoded node and counts the reference, which is
+// what keeps it ahead of the clock hand. Callers hold io.mu.
 func (io *nodeIO) cacheGet(id uint64) (*node.Node, bool) {
 	idx, ok := io.cacheIdx[id]
 	if !ok {
 		return nil, false
 	}
-	io.slots[idx].ref = true
+	io.slots[idx].touch()
 	return io.slots[idx].n, true
 }
 
-// cacheInsert stores a decoded node. When the ring is full the clock hand
-// sweeps forward, clearing reference bits until it finds a page with no
-// second chance left and replaces it — recently-touched pages survive, cold
-// ones go. Callers hold io.mu.
+// cacheInsert stores a decoded node; for a page already cached that is one
+// more reference to it. When the ring is full the clock hand sweeps forward,
+// taking one from every reference count it passes, and replaces the first
+// page it finds at zero — referenced pages survive in proportion to their
+// count, cold ones go. Callers hold io.mu.
 func (io *nodeIO) cacheInsert(id uint64, n *node.Node) {
 	if io.cacheIdx == nil {
 		return
 	}
 	if idx, ok := io.cacheIdx[id]; ok {
 		io.slots[idx].n = n
-		io.slots[idx].ref = true
+		io.slots[idx].touch()
 		return
 	}
 	if len(io.slots) < io.maxCache {
 		io.cacheIdx[id] = len(io.slots)
-		io.slots = append(io.slots, cacheSlot{id: id, n: n})
+		io.slots = append(io.slots, cacheSlot{id: id, n: n, ref: fresh(n)})
 		return
 	}
-	for io.slots[io.hand].ref {
-		io.slots[io.hand].ref = false
+	for io.slots[io.hand].ref > 0 {
+		io.slots[io.hand].ref--
 		io.hand = (io.hand + 1) % len(io.slots)
 	}
 	delete(io.cacheIdx, io.slots[io.hand].id)
 	io.evictions.Add(1)
-	io.slots[io.hand] = cacheSlot{id: id, n: n}
+	io.slots[io.hand] = cacheSlot{id: id, n: n, ref: fresh(n)}
 	io.cacheIdx[id] = io.hand
 	io.hand = (io.hand + 1) % len(io.slots)
 }
@@ -263,8 +298,8 @@ func (io *nodeIO) cacheReset() {
 // goes in — the private copies of the pages the transaction changed AND the
 // shared nodes of the pages it only read (validation guaranteed nothing
 // between the transaction's base and its commit touched any page it read, so
-// those are still current; for a page already cached this just renews its
-// second chance) — and the install-point generation advances so no in-flight
+// those are still current; for a page already cached this counts as one more
+// reference) — and the install-point generation advances so no in-flight
 // reader can insert a superseded version fetched before the commit. From here
 // on the private copies are shared and immutable like every cached node. The
 // caller publishes the prepared epoch AFTER this returns (both under the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -228,6 +229,152 @@ func TestGetAllocs(t *testing.T) {
 		get() // the descent's pages are cached from here on
 		if n := testing.AllocsPerRun(200, get); n > tt.want {
 			t.Errorf("cached Get (present=%v) allocates %.1f times, want <= %.0f", tt.ok, n, tt.want)
+		}
+	}
+}
+
+// TestReadMissAllocs guards the read-miss path's allocation budget the way
+// TestGetAllocs guards the cached one: over a one-page cache, which no descent
+// fits in, every page of a Get comes from the store. A leaf read allocates the
+// buffer ReadPage returns, the Node and the array of its key and value
+// headers; an index read also its child array; the page is deciphered and
+// decoded in that one buffer. On top come the Get's substituted key and value
+// copy. No slack: a second page-sized buffer on the way from the store to the
+// node is the regression this guards against.
+func TestReadMissAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	cs := &countingStore{PageStore: store.NewMem()}
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xDA}, 32), CachePages: 1, Store: cs, Shards: 1})
+	defer tr.Close()
+	key := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 'k'} }
+	b := tr.NewBatch()
+	for i := 0; i < 5000; i++ {
+		if err := b.Put(key(i), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Height < 3 {
+		t.Fatalf("tree of height %d; the test needs index levels under the root", st.Height)
+	}
+	// A B-tree keeps entries in its index nodes too, so a Get ends wherever
+	// its key lives: pagesRead tells a key in a leaf (the whole height) from
+	// one in an index node (less).
+	pagesRead := func(k []byte, present bool) int {
+		before := cs.reads.Load()
+		if _, ok, err := tr.Get(k); err != nil || ok != present {
+			t.Fatalf("Get(%x) = (%v, %v)", k, ok, err)
+		}
+		return int(cs.reads.Load() - before)
+	}
+	inLeaf, inIndex := -1, -1
+	for i := 0; i < 5000 && (inLeaf < 0 || inIndex < 0); i++ {
+		switch r := pagesRead(key(i), true); {
+		case r == st.Height:
+			inLeaf = i
+		case r > 1:
+			inIndex = i // under the root, so the descent reads several index nodes
+		}
+	}
+	if inLeaf < 0 || inIndex < 0 {
+		t.Fatalf("no key found in a leaf (%d) or in an index node under the root (%d)", inLeaf, inIndex)
+	}
+	for _, tt := range []struct {
+		name    string
+		key     []byte
+		present bool
+		fixed   int // the substituted key, and the value copy when there is one
+	}{
+		{"key in a leaf", key(inLeaf), true, 2},
+		{"key in an index node", key(inIndex), true, 2},
+		{"absent key", []byte{0x07, 0x77, 'x'}, false, 1},
+	} {
+		pages := pagesRead(tt.key, tt.present)
+		want := tt.fixed + 4*pages
+		if pages == st.Height {
+			want-- // the last page read is a leaf
+		}
+		n := testing.AllocsPerRun(200, func() {
+			if _, ok, err := tr.Get(tt.key); err != nil || ok != tt.present {
+				t.Fatalf("Get(%x) = (%v, %v)", tt.key, ok, err)
+			}
+		})
+		if n != float64(want) {
+			t.Errorf("%s: a cold Get reading %d pages allocates %.1f times, want %d", tt.name, pages, n, want)
+		}
+	}
+}
+
+// TestColdReadsShareNothing runs the in-place decoder where sharing a buffer
+// would show: with no node cache every Get fetches, deciphers and decodes the
+// whole descent, eight goroutines do so for the same key at once, and a writer
+// keeps rewriting those very pages. The decoder writes into the buffer it is
+// given, so two readers handed one buffer — or a reader handed the store's
+// own copy — is a data race for -race to report, and a store copy deciphered
+// or decoded in place no longer authenticates in the readback at the end.
+func TestColdReadsShareNothing(t *testing.T) {
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xDB}, 32), Order: 8, CachePages: -1})
+	defer tr.Close()
+	const keys = 400
+	key := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 'k'} }
+	value := func(i, gen int) []byte { return []byte{byte(i >> 8), byte(i), byte(gen)} }
+	b := tr.NewBatch()
+	for i := 0; i < keys; i++ {
+		if err := b.Put(key(i), value(i, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The readers' key is never rewritten; every other key is, so its leaf and
+	// the index nodes above it change under the readers all the time.
+	const target, readers, gens = 123, 8, 20
+	var lastGen [keys]int
+	var wg sync.WaitGroup
+	var stop atomic.Bool
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if v, ok, err := tr.Get(key(target)); err != nil || !ok || !bytes.Equal(v, value(target, 0)) {
+					t.Errorf("Get during commits = (%x, %v, %v)", v, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	for gen := 1; gen <= gens; gen++ {
+		b := tr.NewBatch()
+		for i := gen % 3; i < keys; i += 3 {
+			if i == target {
+				continue
+			}
+			if err := b.Put(key(i), value(i, gen)); err != nil {
+				t.Fatal(err)
+			}
+			lastGen[i] = gen
+		}
+		if err := b.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	for i := 0; i < keys; i++ {
+		if v, ok, err := tr.Get(key(i)); err != nil || !ok || !bytes.Equal(v, value(i, lastGen[i])) {
+			t.Fatalf("readback Get(%d) = (%x, %v, %v), want %x", i, v, ok, err, value(i, lastGen[i]))
 		}
 	}
 }
