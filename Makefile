@@ -71,9 +71,9 @@ benchmark-pairs:
 # soak-smoke runs the build-tagged `large` ingest/soak tier (see
 # pkg/ekbtree/ekbtree_large_test.go): millions of keys through the sharded
 # file backend with vacuum and epoch rotation interleaved, full oracle
-# readback, and the prefix-vs-full bytes/key comparison. SOAK_KEYS scales it
-# (CI smoke 2M; the nightly tier runs 20M; the knob goes to 100M); -v prints
-# each leg's measured bytes/key, throughput and reopen time.
+# readback, and the vacuumed file held to 1.5x its live bytes — one leg.
+# SOAK_KEYS scales it (CI smoke 2M; the nightly tier runs 20M; the knob goes
+# to 100M); -v prints the measured bytes/key, throughput and reopen time.
 SOAK_KEYS ?= 2000000
 SOAK_SHARDS ?= 3
 soak-smoke:

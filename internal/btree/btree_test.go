@@ -32,7 +32,7 @@ func (m *memNodes) Read(id uint64) (*node.Node, error) {
 }
 
 func (m *memNodes) Write(id uint64, n *node.Node) error {
-	p, err := n.Encode()
+	p, err := n.EncodeFormat(node.FormatPrefix)
 	if err != nil {
 		return err
 	}

@@ -79,7 +79,7 @@ func FuzzDecode(f *testing.F) {
 		},
 	}
 	for _, n := range seeds {
-		page, err := n.Encode()
+		page, err := n.EncodeFormat(FormatFull)
 		if err != nil {
 			f.Fatal(err)
 		}

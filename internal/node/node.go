@@ -23,6 +23,13 @@
 // that predates the flag rejects prefix pages outright (unknown flag bit),
 // never misreading them.
 //
+// Prefix is the one form the tree writes. Full pages are what a file written
+// before prefix coding existed (or with the full-key option, since removed)
+// holds, so the decoder keeps reading them — each page by its own flag byte,
+// which is why one file may hold both forms while commits and re-seals
+// rewrite the old pages — and the full encoder stays as the reference the
+// tests build such pages with.
+//
 // There is one decoder, DecodeInPlace, and the page it is handed IS the node
 // it returns: keys and values are views into the deciphered buffer, not copies
 // in a second arena, so a fetched block costs one buffer on its way from the
@@ -56,25 +63,27 @@ const (
 // ErrDecode is returned when a page does not decode to a valid node.
 var ErrDecode = errors.New("node: malformed page")
 
-// Format selects the on-page key encoding Encode writes. The decoder accepts
-// both formats, dispatching on the page's flag byte.
+// Format names an on-page key encoding. FormatPrefix, the one the tree
+// writes, is the zero value; the decoder accepts both, dispatching on each
+// page's flag byte (the package comment says why full pages still exist).
 type Format byte
 
 const (
-	// FormatFull stores every key whole — the original page layout, byte-
-	// identical to what pre-prefix builds wrote.
-	FormatFull Format = iota
 	// FormatPrefix stores each key as (shared, suffix) against the previous
 	// key on the page.
-	FormatPrefix
+	FormatPrefix Format = iota
+	// FormatFull stores every key whole — the original page layout, which
+	// old files still hold. The write path never encodes it; its encoder is
+	// the reference the tests build such pages with.
+	FormatFull
 )
 
 func (f Format) String() string {
 	switch f {
-	case FormatFull:
-		return "full"
 	case FormatPrefix:
 		return "prefix"
+	case FormatFull:
+		return "full"
 	}
 	return fmt.Sprintf("Format(%d)", byte(f))
 }
@@ -130,12 +139,6 @@ func commonPrefixLen(a, b []byte) int {
 	return i
 }
 
-// EncodedSize returns the exact size in bytes of Encode's output
-// (FormatFull).
-func (n *Node) EncodedSize() int {
-	return n.EncodedSizeFormat(FormatFull)
-}
-
 // EncodedSizeFormat returns the exact size in bytes of EncodeFormat(f)'s
 // output.
 func (n *Node) EncodedSizeFormat(f Format) int {
@@ -158,11 +161,6 @@ func (n *Node) EncodedSizeFormat(f Format) int {
 		size += 8 * len(n.Children)
 	}
 	return size
-}
-
-// Encode serializes the node to a fresh page buffer in FormatFull.
-func (n *Node) Encode() ([]byte, error) {
-	return n.EncodeFormat(FormatFull)
 }
 
 // EncodeFormat serializes the node to a fresh page buffer in the given
@@ -231,8 +229,8 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeInPlace parses a page produced by Encode or EncodeFormat, dispatching
-// on the page's flag byte, and ADOPTS the buffer: the page is the node. Values
+// DecodeInPlace parses a page produced by EncodeFormat, dispatching on the
+// page's flag byte, and ADOPTS the buffer: the page is the node. Values
 // and full-format keys are views into it, and a prefix-coded key that shares
 // at most four bytes with its predecessor is rebuilt over its own four-byte
 // (shared, suffixLen) record header, so it too lies in the page. Only keys

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/paper-repro/ekbtree/internal/keysub"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -38,12 +41,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			page, err := tt.n.Encode()
+			page, err := tt.n.EncodeFormat(FormatFull)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(page) != tt.n.EncodedSize() {
-				t.Errorf("len(page) = %d, EncodedSize = %d", len(page), tt.n.EncodedSize())
+			if len(page) != tt.n.EncodedSizeFormat(FormatFull) {
+				t.Errorf("len(page) = %d, EncodedSize = %d", len(page), tt.n.EncodedSizeFormat(FormatFull))
 			}
 			got, err := Decode(page)
 			if err != nil {
@@ -86,7 +89,7 @@ func TestEncodeRejectsMalformedNodes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := tt.n.Encode(); err == nil {
+			if _, err := tt.n.EncodeFormat(FormatFull); err == nil {
 				t.Error("Encode accepted malformed node")
 			}
 		})
@@ -98,7 +101,7 @@ func TestDecodeRejectsMalformedPages(t *testing.T) {
 		Keys:     [][]byte{[]byte("key")},
 		Values:   [][]byte{[]byte("value")},
 		Children: []uint64{1, 2},
-	}).Encode()
+	}).EncodeFormat(FormatFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +128,7 @@ func TestDecodeRejectsMalformedPages(t *testing.T) {
 
 func TestDecodeDoesNotAliasPage(t *testing.T) {
 	n := &Node{Leaf: true, Keys: [][]byte{[]byte("key")}, Values: [][]byte{[]byte("val")}}
-	page, err := n.Encode()
+	page, err := n.EncodeFormat(FormatFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +191,7 @@ func TestPrefixFormatRoundTrip(t *testing.T) {
 			if FormatOf(page) != FormatPrefix {
 				t.Error("prefix page not flagged as FormatPrefix")
 			}
-			full, err := tt.n.Encode()
+			full, err := tt.n.EncodeFormat(FormatFull)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,6 +210,42 @@ func TestPrefixFormatRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPrefixEncodingShrinksPages is the density claim behind the one format
+// the tree writes, made where the two encoders still meet: the leaves of a
+// 4 000-key tree under the 64-bit bucketed substituter (sequential user IDs,
+// so neighbours share the 8-byte bucket prefix), encoded both ways.
+func TestPrefixEncodingShrinksPages(t *testing.T) {
+	inner, err := keysub.NewHMAC(bytes.Repeat([]byte{0x55}, 32), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := keysub.NewBucketed(inner, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct{ k, v []byte }
+	entries := make([]entry, 4000)
+	for i := range entries {
+		entries[i] = entry{sub.Substitute([]byte(fmt.Sprintf("user%08d", i))), []byte(fmt.Sprintf("payload-%d", i))}
+	}
+	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].k, entries[j].k) < 0 })
+	const perLeaf = 31 // a full leaf at the default order
+	var full, prefix int
+	for lo := 0; lo < len(entries); lo += perLeaf {
+		leaf := &Node{Leaf: true}
+		for _, e := range entries[lo:min(lo+perLeaf, len(entries))] {
+			leaf.Keys, leaf.Values = append(leaf.Keys, e.k), append(leaf.Values, e.v)
+		}
+		full += leaf.EncodedSizeFormat(FormatFull)
+		prefix += leaf.EncodedSizeFormat(FormatPrefix)
+	}
+	// Anything under 10% means truncation is not engaging on shared buckets.
+	if prefix*10 > full*9 {
+		t.Fatalf("prefix leaves take %d bytes, full leaves %d: want prefix <= 0.9 x full", prefix, full)
+	}
+	t.Logf("leaf bytes: full=%d prefix=%d (%.1f%% saved)", full, prefix, 100*(1-float64(prefix)/float64(full)))
 }
 
 // TestPrefixDecodeRejectsNonCanonical pins the fail-closed rules of the

@@ -207,19 +207,28 @@ func (s *Store) failedErrLocked() error {
 	}
 }
 
+// usableLocked is the one refusal every entry point beyond a plain read makes:
+// store.ErrClosed once Close has begun, the fail-stop error once a flush has
+// failed, nil otherwise. Callers hold s.mu (either mode).
+func (s *Store) usableLocked() error {
+	switch {
+	case s.closed:
+		return store.ErrClosed
+	case s.failed:
+		return s.failedErrLocked()
+	}
+	return nil
+}
+
 // commit is the single mutation entry point: wait for pending-group
 // capacity, validate, enqueue, wake the committer, and wait according to the
 // durability mode.
 func (s *Store) commit(writes map[uint64][]byte, root uint64, frees []uint64, meta []byte, setMeta bool, mark *store.SealMark) error {
 	s.mu.Lock()
 	s.waitCapacityLocked()
-	if s.closed {
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
-		return store.ErrClosed
-	}
-	if s.failed {
-		defer s.mu.Unlock()
-		return s.failedErrLocked()
+		return err
 	}
 	res := s.enqueueLocked(writes, root, frees, meta, setMeta, mark, false, false)
 	return s.finish(res)
@@ -244,13 +253,9 @@ func (s *Store) finish(res *flushResult) error {
 // the Async-mode durability barrier and a no-op on an idle store.
 func (s *Store) Sync() error {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
-		return store.ErrClosed
-	}
-	if s.failed {
-		defer s.mu.Unlock()
-		return s.failedErrLocked()
+		return err
 	}
 	return s.flushOutstandingLocked()
 }
@@ -403,9 +408,7 @@ func (s *Store) drain() {
 			g.resolved = true
 		} else {
 			shrunk = ns.fileEnd < s.fileEnd
-			s.pages, s.free, s.meta, s.root = ns.pages, ns.free, ns.meta, ns.root
-			s.mark = ns.mark
-			s.txid, s.cur, s.dirExt, s.fileEnd = ns.txid, ns.cur, ns.dirExt, ns.fileEnd
+			s.durableState = ns
 			s.flushing = nil
 		}
 		s.mu.Unlock()
@@ -437,20 +440,6 @@ func (s *Store) drain() {
 	}
 }
 
-// durableState is the post-flush snapshot the committer installs once a
-// group's slot flip is durable.
-type durableState struct {
-	pages   map[uint64]extent
-	free    []extent
-	meta    []byte
-	mark    store.SealMark
-	root    uint64
-	txid    uint64
-	cur     int
-	dirExt  extent
-	fileEnd int64
-}
-
 // flushGroup turns one coalesced group into a single shadow-paged flush: all
 // pages to fresh extents, one directory blob, one data fsync, one meta-slot
 // flip, one slot fsync. It reads the durable state fields without the lock —
@@ -465,11 +454,12 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		newPages[id] = e
 	}
 	avail := newFreeIndex(s.free)
-	newEnd := s.fileEnd
+	newEnd, pageBytes := s.fileEnd, s.pageBytes
 	var pending []extent // extents that become free once this flush is durable
 	for id := range g.frees {
 		if e, ok := newPages[id]; ok {
 			pending = append(pending, e)
+			pageBytes -= int64(e.len)
 			delete(newPages, id)
 		}
 	}
@@ -500,17 +490,20 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 				return ns, fmt.Errorf("file: write page %d: %w", id, err)
 			}
 			pending = append(pending, cur)
+			pageBytes += int64(ext.len) - int64(cur.len)
 			newPages[id] = ext
 			g.relocated++
 			continue
 		}
 		if e, ok := newPages[id]; ok {
 			pending = append(pending, e)
+			pageBytes -= int64(e.len)
 		}
 		ext := avail.allocExtent(&newEnd, uint32(len(page)))
 		if _, err := s.f.WriteAt(page, ext.off); err != nil {
 			return ns, fmt.Errorf("file: write page %d: %w", id, err)
 		}
+		pageBytes += int64(ext.len)
 		newPages[id] = ext
 	}
 	newMeta := s.meta
@@ -591,7 +584,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	}
 	ns = durableState{
 		pages: newPages, free: newFree, meta: newMeta, mark: newMark, root: g.root,
-		txid: s.txid + 1, cur: 1 - s.cur, dirExt: dirExt, fileEnd: newEnd,
+		txid: s.txid + 1, cur: 1 - s.cur, dirExt: dirExt, fileEnd: newEnd, pageBytes: pageBytes,
 	}
 	return ns, nil
 }

@@ -232,18 +232,10 @@ type slotData struct {
 	dirCRC uint32
 }
 
-// Store is a file-backed PageStore. All methods are safe for concurrent use;
-// reads proceed concurrently, commits enqueue and the committer goroutine
-// serializes flushes.
-type Store struct {
-	mu  sync.RWMutex
-	f   File
-	cfg Config
-
-	// Durable state: exactly what the active meta slot on disk describes.
-	// After Open only the committer goroutine replaces these fields (under
-	// mu, when a flush's flip is durable), so the committer may read them
-	// without the lock during a flush.
+// durableState is exactly what the active meta slot on disk describes. A
+// flush computes the next one whole and the committer installs it with one
+// assignment once the slot flip is durable.
+type durableState struct {
 	pages   map[uint64]extent // logical page ID -> durable extent
 	free    []extent          // durably free extents, allocatable by the next flush
 	meta    []byte
@@ -253,6 +245,24 @@ type Store struct {
 	cur     int    // index (0/1) of the slot holding the durable state
 	dirExt  extent // extent of the durable directory blob
 	fileEnd int64  // append frontier: no durable extent ends beyond this
+	// pageBytes is the summed length of the extents in pages. It is counted
+	// once when a directory is loaded and then moved by each flush by exactly
+	// the extents that flush drops and adds, so Space never walks the map.
+	pageBytes int64
+}
+
+// Store is a file-backed PageStore. All methods are safe for concurrent use;
+// reads proceed concurrently, commits enqueue and the committer goroutine
+// serializes flushes.
+type Store struct {
+	mu  sync.RWMutex
+	f   File
+	cfg Config
+
+	// The durable state, held once. After Open only the committer goroutine
+	// replaces it (under mu, when a flush's flip is durable), so the
+	// committer may read its fields without the lock during a flush.
+	durableState
 
 	// Applied state: what readers observe. Runs ahead of the durable state
 	// by the pending and flushing overlays.
@@ -386,12 +396,9 @@ func OpenWithConfig(f File, cfg Config) (*Store, error) {
 // under crashes — until the magic is durable the file reads as fresh.
 func initialize(f File, cfg Config) (*Store, error) {
 	s := &Store{
-		f:      f,
-		pages:  make(map[uint64]extent),
-		root:   store.NoRoot,
-		nextID: store.NoRoot + 1,
-		txid:   1,
-		cur:    0,
+		f:            f,
+		durableState: durableState{pages: make(map[uint64]extent), root: store.NoRoot, txid: 1},
+		nextID:       store.NoRoot + 1,
 	}
 	dir := make([]byte, dirSize(0, 0, 0))
 	serializeDir(dir, s.pages, nil, nil, store.SealMark{})
@@ -438,19 +445,16 @@ func loadState(f File, sd slotData, idx int) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		f:      f,
-		pages:  pages,
-		free:   free,
-		meta:   meta,
-		mark:   mark,
-		root:   sd.root,
+		f: f,
+		durableState: durableState{
+			pages: pages, free: free, meta: meta, mark: mark,
+			root: sd.root, txid: sd.txid, cur: idx, dirExt: sd.dir,
+		},
 		nextID: sd.nextID,
-		txid:   sd.txid,
-		cur:    idx,
-		dirExt: sd.dir,
 	}
 	s.fileEnd = s.dirExt.end()
 	for _, e := range pages {
+		s.pageBytes += int64(e.len)
 		if e.end() > s.fileEnd {
 			s.fileEnd = e.end()
 		}
@@ -920,14 +924,12 @@ func (s *Store) Txid() uint64 {
 // frontier (the physical file size once any truncate lands — no durable
 // extent ends beyond it), liveBytes the bytes actually referenced by live
 // pages plus the directory blob. The gap between them is reclaimable
-// garbage; Vacuum closes it. Implements store.Spacer.
+// garbage; Vacuum closes it. Both come from fields of the durable state, so
+// the call is O(1) and holds the read lock for two loads: a monitor may poll
+// it on a tree of any size without holding off commits. Implements
+// store.Spacer.
 func (s *Store) Space() (fileBytes, liveBytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	fileBytes = s.fileEnd
-	liveBytes = int64(s.dirExt.len)
-	for _, e := range s.pages {
-		liveBytes += int64(e.len)
-	}
-	return fileBytes, liveBytes
+	return s.fileEnd, s.pageBytes + int64(s.dirExt.len)
 }

@@ -3,8 +3,6 @@ package file
 import (
 	"fmt"
 	"sort"
-
-	"github.com/paper-repro/ekbtree/internal/store"
 )
 
 // vacuumBatchBytes bounds one relocation batch's payload, so a vacuum pass
@@ -123,11 +121,8 @@ func (s *Store) Vacuum(target int64) error {
 func (s *Store) vacuumProgress() (end int64, nfree int, holeSum int64, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, 0, 0, store.ErrClosed
-	}
-	if s.failed {
-		return 0, 0, 0, s.failedErrLocked()
+	if err := s.usableLocked(); err != nil {
+		return 0, 0, 0, err
 	}
 	for _, f := range s.free {
 		holeSum += f.off
@@ -144,13 +139,9 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 		// frontier retreat and the truncate land. Pages with overlay state
 		// (pending/flushing writes or frees) are in flight and skipped.
 		s.mu.RLock()
-		if s.closed {
+		if err := s.usableLocked(); err != nil {
 			s.mu.RUnlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.RUnlock()
-			return false, s.failedErrLocked()
+			return false, err
 		}
 		if s.fileEnd <= target {
 			s.mu.RUnlock()
@@ -243,13 +234,9 @@ func (s *Store) vacuumStep(target int64) (bool, error) {
 func (s *Store) liftStep() (bool, error) {
 	for attempt := 0; attempt < vacuumRetries; attempt++ {
 		s.mu.RLock()
-		if s.closed {
+		if err := s.usableLocked(); err != nil {
 			s.mu.RUnlock()
-			return false, store.ErrClosed
-		}
-		if s.failed {
-			defer s.mu.RUnlock()
-			return false, s.failedErrLocked()
+			return false, err
 		}
 		starts := make(map[int64]uint64, len(s.pages))
 		for id, e := range s.pages {
@@ -337,13 +324,9 @@ func (s *Store) relocate(batch []vacuumCand, selTxid uint64, lift, evenEmpty boo
 
 	s.mu.Lock()
 	s.waitCapacityLocked()
-	if s.closed {
+	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
-		return nil, false, store.ErrClosed
-	}
-	if s.failed {
-		defer s.mu.Unlock()
-		return nil, false, s.failedErrLocked()
+		return nil, false, err
 	}
 	if s.txid != selTxid {
 		s.mu.Unlock()

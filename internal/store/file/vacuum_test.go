@@ -204,6 +204,84 @@ func (s *Store) dirLenForTest() uint32 {
 	return s.dirExt.len
 }
 
+// TestSpaceMatchesDirectory: Space answers from a counter that every flush
+// moves by the extents it drops and adds, never from a walk. After each kind
+// of flush — first writes, overwrites that grow and shrink pages, frees, a
+// page freed and written again, vacuum's relocations — and after a reopen,
+// it must equal a fresh sum over the durable page map plus the directory
+// extent, and the append frontier.
+func TestSpaceMatchesDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "space.ekb")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		s.mu.RLock()
+		wantFile, wantLive := s.fileEnd, int64(s.dirExt.len)
+		for _, e := range s.pages {
+			wantLive += int64(e.len)
+		}
+		s.mu.RUnlock()
+		if file, live := s.Space(); file != wantFile || live != wantLive {
+			t.Fatalf("%s: Space() = (%d, %d), the directory sums to (%d, %d)", when, file, live, wantFile, wantLive)
+		}
+	}
+	commit := func(when string, writes map[uint64][]byte, frees []uint64) {
+		t.Helper()
+		if err := s.CommitPages(writes, rootUnchanged, frees); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		check(when)
+	}
+	check("fresh store")
+	ids := make([]uint64, 40)
+	for i := range ids {
+		if ids[i], err = s.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := func(i, gen int) []byte { return bytes.Repeat([]byte{byte(i), byte(gen)}, 30+13*((i+5*gen)%9)) }
+	w := make(map[uint64][]byte)
+	for i, id := range ids {
+		w[id] = page(i, 0)
+	}
+	commit("first writes", w, nil)
+	for gen := 1; gen <= 8; gen++ {
+		w := make(map[uint64][]byte)
+		for i, id := range ids {
+			if (i+gen)%3 == 0 {
+				w[id] = page(i, gen)
+			}
+		}
+		commit(fmt.Sprintf("overwrite generation %d", gen), w, nil)
+	}
+	commit("frees", nil, []uint64{ids[3], ids[9], ids[17], ids[30], ids[39]})
+	commit("a freed page written again, beside a write and a free", map[uint64][]byte{ids[9]: page(9, 9), ids[10]: page(10, 9)}, []uint64{ids[11]})
+	fileChurned, _ := s.Space()
+	if err := s.Vacuum(0); err != nil {
+		t.Fatal(err)
+	}
+	check("after vacuum")
+	fileVacuumed, liveBefore := s.Space()
+	if fileVacuumed >= fileChurned {
+		t.Fatalf("vacuum relocated nothing: file %d -> %d", fileChurned, fileVacuumed)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(path); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	check("reopened")
+	if _, live := s.Space(); live != liveBefore {
+		t.Fatalf("live bytes %d after reopen, %d before close", live, liveBefore)
+	}
+	commit("first flush after reopen", map[uint64][]byte{ids[0]: page(0, 10)}, []uint64{ids[1]})
+}
+
 // TestVacuumTarget verifies vacuum treats target as a stopping bound: it
 // makes real progress toward it but does not keep compacting a store whose
 // frontier already satisfies it. Target is best-effort from above — the

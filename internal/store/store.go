@@ -127,6 +127,8 @@ type Vacuumer interface {
 // Spacer is the optional PageStore extension reporting the physical
 // footprint: fileBytes is the total backing-storage size, liveBytes the
 // portion referenced by live data. The gap is what a Vacuum could reclaim.
+// Monitors poll it, so an implementation answers from counters it keeps, not
+// by walking its pages.
 type Spacer interface {
 	Space() (fileBytes, liveBytes int64)
 }

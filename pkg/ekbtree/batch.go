@@ -2,6 +2,7 @@ package ekbtree
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
@@ -129,27 +130,26 @@ func (b *Batch) Commit() error {
 	if len(ops) == 0 {
 		return nil
 	}
-	if len(b.t.shards) == 1 {
-		return b.commitShard(0, ops)
+	// A batch whose every op routes to one shard — any batch on an unsharded
+	// tree — is one commit, made here on the caller's goroutine.
+	first := ops[0].shard
+	if !slices.ContainsFunc(ops, func(op batchOp) bool { return op.shard != first }) {
+		return b.commitShard(first, ops)
 	}
-	// Partition the staged sequence by owning shard, preserving order within
-	// each shard. A batch that only touches one shard commits directly on the
-	// caller's goroutine.
-	perShard := make(map[int][]batchOp, 1)
+	// Otherwise partition the staged sequence by owning shard, preserving
+	// order within each shard, and fan out: one OCC commit per shard, in
+	// parallel. Shards are fully independent engines, so the commits share no
+	// locks and their store flushes overlap.
+	perShard := make([][]batchOp, len(b.t.shards))
 	for _, op := range ops {
 		perShard[op.shard] = append(perShard[op.shard], op)
 	}
-	if len(perShard) == 1 {
-		for shard, slice := range perShard {
-			return b.commitShard(shard, slice)
-		}
-	}
-	// Fan out: one OCC commit per shard, in parallel. Shards are fully
-	// independent engines, so the commits share no locks and their store
-	// flushes overlap.
 	errs := make([]error, len(b.t.shards))
 	var wg sync.WaitGroup
 	for shard, slice := range perShard {
+		if len(slice) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(shard int, slice []batchOp) {
 			defer wg.Done()

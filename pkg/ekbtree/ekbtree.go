@@ -117,6 +117,11 @@ const (
 
 // Options configures a tree. The zero value is invalid: either MasterKey or
 // both Substituter and Cipher must be set.
+//
+// The on-page node format is not an option. Every page is written with
+// prefix-coded keys; a file that holds full-key pages, from a version that
+// wrote them, opens as it is and converts as its pages are rewritten (see
+// checkHeader).
 type Options struct {
 	// Order is the maximum number of children per node; it must be even and
 	// at least 4. Zero means DefaultOrder.
@@ -197,35 +202,7 @@ type Options struct {
 	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
 	// engine default (2^32); values above 2^56 are clamped.
 	SealHardLimit uint64
-	// NodeEncoding selects the on-page node format; see the NodeEncoding
-	// constants. The zero value (EncodingAuto) writes new trees with
-	// common-prefix truncation and reopens existing trees with whatever
-	// format their sealed header records. The resolved encoding is part of
-	// the header, so a tree never silently mixes formats: requesting one
-	// explicitly against a tree written with the other fails with
-	// ErrConfigMismatch.
-	NodeEncoding NodeEncoding
 }
-
-// NodeEncoding selects how node pages lay out their keys; see
-// Options.NodeEncoding.
-type NodeEncoding int
-
-const (
-	// EncodingAuto (the default) resolves to EncodingPrefix for freshly
-	// created trees and to the sealed header's recorded format for existing
-	// ones, so reopening never mismatches.
-	EncodingAuto NodeEncoding = iota
-	// EncodingPrefix stores each key as (shared-prefix length, suffix)
-	// against its left neighbor within the node. Substituters that preserve
-	// key locality (e.g. the bucketed scheme) produce long shared runs, and
-	// sorted nodes always share at least what the key distribution gives —
-	// typically a large on-disk saving at a negligible decode cost.
-	EncodingPrefix
-	// EncodingFull stores every key in full, byte-identical to trees written
-	// before prefix truncation existed.
-	EncodingFull
-)
 
 // DefaultSealBudget is the per-epoch seal budget when Options.SealBudget is
 // zero: 2^30 page seals per shard before the key epoch rotates. Far below
@@ -298,11 +275,6 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	}
 	if o.MaxEpochAge < 0 {
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative MaxEpochAge", ErrInvalidOptions)
-	}
-	switch o.NodeEncoding {
-	case EncodingAuto, EncodingPrefix, EncodingFull:
-	default:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: unknown NodeEncoding %d", ErrInvalidOptions, int(o.NodeEncoding))
 	}
 	shards = o.Shards
 	switch {
@@ -480,30 +452,19 @@ func Open(opts Options) (*Tree, error) {
 		}
 		return nil, mapErr(err)
 	}
-	enc := opts.NodeEncoding
 	for i := 0; i < shards; i++ {
 		st, err := openShardStore(opts, i, shards)
 		if err != nil {
 			return fail(err)
 		}
-		format, err := checkHeader(st, nc, sub, order, i, shards, enc)
-		if err != nil {
+		if err := checkHeader(st, nc, sub, order, i, shards); err != nil {
 			if ownStore {
 				st.Close()
 			}
 			return fail(err)
 		}
-		// Shard 0 resolves EncodingAuto; the remaining shards must then match
-		// it exactly, so a shard set with mixed node formats fails closed with
-		// ErrConfigMismatch instead of opening half-truncated.
-		if enc == EncodingAuto {
-			enc = EncodingFull
-			if format == node.FormatPrefix {
-				enc = EncodingPrefix
-			}
-		}
 		g, err := engine.New(engine.Config{
-			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: format,
+			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatPrefix,
 			SealBudget: sealBudget, HardSealLimit: opts.SealHardLimit, CounterBase: uint64(i) << 56,
 			OnEpochAdvance: func(uint32) { t.kickRotator() },
 		})
@@ -610,66 +571,49 @@ func (t *Tree) AdvanceEpoch() error {
 // from Alloc are always greater.
 const metaPageID = store.NoRoot
 
-// encPrefixToken is the header suffix recording prefix-truncated node
-// encoding. Full encoding records NO token, keeping headers byte-identical
-// to trees written before prefix truncation existed.
+// encPrefixToken is the header suffix a fresh store is given. It dates from
+// when the node format was a per-tree choice and full-key trees recorded no
+// token; it is still written so that a build from that time opens a new file
+// with the prefix decoder or refuses it, never misreads it.
 const encPrefixToken = " enc=prefix"
 
 // checkHeader validates an existing store's engine header against the opened
-// configuration, or writes one into a fresh store, and returns the resolved
-// node format. The header is sealed with the node cipher, so opening an
-// existing store with the wrong key fails here, fast and closed, instead of
-// on the first Get. For sharded trees the header additionally seals the
-// shard's index and the total shard count, so a file can never be opened as
-// part of a differently-sharded tree (or as a different shard of the same
-// tree); single-shard full-encoding headers are byte-identical to
-// pre-sharding versions, keeping existing files openable.
+// configuration, or writes one into a fresh store. The header is sealed with
+// the node cipher, so opening an existing store with the wrong key fails
+// here, fast and closed, instead of on the first Get. For sharded trees the
+// header additionally seals the shard's index and the total shard count, so a
+// file can never be opened as part of a differently-sharded tree (or as a
+// different shard of the same tree).
 //
-// The node encoding rides the header too: enc resolves against it (fresh
-// stores take EncodingAuto as prefix; existing stores resolve Auto from the
-// recorded format), so a tree never mixes formats and an explicit request
-// against a differently-encoded tree fails with ErrConfigMismatch.
-func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substituter, order, idx, total int, enc NodeEncoding) (node.Format, error) {
+// An existing header is accepted with or without the prefix token: a file
+// without it was written in the full-key page format, before prefix coding or
+// with the option that once selected it. Nothing has to be decided from that,
+// because the node decoder reads each page by its own flag byte; the header
+// is left as it is while the pages convert as they are rewritten.
+func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substituter, order, idx, total int) error {
 	base := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", order, sub.Name(), nc.Name())
 	if total > 1 {
 		base += fmt.Sprintf(" shards=%d/%d", idx, total)
 	}
 	meta, err := st.Meta()
 	if err != nil {
-		return node.FormatFull, err
+		return err
 	}
 	if len(meta) == 0 {
-		want, format := base+encPrefixToken, node.FormatPrefix
-		if enc == EncodingFull {
-			want, format = base, node.FormatFull
-		}
-		sealed, err := nc.Seal(metaPageID, []byte(want))
+		sealed, err := nc.Seal(metaPageID, []byte(base+encPrefixToken))
 		if err != nil {
-			return node.FormatFull, err
+			return err
 		}
-		return format, st.SetMeta(sealed)
+		return st.SetMeta(sealed)
 	}
 	got, err := nc.Open(metaPageID, meta)
 	if err != nil {
-		return node.FormatFull, fmt.Errorf("%w: cannot open store header: %v", ErrWrongKey, err)
+		return fmt.Errorf("%w: cannot open store header: %v", ErrWrongKey, err)
 	}
-	if enc == EncodingAuto {
-		switch string(got) {
-		case base:
-			return node.FormatFull, nil
-		case base + encPrefixToken:
-			return node.FormatPrefix, nil
-		}
-		return node.FormatFull, fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, base)
+	if h := string(got); h != base && h != base+encPrefixToken {
+		return fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, base)
 	}
-	want, format := base, node.FormatFull
-	if enc == EncodingPrefix {
-		want, format = base+encPrefixToken, node.FormatPrefix
-	}
-	if string(got) != want {
-		return node.FormatFull, fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, want)
-	}
-	return format, nil
+	return nil
 }
 
 // substituteKey maps a plaintext key to its substituted form, validating
@@ -878,9 +822,10 @@ func (t *Tree) Stats() (Stats, error) {
 }
 
 // Space reports the physical footprint alone, summed across shards: the
-// FileBytes and LiveBytes that Stats reports, from counters the store keeps —
-// O(1), no page read, no cache traffic — so a monitor may poll it. Zeros for
-// the in-memory backend and for a closed tree.
+// FileBytes and LiveBytes that Stats reports, from two counters each shard's
+// store keeps as it flushes — O(shards), whatever the tree's size: no page
+// read, no cache traffic, no walk of a page map — so a monitor may poll it.
+// Zeros for the in-memory backend and for a closed tree.
 func (t *Tree) Space() (fileBytes, liveBytes int64) {
 	for _, g := range t.shards {
 		f, l := g.Space()

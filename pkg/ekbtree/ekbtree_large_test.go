@@ -11,17 +11,17 @@ package ekbtree
 // passes and cipher-epoch rotations with the writes, and then audits the
 // result against a deterministic oracle: exact key count, strict key
 // ordering, every value parsing back to its key's index with the final
-// generation's tag, and the index sum matching the closed form. A second leg
-// runs the identical workload with full (pre-PR) node encoding and no
-// vacuum — the configuration whose file is floored at the bulk-load peak
-// forever — and the test asserts the prefix+vacuum configuration lands at
-// least 25% lower bytes/key.
+// generation's tag, and the index sum matching the closed form. It then
+// asserts that vacuum has kept the physical file within 1.5x of the live
+// bytes, where a file that never shrinks stays floored at the bulk-load peak.
+// (What prefix coding saves against full-key pages is pinned where the two
+// encoders still meet, in internal/node's TestPrefixEncodingShrinksPages.)
 //
 //	go test -tags large -run TestLargeIngestSoak ./pkg/ekbtree/   # 2M keys
 //	EKBTREE_LARGE_KEYS=20000000 ...                               # nightly
 //	EKBTREE_LARGE_KEYS=100000000 ...                              # the knob goes to 100M
 //
-// EKBTREE_LARGE_SHARDS picks the shard count (default 3). Each leg logs its
+// EKBTREE_LARGE_SHARDS picks the shard count (default 3). The run logs its
 // measured bytes/key, ingest and scan throughput, and reopen time (run with
 // -v to see them).
 
@@ -82,21 +82,13 @@ func largeVal(gen, i int) []byte {
 	return v
 }
 
-// largeLeg is one full ingest+audit pass; it returns measurements for the
-// report and the comparison assert.
-type largeLeg struct {
-	name         string
-	fileBytes    int64 // sum of shard file sizes on disk after final vacuum/sync
-	liveBytes    int64
-	ingestSecs   float64
-	scanKeysPerS float64
-	reopenNs     int64
-}
-
-func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, vacuum bool) largeLeg {
-	t.Helper()
+// TestLargeIngestSoak is the scale proof for the space-management story:
+// prefix-coded pages plus online vacuum, fault-free but at volume.
+func TestLargeIngestSoak(t *testing.T) {
+	keys := largeEnvInt(t, "EKBTREE_LARGE_KEYS", 2_000_000)
+	shards := largeEnvInt(t, "EKBTREE_LARGE_SHARDS", 3)
 	dir := t.TempDir()
-	path := filepath.Join(dir, name+".ekb")
+	path := filepath.Join(dir, "soak.ekb")
 	master := bytes.Repeat([]byte{0x5A}, 32)
 	inner, err := keysub.NewHMAC(master, 16)
 	if err != nil {
@@ -107,12 +99,11 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 		t.Fatal(err)
 	}
 	opts := Options{
-		MasterKey:    master,
-		Substituter:  sub,
-		Path:         path,
-		Durability:   DurabilityGrouped,
-		Shards:       shards,
-		NodeEncoding: enc,
+		MasterKey:   master,
+		Substituter: sub,
+		Path:        path,
+		Durability:  DurabilityGrouped,
+		Shards:      shards,
 	}
 	tr, err := Open(opts)
 	if err != nil {
@@ -121,11 +112,11 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 
 	// Two full write generations — bulk load, then a complete overwrite — in
 	// batches with online maintenance interleaved: a vacuum pass every
-	// vacEvery batches (vacuum legs only) and an operator epoch rotation every
-	// epochEvery batches, both racing the continuing writes like they would in
-	// a live server. The overwrite generation is what separates the legs:
-	// every rewritten page strands its old extent, and only vacuum can give
-	// that space back.
+	// vacEvery batches and an operator epoch rotation every epochEvery
+	// batches, both racing the continuing writes like they would in a live
+	// server. The overwrite generation is what makes vacuum necessary: every
+	// rewritten page strands its old extent, and only vacuum can give that
+	// space back.
 	const batchSize = 512
 	vacEvery := keys / batchSize / 4 // several mid-ingest passes per generation
 	if vacEvery == 0 {
@@ -146,39 +137,37 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 				}
 			}
 			if err := b.Commit(); err != nil {
-				t.Fatalf("%s: gen %d batch at %d: %v", name, gen, lo, err)
+				t.Fatalf("gen %d batch at %d: %v", gen, lo, err)
 			}
 			batchNo++
-			if vacuum && batchNo%vacEvery == 0 {
+			if batchNo%vacEvery == 0 {
 				if err := tr.Vacuum(0); err != nil {
-					t.Fatalf("%s: mid-ingest vacuum: %v", name, err)
+					t.Fatalf("mid-ingest vacuum: %v", err)
 				}
 			}
 			if batchNo%epochEvery == 0 {
 				if err := tr.AdvanceEpoch(); err != nil {
-					t.Fatalf("%s: epoch rotation: %v", name, err)
+					t.Fatalf("epoch rotation: %v", err)
 				}
 			}
 		}
 	}
-	if vacuum {
-		if err := tr.Vacuum(0); err != nil {
-			t.Fatalf("%s: final vacuum: %v", name, err)
-		}
+	if err := tr.Vacuum(0); err != nil {
+		t.Fatalf("final vacuum: %v", err)
 	}
 	if err := tr.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	leg := largeLeg{name: name, ingestSecs: time.Since(start).Seconds()}
+	ingestSecs := time.Since(start).Seconds()
 
 	st, err := tr.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Keys != keys {
-		t.Fatalf("%s: Stats.Keys = %d, want %d", name, st.Keys, keys)
+		t.Fatalf("Stats.Keys = %d, want %d", st.Keys, keys)
 	}
-	leg.liveBytes = st.LiveBytes
+	liveBytes := st.LiveBytes
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,14 +175,15 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 	// The on-disk footprint, from the filesystem rather than the gauges.
 	matches, err := filepath.Glob(path + "*")
 	if err != nil || len(matches) == 0 {
-		t.Fatalf("%s: no shard files under %s (%v)", name, path, err)
+		t.Fatalf("no shard files under %s (%v)", path, err)
 	}
+	var fileBytes int64
 	for _, m := range matches {
 		fi, err := os.Stat(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		leg.fileBytes += fi.Size()
+		fileBytes += fi.Size()
 	}
 
 	// Reopen (directory load + header checks across shards) is timed: a
@@ -201,9 +191,9 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 	reopenStart := time.Now()
 	tr, err = Open(opts)
 	if err != nil {
-		t.Fatalf("%s: reopen: %v", name, err)
+		t.Fatalf("reopen: %v", err)
 	}
-	leg.reopenNs = time.Since(reopenStart).Nanoseconds()
+	reopen := time.Since(reopenStart)
 	defer tr.Close()
 
 	// Full-readback oracle: count, strict order, every value parses back to
@@ -219,17 +209,17 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 	for ok := c.First(); ok; ok = c.Next() {
 		k := c.Key()
 		if prev != nil && bytes.Compare(k, prev) <= 0 {
-			t.Fatalf("%s: scan keys not strictly ascending at %d", name, count)
+			t.Fatalf("scan keys not strictly ascending at %d", count)
 		}
 		prev = append(prev[:0], k...)
 		v := c.Value()
 		colon := bytes.IndexByte(v, ':')
 		if len(v) < 3 || v[0] != 'v' || colon < 2 {
-			t.Fatalf("%s: malformed value %q", name, v)
+			t.Fatalf("malformed value %q", v)
 		}
 		idx, err := strconv.Atoi(string(v[1:colon]))
 		if err != nil || idx < 0 || idx >= keys {
-			t.Fatalf("%s: value %q parses to out-of-range index (%v)", name, v, err)
+			t.Fatalf("value %q parses to out-of-range index (%v)", v, err)
 		}
 		sum += uint64(idx)
 		count++
@@ -239,13 +229,12 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 	}
 	scanSecs := time.Since(scanStart).Seconds()
 	if count != keys {
-		t.Fatalf("%s: scan saw %d keys, want %d", name, count, keys)
+		t.Fatalf("scan saw %d keys, want %d", count, keys)
 	}
 	wantSum := uint64(keys) * uint64(keys-1) / 2
 	if sum != wantSum {
-		t.Fatalf("%s: index sum %d, want %d — readback is not the ingested set", name, sum, wantSum)
+		t.Fatalf("index sum %d, want %d — readback is not the ingested set", sum, wantSum)
 	}
-	leg.scanKeysPerS = float64(keys) / scanSecs
 
 	// Sampled point reads after reopen.
 	rng := rand.New(rand.NewSource(1))
@@ -253,35 +242,15 @@ func runLargeLeg(t *testing.T, name string, keys, shards int, enc NodeEncoding, 
 		i := rng.Intn(keys)
 		v, ok, err := tr.Get(largeKey(i))
 		if err != nil || !ok || !bytes.Equal(v, largeVal(1, i)) {
-			t.Fatalf("%s: Get(%d) = (%q, %v, %v)", name, i, v, ok, err)
+			t.Fatalf("Get(%d) = (%q, %v, %v)", i, v, ok, err)
 		}
 	}
 
-	t.Logf("%s: %d keys, file=%d live=%d (%.2f bytes/key), ingest %.1fs, scan %.0f keys/s, reopen %s",
-		name, keys, leg.fileBytes, leg.liveBytes,
-		float64(leg.fileBytes)/float64(keys), leg.ingestSecs, leg.scanKeysPerS,
-		time.Duration(leg.reopenNs))
-	return leg
-}
+	t.Logf("%d keys, file=%d live=%d (%.2f bytes/key), ingest %.1fs, scan %.0f keys/s, reopen %s",
+		keys, fileBytes, liveBytes, float64(fileBytes)/float64(keys), ingestSecs, float64(keys)/scanSecs, reopen)
 
-// TestLargeIngestSoak is the scale proof for the space-management tentpoles:
-// prefix-truncated encoding plus online vacuum, fault-free but at volume,
-// against the pre-PR configuration on the identical workload.
-func TestLargeIngestSoak(t *testing.T) {
-	keys := largeEnvInt(t, "EKBTREE_LARGE_KEYS", 2_000_000)
-	shards := largeEnvInt(t, "EKBTREE_LARGE_SHARDS", 3)
-
-	compact := runLargeLeg(t, "prefix-vacuum", keys, shards, EncodingPrefix, true)
-	baseline := runLargeLeg(t, "full-baseline", keys, shards, EncodingFull, false)
-
-	// The PR's headline claim: >= 25% fewer bytes/key than the pre-PR
-	// encoding with no compaction, same workload, same shard layout.
-	if compact.fileBytes*4 > baseline.fileBytes*3 {
-		t.Errorf("prefix+vacuum bytes/key %.2f not >=25%% below baseline %.2f",
-			float64(compact.fileBytes)/float64(keys), float64(baseline.fileBytes)/float64(keys))
-	}
-	// And vacuum keeps the physical file near the live payload.
-	if compact.fileBytes > compact.liveBytes*3/2 {
-		t.Errorf("vacuumed file %d is more than 1.5x live bytes %d", compact.fileBytes, compact.liveBytes)
+	// Vacuum keeps the physical file near the live payload.
+	if fileBytes > liveBytes*3/2 {
+		t.Errorf("vacuumed file %d is more than 1.5x live bytes %d", fileBytes, liveBytes)
 	}
 }

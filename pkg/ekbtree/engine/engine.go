@@ -27,9 +27,11 @@ type Config struct {
 	// CachePages caps the decoded-node cache; 0 disables it.
 	CachePages int
 	// NodeFormat is the page format every node is encoded with before
-	// sealing; the zero value is the legacy full-key format. Reads
-	// auto-detect per page. The façade resolves this from the tree header so
-	// one tree never mixes formats.
+	// sealing. The zero value, node.FormatPrefix, is what the façade passes
+	// for every tree; node.FormatFull is set only by tests that build the
+	// pages of a legacy file. Reads dispatch on each page's flag byte, so
+	// whatever form the store already holds is read as it is and rewritten
+	// in this one.
 	NodeFormat node.Format
 
 	// SealBudget is the soft per-epoch seal budget: once an epoch has issued

@@ -53,10 +53,10 @@ type CacheStats struct {
 type nodeIO struct {
 	st store.PageStore
 	nc cipher.NodeCipher
-	// fmt is the page format every seal encodes with (Config.NodeFormat; the
-	// zero value is the legacy full-key format). Reads auto-detect per page,
-	// so a store written under one format opens fine under another — the
-	// façade's header check is what keeps a tree from silently mixing them.
+	// fmt is the page format every seal encodes with (Config.NodeFormat:
+	// prefix, but for tests building legacy pages). Reads dispatch on each
+	// page's flag byte, so a store holding pages of the other form is read as
+	// it is and converts page by page as commits and re-seals rewrite it.
 	fmt node.Format
 
 	mu       sync.Mutex

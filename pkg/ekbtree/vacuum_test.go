@@ -11,88 +11,11 @@ import (
 	"github.com/paper-repro/ekbtree/internal/keysub"
 )
 
-// TestNodeEncodingResolution pins the header contract around the node
-// format: fresh trees default to prefix truncation, EncodingAuto resolves an
-// existing tree from its sealed header, and an explicit request against a
-// tree written with the other format fails closed with ErrConfigMismatch.
-func TestNodeEncodingResolution(t *testing.T) {
-	master := bytes.Repeat([]byte{0x77}, 32)
-	fill := func(tr *Tree) {
-		t.Helper()
-		for i := 0; i < 200; i++ {
-			if err := tr.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(fmt.Sprintf("val-%04d", i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, tc := range []struct {
-		name     string
-		created  NodeEncoding // written at create time
-		matches  NodeEncoding // explicit reopen that must succeed
-		mismatch NodeEncoding // explicit reopen that must fail closed
-	}{
-		{"default-is-prefix", EncodingAuto, EncodingPrefix, EncodingFull},
-		{"explicit-full", EncodingFull, EncodingFull, EncodingPrefix},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "enc.ekb")
-			tr, err := Open(Options{MasterKey: master, Path: path, NodeEncoding: tc.created})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fill(tr)
-			want := scanAll(t, tr)
-			if err := tr.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Auto always reopens: the format comes from the header.
-			re, err := Open(Options{MasterKey: master, Path: path})
-			if err != nil {
-				t.Fatalf("auto reopen: %v", err)
-			}
-			if got := scanAll(t, re); !reflect.DeepEqual(got, want) {
-				t.Fatal("auto reopen lost entries")
-			}
-			re.Close()
-
-			// The matching explicit request reopens too.
-			re, err = Open(Options{MasterKey: master, Path: path, NodeEncoding: tc.matches})
-			if err != nil {
-				t.Fatalf("matching explicit reopen: %v", err)
-			}
-			re.Close()
-
-			// The other format fails closed, and the rejection leaves the
-			// file openable.
-			if _, err := Open(Options{MasterKey: master, Path: path, NodeEncoding: tc.mismatch}); !errors.Is(err, ErrConfigMismatch) {
-				t.Fatalf("mismatched encoding Open = %v, want ErrConfigMismatch", err)
-			}
-			re, err = Open(Options{MasterKey: master, Path: path})
-			if err != nil {
-				t.Fatalf("reopen after rejected open: %v", err)
-			}
-			if got := scanAll(t, re); !reflect.DeepEqual(got, want) {
-				t.Fatal("rejected open disturbed the tree")
-			}
-			re.Close()
-		})
-	}
-}
-
-// TestNodeEncodingInvalid pins option validation for out-of-range encodings.
-func TestNodeEncodingInvalid(t *testing.T) {
-	_, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x66}, 32), NodeEncoding: NodeEncoding(9)})
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("Open with NodeEncoding 9 = %v, want ErrInvalidOptions", err)
-	}
-}
-
 // prefixFriendlyOpts returns file-backed options whose substituter preserves
 // an 8-byte plaintext prefix (the bucketed scheme), so sequential key runs
 // produce long shared prefixes inside each node — the case prefix truncation
 // is built for.
-func prefixFriendlyOpts(t *testing.T, path string, enc NodeEncoding, shards int) Options {
+func prefixFriendlyOpts(t *testing.T, path string, shards int) Options {
 	t.Helper()
 	master := bytes.Repeat([]byte{0x55}, 32)
 	inner, err := keysub.NewHMAC(master, 16)
@@ -103,55 +26,7 @@ func prefixFriendlyOpts(t *testing.T, path string, enc NodeEncoding, shards int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Options{
-		MasterKey: master, Substituter: sub, Path: path,
-		NodeEncoding: enc, Shards: shards,
-	}
-}
-
-// TestPrefixEncodingShrinksFile writes the same workload under both node
-// formats and checks the prefix-truncated files are materially smaller —
-// the on-disk claim behind the encoding, at unit scale.
-func TestPrefixEncodingShrinksFile(t *testing.T) {
-	sizes := map[NodeEncoding]int64{}
-	for enc, name := range map[NodeEncoding]string{EncodingFull: "full", EncodingPrefix: "prefix"} {
-		path := filepath.Join(t.TempDir(), name+".ekb")
-		tr, err := Open(prefixFriendlyOpts(t, path, enc, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := tr.NewBatch()
-		for i := 0; i < 4000; i++ {
-			if err := b.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("payload-%d", i))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := b.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Vacuum(0); err != nil {
-			t.Fatal(err)
-		}
-		st, err := tr.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Keys != 4000 {
-			t.Fatalf("%s: Keys = %d", name, st.Keys)
-		}
-		sizes[enc] = st.LiveBytes
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Sequential user IDs share >= 12 of 13 plaintext-prefix+hash bytes with
-	// a neighbor; anything under 10% savings means truncation isn't engaged.
-	if sizes[EncodingPrefix] >= sizes[EncodingFull]*9/10 {
-		t.Fatalf("prefix encoding not smaller: prefix=%d full=%d", sizes[EncodingPrefix], sizes[EncodingFull])
-	}
-	t.Logf("live bytes: full=%d prefix=%d (%.1f%% saved)",
-		sizes[EncodingFull], sizes[EncodingPrefix],
-		100*(1-float64(sizes[EncodingPrefix])/float64(sizes[EncodingFull])))
+	return Options{MasterKey: master, Substituter: sub, Path: path, Shards: shards}
 }
 
 // TestTreeVacuum is the façade-level vacuum contract: churn creates garbage
@@ -159,7 +34,7 @@ func TestPrefixEncodingShrinksFile(t *testing.T) {
 // shards, content is untouched, and the tree reopens cleanly afterwards.
 func TestTreeVacuum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vac.ekb")
-	opts := prefixFriendlyOpts(t, path, EncodingAuto, 3)
+	opts := prefixFriendlyOpts(t, path, 3)
 	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
