@@ -30,9 +30,12 @@ test:
 	$(GO) test ./...
 	EKBTREE_BACKEND=file $(GO) test ./pkg/...
 
+# The last leg repeats the store's fault sweeps and commit-group walks: a
+# flush places pages in map-iteration order, so every run meets a new layout.
 race:
 	$(GO) test -race ./...
 	EKBTREE_BACKEND=file $(GO) test -race ./pkg/...
+	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays' ./internal/store/file/
 
 # test-sharded repeats the façade suite with every test tree defaulting to
 # three range shards (EKBTREE_SHARDS repoints Options.Shards the same way

@@ -200,34 +200,31 @@ func (c *conn) writeResp(payload []byte) bool {
 }
 
 // dispatch executes one authenticated request and returns the response
-// payload.
+// payload. Everything but the handshake messages and Open is a data-plane
+// operation and needs the tenant's tree attached.
 func (c *conn) dispatch(req wire.Request) []byte {
-	switch m := req.(type) {
+	switch req.(type) {
 	case *wire.Hello, *wire.Auth:
 		return wire.EncodeErr(wire.CodeBadRequest, "connection is already authenticated")
 	case *wire.Open:
 		return c.handleOpen()
+	}
+	if c.tree == nil {
+		return wire.EncodeErr(wire.CodeBadRequest, "Open required before data operations")
+	}
+	switch m := req.(type) {
 	case *wire.Put:
-		if resp := c.requireTree(); resp != nil {
-			return resp
-		}
 		if err := c.tree.Put(m.Key, m.Value); err != nil {
 			return encodeEngineErr(err)
 		}
 		return wire.EncodeOK(nil)
 	case *wire.Get:
-		if resp := c.requireTree(); resp != nil {
-			return resp
-		}
 		v, found, err := c.tree.Get(m.Key)
 		if err != nil {
 			return encodeEngineErr(err)
 		}
 		return wire.EncodeOK(wire.EncodeGetBody(v, found))
 	case *wire.Delete:
-		if resp := c.requireTree(); resp != nil {
-			return resp
-		}
 		found, err := c.tree.Delete(m.Key)
 		if err != nil {
 			return encodeEngineErr(err)
@@ -240,9 +237,6 @@ func (c *conn) dispatch(req wire.Request) []byte {
 	case *wire.CursorNext:
 		return c.handleCursorNext(m)
 	case *wire.CursorClose:
-		if resp := c.requireTree(); resp != nil {
-			return resp
-		}
 		if sc, ok := c.cursors[m.Cursor]; ok {
 			sc.cur.Close()
 			delete(c.cursors, m.Cursor)
@@ -251,17 +245,11 @@ func (c *conn) dispatch(req wire.Request) []byte {
 	case *wire.Stats:
 		return c.handleStats()
 	case *wire.Sync:
-		if resp := c.requireTree(); resp != nil {
-			return resp
-		}
 		if err := c.tree.Sync(); err != nil {
 			return encodeEngineErr(err)
 		}
 		return wire.EncodeOK(nil)
 	case *wire.Vacuum:
-		if resp := c.requireTree(); resp != nil {
-			return resp
-		}
 		// A wire target past int64 is indistinguishable from "already
 		// satisfied": clamp instead of erroring.
 		target := int64(math.MaxInt64)
@@ -277,13 +265,6 @@ func (c *conn) dispatch(req wire.Request) []byte {
 	}
 }
 
-func (c *conn) requireTree() []byte {
-	if c.tree == nil {
-		return wire.EncodeErr(wire.CodeBadRequest, "Open required before data operations")
-	}
-	return nil
-}
-
 func (c *conn) handleOpen() []byte {
 	if c.tree != nil {
 		return wire.EncodeOK(nil) // idempotent
@@ -297,9 +278,6 @@ func (c *conn) handleOpen() []byte {
 }
 
 func (c *conn) handleBatch(m *wire.BatchCommit) []byte {
-	if resp := c.requireTree(); resp != nil {
-		return resp
-	}
 	b := c.tree.NewBatch()
 	for _, op := range m.Ops {
 		var err error
@@ -320,9 +298,6 @@ func (c *conn) handleBatch(m *wire.BatchCommit) []byte {
 }
 
 func (c *conn) handleCursorOpen(m *wire.CursorOpen) []byte {
-	if resp := c.requireTree(); resp != nil {
-		return resp
-	}
 	if len(c.cursors) >= maxCursorsPerConn {
 		return wire.EncodeErr(wire.CodeCursorLimit,
 			fmt.Sprintf("at most %d cursors per connection", maxCursorsPerConn))
@@ -341,9 +316,6 @@ func (c *conn) handleCursorOpen(m *wire.CursorOpen) []byte {
 }
 
 func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
-	if resp := c.requireTree(); resp != nil {
-		return resp
-	}
 	sc, ok := c.cursors[m.Cursor]
 	if !ok {
 		return wire.EncodeErr(wire.CodeUnknownCursor,
@@ -391,9 +363,6 @@ func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
 }
 
 func (c *conn) handleStats() []byte {
-	if resp := c.requireTree(); resp != nil {
-		return resp
-	}
 	stats, err := c.tree.Stats()
 	if err != nil {
 		return encodeEngineErr(err)

@@ -80,6 +80,11 @@ func TestParseFlagsRejected(t *testing.T) {
 		{[]string{"-auto-vacuum", "1"}, "-auto-vacuum 1 must be in [0, 1)"},
 		{[]string{"-auto-vacuum", "-0.1"}, "-auto-vacuum -0.1 must be in [0, 1)"},
 		{[]string{"-durability", "eventual"}, `unknown -durability "eventual" (want full, grouped, or async)`},
+		{[]string{"-group-window", "-1ms"}, "-group-window -1ms must be >= 0"},
+		{[]string{"-group-window", "5ms", "-durability", "full"}, "-group-window 5ms applies only to -durability grouped"},
+		{[]string{"-group-window", "5ms", "-durability", "async"}, "-group-window 5ms applies only to -durability grouped"},
+		{[]string{"-max-conns", "-1"}, "-max-conns -1 must be >= 0"},
+		{[]string{"-drain-timeout", "-1s"}, "-drain-timeout -1s must be >= 0"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			_, err := parseFlags(tc.args)

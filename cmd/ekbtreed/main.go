@@ -79,6 +79,15 @@ func parseFlags(args []string) (options, error) {
 	if o.srv.autoVacuum < 0 || o.srv.autoVacuum >= 1 {
 		return options{}, fmt.Errorf("-auto-vacuum %v must be in [0, 1)", o.srv.autoVacuum)
 	}
+	if o.srv.maxConns < 0 {
+		return options{}, fmt.Errorf("-max-conns %d must be >= 0", o.srv.maxConns)
+	}
+	if o.srv.drainTimeout < 0 {
+		return options{}, fmt.Errorf("-drain-timeout %v must be >= 0", o.srv.drainTimeout)
+	}
+	if o.tree.groupWindow < 0 {
+		return options{}, fmt.Errorf("-group-window %v must be >= 0", o.tree.groupWindow)
+	}
 	switch *durability {
 	case "full":
 		o.tree.durability = ekbtree.DurabilityFull
@@ -88,6 +97,9 @@ func parseFlags(args []string) (options, error) {
 		o.tree.durability = ekbtree.DurabilityAsync
 	default:
 		return options{}, fmt.Errorf("unknown -durability %q (want full, grouped, or async)", *durability)
+	}
+	if o.tree.groupWindow != 0 && o.tree.durability != ekbtree.DurabilityGrouped {
+		return options{}, fmt.Errorf("-group-window %v applies only to -durability grouped", o.tree.groupWindow)
 	}
 	return o, nil
 }

@@ -73,13 +73,11 @@ func (t *tenant) openTree(dir string, cfg treeConfig) (*ekbtree.Tree, error) {
 	base := ekbtree.Options{
 		Path:          filepath.Join(dir, t.name+".ekbt"),
 		Durability:    cfg.durability,
+		GroupWindow:   cfg.groupWindow,
 		Shards:        cfg.shards,
 		MaxEpochAge:   cfg.maxEpochAge,
 		SealBudget:    cfg.sealBudget,
 		SealHardLimit: cfg.sealHardLimit,
-	}
-	if cfg.durability == ekbtree.DurabilityGrouped {
-		base.GroupWindow = cfg.groupWindow
 	}
 	tree, err := ekbtree.OpenWithMaterial(t.material, base)
 	if err != nil {

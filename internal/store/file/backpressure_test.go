@@ -38,6 +38,7 @@ func (g *gateSyncFile) arm() {
 
 func (g *gateSyncFile) ReadAt(p []byte, off int64) (int, error)  { return g.f.ReadAt(p, off) }
 func (g *gateSyncFile) WriteAt(p []byte, off int64) (int, error) { return g.f.WriteAt(p, off) }
+func (g *gateSyncFile) Truncate(size int64) error                { return g.f.Truncate(size) }
 func (g *gateSyncFile) Close() error                             { return g.f.Close() }
 
 func (g *gateSyncFile) Sync() error {

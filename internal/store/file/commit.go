@@ -4,14 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// rootUnchanged is the internal sentinel for "keep the applied root": the
-// rootless enqueues (SetMeta, SetSealMark, vacuum relocations) must not race
-// a concurrent root flip by reading the root before taking the lock.
+// rootUnchanged is the change.root that keeps the applied root: the rootless
+// changes (SetMeta, SetSealMark, vacuum relocations) must not race a
+// concurrent root flip by reading the root before taking the lock.
 const rootUnchanged = ^uint64(0)
 
 // fullHold bounds how long the committer lets a Full-mode group gather
@@ -19,141 +20,153 @@ const rootUnchanged = ^uint64(0)
 // flush's own fsync cost.
 const fullHold = 100 * time.Microsecond
 
+// parked is holdLocked's "not before the next kick".
+const parked = time.Duration(math.MaxInt64)
+
+// header is what a state records besides its pages: the root pointer, the
+// façade's sealed engine header and the cipher-lifecycle mark. The durable
+// state and every group carry one whole, a new group starting from the header
+// of the state it stacks on: the newest state's header is the applied one, and
+// a flush writes its group's as it stands. Headers may share the meta slice —
+// SetMeta installs a fresh copy and nothing writes through it.
+type header struct {
+	root uint64
+	meta []byte
+	mark store.SealMark
+}
+
+// gpage is a group's one record for a page: its latest applied content, or
+// (freed) a tombstone for a page deleted from the state below the group. A
+// write assigns the record whole, so real content always wins over a
+// relocation and a page freed earlier in the group is live again.
+type gpage struct {
+	buf   []byte
+	freed bool
+	// reloc marks a write enqueued by Vacuum: byte-identical to the page's
+	// durable extent, present only to move it downward. flushGroup places it
+	// with allocBelow and silently drops it if it cannot move strictly toward
+	// the front (the durable bytes are already correct).
+	reloc bool
+	// lift marks a reloc write that may land ANYWHERE — the frontier included —
+	// instead of being dropped when no hole below fits. Vacuum's lift phase
+	// uses them to evacuate the live extent sitting directly above a hole, so
+	// the freed extent coalesces with that hole and downward packing can
+	// resume; termination then comes from Vacuum's per-round frontier check
+	// rather than the strictly-decreasing-offsets invariant.
+	lift bool
+}
+
 // group is one coalesced write-set: every commit enqueued since the previous
 // group was taken for flushing. It is the unit of durability — the committer
 // turns a whole group into a single shadow-paged flush (one extent pass, one
 // directory blob, one slot flip, two fsyncs), and a crash yields a prefix of
 // flushed groups, never part of one.
 type group struct {
-	writes  map[uint64][]byte // latest applied content per page
-	frees   map[uint64]bool   // pages deleted from the state below this group
-	root    uint64
-	meta    []byte
-	setMeta bool
-	mark    store.SealMark
-	setMark bool
-	// reloc marks writes enqueued by Vacuum: byte-identical to the page's
-	// durable extent, present only to move it downward. flushGroup places
-	// them with allocBelow and silently drops any that cannot move strictly
-	// toward the front (the durable bytes are already correct). A normal
-	// write or free to the same id clears the mark — real content always
-	// wins over a relocation.
-	reloc map[uint64]bool
-	// lift marks reloc writes that may land ANYWHERE — the frontier included —
-	// instead of being dropped when no hole below fits. Vacuum's lift phase
-	// uses them to evacuate the live extent sitting directly above a hole, so
-	// the freed extent coalesces with that hole and downward packing can
-	// resume; termination then comes from Vacuum's per-round frontier check
-	// rather than the strictly-decreasing-offsets invariant.
-	lift map[uint64]bool
+	pages map[uint64]gpage // one record per page the group touched
+	header
 	// vacuum marks a group that carries (or carried) a vacuum step, even one
-	// whose writes were all cleared or that was empty to begin with: the flush
-	// then steers its directory blob toward the front too, which is the only
-	// way the directory itself ever migrates out of the tail.
+	// whose writes were all overwritten or that was empty to begin with: the
+	// flush then steers its directory blob toward the front too, which is the
+	// only way the directory itself ever migrates out of the tail.
 	vacuum bool
 	// relocated counts reloc writes the flush actually moved. Written by the
-	// committer before res.done closes, read by Vacuum after — the channel
+	// committer before done closes, read by Vacuum after — the channel
 	// publishes it — to decide whether another pass can still make progress.
 	relocated int
 	count     int       // commits coalesced into this group
 	bytes     int       // payload size, for backpressure
 	birth     time.Time // first enqueue, anchors the Grouped window
 	held      time.Time // when the committer first considered taking it (Full hold)
-	resolved  bool      // res already delivered (fail-stop path)
-	res       *flushResult
-}
-
-// flushResult carries one group's flush outcome to everyone waiting on it:
-// Full-mode committers, Sync callers, and Close. err is written before done
-// is closed and read only after, so the channel ordering publishes it.
-type flushResult struct {
+	resolved  bool      // outcome already delivered (fail-stop path)
+	// err and done carry the flush outcome to everyone waiting on the group:
+	// Full-mode committers, Sync callers, Vacuum and Close. err is written
+	// before done is closed and read only after, so the channel publishes it.
 	err  error
 	done chan struct{}
 }
 
-// enqueueLocked merges one commit into the pending group, creating it if this
-// is the first commit since the last take. The caller holds s.mu and has
-// already checked closed/failed and validated the request. The group keeps
-// the page buffers of writes themselves (CommitPages' ownership contract;
-// Vacuum hands over buffers it read for the purpose), never the map. reloc
-// marks the writes as vacuum relocations (see group.reloc).
-func (s *Store) enqueueLocked(writes map[uint64][]byte, root uint64, frees []uint64, meta []byte, setMeta bool, mark *store.SealMark, reloc, lift bool) *flushResult {
+// change is one mutation of the applied state, as CommitPages, SetMeta,
+// SetSealMark and Vacuum's relocate each spell it. A root of rootUnchanged, a
+// nil meta or a nil mark keeps the applied one. The group keeps the page
+// buffers of writes themselves (CommitPages' ownership contract; Vacuum hands
+// over buffers it read for the purpose), never the map.
+type change struct {
+	writes map[uint64][]byte
+	frees  []uint64
+	root   uint64
+	meta   *[]byte
+	mark   *store.SealMark
+	reloc  bool // the writes are vacuum relocations (see gpage)
+	lift   bool // ... that may land anywhere
+}
+
+// appliedLocked is the header readers observe: that of the newest state —
+// the pending group, else the flushing one (which fail-stop keeps in place),
+// else the durable state. Callers hold s.mu (either mode).
+func (s *Store) appliedLocked() header {
+	if s.pending != nil {
+		return s.pending.header
+	}
+	if s.flushing != nil {
+		return s.flushing.header
+	}
+	return s.header
+}
+
+// overlayLocked returns the newest unflushed record for id, if there is one.
+// It is the overlay's whole precedence rule: pending before flushing, the
+// durable directory below both. Callers hold s.mu (either mode).
+func (s *Store) overlayLocked(id uint64) (gpage, bool) {
+	for _, g := range [...]*group{s.pending, s.flushing} {
+		if g == nil {
+			continue
+		}
+		if p, ok := g.pages[id]; ok {
+			return p, true
+		}
+	}
+	return gpage{}, false
+}
+
+// enqueueLocked merges one change into the pending group, creating it if this
+// is the first since the last take. The caller holds s.mu and has already
+// checked closed/failed and validated the request.
+func (s *Store) enqueueLocked(c change) *group {
 	g := s.pending
 	if g == nil {
 		g = &group{
-			writes: make(map[uint64][]byte, len(writes)),
-			frees:  make(map[uint64]bool),
-			root:   s.aroot,
+			pages:  make(map[uint64]gpage, len(c.writes)),
+			header: s.appliedLocked(),
 			birth:  time.Now(),
-			res:    &flushResult{done: make(chan struct{})},
+			done:   make(chan struct{}),
 		}
 		s.pending = g
 	}
-	if reloc {
-		g.vacuum = true
+	g.vacuum = g.vacuum || c.reloc
+	for id, p := range c.writes {
+		g.bytes += len(p) - len(g.pages[id].buf)
+		g.pages[id] = gpage{buf: p, reloc: c.reloc, lift: c.lift}
 	}
-	for id, p := range writes {
-		if old, ok := g.writes[id]; ok {
-			g.bytes -= len(old)
-		}
-		g.writes[id] = p
-		g.bytes += len(p)
-		// A page freed earlier in the group and rewritten now is live again.
-		delete(g.frees, id)
-		if reloc {
-			if g.reloc == nil {
-				g.reloc = make(map[uint64]bool, len(writes))
-			}
-			g.reloc[id] = true
-			if lift {
-				if g.lift == nil {
-					g.lift = make(map[uint64]bool, len(writes))
-				}
-				g.lift[id] = true
-			} else {
-				delete(g.lift, id)
-			}
-		} else {
-			delete(g.reloc, id)
-			delete(g.lift, id)
-		}
-	}
-	for _, id := range frees {
-		if old, ok := g.writes[id]; ok {
-			delete(g.writes, id)
-			g.bytes -= len(old)
-		}
-		delete(g.reloc, id)
-		delete(g.lift, id)
+	for _, id := range c.frees {
+		g.bytes -= len(g.pages[id].buf)
+		delete(g.pages, id)
 		// Only pages that exist below this group need a tombstone; a page
 		// born and freed within the group simply vanishes.
 		if s.liveBelowPendingLocked(id) {
-			g.frees[id] = true
+			g.pages[id] = gpage{freed: true}
 		}
 	}
 	g.count++
-	if root != rootUnchanged {
-		g.root = root
-		s.aroot = root
+	if c.root != rootUnchanged {
+		g.root = c.root
 	}
-	if setMeta {
-		s.ameta = append([]byte(nil), meta...)
-		g.meta, g.setMeta = s.ameta, true
+	if c.meta != nil {
+		g.meta = append([]byte(nil), *c.meta...)
 	}
-	if mark != nil {
-		s.amark = *mark
-		g.mark, g.setMark = *mark, true
+	if c.mark != nil {
+		g.mark = *c.mark
 	}
-	if s.cfg.Durability == Async && g.bytes >= s.cfg.maxUnflushed() {
-		// Nothing else flushes an Async store, so an over-bound group starts
-		// a background flush; meanwhile waitCapacityLocked blocks further
-		// enqueues, so producers feel backpressure instead of growing the
-		// overlay. Grouped mode deliberately does NOT force here — its
-		// window keeps its coalescing promise and the blocked enqueues wait
-		// for the window flush.
-		s.force = true
-	}
-	return g.res
+	return g
 }
 
 // waitCapacityLocked blocks, releasing and re-acquiring s.mu, while the
@@ -167,30 +180,30 @@ func (s *Store) waitCapacityLocked() {
 		if s.closed || s.failed || g == nil || g.bytes < s.cfg.maxUnflushed() {
 			return
 		}
-		res := g.res
-		if s.cfg.Durability == Async {
-			s.force = true
-		}
 		s.mu.Unlock()
 		s.wake()
-		<-res.done
+		<-g.done
 		s.mu.Lock()
 	}
 }
 
 // liveBelowPendingLocked reports whether id maps to a page in the state the
-// pending group stacks on (the flushing group, else the durable directory).
+// pending group stacks on (the flushing group, else the durable directory);
+// the caller has dropped pending's own record for id, so the lookup skips it.
 func (s *Store) liveBelowPendingLocked(id uint64) bool {
-	if g := s.flushing; g != nil {
-		if g.frees[id] {
-			return false
-		}
-		if _, ok := g.writes[id]; ok {
-			return true
-		}
+	if p, ok := s.overlayLocked(id); ok {
+		return !p.freed
 	}
 	_, ok := s.pages[id]
 	return ok
+}
+
+// failLocked fail-stops the store on g's flush error: every later mutation is
+// refused with err behind ErrFailed, and g's waiters are not resolved twice.
+func (s *Store) failLocked(g *group, err error) {
+	s.failed = true
+	s.ferr = err
+	g.resolved = true
 }
 
 // failedErrLocked is the error surfaced by everything refused after a flush
@@ -223,29 +236,27 @@ func (s *Store) usableLocked() error {
 // commit is the single mutation entry point: wait for pending-group
 // capacity, validate, enqueue, wake the committer, and wait according to the
 // durability mode.
-func (s *Store) commit(writes map[uint64][]byte, root uint64, frees []uint64, meta []byte, setMeta bool, mark *store.SealMark) error {
+func (s *Store) commit(c change) error {
 	s.mu.Lock()
 	s.waitCapacityLocked()
 	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	res := s.enqueueLocked(writes, root, frees, meta, setMeta, mark, false, false)
-	return s.finish(res)
+	return s.finish(s.enqueueLocked(c))
 }
 
 // finish releases s.mu (which the caller holds), wakes the committer, and —
-// in Full mode — blocks until the caller's group is flushed, returning the
+// in Full mode — blocks until the caller's group g is flushed, returning the
 // group's shared result.
-func (s *Store) finish(res *flushResult) error {
-	wait := s.cfg.Durability == Full
+func (s *Store) finish(g *group) error {
 	s.mu.Unlock()
 	s.wake()
-	if !wait {
+	if s.cfg.Durability != Full { // cfg is fixed before the store is shared
 		return nil
 	}
-	<-res.done
-	return res.err
+	<-g.done
+	return g.err
 }
 
 // Sync blocks until every commit enqueued before the call is durable, in any
@@ -265,21 +276,21 @@ func (s *Store) Sync() error {
 // and blocks until both resolve, returning the first error. It is the shared
 // barrier body of Sync and Close.
 func (s *Store) flushOutstandingLocked() error {
-	var waits []*flushResult
+	var waits []*group
 	if s.flushing != nil {
-		waits = append(waits, s.flushing.res)
+		waits = append(waits, s.flushing)
 	}
 	if s.pending != nil {
-		waits = append(waits, s.pending.res)
+		waits = append(waits, s.pending)
 		s.force = true
 	}
 	s.mu.Unlock()
 	s.wake()
 	var first error
-	for _, r := range waits {
-		<-r.done
+	for _, g := range waits {
+		<-g.done
 		if first == nil {
-			first = r.err
+			first = g.err
 		}
 	}
 	return first
@@ -307,6 +318,45 @@ func (s *Store) committer() {
 	}
 }
 
+// holdLocked is the durability mode's one decision — when is the pending group
+// g taken for flushing: 0 means now, parked not before the next kick (every
+// enqueue, Sync and Close kicks), anything else wait that long or until the
+// next kick, whichever is first, and ask again. The caller holds s.mu.
+func (s *Store) holdLocked(g *group) time.Duration {
+	switch {
+	case s.force:
+		return 0
+	case s.cfg.Durability == Async:
+		// Only Sync, Close, or backpressure flush an Async store: an
+		// over-bound group is flushed in the background while
+		// waitCapacityLocked blocks further enqueues, so producers feel
+		// backpressure instead of growing the overlay.
+		if g.bytes >= s.cfg.maxUnflushed() {
+			return 0
+		}
+		return parked
+	case s.cfg.Durability == Grouped:
+		// Let the group ripen for the rest of its window so closely-spaced
+		// commits share one flush. Reaching the bound deliberately does NOT
+		// cut the window short — it keeps its coalescing promise, and the
+		// blocked enqueues wait for the window flush.
+		return max(0, time.Until(g.birth.Add(s.cfg.window())))
+	case s.lastGroup > 1 && g.count < s.lastGroup:
+		// Full, and the previous group carried concurrent committers whose
+		// waiters are re-arriving right now — taking the group this instant
+		// would flush a near-empty one and make them all wait a full extra
+		// flush. Hold very briefly (bounded by fullHold from the moment the
+		// group first became takeable) so the wave coalesces; every enqueue
+		// kicks, so the re-check is immediate and a full wave never waits the
+		// whole bound. A lone committer (lastGroup <= 1) never pays this.
+		if g.held.IsZero() {
+			g.held = time.Now()
+		}
+		return max(0, fullHold-time.Since(g.held))
+	}
+	return 0
+}
+
 // drain flushes (or, after a failure, resolves) groups until no pending work
 // remains or the mode says to keep accumulating.
 func (s *Store) drain() {
@@ -323,65 +373,29 @@ func (s *Store) drain() {
 			// flushing group's) stay in the read path, so Root/Meta/ReadPage
 			// keep serving the full applied state instead of a view with
 			// acknowledged pages torn out of it.
-			if g.resolved {
-				s.mu.Unlock()
-				return
+			if !g.resolved {
+				g.resolved = true
+				g.err = s.failedErrLocked()
+				close(g.done)
 			}
-			g.resolved = true
-			err := s.failedErrLocked()
 			s.mu.Unlock()
-			g.res.err = err
-			close(g.res.done)
-			continue
+			return
 		}
-		if !s.force && s.cfg.Durability != Full {
-			if s.cfg.Durability == Async {
-				// Only Sync, Close, or backpressure flush an Async store.
-				s.mu.Unlock()
+		if d := s.holdLocked(g); d > 0 {
+			s.mu.Unlock()
+			if d == parked {
 				return
 			}
-			// Grouped: let the group ripen for the rest of its window so
-			// closely-spaced commits share one flush.
-			d := time.Until(g.birth.Add(s.cfg.window()))
-			if d > 0 {
-				s.mu.Unlock()
-				t := time.NewTimer(d)
-				select {
-				case <-t.C:
-				case <-s.kick: // possibly a force: re-evaluate
-				case <-s.stop:
-					t.Stop()
-					return
-				}
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-s.kick: // an enqueue, or possibly a force: re-evaluate
+			case <-s.stop:
 				t.Stop()
-				continue
+				return
 			}
-		}
-		if !s.force && s.cfg.Durability == Full && s.lastGroup > 1 && g.count < s.lastGroup {
-			// The previous group carried concurrent committers, and its
-			// waiters are re-arriving right now — taking the group this
-			// instant would flush a near-empty one and make them all wait a
-			// full extra flush. Hold very briefly (bounded by fullHold from
-			// the moment the group first became takeable) so the wave
-			// coalesces; every enqueue kicks, so the re-check is immediate
-			// and a full wave never waits the whole bound. A lone committer
-			// (lastGroup <= 1) never pays this.
-			if g.held.IsZero() {
-				g.held = time.Now()
-			}
-			if d := fullHold - time.Since(g.held); d > 0 {
-				s.mu.Unlock()
-				t := time.NewTimer(d)
-				select {
-				case <-s.kick:
-				case <-t.C:
-				case <-s.stop:
-					t.Stop()
-					return
-				}
-				t.Stop()
-				continue
-			}
+			t.Stop()
+			continue
 		}
 		// Take the group: new commits start a fresh pending group while this
 		// one flushes, and coalesce with each other in the meantime.
@@ -394,25 +408,22 @@ func (s *Store) drain() {
 
 		ns, err := s.flushGroup(g, nextID)
 
-		shrunk := false
 		s.mu.Lock()
+		shrunk := err == nil && ns.fileEnd < s.fileEnd
 		if err != nil {
 			// Fail stop: the group's commits were already visible (and, off
 			// Full mode, acknowledged); rolling the applied state back would
 			// un-happen reads. The failed group therefore STAYS in s.flushing
-			// so the read path keeps serving the applied state — consistent
-			// with aroot/ameta — until the store is reopened, which recovers
-			// the last durable flush.
-			s.failed = true
-			s.ferr = err
-			g.resolved = true
+			// so the read path keeps serving the applied state, pages and
+			// header alike, until the store is reopened, which recovers the
+			// last durable flush.
+			s.failLocked(g, err)
 		} else {
-			shrunk = ns.fileEnd < s.fileEnd
 			s.durableState = ns
 			s.flushing = nil
 		}
 		s.mu.Unlock()
-		if err == nil && shrunk {
+		if shrunk {
 			// Physically release the tail the frontier retreated over. This
 			// runs strictly after the install above: any reader still inside
 			// ReadPage when the install took the lock had already finished,
@@ -424,19 +435,15 @@ func (s *Store) drain() {
 			// truncate (the durable state ignores bytes past fileEnd), but a
 			// truncate error means a sick device, so it fail-stops the store
 			// like any flush error.
-			if err = s.truncateTo(ns.fileEnd); err != nil {
+			if terr := s.f.Truncate(ns.fileEnd); terr != nil {
+				err = fmt.Errorf("file: truncate to %d (%w): %v", ns.fileEnd, ErrFailed, terr)
 				s.mu.Lock()
-				s.failed = true
-				s.ferr = err
-				g.resolved = true
+				s.failLocked(g, err)
 				s.mu.Unlock()
 			}
 		}
-		g.res.err = err
-		close(g.res.done)
-		if err != nil {
-			continue // release pending waiters via the failed branch above
-		}
+		g.err = err
+		close(g.done) // after a failure, the next turn resolves pending's waiters
 	}
 }
 
@@ -449,22 +456,25 @@ func (s *Store) drain() {
 // recycles them until the flip that made them garbage is durable.
 func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	var ns durableState
-	newPages := make(map[uint64]extent, len(s.pages)+len(g.writes))
+	newPages := make(map[uint64]extent, len(s.pages)+len(g.pages))
 	for id, e := range s.pages {
 		newPages[id] = e
 	}
 	avail := newFreeIndex(s.free)
 	newEnd, pageBytes := s.fileEnd, s.pageBytes
 	var pending []extent // extents that become free once this flush is durable
-	for id := range g.frees {
-		if e, ok := newPages[id]; ok {
-			pending = append(pending, e)
-			pageBytes -= int64(e.len)
-			delete(newPages, id)
-		}
-	}
-	for id, page := range g.writes {
-		if g.reloc[id] {
+	for id, p := range g.pages {
+		cur, durable := newPages[id]
+		var ext extent
+		switch {
+		case p.freed:
+			if durable {
+				pending = append(pending, cur)
+				pageBytes -= int64(cur.len)
+				delete(newPages, id)
+			}
+			continue
+		case p.reloc:
 			// Vacuum relocation: byte-identical to the durable extent, so it
 			// only earns a write if it can land strictly below its current
 			// offset. Otherwise drop it — the durable bytes already stand,
@@ -475,44 +485,29 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 			// extent above a hole, so when nothing below fits they land via
 			// normal allocation — the frontier if need be — and Vacuum's
 			// per-round frontier check bounds them instead.
-			cur, ok := newPages[id]
-			if !ok {
+			if !durable {
 				continue
 			}
-			ext, fits := avail.allocBelow(uint32(len(page)), cur.off)
-			if !fits {
-				if !g.lift[id] {
+			var fits bool
+			if ext, fits = avail.allocBelow(uint32(len(p.buf)), cur.off); !fits {
+				if !p.lift {
 					continue
 				}
-				ext = avail.allocExtent(&newEnd, uint32(len(page)))
+				ext = avail.allocExtent(&newEnd, uint32(len(p.buf)))
 			}
-			if _, err := s.f.WriteAt(page, ext.off); err != nil {
-				return ns, fmt.Errorf("file: write page %d: %w", id, err)
-			}
-			pending = append(pending, cur)
-			pageBytes += int64(ext.len) - int64(cur.len)
-			newPages[id] = ext
 			g.relocated++
-			continue
+		default:
+			ext = avail.allocExtent(&newEnd, uint32(len(p.buf)))
 		}
-		if e, ok := newPages[id]; ok {
-			pending = append(pending, e)
-			pageBytes -= int64(e.len)
-		}
-		ext := avail.allocExtent(&newEnd, uint32(len(page)))
-		if _, err := s.f.WriteAt(page, ext.off); err != nil {
+		if _, err := s.f.WriteAt(p.buf, ext.off); err != nil {
 			return ns, fmt.Errorf("file: write page %d: %w", id, err)
+		}
+		if durable {
+			pending = append(pending, cur)
+			pageBytes -= int64(cur.len)
 		}
 		pageBytes += int64(ext.len)
 		newPages[id] = ext
-	}
-	newMeta := s.meta
-	if g.setMeta {
-		newMeta = g.meta
-	}
-	newMark := s.mark
-	if g.setMark {
-		newMark = g.mark
 	}
 	// Size the new directory before allocating its extent: the allocation can
 	// only shrink the free list (remove an entry, or split one — count
@@ -522,7 +517,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	if s.dirExt.len > 0 {
 		ubFree++
 	}
-	dirLen := uint32(dirSize(len(newPages), ubFree, len(newMeta)))
+	dirLen := uint32(dirSize(len(newPages), ubFree, len(g.meta)))
 	var dirExt extent
 	if g.vacuum {
 		// A vacuum flush also steers its directory blob toward the front —
@@ -554,7 +549,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		newFree = newFree[:len(newFree)-1]
 	}
 	dir := make([]byte, dirExt.len)
-	serializeDir(dir, newPages, newFree, newMeta, newMark)
+	serializeDir(dir, newPages, newFree, g.meta, g.mark)
 	if _, err := s.f.WriteAt(dir, dirExt.off); err != nil {
 		return ns, fmt.Errorf("file: write directory: %w", err)
 	}
@@ -583,7 +578,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		return ns, fmt.Errorf("file: sync meta slot (%w): %v", ErrFailed, err)
 	}
 	ns = durableState{
-		pages: newPages, free: newFree, meta: newMeta, mark: newMark, root: g.root,
+		pages: newPages, free: newFree, header: g.header,
 		txid: s.txid + 1, cur: 1 - s.cur, dirExt: dirExt, fileEnd: newEnd, pageBytes: pageBytes,
 	}
 	return ns, nil

@@ -31,7 +31,9 @@
 // directory) enter the free list recorded in the NEW directory, so they
 // become allocatable only after the flip that made them garbage is durable.
 // Until a group's flush is installed, reads are served from the in-memory
-// overlay, so callers always observe their own committed writes.
+// overlay, so callers always observe their own committed writes. The overlay
+// is one record per page per unflushed group — the accumulating group, then
+// the one being flushed, newest wins — over the durable directory.
 //
 // Open reads both slots, keeps the valid one with the highest transaction
 // ID whose directory passes its CRC, and needs no replay: a crash at any
@@ -211,6 +213,7 @@ const (
 type File interface {
 	io.ReaderAt
 	io.WriterAt
+	Truncate(size int64) error // releases the tail once the append frontier retreats
 	Sync() error
 	Close() error
 }
@@ -236,11 +239,9 @@ type slotData struct {
 // flush computes the next one whole and the committer installs it with one
 // assignment once the slot flip is durable.
 type durableState struct {
-	pages   map[uint64]extent // logical page ID -> durable extent
-	free    []extent          // durably free extents, allocatable by the next flush
-	meta    []byte
-	mark    store.SealMark
-	root    uint64
+	pages map[uint64]extent // logical page ID -> durable extent
+	free  []extent          // durably free extents, allocatable by the next flush
+	header
 	txid    uint64
 	cur     int    // index (0/1) of the slot holding the durable state
 	dirExt  extent // extent of the durable directory blob
@@ -265,15 +266,12 @@ type Store struct {
 	durableState
 
 	// Applied state: what readers observe. Runs ahead of the durable state
-	// by the pending and flushing overlays.
+	// by the pending and flushing overlays (see overlayLocked, appliedLocked).
 	nextID   uint64
-	aroot    uint64
-	ameta    []byte
-	amark    store.SealMark
 	pending  *group // accumulating write-set, flushed next
 	flushing *group // write-set currently being flushed, nil when idle
 
-	force     bool // flush pending now, regardless of mode or window
+	force     bool // flush pending now, regardless of mode or window (Sync, Close, Vacuum)
 	lastGroup int  // commit count of the last flushed group, for the Full-mode hold
 	failed    bool
 	ferr      error // first flush error, behind ErrFailed
@@ -397,7 +395,7 @@ func OpenWithConfig(f File, cfg Config) (*Store, error) {
 func initialize(f File, cfg Config) (*Store, error) {
 	s := &Store{
 		f:            f,
-		durableState: durableState{pages: make(map[uint64]extent), root: store.NoRoot, txid: 1},
+		durableState: durableState{pages: make(map[uint64]extent), header: header{root: store.NoRoot}, txid: 1},
 		nextID:       store.NoRoot + 1,
 	}
 	dir := make([]byte, dirSize(0, 0, 0))
@@ -447,8 +445,8 @@ func loadState(f File, sd slotData, idx int) (*Store, error) {
 	s := &Store{
 		f: f,
 		durableState: durableState{
-			pages: pages, free: free, meta: meta, mark: mark,
-			root: sd.root, txid: sd.txid, cur: idx, dirExt: sd.dir,
+			pages: pages, free: free, header: header{root: sd.root, meta: meta, mark: mark},
+			txid: sd.txid, cur: idx, dirExt: sd.dir,
 		},
 		nextID: sd.nextID,
 	}
@@ -470,13 +468,10 @@ func loadState(f File, sd slotData, idx int) (*Store, error) {
 	return s, nil
 }
 
-// start seeds the applied state from the durable state and launches the
-// committer goroutine. Called exactly once, before the store is shared.
+// start launches the committer goroutine. Called exactly once, before the
+// store is shared.
 func (s *Store) start(cfg Config) {
 	s.cfg = cfg
-	s.aroot = s.root
-	s.ameta = s.meta
-	s.amark = s.mark
 	s.kick = make(chan struct{}, 1)
 	s.stop = make(chan struct{})
 	s.done = make(chan struct{})
@@ -782,16 +777,11 @@ func (s *Store) ReadPage(id uint64) ([]byte, error) {
 	if s.closed {
 		return nil, store.ErrClosed
 	}
-	for _, g := range [...]*group{s.pending, s.flushing} {
-		if g == nil {
-			continue
-		}
-		if g.frees[id] {
+	if p, ok := s.overlayLocked(id); ok {
+		if p.freed {
 			return nil, fmt.Errorf("%w: page %d", store.ErrNotFound, id)
 		}
-		if p, ok := g.writes[id]; ok {
-			return append([]byte(nil), p...), nil
-		}
+		return append([]byte(nil), p.buf...), nil
 	}
 	e, ok := s.pages[id]
 	if !ok {
@@ -823,7 +813,7 @@ func (s *Store) Root() (uint64, error) {
 	if s.closed {
 		return store.NoRoot, store.ErrClosed
 	}
-	return s.aroot, nil
+	return s.appliedLocked().root, nil
 }
 
 func (s *Store) Meta() ([]byte, error) {
@@ -832,11 +822,11 @@ func (s *Store) Meta() ([]byte, error) {
 	if s.closed {
 		return nil, store.ErrClosed
 	}
-	return append([]byte(nil), s.ameta...), nil
+	return append([]byte(nil), s.appliedLocked().meta...), nil
 }
 
 func (s *Store) SetMeta(meta []byte) error {
-	return s.commit(nil, rootUnchanged, nil, meta, true, nil)
+	return s.commit(change{root: rootUnchanged, meta: &meta})
 }
 
 // SealMark returns the applied cipher-lifecycle mark: a SetSealMark is
@@ -847,15 +837,15 @@ func (s *Store) SealMark() (store.SealMark, error) {
 	if s.closed {
 		return store.SealMark{}, store.ErrClosed
 	}
-	return s.amark, nil
+	return s.appliedLocked().mark, nil
 }
 
 func (s *Store) SetSealMark(mark store.SealMark) error {
-	return s.commit(nil, rootUnchanged, nil, nil, false, &mark)
+	return s.commit(change{root: rootUnchanged, mark: &mark})
 }
 
 func (s *Store) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error {
-	return s.commit(writes, root, frees, nil, false, nil)
+	return s.commit(change{writes: writes, root: root, frees: frees})
 }
 
 // Close flushes every outstanding group (so a clean shutdown is durable in
@@ -879,37 +869,6 @@ func (s *Store) Close() error {
 		return ferr
 	}
 	return cerr
-}
-
-// Len returns the number of live logical pages in the applied state, for
-// tests and diagnostics.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.pages)
-	seen := make(map[uint64]bool)
-	for _, g := range [...]*group{s.pending, s.flushing} {
-		if g == nil {
-			continue
-		}
-		for id := range g.writes {
-			if !seen[id] {
-				seen[id] = true
-				if _, durable := s.pages[id]; !durable {
-					n++
-				}
-			}
-		}
-		for id := range g.frees {
-			if !seen[id] {
-				seen[id] = true
-				if _, durable := s.pages[id]; durable {
-					n--
-				}
-			}
-		}
-	}
-	return n
 }
 
 // Txid returns the durable transaction ID — it advances once per flushed

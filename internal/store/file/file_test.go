@@ -301,6 +301,10 @@ func (ff *faultFile) Sync() error {
 
 func (ff *faultFile) Close() error { return ff.f.Close() }
 
+// Truncate passes through uncounted, so no sweep's op numbering depends on
+// whether a flush happened to retreat the frontier; truncFaultFile counts it.
+func (ff *faultFile) Truncate(size int64) error { return ff.f.Truncate(size) }
+
 // logicalState is a full logical snapshot of a store: every live page's
 // bytes, the root pointer, and the meta blob.
 type logicalState struct {

@@ -88,8 +88,8 @@ func TestConcurrentCommitters(t *testing.T) {
 				}
 			}
 			check(s, "before close")
-			if s.Len() != writers*per {
-				t.Fatalf("Len = %d, want %d", s.Len(), writers*per)
+			if n := len(snapshotState(t, s).pages); n != writers*per {
+				t.Fatalf("live pages = %d, want %d", n, writers*per)
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)

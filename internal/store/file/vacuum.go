@@ -16,24 +16,6 @@ const vacuumBatchBytes = 1 << 20
 // a retry or two only happens under saturating write load.
 const vacuumRetries = 16
 
-// truncater is the optional backing-file extension the store uses to
-// physically release the tail once the append frontier retreats. *os.File
-// implements it; fault-injection test wrappers opt in so crash sweeps cover
-// the truncate too. Files without it still shrink logically — the bytes past
-// fileEnd are simply dead.
-type truncater interface{ Truncate(size int64) error }
-
-func (s *Store) truncateTo(end int64) error {
-	t, ok := s.f.(truncater)
-	if !ok {
-		return nil
-	}
-	if err := t.Truncate(end); err != nil {
-		return fmt.Errorf("file: truncate to %d (%w): %v", end, ErrFailed, err)
-	}
-	return nil
-}
-
 // Vacuum relocates live page extents downward into free space and truncates
 // the file, until the durable file end is at or below target bytes or no
 // round can improve it further (target 0 compacts as far as the layout
@@ -348,28 +330,17 @@ func (s *Store) relocate(batch []vacuumCand, selTxid uint64, lift, evenEmpty boo
 		s.mu.Unlock()
 		return nil, false, nil
 	}
-	res := s.enqueueLocked(writes, rootUnchanged, nil, nil, false, nil, true, lift)
-	g = s.pending
+	g = s.enqueueLocked(change{writes: writes, root: rootUnchanged, reloc: true, lift: lift})
 	s.force = true // a relocation batch flushes now in every mode
 	s.mu.Unlock()
 	s.wake()
-	<-res.done
-	return g, false, res.err
+	<-g.done
+	return g, false, g.err
 }
 
 // vacuumQuietLocked reports whether id has no in-flight overlay state.
 // Callers hold s.mu (either mode).
 func (s *Store) vacuumQuietLocked(id uint64) bool {
-	for _, g := range [...]*group{s.pending, s.flushing} {
-		if g == nil {
-			continue
-		}
-		if g.frees[id] {
-			return false
-		}
-		if _, ok := g.writes[id]; ok {
-			return false
-		}
-	}
-	return true
+	_, ok := s.overlayLocked(id)
+	return !ok
 }

@@ -1,8 +1,9 @@
 // Package store provides the page-store abstraction at the bottom of the
 // engine. A PageStore holds opaque, already-enciphered pages keyed by page ID
 // plus a single root pointer; it never sees node structure, substituted keys,
-// or plaintext. The in-memory implementation here is the first backend; a
-// file-backed store slots in behind the same interface.
+// or plaintext. Two backends implement it: Mem, here, and the crash-safe
+// shadow-paged page file in internal/store/file, which also implements the
+// optional Spacer and Vacuumer below.
 package store
 
 import (

@@ -68,6 +68,9 @@ func (ff *rotFaultFile) Sync() error {
 
 func (ff *rotFaultFile) Close() error { return ff.f.Close() }
 
+// Truncate is not a counted fault point.
+func (ff *rotFaultFile) Truncate(size int64) error { return ff.f.Truncate(size) }
+
 func (ff *rotFaultFile) fired() bool {
 	ff.mu.Lock()
 	defer ff.mu.Unlock()
