@@ -2,10 +2,12 @@ package main
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -23,7 +25,9 @@ const (
 	// maxEntriesPerNext bounds one CursorNext response's entry count.
 	maxEntriesPerNext = 4096
 	// nextByteBudget stops filling a CursorNext response once it holds this
-	// many payload bytes, keeping responses well under the frame limit.
+	// many payload bytes. It is a soft budget, tested before an entry is
+	// added, that keeps the usual response well under the frame limit; the
+	// limit itself is tested against each entry (see handleCursorNext).
 	nextByteBudget = 1 << 20
 	// handshakeTimeout bounds how long an unauthenticated connection may sit
 	// on the handshake.
@@ -32,10 +36,12 @@ const (
 
 // serverCursor tracks one wire cursor: the engine cursor plus whether it has
 // been positioned (the engine's First/Next pull model, flattened into the
-// wire's single CursorNext stream).
+// wire's single CursorNext stream), and whether the entry it stands on is
+// still owed to the client: the one the last response had no room for.
 type serverCursor struct {
 	cur     *ekbtree.Cursor
 	started bool
+	held    bool
 }
 
 // conn serves one client connection: handshake first, then a synchronous
@@ -191,8 +197,14 @@ func (c *conn) handshake() bool {
 	return true
 }
 
-// writeResp frames, writes, and flushes one response, reporting success.
+// writeResp frames, writes, and flushes one response, reporting success. A
+// payload no frame can carry is a handler's bug, not a dead socket: the peer
+// is told so and keeps its connection.
 func (c *conn) writeResp(payload []byte) bool {
+	if len(payload) > wire.MaxFrame {
+		payload = wire.EncodeErr(wire.CodeInternal,
+			fmt.Sprintf("response of %d bytes exceeds the %d-byte frame limit", len(payload), wire.MaxFrame))
+	}
 	if err := wire.WriteFrame(c.bw, payload); err != nil {
 		return false
 	}
@@ -330,22 +342,40 @@ func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
 	// are gathered, encoded, and only then (on exhaustion) the cursor closed.
 	var entries []wire.Entry
 	done := false
-	bytesUsed := 0
-	for uint64(len(entries)) < max && bytesUsed < nextByteBudget {
-		var advanced bool
-		if !sc.started {
-			advanced = sc.cur.First()
+	// size is the whole payload — status byte, entry count, entries, done
+	// flag — so it is what the frame limit applies to.
+	const fixed = 1 + binary.MaxVarintLen64 + 1
+	size := fixed
+	for uint64(len(entries)) < max && size-fixed < nextByteBudget {
+		switch {
+		case sc.held:
+			sc.held = false
+		case !sc.started:
 			sc.started = true
-		} else {
-			advanced = sc.cur.Next()
+			done = !sc.cur.First()
+		default:
+			done = !sc.cur.Next()
 		}
-		if !advanced {
-			done = true
+		if done {
 			break
 		}
 		k, v := sc.cur.Key(), sc.cur.Value()
+		n := uvarintLen(len(k)) + len(k) + uvarintLen(len(v)) + len(v)
+		if size+n > wire.MaxFrame {
+			if len(entries) > 0 {
+				sc.held = true // the next call starts with it
+				break
+			}
+			// Alone in a response it still would not fit (it was stored
+			// under a request key shorter than its substituted one): no
+			// CursorNext can ever get past it.
+			sc.cur.Close()
+			delete(c.cursors, m.Cursor)
+			return wire.EncodeErr(wire.CodeTooLarge,
+				fmt.Sprintf("an entry of %d key and %d value bytes exceeds the %d-byte frame limit; cursor closed", len(k), len(v), wire.MaxFrame))
+		}
 		entries = append(entries, wire.Entry{SubKey: k, Value: v})
-		bytesUsed += len(k) + len(v) + 16
+		size += n
 	}
 	if done {
 		if err := sc.cur.Err(); err != nil {
@@ -361,6 +391,9 @@ func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
 	}
 	return resp
 }
+
+// uvarintLen is the length of n's uvarint encoding, the wire's length prefix.
+func uvarintLen(n int) int { return (bits.Len(uint(n)|1) + 6) / 7 }
 
 func (c *conn) handleStats() []byte {
 	stats, err := c.tree.Stats()

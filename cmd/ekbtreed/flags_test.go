@@ -76,9 +76,11 @@ func TestParseFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-shards", "0"}, "-shards 0 must be >= 1"},
 		{[]string{"-shards", "-2"}, "-shards -2 must be >= 1"},
+		{[]string{"-shards", "300"}, "-shards 300 must be <= 256"},
 		{[]string{"-max-epoch-age", "-1"}, "-max-epoch-age -1 must be >= 0"},
 		{[]string{"-auto-vacuum", "1"}, "-auto-vacuum 1 must be in [0, 1)"},
 		{[]string{"-auto-vacuum", "-0.1"}, "-auto-vacuum -0.1 must be in [0, 1)"},
+		{[]string{"-auto-vacuum-interval", "-1s"}, "-auto-vacuum-interval -1s must be >= 0"},
 		{[]string{"-durability", "eventual"}, `unknown -durability "eventual" (want full, grouped, or async)`},
 		{[]string{"-group-window", "-1ms"}, "-group-window -1ms must be >= 0"},
 		{[]string{"-group-window", "5ms", "-durability", "full"}, "-group-window 5ms applies only to -durability grouped"},

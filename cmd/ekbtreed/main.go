@@ -61,7 +61,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.srv.maxConns, "max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
 	fs.DurationVar(&o.srv.drainTimeout, "drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
 	fs.Float64Var(&o.srv.autoVacuum, "auto-vacuum", 0, "compact a tenant's files online when dead bytes exceed this fraction of their size, e.g. 0.5 (0 = disabled)")
-	fs.DurationVar(&o.srv.vacuumInterval, "auto-vacuum-interval", time.Minute, "how often the auto-vacuum sweep re-checks tenants")
+	fs.DurationVar(&o.srv.vacuumInterval, "auto-vacuum-interval", time.Minute, "how often the auto-vacuum sweep re-checks tenants (0 = one minute)")
 	fs.StringVar(&o.provision, "provision", "", "provision tenant NAME into -tenants and exit")
 	fs.StringVar(&o.masterHex, "master-hex", "", "tenant master key (hex) for -provision")
 	if err := fs.Parse(args); err != nil {
@@ -73,11 +73,17 @@ func parseFlags(args []string) (options, error) {
 	if o.tree.shards < 1 {
 		return options{}, fmt.Errorf("-shards %d must be >= 1", o.tree.shards)
 	}
+	if o.tree.shards > ekbtree.MaxShards {
+		return options{}, fmt.Errorf("-shards %d must be <= %d", o.tree.shards, ekbtree.MaxShards)
+	}
 	if o.tree.maxEpochAge < 0 {
 		return options{}, fmt.Errorf("-max-epoch-age %d must be >= 0", o.tree.maxEpochAge)
 	}
 	if o.srv.autoVacuum < 0 || o.srv.autoVacuum >= 1 {
 		return options{}, fmt.Errorf("-auto-vacuum %v must be in [0, 1)", o.srv.autoVacuum)
+	}
+	if o.srv.vacuumInterval < 0 {
+		return options{}, fmt.Errorf("-auto-vacuum-interval %v must be >= 0", o.srv.vacuumInterval)
 	}
 	if o.srv.maxConns < 0 {
 		return options{}, fmt.Errorf("-max-conns %d must be >= 0", o.srv.maxConns)

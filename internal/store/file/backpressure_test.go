@@ -13,7 +13,7 @@ import (
 // channel — holding a flush open so tests can observe what blocks (and what
 // must not) while one is in flight.
 type gateSyncFile struct {
-	f       *os.File
+	*os.File
 	mu      sync.Mutex
 	armed   bool
 	once    sync.Once
@@ -27,7 +27,7 @@ func newGateSyncFile(t *testing.T, path string) *gateSyncFile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &gateSyncFile{f: f, entered: make(chan struct{}), gate: make(chan struct{})}
+	return &gateSyncFile{File: f, entered: make(chan struct{}), gate: make(chan struct{})}
 }
 
 func (g *gateSyncFile) arm() {
@@ -35,11 +35,6 @@ func (g *gateSyncFile) arm() {
 	g.armed = true
 	g.mu.Unlock()
 }
-
-func (g *gateSyncFile) ReadAt(p []byte, off int64) (int, error)  { return g.f.ReadAt(p, off) }
-func (g *gateSyncFile) WriteAt(p []byte, off int64) (int, error) { return g.f.WriteAt(p, off) }
-func (g *gateSyncFile) Truncate(size int64) error                { return g.f.Truncate(size) }
-func (g *gateSyncFile) Close() error                             { return g.f.Close() }
 
 func (g *gateSyncFile) Sync() error {
 	g.mu.Lock()
@@ -49,7 +44,7 @@ func (g *gateSyncFile) Sync() error {
 		g.once.Do(func() { close(g.entered) })
 		<-g.gate
 	}
-	return g.f.Sync()
+	return g.File.Sync()
 }
 
 // TestMaxUnflushedValidation pins the config surface: negative bounds are

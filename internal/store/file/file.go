@@ -208,8 +208,11 @@ const (
 )
 
 // File is the random-access backing-file contract the store needs; *os.File
-// satisfies it. Tests substitute fault-injecting wrappers to prove commit
-// atomicity at every write boundary.
+// satisfies it. Tests substitute internal/faulttest's File — the repository's
+// one crash model: process death with a torn write, power loss, a transient
+// device error — to prove commit atomicity at every write, sync and truncate.
+// That type satisfies File structurally, since this package's own tests
+// import it and it therefore cannot import this package.
 type File interface {
 	io.ReaderAt
 	io.WriterAt

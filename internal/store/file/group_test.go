@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repro/ekbtree/internal/faulttest"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -304,10 +305,11 @@ func TestFreeVisibleThroughOverlay(t *testing.T) {
 
 // TestDurabilityModesFaultSweeps is the crash-atomicity proof for the
 // pipeline across all three durability modes: for every failure point (each
-// WriteAt and Sync, with and without torn trailing writes) during a workload
-// of commits punctuated by Sync barriers, reopening the file must yield
-// exactly the state some prefix of the flushed groups produced — never a torn
-// one — and never roll back past a barrier that reported success.
+// WriteAt and Sync, with and without torn trailing writes, as process death
+// and as power loss) during a workload of commits punctuated by Sync
+// barriers, reopening the file must yield exactly the state some prefix of
+// the flushed groups produced — never a torn one — and never roll back past a
+// barrier that reported success.
 func TestDurabilityModesFaultSweeps(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -370,7 +372,7 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 			// states. In Full mode every commit is its own group; in
 			// Grouped/Async (huge window) the groups are the sync units.
 			ref := filepath.Join(dir, "ref.ekb")
-			copyFile(t, base, ref)
+			faulttest.Copy(t, base, ref)
 			rs, err := OpenConfig(ref, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -406,7 +408,7 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 				// Grouped/Async reference checkpoints are the sync barriers;
 				// re-derive the mid state by replaying unit 1 alone.
 				mid := filepath.Join(dir, "mid.ekb")
-				copyFile(t, base, mid)
+				faulttest.Copy(t, base, mid)
 				ms, err := OpenConfig(mid, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -438,45 +440,38 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 				syncFloor = [2]int{2, 4}
 			}
 
-			for _, torn := range []int{0, 3} {
-				for n := 0; ; n++ {
-					work := filepath.Join(dir, fmt.Sprintf("work-%d-%d.ekb", torn, n))
-					copyFile(t, base, work)
-					rf, err := os.OpenFile(work, os.O_RDWR, 0)
+			var syncsOK [2]bool
+			faulttest.Sweep(t, base, faulttest.Plan{Torn: []int{0, 3, halfSlot}, Lose: powerLoss},
+				func(f *faulttest.File) error {
+					fs, err := OpenWithConfig(f, cfg)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: open: %v", f, err)
 					}
-					ff := &faultFile{f: rf, remaining: n, torn: torn, syncsAreOp: true}
-					fs, err := OpenWithConfig(ff, cfg)
-					if err != nil {
-						t.Fatalf("torn=%d n=%d: open: %v", torn, n, err)
-					}
-					syncsOK := workload(fs, allocFresh(fs))
-					fs.Close()
-
+					syncsOK = workload(fs, allocFresh(fs))
+					return fs.Close()
+				},
+				func(tag, work string, fired bool, _ error) {
 					re, err := Open(work)
 					if err != nil {
-						t.Fatalf("torn=%d n=%d: reopen after fault: %v", torn, n, err)
+						t.Fatalf("%s: reopen after fault: %v", tag, err)
 					}
 					got := snapshotState(t, re)
 					re.Close()
-					os.Remove(work)
 
 					idx := stateIndex(got)
 					if idx < 0 {
-						t.Fatalf("torn=%d n=%d: recovered state matches no checkpoint (torn flush?): %+v", torn, n, got)
+						t.Fatalf("%s: recovered state matches no checkpoint (torn flush?): %+v", tag, got)
 					}
 					for b, ok := range syncsOK {
 						if ok && idx < syncFloor[b] {
-							t.Fatalf("torn=%d n=%d: sync %d reported success but recovered state rolled back to checkpoint %d (< %d)",
-								torn, n, b, idx, syncFloor[b])
+							t.Fatalf("%s: sync %d reported success but recovered state rolled back to checkpoint %d (< %d)",
+								tag, b, idx, syncFloor[b])
 						}
 					}
-					if syncsOK[1] {
-						break // no fault fired: the sweep is exhausted
+					if fired == syncsOK[1] {
+						t.Fatalf("%s: fault reached = %v, but the last barrier reported %v", tag, fired, syncsOK[1])
 					}
-				}
-			}
+				})
 		})
 	}
 }
@@ -498,11 +493,10 @@ func TestFailedFlushKeepsAppliedStateReadable(t *testing.T) {
 	}
 	s.Close()
 
-	rf, err := os.OpenFile(path, os.O_RDWR, 0)
+	ff, err := faulttest.Open(path, 0, faulttest.Plan{}) // first op dies
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := &faultFile{f: rf, remaining: 0, syncsAreOp: true} // first op dies
 	fs, err := OpenWithConfig(ff, Config{Durability: Async})
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +505,7 @@ func TestFailedFlushKeepsAppliedStateReadable(t *testing.T) {
 	if err := fs.CommitPages(map[uint64][]byte{id1: []byte("acked")}, id1, nil); err != nil {
 		t.Fatal(err) // async: acknowledged before the flush
 	}
-	if err := fs.Sync(); !errors.Is(err, errInjected) && !errors.Is(err, ErrFailed) {
+	if err := fs.Sync(); !errors.Is(err, faulttest.ErrInjected) && !errors.Is(err, ErrFailed) {
 		t.Fatalf("Sync over dead file = %v, want the flush failure", err)
 	}
 	// The applied state survives the failure, self-consistent.
@@ -530,7 +524,7 @@ func TestFailedFlushKeepsAppliedStateReadable(t *testing.T) {
 	if !errors.Is(err, ErrFailed) {
 		t.Fatalf("commit after failure = %v, want ErrFailed", err)
 	}
-	if !strings.Contains(err.Error(), errInjected.Error()) {
+	if !strings.Contains(err.Error(), faulttest.ErrInjected.Error()) {
 		t.Errorf("ErrFailed does not carry the original cause: %v", err)
 	}
 	fs.Close()
@@ -561,11 +555,10 @@ func TestCloseReportsFailedFinalFlush(t *testing.T) {
 	}
 	s.Close()
 
-	rf, err := os.OpenFile(path, os.O_RDWR, 0)
+	ff, err := faulttest.Open(path, 0, faulttest.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff := &faultFile{f: rf, remaining: 0, syncsAreOp: true}
 	fs, err := OpenWithConfig(ff, Config{Durability: Async})
 	if err != nil {
 		t.Fatal(err)

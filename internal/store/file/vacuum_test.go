@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/paper-repro/ekbtree/internal/faulttest"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -382,25 +383,13 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 	}
 }
 
-// truncFaultFile extends faultFile with a fault-countable Truncate, so the
-// vacuum sweep covers the physical-shrink step as a crash point too.
-type truncFaultFile struct{ *faultFile }
-
-func (tf truncFaultFile) Truncate(size int64) error {
-	tf.mu.Lock()
-	defer tf.mu.Unlock()
-	if !tf.step() {
-		return errInjected
-	}
-	return tf.f.Truncate(size)
-}
-
 // TestVacuumAtomicityUnderFaults is the crash-consistency proof for vacuum:
 // for every failure point during a full vacuum pass — each WriteAt, Sync,
-// and Truncate, with and without a torn trailing write — reopening the file
-// yields EXACTLY the pre-vacuum logical state (relocation never changes the
-// logical state, so pre and post coincide), the file never shrinks below its
-// live bytes, and re-running vacuum after the reopen converges.
+// and Truncate, with and without a torn trailing write, as process death and
+// as power loss — reopening the file yields EXACTLY the pre-vacuum logical
+// state (relocation never changes the logical state, so pre and post
+// coincide), the file never shrinks below its live bytes, and re-running
+// vacuum after the reopen converges.
 func TestVacuumAtomicityUnderFaults(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.ekb")
@@ -419,63 +408,57 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, torn := range []int{0, 7} {
-		for n := 0; ; n++ {
-			work := filepath.Join(dir, fmt.Sprintf("work-%d-%d.ekb", torn, n))
-			copyFile(t, base, work)
-			rf, err := os.OpenFile(work, os.O_RDWR, 0)
+	// A pass is some 140 operations, so of the power-loss variants only the one
+	// that has caught something runs here: the pages lost, the directory and
+	// slot kept.
+	faulttest.Sweep(t, base, faulttest.Plan{Torn: []int{0, 7, halfSlot}, Lose: []int{faulttest.KeepAll, 2}, Truncates: true},
+		func(f *faulttest.File) error {
+			fs, err := OpenWith(f)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: open with fault file: %v", f, err)
 			}
-			ff := truncFaultFile{&faultFile{f: rf, remaining: n, torn: torn, syncsAreOp: true}}
-			fs, err := OpenWith(ff)
-			if err != nil {
-				t.Fatalf("torn=%d n=%d: open with fault file: %v", torn, n, err)
-			}
-			verr := fs.Vacuum(0)
-			fs.Close()
-
+			defer fs.Close()
+			return fs.Vacuum(0)
+		},
+		func(tag, work string, fired bool, verr error) {
 			re, err := Open(work)
 			if err != nil {
-				t.Fatalf("torn=%d n=%d: reopen after injected fault: %v", torn, n, err)
+				t.Fatalf("%s: reopen after injected fault: %v", tag, err)
 			}
+			defer re.Close()
 			if got := snapshotState(t, re); !reflect.DeepEqual(got, pre) {
-				t.Fatalf("torn=%d n=%d: logical state changed across faulted vacuum", torn, n)
+				t.Fatalf("%s: logical state changed across faulted vacuum", tag)
 			}
 			reFile, reLive := re.Space()
 			// Page extents are byte-stable (snapshotState above proved the
 			// content); only the directory blob may resize across flushes.
 			if drift := reLive - liveBytes; drift > liveBytes/8 || drift < -liveBytes/8 {
-				t.Fatalf("torn=%d n=%d: live bytes drifted: %d -> %d", torn, n, liveBytes, reLive)
+				t.Fatalf("%s: live bytes drifted: %d -> %d", tag, liveBytes, reLive)
 			}
 			if reFile < reLive {
-				t.Fatalf("torn=%d n=%d: frontier %d below live bytes %d", torn, n, reFile, reLive)
+				t.Fatalf("%s: frontier %d below live bytes %d", tag, reFile, reLive)
 			}
 			if fi, err := os.Stat(work); err != nil {
 				t.Fatal(err)
 			} else if fi.Size() < reFile {
-				t.Fatalf("torn=%d n=%d: physical file %d shorter than frontier %d", torn, n, fi.Size(), reFile)
+				t.Fatalf("%s: physical file %d shorter than frontier %d", tag, fi.Size(), reFile)
 			}
 			// Retry converges: a clean vacuum after the crash still compacts,
 			// and the state still matches.
 			if err := re.Vacuum(0); err != nil {
-				t.Fatalf("torn=%d n=%d: vacuum retry: %v", torn, n, err)
+				t.Fatalf("%s: vacuum retry: %v", tag, err)
 			}
 			if got := snapshotState(t, re); !reflect.DeepEqual(got, pre) {
-				t.Fatalf("torn=%d n=%d: retry vacuum changed the logical state", torn, n)
+				t.Fatalf("%s: retry vacuum changed the logical state", tag)
 			}
 			retryEnd, _ := re.Space()
 			if retryEnd >= baseInfo.Size() {
-				t.Fatalf("torn=%d n=%d: retry vacuum reclaimed nothing (%d >= %d)", torn, n, retryEnd, baseInfo.Size())
+				t.Fatalf("%s: retry vacuum reclaimed nothing (%d >= %d)", tag, retryEnd, baseInfo.Size())
 			}
-			re.Close()
-			os.Remove(work)
-
-			if verr == nil {
-				break // n exceeded the pass's op count: full sweep done
+			if fired == (verr == nil) {
+				t.Fatalf("%s: fault reached = %v, but the pass returned %v", tag, fired, verr)
 			}
-		}
-	}
+		})
 }
 
 // parkReadFile is a real file whose next ReadAt in the data region, once

@@ -211,10 +211,10 @@ type Options struct {
 // derived key bounded and the rotation machinery routinely exercised.
 const DefaultSealBudget = 1 << 30
 
-// maxEpochShards is the shard-count ceiling: the shard index rides in the
+// MaxShards is the shard-count ceiling: the shard index rides in the
 // top byte of the 64-bit seal counter, partitioning the nonce space so shards
 // sharing one derived key can never collide.
-const maxEpochShards = 256
+const MaxShards = 256
 
 // DefaultCachePages re-exports the engine's default decoded-node cache size.
 const DefaultCachePages = engine.DefaultCachePages
@@ -291,8 +291,8 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	case shards > 1 && o.Store != nil:
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards > 1 requires per-shard stores (Path or default), not a single Store", ErrInvalidOptions)
 	}
-	if shards > maxEpochShards {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the nonce-partition limit", ErrInvalidOptions, shards, maxEpochShards)
+	if shards > MaxShards {
+		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the nonce-partition limit", ErrInvalidOptions, shards, MaxShards)
 	}
 	cachePages = o.CachePages
 	switch {
