@@ -34,12 +34,12 @@ test:
 # walks: a flush places pages in map-iteration order, so every run meets a new
 # layout. Its second line is the sweeps above the store: rotation's re-seal
 # commits and a whole tree, whose background rotator interleaves differently
-# every run.
+# every run, and the rotator backing off over a store that refuses it.
 race:
 	$(GO) test -race ./...
 	EKBTREE_BACKEND=file $(GO) test -race ./pkg/...
-	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestTreeCrashAtEveryFileOp' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 
 # test-sharded repeats the façade suite with every test tree defaulting to
 # three range shards (EKBTREE_SHARDS repoints Options.Shards the same way

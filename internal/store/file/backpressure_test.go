@@ -109,6 +109,14 @@ func TestAsyncBackpressureBlocksEnqueue(t *testing.T) {
 	if got, err := s.ReadPage(idB); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("ReadPage under backpressure = (%d bytes, %v)", len(got), err)
 	}
+	// So does a vacuum step: a move has no payload, so it joins the full group
+	// at once (and then waits, like any vacuum step, for the group's flush).
+	vDone := make(chan error, 1)
+	go func() {
+		_, err := s.relocate([]uint64{idA}, false)
+		vDone <- err
+	}()
+	tableChecks{t, s}.awaitMove(idA)
 
 	close(gf.gate) // release the flush; the backlog drains and C proceeds
 	select {
@@ -118,6 +126,9 @@ func TestAsyncBackpressureBlocksEnqueue(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("blocked commit never proceeded after the flush drained")
+	}
+	if err := <-vDone; err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)

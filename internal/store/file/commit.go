@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/store"
@@ -37,23 +38,11 @@ type header struct {
 
 // gpage is a group's one record for a page: its latest applied content, or
 // (freed) a tombstone for a page deleted from the state below the group. A
-// write assigns the record whole, so real content always wins over a
-// relocation and a page freed earlier in the group is live again.
+// write assigns the record whole, so a page freed earlier in the group is live
+// again.
 type gpage struct {
 	buf   []byte
 	freed bool
-	// reloc marks a write enqueued by Vacuum: byte-identical to the page's
-	// durable extent, present only to move it downward. flushGroup places it
-	// with allocBelow and silently drops it if it cannot move strictly toward
-	// the front (the durable bytes are already correct).
-	reloc bool
-	// lift marks a reloc write that may land ANYWHERE — the frontier included —
-	// instead of being dropped when no hole below fits. Vacuum's lift phase
-	// uses them to evacuate the live extent sitting directly above a hole, so
-	// the freed extent coalesces with that hole and downward packing can
-	// resume; termination then comes from Vacuum's per-round frontier check
-	// rather than the strictly-decreasing-offsets invariant.
-	lift bool
 }
 
 // group is one coalesced write-set: every commit enqueued since the previous
@@ -64,15 +53,28 @@ type gpage struct {
 type group struct {
 	pages map[uint64]gpage // one record per page the group touched
 	header
-	// vacuum marks a group that carries (or carried) a vacuum step, even one
-	// whose writes were all overwritten or that was empty to begin with: the
-	// flush then steers its directory blob toward the front too, which is the
-	// only way the directory itself ever migrates out of the tail.
+	// moves are the pages Vacuum asked this flush to relocate, by ID alone: the
+	// committer copies each one's durable extent itself (see flushGroup), so a
+	// move is no page record, adds nothing to bytes and is invisible to readers.
+	// The value marks a lift move, which may land ANYWHERE — the frontier
+	// included — instead of being dropped when no hole below fits. Vacuum's
+	// lift phase uses them to evacuate the live extent sitting directly above a
+	// hole, so the freed extent coalesces with that hole and downward packing
+	// can resume; termination then comes from Vacuum's per-round frontier check
+	// rather than the strictly-decreasing-offsets invariant.
+	moves map[uint64]bool
+	// vacuum marks a group that carries a vacuum step, even one whose moves are
+	// all dropped or that had none to begin with: the flush then steers its
+	// directory blob toward the front too, which is the only way the directory
+	// itself ever migrates out of the tail.
 	vacuum bool
-	// relocated counts reloc writes the flush actually moved. Written by the
+	// relocated counts the moves the flush performed and moveErr is the first
+	// error reading a move's durable extent (that move is skipped; the flush
+	// and the commits coalesced into it are unaffected). Written by the
 	// committer before done closes, read by Vacuum after — the channel
-	// publishes it — to decide whether another pass can still make progress.
+	// publishes them — to decide whether another pass can still make progress.
 	relocated int
+	moveErr   error
 	count     int       // commits coalesced into this group
 	bytes     int       // payload size, for backpressure
 	birth     time.Time // first enqueue, anchors the Grouped window
@@ -88,16 +90,18 @@ type group struct {
 // change is one mutation of the applied state, as CommitPages, SetMeta,
 // SetSealMark and Vacuum's relocate each spell it. A root of rootUnchanged, a
 // nil meta or a nil mark keeps the applied one. The group keeps the page
-// buffers of writes themselves (CommitPages' ownership contract; Vacuum hands
-// over buffers it read for the purpose), never the map.
+// buffers of writes themselves (CommitPages' ownership contract), never the
+// map. A vacuum step changes no applied state at all: it names pages for the
+// flush to move (see group.moves).
 type change struct {
 	writes map[uint64][]byte
 	frees  []uint64
 	root   uint64
 	meta   *[]byte
 	mark   *store.SealMark
-	reloc  bool // the writes are vacuum relocations (see gpage)
-	lift   bool // ... that may land anywhere
+	vacuum bool     // a vacuum step: the flush steers its directory too
+	moves  []uint64 // ... and relocates these pages
+	lift   bool     // ... which may land anywhere
 }
 
 // appliedLocked is the header readers observe: that of the newest state —
@@ -142,10 +146,18 @@ func (s *Store) enqueueLocked(c change) *group {
 		}
 		s.pending = g
 	}
-	g.vacuum = g.vacuum || c.reloc
+	if c.vacuum {
+		g.vacuum = true
+		if g.moves == nil {
+			g.moves = make(map[uint64]bool, len(c.moves))
+		}
+		for _, id := range c.moves {
+			g.moves[id] = c.lift
+		}
+	}
 	for id, p := range c.writes {
 		g.bytes += len(p) - len(g.pages[id].buf)
-		g.pages[id] = gpage{buf: p, reloc: c.reloc, lift: c.lift}
+		g.pages[id] = gpage{buf: p}
 	}
 	for _, id := range c.frees {
 		g.bytes -= len(g.pages[id].buf)
@@ -429,12 +441,10 @@ func (s *Store) drain() {
 			// ReadPage when the install took the lock had already finished,
 			// and readers admitted since resolve extents that all end at or
 			// below the new frontier — no ReadPage can be mid-read in the cut
-			// region. Vacuum's extent reads can be: they hold no lock, and
-			// treat an error as a stale selection once they see the txid this
-			// install moved (see relocate). Correctness never depends on the
-			// truncate (the durable state ignores bytes past fileEnd), but a
-			// truncate error means a sick device, so it fail-stops the store
-			// like any flush error.
+			// region, and the only other reader of extents is this goroutine.
+			// Correctness never depends on the truncate (the durable state
+			// ignores bytes past fileEnd), but a truncate error means a sick
+			// device, so it fail-stops the store like any flush error.
 			if terr := s.f.Truncate(ns.fileEnd); terr != nil {
 				err = fmt.Errorf("file: truncate to %d (%w): %v", ns.fileEnd, ErrFailed, terr)
 				s.mu.Lock()
@@ -451,9 +461,16 @@ func (s *Store) drain() {
 // pages to fresh extents, one directory blob, one data fsync, one meta-slot
 // flip, one slot fsync. It reads the durable state fields without the lock —
 // the committer is their only writer — and returns the state to install.
-// Extents released by the group (overwritten page versions, freed pages, the
-// old directory) are recorded as free in the NEW directory only, so nothing
-// recycles them until the flip that made them garbage is durable.
+// Extents released by the group (overwritten page versions, freed pages, moved
+// pages' sources, the old directory) are recorded as free in the NEW directory
+// only, so nothing recycles them until the flip that made them garbage is
+// durable.
+//
+// The group's moves are carried out here, after its own records are placed.
+// This goroutine alone recycles and truncates extents, so the extent the
+// durable directory gives for a page is stable for the whole flush and the
+// copy needs no guard; a page the group itself wrote or freed, or one no
+// longer in the directory, is a selection gone stale, and its move is dropped.
 func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	var ns durableState
 	newPages := make(map[uint64]extent, len(s.pages)+len(g.pages))
@@ -465,48 +482,56 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	var pending []extent // extents that become free once this flush is durable
 	for id, p := range g.pages {
 		cur, durable := newPages[id]
-		var ext extent
-		switch {
-		case p.freed:
-			if durable {
-				pending = append(pending, cur)
-				pageBytes -= int64(cur.len)
-				delete(newPages, id)
-			}
-			continue
-		case p.reloc:
-			// Vacuum relocation: byte-identical to the durable extent, so it
-			// only earns a write if it can land strictly below its current
-			// offset. Otherwise drop it — the durable bytes already stand,
-			// and dropping (rather than appending at the frontier) is what
-			// guarantees Vacuum's pack phase terminates: every performed
-			// relocation strictly decreases the sum of live extent offsets.
-			// Lift relocations are the exception: they exist to evacuate the
-			// extent above a hole, so when nothing below fits they land via
-			// normal allocation — the frontier if need be — and Vacuum's
-			// per-round frontier check bounds them instead.
-			if !durable {
-				continue
-			}
-			var fits bool
-			if ext, fits = avail.allocBelow(uint32(len(p.buf)), cur.off); !fits {
-				if !p.lift {
-					continue
-				}
-				ext = avail.allocExtent(&newEnd, uint32(len(p.buf)))
-			}
-			g.relocated++
-		default:
-			ext = avail.allocExtent(&newEnd, uint32(len(p.buf)))
-		}
-		if _, err := s.f.WriteAt(p.buf, ext.off); err != nil {
-			return ns, fmt.Errorf("file: write page %d: %w", id, err)
-		}
 		if durable {
 			pending = append(pending, cur)
 			pageBytes -= int64(cur.len)
 		}
+		if p.freed {
+			delete(newPages, id)
+			continue
+		}
+		ext := avail.allocExtent(&newEnd, uint32(len(p.buf)))
+		if _, err := s.f.WriteAt(p.buf, ext.off); err != nil {
+			return ns, fmt.Errorf("file: write page %d: %w", id, err)
+		}
 		pageBytes += int64(ext.len)
+		newPages[id] = ext
+	}
+	var buf []byte
+	for id, lift := range g.moves {
+		cur, durable := s.pages[id]
+		if _, touched := g.pages[id]; touched || !durable {
+			continue
+		}
+		// The copy is byte-identical to its source, so it only earns a write
+		// if it can land strictly below its current offset. Otherwise drop it
+		// — the durable bytes already stand, and dropping (rather than
+		// appending at the frontier) is what guarantees Vacuum's pack phase
+		// terminates: every performed move strictly decreases the sum of live
+		// extent offsets. Lift moves are the exception: they exist to evacuate
+		// the extent above a hole, so when nothing below fits they land via
+		// normal allocation — the frontier if need be — and Vacuum's per-round
+		// frontier check bounds them instead.
+		ext, fits := avail.allocBelow(cur.len, cur.off)
+		if !fits {
+			if !lift {
+				continue
+			}
+			ext = avail.allocExtent(&newEnd, cur.len)
+		}
+		buf = slices.Grow(buf[:0], int(cur.len))[:cur.len]
+		if _, err := s.f.ReadAt(buf, cur.off); err != nil {
+			if g.moveErr == nil {
+				g.moveErr = fmt.Errorf("file: vacuum read page %d: %w", id, err)
+			}
+			avail.add(ext)
+			continue
+		}
+		if _, err := s.f.WriteAt(buf, ext.off); err != nil {
+			return ns, fmt.Errorf("file: write page %d: %w", id, err)
+		}
+		g.relocated++
+		pending = append(pending, cur)
 		newPages[id] = ext
 	}
 	// Size the new directory before allocating its extent: the allocation can

@@ -51,10 +51,23 @@
 // is durable, in any mode.
 //
 // The one non-atomic window is file creation itself: initialization writes
-// the first directory and slot, fsyncs, then writes the magic header and
-// fsyncs again, so a file whose magic is present always has a valid slot 0.
-// A crash before the magic is durable leaves a file Open treats as fresh and
-// re-initializes.
+// the first directory and slot 0, fsyncs, then writes the magic header and
+// fsyncs again. The first fsync orders both before the magic, so a file whose
+// magic is present always has a valid slot 0 and the directory it points at.
+// It does not order the directory before the slot: power lost ahead of it can
+// keep the slot and drop the directory. Open therefore treats a file without
+// magic as fresh and re-initializes it when it holds no valid slot, or only
+// the very slot initialization writes over a directory that does not load —
+// either way nothing was ever stored. (A file without magic whose slot does
+// load is a populated store with a damaged prefix: Open repairs the magic.)
+//
+// # Who touches the file
+//
+// After Open the committer goroutine is the file's only writer and the only
+// reader of extents it may itself recycle or truncate: Vacuum selects pages by
+// ID and the committer copies them. ReadPage, the one other reader, resolves
+// and reads a durable extent under the read side of the lock a flush is
+// installed under, and the tail is cut only after the install.
 package file
 
 import (
@@ -75,9 +88,9 @@ import (
 
 // ErrCorrupt is returned by Open when the file is not a valid ekbtree page
 // file: bad magic, or no meta slot with a directory that passes its checksum.
-// An interrupted commit never produces ErrCorrupt — the previous slot stays
-// valid — so seeing it means external damage (or a crash inside the narrow
-// first-creation window, before any data existed).
+// Neither an interrupted commit nor an interrupted creation produces
+// ErrCorrupt — the previous slot stays valid, and a file nothing was stored in
+// is initialized again — so seeing it means external damage.
 var ErrCorrupt = errors.New("file: corrupt page file")
 
 // ErrFailed is returned by every mutating operation (and Sync) after a group
@@ -331,88 +344,92 @@ func OpenWithConfig(f File, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	hdr := make([]byte, dataStart)
-	n, err := f.ReadAt(hdr, 0)
-	if err != nil && err != io.EOF {
+	// Bytes past a short read stay zero, which the checks below treat as unwritten.
+	if _, err := f.ReadAt(hdr, 0); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("file: read header: %w", err)
 	}
-	_ = n // bytes past n stay zero, which the checks below treat as unwritten
 	magicZero := allZero(hdr[:len(magic)])
 	if !magicZero && string(hdr[:len(magic)]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	s0, ok0 := parseSlot(hdr[slot0Off : slot0Off+slotSize])
 	s1, ok1 := parseSlot(hdr[slot1Off : slot1Off+slotSize])
-	if magicZero {
-		if !ok0 && !ok1 {
-			// Nothing durable exists: a genuinely fresh file, or a crash
-			// during creation before the first slot landed.
-			return initialize(f, cfg)
-		}
-		// The magic is gone but a meta slot survived — external damage to
-		// the header prefix (or a creation crash between the slot sync and
-		// the magic sync). The store behind the slot is fully recoverable:
-		// open it normally and repair the magic rather than wiping it with a
-		// re-initialization.
-		if _, err := f.WriteAt([]byte(magic), 0); err != nil {
-			return nil, fmt.Errorf("file: repair magic: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("file: repair magic: %w", err)
-		}
+	if magicZero && !ok0 && !ok1 {
+		// Nothing durable exists: a genuinely fresh file, or a crash during
+		// creation before the first slot landed.
+		return initialize(f, cfg)
 	}
 	// Try the valid slot with the highest txid first; fall back to the other,
 	// which covers a flush whose directory write was torn before its slot
 	// flip ever happened (the old slot still describes a complete state).
-	var tries []struct {
-		slot slotData
-		idx  int
+	slots, valid, first := [2]slotData{s0, s1}, [2]bool{ok0, ok1}, 0
+	if ok1 && (!ok0 || s1.txid > s0.txid) {
+		first = 1
 	}
-	if ok0 {
-		tries = append(tries, struct {
-			slot slotData
-			idx  int
-		}{s0, 0})
-	}
-	if ok1 {
-		tries = append(tries, struct {
-			slot slotData
-			idx  int
-		}{s1, 1})
-	}
-	if len(tries) == 2 && tries[1].slot.txid > tries[0].slot.txid {
-		tries[0], tries[1] = tries[1], tries[0]
-	}
-	for _, tr := range tries {
-		s, err := loadState(f, tr.slot, tr.idx)
-		if err == nil {
-			s.start(cfg)
-			return s, nil
+	for _, idx := range [2]int{first, 1 - first} {
+		if !valid[idx] {
+			continue
 		}
+		s, err := loadState(f, slots[idx], idx)
+		if err != nil {
+			continue
+		}
+		if magicZero {
+			// The magic is gone but the store behind a surviving slot is whole
+			// — external damage to the header prefix, or a creation crash
+			// between the slot sync and the magic sync. Repair the magic rather
+			// than wiping the store with a re-initialization.
+			if _, err := f.WriteAt([]byte(magic), 0); err != nil {
+				return nil, fmt.Errorf("file: repair magic: %w", err)
+			}
+			if err := f.Sync(); err != nil {
+				return nil, fmt.Errorf("file: repair magic: %w", err)
+			}
+		}
+		s.start(cfg)
+		return s, nil
+	}
+	if _, fresh := freshState(); magicZero && ok0 && !ok1 && s0 == fresh {
+		// Creation lost power before its first fsync returned: that fsync
+		// covers the first directory and slot 0 alike, so the slot can reach
+		// the platter without the directory it points at. The only valid slot
+		// being, byte for byte, the one initialize writes says nothing was
+		// ever stored; initializing again rewrites the same bytes and can
+		// destroy nothing.
+		return initialize(f, cfg)
 	}
 	return nil, fmt.Errorf("%w: no usable meta slot", ErrCorrupt)
 }
 
+// freshState is what initialize lays down: the empty directory and the slot
+// that points at it, at the head of the data region.
+func freshState() (dir []byte, slot slotData) {
+	dir = make([]byte, dirSize(0, 0, 0))
+	serializeDir(dir, nil, nil, nil, store.SealMark{})
+	return dir, slotData{
+		txid: 1, root: store.NoRoot, nextID: store.NoRoot + 1,
+		dir: extent{off: dataStart, len: uint32(len(dir))}, dirCRC: crc32.ChecksumIEEE(dir),
+	}
+}
+
 // initialize lays down a fresh, empty store: directory first, then slot 0,
 // fsync, then the magic header, fsync. Ordering makes creation idempotent
-// under crashes — until the magic is durable the file reads as fresh.
+// under crashes — until the magic is durable the file reads as fresh, which
+// for a slot that outlived its directory OpenWithConfig has to recognise.
 func initialize(f File, cfg Config) (*Store, error) {
+	dir, slot := freshState()
 	s := &Store{
-		f:            f,
-		durableState: durableState{pages: make(map[uint64]extent), header: header{root: store.NoRoot}, txid: 1},
-		nextID:       store.NoRoot + 1,
+		f: f,
+		durableState: durableState{
+			pages: make(map[uint64]extent), header: header{root: slot.root},
+			txid: slot.txid, dirExt: slot.dir, fileEnd: slot.dir.end(),
+		},
+		nextID: slot.nextID,
 	}
-	dir := make([]byte, dirSize(0, 0, 0))
-	serializeDir(dir, s.pages, nil, nil, store.SealMark{})
-	s.dirExt = extent{off: dataStart, len: uint32(len(dir))}
-	s.fileEnd = s.dirExt.end()
-	if _, err := f.WriteAt(dir, s.dirExt.off); err != nil {
+	if _, err := f.WriteAt(dir, slot.dir.off); err != nil {
 		return nil, fmt.Errorf("file: init directory: %w", err)
 	}
-	slot := serializeSlot(slotData{
-		txid: s.txid, root: s.root, nextID: s.nextID,
-		dir: s.dirExt, dirCRC: crc32.ChecksumIEEE(dir),
-	})
-	if _, err := f.WriteAt(slot, slot0Off); err != nil {
+	if _, err := f.WriteAt(serializeSlot(slot), slot0Off); err != nil {
 		return nil, fmt.Errorf("file: init slot: %w", err)
 	}
 	if err := f.Sync(); err != nil {

@@ -535,14 +535,11 @@ func TestZeroedMagicRepairs(t *testing.T) {
 // simply re-initializes.
 //
 // Initialization never has more than two writes unsynced, so losing all but
-// the newest two is KeepAll. Losing all but the newest one is NOT swept,
-// because the product fails it at n=2: the first slot reaches the platter, the
-// first directory, appended past the end of an empty file, does not, and Open
-// answers ErrCorrupt ("no usable meta slot") where it should re-initialize.
-// No data is at stake — nothing was ever committed — but the file needs
-// deleting by hand; ROADMAP item 5(e) has the fix, and adding 1 below pins it.
+// the newest two is KeepAll. Losing all but the newest one includes n=2: the
+// first slot reaches the platter, the first directory, appended past the end
+// of an empty file, does not, and Open must see that nothing was ever stored.
 func TestInitCrashLeavesFreshFile(t *testing.T) {
-	faulttest.Sweep(t, "", faulttest.Plan{Torn: []int{0, halfSlot}, Lose: []int{faulttest.KeepAll, 0}},
+	faulttest.Sweep(t, "", faulttest.Plan{Torn: []int{0, halfSlot}, Lose: []int{faulttest.KeepAll, 0, 1}},
 		func(f *faulttest.File) error {
 			s, err := OpenWith(f)
 			if err == nil {

@@ -79,12 +79,39 @@ func (c tableChecks) commit(writes map[uint64]string, frees ...uint64) {
 	}
 }
 
-// relocate enqueues what Vacuum's relocate would: the page's own bytes as a
-// lift relocation, without forcing the flush.
-func (c tableChecks) relocate(id uint64, bytes string) {
+// move enqueues what Vacuum's relocate would — the pages' IDs as lift moves —
+// without forcing the flush.
+func (c tableChecks) move(ids ...uint64) {
 	c.s.mu.Lock()
-	c.s.enqueueLocked(change{writes: map[uint64][]byte{id: []byte(bytes)}, root: rootUnchanged, reloc: true, lift: true})
+	c.s.enqueueLocked(change{root: rootUnchanged, vacuum: true, moves: ids, lift: true})
 	c.s.mu.Unlock()
+}
+
+// moves asserts the pending group's moves and whether it steers its directory.
+func (c tableChecks) moves(when string, want map[uint64]bool, steers bool) {
+	c.t.Helper()
+	c.s.mu.RLock()
+	defer c.s.mu.RUnlock()
+	if g := c.s.pending; !reflect.DeepEqual(g.moves, want) || g.vacuum != steers {
+		c.t.Fatalf("%s: moves = %v, vacuum = %v, want %v, %v", when, g.moves, g.vacuum, want, steers)
+	}
+}
+
+// awaitMove returns once the pending group holds a move of id: a relocate
+// running on another goroutine has been admitted and now waits for its flush.
+func (c tableChecks) awaitMove(id uint64) {
+	c.t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.s.mu.RLock()
+		_, ok := c.s.pending.moves[id]
+		c.s.mu.RUnlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			c.t.Fatalf("no move of page %d reached the pending group", id)
+		}
+	}
 }
 
 // pending asserts the pending group's record for id (nil: none) and its bytes.
@@ -149,25 +176,21 @@ func TestGroupPageTable(t *testing.T) {
 		c.commit(map[uint64]string{d: "back"})
 		c.pending("a freed page rewritten is live again", d, &gpage{buf: []byte("back")}, 10)
 
-		c.relocate(e, "durable-e")
-		c.relocate(f, "durable-f")
-		c.pending("vacuum relocation", e, &gpage{buf: []byte("durable-e"), reloc: true, lift: true}, 28)
+		c.moves("no vacuum step yet", nil, false)
+		c.move(e, f)
+		c.pending("a move leaves no page record and adds no bytes", e, nil, 10)
+		c.reads("a move is invisible to readers", map[uint64]string{e: "durable-e", f: "durable-f"})
 		c.commit(map[uint64]string{e: "new-e"}, f)
-		c.pending("real content wins over a relocation", e, &gpage{buf: []byte("new-e")}, 15)
-		c.pending("a freed relocation is a plain tombstone", f, &gpage{freed: true}, 15)
-		s.mu.RLock()
-		steers := s.pending.vacuum
-		s.mu.RUnlock()
-		if !steers {
-			t.Fatal("a group that carried a relocation no longer steers the directory")
-		}
+		c.pending("a write beside a move of the same page", e, &gpage{buf: []byte("new-e")}, 15)
+		c.pending("a free beside a move of the same page", f, &gpage{freed: true}, 15)
+		c.moves("the group still steers its directory", map[uint64]bool{e: true, f: true}, true)
 
 		want := map[uint64]string{a: "three!", b: "", d: "back", e: "new-e", f: ""}
 		c.reads("applied", want)
 		if err := s.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		c.reads("flushed", want)
+		c.reads("flushed: the write and the free won", want)
 	})
 
 	t.Run("over a held flush", func(t *testing.T) {
@@ -206,9 +229,9 @@ func TestGroupPageTable(t *testing.T) {
 		if quiet != [...]bool{true, false, false} {
 			t.Fatalf("vacuumQuietLocked(durable only, flushing write, pending write) = %v", quiet)
 		}
-		c.relocate(e, "durable-e")
+		c.move(e)
 		c.commit(map[uint64]string{e: "e2"})
-		c.pending("relocation overwritten above a held flush", e, &gpage{buf: []byte("e2")}, 6)
+		c.pending("move overwritten above a held flush", e, &gpage{buf: []byte("e2")}, 6)
 
 		want := map[uint64]string{x: "x2", y: "", z: "", d: "d2", e: "e2"}
 		c.reads("pending, then flushing, then durable", want)

@@ -1,37 +1,34 @@
 package file
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
-// vacuumBatchBytes bounds one relocation batch's payload, so a vacuum pass
-// interleaves with foreground commits in modest slices instead of staging the
-// whole tail of the file in one group.
+// vacuumBatchBytes bounds the extents one relocation batch asks a flush to
+// copy, so a vacuum pass interleaves with foreground commits in modest slices
+// instead of moving the whole tail of the file in one group.
 const vacuumBatchBytes = 1 << 20
-
-// vacuumRetries bounds how often one batch re-runs selection after a
-// concurrent flush invalidated it before giving up on the pass. Flushes take
-// fsyncs; the unlocked window a flush must hit is microseconds — in practice
-// a retry or two only happens under saturating write load.
-const vacuumRetries = 16
 
 // Vacuum relocates live page extents downward into free space and truncates
 // the file, until the durable file end is at or below target bytes or no
 // round can improve it further (target 0 compacts as far as the layout
 // allows). Implements store.Vacuumer.
 //
-// Every relocation batch is an ordinary shadow-paged group commit whose
-// writes are byte-identical to the pages' durable extents: a crash at any
-// byte of it leaves exactly the pre- or post-batch state — which are the
-// same LOGICAL state — and concurrent readers and writers proceed
-// throughout, their commits coalescing into the same groups. A page with an
-// in-flight overlay write is skipped (the newer content wins and lands
-// wherever its own flush puts it).
+// Vacuum asks, the committer moves: Vacuum only SELECTS pages, reading the
+// durable directory and free list under the read lock, and hands the next
+// flush their IDs; the committer — the one goroutine that recycles and
+// truncates extents, so the one that can read an extent with no guard —
+// copies each page's durable extent as part of that flush. Every relocation
+// batch is thus an ordinary shadow-paged group commit whose copies are
+// byte-identical to their sources: a crash at any byte of it leaves exactly
+// the pre- or post-batch state — which are the same LOGICAL state — and
+// concurrent readers and writers proceed throughout, their commits coalescing
+// into the same groups. A selection the foreground overtakes is harmless: the
+// flush looks each ID up afresh and drops the move of a page its group wrote
+// or freed (the newer content wins and lands wherever its own write puts it)
+// or that is gone. Pages with an in-flight overlay write are not selected.
 //
 // Each round has two phases. The PACK phase moves pages strictly downward
-// into holes that fit them; a relocation that cannot move its page toward
-// the front is dropped at flush time, so each performed relocation strictly
+// into holes that fit them; a move that cannot take its page toward the
+// front is dropped at flush time, so each performed relocation strictly
 // decreases the sum of live extent offsets and the phase terminates. Pack
 // alone can strand arbitrary free space, though: with size-diverse pages a
 // layout converges to holes each smaller than every page above them. The
@@ -115,227 +112,165 @@ func (s *Store) vacuumProgress() (end int64, nfree int, holeSum int64, err error
 // vacuumStep relocates one batch, reporting whether it moved anything (so
 // the caller knows another step could still help).
 func (s *Store) vacuumStep(target int64) (bool, error) {
-	for attempt := 0; attempt < vacuumRetries; attempt++ {
-		// Select from the durable tail: the pages whose extents reach past
-		// target, highest offsets first — clearing the tail is what lets the
-		// frontier retreat and the truncate land. Pages with overlay state
-		// (pending/flushing writes or frees) are in flight and skipped.
-		s.mu.RLock()
-		if err := s.usableLocked(); err != nil {
-			s.mu.RUnlock()
-			return false, err
-		}
-		if s.fileEnd <= target {
-			s.mu.RUnlock()
-			return false, nil
-		}
-		var cands []vacuumCand
-		for id, e := range s.pages {
-			if e.end() > target && s.vacuumQuietLocked(id) {
-				cands = append(cands, vacuumCand{id, e})
-			}
-		}
-		// No movable pages past target doesn't mean the tail is clear: the
-		// directory blob can still hold the frontier up. A page-less vacuum
-		// flush re-places the directory (flushGroup only ever lets it
-		// DESCEND) and retreats the frontier — but it's only worth a flush
-		// when the durable free list shows a hole the directory fits in
-		// strictly below its current extent; otherwise the flush would just
-		// shuffle the directory between equal-height holes forever.
-		dirDescend := false
-		for _, e := range s.free {
-			if e.len >= s.dirExt.len && e.off < s.dirExt.off {
-				dirDescend = true
-				break
-			}
-		}
-		frees := append([]extent(nil), s.free...)
-		selTxid, preEnd := s.txid, s.fileEnd
+	// Select from the durable tail: the pages whose extents reach past target,
+	// highest offsets first — clearing the tail is what lets the frontier
+	// retreat and the truncate land. Pages with overlay state (pending/flushing
+	// writes or frees) are in flight and skipped.
+	s.mu.RLock()
+	if err := s.usableLocked(); err != nil {
 		s.mu.RUnlock()
-
-		// Keep only candidates some durable free hole strictly below them can
-		// actually fit: sweep frees and candidates upward by offset, tracking
-		// the largest hole seen so far. Candidates may still compete for the
-		// same hole at flush time — losers are dropped there — but whenever
-		// this filter passes anything, the flush relocates at least one page,
-		// and a fully-compacted store never pays for a no-op flush.
-		sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off < cands[j].ext.off })
-		movable, fi, maxHole := cands[:0], 0, uint32(0)
-		for _, c := range cands {
-			for fi < len(frees) && frees[fi].off < c.ext.off {
-				if frees[fi].len > maxHole {
-					maxHole = frees[fi].len
-				}
-				fi++
-			}
-			if maxHole >= c.ext.len {
-				movable = append(movable, c)
-			}
-		}
-		cands = movable
-		if len(cands) == 0 && !dirDescend {
-			return false, nil
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off > cands[j].ext.off })
-		batch, total := cands[:0], 0
-		for _, c := range cands {
-			batch = append(batch, c)
-			if total += int(c.ext.len); total >= vacuumBatchBytes {
-				break
-			}
-		}
-
-		g, stale, err := s.relocate(batch, selTxid, false, dirDescend)
-		if err != nil {
-			return false, err
-		}
-		if stale {
-			continue
-		}
-		if g == nil {
-			return false, nil
-		}
-		if g.relocated > 0 {
-			return true, nil
-		}
-		s.mu.RLock()
-		retreated := !s.closed && !s.failed && s.fileEnd < preEnd
-		s.mu.RUnlock()
-		return retreated, nil
+		return false, err
 	}
-	return false, nil
+	if s.fileEnd <= target {
+		s.mu.RUnlock()
+		return false, nil
+	}
+	type cand struct { // a page and the extent it is selected at
+		id  uint64
+		ext extent
+	}
+	var cands []cand
+	for id, e := range s.pages {
+		if e.end() > target && s.vacuumQuietLocked(id) {
+			cands = append(cands, cand{id, e})
+		}
+	}
+	// No movable pages past target doesn't mean the tail is clear: the
+	// directory blob can still hold the frontier up. A page-less vacuum flush
+	// re-places the directory (flushGroup only ever lets it DESCEND) and
+	// retreats the frontier — but it's only worth a flush when the durable free
+	// list shows a hole the directory fits in strictly below its current
+	// extent; otherwise the flush would just shuffle the directory between
+	// equal-height holes forever.
+	dirDescend := false
+	for _, e := range s.free {
+		if e.len >= s.dirExt.len && e.off < s.dirExt.off {
+			dirDescend = true
+			break
+		}
+	}
+	frees := append([]extent(nil), s.free...)
+	preEnd := s.fileEnd
+	s.mu.RUnlock()
+
+	// Keep only candidates some durable free hole strictly below them can
+	// actually fit: sweep frees and candidates upward by offset, tracking the
+	// largest hole seen so far. Candidates may still compete for the same hole
+	// at flush time — losers are dropped there — but whenever this filter
+	// passes anything, the flush relocates at least one page, and a
+	// fully-compacted store never pays for a no-op flush.
+	sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
+	sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off < cands[j].ext.off })
+	movable, fi, maxHole := cands[:0], 0, uint32(0)
+	for _, c := range cands {
+		for fi < len(frees) && frees[fi].off < c.ext.off {
+			if frees[fi].len > maxHole {
+				maxHole = frees[fi].len
+			}
+			fi++
+		}
+		if maxHole >= c.ext.len {
+			movable = append(movable, c)
+		}
+	}
+	cands = movable
+	if len(cands) == 0 && !dirDescend {
+		return false, nil
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off > cands[j].ext.off })
+	var batch []uint64
+	total := 0
+	for _, c := range cands {
+		batch = append(batch, c.id)
+		if total += int(c.ext.len); total >= vacuumBatchBytes {
+			break
+		}
+	}
+
+	relocated, err := s.relocate(batch, false)
+	if err != nil || relocated > 0 {
+		return relocated > 0, err
+	}
+	end, _ := s.Space() // no page moved, but the directory may have
+	return end < preEnd, nil
 }
 
 // liftStep relocates one batch of "stuck" pages — each the live extent
 // sitting directly above a free hole — to wherever allocation puts them
 // (allocBelow when something fits, the frontier otherwise), so each freed
 // extent coalesces with its hole and the pack phase gets holes it can use.
-// Reports whether it moved anything. Same selection/retry discipline as
-// vacuumStep: durable-state selection under RLock, then relocate.
+// Reports whether it moved anything. Same discipline as vacuumStep:
+// durable-state selection under RLock, then relocate.
 func (s *Store) liftStep() (bool, error) {
-	for attempt := 0; attempt < vacuumRetries; attempt++ {
-		s.mu.RLock()
-		if err := s.usableLocked(); err != nil {
-			s.mu.RUnlock()
-			return false, err
-		}
-		starts := make(map[int64]uint64, len(s.pages))
-		for id, e := range s.pages {
-			starts[e.off] = id
-		}
-		frees := append([]extent(nil), s.free...)
-		sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
-		// Lowest holes first: the deepest merges unlock the most packing.
-		// A hole with no page directly above it sits under the directory,
-		// the frontier, or an in-flight extent — skip it; the directory
-		// re-places itself on every vacuum flush anyway. Walk up to a few
-		// consecutive pages above each hole so one round grows the merged
-		// hole by several page-heights — sub-page remainder holes migrate
-		// toward the frontier that much faster.
-		const liftPerHole = 8
-		var batch []vacuumCand
-		total := 0
-		for _, f := range frees {
-			at := f.end()
-			for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
-				id, ok := starts[at]
-				if !ok || !s.vacuumQuietLocked(id) {
-					break
-				}
-				e := s.pages[id]
-				batch = append(batch, vacuumCand{id, e})
-				total += int(e.len)
-				at = e.end()
-			}
-			if total >= vacuumBatchBytes {
+	s.mu.RLock()
+	if err := s.usableLocked(); err != nil {
+		s.mu.RUnlock()
+		return false, err
+	}
+	starts := make(map[int64]uint64, len(s.pages))
+	for id, e := range s.pages {
+		starts[e.off] = id
+	}
+	frees := append([]extent(nil), s.free...)
+	sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
+	// Lowest holes first: the deepest merges unlock the most packing. A hole
+	// with no page directly above it sits under the directory, the frontier, or
+	// an in-flight extent — skip it; the directory re-places itself on every
+	// vacuum flush anyway. Walk up to a few consecutive pages above each hole
+	// so one round grows the merged hole by several page-heights — sub-page
+	// remainder holes migrate toward the frontier that much faster.
+	const liftPerHole = 8
+	var batch []uint64
+	total := 0
+	for _, f := range frees {
+		at := f.end()
+		for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
+			id, ok := starts[at]
+			if !ok || !s.vacuumQuietLocked(id) {
 				break
 			}
+			e := s.pages[id]
+			batch = append(batch, id)
+			total += int(e.len)
+			at = e.end()
 		}
-		selTxid := s.txid
-		s.mu.RUnlock()
-		if len(batch) == 0 {
-			return false, nil
-		}
-
-		g, stale, err := s.relocate(batch, selTxid, true, false)
-		if err != nil {
-			return false, err
-		}
-		if stale {
-			continue
-		}
-		return g != nil && g.relocated > 0, nil
-	}
-	return false, nil
-}
-
-// vacuumCand is one page selected for relocation, with the durable extent it
-// was selected at.
-type vacuumCand struct {
-	id  uint64
-	ext extent
-}
-
-// relocate is the second half of a vacuum step: it reads the selected extents
-// with no lock held and, if the durable state is still the one they were
-// selected from, flushes them as one vacuum group (lift marks its writes free
-// to land anywhere; evenEmpty flushes a page-less group, to re-place the
-// directory). stale reports that a flush installed since selection (selTxid
-// moved): the batch's mappings are out of date and the caller reselects. g is
-// the flushed group, nil when nothing was left worth a flush.
-//
-// The unlocked reads are of stable bytes only while selTxid stands — a flush
-// never writes into an extent the durable directory references, and one
-// already in flight when the lock is re-taken started from the same durable
-// state. Once a flush installs, the extents may have been recycled, and a
-// retreating frontier truncates the file under the read, which then fails
-// with EOF. So a read error is judged only after the txid check: it is the
-// file's fault, and returned, only if the durable state has not moved.
-func (s *Store) relocate(batch []vacuumCand, selTxid uint64, lift, evenEmpty bool) (g *group, stale bool, err error) {
-	writes := make(map[uint64][]byte, len(batch))
-	var readErr error
-	for _, c := range batch {
-		buf := make([]byte, c.ext.len)
-		if _, err := s.f.ReadAt(buf, c.ext.off); err != nil {
-			readErr = fmt.Errorf("file: vacuum read page %d: %w", c.id, err)
+		if total >= vacuumBatchBytes {
 			break
 		}
-		writes[c.id] = buf
 	}
+	s.mu.RUnlock()
+	if len(batch) == 0 {
+		return false, nil
+	}
+	relocated, err := s.relocate(batch, true)
+	return relocated > 0, err
+}
 
+// relocate is the second half of a vacuum step: it asks the next flush to move
+// the selected pages (lift lets a move land anywhere; an empty batch still
+// flushes a vacuum group, to re-place the directory), waits for that flush and
+// reports how many moves it performed. It reads and writes no page itself and
+// does not wait for group capacity — a move has no payload. The IDs need not
+// still be what selection saw: the flush drops whichever are stale (see
+// flushGroup), so there is nothing to re-validate here and nothing to retry.
+//
+// The error is the flush's, or else the first error the committer met reading
+// a page's durable extent; that one skipped a move and left the store up.
+func (s *Store) relocate(ids []uint64, lift bool) (relocated int, err error) {
 	s.mu.Lock()
-	s.waitCapacityLocked()
 	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
-		return nil, false, err
+		return 0, err
 	}
-	if s.txid != selTxid {
-		s.mu.Unlock()
-		return nil, true, nil
-	}
-	if readErr != nil {
-		s.mu.Unlock()
-		return nil, false, readErr
-	}
-	// Durable mappings are exactly as selected; drop only pages that gained
-	// overlay state since (their relocation would clobber the newer applied
-	// content in the group).
-	for id := range writes {
-		if !s.vacuumQuietLocked(id) {
-			delete(writes, id)
-		}
-	}
-	if len(writes) == 0 && !evenEmpty {
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	g = s.enqueueLocked(change{writes: writes, root: rootUnchanged, reloc: true, lift: lift})
+	g := s.enqueueLocked(change{root: rootUnchanged, vacuum: true, moves: ids, lift: lift})
 	s.force = true // a relocation batch flushes now in every mode
 	s.mu.Unlock()
 	s.wake()
 	<-g.done
-	return g, false, g.err
+	if g.err != nil {
+		return 0, g.err
+	}
+	return g.relocated, g.moveErr
 }
 
 // vacuumQuietLocked reports whether id has no in-flight overlay state.

@@ -2,16 +2,18 @@ package file
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/faulttest"
-	"github.com/paper-repro/ekbtree/internal/store"
 )
 
 // buildGarbage fills a store with live pages and then churns them —
@@ -461,79 +463,152 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 		})
 }
 
-// parkReadFile is a real file whose next ReadAt in the data region, once
-// armed, parks until released — holding one of Vacuum's lock-free extent
-// reads open while the test changes the durable state underneath it.
-type parkReadFile struct {
-	*os.File
-	armed   atomic.Bool
-	parked  chan struct{} // receives once the armed read is parked
-	release chan struct{} // close to let it proceed
-}
-
-func (p *parkReadFile) ReadAt(b []byte, off int64) (int, error) {
-	if off >= dataStart && p.armed.CompareAndSwap(true, false) {
-		p.parked <- struct{}{}
-		<-p.release
-	}
-	return p.File.ReadAt(b, off)
-}
-
-// TestVacuumReadRacesTruncate is the regression test for vacuum's lock-free
-// extent reads racing the committer's truncate: a foreground flush that
-// installs and retreats the frontier while a selected extent is being read
-// cuts the file under the read, which then comes back EOF. That is a stale
-// selection, not a sick file: Vacuum must reselect and converge.
-func TestVacuumReadRacesTruncate(t *testing.T) {
-	f, err := os.OpenFile(filepath.Join(t.TempDir(), "race.ekb"), os.O_RDWR|os.O_CREATE, 0o600)
+// TestVacuumStaleSelectionIsDropped hands relocate a selection the foreground
+// has overtaken in every way it can — a page freed since, one rewritten in the
+// pending group, one rewritten in a flush still in flight, an ID never
+// allocated — beside one page that is live and movable. Nothing is validated
+// up front and nothing retried: the flush moves the one page, drops the rest,
+// and every page reads its newest content throughout.
+func TestVacuumStaleSelectionIsDropped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "stale.ekb")
+	gf := newGateSyncFile(t, path)
+	s, err := OpenWithConfig(gf, Config{Durability: Async})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := &parkReadFile{File: f, parked: make(chan struct{}), release: make(chan struct{})}
-	s, err := OpenWith(pf)
+	c := tableChecks{t, s}
+	// One page per flush lays them out front to back: the two pages whose
+	// extents become holes, then the page rewritten in the pending group (its
+	// stale extent would fit the second hole), then the movable one, half the
+	// size of either hole.
+	const freed, held, pend, live, never = 1, 2, 3, 4, 1 << 40
+	for id := uint64(freed); id <= live; id++ {
+		if _, err := s.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+		n := 1000
+		if id == live {
+			n = 500
+		}
+		c.commit(map[uint64]string{id: strings.Repeat("o", n)})
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.commit(nil, freed)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Larger than all the free space below it: it lands on the frontier and no
+	// pack move can bring it down.
+	c.commit(map[uint64]string{held: strings.Repeat("h", 4000)})
+	release := parkFlush(t, s, gf)
+	c.commit(map[uint64]string{pend: "pend-new"})
+	s.mu.RLock()
+	from := s.pages[live]
+	s.mu.RUnlock()
+
+	type result struct {
+		n   int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := s.relocate([]uint64{freed, pend, held, never, live}, false)
+		done <- result{n, err}
+	}()
+	c.awaitMove(live)
+	want := map[uint64]string{freed: "", pend: "pend-new", held: strings.Repeat("h", 4000), never: "", live: strings.Repeat("o", 500)}
+	c.reads("moves enqueued above a held flush", want)
+	release()
+	if r := <-done; r.n != 1 || r.err != nil {
+		t.Fatalf("relocate = (%d, %v), want one page moved and no error", r.n, r.err)
+	}
+	s.mu.RLock()
+	to := s.pages[live]
+	s.mu.RUnlock()
+	if to.off >= from.off || to.len != from.len {
+		t.Fatalf("the live page went from %+v to %+v, want a lower offset", from, to)
+	}
+	c.reads("moved", want)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	c.reads("synced", want)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	tableChecks{t, re}.reads("reopened", want)
+}
+
+// sickReadFile is a real file whose data-region reads fail while sick is set.
+type sickReadFile struct {
+	*os.File
+	sick atomic.Bool
+}
+
+func (f *sickReadFile) ReadAt(b []byte, off int64) (int, error) {
+	if off >= dataStart && f.sick.Load() {
+		return 0, syscall.EIO
+	}
+	return f.File.ReadAt(b, off)
+}
+
+// TestVacuumReadErrorSkipsMove: the committer failing to read a page it was
+// asked to move is Vacuum's error alone. The move is skipped, the extent taken
+// for it goes back, the flush and the store carry on; once the device reads
+// again the same vacuum compacts.
+func TestVacuumReadErrorSkipsMove(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sick.ekb")
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := &sickReadFile{File: f}
+	s, err := OpenWith(sf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// One page per flush lays them out front to back; freeing the first two
-	// leaves holes every later page fits, so Vacuum selects the tail.
-	var ids []uint64
-	for i := 0; i < 8; i++ {
-		id, _ := s.Alloc()
-		ids = append(ids, id)
-		if err := s.CommitPages(map[uint64][]byte{id: bytes.Repeat([]byte{byte(i)}, 2048)}, ids[0], nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.CommitPages(nil, ids[2], ids[:2]); err != nil {
-		t.Fatal(err)
-	}
+	ids := buildGarbage(t, s)
+	pre := snapshotState(t, s)
 	fileBefore, _ := s.Space()
 
-	pf.armed.Store(true)
-	done := make(chan error, 1)
-	go func() { done <- s.Vacuum(0) }()
-	<-pf.parked
-	// Free everything and flush (Full durability: CommitPages returns once the
-	// flip is durable and the retreated frontier has been truncated to).
-	if err := s.CommitPages(nil, store.NoRoot, ids[2:]); err != nil {
+	sf.sick.Store(true)
+	if err := s.Vacuum(0); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Vacuum over a device that cannot read = %v, want EIO", err)
+	}
+	if err := s.CommitPages(nil, ids[0], nil); err != nil {
+		t.Fatalf("the store did not stay up: %v", err)
+	}
+	sf.sick.Store(false)
+	if got := snapshotState(t, s); !reflect.DeepEqual(got, pre) {
+		t.Fatal("a skipped move changed the logical state")
+	}
+	s.mu.RLock()
+	covered, region := int64(s.dirExt.len), s.fileEnd-dataStart
+	for _, e := range s.pages {
+		covered += int64(e.len)
+	}
+	for _, e := range s.free {
+		covered += int64(e.len)
+	}
+	s.mu.RUnlock()
+	if covered != region {
+		t.Fatalf("pages, free list and directory cover %d of the data region's %d bytes: a skipped move kept its extent", covered, region)
+	}
+	if err := s.Vacuum(0); err != nil {
 		t.Fatal(err)
-	}
-	if st, err := f.Stat(); err != nil || st.Size() >= fileBefore {
-		t.Fatalf("the flush did not truncate under the parked read: size %d of %d (%v)", st.Size(), fileBefore, err)
-	}
-	close(pf.release)
-	if err := <-done; err != nil {
-		t.Fatalf("Vacuum over a truncating flush = %v, want nil", err)
 	}
 	if fileAfter, _ := s.Space(); fileAfter >= fileBefore {
-		t.Errorf("file did not shrink: %d -> %d bytes", fileBefore, fileAfter)
+		t.Errorf("vacuum did not shrink the file once reads worked: %d -> %d", fileBefore, fileAfter)
 	}
-	// The store is neither failed nor wedged.
-	if err := s.CommitPages(map[uint64][]byte{ids[0]: []byte("after")}, ids[0], nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := s.ReadPage(ids[0]); err != nil || !bytes.Equal(got, []byte("after")) {
-		t.Fatalf("ReadPage after the race = (%q, %v)", got, err)
+	if got := snapshotState(t, s); !reflect.DeepEqual(got, pre) {
+		t.Fatal("vacuum changed the logical state")
 	}
 }

@@ -493,9 +493,16 @@ func (t *Tree) kickRotator() {
 	}
 }
 
-// rotateRetryDelay is the rotator's backoff after a sweep hits a transient
-// error (e.g. a store briefly refusing commits).
-const rotateRetryDelay = 10 * time.Millisecond
+// rotateRetryMin and rotateRetryMax bound the rotator's back-off after a sweep
+// that hit an error (a store refusing commits, the seal hard limit): the delay
+// doubles per consecutive failed sweep and returns to the minimum after one
+// that returns none. A failed sweep has already read every page of the tree,
+// so retrying a persistent failure at a constant few milliseconds is a
+// whole-tree scan a hundred times a second for as long as the tree is open.
+const (
+	rotateRetryMin = 10 * time.Millisecond
+	rotateRetryMax = 5 * time.Second
+)
 
 // rotatorLoop is the background re-seal rotator: one goroutine per Tree,
 // woken by epoch advances (and once at Open), sweeping every shard's
@@ -511,15 +518,15 @@ func (t *Tree) rotatorLoop() {
 			return
 		case <-t.rotKick:
 		}
-		for {
-			done, transient := true, false
+		for delay := rotateRetryMin; ; {
+			done, failed := true, false
 			for _, g := range t.shards {
 				d, err := g.Rotate()
 				if errors.Is(err, ErrClosed) {
 					return
 				}
 				if err != nil {
-					transient = true
+					failed = true
 				}
 				if err != nil || !d {
 					done = false
@@ -528,18 +535,17 @@ func (t *Tree) rotatorLoop() {
 			if done {
 				break
 			}
-			if transient {
-				select {
-				case <-t.rotStop:
-					return
-				case <-time.After(rotateRetryDelay):
-				}
+			wait := time.Duration(0)
+			if failed {
+				wait, delay = delay, min(2*delay, rotateRetryMax)
 			} else {
-				select {
-				case <-t.rotStop:
-					return
-				default:
-				}
+				delay = rotateRetryMin
+			}
+			select {
+			case <-t.rotStop:
+				return
+			case <-t.rotKick: // a fresh epoch is what lifts an exhausted one: sweep now
+			case <-time.After(wait):
 			}
 		}
 	}
