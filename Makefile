@@ -30,16 +30,20 @@ test:
 	$(GO) test ./...
 	EKBTREE_BACKEND=file $(GO) test ./pkg/...
 
-# The last leg repeats the fault sweeps (internal/faulttest) and commit-group
+# The third line repeats the fault sweeps (internal/faulttest) and commit-group
 # walks: a flush places pages in map-iteration order, so every run meets a new
-# layout. Its second line is the sweeps above the store: rotation's re-seal
-# commits and a whole tree, whose background rotator interleaves differently
-# every run, and the rotator backing off over a store that refuses it.
+# layout. The fourth is the sweeps above the store: rotation's re-seal commits
+# and a whole tree, whose background rotator interleaves differently every
+# run, and the rotator backing off over a store that refuses it. The last is
+# the wire's two ends over real sockets, where each run lands the responder's
+# and the client's goroutines differently: a client's latched transport error
+# and a pre-auth frame refused.
 race:
 	$(GO) test -race ./...
 	EKBTREE_BACKEND=file $(GO) test -race ./pkg/...
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
 # test-sharded repeats the façade suite with every test tree defaulting to
 # three range shards (EKBTREE_SHARDS repoints Options.Shards the same way
@@ -98,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRange$$' -fuzztime $(FUZZTIME) ./internal/keysub/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
 
 clean:
 	$(GO) clean ./...

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -32,6 +31,14 @@ const (
 	// handshakeTimeout bounds how long an unauthenticated connection may sit
 	// on the handshake.
 	handshakeTimeout = 30 * time.Second
+	// maxPreAuthFrame bounds a frame read before authentication: a Hello is
+	// at most 67 bytes and an Auth 34, so a peer that has proven nothing
+	// cannot make the server buffer more than this.
+	maxPreAuthFrame = 1 << 10
+	// maxRetained is the largest buffer a connection keeps between requests:
+	// one that grew past it (a batch commit, a cursor page) is dropped after
+	// its round trip rather than held for the life of the connection.
+	maxRetained = 16 << 10
 )
 
 // serverCursor tracks one wire cursor: the engine cursor plus whether it has
@@ -46,11 +53,19 @@ type serverCursor struct {
 
 // conn serves one client connection: handshake first, then a synchronous
 // request loop over the authenticated tenant's tree.
+//
+// A request is read into in and its response built in out. The request's
+// byte fields alias in, so they live only until dispatch returns; every tree
+// call copies what it keeps (Put and Batch copy keys and values, CursorRange
+// substitutes its bounds), and the handshake's proof is verified before the
+// next read.
 type conn struct {
 	srv *server
 	nc  net.Conn
 	br  *bufio.Reader
 	bw  *bufio.Writer
+	in  []byte
+	out []byte
 
 	tenant  *tenant
 	tree    *ekbtree.Tree
@@ -100,19 +115,18 @@ func (c *conn) serve() {
 		return
 	}
 	for {
-		payload, err := wire.ReadFrame(c.br)
-		if err != nil {
+		var err error
+		if c.in, err = wire.ReadFrameInto(c.br, c.in, wire.MaxFrame); err != nil {
 			// EOF, peer reset, or the drain deadline: the connection is done.
 			return
 		}
-		req, err := wire.DecodeRequest(payload)
-		var resp []byte
+		req, err := wire.DecodeRequest(c.in)
 		if err != nil {
-			resp = wire.EncodeErr(wire.CodeBadRequest, err.Error())
+			c.out = wire.AppendErr(c.out[:0], wire.CodeBadRequest, err.Error())
 		} else {
-			resp = c.dispatch(req)
+			c.out = c.dispatch(c.out[:0], req)
 		}
-		if !c.writeResp(resp) {
+		if !c.writeResp() {
 			return
 		}
 		// A draining connection is held open only for its remaining work:
@@ -132,47 +146,32 @@ func (c *conn) serve() {
 func (c *conn) handshake() bool {
 	c.nc.SetDeadline(time.Now().Add(handshakeTimeout))
 
-	payload, err := wire.ReadFrame(c.br)
-	if err != nil {
-		return false
-	}
-	req, err := wire.DecodeRequest(payload)
-	if err != nil {
-		c.writeResp(wire.EncodeErr(wire.CodeBadRequest, err.Error()))
+	req, ok := c.handshakeRequest()
+	if !ok {
 		return false
 	}
 	hello, ok := req.(*wire.Hello)
 	if !ok {
-		c.writeResp(wire.EncodeErr(wire.CodeBadRequest, "handshake must start with Hello"))
-		return false
+		return c.fail(wire.CodeBadRequest, "handshake must start with Hello")
 	}
 	if hello.Version != wire.ProtocolVersion {
-		c.writeResp(wire.EncodeErr(wire.CodeBadRequest,
-			fmt.Sprintf("unsupported protocol version %d", hello.Version)))
-		return false
+		return c.fail(wire.CodeBadRequest, fmt.Sprintf("unsupported protocol version %d", hello.Version))
 	}
 	challenge, err := wire.NewChallenge()
 	if err != nil {
-		c.writeResp(wire.EncodeErr(wire.CodeInternal, "challenge generation failed"))
-		return false
+		return c.fail(wire.CodeInternal, "challenge generation failed")
 	}
-	if !c.writeResp(wire.EncodeOK(challenge)) {
+	c.out = append(wire.AppendOK(c.out[:0]), challenge...)
+	if !c.writeResp() {
 		return false
 	}
 
-	payload, err = wire.ReadFrame(c.br)
-	if err != nil {
-		return false
-	}
-	req, err = wire.DecodeRequest(payload)
-	if err != nil {
-		c.writeResp(wire.EncodeErr(wire.CodeBadRequest, err.Error()))
+	if req, ok = c.handshakeRequest(); !ok {
 		return false
 	}
 	auth, ok := req.(*wire.Auth)
 	if !ok {
-		c.writeResp(wire.EncodeErr(wire.CodeBadRequest, "expected Auth after Hello"))
-		return false
+		return c.fail(wire.CodeBadRequest, "expected Auth after Hello")
 	}
 	// Unknown tenants verify against a random server-lifetime dummy key:
 	// same code path, same work, same (certain) failure — no oracle.
@@ -182,11 +181,11 @@ func (c *conn) handshake() bool {
 		authKey = ten.material.AuthKey
 	}
 	if ten == nil || !wire.VerifyAuth(authKey, challenge, hello.Tenant, auth.Proof) {
-		c.writeResp(wire.EncodeErr(wire.CodeAuth, "authentication failed"))
-		return false
+		return c.fail(wire.CodeAuth, "authentication failed")
 	}
 	c.tenant = ten
-	if !c.writeResp(wire.EncodeOK(nil)) {
+	c.out = wire.AppendOK(c.out[:0])
+	if !c.writeResp() {
 		return false
 	}
 	// Authenticated: drop the handshake deadline — unless drain has already
@@ -197,70 +196,105 @@ func (c *conn) handshake() bool {
 	return true
 }
 
-// writeResp frames, writes, and flushes one response, reporting success. A
-// payload no frame can carry is a handler's bug, not a dead socket: the peer
-// is told so and keeps its connection.
-func (c *conn) writeResp(payload []byte) bool {
-	if len(payload) > wire.MaxFrame {
-		payload = wire.EncodeErr(wire.CodeInternal,
-			fmt.Sprintf("response of %d bytes exceeds the %d-byte frame limit", len(payload), wire.MaxFrame))
+// handshakeRequest reads and decodes one request before authentication. It
+// reports false if the connection must close: the frame never arrived, or it
+// was over maxPreAuthFrame or did not decode, which the peer is told first.
+func (c *conn) handshakeRequest() (wire.Request, bool) {
+	var err error
+	c.in, err = wire.ReadFrameInto(c.br, c.in, maxPreAuthFrame)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		return nil, c.fail(wire.CodeBadRequest, fmt.Sprintf("a frame before authentication is at most %d bytes", maxPreAuthFrame))
 	}
-	if err := wire.WriteFrame(c.bw, payload); err != nil {
+	if err != nil {
+		return nil, false
+	}
+	req, err := wire.DecodeRequest(c.in)
+	if err != nil {
+		return nil, c.fail(wire.CodeBadRequest, err.Error())
+	}
+	return req, true
+}
+
+// fail answers with an error response on a connection about to close, and
+// reports false for the caller to return.
+func (c *conn) fail(code wire.ErrCode, msg string) bool {
+	c.out = wire.AppendErr(c.out[:0], code, msg)
+	c.writeResp()
+	return false
+}
+
+// writeResp finishes the response frame in c.out and writes it, reporting
+// success. A payload no frame can carry is a handler's bug, not a dead
+// socket: the peer is told so and keeps its connection.
+func (c *conn) writeResp() bool {
+	if wire.EndFrame(c.out) != nil {
+		payload := len(c.out) - 4 // less the length word
+		c.out = wire.AppendErr(c.out[:0], wire.CodeInternal,
+			fmt.Sprintf("response of %d bytes exceeds the %d-byte frame limit", payload, wire.MaxFrame))
+		wire.EndFrame(c.out)
+	}
+	if _, err := c.bw.Write(c.out); err != nil {
 		return false
+	}
+	if cap(c.in) > maxRetained {
+		c.in = nil
+	}
+	if cap(c.out) > maxRetained {
+		c.out = nil
 	}
 	return c.bw.Flush() == nil
 }
 
-// dispatch executes one authenticated request and returns the response
-// payload. Everything but the handshake messages and Open is a data-plane
+// dispatch executes one authenticated request and appends its response frame
+// to b. Everything but the handshake messages and Open is a data-plane
 // operation and needs the tenant's tree attached.
-func (c *conn) dispatch(req wire.Request) []byte {
+func (c *conn) dispatch(b []byte, req wire.Request) []byte {
 	switch req.(type) {
 	case *wire.Hello, *wire.Auth:
-		return wire.EncodeErr(wire.CodeBadRequest, "connection is already authenticated")
+		return wire.AppendErr(b, wire.CodeBadRequest, "connection is already authenticated")
 	case *wire.Open:
-		return c.handleOpen()
+		return c.handleOpen(b)
 	}
 	if c.tree == nil {
-		return wire.EncodeErr(wire.CodeBadRequest, "Open required before data operations")
+		return wire.AppendErr(b, wire.CodeBadRequest, "Open required before data operations")
 	}
 	switch m := req.(type) {
 	case *wire.Put:
 		if err := c.tree.Put(m.Key, m.Value); err != nil {
-			return encodeEngineErr(err)
+			return appendEngineErr(b, err)
 		}
-		return wire.EncodeOK(nil)
+		return wire.AppendOK(b)
 	case *wire.Get:
 		v, found, err := c.tree.Get(m.Key)
 		if err != nil {
-			return encodeEngineErr(err)
+			return appendEngineErr(b, err)
 		}
-		return wire.EncodeOK(wire.EncodeGetBody(v, found))
+		return wire.AppendGetBody(wire.AppendOK(b), v, found)
 	case *wire.Delete:
 		found, err := c.tree.Delete(m.Key)
 		if err != nil {
-			return encodeEngineErr(err)
+			return appendEngineErr(b, err)
 		}
-		return wire.EncodeOK(wire.EncodeFoundBody(found))
+		return wire.AppendFoundBody(wire.AppendOK(b), found)
 	case *wire.BatchCommit:
-		return c.handleBatch(m)
+		return c.handleBatch(b, m)
 	case *wire.CursorOpen:
-		return c.handleCursorOpen(m)
+		return c.handleCursorOpen(b, m)
 	case *wire.CursorNext:
-		return c.handleCursorNext(m)
+		return c.handleCursorNext(b, m)
 	case *wire.CursorClose:
 		if sc, ok := c.cursors[m.Cursor]; ok {
 			sc.cur.Close()
 			delete(c.cursors, m.Cursor)
 		}
-		return wire.EncodeOK(nil)
+		return wire.AppendOK(b)
 	case *wire.Stats:
-		return c.handleStats()
+		return c.handleStats(b)
 	case *wire.Sync:
 		if err := c.tree.Sync(); err != nil {
-			return encodeEngineErr(err)
+			return appendEngineErr(b, err)
 		}
-		return wire.EncodeOK(nil)
+		return wire.AppendOK(b)
 	case *wire.Vacuum:
 		// A wire target past int64 is indistinguishable from "already
 		// satisfied": clamp instead of erroring.
@@ -269,49 +303,49 @@ func (c *conn) dispatch(req wire.Request) []byte {
 			target = int64(m.Target)
 		}
 		if err := c.tree.Vacuum(target); err != nil {
-			return encodeEngineErr(err)
+			return appendEngineErr(b, err)
 		}
-		return wire.EncodeOK(nil)
+		return wire.AppendOK(b)
 	default:
-		return wire.EncodeErr(wire.CodeBadRequest, "unhandled request")
+		return wire.AppendErr(b, wire.CodeBadRequest, "unhandled request")
 	}
 }
 
-func (c *conn) handleOpen() []byte {
+func (c *conn) handleOpen(b []byte) []byte {
 	if c.tree != nil {
-		return wire.EncodeOK(nil) // idempotent
+		return wire.AppendOK(b) // idempotent
 	}
 	tree, err := c.tenant.openTree(c.srv.reg.dir, c.srv.reg.cfg)
 	if err != nil {
-		return encodeEngineErr(err)
+		return appendEngineErr(b, err)
 	}
 	c.tree = tree
-	return wire.EncodeOK(nil)
+	return wire.AppendOK(b)
 }
 
-func (c *conn) handleBatch(m *wire.BatchCommit) []byte {
-	b := c.tree.NewBatch()
+func (c *conn) handleBatch(b []byte, m *wire.BatchCommit) []byte {
+	batch := c.tree.NewBatch()
 	for _, op := range m.Ops {
 		var err error
 		if op.Del {
-			err = b.Delete(op.Key)
+			err = batch.Delete(op.Key)
 		} else {
-			err = b.Put(op.Key, op.Value)
+			err = batch.Put(op.Key, op.Value)
 		}
 		if err != nil {
-			b.Discard()
-			return encodeEngineErr(err)
+			batch.Discard()
+			return appendEngineErr(b, err)
 		}
 	}
-	if err := b.Commit(); err != nil {
-		return encodeEngineErr(err)
+	if err := batch.Commit(); err != nil {
+		return appendEngineErr(b, err)
 	}
-	return wire.EncodeOK(nil)
+	return wire.AppendOK(b)
 }
 
-func (c *conn) handleCursorOpen(m *wire.CursorOpen) []byte {
+func (c *conn) handleCursorOpen(b []byte, m *wire.CursorOpen) []byte {
 	if len(c.cursors) >= maxCursorsPerConn {
-		return wire.EncodeErr(wire.CodeCursorLimit,
+		return wire.AppendErr(b, wire.CodeCursorLimit,
 			fmt.Sprintf("at most %d cursors per connection", maxCursorsPerConn))
 	}
 	var lo, hi []byte
@@ -324,29 +358,28 @@ func (c *conn) handleCursorOpen(m *wire.CursorOpen) []byte {
 	id := c.nextID
 	c.nextID++
 	c.cursors[id] = &serverCursor{cur: c.tree.CursorRange(lo, hi)}
-	return wire.EncodeOK(wire.EncodeCursorIDBody(id))
+	return wire.AppendCursorIDBody(wire.AppendOK(b), id)
 }
 
-func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
+func (c *conn) handleCursorNext(b []byte, m *wire.CursorNext) []byte {
 	sc, ok := c.cursors[m.Cursor]
 	if !ok {
-		return wire.EncodeErr(wire.CodeUnknownCursor,
+		return wire.AppendErr(b, wire.CodeUnknownCursor,
 			fmt.Sprintf("cursor %d is not open on this connection", m.Cursor))
 	}
-	max := m.Max
-	if max > maxEntriesPerNext {
-		max = maxEntriesPerNext
-	}
-	// Key/Value are zero-copy views valid while the cursor stays open, and
-	// EncodeEntriesBody copies them into the response buffer — so the views
-	// are gathered, encoded, and only then (on exhaustion) the cursor closed.
-	var entries []wire.Entry
+	max := min(m.Max, maxEntriesPerNext)
+	// Key/Value are zero-copy views valid while the cursor stays open: each
+	// is encoded into the response as it is read, and only then (on
+	// exhaustion) is the cursor closed.
+	start := len(b)
+	var body wire.EntriesBody
+	b = body.Begin(wire.AppendOK(b), max)
 	done := false
 	// size is the whole payload — status byte, entry count, entries, done
 	// flag — so it is what the frame limit applies to.
 	const fixed = 1 + binary.MaxVarintLen64 + 1
 	size := fixed
-	for uint64(len(entries)) < max && size-fixed < nextByteBudget {
+	for body.Len() < max && size-fixed < nextByteBudget {
 		switch {
 		case sc.held:
 			sc.held = false
@@ -360,9 +393,9 @@ func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
 			break
 		}
 		k, v := sc.cur.Key(), sc.cur.Value()
-		n := uvarintLen(len(k)) + len(k) + uvarintLen(len(v)) + len(v)
+		n := wire.EntrySize(k, v)
 		if size+n > wire.MaxFrame {
-			if len(entries) > 0 {
+			if body.Len() > 0 {
 				sc.held = true // the next call starts with it
 				break
 			}
@@ -371,57 +404,54 @@ func (c *conn) handleCursorNext(m *wire.CursorNext) []byte {
 			// CursorNext can ever get past it.
 			sc.cur.Close()
 			delete(c.cursors, m.Cursor)
-			return wire.EncodeErr(wire.CodeTooLarge,
+			return wire.AppendErr(b[:start], wire.CodeTooLarge,
 				fmt.Sprintf("an entry of %d key and %d value bytes exceeds the %d-byte frame limit; cursor closed", len(k), len(v), wire.MaxFrame))
 		}
-		entries = append(entries, wire.Entry{SubKey: k, Value: v})
+		b = body.Append(b, k, v)
 		size += n
 	}
 	if done {
 		if err := sc.cur.Err(); err != nil {
 			sc.cur.Close()
 			delete(c.cursors, m.Cursor)
-			return encodeEngineErr(err)
+			return appendEngineErr(b[:start], err)
 		}
 	}
-	resp := wire.EncodeOK(wire.EncodeEntriesBody(entries, done))
+	b = body.End(b, done)
 	if done {
 		sc.cur.Close()
 		delete(c.cursors, m.Cursor)
 	}
-	return resp
+	return b
 }
 
-// uvarintLen is the length of n's uvarint encoding, the wire's length prefix.
-func uvarintLen(n int) int { return (bits.Len(uint(n)|1) + 6) / 7 }
-
-func (c *conn) handleStats() []byte {
+func (c *conn) handleStats(b []byte) []byte {
 	stats, err := c.tree.Stats()
 	if err != nil {
-		return encodeEngineErr(err)
+		return appendEngineErr(b, err)
 	}
 	j, err := json.Marshal(stats)
 	if err != nil {
-		return wire.EncodeErr(wire.CodeInternal, err.Error())
+		return wire.AppendErr(b, wire.CodeInternal, err.Error())
 	}
-	return wire.EncodeOK(wire.EncodeBytesBody(j))
+	return wire.AppendBytesBody(wire.AppendOK(b), j)
 }
 
-// encodeEngineErr maps engine errors onto wire codes. The mapping is coarse
+// appendEngineErr maps engine errors onto wire codes. The mapping is coarse
 // on purpose: key-material errors cannot occur post-handshake (the façade
 // layers were validated when the tree opened), so everything unexpected is
 // CodeInternal.
-func encodeEngineErr(err error) []byte {
+func appendEngineErr(b []byte, err error) []byte {
 	switch {
 	case errors.Is(err, ekbtree.ErrTooLarge):
-		return wire.EncodeErr(wire.CodeTooLarge, err.Error())
+		return wire.AppendErr(b, wire.CodeTooLarge, err.Error())
 	case errors.Is(err, ekbtree.ErrSnapshotTooOld):
-		return wire.EncodeErr(wire.CodeSnapshotTooOld, err.Error())
+		return wire.AppendErr(b, wire.CodeSnapshotTooOld, err.Error())
 	case errors.Is(err, ekbtree.ErrSealsExhausted):
-		return wire.EncodeErr(wire.CodeSealsExhausted, err.Error())
+		return wire.AppendErr(b, wire.CodeSealsExhausted, err.Error())
 	case errors.Is(err, ekbtree.ErrClosed):
-		return wire.EncodeErr(wire.CodeDraining, "tree is closed (server draining)")
+		return wire.AppendErr(b, wire.CodeDraining, "tree is closed (server draining)")
 	default:
-		return wire.EncodeErr(wire.CodeInternal, err.Error())
+		return wire.AppendErr(b, wire.CodeInternal, err.Error())
 	}
 }

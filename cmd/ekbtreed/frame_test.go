@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/wire"
@@ -94,15 +96,21 @@ func TestCursorNextNeverOverflowsFrame(t *testing.T) {
 	t.Run("oversized payload", func(t *testing.T) {
 		var sent bytes.Buffer
 		c := &conn{bw: bufio.NewWriter(&sent)}
-		if !c.writeResp(wire.EncodeOK(make([]byte, wire.MaxFrame))) {
+		c.out = append(wire.AppendOK(nil), make([]byte, wire.MaxFrame)...)
+		if !c.writeResp() {
 			t.Fatal("writeResp gave the connection up")
 		}
 		payload, err := wire.ReadFrame(&sent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := wire.DecodeResponse(payload); !wire.IsCode(err, wire.CodeInternal) {
+		_, err = wire.DecodeResponse(payload)
+		if !wire.IsCode(err, wire.CodeInternal) {
 			t.Fatalf("the peer reads %v, want CodeInternal", err)
+		}
+		// The size reported is the payload's, as the limit is.
+		if want := fmt.Sprintf("response of %d bytes", wire.MaxFrame+1); !strings.Contains(err.Error(), want) {
+			t.Fatalf("the peer reads %q, want it to say %q", err, want)
 		}
 	})
 }

@@ -108,7 +108,9 @@ func (s *server) serve() error {
 			// Refused synchronously with a bounded write so a peer that
 			// won't read can't wedge the accept loop for long.
 			nc.SetWriteDeadline(time.Now().Add(2 * time.Second))
-			wire.WriteFrame(nc, wire.EncodeErr(refuse, refuse.String()))
+			frame := wire.AppendErr(nil, refuse, refuse.String())
+			wire.EndFrame(frame)
+			nc.Write(frame)
 			nc.Close()
 			continue
 		}

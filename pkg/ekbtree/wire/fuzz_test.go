@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -24,6 +26,30 @@ func allocatedBy(f func()) uint64 {
 // meanwhile (a few KB now and then); a count the payload does not back
 // overshoots it a thousandfold.
 func allocBound(payload []byte) uint64 { return 64*uint64(len(payload)) + 64<<10 }
+
+// rereadAfterLonger returns payload as a connection end sees it: read into a
+// buffer that a longer, different frame was read into first, so that a
+// decoder trusting anything past the payload, or a stale byte of the buffer,
+// answers differently than on a fresh copy. ok is false if payload is too
+// large to frame.
+func rereadAfterLonger(payload []byte) (reread []byte, ok bool) {
+	longer := append(bytes.Clone(payload), 0xA5, 0x5A, 0xFF, 0x00, 0x80)
+	for i := range longer {
+		longer[i] ^= 0xFF
+	}
+	var stream bytes.Buffer
+	if WriteFrame(&stream, longer) != nil || WriteFrame(&stream, payload) != nil {
+		return nil, false
+	}
+	buf, err := ReadFrameInto(&stream, nil, MaxFrame)
+	if err != nil {
+		panic(err)
+	}
+	if buf, err = ReadFrameInto(&stream, buf, MaxFrame); err != nil {
+		panic(err)
+	}
+	return buf, true
+}
 
 // TestHostileCountsAllocateLittle is the regression test for the pre-auth
 // memory amplification: a five-byte BatchCommit claiming two million ops
@@ -92,6 +118,15 @@ func FuzzDecodeRequest(f *testing.F) {
 		if got := allocatedBy(func() { req, err = DecodeRequest(payload) }); got > allocBound(payload) {
 			t.Fatalf("decoding %d bytes allocated %d", len(payload), got)
 		}
+		if reread, ok := rereadAfterLonger(payload); ok {
+			req2, err2 := DecodeRequest(reread)
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("a fresh decode says %v, a decode in a reused buffer %v", err, err2)
+			}
+			if err == nil && !bytes.Equal(EncodeRequest(req), EncodeRequest(req2)) {
+				t.Fatalf("%s decodes differently in a reused buffer", req.op())
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, ErrMalformed) {
 				t.Fatalf("DecodeRequest failed with %v, want ErrMalformed", err)
@@ -153,6 +188,14 @@ func FuzzDecodeResponse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		body, err := DecodeResponse(payload)
+		reread, rereadOK := rereadAfterLonger(payload)
+		var body2 []byte
+		if rereadOK {
+			var err2 error
+			if body2, err2 = DecodeResponse(reread); (err == nil) != (err2 == nil) || (err != nil && err.Error() != err2.Error()) {
+				t.Fatalf("a fresh decode says %v, a decode in a reused buffer %v", err, err2)
+			}
+		}
 		var we *Error
 		switch {
 		case err == nil:
@@ -179,6 +222,63 @@ func FuzzDecodeResponse(f *testing.F) {
 			}
 			if third, err := decode(again); err != nil || !bytes.Equal(again, third) {
 				t.Fatalf("%s is not a fixed point (%v):\n %x\n %x", name, err, again, third)
+			}
+		}
+		if !rereadOK {
+			return
+		}
+		for name, decode := range decoders {
+			want, wantErr := decode(body)
+			got, gotErr := decode(body2)
+			if (wantErr == nil) != (gotErr == nil) || (wantErr == nil && !bytes.Equal(want, got)) {
+				t.Fatalf("%s in a reused buffer: %x (%v), fresh: %x (%v)", name, got, gotErr, want, wantErr)
+			}
+		}
+	})
+}
+
+// FuzzReadFrame drives an arbitrary byte stream through one reused buffer, the
+// way both ends of a connection read it. ReadFrameInto must never panic, must
+// return frame for frame what a fresh ReadFrame over the same stream returns,
+// and must pay for payload only as it arrives: a call allocates at most twice
+// the bytes it consumed plus 64 KiB. A declared length that never arrives
+// fails with io.ErrUnexpectedEOF without allocating that length; such a cut
+// off frame may have doubled its buffer once more than the bytes that came
+// can fill, so its bound is four times what it consumed plus 64 KiB.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(p []byte) []byte { return append(binary.BigEndian.AppendUint32(nil, uint32(len(p))), p...) }
+	f.Add(frame(nil))
+	f.Add(append(frame(bytes.Repeat([]byte{0xAB}, 300)), frame([]byte{1, 2})...)) // long, then short
+	f.Add(append(frame(EncodeRequest(&Get{Key: []byte("k")})), frame(EncodeOK(EncodeGetBody([]byte("v"), true)))...))
+	f.Add([]byte{0x00, 0x40, 0x00, 0x00, 0x01}) // MaxFrame declared, one byte sent
+	f.Add([]byte{0x00, 0x00, 0x01})             // a cut off length word
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00}) // past MaxFrame
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		reused, fresh := bytes.NewReader(stream), bytes.NewReader(stream)
+		var buf []byte
+		for {
+			before := reused.Len()
+			var err error
+			alloc := allocatedBy(func() { buf, err = ReadFrameInto(reused, buf, MaxFrame) })
+			consumed := uint64(before - reused.Len())
+			want, wantErr := ReadFrame(fresh)
+			if err != wantErr || !bytes.Equal(buf, want) {
+				t.Fatalf("reused buffer read %x (%v), a fresh ReadFrame %x (%v)", buf, err, want, wantErr)
+			}
+			bound := 2*consumed + 64<<10
+			if err == io.ErrUnexpectedEOF {
+				bound = 4*consumed + 64<<10
+			}
+			if alloc > bound {
+				t.Fatalf("a read that consumed %d bytes allocated %d (%v)", consumed, alloc, err)
+			}
+			switch {
+			case err == nil:
+			case err == io.EOF && before == 0, err == io.ErrUnexpectedEOF, err == ErrFrameTooLarge:
+				return
+			default:
+				t.Fatalf("ReadFrameInto failed with %v after %d of %d bytes", err, len(stream)-before, len(stream))
 			}
 		}
 	})

@@ -57,58 +57,64 @@ func (op Op) String() string {
 	}
 }
 
-// Request is one client→server message. EncodeRequest produces the wire
-// payload; DecodeRequest parses one back into its typed form.
+// Request is one client→server message. AppendRequest (or EncodeRequest)
+// produces its frame; DecodeRequest parses one back into its typed form.
 type Request interface {
 	op() Op
 	enc(b []byte) []byte
-	dec(d *decoder)
+}
+
+// AppendRequest appends req to dst as a whole frame — the length word, zero
+// until EndFrame patches it, then opcode and fields — and returns the
+// extended buffer.
+func AppendRequest(dst []byte, req Request) []byte {
+	return req.enc(append(dst, 0, 0, 0, 0, byte(req.op())))
 }
 
 // EncodeRequest renders req as a frame payload (opcode + fields).
-func EncodeRequest(req Request) []byte {
-	return req.enc([]byte{byte(req.op())})
-}
+func EncodeRequest(req Request) []byte { return AppendRequest(nil, req)[frameHeader:] }
 
-// DecodeRequest parses a frame payload into its typed request. Unknown
-// opcodes and malformed bodies return an error wrapping ErrMalformed.
+// DecodeRequest parses a frame payload into its typed request, whose byte
+// fields alias payload. Unknown opcodes and malformed bodies return an error
+// wrapping ErrMalformed. Each opcode calls its message's decoder directly, so
+// the decoder state stays on the stack: the typed request is the only
+// allocation a fixed-size request costs.
 func DecodeRequest(payload []byte) (Request, error) {
 	if len(payload) == 0 {
 		return nil, errorf("empty request")
 	}
+	d := decoder{b: payload[1:]}
 	var req Request
 	switch Op(payload[0]) {
 	case OpHello:
-		req = &Hello{}
+		req = new(Hello).dec(&d)
 	case OpAuth:
-		req = &Auth{}
+		req = new(Auth).dec(&d)
 	case OpOpen:
 		req = &Open{}
 	case OpPut:
-		req = &Put{}
+		req = new(Put).dec(&d)
 	case OpGet:
-		req = &Get{}
+		req = new(Get).dec(&d)
 	case OpDelete:
-		req = &Delete{}
+		req = new(Delete).dec(&d)
 	case OpBatchCommit:
-		req = &BatchCommit{}
+		req = new(BatchCommit).dec(&d)
 	case OpCursorOpen:
-		req = &CursorOpen{}
+		req = new(CursorOpen).dec(&d)
 	case OpCursorNext:
-		req = &CursorNext{}
+		req = new(CursorNext).dec(&d)
 	case OpCursorClose:
-		req = &CursorClose{}
+		req = new(CursorClose).dec(&d)
 	case OpStats:
 		req = &Stats{}
 	case OpSync:
 		req = &Sync{}
 	case OpVacuum:
-		req = &Vacuum{}
+		req = new(Vacuum).dec(&d)
 	default:
 		return nil, errorf("unknown opcode 0x%02x", payload[0])
 	}
-	d := &decoder{b: payload[1:]}
-	req.dec(d)
 	if err := d.finish(); err != nil {
 		return nil, errorf("%s: %v", req.op(), err)
 	}
@@ -126,11 +132,12 @@ type Hello struct {
 func (*Hello) op() Op { return OpHello }
 func (m *Hello) enc(b []byte) []byte {
 	b = appendUvarint(b, m.Version)
-	return appendBytes(b, []byte(m.Tenant))
+	return appendString(b, m.Tenant)
 }
-func (m *Hello) dec(d *decoder) {
+func (m *Hello) dec(d *decoder) Request {
 	m.Version = d.uvarint()
 	m.Tenant = string(d.bytes())
+	return m
 }
 
 // Auth answers the server's challenge with an HMAC proof of the tenant's
@@ -139,9 +146,9 @@ type Auth struct {
 	Proof []byte
 }
 
-func (*Auth) op() Op                { return OpAuth }
-func (m *Auth) enc(b []byte) []byte { return appendBytes(b, m.Proof) }
-func (m *Auth) dec(d *decoder)      { m.Proof = d.bytes() }
+func (*Auth) op() Op                   { return OpAuth }
+func (m *Auth) enc(b []byte) []byte    { return appendBytes(b, m.Proof) }
+func (m *Auth) dec(d *decoder) Request { m.Proof = d.bytes(); return m }
 
 // Open attaches the authenticated tenant's tree to the connection; it must be
 // issued once before any other data-plane op. OK body: empty.
@@ -149,7 +156,6 @@ type Open struct{}
 
 func (*Open) op() Op                { return OpOpen }
 func (m *Open) enc(b []byte) []byte { return b }
-func (m *Open) dec(d *decoder)      {}
 
 // Put stores Value under the plaintext Key (the server's façade substitutes
 // it before it reaches the tree). OK body: empty.
@@ -163,9 +169,10 @@ func (m *Put) enc(b []byte) []byte {
 	b = appendBytes(b, m.Key)
 	return appendBytes(b, m.Value)
 }
-func (m *Put) dec(d *decoder) {
+func (m *Put) dec(d *decoder) Request {
 	m.Key = d.bytes()
 	m.Value = d.bytes()
+	return m
 }
 
 // Get looks up the plaintext Key. OK body: found flag + value.
@@ -173,18 +180,18 @@ type Get struct {
 	Key []byte
 }
 
-func (*Get) op() Op                { return OpGet }
-func (m *Get) enc(b []byte) []byte { return appendBytes(b, m.Key) }
-func (m *Get) dec(d *decoder)      { m.Key = d.bytes() }
+func (*Get) op() Op                   { return OpGet }
+func (m *Get) enc(b []byte) []byte    { return appendBytes(b, m.Key) }
+func (m *Get) dec(d *decoder) Request { m.Key = d.bytes(); return m }
 
 // Delete removes the plaintext Key. OK body: found flag.
 type Delete struct {
 	Key []byte
 }
 
-func (*Delete) op() Op                { return OpDelete }
-func (m *Delete) enc(b []byte) []byte { return appendBytes(b, m.Key) }
-func (m *Delete) dec(d *decoder)      { m.Key = d.bytes() }
+func (*Delete) op() Op                   { return OpDelete }
+func (m *Delete) enc(b []byte) []byte    { return appendBytes(b, m.Key) }
+func (m *Delete) dec(d *decoder) Request { m.Key = d.bytes(); return m }
 
 // BatchOp is one staged operation inside a BatchCommit.
 type BatchOp struct {
@@ -211,10 +218,10 @@ func (m *BatchCommit) enc(b []byte) []byte {
 	}
 	return b
 }
-func (m *BatchCommit) dec(d *decoder) {
+func (m *BatchCommit) dec(d *decoder) Request {
 	n := d.count(2) // an op is at least a flag and a key length
 	if d.err != nil {
-		return
+		return m
 	}
 	m.Ops = make([]BatchOp, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
@@ -225,6 +232,7 @@ func (m *BatchCommit) dec(d *decoder) {
 		}
 		m.Ops = append(m.Ops, op)
 	}
+	return m
 }
 
 // CursorOpen creates a server-side snapshot cursor over the tenant's tree,
@@ -250,13 +258,14 @@ func (m *CursorOpen) enc(b []byte) []byte {
 	}
 	return b
 }
-func (m *CursorOpen) dec(d *decoder) {
+func (m *CursorOpen) dec(d *decoder) Request {
 	if m.HasLo = d.bool(); m.HasLo {
 		m.Lo = d.bytes()
 	}
 	if m.HasHi = d.bool(); m.HasHi {
 		m.Hi = d.bytes()
 	}
+	return m
 }
 
 // CursorNext streams up to Max entries from cursor Cursor. OK body: entry
@@ -273,9 +282,10 @@ func (m *CursorNext) enc(b []byte) []byte {
 	b = appendUvarint(b, m.Cursor)
 	return appendUvarint(b, m.Max)
 }
-func (m *CursorNext) dec(d *decoder) {
+func (m *CursorNext) dec(d *decoder) Request {
 	m.Cursor = d.uvarint()
 	m.Max = d.uvarint()
+	return m
 }
 
 // CursorClose releases a cursor and its snapshot pin. Closing an unknown (or
@@ -285,9 +295,9 @@ type CursorClose struct {
 	Cursor uint64
 }
 
-func (*CursorClose) op() Op                { return OpCursorClose }
-func (m *CursorClose) enc(b []byte) []byte { return appendUvarint(b, m.Cursor) }
-func (m *CursorClose) dec(d *decoder)      { m.Cursor = d.uvarint() }
+func (*CursorClose) op() Op                   { return OpCursorClose }
+func (m *CursorClose) enc(b []byte) []byte    { return appendUvarint(b, m.Cursor) }
+func (m *CursorClose) dec(d *decoder) Request { m.Cursor = d.uvarint(); return m }
 
 // Stats asks for the tenant tree's ekbtree.Stats. OK body: the Stats JSON
 // (ekbtree.Stats.MarshalJSON).
@@ -295,7 +305,6 @@ type Stats struct{}
 
 func (*Stats) op() Op                { return OpStats }
 func (m *Stats) enc(b []byte) []byte { return b }
-func (m *Stats) dec(d *decoder)      {}
 
 // Sync is the durability barrier: it returns once every write acknowledged
 // before it is durable on the tenant's store. OK body: empty.
@@ -303,7 +312,6 @@ type Sync struct{}
 
 func (*Sync) op() Op                { return OpSync }
 func (m *Sync) enc(b []byte) []byte { return b }
-func (m *Sync) dec(d *decoder)      {}
 
 // Vacuum compacts the tenant tree's backing files online until their total
 // size is at or below Target bytes or no further batch improves it (0 =
@@ -313,6 +321,6 @@ type Vacuum struct {
 	Target uint64
 }
 
-func (*Vacuum) op() Op                { return OpVacuum }
-func (m *Vacuum) enc(b []byte) []byte { return appendUvarint(b, m.Target) }
-func (m *Vacuum) dec(d *decoder)      { m.Target = d.uvarint() }
+func (*Vacuum) op() Op                   { return OpVacuum }
+func (m *Vacuum) enc(b []byte) []byte    { return appendUvarint(b, m.Target) }
+func (m *Vacuum) dec(d *decoder) Request { m.Target = d.uvarint(); return m }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -98,18 +99,24 @@ func IsCode(err error, code ErrCode) bool {
 	return errors.As(err, &we) && we.Code == code
 }
 
-// EncodeOK renders a success response payload wrapping body (which may be
-// nil).
-func EncodeOK(body []byte) []byte {
-	return append([]byte{byte(StatusOK)}, body...)
+// AppendOK appends the start of a success response frame to dst: the length
+// word, zero until EndFrame patches it, and the status byte. The body follows,
+// appended in place by the caller (the Append*Body functions, or raw bytes for
+// the handshake challenge).
+func AppendOK(dst []byte) []byte { return append(dst, 0, 0, 0, 0, byte(StatusOK)) }
+
+// AppendErr appends an error response frame to dst; EndFrame finishes it.
+func AppendErr(dst []byte, code ErrCode, msg string) []byte {
+	dst = appendUvarint(append(dst, 0, 0, 0, 0, byte(StatusErr)), uint64(code))
+	return appendString(dst, msg)
 }
 
+// EncodeOK renders a success response payload wrapping body (which may be
+// nil).
+func EncodeOK(body []byte) []byte { return append(AppendOK(nil), body...)[frameHeader:] }
+
 // EncodeErr renders an error response payload.
-func EncodeErr(code ErrCode, msg string) []byte {
-	b := []byte{byte(StatusErr)}
-	b = appendUvarint(b, uint64(code))
-	return appendBytes(b, []byte(msg))
-}
+func EncodeErr(code ErrCode, msg string) []byte { return AppendErr(nil, code, msg)[frameHeader:] }
 
 // DecodeResponse splits a response payload into its OK body, or returns the
 // server's *Error for a StatusErr payload.
@@ -141,14 +148,17 @@ type Entry struct {
 	Value  []byte
 }
 
-// EncodeGetBody renders the Get OK body.
-func EncodeGetBody(value []byte, found bool) []byte {
-	b := appendBool(nil, found)
+// AppendGetBody appends the Get OK body.
+func AppendGetBody(dst, value []byte, found bool) []byte {
+	dst = appendBool(dst, found)
 	if found {
-		b = appendBytes(b, value)
+		dst = appendBytes(dst, value)
 	}
-	return b
+	return dst
 }
+
+// EncodeGetBody renders the Get OK body.
+func EncodeGetBody(value []byte, found bool) []byte { return AppendGetBody(nil, value, found) }
 
 // DecodeGetBody parses the Get OK body.
 func DecodeGetBody(body []byte) (value []byte, found bool, err error) {
@@ -159,10 +169,11 @@ func DecodeGetBody(body []byte) (value []byte, found bool, err error) {
 	return value, found, d.finish()
 }
 
+// AppendFoundBody appends the Delete OK body.
+func AppendFoundBody(dst []byte, found bool) []byte { return appendBool(dst, found) }
+
 // EncodeFoundBody renders the Delete OK body.
-func EncodeFoundBody(found bool) []byte {
-	return appendBool(nil, found)
-}
+func EncodeFoundBody(found bool) []byte { return AppendFoundBody(nil, found) }
 
 // DecodeFoundBody parses the Delete OK body.
 func DecodeFoundBody(body []byte) (bool, error) {
@@ -171,10 +182,11 @@ func DecodeFoundBody(body []byte) (bool, error) {
 	return found, d.finish()
 }
 
+// AppendCursorIDBody appends the CursorOpen OK body.
+func AppendCursorIDBody(dst []byte, id uint64) []byte { return appendUvarint(dst, id) }
+
 // EncodeCursorIDBody renders the CursorOpen OK body.
-func EncodeCursorIDBody(id uint64) []byte {
-	return appendUvarint(nil, id)
-}
+func EncodeCursorIDBody(id uint64) []byte { return AppendCursorIDBody(nil, id) }
 
 // DecodeCursorIDBody parses the CursorOpen OK body.
 func DecodeCursorIDBody(body []byte) (uint64, error) {
@@ -183,15 +195,53 @@ func DecodeCursorIDBody(body []byte) (uint64, error) {
 	return id, d.finish()
 }
 
+// EntriesBody appends a CursorNext OK body in place, an entry at a time, so a
+// server can encode entries straight from a cursor's views without gathering
+// them first. Begin reserves room for the entry count, End writes it.
+type EntriesBody struct {
+	at, width int // where the count goes, and the bytes reserved for it
+	n         uint64
+}
+
+// Begin starts a body of at most max entries at the end of dst.
+func (e *EntriesBody) Begin(dst []byte, max uint64) []byte {
+	*e = EntriesBody{at: len(dst), width: uvarintLen(max)}
+	return append(dst, make([]byte, e.width)...)
+}
+
+// Append appends one entry; at most the max given to Begin may be appended.
+func (e *EntriesBody) Append(dst, subKey, value []byte) []byte {
+	e.n++
+	return appendBytes(appendBytes(dst, subKey), value)
+}
+
+// Len is how many entries have been appended.
+func (e *EntriesBody) Len() uint64 { return e.n }
+
+// End writes the entry count, moving the entries down if it is shorter than
+// the room Begin reserved, and appends the done flag.
+func (e *EntriesBody) End(dst []byte, done bool) []byte {
+	if w := uvarintLen(e.n); w < e.width {
+		dst = append(dst[:e.at+w], dst[e.at+e.width:]...)
+	}
+	binary.PutUvarint(dst[e.at:], e.n)
+	return appendBool(dst, done)
+}
+
+// EntrySize is how many body bytes an entry of subKey and value takes.
+func EntrySize(subKey, value []byte) int {
+	return uvarintLen(uint64(len(subKey))) + len(subKey) + uvarintLen(uint64(len(value))) + len(value)
+}
+
 // EncodeEntriesBody renders the CursorNext OK body: the entries followed by
 // the done flag.
 func EncodeEntriesBody(entries []Entry, done bool) []byte {
-	b := appendUvarint(nil, uint64(len(entries)))
+	var body EntriesBody
+	b := body.Begin(nil, uint64(len(entries)))
 	for _, e := range entries {
-		b = appendBytes(b, e.SubKey)
-		b = appendBytes(b, e.Value)
+		b = body.Append(b, e.SubKey, e.Value)
 	}
-	return appendBool(b, done)
+	return body.End(b, done)
 }
 
 // DecodeEntriesBody parses the CursorNext OK body.
@@ -208,11 +258,12 @@ func DecodeEntriesBody(body []byte) (entries []Entry, done bool, err error) {
 	return entries, done, d.finish()
 }
 
-// EncodeBytesBody renders an OK body that is one length-prefixed blob (the
+// AppendBytesBody appends an OK body that is one length-prefixed blob (the
 // Stats JSON).
-func EncodeBytesBody(p []byte) []byte {
-	return appendBytes(nil, p)
-}
+func AppendBytesBody(dst, p []byte) []byte { return appendBytes(dst, p) }
+
+// EncodeBytesBody renders a one-blob OK body.
+func EncodeBytesBody(p []byte) []byte { return AppendBytesBody(nil, p) }
 
 // DecodeBytesBody parses a one-blob OK body.
 func DecodeBytesBody(body []byte) ([]byte, error) {

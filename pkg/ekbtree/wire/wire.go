@@ -17,6 +17,20 @@
 // encoded as a uvarint length followed by the raw bytes; integers are
 // uvarints.
 //
+// # One buffer per connection end
+//
+// The codec appends into buffers its caller owns: AppendRequest, AppendOK and
+// AppendErr start a whole frame in place (the body of an OK response is
+// appended right after its status byte), EndFrame patches the length word,
+// and ReadFrameInto reads the next frame into a buffer the caller passes back
+// each time, growing it only as payload bytes arrive. The Encode*, WriteFrame
+// and ReadFrame functions are allocating wrappers over the same code.
+//
+// What a decoder returns aliases the payload it decoded. The Client copies out
+// what it hands back (a Get value, CursorNext entries, the Stats JSON), so its
+// results are the caller's; ekbtreed's request fields live only until the
+// request is dispatched.
+//
 // # Connection lifecycle
 //
 // A connection is authenticated before it can touch any tree:
@@ -35,8 +49,9 @@
 //
 // After authentication the client issues Open once to attach the tenant's
 // tree, then any sequence of Put/Get/Delete/Batch/Cursor*/Stats/Sync
-// requests, strictly one at a time (the protocol is synchronous per
-// connection; open N connections for N in-flight requests).
+// requests. The server answers a connection's requests one at a time, in the
+// order they arrive; a client may write several before reading, and reads the
+// responses back in the same order. Client itself keeps one in flight.
 package wire
 
 import (
@@ -44,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // MaxFrame bounds a single frame's payload. It is sized to hold a generous
@@ -58,6 +74,15 @@ const ProtocolVersion = 1
 // ChallengeSize is the size of the random authentication challenge.
 const ChallengeSize = 32
 
+// frameHeader is the length word every frame starts with.
+const frameHeader = 4
+
+// readChunk is how far ReadFrameInto lets a frame's buffer run ahead of the
+// payload bytes that have arrived, until those bytes pass it; from then on
+// the buffer at most doubles what has arrived. So a length word alone costs a
+// chunk, not the length it declares.
+const readChunk = 32 << 10
+
 // ErrFrameTooLarge is returned when an incoming frame's length prefix exceeds
 // MaxFrame (or an outgoing payload would).
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
@@ -66,12 +91,26 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 // message.
 var ErrMalformed = errors.New("wire: malformed message")
 
-// WriteFrame writes one length-prefixed frame carrying payload.
+// EndFrame finishes frame, which starts with its length word (AppendRequest,
+// AppendOK and AppendErr leave it zero), by writing the payload's length into
+// it. It fails with ErrFrameTooLarge, writing nothing, if the payload is over
+// MaxFrame.
+func EndFrame(frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// WriteFrame writes one length-prefixed frame carrying payload: the length
+// word, then payload itself, uncopied.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -82,25 +121,47 @@ func WriteFrame(w io.Writer, payload []byte) error {
 
 // ReadFrame reads one frame and returns its payload. It allocates the payload
 // fresh, so the caller owns it.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+func ReadFrame(r io.Reader) ([]byte, error) { return ReadFrameInto(r, nil, MaxFrame) }
+
+// ReadFrameInto reads one frame into buf, overwriting what it held, and
+// returns the payload: buf itself, grown if the payload needed more room. A
+// frame whose length word exceeds limit fails with ErrFrameTooLarge before
+// any payload is read. The buffer grows only as payload arrives — by at most
+// readChunk, or by what has arrived so far if that is more — so a peer that
+// declares a large frame and sends little of it costs little. On error the
+// returned slice is empty, with buf's capacity kept for the next call.
+func ReadFrameInto(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	if cap(buf) < frameHeader {
+		buf = make([]byte, 0, frameHeader)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
+	buf = buf[:frameHeader]
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf[:0], err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		// A peer that vanishes mid-frame is a broken connection, not a
-		// clean EOF.
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	declared := binary.BigEndian.Uint32(buf)
+	if uint64(declared) > uint64(limit) {
+		return buf[:0], ErrFrameTooLarge
+	}
+	n := int(declared)
+	buf = buf[:0]
+	for len(buf) < n {
+		have := len(buf)
+		if have == cap(buf) {
+			grown := make([]byte, have, have+min(n-have, max(have, readChunk)))
+			copy(grown, buf)
+			buf = grown
 		}
-		return nil, err
+		buf = buf[:min(cap(buf), n)]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			// A peer that vanishes mid-frame is a broken connection, not a
+			// clean EOF.
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf[:0], err
+		}
 	}
-	return payload, nil
+	return buf, nil
 }
 
 // appendUvarint appends v as a uvarint.
@@ -108,10 +169,19 @@ func appendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // appendBytes appends p as a uvarint length followed by the raw bytes.
 func appendBytes(b, p []byte) []byte {
 	b = appendUvarint(b, uint64(len(p)))
 	return append(b, p...)
+}
+
+// appendString is appendBytes for a string.
+func appendString(b []byte, s string) []byte {
+	b = appendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // appendBool appends a one-byte boolean.

@@ -50,6 +50,14 @@ func TestFrameLimits(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(append(hdr[:], 1, 2, 3))); err != io.ErrUnexpectedEOF {
 		t.Fatalf("truncated ReadFrame: %v, want io.ErrUnexpectedEOF", err)
 	}
+	// A length word within the limit is not a licence to allocate it: five
+	// bytes declaring a whole MaxFrame used to cost 4 MiB before the payload
+	// failed to arrive.
+	hostile := []byte{0x00, 0x40, 0x00, 0x00, 0x01}
+	var err error
+	if got := allocatedBy(func() { _, err = ReadFrame(bytes.NewReader(hostile)) }); got >= 64<<10 || err != io.ErrUnexpectedEOF {
+		t.Fatalf("ReadFrame of % x allocated %d bytes and returned %v, want < 64 KiB and io.ErrUnexpectedEOF", hostile, got, err)
+	}
 }
 
 func TestRequestRoundTrip(t *testing.T) {
