@@ -34,7 +34,8 @@ test:
 # walks: a flush places pages in map-iteration order, so every run meets a new
 # layout. The fourth is the sweeps above the store: rotation's re-seal commits
 # and a whole tree, whose background rotator interleaves differently every
-# run, and the rotator backing off over a store that refuses it. The last is
+# run, the rotator backing off over a store that refuses it, and the same loop
+# auto-vacuuming a tree while nothing else touches it. The last is
 # the wire's two ends over real sockets, where each run lands the responder's
 # and the client's goroutines differently: a client's latched transport error
 # and a pre-auth frame refused.
@@ -42,7 +43,7 @@ race:
 	$(GO) test -race ./...
 	EKBTREE_BACKEND=file $(GO) test -race ./pkg/...
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
 # test-sharded repeats the façade suite with every test tree defaulting to

@@ -133,7 +133,7 @@ func TestDrainClosesIdleConnections(t *testing.T) {
 
 	// Trees are closed: the data is durably on disk and reopenable.
 	reg, err := loadRegistry(ts.dataDir+"/tenants.json", ts.dataDir,
-		treeConfig{durability: ekbtree.DurabilityGrouped})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,12 +13,13 @@ import (
 )
 
 // TestParseFlagsAccepted pins the defaults and the flag → config mapping:
-// which flag lands in the per-tenant treeConfig, which in the serverConfig.
+// which flag lands in the tenant trees' ekbtree.Options, which in the
+// serverConfig.
 func TestParseFlagsAccepted(t *testing.T) {
 	defaults := options{
 		addr: "127.0.0.1:4617", dataDir: "data", tenantsPath: filepath.Join("data", "tenants.json"),
-		tree: treeConfig{durability: ekbtree.DurabilityGrouped, shards: 1},
-		srv:  serverConfig{maxConns: 1024, drainTimeout: 10 * time.Second, vacuumInterval: time.Minute},
+		tree: ekbtree.Options{Durability: ekbtree.DurabilityGrouped, Shards: 1},
+		srv:  serverConfig{maxConns: 1024, drainTimeout: 10 * time.Second},
 	}
 	for _, tc := range []struct {
 		name string
@@ -36,16 +37,17 @@ func TestParseFlagsAccepted(t *testing.T) {
 			o.addr, o.addrFile = "127.0.0.1:0", "/tmp/a"
 		}},
 		{"tree flags", []string{"-shards", "3", "-max-epoch-age", "7", "-seal-budget", "-1", "-durability", "full"}, func(o *options) {
-			o.tree = treeConfig{durability: ekbtree.DurabilityFull, shards: 3, maxEpochAge: 7, sealBudget: -1}
+			o.tree = ekbtree.Options{Durability: ekbtree.DurabilityFull, Shards: 3, MaxEpochAge: 7, SealBudget: -1}
 		}},
 		{"grouped window", []string{"-durability", "grouped", "-group-window", "2ms"}, func(o *options) {
-			o.tree.groupWindow = 2 * time.Millisecond
+			o.tree.GroupWindow = 2 * time.Millisecond
 		}},
 		{"async", []string{"-durability", "async"}, func(o *options) {
-			o.tree.durability = ekbtree.DurabilityAsync
+			o.tree.Durability = ekbtree.DurabilityAsync
 		}},
-		{"server flags", []string{"-max-conns", "0", "-drain-timeout", "3s", "-auto-vacuum", "0.3", "-auto-vacuum-interval", "1s"}, func(o *options) {
-			o.srv = serverConfig{maxConns: 0, drainTimeout: 3 * time.Second, autoVacuum: 0.3, vacuumInterval: time.Second}
+		{"server flags", []string{"-max-conns", "0", "-drain-timeout", "3s", "-auto-vacuum", "0.3"}, func(o *options) {
+			o.srv = serverConfig{maxConns: 0, drainTimeout: 3 * time.Second}
+			o.tree.AutoVacuum = 0.3
 		}},
 		{"provision", []string{"-provision", "alice", "-master-hex", "abcd"}, func(o *options) {
 			o.provision, o.masterHex = "alice", "abcd"
@@ -80,7 +82,7 @@ func TestParseFlagsRejected(t *testing.T) {
 		{[]string{"-max-epoch-age", "-1"}, "-max-epoch-age -1 must be >= 0"},
 		{[]string{"-auto-vacuum", "1"}, "-auto-vacuum 1 must be in [0, 1)"},
 		{[]string{"-auto-vacuum", "-0.1"}, "-auto-vacuum -0.1 must be in [0, 1)"},
-		{[]string{"-auto-vacuum-interval", "-1s"}, "-auto-vacuum-interval -1s must be >= 0"},
+		{[]string{"-auto-vacuum", "NaN"}, "-auto-vacuum NaN must be in [0, 1)"},
 		{[]string{"-durability", "eventual"}, `unknown -durability "eventual" (want full, grouped, or async)`},
 		{[]string{"-group-window", "-1ms"}, "-group-window -1ms must be >= 0"},
 		{[]string{"-group-window", "5ms", "-durability", "full"}, "-group-window 5ms applies only to -durability grouped"},

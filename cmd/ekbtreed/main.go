@@ -11,6 +11,10 @@
 // -drain-timeout, then closes every tenant tree (flushing deferred
 // durability tails).
 //
+// The tree flags fill one ekbtree.Options every tenant tree opens with, and
+// background work is the tree's own: each re-seals pages under fresh key
+// epochs and, with -auto-vacuum, compacts its files in its own loop.
+//
 // Usage:
 //
 //	# provision a tenant (derives subkeys; the master key is not stored)
@@ -40,7 +44,7 @@ type options struct {
 	addr, addrFile       string
 	dataDir, tenantsPath string
 	provision, masterHex string
-	tree                 treeConfig
+	tree                 ekbtree.Options
 	srv                  serverConfig
 }
 
@@ -54,14 +58,13 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.dataDir, "data", "data", "directory holding per-tenant page files")
 	fs.StringVar(&o.tenantsPath, "tenants", "", "tenants config file (default <data>/tenants.json)")
 	durability := fs.String("durability", "grouped", "commit durability: full, grouped, or async")
-	fs.DurationVar(&o.tree.groupWindow, "group-window", 0, "grouped-durability flush window (0 = store default)")
-	fs.IntVar(&o.tree.shards, "shards", 1, "range-shard every tenant tree across N engines (sealed into the tenant's files on first open)")
-	fs.IntVar(&o.tree.maxEpochAge, "max-epoch-age", 0, "fail cursors whose snapshot fell more than N commits behind (0 = unbounded)")
-	fs.Int64Var(&o.tree.sealBudget, "seal-budget", 0, "per-epoch page-seal budget per shard before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
+	fs.DurationVar(&o.tree.GroupWindow, "group-window", 0, "grouped-durability flush window (0 = store default)")
+	fs.IntVar(&o.tree.Shards, "shards", 1, "range-shard every tenant tree across N engines (sealed into the tenant's files on first open)")
+	fs.IntVar(&o.tree.MaxEpochAge, "max-epoch-age", 0, "fail cursors whose snapshot fell more than N commits behind (0 = unbounded)")
+	fs.Int64Var(&o.tree.SealBudget, "seal-budget", 0, "per-epoch page-seal budget per shard before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
 	fs.IntVar(&o.srv.maxConns, "max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
 	fs.DurationVar(&o.srv.drainTimeout, "drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
-	fs.Float64Var(&o.srv.autoVacuum, "auto-vacuum", 0, "compact a tenant's files online when dead bytes exceed this fraction of their size, e.g. 0.5 (0 = disabled)")
-	fs.DurationVar(&o.srv.vacuumInterval, "auto-vacuum-interval", time.Minute, "how often the auto-vacuum sweep re-checks tenants (0 = one minute)")
+	fs.Float64Var(&o.tree.AutoVacuum, "auto-vacuum", 0, "compact a tenant's shard file online once the garbage made since its last compaction exceeds this fraction of its size, e.g. 0.5 (0 = disabled)")
 	fs.StringVar(&o.provision, "provision", "", "provision tenant NAME into -tenants and exit")
 	fs.StringVar(&o.masterHex, "master-hex", "", "tenant master key (hex) for -provision")
 	if err := fs.Parse(args); err != nil {
@@ -70,20 +73,18 @@ func parseFlags(args []string) (options, error) {
 	if o.tenantsPath == "" {
 		o.tenantsPath = filepath.Join(o.dataDir, "tenants.json")
 	}
-	if o.tree.shards < 1 {
-		return options{}, fmt.Errorf("-shards %d must be >= 1", o.tree.shards)
+	if o.tree.Shards < 1 {
+		return options{}, fmt.Errorf("-shards %d must be >= 1", o.tree.Shards)
 	}
-	if o.tree.shards > ekbtree.MaxShards {
-		return options{}, fmt.Errorf("-shards %d must be <= %d", o.tree.shards, ekbtree.MaxShards)
+	if o.tree.Shards > ekbtree.MaxShards {
+		return options{}, fmt.Errorf("-shards %d must be <= %d", o.tree.Shards, ekbtree.MaxShards)
 	}
-	if o.tree.maxEpochAge < 0 {
-		return options{}, fmt.Errorf("-max-epoch-age %d must be >= 0", o.tree.maxEpochAge)
+	if o.tree.MaxEpochAge < 0 {
+		return options{}, fmt.Errorf("-max-epoch-age %d must be >= 0", o.tree.MaxEpochAge)
 	}
-	if o.srv.autoVacuum < 0 || o.srv.autoVacuum >= 1 {
-		return options{}, fmt.Errorf("-auto-vacuum %v must be in [0, 1)", o.srv.autoVacuum)
-	}
-	if o.srv.vacuumInterval < 0 {
-		return options{}, fmt.Errorf("-auto-vacuum-interval %v must be >= 0", o.srv.vacuumInterval)
+	// Written so that NaN, which fails every comparison, is refused too.
+	if !(o.tree.AutoVacuum >= 0 && o.tree.AutoVacuum < 1) {
+		return options{}, fmt.Errorf("-auto-vacuum %v must be in [0, 1)", o.tree.AutoVacuum)
 	}
 	if o.srv.maxConns < 0 {
 		return options{}, fmt.Errorf("-max-conns %d must be >= 0", o.srv.maxConns)
@@ -91,21 +92,21 @@ func parseFlags(args []string) (options, error) {
 	if o.srv.drainTimeout < 0 {
 		return options{}, fmt.Errorf("-drain-timeout %v must be >= 0", o.srv.drainTimeout)
 	}
-	if o.tree.groupWindow < 0 {
-		return options{}, fmt.Errorf("-group-window %v must be >= 0", o.tree.groupWindow)
+	if o.tree.GroupWindow < 0 {
+		return options{}, fmt.Errorf("-group-window %v must be >= 0", o.tree.GroupWindow)
 	}
 	switch *durability {
 	case "full":
-		o.tree.durability = ekbtree.DurabilityFull
+		o.tree.Durability = ekbtree.DurabilityFull
 	case "grouped":
-		o.tree.durability = ekbtree.DurabilityGrouped
+		o.tree.Durability = ekbtree.DurabilityGrouped
 	case "async":
-		o.tree.durability = ekbtree.DurabilityAsync
+		o.tree.Durability = ekbtree.DurabilityAsync
 	default:
 		return options{}, fmt.Errorf("unknown -durability %q (want full, grouped, or async)", *durability)
 	}
-	if o.tree.groupWindow != 0 && o.tree.durability != ekbtree.DurabilityGrouped {
-		return options{}, fmt.Errorf("-group-window %v applies only to -durability grouped", o.tree.groupWindow)
+	if o.tree.GroupWindow != 0 && o.tree.Durability != ekbtree.DurabilityGrouped {
+		return options{}, fmt.Errorf("-group-window %v applies only to -durability grouped", o.tree.GroupWindow)
 	}
 	return o, nil
 }
@@ -144,7 +145,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (%d tenant(s), durability=%s, shards=%d)", ln.Addr(), len(reg.tenants), o.tree.durability, o.tree.shards)
+	log.Printf("listening on %s (%d tenant(s), durability=%s, shards=%d)", ln.Addr(), len(reg.tenants), o.tree.Durability, o.tree.Shards)
 	if o.addrFile != "" {
 		if err := os.WriteFile(o.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			log.Fatal(err)

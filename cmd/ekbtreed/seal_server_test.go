@@ -18,7 +18,7 @@ import (
 // writes with CodeSealsExhausted over the wire, while reads keep serving.
 func TestSealsExhaustedOverWire(t *testing.T) {
 	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		treeConfig{durability: ekbtree.DurabilityGrouped, sealBudget: -1, sealHardLimit: 12})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, SealBudget: -1, SealHardLimit: 12})
 	c := ts.dial(t, "alice")
 
 	if err := c.Put([]byte("first"), []byte("v")); err != nil {
@@ -56,7 +56,7 @@ func TestSealsExhaustedOverWire(t *testing.T) {
 // old-epoch pages while the tenant keeps writing.
 func TestSealBudgetRotatesOverWire(t *testing.T) {
 	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		treeConfig{durability: ekbtree.DurabilityGrouped, sealBudget: 16})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, SealBudget: 16})
 	c := ts.dial(t, "alice")
 
 	for i := 0; i < 60; i++ {

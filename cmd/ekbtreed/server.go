@@ -16,13 +16,6 @@ type serverConfig struct {
 	maxConns     int
 	drainTimeout time.Duration
 	logf         func(format string, args ...any)
-	// autoVacuum enables the background space-management sweep: a tenant
-	// tree is compacted when its dead bytes exceed this fraction of its file
-	// footprint (0 = disabled, sensible values are well under 1).
-	autoVacuum float64
-	// vacuumInterval is how often the sweep re-checks tenants; 0 means
-	// defaultVacuumInterval.
-	vacuumInterval time.Duration
 }
 
 // server owns the listener, the connection set, and the drain state machine.
@@ -40,7 +33,8 @@ type serverConfig struct {
 //     draining connection is closed by the server once it has no open
 //     cursors and no request in flight), or hit the deadline;
 //  4. when the last connection exits (deadline-bounded), every tenant tree
-//     is closed — flushing Grouped/Async durability tails to disk.
+//     is closed — finishing its maintenance pass in flight and flushing
+//     Grouped/Async durability tails to disk.
 type server struct {
 	cfg serverConfig
 	reg *registry
@@ -59,10 +53,6 @@ type server struct {
 	drainOnce sync.Once
 	drainDone chan struct{}
 	drainErr  error
-
-	// Auto-vacuum goroutine lifecycle; both nil when the sweep is disabled.
-	vacuumStop chan struct{}
-	vacuumDone chan struct{}
 }
 
 func newServer(ln net.Listener, reg *registry, cfg serverConfig) *server {
@@ -74,7 +64,7 @@ func newServer(ln net.Listener, reg *registry, cfg serverConfig) *server {
 		// Out of entropy at startup is unrecoverable anyway.
 		panic(err)
 	}
-	s := &server{
+	return &server{
 		cfg:          cfg,
 		reg:          reg,
 		ln:           ln,
@@ -82,15 +72,6 @@ func newServer(ln net.Listener, reg *registry, cfg serverConfig) *server {
 		conns:        make(map[*conn]struct{}),
 		drainDone:    make(chan struct{}),
 	}
-	if cfg.autoVacuum > 0 {
-		s.vacuumStop = make(chan struct{})
-		s.vacuumDone = make(chan struct{})
-		go func() {
-			defer close(s.vacuumDone)
-			s.runAutoVacuum(s.vacuumStop)
-		}()
-	}
-	return s
 }
 
 // serve accepts connections until the listener closes (normally via drain).
@@ -169,13 +150,6 @@ func (s *server) drain() error {
 		// Bounded: every connection's I/O now has an absolute deadline, so
 		// even a wedged peer unblocks its handler by then.
 		s.wg.Wait()
-		// Stop the auto-vacuum sweep before the trees close: an in-flight
-		// vacuum finishes (the trees are still open here), and no new sweep
-		// starts against closing trees.
-		if s.vacuumStop != nil {
-			close(s.vacuumStop)
-			<-s.vacuumDone
-		}
 		s.drainErr = s.reg.closeAll()
 		s.cfg.logf("drain complete")
 		close(s.drainDone)

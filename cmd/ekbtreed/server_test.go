@@ -27,12 +27,12 @@ type testServer struct {
 // server on a loopback port, and registers a drain as cleanup.
 func startTestServer(t *testing.T, masters map[string][]byte, mut ...func(*serverConfig)) *testServer {
 	t.Helper()
-	return startTestServerTree(t, masters, treeConfig{durability: ekbtree.DurabilityGrouped}, mut...)
+	return startTestServerTree(t, masters, ekbtree.Options{Durability: ekbtree.DurabilityGrouped}, mut...)
 }
 
 // startTestServerTree is startTestServer with an explicit tree configuration
 // (shards, epoch-age bound, durability).
-func startTestServerTree(t *testing.T, masters map[string][]byte, tcfg treeConfig, mut ...func(*serverConfig)) *testServer {
+func startTestServerTree(t *testing.T, masters map[string][]byte, tcfg ekbtree.Options, mut ...func(*serverConfig)) *testServer {
 	t.Helper()
 	dataDir := t.TempDir()
 	tenantsPath := filepath.Join(dataDir, "tenants.json")
@@ -349,7 +349,7 @@ func TestPersistenceAcrossServerRestart(t *testing.T) {
 
 	// Second server over the same data dir and tenants file.
 	reg, err := loadRegistry(filepath.Join(ts.dataDir, "tenants.json"), ts.dataDir,
-		treeConfig{durability: ekbtree.DurabilityGrouped})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestProvisionTenant(t *testing.T) {
 	if perm := info.Mode().Perm(); perm != 0o600 {
 		t.Fatalf("tenants file mode %v, want 0600", perm)
 	}
-	reg, err := loadRegistry(path, dir, treeConfig{})
+	reg, err := loadRegistry(path, dir, ekbtree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

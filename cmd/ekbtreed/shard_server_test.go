@@ -20,7 +20,7 @@ import (
 // the same data while a mismatched -shards fails the tenant's Open closed.
 func TestShardedTenantOverWire(t *testing.T) {
 	masters := map[string][]byte{"alice": masterAlice}
-	tcfg := treeConfig{durability: ekbtree.DurabilityGrouped, shards: 3}
+	tcfg := ekbtree.Options{Durability: ekbtree.DurabilityGrouped, Shards: 3}
 	ts := startTestServerTree(t, masters, tcfg)
 	c := ts.dial(t, "alice")
 
@@ -79,7 +79,7 @@ func TestShardedTenantOverWire(t *testing.T) {
 	}
 
 	// Restart with the same shard count: same data.
-	restart := func(tc treeConfig) *testServer {
+	restart := func(tc ekbtree.Options) *testServer {
 		t.Helper()
 		reg, err := loadRegistry(filepath.Join(ts.dataDir, "tenants.json"), ts.dataDir, tc)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestShardedTenantOverWire(t *testing.T) {
 
 	// Restart with a different shard count: the tenant's Open fails closed
 	// (the shard layout is sealed into its files).
-	ts3 := restart(treeConfig{durability: ekbtree.DurabilityGrouped, shards: 2})
+	ts3 := restart(ekbtree.Options{Durability: ekbtree.DurabilityGrouped, Shards: 2})
 	c3 := ts3.dialAuthed(t, "alice")
 	if err := c3.Open(); err == nil {
 		t.Fatal("Open of a 3-shard tenant under -shards 2 succeeded; want config mismatch")
@@ -118,7 +118,7 @@ func TestShardedTenantOverWire(t *testing.T) {
 // CodeSnapshotTooOld and is closed server-side.
 func TestSnapshotTooOldOverWire(t *testing.T) {
 	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		treeConfig{durability: ekbtree.DurabilityGrouped, maxEpochAge: 2})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, MaxEpochAge: 2})
 	writer := ts.dial(t, "alice")
 	for i := 0; i < 100; i++ {
 		if err := writer.Put(tkey("a", i), tval("a", i)); err != nil {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"github.com/paper-repro/ekbtree/pkg/ekbtree"
 )
@@ -29,29 +28,6 @@ type tenantsFile struct {
 	Tenants []tenantEntry `json:"tenants"`
 }
 
-// treeConfig is the per-server tree configuration every tenant tree opens
-// with.
-type treeConfig struct {
-	durability  ekbtree.Durability
-	groupWindow time.Duration
-	// shards range-partitions every tenant tree across this many engines
-	// (page files <tenant>.ekbt.shard<i>); 0 or 1 keeps the single-file
-	// layout. The count is sealed into each tenant's files on first open.
-	shards int
-	// maxEpochAge bounds how many commits a connection's open cursors may
-	// fall behind before their next read fails with CodeSnapshotTooOld;
-	// 0 = unbounded.
-	maxEpochAge int
-	// sealBudget is the per-epoch page-seal budget per shard before the
-	// cipher key epoch rotates; 0 = library default, negative disables
-	// rotation (writes fail closed with CodeSealsExhausted at the hard
-	// bound).
-	sealBudget int64
-	// sealHardLimit is the per-epoch fail-closed seal bound; 0 = library
-	// default. Exposed for tests that force exhaustion quickly.
-	sealHardLimit uint64
-}
-
 // tenant is one provisioned namespace: its derived material and its lazily
 // opened tree. The tree is opened on the first authenticated Open and shared
 // by every connection of the tenant; it lives until drain.
@@ -63,37 +39,21 @@ type tenant struct {
 	tree *ekbtree.Tree
 }
 
-// openTree returns the tenant's tree, opening its page file on first use.
-func (t *tenant) openTree(dir string, cfg treeConfig) (*ekbtree.Tree, error) {
+// openTree returns the tenant's tree, opening its page file on first use
+// with the server's options template and the tenant's own Path.
+func (t *tenant) openTree(dir string, base ekbtree.Options) (*ekbtree.Tree, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.tree != nil {
 		return t.tree, nil
 	}
-	base := ekbtree.Options{
-		Path:          filepath.Join(dir, t.name+".ekbt"),
-		Durability:    cfg.durability,
-		GroupWindow:   cfg.groupWindow,
-		Shards:        cfg.shards,
-		MaxEpochAge:   cfg.maxEpochAge,
-		SealBudget:    cfg.sealBudget,
-		SealHardLimit: cfg.sealHardLimit,
-	}
+	base.Path = filepath.Join(dir, t.name+".ekbt")
 	tree, err := ekbtree.OpenWithMaterial(t.material, base)
 	if err != nil {
 		return nil, err
 	}
 	t.tree = tree
 	return tree, nil
-}
-
-// openedTree returns the tenant's tree if some connection already opened it,
-// without opening it — the auto-vacuum sweep must not drag cold tenants into
-// memory just to measure them.
-func (t *tenant) openedTree() *ekbtree.Tree {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tree
 }
 
 // closeTree closes the tenant's tree if it was ever opened.
@@ -112,8 +72,10 @@ func (t *tenant) closeTree() error {
 // after load; only each tenant's lazily opened tree mutates behind its own
 // lock.
 type registry struct {
-	dir     string
-	cfg     treeConfig
+	dir string
+	// cfg is the options every tenant tree opens with, Path aside; the
+	// command-line flags write into it.
+	cfg     ekbtree.Options
 	tenants map[string]*tenant
 }
 
@@ -135,7 +97,7 @@ func validTenantName(name string) bool {
 }
 
 // loadRegistry reads and validates the tenants file.
-func loadRegistry(tenantsPath, dataDir string, cfg treeConfig) (*registry, error) {
+func loadRegistry(tenantsPath, dataDir string, cfg ekbtree.Options) (*registry, error) {
 	raw, err := os.ReadFile(tenantsPath)
 	if err != nil {
 		return nil, fmt.Errorf("tenants file: %w", err)

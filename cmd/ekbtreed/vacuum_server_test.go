@@ -63,7 +63,7 @@ func clientStats(t *testing.T, c *wire.Client) ekbtree.Stats {
 // through the Stats op, and every surviving key still reads back.
 func TestWireVacuum(t *testing.T) {
 	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		treeConfig{durability: ekbtree.DurabilityGrouped, shards: 2})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, Shards: 2})
 	c := ts.dial(t, "alice")
 
 	const n, keep = 1500, 8
@@ -108,14 +108,12 @@ func TestWireVacuum(t *testing.T) {
 	}
 }
 
-// TestAutoVacuum proves the -auto-vacuum sweep: with a garbage threshold and
-// a short interval configured, a churned tenant's files shrink with no client
-// issuing any Vacuum — and the data survives.
+// TestAutoVacuum proves -auto-vacuum end to end: with a garbage threshold
+// passed through to the tenant tree, a churned tenant's files shrink with no
+// client issuing any Vacuum — and the data survives.
 func TestAutoVacuum(t *testing.T) {
-	ts := startTestServer(t, map[string][]byte{"alice": masterAlice}, func(cfg *serverConfig) {
-		cfg.autoVacuum = 0.15
-		cfg.vacuumInterval = 20 * time.Millisecond
-	})
+	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, AutoVacuum: 0.15})
 	c := ts.dial(t, "alice")
 
 	const n, keep = 1500, 8

@@ -67,7 +67,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
@@ -89,220 +88,8 @@ var newDefaultStore = func() (store.PageStore, error) { return store.NewMem(), n
 // repoints it to run the whole façade suite sharded (see TestMain).
 var testDefaultShards = 1
 
-// DefaultOrder is the default B-tree order (maximum children per node).
-const DefaultOrder = 32
-
-// Durability selects what a commit against a file-backed tree (Options.Path)
-// waits for before returning. Every mode preserves crash atomicity — a crash
-// at any point leaves the file at the state some prefix of the flushed commit
-// groups produced, never a torn one — the modes only move the moment a
-// commit is acknowledged relative to its fsync.
-type Durability = file.Durability
-
-const (
-	// DurabilityFull (the default) acknowledges a commit only after the
-	// group containing it is durably on disk. Concurrent commits that arrive
-	// while a flush is in progress coalesce and share its two fsyncs.
-	DurabilityFull = file.Full
-	// DurabilityGrouped acknowledges commits as soon as they are applied in
-	// memory; the store flushes the accumulated group within
-	// Options.GroupWindow. A crash loses at most the last window of
-	// acknowledged writes.
-	DurabilityGrouped = file.Grouped
-	// DurabilityAsync acknowledges commits immediately and flushes only on
-	// Tree.Sync, Close, or memory backpressure. After Sync returns,
-	// everything written before it is durable.
-	DurabilityAsync = file.Async
-)
-
-// Options configures a tree. The zero value is invalid: either MasterKey or
-// both Substituter and Cipher must be set.
-//
-// The on-page node format is not an option. Every page is written with
-// prefix-coded keys; a file that holds full-key pages, from a version that
-// wrote them, opens as it is and converts as its pages are rewritten (see
-// checkHeader).
-type Options struct {
-	// Order is the maximum number of children per node; it must be even and
-	// at least 4. Zero means DefaultOrder.
-	Order int
-	// MasterKey derives the substitution secret and the node-cipher key when
-	// Substituter or Cipher are unset. It must be at least 16 bytes.
-	MasterKey []byte
-	// Substituter overrides the derived HMAC substituter.
-	Substituter keysub.Substituter
-	// Cipher overrides the derived AES-256-GCM node cipher. Any NodeCipher
-	// runs under the same seal budgets, epochs and rotation as the derived one.
-	Cipher cipher.NodeCipher
-	// Store is the backing page store. Nil means Path's file-backed store
-	// when Path is set, otherwise a fresh in-memory store. Setting both
-	// Store and Path is invalid, as is combining Store with Shards > 1 (a
-	// single caller-provided store cannot back multiple shards).
-	Store store.PageStore
-	// Path opens (or creates) a crash-safe file-backed store at this path.
-	// Every commit — batch or single mutation — is shadow-paged and flushed
-	// through the store's group-commit pipeline: a crash at any point leaves
-	// the file at the state some prefix of the flushed commit groups
-	// produced. Reopening requires the keys and configuration the file was
-	// written with, exactly as for any persistent store. On unix platforms
-	// the file is locked for exclusive use; a second open of the same path
-	// fails with ErrLocked. With Shards = N > 1, shard i's page file is
-	// Path+".shard<i>" and Path itself is not created.
-	Path string
-	// Durability selects what commits against Path wait for; see the
-	// Durability constants. The zero value is DurabilityFull. Setting it
-	// without Path is invalid. With multiple shards every shard store gets
-	// its own group-commit pipeline in this mode.
-	Durability Durability
-	// GroupWindow bounds how long a DurabilityGrouped commit may sit
-	// unflushed; zero means the store default (2ms). Setting it with any
-	// other durability mode, or without Path, is invalid.
-	GroupWindow time.Duration
-	// MaxUnflushed bounds the bytes of acknowledged-but-unflushed commit
-	// payload a Path store may accumulate per commit group. At the bound,
-	// new commits BLOCK until the pending group flushes (Grouped mode waits
-	// for its window; Async starts a background flush) instead of growing
-	// the overlay or forcing an early mid-window flush. Because one full
-	// group can be mid-flush while the next fills, total unflushed memory
-	// can reach roughly twice this bound. Zero means the store default
-	// (4MB); negative, or setting it without Path, is invalid. The bound is
-	// per shard store.
-	MaxUnflushed int
-	// CachePages caps the decoded-node cache that serves repeated reads and
-	// batch staging, PER SHARD. Zero means DefaultCachePages; negative
-	// disables the cache entirely (every access re-reads, deciphers, and
-	// decodes).
-	CachePages int
-	// Shards range-partitions the substituted key space across this many
-	// independent single-shard engines; see the package's Sharding section.
-	// Zero or 1 means one shard (fully backward compatible — existing files
-	// open unchanged). The shard layout is sealed into every shard's header:
-	// reopening with a different count fails with ErrConfigMismatch.
-	// Negative, or > 1 combined with Store, is invalid.
-	Shards int
-	// MaxEpochAge bounds how many commits may publish after a Cursor pins
-	// its snapshot before the cursor's positioning calls (First, Seek, Next)
-	// fail with ErrSnapshotTooOld. An open cursor holds every pre-image
-	// superseded since its pin, so without a bound a hostile or forgotten
-	// long-lived cursor grows memory in proportion to write traffic; the cap
-	// converts that into a typed, retryable error. With multiple shards the
-	// bound applies per shard snapshot. Zero means unbounded; negative is
-	// invalid.
-	MaxEpochAge int
-	// SealBudget is the soft per-epoch seal budget, PER SHARD: once a shard's
-	// key epoch has sealed this many pages, the next commit advances it to a
-	// fresh derived key and the background rotator re-seals the old epoch's
-	// pages. Zero means DefaultSealBudget; negative disables budget-driven
-	// rotation entirely — the epoch then advances only via AdvanceEpoch, and
-	// a shard that reaches the hard bound (see SealHardLimit) fails its
-	// writes closed with ErrSealsExhausted.
-	SealBudget int64
-	// SealHardLimit is the per-epoch fail-closed seal bound, PER SHARD: a
-	// commit that would push the current epoch's counter past it fails with
-	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
-	// engine default (2^32); values above 2^56 are clamped.
-	SealHardLimit uint64
-}
-
-// DefaultSealBudget is the per-epoch seal budget when Options.SealBudget is
-// zero: 2^30 page seals per shard before the key epoch rotates. Far below
-// any bound that matters cryptographically (counter nonces never repeat
-// within an epoch), it exists to keep the amount of ciphertext under any one
-// derived key bounded and the rotation machinery routinely exercised.
-const DefaultSealBudget = 1 << 30
-
-// MaxShards is the shard-count ceiling: the shard index rides in the
-// top byte of the 64-bit seal counter, partitioning the nonce space so shards
-// sharing one derived key can never collide.
-const MaxShards = 256
-
-// DefaultCachePages re-exports the engine's default decoded-node cache size.
-const DefaultCachePages = engine.DefaultCachePages
-
 // CacheStats describes decoded-node cache traffic; see engine.CacheStats.
 type CacheStats = engine.CacheStats
-
-// validate checks opts and resolves the non-store layers, returning the
-// effective order, substituter, cipher, cache size, and shard count. All
-// validation of an Options value is consolidated here; errors wrap
-// ErrInvalidOptions. Stores are resolved per shard in Open.
-func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCipher, cachePages, shards int, err error) {
-	order = o.Order
-	if order == 0 {
-		order = DefaultOrder
-	}
-	if order < 4 || order%2 != 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: order %d must be even and >= 4", ErrInvalidOptions, order)
-	}
-	sub, nc = o.Substituter, o.Cipher
-	if sub == nil || nc == nil {
-		// One derivation path: whatever the caller did not supply comes from
-		// the same Material a server opening this tree would be handed.
-		m, err := DeriveMaterial(o.MasterKey)
-		if err != nil {
-			return 0, nil, nil, 0, 0, err
-		}
-		derived, err := m.Options(Options{})
-		if err != nil {
-			return 0, nil, nil, 0, 0, err
-		}
-		if sub == nil {
-			sub = derived.Substituter
-		}
-		if nc == nil {
-			nc = derived.Cipher
-		}
-	}
-	switch o.Durability {
-	case DurabilityFull, DurabilityGrouped, DurabilityAsync:
-	default:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: unknown durability mode %d", ErrInvalidOptions, int(o.Durability))
-	}
-	if o.Path == "" && (o.Durability != DurabilityFull || o.GroupWindow != 0 || o.MaxUnflushed != 0) {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Durability, GroupWindow, and MaxUnflushed apply only to Path stores", ErrInvalidOptions)
-	}
-	if o.GroupWindow < 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative GroupWindow", ErrInvalidOptions)
-	}
-	if o.GroupWindow != 0 && o.Durability != DurabilityGrouped {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: GroupWindow applies only to DurabilityGrouped", ErrInvalidOptions)
-	}
-	if o.MaxUnflushed < 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative MaxUnflushed", ErrInvalidOptions)
-	}
-	if o.Store != nil && o.Path != "" {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Store and Path are mutually exclusive", ErrInvalidOptions)
-	}
-	if o.MaxEpochAge < 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative MaxEpochAge", ErrInvalidOptions)
-	}
-	shards = o.Shards
-	switch {
-	case shards < 0:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative Shards", ErrInvalidOptions)
-	case shards == 0:
-		// The documented default is 1. The test seam widens it only for
-		// configurations that resolve their own stores: a caller-provided
-		// Store is inherently single-shard.
-		shards = 1
-		if o.Store == nil {
-			shards = testDefaultShards
-		}
-	case shards > 1 && o.Store != nil:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards > 1 requires per-shard stores (Path or default), not a single Store", ErrInvalidOptions)
-	}
-	if shards > MaxShards {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the nonce-partition limit", ErrInvalidOptions, shards, MaxShards)
-	}
-	cachePages = o.CachePages
-	switch {
-	case cachePages == 0:
-		cachePages = DefaultCachePages
-	case cachePages < 0:
-		cachePages = 0
-	}
-	return order, sub, nc, cachePages, shards, nil
-}
 
 // deriveKey computes a labeled subkey of master, so the substitution secret
 // and the encipherment key are cryptographically independent.
@@ -340,8 +127,9 @@ func checkShardLayout(path string, shards int) error {
 	return nil
 }
 
-// openShardStore resolves shard idx's page store from opts.
-func openShardStore(opts Options, idx, total int) (store.PageStore, error) {
+// openShardStore resolves shard idx's page store from opts. It is a variable
+// so that a test can wrap the stores of a Path tree.
+var openShardStore = func(opts Options, idx, total int) (store.PageStore, error) {
 	switch {
 	case opts.Store != nil:
 		return opts.Store, nil
@@ -401,12 +189,13 @@ type Tree struct {
 	// Options.MaxEpochAge.
 	maxEpochAge uint64
 
-	// Rotator plumbing. rotKick holds at most one pending kick — the rotator
-	// sweeps to convergence per kick, so kicks absorb rather than queue.
-	rotKick chan struct{}
-	rotStop chan struct{}
-	rotDone chan struct{}
-	rotOnce sync.Once
+	// The maintenance loop's plumbing (see maintain). kick holds at most one
+	// pending kick — a round rotates to convergence per kick, so kicks absorb
+	// rather than queue.
+	kick     chan struct{}
+	stop     chan struct{}
+	stopped  chan struct{}
+	stopOnce sync.Once
 }
 
 // Open builds a tree from opts. Reopening an existing store requires the same
@@ -434,7 +223,7 @@ func Open(opts Options) (*Tree, error) {
 	// the goroutine itself starts only once every shard opened.
 	t := &Tree{
 		sub: sub, router: router, maxEpochAge: uint64(opts.MaxEpochAge),
-		rotKick: make(chan struct{}, 1), rotStop: make(chan struct{}), rotDone: make(chan struct{}),
+		kick: make(chan struct{}, 1), stop: make(chan struct{}), stopped: make(chan struct{}),
 	}
 	var sealBudget uint64 // stays 0 (no budget-driven advance) for a negative SealBudget
 	switch {
@@ -466,7 +255,7 @@ func Open(opts Options) (*Tree, error) {
 		g, err := engine.New(engine.Config{
 			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatPrefix,
 			SealBudget: sealBudget, HardSealLimit: opts.SealHardLimit, CounterBase: uint64(i) << 56,
-			OnEpochAdvance: func(uint32) { t.kickRotator() },
+			OnEpochAdvance: func(uint32) { t.kickMaintain() },
 		})
 		if err != nil {
 			if ownStore {
@@ -476,85 +265,11 @@ func Open(opts Options) (*Tree, error) {
 		}
 		t.shards = append(t.shards, g)
 	}
-	go t.rotatorLoop()
+	go t.maintain(opts.AutoVacuum)
 	// An initial kick drains any epochs a previous run advanced but never
 	// finished re-sealing (e.g. a crash mid-rotation).
-	t.kickRotator()
+	t.kickMaintain()
 	return t, nil
-}
-
-// kickRotator schedules a rotation sweep. Non-blocking: the rotator sweeps
-// to convergence per kick, so a kick that finds one already pending is
-// subsumed by it.
-func (t *Tree) kickRotator() {
-	select {
-	case t.rotKick <- struct{}{}:
-	default:
-	}
-}
-
-// rotateRetryMin and rotateRetryMax bound the rotator's back-off after a sweep
-// that hit an error (a store refusing commits, the seal hard limit): the delay
-// doubles per consecutive failed sweep and returns to the minimum after one
-// that returns none. A failed sweep has already read every page of the tree,
-// so retrying a persistent failure at a constant few milliseconds is a
-// whole-tree scan a hundred times a second for as long as the tree is open.
-const (
-	rotateRetryMin = 10 * time.Millisecond
-	rotateRetryMax = 5 * time.Second
-)
-
-// rotatorLoop is the background re-seal rotator: one goroutine per Tree,
-// woken by epoch advances (and once at Open), sweeping every shard's
-// old-epoch pages back under the current derived key. Each re-seal batch is
-// an ordinary shadow-paged OCC commit, so a crash at any byte of rotation
-// leaves the tree in a normal pre-or-post-commit state — rotation needs no
-// recovery protocol of its own. The loop exits when the tree closes.
-func (t *Tree) rotatorLoop() {
-	defer close(t.rotDone)
-	for {
-		select {
-		case <-t.rotStop:
-			return
-		case <-t.rotKick:
-		}
-		for delay := rotateRetryMin; ; {
-			done, failed := true, false
-			for _, g := range t.shards {
-				d, err := g.Rotate()
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				if err != nil {
-					failed = true
-				}
-				if err != nil || !d {
-					done = false
-				}
-			}
-			if done {
-				break
-			}
-			wait := time.Duration(0)
-			if failed {
-				wait, delay = delay, min(2*delay, rotateRetryMax)
-			} else {
-				delay = rotateRetryMin
-			}
-			select {
-			case <-t.rotStop:
-				return
-			case <-t.rotKick: // a fresh epoch is what lifts an exhausted one: sweep now
-			case <-time.After(wait):
-			}
-		}
-	}
-}
-
-// stopRotator shuts the rotator down and waits for it to exit. Idempotent.
-func (t *Tree) stopRotator() {
-	t.rotOnce.Do(func() { close(t.rotStop) })
-	<-t.rotDone
 }
 
 // AdvanceEpoch forces every shard onto a fresh key epoch immediately,
@@ -569,7 +284,7 @@ func (t *Tree) AdvanceEpoch() error {
 			return err
 		}
 	}
-	t.kickRotator()
+	t.kickMaintain()
 	return nil
 }
 
@@ -892,9 +607,9 @@ func (t *Tree) closed() bool {
 // ErrClosed. For a sharded tree every shard is closed even if some fail; the
 // errors are joined.
 func (t *Tree) Close() error {
-	// The rotator goes first, so no rotation commit is mid-flight when the
-	// shards' stores close underneath it.
-	t.stopRotator()
+	// The maintenance loop goes first, so no re-seal commit or vacuum pass is
+	// mid-flight when the shards' stores close underneath it.
+	t.stopMaintain()
 	var errs []error
 	for _, g := range t.shards {
 		if err := g.Close(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	mrand "math/rand"
 	"sort"
 	"sync"
@@ -28,12 +29,19 @@ func TestOpenValidation(t *testing.T) {
 		{"tiny order", Options{MasterKey: master, Order: 2}, true},
 		{"short master key", Options{MasterKey: []byte("short")}, true},
 		{"no keys at all", Options{}, true},
+		{"auto-vacuum", Options{MasterKey: master, AutoVacuum: 0.5}, false},
+		{"auto-vacuum negative", Options{MasterKey: master, AutoVacuum: -0.1}, true},
+		{"auto-vacuum whole file", Options{MasterKey: master, AutoVacuum: 1}, true},
+		{"auto-vacuum NaN", Options{MasterKey: master, AutoVacuum: math.NaN()}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Open(tt.opts)
+			tr, err := Open(tt.opts)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("Open error = %v, wantErr %v", err, tt.wantErr)
+			}
+			if err == nil {
+				tr.Close()
 			}
 		})
 	}

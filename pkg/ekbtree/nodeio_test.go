@@ -72,8 +72,8 @@ func (cs *countingFileStore) Space() (fileBytes, liveBytes int64) {
 	return cs.PageStore.(store.Spacer).Space()
 }
 
-// TestSpaceReadsNoPages pins what lets a monitor (ekbtreed's auto-vacuum
-// sweep) poll the footprint: on a cold 5 000-key tree Space reads no page and
+// TestSpaceReadsNoPages pins what lets a monitor (the tree's own auto-vacuum
+// check) poll the footprint: on a cold 5 000-key tree Space reads no page and
 // moves no cache counter, where Stats — which reports the same two figures —
 // walks every node to get them.
 func TestSpaceReadsNoPages(t *testing.T) {
