@@ -457,6 +457,12 @@ func (s *Store) drain() {
 	}
 }
 
+// markAhead reports whether mark reserves nonces past durable: a later epoch,
+// or more counters within the same one. Clean plays no part.
+func markAhead(mark, durable store.SealMark) bool {
+	return mark.Epoch > durable.Epoch || mark.Epoch == durable.Epoch && mark.Counter > durable.Counter
+}
+
 // flushGroup turns one coalesced group into a single shadow-paged flush: all
 // pages to fresh extents, one directory blob, one data fsync, one meta-slot
 // flip, one slot fsync. It reads the durable state fields without the lock —
@@ -466,13 +472,33 @@ func (s *Store) drain() {
 // only, so nothing recycles them until the flip that made them garbage is
 // durable.
 //
+// A group whose seal mark reserves nonces past the durable mark first makes
+// that mark durable with a header-only flip (see SetSealMark): the pages it is
+// about to write were sealed under the reservation, and a crash must never
+// leave a page's nonce on the file above the mark a reopen resumes from. The
+// flip is installed at once, under the lock, as the durable state it is.
+//
 // The group's moves are carried out here, after its own records are placed.
 // This goroutine alone recycles and truncates extents, so the extent the
 // durable directory gives for a page is stable for the whole flush and the
 // copy needs no guard; a page the group itself wrote or freed, or one no
 // longer in the directory, is a selection gone stale, and its move is dropped.
 func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
-	var ns durableState
+	if len(g.pages) > 0 && markAhead(g.mark, s.mark) {
+		// Everything durable but the mark's reservation: the clean epoch stays
+		// the durable one, since the re-seals that earned the group's are among
+		// the pages not yet written.
+		h := s.header
+		h.mark.Epoch, h.mark.Counter = g.mark.Epoch, g.mark.Counter
+		mid, err := s.flip(durableState{pages: s.pages, header: h, fileEnd: s.fileEnd, pageBytes: s.pageBytes},
+			newFreeIndex(s.free), nil, nextID, false)
+		if err != nil {
+			return durableState{}, err
+		}
+		s.mu.Lock()
+		s.durableState = mid
+		s.mu.Unlock()
+	}
 	newPages := make(map[uint64]extent, len(s.pages)+len(g.pages))
 	for id, e := range s.pages {
 		newPages[id] = e
@@ -492,7 +518,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		}
 		ext := avail.allocExtent(&newEnd, uint32(len(p.buf)))
 		if _, err := s.f.WriteAt(p.buf, ext.off); err != nil {
-			return ns, fmt.Errorf("file: write page %d: %w", id, err)
+			return durableState{}, fmt.Errorf("file: write page %d: %w", id, err)
 		}
 		pageBytes += int64(ext.len)
 		newPages[id] = ext
@@ -528,23 +554,35 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 			continue
 		}
 		if _, err := s.f.WriteAt(buf, ext.off); err != nil {
-			return ns, fmt.Errorf("file: write page %d: %w", id, err)
+			return durableState{}, fmt.Errorf("file: write page %d: %w", id, err)
 		}
 		g.relocated++
 		pending = append(pending, cur)
 		newPages[id] = ext
 	}
+	return s.flip(durableState{pages: newPages, header: g.header, fileEnd: newEnd, pageBytes: pageBytes},
+		avail, pending, nextID, g.vacuum)
+}
+
+// flip commits next — whose pages, header, frontier and page bytes the caller
+// has set, with every page already written — over the durable state: one
+// directory blob holding next's pages and header and the free list (what
+// avail has left, the released extents, and the old directory's own), one
+// data fsync, the inactive meta slot, one slot fsync. It returns next
+// completed. steer places the directory as a vacuum flush does.
+func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nextID uint64, steer bool) (durableState, error) {
 	// Size the new directory before allocating its extent: the allocation can
 	// only shrink the free list (remove an entry, or split one — count
-	// unchanged), so counting the current avail plus everything pending is an
+	// unchanged), so counting the current avail plus everything released is an
 	// upper bound, and the blob is padded to the allocated size.
-	ubFree := avail.len() + len(pending)
+	ubFree := avail.len() + len(released)
 	if s.dirExt.len > 0 {
 		ubFree++
 	}
-	dirLen := uint32(dirSize(len(newPages), ubFree, len(g.meta)))
+	dirLen := uint32(dirSize(len(next.pages), ubFree, len(next.meta)))
+	newEnd := next.fileEnd
 	var dirExt extent
-	if g.vacuum {
+	if steer {
 		// A vacuum flush also steers its directory blob toward the front —
 		// but only STRICTLY below its current extent. Shadow paging forces the
 		// directory to move every flush (its live extent is off-limits until
@@ -561,7 +599,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		dirExt = avail.allocExtent(&newEnd, dirLen)
 	}
 	newFree := avail.appendTo(make([]extent, 0, ubFree))
-	newFree = append(newFree, pending...)
+	newFree = append(newFree, released...)
 	if s.dirExt.len > 0 {
 		newFree = append(newFree, s.dirExt) // the old directory's own extent
 	}
@@ -574,15 +612,15 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		newFree = newFree[:len(newFree)-1]
 	}
 	dir := make([]byte, dirExt.len)
-	serializeDir(dir, newPages, newFree, g.meta, g.mark)
+	serializeDir(dir, next.pages, newFree, next.meta, next.mark)
 	if _, err := s.f.WriteAt(dir, dirExt.off); err != nil {
-		return ns, fmt.Errorf("file: write directory: %w", err)
+		return durableState{}, fmt.Errorf("file: write directory: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return ns, fmt.Errorf("file: sync data: %w", err)
+		return durableState{}, fmt.Errorf("file: sync data: %w", err)
 	}
 	slot := serializeSlot(slotData{
-		txid: s.txid + 1, root: g.root, nextID: nextID,
+		txid: s.txid + 1, root: next.root, nextID: nextID,
 		dir: dirExt, dirCRC: crc32.ChecksumIEEE(dir),
 	})
 	slotOff := int64(slot0Off)
@@ -597,14 +635,11 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	// then open a torn state. The drain loop fail-stops the store instead;
 	// reopening resolves the ambiguity by reading what's actually durable.
 	if _, err := s.f.WriteAt(slot, slotOff); err != nil {
-		return ns, fmt.Errorf("file: write meta slot (%w): %v", ErrFailed, err)
+		return durableState{}, fmt.Errorf("file: write meta slot (%w): %v", ErrFailed, err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return ns, fmt.Errorf("file: sync meta slot (%w): %v", ErrFailed, err)
+		return durableState{}, fmt.Errorf("file: sync meta slot (%w): %v", ErrFailed, err)
 	}
-	ns = durableState{
-		pages: newPages, free: newFree, header: g.header,
-		txid: s.txid + 1, cur: 1 - s.cur, dirExt: dirExt, fileEnd: newEnd, pageBytes: pageBytes,
-	}
-	return ns, nil
+	next.free, next.txid, next.cur, next.dirExt, next.fileEnd = newFree, s.txid+1, 1-s.cur, dirExt, newEnd
+	return next, nil
 }

@@ -43,6 +43,14 @@
 // groups flush in order, a crash at any point yields exactly a prefix of
 // the flushed groups — never a torn one.
 //
+// A group that raises the seal mark (a later epoch, or more counters
+// reserved) and writes pages flushes with two flips: first one that changes
+// nothing but the durable mark, then the ordinary one. The group's pages were
+// sealed under that reservation, and no byte of them may reach the file
+// before a mark covering them is durable (store.PageStore.SetSealMark). A
+// crash between the flips opens the pre-group state under the raised mark,
+// which costs nothing but the reserved counters.
+//
 // # Durability modes
 //
 // Config.Durability picks what a commit waits for (see Durability); the
@@ -71,15 +79,11 @@
 package file
 
 import (
-	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/bits"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -209,17 +213,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-const (
-	magic      = "EKBTPG\r\n" // 8 bytes; \r\n catches ASCII-mode transfer mangling
-	slot0Off   = 64
-	slot1Off   = 192
-	slotSize   = 48
-	dataStart  = 512
-	pageEntLen = 20 // id(8) + off(8) + len(4)
-	freeEntLen = 12 // off(8) + len(4)
-	markLen    = 16 // seal mark: epoch(4) + clean(4) + counter(8)
-)
-
 // File is the random-access backing-file contract the store needs; *os.File
 // satisfies it. Tests substitute internal/faulttest's File — the repository's
 // one crash model: process death with a torn write, power loss, a transient
@@ -232,23 +225,6 @@ type File interface {
 	Truncate(size int64) error // releases the tail once the append frontier retreats
 	Sync() error
 	Close() error
-}
-
-// extent is a contiguous byte range in the data region.
-type extent struct {
-	off int64
-	len uint32
-}
-
-func (e extent) end() int64 { return e.off + int64(e.len) }
-
-// slotData is one decoded meta slot.
-type slotData struct {
-	txid   uint64
-	root   uint64
-	nextID uint64
-	dir    extent
-	dirCRC uint32
 }
 
 // durableState is exactly what the active meta slot on disk describes. A
@@ -507,288 +483,6 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// parseSlot decodes and checksums one meta slot. An all-zero (never written)
-// slot fails the CRC and reads as invalid.
-func parseSlot(b []byte) (slotData, bool) {
-	if crc32.ChecksumIEEE(b[:slotSize-4]) != binary.BigEndian.Uint32(b[slotSize-4:]) {
-		return slotData{}, false
-	}
-	return slotData{
-		txid:   binary.BigEndian.Uint64(b[0:]),
-		root:   binary.BigEndian.Uint64(b[8:]),
-		nextID: binary.BigEndian.Uint64(b[16:]),
-		dir: extent{
-			off: int64(binary.BigEndian.Uint64(b[24:])),
-			len: binary.BigEndian.Uint32(b[32:]),
-		},
-		dirCRC: binary.BigEndian.Uint32(b[36:]),
-	}, true
-}
-
-func serializeSlot(sd slotData) []byte {
-	b := make([]byte, slotSize)
-	binary.BigEndian.PutUint64(b[0:], sd.txid)
-	binary.BigEndian.PutUint64(b[8:], sd.root)
-	binary.BigEndian.PutUint64(b[16:], sd.nextID)
-	binary.BigEndian.PutUint64(b[24:], uint64(sd.dir.off))
-	binary.BigEndian.PutUint32(b[32:], sd.dir.len)
-	binary.BigEndian.PutUint32(b[36:], sd.dirCRC)
-	binary.BigEndian.PutUint32(b[slotSize-4:], crc32.ChecksumIEEE(b[:slotSize-4]))
-	return b
-}
-
-// dirSize returns the serialized directory size for the given entry counts.
-func dirSize(pageCount, freeCount, metaLen int) int {
-	return 4 + pageCount*pageEntLen + 4 + freeCount*freeEntLen + 4 + metaLen + markLen
-}
-
-// serializeDir writes the directory into buf, which may be longer than the
-// exact encoding; the tail stays zero (padding is covered by the CRC and
-// ignored by parseDir). The seal mark rides after the meta blob: directories
-// written before the mark existed end at the meta, and parseDir reads their
-// (absent) mark as zero — epoch 0, nothing reserved — which is exactly the
-// state such a file was written in.
-func serializeDir(buf []byte, pages map[uint64]extent, free []extent, meta []byte, mark store.SealMark) {
-	p := buf
-	binary.BigEndian.PutUint32(p, uint32(len(pages)))
-	p = p[4:]
-	for id, e := range pages {
-		binary.BigEndian.PutUint64(p[0:], id)
-		binary.BigEndian.PutUint64(p[8:], uint64(e.off))
-		binary.BigEndian.PutUint32(p[16:], e.len)
-		p = p[pageEntLen:]
-	}
-	binary.BigEndian.PutUint32(p, uint32(len(free)))
-	p = p[4:]
-	for _, e := range free {
-		binary.BigEndian.PutUint64(p[0:], uint64(e.off))
-		binary.BigEndian.PutUint32(p[8:], e.len)
-		p = p[freeEntLen:]
-	}
-	binary.BigEndian.PutUint32(p, uint32(len(meta)))
-	copy(p[4:], meta)
-	p = p[4+len(meta):]
-	binary.BigEndian.PutUint32(p[0:], mark.Epoch)
-	binary.BigEndian.PutUint32(p[4:], mark.Clean)
-	binary.BigEndian.PutUint64(p[8:], mark.Counter)
-}
-
-func parseDir(b []byte) (pages map[uint64]extent, free []extent, meta []byte, mark store.SealMark, err error) {
-	bad := func(what string) error { return fmt.Errorf("%w: directory %s", ErrCorrupt, what) }
-	if len(b) < 4 {
-		return nil, nil, nil, mark, bad("truncated")
-	}
-	pageCount := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(pageCount)*pageEntLen {
-		return nil, nil, nil, mark, bad("page table truncated")
-	}
-	pages = make(map[uint64]extent, pageCount)
-	for i := uint32(0); i < pageCount; i++ {
-		pages[binary.BigEndian.Uint64(b[0:])] = extent{
-			off: int64(binary.BigEndian.Uint64(b[8:])),
-			len: binary.BigEndian.Uint32(b[16:]),
-		}
-		b = b[pageEntLen:]
-	}
-	if len(b) < 4 {
-		return nil, nil, nil, mark, bad("truncated")
-	}
-	freeCount := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(freeCount)*freeEntLen {
-		return nil, nil, nil, mark, bad("free list truncated")
-	}
-	free = make([]extent, 0, freeCount)
-	for i := uint32(0); i < freeCount; i++ {
-		free = append(free, extent{
-			off: int64(binary.BigEndian.Uint64(b[0:])),
-			len: binary.BigEndian.Uint32(b[8:]),
-		})
-		b = b[freeEntLen:]
-	}
-	if len(b) < 4 {
-		return nil, nil, nil, mark, bad("truncated")
-	}
-	metaLen := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(metaLen) {
-		return nil, nil, nil, mark, bad("meta truncated")
-	}
-	meta = append([]byte(nil), b[:metaLen]...)
-	b = b[metaLen:]
-	// Pre-mark directories end here; zero padding decodes as the zero mark.
-	if len(b) >= markLen {
-		mark.Epoch = binary.BigEndian.Uint32(b[0:])
-		mark.Clean = binary.BigEndian.Uint32(b[4:])
-		mark.Counter = binary.BigEndian.Uint64(b[8:])
-	}
-	return pages, free, meta, mark, nil
-}
-
-// freeIndex is a size-bucketed view of the free-extent list, built once per
-// flush. Bucket b holds extents whose length has bit-length b+1 (i.e. len in
-// [2^b, 2^(b+1))), so finding a fitting extent probes the request's own
-// bucket and then the first non-empty larger one, instead of best-fit
-// scanning the whole list per allocation (~7% of CPU under sustained ingest
-// before this existed). Within the request's own bucket the scan is still
-// best-fit, but candidates there are already within 2x of the request, so
-// fragmentation behavior matches the old scan where it mattered: steady-state
-// workloads keep reusing recycled same-size extents exactly.
-type freeIndex struct {
-	buckets  [32][]extent
-	n        int
-	nonEmpty uint32 // bit b set iff buckets[b] is non-empty
-}
-
-func bucketOf(n uint32) int {
-	if n == 0 {
-		return 0
-	}
-	return bits.Len32(n) - 1
-}
-
-func newFreeIndex(free []extent) *freeIndex {
-	fi := &freeIndex{}
-	for _, e := range free {
-		fi.add(e)
-	}
-	return fi
-}
-
-func (fi *freeIndex) add(e extent) {
-	if e.len == 0 {
-		return
-	}
-	b := bucketOf(e.len)
-	fi.buckets[b] = append(fi.buckets[b], e)
-	fi.nonEmpty |= 1 << b
-	fi.n++
-}
-
-// len returns the number of indexed extents.
-func (fi *freeIndex) len() int { return fi.n }
-
-// appendTo appends every remaining extent to dst, for rebuilding the
-// persistent free list after a flush's allocations.
-func (fi *freeIndex) appendTo(dst []extent) []extent {
-	for _, b := range fi.buckets {
-		dst = append(dst, b...)
-	}
-	return dst
-}
-
-// take removes and returns buckets[b][i].
-func (fi *freeIndex) take(b, i int) extent {
-	bk := fi.buckets[b]
-	e := bk[i]
-	bk[i] = bk[len(bk)-1]
-	fi.buckets[b] = bk[:len(bk)-1]
-	if len(fi.buckets[b]) == 0 {
-		fi.nonEmpty &^= 1 << b
-	}
-	fi.n--
-	return e
-}
-
-// alloc carves n bytes out of the indexed free extents, returning false if no
-// extent fits. An exact or near fit comes from the request's own bucket
-// (best-fit within it); otherwise the smallest non-empty larger bucket is
-// split, with the remainder re-indexed by its new size.
-func (fi *freeIndex) alloc(n uint32) (extent, bool) {
-	if n == 0 || fi.n == 0 {
-		return extent{}, false
-	}
-	b := bucketOf(n)
-	best := -1
-	for i, e := range fi.buckets[b] {
-		if e.len >= n && (best < 0 || e.len < fi.buckets[b][best].len) {
-			best = i
-			if e.len == n {
-				break
-			}
-		}
-	}
-	if best < 0 {
-		// Everything in bucket b is under n (or the bucket is empty): any
-		// extent in a larger bucket fits. Take from the smallest such bucket.
-		higher := fi.nonEmpty &^ (1<<(b+1) - 1)
-		if higher == 0 {
-			return extent{}, false
-		}
-		b = bits.TrailingZeros32(higher)
-		best = 0
-	}
-	e := fi.take(b, best)
-	got := extent{off: e.off, len: n}
-	if e.len > n {
-		fi.add(extent{off: e.off + int64(n), len: e.len - n})
-	}
-	return got, true
-}
-
-// allocBelow carves n bytes from the free extent with the LOWEST offset that
-// fits and starts strictly below limit, returning false when none does. It
-// trades the bucket probe for a full scan — vacuum relocations want data to
-// migrate toward the front of the file, not to the best-fitting hole — and
-// only vacuum-marked writes pay for it.
-func (fi *freeIndex) allocBelow(n uint32, limit int64) (extent, bool) {
-	if n == 0 || fi.n == 0 {
-		return extent{}, false
-	}
-	bestB, bestI := -1, -1
-	var bestOff int64
-	for b := bucketOf(n); b < len(fi.buckets); b++ {
-		if fi.nonEmpty&(1<<b) == 0 {
-			continue
-		}
-		for i, e := range fi.buckets[b] {
-			if e.len >= n && e.off < limit && (bestB < 0 || e.off < bestOff) {
-				bestB, bestI, bestOff = b, i, e.off
-			}
-		}
-	}
-	if bestB < 0 {
-		return extent{}, false
-	}
-	e := fi.take(bestB, bestI)
-	got := extent{off: e.off, len: n}
-	if e.len > n {
-		fi.add(extent{off: e.off + int64(n), len: e.len - n})
-	}
-	return got, true
-}
-
-// allocExtent carves n bytes out of the index or extends the append frontier.
-func (fi *freeIndex) allocExtent(end *int64, n uint32) extent {
-	if e, ok := fi.alloc(n); ok {
-		return e
-	}
-	got := extent{off: *end, len: n}
-	*end += int64(n)
-	return got
-}
-
-// coalesce sorts extents by offset and merges adjacent ones, bounding
-// free-list (and therefore directory) growth.
-func coalesce(exts []extent) []extent {
-	if len(exts) < 2 {
-		return exts
-	}
-	// Offsets are unique, so an unstable sort has one possible result.
-	slices.SortFunc(exts, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
-	out := exts[:1]
-	for _, e := range exts[1:] {
-		last := &out[len(out)-1]
-		if last.end() == e.off {
-			last.len += e.len
-		} else {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // ReadPage serves the applied state: the pending overlay first, then the
 // group being flushed, then the durable extent on disk.
 func (s *Store) ReadPage(id uint64) ([]byte, error) {
@@ -850,7 +544,8 @@ func (s *Store) SetMeta(meta []byte) error {
 }
 
 // SealMark returns the applied cipher-lifecycle mark: a SetSealMark is
-// observable immediately, durable after Sync (like any commit).
+// observable immediately, durable after Sync (like any commit) — or sooner,
+// when a flush carries pages committed after it (see flushGroup).
 func (s *Store) SealMark() (store.SealMark, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -22,14 +22,16 @@ var ErrClosed = errors.New("store: closed")
 // Alloc are always > NoRoot.
 const NoRoot uint64 = 0
 
-// SealMark is the engine's durable cipher-lifecycle high-water mark: the
-// current key epoch and a PRE-RESERVED upper bound on the seal counters the
-// engine may have issued within it. The engine persists a mark with Counter
-// ahead of what it has actually used before sealing into the reservation, so
-// a reopened store — including after a crash that lost queued commits —
-// resumes strictly past every (epoch, counter) nonce that could have reached
-// the file, and never reissues one. A zero SealMark is what stores created
-// before epochs existed report: epoch 0, nothing reserved.
+// SealMark is the engine's cipher-lifecycle high-water mark: the current key
+// epoch and a PRE-RESERVED upper bound on the seal counters the engine may
+// have issued within it. The engine records a mark with Counter ahead of what
+// it has actually used before sealing into the reservation, and the store
+// makes that mark durable before any page committed after it reaches the
+// file (see PageStore.SetSealMark). So a reopened store — including after a
+// crash that lost queued commits — resumes strictly past every (epoch,
+// counter) nonce that could have reached the file, and never reissues one. A
+// zero SealMark is what stores created before epochs existed report: epoch 0,
+// nothing reserved.
 type SealMark struct {
 	// Epoch is the current key epoch.
 	Epoch uint32
@@ -104,7 +106,12 @@ type PageStore interface {
 	// SetSealMark records the cipher-lifecycle mark, subject to the same
 	// durability mode as commits: Sync is the barrier that makes it durable.
 	// Marks ride the same commit pipeline as pages, so a crash yields some
-	// previously recorded mark, never a torn one.
+	// previously recorded mark, never a torn one. One ordering is stronger
+	// than a commit's: a mark that raises (Epoch, Counter) must be durable
+	// before any byte of a page committed after it reaches the backing
+	// storage, even a page of a commit the crash then discards. The engine
+	// relies on it instead of a Sync per reservation, so a reservation costs
+	// no I/O of its own.
 	SetSealMark(mark SealMark) error
 	// Sync blocks until every commit accepted before the call is durable.
 	// Stores whose commits are synchronously durable (or that have no

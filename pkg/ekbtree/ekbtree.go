@@ -276,7 +276,8 @@ func Open(opts Options) (*Tree, error) {
 // regardless of the seal budget, and schedules the background rotator to
 // re-seal the superseded epochs' pages. This is the operator-driven "rotate
 // now": the new epochs' durable reservations are on disk when the call
-// returns, while the re-sealing itself proceeds in the background (watch
+// returns — in every durability mode, so the call is also a Sync — while the
+// re-sealing itself proceeds in the background (watch
 // Stats.PagesPendingReseal drain to zero).
 func (t *Tree) AdvanceEpoch() error {
 	for _, g := range t.shards {
@@ -285,7 +286,7 @@ func (t *Tree) AdvanceEpoch() error {
 		}
 	}
 	t.kickMaintain()
-	return nil
+	return t.Sync()
 }
 
 // metaPageID is the pseudo page ID binding the sealed header; real page IDs

@@ -8,12 +8,13 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// sealReserveChunk is how many counters a durable reservation covers. The
-// persisted high-water mark always runs at least this far ahead of the
-// counters actually issued, so reopening after a crash skips at most one
-// chunk of nonce space per generation — a rounding error against the budget —
-// and steady-state sealing pays one durable mark write per chunk, not per
-// commit.
+// sealReserveChunk is how many counters one reservation covers. The recorded
+// high-water mark always runs at least this far ahead of the counters
+// actually issued, so reopening after a crash skips at most one chunk of
+// nonce space per generation — a rounding error against the budget — and
+// steady-state sealing records one mark per chunk, not per commit. Recording
+// one is a plain SetSealMark: no I/O is waited on and no pending page is
+// flushed for it.
 const sealReserveChunk = 4096
 
 // DefaultHardSealLimit is the per-epoch counter value at which writes fail
@@ -29,12 +30,15 @@ const DefaultHardSealLimit = 1 << 32
 const maxCounterSpace = 1 << 56
 
 // sealAlloc hands out the collision-free (epoch, counter) pairs every page
-// seal runs under and owns the engine's durable seal mark. The invariant
-// it maintains: before any counter is handed to a sealer, a mark covering it
-// is DURABLE in the store (SetSealMark + Sync). Sealed bytes reach the file's
-// data region even for commits a crash will discard — the flush writes pages
-// before the slot flip — so the reservation must outrun every counter that
-// could possibly hit the platter, not just the committed ones.
+// seal runs under and owns the engine's seal mark. The invariant it
+// maintains: before any counter is handed to a sealer, a mark covering it has
+// been recorded with SetSealMark. Sealed bytes reach the file's data region
+// even for commits a crash will discard — a flush writes pages before its
+// slot flip — so the mark must outrun every counter that could possibly hit
+// the platter, not just the committed ones. The store keeps that half of the
+// bargain: a mark is durable before any page committed after it reaches the
+// file (store.PageStore.SetSealMark), and every page sealed under a
+// reservation is committed after the mark that made it.
 type sealAlloc struct {
 	st        store.PageStore
 	budget    uint64 // soft per-epoch budget; crossing it advances the epoch. 0 = never advance.
@@ -46,7 +50,7 @@ type sealAlloc struct {
 	epoch    uint32
 	clean    uint32 // newest epoch verified fully re-sealed (<= epoch)
 	next     uint64 // next unissued counter within epoch (excludes base)
-	reserved uint64 // durable reservation high-water mark (excludes base)
+	reserved uint64 // recorded reservation high-water mark (excludes base)
 }
 
 // newSealAlloc seeds the allocator from the store's persisted mark and
@@ -77,25 +81,20 @@ func newSealAlloc(st store.PageStore, budget, hard, base uint64, onAdvance func(
 	}, nil
 }
 
-// persistLocked makes the current (epoch, clean, reserved) durable. Callers
-// hold sa.mu; the store's commit pipeline runs independently of it, so the
-// Sync barrier cannot deadlock against concurrent commits.
+// persistLocked records the current (epoch, clean, reserved) with the store.
+// Callers hold sa.mu.
 func (sa *sealAlloc) persistLocked() error {
-	mark := store.SealMark{Epoch: sa.epoch, Clean: sa.clean, Counter: sa.reserved}
-	if err := sa.st.SetSealMark(mark); err != nil {
-		return err
-	}
-	return sa.st.Sync()
+	return sa.st.SetSealMark(store.SealMark{Epoch: sa.epoch, Clean: sa.clean, Counter: sa.reserved})
 }
 
 // advanceLocked opens the next epoch with a reservation covering its first n
-// counters. The durable mark must record the new epoch (with a fresh
-// reservation) before any of its counters are issued — a crash between the
-// two would otherwise reopen at the old epoch, later advance again, and
-// replay the new epoch's counters from zero. If the mark cannot be made
-// durable the allocator is left as it was. Callers hold sa.mu, have checked
-// that the epoch space is not spent, and fire onAdvance once they drop the
-// lock.
+// counters. The mark must record the new epoch (with a fresh reservation)
+// before any of its counters are issued — a crash that kept a page sealed
+// under the new epoch but not the mark would otherwise reopen at the old
+// epoch, later advance again, and replay the new epoch's counters from zero.
+// If the store refuses the mark the allocator is left as it was. Callers hold
+// sa.mu, have checked that the epoch space is not spent, and fire onAdvance
+// once they drop the lock.
 func (sa *sealAlloc) advanceLocked(n uint64) error {
 	prevEpoch, prevNext, prevReserved := sa.epoch, sa.next, sa.reserved
 	sa.epoch++
@@ -111,7 +110,7 @@ func (sa *sealAlloc) advanceLocked(n uint64) error {
 // take allocates n consecutive counters in the current epoch, returning the
 // epoch and the first counter (base included; the caller uses start+i for
 // page i). Crossing the soft budget advances the epoch first — the new
-// epoch's reservation is durable before its first counter leaves — and
+// epoch's reservation is recorded before its first counter leaves — and
 // reaching the hard bound fails closed with ErrSealsExhausted.
 func (sa *sealAlloc) take(n int) (uint32, uint64, error) {
 	sa.mu.Lock()
@@ -162,8 +161,9 @@ func (sa *sealAlloc) state() (epoch, clean uint32, issued uint64) {
 
 // markClean records that every live page has been verified sealed at epoch
 // (or newer). The clean mark is an optimization — it lets Open, Stats, and
-// the rotator skip full-tree sweeps — so it is persisted without a Sync
-// barrier: losing it to a crash merely costs one re-verification sweep.
+// the rotator skip full-tree sweeps — and losing it to a crash merely costs
+// one re-verification sweep. It reserves nothing, so the store makes it
+// durable with the next flush and no sooner.
 func (sa *sealAlloc) markClean(epoch uint32) error {
 	sa.mu.Lock()
 	defer sa.mu.Unlock()
@@ -171,7 +171,7 @@ func (sa *sealAlloc) markClean(epoch uint32) error {
 		return nil
 	}
 	sa.clean = epoch
-	return sa.st.SetSealMark(store.SealMark{Epoch: sa.epoch, Clean: sa.clean, Counter: sa.reserved})
+	return sa.persistLocked()
 }
 
 // cleanAtLeast reports whether every live page is known sealed at epoch or
@@ -183,9 +183,11 @@ func (sa *sealAlloc) cleanAtLeast(epoch uint32) bool {
 }
 
 // AdvanceEpoch forces an epoch advance regardless of the soft budget, as if
-// the budget had just been crossed: the new epoch's reservation is made
-// durable before the call returns. The façade uses it for operator-driven
-// rotation ("rotate now", not "rotate at the budget").
+// the budget had just been crossed: the new epoch's reservation is recorded
+// before the call returns, and the store makes it durable before any page
+// sealed under it reaches the file (Sync makes it durable outright). The
+// façade uses it for operator-driven rotation ("rotate now", not "rotate at
+// the budget").
 func (g *Engine) AdvanceEpoch() error {
 	sa := g.sa
 	sa.mu.Lock()

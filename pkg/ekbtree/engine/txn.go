@@ -231,8 +231,8 @@ func (tx *writeTxn) seal() (*epoch, error) {
 		return nil, nil
 	}
 	// One contiguous counter block covers the whole commit: page i seals with
-	// nonce (epoch, start+i). The allocation itself durably reserves the
-	// counters (see sealAlloc.take) before any of them touches the cipher.
+	// nonce (epoch, start+i). The allocation itself records the reservation
+	// (see sealAlloc.take) before any of them touches the cipher.
 	keyEpoch, start, err := tx.sa.take(len(tx.dirty))
 	if err != nil {
 		return nil, err
