@@ -23,39 +23,31 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The façade suite runs twice: once over the in-memory backend and once over
-# the crash-safe file backend (EKBTREE_BACKEND=file repoints the default
-# store; see pkg/ekbtree/main_test.go).
 test:
 	$(GO) test ./...
-	EKBTREE_BACKEND=file $(GO) test ./pkg/...
 
-# The third line repeats the fault sweeps (internal/faulttest) and commit-group
-# walks: a flush places pages in map-iteration order, so every run meets a new
-# layout. The fourth is the sweeps above the store: rotation's re-seal commits
-# and a whole tree, whose background rotator interleaves differently every
-# run, the rotator backing off over a store that refuses it, and the same loop
-# auto-vacuuming a tree while nothing else touches it. The last is
-# the wire's two ends over real sockets, where each run lands the responder's
-# and the client's goroutines differently: a client's latched transport error
-# and a pre-auth frame refused.
+# The second line repeats the fault sweeps (internal/faulttest) and
+# commit-group walks: a flush places pages in map-iteration order, so every
+# run meets a new layout. The third is the sweeps above the store: rotation's
+# re-seal commits and a whole tree, whose background rotator interleaves
+# differently every run, the rotator backing off over a store that refuses
+# it, and the same loop auto-vacuuming a tree while nothing else touches it.
+# The last is the wire's two ends over real sockets, where each run lands the
+# responder's and the client's goroutines differently: a client's latched
+# transport error and a pre-auth frame refused.
 race:
 	$(GO) test -race ./...
-	EKBTREE_BACKEND=file $(GO) test -race ./pkg/...
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
 # test-sharded repeats the façade suite with every test tree defaulting to
-# three range shards (EKBTREE_SHARDS repoints Options.Shards the same way
-# EKBTREE_BACKEND repoints the store); the file flavor runs -short because
-# sharded trees triple the fsync traffic of the slow durability sweeps. At
-# three shards a test with hundreds of keys fills every shard; the last leg
-# spreads the cursor, scan and model tests over sixteen so that a cursor
-# meets runs of empty shards.
+# three range shards (EKBTREE_SHARDS repoints Options.Shards; see
+# pkg/ekbtree/main_test.go). At three shards a test with hundreds of keys
+# fills every shard; the last leg spreads the cursor, scan and model tests
+# over sixteen so that a cursor meets runs of empty shards.
 test-sharded:
 	EKBTREE_SHARDS=3 $(GO) test ./pkg/ekbtree/
-	EKBTREE_BACKEND=file EKBTREE_SHARDS=3 $(GO) test -short ./pkg/ekbtree/
 	EKBTREE_SHARDS=16 $(GO) test -run 'Cursor|Scan|Model' ./pkg/ekbtree/
 
 # bench-raw prints the unprocessed go test -bench output.

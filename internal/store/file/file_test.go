@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -724,5 +725,26 @@ func TestTransientFaultFailStops(t *testing.T) {
 					}
 				})
 		})
+	}
+}
+
+// TestMemFile: a read past the end answers io.EOF, which Open's header read
+// of a fresh file relies on, and bytes Truncate cut are gone — a later write
+// beyond the cut leaves zeros in the gap, as on disk.
+func TestMemFile(t *testing.T) {
+	f := &memFile{}
+	f.WriteAt([]byte("abcdefgh"), 0)
+	buf := make([]byte, 4)
+	if n, err := f.ReadAt(buf, 6); n != 2 || err != io.EOF || string(buf[:n]) != "gh" {
+		t.Fatalf("ReadAt across the end = (%d, %v, %q), want (2, EOF, \"gh\")", n, err, buf[:n])
+	}
+	if n, err := f.ReadAt(buf, 8); n != 0 || err != io.EOF {
+		t.Fatalf("ReadAt at the end = (%d, %v), want (0, EOF)", n, err)
+	}
+	f.Truncate(2)
+	f.WriteAt([]byte("z"), 6)
+	got := make([]byte, 7)
+	if n, err := f.ReadAt(got, 0); n != 7 || err != nil || string(got) != "ab\x00\x00\x00\x00z" {
+		t.Fatalf("after Truncate(2) and a write at 6 the file reads (%d, %v, %q)", n, err, got)
 	}
 }

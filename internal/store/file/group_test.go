@@ -590,15 +590,16 @@ func TestOpenConfigRejectsUnknownMode(t *testing.T) {
 }
 
 // TestCommitPagesTakesOwnership is the conformance test of CommitPages'
-// buffer contract, over the in-memory store and the file store in every
-// durability mode. The store keeps the page buffers it is handed and never
-// writes to them; it does not keep the writes map, which the engine clears
-// and refills for its next commit; and ReadPage returns the committed bytes in
-// a buffer of the reader's own, from the overlay before the flush and from the
-// file after it.
+// buffer contract, over store.Mem, the file store over a file in memory, and
+// the file store on disk in every durability mode. The store keeps the page
+// buffers it is handed and never writes to them; it does not keep the writes
+// map, which the engine clears and refills for its next commit; and ReadPage
+// returns the committed bytes in a buffer of the reader's own, from the
+// overlay before the flush and from the file after it.
 func TestCommitPagesTakesOwnership(t *testing.T) {
 	stores := map[string]func(t *testing.T) store.PageStore{
-		"mem": func(*testing.T) store.PageStore { return store.NewMem() },
+		"mem":    func(*testing.T) store.PageStore { return store.NewMem() },
+		"memory": func(*testing.T) store.PageStore { return NewMem() },
 	}
 	for _, mode := range allModes {
 		stores["file-"+mode.String()] = func(t *testing.T) store.PageStore {

@@ -1,9 +1,9 @@
 // Package store provides the page-store abstraction at the bottom of the
 // engine. A PageStore holds opaque, already-enciphered pages keyed by page ID
 // plus a single root pointer; it never sees node structure, substituted keys,
-// or plaintext. Two backends implement it: Mem, here, and the crash-safe
-// shadow-paged page file in internal/store/file, which also implements the
-// optional Spacer and Vacuumer below.
+// or plaintext. The crash-safe shadow-paged page file in internal/store/file
+// implements it, with the optional Spacer and Vacuumer below, over a file on
+// disk or one held in memory.
 package store
 
 import (
@@ -114,8 +114,7 @@ type PageStore interface {
 	// no I/O of its own.
 	SetSealMark(mark SealMark) error
 	// Sync blocks until every commit accepted before the call is durable.
-	// Stores whose commits are synchronously durable (or that have no
-	// durability at all, like the in-memory store) return immediately.
+	// Stores whose commits are synchronously durable return immediately.
 	Sync() error
 	// Close releases resources, flushing any commits the store has accepted
 	// but not yet made durable. The store must not be used afterwards.
@@ -127,7 +126,7 @@ type PageStore interface {
 // the backing storage and releases the tail, until the footprint is at or
 // below target bytes or no further improvement is possible; it runs
 // concurrently with reads and commits and never changes the logical state.
-// Stores without reclaimable layout (like Mem) simply don't implement it.
+// Stores without reclaimable layout simply don't implement it.
 type Vacuumer interface {
 	Vacuum(target int64) error
 }
@@ -141,7 +140,10 @@ type Spacer interface {
 	Space() (fileBytes, liveBytes int64)
 }
 
-// Mem is an in-memory PageStore.
+// Mem is an in-memory PageStore that shares none of the file store's code.
+// It stays only because bench/replay.go builds its replay engine on it and
+// bench/ may not change yet; trees and tests use internal/store/file's NewMem.
+// Delete it with ROADMAP item 1, the next time bench/ may be touched.
 type Mem struct {
 	mu     sync.RWMutex
 	pages  map[uint64][]byte
@@ -268,16 +270,4 @@ func (m *Mem) Len() int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return len(m.pages)
-}
-
-// Snapshot returns a deep copy of all live pages, for tests and diagnostics
-// (e.g. verifying that no plaintext bytes reach the store).
-func (m *Mem) Snapshot() map[uint64][]byte {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[uint64][]byte, len(m.pages))
-	for id, p := range m.pages {
-		out[id] = append([]byte(nil), p...)
-	}
-	return out
 }

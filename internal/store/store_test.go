@@ -171,21 +171,6 @@ func TestMemCommitPages(t *testing.T) {
 	}
 }
 
-func TestMemSnapshotIsDeepCopy(t *testing.T) {
-	m := NewMem()
-	defer m.Close()
-	id, _ := m.Alloc()
-	if err := commitOne(m, id, []byte("original")); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Snapshot()
-	snap[id][0] = 'X'
-	got, _ := m.ReadPage(id)
-	if !bytes.Equal(got, []byte("original")) {
-		t.Error("Snapshot aliases store pages")
-	}
-}
-
 func TestMemConcurrent(t *testing.T) {
 	m := NewMem()
 	defer m.Close()

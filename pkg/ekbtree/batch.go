@@ -106,8 +106,7 @@ func (b *Batch) Len() int {
 //
 // Each per-shard flush hands every sealed page, the shard's new root, and
 // the freed page IDs to that store's CommitPages hook in one call: the
-// in-memory store applies it under a single lock, and the file-backed store
-// enqueues it on the group-commit pipeline — the slice lands in one
+// page store enqueues it on the group-commit pipeline — the slice lands in one
 // coalesced shadow-paged flush, so a crash or I/O error at any point leaves
 // each shard at exactly its pre- or post-commit state, never torn. What a
 // successful Commit means for durability follows the tree's

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/cipher"
-	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // countingCipher wraps a NodeCipher and counts SealEpoch/Open calls, so tests
@@ -327,7 +327,7 @@ func TestBatchSpentAndDiscard(t *testing.T) {
 // reopen-through-the-new-API satellite.
 func TestBatchCommitThenReopen(t *testing.T) {
 	master := bytes.Repeat([]byte{0xB4}, 32)
-	st := store.NewMem()
+	st := file.NewMem()
 	tr := mustOpen(t, Options{MasterKey: master, Order: 8, Store: st})
 
 	b := tr.NewBatch()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // gateStore wraps a PageStore and, when armed, parks every CommitPages call
@@ -25,7 +26,7 @@ type gateStore struct {
 
 func newGateStore() *gateStore {
 	return &gateStore{
-		PageStore: store.NewMem(),
+		PageStore: file.NewMem(),
 		gate:      make(chan struct{}),
 		entered:   make(chan struct{}),
 	}

@@ -13,15 +13,16 @@ import (
 )
 
 // TestTreeCrashAtEveryFileOp crashes a whole tree — key substitution, OCC
-// commit, seal-counter reservation (SetSealMark + Sync), group commit, the
-// background rotator — at every write and sync its page file sees, as process
-// death and as power loss with only the newest two unsynced writes surviving.
-// The tree runs over a Full-durability file store, so every call that returned
-// nil is durable: the reopened tree must hold exactly what the acknowledged
-// calls built, or that plus the one call the crash interrupted; the durable
-// seal mark must not fall behind the base's, nor behind the last epoch the
-// crashed generation reported; and across the base, the crashed and the
-// reopened generation no (epoch, counter) nonce may be issued twice.
+// commit, seal-counter reservation (a SetSealMark the next flush makes durable
+// ahead of its pages), group commit, the background rotator — at every write
+// and sync its page file sees, as process death and as power loss with only
+// the newest two unsynced writes surviving. The tree runs over a
+// Full-durability file store, so every call that returned nil is durable: the
+// reopened tree must hold exactly what the acknowledged calls built, or that
+// plus the one call the crash interrupted; the durable seal mark must not fall
+// behind the base's, nor behind the last epoch the crashed generation
+// reported; and across the base, the crashed and the reopened generation no
+// (epoch, counter) nonce may be issued twice.
 func TestTreeCrashAtEveryFileOp(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -140,15 +140,19 @@ func TestMaxUnflushedEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSyncOnMemBackend pins Sync's no-op contract off the file backend, and
-// ErrClosed after Close.
+// TestSyncOnMemBackend: Sync on a tree with neither Path nor Store flushes its
+// in-memory page file, so the footprint is real afterwards, and Sync after
+// Close is ErrClosed.
 func TestSyncOnMemBackend(t *testing.T) {
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xD9}, 32)})
 	if err := tr.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Sync(); err != nil {
-		t.Fatalf("Sync on mem-backed tree = %v, want nil", err)
+		t.Fatalf("Sync on memory tree = %v, want nil", err)
+	}
+	if s, err := tr.Stats(); err != nil || s.LiveBytes <= 0 || s.FileBytes < s.LiveBytes {
+		t.Fatalf("Stats after Sync = (%s, %v), want FileBytes >= LiveBytes > 0", s, err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

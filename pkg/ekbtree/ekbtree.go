@@ -77,11 +77,6 @@ import (
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 )
 
-// newDefaultStore builds the store used when Options specify neither Store
-// nor Path (one per shard). The test suite repoints it to run the entire
-// façade suite over other backends (see TestMain).
-var newDefaultStore = func() (store.PageStore, error) { return store.NewMem(), nil }
-
 // testDefaultShards is the shard count used when Options.Shards is zero and
 // no caller-provided Store forces a single shard. It is 1 (the documented
 // default) except under the test suite's EKBTREE_SHARDS override, which
@@ -137,7 +132,7 @@ var openShardStore = func(opts Options, idx, total int) (store.PageStore, error)
 		cfg := file.Config{Durability: opts.Durability, GroupWindow: opts.GroupWindow, MaxUnflushed: opts.MaxUnflushed}
 		return file.OpenConfig(shardPath(opts.Path, idx, total), cfg)
 	default:
-		return newDefaultStore()
+		return file.NewMem(), nil
 	}
 }
 
@@ -499,8 +494,7 @@ type Stats struct {
 	// the backlog the background rotator is draining. Zero once rotation
 	// has converged.
 	PagesPendingReseal int `json:"pages_pending_reseal,omitempty"`
-	// FileBytes is the total backing-file size, summed across shards. Zero
-	// for stores without a physical layout (the in-memory backend).
+	// FileBytes is the total backing-file size, summed across shards.
 	FileBytes int64 `json:"file_bytes,omitempty"`
 	// LiveBytes is the portion of FileBytes referenced by live pages and
 	// store metadata, summed across shards. FileBytes - LiveBytes is the
@@ -547,7 +541,7 @@ func (t *Tree) Stats() (Stats, error) {
 // FileBytes and LiveBytes that Stats reports, from two counters each shard's
 // store keeps as it flushes — O(shards), whatever the tree's size: no page
 // read, no cache traffic, no walk of a page map — so a monitor may poll it.
-// Zeros for the in-memory backend and for a closed tree.
+// Zeros for a closed tree.
 func (t *Tree) Space() (fileBytes, liveBytes int64) {
 	for _, g := range t.shards {
 		f, l := g.Space()
@@ -565,8 +559,7 @@ func (t *Tree) Space() (fileBytes, liveBytes int64) {
 // ordinary shadow-paged commit pipeline, so vacuum runs concurrently with
 // reads and writes, never changes tree contents, and a crash at any byte of
 // it leaves a normal pre-or-post-batch state — no recovery protocol, and
-// re-running Vacuum after a crash simply converges. A no-op for stores
-// without reclaimable layout (the in-memory backend).
+// re-running Vacuum after a crash simply converges.
 func (t *Tree) Vacuum(target int64) error {
 	if target < 0 {
 		return fmt.Errorf("%w: negative vacuum target", ErrInvalidOptions)
@@ -582,10 +575,11 @@ func (t *Tree) Vacuum(target int64) error {
 
 // Sync blocks until every write acknowledged before the call is durable on
 // the backing store(s). It is the durability barrier for DurabilityAsync
-// (and an early flush for DurabilityGrouped); for DurabilityFull, the
-// in-memory backend, or an idle store it returns immediately. Sync may run
-// concurrently with both readers and writers. For a sharded tree it syncs
-// every shard, returning the first error.
+// (and an early flush for DurabilityGrouped); for DurabilityFull or an
+// idle store it returns immediately. A tree without a Path runs at
+// DurabilityAsync over a page file in memory, which Sync brings up to date.
+// Sync may run concurrently with both readers and writers. For a sharded
+// tree it syncs every shard, returning the first error.
 func (t *Tree) Sync() error {
 	for _, g := range t.shards {
 		if err := g.Sync(); err != nil {

@@ -7,13 +7,15 @@ import (
 	"fmt"
 	"math"
 	mrand "math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/keysub"
-	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 func TestOpenValidation(t *testing.T) {
@@ -87,12 +89,10 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripProperty is the headline property test: insert N random keys,
-// verify every one is retrievable, Scan visits exactly N entries in ascending
-// substituted-key order, and (separately) no plaintext key bytes appear in
-// any stored page.
+// verify every one is retrievable and Scan visits exactly N entries in
+// ascending substituted-key order.
 func TestRoundTripProperty(t *testing.T) {
-	st := store.NewMem()
-	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x22}, 32), Order: 8, Store: st})
+	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x22}, 32), Order: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,12 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestNoPlaintextInStore verifies the paper's core guarantee end to end: with
-// the real cipher, neither plaintext keys nor values appear in any stored
-// page; and even with the pass-through cipher, plaintext keys still never
-// appear because the tree indexes substituted keys only.
+// TestNoPlaintextInStore verifies the paper's core guarantee end to end,
+// against an attacker who reads the untrusted storage: with the real cipher,
+// neither plaintext keys nor values appear anywhere in the page file — slots,
+// directory, live pages, and the stale page versions overwrites and deletes
+// left in free extents; and even with the pass-through cipher, plaintext keys
+// still never appear because the tree indexes substituted keys only.
 func TestNoPlaintextInStore(t *testing.T) {
 	configs := []struct {
 		name        string
@@ -148,42 +150,46 @@ func TestNoPlaintextInStore(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			st := store.NewMem()
-			tr, err := Open(Options{
-				MasterKey: bytes.Repeat([]byte{0x33}, 32),
-				Order:     8,
-				Store:     st,
-				Cipher:    cfg.cipher,
-			})
+			path := filepath.Join(t.TempDir(), "plain.ekb")
+			tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x33}, 32), Order: 8, Path: path, Shards: 1, Cipher: cfg.cipher})
+			// Only embed the key in the value when the page cipher hides
+			// values; key substitution alone protects keys, not payloads.
+			value := func(k []byte) []byte {
+				if cfg.checkValues {
+					return append([]byte("secret-value-"), k...)
+				}
+				return []byte("v")
+			}
+			// Every key is written twice and a third deleted, so the file
+			// holds superseded versions of most pages.
+			keys := make([][]byte, 400)
+			for i := range keys {
+				keys[i] = make([]byte, 16)
+				rand.Read(keys[i])
+			}
+			for _, k := range append(keys, keys...) {
+				if err := tr.Put(k, value(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys[:len(keys)/3] {
+				if _, err := tr.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			image, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer tr.Close()
-			const n = 400
-			keys := make([][]byte, n)
-			for i := range keys {
-				keys[i] = make([]byte, 16)
-				if _, err := rand.Read(keys[i]); err != nil {
-					t.Fatal(err)
+			for _, k := range keys {
+				if bytes.Contains(image, k) {
+					t.Fatalf("page file contains plaintext key %x", k)
 				}
-				// Only embed the key in the value when the page cipher hides
-				// values; key substitution alone protects keys, not payloads.
-				value := []byte("v")
-				if cfg.checkValues {
-					value = append([]byte("secret-value-"), keys[i]...)
-				}
-				if err := tr.Put(keys[i], value); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for id, page := range st.Snapshot() {
-				for _, k := range keys {
-					if bytes.Contains(page, k) {
-						t.Fatalf("page %d contains plaintext key %x", id, k)
-					}
-					if cfg.checkValues && bytes.Contains(page, append([]byte("secret-value-"), k...)) {
-						t.Fatalf("page %d contains plaintext value", id)
-					}
+				if cfg.checkValues && bytes.Contains(image, value(k)) {
+					t.Fatal("page file contains a plaintext value")
 				}
 			}
 		})
@@ -315,7 +321,7 @@ func TestBucketedScanRangeSuperset(t *testing.T) {
 // Tree opened with the same master key, and unreadable with a different key.
 func TestReopen(t *testing.T) {
 	master := bytes.Repeat([]byte{0x66}, 32)
-	st := store.NewMem()
+	st := file.NewMem()
 	tr, err := Open(Options{MasterKey: master, Store: st})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +349,7 @@ func TestReopen(t *testing.T) {
 // store with a different order or substituter than it was written with.
 func TestReopenConfigMismatch(t *testing.T) {
 	master := bytes.Repeat([]byte{0x68}, 32)
-	st := store.NewMem()
+	st := file.NewMem()
 	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st}); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // kindStore counts page reads by what the page holds. index is filled once
@@ -42,7 +43,7 @@ func TestCacheKeepsIndexUnderLeafChurn(t *testing.T) {
 		cache = 800
 		gets  = 10000
 	)
-	ks := &kindStore{PageStore: store.NewMem(), index: map[uint64]bool{}}
+	ks := &kindStore{PageStore: file.NewMem(), index: map[uint64]bool{}}
 	g, err := New(Config{Store: ks, Cipher: cipher.Plaintext{}, Order: 4, CachePages: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestCacheKeepsIndexUnderLeafChurn(t *testing.T) {
 // four slots the leaf earns one a revolution and loses one, and goes.
 func TestHotLeafBeatsColdIndexNode(t *testing.T) {
 	for _, cache := range []int{8, 32, 128} {
-		g, err := New(Config{Store: store.NewMem(), Cipher: cipher.Plaintext{}, Order: 8, CachePages: cache})
+		g, err := New(Config{Store: file.NewMem(), Cipher: cipher.Plaintext{}, Order: 8, CachePages: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // snapshotContents iterates a whole snapshot into a map.
@@ -29,7 +30,7 @@ func snapshotContents(s Snapshot) (map[string]string, error) {
 // up as wrong contents here and as a data race under -race.
 func TestSnapshotSurvivesCopyOnWriteCommits(t *testing.T) {
 	const keys, perTxn = 600, 48
-	g := newTestEngine(t, store.NewMem(), 8)
+	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
 	want := make(map[string]string, keys)
@@ -164,7 +165,7 @@ func (r *recordingStore) CommitPages(writes map[uint64][]byte, root uint64, free
 // conflicted one — and then checks that the next commit starts from nothing
 // and hands the store exactly its own read-set, writes and frees.
 func TestRecycledWorkspaceIsEmpty(t *testing.T) {
-	rs := &recordingStore{PageStore: store.NewMem()}
+	rs := &recordingStore{PageStore: file.NewMem()}
 	g := newTestEngine(t, rs, 8)
 	defer g.Close()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }

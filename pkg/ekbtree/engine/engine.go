@@ -329,8 +329,7 @@ type Stats struct {
 	Seals              uint64 // counters issued within the current epoch
 	PagesPendingReseal int    // live pages still sealed under an older epoch
 
-	// Physical-footprint gauges; zero when the store doesn't report space
-	// (the in-memory store has no file to measure).
+	// Physical-footprint gauges; zero when the store doesn't report space.
 	FileBytes int64 // backing-file size
 	LiveBytes int64 // bytes referenced by live pages and metadata
 }

@@ -11,9 +11,10 @@ import (
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
-// newTestEngine builds an engine over a fresh in-memory store with the
+// newTestEngine builds an engine over the given store with the
 // plaintext cipher — the engine under test, none of the façade's layers.
 func newTestEngine(t *testing.T, st store.PageStore, order int) *Engine {
 	t.Helper()
@@ -63,7 +64,7 @@ func epochChainLen(g *Engine) int {
 // every reader's overlay walk — without bound, and reads must keep serving
 // the last published state throughout.
 func TestFailedCommitsDoNotGrowEpochChain(t *testing.T) {
-	fs := &failingStore{PageStore: store.NewMem()}
+	fs := &failingStore{PageStore: file.NewMem()}
 	g := newTestEngine(t, fs, 8)
 	defer g.Close()
 	for i := 0; i < 200; i++ {
@@ -117,7 +118,7 @@ func TestFailedCommitsDoNotGrowEpochChain(t *testing.T) {
 // Put on each optimistic attempt (between its reads and the commit's
 // validation), so every optimistic validation is guaranteed to lose.
 func TestCommitEscalatesAfterRepeatedConflicts(t *testing.T) {
-	g := newTestEngine(t, store.NewMem(), 8)
+	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
 	// A handful of keys: the whole tree is one leaf, so any two puts
 	// conflict on the root page, and no split can change the root mid-test.
@@ -175,7 +176,7 @@ func TestCommitEscalatesAfterRepeatedConflicts(t *testing.T) {
 // commits published after its pin, failed commits age nothing, and a fresh
 // snapshot starts at zero.
 func TestSnapshotAge(t *testing.T) {
-	fs := &failingStore{PageStore: store.NewMem()}
+	fs := &failingStore{PageStore: file.NewMem()}
 	g := newTestEngine(t, fs, 8)
 	defer g.Close()
 	if err := enginePut(g, []byte("seed"), []byte("v")); err != nil {
@@ -220,7 +221,7 @@ func TestSnapshotAge(t *testing.T) {
 // transaction used to stay in the freed set, so commit would seal and write
 // it and then immediately release it, leaving any reference to it dangling.
 func TestBatchRestageAfterFree(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newTestEngine(t, st, 8)
 	defer g.Close()
 	if err := enginePut(g, []byte("k"), []byte("v1")); err != nil {
@@ -260,7 +261,7 @@ func TestBatchRestageAfterFree(t *testing.T) {
 // TestWriteTxnAllocClosed pins Alloc's error propagation: a closed store must
 // refuse to hand out page IDs instead of silently minting them.
 func TestWriteTxnAllocClosed(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	tx := newWriteTxn()
 	tx.io = newNodeIO(st, cipher.Plaintext{}, 4)
 	if _, err := tx.Alloc(); err != nil {
@@ -275,7 +276,7 @@ func TestWriteTxnAllocClosed(t *testing.T) {
 // TestClockEvictionSecondChance pins the clock policy: with a full ring, a
 // recently-referenced page survives the sweep and the cold page goes.
 func TestClockEvictionSecondChance(t *testing.T) {
-	g, err := New(Config{Store: store.NewMem(), Cipher: cipher.Plaintext{}, Order: 8, CachePages: 2})
+	g, err := New(Config{Store: file.NewMem(), Cipher: cipher.Plaintext{}, Order: 8, CachePages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

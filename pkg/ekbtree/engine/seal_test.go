@@ -8,9 +8,10 @@ import (
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
-// newEpochEngine builds an engine over a Mem store with an epoch AES-GCM
+// newEpochEngine builds an engine over the given store with an epoch AES-GCM
 // cipher and the given lifecycle knobs.
 func newEpochEngine(t *testing.T, st store.PageStore, budget, hard uint64, onAdvance func(uint32)) *Engine {
 	t.Helper()
@@ -43,7 +44,7 @@ func epochPut(t *testing.T, g *Engine, k, v string) {
 }
 
 func TestEpochEngineRoundTrip(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 200; i++ {
@@ -65,7 +66,7 @@ func TestEpochEngineRoundTrip(t *testing.T) {
 }
 
 func TestSealMarkOutrunsIssuedCounters(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 50; i++ {
@@ -97,7 +98,7 @@ func TestBudgetAdvancesEpochAndRotateDrains(t *testing.T) {
 }
 
 func testBudgetAdvancesEpochAndRotateDrains(t *testing.T, nc cipher.NodeCipher) {
-	st := store.NewMem()
+	st := file.NewMem()
 	var advances []uint32
 	g := newCipherEngine(t, nc, st, 32, 0, func(e uint32) { advances = append(advances, e) })
 	defer g.Close()
@@ -148,7 +149,7 @@ func testBudgetAdvancesEpochAndRotateDrains(t *testing.T, nc cipher.NodeCipher) 
 }
 
 func TestHardBoundFailsClosed(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	// Rotation disabled (budget 0) with a tiny hard limit: writes must fail
 	// closed with ErrSealsExhausted once the counter is spent.
 	g := newEpochEngine(t, st, 0, 8, nil)
@@ -172,7 +173,7 @@ func TestHardBoundFailsClosed(t *testing.T) {
 }
 
 func TestAdvanceEpochForcesRotationTarget(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 20; i++ {
@@ -207,7 +208,7 @@ func TestAdvanceEpochForcesRotationTarget(t *testing.T) {
 }
 
 func TestCounterMonotonicAcrossReopen(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	for i := 0; i < 10; i++ {
 		epochPut(t, g, fmt.Sprintf("k%d", i), "v")
@@ -231,7 +232,7 @@ func TestCounterMonotonicAcrossReopen(t *testing.T) {
 // no cache entry a later reader could be served from — now that Open
 // deciphers over the very buffer the store handed out.
 func TestTamperedPageFailsClosed(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 200; i++ {
@@ -269,7 +270,7 @@ func TestTamperedPageFailsClosed(t *testing.T) {
 // in place, over the reader's own copy; the store's pages must still carry
 // their nonce prefix, which is all the rotator's stale scan looks at.
 func TestStaleScanAfterInPlaceOpens(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 200; i++ {

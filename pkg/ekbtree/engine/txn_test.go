@@ -7,6 +7,7 @@ import (
 
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // readSet lists the pages a transaction's validation would conflict on.
@@ -210,7 +211,7 @@ func TestTxnPageTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rs := &recordingStore{PageStore: store.NewMem()}
+			rs := &recordingStore{PageStore: file.NewMem()}
 			g := newTestEngine(t, rs, 8)
 			defer g.Close()
 			var p uint64
@@ -308,7 +309,7 @@ func mustRead(t *testing.T, e *epoch, id uint64) *node.Node {
 // the transaction only read conflicts with a racing commit that rewrites it,
 // and a page born in the transaction never conflicts with anything.
 func TestTxnPageTableConflicts(t *testing.T) {
-	g := newTestEngine(t, store.NewMem(), 8)
+	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
 	var p uint64
 	err := g.applyTxn(func(tx *writeTxn) (err error) {

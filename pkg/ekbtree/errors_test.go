@@ -8,7 +8,7 @@ import (
 
 	"github.com/paper-repro/ekbtree/internal/keysub"
 	"github.com/paper-repro/ekbtree/internal/node"
-	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // TestClosedTree verifies every façade method returns ErrClosed after Close.
@@ -92,7 +92,7 @@ func TestOpenSentinels(t *testing.T) {
 		}
 	}
 
-	st := store.NewMem()
+	st := file.NewMem()
 	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st}); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLegacyCipherHeaderFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := store.NewMem()
+	st := file.NewMem()
 	if err := st.SetMeta(sealed); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestLegacyCipherHeaderFailsClosed(t *testing.T) {
 // through the façade: operations against an externally closed store report
 // ErrClosed, not an anonymous failure.
 func TestStoreClosedMapsToErrClosed(t *testing.T) {
-	st := store.NewMem()
+	st := file.NewMem()
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC5}, 32), Store: st, CachePages: -1})
 	if err := tr.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)

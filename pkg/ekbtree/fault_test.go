@@ -77,12 +77,14 @@ func scanAll(t *testing.T, tr *Tree) map[string]string {
 }
 
 // TestTreeCommitAtomicityUnderStoreFaults drives the same mutation sequence
-// — a few single Puts, then a mixed Put/Delete batch — against both backends
-// with the store failing at every possible mutating operation in turn. After
-// each injected failure the still-open tree, and a tree reopened over the
-// surviving store state, must both show exactly the state some prefix of the
-// successfully committed operations produced — never a torn tree, and for
-// each individual commit, never a partial application.
+// — a few single Puts, then a mixed Put/Delete batch — against the page
+// store over a file in memory (reopened through the same Store) and on disk
+// (reopened by Path), with the store failing at every possible mutating
+// operation in turn. After each injected failure the still-open tree, and a
+// tree reopened over the surviving store state, must both show exactly the
+// state some prefix of the successfully committed operations produced —
+// never a torn tree, and for each individual commit, never a partial
+// application.
 func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 	master := bytes.Repeat([]byte{0xC1}, 32)
 
@@ -122,11 +124,11 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 	}
 
 	// expected[j] is the tree content after j successful steps, computed on a
-	// plain in-memory reference tree with the same master key (identical
+	// plain reference tree with the same master key (identical
 	// substituted keys).
 	expected := make([]map[string]string, len(steps)+1)
 	{
-		ref, err := Open(Options{MasterKey: master, Order: 8, Store: store.NewMem()})
+		ref, err := Open(Options{MasterKey: master, Order: 8, Store: file.NewMem()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,17 +150,14 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 	for _, backend := range []string{"mem", "file"} {
 		t.Run(backend, func(t *testing.T) {
 			for n := 0; n <= len(steps); n++ {
-				var inner store.PageStore
-				var path string
+				var inner store.PageStore = file.NewMem()
+				path := filepath.Join(t.TempDir(), "faults.ekb")
 				if backend == "file" {
-					path = filepath.Join(t.TempDir(), "faults.ekb")
 					st, err := file.Open(path)
 					if err != nil {
 						t.Fatal(err)
 					}
 					inner = st
-				} else {
-					inner = store.NewMem()
 				}
 				fs := &faultStore{PageStore: inner, remaining: -1}
 				tr, err := Open(Options{MasterKey: master, Order: 8, Store: fs})
@@ -203,7 +202,7 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 				// Reopen over the surviving store: the prefix state must be
 				// intact, and — commits being all-or-nothing — retrying the
 				// remaining steps must converge on the full final state.
-				var re *Tree
+				reopen := Options{MasterKey: master, Order: 8, Store: inner}
 				if backend == "file" {
 					if err := tr.Close(); err != nil {
 						t.Fatal(err)
@@ -212,10 +211,9 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 					// file is a single-shard image; pin Shards so the reopen
 					// reads it even when the shard matrix raises the suite
 					// default.
-					re, err = Open(Options{MasterKey: master, Order: 8, Path: path, Shards: 1})
-				} else {
-					re, err = Open(Options{MasterKey: master, Order: 8, Store: inner})
+					reopen = Options{MasterKey: master, Order: 8, Path: path, Shards: 1}
 				}
+				re, err := Open(reopen)
 				if err != nil {
 					t.Fatalf("n=%d: reopen: %v", n, err)
 				}

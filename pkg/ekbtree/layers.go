@@ -4,6 +4,7 @@ import (
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/keysub"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // The layer interfaces live in internal packages so their implementations
@@ -20,9 +21,10 @@ type (
 	PageStore = store.PageStore
 )
 
-// NewMemStore returns a fresh in-memory page store, e.g. to share one store
-// across Open calls when testing reopen behavior.
-func NewMemStore() PageStore { return store.NewMem() }
+// NewMemStore returns a fresh page store over a page file held in memory, at
+// DurabilityAsync: the store a tree without a Path gets. Share one across
+// Open calls to test reopen behavior.
+func NewMemStore() PageStore { return file.NewMem() }
 
 // NewHMACSubstituter returns the pure-PRF substituter (HMAC-SHA256 truncated
 // to width bytes). Substituted-key order is unrelated to plaintext order.

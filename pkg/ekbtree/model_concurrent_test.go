@@ -200,8 +200,8 @@ func cwConfig(opts Options) int {
 }
 
 // TestModelConcurrentWriters runs the true-concurrency harness over the
-// default backend and over file-backed trees in each durability mode.
-// Exercised under -race in CI over both backends.
+// default in-memory page file and over Path trees in each durability mode.
+// Exercised under -race in CI.
 func TestModelConcurrentWriters(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		runConcurrentWriters(t, Options{})

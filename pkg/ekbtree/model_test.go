@@ -4,9 +4,8 @@ package ekbtree
 // Batch / Get / cursor-scan traffic runs against a mutex-guarded oracle that
 // records every committed version, and every observation the tree returns is
 // checked against the window of states in which it could legally have been
-// made. The harness runs over the default backend (which TestMain repoints
-// per EKBTREE_BACKEND) and over explicit file-backed trees in all three
-// durability modes, and is exercised under -race in CI.
+// made. The harness runs over the default in-memory page file and over Path
+// trees in all three durability modes, and is exercised under -race in CI.
 //
 // The central snapshot-isolation check: designated KEY GROUPS are only ever
 // written by batches that rewrite the WHOLE group to one value. The
@@ -196,9 +195,9 @@ func TestModelConcurrency(t *testing.T) {
 	})
 	// Vacuum legs: a background compactor races the whole harness, so live
 	// relocation commits interleave with writers, readers, and pinned scans.
-	// The file legs exercise real extent relocation and truncation; the
-	// in-memory legs prove the no-op path stays safe under identical traffic.
-	// Both shard counts run, so per-shard vacuums overlap per-shard commits.
+	// Every leg relocates extents and truncates the page file, whether it is
+	// held in memory or on disk. Both shard counts run, so per-shard vacuums
+	// overlap per-shard commits.
 	t.Run("vacuum", func(t *testing.T) {
 		runModel(t, Options{}, false, vacuumLoop)
 	})

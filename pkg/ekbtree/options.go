@@ -57,9 +57,10 @@ type Options struct {
 	// runs under the same seal budgets, epochs and rotation as the derived one.
 	Cipher cipher.NodeCipher
 	// Store is the backing page store. Nil means Path's file-backed store
-	// when Path is set, otherwise a fresh in-memory store. Setting both
-	// Store and Path is invalid, as is combining Store with Shards > 1 (a
-	// single caller-provided store cannot back multiple shards).
+	// when Path is set, otherwise the same store over a fresh page file held
+	// in memory, at DurabilityAsync. Setting both Store and Path is invalid,
+	// as is combining Store with Shards > 1 (a single caller-provided store
+	// cannot back multiple shards).
 	Store store.PageStore
 	// Path opens (or creates) a crash-safe file-backed store at this path.
 	// Every commit — batch or single mutation — is shadow-paged and flushed
@@ -129,8 +130,7 @@ type Options struct {
 	// last pass (FileBytes − LiveBytes, from Space) is more than this
 	// fraction of the shard's file. The tree's maintenance loop checks every
 	// second; a check reads two counters per shard, so a tree with nothing
-	// to reclaim does no I/O. Zero disables it; it must be in [0, 1). Stores
-	// without a physical layout (the in-memory backend) never trigger it.
+	// to reclaim does no I/O. Zero disables it; it must be in [0, 1).
 	AutoVacuum float64
 }
 

@@ -216,7 +216,7 @@ func TestSealCounterDurabilityAcrossGenerations(t *testing.T) {
 			epoch2 := epochOf(tr)
 
 			if !tc.file {
-				// Mem stores can't be copied mid-flight; the abandoned
+				// A page file in memory can't be imaged; the abandoned
 				// generations above are the whole story. The last tree may
 				// close for real — nothing reopens the store after it.
 				if err := tr.Close(); err != nil {

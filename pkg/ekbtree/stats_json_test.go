@@ -137,10 +137,9 @@ func TestStatsString(t *testing.T) {
 	if strings.Contains(str, "epoch=") {
 		t.Errorf("String() = %q shows epoch state for a tree with none", str)
 	}
-	// Footprint fields only render for stores that measure one; the
-	// in-memory backend's zeros stay out of the string.
+	// Footprint fields only render when set; zeros stay out of the string.
 	if strings.Contains(str, "file_bytes=") {
-		t.Errorf("String() = %q shows footprint for an in-memory tree", str)
+		t.Errorf("String() = %q shows a footprint the stats do not hold", str)
 	}
 	s = Stats{Keys: 1, CipherEpoch: 3, Seals: 17, PagesPendingReseal: 2}
 	str = s.String()

@@ -121,26 +121,50 @@ func TestTreeVacuum(t *testing.T) {
 	}
 }
 
-// TestVacuumMemNoop: the in-memory backend has no layout to compact; Vacuum
-// succeeds as a no-op and the footprint gauges stay zero. The store is
-// pinned explicitly so EKBTREE_BACKEND=file doesn't swap it out.
-func TestVacuumMemNoop(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x44}, 32), Store: NewMemStore()})
-	defer tr.Close()
-	if err := tr.Put([]byte("k"), []byte("v")); err != nil {
+// TestMemoryTreeHasAPageFile: a tree with neither Path nor Store runs the
+// file store over a page file in memory, so it has the footprint, the
+// garbage and the vacuum a Path tree has.
+func TestMemoryTreeHasAPageFile(t *testing.T) {
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x44}, 32)})
+	key := func(i int) []byte { return []byte(fmt.Sprintf("m%05d", i)) }
+	for i := 0; i < 2000; i++ {
+		if err := tr.Put(key(i), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	if s, err := tr.Stats(); err != nil || s.LiveBytes <= 0 || s.FileBytes < s.LiveBytes {
+		t.Fatalf("Stats after Sync = (%s, %v), want FileBytes >= LiveBytes > 0", s, err)
+	}
+	for i := 0; i < 2000; i++ {
+		var err error
+		if i%4 == 0 {
+			err = tr.Put(key(i), []byte("v")) // shrink one key in four
+		} else {
+			_, err = tr.Delete(key(i)) // and delete the rest
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := tr.Space()
 	if err := tr.Vacuum(0); err != nil {
-		t.Fatalf("mem vacuum: %v", err)
-	}
-	st, err := tr.Stats()
-	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FileBytes != 0 || st.LiveBytes != 0 {
-		t.Fatalf("in-memory tree reports footprint: %+v", st)
+	if after, _ := tr.Space(); after >= before {
+		t.Errorf("Vacuum(0) left the file at %d bytes, was %d", after, before)
 	}
-	if v, ok, err := tr.Get([]byte("k")); err != nil || !ok || string(v) != "v" {
-		t.Fatalf("Get after vacuum = (%q, %v, %v)", v, ok, err)
+	for i := 0; i < 2000; i++ {
+		if v, ok, err := tr.Get(key(i)); err != nil || ok != (i%4 == 0) || (ok && string(v) != "v") {
+			t.Fatalf("Get(%s) after vacuum = (%q, %v, %v)", key(i), v, ok, err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

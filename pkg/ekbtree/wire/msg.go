@@ -316,7 +316,7 @@ func (m *Sync) enc(b []byte) []byte { return b }
 // Vacuum compacts the tenant tree's backing files online until their total
 // size is at or below Target bytes or no further batch improves it (0 =
 // compact as far as the layout allows). Reads and writes on other connections
-// proceed throughout. In-memory tenants treat it as a no-op. OK body: empty.
+// proceed throughout. OK body: empty.
 type Vacuum struct {
 	Target uint64
 }
