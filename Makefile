@@ -31,14 +31,16 @@ test:
 # run meets a new layout. The third is the sweeps above the store: rotation's
 # re-seal commits and a whole tree, whose background rotator interleaves
 # differently every run, the rotator backing off over a store that refuses
-# it, and the same loop auto-vacuuming a tree while nothing else touches it.
+# it, the same loop auto-vacuuming a tree while nothing else touches it, and
+# the engine's one commit path (failed commits stay invisible, root moves
+# commit optimistically).
 # The last is the wire's two ends over real sockets, where each run lands the
 # responder's and the client's goroutines differently: a client's latched
 # transport error and a pre-auth frame refused.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
 # test-sharded repeats the façade suite with every test tree defaulting to

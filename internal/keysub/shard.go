@@ -35,9 +35,6 @@ func NewShardRouter(n int) (*ShardRouter, error) {
 	return &ShardRouter{n: uint64(n)}, nil
 }
 
-// Shards returns the shard count n.
-func (r *ShardRouter) Shards() int { return int(r.n) }
-
 // prefix64 reads the first 8 bytes of sk as a big-endian uint64, zero-padding
 // short keys on the right so prefix order equals lexicographic order for the
 // bytes considered.

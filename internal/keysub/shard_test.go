@@ -18,8 +18,8 @@ func TestNewShardRouterRejectsNonPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Shards() != 1 {
-		t.Fatalf("Shards() = %d, want 1", r.Shards())
+	if lo, hi := r.RouteRange(nil, nil); lo != 0 || hi != 0 {
+		t.Fatalf("RouteRange(nil, nil) = [%d, %d] over one shard, want [0, 0]", lo, hi)
 	}
 }
 

@@ -11,11 +11,6 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// rootUnchanged is the change.root that keeps the applied root: the rootless
-// changes (SetMeta, SetSealMark, vacuum relocations) must not race a
-// concurrent root flip by reading the root before taking the lock.
-const rootUnchanged = ^uint64(0)
-
 // fullHold bounds how long the committer lets a Full-mode group gather
 // re-arriving concurrent committers before flushing it — far below a
 // flush's own fsync cost.
@@ -88,8 +83,10 @@ type group struct {
 }
 
 // change is one mutation of the applied state, as CommitPages, SetMeta,
-// SetSealMark and Vacuum's relocate each spell it. A root of rootUnchanged, a
-// nil meta or a nil mark keeps the applied one. The group keeps the page
+// SetSealMark and Vacuum's relocate each spell it. A root of store.KeepRoot, a
+// nil meta or a nil mark keeps the applied one — the rootless changes and the
+// engine's root-keeping commits never read the root to restate it, so they
+// cannot undo a concurrent root move. The group keeps the page
 // buffers of writes themselves (CommitPages' ownership contract), never the
 // map. A vacuum step changes no applied state at all: it names pages for the
 // flush to move (see group.moves).
@@ -169,7 +166,7 @@ func (s *Store) enqueueLocked(c change) *group {
 		}
 	}
 	g.count++
-	if c.root != rootUnchanged {
+	if c.root != store.KeepRoot {
 		g.root = c.root
 	}
 	if c.meta != nil {

@@ -540,7 +540,7 @@ func (s *Store) Meta() ([]byte, error) {
 }
 
 func (s *Store) SetMeta(meta []byte) error {
-	return s.commit(change{root: rootUnchanged, meta: &meta})
+	return s.commit(change{root: store.KeepRoot, meta: &meta})
 }
 
 // SealMark returns the applied cipher-lifecycle mark: a SetSealMark is
@@ -556,7 +556,7 @@ func (s *Store) SealMark() (store.SealMark, error) {
 }
 
 func (s *Store) SetSealMark(mark store.SealMark) error {
-	return s.commit(change{root: rootUnchanged, mark: &mark})
+	return s.commit(change{root: store.KeepRoot, mark: &mark})
 }
 
 func (s *Store) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error {

@@ -31,7 +31,7 @@ func tableStore(t *testing.T, durable map[uint64]string) (*Store, *gateSyncFile,
 	for id, p := range durable {
 		writes[id] = []byte(p)
 	}
-	if err := s.CommitPages(writes, rootUnchanged, nil); err != nil {
+	if err := s.CommitPages(writes, store.KeepRoot, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
@@ -74,7 +74,7 @@ func (c tableChecks) commit(writes map[uint64]string, frees ...uint64) {
 	for id, p := range writes {
 		w[id] = []byte(p)
 	}
-	if err := c.s.CommitPages(w, rootUnchanged, frees); err != nil {
+	if err := c.s.CommitPages(w, store.KeepRoot, frees); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -83,7 +83,7 @@ func (c tableChecks) commit(writes map[uint64]string, frees ...uint64) {
 // without forcing the flush.
 func (c tableChecks) move(ids ...uint64) {
 	c.s.mu.Lock()
-	c.s.enqueueLocked(change{root: rootUnchanged, vacuum: true, moves: ids, lift: true})
+	c.s.enqueueLocked(change{root: store.KeepRoot, vacuum: true, moves: ids, lift: true})
 	c.s.mu.Unlock()
 }
 

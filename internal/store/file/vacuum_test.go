@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/faulttest"
+	"github.com/paper-repro/ekbtree/internal/store"
 )
 
 // buildGarbage fills a store with live pages and then churns them —
@@ -233,7 +234,7 @@ func TestSpaceMatchesDirectory(t *testing.T) {
 	}
 	commit := func(when string, writes map[uint64][]byte, frees []uint64) {
 		t.Helper()
-		if err := s.CommitPages(writes, rootUnchanged, frees); err != nil {
+		if err := s.CommitPages(writes, store.KeepRoot, frees); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 		check(when)

@@ -22,6 +22,10 @@ var ErrClosed = errors.New("store: closed")
 // Alloc are always > NoRoot.
 const NoRoot uint64 = 0
 
+// KeepRoot is the CommitPages root meaning "leave the root pointer as it is".
+// It is never a page ID.
+const KeepRoot = ^uint64(0)
+
 // SealMark is the engine's cipher-lifecycle high-water mark: the current key
 // epoch and a PRE-RESERVED upper bound on the seal counters the engine may
 // have issued within it. The engine records a mark with Counter ahead of what
@@ -75,8 +79,9 @@ type PageStore interface {
 	// SetMeta durably records the metadata blob, copying the buffer.
 	SetMeta(meta []byte) error
 	// CommitPages atomically applies one write batch: it stores every page in
-	// writes, records root as the new root pointer, and releases the pages in
-	// frees, all as a single all-or-nothing commit. The store TAKES OWNERSHIP
+	// writes, records root as the new root pointer (KeepRoot leaves the
+	// pointer as it is), and releases the pages in frees, all as a single
+	// all-or-nothing commit. The store TAKES OWNERSHIP
 	// of the page buffers: it keeps the slices themselves, so the caller must
 	// not touch them after the call, whatever it returns. The writes map and
 	// the frees slice stay the caller's; the store does not keep them. IDs
@@ -87,17 +92,19 @@ type PageStore interface {
 	// any point during CommitPages yields exactly the pre-commit or
 	// post-commit state, never a mix. Depending on the store's durability
 	// mode, a successful return may mean "applied and queued" rather than
-	// "on disk" — Sync is the durability barrier.
+	// "on disk" — Sync is the durability barrier. An error does NOT mean
+	// nothing was applied: a store may report one after it applied the
+	// commit (the file store applies a commit to its read path, then fails
+	// every commit its failed flush coalesced), so the caller must treat the
+	// store's state as unknown until it is reopened.
 	//
 	// CommitPages may be called from multiple goroutines concurrently. The
 	// engine's optimistic commit layer only overlaps commits whose write and
 	// free sets are pairwise disjoint (validation rejects everything else),
-	// so concurrent batches are order-independent except for the root
-	// pointer — and the engine routes root-pointer changes through an
-	// exclusive path that admits no concurrent commit. Stores may therefore
-	// apply concurrent batches in any order (or coalesce them, as the file
-	// backend's group-commit pipeline does) without affecting the final
-	// state.
+	// and of any overlapping commits at most one moves the root; the rest
+	// pass KeepRoot. Stores may therefore apply concurrent batches in any
+	// order (or coalesce them, as the file backend's group-commit pipeline
+	// does) without affecting the final state.
 	CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error
 	// SealMark returns the cipher-lifecycle mark last recorded by SetSealMark,
 	// or the zero mark if never set (including stores created before the mark
@@ -241,7 +248,9 @@ func (m *Mem) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64)
 	for id, page := range writes {
 		m.pages[id] = page
 	}
-	m.root = root
+	if root != KeepRoot {
+		m.root = root
+	}
 	for _, id := range frees {
 		delete(m.pages, id)
 	}

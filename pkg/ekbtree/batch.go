@@ -113,12 +113,12 @@ func (b *Batch) Len() int {
 // Options.Durability: under DurabilityFull every slice is on disk when
 // Commit returns; under DurabilityGrouped or DurabilityAsync the slices are
 // applied and queued, and Tree.Sync (or Close) is the durability barrier. A
-// failed Commit may be retried: on every shard either nothing was applied,
-// or the error arrived after that shard's commit point and the retry's
-// writes are idempotent re-puts of the same operations. The one exception is
-// a file-backed store whose flush failed (durability indeterminate): that
-// shard fails stop — further commits against it return an error and
-// reopening the store recovers its last durable state.
+// shard whose store fails its slice stops taking writes: the slice stays
+// invisible, this and every later commit to that shard return the store's
+// error, and reopening the tree recovers the shard's last durable state —
+// with or without the failed slice, which the store may have made durable
+// before it failed. Retrying belongs after the reopen. Other shards' slices
+// are unaffected.
 func (b *Batch) Commit() error {
 	if b.done {
 		return ErrClosed

@@ -57,7 +57,9 @@
 //
 // Façade methods return nil or an error matching one of the package's
 // sentinel errors (ErrClosed, ErrTooLarge, ErrWrongKey, ErrConfigMismatch,
-// ErrCorrupt, ErrInvalidOptions, ErrSnapshotTooOld) under errors.Is.
+// ErrCorrupt, ErrInvalidOptions, ErrSnapshotTooOld) under errors.Is,
+// with one exception: a mutation the page store fails returns the store's own
+// error, and so does every later mutation on that shard (see Tree).
 package ekbtree
 
 import (
@@ -164,12 +166,19 @@ var openShardStore = func(opts Options, idx, total int) (store.PageStore, error)
 // tip with bounded exponential backoff; after repeated failed validations it
 // takes the commit gate exclusively, which cannot conflict, so every
 // mutation completes within a bounded number of re-executions (no
-// starvation). Conflicts are invisible to callers — no error surfaces, the
-// retry happens inside the call. Commits that move the ROOT pointer (first
-// insert, root split, root collapse) always use the exclusive gate: the store
-// applies CommitPages in arrival order, so root flips must never race
-// same-root commits. Store errors, by contrast, are never retried internally
-// and propagate to the caller unchanged.
+// starvation); no writer takes the gate exclusively otherwise. Conflicts are
+// invisible to callers — no error surfaces, the retry happens inside the call.
+// Commits that move the ROOT pointer (first insert, root split, root
+// collapse) are ordinary optimistic commits: one conflicts with every
+// concurrent commit whose base root it changes, and the others leave the
+// store's root pointer alone instead of restating it.
+//
+// Store errors, by contrast, are never retried. The store may have applied a
+// commit it failed (a file store's flush failure fails every commit the flush
+// coalesced), so the first store error stops that shard's writes for as long
+// as the tree is open: the failed commit stays invisible, and it and every
+// later mutation on the shard return that error. Reads go on serving the last
+// published state; reopening the tree recovers what the store made durable.
 //
 // With Shards > 1 every statement above holds PER SHARD: each shard is a
 // complete engine with its own epoch chain, commit gate, and fsync stream,
@@ -477,9 +486,9 @@ type Stats struct {
 	// a concurrent commit invalidated the attempt's read-set. Conflicts are
 	// retried internally; callers never observe them as errors.
 	Conflicts uint64 `json:"conflicts"`
-	// Retries is the number of mutation re-executions: every conflict, plus
-	// every escalation to the exclusive commit gate (root-moving commits and
-	// the fairness fallback after repeated conflicts).
+	// Retries is the number of mutation re-executions. A conflict is the one
+	// cause of a re-execution, so it equals Conflicts; a lone writer never
+	// retries.
 	Retries uint64 `json:"retries"`
 	// Shards is the number of shards (1 for an unsharded tree).
 	Shards int `json:"shards,omitempty"`

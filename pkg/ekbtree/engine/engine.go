@@ -63,10 +63,10 @@ type Config struct {
 type Engine struct {
 	// gate is the commit gate: optimistic writers hold it SHARED for the
 	// whole pin → mutate → validate → CommitPages → publish span (so their
-	// store commits overlap and coalesce); root-changing commits and the
-	// fairness fallback take it EXCLUSIVELY, draining all in-flight commits
-	// first. sync.RWMutex blocks new readers once a writer waits, so the
-	// exclusive path cannot starve. Close takes it exclusively too.
+	// store commits overlap and coalesce); the fairness fallback takes it
+	// EXCLUSIVELY, draining all in-flight commits first. sync.RWMutex blocks
+	// new readers once a writer waits, so the exclusive path cannot starve.
+	// Close takes it exclusively too.
 	gate sync.RWMutex
 	st   store.PageStore
 	io   *nodeIO
@@ -80,8 +80,7 @@ type Engine struct {
 
 	// Commit-pipeline counters, surfaced through Stats.
 	commits   atomic.Uint64 // successfully published epochs
-	conflicts atomic.Uint64 // failed optimistic validations
-	retries   atomic.Uint64 // mutation re-executions (conflicts + exclusive escalations)
+	conflicts atomic.Uint64 // failed optimistic validations, each one re-execution
 }
 
 // New builds an engine over cfg's store, seeding the epoch chain from the
@@ -104,8 +103,8 @@ func New(cfg Config) (*Engine, error) {
 
 // maxOptimisticAttempts bounds how many times a mutation retries
 // optimistically before falling back to the exclusive commit gate. The
-// exclusive pass drains every in-flight commit first, so its validation
-// cannot fail: every mutation completes within maxOptimisticAttempts+1
+// exclusive pass drains every in-flight commit first, so it cannot conflict:
+// every mutation completes within maxOptimisticAttempts+1
 // re-executions — the engine's fairness bound.
 const maxOptimisticAttempts = 4
 
@@ -121,22 +120,15 @@ func commitBackoff(attempt int) time.Duration {
 	return d
 }
 
-// commitDisposition is tryCommit's verdict on one attempt.
-type commitDisposition int
-
-const (
-	commitDone           commitDisposition = iota // finished (success or a real error)
-	commitConflict                                // validation failed; back off and retry
-	commitNeedsExclusive                          // the mutation moves the root; redo under the exclusive gate
-)
-
 // Apply runs one mutation (a single op or a whole batch) through the
 // optimistic commit pipeline until it either commits, proves a no-op, or hits
 // a real error. Each attempt re-executes apply from scratch against a fresh
 // transaction over the then-current epoch, so retried work is always built on
 // consistent state; see tryCommit for one attempt's shape. Conflicts are
 // invisible to callers — no error surfaces, the retry happens inside the
-// call. Store errors are never retried and propagate unchanged.
+// call. Store errors are never retried: the first one stops the shard's
+// writers (see epochs.err), and it is what this and every later mutation
+// returns.
 func (g *Engine) Apply(apply func(bt *btree.Tree) error) error {
 	return g.applyTxn(func(tx *writeTxn) error {
 		bt, err := btree.New(tx, g.deg)
@@ -152,31 +144,21 @@ func (g *Engine) Apply(apply func(bt *btree.Tree) error) error {
 // The rotator's re-seal commits enter here directly — they restage pages
 // without a btree view.
 func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
-	exclusive := false
 	for attempt := 1; ; attempt++ {
-		if attempt > maxOptimisticAttempts {
-			exclusive = true
+		err := g.tryCommit(work, attempt > maxOptimisticAttempts)
+		if err != errConflict {
+			return MapErr(err)
 		}
-		err, disp := g.tryCommit(work, exclusive)
-		switch disp {
-		case commitConflict:
-			g.conflicts.Add(1)
-			g.retries.Add(1)
-			time.Sleep(commitBackoff(attempt))
-		case commitNeedsExclusive:
-			exclusive = true
-			g.retries.Add(1)
-		default:
-			return err
-		}
+		g.conflicts.Add(1)
+		time.Sleep(commitBackoff(attempt))
 	}
 }
 
 // tryCommit is one optimistic (or exclusive) commit attempt:
 //
 //  1. under the commit gate — shared for optimistic attempts, so concurrent
-//     commits overlap in the store; exclusive for root-changers and the
-//     fairness fallback — pin the current epoch as the transaction's base;
+//     commits overlap in the store; exclusive for the fairness fallback —
+//     pin the current epoch as the transaction's base;
 //  2. apply reads pages as of the base epoch — the shared, immutable nodes,
 //     entered in the transaction's page table — and clones only the pages it
 //     changes (writeTxn.Edit); the table's non-fresh records are the
@@ -192,15 +174,17 @@ func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
 //  5. the store applies the whole set atomically (CommitPages), taking the
 //     sealed buffers as its own — no engine mutex or epoch lock is held
 //     across this I/O, so concurrent Gets, cursors, and other committing
-//     writers all proceed;
+//     writers all proceed. A commit that leaves the root alone passes
+//     store.KeepRoot rather than restating its base root, so it cannot undo
+//     a root move the store applies before it;
 //  6. in chain order, the table's nodes are promoted into the shared cache
 //     and the epoch is published for new readers to pin.
 //
 // On a store error nothing is published: the clones are dropped, the cache
-// still holds the pre-commit versions, and the provisional epoch is resolved
-// failed (kept linked only while its pre-images may be load-bearing on a
-// store that applied the commit before fail-stopping).
-func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) (error, commitDisposition) {
+// still holds the pre-commit versions, and the provisional epoch stays linked,
+// its undo overlay hiding whatever the store applied; the shard's writers stop
+// (see epochs.finalize).
+func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) error {
 	if exclusive {
 		g.gate.Lock()
 		defer g.gate.Unlock()
@@ -210,41 +194,34 @@ func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) (error
 	}
 	base, err := g.es.pin()
 	if err != nil {
-		return err, commitDone
+		return err
 	}
 	defer g.es.release(base)
 	tx := g.beginTxn(base)
 	defer g.endTxn(tx)
 	if err := work(tx); err != nil {
-		return MapErr(err), commitDone
+		return err
 	}
+	// A nil epoch is a no-op (nothing dirtied, freed, or re-rooted): it needs
+	// no store round trip and no validation, since with no writes the
+	// operation is serializable at its base epoch — a consistent point inside
+	// the call's window.
 	e, err := tx.seal()
-	if err != nil {
-		return MapErr(err), commitDone
+	if err != nil || e == nil {
+		return err
 	}
-	if e == nil {
-		// A no-op (nothing dirtied, freed, or re-rooted) needs no store round
-		// trip and no validation: with no writes, the operation is
-		// serializable at its base epoch — a consistent point inside the
-		// call's window.
-		return nil, commitDone
+	if err := g.es.validateAndPrepare(tx, e); err != nil {
+		return err
 	}
-	if !exclusive && e.root != base.root {
-		// Root flips must not race other in-flight commits: the store applies
-		// concurrent CommitPages in arrival order, and a stale same-root
-		// commit landing after the flip would clobber it. Redo exclusively.
-		return nil, commitNeedsExclusive
+	root := e.root
+	if root == base.root {
+		root = store.KeepRoot
 	}
-	if !g.es.validateAndPrepare(tx, e) {
-		return nil, commitConflict
+	if err := g.es.finalize(e, tx, g.st.CommitPages(tx.writes, root, tx.frees)); err != nil {
+		return err
 	}
-	if err := g.st.CommitPages(tx.writes, e.root, tx.frees); err != nil {
-		g.es.finalizeFailure(e)
-		return MapErr(err), commitDone
-	}
-	g.es.finalizeSuccess(e, tx)
 	g.commits.Add(1)
-	return nil, commitDone
+	return nil
 }
 
 // Get returns the value stored under substituted key sk, as a fresh copy the
@@ -352,8 +329,8 @@ func (g *Engine) Stats() (Stats, error) {
 		Cache:     g.io.cacheStats(),
 		Commits:   g.commits.Load(),
 		Conflicts: g.conflicts.Load(),
-		Retries:   g.retries.Load(),
 	}
+	out.Retries = out.Conflicts // a conflict is the one cause of a re-execution
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {
 		return Stats{}, MapErr(err)

@@ -29,21 +29,30 @@ func enginePut(g *Engine, k, v []byte) error {
 	return g.Apply(func(bt *btree.Tree) error { return bt.Put(k, v) })
 }
 
-// failingStore wraps a PageStore and, when armed, rejects every CommitPages
-// outright (applying nothing), like a fail-stopped durable store rejecting
-// at the door.
+// failingStore wraps a PageStore and, when armed, fails every CommitPages:
+// outright, applying nothing, like a fail-stopped durable store rejecting at
+// the door — or, with apply set, after applying it, as a Full-mode flush
+// failure does to every commit it coalesced. commits counts the calls.
 type failingStore struct {
 	store.PageStore
-	armed atomic.Bool
+	apply   bool
+	armed   atomic.Bool
+	commits atomic.Int32
 }
 
 var errCommitRefused = fmt.Errorf("injected: commit refused")
 
 func (f *failingStore) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error {
-	if f.armed.Load() {
-		return errCommitRefused
+	f.commits.Add(1)
+	if !f.armed.Load() {
+		return f.PageStore.CommitPages(writes, root, frees)
 	}
-	return f.PageStore.CommitPages(writes, root, frees)
+	if f.apply {
+		if err := f.PageStore.CommitPages(writes, root, frees); err != nil {
+			return err
+		}
+	}
+	return errCommitRefused
 }
 
 // epochChainLen counts the engine's epoch chain, head to tail.
@@ -57,43 +66,44 @@ func epochChainLen(g *Engine) int {
 	return n
 }
 
+// putKeys commits key(i) = v for i in [0, n), one Put each.
+func putKeys(t *testing.T, g *Engine, n int, v string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := enginePut(g, []byte(fmt.Sprintf("k%04d", i)), []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestFailedCommitsDoNotGrowEpochChain is the regression test for retry
-// loops against a failing store: the first failed commit may keep its
-// provisional epoch (its pre-images can be load-bearing on a fail-stopped
-// durable store), but repeated failures must not grow the epoch chain — or
-// every reader's overlay walk — without bound, and reads must keep serving
-// the last published state throughout.
+// loops against a failing store: the first store error stops the shard's
+// writers, so every later Put returns that error without reaching the store,
+// the epoch chain — every reader's overlay walk — grows by the one failed
+// epoch at most, and reads keep serving the last published state throughout.
 func TestFailedCommitsDoNotGrowEpochChain(t *testing.T) {
 	fs := &failingStore{PageStore: file.NewMem()}
 	g := newTestEngine(t, fs, 8)
 	defer g.Close()
-	for i := 0; i < 200; i++ {
-		if err := enginePut(g, []byte(fmt.Sprintf("k%04d", i)), []byte("v1")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := epochChainLen(g)
+	putKeys(t, g, 200, "v1")
+	base, commits := epochChainLen(g), fs.commits.Load()
 
 	fs.armed.Store(true)
 	for i := 0; i < 50; i++ {
 		if err := enginePut(g, []byte(fmt.Sprintf("k%04d", i)), []byte("v2")); !errors.Is(err, errCommitRefused) {
-			t.Fatalf("put against failing store = %v, want injected error", err)
+			t.Fatalf("put against failing store = %v, want the first injected error", err)
 		}
 		if v, ok, err := g.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil || !ok || string(v) != "v1" {
 			t.Fatalf("Get during failed retries = (%q, %v, %v), want v1", v, ok, err)
 		}
 	}
-	if got := epochChainLen(g); got > base+2 {
+	if got := fs.commits.Load() - commits; got != 1 {
+		t.Fatalf("50 failed Puts reached the store %d times, want once", got)
+	}
+	if got := epochChainLen(g); got > base+1 {
 		t.Fatalf("50 failed commits grew the epoch chain from %d to %d", base, got)
 	}
 
-	fs.armed.Store(false)
-	if err := enginePut(g, []byte("k0000"), []byte("v3")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok, err := g.Get([]byte("k0000")); err != nil || !ok || string(v) != "v3" {
-		t.Fatalf("Get after recovery = (%q, %v, %v)", v, ok, err)
-	}
 	snap, err := g.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +112,64 @@ func TestFailedCommitsDoNotGrowEpochChain(t *testing.T) {
 	it := snap.Iter(nil)
 	it.Seek(nil)
 	count := 0
-	for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+	for _, v, ok := it.Next(); ok; _, v, ok = it.Next() {
+		if string(v) != "v1" {
+			t.Fatalf("scan after failed commits read %q, want v1", v)
+		}
 		count++
 	}
 	if err := it.Err(); err != nil || count != 200 {
-		t.Fatalf("scan after recovery visited %d (%v)", count, err)
+		t.Fatalf("scan after failed commits visited %d (%v)", count, err)
+	}
+}
+
+// TestFailedCommitsStayInvisible: a store may fail a commit after applying
+// it — a Full-mode flush failure fails every commit it coalesced, and the
+// file store goes on serving them all — so no failed Put may become visible,
+// not even once the cache is cold and reads fall through to the store. The
+// second Put, on another leaf, never reaches the store: the first failure
+// stopped the shard's writers.
+func TestFailedCommitsStayInvisible(t *testing.T) {
+	fs := &failingStore{PageStore: file.NewMem(), apply: true}
+	g := newTestEngine(t, fs, 8)
+	defer g.Close()
+	putKeys(t, g, 200, "v1")
+	commits := fs.commits.Load()
+
+	fs.armed.Store(true)
+	keys := []string{"k0000", "k0150"} // on different leaves at order 8
+	for _, k := range keys {
+		if err := enginePut(g, []byte(k), []byte("new")); !errors.Is(err, errCommitRefused) {
+			t.Fatalf("Put(%s) against failing store = %v, want the injected error", k, err)
+		}
+	}
+	g.io.invalidate()
+	for _, k := range keys {
+		if v, ok, err := g.Get([]byte(k)); err != nil || !ok || string(v) != "v1" {
+			t.Fatalf("Get(%s) after failed Puts = (%q, %v, %v), want v1", k, v, ok, err)
+		}
+	}
+	if got := fs.commits.Load() - commits; got != 1 {
+		t.Fatalf("the store saw %d CommitPages after the first failure, want 1", got)
+	}
+}
+
+// TestRootMovesCommitOptimistically: a commit that moves the root — the first
+// insert, every root split — is an ordinary optimistic commit. A lone writer
+// never conflicts, so loading a tree several levels deep re-executes nothing.
+func TestRootMovesCommitOptimistically(t *testing.T) {
+	g := newTestEngine(t, file.NewMem(), 8)
+	defer g.Close()
+	putKeys(t, g, 2000, "v")
+	s, err := g.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Keys != 2000 || s.Height < 4 {
+		t.Fatalf("Stats = %+v, want 2000 keys at least four levels deep", s)
+	}
+	if s.Retries != 0 {
+		t.Fatalf("a lone writer's load re-executed %d mutations, want 0", s.Retries)
 	}
 }
 

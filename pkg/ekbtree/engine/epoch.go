@@ -1,27 +1,11 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"github.com/paper-repro/ekbtree/internal/node"
-)
-
-// epochState tracks where a linked epoch is in its commit lifecycle. Guarded
-// by the owning epochs mutex.
-type epochState int
-
-const (
-	// epochPending: linked by a validated commit whose CommitPages call is
-	// still in flight. Its undo overlay is already load-bearing for older
-	// readers; its touched set already conflicts later validations.
-	epochPending epochState = iota
-	// epochPublished: the commit landed; readers may pin it (once current).
-	epochPublished
-	// epochFailed: the commit errored. The epoch is either kept (first
-	// failure since the last success — a fail-stopped durable store may have
-	// applied the writes, making the undo overlay load-bearing) or unlinked.
-	epochFailed
 )
 
 // epoch is one version of the tree. Readers pin an epoch and then resolve
@@ -38,7 +22,10 @@ const (
 // next pointers so readers walk it without locks. An epoch's seq, root, undo
 // map, and touched set are immutable from the moment it is linked (a commit
 // builds the epoch in writeTxn.seal and validateAndPrepare numbers it); refs
-// and state are guarded by the owning epochs mutex.
+// are guarded by the owning epochs mutex. A linked epoch is pending until its
+// commit finalizes, and then published — or, if the store failed it, pending
+// for good: its undo overlay hides from older readers whatever the store
+// applied of it.
 type epoch struct {
 	io   *nodeIO // the shard's shared page reader; what Read falls through to
 	seq  uint64
@@ -55,7 +42,6 @@ type epoch struct {
 	touched []uint64
 	next    atomic.Pointer[epoch]
 	refs    int // pinning readers; guarded by epochs.mu
-	state   epochState
 	// pubCount is the value of epochs.published when this epoch was published
 	// (0 for the seed epoch). The difference between the chain's current
 	// published counter and an epoch's pubCount is the number of commits that
@@ -101,8 +87,8 @@ func (e *epoch) Read(id uint64) (*node.Node, error) {
 
 // epochs manages the epoch chain for one Tree: pinning, optimistic-commit
 // validation, ordered publication, and reclamation. The mutex guards only the
-// chain bookkeeping (refs, head, current, tail, states); it is never held
-// across I/O, so pinning and releasing are O(1) pauses even while commits are
+// chain bookkeeping (refs, head, current, tail, err); it is never held across
+// I/O, so pinning and releasing are O(1) pauses even while commits are
 // flushing. Concurrent commits validate and link under mu, run their store
 // I/O with mu released, and finalize strictly in link (seq) order via the
 // turn condition variable — so publication order always matches chain order,
@@ -111,24 +97,18 @@ type epochs struct {
 	mu   sync.Mutex
 	turn sync.Cond // signaled whenever finalized advances
 	// finalized is the seq of the newest epoch whose commit outcome is
-	// resolved (published or failed). Epoch seq+1 finalizes next.
+	// resolved. Epoch seq+1 finalizes next.
 	finalized uint64
-	// nextSeq is the seq the next linked epoch receives. It is a monotonic
-	// counter, NOT derived from tail.seq: unlinking a failed tail rolls tail
-	// back to an epoch with an older (already finalized) seq, and reusing
-	// that seq would make waitTurnLocked wait for a turn that already passed.
-	nextSeq uint64
-	// failedSince records that a commit has failed since the last success.
-	// The FIRST failure's epoch is kept (its undo may be load-bearing if a
-	// durable store applied the commit before fail-stopping); later failures
-	// provably applied nothing — the store rejected them outright or is
-	// fail-stopped — so their epochs are unlinked to keep the chain bounded
-	// under retry loops.
-	failedSince bool
-	current     *epoch // newest PUBLISHED epoch; what new readers pin
-	tail        *epoch // newest linked epoch (== current unless commits are in flight or failed)
-	head        *epoch // oldest epoch that may still have pinned readers
-	closed      atomic.Bool
+	// err is the first CommitPages error, and it stops the shard's writers
+	// for good, as the file store stops itself: the store may have applied
+	// the failed commit, so nothing linked from it on is published, and
+	// validateAndPrepare refuses every later commit with err. Readers go on
+	// at current until the store is reopened.
+	err     error
+	current *epoch // newest PUBLISHED epoch; what new readers pin
+	tail    *epoch // newest linked epoch (== current unless commits are in flight or failed)
+	head    *epoch // oldest epoch that may still have pinned readers
+	closed  atomic.Bool
 	// published counts successfully published epochs since open. Monotonic;
 	// read lock-free by Snapshot.Age.
 	published atomic.Uint64
@@ -136,8 +116,8 @@ type epochs struct {
 
 // newEpochs seeds the chain with the store's current root as epoch 0.
 func newEpochs(io *nodeIO, root uint64) *epochs {
-	e := &epoch{io: io, seq: 0, root: root, state: epochPublished}
-	es := &epochs{current: e, tail: e, head: e, nextSeq: 1}
+	e := &epoch{io: io, seq: 0, root: root}
+	es := &epochs{current: e, tail: e, head: e}
 	es.turn.L = &es.mu
 	return es
 }
@@ -164,6 +144,11 @@ func (es *epochs) release(e *epoch) {
 	es.reclaimLocked()
 }
 
+// errConflict is validateAndPrepare's verdict on a commit whose read-set a
+// concurrent commit invalidated. It never leaves the engine: Apply backs off
+// and re-executes the mutation.
+var errConflict = errors.New("engine: commit conflict")
+
 // validateAndPrepare is the optimistic commit's critical section. It checks
 // the writer's read-set against every commit linked after the writer's base
 // epoch and, if no conflict exists, links e — the provisional epoch tx.seal
@@ -173,106 +158,66 @@ func (es *epochs) release(e *epoch) {
 // resolving superseded pages. The epoch becomes visible to overlay walks
 // immediately but is not pinnable until finalized.
 //
-// A commit conflicts when any epoch in (base, tail] — published or still
-// pending — touched a page the writer read, or changed the root pointer the
-// writer's tree hangs off (the root check closes the one hole page conflicts
-// miss: two first-inserts into an empty tree share no pages at all). Failed
-// epochs are skipped: either the store rejected them outright and their
-// writes never landed, or the store is fail-stopped and this commit is about
-// to fail too. Two validated in-flight commits always have disjoint touched
-// sets — every non-fresh page a commit writes or frees is in its read-set —
-// which is what makes their store applications composable in either order.
-func (es *epochs) validateAndPrepare(tx *writeTxn, e *epoch) bool {
+// A commit conflicts (errConflict) when any epoch in (base, tail] — published
+// or still pending — touched a page the writer read, or changed the root
+// pointer the writer's tree hangs off (the root check closes the one hole page
+// conflicts miss: two first-inserts into an empty tree share no pages at all).
+// Two validated in-flight commits always have disjoint touched sets — every
+// non-fresh page a commit writes or frees is in its read-set — and at most one
+// of them moves the root, which is what makes their store applications
+// composable in either order. Once a store commit has failed, every commit is
+// refused with that first error instead (see epochs.err).
+func (es *epochs) validateAndPrepare(tx *writeTxn, e *epoch) error {
 	es.mu.Lock()
 	defer es.mu.Unlock()
+	if es.err != nil {
+		return es.err
+	}
 	for f := tx.base.next.Load(); f != nil; f = f.next.Load() {
-		if f.state == epochFailed {
-			continue
-		}
 		if f.root != tx.base.root {
-			return false
+			return errConflict
 		}
 		for _, id := range f.touched {
 			if tx.observed(id) {
-				return false
+				return errConflict
 			}
 		}
 	}
-	e.seq = es.nextSeq
-	es.nextSeq++
+	e.seq = es.tail.seq + 1
 	es.tail.next.Store(e)
 	es.tail = e
-	return true
+	return nil
 }
 
-// waitTurnLocked blocks until every epoch linked before e has finalized, so
-// commit outcomes always resolve in chain order even when their CommitPages
-// calls return out of order. Callers hold es.mu (released while waiting).
-func (es *epochs) waitTurnLocked(e *epoch) {
+// finalize resolves a linked epoch once the store has answered its commit with
+// err. It waits until every epoch linked before e has finalized, so outcomes
+// resolve in chain order even when CommitPages calls return out of order.
+// Then, unless this or an earlier commit failed, it publishes e: it promotes
+// tx's pages into the cache (which must complete before any reader can pin
+// the new epoch) and flips current, and the happens-before edge through es.mu
+// guarantees readers pinning from now on find the promoted cache. Otherwise e
+// stays linked and unpublished, and finalize returns the shard's first store
+// error — even to a commit the store accepted behind a failed one, since
+// readers of it would see the failed commit's pages through the store.
+func (es *epochs) finalize(e *epoch, tx *writeTxn, err error) error {
+	es.mu.Lock()
+	defer es.mu.Unlock()
 	for es.finalized != e.seq-1 {
 		es.turn.Wait()
 	}
-}
-
-// finalizeSuccess publishes a pending epoch after the store accepted its
-// commit: it waits for the epoch's turn, promotes tx's pages into the cache
-// (which must complete before any reader can pin the new epoch), and flips
-// current. Readers pinning from now on see the new version; the happens-
-// before edge through es.mu guarantees they find the promoted cache.
-func (es *epochs) finalizeSuccess(e *epoch, tx *writeTxn) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	es.waitTurnLocked(e)
+	es.finalized = e.seq
+	es.turn.Broadcast()
+	if es.err == nil {
+		es.err = err
+	}
+	if es.err != nil {
+		return es.err
+	}
 	e.io.promoteTxn(tx.pages)
 	e.pubCount = es.published.Add(1)
-	e.state = epochPublished
 	es.current = e
-	es.failedSince = false
-	es.finalized = e.seq
-	es.turn.Broadcast()
 	es.reclaimLocked()
-}
-
-// finalizeFailure resolves a pending epoch whose commit errored. The first
-// failure since the last success keeps its epoch linked (see failedSince);
-// any later failure provably applied nothing, so its epoch is unlinked —
-// retry loops must not grow the chain (and every reader's overlay walk)
-// without bound. Unlinking is safe for concurrent walkers even mid-walk: a
-// reader still holding the epoch resolves pages through an undo whose
-// pre-images equal the store's (unchanged) content.
-func (es *epochs) finalizeFailure(e *epoch) {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	es.waitTurnLocked(e)
-	e.state = epochFailed
-	if es.failedSince {
-		es.unlinkLocked(e)
-	}
-	es.failedSince = true
-	es.finalized = e.seq
-	es.turn.Broadcast()
-}
-
-// unlinkLocked removes a failed epoch from the chain. The epoch may sit
-// mid-chain (later commits can validate, link, and even finalize behind a
-// slower failing one — their touched sets are disjoint from everything they
-// validated against, so skipping the dead overlay changes nothing any reader
-// can observe). Callers hold es.mu.
-func (es *epochs) unlinkLocked(e *epoch) {
-	if es.current == e || e.state != epochFailed {
-		return
-	}
-	pred := es.head
-	for pred != nil && pred.next.Load() != e {
-		pred = pred.next.Load()
-	}
-	if pred == nil {
-		return
-	}
-	pred.next.Store(e.next.Load())
-	if es.tail == e {
-		es.tail = pred
-	}
+	return nil
 }
 
 // reclaimLocked advances head past epochs with no pinned readers and drops

@@ -31,8 +31,9 @@ import (
 //   - the free-set is the freed records.
 //
 // root is the transaction's root pointer: the base epoch's until SetRoot moves
-// it, and a commit that moves it must take the exclusive commit gate (see
-// Engine.tryCommit).
+// it. A commit that moves it is an ordinary optimistic commit; validation
+// fails any concurrent commit whose base it changes, and one that keeps it
+// passes store.KeepRoot (see Engine.tryCommit).
 //
 // A writeTxn is single-goroutine; concurrency happens between transactions,
 // not within one. The engine recycles it (beginTxn/endTxn), so nothing may
@@ -240,7 +241,7 @@ func (tx *writeTxn) seal() (*epoch, error) {
 	if err := tx.sealDirty(keyEpoch, start); err != nil {
 		return nil, err
 	}
-	e := &epoch{io: tx.io, root: tx.root, state: epochPending}
+	e := &epoch{io: tx.io, root: tx.root}
 	e.touched = append(append(make([]uint64, 0, len(tx.dirty)+len(tx.frees)), tx.dirty...), tx.frees...)
 	e.undo = make(map[uint64]*node.Node, len(e.touched))
 	for _, id := range e.touched {

@@ -2,9 +2,11 @@ package ekbtree
 
 import "github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 
-// Sentinel errors returned by the façade. All façade methods return either
-// nil or an error matching exactly one of these via errors.Is; the dynamic
-// message may carry additional detail. The sentinels live in the engine
+// Sentinel errors returned by the façade. Façade methods return either nil or
+// an error matching exactly one of these via errors.Is — the dynamic message
+// may carry additional detail — except a mutation the page store fails, which
+// returns the store's own error, as does every later mutation on that shard
+// (see Tree). The sentinels live in the engine
 // package (the façade and its per-shard engines share one taxonomy) and are
 // re-exported here, so errors.Is works identically whichever layer produced
 // the error.

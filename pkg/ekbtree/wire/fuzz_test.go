@@ -151,17 +151,17 @@ func FuzzDecodeResponse(f *testing.F) {
 		nil,
 		EncodeGetBody([]byte("val"), true),
 		EncodeGetBody(nil, false),
-		EncodeFoundBody(true),
+		AppendFoundBody(nil, true),
 		EncodeCursorIDBody(123456),
 		EncodeEntriesBody([]Entry{{SubKey: []byte("sk1"), Value: []byte("v1")}, {SubKey: []byte("sk2")}}, true),
 		EncodeEntriesBody(nil, false),
-		EncodeBytesBody([]byte(`{"keys":1}`)),
+		AppendBytesBody(nil, []byte(`{"keys":1}`)),
 		appendUvarint(nil, MaxFrame/2),
 	} {
 		f.Add(EncodeOK(body))
 	}
-	f.Add(EncodeErr(CodeAuth, "authentication failed"))
-	f.Add(EncodeErr(CodeSealsExhausted, ""))
+	f.Add(AppendErr(nil, CodeAuth, "authentication failed")[frameHeader:])
+	f.Add(AppendErr(nil, CodeSealsExhausted, "")[frameHeader:])
 
 	// Each body decoder, answering with what it decoded encoded again.
 	decoders := map[string]func(body []byte) ([]byte, error){
@@ -171,7 +171,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		},
 		"DecodeFoundBody": func(body []byte) ([]byte, error) {
 			found, err := DecodeFoundBody(body)
-			return EncodeFoundBody(found), err
+			return AppendFoundBody(nil, found), err
 		},
 		"DecodeCursorIDBody": func(body []byte) ([]byte, error) {
 			id, err := DecodeCursorIDBody(body)
@@ -183,7 +183,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		},
 		"DecodeBytesBody": func(body []byte) ([]byte, error) {
 			blob, err := DecodeBytesBody(body)
-			return EncodeBytesBody(blob), err
+			return AppendBytesBody(nil, blob), err
 		},
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -200,7 +200,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		switch {
 		case err == nil:
 		case errors.As(err, &we):
-			if _, err2 := DecodeResponse(EncodeErr(we.Code, we.Msg)); !reflect.DeepEqual(err2, err) {
+			if _, err2 := DecodeResponse(AppendErr(nil, we.Code, we.Msg)[frameHeader:]); !reflect.DeepEqual(err2, err) {
 				t.Fatalf("error response is not a fixed point: %v, then %v", err, err2)
 			}
 			return

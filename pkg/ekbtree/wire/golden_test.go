@@ -46,9 +46,9 @@ var goldenResponses = []struct {
 		func(b []byte) []byte { return AppendGetBody(b, []byte("val"), true) }, "0000000600010376616c"},
 	{"get absent", EncodeGetBody(nil, false),
 		func(b []byte) []byte { return AppendGetBody(b, nil, false) }, "000000020000"},
-	{"found", EncodeFoundBody(true),
+	{"found", AppendFoundBody(nil, true),
 		func(b []byte) []byte { return AppendFoundBody(b, true) }, "000000020001"},
-	{"not found", EncodeFoundBody(false),
+	{"not found", AppendFoundBody(nil, false),
 		func(b []byte) []byte { return AppendFoundBody(b, false) }, "000000020000"},
 	{"cursor id", EncodeCursorIDBody(123456),
 		func(b []byte) []byte { return AppendCursorIDBody(b, 123456) }, "0000000400c0c407"},
@@ -68,7 +68,7 @@ var goldenResponses = []struct {
 			var body EntriesBody
 			return body.End(body.Begin(b, 200), false)
 		}, "00000003000000"},
-	{"bytes", EncodeBytesBody([]byte(`{"keys":1}`)),
+	{"bytes", AppendBytesBody(nil, []byte(`{"keys":1}`)),
 		func(b []byte) []byte { return AppendBytesBody(b, []byte(`{"keys":1}`)) }, "0000000c000a7b226b657973223a317d"},
 }
 
@@ -114,6 +114,6 @@ func TestGoldenFrames(t *testing.T) {
 		check("OK "+g.name, g.frame, g.append(AppendOK(bytes.Clone(prefix))), EncodeOK(g.body))
 	}
 	for _, g := range goldenErrors {
-		check("Err "+g.code.String(), g.frame, AppendErr(bytes.Clone(prefix), g.code, g.msg), EncodeErr(g.code, g.msg))
+		check("Err "+g.code.String(), g.frame, AppendErr(bytes.Clone(prefix), g.code, g.msg), AppendErr(nil, g.code, g.msg)[frameHeader:])
 	}
 }

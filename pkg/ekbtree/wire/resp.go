@@ -115,9 +115,6 @@ func AppendErr(dst []byte, code ErrCode, msg string) []byte {
 // nil).
 func EncodeOK(body []byte) []byte { return append(AppendOK(nil), body...)[frameHeader:] }
 
-// EncodeErr renders an error response payload.
-func EncodeErr(code ErrCode, msg string) []byte { return AppendErr(nil, code, msg)[frameHeader:] }
-
 // DecodeResponse splits a response payload into its OK body, or returns the
 // server's *Error for a StatusErr payload.
 func DecodeResponse(payload []byte) ([]byte, error) {
@@ -171,9 +168,6 @@ func DecodeGetBody(body []byte) (value []byte, found bool, err error) {
 
 // AppendFoundBody appends the Delete OK body.
 func AppendFoundBody(dst []byte, found bool) []byte { return appendBool(dst, found) }
-
-// EncodeFoundBody renders the Delete OK body.
-func EncodeFoundBody(found bool) []byte { return AppendFoundBody(nil, found) }
 
 // DecodeFoundBody parses the Delete OK body.
 func DecodeFoundBody(body []byte) (bool, error) {
@@ -261,9 +255,6 @@ func DecodeEntriesBody(body []byte) (entries []Entry, done bool, err error) {
 // AppendBytesBody appends an OK body that is one length-prefixed blob (the
 // Stats JSON).
 func AppendBytesBody(dst, p []byte) []byte { return appendBytes(dst, p) }
-
-// EncodeBytesBody renders a one-blob OK body.
-func EncodeBytesBody(p []byte) []byte { return AppendBytesBody(nil, p) }
 
 // DecodeBytesBody parses a one-blob OK body.
 func DecodeBytesBody(body []byte) ([]byte, error) {

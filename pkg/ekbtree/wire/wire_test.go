@@ -149,7 +149,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatalf("empty OK: body=%v err=%v", body, err)
 	}
 	// Err carries code and message, surfaced as *Error.
-	_, err = DecodeResponse(EncodeErr(CodeAuth, "authentication failed"))
+	_, err = DecodeResponse(AppendErr(nil, CodeAuth, "authentication failed")[frameHeader:])
 	var we *Error
 	if !errors.As(err, &we) || we.Code != CodeAuth || we.Msg != "authentication failed" {
 		t.Fatalf("err response: %v", err)
@@ -167,7 +167,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil || found {
 		t.Fatalf("absent get body: %v %v", found, err)
 	}
-	ok, err := DecodeFoundBody(EncodeFoundBody(true))
+	ok, err := DecodeFoundBody(AppendFoundBody(nil, true))
 	if err != nil || !ok {
 		t.Fatalf("found body: %v %v", ok, err)
 	}
@@ -184,7 +184,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		!bytes.Equal(got[0].SubKey, []byte("sk1")) || !bytes.Equal(got[1].Value, nil) {
 		t.Fatalf("entries body: %+v done=%v err=%v", got, done, err)
 	}
-	blob, err := DecodeBytesBody(EncodeBytesBody([]byte(`{"keys":1}`)))
+	blob, err := DecodeBytesBody(AppendBytesBody(nil, []byte(`{"keys":1}`)))
 	if err != nil || string(blob) != `{"keys":1}` {
 		t.Fatalf("bytes body: %q %v", blob, err)
 	}
