@@ -58,7 +58,6 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.dataDir, "data", "data", "directory holding per-tenant page files")
 	fs.StringVar(&o.tenantsPath, "tenants", "", "tenants config file (default <data>/tenants.json)")
 	durability := fs.String("durability", "grouped", "commit durability: full, grouped, or async")
-	fs.DurationVar(&o.tree.GroupWindow, "group-window", 0, "grouped-durability flush window (0 = store default)")
 	fs.IntVar(&o.tree.Shards, "shards", 1, "range-shard every tenant tree across N engines (sealed into the tenant's files on first open)")
 	fs.IntVar(&o.tree.MaxEpochAge, "max-epoch-age", 0, "fail cursors whose snapshot fell more than N commits behind (0 = unbounded)")
 	fs.Int64Var(&o.tree.SealBudget, "seal-budget", 0, "per-epoch page-seal budget per shard before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
@@ -92,9 +91,6 @@ func parseFlags(args []string) (options, error) {
 	if o.srv.drainTimeout < 0 {
 		return options{}, fmt.Errorf("-drain-timeout %v must be >= 0", o.srv.drainTimeout)
 	}
-	if o.tree.GroupWindow < 0 {
-		return options{}, fmt.Errorf("-group-window %v must be >= 0", o.tree.GroupWindow)
-	}
 	switch *durability {
 	case "full":
 		o.tree.Durability = ekbtree.DurabilityFull
@@ -104,9 +100,6 @@ func parseFlags(args []string) (options, error) {
 		o.tree.Durability = ekbtree.DurabilityAsync
 	default:
 		return options{}, fmt.Errorf("unknown -durability %q (want full, grouped, or async)", *durability)
-	}
-	if o.tree.GroupWindow != 0 && o.tree.Durability != ekbtree.DurabilityGrouped {
-		return options{}, fmt.Errorf("-group-window %v applies only to -durability grouped", o.tree.GroupWindow)
 	}
 	return o, nil
 }

@@ -92,9 +92,6 @@ func (tr *Tree) edit(id uint64) (*node.Node, error) {
 	return tr.ed.Edit(id)
 }
 
-// Degree returns the tree's minimum degree t.
-func (tr *Tree) Degree() int { return tr.t }
-
 func (tr *Tree) maxKeys() int { return 2*tr.t - 1 }
 
 // Get returns the value stored under key.

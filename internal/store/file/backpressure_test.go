@@ -139,61 +139,3 @@ func TestAsyncBackpressureBlocksEnqueue(t *testing.T) {
 		}
 	}
 }
-
-// TestGroupedBackpressureWaitsForWindow pins the "block, don't force" fix:
-// in Grouped mode a full pending group makes new commits wait for the
-// WINDOW-driven flush — the window's coalescing promise is kept, no
-// mid-window flush is forced.
-func TestGroupedBackpressureWaitsForWindow(t *testing.T) {
-	const bound = 1024
-	const window = 300 * time.Millisecond
-	path := filepath.Join(t.TempDir(), "gw.ekb")
-	s, err := OpenConfig(path, Config{Durability: Grouped, GroupWindow: window, MaxUnflushed: bound})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	base := s.Txid()
-
-	idA, _ := s.Alloc()
-	start := time.Now()
-	if err := s.CommitPages(map[uint64][]byte{idA: bytes.Repeat([]byte{0x22}, 2*bound)}, idA, nil); err != nil {
-		t.Fatal(err)
-	}
-	// The pending group is over the bound. The next commit must block until
-	// the window flush, not trigger an early one.
-	idB, _ := s.Alloc()
-	bDone := make(chan error, 1)
-	go func() {
-		bDone <- s.CommitPages(map[uint64][]byte{idB: []byte("after-window")}, idB, nil)
-	}()
-	time.Sleep(window / 4)
-	select {
-	case err := <-bDone:
-		t.Fatalf("commit admitted mid-window past the bound after %v (err=%v)", time.Since(start), err)
-	default:
-	}
-	if got := s.Txid(); got != base {
-		t.Fatalf("backpressure forced a mid-window flush (txid %d -> %d)", base, got)
-	}
-	select {
-	case err := <-bDone:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("blocked commit never admitted after the window flush")
-	}
-	if elapsed := time.Since(start); elapsed < window/2 {
-		t.Fatalf("blocked commit admitted after only %v; it did not wait for the window", elapsed)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Txid(); got == base {
-		t.Fatal("window flush never happened")
-	}
-	if got, err := s.ReadPage(idB); err != nil || string(got) != "after-window" {
-		t.Fatalf("ReadPage(idB) = (%q, %v)", got, err)
-	}
-}

@@ -16,6 +16,10 @@ import (
 // flush's own fsync cost.
 const fullHold = 100 * time.Microsecond
 
+// groupWindow is how long a Grouped-mode group gathers commits before the
+// committer flushes it: the most a crash can lose of acknowledged commits.
+const groupWindow = 2 * time.Millisecond
+
 // parked is holdLocked's "not before the next kick".
 const parked = time.Duration(math.MaxInt64)
 
@@ -179,10 +183,11 @@ func (s *Store) enqueueLocked(c change) *group {
 }
 
 // waitCapacityLocked blocks, releasing and re-acquiring s.mu, while the
-// pending group is at or over the MaxUnflushed payload bound. It returns
-// with s.mu held and capacity available (or the store closed/failed, which
-// the caller re-checks). A fresh pending group always has capacity, so a
-// single oversized commit is admitted rather than deadlocked.
+// pending group is at or over the MaxUnflushed payload bound, which the
+// committer flushes at once in every mode (see holdLocked). It returns with
+// s.mu held and capacity available (or the store closed/failed, which the
+// caller re-checks). A fresh pending group always has capacity, so a single
+// oversized commit is admitted rather than deadlocked.
 func (s *Store) waitCapacityLocked() {
 	for {
 		g := s.pending
@@ -327,29 +332,24 @@ func (s *Store) committer() {
 	}
 }
 
-// holdLocked is the durability mode's one decision — when is the pending group
-// g taken for flushing: 0 means now, parked not before the next kick (every
-// enqueue, Sync and Close kicks), anything else wait that long or until the
-// next kick, whichever is first, and ask again. The caller holds s.mu.
+// holdLocked is the one decision of when the pending group g is taken for
+// flushing: 0 means now, parked not before the next kick (every enqueue, Sync
+// and Close kicks), anything else wait that long or until the next kick,
+// whichever is first, and ask again. The caller holds s.mu.
 func (s *Store) holdLocked(g *group) time.Duration {
-	switch {
-	case s.force:
+	if s.force || g.bytes >= s.cfg.maxUnflushed() {
+		// Sync, Close or Vacuum is waiting on it, or it is at the
+		// back-pressure bound, where waitCapacityLocked blocks producers
+		// until it flushes: in every mode it goes now.
 		return 0
+	}
+	switch {
 	case s.cfg.Durability == Async:
-		// Only Sync, Close, or backpressure flush an Async store: an
-		// over-bound group is flushed in the background while
-		// waitCapacityLocked blocks further enqueues, so producers feel
-		// backpressure instead of growing the overlay.
-		if g.bytes >= s.cfg.maxUnflushed() {
-			return 0
-		}
 		return parked
 	case s.cfg.Durability == Grouped:
 		// Let the group ripen for the rest of its window so closely-spaced
-		// commits share one flush. Reaching the bound deliberately does NOT
-		// cut the window short — it keeps its coalescing promise, and the
-		// blocked enqueues wait for the window flush.
-		return max(0, time.Until(g.birth.Add(s.cfg.window())))
+		// commits share one flush.
+		return max(0, time.Until(g.birth.Add(groupWindow)))
 	case s.lastGroup > 1 && g.count < s.lastGroup:
 		// Full, and the previous group carried concurrent committers whose
 		// waiters are re-arriving right now — taking the group this instant

@@ -58,6 +58,12 @@
 // identical in every mode. Sync blocks until everything enqueued before it
 // is durable, in any mode.
 //
+// When the committer takes the pending group is decided in one place,
+// holdLocked. Sync, Close, Vacuum, and a group at Config.MaxUnflushed take it
+// at once in every mode. Otherwise the mode decides: Full takes it at once,
+// holding at most 100µs while a wave of concurrent committers re-arrives;
+// Grouped once the group is 2ms old; Async not until one of the above.
+//
 // The one non-atomic window is file creation itself: initialization writes
 // the first directory and slot 0, fsyncs, then writes the magic header and
 // fsyncs again. The first fsync orders both before the magic, so a file whose
@@ -85,7 +91,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"github.com/paper-repro/ekbtree/internal/store"
 )
@@ -127,16 +132,13 @@ const (
 	// share its two fsyncs. This is the default.
 	Full Durability = iota
 	// Grouped acknowledges commits as soon as they are applied in memory;
-	// the committer flushes the accumulated group once it is GroupWindow old
-	// (or sooner on Sync/Close). When the group reaches Config.MaxUnflushed,
-	// new commits block until the window flush drains it — backpressure
-	// never forces a flush mid-window. A crash loses at most the last
-	// window of acknowledged commits, never a torn state.
+	// the committer flushes the accumulated group once it is 2ms old (or
+	// sooner on Sync, Close or back-pressure). A crash loses at most the
+	// last window of acknowledged commits, never a torn state.
 	Grouped
 	// Async acknowledges commits immediately and flushes only on Sync,
-	// Close, or MaxUnflushed backpressure (which blocks new commits while
-	// the flush runs). After Sync returns, everything enqueued before it is
-	// durable; a crash earlier loses un-synced groups whole.
+	// Close, or back-pressure. After Sync returns, everything enqueued
+	// before it is durable; a crash earlier loses un-synced groups whole.
 	Async
 )
 
@@ -153,10 +155,6 @@ func (d Durability) String() string {
 	}
 }
 
-// DefaultGroupWindow is the Grouped-mode flush window used when
-// Config.GroupWindow is zero.
-const DefaultGroupWindow = 2 * time.Millisecond
-
 // DefaultMaxUnflushed is the pending-overlay payload bound used when
 // Config.MaxUnflushed is zero.
 const DefaultMaxUnflushed = 4 << 20
@@ -165,30 +163,16 @@ const DefaultMaxUnflushed = 4 << 20
 type Config struct {
 	// Durability selects when commits are acknowledged; see the constants.
 	Durability Durability
-	// GroupWindow bounds how long a Grouped-mode commit may sit unflushed.
-	// Zero means DefaultGroupWindow. Ignored in other modes.
-	GroupWindow time.Duration
 	// MaxUnflushed bounds the payload bytes the pending (not yet flushing)
-	// commit group may accumulate. Once the pending group is at or over the
-	// bound, further commits BLOCK until it has flushed, instead of growing
-	// memory without limit: backpressure is applied to the producers rather
-	// than by forcing an early flush that would break the Grouped window's
-	// coalescing. (In Async mode, where nothing else would flush, reaching
-	// the bound also starts a background flush; the blocked committers still
-	// wait for it rather than overshooting.) The bound is per group, and a
-	// single commit larger than it is always admitted on an empty group, so
-	// total unflushed payload can reach roughly twice MaxUnflushed — one
-	// full group being flushed plus one full pending group — plus one
-	// commit's payload per committer admitted in the same round. Zero means
-	// DefaultMaxUnflushed; negative is invalid.
+	// commit group may accumulate. A pending group at or over the bound is
+	// flushed at once, in every mode, and further commits BLOCK until it has
+	// flushed instead of growing memory without limit. The bound is per
+	// group, and a single commit larger than it is always admitted on an
+	// empty group, so total unflushed payload can reach roughly twice
+	// MaxUnflushed — one full group being flushed plus one full pending
+	// group — plus one commit's payload per committer admitted in the same
+	// round. Zero means DefaultMaxUnflushed; negative is invalid.
 	MaxUnflushed int
-}
-
-func (c Config) window() time.Duration {
-	if c.GroupWindow <= 0 {
-		return DefaultGroupWindow
-	}
-	return c.GroupWindow
 }
 
 func (c Config) maxUnflushed() int {
@@ -198,14 +182,14 @@ func (c Config) maxUnflushed() int {
 	return c.MaxUnflushed
 }
 
-func (c Config) validate() error {
+// Validate reports whether c names a known durability mode and a
+// non-negative bound. OpenConfig and OpenWithConfig call it; the façade calls
+// it to check its own pipeline options.
+func (c Config) Validate() error {
 	switch c.Durability {
 	case Full, Grouped, Async:
 	default:
 		return fmt.Errorf("file: unknown durability mode %d", int(c.Durability))
-	}
-	if c.GroupWindow < 0 {
-		return fmt.Errorf("file: negative group window %v", c.GroupWindow)
 	}
 	if c.MaxUnflushed < 0 {
 		return fmt.Errorf("file: negative max unflushed bound %d", c.MaxUnflushed)
@@ -288,7 +272,7 @@ func Open(path string) (*Store, error) {
 func OpenConfig(path string, cfg Config) (*Store, error) {
 	// Validate before os.OpenFile: O_CREATE on a rejected config must not
 	// leave a stray empty file behind.
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
@@ -316,7 +300,7 @@ func OpenWith(f File) (*Store, error) {
 
 // OpenWithConfig is OpenWith with an explicit pipeline configuration.
 func OpenWithConfig(f File, cfg Config) (*Store, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	hdr := make([]byte, dataStart)

@@ -16,10 +16,6 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// hugeWindow makes Grouped-mode flushes happen only on Sync/Close/threshold,
-// so tests control group boundaries deterministically.
-const hugeWindow = time.Hour
-
 var allModes = []Durability{Full, Grouped, Async}
 
 // TestConcurrentCommitters drives N goroutines through one file store's
@@ -31,7 +27,7 @@ func TestConcurrentCommitters(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "conc.ekb")
-			s, err := OpenConfig(path, Config{Durability: mode, GroupWindow: time.Millisecond})
+			s, err := OpenConfig(path, Config{Durability: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,55 +104,54 @@ func TestConcurrentCommitters(t *testing.T) {
 // TestGroupCoalescing pins the whole point of the pipeline: many commits
 // between durability barriers flush as ONE group — one txid bump, two fsyncs
 // — instead of one flush per commit. Txid counts flushes, so it is directly
-// observable.
+// observable. It runs at Async, where only the barrier flushes; a Grouped
+// group is taken by the same code once its window passes.
 func TestGroupCoalescing(t *testing.T) {
-	for _, mode := range []Durability{Grouped, Async} {
-		t.Run(mode.String(), func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "coalesce.ekb")
-			s, err := OpenConfig(path, Config{Durability: mode, GroupWindow: hugeWindow})
-			if err != nil {
+	t.Run("async", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "coalesce.ekb")
+		s, err := OpenConfig(path, Config{Durability: Async})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := s.Txid()
+		const n = 50
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i], _ = s.Alloc()
+			if err := s.CommitPages(map[uint64][]byte{ids[i]: []byte(fmt.Sprintf("v%d", i))}, ids[i], nil); err != nil {
 				t.Fatal(err)
 			}
-			base := s.Txid()
-			const n = 50
-			ids := make([]uint64, n)
-			for i := range ids {
-				ids[i], _ = s.Alloc()
-				if err := s.CommitPages(map[uint64][]byte{ids[i]: []byte(fmt.Sprintf("v%d", i))}, ids[i], nil); err != nil {
-					t.Fatal(err)
-				}
+		}
+		// Nothing has hit the disk yet: no sync.
+		if got := s.Txid(); got != base {
+			t.Fatalf("Txid advanced to %d before any barrier (base %d)", got, base)
+		}
+		// But every commit is visible.
+		for i, id := range ids {
+			if got, err := s.ReadPage(id); err != nil || !bytes.Equal(got, []byte(fmt.Sprintf("v%d", i))) {
+				t.Fatalf("pre-sync ReadPage(%d) = (%q, %v)", id, got, err)
 			}
-			// Nothing has hit the disk yet: no sync, window not expired.
-			if got := s.Txid(); got != base {
-				t.Fatalf("Txid advanced to %d before any barrier (base %d)", got, base)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Txid(); got != base+1 {
+			t.Fatalf("Txid = %d after Sync, want %d: %d commits did not coalesce into one group", got, base+1, n)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		for i, id := range ids {
+			if got, err := re.ReadPage(id); err != nil || !bytes.Equal(got, []byte(fmt.Sprintf("v%d", i))) {
+				t.Fatalf("reopened ReadPage(%d) = (%q, %v)", id, got, err)
 			}
-			// But every commit is visible.
-			for i, id := range ids {
-				if got, err := s.ReadPage(id); err != nil || !bytes.Equal(got, []byte(fmt.Sprintf("v%d", i))) {
-					t.Fatalf("pre-sync ReadPage(%d) = (%q, %v)", id, got, err)
-				}
-			}
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if got := s.Txid(); got != base+1 {
-				t.Fatalf("Txid = %d after Sync, want %d: %d commits did not coalesce into one group", got, base+1, n)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			re, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer re.Close()
-			for i, id := range ids {
-				if got, err := re.ReadPage(id); err != nil || !bytes.Equal(got, []byte(fmt.Sprintf("v%d", i))) {
-					t.Fatalf("reopened ReadPage(%d) = (%q, %v)", id, got, err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestAsyncCloseFlushes pins clean-shutdown durability: an Async store that
@@ -210,10 +205,10 @@ func TestBackpressureFlush(t *testing.T) {
 }
 
 // TestGroupedWindowFlushes pins the Grouped contract: without any Sync, an
-// acknowledged commit becomes durable within (roughly) the configured window.
+// acknowledged commit becomes durable within (roughly) the group window.
 func TestGroupedWindowFlushes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "window.ekb")
-	s, err := OpenConfig(path, Config{Durability: Grouped, GroupWindow: 5 * time.Millisecond})
+	s, err := OpenConfig(path, Config{Durability: Grouped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +264,7 @@ func TestFreeVisibleThroughOverlay(t *testing.T) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "free.ekb")
-			s, err := OpenConfig(path, Config{Durability: mode, GroupWindow: hugeWindow})
+			s, err := OpenConfig(path, Config{Durability: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,17 +299,18 @@ func TestFreeVisibleThroughOverlay(t *testing.T) {
 }
 
 // TestDurabilityModesFaultSweeps is the crash-atomicity proof for the
-// pipeline across all three durability modes: for every failure point (each
-// WriteAt and Sync, with and without torn trailing writes, as process death
-// and as power loss) during a workload of commits punctuated by Sync
-// barriers, reopening the file must yield exactly the state some prefix of
-// the flushed groups produced — never a torn one — and never roll back past a
-// barrier that reported success.
+// pipeline: for every failure point (each WriteAt and Sync, with and without
+// torn trailing writes, as process death and as power loss) during a workload
+// of commits punctuated by Sync barriers, reopening the file must yield
+// exactly the state some prefix of the flushed groups produced — never a torn
+// one — and never roll back past a barrier that reported success. Full makes
+// every commit its own group and Async every sync unit one; Grouped, whose
+// groups its window cuts by the clock, flushes through the same code.
 func TestDurabilityModesFaultSweeps(t *testing.T) {
-	for _, mode := range allModes {
+	for _, mode := range []Durability{Full, Async} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			cfg := Config{Durability: mode, GroupWindow: hugeWindow}
+			cfg := Config{Durability: mode}
 
 			// Base state: three pages, one of them freed, so the faulted
 			// flushes exercise extent reuse.
@@ -369,8 +365,8 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 			}
 
 			// Reference run on a clean copy: capture the legal checkpoint
-			// states. In Full mode every commit is its own group; in
-			// Grouped/Async (huge window) the groups are the sync units.
+			// states. In Full mode every commit is its own group; in Async
+			// the groups are the sync units.
 			ref := filepath.Join(dir, "ref.ekb")
 			faulttest.Copy(t, base, ref)
 			rs, err := OpenConfig(ref, cfg)
@@ -405,7 +401,7 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 				if !ok[0] || !ok[1] {
 					t.Fatal("reference workload failed")
 				}
-				// Grouped/Async reference checkpoints are the sync barriers;
+				// Async reference checkpoints are the sync barriers;
 				// re-derive the mid state by replaying unit 1 alone.
 				mid := filepath.Join(dir, "mid.ekb")
 				faulttest.Copy(t, base, mid)
@@ -580,9 +576,6 @@ func TestOpenConfigRejectsUnknownMode(t *testing.T) {
 	if _, err := OpenConfig(bad, Config{Durability: Durability(7)}); err == nil {
 		t.Fatal("OpenConfig accepted an unknown durability mode")
 	}
-	if _, err := OpenConfig(bad, Config{Durability: Grouped, GroupWindow: -time.Second}); err == nil {
-		t.Fatal("OpenConfig accepted a negative group window")
-	}
 	// The rejected opens must not have created a stray file.
 	if _, err := os.Stat(bad); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("rejected OpenConfig left a file behind: %v", err)
@@ -603,7 +596,7 @@ func TestCommitPagesTakesOwnership(t *testing.T) {
 	}
 	for _, mode := range allModes {
 		stores["file-"+mode.String()] = func(t *testing.T) store.PageStore {
-			s, err := OpenConfig(filepath.Join(t.TempDir(), "own.ekb"), Config{Durability: mode, GroupWindow: hugeWindow})
+			s, err := OpenConfig(filepath.Join(t.TempDir(), "own.ekb"), Config{Durability: mode})
 			if err != nil {
 				t.Fatal(err)
 			}

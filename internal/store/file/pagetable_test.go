@@ -316,11 +316,13 @@ func TestAppliedHeaderThroughOverlays(t *testing.T) {
 	header("reopened", re, 1, "m1", k1)
 }
 
-// TestHoldRule is the table of holdLocked, the one place the durability mode
-// decides when a pending group is taken. No store runs and nothing sleeps:
-// ages are set on the group, and a wait is checked against its upper bound.
+// TestHoldRule is the table of holdLocked, the one place that decides when a
+// pending group is taken. No store runs and nothing sleeps: ages are set on
+// the group, and a wait is checked against its upper bound. A group a minute
+// from birth (age -time.Minute) stays inside its window however long the test
+// is preempted, so only the rule can take it now.
 func TestHoldRule(t *testing.T) {
-	const window, bound = time.Hour, 100
+	const bound = 100
 	const unset = time.Duration(-1) // held not yet stamped
 	for _, tc := range []struct {
 		name      string
@@ -335,18 +337,19 @@ func TestHoldRule(t *testing.T) {
 		{"async parks", Async, false, 1, 1, bound - 1, time.Minute, unset, parked},
 		{"async, forced", Async, true, 1, 1, 0, 0, unset, 0},
 		{"async at the bound", Async, false, 1, 1, bound, 0, unset, 0},
-		{"grouped, young", Grouped, false, 1, 1, 0, time.Minute, unset, window - time.Minute},
-		{"grouped, window over", Grouped, false, 1, 1, 0, 2 * window, unset, 0},
-		{"grouped, forced", Grouped, true, 1, 1, 0, 0, unset, 0},
-		{"grouped at the bound keeps its window", Grouped, false, 1, 1, 2 * bound, time.Minute, unset, window - time.Minute},
+		{"grouped, young", Grouped, false, 1, 1, 0, -time.Minute, unset, groupWindow + time.Minute},
+		{"grouped, window over", Grouped, false, 1, 1, 0, 2 * groupWindow, unset, 0},
+		{"grouped, forced", Grouped, true, 1, 1, 0, -time.Minute, unset, 0},
+		{"grouped at the bound flushes now", Grouped, false, 1, 1, 2 * bound, -time.Minute, unset, 0},
 		{"full, lone committer", Full, false, 1, 1, 0, 0, unset, 0},
 		{"full, wave complete", Full, false, 4, 4, 0, 0, unset, 0},
 		{"full, wave re-arriving", Full, false, 4, 1, 0, 0, unset, fullHold},
 		{"full, hold spent", Full, false, 4, 1, 0, time.Second, time.Second, 0},
 		{"full, forced", Full, true, 4, 1, 0, 0, unset, 0},
+		{"full at the bound skips the hold", Full, false, 4, 1, bound, 0, unset, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &Store{cfg: Config{Durability: tc.mode, GroupWindow: window, MaxUnflushed: bound}, force: tc.force, lastGroup: tc.lastGroup}
+			s := &Store{cfg: Config{Durability: tc.mode, MaxUnflushed: bound}, force: tc.force, lastGroup: tc.lastGroup}
 			now := time.Now()
 			g := &group{count: tc.count, bytes: tc.bytes, birth: now.Add(-tc.age)}
 			if tc.held != unset {

@@ -239,7 +239,7 @@ func (c *Cursor) Value() []byte {
 // Err returns the first error the cursor encountered, or nil. Exhausting the
 // range is not an error.
 func (c *Cursor) Err() error {
-	return mapErr(c.err)
+	return engine.MapErr(c.err)
 }
 
 // Close releases the cursor's snapshot pins, allowing the engines to reclaim

@@ -8,12 +8,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
-// TestDurabilityOptionsValidation pins the Options contract for the new
-// fields: durability tuning is meaningful only for Path-backed trees, and the
-// window only for the Grouped mode.
+// TestDurabilityOptionsValidation pins the Options contract for the pipeline
+// settings: they are meaningful only for Path-backed trees, and the file
+// store's own validator refuses what it cannot run.
 func TestDurabilityOptionsValidation(t *testing.T) {
 	master := bytes.Repeat([]byte{0xD7}, 32)
 	path := filepath.Join(t.TempDir(), "opts.ekb")
@@ -22,11 +21,7 @@ func TestDurabilityOptionsValidation(t *testing.T) {
 		opts Options
 	}{
 		{"durability without path", Options{MasterKey: master, Durability: DurabilityGrouped}},
-		{"window without path", Options{MasterKey: master, GroupWindow: time.Millisecond}},
 		{"durability with store", Options{MasterKey: master, Store: NewMemStore(), Durability: DurabilityAsync}},
-		{"window without grouped", Options{MasterKey: master, Path: path, Durability: DurabilityAsync, GroupWindow: time.Millisecond}},
-		{"window with full", Options{MasterKey: master, Path: path, GroupWindow: time.Millisecond}},
-		{"negative window", Options{MasterKey: master, Path: path, Durability: DurabilityGrouped, GroupWindow: -time.Millisecond}},
 		{"unknown mode", Options{MasterKey: master, Path: path, Durability: Durability(99)}},
 		{"max unflushed without path", Options{MasterKey: master, MaxUnflushed: 1 << 20}},
 		{"negative max unflushed", Options{MasterKey: master, Path: path, Durability: DurabilityAsync, MaxUnflushed: -1}},
@@ -52,7 +47,7 @@ func TestDurabilityModesEndToEnd(t *testing.T) {
 	}{
 		{"full", func(p string) Options { return Options{MasterKey: master, Order: 8, Path: p} }},
 		{"grouped", func(p string) Options {
-			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityGrouped, GroupWindow: 5 * time.Millisecond}
+			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityGrouped}
 		}},
 		{"async", func(p string) Options {
 			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityAsync}
@@ -192,102 +187,91 @@ func TestOpenLockedPath(t *testing.T) {
 	}
 }
 
-// TestLazyModesCrashSemantics simulates crashes around Sync barriers for the
-// lazy durability modes through the façade: the page file is snapshotted (as
+// TestLazyModesCrashSemantics simulates crashes around Sync barriers for a
+// lazy durability mode through the façade: the page file is snapshotted (as
 // a crashed process would leave it) before any barrier, after a Sync, and
 // after further un-synced writes. Opening each snapshot must show exactly the
 // synced prefix — acknowledged-but-unsynced writes are lost whole, synced
-// ones never — and never a torn or corrupt tree. The Grouped window is set
-// huge so no background flush races the snapshots.
+// ones never — and never a torn or corrupt tree. It runs at Async, where no
+// background flush races the snapshots; Grouped flushes through the same
+// code within its 2ms window, which no snapshot could pin down.
 func TestLazyModesCrashSemantics(t *testing.T) {
 	master := bytes.Repeat([]byte{0xDB}, 32)
-	for _, tc := range []struct {
-		name string
-		opts func(path string) Options
-	}{
-		{"grouped", func(p string) Options {
-			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityGrouped, GroupWindow: time.Hour}
-		}},
-		{"async", func(p string) Options {
-			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityAsync}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "live.ekb")
-			tr, err := Open(tc.opts(path))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
+	t.Run("async", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "live.ekb")
+		tr, err := Open(Options{MasterKey: master, Order: 8, Path: path, Durability: DurabilityAsync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
 
-			snapshot := func(name string) string {
-				t.Helper()
-				dst := filepath.Join(dir, name)
-				// Copy every shard's page file so the crash image covers the
-				// whole keyspace under the shard matrix (shardPath is the
-				// identity when testDefaultShards == 1).
-				for i := 0; i < testDefaultShards; i++ {
-					b, err := os.ReadFile(shardPath(path, i, testDefaultShards))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(shardPath(dst, i, testDefaultShards), b, 0o600); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return dst
-			}
-			openSnap := func(dst string) map[string]string {
-				t.Helper()
-				re, err := Open(Options{MasterKey: master, Order: 8, Path: dst})
+		snapshot := func(name string) string {
+			t.Helper()
+			dst := filepath.Join(dir, name)
+			// Copy every shard's page file so the crash image covers the
+			// whole keyspace under the shard matrix (shardPath is the
+			// identity when testDefaultShards == 1).
+			for i := 0; i < testDefaultShards; i++ {
+				b, err := os.ReadFile(shardPath(path, i, testDefaultShards))
 				if err != nil {
-					t.Fatalf("open crash snapshot %s: %v", dst, err)
+					t.Fatal(err)
 				}
-				defer re.Close()
-				return scanAll(t, re)
-			}
-
-			for i := 0; i < 50; i++ {
-				if err := tr.Put([]byte(fmt.Sprintf("early-%02d", i)), []byte("e")); err != nil {
+				if err := os.WriteFile(shardPath(dst, i, testDefaultShards), b, 0o600); err != nil {
 					t.Fatal(err)
 				}
 			}
-			preSync := snapshot("pre-sync.ekb")
-			if err := tr.Sync(); err != nil {
-				t.Fatal(err)
+			return dst
+		}
+		openSnap := func(dst string) map[string]string {
+			t.Helper()
+			re, err := Open(Options{MasterKey: master, Order: 8, Path: dst})
+			if err != nil {
+				t.Fatalf("open crash snapshot %s: %v", dst, err)
 			}
-			synced := scanAll(t, tr)
-			postSync := snapshot("post-sync.ekb")
-			for i := 0; i < 50; i++ {
-				if err := tr.Put([]byte(fmt.Sprintf("late-%02d", i)), []byte("l")); err != nil {
-					t.Fatal(err)
-				}
-			}
-			unsynced := snapshot("unsynced.ekb")
-			if err := tr.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			final := scanAll(t, tr)
-			postFinal := snapshot("post-final.ekb")
+			defer re.Close()
+			return scanAll(t, re)
+		}
 
-			// A crash before the first barrier loses everything acknowledged
-			// since open: the snapshot is an empty (or freshly-initialized)
-			// tree, not a torn one.
-			if got := openSnap(preSync); len(got) != 0 {
-				t.Fatalf("pre-sync crash snapshot holds %d entries, want 0", len(got))
+		for i := 0; i < 50; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("early-%02d", i)), []byte("e")); err != nil {
+				t.Fatal(err)
 			}
-			if got := openSnap(postSync); !reflect.DeepEqual(got, synced) {
-				t.Fatalf("post-sync crash snapshot diverged: %d entries, want %d", len(got), len(synced))
+		}
+		preSync := snapshot("pre-sync.ekb")
+		if err := tr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		synced := scanAll(t, tr)
+		postSync := snapshot("post-sync.ekb")
+		for i := 0; i < 50; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("late-%02d", i)), []byte("l")); err != nil {
+				t.Fatal(err)
 			}
-			// Un-synced writes after the barrier are lost whole; the synced
-			// prefix survives intact.
-			if got := openSnap(unsynced); !reflect.DeepEqual(got, synced) {
-				t.Fatalf("unsynced crash snapshot = %d entries, want the synced prefix (%d)", len(got), len(synced))
-			}
-			if got := openSnap(postFinal); !reflect.DeepEqual(got, final) {
-				t.Fatalf("final crash snapshot diverged: %d entries, want %d", len(got), len(final))
-			}
-		})
-	}
+		}
+		unsynced := snapshot("unsynced.ekb")
+		if err := tr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		final := scanAll(t, tr)
+		postFinal := snapshot("post-final.ekb")
+
+		// A crash before the first barrier loses everything acknowledged
+		// since open: the snapshot is an empty (or freshly-initialized)
+		// tree, not a torn one.
+		if got := openSnap(preSync); len(got) != 0 {
+			t.Fatalf("pre-sync crash snapshot holds %d entries, want 0", len(got))
+		}
+		if got := openSnap(postSync); !reflect.DeepEqual(got, synced) {
+			t.Fatalf("post-sync crash snapshot diverged: %d entries, want %d", len(got), len(synced))
+		}
+		// Un-synced writes after the barrier are lost whole; the synced
+		// prefix survives intact.
+		if got := openSnap(unsynced); !reflect.DeepEqual(got, synced) {
+			t.Fatalf("unsynced crash snapshot = %d entries, want the synced prefix (%d)", len(got), len(synced))
+		}
+		if got := openSnap(postFinal); !reflect.DeepEqual(got, final) {
+			t.Fatalf("final crash snapshot diverged: %d entries, want %d", len(got), len(final))
+		}
+	})
 }

@@ -131,8 +131,7 @@ var openShardStore = func(opts Options, idx, total int) (store.PageStore, error)
 	case opts.Store != nil:
 		return opts.Store, nil
 	case opts.Path != "":
-		cfg := file.Config{Durability: opts.Durability, GroupWindow: opts.GroupWindow, MaxUnflushed: opts.MaxUnflushed}
-		return file.OpenConfig(shardPath(opts.Path, idx, total), cfg)
+		return file.OpenConfig(shardPath(opts.Path, idx, total), opts.fileConfig())
 	default:
 		return file.NewMem(), nil
 	}
@@ -212,7 +211,7 @@ type Tree struct {
 func Open(opts Options) (*Tree, error) {
 	order, sub, nc, cachePages, shards, err := opts.validate()
 	if err != nil {
-		return nil, mapErr(err)
+		return nil, engine.MapErr(err)
 	}
 	router, err := keysub.NewShardRouter(shards)
 	if err != nil {
@@ -220,7 +219,7 @@ func Open(opts Options) (*Tree, error) {
 	}
 	if opts.Path != "" {
 		if err := checkShardLayout(opts.Path, shards); err != nil {
-			return nil, mapErr(err)
+			return nil, engine.MapErr(err)
 		}
 	}
 	// The kick channel must exist before any engine can fire OnEpochAdvance;
@@ -243,7 +242,7 @@ func Open(opts Options) (*Tree, error) {
 		for _, g := range t.shards {
 			g.Close() // engines built so far always own their stores
 		}
-		return nil, mapErr(err)
+		return nil, engine.MapErr(err)
 	}
 	for i := 0; i < shards; i++ {
 		st, err := openShardStore(opts, i, shards)
@@ -534,7 +533,6 @@ func (t *Tree) Stats() (Stats, error) {
 		agg.Cache.Pages += s.Cache.Pages
 		agg.Commits += s.Commits
 		agg.Conflicts += s.Conflicts
-		agg.Retries += s.Retries
 		if s.CipherEpoch > agg.CipherEpoch {
 			agg.CipherEpoch = s.CipherEpoch
 		}
@@ -543,6 +541,7 @@ func (t *Tree) Stats() (Stats, error) {
 		agg.FileBytes += s.FileBytes
 		agg.LiveBytes += s.LiveBytes
 	}
+	agg.Retries = agg.Conflicts
 	return agg, nil
 }
 

@@ -267,7 +267,7 @@ func (g *Engine) Snapshot() (Snapshot, error) {
 // Age reports how many commits have published since this snapshot was
 // pinned — the measure a MaxEpochAge bound cuts off. Lock-free.
 func (s *Snapshot) Age() uint64 {
-	return s.g.es.published.Load() - s.e.pubCount
+	return s.g.es.published.Load() - s.e.seq
 }
 
 // Iter returns an in-order iterator over the snapshot, stopping before
@@ -299,7 +299,6 @@ type Stats struct {
 	Cache     CacheStats
 	Commits   uint64
 	Conflicts uint64
-	Retries   uint64
 
 	// Cipher-lifecycle counters.
 	CipherEpoch        uint32 // key epoch new seals are issued under
@@ -330,7 +329,6 @@ func (g *Engine) Stats() (Stats, error) {
 		Commits:   g.commits.Load(),
 		Conflicts: g.conflicts.Load(),
 	}
-	out.Retries = out.Conflicts // a conflict is the one cause of a re-execution
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {
 		return Stats{}, MapErr(err)

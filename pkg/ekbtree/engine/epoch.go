@@ -42,11 +42,6 @@ type epoch struct {
 	touched []uint64
 	next    atomic.Pointer[epoch]
 	refs    int // pinning readers; guarded by epochs.mu
-	// pubCount is the value of epochs.published when this epoch was published
-	// (0 for the seed epoch). The difference between the chain's current
-	// published counter and an epoch's pubCount is the number of commits that
-	// landed after it — the "age" a pinned snapshot reports.
-	pubCount uint64
 }
 
 // lookupUndo resolves page id as of this epoch against the undo overlays of
@@ -109,8 +104,10 @@ type epochs struct {
 	tail    *epoch // newest linked epoch (== current unless commits are in flight or failed)
 	head    *epoch // oldest epoch that may still have pinned readers
 	closed  atomic.Bool
-	// published counts successfully published epochs since open. Monotonic;
-	// read lock-free by Snapshot.Age.
+	// published is current's seq. Epochs publish in seq order and none after
+	// a failure, so it also counts the commits published since open, and an
+	// epoch's seq is the count when it was published. Read lock-free by
+	// Snapshot.Age.
 	published atomic.Uint64
 }
 
@@ -214,7 +211,7 @@ func (es *epochs) finalize(e *epoch, tx *writeTxn, err error) error {
 		return es.err
 	}
 	e.io.promoteTxn(tx.pages)
-	e.pubCount = es.published.Add(1)
+	es.published.Store(e.seq)
 	es.current = e
 	es.reclaimLocked()
 	return nil

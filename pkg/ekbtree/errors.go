@@ -64,7 +64,3 @@ var (
 	// calling Tree.AdvanceEpoch.
 	ErrSealsExhausted = engine.ErrSealsExhausted
 )
-
-// mapErr translates internal-layer errors into the façade's sentinel
-// taxonomy. Errors already carrying a façade sentinel pass through untouched.
-func mapErr(err error) error { return engine.MapErr(err) }

@@ -2,7 +2,6 @@ package ekbtree
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/keysub"
@@ -27,9 +26,8 @@ const (
 	// while a flush is in progress coalesce and share its two fsyncs.
 	DurabilityFull = file.Full
 	// DurabilityGrouped acknowledges commits as soon as they are applied in
-	// memory; the store flushes the accumulated group within
-	// Options.GroupWindow. A crash loses at most the last window of
-	// acknowledged writes.
+	// memory; the store flushes the accumulated group within 2ms. A crash
+	// loses at most the last window of acknowledged writes.
 	DurabilityGrouped = file.Grouped
 	// DurabilityAsync acknowledges commits immediately and flushes only on
 	// Tree.Sync, Close, or memory backpressure. After Sync returns,
@@ -77,19 +75,14 @@ type Options struct {
 	// without Path is invalid. With multiple shards every shard store gets
 	// its own group-commit pipeline in this mode.
 	Durability Durability
-	// GroupWindow bounds how long a DurabilityGrouped commit may sit
-	// unflushed; zero means the store default (2ms). Setting it with any
-	// other durability mode, or without Path, is invalid.
-	GroupWindow time.Duration
 	// MaxUnflushed bounds the bytes of acknowledged-but-unflushed commit
-	// payload a Path store may accumulate per commit group. At the bound,
-	// new commits BLOCK until the pending group flushes (Grouped mode waits
-	// for its window; Async starts a background flush) instead of growing
-	// the overlay or forcing an early mid-window flush. Because one full
-	// group can be mid-flush while the next fills, total unflushed memory
-	// can reach roughly twice this bound. Zero means the store default
-	// (4MB); negative, or setting it without Path, is invalid. The bound is
-	// per shard store.
+	// payload a Path store may accumulate per commit group. At the bound the
+	// store flushes the pending group at once, in every durability mode, and
+	// new commits BLOCK until it has flushed instead of growing the overlay.
+	// Because one full group can be mid-flush while the next fills, total
+	// unflushed memory can reach roughly twice this bound. Zero means the
+	// store default (4MB); negative, or setting it without Path, is invalid.
+	// The bound is per shard store.
 	MaxUnflushed int
 	// CachePages caps the decoded-node cache that serves repeated reads and
 	// batch staging, PER SHARD. Zero means DefaultCachePages; negative
@@ -149,6 +142,11 @@ const MaxShards = 256
 // DefaultCachePages re-exports the engine's default decoded-node cache size.
 const DefaultCachePages = engine.DefaultCachePages
 
+// fileConfig is the pipeline configuration a Path tree's stores open with.
+func (o Options) fileConfig() file.Config {
+	return file.Config{Durability: o.Durability, MaxUnflushed: o.MaxUnflushed}
+}
+
 // validate checks opts and resolves the non-store layers, returning the
 // effective order, substituter, cipher, cache size, and shard count. All
 // validation of an Options value is consolidated here; errors wrap
@@ -180,22 +178,11 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 			nc = derived.Cipher
 		}
 	}
-	switch o.Durability {
-	case DurabilityFull, DurabilityGrouped, DurabilityAsync:
-	default:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: unknown durability mode %d", ErrInvalidOptions, int(o.Durability))
+	if o.Path == "" && (o.Durability != DurabilityFull || o.MaxUnflushed != 0) {
+		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Durability and MaxUnflushed apply only to Path stores", ErrInvalidOptions)
 	}
-	if o.Path == "" && (o.Durability != DurabilityFull || o.GroupWindow != 0 || o.MaxUnflushed != 0) {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Durability, GroupWindow, and MaxUnflushed apply only to Path stores", ErrInvalidOptions)
-	}
-	if o.GroupWindow < 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative GroupWindow", ErrInvalidOptions)
-	}
-	if o.GroupWindow != 0 && o.Durability != DurabilityGrouped {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: GroupWindow applies only to DurabilityGrouped", ErrInvalidOptions)
-	}
-	if o.MaxUnflushed < 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative MaxUnflushed", ErrInvalidOptions)
+	if err := o.fileConfig().Validate(); err != nil {
+		return 0, nil, nil, 0, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
 	if o.Store != nil && o.Path != "" {
 		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Store and Path are mutually exclusive", ErrInvalidOptions)
