@@ -41,7 +41,7 @@ func BenchmarkPutGet(b *testing.B) {
 				if err := tr.Put(k, value); err != nil {
 					b.Fatal(err)
 				}
-				if _, ok, err := tr.Get(k); err != nil || !ok {
+				if _, ok, err := Lookup(st, st.root, k); err != nil || !ok {
 					b.Fatalf("Get = (%v, %v)", ok, err)
 				}
 			}
@@ -65,7 +65,7 @@ func BenchmarkGet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := tr.Get(keys[i%len(keys)]); err != nil || !ok {
+		if _, ok, err := Lookup(st, st.root, keys[i%len(keys)]); err != nil || !ok {
 			b.Fatalf("Get = (%v, %v)", ok, err)
 		}
 	}

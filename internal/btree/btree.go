@@ -94,19 +94,10 @@ func (tr *Tree) edit(id uint64) (*node.Node, error) {
 
 func (tr *Tree) maxKeys() int { return 2*tr.t - 1 }
 
-// Get returns the value stored under key.
-func (tr *Tree) Get(key []byte) ([]byte, bool, error) {
-	id, err := tr.st.Root()
-	if err != nil {
-		return nil, false, err
-	}
-	return Lookup(tr.st, id, key)
-}
-
 // Lookup searches for key in the tree rooted at rootID, reading pages through
-// r. It is the snapshot-read form of Get: the caller supplies the root of the
-// version it wants to read, and r resolves every page as of that version. The
-// returned value aliases the node buffer; callers copy if they retain it.
+// r: the caller supplies the root of the version it wants to read, and r
+// resolves every page as of that version. The returned value aliases the node
+// buffer; callers copy if they retain it.
 func Lookup(r Reader, rootID uint64, key []byte) ([]byte, bool, error) {
 	if rootID == store.NoRoot {
 		return nil, false, nil
@@ -570,17 +561,7 @@ type Stats struct {
 	Height int
 }
 
-// Stats walks the whole tree; it is O(nodes).
-func (tr *Tree) Stats() (Stats, error) {
-	rootID, err := tr.st.Root()
-	if err != nil {
-		return Stats{}, err
-	}
-	return StatsIn(tr.st, rootID)
-}
-
-// StatsIn is the snapshot-read form of Stats, walking the tree rooted at
-// rootID through r.
+// StatsIn walks the whole tree rooted at rootID through r; it is O(nodes).
 func StatsIn(r Reader, rootID uint64) (Stats, error) {
 	var s Stats
 	if rootID == store.NoRoot {

@@ -160,7 +160,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestEmptyTree(t *testing.T) {
 	tr, st := newTestTree(t, 2)
-	if _, ok, err := tr.Get([]byte("missing")); err != nil || ok {
+	if _, ok, err := Lookup(st, st.root, []byte("missing")); err != nil || ok {
 		t.Errorf("Get on empty = (%v, %v)", ok, err)
 	}
 	if ok, err := tr.Delete([]byte("missing")); err != nil || ok {
@@ -169,7 +169,7 @@ func TestEmptyTree(t *testing.T) {
 	if got := iterCollect(t, NewIter(st, st.root, nil), nil); len(got) != 0 {
 		t.Errorf("iterator over empty tree yielded %d entries", len(got))
 	}
-	s, err := tr.Stats()
+	s, err := StatsIn(st, st.root)
 	if err != nil || s != (Stats{}) {
 		t.Errorf("Stats = (%+v, %v)", s, err)
 	}
@@ -189,15 +189,15 @@ func TestPutGetAcrossDegrees(t *testing.T) {
 			}
 			checkInvariants(t, tr, st)
 			for i := 0; i < n; i++ {
-				v, ok, err := tr.Get(key(i))
+				v, ok, err := Lookup(st, st.root, key(i))
 				if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
 					t.Fatalf("Get(%d) = (%q, %v, %v)", i, v, ok, err)
 				}
 			}
-			if _, ok, _ := tr.Get(key(n + 1)); ok {
+			if _, ok, _ := Lookup(st, st.root, key(n+1)); ok {
 				t.Error("Get of absent key reported present")
 			}
-			s, _ := tr.Stats()
+			s, _ := StatsIn(st, st.root)
 			if s.Keys != n {
 				t.Errorf("Stats.Keys = %d, want %d", s.Keys, n)
 			}
@@ -218,12 +218,12 @@ func TestPutOverwrites(t *testing.T) {
 		}
 	}
 	checkInvariants(t, tr, st)
-	s, _ := tr.Stats()
+	s, _ := StatsIn(st, st.root)
 	if s.Keys != 100 {
 		t.Fatalf("Stats.Keys = %d after overwrites, want 100", s.Keys)
 	}
 	for i := 0; i < 100; i++ {
-		if v, _, _ := tr.Get(key(i)); string(v) != "new" {
+		if v, _, _ := Lookup(st, st.root, key(i)); string(v) != "new" {
 			t.Fatalf("Get(%d) = %q, want new", i, v)
 		}
 	}
@@ -268,7 +268,7 @@ func TestPutIdenticalValueWritesNothing(t *testing.T) {
 	if st.writes == before {
 		t.Fatal("real overwrite issued no write")
 	}
-	if v, _, _ := tr.Get(key(7)); string(v) != "v2" {
+	if v, _, _ := Lookup(st, st.root, key(7)); string(v) != "v2" {
 		t.Fatalf("Get = %q, want v2", v)
 	}
 	checkInvariants(t, tr, st.memNodes)
@@ -379,7 +379,7 @@ func TestRandomizedOps(t *testing.T) {
 					}
 					ref[string(k)] = v
 				case 1: // get
-					v, ok, err := tr.Get(k)
+					v, ok, err := Lookup(st, st.root, k)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -402,11 +402,11 @@ func TestRandomizedOps(t *testing.T) {
 				}
 			}
 			checkInvariants(t, tr, st)
-			if s, _ := tr.Stats(); s.Keys != len(ref) {
+			if s, _ := StatsIn(st, st.root); s.Keys != len(ref) {
 				t.Fatalf("Stats.Keys = %d, want %d", s.Keys, len(ref))
 			}
 			for k, want := range ref {
-				v, ok, _ := tr.Get([]byte(k))
+				v, ok, _ := Lookup(st, st.root, []byte(k))
 				if !ok || string(v) != want {
 					t.Fatalf("final Get(%x) = (%q, %v), want %q", k, v, ok, want)
 				}

@@ -192,7 +192,7 @@ func TestSharedNodesAreNeverAltered(t *testing.T) {
 					}
 					delete(ref, string(k))
 				}
-				if v, ok, err := tr.Get(k); err != nil || ok != (ref[string(k)] != "") || string(v) != ref[string(k)] {
+				if v, ok, err := Lookup(st, st.root, k); err != nil || ok != (ref[string(k)] != "") || string(v) != ref[string(k)] {
 					t.Fatalf("op %d: Get = (%q, %v, %v), want %q", op, v, ok, err, ref[string(k)])
 				}
 				// Checked every op: the next deletion would collapse a root this

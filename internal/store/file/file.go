@@ -258,11 +258,6 @@ type Store struct {
 	done chan struct{} // closed by the committer on exit
 }
 
-// Open opens or creates the page file at path with Full durability.
-func Open(path string) (*Store, error) {
-	return OpenConfig(path, Config{})
-}
-
 // OpenConfig opens or creates the page file at path with the given pipeline
 // configuration. On unix platforms the file is flock'd for exclusive use for
 // the life of the store: a second open of the same path — from this or any
@@ -291,14 +286,10 @@ func OpenConfig(path string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// OpenWith opens a Full-durability store over an already-open backing file,
-// for tests that inject fault-wrapped files. The store takes ownership of f.
-// No file locking is performed; callers own exclusivity.
-func OpenWith(f File) (*Store, error) {
-	return OpenWithConfig(f, Config{})
-}
-
-// OpenWithConfig is OpenWith with an explicit pipeline configuration.
+// OpenWithConfig opens a store over an already-open backing file (an
+// in-memory one, or a fault-wrapped one in tests) with the given pipeline
+// configuration. The store takes ownership of f. No file locking is
+// performed; callers own exclusivity.
 func OpenWithConfig(f File, cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

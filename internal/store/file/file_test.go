@@ -19,7 +19,7 @@ import (
 func openTemp(t *testing.T) (*Store, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "pages.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestFileStoreReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(path)
+	r, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestFileStoreBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("this is not an ekbtree page file at all"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("Open(junk) = %v, want ErrCorrupt", err)
+	if _, err := OpenConfig(path, Config{}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("OpenConfig(junk) = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -183,7 +183,7 @@ func TestFileStoreTornSlotFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	r, err := Open(path)
+	r, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 
 	// Build the pre-commit state: pages 1..6, root at 1, a meta blob, and
 	// some free-list churn so the faulted commit exercises extent reuse.
-	s, err := Open(base)
+	s, err := OpenConfig(base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 	var deferred []logicalState // non-pre states seen before post was known
 	faulttest.Sweep(t, base, faulttest.Plan{Torn: []int{0, 1, 7, halfSlot}, Lose: powerLoss},
 		func(f *faulttest.File) error {
-			fs, err := OpenWith(f)
+			fs, err := OpenWithConfig(f, Config{})
 			if err != nil {
 				t.Fatalf("%s: open with fault file: %v", f, err)
 			}
@@ -348,7 +348,7 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 			return applyBatch(fs)
 		},
 		func(tag, work string, fired bool, cerr error) {
-			re, err := Open(work)
+			re, err := OpenConfig(work, Config{})
 			if err != nil {
 				t.Fatalf("%s: reopen after injected fault: %v", tag, err)
 			}
@@ -405,7 +405,7 @@ func TestCommitAtomicityUnderFaults(t *testing.T) {
 func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "poison.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := OpenWith(counter)
+	ps, err := OpenWithConfig(counter, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenWith(ff)
+	fs, err := OpenWithConfig(ff, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestFailedSlotFlipPoisonsStore(t *testing.T) {
 	// Reopen resolves the ambiguity: the slot write in this scenario did
 	// land, so recovery yields the post-commit state (pre would be equally
 	// legal had the slot not reached the disk) — and the store mutates again.
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestZeroedMagicRepairs(t *testing.T) {
 	}
 	f.Close()
 
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatalf("Open after zeroed magic = %v, want recovery via meta slot", err)
 	}
@@ -524,7 +524,7 @@ func TestZeroedMagicRepairs(t *testing.T) {
 	if string(b[:len(magic)]) != magic {
 		t.Error("magic not repaired on disk")
 	}
-	re2, err := Open(path)
+	re2, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,14 +542,14 @@ func TestZeroedMagicRepairs(t *testing.T) {
 func TestInitCrashLeavesFreshFile(t *testing.T) {
 	faulttest.Sweep(t, "", faulttest.Plan{Torn: []int{0, halfSlot}, Lose: []int{faulttest.KeepAll, 0, 1}},
 		func(f *faulttest.File) error {
-			s, err := OpenWith(f)
+			s, err := OpenWithConfig(f, Config{})
 			if err == nil {
 				s.Close()
 			}
 			return err
 		},
 		func(tag, path string, fired bool, ierr error) {
-			s, err := Open(path)
+			s, err := OpenConfig(path, Config{})
 			if err != nil {
 				t.Fatalf("%s: reopen after init fault: %v", tag, err)
 			}
@@ -626,7 +626,7 @@ func TestTransientFaultFailStops(t *testing.T) {
 		t.Run(leg.name, func(t *testing.T) {
 			dir := t.TempDir()
 			base := filepath.Join(dir, "base.ekb")
-			s, err := Open(base)
+			s, err := OpenConfig(base, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -638,7 +638,7 @@ func TestTransientFaultFailStops(t *testing.T) {
 			// The post-state, from a clean run on a copy.
 			ref := filepath.Join(dir, "ref.ekb")
 			faulttest.Copy(t, base, ref)
-			rs, err := Open(ref)
+			rs, err := OpenConfig(ref, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -660,7 +660,7 @@ func TestTransientFaultFailStops(t *testing.T) {
 			faulttest.Sweep(t, base, plan,
 				func(f *faulttest.File) error {
 					tag := f.String()
-					fs, err := OpenWith(f)
+					fs, err := OpenWithConfig(f, Config{})
 					if err != nil {
 						t.Fatalf("%s: open: %v", tag, err)
 					}
@@ -712,7 +712,7 @@ func TestTransientFaultFailStops(t *testing.T) {
 					if fired == (operr == nil) {
 						t.Fatalf("%s: fault reached = %v, but the call returned %v", tag, fired, operr)
 					}
-					re, err := Open(work)
+					re, err := OpenConfig(work, Config{})
 					if err != nil {
 						t.Fatalf("%s: reopen: %v", tag, err)
 					}

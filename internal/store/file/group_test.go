@@ -91,7 +91,7 @@ func TestConcurrentCommitters(t *testing.T) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			re, err := Open(path)
+			re, err := OpenConfig(path, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestGroupCoalescing(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(path)
+		re, err := OpenConfig(path, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestAsyncCloseFlushes(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +232,11 @@ func TestGroupedWindowFlushes(t *testing.T) {
 // the lock.
 func TestFileStoreLocked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "locked.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); !errors.Is(err, ErrLocked) {
+	if _, err := OpenConfig(path, Config{}); !errors.Is(err, ErrLocked) {
 		t.Fatalf("second Open = %v, want ErrLocked", err)
 	}
 	// The failed open must not have disturbed the locked store.
@@ -247,7 +247,7 @@ func TestFileStoreLocked(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatalf("Open after lock release = %v", err)
 	}
@@ -315,7 +315,7 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 			// Base state: three pages, one of them freed, so the faulted
 			// flushes exercise extent reuse.
 			base := filepath.Join(dir, "base.ekb")
-			s, err := Open(base)
+			s, err := OpenConfig(base, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +447,7 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 					return fs.Close()
 				},
 				func(tag, work string, fired bool, _ error) {
-					re, err := Open(work)
+					re, err := OpenConfig(work, Config{})
 					if err != nil {
 						t.Fatalf("%s: reopen after fault: %v", tag, err)
 					}
@@ -479,7 +479,7 @@ func TestDurabilityModesFaultSweeps(t *testing.T) {
 func TestFailedFlushKeepsAppliedStateReadable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "applied.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,7 +526,7 @@ func TestFailedFlushKeepsAppliedStateReadable(t *testing.T) {
 	fs.Close()
 
 	// Reopen recovers the last durable flush (the failed group lost whole).
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +545,7 @@ func TestFailedFlushKeepsAppliedStateReadable(t *testing.T) {
 func TestCloseReportsFailedFinalFlush(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "closeflush.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,7 @@ func TestGroupPageTable(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(path)
+		re, err := OpenConfig(path, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestAppliedHeaderThroughOverlays(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestSealMarkPersists(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
+	s2, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestSealMarkRidesCommitPipeline(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(path)
+	s2, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func buildGarbage(t *testing.T, s *Store) []uint64 {
 // the logical state bit-identical, and survives a close/reopen.
 func TestVacuumShrinksFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vac.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestVacuumShrinksFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestVacuumShrinksFile(t *testing.T) {
 // coalesces with it into one packing can use.
 func TestVacuumLiftUnsticksFragmentedLayout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vaclift.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func (s *Store) dirLenForTest() uint32 {
 // extent, and the append frontier.
 func TestSpaceMatchesDirectory(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "space.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSpaceMatchesDirectory(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s, err = Open(path); err != nil {
+	if s, err = OpenConfig(path, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
@@ -293,7 +293,7 @@ func TestSpaceMatchesDirectory(t *testing.T) {
 // the pass may stall a directory-sized allowance short of the target.
 func TestVacuumTarget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vactgt.ekb")
-	s, err := Open(path)
+	s, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 func TestVacuumAtomicityUnderFaults(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.ekb")
-	s, err := Open(base)
+	s, err := OpenConfig(base, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 	// slot kept.
 	faulttest.Sweep(t, base, faulttest.Plan{Torn: []int{0, 7, halfSlot}, Lose: []int{faulttest.KeepAll, 2}, Truncates: true},
 		func(f *faulttest.File) error {
-			fs, err := OpenWith(f)
+			fs, err := OpenWithConfig(f, Config{})
 			if err != nil {
 				t.Fatalf("%s: open with fault file: %v", f, err)
 			}
@@ -424,7 +424,7 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 			return fs.Vacuum(0)
 		},
 		func(tag, work string, fired bool, verr error) {
-			re, err := Open(work)
+			re, err := OpenConfig(work, Config{})
 			if err != nil {
 				t.Fatalf("%s: reopen after injected fault: %v", tag, err)
 			}
@@ -539,7 +539,7 @@ func TestVacuumStaleSelectionIsDropped(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(path)
+	re, err := OpenConfig(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestVacuumReadErrorSkipsMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf := &sickReadFile{File: f}
-	s, err := OpenWith(sf)
+	s, err := OpenWithConfig(sf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

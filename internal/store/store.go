@@ -2,8 +2,7 @@
 // engine. A PageStore holds opaque, already-enciphered pages keyed by page ID
 // plus a single root pointer; it never sees node structure, substituted keys,
 // or plaintext. The crash-safe shadow-paged page file in internal/store/file
-// implements it, with the optional Spacer and Vacuumer below, over a file on
-// disk or one held in memory.
+// implements it, over a file on disk or one held in memory.
 package store
 
 import (
@@ -49,10 +48,11 @@ type SealMark struct {
 	Counter uint64
 }
 
-// PageStore stores sealed pages behind ten methods: the reads (ReadPage, Root,
-// Meta, SealMark), Alloc, the header and seal-mark setters (SetMeta,
-// SetSealMark), Sync, Close — and CommitPages, the ONLY way pages, the root
-// pointer and frees ever change.
+// PageStore stores sealed pages behind twelve methods: the reads (ReadPage,
+// Root, Meta, SealMark), Alloc, the header and seal-mark setters (SetMeta,
+// SetSealMark), Sync, Close, the footprint and its compaction (Space,
+// Vacuum) — and CommitPages, the ONLY way pages, the root pointer and frees
+// ever change.
 //
 // Implementations must be safe for concurrent use: the engine above runs
 // lock-free snapshot readers against the store while commits are in flight,
@@ -126,23 +126,22 @@ type PageStore interface {
 	// Close releases resources, flushing any commits the store has accepted
 	// but not yet made durable. The store must not be used afterwards.
 	Close() error
+	Spacer
+	Vacuumer
 }
 
-// Vacuumer is the optional PageStore extension for stores with a physical
-// layout worth compacting. Vacuum relocates live data toward the front of
-// the backing storage and releases the tail, until the footprint is at or
-// below target bytes or no further improvement is possible; it runs
+// Vacuumer is the PageStore's compaction. Vacuum relocates live data toward
+// the front of the backing storage and releases the tail, until the footprint
+// is at or below target bytes or no further improvement is possible; it runs
 // concurrently with reads and commits and never changes the logical state.
-// Stores without reclaimable layout simply don't implement it.
 type Vacuumer interface {
 	Vacuum(target int64) error
 }
 
-// Spacer is the optional PageStore extension reporting the physical
-// footprint: fileBytes is the total backing-storage size, liveBytes the
-// portion referenced by live data. The gap is what a Vacuum could reclaim.
-// Monitors poll it, so an implementation answers from counters it keeps, not
-// by walking its pages.
+// Spacer is the PageStore's physical footprint: fileBytes is the total
+// backing-storage size, liveBytes the portion referenced by live data. The
+// gap is what a Vacuum could reclaim. Monitors poll it, so an implementation
+// answers from counters it keeps, not by walking its pages.
 type Spacer interface {
 	Space() (fileBytes, liveBytes int64)
 }
@@ -150,7 +149,8 @@ type Spacer interface {
 // Mem is an in-memory PageStore that shares none of the file store's code.
 // It stays only because bench/replay.go builds its replay engine on it and
 // bench/ may not change yet; trees and tests use internal/store/file's NewMem.
-// Delete it with ROADMAP item 1, the next time bench/ may be touched.
+// Delete it with ROADMAP item 1, the next time bench/ may be touched. It
+// keeps no backing storage, so it reports no footprint and vacuums nothing.
 type Mem struct {
 	mu     sync.RWMutex
 	pages  map[uint64][]byte
@@ -273,6 +273,10 @@ func (m *Mem) Close() error {
 	m.pages = nil
 	return nil
 }
+
+func (m *Mem) Space() (fileBytes, liveBytes int64) { return 0, 0 }
+
+func (m *Mem) Vacuum(target int64) error { return nil }
 
 // Len returns the number of live pages.
 func (m *Mem) Len() int {

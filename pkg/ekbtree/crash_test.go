@@ -108,7 +108,7 @@ func TestTreeCrashAtEveryFileOp(t *testing.T) {
 			// Base: a tree some epochs old, closed with nothing left to re-seal.
 			base := filepath.Join(t.TempDir(), "base.ekb")
 			baseRec := newNonceRecorder(t, cipherKey)
-			bst, err := file.Open(base)
+			bst, err := file.OpenConfig(base, file.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +133,7 @@ func TestTreeCrashAtEveryFileOp(t *testing.T) {
 				s.model(m)
 				models = append(models, m)
 			}
-			bst, err = file.Open(base)
+			bst, err = file.OpenConfig(base, file.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestTreeCrashAtEveryFileOp(t *testing.T) {
 					rec = newNonceRecorder(t, cipherKey)
 					maps.Copy(rec.seen, baseRec.seen)
 					acked, epoch = 0, baseMark.Epoch
-					st, err := file.OpenWith(f)
+					st, err := file.OpenWithConfig(f, file.Config{})
 					if err != nil {
 						return err
 					}
@@ -181,7 +181,7 @@ func TestTreeCrashAtEveryFileOp(t *testing.T) {
 					if !fired && (runErr != nil || acked != len(steps)) {
 						t.Fatalf("%s: no fault was reached, yet %d of %d steps ran: %v", tag, acked, len(steps), runErr)
 					}
-					st, err := file.Open(path)
+					st, err := file.OpenConfig(path, file.Config{})
 					if err != nil {
 						t.Fatalf("%s: reopen the page file: %v", tag, err)
 					}

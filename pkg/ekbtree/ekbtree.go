@@ -88,6 +88,10 @@ var testDefaultShards = 1
 // CacheStats describes decoded-node cache traffic; see engine.CacheStats.
 type CacheStats = engine.CacheStats
 
+// Stats describes the tree: shape, cache traffic, commit-pipeline and
+// cipher-lifecycle counters, and footprint; see engine.Stats.
+type Stats = engine.Stats
+
 // deriveKey computes a labeled subkey of master, so the substitution secret
 // and the encipherment key are cryptographically independent.
 func deriveKey(master []byte, label string) []byte {
@@ -453,96 +457,21 @@ func (t *Tree) cursorScan(c *Cursor, fn func(subKey, value []byte) bool) error {
 	return c.Err()
 }
 
-// Stats describes the tree: shape (key count, node count, height),
-// decoded-node cache traffic, and commit-pipeline contention counters since
-// Open. For a sharded tree the counts and counters are SUMS across shards,
-// Height is the maximum shard height, and Shards is the shard count; each
-// shard's shape is observed against its own pinned epoch, so per-shard
-// figures are individually consistent but the sum is not one cross-shard
-// point in time.
-//
-// The json tags are the stable wire shape ekbtreed's Stats op emits and its
-// clients decode. The omitempty fields are the counters added after the
-// first release: left out when zero, so a parser older than a counter sees
-// the shape it always did (Shards is zero only on a hand-built value).
-type Stats struct {
-	// Keys is the number of live entries.
-	Keys int `json:"keys"`
-	// Nodes is the number of B-tree pages.
-	Nodes int `json:"nodes"`
-	// Height is the tree height in levels (0 for an empty tree); for a
-	// sharded tree, the tallest shard's height.
-	Height int `json:"height"`
-	// Cache counts decoded-node cache hits, misses, and evictions (a clock
-	// over per-page reference counts, index nodes weighted over leaves),
-	// summed across shards.
-	Cache CacheStats `json:"cache"`
-	// Commits is the number of successfully published commit epochs. No-op
-	// mutations (e.g. deleting an absent key) publish nothing and are not
-	// counted. A sharded Batch.Commit counts once per shard it touched.
-	Commits uint64 `json:"commits"`
-	// Conflicts is the number of optimistic commit attempts discarded because
-	// a concurrent commit invalidated the attempt's read-set. Conflicts are
-	// retried internally; callers never observe them as errors.
-	Conflicts uint64 `json:"conflicts"`
-	// Retries is the number of mutation re-executions. A conflict is the one
-	// cause of a re-execution, so it equals Conflicts; a lone writer never
-	// retries.
-	Retries uint64 `json:"retries"`
-	// Shards is the number of shards (1 for an unsharded tree).
-	Shards int `json:"shards,omitempty"`
-	// CipherEpoch is the newest key epoch any shard is sealing under (the
-	// maximum across shards; shards rotate independently).
-	CipherEpoch uint32 `json:"cipher_epoch,omitempty"`
-	// Seals is the number of page seals issued within each shard's current
-	// epoch, summed across shards. It resets to zero as epochs advance.
-	Seals uint64 `json:"seals,omitempty"`
-	// PagesPendingReseal is the number of live pages still sealed under an
-	// epoch older than their shard's current one, summed across shards —
-	// the backlog the background rotator is draining. Zero once rotation
-	// has converged.
-	PagesPendingReseal int `json:"pages_pending_reseal,omitempty"`
-	// FileBytes is the total backing-file size, summed across shards.
-	FileBytes int64 `json:"file_bytes,omitempty"`
-	// LiveBytes is the portion of FileBytes referenced by live pages and
-	// store metadata, summed across shards. FileBytes - LiveBytes is the
-	// garbage a Vacuum could reclaim.
-	LiveBytes int64 `json:"live_bytes,omitempty"`
-}
-
 // Stats reports tree shape, cache counters, and commit-pipeline counters,
-// aggregated across shards. The shape walk is O(nodes) and runs against a
-// pinned epoch per shard, so it observes one consistent version of each
-// shard and never blocks (or is blocked by) writers. The counters are
+// folded across shards (Stats.Add). The shape walk is O(nodes) and runs
+// against a pinned epoch per shard, so it observes one consistent version of
+// each shard and never blocks (or is blocked by) writers. The counters are
 // monotonic for the lifetime of the handle.
 func (t *Tree) Stats() (Stats, error) {
-	agg := Stats{Shards: len(t.shards)}
+	var sum Stats
 	for _, g := range t.shards {
 		s, err := g.Stats()
 		if err != nil {
 			return Stats{}, err
 		}
-		agg.Keys += s.Keys
-		agg.Nodes += s.Nodes
-		if s.Height > agg.Height {
-			agg.Height = s.Height
-		}
-		agg.Cache.Hits += s.Cache.Hits
-		agg.Cache.Misses += s.Cache.Misses
-		agg.Cache.Evictions += s.Cache.Evictions
-		agg.Cache.Pages += s.Cache.Pages
-		agg.Commits += s.Commits
-		agg.Conflicts += s.Conflicts
-		if s.CipherEpoch > agg.CipherEpoch {
-			agg.CipherEpoch = s.CipherEpoch
-		}
-		agg.Seals += s.Seals
-		agg.PagesPendingReseal += s.PagesPendingReseal
-		agg.FileBytes += s.FileBytes
-		agg.LiveBytes += s.LiveBytes
+		sum.Add(s)
 	}
-	agg.Retries = agg.Conflicts
-	return agg, nil
+	return sum, nil
 }
 
 // Space reports the physical footprint alone, summed across shards: the

@@ -289,30 +289,11 @@ func (s *Snapshot) Close() {
 	s.g.es.release(s.e)
 }
 
-// Stats describes one shard: shape (key count, node count, height),
-// decoded-node cache traffic, and commit-pipeline contention counters since
-// open.
-type Stats struct {
-	Keys      int
-	Nodes     int
-	Height    int
-	Cache     CacheStats
-	Commits   uint64
-	Conflicts uint64
-
-	// Cipher-lifecycle counters.
-	CipherEpoch        uint32 // key epoch new seals are issued under
-	Seals              uint64 // counters issued within the current epoch
-	PagesPendingReseal int    // live pages still sealed under an older epoch
-
-	// Physical-footprint gauges; zero when the store doesn't report space.
-	FileBytes int64 // backing-file size
-	LiveBytes int64 // bytes referenced by live pages and metadata
-}
-
-// Stats reports shard shape, cache counters, and commit-pipeline counters.
-// The shape walk is O(nodes) and runs against a pinned epoch, so it observes
-// one consistent version and never blocks (or is blocked by) writers.
+// Stats reports the shard's shape, cache counters, and commit-pipeline
+// counters, as one shard of a tree: Shards is 1 and Retries equals
+// Conflicts, so Stats.Add sums shards into the tree's figures. The shape walk
+// is O(nodes) and runs against a pinned epoch, so it observes one consistent
+// version and never blocks (or is blocked by) writers.
 func (g *Engine) Stats() (Stats, error) {
 	e, err := g.es.pin()
 	if err != nil {
@@ -328,7 +309,9 @@ func (g *Engine) Stats() (Stats, error) {
 		Cache:     g.io.cacheStats(),
 		Commits:   g.commits.Load(),
 		Conflicts: g.conflicts.Load(),
+		Shards:    1,
 	}
+	out.Retries = out.Conflicts
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {
 		return Stats{}, MapErr(err)
@@ -337,29 +320,22 @@ func (g *Engine) Stats() (Stats, error) {
 	return out, nil
 }
 
-// Space reports the shard's physical footprint when the store measures one
-// (store.Spacer); stores without a physical layout report zeros.
+// Space reports the shard's physical footprint; zeros once closed.
 func (g *Engine) Space() (fileBytes, liveBytes int64) {
-	if sp, ok := g.st.(store.Spacer); ok && !g.es.isClosed() {
-		return sp.Space()
+	if g.es.isClosed() {
+		return 0, 0
 	}
-	return 0, 0
+	return g.st.Space()
 }
 
-// Vacuum compacts the shard's backing store toward target bytes when the
-// store supports it (store.Vacuumer); for stores without reclaimable layout
-// it is a no-op. It runs concurrently with reads and writes — relocations
-// ride the store's ordinary commit pipeline — and never changes tree
-// contents.
+// Vacuum compacts the shard's backing store toward target bytes. It runs
+// concurrently with reads and writes — relocations ride the store's ordinary
+// commit pipeline — and never changes tree contents.
 func (g *Engine) Vacuum(target int64) error {
 	if g.es.isClosed() {
 		return ErrClosed
 	}
-	v, ok := g.st.(store.Vacuumer)
-	if !ok {
-		return nil
-	}
-	return MapErr(v.Vacuum(target))
+	return MapErr(g.st.Vacuum(target))
 }
 
 // Sync blocks until every write acknowledged before the call is durable on

@@ -38,7 +38,7 @@ func TestRotationCommitAtomicityUnderFaults(t *testing.T) {
 	keyAt := func(i int) []byte { return []byte(fmt.Sprintf("rot-key-%04d", i)) }
 	valAt := func(i int) []byte { return []byte(fmt.Sprintf("rot-val-%d", i)) }
 	{
-		st, err := file.Open(base)
+		st, err := file.OpenConfig(base, file.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestRotationCommitAtomicityUnderFaults(t *testing.T) {
 		}
 	}
 	preMark := func() uint64 {
-		st, err := file.Open(base)
+		st, err := file.OpenConfig(base, file.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestRotationCommitAtomicityUnderFaults(t *testing.T) {
 	// few-byte tears — all inside a slot's zero high txid bytes — never do.
 	faulttest.Sweep(t, base, faulttest.Plan{Torn: []int{0, 1, 7, 24}, Lose: []int{faulttest.KeepAll, 0, 1, 2}},
 		func(f *faulttest.File) error {
-			fst, err := file.OpenWith(f)
+			fst, err := file.OpenWithConfig(f, file.Config{})
 			if err != nil {
 				t.Fatalf("%s: open with fault file: %v", f, err)
 			}
@@ -116,7 +116,7 @@ func TestRotationCommitAtomicityUnderFaults(t *testing.T) {
 			// Reopen the survivor: the tree must be fully readable with the
 			// original content, the durable mark must not have regressed, and
 			// a retried rotation must converge.
-			re, err := file.Open(work)
+			re, err := file.OpenConfig(work, file.Config{})
 			if err != nil {
 				t.Fatalf("%s: reopen after injected fault: %v", tag, err)
 			}

@@ -51,7 +51,7 @@ func TestSealReservationDoesNotFlush(t *testing.T) {
 	if err := g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := file.Open(path)
+	re, err := file.OpenConfig(path, file.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func (r *pageRecorder) SealEpoch(pageID uint64, epoch uint32, counter uint64, pt
 func TestSealMarkPrecedesPagesUnderFaults(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "base.ekb")
 	{
-		st, err := file.Open(base)
+		st, err := file.OpenConfig(base, file.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestSealMarkPrecedesPagesUnderFaults(t *testing.T) {
 			if !fired && runErr != nil {
 				t.Fatalf("%s: no fault was reached, yet the run failed: %v", tag, runErr)
 			}
-			st, err := file.Open(path)
+			st, err := file.OpenConfig(path, file.Config{})
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", tag, err)
 			}

@@ -153,7 +153,7 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 				var inner store.PageStore = file.NewMem()
 				path := filepath.Join(t.TempDir(), "faults.ekb")
 				if backend == "file" {
-					st, err := file.Open(path)
+					st, err := file.OpenConfig(path, file.Config{})
 					if err != nil {
 						t.Fatal(err)
 					}

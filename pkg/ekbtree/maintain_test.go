@@ -9,18 +9,17 @@ import (
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/store"
-	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
-// vacuumCountingStore is a file store that counts the vacuum passes run on it.
+// vacuumCountingStore is a page store that counts the vacuum passes run on it.
 type vacuumCountingStore struct {
-	*file.Store
+	store.PageStore
 	passes *atomic.Int64
 }
 
 func (s vacuumCountingStore) Vacuum(target int64) error {
 	s.passes.Add(1)
-	return s.Store.Vacuum(target)
+	return s.PageStore.Vacuum(target)
 }
 
 // TestAutoVacuum: a sharded Path tree with Options.AutoVacuum compacts its
@@ -42,7 +41,7 @@ func TestAutoVacuum(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return vacuumCountingStore{st.(*file.Store), &passes}, nil
+			return vacuumCountingStore{st, &passes}, nil
 		}
 		return mustOpen(t, Options{
 			MasterKey: bytes.Repeat([]byte{0xA7}, 32), Path: path,

@@ -53,8 +53,7 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-// countingStore counts ReadPage calls, to pin down descent behavior, over a
-// file store whose footprint it still reports.
+// countingStore counts ReadPage calls, to pin down descent behavior.
 type countingStore struct {
 	store.PageStore
 	reads atomic.Int64
@@ -65,10 +64,6 @@ func (cs *countingStore) ReadPage(id uint64) ([]byte, error) {
 	return cs.PageStore.ReadPage(id)
 }
 
-func (cs *countingStore) Space() (fileBytes, liveBytes int64) {
-	return cs.PageStore.(store.Spacer).Space()
-}
-
 // TestSpaceReadsNoPages pins what lets a monitor (the tree's own auto-vacuum
 // check) poll the footprint: on a cold 5 000-key tree Space reads no page and
 // moves no cache counter, where Stats — which reports the same two figures —
@@ -76,7 +71,7 @@ func (cs *countingStore) Space() (fileBytes, liveBytes int64) {
 func TestSpaceReadsNoPages(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "space.ekb")
 	open := func() (*Tree, *countingStore) {
-		fs, err := file.Open(path)
+		fs, err := file.OpenConfig(path, file.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

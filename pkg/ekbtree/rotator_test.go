@@ -50,7 +50,7 @@ func TestRotatorBacksOffOnPersistentFailure(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(t.TempDir(), "rot.ekb")
 			open := func(o Options) (*Tree, *refusingStore) {
-				fs, err := file.Open(path)
+				fs, err := file.OpenConfig(path, file.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}

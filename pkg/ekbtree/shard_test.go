@@ -369,6 +369,80 @@ func TestShardedBatchSpansShards(t *testing.T) {
 	}
 }
 
+// TestStatsFoldsShards pins how Tree.Stats folds its shards' Engine.Stats:
+// every field is the sum but Height and CipherEpoch, which are the maximum,
+// and each shard counts itself in Shards and its conflicts in Retries. Two
+// shards move to later key epochs, so a sum and a maximum differ there too.
+func TestStatsFoldsShards(t *testing.T) {
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x59}, 32), Order: 8, Shards: 3})
+	defer tr.Close()
+	// No rotation may re-seal the advanced epochs between the reads below.
+	tr.stopMaintain()
+	put := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := tr.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 300)
+	for _, adv := range []struct{ shard, times int }{{1, 2}, {2, 1}} {
+		for i := 0; i < adv.times; i++ {
+			if err := tr.shards[adv.shard].AdvanceEpoch(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(300, 310) // a few seals under the new epochs, most pages left stale
+
+	// Each Stats call moves a shard's cache counters by the same amount, the
+	// cached pages its walks read, so the fold's own call lands one such step
+	// past the second of the two calls taken here.
+	var want Stats
+	for i, g := range tr.shards {
+		first, err := g.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := g.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Keys == 0 || s.Shards != 1 || s.Retries != s.Conflicts {
+			t.Fatalf("shard %d: %s, want keys, Shards 1 and Retries == Conflicts", i, s)
+		}
+		s.Cache.Hits += s.Cache.Hits - first.Cache.Hits
+		s.Cache.Misses += s.Cache.Misses - first.Cache.Misses
+		s.Cache.Evictions += s.Cache.Evictions - first.Cache.Evictions
+		want.Keys += s.Keys
+		want.Nodes += s.Nodes
+		want.Height = max(want.Height, s.Height)
+		want.Cache.Hits += s.Cache.Hits
+		want.Cache.Misses += s.Cache.Misses
+		want.Cache.Evictions += s.Cache.Evictions
+		want.Cache.Pages += s.Cache.Pages
+		want.Commits += s.Commits
+		want.Conflicts += s.Conflicts
+		want.Retries += s.Retries
+		want.Shards += s.Shards
+		want.CipherEpoch = max(want.CipherEpoch, s.CipherEpoch)
+		want.Seals += s.Seals
+		want.PagesPendingReseal += s.PagesPendingReseal
+		want.FileBytes += s.FileBytes
+		want.LiveBytes += s.LiveBytes
+	}
+	got, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Tree.Stats = %s\nfolded by hand %s", got, want)
+	}
+	if got.Shards != 3 || got.Retries != got.Conflicts || got.CipherEpoch != 2 || got.PagesPendingReseal == 0 {
+		t.Fatalf("Tree.Stats = %s, want shards=3, retries == conflicts, epoch 2 and pages pending re-seal", got)
+	}
+}
+
 // TestCursorAcrossShards drives the cursor over the layouts where reading the
 // shards one after another could go wrong: empty shards at the front, in a
 // run in the middle and at the back (the cursor has to move past them, not

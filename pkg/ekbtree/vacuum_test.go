@@ -125,7 +125,21 @@ func TestTreeVacuum(t *testing.T) {
 // file store over a page file in memory, so it has the footprint, the
 // garbage and the vacuum a Path tree has.
 func TestMemoryTreeHasAPageFile(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x44}, 32)})
+	checkFootprintAndVacuum(t, Options{MasterKey: bytes.Repeat([]byte{0x44}, 32)})
+}
+
+// TestWrappedStoreKeepsSpaceAndVacuum: a wrapper that embeds the PageStore it
+// decorates, as the tests' doubles do, forwards the footprint and the vacuum
+// of the store inside, because both are PageStore methods.
+func TestWrappedStoreKeepsSpaceAndVacuum(t *testing.T) {
+	checkFootprintAndVacuum(t, Options{MasterKey: bytes.Repeat([]byte{0x44}, 32), Store: newGateStore()})
+}
+
+// checkFootprintAndVacuum churns a tree opened with opts: after a Sync its
+// Stats report FileBytes >= LiveBytes > 0, and Vacuum(0) lowers the file
+// size with every survivor reading back.
+func checkFootprintAndVacuum(t *testing.T, opts Options) {
+	tr := mustOpen(t, opts)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("m%05d", i)) }
 	for i := 0; i < 2000; i++ {
 		if err := tr.Put(key(i), bytes.Repeat([]byte{byte(i)}, 200)); err != nil {

@@ -23,12 +23,13 @@ import (
 // direction, so the client latches that error and returns it from every later
 // call rather than read one request's response as another's. A server *Error
 // or a malformed body leaves the stream aligned and does not latch.
+//
+// The client sets no I/O deadlines of its own. A caller who wants them sets
+// them on the net.Conn it hands to NewClient; a request that outlives one
+// fails in transport like any other.
 type Client struct {
 	nc net.Conn
 	br *bufio.Reader
-	// Per-request I/O deadlines; zero means none. Set via DialConfig.
-	readTimeout  time.Duration
-	writeTimeout time.Duration
 
 	buf []byte // the round trip's frame; dropped once it outgrows maxRetained
 	err error  // the latched transport error
@@ -46,76 +47,26 @@ type Client struct {
 // after its round trip rather than held for the life of the connection.
 const maxRetained = 16 << 10
 
-// DialConfig tunes how DialWithConfig establishes a connection and the I/O
-// deadlines the resulting client applies per request. The zero value means:
-// one dial attempt with defaultDialTimeout, no request deadlines.
-type DialConfig struct {
-	// DialTimeout bounds each connection attempt; zero means
-	// defaultDialTimeout.
-	DialTimeout time.Duration
-	// DialRetries is how many additional attempts follow a failed dial
-	// (total attempts = DialRetries+1). Zero means fail on the first error.
-	DialRetries int
-	// RetryBackoff is the pause before the first retry, doubling per attempt
-	// and capped at maxRetryBackoff; zero means defaultRetryBackoff.
-	RetryBackoff time.Duration
-	// ReadTimeout bounds waiting for each response; zero means no deadline.
-	// A request that outlives it fails with a net timeout error and the
-	// connection is no longer usable (the protocol is synchronous).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds sending each request; zero means no deadline.
-	WriteTimeout time.Duration
-}
+// defaultDialTimeout bounds Dial's connection attempt when its timeout is not
+// positive.
+const defaultDialTimeout = 5 * time.Second
 
-const (
-	defaultDialTimeout  = 5 * time.Second
-	defaultRetryBackoff = 50 * time.Millisecond
-	maxRetryBackoff     = 2 * time.Second
-)
-
-// Dial connects to an ekbtreed server with a single attempt and no request
-// deadlines. The returned client is connected but not yet authenticated; call
-// Handshake next.
+// Dial connects to an ekbtreed server with one attempt, bounded by timeout
+// (defaultDialTimeout when timeout <= 0). The returned client is connected but
+// not yet authenticated; call Handshake next.
 func Dial(addr string, timeout time.Duration) (*Client, error) {
-	return DialWithConfig(addr, DialConfig{DialTimeout: timeout})
+	if timeout <= 0 {
+		timeout = defaultDialTimeout
+	}
+	nc, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return NewClient(nc), nil
 }
 
-// DialWithConfig connects to an ekbtreed server, retrying failed dials with
-// bounded exponential backoff per cfg, and arms the client's per-request I/O
-// deadlines. The returned client is connected but not yet authenticated; call
-// Handshake next.
-func DialWithConfig(addr string, cfg DialConfig) (*Client, error) {
-	dialTimeout := cfg.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = defaultDialTimeout
-	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		nc, err := net.DialTimeout("tcp", addr, dialTimeout)
-		if err == nil {
-			c := NewClient(nc)
-			c.readTimeout = cfg.ReadTimeout
-			c.writeTimeout = cfg.WriteTimeout
-			return c, nil
-		}
-		lastErr = err
-		if attempt >= cfg.DialRetries {
-			return nil, lastErr
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-		if backoff > maxRetryBackoff {
-			backoff = maxRetryBackoff
-		}
-	}
-}
-
-// NewClient wraps an established connection (useful for tests and custom
-// transports).
+// NewClient wraps an established connection: one with I/O deadlines the
+// caller set, or a custom transport.
 func NewClient(nc net.Conn) *Client {
 	return &Client{nc: nc, br: bufio.NewReader(nc)}
 }
@@ -124,9 +75,8 @@ func NewClient(nc net.Conn) *Client {
 // cursor the connection still holds.
 func (c *Client) Close() error { return c.nc.Close() }
 
-// do sends one request and returns the OK body of its response, applying the
-// client's per-request deadlines around the write and the response read. The
-// body aliases the client's buffer: it is valid until the next call.
+// do sends one request and returns the OK body of its response. The body
+// aliases the client's buffer: it is valid until the next call.
 func (c *Client) do(req Request) ([]byte, error) {
 	if c.err != nil {
 		return nil, c.err
@@ -152,18 +102,8 @@ func (c *Client) do(req Request) ([]byte, error) {
 // roundTrip writes the request frame in c.buf and reads the response frame
 // back into it.
 func (c *Client) roundTrip() error {
-	if c.writeTimeout > 0 {
-		if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-			return err
-		}
-	}
 	if _, err := c.nc.Write(c.buf); err != nil {
 		return err
-	}
-	if c.readTimeout > 0 {
-		if err := c.nc.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return err
-		}
 	}
 	var err error
 	c.buf, err = ReadFrameInto(c.br, c.buf, MaxFrame)

@@ -12,131 +12,6 @@ import (
 	"github.com/paper-repro/ekbtree/internal/israce"
 )
 
-// TestDialRetryConnectsToLateListener covers the reconnect loop: the listener
-// only starts a few backoff periods after the first dial attempt, and
-// DialWithConfig keeps retrying until it lands.
-func TestDialRetryConnectsToLateListener(t *testing.T) {
-	// Reserve a port, then release it so the first attempts are refused.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	accepted := make(chan struct{})
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		late, err := net.Listen("tcp", addr)
-		if err != nil {
-			return // port stolen between release and rebind; the dial will fail the test
-		}
-		defer late.Close()
-		if nc, err := late.Accept(); err == nil {
-			nc.Close()
-			close(accepted)
-		}
-	}()
-
-	c, err := DialWithConfig(addr, DialConfig{
-		DialTimeout:  time.Second,
-		DialRetries:  50,
-		RetryBackoff: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("dial never reached the late listener: %v", err)
-	}
-	c.Close()
-	select {
-	case <-accepted:
-	case <-time.After(5 * time.Second):
-		t.Fatal("listener never observed the accepted connection")
-	}
-}
-
-// TestDialRetryExhaustionReturnsLastError covers the bounded side: a dead
-// address with N retries fails after N+1 attempts with the dial error, and the
-// elapsed time shows the backoff pauses actually happened.
-func TestDialRetryExhaustionReturnsLastError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	start := time.Now()
-	_, err = DialWithConfig(addr, DialConfig{
-		DialTimeout:  time.Second,
-		DialRetries:  3,
-		RetryBackoff: 30 * time.Millisecond,
-	})
-	if err == nil {
-		t.Fatal("dial to a released port succeeded")
-	}
-	// 3 retries pause 30+60+120 ms; allow generous slack below the exact sum
-	// for coarse timers but catch a loop that never slept.
-	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
-		t.Fatalf("4 attempts finished in %v; backoff pauses were skipped", elapsed)
-	}
-}
-
-// TestReadTimeoutFailsStalledRequest covers the per-request read deadline: a
-// server that swallows the request and never responds must not hang the
-// client forever.
-func TestReadTimeoutFailsStalledRequest(t *testing.T) {
-	cliConn, srvConn := net.Pipe()
-	defer srvConn.Close()
-	go func() {
-		// Drain whatever the client writes, reply with nothing.
-		buf := make([]byte, 1024)
-		for {
-			if _, err := srvConn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-
-	c := NewClient(cliConn)
-	c.readTimeout = 100 * time.Millisecond
-	defer c.Close()
-
-	start := time.Now()
-	_, err := c.do(&Hello{Version: ProtocolVersion, Tenant: "t"})
-	if err == nil {
-		t.Fatal("request against a mute server succeeded")
-	}
-	ne, ok := err.(net.Error)
-	if !ok || !ne.Timeout() {
-		t.Fatalf("stalled request failed with %v, want a net timeout", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v, deadline not applied", elapsed)
-	}
-}
-
-// TestWriteTimeoutFailsBlockedSend covers the per-request write deadline
-// against a peer that never reads: the synchronous pipe blocks the send until
-// the deadline fires.
-func TestWriteTimeoutFailsBlockedSend(t *testing.T) {
-	cliConn, srvConn := net.Pipe()
-	defer srvConn.Close()
-	// No reader on srvConn: every write blocks.
-
-	c := NewClient(cliConn)
-	c.writeTimeout = 100 * time.Millisecond
-	defer c.Close()
-
-	_, err := c.do(&Hello{Version: ProtocolVersion, Tenant: "t"})
-	if err == nil {
-		t.Fatal("send to a never-reading server succeeded")
-	}
-	ne, ok := err.(net.Error)
-	if !ok || !ne.Timeout() {
-		t.Fatalf("blocked send failed with %v, want a net timeout", err)
-	}
-}
-
 // TestClientRoundTripAllocs pins the client's share of a round trip: against a
 // responder writing pre-encoded replies, a Get allocates only the value it
 // returns, and the other point calls nothing — the request, its frame and the
@@ -263,20 +138,27 @@ func TestClientLatchesTransportErrors(t *testing.T) {
 		return errors.As(err, &ne) && ne.Timeout() && errors.Is(err, os.ErrDeadlineExceeded)
 	}
 
+	// The deadlines are the caller's, set on the connection it hands to
+	// NewClient.
 	t.Run("read timeout", func(t *testing.T) {
 		ln := listen(t)
 		sent := make(chan struct{}, 2)
 		go serve(ln, 200*time.Millisecond, sent)
-		c, err := DialWithConfig(ln.Addr().String(), DialConfig{ReadTimeout: 100 * time.Millisecond})
+		nc, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := NewClient(nc)
 		defer c.Close()
+		nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 		_, _, first := c.Get([]byte("k1"))
 		if !isTimeout(first) {
 			t.Fatalf("Get(k1) against a slow server = %v, want a deadline error", first)
 		}
 		<-sent // the stale reply to k1 is now on its way
+		// Lifted, so a client that did not latch would read that reply as
+		// k2's answer.
+		nc.SetReadDeadline(time.Time{})
 		v, ok, err := c.Get([]byte("k2"))
 		if err == nil || !errors.Is(err, first) || !isTimeout(err) {
 			t.Fatalf("Get(k2) after the timeout = (%q, %v, %v), want the latched %v", v, ok, err, first)
@@ -302,12 +184,14 @@ func TestClientLatchesTransportErrors(t *testing.T) {
 		defer srv.Close()
 		srv.(*net.TCPConn).SetReadBuffer(16 << 10)
 		c := NewClient(nc)
-		c.writeTimeout = 100 * time.Millisecond
 		defer c.Close()
+		nc.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
 		first := c.Put([]byte("k"), make([]byte, MaxFrame-64))
 		if !isTimeout(first) {
 			t.Fatalf("Put to a peer that never reads = %v, want a deadline error", first)
 		}
+		// The deadline stays: a client that did not latch would append k2's
+		// frame to the half-written one and fail with a fresh timeout.
 		if err := c.Put([]byte("k2"), []byte("v")); !errors.Is(err, first) {
 			t.Fatalf("Put after a half-written frame = %v, want the latched %v", err, first)
 		}
