@@ -63,6 +63,12 @@ lint:
 	@if git grep -nE '\.\(store\.(Spacer|Vacuumer)\)|DialConfig|DialWithConfig' -- '*.go' ':!bench'; then echo "call Space and Vacuum on the PageStore; set deadlines on the net.Conn handed to wire.NewClient"; exit 1; fi
 # One Stats type: the engine's, which the façade aliases and folds over shards.
 	@out="$$(git grep -nE '^type Stats struct \{' -- pkg)"; if [ "$$(wc -l <<< "$$out")" != 1 ] || [[ "$$out" != pkg/ekbtree/engine/* ]]; then echo "$$out"; echo "declare Stats once, in pkg/ekbtree/engine; fold shards with Stats.Add"; exit 1; fi
+# The page is the node: a read path may be handed a view, whose Keys, Values
+# and Children are empty, so it reads a node only through its accessors. The
+# tree's read paths live in iter.go and read.go; the engine caches, seals and
+# scans nodes but never edits one (btree.go edits the copies Edit
+# materialises), so none of its code indexes the fields.
+	@if git grep -nE '\.(Keys|Values|Children)(\[|\)|\.\.\.)|range .*\.(Keys|Values|Children)\b' -- internal/btree/iter.go internal/btree/read.go 'pkg/ekbtree/engine/*.go' ':!*_test.go'; then echo "read a node on a read path through Len, Key, Value, Child and Search; a view's fields are empty"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -79,9 +85,9 @@ test:
 #    the engine's one commit path (failed commits stay invisible, root moves
 #    commit optimistically);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
-#    or an in-place decoder that saw a shared buffer, is a data race only an
-#    overlapping reader shows, and racing commits hand the one recycled
-#    workspace back and forth;
+#    an in-place decoder that saw a shared buffer, or anything that wrote into
+#    a cached view's page, is a data race only an overlapping reader shows,
+#    and racing commits hand the one recycled workspace back and forth;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -91,7 +97,7 @@ race:
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
-	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestTxnPageTable|TestRecycledWorkspaceIsEmpty' ./pkg/ekbtree/engine/
+	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty' ./pkg/ekbtree/engine/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 

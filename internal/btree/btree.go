@@ -18,11 +18,13 @@ import (
 // it by composing node encoding, node encipherment, and a PageStore.
 //
 // Nodes are copy-on-write. The tree never alters a node it got from Read —
-// not a slice element, not a length. Before changing a page it asks for the
-// page's private copy (Editor.Edit), changes that, and hands it to Write; any
-// pointer to the page it took before the Edit is stale afterwards and is
-// re-taken. A node the tree builds itself for a page it just Alloc'd is
-// private from birth.
+// not a slice element, not a length — and reads one only through its
+// accessors (Len, Key, Value, Child, Search), since Read may hand out a view
+// of the page whose Keys, Values and Children are empty. Before changing a
+// page it asks for the page's private, materialised copy (Editor.Edit),
+// changes that through its fields, and hands it to Write; any pointer to the
+// page it took before the Edit is stale afterwards and is re-taken. A node the
+// tree builds itself for a page it just Alloc'd is private from birth.
 //
 // Contract the façade's optimistic concurrency depends on: the tree ALWAYS
 // Reads a page before Editing, Writing or Freeing it (every mutation descends
@@ -43,21 +45,14 @@ type NodeStore interface {
 
 // Editor is the copy-on-write half of the NodeStore contract, implemented by
 // every store whose Read returns nodes SHARED with other readers. Edit returns
-// the caller's private copy of page id: it makes one (remembering the shared
-// original as the page's pre-image) on the first call and returns that same
-// node from every later Edit or Read of id, so it is idempotent within a
-// transaction. A NodeStore without Edit declares that Read already hands out
-// nodes nobody else can see; the tree then mutates those.
+// the caller's private, materialised copy of page id: it makes one
+// (remembering the shared original as the page's pre-image) on the first call
+// and returns that same node from every later Edit or Read of id, so it is
+// idempotent within a transaction. A NodeStore without Edit declares that
+// Read already hands out materialised nodes nobody else can see; the tree
+// then mutates those.
 type Editor interface {
 	Edit(id uint64) (*node.Node, error)
-}
-
-// Reader is the read-only subset of NodeStore. Snapshot readers hand the
-// package-level read functions (Lookup, NewIter, StatsIn) a Reader resolving
-// pages as of a pinned version, together with that version's root, so reads
-// need no access to the mutable tree at all.
-type Reader interface {
-	Read(id uint64) (*node.Node, error)
 }
 
 // MinDegree is the smallest legal minimum degree t: nodes hold at most 2t-1
@@ -94,38 +89,6 @@ func (tr *Tree) edit(id uint64) (*node.Node, error) {
 
 func (tr *Tree) maxKeys() int { return 2*tr.t - 1 }
 
-// Lookup searches for key in the tree rooted at rootID, reading pages through
-// r: the caller supplies the root of the version it wants to read, and r
-// resolves every page as of that version. The returned value aliases the node
-// buffer; callers copy if they retain it.
-func Lookup(r Reader, rootID uint64, key []byte) ([]byte, bool, error) {
-	if rootID == store.NoRoot {
-		return nil, false, nil
-	}
-	n, err := r.Read(rootID)
-	if err != nil {
-		return nil, false, err
-	}
-	return lookupFrom(r, n, key)
-}
-
-// lookupFrom is a read-only descent for key in the subtree rooted at n.
-func lookupFrom(r Reader, n *node.Node, key []byte) ([]byte, bool, error) {
-	for {
-		i, eq := n.Search(key)
-		if eq {
-			return n.Values[i], true, nil
-		}
-		if n.Leaf {
-			return nil, false, nil
-		}
-		var err error
-		if n, err = r.Read(n.Children[i]); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
 // isNoOpPut reports whether key already holds exactly value somewhere in the
 // subtree rooted at n. The insert path checks this before a preemptive split:
 // an overwrite that changes nothing must not restructure (or rewrite) the
@@ -160,7 +123,7 @@ func (tr *Tree) Put(key, value []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(root.Keys) == tr.maxKeys() {
+	if root.Len() == tr.maxKeys() {
 		if noop, err := tr.isNoOpPut(root, key, value); err != nil || noop {
 			return err
 		}
@@ -189,7 +152,7 @@ func (tr *Tree) splitChild(pid uint64, p *node.Node, i int) error {
 		return err
 	}
 	t := tr.t
-	if len(c.Keys) != tr.maxKeys() {
+	if c.Len() != tr.maxKeys() {
 		return fmt.Errorf("btree: splitting non-full node %d", childID)
 	}
 	if c, err = tr.edit(childID); err != nil {
@@ -231,7 +194,7 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 	for {
 		i, eq := n.Search(key)
 		if eq {
-			if bytes.Equal(n.Values[i], value) {
+			if bytes.Equal(n.Value(i), value) {
 				// Identical entry already present: nothing to mutate, so
 				// nothing to re-seal or commit.
 				return nil
@@ -247,12 +210,12 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 			n.Values = insertBytes(n.Values, i, value)
 			return tr.st.Write(id, n)
 		}
-		childID := n.Children[i]
+		childID := n.Child(i)
 		c, err := tr.st.Read(childID)
 		if err != nil {
 			return err
 		}
-		if len(c.Keys) == tr.maxKeys() {
+		if c.Len() == tr.maxKeys() {
 			if noop, err := tr.isNoOpPut(c, key, value); err != nil || noop {
 				return err
 			}
@@ -312,7 +275,7 @@ func (tr *Tree) Delete(key []byte) (bool, error) {
 	// Read above, is either the private copy (current) or the shared original
 	// (the page before this deletion, which took at most one key out of it):
 	// more than one key either way means not empty, else ask the private copy.
-	if len(root.Keys) > 1 {
+	if root.Len() > 1 {
 		return true, nil
 	}
 	if root, err = tr.edit(rootID); err != nil {
@@ -352,12 +315,12 @@ func (tr *Tree) delete(id uint64, n *node.Node, key []byte) (bool, error) {
 	if eq {
 		return true, tr.deleteInternal(id, i, key)
 	}
-	childID := n.Children[i]
+	childID := n.Child(i)
 	c, err := tr.st.Read(childID)
 	if err != nil {
 		return false, err
 	}
-	if len(c.Keys) < tr.t {
+	if c.Len() < tr.t {
 		// Deleting an absent key must not restructure the tree: check the
 		// subtree read-only before borrowing or merging on the way down.
 		if _, ok, err := lookupFrom(tr.st, c, key); err != nil || !ok {
@@ -387,7 +350,7 @@ func (tr *Tree) deleteInternal(id uint64, i int, key []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(left.Keys) >= tr.t {
+	if left.Len() >= tr.t {
 		pk, pv, err := tr.maxEntry(leftID)
 		if err != nil {
 			return err
@@ -404,7 +367,7 @@ func (tr *Tree) deleteInternal(id uint64, i int, key []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(right.Keys) >= tr.t {
+	if right.Len() >= tr.t {
 		sk, sv, err := tr.minEntry(rightID)
 		if err != nil {
 			return err
@@ -440,7 +403,7 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 		if err != nil {
 			return err
 		}
-		if len(l.Keys) >= tr.t {
+		if l.Len() >= tr.t {
 			// Rotate right: parent separator moves down, left sibling's
 			// maximum moves up.
 			if c, err = tr.edit(childID); err != nil {
@@ -467,7 +430,7 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 		if err != nil {
 			return err
 		}
-		if len(r.Keys) >= tr.t {
+		if r.Len() >= tr.t {
 			// Rotate left: parent separator moves down, right sibling's
 			// minimum moves up.
 			if c, err = tr.edit(childID); err != nil {
@@ -504,14 +467,19 @@ func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
 
 // merge folds the separator p.Keys[i] and the child at i+1 into the child at
 // i, freeing the right child. Both children hold t-1 keys on entry; p and
-// left are the caller's private copies, right is only read.
+// left are the caller's private copies, right is only read, so it may be a
+// view and is read through its accessors.
 func (tr *Tree) merge(pid uint64, p *node.Node, i int, leftID uint64, left *node.Node, rightID uint64, right *node.Node) error {
 	left.Keys = append(left.Keys, p.Keys[i])
-	left.Keys = append(left.Keys, right.Keys...)
 	left.Values = append(left.Values, p.Values[i])
-	left.Values = append(left.Values, right.Values...)
+	for j := range right.Len() {
+		left.Keys = append(left.Keys, right.Key(j))
+		left.Values = append(left.Values, right.Value(j))
+	}
 	if !left.Leaf {
-		left.Children = append(left.Children, right.Children...)
+		for j := range right.Len() + 1 {
+			left.Children = append(left.Children, right.Child(j))
+		}
 	}
 	p.Keys = removeBytes(p.Keys, i)
 	p.Values = removeBytes(p.Values, i)
@@ -533,10 +501,10 @@ func (tr *Tree) maxEntry(id uint64) ([]byte, []byte, error) {
 			return nil, nil, err
 		}
 		if n.Leaf {
-			last := len(n.Keys) - 1
-			return n.Keys[last], n.Values[last], nil
+			last := n.Len() - 1
+			return n.Key(last), n.Value(last), nil
 		}
-		id = n.Children[len(n.Children)-1]
+		id = n.Child(n.Len())
 	}
 }
 
@@ -548,45 +516,10 @@ func (tr *Tree) minEntry(id uint64) ([]byte, []byte, error) {
 			return nil, nil, err
 		}
 		if n.Leaf {
-			return n.Keys[0], n.Values[0], nil
+			return n.Key(0), n.Value(0), nil
 		}
-		id = n.Children[0]
+		id = n.Child(0)
 	}
-}
-
-// Stats describes tree shape, for diagnostics and benchmarks.
-type Stats struct {
-	Keys   int
-	Nodes  int
-	Height int
-}
-
-// StatsIn walks the whole tree rooted at rootID through r; it is O(nodes).
-func StatsIn(r Reader, rootID uint64) (Stats, error) {
-	var s Stats
-	if rootID == store.NoRoot {
-		return s, nil
-	}
-	err := stats(r, rootID, 1, &s)
-	return s, err
-}
-
-func stats(r Reader, id uint64, depth int, s *Stats) error {
-	n, err := r.Read(id)
-	if err != nil {
-		return err
-	}
-	s.Nodes++
-	s.Keys += len(n.Keys)
-	if depth > s.Height {
-		s.Height = depth
-	}
-	for _, c := range n.Children {
-		if err := stats(r, c, depth+1, s); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (tr *Tree) write3(idA uint64, a *node.Node, idB uint64, b *node.Node, idC uint64, c *node.Node) error {

@@ -98,17 +98,18 @@ func checkInvariants(t *testing.T, tr *Tree, st interface{ shape() (uint64, int)
 		if err != nil {
 			t.Fatalf("read %d: %v", id, err)
 		}
-		if len(n.Keys) > tr.maxKeys() {
-			t.Fatalf("node %d has %d keys > max %d", id, len(n.Keys), tr.maxKeys())
+		if n.Len() > tr.maxKeys() {
+			t.Fatalf("node %d has %d keys > max %d", id, n.Len(), tr.maxKeys())
 		}
-		if !isRoot && len(n.Keys) < tr.t-1 {
-			t.Fatalf("node %d has %d keys < min %d", id, len(n.Keys), tr.t-1)
+		if !isRoot && n.Len() < tr.t-1 {
+			t.Fatalf("node %d has %d keys < min %d", id, n.Len(), tr.t-1)
 		}
-		if isRoot && len(n.Keys) == 0 {
+		if isRoot && n.Len() == 0 {
 			t.Fatalf("root %d is empty but not collapsed", id)
 		}
-		for i, k := range n.Keys {
-			if i > 0 && bytes.Compare(n.Keys[i-1], k) >= 0 {
+		for i := range n.Len() {
+			k := n.Key(i)
+			if i > 0 && bytes.Compare(n.Key(i-1), k) >= 0 {
 				t.Fatalf("node %d keys not strictly sorted at %d", id, i)
 			}
 			if lo != nil && bytes.Compare(k, lo) <= 0 {
@@ -126,15 +127,15 @@ func checkInvariants(t *testing.T, tr *Tree, st interface{ shape() (uint64, int)
 			}
 			return
 		}
-		for i, c := range n.Children {
+		for i := range n.Len() + 1 {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.Keys[i-1]
+				clo = n.Key(i - 1)
 			}
-			if i < len(n.Keys) {
-				chi = n.Keys[i]
+			if i < n.Len() {
+				chi = n.Key(i)
 			}
-			walk(c, clo, chi, depth+1, false)
+			walk(n.Child(i), clo, chi, depth+1, false)
 		}
 	}
 	walk(root, nil, nil, 1, true)

@@ -19,6 +19,7 @@ import (
 // if any of them has been altered since.
 type cowNodes struct {
 	t       *testing.T
+	views   bool                  // commit shares a page as the view a read miss would decode
 	nodes   map[uint64]*node.Node // current node per live page
 	private map[uint64]bool       // pages whose current node the open transaction owns
 	frozen  map[*node.Node]string // fingerprint of every node ever shared
@@ -26,9 +27,10 @@ type cowNodes struct {
 	root    uint64
 }
 
-func newCowNodes(t *testing.T) *cowNodes {
+func newCowNodes(t *testing.T, views bool) *cowNodes {
 	return &cowNodes{
 		t:       t,
+		views:   views,
 		nodes:   make(map[uint64]*node.Node),
 		private: make(map[uint64]bool),
 		frozen:  make(map[*node.Node]string),
@@ -36,11 +38,13 @@ func newCowNodes(t *testing.T) *cowNodes {
 	}
 }
 
-// fingerprint renders everything a holder of n can observe: the leaf flag and,
-// for each outer slice, its backing array's address, its length and capacity,
+// fingerprint renders everything a holder of n can observe: the leaf flag,
+// for each outer slice its backing array's address, its length and capacity,
 // and every element of the backing array — the spare capacity included, where
-// an in-place append would land without changing the length.
-func fingerprint(n *node.Node) string {
+// an in-place append would land without changing the length — and, when the
+// store shares views, every entry as the accessors read it, which is all a
+// view shows.
+func (m *cowNodes) fingerprint(n *node.Node) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "leaf=%v", n.Leaf)
 	for _, s := range [][][]byte{n.Keys, n.Values} {
@@ -48,25 +52,40 @@ func fingerprint(n *node.Node) string {
 	}
 	c := n.Children
 	fmt.Fprintf(&b, " %p %d/%d %v", c, len(c), cap(c), c[:cap(c)])
+	if !m.views {
+		return b.String()
+	}
+	for i := range n.Len() {
+		fmt.Fprintf(&b, " %q=%q", n.Key(i), n.Value(i))
+	}
+	if !n.Leaf {
+		for i := range n.Len() + 1 {
+			fmt.Fprintf(&b, " >%d", n.Child(i))
+		}
+	}
 	return b.String()
 }
 
-// cowClone copies n the way the engine's cloneNode does — fresh outer slices,
+// cowClone copies n the way node.Materialize does — fresh outer slices,
 // shared inner bytes — leaving spare capacity in all three, so that an append
 // to a node shared later writes into its backing array rather than moving it.
 func cowClone(n *node.Node) *node.Node {
-	c := &node.Node{Leaf: n.Leaf}
-	c.Keys = append(make([][]byte, 0, len(n.Keys)+2), n.Keys...)
-	c.Values = append(make([][]byte, 0, len(n.Values)+2), n.Values...)
+	c := &node.Node{Leaf: n.Leaf, Keys: make([][]byte, 0, n.Len()+2), Values: make([][]byte, 0, n.Len()+2)}
+	for i := range n.Len() {
+		c.Keys, c.Values = append(c.Keys, n.Key(i)), append(c.Values, n.Value(i))
+	}
 	if !n.Leaf {
-		c.Children = append(make([]uint64, 0, len(n.Children)+2), n.Children...)
+		c.Children = make([]uint64, 0, n.Len()+3)
+		for i := range n.Len() + 1 {
+			c.Children = append(c.Children, n.Child(i))
+		}
 	}
 	return c
 }
 
 func (m *cowNodes) freeze(n *node.Node) {
 	if _, ok := m.frozen[n]; !ok {
-		m.frozen[n] = fingerprint(n)
+		m.frozen[n] = m.fingerprint(n)
 	}
 }
 
@@ -128,6 +147,15 @@ func (m *cowNodes) shape() (root uint64, live int) { return m.root, len(m.nodes)
 // commit ends the open transaction: its private nodes are shared from here on.
 func (m *cowNodes) commit() {
 	for id := range m.private {
+		if m.views {
+			page, err := m.nodes[id].EncodeFormat(node.FormatPrefix)
+			if err != nil {
+				m.t.Fatal(err)
+			}
+			if m.nodes[id], err = node.DecodeInPlace(page); err != nil {
+				m.t.Fatal(err)
+			}
+		}
 		m.freeze(m.nodes[id])
 	}
 	clear(m.private)
@@ -138,7 +166,7 @@ func (m *cowNodes) commit() {
 func (m *cowNodes) verify(when string) {
 	m.t.Helper()
 	for n, want := range m.frozen {
-		if got := fingerprint(n); got != want {
+		if got := m.fingerprint(n); got != want {
 			m.t.Fatalf("%s: a shared node was altered in place\n was %s\n now %s", when, want, got)
 		}
 	}
@@ -151,11 +179,20 @@ func (m *cowNodes) verify(when string) {
 // merges and root collapses the sequence drives, and must re-take every
 // pointer an Edit made stale — a mutation applied to a stale pointer shows up
 // as a model mismatch, one applied to a shared node as a fingerprint mismatch.
+// The views legs share committed pages as views, so every read path and every
+// merge that takes a sibling it only read meets nodes whose fields are empty.
 func TestSharedNodesAreNeverAltered(t *testing.T) {
 	const ops, checkEvery = 10_000, 500
-	for _, tc := range []struct{ degree, keys int }{{2, 300}, {3, 400}, {16, 3000}} { // 16 = ekbtree.DefaultOrder/2
-		t.Run(fmt.Sprintf("t=%d", tc.degree), func(t *testing.T) {
-			st := newCowNodes(t)
+	for _, tc := range []struct {
+		degree, keys int
+		views        bool
+	}{{2, 300, false}, {3, 400, false}, {16, 3000, false}, {2, 300, true}, {16, 3000, true}} { // 16 = ekbtree.DefaultOrder/2
+		name := fmt.Sprintf("t=%d", tc.degree)
+		if tc.views {
+			name += ",views"
+		}
+		t.Run(name, func(t *testing.T) {
+			st := newCowNodes(t, tc.views)
 			tr, err := New(st, tc.degree)
 			if err != nil {
 				t.Fatal(err)
@@ -197,7 +234,7 @@ func TestSharedNodesAreNeverAltered(t *testing.T) {
 				}
 				// Checked every op: the next deletion would collapse a root this
 				// one left empty, hiding it from the periodic check.
-				if st.root != store.NoRoot && len(st.nodes[st.root].Keys) == 0 {
+				if st.root != store.NoRoot && st.nodes[st.root].Len() == 0 {
 					t.Fatalf("op %d: root %d is empty but not collapsed", op, st.root)
 				}
 				if op%checkEvery == 0 {

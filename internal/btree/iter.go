@@ -77,7 +77,7 @@ func (it *Iter) Seek(from []byte) {
 		if n.Leaf {
 			return
 		}
-		id = n.Children[i]
+		id = n.Child(i)
 	}
 }
 
@@ -92,7 +92,7 @@ func (it *Iter) Next() (key, value []byte, ok bool) {
 		f := &it.stack[len(it.stack)-1]
 		if !f.n.Leaf && f.descend {
 			f.descend = false
-			n, err := it.r.Read(f.n.Children[f.i])
+			n, err := it.r.Read(f.n.Child(f.i))
 			if err != nil {
 				it.err = err
 				it.stack = it.stack[:0]
@@ -101,11 +101,11 @@ func (it *Iter) Next() (key, value []byte, ok bool) {
 			it.stack = append(it.stack, iterFrame{n: n, descend: !n.Leaf})
 			continue
 		}
-		if f.i >= len(f.n.Keys) {
+		if f.i >= f.n.Len() {
 			it.stack = it.stack[:len(it.stack)-1]
 			continue
 		}
-		key, value = f.n.Keys[f.i], f.n.Values[f.i]
+		key, value = f.n.Key(f.i), f.n.Value(f.i)
 		f.i++
 		f.descend = !f.n.Leaf
 		if it.to != nil && bytes.Compare(key, it.to) >= 0 {

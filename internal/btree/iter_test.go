@@ -50,16 +50,16 @@ func recursiveScan(t *testing.T, r Reader, id uint64, from, to []byte, out *[]it
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i <= len(n.Keys); i++ {
+	for i := 0; i <= n.Len(); i++ {
 		if !n.Leaf {
-			recursiveScan(t, r, n.Children[i], from, to, out)
+			recursiveScan(t, r, n.Child(i), from, to, out)
 		}
-		if i == len(n.Keys) {
+		if i == n.Len() {
 			break
 		}
-		k := n.Keys[i]
+		k := n.Key(i)
 		if (from == nil || bytes.Compare(k, from) >= 0) && (to == nil || bytes.Compare(k, to) < 0) {
-			*out = append(*out, iterEntry{Key: k, Value: n.Values[i]})
+			*out = append(*out, iterEntry{Key: k, Value: n.Value(i)})
 		}
 	}
 }

@@ -70,7 +70,8 @@ func BenchmarkDecode(b *testing.B) {
 // BenchmarkDecodeInPlace is the engine's miss path. The decoder consumes its
 // page, so every iteration refills one scratch buffer first; that copy is
 // inside the timing and allocates nothing, so the gap to BenchmarkDecode — a
-// page-sized allocation — is the price of the copying entry.
+// page-sized allocation and a materialised node — is the price of the copying
+// entry.
 func BenchmarkDecodeInPlace(b *testing.B) {
 	n := benchNode()
 	for _, f := range []Format{FormatFull, FormatPrefix} {
@@ -92,10 +93,27 @@ func BenchmarkDecodeInPlace(b *testing.B) {
 	}
 }
 
+// BenchmarkSearch probes every key of the node in turn, as a materialised
+// node and as the view a read miss makes of its page.
 func BenchmarkSearch(b *testing.B) {
 	n := benchNode()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n.Search(n.Keys[i%len(n.Keys)])
+	page, err := n.EncodeFormat(FormatPrefix)
+	if err != nil {
+		b.Fatal(err)
+	}
+	view, err := DecodeInPlace(page)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		n    *Node
+	}{{"materialised", n}, {"view", view}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tc.n.Search(n.Keys[i%len(n.Keys)])
+			}
+		})
 	}
 }

@@ -9,19 +9,59 @@ import (
 // never panic; when it accepts a page, the codec must be canonical —
 // re-encoding the decoded node in the page's own format reproduces the input
 // byte-for-byte — and the decoded node must satisfy the structural
-// invariants Encode enforces and must not alias the input buffer. Decoding a
-// clone in place must agree with Decode, on the verdict and on the content.
+// invariants Encode enforces and must not alias the input buffer.
+//
+// The view DecodeInPlace makes of a copy is held to Decode's materialised
+// node: the same verdict, the same key, value and child at every index, the
+// same Search answer for every key and for each key with its last byte one
+// up and one down, and the same page when re-encoded. The copy has poisoned
+// spare capacity behind it, and every slice the view hands out must lie
+// within the page or its side buffer, so an accessor that read past the page
+// fails here even where the bytes it read happened to agree.
 func fuzzCanonical(t *testing.T, page []byte) {
-	inPlace, inPlaceErr := DecodeInPlace(bytes.Clone(page))
+	buf := append(make([]byte, 0, len(page)+16), page...)
+	spare := buf[len(buf):cap(buf)]
+	for i := range spare {
+		spare[i] = 0xA5
+	}
+	view, viewErr := DecodeInPlace(buf)
 	n, err := Decode(page)
-	if (err == nil) != (inPlaceErr == nil) {
-		t.Fatalf("Decode = %v but DecodeInPlace of a clone = %v", err, inPlaceErr)
+	if (err == nil) != (viewErr == nil) {
+		t.Fatalf("Decode = %v but DecodeInPlace of a copy = %v", err, viewErr)
 	}
 	if err != nil {
 		return
 	}
-	if !nodesEqual(inPlace, n) {
-		t.Fatalf("DecodeInPlace of a clone differs from Decode:\n got %+v\nwant %+v", inPlace, n)
+	if !nodesEqual(view, n) {
+		t.Fatalf("the view differs from Decode's node:\n got %+v\nwant %+v", view.Materialize(), n)
+	}
+	inPage := buf[:len(buf):len(buf)]
+	for i := range view.Len() {
+		if k := view.Key(i); !within(k, inPage) && !within(k, view.side) {
+			t.Fatalf("key %d of the view lies outside the page and its side buffer", i)
+		}
+		if !within(view.Value(i), inPage) {
+			t.Fatalf("value %d of the view lies outside the page", i)
+		}
+	}
+	if !view.Leaf && view.kids+8*(view.Len()+1) != len(page) {
+		t.Fatalf("the view reads %d children from offset %d of a %d-byte page", view.Len()+1, view.kids, len(page))
+	}
+	for i := range n.Len() {
+		k := n.Key(i)
+		probes := [][]byte{k}
+		if last := len(k) - 1; last >= 0 {
+			up, down := bytes.Clone(k), bytes.Clone(k)
+			up[last]++
+			down[last]--
+			probes = append(probes, up, down)
+		}
+		for _, p := range probes {
+			vi, veq := view.Search(p)
+			if mi, meq := n.Search(p); vi != mi || veq != meq {
+				t.Fatalf("Search(%x) = (%d, %v) on the view, (%d, %v) on Decode's node", p, vi, veq, mi, meq)
+			}
+		}
 	}
 	if len(n.Keys) != len(n.Values) {
 		t.Fatalf("decoded %d keys but %d values", len(n.Keys), len(n.Values))
@@ -39,6 +79,9 @@ func fuzzCanonical(t *testing.T, page []byte) {
 	}
 	if !bytes.Equal(reenc, page) {
 		t.Fatalf("codec not canonical (format %v):\n in  %x\n out %x", format, page, reenc)
+	}
+	if viewEnc, err := view.EncodeFormat(format); err != nil || !bytes.Equal(viewEnc, page) {
+		t.Fatalf("re-encoding the view = (%x, %v), want the page %x", viewEnc, err, page)
 	}
 	if got := n.EncodedSizeFormat(format); got != len(page) {
 		t.Fatalf("EncodedSizeFormat(%v) = %d, page is %d bytes", format, got, len(page))

@@ -30,11 +30,17 @@
 // rewrite the old pages — and the full encoder stays as the reference the
 // tests build such pages with.
 //
+// A Node takes one of two forms. The tree builds and edits materialised
+// nodes, whose entries sit in the exported Keys, Values and Children slices.
 // There is one decoder, DecodeInPlace, and the page it is handed IS the node
-// it returns: keys and values are views into the deciphered buffer, not copies
-// in a second arena, so a fetched block costs one buffer on its way from the
-// store to a searchable node. Whoever calls it gives the buffer up. Decode is
-// the same decoder over a clone, for a caller that must keep its page.
+// it returns: a read-only view that answers Len, Key, Value, Child and Search
+// from the deciphered page itself and an offset table kept in the node's own
+// allocation, with the three slices left empty. A fetched block therefore
+// costs its buffer and one allocation on its way from the store to a
+// searchable node; children are read from the page bytes when asked for.
+// Whoever calls DecodeInPlace gives the buffer up. Materialize turns any node
+// into a private, mutable copy, and Decode is the decoder over a clone,
+// materialised, for a caller that must keep its page.
 package node
 
 import (
@@ -42,6 +48,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -100,11 +107,110 @@ func FormatOf(page []byte) Format {
 // Node is a B-tree node. For a node with n keys, leaves have n values and no
 // children; internal nodes have n values (the payloads of their separator
 // keys) and n+1 children.
+//
+// A materialised node holds its entries in Keys, Values and Children. A view
+// (see DecodeInPlace) leaves all three empty and is read through Len, Key,
+// Value, Child and Search, which answer for either form; code that may be
+// handed a view reads a node only through them.
 type Node struct {
 	Leaf     bool
 	Keys     [][]byte // substituted search keys, strictly increasing
 	Values   [][]byte
 	Children []uint64 // page IDs; empty iff Leaf
+
+	// A view's state; page is nil in a materialised node.
+	page []byte  // the deciphered page, its keys rebuilt in place
+	side []byte  // keys that share more than prefixHdrSize bytes with the previous key
+	ents []entry // where entry i's key and value lie
+	kids int     // offset of the child array in page; len(page) in a leaf
+}
+
+// entry is a view's offset-table row for one key and its value.
+type entry struct {
+	key    uint32 // offset of the key in page, or in side when inSide
+	val    uint32 // offset of the value in page; its uint32 length precedes it
+	klen   uint16
+	inSide bool
+}
+
+// viewRoom is the offset-table size a view carries inside its own
+// allocation: a full node at the default order (31 keys) fits. A node with
+// more keys takes a second allocation for its table.
+const viewRoom = 32
+
+// newView allocates a view with an offset table of nkeys rows.
+func newView(nkeys int) (*Node, []entry) {
+	if nkeys > viewRoom {
+		return new(Node), make([]entry, nkeys)
+	}
+	v := new(struct {
+		Node
+		tab [viewRoom]entry
+	})
+	return &v.Node, v.tab[:nkeys:nkeys]
+}
+
+// Len returns the number of keys.
+func (n *Node) Len() int {
+	if n.page == nil {
+		return len(n.Keys)
+	}
+	return len(n.ents)
+}
+
+// Key returns key i. A view's keys are capacity-clipped, so appending to one
+// can never clobber its neighbors; nobody may write into one.
+func (n *Node) Key(i int) []byte {
+	if n.page == nil {
+		return n.Keys[i]
+	}
+	e := &n.ents[i]
+	buf := n.page
+	if e.inSide {
+		buf = n.side
+	}
+	end := e.key + uint32(e.klen)
+	return buf[e.key:end:end]
+}
+
+// Value returns value i, capacity-clipped in a view like Key.
+func (n *Node) Value(i int) []byte {
+	if n.page == nil {
+		return n.Values[i]
+	}
+	off := n.ents[i].val
+	end := off + binary.BigEndian.Uint32(n.page[off-4:])
+	return n.page[off:end:end]
+}
+
+// Child returns the page ID of child i, for i in [0, Len()] of an index node.
+func (n *Node) Child(i int) uint64 {
+	if n.page == nil {
+		return n.Children[i]
+	}
+	return binary.BigEndian.Uint64(n.page[n.kids+8*i:])
+}
+
+// Materialize returns a private, mutable copy of n, view or not: fresh Keys,
+// Values and (in an index node) Children slices, each with room for one more
+// entry, over the same key and value bytes, which stay read-only. Keys and
+// Values are cut from one array, each clipped to its own capacity so growing
+// one never runs into the other. n itself is not touched.
+func (n *Node) Materialize() *Node {
+	k := n.Len()
+	room := k + 1
+	hdrs := make([][]byte, 2*room)
+	c := &Node{Leaf: n.Leaf, Keys: hdrs[:k:room], Values: hdrs[room : room+k : 2*room]}
+	for i := range k {
+		c.Keys[i], c.Values[i] = n.Key(i), n.Value(i)
+	}
+	if !n.Leaf {
+		c.Children = make([]uint64, k+1, k+2)
+		for i := range c.Children {
+			c.Children[i] = n.Child(i)
+		}
+	}
+	return c
 }
 
 // Search returns the index of the first key >= key, and whether that key is
@@ -112,10 +218,10 @@ type Node struct {
 // at the first equal probe; it is written out because every level of every
 // descent runs it, and sort.Search pays a closure call a probe.
 func (n *Node) Search(key []byte) (int, bool) {
-	lo, hi := 0, len(n.Keys)
+	lo, hi := 0, n.Len()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch c := bytes.Compare(n.Keys[mid], key); {
+		switch c := bytes.Compare(n.Key(mid), key); {
 		case c == 0:
 			return mid, true
 		case c < 0:
@@ -143,22 +249,19 @@ func commonPrefixLen(a, b []byte) int {
 // output.
 func (n *Node) EncodedSizeFormat(f Format) int {
 	size := headerSize
-	if f == FormatPrefix {
-		var prev []byte
-		for _, k := range n.Keys {
+	var prev []byte
+	for i := range n.Len() {
+		k := n.Key(i)
+		if f == FormatPrefix {
 			size += prefixHdrSize + len(k) - commonPrefixLen(prev, k)
 			prev = k
-		}
-	} else {
-		for _, k := range n.Keys {
+		} else {
 			size += 2 + len(k)
 		}
-	}
-	for _, v := range n.Values {
-		size += 4 + len(v)
+		size += 4 + len(n.Value(i))
 	}
 	if !n.Leaf {
-		size += 8 * len(n.Children)
+		size += 8 * (n.Len() + 1)
 	}
 	return size
 }
@@ -171,22 +274,28 @@ func (n *Node) EncodeFormat(f Format) ([]byte, error) {
 
 // AppendEncodeFormat appends the node's page in the given format to dst and
 // returns the extended buffer, so a caller sealing page after page can encode
-// into one reused scratch. dst is grown at most once, up front.
+// into one reused scratch. dst is grown at most once, up front. A view
+// encodes as well as a materialised node does.
 func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 	if f != FormatFull && f != FormatPrefix {
 		return nil, fmt.Errorf("node: unknown format %d", byte(f))
 	}
-	if len(n.Values) != len(n.Keys) {
-		return nil, fmt.Errorf("node: %d keys but %d values", len(n.Keys), len(n.Values))
+	if n.page == nil {
+		// A view is well-formed by construction; a materialised node holds
+		// whatever its caller put in it.
+		if len(n.Values) != len(n.Keys) {
+			return nil, fmt.Errorf("node: %d keys but %d values", len(n.Keys), len(n.Values))
+		}
+		if n.Leaf && len(n.Children) != 0 {
+			return nil, fmt.Errorf("node: leaf with %d children", len(n.Children))
+		}
+		if !n.Leaf && len(n.Children) != len(n.Keys)+1 {
+			return nil, fmt.Errorf("node: internal node with %d keys but %d children", len(n.Keys), len(n.Children))
+		}
 	}
-	if n.Leaf && len(n.Children) != 0 {
-		return nil, fmt.Errorf("node: leaf with %d children", len(n.Children))
-	}
-	if !n.Leaf && len(n.Children) != len(n.Keys)+1 {
-		return nil, fmt.Errorf("node: internal node with %d keys but %d children", len(n.Keys), len(n.Children))
-	}
-	if len(n.Keys) > 1<<16-1 {
-		return nil, fmt.Errorf("node: too many keys: %d", len(n.Keys))
+	nkeys := n.Len()
+	if nkeys > 1<<16-1 {
+		return nil, fmt.Errorf("node: too many keys: %d", nkeys)
 	}
 	buf := slices.Grow(dst, n.EncodedSizeFormat(f))
 	flags := byte(0)
@@ -197,9 +306,10 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 		flags |= flagPrefix
 	}
 	buf = append(buf, magic, version, flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(n.Keys)))
+	buf = binary.BigEndian.AppendUint16(buf, uint16(nkeys))
 	var prev []byte
-	for _, k := range n.Keys {
+	for i := range nkeys {
+		k := n.Key(i)
 		if len(k) > MaxKeyLen {
 			return nil, fmt.Errorf("node: key too long: %d", len(k))
 		}
@@ -214,7 +324,8 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 			buf = append(buf, k...)
 		}
 	}
-	for _, v := range n.Values {
+	for i := range nkeys {
+		v := n.Value(i)
 		if int64(len(v)) > MaxValueLen {
 			return nil, fmt.Errorf("node: value too long: %d", len(v))
 		}
@@ -222,25 +333,26 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 		buf = append(buf, v...)
 	}
 	if !n.Leaf {
-		for _, c := range n.Children {
-			buf = binary.BigEndian.AppendUint64(buf, c)
+		for i := range nkeys + 1 {
+			buf = binary.BigEndian.AppendUint64(buf, n.Child(i))
 		}
 	}
 	return buf, nil
 }
 
 // DecodeInPlace parses a page produced by EncodeFormat, dispatching on the
-// page's flag byte, and ADOPTS the buffer: the page is the node. Values
-// and full-format keys are views into it, and a prefix-coded key that shares
-// at most four bytes with its predecessor is rebuilt over its own four-byte
-// (shared, suffixLen) record header, so it too lies in the page. Only keys
-// that share more — wide bucket prefixes — are rebuilt in one side buffer,
-// sized exactly by the pre-scan. Every key and value slice is
-// capacity-clipped, so appending to one can never clobber its neighbors.
+// page's flag byte, and ADOPTS the buffer: the page is the node. It returns a
+// read-only view (see Node) whose one allocation holds the node and, for up to
+// viewRoom keys, its offset table. Values and full-format keys lie in the page
+// where they were written, and a prefix-coded key that shares at most four
+// bytes with its predecessor is rebuilt over its own four-byte (shared,
+// suffixLen) record header, so it too lies in the page. Only keys that share
+// more — wide bucket prefixes — are rebuilt in one side buffer, sized exactly
+// by the pre-scan: the one further allocation a page can cost.
 //
 // Ownership: the caller hands the page over and must neither read nor write
-// it afterwards. The node pins the whole buffer for as long as any of its
-// key or value slices is reachable (clones that share those slices included).
+// it afterwards. The view pins the whole buffer for as long as it, or any key
+// or value slice taken from it (materialised copies included), is reachable.
 // A rejected page's buffer is worth nothing — record headers may already have
 // been overwritten — and nobody retains it.
 //
@@ -248,9 +360,11 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 // longest common prefix with the reconstructed previous key. Over-sharing
 // (shared longer than the previous key) and under-sharing (a suffix whose
 // first byte still matches the previous key at that position) both reject,
-// so an accepted page re-encodes byte-for-byte in its own format.
+// so an accepted page re-encodes byte-for-byte in its own format. A page of
+// 4 GiB or more, which no page store can hold, is rejected too: the offset
+// table is 32-bit.
 func DecodeInPlace(page []byte) (*Node, error) {
-	if len(page) < headerSize || page[0] != magic || page[1] != version {
+	if len(page) < headerSize || page[0] != magic || page[1] != version || uint64(len(page)) > math.MaxUint32 {
 		return nil, ErrDecode
 	}
 	flags := page[2]
@@ -261,16 +375,16 @@ func DecodeInPlace(page []byte) (*Node, error) {
 	}
 	prefix := flags&flagPrefix != 0
 	nkeys := int(binary.BigEndian.Uint16(page[3:5]))
-	n := &Node{Leaf: flags&flagLeaf != 0}
-	rest := page[headerSize:]
 
 	// Pre-scan the prefix records (cheap: skips suffix bytes). It front-loads
 	// the length arithmetic, leaving the decode loop free of bounds failures,
 	// and sizes the side buffer for the keys that cannot be rebuilt in place.
+	// The side buffer is at most 65535 keys of 65535 bytes, so its offsets fit
+	// the table's 32 bits.
 	var side []byte
 	if prefix {
 		sideCap, prevLen := 0, 0
-		scan := rest
+		scan := page[headerSize:]
 		for i := 0; i < nkeys; i++ {
 			if len(scan) < prefixHdrSize {
 				return nil, ErrDecode
@@ -296,19 +410,19 @@ func DecodeInPlace(page []byte) (*Node, error) {
 		}
 	}
 
-	// Key and value headers share one backing array; each half is clipped to
-	// its own capacity, so an append to Keys reallocates rather than running
-	// into Values.
-	hdrs := make([][]byte, 2*nkeys)
-	n.Keys, n.Values = hdrs[:nkeys:nkeys], hdrs[nkeys:]
+	n, ents := newView(nkeys)
+	n.Leaf = flags&flagLeaf != 0
+	n.page, n.ents = page, ents
+	off := headerSize
 	var prev []byte
-	for i := range n.Keys {
+	for i := range ents {
+		e := &ents[i]
 		if prefix {
 			// Bounds were proven by the pre-scan; only canonicality remains.
-			shared := int(binary.BigEndian.Uint16(rest))
-			slen := int(binary.BigEndian.Uint16(rest[2:]))
-			end := prefixHdrSize + slen
-			suffix := rest[prefixHdrSize:end]
+			shared := int(binary.BigEndian.Uint16(page[off:]))
+			slen := int(binary.BigEndian.Uint16(page[off+2:]))
+			end := off + prefixHdrSize + slen
+			suffix := page[off+prefixHdrSize : end]
 			if shared < len(prev) && slen > 0 && suffix[0] == prev[shared] {
 				// Under-truncated: the canonical encoder would have shared
 				// one more byte.
@@ -318,66 +432,69 @@ func DecodeInPlace(page []byte) (*Node, error) {
 				// The shared bytes fit in the record header just parsed: the
 				// key is rebuilt where it lies. prev ends before this record,
 				// so the copy never overlaps its source.
-				start := prefixHdrSize - shared
-				copy(rest[start:prefixHdrSize], prev[:shared])
-				n.Keys[i] = rest[start:end:end]
+				start := off + prefixHdrSize - shared
+				copy(page[start:], prev[:shared])
+				e.key = uint32(start)
 			} else {
-				start := len(side)
+				// side never outgrows the capacity the pre-scan gave it, so
+				// earlier keys' bytes stay where the table says they are.
+				e.key, e.inSide = uint32(len(side)), true
 				side = append(side, prev[:shared]...)
 				side = append(side, suffix...)
-				n.Keys[i] = side[start:len(side):len(side)]
+				n.side = side
 			}
-			rest = rest[end:]
+			e.klen = uint16(shared + slen)
+			off = end
 		} else {
-			if len(rest) < 2 {
+			if len(page)-off < 2 {
 				return nil, ErrDecode
 			}
-			klen := int(binary.BigEndian.Uint16(rest))
-			rest = rest[2:]
-			if len(rest) < klen {
+			klen := int(binary.BigEndian.Uint16(page[off:]))
+			off += 2
+			if len(page)-off < klen {
 				return nil, ErrDecode
 			}
-			n.Keys[i] = rest[:klen:klen]
-			rest = rest[klen:]
+			e.key, e.klen = uint32(off), uint16(klen)
+			off += klen
 		}
-		prev = n.Keys[i]
+		prev = n.Key(i)
 	}
-	for i := range n.Values {
-		if len(rest) < 4 {
+	for i := range ents {
+		if len(page)-off < 4 {
 			return nil, ErrDecode
 		}
 		// Compare as uint64 so a length >= 2^31 returns ErrDecode on 32-bit
 		// platforms instead of panicking on a negative slice bound.
-		vlen32 := binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint64(len(rest)) < uint64(vlen32) {
+		vlen := binary.BigEndian.Uint32(page[off:])
+		off += 4
+		if uint64(len(page)-off) < uint64(vlen) {
 			return nil, ErrDecode
 		}
-		n.Values[i] = rest[:vlen32:vlen32]
-		rest = rest[vlen32:]
+		ents[i].val = uint32(off)
+		off += int(vlen)
 	}
+	rest := len(page) - off
+	n.kids = len(page)
 	if !n.Leaf {
-		nchildren := nkeys + 1
-		if len(rest) < 8*nchildren {
-			return nil, ErrDecode
-		}
-		n.Children = make([]uint64, nchildren)
-		for i := range n.Children {
-			n.Children[i] = binary.BigEndian.Uint64(rest)
-			rest = rest[8:]
-		}
+		n.kids = off
+		rest -= 8 * (nkeys + 1)
 	}
-	if len(rest) != 0 {
+	if rest != 0 {
 		return nil, ErrDecode
 	}
 	return n, nil
 }
 
-// Decode is DecodeInPlace over a private copy of the page: the returned node
-// owns fresh buffers and does not alias the page, which stays the caller's,
-// untouched, whether or not it decodes. It costs one page-sized allocation
-// and copy more than DecodeInPlace; a caller that owns its buffer (the
-// engine's read path does) should hand it over instead.
+// Decode is DecodeInPlace over a private copy of the page, materialised: the
+// returned node owns fresh buffers, holds its entries in Keys, Values and
+// Children, and does not alias the page, which stays the caller's, untouched,
+// whether or not it decodes. It costs the copy and Materialize's allocations
+// more than DecodeInPlace; a caller that owns its buffer and only reads the
+// node (the engine's read path) should hand the buffer over instead.
 func Decode(page []byte) (*Node, error) {
-	return DecodeInPlace(bytes.Clone(page))
+	v, err := DecodeInPlace(bytes.Clone(page))
+	if err != nil {
+		return nil, err
+	}
+	return v.Materialize(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -59,18 +58,25 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-// nodesEqual treats nil and empty slices as equal, which reflect.DeepEqual
-// does not.
+// nodesEqual compares two nodes entry by entry through the accessors, so a
+// view and a materialised node holding the same entries are equal.
 func nodesEqual(a, b *Node) bool {
-	if a.Leaf != b.Leaf || len(a.Keys) != len(b.Keys) || len(a.Values) != len(b.Values) || len(a.Children) != len(b.Children) {
+	if a.Leaf != b.Leaf || a.Len() != b.Len() {
 		return false
 	}
-	for i := range a.Keys {
-		if !bytes.Equal(a.Keys[i], b.Keys[i]) || !bytes.Equal(a.Values[i], b.Values[i]) {
+	for i := range a.Len() {
+		if !bytes.Equal(a.Key(i), b.Key(i)) || !bytes.Equal(a.Value(i), b.Value(i)) {
 			return false
 		}
 	}
-	return reflect.DeepEqual(append([]uint64{}, a.Children...), append([]uint64{}, b.Children...))
+	if !a.Leaf {
+		for i := range a.Len() + 1 {
+			if a.Child(i) != b.Child(i) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestEncodeRejectsMalformedNodes(t *testing.T) {
@@ -367,19 +373,35 @@ func TestSearch(t *testing.T) {
 
 // TestSearchMatchesReference checks the hand-rolled binary search against
 // sort.Search for every present and absent key of nodes of every size up to
-// well past a default-order node's 31 keys, the empty node included.
+// well past a default-order node's 31 keys, the empty node included, on the
+// materialised node and on its view (in both page formats).
 func TestSearchMatchesReference(t *testing.T) {
 	for size := 0; size <= 70; size++ {
 		n := &Node{Leaf: true}
 		for i := 0; i < size; i++ {
 			n.Keys = append(n.Keys, []byte{byte(2*i + 1)}) // odd bytes: even ones are absent
+			n.Values = append(n.Values, nil)
+		}
+		forms := []*Node{n}
+		for _, f := range []Format{FormatFull, FormatPrefix} {
+			page, err := n.EncodeFormat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := DecodeInPlace(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			forms = append(forms, view)
 		}
 		for probe := 0; probe <= 2*size+1; probe++ {
 			key := []byte{byte(probe)}
 			wantI := sort.Search(size, func(i int) bool { return bytes.Compare(n.Keys[i], key) >= 0 })
 			wantEq := wantI < size && bytes.Equal(n.Keys[wantI], key)
-			if i, eq := n.Search(key); i != wantI || eq != wantEq {
-				t.Fatalf("size %d: Search(%d) = (%d, %v), want (%d, %v)", size, probe, i, eq, wantI, wantEq)
+			for form, m := range forms {
+				if i, eq := m.Search(key); i != wantI || eq != wantEq {
+					t.Fatalf("size %d, form %d: Search(%d) = (%d, %v), want (%d, %v)", size, form, probe, i, eq, wantI, wantEq)
+				}
 			}
 		}
 	}
@@ -448,13 +470,14 @@ func within(s, buf []byte) bool {
 	return false
 }
 
-// TestDecodeInPlace pins the in-place contract: the node's keys and values
-// are the page that was handed in (no arena, so one allocation fewer than
-// Decode), every slice is clipped so an append never reaches a neighbor, keys
-// sharing more than the four bytes of their record header take the side
-// buffer and still round-trip, and re-encoding the node reproduces the
-// original bytes — compared against a saved copy, since the page itself is
-// rewritten by the decoder.
+// TestDecodeInPlace pins the in-place contract: the page that was handed in
+// is the node, a view whose Keys, Values and Children stay empty and whose
+// keys and values lie in the page (no arena). It costs one allocation, or two
+// when keys sharing more than the four bytes of their record header take the
+// side buffer or the node has more keys than a view's own offset table holds.
+// Every slice is clipped so an append never reaches a neighbor, and
+// re-encoding the view or its materialised copy reproduces the original
+// bytes, compared against a saved copy, since the decoder rewrites the page.
 func TestDecodeInPlace(t *testing.T) {
 	// Keys as the workloads make them: neighbors share 0-4 bytes, so every one
 	// is rebuilt over its own record header.
@@ -479,19 +502,27 @@ func TestDecodeInPlace(t *testing.T) {
 		wide.Keys = append(wide.Keys, k)
 		wide.Values = append(wide.Values, []byte{byte(i), byte(i)})
 	}
+	// An index node of an order-64 tree, full: its offset table spills.
+	big := &Node{Children: []uint64{1 << 40}}
+	for i := 0; i < 2*viewRoom-1; i++ {
+		big.Keys = append(big.Keys, []byte{byte(i), 'k'})
+		big.Values = append(big.Values, []byte{byte(i)})
+		big.Children = append(big.Children, uint64(i)<<20)
+	}
 
 	tests := []struct {
 		name       string
 		n          *Node
 		f          Format
-		allocs     float64 // DecodeInPlace's budget; Decode pays one more
+		allocs     float64 // DecodeInPlace's count, exactly
 		sideBuffer bool    // keys 1.. are rebuilt outside the page
 	}{
-		{"full leaf", short(true), FormatFull, 2, false},
-		{"full index", short(false), FormatFull, 3, false},
-		{"prefix leaf", short(true), FormatPrefix, 2, false},
-		{"prefix index", short(false), FormatPrefix, 3, false},
-		{"prefix leaf, wide shared prefix", wide, FormatPrefix, 3, true},
+		{"full leaf", short(true), FormatFull, 1, false},
+		{"full index", short(false), FormatFull, 1, false},
+		{"prefix leaf", short(true), FormatPrefix, 1, false},
+		{"prefix index", short(false), FormatPrefix, 1, false},
+		{"prefix leaf, wide shared prefix", wide, FormatPrefix, 2, true},
+		{"prefix index, more keys than a view's table", big, FormatPrefix, 2, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -517,33 +548,54 @@ func TestDecodeInPlace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !nodesEqual(got, tt.n) {
-				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, tt.n)
+			if got.Keys != nil || got.Values != nil || got.Children != nil {
+				t.Fatalf("DecodeInPlace filled the materialised fields: %d keys, %d values, %d children", len(got.Keys), len(got.Values), len(got.Children))
 			}
-			for i := range got.Keys {
-				if inPage := within(got.Keys[i], page); inPage == (tt.sideBuffer && i > 0) {
+			if !nodesEqual(got, tt.n) {
+				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Materialize(), tt.n)
+			}
+			for i := range got.Len() {
+				if inPage := within(got.Key(i), page); inPage == (tt.sideBuffer && i > 0) {
 					t.Errorf("key %d lies in the page: %v", i, inPage)
 				}
-				if !within(got.Values[i], page) {
+				if !within(got.Value(i), page) {
 					t.Errorf("value %d was copied out of the page", i)
 				}
 			}
 			reenc, err := got.EncodeFormat(tt.f)
 			if err != nil || !bytes.Equal(reenc, saved) {
-				t.Errorf("re-encoding the in-place node = (%x, %v)\nwant %x", reenc, err, saved)
+				t.Errorf("re-encoding the view = (%x, %v)\nwant %x", reenc, err, saved)
 			}
-			for i := range got.Keys {
-				got.Keys[i] = append(got.Keys[i], 0xEE)
-				got.Values[i] = append(got.Values[i], 0xEE)
+			for i := range got.Len() {
+				_ = append(got.Key(i), 0xEE)
+				_ = append(got.Value(i), 0xEE)
 			}
-			for i := range tt.n.Keys {
-				if k, v := got.Keys[i], got.Values[i]; !bytes.Equal(k[:len(k)-1], tt.n.Keys[i]) || !bytes.Equal(v[:len(v)-1], tt.n.Values[i]) {
-					t.Errorf("entry %d corrupted after neighbor appends: %q = %q", i, k, v)
-				}
+			if !nodesEqual(got, tt.n) {
+				t.Errorf("an append to a key or value of the view reached a neighbor")
+			}
+
+			// The materialised copy is the view's entries in the exported
+			// fields, and editing it leaves the view alone.
+			m := got.Materialize()
+			if len(m.Keys) != len(tt.n.Keys) || len(m.Values) != len(tt.n.Values) || len(m.Children) != len(tt.n.Children) || !nodesEqual(m, tt.n) {
+				t.Fatalf("Materialize = %+v, want %+v", m, tt.n)
+			}
+			if reenc, err := m.EncodeFormat(tt.f); err != nil || !bytes.Equal(reenc, saved) {
+				t.Errorf("re-encoding the materialised copy = (%x, %v)\nwant %x", reenc, err, saved)
+			}
+			m.Keys = append(m.Keys[:0], []byte("edited"))
+			m.Values = m.Values[:1]
+			m.Values[0] = nil
+			if !m.Leaf {
+				m.Children = append(m.Children[:0], 7, 7)
+			}
+			if !nodesEqual(got, tt.n) {
+				t.Errorf("editing the materialised copy changed the view")
 			}
 
 			// The decoder rewrites the page, so each measured run decodes a copy
-			// made into a buffer that already exists.
+			// made into a buffer that already exists. Decode pays the copy and
+			// Materialize's Node, header array and (index) child array on top.
 			scratch := make([]byte, len(saved))
 			inPlace := testing.AllocsPerRun(100, func() {
 				copy(scratch, saved)
@@ -556,8 +608,12 @@ func TestDecodeInPlace(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if inPlace > tt.allocs || copying != inPlace+1 {
-				t.Errorf("DecodeInPlace allocates %.0f times (want <= %.0f), Decode %.0f (want one more)", inPlace, tt.allocs, copying)
+			materialize := 2.0
+			if !tt.n.Leaf {
+				materialize++
+			}
+			if inPlace != tt.allocs || copying != inPlace+1+materialize {
+				t.Errorf("DecodeInPlace allocates %.0f times (want %.0f), Decode %.0f (want %.0f more)", inPlace, tt.allocs, copying, 1+materialize)
 			}
 		})
 	}

@@ -69,8 +69,8 @@ func TestCacheKeepsIndexUnderLeafChurn(t *testing.T) {
 			return
 		}
 		ks.index[id] = true
-		for _, c := range n.Children {
-			walk(c)
+		for i := range n.Len() + 1 {
+			walk(n.Child(i))
 		}
 	}
 	walk(root)

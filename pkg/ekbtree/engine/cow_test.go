@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
+	"github.com/paper-repro/ekbtree/internal/cipher"
+	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
 	"github.com/paper-repro/ekbtree/internal/store/file"
 )
@@ -281,5 +288,158 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	}
 	if v, ok, err := g.Get(key(5000)); err != nil || !ok || string(v) != "v2" {
 		t.Fatalf("Get = (%q, %v, %v), want v2", v, ok, err)
+	}
+}
+
+// viewBytes returns the page and side buffer a decoded view reads, and false
+// for a materialised node. They are unexported fields of node.Node, read by
+// reflection so that the node package grows no method for a test alone.
+func viewBytes(n *node.Node) (page, side []byte, ok bool) {
+	v := reflect.ValueOf(n).Elem()
+	page, side = v.FieldByName("page").Bytes(), v.FieldByName("side").Bytes()
+	return page, side, page != nil
+}
+
+// TestCachedViewsAreNeverWritten is the copy-on-write guard for views. A view
+// is the page a read miss deciphered, and every reader, every transaction's
+// pre-image and every snapshot's undo overlay shares it, so nothing may write
+// into its page or side buffer: not Edit, which materialises a copy over the
+// same key and value bytes, not Write or promotion, which take that copy, and
+// not eviction. Over randomized Put, Delete, batch and re-seal transactions
+// on a cache far smaller than the tree, after every transaction each cached
+// view must equal a fresh decode of its page from the store, and every view
+// the cache ever held must still checksum as it did when first seen. Order
+// 64 takes the view's second allocation, an offset table too big for the
+// node's own.
+func TestCachedViewsAreNeverWritten(t *testing.T) {
+	for _, order := range []int{4, 8, 32, 64} {
+		t.Run(fmt.Sprintf("order=%d", order), func(t *testing.T) {
+			const txns, cachePages = 300, 24
+			keys := max(3000, 200*order) // a tree of hundreds of pages at every order
+			g, err := New(Config{Store: file.NewMem(), Cipher: cipher.Plaintext{}, Order: order, CachePages: cachePages})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			rng := rand.New(rand.NewSource(int64(order)))
+			key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i*7919%keys)) }
+			model := make(map[string]string)
+			apply := func(ops int) {
+				t.Helper()
+				type op struct{ k, v string } // v == "": delete
+				batch := make([]op, ops)
+				for i := range batch {
+					batch[i].k = string(key(rng.Intn(keys)))
+					if rng.Intn(3) > 0 {
+						batch[i].v = fmt.Sprintf("v%d-%s", rng.Intn(1000), strings.Repeat("x", rng.Intn(40)))
+					}
+				}
+				err := g.Apply(func(bt *btree.Tree) error {
+					for _, o := range batch {
+						var err error
+						if o.v == "" {
+							_, err = bt.Delete([]byte(o.k))
+						} else {
+							err = bt.Put([]byte(o.k), []byte(o.v))
+						}
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range batch {
+					if o.v == "" {
+						delete(model, o.k)
+					} else {
+						model[o.k] = o.v
+					}
+				}
+			}
+			for i := 0; i < keys; i += 500 {
+				apply(500)
+			}
+
+			seen := make(map[*node.Node]uint32)
+			views := 0
+			check := func(when string) {
+				t.Helper()
+				g.io.mu.Lock()
+				slots := append([]cacheSlot(nil), g.io.slots...)
+				g.io.mu.Unlock()
+				for _, s := range slots {
+					page, side, ok := viewBytes(s.n)
+					if !ok {
+						continue
+					}
+					stored, err := g.st.ReadPage(s.id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pt, err := g.io.nc.Open(s.id, stored)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := node.DecodeInPlace(pt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantPage, wantSide, _ := viewBytes(fresh)
+					if !bytes.Equal(page, wantPage) || !bytes.Equal(side, wantSide) {
+						t.Fatalf("%s: the cached view of page %d differs from a fresh decode of the store's page", when, s.id)
+					}
+					if _, ok := seen[s.n]; !ok {
+						seen[s.n] = crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side)
+						views++
+					}
+				}
+				for n, sum := range seen {
+					page, side, _ := viewBytes(n)
+					if crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side) != sum {
+						t.Fatalf("%s: a view was written after it was first cached", when)
+					}
+				}
+			}
+
+			g.io.invalidate()
+			for txn := 0; txn < txns; txn++ {
+				switch r := rng.Intn(10); {
+				case r < 4:
+					apply(1)
+				case r < 8:
+					apply(1 + rng.Intn(64))
+				default:
+					// Re-seal what the cache holds: Edit and Write with no change.
+					g.io.mu.Lock()
+					var ids []uint64
+					for _, s := range g.io.slots {
+						ids = append(ids, s.id)
+					}
+					g.io.mu.Unlock()
+					if err := g.resealPages(ids); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(fmt.Sprintf("after transaction %d", txn))
+				if txn%50 == 49 {
+					g.io.invalidate() // the promoted copies leave; the next reads make views
+				}
+			}
+			if views < 10*cachePages {
+				t.Fatalf("the %d-page cache held only %d distinct views over %d transactions", cachePages, views, txns)
+			}
+			for k, v := range model {
+				if got, ok, err := g.Get([]byte(k)); err != nil || !ok || string(got) != v {
+					t.Fatalf("Get(%s) = (%q, %v, %v), want %q", k, got, ok, err, v)
+				}
+			}
+			if st, err := g.Stats(); err != nil || st.Keys != len(model) {
+				t.Fatalf("Stats = (%d keys, %v), want %d", st.Keys, err, len(model))
+			}
+			t.Logf("%d views checked", views)
+		})
 	}
 }

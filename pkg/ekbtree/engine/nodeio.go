@@ -34,18 +34,19 @@ type CacheStats struct {
 // decodes one, so the store only ever holds enciphered pages. It is not a
 // btree.NodeStore — writeTxn is the only writer and *epoch the only reader.
 // A fetched page is deciphered and decoded where it lies: the buffer ReadPage
-// returned becomes the node's keys and values, so a miss copies the page once,
-// out of the store, and never again.
+// returned becomes a read-only view (node.DecodeInPlace), so a miss copies the
+// page once, out of the store, and allocates one node beside it.
 //
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // eviction over small reference counts (see cacheSlot), shared by every
 // concurrent writer transaction and every lock-free epoch reader. Cached
 // nodes are IMMUTABLE: the transactional write path (writeTxn) hands the btree
-// layer the cached node itself to read, and a clone — made in Edit, with the
-// pristine original recorded as the page's pre-image — to mutate, so readers
-// may share cached nodes without copying or locking beyond the cache's own
-// short mutex sections. A committed transaction's clones enter the cache
-// through promoteTxn, before the commit's epoch is published.
+// layer the cached node itself to read, and a materialised copy — made in
+// Edit, with the pristine original recorded as the page's pre-image — to
+// mutate, so readers may share cached nodes without copying or locking beyond
+// the cache's own short mutex sections. A committed transaction's copies enter
+// the cache through promoteTxn, before the commit's epoch is published, and
+// stay materialised there; a page read from the store is cached as its view.
 //
 // Locking: the ring and gen are guarded by mu and touched only in short
 // critical sections — never across store I/O or cipher work. The traffic
@@ -75,8 +76,9 @@ type nodeIO struct {
 	evictions atomic.Uint64
 }
 
-// cacheSlot is one clock-ring entry: an immutable decoded page plus its
-// reference count, which is what the page is worth to the hand. The hand takes
+// cacheSlot is one clock-ring entry: an immutable decoded page, a view of the
+// page read from the store or the materialised node a commit promoted, plus
+// its reference count, which is what the page is worth to the hand. The hand takes
 // one from every slot it passes and evicts the first it finds at zero. A leaf
 // starts at zero and earns one per reference, up to maxRef, so a leaf read
 // once is the first to go and a hot one outlives several sweeps; an index
@@ -109,24 +111,6 @@ func (s *cacheSlot) touch() {
 	} else if s.ref < maxRef {
 		s.ref++
 	}
-}
-
-// cloneNode returns a private copy of n that the btree layer may mutate
-// freely: the outer key/value/child slices are fresh (with one slot of
-// headroom for the common single insert), while the inner byte slices are
-// shared — the engine never mutates key or value bytes in place, only
-// replaces whole elements. Keys and Values are cut from one array, each
-// clipped to its own capacity so growing one never runs into the other.
-func cloneNode(n *node.Node) *node.Node {
-	c := &node.Node{Leaf: n.Leaf}
-	room := len(n.Keys) + 1
-	hdrs := make([][]byte, 2*room)
-	c.Keys = append(hdrs[:0:room], n.Keys...)
-	c.Values = append(hdrs[room:room:2*room], n.Values...)
-	if !n.Leaf {
-		c.Children = append(make([]uint64, 0, len(n.Children)+1), n.Children...)
-	}
-	return c
 }
 
 func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
@@ -163,7 +147,8 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 		return nil, err
 	}
 	// The store gave the buffer away and Open deciphered it in place, so it is
-	// this call's alone to decode in place.
+	// this call's alone to decode in place; the view it becomes is never
+	// written again, by this reader or any other that shares it.
 	n, err = node.DecodeInPlace(pt)
 	if err != nil {
 		return nil, err

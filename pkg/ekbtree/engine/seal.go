@@ -249,7 +249,9 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 			return nil, MapErr(err)
 		}
 		if !n.Leaf {
-			stack = append(stack, n.Children...)
+			for i := range n.Len() + 1 {
+				stack = append(stack, n.Child(i))
+			}
 		}
 		page, err := g.st.ReadPage(id)
 		if err != nil {

@@ -54,7 +54,8 @@ type writeTxn struct {
 //
 // n is what the page holds now: the base epoch's shared, immutable node while
 // the page is only read (so no page is fetched twice), the transaction's own
-// copy once private, nil once freed (or alloc'd and not yet written). pre is
+// materialised copy once private, nil once freed (or alloc'd and not yet
+// written). pre is
 // the base epoch's content, captured when the transaction first Edits, Writes
 // or Frees the page and bound for the new epoch's undo overlay; it stays nil
 // for a fresh page and for one the base epoch has no record of, which was
@@ -148,9 +149,10 @@ func (tx *writeTxn) change(id uint64) (txPage, error) {
 	return p, nil
 }
 
-// Edit returns the transaction's private copy of id: the first call clones the
-// shared node, which becomes the page's pre-image; later Reads and Edits get
-// the same copy.
+// Edit returns the transaction's private copy of id: the first call
+// materialises the shared node, view or not, into Keys, Values and Children
+// the btree layer may change, and the shared node becomes the page's
+// pre-image; later Reads and Edits get the same copy.
 func (tx *writeTxn) Edit(id uint64) (*node.Node, error) {
 	p, err := tx.change(id)
 	if err != nil {
@@ -160,7 +162,7 @@ func (tx *writeTxn) Edit(id uint64) (*node.Node, error) {
 		return nil, errGone(id)
 	}
 	if !p.private {
-		p.n, p.private = cloneNode(p.n), true
+		p.n, p.private = p.n.Materialize(), true
 		tx.pages[id] = p
 	}
 	return p.n, nil

@@ -36,7 +36,7 @@ func holds(t *testing.T, n *node.Node, err error) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(n.Values[0])
+	return string(n.Value(0))
 }
 
 // TestTxnPageTable walks one page through every transition its record in a

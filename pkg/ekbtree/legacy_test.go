@@ -186,7 +186,11 @@ func pageFormats(t *testing.T, opts Options) map[node.Format]int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stack = append(stack, n.Children...)
+			if !n.Leaf {
+				for i := range n.Len() + 1 {
+					stack = append(stack, n.Child(i))
+				}
+			}
 		}
 	}
 	return counts

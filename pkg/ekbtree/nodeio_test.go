@@ -227,12 +227,14 @@ func TestGetAllocs(t *testing.T) {
 
 // TestReadMissAllocs guards the read-miss path's allocation budget the way
 // TestGetAllocs guards the cached one: over a one-page cache, which no descent
-// fits in, every page of a Get comes from the store. A leaf read allocates the
-// buffer ReadPage returns, the Node and the array of its key and value
-// headers; an index read also its child array; the page is deciphered and
-// decoded in that one buffer. On top come the Get's substituted key and value
-// copy. No slack: a second page-sized buffer on the way from the store to the
-// node is the regression this guards against.
+// fits in, every page of a Get comes from the store. A page read, leaf or
+// index, allocates the buffer ReadPage returns and the view decoded over it
+// (the node and its offset table in one allocation; children are read from
+// the page); the page is deciphered and decoded in that one buffer. On top
+// come the Get's substituted key and value copy. No slack: a second
+// page-sized buffer on the way from the store to the node, or header and
+// child arrays built beside the page again, is the regression this guards
+// against.
 func TestReadMissAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
@@ -290,10 +292,7 @@ func TestReadMissAllocs(t *testing.T) {
 		{"absent key", []byte{0x07, 0x77, 'x'}, false, 1},
 	} {
 		pages := pagesRead(tt.key, tt.present)
-		want := tt.fixed + 4*pages
-		if pages == st.Height {
-			want-- // the last page read is a leaf
-		}
+		want := tt.fixed + 2*pages
 		n := testing.AllocsPerRun(200, func() {
 			if _, ok, err := tr.Get(tt.key); err != nil || ok != tt.present {
 				t.Fatalf("Get(%x) = (%v, %v)", tt.key, ok, err)
