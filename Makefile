@@ -69,6 +69,9 @@ lint:
 # scans nodes but never edits one (btree.go edits the copies Edit
 # materialises), so none of its code indexes the fields.
 	@if git grep -nE '\.(Keys|Values|Children)(\[|\)|\.\.\.)|range .*\.(Keys|Values|Children)\b' -- internal/btree/iter.go internal/btree/read.go 'pkg/ekbtree/engine/*.go' ':!*_test.go'; then echo "read a node on a read path through Len, Key, Value, Child and Search; a view's fields are empty"; exit 1; fi
+# One node constructor: every node the write path builds comes from node.New
+# (Materialize included), which allocates a node and its arrays as one object.
+	@if git grep -nF '&node.Node{' -- '*.go' ':!*_test.go' ':!internal/node'; then echo "build a node with node.New, not a composite literal"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -86,8 +89,9 @@ test:
 #    commit optimistically);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
 #    an in-place decoder that saw a shared buffer, or anything that wrote into
-#    a cached view's page, is a data race only an overlapping reader shows,
-#    and racing commits hand the one recycled workspace back and forth;
+#    a cached view's page or a committed batch's slab chunk, is a data race
+#    only an overlapping reader shows, and racing commits hand the one
+#    recycled workspace back and forth;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -97,7 +101,7 @@ race:
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
-	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty' ./pkg/ekbtree/engine/
+	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 

@@ -113,7 +113,8 @@ func (tr *Tree) Put(key, value []byte) error {
 		if err != nil {
 			return err
 		}
-		n := &node.Node{Leaf: true, Keys: [][]byte{key}, Values: [][]byte{value}}
+		n := node.New(true, 1)
+		n.Keys, n.Values = append(n.Keys, key), append(n.Values, value)
 		if err := tr.st.Write(id, n); err != nil {
 			return err
 		}
@@ -131,7 +132,8 @@ func (tr *Tree) Put(key, value []byte) error {
 		if err != nil {
 			return err
 		}
-		newRoot := &node.Node{Leaf: false, Children: []uint64{rootID}}
+		newRoot := node.New(false, 1)
+		newRoot.Children = append(newRoot.Children, rootID)
 		if err := tr.splitChild(newRootID, newRoot, 0); err != nil {
 			return err
 		}
@@ -162,13 +164,11 @@ func (tr *Tree) splitChild(pid uint64, p *node.Node, i int) error {
 	if err != nil {
 		return err
 	}
-	sib := &node.Node{
-		Leaf:   c.Leaf,
-		Keys:   append([][]byte(nil), c.Keys[t:]...),
-		Values: append([][]byte(nil), c.Values[t:]...),
-	}
+	sib := node.New(c.Leaf, t)
+	sib.Keys = append(sib.Keys, c.Keys[t:]...)
+	sib.Values = append(sib.Values, c.Values[t:]...)
 	if !c.Leaf {
-		sib.Children = append([]uint64(nil), c.Children[t:]...)
+		sib.Children = append(sib.Children, c.Children[t:]...)
 	}
 	midKey, midVal := c.Keys[t-1], c.Values[t-1]
 	c.Keys = c.Keys[:t-1]

@@ -40,7 +40,9 @@
 // searchable node; children are read from the page bytes when asked for.
 // Whoever calls DecodeInPlace gives the buffer up. Materialize turns any node
 // into a private, mutable copy, and Decode is the decoder over a clone,
-// materialised, for a caller that must keep its page.
+// materialised, for a caller that must keep its page. Every materialised node
+// comes from New, which at the default order allocates the node and its
+// arrays as one object, so a copy costs one allocation too.
 package node
 
 import (
@@ -133,9 +135,11 @@ type entry struct {
 	inSide bool
 }
 
-// viewRoom is the offset-table size a view carries inside its own
-// allocation: a full node at the default order (31 keys) fits. A node with
-// more keys takes a second allocation for its table.
+// viewRoom is the entry count a node carries inside its own allocation: a
+// view's offset table, and a materialised node's header and child arrays (see
+// New). A full node at the default order (31 keys) fits, with room for the
+// one entry a materialised node may gain; a node with more keys takes further
+// allocations for its arrays.
 const viewRoom = 32
 
 // newView allocates a view with an offset table of nkeys rows.
@@ -191,21 +195,61 @@ func (n *Node) Child(i int) uint64 {
 	return binary.BigEndian.Uint64(n.page[n.kids+8*i:])
 }
 
-// Materialize returns a private, mutable copy of n, view or not: fresh Keys,
-// Values and (in an index node) Children slices, each with room for one more
-// entry, over the same key and value bytes, which stay read-only. Keys and
-// Values are cut from one array, each clipped to its own capacity so growing
-// one never runs into the other. n itself is not touched.
+// leafRoom and indexRoom are a materialised node and the arrays its slices
+// are cut from, allocated as one object: room for viewRoom entries, so a full
+// node at the default order plus the one entry a split or insert adds.
+type leafRoom struct {
+	Node
+	hdrs [2 * viewRoom][]byte // Keys, then Values
+}
+
+type indexRoom struct {
+	leafRoom
+	kids [viewRoom + 1]uint64
+}
+
+// New returns an empty materialised node with room for n entries (and, in an
+// index node, n+1 children) before any of its slices regrows. Keys and Values
+// are cut from one array, each clipped to its own capacity so growing one
+// never runs into the other. For n up to viewRoom the node and its arrays are
+// one allocation sized for viewRoom, whatever n is; a larger n (a tree of a
+// larger order) takes the node, the header array and the child array
+// separately. Every node the tree builds comes from here.
+func New(leaf bool, n int) *Node {
+	if n > viewRoom {
+		hdrs := make([][]byte, 2*n)
+		c := &Node{Leaf: leaf, Keys: hdrs[:0:n], Values: hdrs[n : n : 2*n]}
+		if !leaf {
+			c.Children = make([]uint64, 0, n+1)
+		}
+		return c
+	}
+	var r *leafRoom
+	var kids []uint64
+	if leaf {
+		r = new(leafRoom)
+	} else {
+		ir := new(indexRoom)
+		r, kids = &ir.leafRoom, ir.kids[:0]
+	}
+	r.Leaf, r.Children = leaf, kids
+	r.Keys, r.Values = r.hdrs[:0:viewRoom], r.hdrs[viewRoom:viewRoom:2*viewRoom]
+	return &r.Node
+}
+
+// Materialize returns a private, mutable copy of n, view or not, built by New
+// with room for one more entry: fresh Keys, Values and (in an index node)
+// Children slices over the same key and value bytes, which stay read-only.
+// At the default order that is one allocation. n itself is not touched.
 func (n *Node) Materialize() *Node {
 	k := n.Len()
-	room := k + 1
-	hdrs := make([][]byte, 2*room)
-	c := &Node{Leaf: n.Leaf, Keys: hdrs[:k:room], Values: hdrs[room : room+k : 2*room]}
+	c := New(n.Leaf, k+1)
+	c.Keys, c.Values = c.Keys[:k], c.Values[:k]
 	for i := range k {
 		c.Keys[i], c.Values[i] = n.Key(i), n.Value(i)
 	}
 	if !n.Leaf {
-		c.Children = make([]uint64, k+1, k+2)
+		c.Children = c.Children[:k+1]
 		for i := range c.Children {
 			c.Children[i] = n.Child(i)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -595,7 +596,7 @@ func TestDecodeInPlace(t *testing.T) {
 
 			// The decoder rewrites the page, so each measured run decodes a copy
 			// made into a buffer that already exists. Decode pays the copy and
-			// Materialize's Node, header array and (index) child array on top.
+			// Materialize's allocations on top (see TestMaterializeAllocs).
 			scratch := make([]byte, len(saved))
 			inPlace := testing.AllocsPerRun(100, func() {
 				copy(scratch, saved)
@@ -608,12 +609,96 @@ func TestDecodeInPlace(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			materialize := 2.0
-			if !tt.n.Leaf {
-				materialize++
-			}
+			materialize := materializeAllocs(tt.n)
 			if inPlace != tt.allocs || copying != inPlace+1+materialize {
 				t.Errorf("DecodeInPlace allocates %.0f times (want %.0f), Decode %.0f (want %.0f more)", inPlace, tt.allocs, copying, 1+materialize)
+			}
+		})
+	}
+}
+
+// materializeAllocs is what Materialize costs for n: one allocation while n
+// and the entry it has room to gain fit viewRoom (a full node at the default
+// order, 31 keys, does), else the node, its header array and, in an index
+// node, its child array.
+func materializeAllocs(n *Node) float64 {
+	switch {
+	case n.Len()+1 <= viewRoom:
+		return 1
+	case n.Leaf:
+		return 2
+	}
+	return 3
+}
+
+// TestMaterializeAllocs pins Materialize and New at one allocation for a leaf
+// and an index node of up to 31 keys, a full node at the default order, and
+// at the separate node, header and child arrays for a full node of an order-64
+// tree. Whatever the form, Keys and Values must have the promised room and be
+// cut so that growing either never reaches the other.
+func TestMaterializeAllocs(t *testing.T) {
+	build := func(leaf bool, keys int) *Node {
+		n := &Node{Leaf: leaf}
+		for i := range keys {
+			n.Keys = append(n.Keys, []byte{byte(i >> 8), byte(i)})
+			n.Values = append(n.Values, []byte{byte(i)})
+		}
+		if !leaf {
+			for i := range keys + 1 {
+				n.Children = append(n.Children, uint64(i+1))
+			}
+		}
+		return n
+	}
+	for _, tt := range []struct {
+		name   string
+		leaf   bool
+		keys   int
+		allocs float64
+	}{
+		{"empty leaf", true, 0, 1},
+		{"leaf, 1 key", true, 1, 1},
+		{"leaf, 31 keys", true, 31, 1},
+		{"index, 1 key", false, 1, 1},
+		{"index, 31 keys", false, 31, 1},
+		{"leaf, order 64 full", true, 63, 2},
+		{"index, order 64 full", false, 63, 3},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			src := build(tt.leaf, tt.keys)
+			page, err := src.EncodeFormat(FormatPrefix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := DecodeInPlace(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range []*Node{src, view} {
+				if n := testing.AllocsPerRun(100, func() { from.Materialize() }); n != tt.allocs {
+					t.Errorf("Materialize allocates %.0f times, want %.0f", n, tt.allocs)
+				}
+				if n := materializeAllocs(from); n != tt.allocs {
+					t.Fatalf("materializeAllocs = %.0f, want %.0f", n, tt.allocs)
+				}
+				m := from.Materialize()
+				if !nodesEqual(m, src) || m.Leaf != tt.leaf {
+					t.Fatalf("Materialize = %+v, want %+v", m, src)
+				}
+				if cap(m.Keys) <= tt.keys || cap(m.Values) <= tt.keys || !tt.leaf && cap(m.Children) <= tt.keys+1 {
+					t.Errorf("Materialize left no room: caps %d/%d/%d for %d keys", cap(m.Keys), cap(m.Values), cap(m.Children), tt.keys)
+				}
+				// Fill Keys to capacity and one past; Values must not move.
+				vals, room := slices.Clone(m.Values), cap(m.Keys)
+				for len(m.Keys) <= room {
+					m.Keys = append(m.Keys, []byte("grown"))
+				}
+				if !slices.EqualFunc(vals, m.Values, bytes.Equal) {
+					t.Errorf("growing Keys past its room overwrote Values")
+				}
+			}
+			if n := testing.AllocsPerRun(100, func() { New(tt.leaf, tt.keys+1) }); n != tt.allocs {
+				t.Errorf("New allocates %.0f times, want %.0f", n, tt.allocs)
 			}
 		})
 	}

@@ -22,7 +22,8 @@ func (e extent) end() int64 { return e.off + int64(e.len) }
 // before this existed). Within the request's own bucket the scan is still
 // best-fit, but candidates there are already within 2x of the request, so
 // fragmentation behavior matches the old scan where it mattered: steady-state
-// workloads keep reusing recycled same-size extents exactly.
+// workloads keep reusing recycled same-size extents exactly. The buckets are
+// cut from one array (see newFreeIndex).
 type freeIndex struct {
 	buckets  [32][]extent
 	n        int
@@ -36,8 +37,25 @@ func bucketOf(n uint32) int {
 	return bits.Len32(n) - 1
 }
 
+// newFreeIndex indexes free, keeping each bucket's extents in list order. It
+// counts the extents per bucket first and cuts every bucket from one backing
+// array, each clipped to its count, so the buckets cost one allocation, not
+// one growing slice each; only a bucket that alloc's remainders later grow
+// past its cut reallocates.
 func newFreeIndex(free []extent) *freeIndex {
 	fi := &freeIndex{}
+	var counts [len(fi.buckets)]int
+	total := 0
+	for _, e := range free {
+		if e.len != 0 {
+			counts[bucketOf(e.len)]++
+			total++
+		}
+	}
+	all := make([]extent, total)
+	for b, c := range counts {
+		fi.buckets[b], all = all[:0:c], all[c:]
+	}
 	for _, e := range free {
 		fi.add(e)
 	}

@@ -89,6 +89,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sync"
 
@@ -534,7 +535,14 @@ func (s *Store) SetSealMark(mark store.SealMark) error {
 	return s.commit(change{root: store.KeepRoot, mark: &mark})
 }
 
+// CommitPages refuses a page of more than 4 GiB before applying anything: an
+// extent's length is 32-bit, so the flush could not place it.
 func (s *Store) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error {
+	for id, p := range writes {
+		if uint64(len(p)) > math.MaxUint32 {
+			return fmt.Errorf("file: page %d is %d bytes, over the %d-byte extent limit", id, len(p), uint64(math.MaxUint32))
+		}
+	}
 	return s.commit(change{writes: writes, root: root, frees: frees})
 }
 

@@ -2,6 +2,7 @@ package file
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -150,6 +151,51 @@ func TestFreeIndexMatchesLinearBestFit(t *testing.T) {
 		if rem[i-1].end() > rem[i].off {
 			t.Fatalf("overlapping free extents %+v and %+v", rem[i-1], rem[i])
 		}
+	}
+}
+
+// TestFreeIndexBuildsInOneArray pins newFreeIndex against the index built by
+// adding the extents one at a time, as it once was: the same extents in every
+// bucket in the same order, so every allocation — and so every page's place
+// in the file — comes out the same, with the whole build one allocation for
+// the index and one for the array its buckets are cut from. A bucket that
+// alloc's remainders grow past its cut must not spill into the next.
+func TestFreeIndexBuildsInOneArray(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var free []extent
+	off := int64(dataStart)
+	for i := 0; i < 300; i++ {
+		l := uint32(rng.Intn(9000))
+		if i%50 == 0 {
+			l = 0 // a zero-length extent indexes nowhere
+		}
+		free = append(free, extent{off: off, len: l})
+		off += int64(l) + 3
+	}
+	fi, ref := newFreeIndex(free), &freeIndex{}
+	for _, e := range free {
+		ref.add(e)
+	}
+	for b := range fi.buckets {
+		if !slices.Equal(fi.buckets[b], ref.buckets[b]) {
+			t.Fatalf("bucket %d = %+v, want %+v", b, fi.buckets[b], ref.buckets[b])
+		}
+	}
+	if fi.n != ref.n || fi.nonEmpty != ref.nonEmpty {
+		t.Fatalf("newFreeIndex counts %d extents in %b, want %d in %b", fi.n, fi.nonEmpty, ref.n, ref.nonEmpty)
+	}
+	endA, endB := off, off
+	for i := 0; i < 400; i++ {
+		n := uint32(rng.Intn(6000) + 1)
+		if a, b := fi.allocExtent(&endA, n), ref.allocExtent(&endB, n); a != b {
+			t.Fatalf("allocation %d of %d bytes: %+v, want %+v", i, n, a, b)
+		}
+	}
+	if a, b := fi.appendTo(nil), ref.appendTo(nil); !slices.Equal(a, b) || endA != endB {
+		t.Fatalf("after the allocations: %+v (end %d), want %+v (end %d)", a, endA, b, endB)
+	}
+	if n := testing.AllocsPerRun(100, func() { newFreeIndex(free) }); n != 2 {
+		t.Errorf("newFreeIndex allocates %.0f times, want 2", n)
 	}
 }
 

@@ -24,11 +24,30 @@ import (
 // is not safe for concurrent use by multiple goroutines.
 //
 // After Commit or Discard the batch is spent: further calls return ErrClosed.
+//
+// Staged values are copied into the batch's slab: fixed-size chunks of
+// slabChunk bytes, each value cut from one and clipped to its own length (a
+// value larger than a chunk is copied alone). A batch of small values thus
+// costs a handful of allocations instead of one a value, and the tree keeps
+// the clipped slices as they are, so a committed value shares its chunk with
+// its batch neighbours: the chunk lives as long as any of them is held by a
+// cached node or a snapshot. Commit and Discard drop the slab, so a spent
+// Batch pins nothing.
 type Batch struct {
 	t    *Tree
 	ops  []batchOp
+	slab []byte // the current chunk; values are appended up to its capacity
 	done bool
 }
+
+// slabChunk is the size of a Batch's slab chunks. It is small so that a
+// chunk kept alive by one committed value strands little: 40 of the
+// benchmark's 100-byte values fill one.
+const slabChunk = 4096
+
+// opsRoom is the op capacity a batch starts with at its first staged op, so
+// a batch of up to that many ops never regrows its op slice.
+const opsRoom = 64
 
 type batchOp struct {
 	sk    []byte // substituted key
@@ -55,8 +74,35 @@ func (b *Batch) Put(key, value []byte) error {
 	if err := checkValueSize(value); err != nil {
 		return err
 	}
-	b.ops = append(b.ops, batchOp{sk: sk, value: append([]byte(nil), value...), shard: b.t.router.Route(sk)})
+	b.stage(batchOp{sk: sk, value: b.copyValue(value), shard: b.t.router.Route(sk)})
 	return nil
+}
+
+// copyValue copies value into the slab and returns the copy, clipped so that
+// an append to it can never reach a neighbour. An empty value stages as nil.
+func (b *Batch) copyValue(value []byte) []byte {
+	n := len(value)
+	switch {
+	case n == 0:
+		return nil
+	case n > slabChunk:
+		v := make([]byte, n)
+		copy(v, value)
+		return v
+	case n > cap(b.slab)-len(b.slab):
+		b.slab = make([]byte, 0, slabChunk)
+	}
+	start := len(b.slab)
+	b.slab = append(b.slab, value...)
+	return b.slab[start:len(b.slab):len(b.slab)]
+}
+
+// stage appends op, giving a batch's first op room for opsRoom.
+func (b *Batch) stage(op batchOp) {
+	if b.ops == nil {
+		b.ops = make([]batchOp, 0, opsRoom)
+	}
+	b.ops = append(b.ops, op)
 }
 
 // Delete stages removing key. Deleting an absent key is not an error.
@@ -68,7 +114,7 @@ func (b *Batch) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	b.ops = append(b.ops, batchOp{sk: sk, del: true, shard: b.t.router.Route(sk)})
+	b.stage(batchOp{sk: sk, del: true, shard: b.t.router.Route(sk)})
 	return nil
 }
 
@@ -125,7 +171,7 @@ func (b *Batch) Commit() error {
 	}
 	b.done = true
 	ops := b.ops
-	b.ops = nil
+	b.ops, b.slab = nil, nil
 	if len(ops) == 0 {
 		return nil
 	}
@@ -184,5 +230,5 @@ func (b *Batch) commitShard(shard int, slice []batchOp) error {
 // spent afterwards. Discarding a spent batch is a no-op.
 func (b *Batch) Discard() {
 	b.done = true
-	b.ops = nil
+	b.ops, b.slab = nil, nil
 }

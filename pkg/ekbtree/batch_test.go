@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"testing"
 
@@ -416,5 +417,139 @@ func TestBatchWithDeletesAndMerges(t *testing.T) {
 		if want := i%10 == 0; ok != want {
 			t.Fatalf("after batch deletes, key %d present = %v, want %v", i, ok, want)
 		}
+	}
+}
+
+// TestBatchSlabOwnership pins the ownership rules of the slab staged values
+// live in (see Batch), at the default order, where the tree's node copies are
+// one allocation each, and at order 64, where a full node's copy falls back
+// to separate arrays:
+//   - a caller rewriting its value buffer between Put and Commit changes
+//     nothing that commits;
+//   - every key and value a cursor hands out after a cached commit is clipped
+//     (cap == len), so an append to one lands in a fresh array, never on a
+//     neighbour — also after a later batch Edits the leaves holding them, and
+//     in a cursor that reads them while that batch commits;
+//   - Commit and Discard drop the slab and the ops, so a spent Batch pins
+//     nothing.
+func TestBatchSlabOwnership(t *testing.T) {
+	for _, order := range []int{DefaultOrder, 64} {
+		t.Run(fmt.Sprintf("order=%d", order), func(t *testing.T) {
+			tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB9}, 32), Order: order, CachePages: 1 << 14})
+			defer tr.Close()
+			const n = 3000
+			want := make(map[string][]byte, n)
+			buf := make([]byte, 0, 2*slabChunk)
+			// value is key i's value in generation gen, written into the
+			// caller's one buffer; lengths vary, and one value in 500 is larger
+			// than a slab chunk.
+			value := func(i, gen int) []byte {
+				buf = fmt.Appendf(buf[:0], "v%d-%d-", i, gen)
+				pad := i % 41
+				if i%500 == 7 {
+					pad = slabChunk + 100
+				}
+				for range pad {
+					buf = append(buf, byte('a'+i%26))
+				}
+				return buf
+			}
+			stage := func(b *Batch, gen int, keep func(i int) bool) {
+				for i := range n {
+					k := fmt.Sprintf("k%05d", i)
+					var err error
+					switch {
+					case keep(i):
+						continue
+					case gen > 0 && i%7 == 0:
+						delete(want, k)
+						err = b.Delete([]byte(k))
+					default:
+						v := value(i, gen)
+						want[k] = bytes.Clone(v)
+						err = b.Put([]byte(k), v)
+						for j := range buf { // the caller reuses its buffer at once
+							buf[j] = 0xEE
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// check walks a cursor, holding every key and value to cap == len and
+			// appending to each, then reads every key back.
+			check := func(c *Cursor, when string) {
+				seen := 0
+				for ok := c.First(); ok; ok = c.Next() {
+					k, v := c.Key(), c.Value()
+					if cap(k) != len(k) || cap(v) != len(v) {
+						t.Errorf("%s: entry %d has key cap %d len %d, value cap %d len %d", when, seen, cap(k), len(k), cap(v), len(v))
+					}
+					_, _ = append(k, 0xAA), append(v, 0xAA)
+					seen++
+				}
+				if err := c.Err(); err != nil {
+					t.Fatal(err)
+				}
+				c.Close()
+				if seen != len(want) {
+					t.Errorf("%s: cursor read %d entries, want %d", when, seen, len(want))
+				}
+				for k, w := range want {
+					if v, ok, err := tr.Get([]byte(k)); err != nil || !ok || !bytes.Equal(v, w) {
+						t.Fatalf("%s: Get(%s) = (%.20q, %v, %v), want %.20q", when, k, v, ok, err, w)
+					}
+				}
+			}
+
+			b := tr.NewBatch()
+			stage(b, 0, func(int) bool { return false })
+			if err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if b.slab != nil || b.ops != nil {
+				t.Errorf("a committed batch still holds %d slab bytes and %d ops", cap(b.slab), len(b.ops))
+			}
+			check(tr.Cursor(), "after the first commit")
+
+			// A second batch rewrites a third of the keys and deletes every
+			// seventh: the leaves holding the rest are Edited, their slab values
+			// carried into the copies. A cursor pinned before it reads the old
+			// version while it commits.
+			old, before := tr.Cursor(), len(want)
+			b = tr.NewBatch()
+			stage(b, 1, func(i int) bool { return i%3 != 0 && i%7 != 0 })
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				seen := 0
+				for ok := old.First(); ok; ok = old.Next() {
+					if k, v := old.Key(), old.Value(); cap(k) != len(k) || cap(v) != len(v) {
+						t.Errorf("pinned cursor: entry %d is not clipped", seen)
+					}
+					seen++
+				}
+				if err := old.Err(); err != nil || seen != before {
+					t.Errorf("pinned cursor read %d entries (%v), want %d", seen, err, before)
+				}
+				old.Close()
+			}()
+			if err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+			check(tr.Cursor(), "after the second commit")
+
+			kept := maps.Clone(want)
+			d := tr.NewBatch()
+			stage(d, 2, func(i int) bool { return i%5 != 0 })
+			d.Discard()
+			if d.slab != nil || d.ops != nil {
+				t.Errorf("a discarded batch still holds %d slab bytes and %d ops", cap(d.slab), len(d.ops))
+			}
+			want = kept
+			check(tr.Cursor(), "after a discard")
+		})
 	}
 }

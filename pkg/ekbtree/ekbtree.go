@@ -68,6 +68,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
@@ -346,11 +347,12 @@ func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substitute
 }
 
 // substituteKey maps a plaintext key to its substituted form, validating
-// that it fits the page encoding. The tree retains the result as is: the
+// that it fits the page encoding. The tree retains the result, clipped: the
 // Substituter contract makes it a fresh buffer that is the caller's and
-// aliases nothing.
+// aliases nothing, and the clip keeps two readers appending to the key a
+// cursor hands out from writing the same spare bytes.
 func (t *Tree) substituteKey(key []byte) ([]byte, error) {
-	sk := t.sub.Substitute(key)
+	sk := slices.Clip(t.sub.Substitute(key))
 	if len(sk) > node.MaxKeyLen {
 		return nil, fmt.Errorf("%w: substituted key is %d bytes, limit %d", ErrTooLarge, len(sk), node.MaxKeyLen)
 	}
@@ -383,7 +385,7 @@ func (t *Tree) Put(key, value []byte) error {
 	if err := checkValueSize(value); err != nil {
 		return err
 	}
-	v := append([]byte(nil), value...)
+	v := slices.Clip(append([]byte(nil), value...))
 	return t.shardFor(sk).Apply(func(bt *btree.Tree) error { return bt.Put(sk, v) })
 }
 

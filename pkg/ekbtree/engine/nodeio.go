@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -174,7 +176,9 @@ var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // seal encodes and seals one node into a store-ready page under the
 // engine-allocated (epoch, counter) nonce; callers guarantee the pair is never
-// reused.
+// reused. A page that would seal to more than 4 GiB — a leaf holding a value
+// near node.MaxValueLen — is refused with ErrTooLarge before the cipher sees
+// it: no page store extent can hold it, nor the decoder read it back.
 func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64) ([]byte, error) {
 	scratch := encodeScratch.Get().(*[]byte)
 	defer encodeScratch.Put(scratch)
@@ -183,6 +187,9 @@ func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64) ([
 		return nil, err
 	}
 	*scratch = pt
+	if size := uint64(len(pt)) + uint64(io.nc.Overhead()); size > math.MaxUint32 {
+		return nil, fmt.Errorf("%w: page %d would seal to %d bytes, limit %d", ErrTooLarge, id, size, uint64(math.MaxUint32))
+	}
 	return io.nc.SealEpoch(id, epoch, counter, pt)
 }
 

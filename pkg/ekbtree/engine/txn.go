@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,6 +49,21 @@ type writeTxn struct {
 	// dirty and frees are seal's scratch: the IDs of the write-set (page
 	// dirty[i] seals under counter start+i) and of the free-set.
 	dirty, frees []uint64
+	// sealed and sw are sealDirty's parallel path: the page each worker
+	// sealed, by index into dirty, and the state the workers share.
+	sealed [][]byte
+	sw     sealWork
+}
+
+// sealWork is what sealDirty's workers share: the nonce block, the next index
+// into dirty to seal, and the first error.
+type sealWork struct {
+	epoch uint32
+	start uint64
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	err   error
 }
 
 // txPage is everything a transaction knows about one page.
@@ -264,57 +280,64 @@ const sealParallelMin = 8
 // the parallel path issues exactly the same nonces as the inline one. Seals
 // are independent pure-CPU work over a stateless cipher, so large commits fan
 // out across up to GOMAXPROCS worker goroutines pulling page indices from a
-// shared counter; small commits (or single-proc runs) seal inline.
+// shared counter; small commits (or single-proc runs) seal inline. Either way
+// the scratch lives in the recycled workspace.
 func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
-	ids, out := tx.dirty, tx.writes
-	sealOne := func(i int) ([]byte, error) {
-		return tx.io.seal(ids[i], tx.pages[ids[i]].n, epoch, start+uint64(i))
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if len(ids) < sealParallelMin || workers < 2 {
-		for i, id := range ids {
-			page, err := sealOne(i)
+	sw := &tx.sw
+	sw.epoch, sw.start = epoch, start
+	workers := min(runtime.GOMAXPROCS(0), len(tx.dirty))
+	if len(tx.dirty) < sealParallelMin || workers < 2 {
+		for i, id := range tx.dirty {
+			page, err := tx.sealOne(i)
 			if err != nil {
 				return err
 			}
-			out[id] = page
+			tx.writes[id] = page
 		}
 		return nil
 	}
-	pages := make([][]byte, len(ids))
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		errOnce sync.Once
-		sealErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ids) {
-					return
-				}
-				page, err := sealOne(i)
-				if err != nil {
-					errOnce.Do(func() { sealErr = err })
-					return
-				}
-				pages[i] = page
+	tx.sealed = slices.Grow(tx.sealed[:0], len(tx.dirty))[:len(tx.dirty)]
+	sw.next.Store(0)
+	sw.wg.Add(workers)
+	for range workers {
+		go tx.sealWorker()
+	}
+	sw.wg.Wait()
+	err := sw.err
+	sw.err = nil
+	if err == nil {
+		for i, id := range tx.dirty {
+			tx.writes[id] = tx.sealed[i]
+		}
+	}
+	clear(tx.sealed) // the store owns the pages now; the workspace must not pin them
+	return err
+}
+
+// sealOne seals page dirty[i] under its nonce.
+func (tx *writeTxn) sealOne(i int) ([]byte, error) {
+	id := tx.dirty[i]
+	return tx.io.seal(id, tx.pages[id].n, tx.sw.epoch, tx.sw.start+uint64(i))
+}
+
+// sealWorker seals pages for sealDirty until none is left or one fails.
+func (tx *writeTxn) sealWorker() {
+	sw := &tx.sw
+	defer sw.wg.Done()
+	for {
+		i := int(sw.next.Add(1)) - 1
+		if i >= len(tx.dirty) {
+			return
+		}
+		page, err := tx.sealOne(i)
+		if err != nil {
+			sw.mu.Lock()
+			if sw.err == nil {
+				sw.err = err
 			}
-		}()
+			sw.mu.Unlock()
+			return
+		}
+		tx.sealed[i] = page
 	}
-	wg.Wait()
-	if sealErr != nil {
-		return sealErr
-	}
-	for i, id := range ids {
-		out[id] = pages[i]
-	}
-	return nil
 }

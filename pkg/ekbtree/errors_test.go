@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/keysub"
@@ -71,6 +73,99 @@ func TestErrTooLarge(t *testing.T) {
 		t.Errorf("Batch.Put with oversized substituted key = %v, want ErrTooLarge", err)
 	}
 	b.Discard()
+}
+
+// hugeOverhead is a page cipher that, once armed, reports a ciphertext
+// overhead that puts every sealed page past 4 GiB, so the page-size limit can
+// be driven without allocating a 4 GiB value.
+type hugeOverhead struct {
+	NodeCipher
+	armed atomic.Bool
+}
+
+func (c *hugeOverhead) Overhead() int {
+	if c.armed.Load() {
+		return math.MaxUint32
+	}
+	return c.NodeCipher.Overhead()
+}
+
+// TestPageOver4GiBIsRefused pins the engine's half of the page-size limit: a
+// value up to node.MaxValueLen passes checkValueSize, but a page that would
+// seal to more than 4 GiB fits no page store extent, so the seal refuses it
+// with ErrTooLarge, whether the commit seals inline (a Put, a Delete) or on
+// the parallel workers (a batch dirtying dozens of leaves). The transaction
+// aborts before validation: nothing it staged becomes visible, no commit is
+// counted, and the shard keeps taking writes — a large batch included.
+func TestPageOver4GiBIsRefused(t *testing.T) {
+	inner, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC8}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xC9}, 32), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := &hugeOverhead{NodeCipher: inner}
+	tr := mustOpen(t, Options{Substituter: sub, Cipher: nc})
+	defer tr.Close()
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	overwrite := func() error {
+		b := tr.NewBatch()
+		for i := range 200 {
+			if err := b.Put(key(i), []byte("w")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Commit()
+	}
+	b := tr.NewBatch()
+	for i := range 1000 {
+		if err := b.Put(key(i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	nc.armed.Store(true)
+	if err := tr.Put(key(1000), []byte("v")); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Put sealing a page past 4 GiB = %v, want ErrTooLarge", err)
+	}
+	if _, err := tr.Delete(key(0)); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Delete sealing a page past 4 GiB = %v, want ErrTooLarge", err)
+	}
+	if err := overwrite(); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Batch.Commit sealing pages past 4 GiB = %v, want ErrTooLarge", err)
+	}
+	nc.armed.Store(false)
+
+	if st, err := tr.Stats(); err != nil || st.Keys != 1000 || st.Commits != before.Commits {
+		t.Errorf("Stats after the refused commits = (%d keys, %d commits, %v), want 1000 and %d", st.Keys, st.Commits, err, before.Commits)
+	}
+	for _, i := range []int{0, 5, 199, 1000} {
+		v, ok, err := tr.Get(key(i))
+		if want := i < 1000; err != nil || ok != want || want && string(v) != "v" {
+			t.Errorf("Get(%s) = (%q, %v, %v) after the refused commits, want v: %v", key(i), v, ok, err, want)
+		}
+	}
+	if err := overwrite(); err != nil {
+		t.Fatalf("Batch.Commit after the refused commits = %v, want the shard still writable", err)
+	}
+	if err := tr.Put(key(1000), []byte("v")); err != nil {
+		t.Fatalf("Put after the refused commits = %v", err)
+	}
+	for _, i := range []int{0, 199, 200, 1000} {
+		want := map[bool]string{true: "w", false: "v"}[i < 200]
+		if v, ok, err := tr.Get(key(i)); err != nil || !ok || string(v) != want {
+			t.Errorf("Get(%s) = (%q, %v, %v), want %q", key(i), v, ok, err, want)
+		}
+	}
 }
 
 // TestOpenSentinels pins the error taxonomy of Open: ErrInvalidOptions for
