@@ -72,6 +72,10 @@ lint:
 # One node constructor: every node the write path builds comes from node.New
 # (Materialize included), which allocates a node and its arrays as one object.
 	@if git grep -nF '&node.Node{' -- '*.go' ':!*_test.go' ':!internal/node'; then echo "build a node with node.New, not a composite literal"; exit 1; fi
+# Substitution allocates per chunk, not per key: keysub.go makes a byte buffer
+# in one place, the chunk refill (subState.take), and cuts every result from
+# the chunk.
+	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -89,9 +93,9 @@ test:
 #    commit optimistically);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
 #    an in-place decoder that saw a shared buffer, or anything that wrote into
-#    a cached view's page or a committed batch's slab chunk, is a data race
-#    only an overlapping reader shows, and racing commits hand the one
-#    recycled workspace back and forth;
+#    a cached view's page, a committed batch's slab chunk or a substitution
+#    chunk, is a data race only an overlapping reader shows, and racing
+#    commits hand the one recycled workspace back and forth;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -101,7 +105,7 @@ race:
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
-	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 

@@ -19,13 +19,20 @@ import (
 // version; callers must treat them as read-only and copy what they retain
 // beyond the version's lifetime.
 //
+// The path stack lives in the Iter itself (room) for trees up to
+// iterStackRoom levels, so positioning allocates nothing. Seek binds it, so
+// an Iter may be copied before its Seek (Snapshot.Iter hands one out by
+// value) but a copy made between Seek and Next shares the original's stack
+// until it seeks itself.
+//
 // An Iter is not safe for concurrent use.
 type Iter struct {
 	r    Reader
 	root uint64
 	to   []byte // exclusive upper bound; nil = unbounded
 
-	stack []iterFrame
+	stack []iterFrame // room[:0] from Seek on, grown past it only in a deeper tree
+	room  [iterStackRoom]iterFrame
 	err   error
 }
 
@@ -38,9 +45,9 @@ type iterFrame struct {
 	descend bool
 }
 
-// iterStackRoom is the path stack's first capacity: sized once, where growing
-// it a frame at a time cost a scan three allocations. Eight levels is a tree
-// of billions of entries at any order in use; a deeper one grows the stack.
+// iterStackRoom is the path stack's inline capacity. Eight levels is a tree
+// of billions of entries at any order in use; a deeper one grows the stack on
+// the heap.
 const iterStackRoom = 8
 
 // NewIter returns an iterator over the tree rooted at rootID with keys below
@@ -53,13 +60,10 @@ func NewIter(r Reader, rootID uint64, to []byte) *Iter {
 // entry with key >= from (nil positions at the smallest key). Seek may be
 // called at any time to reposition; it clears any previous error.
 func (it *Iter) Seek(from []byte) {
-	it.stack = it.stack[:0]
+	it.stack = it.room[:0]
 	it.err = nil
 	if it.root == store.NoRoot {
 		return
-	}
-	if it.stack == nil {
-		it.stack = make([]iterFrame, 0, iterStackRoom)
 	}
 	id := it.root
 	for {

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -160,6 +161,48 @@ func TestIterEmptyTree(t *testing.T) {
 		t.Fatal("iterator over empty tree yielded an entry")
 	}
 	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIterCopiedBeforeSeek pins where an Iter's path stack lives: in the Iter
+// itself, bound at Seek. Two copies of one unsought Iter (Snapshot.Iter hands
+// one out by value) are sought to different keys and read turn about; each
+// must yield its own run, so neither may share the other's stack. The tree
+// is deeper than the inline room, so the stacks also grow past it.
+func TestIterCopiedBeforeSeek(t *testing.T) {
+	st := newMemNodes()
+	tr, err := New(st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, _ := st.Root()
+	if s, err := StatsIn(st, root); err != nil || s.Height <= iterStackRoom {
+		t.Fatalf("tree of height %d (%v); the test needs one deeper than %d", s.Height, err, iterStackRoom)
+	}
+	a := *NewIter(st, root, nil)
+	b := a
+	const from = 700
+	a.Seek(nil)
+	b.Seek(key(from))
+	for i := 0; i < n-from; i++ {
+		ka, _, oka := a.Next()
+		kb, _, okb := b.Next()
+		if !oka || !bytes.Equal(ka, key(i)) || !okb || !bytes.Equal(kb, key(from+i)) {
+			t.Fatalf("step %d: copies read (%q, %v) and (%q, %v), want %q and %q", i, ka, oka, kb, okb, key(i), key(from+i))
+		}
+	}
+	if _, _, ok := b.Next(); ok {
+		t.Fatal("the copy sought near the end read past it")
+	}
+	if err := errors.Join(a.Err(), b.Err()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,12 +2,15 @@ package keysub
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/paper-repro/ekbtree/internal/israce"
 )
@@ -135,21 +138,91 @@ func TestHMACPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSubstituteAllocs guards the one-allocation substitution: the result
-// buffer and nothing else.
+// TestSubstituteAllocs guards the chunked substitution: a result costs no
+// allocation of its own, and a chunk's worth of calls (subChunk bytes of
+// results) costs at most the one chunk it fills, for Substitute and for
+// SubstituteRange's two bounds.
 func TestSubstituteAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	h, b16, _ := fuzzSubs(t)
 	key := []byte("user:0000000042")
-	for _, sub := range []Substituter{h, b16} {
-		sub.Substitute(key) // fill the pool
-		if n := testing.AllocsPerRun(200, func() { sub.Substitute(key) }); n > 1 {
-			t.Errorf("%s: Substitute allocates %.1f times, want <= 1", sub.Name(), n)
+	for _, tt := range []struct {
+		name string
+		size int // result bytes a call cuts from the chunk
+		call func()
+	}{
+		{h.Name(), h.Width(), func() { h.Substitute(key) }},
+		{b16.Name(), b16.Width(), func() { b16.Substitute(key) }},
+		{"SubstituteRange", 2 * b16.prefixLen, func() { b16.SubstituteRange(key, key) }},
+	} {
+		tt.call() // fill the pool
+		if n := testing.AllocsPerRun(200, tt.call); n != 0 {
+			t.Errorf("%s: a call allocates %.2f times on average, want 0", tt.name, n)
+		}
+		chunk := func() {
+			for range subChunk / tt.size {
+				tt.call()
+			}
+		}
+		if n := testing.AllocsPerRun(20, chunk); n > 1 {
+			t.Errorf("%s: a chunk's worth of calls allocates %.0f times, want <= 1", tt.name, n)
 		}
 	}
-	if n := testing.AllocsPerRun(200, func() { b16.SubstituteRange(key, key) }); n > 1 {
-		t.Errorf("SubstituteRange allocates %.1f times, want <= 1", n)
+}
+
+// TestResultsNeverOverlap checks the chunk's ownership rule from several
+// goroutines at once: every result, Substitute's of both substituters and
+// SubstituteRange's bounds, is clipped (cap == len), no two share a byte, and
+// none changes after it is handed out. Run under -race, which also sees a
+// chunk written by two goroutines.
+func TestResultsNeverOverlap(t *testing.T) {
+	h, b16, _ := fuzzSubs(t)
+	const goroutines, perG = 4, 2000
+	results := make([][][]byte, goroutines)
+	keyOf := func(g, i int) []byte {
+		key := make([]byte, 8)
+		binary.BigEndian.PutUint32(key, uint32(g))
+		binary.BigEndian.PutUint32(key[4:], uint32(i))
+		return key
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				key := keyOf(g, i)
+				lo, hi := b16.SubstituteRange(key, key)
+				results[g] = append(results[g], h.Substitute(key), b16.Substitute(key), lo, hi)
+			}
+		}()
+	}
+	wg.Wait()
+
+	type span struct {
+		lo, hi uintptr
+	}
+	var spans []span
+	for g, own := range results {
+		for j, r := range own {
+			if len(r) == 0 || cap(r) != len(r) {
+				t.Fatalf("goroutine %d result %d: len %d cap %d, want a clipped non-empty result", g, j, len(r), cap(r))
+			}
+			lo := uintptr(unsafe.Pointer(unsafe.SliceData(r)))
+			spans = append(spans, span{lo, lo + uintptr(len(r))})
+			key := keyOf(g, j/4)
+			rlo, rhi := b16.SubstituteRange(key, key)
+			if fresh := [][]byte{h.Substitute(key), b16.Substitute(key), rlo, rhi}[j%4]; !bytes.Equal(r, fresh) {
+				t.Fatalf("goroutine %d result %d changed after it was handed out: %x, want %x", g, j, r, fresh)
+			}
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("two results overlap: [%#x, %#x) and [%#x, %#x)", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
+		}
 	}
 }

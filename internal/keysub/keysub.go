@@ -28,8 +28,11 @@ import (
 // Implementations must be deterministic (equal keys map to equal substitutes)
 // and injective with overwhelming probability.
 type Substituter interface {
-	// Substitute returns the substituted key. The result is a fresh buffer
-	// owned by the caller and never aliases the input.
+	// Substitute returns the substituted key. The result is the caller's: it
+	// never aliases the input and no later call writes its bytes. It may
+	// share a backing array with other results, clipped so that appending to
+	// one cannot reach another, so a caller that keeps many results should
+	// copy them rather than pin the arrays they were cut from.
 	Substitute(key []byte) []byte
 	// Width returns the length in bytes of substituted keys, or -1 if the
 	// width varies with the input.
@@ -47,7 +50,7 @@ type RangeSubstituter interface {
 	// bounds [lo, hi) whose coverage is a superset of the plaintext range:
 	// every key in [from, to) substitutes into [lo, hi), possibly along with
 	// other keys sharing a boundary bucket. A nil bound stays nil
-	// (unbounded).
+	// (unbounded). The bounds are owned as Substitute's results are.
 	SubstituteRange(from, to []byte) (lo, hi []byte)
 }
 
@@ -57,13 +60,31 @@ const (
 	MaxWidth = sha256.Size
 )
 
-// HMAC substitutes keys via HMAC-SHA256 truncated to a fixed width. The keyed
-// hash states are built once and recycled through a pool: every operation of
-// the tree starts with a substitution, and constructing an HMAC per key costs
-// two extra SHA-256 compressions and five allocations.
+// HMAC substitutes keys via HMAC-SHA256 truncated to a fixed width. Every
+// operation of the tree starts with a substitution, so the per-call state is
+// pooled: a keyed hash, built once (constructing an HMAC per key costs two
+// extra SHA-256 compressions and five allocations), and a chunk of subChunk
+// bytes that results are cut from, each clipped to its own length. A result
+// thus costs no allocation of its own; a chunk is made when the one in hand
+// runs short, and a keyed hash only when the garbage collector empties the
+// pool. A pooled chunk holds substituted keys and the spare tail of the last
+// sum, never a plaintext key.
 type HMAC struct {
 	width int
-	macs  sync.Pool // of hash.Hash keyed with the secret, always in reset state
+	pool  sync.Pool // of *subState
+}
+
+// subChunk is the size of the chunks substitution results are cut from: 170
+// of the benchmark's 24-byte keys. A chunk lives as long as any result cut
+// from it, so callers that keep results copy them (see Substituter).
+const subChunk = 4096
+
+// subState is one pooled substitution state. Between the pool's Get and Put
+// it belongs to one goroutine, and a result cut from buf is never cut again,
+// so results handed out from one state never overlap.
+type subState struct {
+	mac hash.Hash // keyed with the secret, always in reset state
+	buf []byte    // the unused tail of the current chunk
 }
 
 // NewHMAC returns an HMAC substituter keyed with secret, producing
@@ -77,28 +98,49 @@ func NewHMAC(secret []byte, width int) (*HMAC, error) {
 	}
 	secret = append([]byte(nil), secret...)
 	h := &HMAC{width: width}
-	h.macs.New = func() any { return hmac.New(sha256.New, secret) }
+	h.pool.New = func() any { return &subState{mac: hmac.New(sha256.New, secret)} }
 	return h, nil
 }
 
-func (h *HMAC) Substitute(key []byte) []byte {
-	return h.appendSubstitute(make([]byte, 0, sha256.Size), key)
+// take returns the next n bytes of the state's chunk, zeroed, with room
+// behind them for extra more bytes the caller may write but not keep. When
+// the chunk runs short it is left to the results already cut from it and a
+// fresh one is made: the one place this package makes a buffer.
+func (s *subState) take(n, extra int) []byte {
+	if len(s.buf) < n+extra {
+		s.buf = make([]byte, subChunk)
+	}
+	p := s.buf[:n]
+	clear(p)
+	return p
 }
 
-// appendSubstitute appends key's substitute to dst, which must have
-// sha256.Size bytes of spare capacity for the untruncated sum, and clips the
-// result's capacity to its length.
-func (h *HMAC) appendSubstitute(dst, key []byte) []byte {
-	mac := h.macs.Get().(hash.Hash)
-	mac.Write(key)
-	sum := mac.Sum(dst)
+// cut hands out p, a prefix of the chunk's tail that take returned and the
+// caller filled, clipped to its length, and moves the tail past it.
+func (s *subState) cut(p []byte) []byte {
+	n := len(p)
+	s.buf = s.buf[n:]
+	return p[:n:n]
+}
+
+func (h *HMAC) Substitute(key []byte) []byte {
+	s := h.pool.Get().(*subState)
+	out := s.cut(h.appendSum(s, s.take(0, sha256.Size), key))
+	h.pool.Put(s)
+	return out
+}
+
+// appendSum appends key's substitute to dst, which must have sha256.Size
+// bytes of spare capacity for the untruncated sum; the bytes past the width
+// stay in the chunk's tail, for the next result to overwrite.
+func (h *HMAC) appendSum(s *subState, dst, key []byte) []byte {
+	s.mac.Write(key)
+	sum := s.mac.Sum(dst)
 	// Reset restores the keyed pads from their marshaled state (two
 	// compressions a call instead of four) and leaves nothing of key behind
 	// in the pooled state.
-	mac.Reset()
-	h.macs.Put(mac)
-	n := len(dst) + h.width
-	return sum[:n:n]
+	s.mac.Reset()
+	return sum[:len(dst)+h.width]
 }
 
 func (h *HMAC) Width() int { return h.width }
@@ -130,11 +172,15 @@ func NewBucketed(inner *HMAC, prefixBits int) (*Bucketed, error) {
 }
 
 // Substitute writes the bucket prefix and the inner substitute into one
-// buffer.
+// result, cut from the inner substituter's chunk.
 func (b *Bucketed) Substitute(key []byte) []byte {
-	out := make([]byte, b.prefixLen, b.prefixLen+sha256.Size)
+	h := b.inner
+	s := h.pool.Get().(*subState)
+	out := s.take(b.prefixLen, sha256.Size)
 	b.putPrefix(out, key)
-	return b.inner.appendSubstitute(out, key)
+	out = s.cut(h.appendSum(s, out, key))
+	h.pool.Put(s)
+	return out
 }
 
 // putPrefix writes key's bucket prefix, its leading prefixBits bits, into the
@@ -152,28 +198,34 @@ func (b *Bucketed) putPrefix(p, key []byte) {
 // is to's bucket prefix plus one (sorting after every substituted key in
 // to's bucket). The result covers whole boundary buckets — a superset of the
 // plaintext range, never a pseudorandom sample of it. Both bounds are cut
-// from one buffer, each clipped to its own capacity.
+// from the inner substituter's chunk, each clipped to its own length.
 func (b *Bucketed) SubstituteRange(from, to []byte) (lo, hi []byte) {
 	if from == nil && to == nil {
 		return nil, nil
 	}
-	n := b.prefixLen
-	buf := make([]byte, 2*n)
+	h := b.inner
+	s := h.pool.Get().(*subState)
 	if from != nil {
-		lo = buf[:n:n]
+		lo = s.take(b.prefixLen, 0)
 		b.putPrefix(lo, from)
+		lo = s.cut(lo)
 	}
 	if to != nil {
-		hi = buf[n:]
+		hi = s.take(b.prefixLen, 0)
 		b.putPrefix(hi, to)
-		for i := n - 1; i >= 0; i-- {
-			hi[i]++
-			if hi[i] != 0 {
-				return lo, hi
+		i := len(hi) - 1
+		for ; i >= 0; i-- {
+			if hi[i]++; hi[i] != 0 {
+				break
 			}
 		}
-		hi = nil // to's bucket is the last one: unbounded above
+		if i >= 0 {
+			hi = s.cut(hi)
+		} else {
+			hi = nil // to's bucket is the last one: unbounded above
+		}
 	}
+	h.pool.Put(s)
 	return lo, hi
 }
 

@@ -25,24 +25,24 @@ import (
 //
 // After Commit or Discard the batch is spent: further calls return ErrClosed.
 //
-// Staged values are copied into the batch's slab: fixed-size chunks of
-// slabChunk bytes, each value cut from one and clipped to its own length (a
-// value larger than a chunk is copied alone). A batch of small values thus
-// costs a handful of allocations instead of one a value, and the tree keeps
-// the clipped slices as they are, so a committed value shares its chunk with
-// its batch neighbours: the chunk lives as long as any of them is held by a
-// cached node or a snapshot. Commit and Discard drop the slab, so a spent
-// Batch pins nothing.
+// Staged keys and values are copied into the batch's slab: fixed-size chunks
+// of slabChunk bytes, each op's substituted key and value cut from one side
+// by side and clipped to their own lengths (an entry larger than a chunk is
+// copied alone). A batch of small entries thus costs a handful of
+// allocations instead of one an op, and the tree keeps the clipped slices as
+// they are, so a committed entry shares its chunk with its batch neighbours:
+// the chunk lives as long as any of them is held by a cached node or a
+// snapshot. Commit and Discard drop the slab, so a spent Batch pins nothing.
 type Batch struct {
 	t    *Tree
 	ops  []batchOp
-	slab []byte // the current chunk; values are appended up to its capacity
+	slab []byte // the current chunk; entries are appended up to its capacity
 	done bool
 }
 
 // slabChunk is the size of a Batch's slab chunks. It is small so that a
-// chunk kept alive by one committed value strands little: 40 of the
-// benchmark's 100-byte values fill one.
+// chunk kept alive by one committed entry strands little: 33 of the
+// benchmark's entries (a 24-byte key and a 100-byte value) fill one.
 const slabChunk = 4096
 
 // opsRoom is the op capacity a batch starts with at its first staged op, so
@@ -50,7 +50,7 @@ const slabChunk = 4096
 const opsRoom = 64
 
 type batchOp struct {
-	sk    []byte // substituted key
+	sk    []byte // substituted key, the batch's copy
 	value []byte // nil for deletes
 	shard int    // owning shard, routed at staging time
 	del   bool
@@ -62,7 +62,8 @@ func (t *Tree) NewBatch() *Batch {
 }
 
 // Put stages storing value under key. Both slices are copied (key via its
-// substitution); the caller keeps ownership and may reuse them immediately.
+// substitution) into the slab; the caller keeps ownership and may reuse them
+// immediately.
 func (b *Batch) Put(key, value []byte) error {
 	if b.done {
 		return ErrClosed
@@ -74,27 +75,24 @@ func (b *Batch) Put(key, value []byte) error {
 	if err := checkValueSize(value); err != nil {
 		return err
 	}
-	b.stage(batchOp{sk: sk, value: b.copyValue(value), shard: b.t.router.Route(sk)})
+	k, v := b.copyEntry(sk, value)
+	b.stage(batchOp{sk: k, value: v, shard: b.t.router.Route(k)})
 	return nil
 }
 
-// copyValue copies value into the slab and returns the copy, clipped so that
-// an append to it can never reach a neighbour. An empty value stages as nil.
-func (b *Batch) copyValue(value []byte) []byte {
-	n := len(value)
+// copyEntry copies sk and value side by side into the slab and returns the
+// copies (see appendEntry). An entry larger than a chunk is copied alone.
+func (b *Batch) copyEntry(sk, value []byte) (k, v []byte) {
+	n := len(sk) + len(value)
 	switch {
-	case n == 0:
-		return nil
 	case n > slabChunk:
-		v := make([]byte, n)
-		copy(v, value)
-		return v
+		_, k, v = appendEntry(make([]byte, 0, n), sk, value)
+		return k, v
 	case n > cap(b.slab)-len(b.slab):
 		b.slab = make([]byte, 0, slabChunk)
 	}
-	start := len(b.slab)
-	b.slab = append(b.slab, value...)
-	return b.slab[start:len(b.slab):len(b.slab)]
+	b.slab, k, v = appendEntry(b.slab, sk, value)
+	return k, v
 }
 
 // stage appends op, giving a batch's first op room for opsRoom.
@@ -114,7 +112,8 @@ func (b *Batch) Delete(key []byte) error {
 	if err != nil {
 		return err
 	}
-	b.stage(batchOp{sk: sk, del: true, shard: b.t.router.Route(sk)})
+	k, _ := b.copyEntry(sk, nil)
+	b.stage(batchOp{sk: k, del: true, shard: b.t.router.Route(k)})
 	return nil
 }
 

@@ -51,14 +51,20 @@ import (
 //	}
 //	if err := c.Err(); err != nil { ... }
 type Cursor struct {
-	t      *Tree
-	lo, hi []byte // substituted bounds: lo inclusive, hi exclusive; nil = unbounded
+	t *Tree
+	// The substituted bounds, lo inclusive, hi exclusive, nil unbounded. They
+	// are the substituter's results, kept as they are for the cursor's life
+	// and dropped at Close.
+	lo, hi []byte
 
 	// The pinned run: one snapshot and its iterator per shard the range
 	// covers, in shard (ascending substituted-key) order, shards[0] being the
-	// shard that owns lo. Empty if a snapshot could not be taken at creation:
-	// err holds the reason and every positioning call reports it.
+	// shard that owns lo. A run of one shard, which every one-bucket range
+	// is, lives in first, inside the Cursor's own allocation; a longer run
+	// has a slice of its own. Empty if a snapshot could not be taken at
+	// creation: err holds the reason and every positioning call reports it.
 	shards []cursorShard
+	first  [1]cursorShard
 	cur    int // index into shards of the shard being read
 
 	k, v   []byte
@@ -91,7 +97,12 @@ func (t *Tree) Cursor() *Cursor {
 func (t *Tree) CursorRange(fromKey, toKey []byte) *Cursor {
 	lo, hi := t.substituteBounds(fromKey, toKey)
 	s0, s1 := t.router.RouteRange(lo, hi)
-	c := &Cursor{t: t, lo: lo, hi: hi, shards: make([]cursorShard, s1-s0+1)}
+	c := &Cursor{t: t, lo: lo, hi: hi}
+	if s1 == s0 {
+		c.shards = c.first[:]
+	} else {
+		c.shards = make([]cursorShard, s1-s0+1)
+	}
 	for i := range c.shards {
 		snap, err := t.shards[s0+i].Snapshot()
 		if err != nil {
@@ -254,7 +265,8 @@ func (c *Cursor) Close() error {
 	for i := range c.shards {
 		c.shards[i].snap.Close()
 	}
-	c.shards = nil
+	c.shards, c.first = nil, [1]cursorShard{}
+	c.lo, c.hi = nil, nil
 	c.k, c.v, c.valid = nil, nil, false
 	return nil
 }

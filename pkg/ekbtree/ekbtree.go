@@ -68,7 +68,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
@@ -347,16 +346,29 @@ func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substitute
 }
 
 // substituteKey maps a plaintext key to its substituted form, validating
-// that it fits the page encoding. The tree retains the result, clipped: the
-// Substituter contract makes it a fresh buffer that is the caller's and
-// aliases nothing, and the clip keeps two readers appending to the key a
-// cursor hands out from writing the same spare bytes.
+// that it fits the page encoding. The result is used in place: a Substituter
+// may cut it from a chunk shared with other results (HMAC does), so what the
+// tree keeps of it, a Put's or a staged op's key, is copied first
+// (appendEntry), and a Get, a Delete or a route only reads it.
 func (t *Tree) substituteKey(key []byte) ([]byte, error) {
-	sk := slices.Clip(t.sub.Substitute(key))
+	sk := t.sub.Substitute(key)
 	if len(sk) > node.MaxKeyLen {
 		return nil, fmt.Errorf("%w: substituted key is %d bytes, limit %d", ErrTooLarge, len(sk), node.MaxKeyLen)
 	}
 	return sk, nil
+}
+
+// appendEntry appends sk and value to dst, which must have room for both, and
+// returns dst grown by them and the two copies, each clipped to its own length
+// so that an append to one cannot reach the other or a neighbour. An empty
+// value comes back nil.
+func appendEntry(dst, sk, value []byte) (grown, k, v []byte) {
+	start, mid := len(dst), len(dst)+len(sk)
+	dst = append(append(dst, sk...), value...)
+	if end := len(dst); end > mid {
+		v = dst[mid:end:end]
+	}
+	return dst, dst[start:mid:mid], v
 }
 
 // checkValueSize validates that a value fits the page encoding.
@@ -373,10 +385,11 @@ func (t *Tree) shardFor(sk []byte) *engine.Engine {
 }
 
 // Put stores value under key, replacing any existing value. Both slices are
-// copied; the caller keeps ownership. Every page the operation touches is
-// staged decoded, then the whole set is handed to the owning shard's atomic
-// CommitPages and published as one epoch, so even a multi-page split is
-// all-or-nothing for readers and durable backends alike.
+// copied, the substituted key and the value into one allocation; the caller
+// keeps ownership. Every page the operation touches is staged decoded, then
+// the whole set is handed to the owning shard's atomic CommitPages and
+// published as one epoch, so even a multi-page split is all-or-nothing for
+// readers and durable backends alike.
 func (t *Tree) Put(key, value []byte) error {
 	sk, err := t.substituteKey(key)
 	if err != nil {
@@ -385,8 +398,8 @@ func (t *Tree) Put(key, value []byte) error {
 	if err := checkValueSize(value); err != nil {
 		return err
 	}
-	v := slices.Clip(append([]byte(nil), value...))
-	return t.shardFor(sk).Apply(func(bt *btree.Tree) error { return bt.Put(sk, v) })
+	_, k, v := appendEntry(make([]byte, 0, len(sk)+len(value)), sk, value)
+	return t.shardFor(k).Apply(func(bt *btree.Tree) error { return bt.Put(k, v) })
 }
 
 // Get returns the value stored under key. The returned slice is a fresh copy
