@@ -48,10 +48,10 @@ lint:
 # runs internal/store/file over a page file in memory. store.Mem is left only
 # for bench/'s replay engine.
 	@if git grep -nE 'store\.NewMem\(' -- '*.go' ':!bench' ':!internal/store'; then echo "use file.NewMem(), the file store over a page file in memory; store.Mem is kept only for bench/"; exit 1; fi
-# One commit path and one failure rule: a root move is an ordinary optimistic
-# commit, and a failed store commit stops its shard's writers with its epoch
-# left linked.
-	@if git grep -nE 'commitNeedsExclusive|failedSince|unlinkLocked' -- '*.go'; then echo "root moves commit optimistically and a store failure stops the shard; see Engine.tryCommit and epochs.finalize"; exit 1; fi
+# One commit path and one failure rule: a shard's writers take turns, so a
+# commit, root move or not, is never validated, conflicted or retried, and a
+# failed store commit stops its shard's writers with its epoch left linked.
+	@if git grep -nE 'commitNeedsExclusive|failedSince|unlinkLocked|errConflict|commitBackoff|maxOptimisticAttempts|validateAndPrepare' -- '*.go'; then echo "a shard's writers take turns and a store failure stops the shard; see Engine.commit and epochs.finalize"; exit 1; fi
 # The page format is the file's, not the caller's: the option that once chose
 # it is gone, and no test helper may bring its names back.
 	@if git grep -nwE 'NodeEncoding|EncodingAuto|EncodingPrefix|EncodingFull' -- '*.go'; then echo "the node-encoding option was removed; see README, Space management"; exit 1; fi
@@ -90,12 +90,13 @@ test:
 #    rotator interleaves differently every run, the rotator backing off over a
 #    store that refuses it, the same loop auto-vacuuming a churned tree, and
 #    the engine's one commit path (failed commits stay invisible, root moves
-#    commit optimistically);
+#    commit like any other, and the turn holder combines queued writers:
+#    one epoch, each caller's own error, a store error for all, Close);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
 #    an in-place decoder that saw a shared buffer, or anything that wrote into
 #    a cached view's page, a committed batch's slab chunk or a substitution
-#    chunk, is a data race only an overlapping reader shows, and racing
-#    commits hand the one recycled workspace back and forth;
+#    chunk, is a data race only an overlapping reader shows, and a combined
+#    commit hands its one transaction between the writers' goroutines;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -103,7 +104,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode' ./pkg/ekbtree/...

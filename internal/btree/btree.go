@@ -26,14 +26,12 @@ import (
 // page it took before the Edit is stale afterwards and is re-taken. A node the
 // tree builds itself for a page it just Alloc'd is private from birth.
 //
-// Contract the façade's optimistic concurrency depends on: the tree ALWAYS
-// Reads a page before Editing, Writing or Freeing it (every mutation descends
-// to its leaf through Read, and splits/merges only rewrite pages on that
-// path), and only Writes pages it either Read or just Alloc'd. The façade
-// captures a transaction's read-set from its Read calls, so this
-// read-before-write discipline is what makes page-level conflict detection
-// between concurrent writers sound — a Write to a never-Read, non-fresh page
-// would bypass validation. Keep it load-bearing when changing the algorithms.
+// The tree Reads a page before Editing, Writing or Freeing it (every mutation
+// descends to its leaf through Read, and splits/merges only rewrite pages on
+// that path), and only Writes pages it either Read or just Alloc'd. No store
+// relies on that for correctness: the engine's writers take turns, so no
+// conflict detection watches a transaction's Reads, and its transaction
+// fetches the pre-image of a page it is handed unread.
 type NodeStore interface {
 	Reader
 	Write(id uint64, n *node.Node) error

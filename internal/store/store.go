@@ -98,13 +98,13 @@ type PageStore interface {
 	// every commit its failed flush coalesced), so the caller must treat the
 	// store's state as unknown until it is reopened.
 	//
-	// CommitPages may be called from multiple goroutines concurrently. The
-	// engine's optimistic commit layer only overlaps commits whose write and
-	// free sets are pairwise disjoint (validation rejects everything else),
-	// and of any overlapping commits at most one moves the root; the rest
-	// pass KeepRoot. Stores may therefore apply concurrent batches in any
-	// order (or coalesce them, as the file backend's group-commit pipeline
-	// does) without affecting the final state.
+	// CommitPages may be called from multiple goroutines concurrently, but
+	// the engine calls it for one shard's commits one at a time: a shard's
+	// writers take turns, and the turn holder's commit carries every
+	// mutation queued behind it. Concurrent callers must pass disjoint write
+	// and free sets, and at most one may move the root while the rest pass
+	// KeepRoot; a store may then apply them in any order (or coalesce them,
+	// as the file backend's group-commit pipeline does).
 	CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error
 	// SealMark returns the cipher-lifecycle mark last recorded by SetSealMark,
 	// or the zero mark if never set (including stores created before the mark

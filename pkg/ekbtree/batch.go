@@ -19,9 +19,9 @@ import (
 // Operations are applied in the order they were staged, so a later Put or
 // Delete of the same key wins. Staging (Put/Delete) routes each operation to
 // its owning shard but does not touch the tree and never blocks; only Commit
-// enters the shards' optimistic commit pipelines, where it may run
-// concurrently with other committing batches and single mutations. A Batch
-// is not safe for concurrent use by multiple goroutines.
+// takes each shard's write turn, where it may share one store commit with
+// other batches and single mutations queued alongside it. A Batch is not
+// safe for concurrent use by multiple goroutines.
 //
 // After Commit or Discard the batch is spent: further calls return ErrClosed.
 //
@@ -122,32 +122,28 @@ func (b *Batch) Len() int {
 	return len(b.ops)
 }
 
-// Commit applies all staged operations, one optimistic transaction PER SHARD
-// the batch touches, sealing each touched page once and publishing each
-// shard's slice as ONE new epoch on that shard. Within a shard the batch
-// keeps the full single-tree guarantee: a concurrent reader or cursor either
-// observes that shard from before the batch or after all of its slice, never
-// a half-applied state. ACROSS shards the batch is NOT atomic — the
-// per-shard commits run in parallel (each down its own committer and fsync
-// stream; that parallelism is where sharded ingest throughput comes from),
-// so a reader may observe one shard's slice before another's lands, and an
-// error on one shard does not roll back the slices that already committed.
-// Operations for the same shard preserve their staging order, so a later Put
-// or Delete of the same key still wins. On an unsharded tree (Shards = 1)
-// Commit is exactly the old single-epoch atomic batch.
+// Commit applies all staged operations, one transaction PER SHARD the batch
+// touches, sealing each touched page once and publishing each shard's slice
+// as part of ONE new epoch on that shard. Within a shard the batch keeps the
+// full single-tree guarantee: a concurrent reader or cursor either observes
+// that shard from before the batch or after all of its slice, never a
+// half-applied state. ACROSS shards the batch is NOT atomic — the per-shard
+// commits run in parallel (each down its own write turn, committer and fsync
+// stream), so a reader may observe one shard's slice before another's lands,
+// and an error on one shard does not roll back the slices that already
+// committed. Operations for the same shard preserve their staging order, so
+// a later Put or Delete of the same key still wins. On an unsharded tree
+// (Shards = 1) Commit is exactly the old single-epoch atomic batch.
 //
 // Readers are not blocked while Commit runs — they keep reading each shard's
-// previous epoch until that shard's flip — and neither are other writers:
-// concurrent Commits validate their page-level read-sets against each other
-// and only a genuine overlap forces one of them to re-run. Such conflicts
-// are resolved INSIDE Commit: the losing transaction discards its private
-// clones and re-applies its staged operations against the new shard tip
-// (with bounded backoff, escalating to an exclusive pass after repeated
-// conflicts, so even a large batch racing a storm of small puts commits
-// within a bounded number of re-executions). No conflict error ever reaches
-// the caller, and because each re-execution replays the same staged
-// operations on fresh state, retried commits are exactly as atomic and
-// ordered as first-try ones. The batch is spent either way.
+// previous epoch until that shard's flip. Writers take turns per shard: a
+// Commit that finds a shard's turn held queues, and the holder applies the
+// queued slice in its own transaction, after its own mutation and before the
+// store sees either, so the two publish as one epoch. If that shared
+// transaction fails before reaching the store, each mutation in it is applied
+// again alone, replaying the same staged operations on fresh state, so it is
+// exactly as atomic and ordered as a batch committed alone. The batch is
+// spent either way.
 //
 // Each per-shard flush hands every sealed page, the shard's new root, and
 // the freed page IDs to that store's CommitPages hook in one call: the
@@ -181,7 +177,7 @@ func (b *Batch) Commit() error {
 		return b.commitShard(first, ops)
 	}
 	// Otherwise partition the staged sequence by owning shard, preserving
-	// order within each shard, and fan out: one OCC commit per shard, in
+	// order within each shard, and fan out: one commit per shard, in
 	// parallel. Shards are fully independent engines, so the commits share no
 	// locks and their store flushes overlap.
 	perShard := make([][]batchOp, len(b.t.shards))
@@ -204,9 +200,9 @@ func (b *Batch) Commit() error {
 	return errors.Join(errs...)
 }
 
-// commitShard runs one shard's slice of the batch through that shard's
-// optimistic commit pipeline. The closure may run more than once (conflict
-// retries re-execute it on a fresh transaction); the slice is immutable from
+// commitShard applies one shard's slice of the batch under that shard's write
+// turn. The closure may run twice (a shared transaction that fails before the
+// store re-runs each of its mutations alone); the slice is immutable from
 // here, so every execution replays the identical sequence.
 func (b *Batch) commitShard(shard int, slice []batchOp) error {
 	return b.t.shards[shard].Apply(func(bt *btree.Tree) error {

@@ -334,7 +334,7 @@ func BenchmarkFileGet(b *testing.B) {
 
 // benchParallelPuts drives b.N fresh-key Puts through `writers` goroutines
 // against a pre-populated file tree. When serialize is non-nil every Put runs
-// under that external mutex, reproducing the pre-OCC façade where one writer
+// under that external mutex, reproducing the old façade where one writer
 // lock serialized all mutations — the in-run baseline the parallel numbers
 // are measured against.
 func benchParallelPuts(b *testing.B, tr *Tree, writers int, serialize *sync.Mutex) {
@@ -374,11 +374,12 @@ func benchParallelPuts(b *testing.B, tr *Tree, writers int, serialize *sync.Mute
 	}
 }
 
-// BenchmarkFilePutParallel measures concurrent optimistic writers through
-// the façade, per durability mode. Under DurabilityFull each commit waits
-// for its own flush but the commits overlap, so the store's group-commit
-// pipeline coalesces their fsyncs — the same effect BenchmarkCommitPipeline
-// shows at the store layer, now reachable through Put. ns/op is per Put.
+// BenchmarkFilePutParallel measures concurrent writers through the façade,
+// per durability mode. Writers take turns, and the turn holder commits the
+// Puts queued behind it with its own, so under DurabilityFull one flush
+// carries every Put that queued during the previous one — the effect
+// BenchmarkCommitPipeline shows at the store layer, reachable through Put.
+// ns/op is per Put.
 func BenchmarkFilePutParallel(b *testing.B) {
 	for _, mode := range []Durability{DurabilityFull, DurabilityGrouped, DurabilityAsync} {
 		b.Run("durability="+mode.String(), func(b *testing.B) {
@@ -409,81 +410,102 @@ func BenchmarkFilePutSerialized(b *testing.B) {
 }
 
 // BenchmarkFileShardedIngest measures durable multi-writer batched ingest
-// through the range-sharded façade: 8 writers, each owning a distinct slice
-// of the keyspace (a fixed first byte spread across the full 0..255 range),
-// commit 512-put batches under grouped durability over Shards ∈ {1, 2, 4}.
-// The bucketed substituter keeps each writer's keys range-local, so with
-// enough shards each batch lands whole on one engine: commits from writers
-// on different shards never conflict and never contend for the same
-// exclusive gate, while at shards=1 all eight writers collide on one OCC
-// domain. ns/op is per individual put.
+// through the façade: writers ∈ {1, 2, 8}, each owning a distinct slice of
+// the keyspace (a fixed first byte spread across the full 0..255 range),
+// commit 512-put batches under grouped durability, for each substituter over
+// Shards ∈ {1, 4}. The bucketed substituter keeps each writer's keys
+// range-local, so with enough shards each batch lands whole on one engine;
+// HMAC, the default, scatters every batch over every shard. A shard's
+// writers take turns, and a turn holder commits the batches queued behind it
+// with its own: puts/commit reports how many puts a store commit carried,
+// conflicts/commit how many commits a conflict re-ran. ns/op is per
+// individual put.
 func BenchmarkFileShardedIngest(b *testing.B) {
-	const writers = 8
 	const batchSize = 512
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sub, err := NewBucketedSubstituter(bytes.Repeat([]byte{0x9A}, 32), 16, 16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr, err := Open(Options{
-				Substituter: sub,
-				Cipher:      nc,
-				Path:        filepath.Join(b.TempDir(), "ingest.ekb"),
-				Durability:  DurabilityGrouped,
-				Shards:      shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			value := make([]byte, 64)
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					prefix := byte(w * (256 / writers))
-					seq := 0
-					for {
-						lo := next.Add(batchSize) - batchSize
-						if lo >= int64(b.N) {
-							return
-						}
-						hi := lo + batchSize
-						if hi > int64(b.N) {
-							hi = int64(b.N)
-						}
-						batch := tr.NewBatch()
-						for i := lo; i < hi; i++ {
-							k := make([]byte, 9)
-							k[0] = prefix
-							binary.BigEndian.PutUint64(k[1:], uint64(seq))
-							seq++
-							if err := batch.Put(k, value); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-						if err := batch.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
+	subs := []struct {
+		name string
+		new  func() (Substituter, error)
+	}{
+		{"hmac", func() (Substituter, error) { return NewHMACSubstituter(bytes.Repeat([]byte{0x9A}, 32), 16) }},
+		{"bucketed", func() (Substituter, error) { return NewBucketedSubstituter(bytes.Repeat([]byte{0x9A}, 32), 16, 16) }},
+	}
+	for _, sc := range subs {
+		for _, shards := range []int{1, 4} {
+			for _, writers := range []int{1, 2, 8} {
+				b.Run(fmt.Sprintf("sub=%s/shards=%d/writers=%d", sc.name, shards, writers), func(b *testing.B) {
+					sub, err := sc.new()
+					if err != nil {
+						b.Fatal(err)
 					}
-				}(w)
+					nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
+					if err != nil {
+						b.Fatal(err)
+					}
+					tr, err := Open(Options{
+						Substituter: sub,
+						Cipher:      nc,
+						Path:        filepath.Join(b.TempDir(), "ingest.ekb"),
+						Durability:  DurabilityGrouped,
+						Shards:      shards,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer tr.Close()
+					st0, err := tr.Stats()
+					if err != nil {
+						b.Fatal(err)
+					}
+					value := make([]byte, 64)
+					var next atomic.Int64
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for w := 0; w < writers; w++ {
+						wg.Add(1)
+						go func(w int) {
+							defer wg.Done()
+							prefix := byte(w * (256 / writers))
+							seq := 0
+							for {
+								lo := next.Add(batchSize) - batchSize
+								if lo >= int64(b.N) {
+									return
+								}
+								hi := min(lo+batchSize, int64(b.N))
+								batch := tr.NewBatch()
+								for i := lo; i < hi; i++ {
+									k := make([]byte, 9)
+									k[0] = prefix
+									binary.BigEndian.PutUint64(k[1:], uint64(seq))
+									seq++
+									if err := batch.Put(k, value); err != nil {
+										b.Error(err)
+										return
+									}
+								}
+								if err := batch.Commit(); err != nil {
+									b.Error(err)
+									return
+								}
+							}
+						}(w)
+					}
+					wg.Wait()
+					b.StopTimer()
+					if err := tr.Sync(); err != nil {
+						b.Fatal(err)
+					}
+					st1, err := tr.Stats()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if commits := float64(st1.Commits - st0.Commits); commits > 0 {
+						b.ReportMetric(float64(b.N)/commits, "puts/commit")
+						b.ReportMetric(float64(st1.Conflicts-st0.Conflicts)/commits, "conflicts/commit")
+					}
+				})
 			}
-			wg.Wait()
-			b.StopTimer()
-			if err := tr.Sync(); err != nil {
-				b.Fatal(err)
-			}
-		})
+		}
 	}
 }
 

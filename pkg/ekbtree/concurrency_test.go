@@ -202,9 +202,9 @@ func TestCursorSnapshotAcrossCommit(t *testing.T) {
 
 // TestLargeBatchNotStarvedBySmallPuts is the integration fairness test: one
 // large batch races four goroutines hammering single-key puts. The batch's
-// validation window is long (hundreds of pages) and the hammerers' is tiny,
-// so without the exclusive fallback the batch could retry forever. It must
-// commit — applyCommit's escalation bounds its re-executions — and all of
+// transaction is long (hundreds of pages) and the hammerers' are tiny, so a
+// scheme that let the small commits keep overtaking it could starve it. It
+// must commit — the write turn serves writers in arrival order — and all of
 // its writes must be present afterwards.
 func TestLargeBatchNotStarvedBySmallPuts(t *testing.T) {
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC6}, 32), Order: 8})

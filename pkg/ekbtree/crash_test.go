@@ -12,11 +12,11 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
-// TestTreeCrashAtEveryFileOp crashes a whole tree — key substitution, OCC
-// commit, seal-counter reservation (a SetSealMark the next flush makes durable
-// ahead of its pages), group commit, the background rotator — at every write
-// and sync its page file sees, as process death and as power loss with only
-// the newest two unsynced writes surviving. The tree runs over a
+// TestTreeCrashAtEveryFileOp crashes a whole tree — key substitution, the
+// turn holder's commit, seal-counter reservation (a SetSealMark the next
+// flush makes durable ahead of its pages), group commit, the background
+// rotator — at every write and sync its page file sees, as process death and
+// as power loss with only the newest two unsynced writes surviving. The tree runs over a
 // Full-durability file store, so every call that returned nil is durable: the
 // reopened tree must hold exactly what the acknowledged calls built, or that
 // plus the one call the crash interrupted; the durable seal mark must not fall

@@ -211,7 +211,7 @@ func TestCursorRangeClampsSeek(t *testing.T) {
 // TestScanReentrancy is the acceptance check that caller code never runs
 // under any shard's writer lock: the Scan callback re-enters the tree with
 // Get, Put, and a nested cursor — the Put would deadlock against a held
-// commit gate, so its completion proves no lock is held. With snapshot
+// write turn, so its completion proves no lock is held. With snapshot
 // cursors the Put inside the callback is invisible to the ongoing scan but
 // fully visible afterwards.
 func TestScanReentrancy(t *testing.T) {

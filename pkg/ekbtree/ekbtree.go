@@ -11,8 +11,8 @@
 //	internal/keysub    key substitution (HMAC PRF / bucketed order-preserving)
 //	   │               + ShardRouter: substituted-key range → shard index
 //	   │
-//	pkg/ekbtree/engine single-shard core: epoch snapshots, OCC commit
-//	   │               pipeline, decoded-node cache — one engine per shard
+//	pkg/ekbtree/engine single-shard core: epoch snapshots, a write turn
+//	   │               per shard, decoded-node cache — one engine per shard
 //	   │
 //	internal/btree     B-tree over substituted keys only
 //	   │
@@ -32,7 +32,7 @@
 // scans touch only the shards their bucket interval spans, and a Cursor
 // reading those shards one after another yields one globally ordered stream.
 // Put/Get/Delete route to exactly one shard and keep their single-tree
-// semantics. Batch.Commit fans out as one OCC commit PER SHARD, running in
+// semantics. Batch.Commit fans out as one commit PER SHARD, running in
 // parallel: each shard's slice of the batch is atomic and publishes as one
 // epoch on that shard, but the batch is NOT atomic across shards — a reader
 // may observe shard A's slice before shard B's lands, and an error on one
@@ -156,25 +156,20 @@ var openShardStore = func(opts Options, idx, total int) (store.PageStore, error)
 // waiting for the flush. Superseded pages and their cache entries are
 // reclaimed only once the last reader pinning an older epoch releases it.
 //
-// Writers run CONCURRENTLY under optimistic concurrency control: each
-// mutation reads the shared nodes of the epoch it pinned at start, clones
-// only the pages it changes, and keeps one record per touched page — the
-// read-set, the write-set and the pre-images are all read off that one
-// table — then validates at a short critical section: if no commit since its
-// base epoch touched a page it read, it
-// links a provisional epoch, hands the sealed write-set to the store's atomic
-// CommitPages (concurrent commits genuinely overlap there, so a group-commit
-// backend coalesces their fsyncs), and publishes in chain order. On conflict
-// the provisional state is discarded and the mutation re-runs against the new
-// tip with bounded exponential backoff; after repeated failed validations it
-// takes the commit gate exclusively, which cannot conflict, so every
-// mutation completes within a bounded number of re-executions (no
-// starvation); no writer takes the gate exclusively otherwise. Conflicts are
-// invisible to callers — no error surfaces, the retry happens inside the call.
-// Commits that move the ROOT pointer (first insert, root split, root
-// collapse) are ordinary optimistic commits: one conflicts with every
-// concurrent commit whose base root it changes, and the others leave the
-// store's root pointer alone instead of restating it.
+// Writers of one shard take TURNS: one writer holds the shard's write turn
+// from pinning the newest published epoch to publishing its commit, so its
+// transaction never races another and nothing needs validating or retrying.
+// A mutation reads the shared nodes of the epoch it pinned, clones only the
+// pages it changes, and keeps one record per touched page — the write-set,
+// the frees and the pre-images are all read off that one table — then hands
+// the sealed write-set to the store's atomic CommitPages and publishes. A
+// writer that finds the turn held queues, and the holder takes every
+// mutation queued behind it into its own transaction: they run in arrival
+// order, seal each page once, and reach the store as one commit, which is
+// how concurrent writers still share a Full-mode fsync. Every caller keeps
+// its own result: if the shared transaction fails before reaching the store
+// (one mutation's error, or a page too large to seal), each mutation in it is
+// applied again alone, on fresh state.
 //
 // Store errors, by contrast, are never retried. The store may have applied a
 // commit it failed (a file store's flush failure fails every commit the flush
@@ -184,7 +179,7 @@ var openShardStore = func(opts Options, idx, total int) (store.PageStore, error)
 // published state; reopening the tree recovers what the store made durable.
 //
 // With Shards > 1 every statement above holds PER SHARD: each shard is a
-// complete engine with its own epoch chain, commit gate, and fsync stream,
+// complete engine with its own epoch chain, write turn, and fsync stream,
 // and operations touching different shards share no synchronization at all.
 // Single-key operations route to exactly one shard; see Batch.Commit and
 // Cursor for the cross-shard contracts.

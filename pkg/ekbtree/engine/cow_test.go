@@ -168,9 +168,10 @@ func (r *recordingStore) CommitPages(writes map[uint64][]byte, root uint64, free
 
 // TestRecycledWorkspaceIsEmpty drives the engine's one recycled transaction
 // workspace through everything that can leave something behind — a
-// transaction too large to keep, one full of frees, an aborted one, a
-// conflicted one — and then checks that the next commit starts from nothing
-// and hands the store exactly its own read-set, writes and frees.
+// transaction too large to keep, one full of frees, an aborted one, one
+// combined from several writers' mutations — and then checks that the next
+// commit starts from nothing and hands the store exactly its own read-set,
+// writes and frees.
 func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	rs := &recordingStore{PageStore: file.NewMem()}
 	g := newTestEngine(t, rs, 8)
@@ -238,25 +239,16 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 		t.Fatalf("aborted Apply = %v", err)
 	}
 	empty("after an aborted transaction", g.ws.Load())
-	// A conflicted one: a racing commit lands on the same leaf before the
-	// first attempt validates, so that attempt is thrown away and re-run.
-	runs := 0
-	err = g.Apply(func(bt *btree.Tree) error {
-		runs++
-		if err := deleteRange(bt, 300, 360); err != nil {
-			return err
-		}
-		if runs == 1 {
-			done := make(chan error, 1)
-			go func() { done <- enginePut(g, key(301), []byte("racer")) }()
-			return <-done
-		}
-		return nil
-	})
-	if err != nil || runs < 2 {
-		t.Fatalf("conflicted Apply = %v after %d runs, want a re-run", err, runs)
+	// A combined one: two writers queue behind the holder, which takes their
+	// mutations into its own transaction on the same leaves.
+	errs := combine(t, g, func() {},
+		func(bt *btree.Tree) error { return deleteRange(bt, 300, 360) },
+		func(bt *btree.Tree) error { return bt.Put(key(301), []byte("queued")) },
+		func(bt *btree.Tree) error { return putRange(bt, 7040, 7060, "v1") })
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("combined Apply = %v", err)
 	}
-	empty("after a conflicted transaction", g.ws.Load())
+	empty("after a combined transaction", g.ws.Load())
 
 	// The next commit overwrites one value: it must read one root-to-leaf
 	// path, write its one leaf and free nothing.

@@ -1,9 +1,9 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
@@ -55,19 +55,12 @@ type Config struct {
 }
 
 // Engine is one single-shard enciphered B-tree: the epoch-based snapshot
-// chain, the optimistic commit pipeline, and the decoded-node cache over one
-// page store. It speaks substituted keys only. All methods are safe for
-// concurrent use. See the pkg/ekbtree Tree doc comment for the full
-// concurrency model; the façade's description IS this engine's behavior,
-// one shard at a time.
+// chain, the shard's write turn, and the decoded-node cache over one page
+// store. It speaks substituted keys only. All methods are safe for concurrent
+// use. See the pkg/ekbtree Tree doc comment for the full concurrency model;
+// the façade's description IS this engine's behavior, one shard at a time.
 type Engine struct {
-	// gate is the commit gate: optimistic writers hold it SHARED for the
-	// whole pin → mutate → validate → CommitPages → publish span (so their
-	// store commits overlap and coalesce); the fairness fallback takes it
-	// EXCLUSIVELY, draining all in-flight commits first. sync.RWMutex blocks
-	// new readers once a writer waits, so the exclusive path cannot starve.
-	// Close takes it exclusively too.
-	gate sync.RWMutex
+	turn turn // admits one writer at a time (see applyTxn); Close takes it too
 	st   store.PageStore
 	io   *nodeIO
 	es   *epochs
@@ -75,12 +68,10 @@ type Engine struct {
 	deg  int // btree minimum degree (order/2)
 
 	// ws is the transaction workspace the last commit left behind, nil while
-	// a commit is using it (see beginTxn).
+	// the turn holder's commit is using it (see beginTxn).
 	ws atomic.Pointer[writeTxn]
 
-	// Commit-pipeline counters, surfaced through Stats.
-	commits   atomic.Uint64 // successfully published epochs
-	conflicts atomic.Uint64 // failed optimistic validations, each one re-execution
+	commits atomic.Uint64 // successfully published epochs, surfaced through Stats
 }
 
 // New builds an engine over cfg's store, seeding the epoch chain from the
@@ -98,37 +89,51 @@ func New(cfg Config) (*Engine, error) {
 	}
 	io := newNodeIO(cfg.Store, cfg.Cipher, cfg.CachePages)
 	io.fmt = cfg.NodeFormat
-	return &Engine{st: cfg.Store, io: io, es: newEpochs(io, root), sa: sa, deg: cfg.Order / 2}, nil
+	g := &Engine{st: cfg.Store, io: io, es: newEpochs(io, root), sa: sa, deg: cfg.Order / 2}
+	g.turn.free.L = &g.turn.mu
+	g.turn.back = make(chan struct{}, 1)
+	return g, nil
 }
 
-// maxOptimisticAttempts bounds how many times a mutation retries
-// optimistically before falling back to the exclusive commit gate. The
-// exclusive pass drains every in-flight commit first, so it cannot conflict:
-// every mutation completes within maxOptimisticAttempts+1
-// re-executions — the engine's fairness bound.
-const maxOptimisticAttempts = 4
-
-// commitBackoff is the bounded exponential backoff before optimistic retry
-// number attempt (1-based): 8µs, 16µs, 32µs, ... capped at 128µs. Long
-// enough for the conflicting commit wave to publish, short against even a
-// grouped-durability flush.
-func commitBackoff(attempt int) time.Duration {
-	d := time.Duration(8<<uint(attempt-1)) * time.Microsecond
-	if d > 128*time.Microsecond {
-		d = 128 * time.Microsecond
-	}
-	return d
+// turn is a shard's write turn. One writer holds it at a time, from pinning
+// its base epoch to publishing its commit, so every transaction builds on the
+// newest published epoch and there is nothing to validate: only one engine
+// commit per shard is ever in flight. A writer that finds the turn held
+// queues. The holder takes whatever queued while it ran its own mutation
+// into the same transaction, and then hands the turn to the first writer that
+// queued after that; the others sleep on.
+type turn struct {
+	mu    sync.Mutex
+	free  sync.Cond // broadcast when the turn falls free; Close waits on it
+	held  bool
+	queue []*waiter // writers waiting for the turn, in arrival order
+	// taken and back are the holder's: the queue it took into its
+	// transaction (taken and queue trade backing arrays, so queuing allocates
+	// no slices), and where a queued writer signals that its mutation ran.
+	taken []*waiter
+	back  chan struct{}
 }
 
-// Apply runs one mutation (a single op or a whole batch) through the
-// optimistic commit pipeline until it either commits, proves a no-op, or hits
-// a real error. Each attempt re-executes apply from scratch against a fresh
-// transaction over the then-current epoch, so retried work is always built on
-// consistent state; see tryCommit for one attempt's shape. Conflicts are
-// invisible to callers — no error surfaces, the retry happens inside the
-// call. Store errors are never retried: the first one stops the shard's
-// writers (see epochs.err), and it is what this and every later mutation
-// returns.
+// waiter is one queued writer. Its mutation runs on its own goroutine: the
+// closure is the caller's, and handing it to another goroutine would move it
+// to the heap for every writer, queued or not. The holder sends it, through
+// wake, a transaction to run its mutation on (tx, the error coming back in
+// err), the turn (lead), or its result (err).
+type waiter struct {
+	wake chan struct{}
+	tx   *writeTxn
+	lead bool
+	err  error
+}
+
+// Apply runs one mutation (a single op or a whole batch) as a transaction on
+// the newest published epoch under the shard's write turn, sharing it with
+// any mutations queued alongside; each caller still gets its own result.
+// apply may run twice: if a shared transaction fails before reaching the
+// store, each mutation in it runs again alone. It must not call back into the
+// same engine, whose turn is held while it runs. Store errors are never
+// retried: the first one stops the shard's writers (see epochs.err), and it
+// is what this and every later mutation returns.
 func (g *Engine) Apply(apply func(bt *btree.Tree) error) error {
 	return g.applyTxn(func(tx *writeTxn) error {
 		bt, err := btree.New(tx, g.deg)
@@ -139,89 +144,143 @@ func (g *Engine) Apply(apply func(bt *btree.Tree) error) error {
 	})
 }
 
-// applyTxn is the transaction-level commit loop under Apply: it runs work
-// against a fresh writeTxn per attempt with the same retry/escalation policy.
-// The rotator's re-seal commits enter here directly — they restage pages
-// without a btree view.
+// applyTxn is Apply at the transaction level: it waits for the turn and runs
+// work under it. The rotator's re-seal commits enter here directly — they
+// restage pages without a btree view. A writer that finds the turn free
+// allocates nothing for it; one that queues allocates its waiter.
 func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
-	for attempt := 1; ; attempt++ {
-		err := g.tryCommit(work, attempt > maxOptimisticAttempts)
-		if err != errConflict {
-			return MapErr(err)
-		}
-		g.conflicts.Add(1)
-		time.Sleep(commitBackoff(attempt))
+	if g.es.isClosed() {
+		return ErrClosed
 	}
+	t := &g.turn
+	t.mu.Lock()
+	if t.held {
+		w := &waiter{wake: make(chan struct{}, 1)}
+		t.queue = append(t.queue, w)
+		t.mu.Unlock()
+		// Run the mutation on each transaction the holder hands over, until
+		// handed the turn or a result.
+		for <-w.wake; w.tx != nil; <-w.wake {
+			w.err = work(w.tx)
+			w.tx = nil
+			t.back <- struct{}{}
+		}
+		if !w.lead {
+			return MapErr(w.err)
+		}
+	} else {
+		t.held = true
+		t.mu.Unlock()
+	}
+	err := g.hold(work)
+	t.pass()
+	return MapErr(err)
 }
 
-// tryCommit is one optimistic (or exclusive) commit attempt:
-//
-//  1. under the commit gate — shared for optimistic attempts, so concurrent
-//     commits overlap in the store; exclusive for the fairness fallback —
-//     pin the current epoch as the transaction's base;
-//  2. apply reads pages as of the base epoch — the shared, immutable nodes,
-//     entered in the transaction's page table — and clones only the pages it
-//     changes (writeTxn.Edit); the table's non-fresh records are the
-//     page-level read-set (the shared cache and all pinned epochs stay
-//     untouched);
-//  3. seal seals each dirty page once (fanning out across GOMAXPROCS workers
-//     for large commits) and builds the provisional epoch: the new root and
-//     the pre-images and IDs of every page written or freed;
-//  4. validateAndPrepare checks the read-set against every commit linked
-//     since the base and links the provisional epoch into the chain BEFORE
-//     the store sees the commit, so readers pinned to older epochs keep
-//     resolving superseded pages from memory;
-//  5. the store applies the whole set atomically (CommitPages), taking the
-//     sealed buffers as its own — no engine mutex or epoch lock is held
-//     across this I/O, so concurrent Gets, cursors, and other committing
-//     writers all proceed. A commit that leaves the root alone passes
-//     store.KeepRoot rather than restating its base root, so it cannot undo
-//     a root move the store applies before it;
-//  6. in chain order, the table's nodes are promoted into the shared cache
-//     and the epoch is published for new readers to pin.
-//
-// On a store error nothing is published: the clones are dropped, the cache
-// still holds the pre-commit versions, and the provisional epoch stays linked,
-// its undo overlay hiding whatever the store applied; the shard's writers stop
-// (see epochs.finalize).
-func (g *Engine) tryCommit(work func(tx *writeTxn) error, exclusive bool) error {
-	if exclusive {
-		g.gate.Lock()
-		defer g.gate.Unlock()
-	} else {
-		g.gate.RLock()
-		defer g.gate.RUnlock()
+// hold runs the turn holder's own mutation and every mutation queued behind
+// it as one transaction, and hands each queued writer its result. If that
+// transaction fails before reaching the store — one of the mutations fails,
+// or a seal refuses — each mutation is committed again alone, so every
+// caller gets its own result. An error from the store, or from a shard the
+// store or Close has stopped, is every caller's.
+func (g *Engine) hold(own func(tx *writeTxn) error) error {
+	queued, shared, err := g.commit(own, true)
+	alone := err != nil && !shared && len(queued) > 0
+	if alone {
+		_, _, err = g.commit(own, false)
 	}
+	for i, w := range queued {
+		if alone {
+			_, _, w.err = g.commit(func(tx *writeTxn) error { return g.turn.runOn(w, tx) }, false)
+		} else {
+			w.err = err
+		}
+		w.wake <- struct{}{}
+		queued[i] = nil
+	}
+	return err
+}
+
+// commit is one transaction under the turn:
+//
+//  1. pin the current epoch, the newest published, as the base;
+//  2. run own, then (if combine) every mutation that queued while it ran. They
+//     read the base epoch's shared nodes and clone only the pages they change
+//     (writeTxn.Edit), so the cache and all pinned epochs stay untouched;
+//  3. seal each dirty page once and build the new epoch: the new root and the
+//     pre-images of every page written or freed;
+//  4. link the epoch BEFORE the store sees the commit, so readers pinned to
+//     older epochs keep resolving superseded pages from memory;
+//  5. the store applies the whole set atomically (CommitPages) with no epoch
+//     lock held, so Gets and cursors proceed;
+//  6. the table's nodes are promoted into the cache and the epoch published.
+//
+// It returns the queued writers it took, and whether err is the shard's —
+// from link or the store — rather than a mutation's. On a store error
+// nothing is published, and the epoch stays linked, its undo overlay hiding
+// whatever the store applied (see epochs.finalize).
+func (g *Engine) commit(own func(tx *writeTxn) error, combine bool) (queued []*waiter, shared bool, err error) {
 	base, err := g.es.pin()
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	defer g.es.release(base)
 	tx := g.beginTxn(base)
 	defer g.endTxn(tx)
-	if err := work(tx); err != nil {
-		return err
+	if err := own(tx); err != nil {
+		return nil, false, err
+	}
+	if combine {
+		t := &g.turn
+		t.mu.Lock()
+		t.taken, t.queue = t.queue, t.taken[:0]
+		t.mu.Unlock()
+		queued = t.taken
+		for _, w := range queued {
+			if err := t.runOn(w, tx); err != nil {
+				return queued, false, err
+			}
+		}
 	}
 	// A nil epoch is a no-op (nothing dirtied, freed, or re-rooted): it needs
-	// no store round trip and no validation, since with no writes the
-	// operation is serializable at its base epoch — a consistent point inside
-	// the call's window.
+	// no store round trip.
 	e, err := tx.seal()
 	if err != nil || e == nil {
-		return err
+		return queued, false, err
 	}
-	if err := g.es.validateAndPrepare(tx, e); err != nil {
-		return err
+	if err := g.es.link(e); err != nil {
+		return queued, true, err
 	}
-	root := e.root
-	if root == base.root {
-		root = store.KeepRoot
-	}
-	if err := g.es.finalize(e, tx, g.st.CommitPages(tx.writes, root, tx.frees)); err != nil {
-		return err
+	if err := g.es.finalize(e, tx, g.st.CommitPages(tx.writes, e.root, tx.frees)); err != nil {
+		return queued, true, err
 	}
 	g.commits.Add(1)
-	return nil
+	return queued, true, nil
+}
+
+// runOn runs queued writer w's mutation on the holder's transaction tx, on
+// w's goroutine, and returns its error.
+func (t *turn) runOn(w *waiter, tx *writeTxn) error {
+	w.tx = tx
+	w.wake <- struct{}{}
+	<-t.back
+	return w.err
+}
+
+// pass hands the turn to the first queued writer, or frees it.
+func (t *turn) pass() {
+	t.mu.Lock()
+	if len(t.queue) == 0 {
+		t.held = false
+		t.mu.Unlock()
+		t.free.Broadcast()
+		return
+	}
+	w := t.queue[0]
+	t.queue = slices.Delete(t.queue, 0, 1)
+	t.mu.Unlock()
+	w.lead = true
+	w.wake <- struct{}{}
 }
 
 // Get returns the value stored under substituted key sk, as a fresh copy the
@@ -289,10 +348,9 @@ func (s *Snapshot) Close() {
 	s.g.es.release(s.e)
 }
 
-// Stats reports the shard's shape, cache counters, and commit-pipeline
-// counters, as one shard of a tree: Shards is 1 and Retries equals
-// Conflicts, so Stats.Add sums shards into the tree's figures. The shape walk
-// is O(nodes) and runs against a pinned epoch, so it observes one consistent
+// Stats reports the shard's shape, cache counters, and commit counter, as one
+// shard of a tree (Shards is 1) for Stats.Add to sum. The shape walk is
+// O(nodes) and runs against a pinned epoch, so it observes one consistent
 // version and never blocks (or is blocked by) writers.
 func (g *Engine) Stats() (Stats, error) {
 	e, err := g.es.pin()
@@ -306,12 +364,10 @@ func (g *Engine) Stats() (Stats, error) {
 	}
 	out := Stats{
 		Keys: s.Keys, Nodes: s.Nodes, Height: s.Height,
-		Cache:     g.io.cacheStats(),
-		Commits:   g.commits.Load(),
-		Conflicts: g.conflicts.Load(),
-		Shards:    1,
+		Cache:   g.io.cacheStats(),
+		Commits: g.commits.Load(),
+		Shards:  1,
 	}
-	out.Retries = out.Conflicts
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {
 		return Stats{}, MapErr(err)
@@ -356,13 +412,20 @@ func (g *Engine) Closed() bool { return g.es.isClosed() }
 // in-flight readers: a Get or iterator step racing Close either completes
 // normally or fails with ErrClosed.
 func (g *Engine) Close() error {
-	// The exclusive gate drains every in-flight commit before the chain
-	// closes, so no writer is mid-CommitPages when the store goes away.
-	g.gate.Lock()
-	defer g.gate.Unlock()
 	if !g.es.close() {
 		return ErrClosed
 	}
+	// Taking the turn once it falls free waits out the commit in flight, so no
+	// writer is mid-CommitPages when the store goes away. A closed chain links
+	// nothing, so every writer queued now gets ErrClosed.
+	t := &g.turn
+	t.mu.Lock()
+	for t.held {
+		t.free.Wait()
+	}
+	t.held = true
+	t.mu.Unlock()
+	defer t.pass()
 	g.io.invalidate()
 	return MapErr(g.st.Close())
 }

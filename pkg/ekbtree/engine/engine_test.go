@@ -173,64 +173,6 @@ func TestRootMovesCommitOptimistically(t *testing.T) {
 	}
 }
 
-// TestCommitEscalatesAfterRepeatedConflicts is the white-box fairness test:
-// a writer whose validation keeps losing to concurrent commits must escalate
-// to an exclusive pass after exactly maxOptimisticAttempts optimistic tries,
-// and that pass must succeed — the total number of times the mutation
-// closure re-runs is bounded. The closure itself triggers the conflicting
-// Put on each optimistic attempt (between its reads and the commit's
-// validation), so every optimistic validation is guaranteed to lose.
-func TestCommitEscalatesAfterRepeatedConflicts(t *testing.T) {
-	g := newTestEngine(t, file.NewMem(), 8)
-	defer g.Close()
-	// A handful of keys: the whole tree is one leaf, so any two puts
-	// conflict on the root page, and no split can change the root mid-test.
-	for _, k := range []string{"a", "b", "c"} {
-		if err := enginePut(g, []byte(k), []byte("v0")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s0, err := g.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var invocations int32
-	err = g.Apply(func(bt *btree.Tree) error {
-		n := atomic.AddInt32(&invocations, 1)
-		if err := bt.Put([]byte("a"), []byte("final")); err != nil {
-			return err
-		}
-		if int(n) <= maxOptimisticAttempts {
-			// Commit a racing Put touching the same leaf before this
-			// attempt validates. Safe from RWMutex recursion: no exclusive
-			// acquisition is pending while optimistic attempts hold RLock.
-			done := make(chan error, 1)
-			go func() { done <- enginePut(g, []byte("b"), []byte(fmt.Sprintf("race%d", n))) }()
-			if err := <-done; err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&invocations); got != maxOptimisticAttempts+1 {
-		t.Fatalf("mutation closure ran %d times, want %d (maxOptimisticAttempts optimistic + 1 exclusive)", got, maxOptimisticAttempts+1)
-	}
-	if v, ok, err := g.Get([]byte("a")); err != nil || !ok || string(v) != "final" {
-		t.Fatalf("Get after escalated commit = (%q, %v, %v)", v, ok, err)
-	}
-	s1, err := g.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s1.Conflicts - s0.Conflicts; got != maxOptimisticAttempts {
-		t.Errorf("Conflicts advanced by %d, want %d", got, maxOptimisticAttempts)
-	}
-}
-
 // TestSnapshotAge pins the published-commit age counter that backs the
 // façade's MaxEpochAge bound: a snapshot's age is exactly the number of
 // commits published after its pin, failed commits age nothing, and a fresh

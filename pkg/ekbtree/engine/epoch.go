@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -19,13 +18,12 @@ import (
 // store) is still E's content.
 //
 // Epochs form a singly-linked chain, oldest to newest, published via atomic
-// next pointers so readers walk it without locks. An epoch's seq, root, undo
-// map, and touched set are immutable from the moment it is linked (a commit
-// builds the epoch in writeTxn.seal and validateAndPrepare numbers it); refs
-// are guarded by the owning epochs mutex. A linked epoch is pending until its
-// commit finalizes, and then published — or, if the store failed it, pending
-// for good: its undo overlay hides from older readers whatever the store
-// applied of it.
+// next pointers so readers walk it without locks. An epoch's seq, root and
+// undo map are immutable from the moment it is linked (a commit builds the
+// epoch in writeTxn.seal and link numbers it); refs are guarded by the owning
+// epochs mutex. A linked epoch is pending until its commit finalizes, and then
+// published — or, if the store failed it, pending for good: its undo overlay
+// hides from older readers whatever the store applied of it.
 type epoch struct {
 	io   *nodeIO // the shard's shared page reader; what Read falls through to
 	seq  uint64
@@ -36,12 +34,8 @@ type epoch struct {
 	// an older epoch can remain (see epochs.reclaimLocked), so readers never
 	// observe the write.
 	undo map[uint64]*node.Node
-	// touched lists every page ID the commit wrote or freed. Unlike undo it
-	// is never reclaimed while the epoch is linked: optimistic validation
-	// intersects it with later writers' read-sets (see validateAndPrepare).
-	touched []uint64
-	next    atomic.Pointer[epoch]
-	refs    int // pinning readers; guarded by epochs.mu
+	next atomic.Pointer[epoch]
+	refs int // pinning readers; guarded by epochs.mu
 }
 
 // lookupUndo resolves page id as of this epoch against the undo overlays of
@@ -80,28 +74,21 @@ func (e *epoch) Read(id uint64) (*node.Node, error) {
 	return n, err
 }
 
-// epochs manages the epoch chain for one Tree: pinning, optimistic-commit
-// validation, ordered publication, and reclamation. The mutex guards only the
-// chain bookkeeping (refs, head, current, tail, err); it is never held across
-// I/O, so pinning and releasing are O(1) pauses even while commits are
-// flushing. Concurrent commits validate and link under mu, run their store
-// I/O with mu released, and finalize strictly in link (seq) order via the
-// turn condition variable — so publication order always matches chain order,
-// even when CommitPages calls return out of order.
+// epochs manages the epoch chain for one Tree: pinning, linking,
+// publication, and reclamation. The mutex guards only the chain bookkeeping
+// (refs, head, current, err); it is never held across I/O, so pinning and
+// releasing are O(1) pauses even while a commit is flushing. Only the shard's
+// turn holder links and finalizes, so at most one epoch is ever pending, the
+// one after current, and publication order is chain order.
 type epochs struct {
-	mu   sync.Mutex
-	turn sync.Cond // signaled whenever finalized advances
-	// finalized is the seq of the newest epoch whose commit outcome is
-	// resolved. Epoch seq+1 finalizes next.
-	finalized uint64
+	mu sync.Mutex
 	// err is the first CommitPages error, and it stops the shard's writers
 	// for good, as the file store stops itself: the store may have applied
-	// the failed commit, so nothing linked from it on is published, and
-	// validateAndPrepare refuses every later commit with err. Readers go on
-	// at current until the store is reopened.
+	// the failed commit, so its epoch is never published, and link refuses
+	// every later commit with err. Readers go on at current until the store
+	// is reopened.
 	err     error
 	current *epoch // newest PUBLISHED epoch; what new readers pin
-	tail    *epoch // newest linked epoch (== current unless commits are in flight or failed)
 	head    *epoch // oldest epoch that may still have pinned readers
 	closed  atomic.Bool
 	// published is current's seq. Epochs publish in seq order and none after
@@ -114,9 +101,7 @@ type epochs struct {
 // newEpochs seeds the chain with the store's current root as epoch 0.
 func newEpochs(io *nodeIO, root uint64) *epochs {
 	e := &epoch{io: io, seq: 0, root: root}
-	es := &epochs{current: e, tail: e, head: e}
-	es.turn.L = &es.mu
-	return es
+	return &epochs{current: e, head: e}
 }
 
 // pin takes a reference on the current epoch and returns it. Every pin must
@@ -141,74 +126,39 @@ func (es *epochs) release(e *epoch) {
 	es.reclaimLocked()
 }
 
-// errConflict is validateAndPrepare's verdict on a commit whose read-set a
-// concurrent commit invalidated. It never leaves the engine: Apply backs off
-// and re-executes the mutation.
-var errConflict = errors.New("engine: commit conflict")
-
-// validateAndPrepare is the optimistic commit's critical section. It checks
-// the writer's read-set against every commit linked after the writer's base
-// epoch and, if no conflict exists, links e — the provisional epoch tx.seal
-// built for the commit about to reach the store. The epoch MUST be linked
-// before the store observes any of the commit's writes or frees: from that
-// moment, readers pinned to older epochs depend on the undo overlay to keep
-// resolving superseded pages. The epoch becomes visible to overlay walks
-// immediately but is not pinnable until finalized.
-//
-// A commit conflicts (errConflict) when any epoch in (base, tail] — published
-// or still pending — touched a page the writer read, or changed the root
-// pointer the writer's tree hangs off (the root check closes the one hole page
-// conflicts miss: two first-inserts into an empty tree share no pages at all).
-// Two validated in-flight commits always have disjoint touched sets — every
-// non-fresh page a commit writes or frees is in its read-set — and at most one
-// of them moves the root, which is what makes their store applications
-// composable in either order. Once a store commit has failed, every commit is
-// refused with that first error instead (see epochs.err).
-func (es *epochs) validateAndPrepare(tx *writeTxn, e *epoch) error {
+// link numbers e and appends it to the chain after current. The turn holder
+// links its epoch BEFORE the store observes any of the commit's writes or
+// frees: from that moment, readers pinned to older epochs depend on the undo
+// overlay to keep resolving superseded pages. The epoch becomes visible to
+// overlay walks immediately but is not pinnable until finalized. Once a store
+// commit has failed, link refuses every commit with that first error (see
+// epochs.err); once the engine is closing, with ErrClosed.
+func (es *epochs) link(e *epoch) error {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	if es.err != nil {
 		return es.err
 	}
-	for f := tx.base.next.Load(); f != nil; f = f.next.Load() {
-		if f.root != tx.base.root {
-			return errConflict
-		}
-		for _, id := range f.touched {
-			if tx.observed(id) {
-				return errConflict
-			}
-		}
+	if es.closed.Load() {
+		return ErrClosed
 	}
-	e.seq = es.tail.seq + 1
-	es.tail.next.Store(e)
-	es.tail = e
+	e.seq = es.current.seq + 1
+	es.current.next.Store(e)
 	return nil
 }
 
-// finalize resolves a linked epoch once the store has answered its commit with
-// err. It waits until every epoch linked before e has finalized, so outcomes
-// resolve in chain order even when CommitPages calls return out of order.
-// Then, unless this or an earlier commit failed, it publishes e: it promotes
-// tx's pages into the cache (which must complete before any reader can pin
-// the new epoch) and flips current, and the happens-before edge through es.mu
-// guarantees readers pinning from now on find the promoted cache. Otherwise e
-// stays linked and unpublished, and finalize returns the shard's first store
-// error — even to a commit the store accepted behind a failed one, since
-// readers of it would see the failed commit's pages through the store.
+// finalize resolves the linked epoch e once the store has answered its commit
+// with err. On success it publishes e: it promotes tx's pages into the cache
+// (which must complete before any reader can pin the new epoch) and flips
+// current, and the happens-before edge through es.mu guarantees readers
+// pinning from now on find the promoted cache. Otherwise e stays linked and
+// unpublished, and err stops the shard's writers.
 func (es *epochs) finalize(e *epoch, tx *writeTxn, err error) error {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	for es.finalized != e.seq-1 {
-		es.turn.Wait()
-	}
-	es.finalized = e.seq
-	es.turn.Broadcast()
-	if es.err == nil {
+	if err != nil {
 		es.err = err
-	}
-	if es.err != nil {
-		return es.err
+		return err
 	}
 	e.io.promoteTxn(tx.pages)
 	es.published.Store(e.seq)

@@ -1,10 +1,10 @@
 // Package engine is the single-shard core of the enciphered B-tree: the
-// epoch-based snapshot machinery, the optimistic commit pipeline, the
-// decoded-node cache, and the write transaction's page table, all operating
-// exclusively on SUBSTITUTED keys. The pkg/ekbtree façade owns everything
-// above it — key substitution, shard routing, option validation, and the
-// cursor that reads the shards one after another — and drives one Engine per
-// shard. Plaintext search keys never reach this package.
+// epoch-based snapshot machinery, the write turn its writers take one at a
+// time, the decoded-node cache, and the write transaction's page table, all
+// operating exclusively on SUBSTITUTED keys. The pkg/ekbtree façade owns
+// everything above it — key substitution, shard routing, option validation,
+// and the cursor that reads the shards one after another — and drives one
+// Engine per shard. Plaintext search keys never reach this package.
 package engine
 
 import (

@@ -288,17 +288,16 @@ func (io *nodeIO) cacheReset() {
 // promoteTxn installs a committed transaction's page table as the cache's
 // current versions: freed pages (no node) leave the cache, every other node
 // goes in — the private copies of the pages the transaction changed AND the
-// shared nodes of the pages it only read (validation guaranteed nothing
-// between the transaction's base and its commit touched any page it read, so
-// those are still current; for a page already cached this counts as one more
-// reference) — and the install-point generation advances so no in-flight
-// reader can insert a superseded version fetched before the commit. From here
-// on the private copies are shared and immutable like every cached node. The
-// caller publishes the prepared epoch AFTER this returns (both under the
-// epoch mutex), so a reader can never pin the new epoch and still find
-// pre-commit content in the cache. An aborted or conflicted transaction
-// simply drops its clones — the shared cache was never touched, so nothing
-// needs invalidating.
+// shared nodes of the pages it only read (the turn guarantees no other commit
+// came between the transaction's base and its own, so those are still
+// current; for a page already cached this counts as one more reference) — and
+// the install-point generation advances so no in-flight reader can insert a
+// superseded version fetched before the commit. From here on the private
+// copies are shared and immutable like every cached node. The caller
+// publishes the epoch AFTER this returns (both under the epoch mutex), so a
+// reader can never pin the new epoch and still find pre-commit content in the
+// cache. A failed transaction simply drops its clones — the shared cache was
+// never touched, so nothing needs invalidating.
 func (io *nodeIO) promoteTxn(pages map[uint64]txPage) {
 	io.mu.Lock()
 	io.gen++

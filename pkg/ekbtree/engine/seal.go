@@ -215,9 +215,8 @@ func (g *Engine) SealState() (epoch uint32, seals uint64) {
 }
 
 // rotateBatch is how many pages one rotation commit re-seals. Small enough
-// that a rotation commit's OCC window (and its conflict blast radius against
-// concurrent writers) stays short; large enough to amortize the commit's
-// store round trip.
+// that a rotation commit holds the shard's write turn only briefly; large
+// enough to amortize the commit's store round trip.
 const rotateBatch = 64
 
 // staleScan walks one pinned snapshot of the tree and returns the IDs of
@@ -268,7 +267,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 }
 
 // resealPages re-seals the given pages under the current epoch as one
-// ordinary shadow-paged OCC commit: edit, restage identical content, commit.
+// ordinary shadow-paged commit: edit, restage identical content, commit.
 // Crash-safety needs no new machinery — the commit is indistinguishable from
 // a writer rewriting the pages, so a crash at any byte yields the normal
 // pre-or-post-commit state. Pages freed by concurrent commits are skipped;
@@ -298,8 +297,8 @@ func (g *Engine) resealPages(ids []uint64) error {
 // nothing stale (recording the clean epoch so the next call is O(1)) and the
 // epoch did not advance mid-sweep; done=false means call again — more pages
 // may have gone stale behind the scan. Safe to run concurrently with writers
-// (rotation commits are ordinary OCC commits and retry on conflict); the
-// façade serializes Rotate calls per engine in its rotator goroutine.
+// (rotation commits take the write turn like any other); the façade
+// serializes Rotate calls per engine in its rotator goroutine.
 func (g *Engine) Rotate() (bool, error) {
 	target := g.sa.currentEpoch()
 	if g.sa.cleanAtLeast(target) {

@@ -6,8 +6,7 @@ import (
 )
 
 // Stats describes a tree: shape (key count, node count, height),
-// decoded-node cache traffic, and commit-pipeline contention counters since
-// Open. Engine.Stats reports one shard; a sharded tree folds its shards' with
+// decoded-node cache traffic, and the commit count since Open. Engine.Stats reports one shard; a sharded tree folds its shards' with
 // Add, so the counts and counters are SUMS across shards, Height is the
 // maximum shard height, and Shards is the shard count. Each shard's shape is
 // observed against its own pinned epoch, so per-shard figures are
@@ -30,17 +29,15 @@ type Stats struct {
 	// summed across shards.
 	Cache CacheStats `json:"cache"`
 	// Commits is the number of successfully published commit epochs. No-op
-	// mutations (e.g. deleting an absent key) publish nothing and are not
-	// counted. A sharded Batch.Commit counts once per shard it touched.
+	// mutations (e.g. deleting an absent key) publish nothing, and mutations
+	// that queued for a shard's write turn together publish one epoch. A
+	// sharded Batch.Commit counts at most once per shard it touched.
 	Commits uint64 `json:"commits"`
-	// Conflicts is the number of optimistic commit attempts discarded because
-	// a concurrent commit invalidated the attempt's read-set. Conflicts are
-	// retried internally; callers never observe them as errors.
+	// Conflicts and Retries read 0: a shard's writers take turns, so no
+	// commit conflicts with another and none is re-executed for one. They
+	// are kept so that existing JSON clients go on decoding them.
 	Conflicts uint64 `json:"conflicts"`
-	// Retries is the number of mutation re-executions. A conflict is the one
-	// cause of a re-execution, so it equals Conflicts; a lone writer never
-	// retries.
-	Retries uint64 `json:"retries"`
+	Retries   uint64 `json:"retries"`
 	// Shards is the number of shards (1 for an unsharded tree).
 	Shards int `json:"shards,omitempty"`
 	// CipherEpoch is the newest key epoch any shard is sealing under (the

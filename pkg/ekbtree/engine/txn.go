@@ -12,33 +12,25 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// writeTxn is one optimistic writer's private workspace, implementing
+// writeTxn is the turn holder's private workspace, implementing
 // btree.NodeStore and btree.Editor over a base epoch pinned at transaction
-// start. Every page the mutation consults resolves as of that base (via the
-// epoch overlay), so the mutation always sees one consistent tree version no
-// matter what commits concurrently — conflicts surface only at validation,
-// never as torn reads mid-descent. The shared cache and all pinned epochs stay
+// start — the newest published, which no other commit can supersede while
+// the turn is held. Every page the mutation consults resolves as of that base
+// (via the epoch overlay). The shared cache and all pinned epochs stay
 // untouched until the commit is finalized.
 //
 // Everything the transaction knows is in one table, pages: one txPage record
-// per page it has touched. The three sets a commit needs are read off it:
-//
-//   - the read-set is every record not born here (observed). The btree layer
-//     reads every page before writing or freeing it, and Write and Free fetch
-//     a page they are handed unread, so it is a superset of the non-fresh
-//     write-set — the invariant optimistic validation relies on (see
-//     epochs.validateAndPrepare).
-//   - the write-set is the dirty records, sealed once each into writes.
-//   - the free-set is the freed records.
+// per page it has touched. The two sets a commit hands the store are read off
+// it: the dirty records, sealed once each into writes, and the freed records.
+// The pre-images of both go to the new epoch's undo overlay.
 //
 // root is the transaction's root pointer: the base epoch's until SetRoot moves
-// it. A commit that moves it is an ordinary optimistic commit; validation
-// fails any concurrent commit whose base it changes, and one that keeps it
-// passes store.KeepRoot (see Engine.tryCommit).
+// it.
 //
-// A writeTxn is single-goroutine; concurrency happens between transactions,
-// not within one. The engine recycles it (beginTxn/endTxn), so nothing may
-// keep a reference to its maps or slices past the commit.
+// A writeTxn is used by one goroutine at a time: the holder's, or a queued
+// writer's while the holder waits for it (see turn.runOn). The engine recycles
+// it (beginTxn/endTxn), so nothing may keep a reference to its maps or slices
+// past the commit.
 type writeTxn struct {
 	io     *nodeIO
 	sa     *sealAlloc
@@ -53,6 +45,7 @@ type writeTxn struct {
 	// sealed, by index into dirty, and the state the workers share.
 	sealed [][]byte
 	sw     sealWork
+	peak   int // the most pages the maps have held
 }
 
 // sealWork is what sealDirty's workers share: the nonce block, the next index
@@ -87,13 +80,17 @@ func newWriteTxn() *writeTxn {
 	return &writeTxn{pages: make(map[uint64]txPage), writes: make(map[uint64][]byte)}
 }
 
-// workspaceKeep is the most pages a transaction may touch and still have its
-// workspace recycled: Go maps never shrink and clear() walks their capacity,
-// so a bulk load's maps are dropped, not re-cleared by every commit after it.
-const workspaceKeep = 1024
+// A finished transaction's workspace is recycled only if it touched at most
+// workspaceKeep pages and at least 1/workspaceSlack of the most its maps ever
+// held: Go maps never shrink and clear() walks their capacity, so maps a bulk
+// commit grew are dropped, not re-cleared by every small commit after it.
+const (
+	workspaceKeep  = 1024
+	workspaceSlack = 16
+)
 
 // beginTxn returns an empty transaction over base, reusing the last commit's
-// workspace unless a concurrent commit holds it.
+// workspace unless it was too large to keep.
 func (g *Engine) beginTxn(base *epoch) *writeTxn {
 	tx := g.ws.Swap(nil)
 	if tx == nil {
@@ -103,23 +100,18 @@ func (g *Engine) beginTxn(base *epoch) *writeTxn {
 	return tx
 }
 
-// endTxn empties a finished (committed, conflicted or failed) transaction's
-// workspace and keeps it for the next one.
+// endTxn empties a finished (committed or failed) transaction's workspace and
+// keeps it for the next one.
 func (g *Engine) endTxn(tx *writeTxn) {
-	if len(tx.pages) > workspaceKeep {
+	n := len(tx.pages)
+	tx.peak = max(tx.peak, n)
+	if n > workspaceKeep || n*workspaceSlack < tx.peak {
 		return
 	}
 	clear(tx.pages)
 	clear(tx.writes)
 	tx.base = nil
 	g.ws.Store(tx)
-}
-
-// observed reports whether id is in the read-set: the transaction saw the
-// page's base-epoch content, or its absence.
-func (tx *writeTxn) observed(id uint64) bool {
-	p, ok := tx.pages[id]
-	return ok && !p.fresh
 }
 
 // errGone is what reading a page the transaction freed, or alloc'd and has not
@@ -219,9 +211,8 @@ func (tx *writeTxn) Free(id uint64) error {
 	return nil
 }
 
-// Root returns the transaction's view of the root pointer — the base epoch's
-// unless SetRoot moved it, never the store's live root, which a concurrent
-// commit may have advanced past the base.
+// Root returns the transaction's view of the root pointer: the base epoch's
+// unless SetRoot moved it.
 func (tx *writeTxn) Root() (uint64, error) { return tx.root, nil }
 
 func (tx *writeTxn) SetRoot(id uint64) error {
@@ -230,10 +221,9 @@ func (tx *writeTxn) SetRoot(id uint64) error {
 }
 
 // seal seals each DIRTY page exactly once, into writes, and returns the
-// provisional epoch the commit would create — its root, the pre-images of
-// every page it rewrote or freed (undo) and their IDs (touched) — for
-// validateAndPrepare to link; pages the transaction only read are never
-// re-enciphered or rewritten. It returns (nil, nil) for a no-op transaction
+// epoch the commit would create — its root and the pre-images of every page
+// it rewrote or freed (undo) — for the holder to link; pages the transaction
+// only read are never re-enciphered or rewritten. It returns (nil, nil) for a no-op transaction
 // (nothing dirtied, freed, or re-rooted): the caller skips the store round
 // trip entirely. seal touches no shared state beyond the (stateless) cipher,
 // so concurrent epoch readers and other transactions are unaffected.
@@ -259,12 +249,12 @@ func (tx *writeTxn) seal() (*epoch, error) {
 	if err := tx.sealDirty(keyEpoch, start); err != nil {
 		return nil, err
 	}
-	e := &epoch{io: tx.io, root: tx.root}
-	e.touched = append(append(make([]uint64, 0, len(tx.dirty)+len(tx.frees)), tx.dirty...), tx.frees...)
-	e.undo = make(map[uint64]*node.Node, len(e.touched))
-	for _, id := range e.touched {
-		if pre := tx.pages[id].pre; pre != nil {
-			e.undo[id] = pre
+	e := &epoch{io: tx.io, root: tx.root, undo: make(map[uint64]*node.Node, len(tx.dirty)+len(tx.frees))}
+	for _, ids := range [2][]uint64{tx.dirty, tx.frees} {
+		for _, id := range ids {
+			if pre := tx.pages[id].pre; pre != nil {
+				e.undo[id] = pre
+			}
 		}
 	}
 	return e, nil

@@ -2,19 +2,22 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
 	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
-// readSet lists the pages a transaction's validation would conflict on.
+// readSet lists the pages a transaction met as the base epoch held them: every
+// record not born in the transaction.
 func readSet(tx *writeTxn) []uint64 {
 	var ids []uint64
-	for id := range tx.pages {
-		if tx.observed(id) {
+	for id, p := range tx.pages {
+		if !p.fresh {
 			ids = append(ids, id)
 		}
 	}
@@ -42,11 +45,11 @@ func holds(t *testing.T, n *node.Node, err error) string {
 // TestTxnPageTable walks one page through every transition its record in a
 // write transaction's table can take and checks, through the real commit
 // path, what the transaction reads back, what joins its read-set, what the
-// store is handed (writes, frees) and what the published epoch carries (undo,
-// touched) — the sets a commit reads off the table.
+// store is handed (writes, frees) and what the published epoch carries (undo)
+// — the sets a commit reads off the table.
 func TestTxnPageTable(t *testing.T) {
 	const absent = 9999 // a page ID the base epoch has no record of
-	type handed struct{ writes, frees, undo, touched, reads []uint64 }
+	type handed struct{ writes, frees, undo, reads []uint64 }
 	cases := []struct {
 		name string
 		// steps drives the transaction; p is the one page the base holds
@@ -88,7 +91,7 @@ func TestTxnPageTable(t *testing.T) {
 				return p
 			},
 			want: func(id uint64) handed {
-				return handed{writes: []uint64{id}, undo: []uint64{id}, touched: []uint64{id}, reads: []uint64{id}}
+				return handed{writes: []uint64{id}, undo: []uint64{id}, reads: []uint64{id}}
 			},
 			read: "new", after: "new",
 		},
@@ -118,7 +121,7 @@ func TestTxnPageTable(t *testing.T) {
 				return p
 			},
 			want: func(id uint64) handed {
-				return handed{writes: []uint64{id}, undo: []uint64{id}, touched: []uint64{id}, reads: []uint64{id}}
+				return handed{writes: []uint64{id}, undo: []uint64{id}, reads: []uint64{id}}
 			},
 			read: "new", after: "new",
 		},
@@ -134,7 +137,7 @@ func TestTxnPageTable(t *testing.T) {
 				return p
 			},
 			want: func(id uint64) handed {
-				return handed{frees: []uint64{id}, undo: []uint64{id}, touched: []uint64{id}, reads: []uint64{id}}
+				return handed{frees: []uint64{id}, undo: []uint64{id}, reads: []uint64{id}}
 			},
 			read: "gone", after: "gone",
 		},
@@ -150,7 +153,7 @@ func TestTxnPageTable(t *testing.T) {
 				return p
 			},
 			want: func(id uint64) handed {
-				return handed{writes: []uint64{id}, undo: []uint64{id}, touched: []uint64{id}, reads: []uint64{id}}
+				return handed{writes: []uint64{id}, undo: []uint64{id}, reads: []uint64{id}}
 			},
 			read: "new", after: "new",
 		},
@@ -170,7 +173,7 @@ func TestTxnPageTable(t *testing.T) {
 				}
 				return id
 			},
-			want: func(id uint64) handed { return handed{writes: []uint64{id}, touched: []uint64{id}} },
+			want: func(id uint64) handed { return handed{writes: []uint64{id}} },
 			read: "new", after: "new",
 		},
 		{
@@ -204,7 +207,7 @@ func TestTxnPageTable(t *testing.T) {
 				return absent
 			},
 			want: func(id uint64) handed {
-				return handed{frees: []uint64{id}, touched: []uint64{id}, reads: []uint64{id}}
+				return handed{frees: []uint64{id}, reads: []uint64{id}}
 			},
 			read: "gone", after: "gone",
 		},
@@ -258,7 +261,7 @@ func TestTxnPageTable(t *testing.T) {
 				if e == before.e {
 					t.Fatal("no epoch published")
 				}
-				got.writes, got.frees, got.touched = rs.writes, rs.frees, e.touched
+				got.writes, got.frees = rs.writes, rs.frees
 				for id, pre := range e.undo {
 					if pre != mustRead(t, before.e, id) {
 						t.Errorf("undo[%d] is not the node the base epoch reads", id)
@@ -272,8 +275,7 @@ func TestTxnPageTable(t *testing.T) {
 				got, want []uint64
 			}{
 				{"writes", got.writes, want.writes}, {"frees", got.frees, want.frees},
-				{"undo", got.undo, want.undo}, {"touched", got.touched, want.touched},
-				{"read-set", got.reads, want.reads},
+				{"undo", got.undo, want.undo}, {"read-set", got.reads, want.reads},
 			} {
 				if !slices.Equal(c.got, c.want) {
 					t.Errorf("%s = %v, want %v", c.set, c.got, c.want)
@@ -305,82 +307,38 @@ func mustRead(t *testing.T, e *epoch, id uint64) *node.Node {
 	return n
 }
 
-// TestTxnPageTableConflicts shows the validation rule the table answers: a page
-// the transaction only read conflicts with a racing commit that rewrites it,
-// and a page born in the transaction never conflicts with anything.
-func TestTxnPageTableConflicts(t *testing.T) {
+// TestOversizedWorkspaceIsDropped: clear() walks a map's capacity, and one
+// workspace serves all of a shard's writers, so maps one large commit grew
+// must not be kept for the small commits after it. The first small commit
+// drops them, and the next starts a workspace sized for itself.
+func TestOversizedWorkspaceIsDropped(t *testing.T) {
 	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
-	var p uint64
-	err := g.applyTxn(func(tx *writeTxn) (err error) {
-		if p, err = tx.Alloc(); err != nil {
-			return err
+	putKeys(t, g, 50, "v1")
+	err := g.Apply(func(bt *btree.Tree) error {
+		for i := 50; i < 1000; i++ {
+			if err := bt.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v1")); err != nil {
+				return err
+			}
 		}
-		return tx.Write(p, leafHolding("old"))
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// race commits fn's transaction from another goroutine while the caller's
-	// is between its reads and its validation.
-	race := func(fn func(tx *writeTxn) error) error {
-		done := make(chan error, 1)
-		go func() { done <- g.applyTxn(fn) }()
-		return <-done
+	if ws := g.ws.Load(); ws == nil || ws.peak <= workspaceSlack*8 || ws.peak > workspaceKeep {
+		t.Fatal("the large commit's workspace was not kept; the test needs one that was")
 	}
-	allocWrite := func(tx *writeTxn) error {
-		id, err := tx.Alloc()
-		if err != nil {
-			return err
-		}
-		if tx.observed(id) {
-			t.Error("a fresh page is in the read-set")
-		}
-		return tx.Write(id, leafHolding("born"))
+	if err := enginePut(g, []byte("k0001"), []byte("v2")); err != nil {
+		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		name     string
-		work     func(tx *writeTxn) error
-		racer    func(tx *writeTxn) error
-		wantRuns int
-	}{
-		{
-			name: "a page only read, rewritten by the racer",
-			work: func(tx *writeTxn) error {
-				if _, err := tx.Read(p); err != nil {
-					return err
-				}
-				return allocWrite(tx)
-			},
-			racer:    func(tx *writeTxn) error { return tx.Write(p, leafHolding("racer")) },
-			wantRuns: 2,
-		},
-		{
-			name:     "fresh pages on both sides",
-			work:     allocWrite,
-			racer:    allocWrite,
-			wantRuns: 1,
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			conflicts, runs := g.conflicts.Load(), 0
-			err := g.applyTxn(func(tx *writeTxn) error {
-				runs++
-				if err := tc.work(tx); err != nil {
-					return err
-				}
-				if runs == 1 {
-					return race(tc.racer)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := int(g.conflicts.Load() - conflicts); runs != tc.wantRuns || got != tc.wantRuns-1 {
-				t.Fatalf("the transaction ran %d times with %d conflicts, want %d runs", runs, got, tc.wantRuns)
-			}
-		})
+	if g.ws.Load() != nil {
+		t.Fatal("a one-leaf Put kept the workspace a large commit grew")
+	}
+	if err := enginePut(g, []byte("k0002"), []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if ws := g.ws.Load(); ws == nil || ws.peak > 8 {
+		t.Fatal("the next Put did not keep a workspace sized for itself")
 	}
 }

@@ -2,18 +2,18 @@ package ekbtree
 
 // True-concurrency model harness. TestModelConcurrency's oracle holds its
 // mutex ACROSS every tree mutation, so its writers — however many goroutines
-// run them — commit one at a time and never exercise the optimistic
-// multi-writer path. This harness removes that serialization: N writer
-// goroutines commit genuinely in parallel, racing through validation,
-// conflict retries, and the exclusive fairness fallback.
+// run them — commit one at a time and never exercise the multi-writer path.
+// This harness removes that serialization: N writer goroutines commit
+// concurrently, queuing for each shard's write turn, so their mutations are
+// combined into shared commits and re-run alone when one of them fails.
 //
 // Ground truth without a serializing lock comes from two ingredients:
 //
 //  1. Disjoint key ownership. Writer w only ever writes keys (and key
 //     groups) it owns, so every key's version history is SEQUENTIAL even
-//     though commits to the shared tree are not. Conflicts still happen —
-//     different writers' keys share B-tree pages — but the per-key
-//     semantics stay checkable.
+//     though commits to the shared tree are not. Different writers' keys
+//     share B-tree pages, and often commits, but the per-key semantics stay
+//     checkable.
 //
 //  2. A global tick counter. Each commit samples the counter before it
 //     starts (s) and bumps it after it returns (e): the commit's publish
@@ -228,7 +228,7 @@ func TestModelConcurrentWriters(t *testing.T) {
 		})
 	})
 	// Vacuum legs: a background compactor relocates live extents while the
-	// optimistic writers commit genuinely in parallel — the hardest traffic
+	// writers commit concurrently — the hardest traffic
 	// the vacuum's retry/skip machinery faces in-process.
 	t.Run("vacuum/file/grouped", func(t *testing.T) {
 		runConcurrentWriters(t, Options{
@@ -500,7 +500,7 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	}
 
 	// Stats sampler: the façade's commit counters must be monotonic while
-	// optimistic commits race, and Pages must respect its cap elsewhere.
+	// commits race, and Pages must respect its cap elsewhere.
 	readersWG.Add(1)
 	go func() {
 		defer readersWG.Done()
@@ -570,13 +570,14 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	}
 
 	// Every unique-value put and every group rewrite wrote dirty pages, so
-	// each produced a real store commit.
+	// each reached a real store commit — shared with the writes queued
+	// alongside it, so there may be fewer commits than writes, but not none.
 	s, err := tr.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Commits < putCount.Load() {
-		t.Fatalf("Stats.Commits = %d, want >= %d committed writes", s.Commits, putCount.Load())
+	if putCount.Load() > 0 && s.Commits == 0 {
+		t.Fatalf("Stats.Commits = 0 after %d committed writes", putCount.Load())
 	}
 	if s.Retries < s.Conflicts {
 		t.Fatalf("Stats.Retries = %d < Conflicts = %d; every conflict must count a retry", s.Retries, s.Conflicts)

@@ -496,6 +496,53 @@ func TestBatchCommitAllocs(t *testing.T) {
 	}
 }
 
+// TestPutAllocs guards a single Put's allocation budget the way
+// TestGetAllocs guards a Get's: a cached overwrite of one key with a value of
+// the same length but new bytes, at Async over a page file, with every node
+// cached. A writer that finds its shard's turn free allocates nothing for it:
+// the bound fails if the turn starts allocating per call, if the mutation's
+// closure escapes to the heap, or if a commit grows a per-page record again.
+func TestPutAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	tr := mustOpen(t, Options{
+		MasterKey:  bytes.Repeat([]byte{0xD9}, 32),
+		Path:       filepath.Join(t.TempDir(), "put.ekb"),
+		Durability: DurabilityAsync,
+		CachePages: 8192,
+	})
+	defer tr.Close()
+	kbuf, vbuf := make([]byte, 4), make([]byte, 64)
+	key := func(i int) []byte { binary.BigEndian.PutUint32(kbuf, uint32(i)); return kbuf }
+	b := tr.NewBatch()
+	for i := 0; i < 10_000; i++ {
+		if err := b.Put(key(i), vbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	run := 0
+	put := func() {
+		run++
+		vbuf[0], vbuf[1] = byte(run), byte(run>>8)
+		if err := tr.Put(key(5000), vbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put() // the descent's pages are cached from here on
+	// Measured 7 (go1.24, amd64; 8 while each epoch also listed the pages
+	// its commit touched, for optimistic validation).
+	const want = 7
+	if n := testing.AllocsPerRun(200, put); n > want {
+		t.Errorf("a cached Put allocates %.1f times, want <= %d", n, want)
+	} else {
+		t.Logf("a cached Put allocates %.1f times", n)
+	}
+}
+
 // TestBatchStagingAllocs pins what staging costs: no Put or Delete allocates
 // on its own. 64 staged ops cost one op slice sized for 64 ops and the slab
 // chunks their entries fill (slabChunk bytes each; 48 keys with 100-byte
