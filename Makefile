@@ -2,7 +2,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-BENCH_PKGS = ./internal/keysub/ ./internal/cipher/ ./internal/node/ ./internal/btree/ ./internal/store/file/ ./pkg/ekbtree/
+BENCH_PKGS = ./internal/keysub/ ./internal/cipher/ ./internal/node/ ./internal/btree/ ./internal/store/file/ ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 
 .PHONY: all build binaries vet fmt-check lint test test-sharded race bench-raw bench-smoke benchmark benchmark-pairs soak-smoke fuzz-smoke clean
 
@@ -76,6 +76,12 @@ lint:
 # in one place, the chunk refill (subState.take), and cuts every result from
 # the chunk.
 	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
+
+# A read miss is one allocation: product code reads a page with
+# PageStore.ReadPageInto, into the block that will hold its view (or, in the
+# rotator's staleness scan, into one reused buffer). ReadPage allocates a
+# buffer of its own; the stores implement it for bench/ and tests.
+	@if git grep -nE '\.ReadPage\(' -- cmd pkg internal ':!*_test.go' ':!internal/store'; then echo "read pages with ReadPageInto into memory the caller provides (node.NewBlock on a read miss); see nodeIO.fetch"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -44,10 +44,10 @@ type NodeCipher interface {
 	SealedEpoch(sealed []byte) (uint32, bool)
 	// Open deciphers a sealed page previously produced by Seal or SealEpoch
 	// with the same page ID, or returns ErrOpen on tampering/mismatch. Open
-	// CONSUMES sealed: the caller must own the buffer
-	// (store.PageStore.ReadPage hands out such buffers) and must not read its
-	// contents afterwards, because an implementation may decipher in place and
-	// return a plaintext that aliases it. On error the buffer's page body is
+	// CONSUMES sealed: the caller must own the buffer (the engine reads each
+	// page with store.PageStore.ReadPageInto into a block of its own) and must
+	// not read its contents afterwards, because an implementation may
+	// decipher in place and return a plaintext that aliases it. On error the buffer's page body is
 	// unspecified and nothing aliasing it is returned; the nonce prefix is
 	// left intact either way.
 	Open(pageID uint64, sealed []byte) ([]byte, error)

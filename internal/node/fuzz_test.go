@@ -11,57 +11,47 @@ import (
 // byte-for-byte — and the decoded node must satisfy the structural
 // invariants Encode enforces and must not alias the input buffer.
 //
-// The view DecodeInPlace makes of a copy is held to Decode's materialised
-// node: the same verdict, the same key, value and child at every index, the
-// same Search answer for every key and for each key with its last byte one
-// up and one down, and the same page when re-encoded. The copy has poisoned
-// spare capacity behind it, and every slice the view hands out must lie
-// within the page or its side buffer, so an accessor that read past the page
-// fails here even where the bytes it read happened to agree.
+// Both decode paths run on every input, each over its own copy: DecodeInPlace
+// over a buffer with poisoned spare capacity behind the page, and
+// Block.Decode over a block's room holding the page with poisoned bytes after
+// it, as a deciphered page is followed by its tag. Each view is held to
+// Decode's materialised node: the same verdict, the same key, value and child
+// at every index, the same Search answer for every key and for each key with
+// its last byte one up and one down, and the same page when re-encoded. Every
+// slice a view hands out must lie within its page or its side buffer, so an
+// accessor that read past the page fails here even where the bytes it read
+// happened to agree.
 func fuzzCanonical(t *testing.T, page []byte) {
-	buf := append(make([]byte, 0, len(page)+16), page...)
-	spare := buf[len(buf):cap(buf)]
-	for i := range spare {
-		spare[i] = 0xA5
-	}
-	view, viewErr := DecodeInPlace(buf)
+	const tail = 16
+	buf := append(make([]byte, 0, len(page)+tail), page...)
+	poison(buf[len(buf):cap(buf)])
+	inPlace, inPlaceErr := DecodeInPlace(buf)
+	blk := NewBlock(len(page) + tail)
+	room := blk.Page()
+	copy(room, page)
+	poison(room[len(page):])
+	inBlock, inBlockErr := blk.Decode(room[:len(page)])
+
 	n, err := Decode(page)
-	if (err == nil) != (viewErr == nil) {
-		t.Fatalf("Decode = %v but DecodeInPlace of a copy = %v", err, viewErr)
+	views := []struct {
+		name string
+		view *Node
+		err  error
+		page []byte
+	}{
+		{"DecodeInPlace", inPlace, inPlaceErr, buf[:len(page):len(page)]},
+		{"Block.Decode", inBlock, inBlockErr, room[:len(page):len(page)]},
+	}
+	for _, v := range views {
+		if (err == nil) != (v.err == nil) {
+			t.Fatalf("Decode = %v but %s of a copy = %v", err, v.name, v.err)
+		}
 	}
 	if err != nil {
 		return
 	}
-	if !nodesEqual(view, n) {
-		t.Fatalf("the view differs from Decode's node:\n got %+v\nwant %+v", view.Materialize(), n)
-	}
-	inPage := buf[:len(buf):len(buf)]
-	for i := range view.Len() {
-		if k := view.Key(i); !within(k, inPage) && !within(k, view.side) {
-			t.Fatalf("key %d of the view lies outside the page and its side buffer", i)
-		}
-		if !within(view.Value(i), inPage) {
-			t.Fatalf("value %d of the view lies outside the page", i)
-		}
-	}
-	if !view.Leaf && view.kids+8*(view.Len()+1) != len(page) {
-		t.Fatalf("the view reads %d children from offset %d of a %d-byte page", view.Len()+1, view.kids, len(page))
-	}
-	for i := range n.Len() {
-		k := n.Key(i)
-		probes := [][]byte{k}
-		if last := len(k) - 1; last >= 0 {
-			up, down := bytes.Clone(k), bytes.Clone(k)
-			up[last]++
-			down[last]--
-			probes = append(probes, up, down)
-		}
-		for _, p := range probes {
-			vi, veq := view.Search(p)
-			if mi, meq := n.Search(p); vi != mi || veq != meq {
-				t.Fatalf("Search(%x) = (%d, %v) on the view, (%d, %v) on Decode's node", p, vi, veq, mi, meq)
-			}
-		}
+	for _, v := range views {
+		checkView(t, v.name, v.view, v.page, n)
 	}
 	if len(n.Keys) != len(n.Values) {
 		t.Fatalf("decoded %d keys but %d values", len(n.Keys), len(n.Values))
@@ -80,8 +70,10 @@ func fuzzCanonical(t *testing.T, page []byte) {
 	if !bytes.Equal(reenc, page) {
 		t.Fatalf("codec not canonical (format %v):\n in  %x\n out %x", format, page, reenc)
 	}
-	if viewEnc, err := view.EncodeFormat(format); err != nil || !bytes.Equal(viewEnc, page) {
-		t.Fatalf("re-encoding the view = (%x, %v), want the page %x", viewEnc, err, page)
+	for _, v := range views {
+		if viewEnc, err := v.view.EncodeFormat(format); err != nil || !bytes.Equal(viewEnc, page) {
+			t.Fatalf("re-encoding the %s view = (%x, %v), want the page %x", v.name, viewEnc, err, page)
+		}
 	}
 	if got := n.EncodedSizeFormat(format); got != len(page) {
 		t.Fatalf("EncodedSizeFormat(%v) = %d, page is %d bytes", format, got, len(page))
@@ -97,6 +89,49 @@ func fuzzCanonical(t *testing.T, page []byte) {
 	}
 	if !bytes.Equal(reenc, reenc2) {
 		t.Fatal("decoded node aliases the input page")
+	}
+}
+
+// poison fills b with a byte no test page relies on.
+func poison(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
+}
+
+// checkView holds a view, decoded by the named path over inPage, to Decode's
+// materialised node n of the same page.
+func checkView(t *testing.T, name string, view *Node, inPage []byte, n *Node) {
+	t.Helper()
+	if !nodesEqual(view, n) {
+		t.Fatalf("the %s view differs from Decode's node:\n got %+v\nwant %+v", name, view.Materialize(), n)
+	}
+	for i := range view.Len() {
+		if k := view.Key(i); !within(k, inPage) && !within(k, view.side) {
+			t.Fatalf("key %d of the %s view lies outside the page and its side buffer", i, name)
+		}
+		if !within(view.Value(i), inPage) {
+			t.Fatalf("value %d of the %s view lies outside the page", i, name)
+		}
+	}
+	if !view.Leaf && view.kids+8*(view.Len()+1) != len(inPage) {
+		t.Fatalf("the %s view reads %d children from offset %d of a %d-byte page", name, view.Len()+1, view.kids, len(inPage))
+	}
+	for i := range n.Len() {
+		k := n.Key(i)
+		probes := [][]byte{k}
+		if last := len(k) - 1; last >= 0 {
+			up, down := bytes.Clone(k), bytes.Clone(k)
+			up[last]++
+			down[last]--
+			probes = append(probes, up, down)
+		}
+		for _, p := range probes {
+			vi, veq := view.Search(p)
+			if mi, meq := n.Search(p); vi != mi || veq != meq {
+				t.Fatalf("Search(%x) = (%d, %v) on the %s view, (%d, %v) on Decode's node", p, vi, veq, name, mi, meq)
+			}
+		}
 	}
 }
 

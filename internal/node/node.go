@@ -32,13 +32,17 @@
 //
 // A Node takes one of two forms. The tree builds and edits materialised
 // nodes, whose entries sit in the exported Keys, Values and Children slices.
-// There is one decoder, DecodeInPlace, and the page it is handed IS the node
-// it returns: a read-only view that answers Len, Key, Value, Child and Search
-// from the deciphered page itself and an offset table kept in the node's own
-// allocation, with the three slices left empty. A fetched block therefore
-// costs its buffer and one allocation on its way from the store to a
-// searchable node; children are read from the page bytes when asked for.
-// Whoever calls DecodeInPlace gives the buffer up. Materialize turns any node
+// There is one decoder, and the page it is handed IS the node it returns: a
+// read-only view that answers Len, Key, Value, Child and Search from the
+// deciphered page itself and an offset table kept in the node's own
+// allocation, with the three slices left empty. A fetched page costs one
+// allocation on its way from the store to a searchable node: NewBlock
+// allocates the view, its offset table and room for the page together, sized
+// to fill one of the runtime's size classes, the page is read and deciphered
+// in that room, and Block.Decode builds the view there. DecodeInPlace is the
+// same decoder over a buffer the caller already holds, at one allocation
+// beside it; children are read from the page bytes when asked for. Whoever
+// hands a page to the decoder gives the buffer up. Materialize turns any node
 // into a private, mutable copy, and Decode is the decoder over a clone,
 // materialised, for a caller that must keep its page. Every materialised node
 // comes from New, which at the default order allocates the node and its
@@ -52,6 +56,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 const (
@@ -142,17 +147,118 @@ type entry struct {
 // allocations for its arrays.
 const viewRoom = 32
 
-// newView allocates a view with an offset table of nkeys rows.
-func newView(nkeys int) (*Node, []entry) {
-	if nkeys > viewRoom {
-		return new(Node), make([]entry, nkeys)
-	}
-	v := new(struct {
-		Node
-		tab [viewRoom]entry
-	})
-	return &v.Node, v.tab[:nkeys:nkeys]
+// viewShell is a view and its offset table, allocated as one object.
+type viewShell struct {
+	Node
+	tab [viewRoom]entry
 }
+
+// newView returns a view with an offset table of nkeys rows, built in v when
+// v is not nil and in a fresh allocation otherwise. A table of more than
+// viewRoom rows is allocated beside the node.
+func newView(v *viewShell, nkeys int) (*Node, []entry) {
+	switch {
+	case nkeys <= viewRoom:
+		if v == nil {
+			v = new(viewShell)
+		}
+		return &v.Node, v.tab[:nkeys:nkeys]
+	case v == nil:
+		return new(Node), make([]entry, nkeys)
+	default:
+		return &v.Node, make([]entry, nkeys)
+	}
+}
+
+// Block is a page's way from the store to a view in one allocation: a view
+// shell, its offset table and room for the page. The caller reads the sealed
+// page into Page, deciphers it there, and hands what that yields to Decode,
+// once. A page too large for the biggest block gets a buffer of its own, and
+// Decode is then DecodeInPlace over it: the node is a second allocation.
+type Block struct {
+	shell *viewShell // nil when the page has a buffer of its own
+	page  []byte
+}
+
+// pageBlock is a view shell followed by its page's room, R a byte array.
+type pageBlock[R any] struct {
+	viewShell
+	room R
+}
+
+// blockClass is one block size: its room in bytes and its allocator.
+type blockClass struct {
+	room  int
+	alloc func() (*viewShell, []byte)
+}
+
+// class returns the block class whose room is R.
+func class[R any]() blockClass {
+	var r R
+	return blockClass{int(unsafe.Sizeof(r)), func() (*viewShell, []byte) {
+		b := new(pageBlock[R])
+		return &b.viewShell, unsafe.Slice((*byte)(unsafe.Pointer(&b.room)), unsafe.Sizeof(b.room))
+	}}
+}
+
+// blockOverhead is what a block spends beyond its room: the view shell, and
+// the eight-byte header the runtime keeps inside every object over 512 bytes
+// that holds pointers.
+const blockOverhead = 8 + unsafe.Sizeof(viewShell{})
+
+// blockClasses are the blocks by size, each filling one of the runtime's size
+// classes exactly (the class less blockOverhead is its room): every class
+// from the smallest with room for an empty page up to 8 KiB, so a block
+// wastes no more than the gap to the next class, as a plain buffer of the
+// page's size would. TestBlocksFillSizeClasses holds them to it.
+var blockClasses = [...]blockClass{
+	class[[640 - blockOverhead]byte](),
+	class[[704 - blockOverhead]byte](),
+	class[[768 - blockOverhead]byte](),
+	class[[896 - blockOverhead]byte](),
+	class[[1024 - blockOverhead]byte](),
+	class[[1152 - blockOverhead]byte](),
+	class[[1280 - blockOverhead]byte](),
+	class[[1408 - blockOverhead]byte](),
+	class[[1536 - blockOverhead]byte](),
+	class[[1792 - blockOverhead]byte](),
+	class[[2048 - blockOverhead]byte](),
+	class[[2304 - blockOverhead]byte](),
+	class[[2688 - blockOverhead]byte](),
+	class[[3072 - blockOverhead]byte](),
+	class[[3200 - blockOverhead]byte](),
+	class[[3456 - blockOverhead]byte](),
+	class[[4096 - blockOverhead]byte](),
+	class[[4864 - blockOverhead]byte](),
+	class[[5376 - blockOverhead]byte](),
+	class[[6144 - blockOverhead]byte](),
+	class[[6528 - blockOverhead]byte](),
+	class[[6784 - blockOverhead]byte](),
+	class[[6912 - blockOverhead]byte](),
+	class[[8192 - blockOverhead]byte](),
+}
+
+// NewBlock returns a block with room for a page of size bytes: the smallest
+// block class that holds it, or for a page larger than every class, a plain
+// buffer.
+func NewBlock(size int) Block {
+	for _, c := range blockClasses {
+		if size <= c.room {
+			shell, room := c.alloc()
+			return Block{shell: shell, page: room[:size:size]}
+		}
+	}
+	return Block{page: make([]byte, size)}
+}
+
+// Page returns the room the page is read into: size bytes, capacity-clipped.
+func (b Block) Page() []byte { return b.page }
+
+// Decode is DecodeInPlace building the view in the block: page is what
+// deciphering Page in place left of it, and the view pins the whole block. A
+// cipher that returned a buffer of its own instead still decodes correctly,
+// only with the block's room spent for nothing.
+func (b Block) Decode(page []byte) (*Node, error) { return decodeView(b.shell, page) }
 
 // Len returns the number of keys.
 func (n *Node) Len() int {
@@ -387,9 +493,10 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 // DecodeInPlace parses a page produced by EncodeFormat, dispatching on the
 // page's flag byte, and ADOPTS the buffer: the page is the node. It returns a
 // read-only view (see Node) whose one allocation holds the node and, for up to
-// viewRoom keys, its offset table. Values and full-format keys lie in the page
-// where they were written, and a prefix-coded key that shares at most four
-// bytes with its predecessor is rebuilt over its own four-byte (shared,
+// viewRoom keys, its offset table; read into a Block, the same page decodes
+// with no allocation beyond the block's. Values and full-format keys lie in
+// the page where they were written, and a prefix-coded key that shares at most
+// four bytes with its predecessor is rebuilt over its own four-byte (shared,
 // suffixLen) record header, so it too lies in the page. Only keys that share
 // more — wide bucket prefixes — are rebuilt in one side buffer, sized exactly
 // by the pre-scan: the one further allocation a page can cost.
@@ -407,7 +514,11 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 // so an accepted page re-encodes byte-for-byte in its own format. A page of
 // 4 GiB or more, which no page store can hold, is rejected too: the offset
 // table is 32-bit.
-func DecodeInPlace(page []byte) (*Node, error) {
+func DecodeInPlace(page []byte) (*Node, error) { return decodeView(nil, page) }
+
+// decodeView is the decoder behind DecodeInPlace and Block.Decode: it builds
+// the view in shell, or in an allocation of its own when shell is nil.
+func decodeView(shell *viewShell, page []byte) (*Node, error) {
 	if len(page) < headerSize || page[0] != magic || page[1] != version || uint64(len(page)) > math.MaxUint32 {
 		return nil, ErrDecode
 	}
@@ -454,7 +565,7 @@ func DecodeInPlace(page []byte) (*Node, error) {
 		}
 	}
 
-	n, ents := newView(nkeys)
+	n, ents := newView(shell, nkeys)
 	n.Leaf = flags&flagLeaf != 0
 	n.page, n.ents = page, ents
 	off := headerSize

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -613,6 +614,19 @@ func TestDecodeInPlace(t *testing.T) {
 			if inPlace != tt.allocs || copying != inPlace+1+materialize {
 				t.Errorf("DecodeInPlace allocates %.0f times (want %.0f), Decode %.0f (want %.0f more)", inPlace, tt.allocs, copying, 1+materialize)
 			}
+			// Read into a Block, the page costs the block and nothing for
+			// the view: the count DecodeInPlace has over a buffer that
+			// already exists, with the buffer's allocation included.
+			inBlock := testing.AllocsPerRun(100, func() {
+				b := NewBlock(len(saved))
+				copy(b.Page(), saved)
+				if v, err := b.Decode(b.Page()); err != nil || !nodesEqual(v, tt.n) {
+					t.Fatalf("Block.Decode = (%+v, %v)", v, err)
+				}
+			})
+			if inBlock != tt.allocs {
+				t.Errorf("a page read into a Block allocates %.0f times with the block, want %.0f", inBlock, tt.allocs)
+			}
 		})
 	}
 }
@@ -701,5 +715,46 @@ func TestMaterializeAllocs(t *testing.T) {
 				t.Errorf("New allocates %.0f times, want %.0f", n, tt.allocs)
 			}
 		})
+	}
+}
+
+// TestBlocksFillSizeClasses: every block class is one object that fills a
+// runtime size class exactly, its room being what the view shell and the
+// runtime's object header leave of the class, so a block wastes nothing
+// inside its class and never spills into the next. The classes ascend, and
+// NewBlock hands out a capacity-clipped room of the page's size in a block up
+// to the largest class and a plain buffer past it.
+func TestBlocksFillSizeClasses(t *testing.T) {
+	const count = 64
+	keep := make([]*viewShell, count)
+	for i, c := range blockClasses {
+		if i > 0 && c.room <= blockClasses[i-1].room {
+			t.Fatalf("block class %d has room %d after room %d", i, c.room, blockClasses[i-1].room)
+		}
+		if n := testing.AllocsPerRun(10, func() { c.alloc() }); n != 1 {
+			t.Fatalf("a block with %d bytes of room allocates %.0f times", c.room, n)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for j := range keep {
+			keep[j], _ = c.alloc()
+		}
+		runtime.ReadMemStats(&after)
+		// TotalAlloc counts each object at its size class; anything else
+		// allocating in between adds far less than a class step to the mean.
+		class := uint64(c.room) + uint64(blockOverhead)
+		if per := (after.TotalAlloc - before.TotalAlloc) / count; per < class || per >= class+64 {
+			t.Errorf("a block with %d bytes of room takes %d bytes, want the %d-byte size class", c.room, per, class)
+		}
+	}
+	largest := blockClasses[len(blockClasses)-1].room
+	for _, size := range []int{0, 1, blockClasses[0].room, blockClasses[0].room + 1, largest, largest + 1} {
+		b := NewBlock(size)
+		if len(b.Page()) != size || cap(b.Page()) != size {
+			t.Errorf("NewBlock(%d).Page() has len %d, cap %d", size, len(b.Page()), cap(b.Page()))
+		}
+		if (b.shell != nil) != (size <= largest) {
+			t.Errorf("NewBlock(%d) in a block: %v", size, b.shell != nil)
+		}
 	}
 }

@@ -379,7 +379,7 @@ func (s *Store) drain() {
 		if s.failed {
 			// The store is fail-stopped. Release anyone waiting on the
 			// group, but KEEP it in place: its writes (and the failed
-			// flushing group's) stay in the read path, so Root/Meta/ReadPage
+			// flushing group's) stay in the read path, so Root/Meta/ReadPageInto
 			// keep serving the full applied state instead of a view with
 			// acknowledged pages torn out of it.
 			if !g.resolved {
@@ -435,10 +435,11 @@ func (s *Store) drain() {
 		if shrunk {
 			// Physically release the tail the frontier retreated over. This
 			// runs strictly after the install above: any reader still inside
-			// ReadPage when the install took the lock had already finished,
-			// and readers admitted since resolve extents that all end at or
-			// below the new frontier — no ReadPage can be mid-read in the cut
-			// region, and the only other reader of extents is this goroutine.
+			// ReadPageInto when the install took the lock had already
+			// finished, and readers admitted since resolve extents that all
+			// end at or below the new frontier — no ReadPageInto can be
+			// mid-read in the cut region, and the only other reader of
+			// extents is this goroutine.
 			// Correctness never depends on the truncate (the durable state
 			// ignores bytes past fileEnd), but a truncate error means a sick
 			// device, so it fail-stops the store like any flush error.

@@ -79,9 +79,9 @@
 //
 // After Open the committer goroutine is the file's only writer and the only
 // reader of extents it may itself recycle or truncate: Vacuum selects pages by
-// ID and the committer copies them. ReadPage, the one other reader, resolves
-// and reads a durable extent under the read side of the lock a flush is
-// installed under, and the tail is cut only after the install.
+// ID and the committer copies them. ReadPageInto, the one other reader,
+// resolves and reads a durable extent under the read side of the lock a flush
+// is installed under, and the tail is cut only after the install.
 package file
 
 import (
@@ -459,30 +459,40 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// ReadPage serves the applied state: the pending overlay first, then the
-// group being flushed, then the durable extent on disk.
-func (s *Store) ReadPage(id uint64) ([]byte, error) {
+// ReadPageInto serves the applied state: the pending overlay first, then the
+// group being flushed, then the durable extent on disk. An overlay page is
+// copied out, never handed over: the group keeps its bytes for the flush and
+// for every later reader, and the caller deciphers its copy in place.
+func (s *Store) ReadPageInto(id uint64, buf []byte) (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, store.ErrClosed
+		return 0, store.ErrClosed
 	}
 	if p, ok := s.overlayLocked(id); ok {
 		if p.freed {
-			return nil, fmt.Errorf("%w: page %d", store.ErrNotFound, id)
+			return 0, fmt.Errorf("%w: page %d", store.ErrNotFound, id)
 		}
-		return append([]byte(nil), p.buf...), nil
+		if len(p.buf) <= len(buf) {
+			copy(buf, p.buf)
+		}
+		return len(p.buf), nil
 	}
 	e, ok := s.pages[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: page %d", store.ErrNotFound, id)
+		return 0, fmt.Errorf("%w: page %d", store.ErrNotFound, id)
 	}
-	buf := make([]byte, e.len)
-	if _, err := s.f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("file: read page %d: %w", id, err)
+	n := int(e.len)
+	if n <= len(buf) {
+		if _, err := s.f.ReadAt(buf[:n], e.off); err != nil {
+			return 0, fmt.Errorf("file: read page %d: %w", id, err)
+		}
 	}
-	return buf, nil
+	return n, nil
 }
+
+// ReadPage is ReadPageInto into a buffer of the caller's own.
+func (s *Store) ReadPage(id uint64) ([]byte, error) { return store.ReadPage(s, id) }
 
 func (s *Store) Alloc() (uint64, error) {
 	s.mu.Lock()

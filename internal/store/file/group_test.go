@@ -586,9 +586,13 @@ func TestOpenConfigRejectsUnknownMode(t *testing.T) {
 // buffer contract, over store.Mem, the file store over a file in memory, and
 // the file store on disk in every durability mode. The store keeps the page
 // buffers it is handed and never writes to them; it does not keep the writes
-// map, which the engine clears and refills for its next commit; and ReadPage
-// returns the committed bytes in a buffer of the reader's own, from the
-// overlay before the flush and from the file after it.
+// map, which the engine clears and refills for its next commit; and
+// ReadPageInto and ReadPage give the committed bytes in a buffer of the
+// reader's own, from the overlay before the flush and from the file after it.
+// ReadPageInto writes nothing into a buffer too short for the page and only
+// the page into a longer one; the reader deciphers what it read in place, so
+// a store that handed out its overlay's bytes would show here as a page
+// changed under the next reader and a taken buffer altered.
 func TestCommitPagesTakesOwnership(t *testing.T) {
 	stores := map[string]func(t *testing.T) store.PageStore{
 		"mem":    func(*testing.T) store.PageStore { return store.NewMem() },
@@ -629,6 +633,15 @@ func TestCommitPagesTakesOwnership(t *testing.T) {
 			check := func(when string) {
 				t.Helper()
 				for id, want := range map[uint64]string{a: "page-a", c: "page-c"} {
+					short := []byte("short")
+					if n, err := s.ReadPageInto(id, short); err != nil || n != len(want) || string(short) != "short" {
+						t.Fatalf("%s: ReadPageInto(%d, 5 bytes) = (%d, %v) leaving %q, want (%d, nil) and nothing written", when, id, n, err, short, len(want))
+					}
+					into := []byte(strings.Repeat(".", len(want)+2))
+					if n, err := s.ReadPageInto(id, into); err != nil || n != len(want) || string(into) != want+".." {
+						t.Fatalf("%s: ReadPageInto(%d) = (%d, %v) leaving %q, want (%d, nil) and %q", when, id, n, err, into, len(want), want+"..")
+					}
+					clear(into) // the reader's own buffer, deciphered in place
 					got, err := s.ReadPage(id)
 					if err != nil || string(got) != want {
 						t.Fatalf("%s: ReadPage(%d) = (%q, %v), want %q", when, id, got, err, want)
@@ -640,6 +653,9 @@ func TestCommitPagesTakesOwnership(t *testing.T) {
 				}
 				if _, err := s.ReadPage(b); !errors.Is(err, store.ErrNotFound) {
 					t.Fatalf("%s: freed page readable: %v", when, err)
+				}
+				if _, err := s.ReadPageInto(b, make([]byte, 16)); !errors.Is(err, store.ErrNotFound) {
+					t.Fatalf("%s: freed page readable into a buffer: %v", when, err)
 				}
 			}
 			check("applied")

@@ -18,7 +18,7 @@ func NewMem() *Store {
 }
 
 // memFile is a File in memory. Its own lock lets the committer write extents
-// while ReadPage reads others.
+// while ReadPageInto reads others.
 type memFile struct {
 	mu  sync.RWMutex
 	buf []byte

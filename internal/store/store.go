@@ -48,25 +48,37 @@ type SealMark struct {
 	Counter uint64
 }
 
-// PageStore stores sealed pages behind twelve methods: the reads (ReadPage,
-// Root, Meta, SealMark), Alloc, the header and seal-mark setters (SetMeta,
-// SetSealMark), Sync, Close, the footprint and its compaction (Space,
-// Vacuum) — and CommitPages, the ONLY way pages, the root pointer and frees
-// ever change.
+// PageStore stores sealed pages behind thirteen methods: the reads
+// (ReadPageInto, ReadPage, Root, Meta, SealMark), Alloc, the header and
+// seal-mark setters (SetMeta, SetSealMark), Sync, Close, the footprint and
+// its compaction (Space, Vacuum) — and CommitPages, the ONLY way pages, the
+// root pointer and frees ever change.
 //
 // Implementations must be safe for concurrent use: the engine above runs
 // lock-free snapshot readers against the store while commits are in flight,
-// so ReadPage must be callable at any moment — including during CommitPages —
-// and must always return some page state that existed (pre- or post-commit),
-// never a torn one. The engine's epoch layer guarantees that a page rewritten
-// or freed by a commit is never *required* from the store by a snapshot
-// reader afterwards (superseded versions are served from the epoch's
+// so ReadPageInto must be callable at any moment — including during
+// CommitPages — and must always return some page state that existed (pre- or
+// post-commit), never a torn one. The engine's epoch layer guarantees that a
+// page rewritten or freed by a commit is never *required* from the store by a
+// snapshot reader afterwards (superseded versions are served from the epoch's
 // in-memory undo overlay), so stores may release freed pages as part of the
-// commit itself; a racing ReadPage of a just-freed page may simply return
+// commit itself; a racing read of a just-freed page may simply return
 // ErrNotFound.
 type PageStore interface {
-	// ReadPage returns the page's contents. The returned buffer is owned by
-	// the caller and never aliases the store's copy.
+	// ReadPageInto returns the length n of page id and, when buf holds at
+	// least n bytes, copies the page into buf[:n]; a shorter buf gets nothing
+	// written, so ReadPageInto(id, nil) asks for the length alone. The copy
+	// is the caller's: buf never aliases the store's own bytes, which the
+	// caller may decipher and decode in place. A page may change length
+	// between two calls (a commit rewrote it), so a caller that sized buf
+	// from an earlier answer compares n with it. This is the engine's one
+	// page read: a read miss asks for the length, allocates the view that
+	// will hold the page with room for it, and reads the page there.
+	ReadPageInto(id uint64, buf []byte) (int, error)
+	// ReadPage returns the page's contents in a buffer of the caller's own,
+	// which never aliases the store's copy. Implementations may build it
+	// with the package's ReadPage over ReadPageInto; the engine never calls
+	// it.
 	ReadPage(id uint64) ([]byte, error)
 	// Alloc reserves a fresh page ID, never reusing a live one. It fails only
 	// with ErrClosed.
@@ -146,6 +158,25 @@ type Spacer interface {
 	Space() (fileBytes, liveBytes int64)
 }
 
+// ReadPage reads page id whole through rd.ReadPageInto into a buffer of its
+// own: it asks for the length, then reads, and asks again when the page
+// changed length in between. The stores' ReadPage methods are this.
+func ReadPage(rd interface {
+	ReadPageInto(id uint64, buf []byte) (int, error)
+}, id uint64) ([]byte, error) {
+	var buf []byte
+	for {
+		n, err := rd.ReadPageInto(id, buf)
+		if err != nil {
+			return nil, err
+		}
+		if n <= len(buf) {
+			return buf[:n], nil
+		}
+		buf = make([]byte, n)
+	}
+}
+
 // Mem is an in-memory PageStore that shares none of the file store's code.
 // It stays only because bench/replay.go builds its replay engine on it and
 // bench/ may not change yet; trees and tests use internal/store/file's NewMem.
@@ -166,18 +197,23 @@ func NewMem() *Mem {
 	return &Mem{pages: make(map[uint64][]byte), nextID: NoRoot + 1}
 }
 
-func (m *Mem) ReadPage(id uint64) ([]byte, error) {
+func (m *Mem) ReadPageInto(id uint64, buf []byte) (int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	if m.closed {
-		return nil, ErrClosed
+		return 0, ErrClosed
 	}
 	p, ok := m.pages[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: page %d", ErrNotFound, id)
+		return 0, fmt.Errorf("%w: page %d", ErrNotFound, id)
 	}
-	return append([]byte(nil), p...), nil
+	if len(p) <= len(buf) {
+		copy(buf, p)
+	}
+	return len(p), nil
 }
+
+func (m *Mem) ReadPage(id uint64) ([]byte, error) { return ReadPage(m, id) }
 
 func (m *Mem) Alloc() (uint64, error) {
 	m.mu.Lock()

@@ -12,21 +12,25 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
-// kindStore counts page reads by what the page holds. index is filled once
-// the tree is built and only read afterwards.
+// kindStore counts page reads by what the page holds: the ReadPageInto calls
+// that copy a page, not the length queries ahead of them. index is filled
+// once the tree is built and only read afterwards.
 type kindStore struct {
 	store.PageStore
 	index                 map[uint64]bool
 	indexReads, leafReads atomic.Int64
 }
 
-func (ks *kindStore) ReadPage(id uint64) ([]byte, error) {
-	if ks.index[id] {
-		ks.indexReads.Add(1)
-	} else {
-		ks.leafReads.Add(1)
+func (ks *kindStore) ReadPageInto(id uint64, buf []byte) (int, error) {
+	n, err := ks.PageStore.ReadPageInto(id, buf)
+	if err == nil && n <= len(buf) {
+		if ks.index[id] {
+			ks.indexReads.Add(1)
+		} else {
+			ks.leafReads.Add(1)
+		}
 	}
-	return ks.PageStore.ReadPage(id)
+	return n, err
 }
 
 // TestCacheKeepsIndexUnderLeafChurn pins what the reference counts buy on the
@@ -86,6 +90,9 @@ func TestCacheKeepsIndexUnderLeafChurn(t *testing.T) {
 		if _, ok, err := g.Get(key(rng.Intn(keys))); err != nil || !ok {
 			t.Fatalf("Get = (%v, %v)", ok, err)
 		}
+	}
+	if ks.leafReads.Load() == 0 {
+		t.Fatalf("%d leaf reads over %d uniform Gets: the store wrapper is not seeing the engine's reads", ks.leafReads.Load(), gets)
 	}
 	perGet := float64(ks.indexReads.Load()) / gets
 	t.Logf("%d index nodes, %d-page cache: %.3f index and %.3f leaf reads per Get",

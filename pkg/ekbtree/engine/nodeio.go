@@ -35,9 +35,10 @@ type CacheStats struct {
 // seal encodes then enciphers a node for a commit, ReadShared opens then
 // decodes one, so the store only ever holds enciphered pages. It is not a
 // btree.NodeStore — writeTxn is the only writer and *epoch the only reader.
-// A fetched page is deciphered and decoded where it lies: the buffer ReadPage
-// returned becomes a read-only view (node.DecodeInPlace), so a miss copies the
-// page once, out of the store, and allocates one node beside it.
+// A fetched page is deciphered and decoded where it lies, and a miss is one
+// allocation: the store tells the page's length, node.NewBlock allocates the
+// view with room for the page, the store reads the page into that room, and
+// the deciphered page becomes a read-only view there (node.Block.Decode).
 //
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // eviction over small reference counts (see cacheSlot), shared by every
@@ -140,18 +141,7 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	}
 	io.misses.Add(1)
 
-	page, err := io.st.ReadPage(id)
-	if err != nil {
-		return nil, err
-	}
-	pt, err := io.nc.Open(id, page)
-	if err != nil {
-		return nil, err
-	}
-	// The store gave the buffer away and Open deciphered it in place, so it is
-	// this call's alone to decode in place; the view it becomes is never
-	// written again, by this reader or any other that shares it.
-	n, err = node.DecodeInPlace(pt)
+	n, err := io.fetch(id)
 	if err != nil {
 		return nil, err
 	}
@@ -164,6 +154,37 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	}
 	io.mu.Unlock()
 	return n, nil
+}
+
+// fetch reads, deciphers and decodes page id in one node.Block. The block is
+// sized by the store's answer to a length query; when a commit changed the
+// page's length before the read, the read answers the new length instead, and
+// the page is read again into a block of that size.
+func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
+	size, err := io.st.ReadPageInto(id, nil)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		b := node.NewBlock(size)
+		got, err := io.st.ReadPageInto(id, b.Page())
+		if err != nil {
+			return nil, err
+		}
+		if got != size {
+			size = got
+			continue
+		}
+		// The store copied the page into the block, which is this call's
+		// alone, so Open deciphers it in place and the view is built around
+		// it; the view is never written again, by this reader or any other
+		// that shares it.
+		pt, err := io.nc.Open(id, b.Page())
+		if err != nil {
+			return nil, err
+		}
+		return b.Decode(pt)
+	}
 }
 
 // countHit records a node read served from a transaction's page table.

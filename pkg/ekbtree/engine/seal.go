@@ -225,7 +225,8 @@ const rotateBatch = 64
 // comes from the raw store bytes — the cache cannot answer "what epoch sealed
 // this page", only the nonce prefix can. Pages freed mid-scan simply drop out
 // (ErrNotFound means a newer commit already released them, and new seals are
-// always current-epoch).
+// always current-epoch). Every page is read into one buffer, which grows only
+// when a page outgrows it, so the scan allocates per scan, not per page.
 func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 	e, err := g.es.pin()
 	if err != nil {
@@ -236,6 +237,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 		return nil, nil
 	}
 	var stale []uint64
+	var buf []byte
 	stack := []uint64{e.root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
@@ -252,14 +254,18 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 				stack = append(stack, n.Child(i))
 			}
 		}
-		page, err := g.st.ReadPage(id)
+		size, err := g.st.ReadPageInto(id, buf)
+		for err == nil && size > len(buf) {
+			buf = make([]byte, max(size, 2*len(buf)))
+			size, err = g.st.ReadPageInto(id, buf)
+		}
 		if err != nil {
 			if errors.Is(err, store.ErrNotFound) {
 				continue
 			}
 			return nil, MapErr(err)
 		}
-		if sealed, ok := g.io.nc.SealedEpoch(page); ok && sealed < target {
+		if sealed, ok := g.io.nc.SealedEpoch(buf[:size]); ok && sealed < target {
 			stale = append(stale, id)
 		}
 	}

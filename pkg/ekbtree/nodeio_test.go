@@ -53,15 +53,19 @@ func TestCacheStatsCounters(t *testing.T) {
 	}
 }
 
-// countingStore counts ReadPage calls, to pin down descent behavior.
+// countingStore counts page reads, to pin down descent behavior: the
+// ReadPageInto calls that copy a page, not the length queries ahead of them.
 type countingStore struct {
 	store.PageStore
 	reads atomic.Int64
 }
 
-func (cs *countingStore) ReadPage(id uint64) ([]byte, error) {
-	cs.reads.Add(1)
-	return cs.PageStore.ReadPage(id)
+func (cs *countingStore) ReadPageInto(id uint64, buf []byte) (int, error) {
+	n, err := cs.PageStore.ReadPageInto(id, buf)
+	if err == nil && n <= len(buf) {
+		cs.reads.Add(1)
+	}
+	return n, err
 }
 
 // TestSpaceReadsNoPages pins what lets a monitor (the tree's own auto-vacuum
@@ -230,14 +234,13 @@ func TestGetAllocs(t *testing.T) {
 // TestReadMissAllocs guards the read-miss path's allocation budget the way
 // TestGetAllocs guards the cached one: over a one-page cache, which no descent
 // fits in, every page of a Get comes from the store. A page read, leaf or
-// index, allocates the buffer ReadPage returns and the view decoded over it
-// (the node and its offset table in one allocation; children are read from
-// the page); the page is deciphered and decoded in that one buffer. On top
-// comes the Get's value copy (the substituted key costs nothing of its own;
-// see TestGetAllocs). No slack: a second
-// page-sized buffer on the way from the store to the node, or header and
-// child arrays built beside the page again, is the regression this guards
-// against.
+// index, allocates one block: the view, its offset table and the room the
+// store reads the page into, where it is deciphered and decoded (children are
+// read from the page). On top comes the Get's value copy (the substituted key
+// costs nothing of its own; see TestGetAllocs). No slack: a page buffer
+// allocated apart from its view again, a second page-sized buffer on the way
+// from the store to the node, or header and child arrays built beside the
+// page, is the regression this guards against.
 func TestReadMissAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
@@ -295,7 +298,7 @@ func TestReadMissAllocs(t *testing.T) {
 		{"absent key", []byte{0x07, 0x77, 'x'}, false, 0},
 	} {
 		pages := pagesRead(tt.key, tt.present)
-		want := tt.fixed + 2*pages
+		want := tt.fixed + pages
 		n := testing.AllocsPerRun(200, func() {
 			if _, ok, err := tr.Get(tt.key); err != nil || ok != tt.present {
 				t.Fatalf("Get(%x) = (%v, %v)", tt.key, ok, err)
