@@ -77,11 +77,15 @@ lint:
 # the chunk.
 	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
 
-# A read miss is one allocation: product code reads a page with
+# A read miss is one allocation at most: product code reads a page with
 # PageStore.ReadPageInto, into the block that will hold its view (or, in the
 # rotator's staleness scan, into one reused buffer). ReadPage allocates a
 # buffer of its own; the stores implement it for bench/ and tests.
-	@if git grep -nE '\.ReadPage\(' -- cmd pkg internal ':!*_test.go' ':!internal/store'; then echo "read pages with ReadPageInto into memory the caller provides (node.NewBlock on a read miss); see nodeIO.fetch"; exit 1; fi
+	@if git grep -nE '\.ReadPage\(' -- cmd pkg internal ':!*_test.go' ':!internal/store'; then echo "read pages with ReadPageInto into memory the caller provides (a block from node.Blocks on a read miss); see nodeIO.fetch"; exit 1; fi
+# ... and in the steady state none: every read path takes its block from the
+# free list (node.Blocks.Block), which allocates only when it has none of the
+# page's class. A block made with node.NewBlock bypasses recycling.
+	@if git grep -nF 'node.NewBlock(' -- '*.go' ':!*_test.go'; then echo "take a read miss's block from the free list (node.Blocks.Block), not node.NewBlock; see nodeIO.fetch"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -103,6 +107,9 @@ test:
 #    a cached view's page, a committed batch's slab chunk or a substitution
 #    chunk, is a data race only an overlapping reader shows, and a combined
 #    commit hands its one transaction between the writers' goroutines;
+#  - recycled blocks: a view's block handed to the next read miss while a
+#    Get, a cursor or a writer's cached copy could still read it races with
+#    the free list's overwrite, and only some interleavings show it;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -113,7 +120,7 @@ race:
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
-	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode' ./pkg/ekbtree/...
+	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
 # test-sharded repeats the façade suite with every test tree defaulting to

@@ -368,9 +368,10 @@ func (c *conn) handleCursorNext(b []byte, m *wire.CursorNext) []byte {
 			fmt.Sprintf("cursor %d is not open on this connection", m.Cursor))
 	}
 	max := min(m.Max, maxEntriesPerNext)
-	// Key/Value are zero-copy views valid while the cursor stays open: each
-	// is encoded into the response as it is read, and only then (on
-	// exhaustion) is the cursor closed.
+	// Key/Value are zero-copy views valid while the cursor stays open, and
+	// after Close their bytes may hold another page: each entry is copied
+	// into the response as it is read, before the cursor moves, and only then
+	// (on exhaustion) is the cursor closed.
 	start := len(b)
 	var body wire.EntriesBody
 	b = body.Begin(wire.AppendOK(b), max)

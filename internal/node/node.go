@@ -36,13 +36,16 @@
 // read-only view that answers Len, Key, Value, Child and Search from the
 // deciphered page itself and an offset table kept in the node's own
 // allocation, with the three slices left empty. A fetched page costs one
-// allocation on its way from the store to a searchable node: NewBlock
-// allocates the view, its offset table and room for the page together, sized
-// to fill one of the runtime's size classes, the page is read and deciphered
-// in that room, and Block.Decode builds the view there. DecodeInPlace is the
-// same decoder over a buffer the caller already holds, at one allocation
-// beside it; children are read from the page bytes when asked for. Whoever
-// hands a page to the decoder gives the buffer up. Materialize turns any node
+// allocation at most on its way from the store to a searchable node: a block
+// holds the view, its offset table and room for the page together, sized to
+// fill one of the runtime's size classes, the page is read and deciphered in
+// that room, and Block.Decode builds the view there. A read path takes its
+// blocks from a Blocks free list, which allocates one (NewBlock) only when it
+// has none of the page's class, and whose blocks come back from views that
+// nothing can read any more (Blocks.Recycle). DecodeInPlace is the same
+// decoder over a buffer the caller already holds, at one allocation beside
+// it; children are read from the page bytes when asked for. Whoever hands a
+// page to the decoder gives the buffer up. Materialize turns any node
 // into a private, mutable copy, and Decode is the decoder over a clone,
 // materialised, for a caller that must keep its page. Every materialised node
 // comes from New, which at the default order allocates the node and its
@@ -56,7 +59,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"unsafe"
+
+	"github.com/paper-repro/ekbtree/internal/israce"
 )
 
 const (
@@ -120,7 +126,13 @@ func FormatOf(page []byte) Format {
 // Value, Child and Search, which answer for either form; code that may be
 // handed a view reads a node only through them.
 type Node struct {
-	Leaf     bool
+	Leaf bool
+	// A view's recycling state (see Blocks), in the padding after Leaf:
+	// class is one more than the index of the block class the view was
+	// decoded in, 0 for any node not in a block; lent marks a view whose
+	// block Recycle must never take.
+	class    uint8
+	lent     bool
 	Keys     [][]byte // substituted search keys, strictly increasing
 	Values   [][]byte
 	Children []uint64 // page IDs; empty iff Leaf
@@ -173,11 +185,14 @@ func newView(v *viewShell, nkeys int) (*Node, []entry) {
 // Block is a page's way from the store to a view in one allocation: a view
 // shell, its offset table and room for the page. The caller reads the sealed
 // page into Page, deciphers it there, and hands what that yields to Decode,
-// once. A page too large for the biggest block gets a buffer of its own, and
-// Decode is then DecodeInPlace over it: the node is a second allocation.
+// once. The view then owns the block, until its holder gives it back to a
+// free list (Blocks.Recycle) for another page. A page too large for the
+// biggest block gets a buffer of its own, and Decode is then DecodeInPlace
+// over it: the node is a second allocation, and nothing is recycled.
 type Block struct {
 	shell *viewShell // nil when the page has a buffer of its own
 	page  []byte
+	class uint8 // Node.class of the view Decode builds
 }
 
 // pageBlock is a view shell followed by its page's room, R a byte array.
@@ -186,19 +201,25 @@ type pageBlock[R any] struct {
 	room R
 }
 
-// blockClass is one block size: its room in bytes and its allocator.
+// blockClass is one block size: its room in bytes, its allocator, and the
+// room of a shell it allocated.
 type blockClass struct {
-	room  int
-	alloc func() (*viewShell, []byte)
+	room   int
+	alloc  func() (*viewShell, []byte)
+	roomOf func(*viewShell) []byte
 }
 
 // class returns the block class whose room is R.
 func class[R any]() blockClass {
 	var r R
+	roomOf := func(v *viewShell) []byte {
+		b := (*pageBlock[R])(unsafe.Pointer(v))
+		return unsafe.Slice((*byte)(unsafe.Pointer(&b.room)), unsafe.Sizeof(b.room))
+	}
 	return blockClass{int(unsafe.Sizeof(r)), func() (*viewShell, []byte) {
 		b := new(pageBlock[R])
-		return &b.viewShell, unsafe.Slice((*byte)(unsafe.Pointer(&b.room)), unsafe.Sizeof(b.room))
-	}}
+		return &b.viewShell, roomOf(&b.viewShell)
+	}, roomOf}
 }
 
 // blockOverhead is what a block spends beyond its room: the view shell, and
@@ -238,17 +259,28 @@ var blockClasses = [...]blockClass{
 	class[[8192 - blockOverhead]byte](),
 }
 
-// NewBlock returns a block with room for a page of size bytes: the smallest
-// block class that holds it, or for a page larger than every class, a plain
-// buffer.
+// NewBlock returns a new block with room for a page of size bytes: the
+// smallest block class that holds it, or for a page larger than every class,
+// a plain buffer. A read path takes its blocks from a Blocks free list
+// instead, which calls this only when it has none to give.
 func NewBlock(size int) Block {
-	for _, c := range blockClasses {
+	c := classFor(size)
+	if c < 0 {
+		return Block{page: make([]byte, size)}
+	}
+	shell, room := blockClasses[c].alloc()
+	return Block{shell: shell, page: room[:size:size], class: uint8(c + 1)}
+}
+
+// classFor returns the index of the smallest block class with room for size
+// bytes, or -1 for a page larger than every class.
+func classFor(size int) int {
+	for i, c := range blockClasses {
 		if size <= c.room {
-			shell, room := c.alloc()
-			return Block{shell: shell, page: room[:size:size]}
+			return i
 		}
 	}
-	return Block{page: make([]byte, size)}
+	return -1
 }
 
 // Page returns the room the page is read into: size bytes, capacity-clipped.
@@ -258,7 +290,126 @@ func (b Block) Page() []byte { return b.page }
 // deciphering Page in place left of it, and the view pins the whole block. A
 // cipher that returned a buffer of its own instead still decodes correctly,
 // only with the block's room spent for nothing.
-func (b Block) Decode(page []byte) (*Node, error) { return decodeView(b.shell, page) }
+func (b Block) Decode(page []byte) (*Node, error) {
+	n, err := decodeView(b.shell, page)
+	if err == nil && b.shell != nil {
+		n.class = b.class
+	}
+	return n, err
+}
+
+// Blocks is a bounded free list of blocks, one list per block class: a read
+// miss takes its block here (Block), and a view that nothing can read any
+// more gives its block back (Recycle), so a cache that evicts as often as it
+// misses allocates nothing in the steady state. It holds at most max blocks
+// in all and max/8 of one class, so a surplus in one class cannot starve the
+// others; a block given back beyond either bound is left to the garbage
+// collector. A page larger than every class has a plain buffer, which is
+// never recycled. Safe for concurrent use.
+type Blocks struct {
+	mu       sync.Mutex
+	free     [len(blockClasses)][]*viewShell
+	n        int // blocks free in all
+	max, per int
+	reused   uint64
+}
+
+// NewBlocks returns an empty free list of at most limit blocks.
+func NewBlocks(limit int) *Blocks {
+	return &Blocks{max: limit, per: max(1, limit/8)}
+}
+
+// Block returns a block with room for a page of size bytes, as NewBlock
+// does, but takes a free block of the page's class when there is one. A
+// recycled block's view shell is cleared, since the decoder relies on a
+// zeroed offset table; its room is not, the caller reading the page over it.
+func (f *Blocks) Block(size int) Block {
+	c := classFor(size)
+	if c < 0 {
+		return NewBlock(size)
+	}
+	f.mu.Lock()
+	l := f.free[c]
+	if len(l) == 0 {
+		f.mu.Unlock()
+		return NewBlock(size)
+	}
+	shell := l[len(l)-1]
+	l[len(l)-1] = nil
+	f.free[c], f.n = l[:len(l)-1], f.n-1
+	f.reused++
+	f.mu.Unlock()
+	*shell = viewShell{}
+	return Block{shell: shell, page: blockClasses[c].roomOf(shell)[:size:size], class: uint8(c + 1)}
+}
+
+// Reused returns how many blocks Block has taken from the list rather than
+// allocated.
+func (f *Blocks) Reused() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.reused
+}
+
+// Recycle gives view n's block back to the free list, and reports whether
+// the list took it. It refuses a node that is not a view in a block, a lent
+// view (see Lend), a view already given back, and a block its class or the
+// list has no place for.
+//
+// The caller guarantees that nothing reads n, its page or side buffer, or
+// any key or value slice cut from them, ever again: from here on the block
+// is the next Block caller's, who reads another page over it. Under the
+// race detector the room and the offset table are first overwritten with a
+// fixed pattern, so a reader the caller missed reads garbage, and races with
+// the write, rather than reading the next page's bytes unnoticed. The caller
+// serializes Recycle with Lend on the same view.
+func (f *Blocks) Recycle(n *Node) bool {
+	if n.class == 0 || n.lent {
+		return false
+	}
+	c := int(n.class - 1)
+	n.class = 0
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free[c]) >= f.per || f.n >= f.max {
+		return false
+	}
+	// n is the Node at the head of its shell: the block was allocated as a
+	// pageBlock, whose first field the shell is.
+	shell := (*viewShell)(unsafe.Pointer(n))
+	if israce.Enabled {
+		poisonBlock(shell, blockClasses[c].roomOf(shell))
+	}
+	f.free[c] = append(f.free[c], shell)
+	f.n++
+	return true
+}
+
+// poisonBlock overwrites a recycled block's room and offset table with a fixed
+// pattern that decodes to nothing: every offset lies past any page, and
+// every key claims the side buffer.
+func poisonBlock(shell *viewShell, room []byte) {
+	for i := range room {
+		room[i] = 0xA5
+	}
+	for i := range shell.tab {
+		shell.tab[i] = entry{key: 0xA5A5A5A5, val: 0xA5A5A5A5, klen: 0xA5A5, inSide: true}
+	}
+}
+
+// Lend marks a view in a block as lent: something may keep slices of its
+// page past any moment its holder can observe, so Recycle never takes its
+// block and the garbage collector frees it as it would any node. It does
+// nothing to any other node.
+func (n *Node) Lend() {
+	if n.class != 0 {
+		n.lent = true
+	}
+}
+
+// Recyclable reports whether n is a view in a block that is not lent: one
+// Recycle would take, given room.
+func (n *Node) Recyclable() bool { return n.class != 0 && !n.lent }
 
 // Len returns the number of keys.
 func (n *Node) Len() int {
@@ -504,8 +655,12 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 // Ownership: the caller hands the page over and must neither read nor write
 // it afterwards. The view pins the whole buffer for as long as it, or any key
 // or value slice taken from it (materialised copies included), is reachable.
-// A rejected page's buffer is worth nothing — record headers may already have
-// been overwritten — and nobody retains it.
+// A view built in a block (Block.Decode) is the exception: whoever holds it
+// may give the block back to a free list (Blocks.Recycle) once nothing reads
+// the view or any slice taken from it, and Lend marks a view whose slices may
+// outlive that knowledge, so its block never goes back. A rejected page's
+// buffer is worth nothing — record headers may already have been overwritten
+// — and nobody retains it.
 //
 // Prefix pages are held to canonical truncation: shared must be exactly the
 // longest common prefix with the reconstructed previous key. Over-sharing

@@ -758,3 +758,76 @@ func TestBlocksFillSizeClasses(t *testing.T) {
 		}
 	}
 }
+
+// TestBlocksRecycle: a block given back to a Blocks free list is the next
+// block of its class, and the view decoded in it again is exactly the new
+// page, although the old one rebuilt keys in the side buffer at rows where
+// the new one rebuilds them in place (a shell reused without clearing its
+// offset table would read those keys from the wrong buffer). The list takes
+// a view's block once, never a lent view's, a materialised node's or a plain
+// buffer's, and no more blocks of a class than its bound.
+func TestBlocksRecycle(t *testing.T) {
+	leaf := func(value string, keys ...string) *Node {
+		n := New(true, len(keys))
+		for _, k := range keys {
+			n.Keys, n.Values = append(n.Keys, []byte(k)), append(n.Values, []byte(value))
+		}
+		return n
+	}
+	// Every key of wide shares more than prefixHdrSize bytes with the one
+	// before it; no key of narrow does. The values put both pages in one
+	// block class.
+	wide := leaf("vvvvvvvvvv", "bucket-0001", "bucket-0002", "bucket-0003", "bucket-0004", "bucket-0005", "bucket-0006")
+	narrow := leaf("v", "a-000000001", "b-000000002", "c-000000003", "d-000000004", "e-000000005", "f-000000006")
+	decode := func(f *Blocks, n *Node) *Node {
+		t.Helper()
+		page, err := n.EncodeFormat(FormatPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := f.Block(len(page))
+		copy(b.Page(), page)
+		v, err := b.Decode(b.Page())
+		if err != nil || !nodesEqual(v, n) {
+			t.Fatalf("Block.Decode = (%+v, %v), want %+v", v, err, n)
+		}
+		return v
+	}
+	pw, _ := wide.EncodeFormat(FormatPrefix)
+	pn, _ := narrow.EncodeFormat(FormatPrefix)
+	if cw, cn := classFor(len(pw)), classFor(len(pn)); cw < 0 || cw != cn {
+		t.Fatalf("the two pages are in block classes %d and %d; the test needs one class", cw, cn)
+	}
+
+	f := NewBlocks(16) // two blocks a class
+	v := decode(f, wide)
+	if v.side == nil {
+		t.Fatal("the wide page decoded without side keys")
+	}
+	if !f.Recycle(v) || f.Recycle(v) {
+		t.Fatal("the list must take a view's block once")
+	}
+	if again := decode(f, narrow); again != v || f.Reused() != 1 {
+		t.Fatalf("the next block of the class is a new one (reused %d)", f.Reused())
+	}
+	v.Lend()
+	if f.Recycle(v) {
+		t.Error("the list took a lent view's block")
+	}
+	if f.Recycle(wide) {
+		t.Error("the list took a materialised node")
+	}
+	big := f.Block(blockClasses[len(blockClasses)-1].room + 1)
+	if big.shell != nil {
+		t.Fatal("a page larger than every class got a block")
+	}
+	if f.Recycle(&Node{page: big.Page()}) {
+		t.Error("the list took a view with a buffer of its own")
+	}
+	views := []*Node{decode(f, wide), decode(f, wide), decode(f, wide)}
+	for i, v := range views {
+		if got := f.Recycle(v); got != (i < 2) {
+			t.Errorf("recycling block %d of a class with room for two: %v", i+1, got)
+		}
+	}
+}

@@ -69,11 +69,13 @@ type PageStore interface {
 	// least n bytes, copies the page into buf[:n]; a shorter buf gets nothing
 	// written, so ReadPageInto(id, nil) asks for the length alone. The copy
 	// is the caller's: buf never aliases the store's own bytes, which the
-	// caller may decipher and decode in place. A page may change length
-	// between two calls (a commit rewrote it), so a caller that sized buf
-	// from an earlier answer compares n with it. This is the engine's one
-	// page read: a read miss asks for the length, allocates the view that
-	// will hold the page with room for it, and reads the page there.
+	// caller may decipher and decode in place, and an implementation must
+	// not keep buf once the call returns: the engine recycles it as another
+	// page's block. A page may change length between two calls (a commit
+	// rewrote it), so a caller that sized buf from an earlier answer compares
+	// n with it. This is the engine's one page read: a read miss asks for the
+	// length, takes a block from its free list with room for it (the view
+	// that will hold the page), and reads the page there.
 	ReadPageInto(id uint64, buf []byte) (int, error)
 	// ReadPage returns the page's contents in a buffer of the caller's own,
 	// which never aliases the store's copy. Implementations may build it

@@ -37,7 +37,8 @@ import (
 //
 // Key and Value return zero-copy READ-ONLY views into the snapshot's nodes:
 // they remain valid until Close but must never be mutated (the bytes are
-// shared with the live tree); copy them to retain them past Close.
+// shared with the live tree); copy them to retain them past Close, after
+// which the memory under them may be reused for another page.
 //
 // A Cursor is not safe for concurrent use by multiple goroutines, but any
 // number of cursors may run concurrently with each other and with writers.
@@ -229,8 +230,8 @@ func (c *Cursor) usable() bool {
 // Key returns the current entry's substituted key (the plaintext key is not
 // recoverable from the tree). The slice is a zero-copy read-only view into
 // the cursor's snapshot: valid until Close, never to be mutated, copied if
-// retained longer. Key returns nil when the cursor is not positioned on an
-// entry.
+// retained longer (after Close its bytes may be reused for another page).
+// Key returns nil when the cursor is not positioned on an entry.
 func (c *Cursor) Key() []byte {
 	if !c.valid {
 		return nil

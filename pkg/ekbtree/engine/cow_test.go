@@ -292,17 +292,35 @@ func viewBytes(n *node.Node) (page, side []byte, ok bool) {
 	return page, side, page != nil
 }
 
+// viewSum checksums what a view reads, and reports false for a materialised
+// node.
+func viewSum(n *node.Node) (uint32, bool) {
+	page, side, ok := viewBytes(n)
+	return crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side), ok
+}
+
+// isLent reports whether a writer has received view n (node.Node.Lend), read
+// like viewBytes.
+func isLent(n *node.Node) bool { return reflect.ValueOf(n).Elem().FieldByName("lent").Bool() }
+
 // TestCachedViewsAreNeverWritten is the copy-on-write guard for views. A view
 // is the page a read miss deciphered, and every reader, every transaction's
 // pre-image and every snapshot's undo overlay shares it, so nothing may write
 // into its page or side buffer: not Edit, which materialises a copy over the
 // same key and value bytes, not Write or promotion, which take that copy, and
 // not eviction. Over randomized Put, Delete, batch and re-seal transactions
-// on a cache far smaller than the tree, after every transaction each cached
-// view must equal a fresh decode of its page from the store, and every view
-// the cache ever held must still checksum as it did when first seen. Order
-// 64 takes the view's second allocation, an offset table too big for the
-// node's own.
+// on a cache far smaller than the tree, with Gets in between, after every
+// transaction:
+//   - each cached view must equal a fresh decode of its page from the store;
+//   - every view a writer has seen (lent) must still checksum as it did when
+//     first seen, for good: the writer's copies slice into it;
+//   - every view an open Snapshot has read must still checksum as it did
+//     then, until the Snapshot closes.
+//
+// The Gets' views are ones no writer has seen, whose blocks are recycled
+// once they leave the cache and the shard has no pins; the test requires that
+// this happened. Order 64 takes the view's second allocation, an offset table
+// too big for the node's own.
 func TestCachedViewsAreNeverWritten(t *testing.T) {
 	for _, order := range []int{4, 8, 32, 64} {
 		t.Run(fmt.Sprintf("order=%d", order), func(t *testing.T) {
@@ -355,8 +373,10 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 				apply(500)
 			}
 
-			seen := make(map[*node.Node]uint32)
-			views := 0
+			lent := make(map[*node.Node]uint32)
+			var snap Snapshot
+			snapSums := make(map[*node.Node]uint32)
+			views, unlent := 0, 0
 			check := func(when string) {
 				t.Helper()
 				g.io.mu.Lock()
@@ -383,15 +403,48 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 					if !bytes.Equal(page, wantPage) || !bytes.Equal(side, wantSide) {
 						t.Fatalf("%s: the cached view of page %d differs from a fresh decode of the store's page", when, s.id)
 					}
-					if _, ok := seen[s.n]; !ok {
-						seen[s.n] = crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side)
+					if !isLent(s.n) {
+						unlent++
+					} else if _, ok := lent[s.n]; !ok {
+						lent[s.n], _ = viewSum(s.n)
 						views++
 					}
 				}
-				for n, sum := range seen {
-					page, side, _ := viewBytes(n)
-					if crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side) != sum {
-						t.Fatalf("%s: a view was written after it was first cached", when)
+				for n, sum := range lent {
+					if got, _ := viewSum(n); got != sum {
+						t.Fatalf("%s: a view a writer had seen was written after it was first cached", when)
+					}
+				}
+				for n, sum := range snapSums {
+					if got, _ := viewSum(n); got != sum {
+						t.Fatalf("%s: a view an open snapshot read was written", when)
+					}
+				}
+			}
+			// reopen closes the open snapshot, if any, opens a new one, and
+			// records every view in it by walking the whole tree.
+			reopen := func() {
+				t.Helper()
+				if snap.e != nil {
+					snap.Close()
+				}
+				clear(snapSums)
+				if snap, err = g.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				for ids := []uint64{snap.e.root}; len(ids) > 0; {
+					n, err := snap.e.Read(ids[len(ids)-1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					ids = ids[:len(ids)-1]
+					if sum, ok := viewSum(n); ok {
+						snapSums[n] = sum
+					}
+					if !n.Leaf {
+						for i := range n.Len() + 1 {
+							ids = append(ids, n.Child(i))
+						}
 					}
 				}
 			}
@@ -416,12 +469,26 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 					}
 				}
 				check(fmt.Sprintf("after transaction %d", txn))
+				for range 8 {
+					k := string(key(rng.Intn(keys)))
+					if v, ok, err := g.Get([]byte(k)); err != nil || ok != (model[k] != "") || string(v) != model[k] {
+						t.Fatalf("Get(%s) = (%q, %v, %v), want %q", k, v, ok, err, model[k])
+					}
+				}
+				check(fmt.Sprintf("after the Gets behind transaction %d", txn))
 				if txn%50 == 49 {
 					g.io.invalidate() // the promoted copies leave; the next reads make views
 				}
+				if txn%25 == 0 {
+					reopen()
+				}
 			}
+			snap.Close()
 			if views < 10*cachePages {
-				t.Fatalf("the %d-page cache held only %d distinct views over %d transactions", cachePages, views, txns)
+				t.Fatalf("the %d-page cache held only %d distinct lent views over %d transactions", cachePages, views, txns)
+			}
+			if reused := g.io.blocks.Reused(); unlent < 10*cachePages || reused == 0 {
+				t.Fatalf("the %d-page cache held views no writer had seen %d times, and read misses took %d recycled blocks", cachePages, unlent, reused)
 			}
 			for k, v := range model {
 				if got, ok, err := g.Get([]byte(k)); err != nil || !ok || string(got) != v {
@@ -431,7 +498,7 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 			if st, err := g.Stats(); err != nil || st.Keys != len(model) {
 				t.Fatalf("Stats = (%d keys, %v), want %d", st.Keys, err, len(model))
 			}
-			t.Logf("%d views checked", views)
+			t.Logf("%d lent views checked, %d recycled blocks read into", views, g.io.blocks.Reused())
 		})
 	}
 }

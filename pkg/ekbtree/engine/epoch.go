@@ -76,12 +76,16 @@ func (e *epoch) Read(id uint64) (*node.Node, error) {
 
 // epochs manages the epoch chain for one Tree: pinning, linking,
 // publication, and reclamation. The mutex guards only the chain bookkeeping
-// (refs, head, current, err); it is never held across I/O, so pinning and
-// releasing are O(1) pauses even while a commit is flushing. Only the shard's
-// turn holder links and finalizes, so at most one epoch is ever pending, the
-// one after current, and publication order is chain order.
+// (refs, pins, head, current, err); it is never held across I/O, so pinning
+// and releasing are O(1) pauses even while a commit is flushing. Only the
+// shard's turn holder links and finalizes, so at most one epoch is ever
+// pending, the one after current, and publication order is chain order.
 type epochs struct {
 	mu sync.Mutex
+	// pins counts the pins held on every epoch: readers, snapshots and the
+	// turn holder's base. A release that brings it to zero is the moment the
+	// cache's retired views can be recycled (see nodeIO.recycle).
+	pins int
 	// err is the first CommitPages error, and it stops the shard's writers
 	// for good, as the file store stops itself: the store may have applied
 	// the failed commit, so its epoch is never published, and link refuses
@@ -115,15 +119,22 @@ func (es *epochs) pin() (*epoch, error) {
 	}
 	e := es.current
 	e.refs++
+	es.pins++
 	return e, nil
 }
 
-// release drops a pin and reclaims any epochs no reader can need anymore.
+// release drops a pin and reclaims any epochs no reader can need anymore. The
+// release that leaves the shard with no pins also recycles the views the
+// cache retired, under es.mu, so that no pin can start while it does.
 func (es *epochs) release(e *epoch) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	e.refs--
+	es.pins--
 	es.reclaimLocked()
+	if es.pins == 0 {
+		e.io.recycle()
+	}
 }
 
 // link numbers e and appends it to the chain after current. The turn holder

@@ -35,10 +35,11 @@ type CacheStats struct {
 // seal encodes then enciphers a node for a commit, ReadShared opens then
 // decodes one, so the store only ever holds enciphered pages. It is not a
 // btree.NodeStore — writeTxn is the only writer and *epoch the only reader.
-// A fetched page is deciphered and decoded where it lies, and a miss is one
-// allocation: the store tells the page's length, node.NewBlock allocates the
-// view with room for the page, the store reads the page into that room, and
-// the deciphered page becomes a read-only view there (node.Block.Decode).
+// A fetched page is deciphered and decoded where it lies, and a miss costs at
+// most one allocation: the store tells the page's length, the free list
+// (node.Blocks) hands out a block with room for it, the store reads the page
+// into that room, and the deciphered page becomes a read-only view there
+// (node.Block.Decode).
 //
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // eviction over small reference counts (see cacheSlot), shared by every
@@ -51,9 +52,24 @@ type CacheStats struct {
 // the cache through promoteTxn, before the commit's epoch is published, and
 // stay materialised there; a page read from the store is cached as its view.
 //
-// Locking: the ring and gen are guarded by mu and touched only in short
-// critical sections — never across store I/O or cipher work. The traffic
-// counters are atomics, so counting a read never takes mu.
+// Who may hold a view's bytes, and so when its block may be read over again:
+//   - the cache, until the view leaves it (evicted, replaced or dropped);
+//   - a reader, only while it holds a pin: a Get until it has copied its
+//     value, a Snapshot (and every key and value its iterator returned) until
+//     Close;
+//   - a writer: its transaction's records, its materialised copies, which keep
+//     slices into the view and are cached past any pin, and the undo overlays
+//     of its epochs. So every view a writer receives is lent (lend), and its
+//     block is never recycled.
+//
+// A view that leaves the cache goes to the limbo (retire), and from there to
+// the free list only at a release that leaves the shard with no pins
+// (recycle): by then every reader that could have found it in the cache is
+// gone, and it is lent if a writer ever saw it.
+//
+// Locking: the ring, gen and the limbo are guarded by mu and touched only in
+// short critical sections — never across store I/O or cipher work. The
+// traffic counters are atomics, so counting a read never takes mu.
 type nodeIO struct {
 	st store.PageStore
 	nc cipher.NodeCipher
@@ -73,6 +89,15 @@ type nodeIO struct {
 	// unchanged, so a slow reader can never clobber a newer version a commit
 	// promoted in the meantime.
 	gen uint64
+
+	// blocks is the free list every read miss takes its block from. limbo
+	// holds the views that left the cache until they can be recycled, at most
+	// cap(limbo); a view retired to a full limbo is left to the garbage
+	// collector. retiring reports a non-empty limbo without mu, so a release
+	// that finds it empty takes no further lock.
+	blocks   *node.Blocks
+	limbo    []cacheSlot
+	retiring atomic.Bool
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -117,10 +142,15 @@ func (s *cacheSlot) touch() {
 }
 
 func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
-	io := &nodeIO{st: st, nc: nc, maxCache: maxCache}
+	// The free list holds blocks for half as many pages as the cache, and the
+	// limbo half as many views again. The floor keeps recycling going under a
+	// cache of a few pages, whose every Get evicts the whole descent.
+	free := max(128, maxCache/2)
+	io := &nodeIO{st: st, nc: nc, maxCache: maxCache, blocks: node.NewBlocks(free)}
 	if maxCache > 0 {
 		io.cacheIdx = make(map[uint64]int, maxCache)
 		io.slots = make([]cacheSlot, 0, maxCache)
+		io.limbo = make([]cacheSlot, 0, free/2)
 	}
 	return io
 }
@@ -156,17 +186,17 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 	return n, nil
 }
 
-// fetch reads, deciphers and decodes page id in one node.Block. The block is
-// sized by the store's answer to a length query; when a commit changed the
-// page's length before the read, the read answers the new length instead, and
-// the page is read again into a block of that size.
+// fetch reads, deciphers and decodes page id in one node.Block from the free
+// list. The block is sized by the store's answer to a length query; when a
+// commit changed the page's length before the read, the read answers the new
+// length instead, and the page is read again into a block of that size.
 func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 	size, err := io.st.ReadPageInto(id, nil)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		b := node.NewBlock(size)
+		b := io.blocks.Block(size)
 		got, err := io.st.ReadPageInto(id, b.Page())
 		if err != nil {
 			return nil, err
@@ -178,7 +208,7 @@ func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 		// The store copied the page into the block, which is this call's
 		// alone, so Open deciphers it in place and the view is built around
 		// it; the view is never written again, by this reader or any other
-		// that shares it.
+		// that shares it, until recycle gives the block back.
 		pt, err := io.nc.Open(id, b.Page())
 		if err != nil {
 			return nil, err
@@ -189,6 +219,48 @@ func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 
 // countHit records a node read served from a transaction's page table.
 func (io *nodeIO) countHit() { io.hits.Add(1) }
+
+// lend marks a view a writer received as lent (node.Node.Lend): its
+// materialised copies keep slices into it and may be cached past any pin, and
+// its epoch's undo overlay may hold it, so its block is never recycled.
+func (io *nodeIO) lend(n *node.Node) {
+	io.mu.Lock()
+	n.Lend()
+	io.mu.Unlock()
+}
+
+// retire puts page id's view n, which has just left the cache, in the limbo,
+// unless n is no recyclable view (a materialised node, a view in a buffer of
+// its own, a lent view) or the limbo is full. Callers hold io.mu.
+func (io *nodeIO) retire(id uint64, n *node.Node) {
+	if !n.Recyclable() || len(io.limbo) == cap(io.limbo) {
+		return
+	}
+	io.limbo = append(io.limbo, cacheSlot{id: id, n: n})
+	io.retiring.Store(true)
+}
+
+// recycle gives every view in the limbo back to the free list, except one the
+// cache holds again and one lent since it was retired. Its one caller is the
+// release that leaves the shard with no pins, which holds es.mu so that no
+// pin can start: every reader that found one of these views in the cache has
+// released its pin, reclaimLocked has dropped every undo overlay, and a view
+// a writer saw is lent, so nothing else can hold one.
+func (io *nodeIO) recycle() {
+	if !io.retiring.Load() {
+		return
+	}
+	io.mu.Lock()
+	for i, r := range io.limbo {
+		if idx, ok := io.cacheIdx[r.id]; !ok || io.slots[idx].n != r.n {
+			io.blocks.Recycle(r.n)
+		}
+		io.limbo[i] = cacheSlot{}
+	}
+	io.limbo = io.limbo[:0]
+	io.retiring.Store(false)
+	io.mu.Unlock()
+}
 
 // encodeScratch recycles the plaintext page buffers of the commit path: a
 // seal copies the encoded page into the ciphertext it returns, so the encoding
@@ -229,12 +301,16 @@ func (io *nodeIO) cacheGet(id uint64) (*node.Node, bool) {
 // more reference to it. When the ring is full the clock hand sweeps forward,
 // taking one from every reference count it passes, and replaces the first
 // page it finds at zero — referenced pages survive in proportion to their
-// count, cold ones go. Callers hold io.mu.
+// count, cold ones go. A node that leaves the ring, evicted or replaced, is
+// retired. Callers hold io.mu.
 func (io *nodeIO) cacheInsert(id uint64, n *node.Node) {
 	if io.cacheIdx == nil {
 		return
 	}
 	if idx, ok := io.cacheIdx[id]; ok {
+		if old := io.slots[idx].n; old != n {
+			io.retire(id, old)
+		}
 		io.slots[idx].n = n
 		io.slots[idx].touch()
 		return
@@ -249,6 +325,7 @@ func (io *nodeIO) cacheInsert(id uint64, n *node.Node) {
 		io.hand = (io.hand + 1) % len(io.slots)
 	}
 	delete(io.cacheIdx, io.slots[io.hand].id)
+	io.retire(io.slots[io.hand].id, io.slots[io.hand].n)
 	io.evictions.Add(1)
 	io.slots[io.hand] = cacheSlot{id: id, n: n, ref: fresh(n)}
 	io.cacheIdx[id] = io.hand
@@ -256,12 +333,13 @@ func (io *nodeIO) cacheInsert(id uint64, n *node.Node) {
 }
 
 // cacheDelete drops a page from the ring by swapping the last slot into its
-// place. Callers hold io.mu.
+// place, and retires its node. Callers hold io.mu.
 func (io *nodeIO) cacheDelete(id uint64) {
 	idx, ok := io.cacheIdx[id]
 	if !ok {
 		return
 	}
+	io.retire(id, io.slots[idx].n)
 	last := len(io.slots) - 1
 	if idx != last {
 		io.slots[idx] = io.slots[last]

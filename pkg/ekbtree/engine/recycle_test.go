@@ -1,0 +1,214 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/paper-repro/ekbtree/internal/btree"
+	"github.com/paper-repro/ekbtree/internal/cipher"
+	"github.com/paper-repro/ekbtree/internal/store/file"
+)
+
+// selfCheckingValue is key k's value at generation gen: k itself, gen, a
+// filler whose length varies with gen (so a rewrite resizes pages), and a
+// CRC of everything before it. A reader checks every byte of what it reads
+// without knowing which generation its snapshot holds.
+func selfCheckingValue(k []byte, gen int) []byte {
+	v := append([]byte(nil), k...)
+	v = binary.BigEndian.AppendUint32(v, uint32(gen))
+	v = append(v, bytes.Repeat([]byte{byte(gen)}, gen%37)...)
+	return binary.BigEndian.AppendUint32(v, crc32.ChecksumIEEE(v))
+}
+
+// checkValue reports what is wrong with v as key k's value, or "".
+func checkValue(k, v []byte) string {
+	if len(v) < len(k)+8 || !bytes.Equal(v[:len(k)], k) {
+		return fmt.Sprintf("value %x does not name key %q", v, k)
+	}
+	body := v[:len(v)-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(v[len(body):]) {
+		return fmt.Sprintf("value %x of key %q fails its checksum", v, k)
+	}
+	return ""
+}
+
+// TestRecycledBlocksAreUnreachable is the guard on block recycling: a view
+// that leaves the cache may give its block to a later read miss only once
+// nothing can read it. On a 16-page cache over a tree of hundreds of pages,
+// Gets, a writer rewriting values in batches, and cursors run at once, each
+// pausing between operations so that the shard is often left with no pins.
+// The writer rewrites a hot range of keys nearly always and the Gets read it
+// most of the time, so the cache keeps promoting the writer's copies, which
+// slice into the views it read, and serving them. Every value names its key
+// and carries a checksum, and a cursor keeps the key and value slices it
+// read, uncopied, and checks them all again just before Close.
+//
+// A block recycled while a Get or a cursor still held its view, a lent view's
+// block (a writer's cached copies slice into it), or a recycled shell decoded
+// without clearing its offset table, shows as a wrong byte here, and under
+// -race as a race with the free list's overwrite. Keys alternate runs that
+// share more than four bytes with their predecessor (rebuilt in a view's side
+// buffer) with keys that share fewer (rebuilt in place), so a stale offset
+// table row points at the wrong buffer.
+func TestRecycledBlocksAreUnreachable(t *testing.T) {
+	const (
+		keys    = 1500
+		hot     = 24 // keys [0, hot) are the hot range
+		commits = 150
+		getters = 3
+		cursors = 2
+	)
+	g, err := New(Config{Store: file.NewMem(), Cipher: cipher.Plaintext{}, Order: 8, CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	key := func(i int) []byte { return fmt.Appendf(nil, "%c%05d", 'a'+i%3, i) }
+	err = g.Apply(func(bt *btree.Tree) error {
+		for i := range keys {
+			if err := bt.Put(key(i), selfCheckingValue(key(i), 0)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.io.invalidate() // the load's cached copies leave; reads make views from here on
+
+	var (
+		wg   sync.WaitGroup
+		done atomic.Bool
+		fail sync.Once
+	)
+	failf := func(format string, args ...any) {
+		fail.Do(func() { t.Errorf(format, args...) })
+		done.Store(true)
+	}
+	pause := func(rng *rand.Rand) { time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond) }
+	pick := func(rng *rand.Rand, hotShare int) []byte {
+		if rng.Intn(100) < hotShare {
+			return key(rng.Intn(hot))
+		}
+		return key(rng.Intn(keys))
+	}
+	for r := range getters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for !done.Load() {
+				k := pick(rng, 70)
+				v, ok, err := g.Get(k)
+				if err != nil || !ok {
+					failf("Get(%q) = (%v, %v)", k, ok, err)
+					return
+				}
+				if msg := checkValue(k, v); msg != "" {
+					failf("Get: %s", msg)
+					return
+				}
+				pause(rng)
+			}
+		}()
+	}
+	for r := range cursors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			var held [][2][]byte
+			for !done.Load() {
+				s, err := g.Snapshot()
+				if err != nil {
+					failf("Snapshot: %v", err)
+					return
+				}
+				it := s.Iter(nil)
+				it.Seek(key(rng.Intn(keys)))
+				held = held[:0]
+				for k, v, ok := it.Next(); ok && len(held) < 120; k, v, ok = it.Next() {
+					if msg := checkValue(k, v); msg != "" {
+						failf("cursor: %s", msg)
+						break
+					}
+					if len(held) > 0 && bytes.Compare(held[len(held)-1][0], k) >= 0 {
+						failf("cursor: key %q after %q", k, held[len(held)-1][0])
+						break
+					}
+					held = append(held, [2][]byte{k, v})
+				}
+				if err := it.Err(); err != nil {
+					failf("cursor: %v", err)
+				}
+				// Let the Gets and the writer turn the cache over while the
+				// slices are held, then check every one of them again.
+				pause(rng)
+				for _, kv := range held {
+					if msg := checkValue(kv[0], kv[1]); msg != "" {
+						failf("cursor, before Close: %s", msg)
+						break
+					}
+				}
+				s.Close()
+				pause(rng)
+			}
+		}()
+	}
+	// The writer reads back what it wrote once the limbo has drained (or a
+	// while has passed), when its copies are likely still cached and the views
+	// they slice into were retired as the commit promoted them.
+	rng := rand.New(rand.NewSource(7))
+	var batch [][]byte
+	for gen := 1; gen <= commits && !done.Load(); gen++ {
+		batch = batch[:0]
+		for range 1 + rng.Intn(24) {
+			batch = append(batch, pick(rng, 90))
+		}
+		err := g.Apply(func(bt *btree.Tree) error {
+			for _, k := range batch {
+				if err := bt.Put(k, selfCheckingValue(k, gen)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			failf("commit %d: %v", gen, err)
+		}
+		for wait := time.Now().Add(2 * time.Millisecond); g.io.retiring.Load() && time.Now().Before(wait); {
+			time.Sleep(20 * time.Microsecond)
+		}
+		for _, k := range batch {
+			if v, ok, err := g.Get(k); err != nil || !ok || !bytes.Equal(v, selfCheckingValue(k, gen)) {
+				failf("Get(%q) after commit %d = (%x, %v, %v), want %x", k, gen, v, ok, err, selfCheckingValue(k, gen))
+				break
+			}
+		}
+		pause(rng)
+	}
+	done.Store(true)
+	wg.Wait()
+	if reused := g.io.blocks.Reused(); reused < 100 {
+		t.Errorf("read misses took %d recycled blocks; the test needs the free list in use", reused)
+	} else {
+		t.Logf("read misses took %d recycled blocks over %d misses", reused, g.io.misses.Load())
+	}
+	for i := range keys {
+		v, ok, err := g.Get(key(i))
+		if err != nil || !ok {
+			t.Fatalf("readback Get(%q) = (%v, %v)", key(i), ok, err)
+		}
+		if msg := checkValue(key(i), v); msg != "" {
+			t.Fatalf("readback: %s", msg)
+		}
+	}
+}

@@ -130,12 +130,23 @@ func (tx *writeTxn) Read(id uint64) (*node.Node, error) {
 		tx.io.countHit()
 		return p.n, nil
 	}
-	n, err := tx.base.Read(id)
+	n, err := tx.fetch(id)
 	if err != nil {
 		return nil, err
 	}
 	tx.pages[id] = txPage{n: n}
 	return n, nil
+}
+
+// fetch reads page id as of the base epoch, on the transaction's first touch
+// of it, and lends the node it gets: whatever the transaction makes of it (a
+// record, a materialised copy, a pre-image) may outlive every pin.
+func (tx *writeTxn) fetch(id uint64) (*node.Node, error) {
+	n, err := tx.base.Read(id)
+	if n != nil {
+		tx.io.lend(n)
+	}
+	return n, err
 }
 
 // change returns id's record ready to be changed: fetched from the base epoch
@@ -145,7 +156,7 @@ func (tx *writeTxn) Read(id uint64) (*node.Node, error) {
 func (tx *writeTxn) change(id uint64) (txPage, error) {
 	p, ok := tx.pages[id]
 	if !ok {
-		n, err := tx.base.Read(id)
+		n, err := tx.fetch(id)
 		if err != nil && !errors.Is(err, store.ErrNotFound) {
 			return p, err
 		}

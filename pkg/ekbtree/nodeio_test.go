@@ -234,13 +234,23 @@ func TestGetAllocs(t *testing.T) {
 // TestReadMissAllocs guards the read-miss path's allocation budget the way
 // TestGetAllocs guards the cached one: over a one-page cache, which no descent
 // fits in, every page of a Get comes from the store. A page read, leaf or
-// index, allocates one block: the view, its offset table and the room the
-// store reads the page into, where it is deciphered and decoded (children are
-// read from the page). On top comes the Get's value copy (the substituted key
-// costs nothing of its own; see TestGetAllocs). No slack: a page buffer
-// allocated apart from its view again, a second page-sized buffer on the way
-// from the store to the node, or header and child arrays built beside the
-// page, is the regression this guards against.
+// index, takes one block: the view, its offset table and the room the store
+// reads the page into, where it is deciphered and decoded (children are read
+// from the page). On top comes the Get's value copy (the substituted key
+// costs nothing of its own; see TestGetAllocs).
+//
+// Each Get is measured twice:
+//   - with a cursor open, whose pin keeps the shard from ever reaching the
+//     moment the cache's evicted views are recycled, so the free list runs dry
+//     and every page allocates its block;
+//   - in the steady state, nothing pinned between Gets, where the views one
+//     Get evicts are the blocks the next one reads into, and a cold Get
+//     allocates only its value.
+//
+// No slack: a page buffer allocated apart from its view again, a second
+// page-sized buffer on the way from the store to the node, header and child
+// arrays built beside the page, or a read path that bypasses the free list,
+// is the regression this guards against.
 func TestReadMissAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
@@ -297,15 +307,27 @@ func TestReadMissAllocs(t *testing.T) {
 		{"key in an index node", key(inIndex), true, 1},
 		{"absent key", []byte{0x07, 0x77, 'x'}, false, 0},
 	} {
-		pages := pagesRead(tt.key, tt.present)
-		want := tt.fixed + pages
-		n := testing.AllocsPerRun(200, func() {
+		get := func() {
 			if _, ok, err := tr.Get(tt.key); err != nil || ok != tt.present {
 				t.Fatalf("Get(%x) = (%v, %v)", tt.key, ok, err)
 			}
-		})
-		if n != float64(want) {
-			t.Errorf("%s: a cold Get reading %d pages allocates %.1f times, want %d", tt.name, pages, n, want)
+		}
+		pages := pagesRead(tt.key, tt.present)
+		c := tr.Cursor()
+		// Over a one-page cache the free list holds at most 16 blocks of a
+		// class, so this many Gets of the key use up every one its pages
+		// could take.
+		for range 32 {
+			get()
+		}
+		pinned := testing.AllocsPerRun(200, get)
+		c.Close()
+		steady := testing.AllocsPerRun(200, get)
+		if want := tt.fixed + pages; pinned != float64(want) {
+			t.Errorf("%s: a cold Get reading %d pages, with nothing to recycle, allocates %.1f times, want %d", tt.name, pages, pinned, want)
+		}
+		if steady != float64(tt.fixed) {
+			t.Errorf("%s: a cold Get reading %d pages, in the steady state, allocates %.1f times, want %d", tt.name, pages, steady, tt.fixed)
 		}
 	}
 }
