@@ -58,6 +58,10 @@ lint:
 # One flush rule: holdLocked decides when a group flushes from the durability
 # mode alone. The Grouped window is a constant, not a setting.
 	@if git grep -nE '\bGroupWindow\b|DefaultGroupWindow|group-window|pubCount' -- '*.go'; then echo "the Grouped window is file.groupWindow, a constant; see holdLocked in internal/store/file/commit.go"; exit 1; fi
+# One group commit per shard: CommitPages calls on one store never overlap and
+# every call names its root, so the store holds no group open for a wave of
+# committers and has no root to keep.
+	@if git grep -nwE 'fullHold|lastGroup|KeepRoot' -- '*.go'; then echo "a shard's one group commit is Engine.commit, under its write turn; the file store takes a Full group at once and every CommitPages names its root"; exit 1; fi
 # Only the surface a caller uses: Space and Vacuum are PageStore methods, not
 # side doors to assert for; a wire client's deadlines are set on its net.Conn.
 	@if git grep -nE '\.\(store\.(Spacer|Vacuumer)\)|DialConfig|DialWithConfig' -- '*.go' ':!bench'; then echo "call Space and Vacuum on the PageStore; set deadlines on the net.Conn handed to wire.NewClient"; exit 1; fi
@@ -101,7 +105,9 @@ test:
 #    store that refuses it, the same loop auto-vacuuming a churned tree, and
 #    the engine's one commit path (failed commits stay invisible, root moves
 #    commit like any other, and the turn holder combines queued writers:
-#    one epoch, each caller's own error, a store error for all, Close);
+#    one epoch, each caller's own error, a store error for all, Close, and
+#    never two CommitPages in flight beside epoch advances, rotation and
+#    vacuum);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
 #    an in-place decoder that saw a shared buffer, or anything that wrote into
 #    a cached view's page, a committed batch's slab chunk or a substitution
@@ -117,7 +123,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable' ./pkg/ekbtree/...

@@ -4,68 +4,49 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
-// BenchmarkFileCommitConcurrent measures durable commit throughput through
-// the group-commit pipeline: N writer goroutines each issue CommitPages
-// calls (one 256-byte page per commit) against one store. writers=1 in full
-// mode is the serialized baseline — every commit pays its own flush, exactly
-// the pre-pipeline behavior — and the other cells show what coalescing buys:
-// concurrent full-mode commits share flushes, and grouped/async commits
-// decouple acknowledgment from the fsync entirely (the benchmark still
-// Syncs once at the end, so all modes finish durable). ns/op is per commit.
+// BenchmarkFileCommitConcurrent measures commit throughput through the
+// group-commit pipeline for the one caller the store's contract admits: one
+// committer issuing CommitPages calls (one 256-byte page per commit), never
+// two at once. Full is the serialized baseline, every commit paying its own
+// flush; grouped and async decouple acknowledgment from the fsync entirely
+// (the benchmark still Syncs once at the end, so all modes finish durable).
+// Concurrent writers share a flush above the store, where a shard's turn
+// combines them; BenchmarkFilePutParallel in pkg/ekbtree measures that path.
+// ns/op is per commit.
 func BenchmarkFileCommitConcurrent(b *testing.B) {
 	for _, mode := range []Durability{Full, Grouped, Async} {
-		for _, writers := range []int{1, 8} {
-			b.Run(fmt.Sprintf("durability=%s/writers=%d", mode, writers), func(b *testing.B) {
-				s, err := OpenConfig(filepath.Join(b.TempDir(), "bench.ekb"), Config{Durability: mode})
-				if err != nil {
+		b.Run(fmt.Sprintf("durability=%s/writers=1", mode), func(b *testing.B) {
+			s, err := OpenConfig(filepath.Join(b.TempDir(), "bench.ekb"), Config{Durability: mode})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			// One page ID, rewritten every commit: the steady-state shape of
+			// a hot page.
+			id, err := s.Alloc()
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := bytes.Repeat([]byte{1}, 256)
+			if err := s.CommitPages(map[uint64][]byte{id: payload}, id, nil); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.CommitPages(map[uint64][]byte{id: payload}, id, nil); err != nil {
 					b.Fatal(err)
 				}
-				defer s.Close()
-				// One page ID per writer, rewritten every commit: the
-				// steady-state shape of a hot page under independent
-				// committers.
-				ids := make([]uint64, writers)
-				payload := make([][]byte, writers)
-				for w := range ids {
-					if ids[w], err = s.Alloc(); err != nil {
-						b.Fatal(err)
-					}
-					payload[w] = bytes.Repeat([]byte{byte(w + 1)}, 256)
-					if err := s.CommitPages(map[uint64][]byte{ids[w]: payload[w]}, ids[0], nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := s.Sync(); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < writers; w++ {
-					share := b.N / writers
-					if w < b.N%writers {
-						share++
-					}
-					wg.Add(1)
-					go func(w, share int) {
-						defer wg.Done()
-						for i := 0; i < share; i++ {
-							if err := s.CommitPages(map[uint64][]byte{ids[w]: payload[w]}, ids[0], nil); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w, share)
-				}
-				wg.Wait()
-				if err := s.Sync(); err != nil {
-					b.Fatal(err)
-				}
-			})
-		}
+			}
+			if err := s.Sync(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -11,11 +11,6 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// fullHold bounds how long the committer lets a Full-mode group gather
-// re-arriving concurrent committers before flushing it — far below a
-// flush's own fsync cost.
-const fullHold = 100 * time.Microsecond
-
 // groupWindow is how long a Grouped-mode group gathers commits before the
 // committer flushes it: the most a crash can lose of acknowledged commits.
 const groupWindow = 2 * time.Millisecond
@@ -74,10 +69,8 @@ type group struct {
 	// publishes them — to decide whether another pass can still make progress.
 	relocated int
 	moveErr   error
-	count     int       // commits coalesced into this group
 	bytes     int       // payload size, for backpressure
 	birth     time.Time // first enqueue, anchors the Grouped window
-	held      time.Time // when the committer first considered taking it (Full hold)
 	resolved  bool      // outcome already delivered (fail-stop path)
 	// err and done carry the flush outcome to everyone waiting on the group:
 	// Full-mode committers, Sync callers, Vacuum and Close. err is written
@@ -87,17 +80,17 @@ type group struct {
 }
 
 // change is one mutation of the applied state, as CommitPages, SetMeta,
-// SetSealMark and Vacuum's relocate each spell it. A root of store.KeepRoot, a
-// nil meta or a nil mark keeps the applied one — the rootless changes and the
-// engine's root-keeping commits never read the root to restate it, so they
-// cannot undo a concurrent root move. The group keeps the page
-// buffers of writes themselves (CommitPages' ownership contract), never the
-// map. A vacuum step changes no applied state at all: it names pages for the
-// flush to move (see group.moves).
+// SetSealMark and Vacuum's relocate each spell it. A nil root, meta or mark
+// keeps the applied one: CommitPages names its root, and the header-only
+// changes never read the root to restate it, so they cannot undo a root move
+// queued ahead of them. The group keeps the page buffers of writes themselves
+// (CommitPages' ownership contract), never the map. A vacuum step changes no
+// applied state at all: it names pages for the flush to move (see
+// group.moves).
 type change struct {
 	writes map[uint64][]byte
 	frees  []uint64
-	root   uint64
+	root   *uint64
 	meta   *[]byte
 	mark   *store.SealMark
 	vacuum bool     // a vacuum step: the flush steers its directory too
@@ -169,9 +162,8 @@ func (s *Store) enqueueLocked(c change) *group {
 			g.pages[id] = gpage{freed: true}
 		}
 	}
-	g.count++
-	if c.root != store.KeepRoot {
-		g.root = c.root
+	if c.root != nil {
+		g.root = *c.root
 	}
 	if c.meta != nil {
 		g.meta = append([]byte(nil), *c.meta...)
@@ -343,26 +335,17 @@ func (s *Store) holdLocked(g *group) time.Duration {
 		// until it flushes: in every mode it goes now.
 		return 0
 	}
-	switch {
-	case s.cfg.Durability == Async:
+	switch s.cfg.Durability {
+	case Async:
 		return parked
-	case s.cfg.Durability == Grouped:
+	case Grouped:
 		// Let the group ripen for the rest of its window so closely-spaced
 		// commits share one flush.
 		return max(0, time.Until(g.birth.Add(groupWindow)))
-	case s.lastGroup > 1 && g.count < s.lastGroup:
-		// Full, and the previous group carried concurrent committers whose
-		// waiters are re-arriving right now — taking the group this instant
-		// would flush a near-empty one and make them all wait a full extra
-		// flush. Hold very briefly (bounded by fullHold from the moment the
-		// group first became takeable) so the wave coalesces; every enqueue
-		// kicks, so the re-check is immediate and a full wave never waits the
-		// whole bound. A lone committer (lastGroup <= 1) never pays this.
-		if g.held.IsZero() {
-			g.held = time.Now()
-		}
-		return max(0, fullHold-time.Since(g.held))
 	}
+	// Full: the commit waiting on the group is the shard's whole group
+	// commit already (its writers take turns, and the holder commits every
+	// writer queued behind it), so nothing is left to gather.
 	return 0
 }
 
@@ -411,7 +394,6 @@ func (s *Store) drain() {
 		s.pending = nil
 		s.flushing = g
 		s.force = false
-		s.lastGroup = g.count
 		nextID := s.nextID
 		s.mu.Unlock()
 

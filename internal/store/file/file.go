@@ -60,9 +60,13 @@
 //
 // When the committer takes the pending group is decided in one place,
 // holdLocked. Sync, Close, Vacuum, and a group at Config.MaxUnflushed take it
-// at once in every mode. Otherwise the mode decides: Full takes it at once,
-// holding at most 100µs while a wave of concurrent committers re-arrives;
+// at once in every mode. Otherwise the mode decides: Full takes it at once;
 // Grouped once the group is 2ms old; Async not until one of the above.
+//
+// CommitPages calls never overlap (store.PageStore.CommitPages): the engine's
+// write turn is a shard's one group commit, so a Full group holds one commit
+// plus whatever header changes and vacuum steps joined it, and there is no
+// wave of committers to wait for.
 //
 // The one non-atomic window is file creation itself: initialization writes
 // the first directory and slot 0, fsyncs, then writes the magic header and
@@ -128,9 +132,10 @@ type Durability int
 
 const (
 	// Full makes every commit wait until the group containing it is durably
-	// flushed (data fsync, slot flip, slot fsync). Concurrent commits that
-	// arrive while a flush is in progress coalesce into the next group and
-	// share its two fsyncs. This is the default.
+	// flushed (data fsync, slot flip, slot fsync); the group is taken at
+	// once. Concurrent writers share those two fsyncs above the store, where
+	// a shard's write turn combines them into one commit. This is the
+	// default.
 	Full Durability = iota
 	// Grouped acknowledges commits as soon as they are applied in memory;
 	// the committer flushes the accumulated group once it is 2ms old (or
@@ -171,8 +176,8 @@ type Config struct {
 	// group, and a single commit larger than it is always admitted on an
 	// empty group, so total unflushed payload can reach roughly twice
 	// MaxUnflushed — one full group being flushed plus one full pending
-	// group — plus one commit's payload per committer admitted in the same
-	// round. Zero means DefaultMaxUnflushed; negative is invalid.
+	// group — plus the payload of the one commit admitted just under the
+	// bound. Zero means DefaultMaxUnflushed; negative is invalid.
 	MaxUnflushed int
 }
 
@@ -248,11 +253,10 @@ type Store struct {
 	pending  *group // accumulating write-set, flushed next
 	flushing *group // write-set currently being flushed, nil when idle
 
-	force     bool // flush pending now, regardless of mode or window (Sync, Close, Vacuum)
-	lastGroup int  // commit count of the last flushed group, for the Full-mode hold
-	failed    bool
-	ferr      error // first flush error, behind ErrFailed
-	closed    bool
+	force  bool // flush pending now, regardless of mode or window (Sync, Close, Vacuum)
+	failed bool
+	ferr   error // first flush error, behind ErrFailed
+	closed bool
 
 	kick chan struct{} // wakes the committer; capacity 1
 	stop chan struct{} // closed by Close once all groups resolved
@@ -526,7 +530,7 @@ func (s *Store) Meta() ([]byte, error) {
 }
 
 func (s *Store) SetMeta(meta []byte) error {
-	return s.commit(change{root: store.KeepRoot, meta: &meta})
+	return s.commit(change{meta: &meta})
 }
 
 // SealMark returns the applied cipher-lifecycle mark: a SetSealMark is
@@ -542,7 +546,7 @@ func (s *Store) SealMark() (store.SealMark, error) {
 }
 
 func (s *Store) SetSealMark(mark store.SealMark) error {
-	return s.commit(change{root: store.KeepRoot, mark: &mark})
+	return s.commit(change{mark: &mark})
 }
 
 // CommitPages refuses a page of more than 4 GiB before applying anything: an
@@ -553,7 +557,7 @@ func (s *Store) CommitPages(writes map[uint64][]byte, root uint64, frees []uint6
 			return fmt.Errorf("file: page %d is %d bytes, over the %d-byte extent limit", id, len(p), uint64(math.MaxUint32))
 		}
 	}
-	return s.commit(change{writes: writes, root: root, frees: frees})
+	return s.commit(change{writes: writes, root: &root, frees: frees})
 }
 
 // Close flushes every outstanding group (so a clean shutdown is durable in

@@ -22,6 +22,9 @@ var allModes = []Durability{Full, Grouped, Async}
 // CommitPages in every durability mode (run under -race in CI): every commit
 // must be readable immediately (read-your-writes through the overlay), the
 // whole set must be durable after Sync, and a reopen must see it all.
+// Overlapping calls are outside CommitPages' contract — the engine never
+// makes them — but the file store still serializes them safely, and this
+// holds it to that.
 func TestConcurrentCommitters(t *testing.T) {
 	const writers, per = 8, 25
 	for _, mode := range allModes {

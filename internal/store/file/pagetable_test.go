@@ -31,7 +31,7 @@ func tableStore(t *testing.T, durable map[uint64]string) (*Store, *gateSyncFile,
 	for id, p := range durable {
 		writes[id] = []byte(p)
 	}
-	if err := s.CommitPages(writes, store.KeepRoot, nil); err != nil {
+	if err := s.CommitPages(writes, store.NoRoot, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
@@ -74,7 +74,7 @@ func (c tableChecks) commit(writes map[uint64]string, frees ...uint64) {
 	for id, p := range writes {
 		w[id] = []byte(p)
 	}
-	if err := c.s.CommitPages(w, store.KeepRoot, frees); err != nil {
+	if err := c.s.CommitPages(w, store.NoRoot, frees); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -83,7 +83,7 @@ func (c tableChecks) commit(writes map[uint64]string, frees ...uint64) {
 // without forcing the flush.
 func (c tableChecks) move(ids ...uint64) {
 	c.s.mu.Lock()
-	c.s.enqueueLocked(change{root: store.KeepRoot, vacuum: true, moves: ids, lift: true})
+	c.s.enqueueLocked(change{vacuum: true, moves: ids, lift: true})
 	c.s.mu.Unlock()
 }
 
@@ -323,49 +323,33 @@ func TestAppliedHeaderThroughOverlays(t *testing.T) {
 // is preempted, so only the rule can take it now.
 func TestHoldRule(t *testing.T) {
 	const bound = 100
-	const unset = time.Duration(-1) // held not yet stamped
 	for _, tc := range []struct {
-		name      string
-		mode      Durability
-		force     bool
-		lastGroup int
-		count     int
-		bytes     int
-		age, held time.Duration
-		want      time.Duration // 0 take, parked, else wait at most this long
+		name  string
+		mode  Durability
+		force bool
+		bytes int
+		age   time.Duration
+		want  time.Duration // 0 take, parked, else wait at most this long
 	}{
-		{"async parks", Async, false, 1, 1, bound - 1, time.Minute, unset, parked},
-		{"async, forced", Async, true, 1, 1, 0, 0, unset, 0},
-		{"async at the bound", Async, false, 1, 1, bound, 0, unset, 0},
-		{"grouped, young", Grouped, false, 1, 1, 0, -time.Minute, unset, groupWindow + time.Minute},
-		{"grouped, window over", Grouped, false, 1, 1, 0, 2 * groupWindow, unset, 0},
-		{"grouped, forced", Grouped, true, 1, 1, 0, -time.Minute, unset, 0},
-		{"grouped at the bound flushes now", Grouped, false, 1, 1, 2 * bound, -time.Minute, unset, 0},
-		{"full, lone committer", Full, false, 1, 1, 0, 0, unset, 0},
-		{"full, wave complete", Full, false, 4, 4, 0, 0, unset, 0},
-		{"full, wave re-arriving", Full, false, 4, 1, 0, 0, unset, fullHold},
-		{"full, hold spent", Full, false, 4, 1, 0, time.Second, time.Second, 0},
-		{"full, forced", Full, true, 4, 1, 0, 0, unset, 0},
-		{"full at the bound skips the hold", Full, false, 4, 1, bound, 0, unset, 0},
+		{"async parks", Async, false, bound - 1, time.Minute, parked},
+		{"async, forced", Async, true, 0, 0, 0},
+		{"async at the bound", Async, false, bound, 0, 0},
+		{"grouped, young", Grouped, false, 0, -time.Minute, groupWindow + time.Minute},
+		{"grouped, window over", Grouped, false, 0, 2 * groupWindow, 0},
+		{"grouped, forced", Grouped, true, 0, -time.Minute, 0},
+		{"grouped at the bound flushes now", Grouped, false, 2 * bound, -time.Minute, 0},
+		{"full, lone committer", Full, false, 0, 0, 0},
+		{"full, forced", Full, true, 0, 0, 0},
+		{"full at the bound skips the hold", Full, false, bound, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := &Store{cfg: Config{Durability: tc.mode, MaxUnflushed: bound}, force: tc.force, lastGroup: tc.lastGroup}
-			now := time.Now()
-			g := &group{count: tc.count, bytes: tc.bytes, birth: now.Add(-tc.age)}
-			if tc.held != unset {
-				g.held = now.Add(-tc.held)
-			}
+			s := &Store{cfg: Config{Durability: tc.mode, MaxUnflushed: bound}, force: tc.force}
+			g := &group{bytes: tc.bytes, birth: time.Now().Add(-tc.age)}
 			d := s.holdLocked(g)
 			switch {
 			case tc.want == 0 || tc.want == parked:
 				if d != tc.want {
 					t.Fatalf("holdLocked = %v, want %v", d, tc.want)
-				}
-			case tc.want == fullHold:
-				// The bound is 100µs, so a preempted test may see it spent; that
-				// the hold began is what shows the branch was taken.
-				if d > fullHold || g.held.IsZero() {
-					t.Fatalf("holdLocked = %v (held stamped: %v), want a stamped wait of at most %v", d, !g.held.IsZero(), fullHold)
 				}
 			case d <= 0 || d > tc.want:
 				t.Fatalf("holdLocked = %v, want a wait of at most %v", d, tc.want)

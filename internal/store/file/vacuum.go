@@ -1,10 +1,6 @@
 package file
 
-import (
-	"sort"
-
-	"github.com/paper-repro/ekbtree/internal/store"
-)
+import "sort"
 
 // vacuumBatchBytes bounds the extents one relocation batch asks a flush to
 // copy, so a vacuum pass interleaves with foreground commits in modest slices
@@ -266,7 +262,7 @@ func (s *Store) relocate(ids []uint64, lift bool) (relocated int, err error) {
 		s.mu.Unlock()
 		return 0, err
 	}
-	g := s.enqueueLocked(change{root: store.KeepRoot, vacuum: true, moves: ids, lift: lift})
+	g := s.enqueueLocked(change{vacuum: true, moves: ids, lift: lift})
 	s.force = true // a relocation batch flushes now in every mode
 	s.mu.Unlock()
 	s.wake()

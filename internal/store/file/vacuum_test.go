@@ -234,7 +234,7 @@ func TestSpaceMatchesDirectory(t *testing.T) {
 	}
 	commit := func(when string, writes map[uint64][]byte, frees []uint64) {
 		t.Helper()
-		if err := s.CommitPages(writes, store.KeepRoot, frees); err != nil {
+		if err := s.CommitPages(writes, store.NoRoot, frees); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 		check(when)

@@ -21,10 +21,6 @@ var ErrClosed = errors.New("store: closed")
 // Alloc are always > NoRoot.
 const NoRoot uint64 = 0
 
-// KeepRoot is the CommitPages root meaning "leave the root pointer as it is".
-// It is never a page ID.
-const KeepRoot = ^uint64(0)
-
 // SealMark is the engine's cipher-lifecycle high-water mark: the current key
 // epoch and a PRE-RESERVED upper bound on the seal counters the engine may
 // have issued within it. The engine records a mark with Counter ahead of what
@@ -90,12 +86,14 @@ type PageStore interface {
 	// Meta returns the store's metadata blob (sealed engine header), or an
 	// empty slice if never set.
 	Meta() ([]byte, error)
-	// SetMeta durably records the metadata blob, copying the buffer.
+	// SetMeta records the metadata blob, copying the buffer, subject to the
+	// same durability mode as commits: at Full it returns once the blob is
+	// durable, otherwise once it is applied and queued, and Sync is the
+	// barrier.
 	SetMeta(meta []byte) error
 	// CommitPages atomically applies one write batch: it stores every page in
-	// writes, records root as the new root pointer (KeepRoot leaves the
-	// pointer as it is), and releases the pages in frees, all as a single
-	// all-or-nothing commit. The store TAKES OWNERSHIP
+	// writes, records root as the root pointer, and releases the pages in
+	// frees, all as a single all-or-nothing commit. The store TAKES OWNERSHIP
 	// of the page buffers: it keeps the slices themselves, so the caller must
 	// not touch them after the call, whatever it returns. The writes map and
 	// the frees slice stay the caller's; the store does not keep them. IDs
@@ -112,13 +110,10 @@ type PageStore interface {
 	// every commit its failed flush coalesced), so the caller must treat the
 	// store's state as unknown until it is reopened.
 	//
-	// CommitPages may be called from multiple goroutines concurrently, but
-	// the engine calls it for one shard's commits one at a time: a shard's
-	// writers take turns, and the turn holder's commit carries every
-	// mutation queued behind it. Concurrent callers must pass disjoint write
-	// and free sets, and at most one may move the root while the rest pass
-	// KeepRoot; a store may then apply them in any order (or coalesce them,
-	// as the file backend's group-commit pipeline does).
+	// CommitPages calls on one store never overlap, and every call names its
+	// root: a shard's writers take turns, and the turn holder's one call
+	// carries every mutation queued behind it, so that call is the shard's
+	// group commit.
 	CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error
 	// SealMark returns the cipher-lifecycle mark last recorded by SetSealMark,
 	// or the zero mark if never set (including stores created before the mark
@@ -131,8 +126,9 @@ type PageStore interface {
 	// than a commit's: a mark that raises (Epoch, Counter) must be durable
 	// before any byte of a page committed after it reaches the backing
 	// storage, even a page of a commit the crash then discards. The engine
-	// relies on it instead of a Sync per reservation, so a reservation costs
-	// no I/O of its own.
+	// relies on it instead of a Sync per reservation, so off Full a
+	// reservation costs no I/O of its own. At Full, where every change waits
+	// for its own flush, each reservation is one header-only flush.
 	SetSealMark(mark SealMark) error
 	// Sync blocks until every commit accepted before the call is durable.
 	// Stores whose commits are synchronously durable return immediately.
@@ -286,9 +282,7 @@ func (m *Mem) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64)
 	for id, page := range writes {
 		m.pages[id] = page
 	}
-	if root != KeepRoot {
-		m.root = root
-	}
+	m.root = root
 	for _, id := range frees {
 		delete(m.pages, id)
 	}

@@ -377,9 +377,9 @@ func benchParallelPuts(b *testing.B, tr *Tree, writers int, serialize *sync.Mute
 // BenchmarkFilePutParallel measures concurrent writers through the façade,
 // per durability mode. Writers take turns, and the turn holder commits the
 // Puts queued behind it with its own, so under DurabilityFull one flush
-// carries every Put that queued during the previous one — the effect
-// BenchmarkCommitPipeline shows at the store layer, reachable through Put.
-// ns/op is per Put.
+// carries every Put that queued during the previous one: the one way
+// concurrent writers share a flush, since the store never sees two commits
+// at once. ns/op is per Put.
 func BenchmarkFilePutParallel(b *testing.B) {
 	for _, mode := range []Durability{DurabilityFull, DurabilityGrouped, DurabilityAsync} {
 		b.Run("durability="+mode.String(), func(b *testing.B) {

@@ -210,7 +210,7 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	if err := g.Apply(func(bt *btree.Tree) error { return putRange(bt, 0, 6000, "v1") }); err != nil {
 		t.Fatal(err)
 	}
-	if g.ws.Load() != nil {
+	if g.ws != nil {
 		t.Fatal("the workspace of a bulk load was kept")
 	}
 	// One that fits, with reads, writes, frees (merges) and a fresh page or two.
@@ -226,7 +226,7 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	if len(rs.frees) == 0 {
 		t.Fatal("the delete sweep freed no page; the test needs frees to leave behind")
 	}
-	empty("after a committed transaction", g.ws.Load())
+	empty("after a committed transaction", g.ws)
 	// An aborted one: staged edits, frees and a root it never committed.
 	errAbort := errors.New("abort")
 	err = g.Apply(func(bt *btree.Tree) error {
@@ -238,7 +238,7 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	if !errors.Is(err, errAbort) {
 		t.Fatalf("aborted Apply = %v", err)
 	}
-	empty("after an aborted transaction", g.ws.Load())
+	empty("after an aborted transaction", g.ws)
 	// A combined one: two writers queue behind the holder, which takes their
 	// mutations into its own transaction on the same leaves.
 	errs := combine(t, g, func() {},
@@ -248,7 +248,7 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatalf("combined Apply = %v", err)
 	}
-	empty("after a combined transaction", g.ws.Load())
+	empty("after a combined transaction", g.ws)
 
 	// The next commit overwrites one value: it must read one root-to-leaf
 	// path, write its one leaf and free nothing.

@@ -67,9 +67,10 @@ type Engine struct {
 	sa   *sealAlloc
 	deg  int // btree minimum degree (order/2)
 
-	// ws is the transaction workspace the last commit left behind, nil while
-	// the turn holder's commit is using it (see beginTxn).
-	ws atomic.Pointer[writeTxn]
+	// ws is the turn holder's: the transaction workspace the last commit
+	// left behind, nil while a commit is using it. Only beginTxn and endTxn
+	// touch it, both under the turn.
+	ws *writeTxn
 
 	commits atomic.Uint64 // successfully published epochs, surfaced through Stats
 }

@@ -13,8 +13,11 @@ import (
 // actually issued, so reopening after a crash skips at most one chunk of
 // nonce space per generation — a rounding error against the budget — and
 // steady-state sealing records one mark per chunk, not per commit. Recording
-// one is a plain SetSealMark: no I/O is waited on and no pending page is
-// flushed for it.
+// one is a plain SetSealMark, which flushes no pending page. Off Full
+// durability it waits on no I/O either; at Full the file store makes every
+// change wait for its own flush, so a reservation costs one header-only
+// flush: 7 040 single-Put commits that crossed 3 reservations (12 289 seals)
+// took 7 043 flushes.
 const sealReserveChunk = 4096
 
 // DefaultHardSealLimit is the per-epoch counter value at which writes fail

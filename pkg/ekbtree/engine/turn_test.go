@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
+	"github.com/paper-repro/ekbtree/internal/store"
 	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
@@ -198,5 +201,103 @@ func TestCloseFailsQueuedWriters(t *testing.T) {
 	}
 	if err := enginePut(g, []byte("late"), []byte("v")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put after Close = %v, want ErrClosed", err)
+	}
+}
+
+// overlapStore counts the CommitPages calls in flight on the store it wraps,
+// and how many calls began while another was still in flight.
+type overlapStore struct {
+	store.PageStore
+	inFlight, overlaps, commits atomic.Int32
+}
+
+func (o *overlapStore) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error {
+	if o.inFlight.Add(1) > 1 {
+		o.overlaps.Add(1)
+	}
+	defer o.inFlight.Add(-1)
+	o.commits.Add(1)
+	runtime.Gosched() // widen the window a second caller would land in
+	return o.PageStore.CommitPages(writes, root, frees)
+}
+
+// TestCommitPagesNeverOverlap holds the engine to the store's write contract:
+// CommitPages calls on one store never overlap, because a shard's writers
+// take turns and the holder's one call is the shard's group commit. Eight
+// writers run beside a goroutine that loops AdvanceEpoch, Rotate and
+// Vacuum(0), in every durability mode.
+func TestCommitPagesNeverOverlap(t *testing.T) {
+	const writers, per = 8, 50
+	for _, mode := range []file.Durability{file.Full, file.Grouped, file.Async} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fs, err := file.OpenConfig(filepath.Join(t.TempDir(), "overlap.ekb"), file.Config{Durability: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &overlapStore{PageStore: fs}
+			g := newEpochEngine(t, st, 0, 0, nil)
+			defer g.Close()
+
+			stop := make(chan struct{})
+			maintained := make(chan error, 1)
+			rounds := 0
+			go func() {
+				for ; ; rounds++ {
+					select {
+					case <-stop:
+						maintained <- nil
+						return
+					default:
+					}
+					if err := g.AdvanceEpoch(); err != nil {
+						maintained <- err
+						return
+					}
+					if _, err := g.Rotate(); err != nil {
+						maintained <- err
+						return
+					}
+					if err := g.Vacuum(0); err != nil {
+						maintained <- err
+						return
+					}
+				}
+			}()
+			errs := make(chan error, writers)
+			var wg sync.WaitGroup
+			for w := range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range per {
+						if err := enginePut(g, []byte(fmt.Sprintf("w%d-%03d", w, i)), []byte("v")); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			if err := <-maintained; err != nil {
+				t.Fatalf("maintenance: %v", err)
+			}
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if n := st.overlaps.Load(); n > 0 {
+				t.Fatalf("%d of %d CommitPages calls began while another was in flight", n, st.commits.Load())
+			}
+			t.Logf("%d CommitPages calls beside %d maintenance rounds", st.commits.Load(), rounds)
+			for w := range writers {
+				for i := range per {
+					k := fmt.Sprintf("w%d-%03d", w, i)
+					if v, ok, err := g.Get([]byte(k)); err != nil || !ok || string(v) != "v" {
+						t.Fatalf("Get(%s) = (%q, %v, %v), want v", k, v, ok, err)
+					}
+				}
+			}
+		})
 	}
 }

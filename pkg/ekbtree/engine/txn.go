@@ -92,7 +92,8 @@ const (
 // beginTxn returns an empty transaction over base, reusing the last commit's
 // workspace unless it was too large to keep.
 func (g *Engine) beginTxn(base *epoch) *writeTxn {
-	tx := g.ws.Swap(nil)
+	tx := g.ws
+	g.ws = nil
 	if tx == nil {
 		tx = newWriteTxn()
 	}
@@ -111,7 +112,7 @@ func (g *Engine) endTxn(tx *writeTxn) {
 	clear(tx.pages)
 	clear(tx.writes)
 	tx.base = nil
-	g.ws.Store(tx)
+	g.ws = tx
 }
 
 // errGone is what reading a page the transaction freed, or alloc'd and has not

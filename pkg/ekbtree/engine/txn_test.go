@@ -326,19 +326,19 @@ func TestOversizedWorkspaceIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ws := g.ws.Load(); ws == nil || ws.peak <= workspaceSlack*8 || ws.peak > workspaceKeep {
+	if ws := g.ws; ws == nil || ws.peak <= workspaceSlack*8 || ws.peak > workspaceKeep {
 		t.Fatal("the large commit's workspace was not kept; the test needs one that was")
 	}
 	if err := enginePut(g, []byte("k0001"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if g.ws.Load() != nil {
+	if g.ws != nil {
 		t.Fatal("a one-leaf Put kept the workspace a large commit grew")
 	}
 	if err := enginePut(g, []byte("k0002"), []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if ws := g.ws.Load(); ws == nil || ws.peak > 8 {
+	if ws := g.ws; ws == nil || ws.peak > 8 {
 		t.Fatal("the next Put did not keep a workspace sized for itself")
 	}
 }

@@ -120,15 +120,18 @@ func TestAutoVacuum(t *testing.T) {
 	}
 
 	// The compacted layout keeps some garbage at its floor (residue holes);
-	// a fraction well below it makes the first poll vacuum each shard, and a
+	// a fraction well below it makes the first round vacuum each shard, and a
 	// rule that counted all garbage rather than new garbage would go on
-	// vacuuming the floor at every poll after.
+	// vacuuming the floor at every poll after. Open kicks that first round,
+	// which may finish before Open's caller reads the count, so the count is
+	// read before the reopen.
+	before := passes.Load()
 	tr = openCounted(0.02)
 	defer tr.Close()
 	if size, live := tr.Space(); float64(size-live) < 0.04*float64(size) {
 		t.Fatalf("the compacted layout keeps too little garbage to test the floor: file=%d live=%d", size, live)
 	}
-	start, before := time.Now(), passes.Load()
+	start = time.Now()
 	for passes.Load() == before {
 		if time.Since(start) > 3*vacuumPoll {
 			t.Fatal("a tree reopened over more garbage than AutoVacuum allows ran no pass")

@@ -22,8 +22,9 @@ type Durability = file.Durability
 
 const (
 	// DurabilityFull (the default) acknowledges a commit only after the
-	// group containing it is durably on disk. Concurrent commits that arrive
-	// while a flush is in progress coalesce and share its two fsyncs.
+	// group containing it is durably on disk. Writers that queue at a
+	// shard's write turn while a flush is in progress are combined into the
+	// next commit and share its two fsyncs.
 	DurabilityFull = file.Full
 	// DurabilityGrouped acknowledges commits as soon as they are applied in
 	// memory; the store flushes the accumulated group within 2ms. A crash
