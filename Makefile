@@ -90,6 +90,12 @@ lint:
 # free list (node.Blocks.Block), which allocates only when it has none of the
 # page's class. A block made with node.NewBlock bypasses recycling.
 	@if git grep -nF 'node.NewBlock(' -- '*.go' ':!*_test.go'; then echo "take a read miss's block from the free list (node.Blocks.Block), not node.NewBlock; see nodeIO.fetch"; exit 1; fi
+# The cache keeps views, a writer's copies stay in its transaction: a commit
+# caches views of the pages it sealed, and a copy is rebuilt for the next
+# commit, never cached. So no view is lent past its pin, and the engine makes
+# its copies with MaterializeInto, from the workspace's spares.
+	@if git grep -nwE 'Lend|lent|isLent' -- '*.go'; then echo "views are never lent: promoteTxn caches views of what a commit sealed, and writeTxn.Edit's copies never leave the transaction"; exit 1; fi
+	@if git grep -nF '.Materialize()' -- 'pkg/ekbtree/engine/*.go' ':!*_test.go'; then echo "writeTxn.Edit rebuilds a spare copy (MaterializeInto), and promoteTxn caches views of what a commit sealed, never a copy"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -109,13 +115,15 @@ test:
 #    never two CommitPages in flight beside epoch advances, rotation and
 #    vacuum);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
-#    an in-place decoder that saw a shared buffer, or anything that wrote into
-#    a cached view's page, a committed batch's slab chunk or a substitution
-#    chunk, is a data race only an overlapping reader shows, and a combined
-#    commit hands its one transaction between the writers' goroutines;
+#    an in-place decoder that saw a shared buffer, a commit that cached a copy
+#    its workspace rebuilds, or anything that wrote into a cached view's page,
+#    a committed batch's slab chunk or a substitution chunk, is a data race
+#    only an overlapping reader shows, and a combined commit hands its one
+#    transaction between the writers' goroutines;
 #  - recycled blocks: a view's block handed to the next read miss while a
-#    Get, a cursor or a writer's cached copy could still read it races with
-#    the free list's overwrite, and only some interleavings show it;
+#    Get, a cursor, a writer's transaction or a failed commit's undo overlay
+#    could still read it races with the free list's overwrite, and only some
+#    interleavings show it;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -125,8 +133,8 @@ race:
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
-	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
-	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable' ./pkg/ekbtree/...
+	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
+	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
 # test-sharded repeats the façade suite with every test tree defaulting to

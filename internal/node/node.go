@@ -49,7 +49,8 @@
 // into a private, mutable copy, and Decode is the decoder over a clone,
 // materialised, for a caller that must keep its page. Every materialised node
 // comes from New, which at the default order allocates the node and its
-// arrays as one object, so a copy costs one allocation too.
+// arrays as one object, so a copy costs one allocation too, and none when
+// MaterializeInto rebuilds a copy nothing reads any more (Reset) in place.
 package node
 
 import (
@@ -127,12 +128,13 @@ func FormatOf(page []byte) Format {
 // handed a view reads a node only through them.
 type Node struct {
 	Leaf bool
-	// A view's recycling state (see Blocks), in the padding after Leaf:
-	// class is one more than the index of the block class the view was
-	// decoded in, 0 for any node not in a block; lent marks a view whose
-	// block Recycle must never take.
+	// Where the node lives, in the padding after Leaf: class is one more
+	// than the index of the block class a view was decoded in (see Blocks),
+	// 0 for any node not in a block; room is the object New cut a
+	// materialised node's arrays from (see MaterializeInto), noRoom for any
+	// other node.
 	class    uint8
-	lent     bool
+	room     roomKind
 	Keys     [][]byte // substituted search keys, strictly increasing
 	Values   [][]byte
 	Children []uint64 // page IDs; empty iff Leaf
@@ -352,19 +354,17 @@ func (f *Blocks) Reused() uint64 {
 }
 
 // Recycle gives view n's block back to the free list, and reports whether
-// the list took it. It refuses a node that is not a view in a block, a lent
-// view (see Lend), a view already given back, and a block its class or the
-// list has no place for.
+// the list took it. It refuses a node that is not a view in a block, a view
+// already given back, and a block its class or the list has no place for.
 //
 // The caller guarantees that nothing reads n, its page or side buffer, or
 // any key or value slice cut from them, ever again: from here on the block
 // is the next Block caller's, who reads another page over it. Under the
 // race detector the room and the offset table are first overwritten with a
 // fixed pattern, so a reader the caller missed reads garbage, and races with
-// the write, rather than reading the next page's bytes unnoticed. The caller
-// serializes Recycle with Lend on the same view.
+// the write, rather than reading the next page's bytes unnoticed.
 func (f *Blocks) Recycle(n *Node) bool {
-	if n.class == 0 || n.lent {
+	if n.class == 0 {
 		return false
 	}
 	c := int(n.class - 1)
@@ -397,19 +397,9 @@ func poisonBlock(shell *viewShell, room []byte) {
 	}
 }
 
-// Lend marks a view in a block as lent: something may keep slices of its
-// page past any moment its holder can observe, so Recycle never takes its
-// block and the garbage collector frees it as it would any node. It does
-// nothing to any other node.
-func (n *Node) Lend() {
-	if n.class != 0 {
-		n.lent = true
-	}
-}
-
-// Recyclable reports whether n is a view in a block that is not lent: one
-// Recycle would take, given room.
-func (n *Node) Recyclable() bool { return n.class != 0 && !n.lent }
+// Recyclable reports whether n is a view in a block: one Recycle would take,
+// given room.
+func (n *Node) Recyclable() bool { return n.class != 0 }
 
 // Len returns the number of keys.
 func (n *Node) Len() int {
@@ -465,6 +455,27 @@ type indexRoom struct {
 	kids [viewRoom + 1]uint64
 }
 
+// roomKind names the object a materialised node was allocated in.
+type roomKind uint8
+
+const (
+	noRoom  roomKind = iota // a view, or a node whose arrays are separate
+	inLeaf                  // a leafRoom
+	inIndex                 // an indexRoom, which holds a leaf as well
+)
+
+// cut cuts n's empty Keys, Values and (in an index node) Children from the
+// arrays of its room, which must hold them, and returns n.
+func (n *Node) cut() *Node {
+	r := (*leafRoom)(unsafe.Pointer(n))
+	n.Keys, n.Values = r.hdrs[:0:viewRoom], r.hdrs[viewRoom:viewRoom:2*viewRoom]
+	n.Children = nil
+	if !n.Leaf && n.room == inIndex {
+		n.Children = (*indexRoom)(unsafe.Pointer(n)).kids[:0]
+	}
+	return n
+}
+
 // New returns an empty materialised node with room for n entries (and, in an
 // index node, n+1 children) before any of its slices regrows. Keys and Values
 // are cut from one array, each clipped to its own capacity so growing one
@@ -481,26 +492,50 @@ func New(leaf bool, n int) *Node {
 		}
 		return c
 	}
-	var r *leafRoom
-	var kids []uint64
+	var c *Node
 	if leaf {
-		r = new(leafRoom)
+		c = &new(leafRoom).Node
+		c.room = inLeaf
 	} else {
-		ir := new(indexRoom)
-		r, kids = &ir.leafRoom, ir.kids[:0]
+		c = &new(indexRoom).Node
+		c.room = inIndex
 	}
-	r.Leaf, r.Children = leaf, kids
-	r.Keys, r.Values = r.hdrs[:0:viewRoom], r.hdrs[viewRoom:viewRoom:2*viewRoom]
-	return &r.Node
+	c.Leaf = leaf
+	return c.cut()
 }
 
 // Materialize returns a private, mutable copy of n, view or not, built by New
 // with room for one more entry: fresh Keys, Values and (in an index node)
 // Children slices over the same key and value bytes, which stay read-only.
 // At the default order that is one allocation. n itself is not touched.
-func (n *Node) Materialize() *Node {
+func (n *Node) Materialize() *Node { return n.MaterializeInto(nil) }
+
+// Reset empties n, a materialised node nothing reads any more, for
+// MaterializeInto to rebuild, and reports whether it can: whether New
+// allocated n together with its arrays. It clears those arrays, so that a
+// node kept for reuse keeps no key or value alive.
+func (n *Node) Reset() bool {
+	if n.room == noRoom {
+		return false
+	}
+	clear((*leafRoom)(unsafe.Pointer(n)).hdrs[:])
+	n.cut()
+	return true
+}
+
+// MaterializeInto is Materialize rebuilding c, a node Reset emptied, as the
+// copy when its room holds n with one entry to spare: a leaf's copy fits
+// either room, an index node's only an index node's. It then allocates
+// nothing; otherwise, and for a nil c, it allocates the copy as Materialize
+// does, and c is left as it was.
+func (n *Node) MaterializeInto(c *Node) *Node {
 	k := n.Len()
-	c := New(n.Leaf, k+1)
+	if c == nil || c.room == noRoom || k >= viewRoom || !n.Leaf && c.room != inIndex {
+		c = New(n.Leaf, k+1)
+	} else {
+		c.Leaf = n.Leaf
+		c.cut()
+	}
 	c.Keys, c.Values = c.Keys[:k], c.Values[:k]
 	for i := range k {
 		c.Keys[i], c.Values[i] = n.Key(i), n.Value(i)
@@ -657,8 +692,7 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 // or value slice taken from it (materialised copies included), is reachable.
 // A view built in a block (Block.Decode) is the exception: whoever holds it
 // may give the block back to a free list (Blocks.Recycle) once nothing reads
-// the view or any slice taken from it, and Lend marks a view whose slices may
-// outlive that knowledge, so its block never goes back. A rejected page's
+// the view or any slice taken from it. A rejected page's
 // buffer is worth nothing — record headers may already have been overwritten
 // — and nobody retains it.
 //

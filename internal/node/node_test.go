@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/paper-repro/ekbtree/internal/keysub"
 )
@@ -688,19 +689,13 @@ func TestMaterializeAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, from := range []*Node{src, view} {
-				if n := testing.AllocsPerRun(100, func() { from.Materialize() }); n != tt.allocs {
-					t.Errorf("Materialize allocates %.0f times, want %.0f", n, tt.allocs)
-				}
-				if n := materializeAllocs(from); n != tt.allocs {
-					t.Fatalf("materializeAllocs = %.0f, want %.0f", n, tt.allocs)
-				}
-				m := from.Materialize()
+			check := func(how string, m *Node) {
+				t.Helper()
 				if !nodesEqual(m, src) || m.Leaf != tt.leaf {
-					t.Fatalf("Materialize = %+v, want %+v", m, src)
+					t.Fatalf("%s = %+v, want %+v", how, m, src)
 				}
 				if cap(m.Keys) <= tt.keys || cap(m.Values) <= tt.keys || !tt.leaf && cap(m.Children) <= tt.keys+1 {
-					t.Errorf("Materialize left no room: caps %d/%d/%d for %d keys", cap(m.Keys), cap(m.Values), cap(m.Children), tt.keys)
+					t.Errorf("%s left no room: caps %d/%d/%d for %d keys", how, cap(m.Keys), cap(m.Values), cap(m.Children), tt.keys)
 				}
 				// Fill Keys to capacity and one past; Values must not move.
 				vals, room := slices.Clone(m.Values), cap(m.Keys)
@@ -708,8 +703,29 @@ func TestMaterializeAllocs(t *testing.T) {
 					m.Keys = append(m.Keys, []byte("grown"))
 				}
 				if !slices.EqualFunc(vals, m.Values, bytes.Equal) {
-					t.Errorf("growing Keys past its room overwrote Values")
+					t.Errorf("%s: growing Keys past its room overwrote Values", how)
 				}
+			}
+			// A reused copy is rebuilt in place for nothing while its room
+			// holds the node; past that, the copy costs what Materialize's does.
+			reused := 0.0
+			if tt.keys >= viewRoom {
+				reused = tt.allocs
+			}
+			for _, from := range []*Node{src, view} {
+				if n := testing.AllocsPerRun(100, func() { from.Materialize() }); n != tt.allocs {
+					t.Errorf("Materialize allocates %.0f times, want %.0f", n, tt.allocs)
+				}
+				if n := materializeAllocs(from); n != tt.allocs {
+					t.Fatalf("materializeAllocs = %.0f, want %.0f", n, tt.allocs)
+				}
+				check("Materialize", from.Materialize())
+				spare := New(tt.leaf, 1)
+				if n := testing.AllocsPerRun(100, func() { spare.Reset(); from.MaterializeInto(spare) }); n != reused {
+					t.Errorf("materialising into a reused copy allocates %.0f times, want %.0f", n, reused)
+				}
+				spare.Reset()
+				check("MaterializeInto", from.MaterializeInto(spare))
 			}
 			if n := testing.AllocsPerRun(100, func() { New(tt.leaf, tt.keys+1) }); n != tt.allocs {
 				t.Errorf("New allocates %.0f times, want %.0f", n, tt.allocs)
@@ -764,8 +780,8 @@ func TestBlocksFillSizeClasses(t *testing.T) {
 // page, although the old one rebuilt keys in the side buffer at rows where
 // the new one rebuilds them in place (a shell reused without clearing its
 // offset table would read those keys from the wrong buffer). The list takes
-// a view's block once, never a lent view's, a materialised node's or a plain
-// buffer's, and no more blocks of a class than its bound.
+// a view's block once, never a materialised node's or a plain buffer's, and
+// no more blocks of a class than its bound.
 func TestBlocksRecycle(t *testing.T) {
 	leaf := func(value string, keys ...string) *Node {
 		n := New(true, len(keys))
@@ -810,10 +826,6 @@ func TestBlocksRecycle(t *testing.T) {
 	if again := decode(f, narrow); again != v || f.Reused() != 1 {
 		t.Fatalf("the next block of the class is a new one (reused %d)", f.Reused())
 	}
-	v.Lend()
-	if f.Recycle(v) {
-		t.Error("the list took a lent view's block")
-	}
 	if f.Recycle(wide) {
 		t.Error("the list took a materialised node")
 	}
@@ -829,5 +841,90 @@ func TestBlocksRecycle(t *testing.T) {
 		if got := f.Recycle(v); got != (i < 2) {
 			t.Errorf("recycling block %d of a class with room for two: %v", i+1, got)
 		}
+	}
+}
+
+// TestMaterializeIntoRebuildsInPlace: a copy New made is emptied by Reset —
+// its slices cut to nothing and the arrays they were cut from cleared, so it
+// keeps no key or value alive — and MaterializeInto rebuilds it in place as
+// the copy of another node: a leaf in either room, an index node only in an
+// index node's. Anything else gets a new copy and leaves the spare as it
+// was; Reset refuses a view and a node whose arrays are separate. Editing the
+// rebuilt copy leaves its source alone, and the rebuilt copy holds nothing of
+// the node it was before.
+func TestMaterializeIntoRebuildsInPlace(t *testing.T) {
+	leaf := New(true, 3)
+	for _, k := range []string{"a", "b", "c"} {
+		leaf.Keys, leaf.Values = append(leaf.Keys, []byte(k)), append(leaf.Values, []byte("v"+k))
+	}
+	index := New(false, 2)
+	index.Keys, index.Values = append(index.Keys, []byte("m"), []byte("t")), append(index.Values, nil, nil)
+	index.Children = append(index.Children, 1, 2, 3)
+	viewOf := func(n *Node) *Node {
+		page, err := n.EncodeFormat(FormatPrefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := DecodeInPlace(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	emptied := func(c *Node) bool {
+		for _, h := range (*leafRoom)(unsafe.Pointer(c)).hdrs {
+			if h != nil {
+				return false
+			}
+		}
+		return len(c.Keys) == 0 && len(c.Values) == 0 && len(c.Children) == 0
+	}
+	for _, tt := range []struct {
+		name      string
+		spareLeaf bool
+		from      *Node
+		inPlace   bool
+	}{
+		{"leaf into a leaf's room", true, leaf, true},
+		{"leaf into an index node's room", false, leaf, true},
+		{"index node into an index node's room", false, index, true},
+		{"index node into a leaf's room", true, index, false},
+	} {
+		for _, from := range []*Node{tt.from, viewOf(tt.from)} {
+			// The spare was a full copy of the other form before its Reset.
+			spare := New(tt.spareLeaf, 1)
+			if tt.spareLeaf {
+				spare.Keys, spare.Values = append(spare.Keys, []byte("old")), append(spare.Values, []byte("old"))
+			} else {
+				spare.Keys, spare.Values = append(spare.Keys, []byte("old")), append(spare.Values, nil)
+				spare.Children = append(spare.Children, 8, 9)
+			}
+			if !spare.Reset() || !emptied(spare) {
+				t.Fatalf("%s: Reset left %+v", tt.name, spare)
+			}
+			c := from.MaterializeInto(spare)
+			if (c == spare) != tt.inPlace {
+				t.Fatalf("%s: rebuilt in place: %v, want %v", tt.name, c == spare, tt.inPlace)
+			}
+			if !tt.inPlace && !emptied(spare) {
+				t.Errorf("%s: a spare that did not fit was changed", tt.name)
+			}
+			if !nodesEqual(c, tt.from) || len(c.Keys) != tt.from.Len() || len(c.Values) != tt.from.Len() {
+				t.Fatalf("%s: MaterializeInto = %+v, want %+v", tt.name, c, tt.from)
+			}
+			c.Keys[0], c.Values[0] = []byte("edited"), nil
+			if !c.Leaf {
+				c.Children[0] = 77
+			}
+			if nodesEqual(from, c) || !nodesEqual(from, tt.from) {
+				t.Errorf("%s: editing the copy changed its source", tt.name)
+			}
+		}
+	}
+	if viewOf(leaf).Reset() {
+		t.Error("Reset took a view")
+	}
+	if New(true, viewRoom+1).Reset() {
+		t.Error("Reset took a node whose arrays are separate")
 	}
 }

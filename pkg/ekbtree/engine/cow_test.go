@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -299,34 +302,50 @@ func viewSum(n *node.Node) (uint32, bool) {
 	return crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side), ok
 }
 
-// isLent reports whether a writer has received view n (node.Node.Lend), read
-// like viewBytes.
-func isLent(n *node.Node) bool { return reflect.ValueOf(n).Elem().FieldByName("lent").Bool() }
+// viewRecorder is a transaction as the btree layer sees it, recording every
+// view Read hands the layer, with its checksum, in seen.
+type viewRecorder struct {
+	*writeTxn
+	seen map[*node.Node]uint32
+}
+
+func (r viewRecorder) Read(id uint64) (*node.Node, error) {
+	n, err := r.writeTxn.Read(id)
+	if err == nil {
+		if sum, ok := viewSum(n); ok {
+			r.seen[n] = sum
+		}
+	}
+	return n, err
+}
 
 // TestCachedViewsAreNeverWritten is the copy-on-write guard for views. A view
-// is the page a read miss deciphered, and every reader, every transaction's
-// pre-image and every snapshot's undo overlay shares it, so nothing may write
-// into its page or side buffer: not Edit, which materialises a copy over the
-// same key and value bytes, not Write or promotion, which take that copy, and
-// not eviction. Over randomized Put, Delete, batch and re-seal transactions
-// on a cache far smaller than the tree, with Gets in between, after every
-// transaction:
-//   - each cached view must equal a fresh decode of its page from the store;
-//   - every view a writer has seen (lent) must still checksum as it did when
-//     first seen, for good: the writer's copies slice into it;
+// is the page a read miss deciphered, or the page a commit sealed, and every
+// reader, every transaction's pre-image and every snapshot's undo overlay
+// shares it, so nothing may write into its page or side buffer: not Edit,
+// which materialises a copy over the same key and value bytes (rebuilding a
+// copy the last commit made), not Write or promotion, and not eviction. Over
+// randomized Put, Delete, batch and re-seal transactions on a cache far
+// smaller than the tree, with Gets in between:
+//   - every view a writer read must checksum as it did when read, at the end
+//     of its mutation and for as long as the cache holds it;
+//   - every view a commit installed must checksum as it did when installed,
+//     for as long as the cache holds it;
+//   - after every transaction, each cached view must equal a fresh decode of
+//     its page from the store;
 //   - every view an open Snapshot has read must still checksum as it did
 //     then, until the Snapshot closes.
 //
-// The Gets' views are ones no writer has seen, whose blocks are recycled
-// once they leave the cache and the shard has no pins; the test requires that
-// this happened. Order 64 takes the view's second allocation, an offset table
-// too big for the node's own.
+// The test requires at least ten times the cache's size of distinct views of
+// each kind, and that read misses took recycled blocks. Order 64 takes the
+// view's second allocation, an offset table too big for the node's own.
 func TestCachedViewsAreNeverWritten(t *testing.T) {
 	for _, order := range []int{4, 8, 32, 64} {
 		t.Run(fmt.Sprintf("order=%d", order), func(t *testing.T) {
 			const txns, cachePages = 300, 24
 			keys := max(3000, 200*order) // a tree of hundreds of pages at every order
-			g, err := New(Config{Store: file.NewMem(), Cipher: cipher.Plaintext{}, Order: order, CachePages: cachePages})
+			st := &recordingStore{PageStore: file.NewMem()}
+			g, err := New(Config{Store: st, Cipher: cipher.Plaintext{}, Order: order, CachePages: cachePages})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,6 +353,14 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(order)))
 			key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i*7919%keys)) }
 			model := make(map[string]string)
+			// The views a writer read and a commit installed, with their
+			// checksums and counts. A view's block is recycled only when the
+			// shard has no pins, and the test holds a snapshot open except
+			// while reopen swaps it, which forgets every view the cache no
+			// longer holds: a later view in the same block is another view.
+			read := make(map[*node.Node]uint32)
+			installed := make(map[*node.Node]uint32)
+			reads, installs, counting := 0, 0, false
 			apply := func(ops int) {
 				t.Helper()
 				type op struct{ k, v string } // v == "": delete
@@ -344,7 +371,12 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 						batch[i].v = fmt.Sprintf("v%d-%s", rng.Intn(1000), strings.Repeat("x", rng.Intn(40)))
 					}
 				}
-				err := g.Apply(func(bt *btree.Tree) error {
+				err := g.applyTxn(func(tx *writeTxn) error {
+					seen := make(map[*node.Node]uint32)
+					bt, err := btree.New(viewRecorder{tx, seen}, g.deg)
+					if err != nil {
+						return err
+					}
 					for _, o := range batch {
 						var err error
 						if o.v == "" {
@@ -354,6 +386,19 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 						}
 						if err != nil {
 							return err
+						}
+					}
+					for n, sum := range seen {
+						if got, _ := viewSum(n); got != sum {
+							return errors.New("a view the writer read was written during its mutation")
+						}
+						if old, ok := read[n]; !counting {
+							continue
+						} else if !ok {
+							read[n] = sum
+							reads++
+						} else if old != sum {
+							return errors.New("a view a writer read before was written")
 						}
 					}
 					return nil
@@ -370,22 +415,29 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 				}
 			}
 			for i := 0; i < keys; i += 500 {
-				apply(500)
+				apply(500) // no pin spans the load, so no view is counted
 			}
 
-			lent := make(map[*node.Node]uint32)
 			var snap Snapshot
 			snapSums := make(map[*node.Node]uint32)
-			views, unlent := 0, 0
-			check := func(when string) {
+			// check holds the cache to the store and every counted view to its
+			// checksum; right after a commit it counts the views it installed,
+			// which are all the cache holds of the pages it wrote.
+			check := func(when string, committed bool) {
 				t.Helper()
 				g.io.mu.Lock()
 				slots := append([]cacheSlot(nil), g.io.slots...)
 				g.io.mu.Unlock()
+				wrote := make(map[uint64]bool)
+				if committed {
+					for _, id := range st.writes {
+						wrote[id] = true
+					}
+				}
 				for _, s := range slots {
 					page, side, ok := viewBytes(s.n)
 					if !ok {
-						continue
+						t.Fatalf("%s: the cache holds page %d materialised", when, s.id)
 					}
 					stored, err := g.st.ReadPage(s.id)
 					if err != nil {
@@ -403,16 +455,15 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 					if !bytes.Equal(page, wantPage) || !bytes.Equal(side, wantSide) {
 						t.Fatalf("%s: the cached view of page %d differs from a fresh decode of the store's page", when, s.id)
 					}
-					if !isLent(s.n) {
-						unlent++
-					} else if _, ok := lent[s.n]; !ok {
-						lent[s.n], _ = viewSum(s.n)
-						views++
+					sum, _ := viewSum(s.n)
+					if was, ok := read[s.n]; ok && was != sum {
+						t.Fatalf("%s: a cached view a writer read was written", when)
 					}
-				}
-				for n, sum := range lent {
-					if got, _ := viewSum(n); got != sum {
-						t.Fatalf("%s: a view a writer had seen was written after it was first cached", when)
+					if was, ok := installed[s.n]; ok && was != sum {
+						t.Fatalf("%s: a cached view a commit installed was written", when)
+					} else if !ok && wrote[s.id] {
+						installed[s.n] = sum
+						installs++
 					}
 				}
 				for n, sum := range snapSums {
@@ -421,12 +472,22 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 					}
 				}
 			}
-			// reopen closes the open snapshot, if any, opens a new one, and
-			// records every view in it by walking the whole tree.
+			// reopen closes the open snapshot, if any, forgets the counted
+			// views its close may have recycled, opens a new one, and records
+			// every view in it by walking the whole tree.
 			reopen := func() {
 				t.Helper()
 				if snap.e != nil {
 					snap.Close()
+				}
+				cached := make(map[*node.Node]bool)
+				g.io.mu.Lock()
+				for _, s := range g.io.slots {
+					cached[s.n] = true
+				}
+				g.io.mu.Unlock()
+				for _, sums := range []map[*node.Node]uint32{read, installed} {
+					maps.DeleteFunc(sums, func(n *node.Node, _ uint32) bool { return !cached[n] })
 				}
 				clear(snapSums)
 				if snap, err = g.Snapshot(); err != nil {
@@ -450,6 +511,8 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 			}
 
 			g.io.invalidate()
+			reopen()
+			counting = true
 			for txn := 0; txn < txns; txn++ {
 				switch r := rng.Intn(10); {
 				case r < 4:
@@ -468,27 +531,25 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				check(fmt.Sprintf("after transaction %d", txn))
+				check(fmt.Sprintf("after transaction %d", txn), true)
 				for range 8 {
 					k := string(key(rng.Intn(keys)))
 					if v, ok, err := g.Get([]byte(k)); err != nil || ok != (model[k] != "") || string(v) != model[k] {
 						t.Fatalf("Get(%s) = (%q, %v, %v), want %q", k, v, ok, err, model[k])
 					}
 				}
-				check(fmt.Sprintf("after the Gets behind transaction %d", txn))
+				check(fmt.Sprintf("after the Gets behind transaction %d", txn), false)
 				if txn%50 == 49 {
-					g.io.invalidate() // the promoted copies leave; the next reads make views
+					g.io.invalidate() // the next reads make views of the store's pages
 				}
-				if txn%25 == 0 {
+				if txn%25 == 24 {
 					reopen()
 				}
 			}
 			snap.Close()
-			if views < 10*cachePages {
-				t.Fatalf("the %d-page cache held only %d distinct lent views over %d transactions", cachePages, views, txns)
-			}
-			if reused := g.io.blocks.Reused(); unlent < 10*cachePages || reused == 0 {
-				t.Fatalf("the %d-page cache held views no writer had seen %d times, and read misses took %d recycled blocks", cachePages, unlent, reused)
+			reused := g.io.blocks.Reused()
+			if reads < 10*cachePages || installs < 10*cachePages || reused == 0 {
+				t.Fatalf("the %d-page cache met %d distinct views a writer read and %d a commit installed over %d transactions, and read misses took %d recycled blocks", cachePages, reads, installs, txns, reused)
 			}
 			for k, v := range model {
 				if got, ok, err := g.Get([]byte(k)); err != nil || !ok || string(got) != v {
@@ -498,7 +559,152 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 			if st, err := g.Stats(); err != nil || st.Keys != len(model) {
 				t.Fatalf("Stats = (%d keys, %v), want %d", st.Keys, err, len(model))
 			}
-			t.Logf("%d lent views checked, %d recycled blocks read into", views, g.io.blocks.Reused())
+			t.Logf("%d views a writer read and %d a commit installed checked, %d recycled blocks read into", reads, installs, reused)
 		})
 	}
+}
+
+// TestCommitCachesViews holds a commit to the cache's contract: the cache
+// keeps views of pages, never a writer's copy. A 64-mutation commit (24
+// inserts, 24 deletes, 16 overwrites) runs against a tree the cache holds
+// whole, and drops every other cached page just before sealing begins, as a
+// small cache would have evicted it. Afterwards no slot may hold a
+// materialised node; every page the commit wrote that the cache held when
+// sealing began must be cached as a view whose page and side bytes equal a
+// fresh decode of the store's page; and no page it wrote that the cache did
+// not hold may be cached, a new page included.
+func TestCommitCachesViews(t *testing.T) {
+	const keys = 4000
+	st := &recordingStore{PageStore: file.NewMem()}
+	g, err := New(Config{Store: st, Cipher: cipher.Plaintext{}, Order: 8, CachePages: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	key := func(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i)*2654435761) }
+	value := func(i, gen int) []byte { return fmt.Appendf(nil, "value %d of generation %d", i, gen) }
+	// onlyViews fails the test if a slot holds a materialised node, and
+	// returns the slots and the index.
+	onlyViews := func(when string) ([]cacheSlot, map[uint64]int) {
+		t.Helper()
+		g.io.mu.Lock()
+		slots := append([]cacheSlot(nil), g.io.slots...)
+		cached := maps.Clone(g.io.cacheIdx)
+		g.io.mu.Unlock()
+		for _, s := range slots {
+			if _, _, ok := viewBytes(s.n); !ok {
+				t.Fatalf("%s: the cache holds page %d as a materialised node", when, s.id)
+			}
+		}
+		return slots, cached
+	}
+	for lo := 0; lo < keys; lo += 500 {
+		err := g.Apply(func(bt *btree.Tree) error {
+			for i := lo; i < lo+500; i++ {
+				if err := bt.Put(key(i), value(i, 0)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		onlyViews(fmt.Sprintf("after loading %d keys", lo+500))
+	}
+	g.io.invalidate()
+	for i := range keys {
+		if _, ok, err := g.Get(key(i)); err != nil || !ok {
+			t.Fatalf("Get(%d) = (%v, %v)", i, ok, err)
+		}
+	}
+
+	held := make(map[uint64]bool)
+	err = g.applyTxn(func(tx *writeTxn) error {
+		bt, err := btree.New(tx, g.deg)
+		if err != nil {
+			return err
+		}
+		for i := range 24 {
+			if err := bt.Put(key(keys+i), value(keys+i, 1)); err != nil {
+				return err
+			}
+			if _, err := bt.Delete(key(i)); err != nil {
+				return err
+			}
+		}
+		for i := 24; i < 40; i++ {
+			if err := bt.Put(key(i), value(i, 1)); err != nil {
+				return err
+			}
+		}
+		g.io.mu.Lock()
+		defer g.io.mu.Unlock()
+		var ids []uint64
+		for _, s := range g.io.slots {
+			ids = append(ids, s.id)
+		}
+		slices.Sort(ids)
+		for i, id := range ids {
+			if i%2 == 0 {
+				g.io.cacheDelete(id)
+			} else {
+				held[id] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	slots, cached := onlyViews("after the commit")
+	viewed, dropped := 0, 0
+	for _, id := range st.writes {
+		idx, ok := cached[id]
+		if !held[id] {
+			if ok {
+				t.Fatalf("page %d, written but not cached when sealing began, is cached", id)
+			}
+			dropped++
+			continue
+		}
+		if !ok {
+			t.Fatalf("page %d, written and cached when sealing began, is not cached", id)
+		}
+		stored, err := g.st.ReadPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := g.io.nc.Open(id, stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := node.DecodeInPlace(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, side, _ := viewBytes(slots[idx].n)
+		wantPage, wantSide, _ := viewBytes(fresh)
+		if !bytes.Equal(page, wantPage) || !bytes.Equal(side, wantSide) {
+			t.Fatalf("the cached view of page %d differs from a fresh decode of the store's page", id)
+		}
+		viewed++
+	}
+	if viewed < 10 || dropped < 10 {
+		t.Fatalf("the commit wrote %d pages the cache held and %d it did not; the test needs ten of each", viewed, dropped)
+	}
+	for i := range keys + 24 {
+		want := value(i, 0)
+		switch {
+		case i < 24:
+			want = nil
+		case i < 40 || i >= keys:
+			want = value(i, 1)
+		}
+		if v, ok, err := g.Get(key(i)); err != nil || ok != (want != nil) || !bytes.Equal(v, want) {
+			t.Fatalf("Get(%d) = (%q, %v, %v), want %q", i, v, ok, err, want)
+		}
+	}
+	t.Logf("the commit wrote %d pages: %d cached as views of their seals, %d left out", len(st.writes), viewed, dropped)
 }

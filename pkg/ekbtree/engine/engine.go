@@ -214,7 +214,8 @@ func (g *Engine) hold(own func(tx *writeTxn) error) error {
 //     older epochs keep resolving superseded pages from memory;
 //  5. the store applies the whole set atomically (CommitPages) with no epoch
 //     lock held, so Gets and cursors proceed;
-//  6. the table's nodes are promoted into the cache and the epoch published.
+//  6. the views of the sealed pages the cache held, and the shared nodes the
+//     transaction read, are promoted into the cache and the epoch published.
 //
 // It returns the queued writers it took, and whether err is the shard's —
 // from link or the store — rather than a mutation's. On a store error

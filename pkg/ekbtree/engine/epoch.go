@@ -90,7 +90,7 @@ type epochs struct {
 	// for good, as the file store stops itself: the store may have applied
 	// the failed commit, so its epoch is never published, and link refuses
 	// every later commit with err. Readers go on at current until the store
-	// is reopened.
+	// is reopened, and the cache recycles no block (see release).
 	err     error
 	current *epoch // newest PUBLISHED epoch; what new readers pin
 	head    *epoch // oldest epoch that may still have pinned readers
@@ -125,14 +125,17 @@ func (es *epochs) pin() (*epoch, error) {
 
 // release drops a pin and reclaims any epochs no reader can need anymore. The
 // release that leaves the shard with no pins also recycles the views the
-// cache retired, under es.mu, so that no pin can start while it does.
+// cache retired, under es.mu, so that no pin can start while it does — unless
+// a store commit has failed: the failed epoch stays linked after current, so
+// its undo overlay, which holds views the cache held, is never dropped, and
+// none of those views may ever be read over.
 func (es *epochs) release(e *epoch) {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	e.refs--
 	es.pins--
 	es.reclaimLocked()
-	if es.pins == 0 {
+	if es.pins == 0 && es.err == nil {
 		e.io.recycle()
 	}
 }
@@ -171,7 +174,7 @@ func (es *epochs) finalize(e *epoch, tx *writeTxn, err error) error {
 		es.err = err
 		return err
 	}
-	e.io.promoteTxn(tx.pages)
+	e.io.promoteTxn(tx)
 	es.published.Store(e.seq)
 	es.current = e
 	es.reclaimLocked()

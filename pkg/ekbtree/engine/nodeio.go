@@ -44,28 +44,34 @@ type CacheStats struct {
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // eviction over small reference counts (see cacheSlot), shared by every
 // concurrent writer transaction and every lock-free epoch reader. Cached
-// nodes are IMMUTABLE: the transactional write path (writeTxn) hands the btree
-// layer the cached node itself to read, and a materialised copy — made in
-// Edit, with the pristine original recorded as the page's pre-image — to
-// mutate, so readers may share cached nodes without copying or locking beyond
-// the cache's own short mutex sections. A committed transaction's copies enter
-// the cache through promoteTxn, before the commit's epoch is published, and
-// stay materialised there; a page read from the store is cached as its view.
+// nodes are IMMUTABLE views: the transactional write path (writeTxn) hands
+// the btree layer the cached node itself to read, and a materialised copy —
+// made in Edit, with the pristine original recorded as the page's pre-image —
+// to mutate, so readers may share cached nodes without copying or locking
+// beyond the cache's own short mutex sections. A page read from the store is
+// cached as its view; a page a commit sealed, if the cache held it when
+// sealing began, as a view of what the seal encoded (seal), installed by
+// promoteTxn before the commit's epoch is published. A writer's copies never
+// leave its transaction: the workspace rebuilds them in place for the next
+// one (writeTxn.Edit).
 //
 // Who may hold a view's bytes, and so when its block may be read over again:
 //   - the cache, until the view leaves it (evicted, replaced or dropped);
 //   - a reader, only while it holds a pin: a Get until it has copied its
 //     value, a Snapshot (and every key and value its iterator returned) until
 //     Close;
-//   - a writer: its transaction's records, its materialised copies, which keep
-//     slices into the view and are cached past any pin, and the undo overlays
-//     of its epochs. So every view a writer receives is lent (lend), and its
-//     block is never recycled.
+//   - a writer, only while it holds its base pin: its transaction's records
+//     and its materialised copies, which keep slices into the views it read
+//     and are emptied when the transaction ends (endTxn), before the pin is
+//     released;
+//   - the undo overlay of an epoch, until no pin older than it remains, and
+//     for good if the store failed the epoch's commit.
 //
 // A view that leaves the cache goes to the limbo (retire), and from there to
 // the free list only at a release that leaves the shard with no pins
-// (recycle): by then every reader that could have found it in the cache is
-// gone, and it is lent if a writer ever saw it.
+// (recycle): by then every reader and writer that could have found it in the
+// cache is gone, and every undo overlay is dropped. After a failed commit
+// nothing is recycled: that epoch's overlay is never dropped.
 //
 // Locking: the ring, gen and the limbo are guarded by mu and touched only in
 // short critical sections — never across store I/O or cipher work. The
@@ -104,9 +110,9 @@ type nodeIO struct {
 	evictions atomic.Uint64
 }
 
-// cacheSlot is one clock-ring entry: an immutable decoded page, a view of the
-// page read from the store or the materialised node a commit promoted, plus
-// its reference count, which is what the page is worth to the hand. The hand takes
+// cacheSlot is one clock-ring entry: an immutable view of a page, read from
+// the store or sealed by a commit, plus its reference count, which is what
+// the page is worth to the hand. The hand takes
 // one from every slot it passes and evicts the first it finds at zero. A leaf
 // starts at zero and earns one per reference, up to maxRef, so a leaf read
 // once is the first to go and a hot one outlives several sweeps; an index
@@ -220,18 +226,9 @@ func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 // countHit records a node read served from a transaction's page table.
 func (io *nodeIO) countHit() { io.hits.Add(1) }
 
-// lend marks a view a writer received as lent (node.Node.Lend): its
-// materialised copies keep slices into it and may be cached past any pin, and
-// its epoch's undo overlay may hold it, so its block is never recycled.
-func (io *nodeIO) lend(n *node.Node) {
-	io.mu.Lock()
-	n.Lend()
-	io.mu.Unlock()
-}
-
 // retire puts page id's view n, which has just left the cache, in the limbo,
-// unless n is no recyclable view (a materialised node, a view in a buffer of
-// its own, a lent view) or the limbo is full. Callers hold io.mu.
+// unless n is no recyclable view (a view in a buffer of its own) or the limbo
+// is full. Callers hold io.mu.
 func (io *nodeIO) retire(id uint64, n *node.Node) {
 	if !n.Recyclable() || len(io.limbo) == cap(io.limbo) {
 		return
@@ -241,11 +238,13 @@ func (io *nodeIO) retire(id uint64, n *node.Node) {
 }
 
 // recycle gives every view in the limbo back to the free list, except one the
-// cache holds again and one lent since it was retired. Its one caller is the
-// release that leaves the shard with no pins, which holds es.mu so that no
+// cache holds again. Its one caller is the release that leaves the shard with
+// no pins on a shard no store commit has failed, which holds es.mu so that no
 // pin can start: every reader that found one of these views in the cache has
-// released its pin, reclaimLocked has dropped every undo overlay, and a view
-// a writer saw is lent, so nothing else can hold one.
+// released its pin, every writer has emptied its transaction before releasing
+// its base, and reclaimLocked has dropped every undo overlay, so nothing else
+// can hold one. (A failed commit's epoch stays linked after current, and its
+// overlay is never dropped; see epochs.release.)
 func (io *nodeIO) recycle() {
 	if !io.retiring.Load() {
 		return
@@ -271,19 +270,38 @@ var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 // engine-allocated (epoch, counter) nonce; callers guarantee the pair is never
 // reused. A page that would seal to more than 4 GiB — a leaf holding a value
 // near node.MaxValueLen — is refused with ErrTooLarge before the cipher sees
-// it: no page store extent can hold it, nor the decoder read it back.
-func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64) ([]byte, error) {
+// it: no page store extent can hold it, nor the decoder read it back. With
+// view set, seal also returns the page as the cache keeps it: the encoding,
+// copied into a block from the free list and decoded there, as a read miss
+// of the page would decode it.
+func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64, view bool) ([]byte, *node.Node, error) {
 	scratch := encodeScratch.Get().(*[]byte)
 	defer encodeScratch.Put(scratch)
 	pt, err := n.AppendEncodeFormat((*scratch)[:0], io.fmt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	*scratch = pt
 	if size := uint64(len(pt)) + uint64(io.nc.Overhead()); size > math.MaxUint32 {
-		return nil, fmt.Errorf("%w: page %d would seal to %d bytes, limit %d", ErrTooLarge, id, size, uint64(math.MaxUint32))
+		return nil, nil, fmt.Errorf("%w: page %d would seal to %d bytes, limit %d", ErrTooLarge, id, size, uint64(math.MaxUint32))
 	}
-	return io.nc.SealEpoch(id, epoch, counter, pt)
+	page, err := io.nc.SealEpoch(id, epoch, counter, pt)
+	if err != nil || !view {
+		return page, nil, err
+	}
+	b := io.blocks.Block(len(pt))
+	v, err := b.Decode(b.Page()[:copy(b.Page(), pt)])
+	return page, v, err
+}
+
+// cached reports, for each page in ids, whether the cache holds it, in held,
+// under one io.mu section.
+func (io *nodeIO) cached(ids []uint64, held []bool) {
+	io.mu.Lock()
+	for i, id := range ids {
+		_, held[i] = io.cacheIdx[id]
+	}
+	io.mu.Unlock()
 }
 
 // cacheGet returns a cached decoded node and counts the reference, which is
@@ -384,27 +402,37 @@ func (io *nodeIO) cacheReset() {
 	io.hand = 0
 }
 
-// promoteTxn installs a committed transaction's page table as the cache's
-// current versions: freed pages (no node) leave the cache, every other node
-// goes in — the private copies of the pages the transaction changed AND the
-// shared nodes of the pages it only read (the turn guarantees no other commit
-// came between the transaction's base and its own, so those are still
-// current; for a page already cached this counts as one more reference) — and
-// the install-point generation advances so no in-flight reader can insert a
-// superseded version fetched before the commit. From here on the private
-// copies are shared and immutable like every cached node. The caller
-// publishes the epoch AFTER this returns (both under the epoch mutex), so a
-// reader can never pin the new epoch and still find pre-commit content in the
-// cache. A failed transaction simply drops its clones — the shared cache was
+// promoteTxn installs a committed transaction's pages as the cache's current
+// versions: freed pages (no node) leave the cache; a dirty page goes in as
+// the view its seal built, or leaves if the cache did not hold it when
+// sealing began (no view), which also drops an old version a reader inserted
+// since; the shared node of a page the transaction only read goes in (the
+// turn guarantees no other commit came between the transaction's base and its
+// own, so it is still current; for a page already cached this counts as one
+// more reference); and a private copy the transaction never wrote leaves the
+// cache as it is. The install-point generation advances so no in-flight
+// reader can insert a superseded version fetched before the commit. The
+// caller publishes the epoch AFTER this returns (both under the epoch mutex),
+// so a reader can never pin the new epoch and still find pre-commit content
+// in the cache. A failed transaction never gets here — the shared cache was
 // never touched, so nothing needs invalidating.
-func (io *nodeIO) promoteTxn(pages map[uint64]txPage) {
+func (io *nodeIO) promoteTxn(tx *writeTxn) {
 	io.mu.Lock()
 	io.gen++
-	for id, p := range pages {
-		if p.n == nil {
+	for id, p := range tx.pages {
+		switch {
+		case p.private: // a dirty page's view goes in below
+		case p.n == nil:
 			io.cacheDelete(id)
-		} else {
+		default:
 			io.cacheInsert(id, p.n)
+		}
+	}
+	for i, id := range tx.dirty {
+		if v := tx.views[i]; v != nil {
+			io.cacheInsert(id, v)
+		} else {
+			io.cacheDelete(id)
 		}
 	}
 	io.mu.Unlock()

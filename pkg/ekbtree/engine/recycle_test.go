@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
+	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
@@ -45,13 +47,14 @@ func checkValue(k, v []byte) string {
 // Gets, a writer rewriting values in batches, and cursors run at once, each
 // pausing between operations so that the shard is often left with no pins.
 // The writer rewrites a hot range of keys nearly always and the Gets read it
-// most of the time, so the cache keeps promoting the writer's copies, which
-// slice into the views it read, and serving them. Every value names its key
-// and carries a checksum, and a cursor keeps the key and value slices it
-// read, uncopied, and checks them all again just before Close.
+// most of the time, so the cache keeps installing views of the pages the
+// writer sealed, in blocks from the free list, and serving them, while the
+// writer's copies slice into the views it read. Every value names its key and
+// carries a checksum, and a cursor keeps the key and value slices it read,
+// uncopied, and checks them all again just before Close.
 //
-// A block recycled while a Get or a cursor still held its view, a lent view's
-// block (a writer's cached copies slice into it), or a recycled shell decoded
+// A block recycled while a Get, a cursor or a writer's transaction still held
+// its view, a writer's copy left in the cache, or a recycled shell decoded
 // without clearing its offset table, shows as a wrong byte here, and under
 // -race as a race with the free list's overwrite. Keys alternate runs that
 // share more than four bytes with their predecessor (rebuilt in a view's side
@@ -164,8 +167,9 @@ func TestRecycledBlocksAreUnreachable(t *testing.T) {
 		}()
 	}
 	// The writer reads back what it wrote once the limbo has drained (or a
-	// while has passed), when its copies are likely still cached and the views
-	// they slice into were retired as the commit promoted them.
+	// while has passed), when the views its commit installed are likely still
+	// cached and the views its copies sliced into were retired as the commit
+	// replaced them.
 	rng := rand.New(rand.NewSource(7))
 	var batch [][]byte
 	for gen := 1; gen <= commits && !done.Load(); gen++ {
@@ -210,5 +214,79 @@ func TestRecycledBlocksAreUnreachable(t *testing.T) {
 		if msg := checkValue(key(i), v); msg != "" {
 			t.Fatalf("readback: %s", msg)
 		}
+	}
+}
+
+// TestFailedCommitPreImagesAreNeverRecycled: a commit the store failed stays
+// linked after current for good, and its undo overlay keeps hiding what the
+// store applied of it, so every later read of a page it rewrote returns the
+// pre-image the writer read: the view the cache held. That view may leave the
+// cache like any other; its block must never go back to the free list, or the
+// next read miss reads another page over bytes every later Get still reads.
+// Gets over a tree far larger than the cache evict every pre-image, and each
+// leaves the shard with no pins. The pre-images are checked after every Get,
+// before the next one can descend through a page read over them.
+func TestFailedCommitPreImagesAreNeverRecycled(t *testing.T) {
+	const keys = 1500
+	fs := &failingStore{PageStore: file.NewMem(), apply: true}
+	g, err := New(Config{Store: fs, Cipher: cipher.Plaintext{}, Order: 8, CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	key := func(i int) []byte { return fmt.Appendf(nil, "%c%05d", 'a'+i%3, i) }
+	err = g.Apply(func(bt *btree.Tree) error {
+		for i := range keys {
+			if err := bt.Put(key(i), selfCheckingValue(key(i), 0)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.io.invalidate() // the next reads make views of the store's pages
+	target := key(700)
+	if _, ok, err := g.Get(target); err != nil || !ok {
+		t.Fatalf("Get(%q) = (%v, %v)", target, ok, err)
+	}
+
+	fs.armed.Store(true)
+	if err := enginePut(g, target, selfCheckingValue(target, 1)); !errors.Is(err, errCommitRefused) {
+		t.Fatalf("Put against failing store = %v, want the injected error", err)
+	}
+	g.es.mu.Lock()
+	failed := g.es.current.next.Load()
+	g.es.mu.Unlock()
+	sums := make(map[*node.Node]uint32)
+	for _, n := range failed.undo {
+		if sum, ok := viewSum(n); ok {
+			sums[n] = sum
+		}
+	}
+	if len(sums) == 0 {
+		t.Fatal("the failed commit's undo overlay holds no view; the test needs the cache's views as pre-images")
+	}
+
+	misses := g.io.misses.Load()
+	for round := range 3 {
+		for i := range keys {
+			k := key((i*7 + round) % keys)
+			if v, ok, err := g.Get(k); err != nil || !ok || !bytes.Equal(v, selfCheckingValue(k, 0)) {
+				t.Fatalf("Get(%q) after the failed commit = (%x, %v, %v), want generation 0", k, v, ok, err)
+			}
+			for n, sum := range sums {
+				if got, _ := viewSum(n); got != sum {
+					t.Fatalf("after Get(%q), a pre-image of the failed commit changed: its block was recycled", k)
+				}
+			}
+		}
+	}
+	if got := g.io.misses.Load() - misses; got < 2*keys {
+		t.Fatalf("the Gets missed %d times; the test needs the cache turned over", got)
+	}
+	if v, ok, err := g.Get(target); err != nil || !ok || !bytes.Equal(v, selfCheckingValue(target, 0)) {
+		t.Fatalf("Get(%q) after the cache turned over = (%x, %v, %v), want generation 0", target, v, ok, err)
 	}
 }

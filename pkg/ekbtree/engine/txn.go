@@ -29,8 +29,8 @@ import (
 //
 // A writeTxn is used by one goroutine at a time: the holder's, or a queued
 // writer's while the holder waits for it (see turn.runOn). The engine recycles
-// it (beginTxn/endTxn), so nothing may keep a reference to its maps or slices
-// past the commit.
+// it (beginTxn/endTxn), so nothing may keep a reference to its maps, slices or
+// copies past the commit.
 type writeTxn struct {
 	io     *nodeIO
 	sa     *sealAlloc
@@ -41,11 +41,20 @@ type writeTxn struct {
 	// dirty and frees are seal's scratch: the IDs of the write-set (page
 	// dirty[i] seals under counter start+i) and of the free-set.
 	dirty, frees []uint64
+	// held and views are sealDirty's, by index into dirty: whether the cache
+	// held the page when sealing began, and if so the view of what its seal
+	// encoded, for promoteTxn to cache.
+	held  []bool
+	views []*node.Node
 	// sealed and sw are sealDirty's parallel path: the page each worker
 	// sealed, by index into dirty, and the state the workers share.
 	sealed [][]byte
 	sw     sealWork
-	peak   int // the most pages the maps have held
+	// spare holds the copies of the last commit, leaves then index nodes,
+	// emptied (node.Node.Reset) for Edit to rebuild in place: at most as many
+	// of each as that commit made.
+	spare [2][]*node.Node
+	peak  int // the most pages the maps have held
 }
 
 // sealWork is what sealDirty's workers share: the nonce block, the next index
@@ -102,17 +111,55 @@ func (g *Engine) beginTxn(base *epoch) *writeTxn {
 }
 
 // endTxn empties a finished (committed or failed) transaction's workspace and
-// keeps it for the next one.
+// keeps it for the next one, its private copies included (keepCopies). It
+// runs before the transaction's base pin is released: from then on no copy
+// holds a slice of any view, so the views the transaction read may be
+// recycled.
 func (g *Engine) endTxn(tx *writeTxn) {
 	n := len(tx.pages)
 	tx.peak = max(tx.peak, n)
 	if n > workspaceKeep || n*workspaceSlack < tx.peak {
 		return
 	}
+	tx.keepCopies()
 	clear(tx.pages)
 	clear(tx.writes)
+	clear(tx.views)
 	tx.base = nil
 	g.ws = tx
+}
+
+// keepCopies empties every private copy in the page table and adds the ones
+// Edit can rebuild to the spare lists, which it then cuts to the number of
+// leaves and index nodes the transaction made: a list never outgrows one
+// commit's copies, and so never workspaceKeep. A copy is private to its one
+// record, so none is kept twice.
+func (tx *writeTxn) keepCopies() {
+	var made [2]int
+	for _, p := range tx.pages {
+		if !p.private {
+			continue
+		}
+		k := kind(p.n)
+		made[k]++
+		if p.n.Reset() {
+			tx.spare[k] = append(tx.spare[k], p.n)
+		}
+	}
+	for k, l := range tx.spare {
+		if len(l) > made[k] {
+			clear(l[made[k]:])
+			tx.spare[k] = l[:made[k]]
+		}
+	}
+}
+
+// kind indexes spare: 0 for a leaf, 1 for an index node.
+func kind(n *node.Node) int {
+	if n.Leaf {
+		return 0
+	}
+	return 1
 }
 
 // errGone is what reading a page the transaction freed, or alloc'd and has not
@@ -131,23 +178,12 @@ func (tx *writeTxn) Read(id uint64) (*node.Node, error) {
 		tx.io.countHit()
 		return p.n, nil
 	}
-	n, err := tx.fetch(id)
+	n, err := tx.base.Read(id)
 	if err != nil {
 		return nil, err
 	}
 	tx.pages[id] = txPage{n: n}
 	return n, nil
-}
-
-// fetch reads page id as of the base epoch, on the transaction's first touch
-// of it, and lends the node it gets: whatever the transaction makes of it (a
-// record, a materialised copy, a pre-image) may outlive every pin.
-func (tx *writeTxn) fetch(id uint64) (*node.Node, error) {
-	n, err := tx.base.Read(id)
-	if n != nil {
-		tx.io.lend(n)
-	}
-	return n, err
 }
 
 // change returns id's record ready to be changed: fetched from the base epoch
@@ -157,7 +193,7 @@ func (tx *writeTxn) fetch(id uint64) (*node.Node, error) {
 func (tx *writeTxn) change(id uint64) (txPage, error) {
 	p, ok := tx.pages[id]
 	if !ok {
-		n, err := tx.fetch(id)
+		n, err := tx.base.Read(id)
 		if err != nil && !errors.Is(err, store.ErrNotFound) {
 			return p, err
 		}
@@ -171,7 +207,8 @@ func (tx *writeTxn) change(id uint64) (txPage, error) {
 
 // Edit returns the transaction's private copy of id: the first call
 // materialises the shared node, view or not, into Keys, Values and Children
-// the btree layer may change, and the shared node becomes the page's
+// the btree layer may change — rebuilding a spare copy of the last commit's
+// in place when there is one — and the shared node becomes the page's
 // pre-image; later Reads and Edits get the same copy.
 func (tx *writeTxn) Edit(id uint64) (*node.Node, error) {
 	p, err := tx.change(id)
@@ -182,7 +219,13 @@ func (tx *writeTxn) Edit(id uint64) (*node.Node, error) {
 		return nil, errGone(id)
 	}
 	if !p.private {
-		p.n, p.private = p.n.Materialize(), true
+		var c *node.Node
+		if k := kind(p.n); len(tx.spare[k]) > 0 {
+			l := tx.spare[k]
+			c, l[len(l)-1] = l[len(l)-1], nil
+			tx.spare[k] = l[:len(l)-1]
+		}
+		p.n, p.private = p.n.MaterializeInto(c), true
 		tx.pages[id] = p
 	}
 	return p.n, nil
@@ -283,10 +326,16 @@ const sealParallelMin = 8
 // are independent pure-CPU work over a stateless cipher, so large commits fan
 // out across up to GOMAXPROCS worker goroutines pulling page indices from a
 // shared counter; small commits (or single-proc runs) seal inline. Either way
-// the scratch lives in the recycled workspace.
+// the scratch lives in the recycled workspace. A page the cache holds when
+// sealing begins also gets a view of its encoding, into views, for the cache
+// to keep; one it does not hold gets none, so a commit that writes more pages
+// than the cache keeps decodes none of them.
 func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	sw := &tx.sw
 	sw.epoch, sw.start = epoch, start
+	tx.held = slices.Grow(tx.held[:0], len(tx.dirty))[:len(tx.dirty)]
+	tx.views = slices.Grow(tx.views[:0], len(tx.dirty))[:len(tx.dirty)]
+	tx.io.cached(tx.dirty, tx.held)
 	workers := min(runtime.GOMAXPROCS(0), len(tx.dirty))
 	if len(tx.dirty) < sealParallelMin || workers < 2 {
 		for i, id := range tx.dirty {
@@ -316,10 +365,12 @@ func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	return err
 }
 
-// sealOne seals page dirty[i] under its nonce.
+// sealOne seals page dirty[i] under its nonce, and sets views[i].
 func (tx *writeTxn) sealOne(i int) ([]byte, error) {
 	id := tx.dirty[i]
-	return tx.io.seal(id, tx.pages[id].n, tx.sw.epoch, tx.sw.start+uint64(i))
+	page, v, err := tx.io.seal(id, tx.pages[id].n, tx.sw.epoch, tx.sw.start+uint64(i), tx.held[i])
+	tx.views[i] = v
+	return page, err
 }
 
 // sealWorker seals pages for sealDirty until none is left or one fails.
