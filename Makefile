@@ -4,7 +4,7 @@ SHELL := /bin/bash
 
 BENCH_PKGS = ./internal/keysub/ ./internal/cipher/ ./internal/node/ ./internal/btree/ ./internal/store/file/ ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 
-.PHONY: all build binaries vet fmt-check lint test test-sharded race bench-raw bench-smoke benchmark benchmark-pairs soak-smoke fuzz-smoke clean
+.PHONY: all build binaries vet fmt-check lint test race bench-raw bench-smoke benchmark benchmark-pairs soak-smoke fuzz-smoke clean
 
 all: vet fmt-check lint build test
 
@@ -48,25 +48,29 @@ lint:
 # runs internal/store/file over a page file in memory. store.Mem is left only
 # for bench/'s replay engine.
 	@if git grep -nE 'store\.NewMem\(' -- '*.go' ':!bench' ':!internal/store'; then echo "use file.NewMem(), the file store over a page file in memory; store.Mem is kept only for bench/"; exit 1; fi
-# One commit path and one failure rule: a shard's writers take turns, so a
+# One commit path and one failure rule: the engine's writers take turns, so a
 # commit, root move or not, is never validated, conflicted or retried, and a
-# failed store commit stops its shard's writers with its epoch left linked.
-	@if git grep -nE 'commitNeedsExclusive|failedSince|unlinkLocked|errConflict|commitBackoff|maxOptimisticAttempts|validateAndPrepare' -- '*.go'; then echo "a shard's writers take turns and a store failure stops the shard; see Engine.commit and epochs.finalize"; exit 1; fi
+# failed store commit stops the writers with its epoch left linked.
+	@if git grep -nE 'commitNeedsExclusive|failedSince|unlinkLocked|errConflict|commitBackoff|maxOptimisticAttempts|validateAndPrepare' -- '*.go'; then echo "the engine's writers take turns and a store failure stops them; see Engine.commit and epochs.finalize"; exit 1; fi
 # The page format is the file's, not the caller's: the option that once chose
 # it is gone, and no test helper may bring its names back.
 	@if git grep -nwE 'NodeEncoding|EncodingAuto|EncodingPrefix|EncodingFull' -- '*.go'; then echo "the node-encoding option was removed; see README, Space management"; exit 1; fi
 # One flush rule: holdLocked decides when a group flushes from the durability
 # mode alone. The Grouped window is a constant, not a setting.
 	@if git grep -nE '\bGroupWindow\b|DefaultGroupWindow|group-window|pubCount' -- '*.go'; then echo "the Grouped window is file.groupWindow, a constant; see holdLocked in internal/store/file/commit.go"; exit 1; fi
-# One group commit per shard: CommitPages calls on one store never overlap and
+# One group commit per tree: CommitPages calls on one store never overlap and
 # every call names its root, so the store holds no group open for a wave of
 # committers and has no root to keep.
-	@if git grep -nwE 'fullHold|lastGroup|KeepRoot' -- '*.go'; then echo "a shard's one group commit is Engine.commit, under its write turn; the file store takes a Full group at once and every CommitPages names its root"; exit 1; fi
+	@if git grep -nwE 'fullHold|lastGroup|KeepRoot' -- '*.go'; then echo "the tree's one group commit is Engine.commit, under its write turn; the file store takes a Full group at once and every CommitPages names its root"; exit 1; fi
 # Only the surface a caller uses: Space and Vacuum are PageStore methods, not
 # side doors to assert for; a wire client's deadlines are set on its net.Conn.
 	@if git grep -nE '\.\(store\.(Spacer|Vacuumer)\)|DialConfig|DialWithConfig' -- '*.go' ':!bench'; then echo "call Space and Vacuum on the PageStore; set deadlines on the net.Conn handed to wire.NewClient"; exit 1; fi
-# One Stats type: the engine's, which the façade aliases and folds over shards.
-	@out="$$(git grep -nE '^type Stats struct \{' -- pkg)"; if [ "$$(wc -l <<< "$$out")" != 1 ] || [[ "$$out" != pkg/ekbtree/engine/* ]]; then echo "$$out"; echo "declare Stats once, in pkg/ekbtree/engine; fold shards with Stats.Add"; exit 1; fi
+# One Stats type: the engine's, which the façade aliases.
+	@out="$$(git grep -nE '^type Stats struct \{' -- pkg)"; if [ "$$(wc -l <<< "$$out")" != 1 ] || [[ "$$out" != pkg/ekbtree/engine/* ]]; then echo "$$out"; echo "declare Stats once, in pkg/ekbtree/engine; the façade aliases it"; exit 1; fi
+# One tree, one engine: range sharding, its router, its nonce partition and
+# the test seam that ran the suite sharded are gone. A layout a sharded tree
+# left behind is refused at Open (checkUnsharded, checkHeader).
+	@if git grep -nwE 'ShardRouter|MaxShards|CounterBase|testDefaultShards|EKBTREE_SHARDS' -- '*.go'; then echo "a Tree drives one engine over one store; range sharding was removed (README, Sharding)"; exit 1; fi
 # The page is the node: a read path may be handed a view, whose Keys, Values
 # and Children are empty, so it reads a node only through its accessors. The
 # tree's read paths live in iter.go and read.go; the engine caches, seals and
@@ -137,17 +141,6 @@ race:
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 
-# test-sharded repeats the façade suite with every test tree defaulting to
-# three range shards (EKBTREE_SHARDS repoints Options.Shards; see
-# pkg/ekbtree/main_test.go), then the model harness under -race at three
-# shards. At three shards a test with hundreds of keys fills every shard; the
-# last leg spreads the cursor, scan and model tests over sixteen so that a
-# cursor meets runs of empty shards.
-test-sharded:
-	EKBTREE_SHARDS=3 $(GO) test ./pkg/ekbtree/
-	EKBTREE_SHARDS=3 $(GO) test -race -run TestModel ./pkg/ekbtree/
-	EKBTREE_SHARDS=16 $(GO) test -run 'Cursor|Scan|Model' ./pkg/ekbtree/
-
 # bench-raw prints the unprocessed go test -bench output.
 bench-raw:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
@@ -171,16 +164,14 @@ benchmark-pairs:
 	$(GO) run ./bench/cmd/repeat -a $(A) -b $(B)
 
 # soak-smoke runs the build-tagged `large` ingest/soak tier (see
-# pkg/ekbtree/ekbtree_large_test.go): millions of keys through the sharded
-# file backend with vacuum and epoch rotation interleaved, full oracle
+# pkg/ekbtree/ekbtree_large_test.go): millions of keys through the file
+# backend, one tree, with vacuum and epoch rotation interleaved, full oracle
 # readback, and the vacuumed file held to 1.5x its live bytes — one leg.
 # SOAK_KEYS scales it (CI smoke 2M; the nightly tier runs 20M; the knob goes
 # to 100M); -v prints the measured bytes/key, throughput and reopen time.
 SOAK_KEYS ?= 2000000
-SOAK_SHARDS ?= 3
 soak-smoke:
-	EKBTREE_LARGE_KEYS=$(SOAK_KEYS) EKBTREE_LARGE_SHARDS=$(SOAK_SHARDS) \
-	$(GO) test -tags large -run '^TestLargeIngestSoak$$' -timeout 120m -v ./pkg/ekbtree/
+	EKBTREE_LARGE_KEYS=$(SOAK_KEYS) $(GO) test -tags large -run '^TestLargeIngestSoak$$' -timeout 120m -v ./pkg/ekbtree/
 
 # fuzz-smoke runs each fuzz target briefly (the f.Add seeds and the checked-in
 # corpora under */testdata/fuzz always run as plain tests; this actually

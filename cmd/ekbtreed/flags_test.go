@@ -18,7 +18,7 @@ import (
 func TestParseFlagsAccepted(t *testing.T) {
 	defaults := options{
 		addr: "127.0.0.1:4617", dataDir: "data", tenantsPath: filepath.Join("data", "tenants.json"),
-		tree: ekbtree.Options{Durability: ekbtree.DurabilityGrouped, Shards: 1},
+		tree: ekbtree.Options{Durability: ekbtree.DurabilityGrouped},
 		srv:  serverConfig{maxConns: 1024, drainTimeout: 10 * time.Second},
 	}
 	for _, tc := range []struct {
@@ -36,8 +36,8 @@ func TestParseFlagsAccepted(t *testing.T) {
 		{"listen address", []string{"-addr", "127.0.0.1:0", "-addr-file", "/tmp/a"}, func(o *options) {
 			o.addr, o.addrFile = "127.0.0.1:0", "/tmp/a"
 		}},
-		{"tree flags", []string{"-shards", "3", "-max-epoch-age", "7", "-seal-budget", "-1", "-durability", "full"}, func(o *options) {
-			o.tree = ekbtree.Options{Durability: ekbtree.DurabilityFull, Shards: 3, MaxEpochAge: 7, SealBudget: -1}
+		{"tree flags", []string{"-max-epoch-age", "7", "-seal-budget", "-1", "-durability", "full"}, func(o *options) {
+			o.tree = ekbtree.Options{Durability: ekbtree.DurabilityFull, MaxEpochAge: 7, SealBudget: -1}
 		}},
 		{"grouped", []string{"-durability", "grouped"}, func(o *options) {}},
 		{"async", []string{"-durability", "async"}, func(o *options) {
@@ -68,15 +68,16 @@ func TestParseFlagsAccepted(t *testing.T) {
 }
 
 // TestParseFlagsRejected: every validation main used to exit on is an error
-// naming the flag.
+// naming the flag. -shards went with range sharding; a command line that
+// still sets it is refused, whatever the count, never run as one tree.
 func TestParseFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-shards", "0"}, "-shards 0 must be >= 1"},
-		{[]string{"-shards", "-2"}, "-shards -2 must be >= 1"},
-		{[]string{"-shards", "300"}, "-shards 300 must be <= 256"},
+		{[]string{"-shards", "0"}, "flag provided but not defined: -shards"},
+		{[]string{"-shards", "-2"}, "flag provided but not defined: -shards"},
+		{[]string{"-shards", "300"}, "flag provided but not defined: -shards"},
 		{[]string{"-max-epoch-age", "-1"}, "-max-epoch-age -1 must be >= 0"},
 		{[]string{"-auto-vacuum", "1"}, "-auto-vacuum 1 must be in [0, 1)"},
 		{[]string{"-auto-vacuum", "-0.1"}, "-auto-vacuum -0.1 must be in [0, 1)"},

@@ -58,12 +58,11 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.dataDir, "data", "data", "directory holding per-tenant page files")
 	fs.StringVar(&o.tenantsPath, "tenants", "", "tenants config file (default <data>/tenants.json)")
 	durability := fs.String("durability", "grouped", "commit durability: full, grouped, or async")
-	fs.IntVar(&o.tree.Shards, "shards", 1, "range-shard every tenant tree across N engines (sealed into the tenant's files on first open)")
 	fs.IntVar(&o.tree.MaxEpochAge, "max-epoch-age", 0, "fail cursors whose snapshot fell more than N commits behind (0 = unbounded)")
-	fs.Int64Var(&o.tree.SealBudget, "seal-budget", 0, "per-epoch page-seal budget per shard before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
+	fs.Int64Var(&o.tree.SealBudget, "seal-budget", 0, "per-epoch page-seal budget before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
 	fs.IntVar(&o.srv.maxConns, "max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
 	fs.DurationVar(&o.srv.drainTimeout, "drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
-	fs.Float64Var(&o.tree.AutoVacuum, "auto-vacuum", 0, "compact a tenant's shard file online once the garbage made since its last compaction exceeds this fraction of its size, e.g. 0.5 (0 = disabled)")
+	fs.Float64Var(&o.tree.AutoVacuum, "auto-vacuum", 0, "compact a tenant's file online once the garbage made since its last compaction exceeds this fraction of its size, e.g. 0.5 (0 = disabled)")
 	fs.StringVar(&o.provision, "provision", "", "provision tenant NAME into -tenants and exit")
 	fs.StringVar(&o.masterHex, "master-hex", "", "tenant master key (hex) for -provision")
 	if err := fs.Parse(args); err != nil {
@@ -71,12 +70,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.tenantsPath == "" {
 		o.tenantsPath = filepath.Join(o.dataDir, "tenants.json")
-	}
-	if o.tree.Shards < 1 {
-		return options{}, fmt.Errorf("-shards %d must be >= 1", o.tree.Shards)
-	}
-	if o.tree.Shards > ekbtree.MaxShards {
-		return options{}, fmt.Errorf("-shards %d must be <= %d", o.tree.Shards, ekbtree.MaxShards)
 	}
 	if o.tree.MaxEpochAge < 0 {
 		return options{}, fmt.Errorf("-max-epoch-age %d must be >= 0", o.tree.MaxEpochAge)
@@ -138,7 +131,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("listening on %s (%d tenant(s), durability=%s, shards=%d)", ln.Addr(), len(reg.tenants), o.tree.Durability, o.tree.Shards)
+	log.Printf("listening on %s (%d tenant(s), durability=%s)", ln.Addr(), len(reg.tenants), o.tree.Durability)
 	if o.addrFile != "" {
 		if err := os.WriteFile(o.addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			log.Fatal(err)

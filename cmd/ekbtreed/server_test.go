@@ -31,7 +31,7 @@ func startTestServer(t *testing.T, masters map[string][]byte, mut ...func(*serve
 }
 
 // startTestServerTree is startTestServer with an explicit tree configuration
-// (shards, epoch-age bound, durability).
+// (epoch-age bound, durability, auto-vacuum).
 func startTestServerTree(t *testing.T, masters map[string][]byte, tcfg ekbtree.Options, mut ...func(*serverConfig)) *testServer {
 	t.Helper()
 	dataDir := t.TempDir()
@@ -433,5 +433,45 @@ func TestProvisionTenant(t *testing.T) {
 	// Bad names are rejected.
 	if err := provisionTenant(path, "../evil", fmt.Sprintf("%x", masterAlice)); err == nil {
 		t.Fatal("path-traversal tenant name accepted")
+	}
+}
+
+// TestSnapshotTooOldOverWire: with -max-epoch-age set, a wire cursor left
+// open across too many commits fails its next read with the typed
+// CodeSnapshotTooOld and is closed server-side.
+func TestSnapshotTooOldOverWire(t *testing.T) {
+	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, MaxEpochAge: 2})
+	writer := ts.dial(t, "alice")
+	for i := 0; i < 100; i++ {
+		if err := writer.Put(tkey("a", i), tval("a", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reader := ts.dial(t, "alice")
+	cur, err := reader.CursorOpen(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := reader.CursorNext(cur, 10); err != nil || done {
+		t.Fatalf("fresh cursor: done=%v err=%v", done, err)
+	}
+	// Age the snapshot past the bound with commits on another connection.
+	for i := 0; i < 5; i++ {
+		if err := writer.Put(tkey("b", i), tval("b", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := reader.CursorNext(cur, 10); !wire.IsCode(err, wire.CodeSnapshotTooOld) {
+		t.Fatalf("stale cursor read: %v, want CodeSnapshotTooOld", err)
+	}
+	// The server dropped the stale cursor.
+	if _, _, err := reader.CursorNext(cur, 1); !wire.IsCode(err, wire.CodeUnknownCursor) {
+		t.Fatalf("stale cursor still open: %v, want CodeUnknownCursor", err)
+	}
+	// The connection itself is fine: a fresh cursor streams everything.
+	if got := streamAll(t, reader, 50); len(got) != 105 {
+		t.Fatalf("fresh cursor after staleness streamed %d entries, want 105", len(got))
 	}
 }

@@ -59,11 +59,11 @@ func clientStats(t *testing.T, c *wire.Client) ekbtree.Stats {
 }
 
 // TestWireVacuum drives the Vacuum op end to end: churn leaves the tenant's
-// files oversized, the op compacts them online, the footprint drop is visible
+// file oversized, the op compacts it online, the footprint drop is visible
 // through the Stats op, and every surviving key still reads back.
 func TestWireVacuum(t *testing.T) {
 	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, Shards: 2})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped})
 	c := ts.dial(t, "alice")
 
 	const n, keep = 1500, 8

@@ -13,7 +13,7 @@ import (
 // two at once. Full is the serialized baseline, every commit paying its own
 // flush; grouped and async decouple acknowledgment from the fsync entirely
 // (the benchmark still Syncs once at the end, so all modes finish durable).
-// Concurrent writers share a flush above the store, where a shard's turn
+// Concurrent writers share a flush above the store, where the engine's turn
 // combines them; BenchmarkFilePutParallel in pkg/ekbtree measures that path.
 // ns/op is per commit.
 func BenchmarkFileCommitConcurrent(b *testing.B) {

@@ -343,7 +343,7 @@ func (s *Store) holdLocked(g *group) time.Duration {
 		// commits share one flush.
 		return max(0, time.Until(g.birth.Add(groupWindow)))
 	}
-	// Full: the commit waiting on the group is the shard's whole group
+	// Full: the commit waiting on the group is the tree's whole group
 	// commit already (its writers take turns, and the holder commits every
 	// writer queued behind it), so nothing is left to gather.
 	return 0

@@ -64,7 +64,7 @@
 // Grouped once the group is 2ms old; Async not until one of the above.
 //
 // CommitPages calls never overlap (store.PageStore.CommitPages): the engine's
-// write turn is a shard's one group commit, so a Full group holds one commit
+// write turn is the tree's one group commit, so a Full group holds one commit
 // plus whatever header changes and vacuum steps joined it, and there is no
 // wave of committers to wait for.
 //
@@ -134,7 +134,7 @@ const (
 	// Full makes every commit wait until the group containing it is durably
 	// flushed (data fsync, slot flip, slot fsync); the group is taken at
 	// once. Concurrent writers share those two fsyncs above the store, where
-	// a shard's write turn combines them into one commit. This is the
+	// the engine's write turn combines them into one commit. This is the
 	// default.
 	Full Durability = iota
 	// Grouped acknowledges commits as soon as they are applied in memory;

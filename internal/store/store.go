@@ -111,8 +111,8 @@ type PageStore interface {
 	// store's state as unknown until it is reopened.
 	//
 	// CommitPages calls on one store never overlap, and every call names its
-	// root: a shard's writers take turns, and the turn holder's one call
-	// carries every mutation queued behind it, so that call is the shard's
+	// root: the engine's writers take turns, and the turn holder's one call
+	// carries every mutation queued behind it, so that call is the tree's
 	// group commit.
 	CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error
 	// SealMark returns the cipher-lifecycle mark last recorded by SetSealMark,

@@ -1,27 +1,21 @@
 package ekbtree
 
-import (
-	"errors"
-	"slices"
-	"sync"
+import "github.com/paper-repro/ekbtree/internal/btree"
 
-	"github.com/paper-repro/ekbtree/internal/btree"
-)
-
-// Batch stages a sequence of writes and applies them in one atomic-looking
-// step per shard. During Commit the engine enters a staged write mode: every
-// mutated B-tree page is kept decoded in memory and encoded+sealed exactly
-// once when the batch flushes, instead of once per operation. For workloads
-// that touch the same pages repeatedly — bulk loads, sorted ingest, delete
-// sweeps — this removes the dominant per-operation cost (AES-GCM sealing and
-// page encoding; BenchmarkPutSeqUnbatched vs BenchmarkPutSeqBatched).
+// Batch stages a sequence of writes and applies them in one atomic step.
+// During Commit the engine enters a staged write mode: every mutated B-tree
+// page is kept decoded in memory and encoded+sealed exactly once when the
+// batch flushes, instead of once per operation. For workloads that touch the
+// same pages repeatedly — bulk loads, sorted ingest, delete sweeps — this
+// removes the dominant per-operation cost (AES-GCM sealing and page encoding;
+// BenchmarkPutSeqUnbatched vs BenchmarkPutSeqBatched).
 //
 // Operations are applied in the order they were staged, so a later Put or
-// Delete of the same key wins. Staging (Put/Delete) routes each operation to
-// its owning shard but does not touch the tree and never blocks; only Commit
-// takes each shard's write turn, where it may share one store commit with
-// other batches and single mutations queued alongside it. A Batch is not
-// safe for concurrent use by multiple goroutines.
+// Delete of the same key wins. Staging (Put/Delete) substitutes each key but
+// does not touch the tree and never blocks; only Commit takes the write turn,
+// where it may share one store commit with other batches and single
+// mutations queued alongside it. A Batch is not safe for concurrent use by
+// multiple goroutines.
 //
 // After Commit or Discard the batch is spent: further calls return ErrClosed.
 //
@@ -52,7 +46,6 @@ const opsRoom = 64
 type batchOp struct {
 	sk    []byte // substituted key, the batch's copy
 	value []byte // nil for deletes
-	shard int    // owning shard, routed at staging time
 	del   bool
 }
 
@@ -76,7 +69,7 @@ func (b *Batch) Put(key, value []byte) error {
 		return err
 	}
 	k, v := b.copyEntry(sk, value)
-	b.stage(batchOp{sk: k, value: v, shard: b.t.router.Route(k)})
+	b.stage(batchOp{sk: k, value: v})
 	return nil
 }
 
@@ -113,7 +106,7 @@ func (b *Batch) Delete(key []byte) error {
 		return err
 	}
 	k, _ := b.copyEntry(sk, nil)
-	b.stage(batchOp{sk: k, del: true, shard: b.t.router.Route(k)})
+	b.stage(batchOp{sk: k, del: true})
 	return nil
 }
 
@@ -122,44 +115,33 @@ func (b *Batch) Len() int {
 	return len(b.ops)
 }
 
-// Commit applies all staged operations, one transaction PER SHARD the batch
-// touches, sealing each touched page once and publishing each shard's slice
-// as part of ONE new epoch on that shard. Within a shard the batch keeps the
-// full single-tree guarantee: a concurrent reader or cursor either observes
-// that shard from before the batch or after all of its slice, never a
-// half-applied state. ACROSS shards the batch is NOT atomic — the per-shard
-// commits run in parallel (each down its own write turn, committer and fsync
-// stream), so a reader may observe one shard's slice before another's lands,
-// and an error on one shard does not roll back the slices that already
-// committed. Operations for the same shard preserve their staging order, so
-// a later Put or Delete of the same key still wins. On an unsharded tree
-// (Shards = 1) Commit is exactly the old single-epoch atomic batch.
+// Commit applies all staged operations as one transaction, sealing each
+// touched page once and publishing the whole batch as ONE new epoch: a
+// concurrent reader or cursor observes the tree either from before the batch
+// or after all of it, never a half-applied state.
 //
-// Readers are not blocked while Commit runs — they keep reading each shard's
-// previous epoch until that shard's flip. Writers take turns per shard: a
-// Commit that finds a shard's turn held queues, and the holder applies the
-// queued slice in its own transaction, after its own mutation and before the
-// store sees either, so the two publish as one epoch. If that shared
-// transaction fails before reaching the store, each mutation in it is applied
-// again alone, replaying the same staged operations on fresh state, so it is
-// exactly as atomic and ordered as a batch committed alone. The batch is
-// spent either way.
+// Readers are not blocked while Commit runs — they keep reading the previous
+// epoch until the flip. Writers take turns: a Commit that finds the write
+// turn held queues, and the holder applies the batch in its own transaction,
+// after its own mutation and before the store sees either, so the two
+// publish as one epoch. If that shared transaction fails before reaching the
+// store, each mutation in it is applied again alone, replaying the same
+// staged operations on fresh state, so it is exactly as atomic and ordered as
+// a batch committed alone. The batch is spent either way.
 //
-// Each per-shard flush hands every sealed page, the shard's new root, and
-// the freed page IDs to that store's CommitPages hook in one call: the
-// page store enqueues it on the group-commit pipeline — the slice lands in one
-// coalesced shadow-paged flush, so a crash or I/O error at any point leaves
-// each shard at exactly its pre- or post-commit state, never torn. What a
-// successful Commit means for durability follows the tree's
-// Options.Durability: under DurabilityFull every slice is on disk when
-// Commit returns; under DurabilityGrouped or DurabilityAsync the slices are
-// applied and queued, and Tree.Sync (or Close) is the durability barrier. A
-// shard whose store fails its slice stops taking writes: the slice stays
-// invisible, this and every later commit to that shard return the store's
-// error, and reopening the tree recovers the shard's last durable state —
-// with or without the failed slice, which the store may have made durable
-// before it failed. Retrying belongs after the reopen. Other shards' slices
-// are unaffected.
+// The flush hands every sealed page, the new root, and the freed page IDs to
+// the store's CommitPages hook in one call: the page store enqueues it on the
+// group-commit pipeline — the batch lands in one coalesced shadow-paged
+// flush, so a crash or I/O error at any point leaves the tree at exactly its
+// pre- or post-commit state, never torn. What a successful Commit means for
+// durability follows the tree's Options.Durability: under DurabilityFull the
+// batch is on disk when Commit returns; under DurabilityGrouped or
+// DurabilityAsync it is applied and queued, and Tree.Sync (or Close) is the
+// durability barrier. A store that fails the batch stops the tree's writes:
+// the batch stays invisible, this and every later commit return the store's
+// error, and reopening the tree recovers its last durable state — with or
+// without the failed batch, which the store may have made durable before it
+// failed. Retrying belongs after the reopen.
 func (b *Batch) Commit() error {
 	if b.done {
 		return ErrClosed
@@ -170,43 +152,11 @@ func (b *Batch) Commit() error {
 	if len(ops) == 0 {
 		return nil
 	}
-	// A batch whose every op routes to one shard — any batch on an unsharded
-	// tree — is one commit, made here on the caller's goroutine.
-	first := ops[0].shard
-	if !slices.ContainsFunc(ops, func(op batchOp) bool { return op.shard != first }) {
-		return b.commitShard(first, ops)
-	}
-	// Otherwise partition the staged sequence by owning shard, preserving
-	// order within each shard, and fan out: one commit per shard, in
-	// parallel. Shards are fully independent engines, so the commits share no
-	// locks and their store flushes overlap.
-	perShard := make([][]batchOp, len(b.t.shards))
-	for _, op := range ops {
-		perShard[op.shard] = append(perShard[op.shard], op)
-	}
-	errs := make([]error, len(b.t.shards))
-	var wg sync.WaitGroup
-	for shard, slice := range perShard {
-		if len(slice) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int, slice []batchOp) {
-			defer wg.Done()
-			errs[shard] = b.commitShard(shard, slice)
-		}(shard, slice)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// commitShard applies one shard's slice of the batch under that shard's write
-// turn. The closure may run twice (a shared transaction that fails before the
-// store re-runs each of its mutations alone); the slice is immutable from
-// here, so every execution replays the identical sequence.
-func (b *Batch) commitShard(shard int, slice []batchOp) error {
-	return b.t.shards[shard].Apply(func(bt *btree.Tree) error {
-		for _, op := range slice {
+	// The closure may run twice (a shared transaction that fails before the
+	// store re-runs each of its mutations alone); ops is immutable from here,
+	// so every execution replays the identical sequence.
+	return b.t.eng.Apply(func(bt *btree.Tree) error {
+		for _, op := range ops {
 			var err error
 			if op.del {
 				_, err = bt.Delete(op.sk)

@@ -80,42 +80,37 @@ func BenchmarkGetParallel(b *testing.B) {
 
 // BenchmarkCursorScan measures a full ordered scan of a 10k-key tree through
 // the snapshot Cursor API (the callback Scan is a ten-line loop over the same
-// cursor), touching Key and Value for every entry, on an unsharded tree and
-// on one whose cursor reads four shards one after another.
+// cursor), touching Key and Value for every entry.
 func BenchmarkCursorScan(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x99}, 32), Shards: shards})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			rng := rand.New(rand.NewSource(42))
-			value := make([]byte, 64)
-			for i := 0; i < 10_000; i++ {
-				if err := tr.Put(benchKey(rng, i), value); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := tr.Cursor()
-				count := 0
-				var kb, vb int
-				for ok := c.First(); ok; ok = c.Next() {
-					kb += len(c.Key())
-					vb += len(c.Value())
-					count++
-				}
-				if err := c.Err(); err != nil {
-					b.Fatal(err)
-				}
-				c.Close()
-				if count != 10_000 || vb != 10_000*64 {
-					b.Fatalf("cursor visited %d entries, %d value bytes", count, vb)
-				}
-			}
-		})
+	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x99}, 32)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	rng := rand.New(rand.NewSource(42))
+	value := make([]byte, 64)
+	for i := 0; i < 10_000; i++ {
+		if err := tr.Put(benchKey(rng, i), value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := tr.Cursor()
+		count := 0
+		var kb, vb int
+		for ok := c.First(); ok; ok = c.Next() {
+			kb += len(c.Key())
+			vb += len(c.Value())
+			count++
+		}
+		if err := c.Err(); err != nil {
+			b.Fatal(err)
+		}
+		c.Close()
+		if count != 10_000 || vb != 10_000*64 {
+			b.Fatalf("cursor visited %d entries, %d value bytes", count, vb)
+		}
 	}
 }
 
@@ -409,18 +404,16 @@ func BenchmarkFilePutSerialized(b *testing.B) {
 	}
 }
 
-// BenchmarkFileShardedIngest measures durable multi-writer batched ingest
+// BenchmarkFileConcurrentIngest measures durable multi-writer batched ingest
 // through the façade: writers ∈ {1, 2, 8}, each owning a distinct slice of
 // the keyspace (a fixed first byte spread across the full 0..255 range),
-// commit 512-put batches under grouped durability, for each substituter over
-// Shards ∈ {1, 4}. The bucketed substituter keeps each writer's keys
-// range-local, so with enough shards each batch lands whole on one engine;
-// HMAC, the default, scatters every batch over every shard. A shard's
-// writers take turns, and a turn holder commits the batches queued behind it
-// with its own: puts/commit reports how many puts a store commit carried,
-// conflicts/commit how many commits a conflict re-ran. ns/op is per
-// individual put.
-func BenchmarkFileShardedIngest(b *testing.B) {
+// commit 512-put batches under grouped durability, for each substituter. The
+// bucketed substituter keeps each writer's keys range-local; HMAC, the
+// default, scatters every batch over the whole tree. Writers take turns, and
+// a turn holder commits the batches queued behind it with its own:
+// puts/commit reports how many puts a store commit carried, conflicts/commit
+// how many commits a conflict re-ran. ns/op is per individual put.
+func BenchmarkFileConcurrentIngest(b *testing.B) {
 	const batchSize = 512
 	subs := []struct {
 		name string
@@ -430,81 +423,78 @@ func BenchmarkFileShardedIngest(b *testing.B) {
 		{"bucketed", func() (Substituter, error) { return NewBucketedSubstituter(bytes.Repeat([]byte{0x9A}, 32), 16, 16) }},
 	}
 	for _, sc := range subs {
-		for _, shards := range []int{1, 4} {
-			for _, writers := range []int{1, 2, 8} {
-				b.Run(fmt.Sprintf("sub=%s/shards=%d/writers=%d", sc.name, shards, writers), func(b *testing.B) {
-					sub, err := sc.new()
-					if err != nil {
-						b.Fatal(err)
-					}
-					nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
-					if err != nil {
-						b.Fatal(err)
-					}
-					tr, err := Open(Options{
-						Substituter: sub,
-						Cipher:      nc,
-						Path:        filepath.Join(b.TempDir(), "ingest.ekb"),
-						Durability:  DurabilityGrouped,
-						Shards:      shards,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer tr.Close()
-					st0, err := tr.Stats()
-					if err != nil {
-						b.Fatal(err)
-					}
-					value := make([]byte, 64)
-					var next atomic.Int64
-					b.ResetTimer()
-					var wg sync.WaitGroup
-					for w := 0; w < writers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							prefix := byte(w * (256 / writers))
-							seq := 0
-							for {
-								lo := next.Add(batchSize) - batchSize
-								if lo >= int64(b.N) {
-									return
-								}
-								hi := min(lo+batchSize, int64(b.N))
-								batch := tr.NewBatch()
-								for i := lo; i < hi; i++ {
-									k := make([]byte, 9)
-									k[0] = prefix
-									binary.BigEndian.PutUint64(k[1:], uint64(seq))
-									seq++
-									if err := batch.Put(k, value); err != nil {
-										b.Error(err)
-										return
-									}
-								}
-								if err := batch.Commit(); err != nil {
+		for _, writers := range []int{1, 2, 8} {
+			b.Run(fmt.Sprintf("sub=%s/writers=%d", sc.name, writers), func(b *testing.B) {
+				sub, err := sc.new()
+				if err != nil {
+					b.Fatal(err)
+				}
+				nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0x9B}, 32))
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr, err := Open(Options{
+					Substituter: sub,
+					Cipher:      nc,
+					Path:        filepath.Join(b.TempDir(), "ingest.ekb"),
+					Durability:  DurabilityGrouped,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer tr.Close()
+				st0, err := tr.Stats()
+				if err != nil {
+					b.Fatal(err)
+				}
+				value := make([]byte, 64)
+				var next atomic.Int64
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						prefix := byte(w * (256 / writers))
+						seq := 0
+						for {
+							lo := next.Add(batchSize) - batchSize
+							if lo >= int64(b.N) {
+								return
+							}
+							hi := min(lo+batchSize, int64(b.N))
+							batch := tr.NewBatch()
+							for i := lo; i < hi; i++ {
+								k := make([]byte, 9)
+								k[0] = prefix
+								binary.BigEndian.PutUint64(k[1:], uint64(seq))
+								seq++
+								if err := batch.Put(k, value); err != nil {
 									b.Error(err)
 									return
 								}
 							}
-						}(w)
-					}
-					wg.Wait()
-					b.StopTimer()
-					if err := tr.Sync(); err != nil {
-						b.Fatal(err)
-					}
-					st1, err := tr.Stats()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if commits := float64(st1.Commits - st0.Commits); commits > 0 {
-						b.ReportMetric(float64(b.N)/commits, "puts/commit")
-						b.ReportMetric(float64(st1.Conflicts-st0.Conflicts)/commits, "conflicts/commit")
-					}
-				})
-			}
+							if err := batch.Commit(); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				b.StopTimer()
+				if err := tr.Sync(); err != nil {
+					b.Fatal(err)
+				}
+				st1, err := tr.Stats()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if commits := float64(st1.Commits - st0.Commits); commits > 0 {
+					b.ReportMetric(float64(b.N)/commits, "puts/commit")
+					b.ReportMetric(float64(st1.Conflicts-st0.Conflicts)/commits, "conflicts/commit")
+				}
+			})
 		}
 	}
 }

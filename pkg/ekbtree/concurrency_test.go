@@ -325,10 +325,8 @@ func TestStatsCountersConcurrentReaders(t *testing.T) {
 		if c.Hits < last.Hits || c.Misses < last.Misses || c.Evictions < last.Evictions {
 			t.Fatalf("counters went backwards: %+v after %+v", c, last)
 		}
-		// CachePages caps each shard's cache; the aggregated Pages figure
-		// sums them (s.Shards is 1 except under the EKBTREE_SHARDS matrix).
-		if c.Pages > cachePages*s.Shards {
-			t.Fatalf("Pages = %d exceeds capacity %d x %d shards", c.Pages, cachePages, s.Shards)
+		if c.Pages > cachePages {
+			t.Fatalf("Pages = %d exceeds capacity %d", c.Pages, cachePages)
 		}
 		if s.Commits < lastCommit.Commits || s.Conflicts < lastCommit.Conflicts || s.Retries < lastCommit.Retries {
 			t.Fatalf("commit counters went backwards: %+v after %+v", s, lastCommit)

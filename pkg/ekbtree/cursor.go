@@ -11,24 +11,14 @@ import (
 // Cursor iterates a point-in-time snapshot of the tree in ascending
 // substituted-key order.
 //
-// A cursor pins the current epoch of every shard its range touches when it
-// is created and reads those versions, lock-free, for its whole life:
-// concurrent Puts, Deletes, and batch commits neither block the cursor nor
-// become visible to it, and the cursor never observes a partially-applied
-// single-shard commit. The shard router is order-preserving — every key of
-// shard i sorts before every key of shard i+1 — so the globally ordered
-// stream is the shards read one after another: the cursor reads one shard's
-// iterator, which keeps the root-to-leaf path to its position (no re-descent,
-// no per-batch snapshot copying), and moves to the next shard when that one
-// is exhausted.
+// A cursor pins the current epoch when it is created and reads that version,
+// lock-free, for its whole life: concurrent Puts, Deletes, and batch commits
+// neither block the cursor nor become visible to it, and the cursor never
+// observes a partially-applied commit. Its iterator keeps the root-to-leaf
+// path to its position, so stepping needs no re-descent and no per-batch
+// snapshot copying.
 //
-// For a sharded tree the snapshot is taken per shard, one pin after another:
-// each shard's view is internally consistent, but a commit racing cursor
-// creation may land on shard A after A was pinned yet on shard B before B
-// was — the cross-shard cut is not a single global instant (the same
-// per-shard contract as Batch.Commit).
-//
-// Close releases the pins. An open cursor holds its snapshots' superseded
+// Close releases the pin. An open cursor holds its snapshot's superseded
 // pages in memory, so long-lived cursors over a write-heavy tree cost memory
 // proportional to the writes since the cursor was opened — close cursors
 // promptly. Options.MaxEpochAge turns that advice into a hard bound:
@@ -58,26 +48,17 @@ type Cursor struct {
 	// and dropped at Close.
 	lo, hi []byte
 
-	// The pinned run: one snapshot and its iterator per shard the range
-	// covers, in shard (ascending substituted-key) order, shards[0] being the
-	// shard that owns lo. A run of one shard, which every one-bucket range
-	// is, lives in first, inside the Cursor's own allocation; a longer run
-	// has a slice of its own. Empty if a snapshot could not be taken at
+	// The pinned snapshot and its iterator, both inside the Cursor's own
+	// allocation. pinned is false if the snapshot could not be taken at
 	// creation: err holds the reason and every positioning call reports it.
-	shards []cursorShard
-	first  [1]cursorShard
-	cur    int // index into shards of the shard being read
+	snap   engine.Snapshot
+	it     btree.Iter
+	pinned bool
 
 	k, v   []byte
 	valid  bool
 	err    error // as the layer below reported it; Err maps it
 	closed bool
-}
-
-// cursorShard is one shard's share of a cursor.
-type cursorShard struct {
-	snap engine.Snapshot
-	it   btree.Iter
 }
 
 // Cursor returns a cursor over a snapshot of the whole tree, taken at this
@@ -93,31 +74,18 @@ func (t *Tree) Cursor() *Cursor {
 // bucketed one) they expand to whole boundary buckets, so the cursor visits a
 // superset of the plaintext range; with a pure-PRF substituter they are
 // substituted pointwise and the range bears no relation to plaintext order.
-// A nil bound is unbounded on that side. Only the shards whose key ranges
-// intersect the bounds are pinned.
+// A nil bound is unbounded on that side.
 func (t *Tree) CursorRange(fromKey, toKey []byte) *Cursor {
 	lo, hi := t.substituteBounds(fromKey, toKey)
-	s0, s1 := t.router.RouteRange(lo, hi)
 	c := &Cursor{t: t, lo: lo, hi: hi}
-	if s1 == s0 {
-		c.shards = c.first[:]
-	} else {
-		c.shards = make([]cursorShard, s1-s0+1)
+	snap, err := t.eng.Snapshot()
+	if err != nil {
+		// Leave the cursor snapshot-less, latching why: Err reports it now,
+		// and so does every later positioning call.
+		c.err = err
+		return c
 	}
-	for i := range c.shards {
-		snap, err := t.shards[s0+i].Snapshot()
-		if err != nil {
-			// Drop the pins taken so far and leave the cursor snapshot-less,
-			// latching why: Err reports it now, and so does every later
-			// positioning call.
-			for j := range c.shards[:i] {
-				c.shards[j].snap.Close()
-			}
-			c.shards, c.err = nil, err
-			return c
-		}
-		c.shards[i] = cursorShard{snap: snap, it: snap.Iter(hi)}
-	}
+	c.snap, c.it, c.pinned = snap, snap.Iter(hi), true
 	return c
 }
 
@@ -160,19 +128,14 @@ func (c *Cursor) Seek(key []byte) bool {
 	return c.seek(from)
 }
 
-// seek positions the shard that owns from — never below lo, and clamped to
-// the pinned run when at or above hi — and moves to the first entry at or
-// after it. Later shards hold only larger keys, so each starts at its
-// smallest key when the cursor reaches it.
+// seek moves to the first entry at or after from, which is never below lo.
 func (c *Cursor) seek(from []byte) bool {
 	c.valid, c.k, c.v = false, nil, nil
 	if !c.usable() {
 		return false
 	}
 	c.err = nil
-	r := c.t.router
-	c.cur = min(r.Route(from)-r.Route(c.lo), len(c.shards)-1)
-	c.shards[c.cur].it.Seek(from)
+	c.it.Seek(from)
 	return c.advance()
 }
 
@@ -188,41 +151,27 @@ func (c *Cursor) Next() bool {
 	return c.advance()
 }
 
-// advance takes the next entry of the shard being read; when that shard is
-// exhausted it goes on to the following one, and so past any empty shards.
-// Only the last shard of the run can hold keys at or above hi, so an earlier
-// iterator that stops has run out of keys.
+// advance takes the iterator's next entry, recording its error when it stops.
 func (c *Cursor) advance() bool {
-	for {
-		s := &c.shards[c.cur]
-		if c.k, c.v, c.valid = s.it.Next(); c.valid {
-			return true
-		}
-		if c.err = s.it.Err(); c.err != nil || c.cur == len(c.shards)-1 {
-			return false
-		}
-		c.cur++
-		c.shards[c.cur].it.Seek(nil)
+	if c.k, c.v, c.valid = c.it.Next(); !c.valid {
+		c.err = c.it.Err()
 	}
+	return c.valid
 }
 
 // usable checks the closed states and the snapshot-age bound, recording the
 // appropriate sentinel error.
 func (c *Cursor) usable() bool {
-	if c.closed || c.t.closed() {
+	if c.closed || c.t.eng.Closed() {
 		c.err = ErrClosed
 		return false
 	}
-	if len(c.shards) == 0 {
+	if !c.pinned {
 		return false // creation failed; c.err has held the reason since
 	}
-	if limit := c.t.maxEpochAge; limit > 0 {
-		for i := range c.shards {
-			if c.shards[i].snap.Age() > limit {
-				c.err = ErrSnapshotTooOld
-				return false
-			}
-		}
+	if limit := c.t.maxEpochAge; limit > 0 && c.snap.Age() > limit {
+		c.err = ErrSnapshotTooOld
+		return false
 	}
 	return true
 }
@@ -254,7 +203,7 @@ func (c *Cursor) Err() error {
 	return engine.MapErr(c.err)
 }
 
-// Close releases the cursor's snapshot pins, allowing the engines to reclaim
+// Close releases the cursor's snapshot pin, allowing the engine to reclaim
 // superseded pages. Subsequent positioning calls fail with ErrClosed. Close
 // is idempotent and never fails; it returns an error only to satisfy the
 // common io.Closer-style calling pattern.
@@ -263,10 +212,10 @@ func (c *Cursor) Close() error {
 		return nil
 	}
 	c.closed = true
-	for i := range c.shards {
-		c.shards[i].snap.Close()
+	if c.pinned {
+		c.snap.Close()
 	}
-	c.shards, c.first = nil, [1]cursorShard{}
+	c.snap, c.it, c.pinned = engine.Snapshot{}, btree.Iter{}, false
 	c.lo, c.hi = nil, nil
 	c.k, c.v, c.valid = nil, nil, false
 	return nil

@@ -209,7 +209,7 @@ func TestCursorRangeClampsSeek(t *testing.T) {
 }
 
 // TestScanReentrancy is the acceptance check that caller code never runs
-// under any shard's writer lock: the Scan callback re-enters the tree with
+// under the writer lock: the Scan callback re-enters the tree with
 // Get, Put, and a nested cursor — the Put would deadlock against a held
 // write turn, so its completion proves no lock is held. With snapshot
 // cursors the Put inside the callback is invisible to the ongoing scan but
@@ -364,4 +364,70 @@ func TestCursorConcurrentWithWrites(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestCursorMaxEpochAge pins the snapshot-age cap: a cursor whose snapshot
+// has fallen more than MaxEpochAge commits behind fails its next positioning
+// call with ErrSnapshotTooOld, while fresher cursors, Gets, and newly opened
+// cursors are untouched.
+func TestCursorMaxEpochAge(t *testing.T) {
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x54}, 32), Order: 8, MaxEpochAge: 2})
+	defer tr.Close()
+	for i := 0; i < 10; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := tr.Cursor()
+	defer c.Close()
+	if !c.First() {
+		t.Fatalf("First on a fresh cursor = false (err %v)", c.Err())
+	}
+	// Exactly MaxEpochAge commits behind is still within the bound.
+	for i := 0; i < 2; i++ {
+		if err := tr.Put([]byte(fmt.Sprintf("age-%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !c.Next() {
+		t.Fatalf("Next at age == MaxEpochAge = false (err %v)", c.Err())
+	}
+	// One more commit pushes the snapshot past the bound.
+	if err := tr.Put([]byte("age-2"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if c.Next() {
+		t.Fatal("Next past MaxEpochAge succeeded")
+	}
+	if err := c.Err(); !errors.Is(err, ErrSnapshotTooOld) {
+		t.Fatalf("stale cursor Err = %v, want ErrSnapshotTooOld", err)
+	}
+	if c.First() {
+		t.Fatal("First on a stale cursor succeeded")
+	}
+
+	// Unrelated reads are unaffected, and a fresh cursor starts at age zero.
+	if _, ok, err := tr.Get([]byte("k00")); err != nil || !ok {
+		t.Fatalf("Get beside a stale cursor = (%v, %v)", ok, err)
+	}
+	c2 := tr.Cursor()
+	defer c2.Close()
+	n := 0
+	for ok := c2.First(); ok; ok = c2.Next() {
+		n++
+	}
+	if err := c2.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 13 {
+		t.Fatalf("fresh cursor visited %d entries, want 13", n)
+	}
+}
+
+func TestNegativeMaxEpochAgeInvalid(t *testing.T) {
+	_, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x56}, 32), MaxEpochAge: -1})
+	if !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("Open with negative MaxEpochAge = %v, want ErrInvalidOptions", err)
+	}
 }

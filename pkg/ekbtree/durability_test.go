@@ -209,17 +209,12 @@ func TestLazyModesCrashSemantics(t *testing.T) {
 		snapshot := func(name string) string {
 			t.Helper()
 			dst := filepath.Join(dir, name)
-			// Copy every shard's page file so the crash image covers the
-			// whole keyspace under the shard matrix (shardPath is the
-			// identity when testDefaultShards == 1).
-			for i := 0; i < testDefaultShards; i++ {
-				b, err := os.ReadFile(shardPath(path, i, testDefaultShards))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(shardPath(dst, i, testDefaultShards), b, 0o600); err != nil {
-					t.Fatal(err)
-				}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dst, b, 0o600); err != nil {
+				t.Fatal(err)
 			}
 			return dst
 		}

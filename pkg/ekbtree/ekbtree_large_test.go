@@ -4,7 +4,7 @@ package ekbtree
 
 // The `large` tier: a soak/large-ingest test that proves the space-management
 // story at scale instead of at unit sizes. It writes millions of keys
-// through the sharded file-backed façade in two full generations — a bulk
+// through the file-backed façade in two full generations — a bulk
 // load of full-sized records and then a complete overwrite pass that shrinks
 // every record to a compact summary, the long-lived-tree workload where the
 // file's peak footprint outlives its live data — interleaving online vacuum
@@ -21,8 +21,7 @@ package ekbtree
 //	EKBTREE_LARGE_KEYS=20000000 ...                               # nightly
 //	EKBTREE_LARGE_KEYS=100000000 ...                              # the knob goes to 100M
 //
-// EKBTREE_LARGE_SHARDS picks the shard count (default 3). The run logs its
-// measured bytes/key, ingest and scan throughput, and reopen time (run with
+// The run logs its measured bytes/key, ingest and scan throughput, and reopen time (run with
 // -v to see them).
 
 import (
@@ -86,7 +85,6 @@ func largeVal(gen, i int) []byte {
 // prefix-coded pages plus online vacuum, fault-free but at volume.
 func TestLargeIngestSoak(t *testing.T) {
 	keys := largeEnvInt(t, "EKBTREE_LARGE_KEYS", 2_000_000)
-	shards := largeEnvInt(t, "EKBTREE_LARGE_SHARDS", 3)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "soak.ekb")
 	master := bytes.Repeat([]byte{0x5A}, 32)
@@ -103,7 +101,6 @@ func TestLargeIngestSoak(t *testing.T) {
 		Substituter: sub,
 		Path:        path,
 		Durability:  DurabilityGrouped,
-		Shards:      shards,
 	}
 	tr, err := Open(opts)
 	if err != nil {
@@ -173,20 +170,13 @@ func TestLargeIngestSoak(t *testing.T) {
 	}
 
 	// The on-disk footprint, from the filesystem rather than the gauges.
-	matches, err := filepath.Glob(path + "*")
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no shard files under %s (%v)", path, err)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var fileBytes int64
-	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fileBytes += fi.Size()
-	}
+	fileBytes := fi.Size()
 
-	// Reopen (directory load + header checks across shards) is timed: a
+	// Reopen (directory load + header check) is timed: a
 	// compacted file must not cost more to open.
 	reopenStart := time.Now()
 	tr, err = Open(opts)

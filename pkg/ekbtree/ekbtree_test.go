@@ -151,7 +151,7 @@ func TestNoPlaintextInStore(t *testing.T) {
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "plain.ekb")
-			tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x33}, 32), Order: 8, Path: path, Shards: 1, Cipher: cfg.cipher})
+			tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x33}, 32), Order: 8, Path: path, Cipher: cfg.cipher})
 			// Only embed the key in the value when the page cipher hides
 			// values; key substitution alone protects keys, not payloads.
 			value := func(k []byte) []byte {
@@ -365,6 +365,76 @@ func TestReopenConfigMismatch(t *testing.T) {
 	}
 	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st}); err != nil {
 		t.Errorf("Open with matching config failed: %v", err)
+	}
+}
+
+// TestShardedReopenShardCountMismatch verifies the layouts a range-sharded
+// tree left behind fail closed whatever shard count they record: a Path
+// beside a Path+".shard0" file, which must not be created as a fresh empty
+// tree, and a shard's own file, whose header records its place in the layout.
+// The refused opens disturb nothing: an unsharded file still reopens whole.
+func TestShardedReopenShardCountMismatch(t *testing.T) {
+	master := bytes.Repeat([]byte{0x52}, 32)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sharded.ekb")
+	if err := os.WriteFile(path+".shard0", []byte("shard 0"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{MasterKey: master, Path: path}); !errors.Is(err, ErrConfigMismatch) {
+		t.Errorf("Open beside a .shard0 file = %v, want ErrConfigMismatch", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the refused Open left a file at Path: %v", err)
+	}
+
+	_, derived, nc, _, err := Options{MasterKey: master}.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, layout := range []string{"0/2", "2/3", "0/1"} {
+		base := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s shards=%s", DefaultOrder, derived.Name(), nc.Name(), layout)
+		for i, header := range []string{base, base + encPrefixToken} {
+			shard := filepath.Join(dir, fmt.Sprintf("shard-%d-%d.ekb", l, i))
+			fs, err := file.OpenConfig(shard, file.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := nc.Seal(metaPageID, []byte(header))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.SetMeta(sealed); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(Options{MasterKey: master, Path: shard}); !errors.Is(err, ErrConfigMismatch) {
+				t.Errorf("Open of a file whose header is %q = %v, want ErrConfigMismatch", header, err)
+			}
+		}
+	}
+
+	single := filepath.Join(dir, "single.ekb")
+	s, err := Open(Options{MasterKey: master, Order: 8, Path: single})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := s.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Options{MasterKey: master, Order: 8, Path: single})
+	if err != nil {
+		t.Fatalf("reopen of the unsharded file: %v", err)
+	}
+	defer re.Close()
+	if st, err := re.Stats(); err != nil || st.Keys != 50 {
+		t.Fatalf("reopened stats = (%+v, %v), want 50 keys", st, err)
 	}
 }
 

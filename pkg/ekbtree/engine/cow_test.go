@@ -355,7 +355,7 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 			model := make(map[string]string)
 			// The views a writer read and a commit installed, with their
 			// checksums and counts. A view's block is recycled only when the
-			// shard has no pins, and the test holds a snapshot open except
+			// engine has no pins, and the test holds a snapshot open except
 			// while reopen swaps it, which forgets every view the cache no
 			// longer holds: a later view in the same block is another view.
 			read := make(map[*node.Node]uint32)

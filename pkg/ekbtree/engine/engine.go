@@ -11,13 +11,13 @@ import (
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
-// Config assembles one shard's layers. The caller (the façade) has already
+// Config assembles a tree's layers. The caller (the façade) has already
 // validated the pieces and verified the store's sealed header; the engine
 // takes them as-is. The store is the engine's to close.
 type Config struct {
-	// Store is the shard's page store, already header-checked.
+	// Store is the tree's page store, already header-checked.
 	Store store.PageStore
-	// Cipher seals and opens this shard's pages; the engine allocates the
+	// Cipher seals and opens the tree's pages; the engine allocates the
 	// collision-free (epoch, counter) nonce of every seal, under the
 	// lifecycle fields below.
 	Cipher cipher.NodeCipher
@@ -41,24 +41,20 @@ type Config struct {
 	SealBudget uint64
 	// HardSealLimit is the fail-closed bound: a commit that would push the
 	// current epoch's counter past it fails with ErrSealsExhausted. 0 means
-	// DefaultHardSealLimit; values above 2^56 are clamped (the counter's top
-	// byte carries the shard tag).
+	// DefaultHardSealLimit; values above 2^56 are clamped (see
+	// maxCounterSpace).
 	HardSealLimit uint64
-	// CounterBase is ORed into every issued counter; the façade passes
-	// shardIndex<<56 so shards sharing one derived key can never collide in
-	// nonce space.
-	CounterBase uint64
 	// OnEpochAdvance, when set, is called (outside engine locks) each time
 	// the key epoch advances, with the new epoch. The façade points it at
 	// its background rotator.
 	OnEpochAdvance func(epoch uint32)
 }
 
-// Engine is one single-shard enciphered B-tree: the epoch-based snapshot
-// chain, the shard's write turn, and the decoded-node cache over one page
-// store. It speaks substituted keys only. All methods are safe for concurrent
-// use. See the pkg/ekbtree Tree doc comment for the full concurrency model;
-// the façade's description IS this engine's behavior, one shard at a time.
+// Engine is one enciphered B-tree: the epoch-based snapshot chain, the write
+// turn, and the decoded-node cache over one page store. It speaks substituted
+// keys only. All methods are safe for concurrent use. See the pkg/ekbtree
+// Tree doc comment for the full concurrency model; the façade's description
+// IS this engine's behavior.
 type Engine struct {
 	turn turn // admits one writer at a time (see applyTxn); Close takes it too
 	st   store.PageStore
@@ -83,8 +79,7 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, MapErr(err)
 	}
-	sa, err := newSealAlloc(cfg.Store, cfg.SealBudget, cfg.HardSealLimit,
-		cfg.CounterBase, cfg.OnEpochAdvance)
+	sa, err := newSealAlloc(cfg.Store, cfg.SealBudget, cfg.HardSealLimit, cfg.OnEpochAdvance)
 	if err != nil {
 		return nil, MapErr(err)
 	}
@@ -96,10 +91,10 @@ func New(cfg Config) (*Engine, error) {
 	return g, nil
 }
 
-// turn is a shard's write turn. One writer holds it at a time, from pinning
-// its base epoch to publishing its commit, so every transaction builds on the
-// newest published epoch and there is nothing to validate: only one engine
-// commit per shard is ever in flight. A writer that finds the turn held
+// turn is the engine's write turn. One writer holds it at a time, from
+// pinning its base epoch to publishing its commit, so every transaction
+// builds on the newest published epoch and there is nothing to validate: only
+// one engine commit is ever in flight. A writer that finds the turn held
 // queues. The holder takes whatever queued while it ran its own mutation
 // into the same transaction, and then hands the turn to the first writer that
 // queued after that; the others sleep on.
@@ -128,12 +123,12 @@ type waiter struct {
 }
 
 // Apply runs one mutation (a single op or a whole batch) as a transaction on
-// the newest published epoch under the shard's write turn, sharing it with
+// the newest published epoch under the write turn, sharing it with
 // any mutations queued alongside; each caller still gets its own result.
 // apply may run twice: if a shared transaction fails before reaching the
 // store, each mutation in it runs again alone. It must not call back into the
 // same engine, whose turn is held while it runs. Store errors are never
-// retried: the first one stops the shard's writers (see epochs.err), and it
+// retried: the first one stops the engine's writers (see epochs.err), and it
 // is what this and every later mutation returns.
 func (g *Engine) Apply(apply func(bt *btree.Tree) error) error {
 	return g.applyTxn(func(tx *writeTxn) error {
@@ -182,7 +177,7 @@ func (g *Engine) applyTxn(work func(tx *writeTxn) error) error {
 // it as one transaction, and hands each queued writer its result. If that
 // transaction fails before reaching the store — one of the mutations fails,
 // or a seal refuses — each mutation is committed again alone, so every
-// caller gets its own result. An error from the store, or from a shard the
+// caller gets its own result. An error from the store, or from an engine the
 // store or Close has stopped, is every caller's.
 func (g *Engine) hold(own func(tx *writeTxn) error) error {
 	queued, shared, err := g.commit(own, true)
@@ -217,7 +212,7 @@ func (g *Engine) hold(own func(tx *writeTxn) error) error {
 //  6. the views of the sealed pages the cache held, and the shared nodes the
 //     transaction read, are promoted into the cache and the epoch published.
 //
-// It returns the queued writers it took, and whether err is the shard's —
+// It returns the queued writers it took, and whether err is the engine's —
 // from link or the store — rather than a mutation's. On a store error
 // nothing is published, and the epoch stays linked, its undo overlay hiding
 // whatever the store applied (see epochs.finalize).
@@ -304,8 +299,8 @@ func (g *Engine) Get(sk []byte) ([]byte, bool, error) {
 	return append([]byte(nil), v...), true, nil
 }
 
-// Snapshot is a pinned epoch: a frozen, fully readable version of one shard.
-// It is a value handle — the façade's cursor keeps one per shard inline — so
+// Snapshot is a pinned epoch: a frozen, fully readable version of the tree.
+// It is a value handle — the façade's cursor keeps one inline — so
 // close it through one variable, never through copies. It holds superseded
 // pre-images in memory until closed, so callers bound its lifetime (see Age).
 // Safe for use by one goroutine at a time.
@@ -350,10 +345,10 @@ func (s *Snapshot) Close() {
 	s.g.es.release(s.e)
 }
 
-// Stats reports the shard's shape, cache counters, and commit counter, as one
-// shard of a tree (Shards is 1) for Stats.Add to sum. The shape walk is
-// O(nodes) and runs against a pinned epoch, so it observes one consistent
-// version and never blocks (or is blocked by) writers.
+// Stats reports the tree's shape, cache counters, commit counter, cipher
+// lifecycle and footprint. The shape walk is O(nodes) and runs against a
+// pinned epoch, so it observes one consistent version and never blocks (or
+// is blocked by) writers.
 func (g *Engine) Stats() (Stats, error) {
 	e, err := g.es.pin()
 	if err != nil {
@@ -368,7 +363,6 @@ func (g *Engine) Stats() (Stats, error) {
 		Keys: s.Keys, Nodes: s.Nodes, Height: s.Height,
 		Cache:   g.io.cacheStats(),
 		Commits: g.commits.Load(),
-		Shards:  1,
 	}
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {
@@ -378,7 +372,7 @@ func (g *Engine) Stats() (Stats, error) {
 	return out, nil
 }
 
-// Space reports the shard's physical footprint; zeros once closed.
+// Space reports the store's physical footprint; zeros once closed.
 func (g *Engine) Space() (fileBytes, liveBytes int64) {
 	if g.es.isClosed() {
 		return 0, 0
@@ -386,7 +380,7 @@ func (g *Engine) Space() (fileBytes, liveBytes int64) {
 	return g.st.Space()
 }
 
-// Vacuum compacts the shard's backing store toward target bytes. It runs
+// Vacuum compacts the backing store toward target bytes. It runs
 // concurrently with reads and writes — relocations ride the store's ordinary
 // commit pipeline — and never changes tree contents.
 func (g *Engine) Vacuum(target int64) error {

@@ -77,7 +77,7 @@ func putKeys(t *testing.T, g *Engine, n int, v string) {
 }
 
 // TestFailedCommitsDoNotGrowEpochChain is the regression test for retry
-// loops against a failing store: the first store error stops the shard's
+// loops against a failing store: the first store error stops the engine's
 // writers, so every later Put returns that error without reaching the store,
 // the epoch chain — every reader's overlay walk — grows by the one failed
 // epoch at most, and reads keep serving the last published state throughout.
@@ -128,7 +128,7 @@ func TestFailedCommitsDoNotGrowEpochChain(t *testing.T) {
 // file store goes on serving them all — so no failed Put may become visible,
 // not even once the cache is cold and reads fall through to the store. The
 // second Put, on another leaf, never reaches the store: the first failure
-// stopped the shard's writers.
+// stopped the engine's writers.
 func TestFailedCommitsStayInvisible(t *testing.T) {
 	fs := &failingStore{PageStore: file.NewMem(), apply: true}
 	g := newTestEngine(t, fs, 8)

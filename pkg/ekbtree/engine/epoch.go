@@ -25,7 +25,7 @@ import (
 // published — or, if the store failed it, pending for good: its undo overlay
 // hides from older readers whatever the store applied of it.
 type epoch struct {
-	io   *nodeIO // the shard's shared page reader; what Read falls through to
+	io   *nodeIO // the engine's shared page reader; what Read falls through to
 	seq  uint64
 	root uint64
 	// undo holds the pre-images of the pages that the commit CREATING this
@@ -78,15 +78,15 @@ func (e *epoch) Read(id uint64) (*node.Node, error) {
 // publication, and reclamation. The mutex guards only the chain bookkeeping
 // (refs, pins, head, current, err); it is never held across I/O, so pinning
 // and releasing are O(1) pauses even while a commit is flushing. Only the
-// shard's turn holder links and finalizes, so at most one epoch is ever
-// pending, the one after current, and publication order is chain order.
+// turn holder links and finalizes, so at most one epoch is ever pending, the
+// one after current, and publication order is chain order.
 type epochs struct {
 	mu sync.Mutex
 	// pins counts the pins held on every epoch: readers, snapshots and the
 	// turn holder's base. A release that brings it to zero is the moment the
 	// cache's retired views can be recycled (see nodeIO.recycle).
 	pins int
-	// err is the first CommitPages error, and it stops the shard's writers
+	// err is the first CommitPages error, and it stops the engine's writers
 	// for good, as the file store stops itself: the store may have applied
 	// the failed commit, so its epoch is never published, and link refuses
 	// every later commit with err. Readers go on at current until the store
@@ -124,7 +124,7 @@ func (es *epochs) pin() (*epoch, error) {
 }
 
 // release drops a pin and reclaims any epochs no reader can need anymore. The
-// release that leaves the shard with no pins also recycles the views the
+// release that leaves the engine with no pins also recycles the views the
 // cache retired, under es.mu, so that no pin can start while it does — unless
 // a store commit has failed: the failed epoch stays linked after current, so
 // its undo overlay, which holds views the cache held, is never dropped, and
@@ -166,7 +166,7 @@ func (es *epochs) link(e *epoch) error {
 // (which must complete before any reader can pin the new epoch) and flips
 // current, and the happens-before edge through es.mu guarantees readers
 // pinning from now on find the promoted cache. Otherwise e stays linked and
-// unpublished, and err stops the shard's writers.
+// unpublished, and err stops the engine's writers.
 func (es *epochs) finalize(e *epoch, tx *writeTxn, err error) error {
 	es.mu.Lock()
 	defer es.mu.Unlock()

@@ -1,10 +1,9 @@
-// Package engine is the single-shard core of the enciphered B-tree: the
-// epoch-based snapshot machinery, the write turn its writers take one at a
-// time, the decoded-node cache, and the write transaction's page table, all
-// operating exclusively on SUBSTITUTED keys. The pkg/ekbtree façade owns
-// everything above it — key substitution, shard routing, option validation,
-// and the cursor that reads the shards one after another — and drives one
-// Engine per shard. Plaintext search keys never reach this package.
+// Package engine is the core of the enciphered B-tree: the epoch-based
+// snapshot machinery, the write turn its writers take one at a time, the
+// decoded-node cache, and the write transaction's page table, all operating
+// exclusively on SUBSTITUTED keys. The pkg/ekbtree façade owns everything
+// above it — key substitution, option validation, and the cursor's bounds —
+// and drives one Engine. Plaintext search keys never reach this package.
 package engine
 
 import (
@@ -35,8 +34,9 @@ var (
 	ErrWrongKey = errors.New("ekbtree: wrong key for existing store")
 
 	// ErrConfigMismatch is returned by Open when the header deciphers but
-	// records a different order, shard layout, or substituter/cipher scheme
-	// than the one being opened.
+	// records a different order or substituter/cipher scheme than the one
+	// being opened, or when the path holds a sharded layout, which no longer
+	// opens.
 	ErrConfigMismatch = errors.New("ekbtree: store configuration mismatch")
 
 	// ErrCorrupt is returned when a page fails authentication or decoding

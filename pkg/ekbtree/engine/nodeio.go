@@ -68,7 +68,7 @@ type CacheStats struct {
 //     for good if the store failed the epoch's commit.
 //
 // A view that leaves the cache goes to the limbo (retire), and from there to
-// the free list only at a release that leaves the shard with no pins
+// the free list only at a release that leaves the engine with no pins
 // (recycle): by then every reader and writer that could have found it in the
 // cache is gone, and every undo overlay is dropped. After a failed commit
 // nothing is recycled: that epoch's overlay is never dropped.
@@ -238,8 +238,8 @@ func (io *nodeIO) retire(id uint64, n *node.Node) {
 }
 
 // recycle gives every view in the limbo back to the free list, except one the
-// cache holds again. Its one caller is the release that leaves the shard with
-// no pins on a shard no store commit has failed, which holds es.mu so that no
+// cache holds again. Its one caller is the release that leaves the engine
+// with no pins, once no store commit has failed, which holds es.mu so that no
 // pin can start: every reader that found one of these views in the cache has
 // released its pin, every writer has emptied its transaction before releasing
 // its base, and reclaimLocked has dropped every undo overlay, so nothing else

@@ -45,7 +45,7 @@ func checkValue(k, v []byte) string {
 // that leaves the cache may give its block to a later read miss only once
 // nothing can read it. On a 16-page cache over a tree of hundreds of pages,
 // Gets, a writer rewriting values in batches, and cursors run at once, each
-// pausing between operations so that the shard is often left with no pins.
+// pausing between operations so that the engine is often left with no pins.
 // The writer rewrites a hot range of keys nearly always and the Gets read it
 // most of the time, so the cache keeps installing views of the pages the
 // writer sealed, in blocks from the free list, and serving them, while the
@@ -224,7 +224,7 @@ func TestRecycledBlocksAreUnreachable(t *testing.T) {
 // cache like any other; its block must never go back to the free list, or the
 // next read miss reads another page over bytes every later Get still reads.
 // Gets over a tree far larger than the cache evict every pre-image, and each
-// leaves the shard with no pins. The pre-images are checked after every Get,
+// leaves the engine with no pins. The pre-images are checked after every Get,
 // before the next one can descend through a page read over them.
 func TestFailedCommitPreImagesAreNeverRecycled(t *testing.T) {
 	const keys = 1500

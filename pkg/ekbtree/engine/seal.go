@@ -28,8 +28,9 @@ const sealReserveChunk = 4096
 // opinions about.
 const DefaultHardSealLimit = 1 << 32
 
-// maxCounterSpace bounds the per-epoch counter value so the shard index in
-// the counter's top byte (see Config.CounterBase) can never be carried into.
+// maxCounterSpace is the ceiling every hard seal limit is clamped to: no
+// epoch issues 2^56 counters, far past any budget worth setting, so the top
+// byte of every counter an engine issues is zero.
 const maxCounterSpace = 1 << 56
 
 // sealAlloc hands out the collision-free (epoch, counter) pairs every page
@@ -46,21 +47,20 @@ type sealAlloc struct {
 	st        store.PageStore
 	budget    uint64 // soft per-epoch budget; crossing it advances the epoch. 0 = never advance.
 	hard      uint64 // fail-closed bound; counters never reach it
-	base      uint64 // shard tag ORed into the counter's top byte
 	onAdvance func(epoch uint32)
 
 	mu       sync.Mutex
 	epoch    uint32
 	clean    uint32 // newest epoch verified fully re-sealed (<= epoch)
-	next     uint64 // next unissued counter within epoch (excludes base)
-	reserved uint64 // recorded reservation high-water mark (excludes base)
+	next     uint64 // next unissued counter within epoch
+	reserved uint64 // recorded reservation high-water mark
 }
 
 // newSealAlloc seeds the allocator from the store's persisted mark and
 // immediately re-reserves: counters in [mark.Counter-chunk, mark.Counter) may
 // have been issued by the previous generation (the mark is a high-water mark,
 // not an exact count), so issuance resumes at mark.Counter, never below it.
-func newSealAlloc(st store.PageStore, budget, hard, base uint64, onAdvance func(uint32)) (*sealAlloc, error) {
+func newSealAlloc(st store.PageStore, budget, hard uint64, onAdvance func(uint32)) (*sealAlloc, error) {
 	if hard == 0 {
 		hard = DefaultHardSealLimit
 	}
@@ -75,7 +75,6 @@ func newSealAlloc(st store.PageStore, budget, hard, base uint64, onAdvance func(
 		st:        st,
 		budget:    budget,
 		hard:      hard,
-		base:      base,
 		onAdvance: onAdvance,
 		epoch:     mark.Epoch,
 		clean:     mark.Clean,
@@ -111,8 +110,7 @@ func (sa *sealAlloc) advanceLocked(n uint64) error {
 }
 
 // take allocates n consecutive counters in the current epoch, returning the
-// epoch and the first counter (base included; the caller uses start+i for
-// page i). Crossing the soft budget advances the epoch first — the new
+// epoch and the first counter (the caller uses start+i for page i). Crossing the soft budget advances the epoch first — the new
 // epoch's reservation is recorded before its first counter leaves — and
 // reaching the hard bound fails closed with ErrSealsExhausted.
 func (sa *sealAlloc) take(n int) (uint32, uint64, error) {
@@ -139,7 +137,7 @@ func (sa *sealAlloc) take(n int) (uint32, uint64, error) {
 		}
 		start := sa.next
 		sa.next += uint64(n)
-		return sa.epoch, sa.base | start, nil
+		return sa.epoch, start, nil
 	}()
 	sa.mu.Unlock()
 	if advanced != 0 && sa.onAdvance != nil {
@@ -218,7 +216,7 @@ func (g *Engine) SealState() (epoch uint32, seals uint64) {
 }
 
 // rotateBatch is how many pages one rotation commit re-seals. Small enough
-// that a rotation commit holds the shard's write turn only briefly; large
+// that a rotation commit holds the write turn only briefly; large
 // enough to amortize the commit's store round trip.
 const rotateBatch = 64
 

@@ -222,8 +222,8 @@ func (o *overlapStore) CommitPages(writes map[uint64][]byte, root uint64, frees 
 }
 
 // TestCommitPagesNeverOverlap holds the engine to the store's write contract:
-// CommitPages calls on one store never overlap, because a shard's writers
-// take turns and the holder's one call is the shard's group commit. Eight
+// CommitPages calls on one store never overlap, because an engine's writers
+// take turns and the holder's one call is the engine's group commit. Eight
 // writers run beside a goroutine that loops AdvanceEpoch, Rotate and
 // Vacuum(0), in every durability mode.
 func TestCommitPagesNeverOverlap(t *testing.T) {

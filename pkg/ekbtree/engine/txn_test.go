@@ -308,7 +308,7 @@ func mustRead(t *testing.T, e *epoch, id uint64) *node.Node {
 }
 
 // TestOversizedWorkspaceIsDropped: clear() walks a map's capacity, and one
-// workspace serves all of a shard's writers, so maps one large commit grew
+// workspace serves all of an engine's writers, so maps one large commit grew
 // must not be kept for the small commits after it. The first small commit
 // drops them, and the next starts a workspace sized for itself.
 func TestOversizedWorkspaceIsDropped(t *testing.T) {

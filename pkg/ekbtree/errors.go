@@ -5,11 +5,10 @@ import "github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 // Sentinel errors returned by the façade. Façade methods return either nil or
 // an error matching exactly one of these via errors.Is — the dynamic message
 // may carry additional detail — except a mutation the page store fails, which
-// returns the store's own error, as does every later mutation on that shard
-// (see Tree). The sentinels live in the engine
-// package (the façade and its per-shard engines share one taxonomy) and are
-// re-exported here, so errors.Is works identically whichever layer produced
-// the error.
+// returns the store's own error, as does every later mutation (see Tree).
+// The sentinels live in the engine package (the façade and its engine share
+// one taxonomy) and are re-exported here, so errors.Is works identically
+// whichever layer produced the error.
 var (
 	// ErrClosed is returned by any operation on a closed Tree, and by
 	// Cursor/Batch operations after Close, Commit, or Discard.
@@ -25,10 +24,10 @@ var (
 	ErrWrongKey = engine.ErrWrongKey
 
 	// ErrConfigMismatch is returned by Open when the header deciphers but
-	// records a different order, shard layout, or substituter/cipher scheme
-	// than the one being opened. In particular, a store written with
-	// Options.Shards=N reopens only with the same N: the shard count and
-	// index are sealed into every shard's header.
+	// records a different order or substituter/cipher scheme than the one
+	// being opened. A range-sharded tree, which earlier versions wrote, is
+	// refused the same way: a Path with a Path+".shard0" sibling, or a shard
+	// file whose header records its shard layout.
 	ErrConfigMismatch = engine.ErrConfigMismatch
 
 	// ErrCorrupt is returned when a page fails authentication or decoding
@@ -38,7 +37,7 @@ var (
 
 	// ErrInvalidOptions is returned by Open for an Options value that cannot
 	// describe a tree (bad order, short master key, missing layers,
-	// inconsistent sharding).
+	// conflicting store settings).
 	ErrInvalidOptions = engine.ErrInvalidOptions
 
 	// ErrLocked is returned by Open when a page file at Options.Path is
@@ -56,7 +55,7 @@ var (
 	// and open a fresh one.
 	ErrSnapshotTooOld = engine.ErrSnapshotTooOld
 
-	// ErrSealsExhausted is returned by mutations when a shard's key epoch has
+	// ErrSealsExhausted is returned by mutations when the tree's key epoch has
 	// reached its hard seal bound and no fresh epoch can absorb the write
 	// (rotation disabled via a negative SealBudget, or the 32-bit epoch space
 	// itself spent). Writes fail closed rather than risk nonce reuse; reads

@@ -96,7 +96,7 @@ func (c *hugeOverhead) Overhead() int {
 // with ErrTooLarge, whether the commit seals inline (a Put, a Delete) or on
 // the parallel workers (a batch dirtying dozens of leaves). The transaction
 // aborts before validation: nothing it staged becomes visible, no commit is
-// counted, and the shard keeps taking writes — a large batch included.
+// counted, and the tree keeps taking writes — a large batch included.
 func TestPageOver4GiBIsRefused(t *testing.T) {
 	inner, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC8}, 32))
 	if err != nil {
@@ -155,7 +155,7 @@ func TestPageOver4GiBIsRefused(t *testing.T) {
 		}
 	}
 	if err := overwrite(); err != nil {
-		t.Fatalf("Batch.Commit after the refused commits = %v, want the shard still writable", err)
+		t.Fatalf("Batch.Commit after the refused commits = %v, want the tree still writable", err)
 	}
 	if err := tr.Put(key(1000), []byte("v")); err != nil {
 		t.Fatalf("Put after the refused commits = %v", err)

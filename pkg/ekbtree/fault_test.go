@@ -207,11 +207,7 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 					if err := tr.Close(); err != nil {
 						t.Fatal(err)
 					}
-					// The faulted tree ran over one explicit store, so its
-					// file is a single-shard image; pin Shards so the reopen
-					// reads it even when the shard matrix raises the suite
-					// default.
-					reopen = Options{MasterKey: master, Order: 8, Path: path, Shards: 1}
+					reopen = Options{MasterKey: master, Order: 8, Path: path}
 				}
 				re, err := Open(reopen)
 				if err != nil {

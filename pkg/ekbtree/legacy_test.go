@@ -10,99 +10,80 @@ import (
 	"testing"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
-	"github.com/paper-repro/ekbtree/internal/keysub"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 )
 
 func legacyKey(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 func legacyVal(i int) []byte { return []byte(fmt.Sprintf("payload-%d", i)) }
 
-// writeLegacyFullTree lays down the page files a tree written with the
-// removed full-key option (or before prefix coding existed) consists of: per
-// shard a header with no " enc=prefix" token, sealed by the real cipher, and
-// every node page encoded node.FormatFull by an engine configured the way
-// Open configures it. The header string is spelled out here, not shared with
+// writeLegacyFullTree lays down the page file a tree written with the
+// removed full-key option (or before prefix coding existed) consists of: a
+// header with no " enc=prefix" token, sealed by the real cipher, and every
+// node page encoded node.FormatFull by an engine configured the way Open
+// configures it. The header string is spelled out here, not shared with
 // checkHeader, so that this test pins the bytes old files actually carry.
 // Keys [0, n) go in as 64-key commits, then every 7th is deleted, so the
 // legacy pages have been through splits and merges. It returns the model:
 // substituted key -> value.
 func writeLegacyFullTree(t *testing.T, opts Options, n int) map[string]string {
 	t.Helper()
-	order, sub, nc, cachePages, shards, err := opts.validate()
+	order, sub, nc, cachePages, err := opts.validate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := keysub.NewShardRouter(shards)
+	st, err := file.OpenConfig(opts.Path, opts.fileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := make([]*engine.Engine, shards)
-	for i := range engines {
-		st, err := openShardStore(opts, i, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", order, sub.Name(), nc.Name())
-		if shards > 1 {
-			header += fmt.Sprintf(" shards=%d/%d", i, shards)
-		}
-		sealed, err := nc.Seal(metaPageID, []byte(header))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.SetMeta(sealed); err != nil {
-			t.Fatal(err)
-		}
-		engines[i], err = engine.New(engine.Config{
-			Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatFull,
-			SealBudget: DefaultSealBudget, CounterBase: uint64(i) << 56,
+	header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", order, sub.Name(), nc.Name())
+	sealed, err := nc.Seal(metaPageID, []byte(header))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMeta(sealed); err != nil {
+		t.Fatal(err)
+	}
+	g, err := engine.New(engine.Config{
+		Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatFull,
+		SealBudget: DefaultSealBudget,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := make(map[string]string)
+	// commit applies keys [lo, hi) (only every 7th when del) as one commit.
+	commit := func(lo, hi int, del bool) {
+		err := g.Apply(func(bt *btree.Tree) error {
+			for i := lo; i < hi; i++ {
+				if del && i%7 != 0 {
+					continue
+				}
+				sk := sub.Substitute(legacyKey(i))
+				var err error
+				if del {
+					_, err = bt.Delete(sk)
+				} else {
+					err = bt.Put(sk, legacyVal(i))
+				}
+				if err != nil {
+					return err
+				}
+			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	model := make(map[string]string)
-	// commit applies keys [lo, hi) (only every 7th when del) as one commit per
-	// shard they route to.
-	commit := func(lo, hi int, del bool) {
-		perShard := make([][][]byte, shards)
-		vals := make(map[string][]byte)
 		for i := lo; i < hi; i++ {
-			if del && i%7 != 0 {
-				continue
-			}
-			sk := sub.Substitute(legacyKey(i))
-			s := router.Route(sk)
-			perShard[s] = append(perShard[s], sk)
-			if del {
-				delete(model, string(sk))
-			} else {
-				vals[string(sk)] = legacyVal(i)
-				model[string(sk)] = string(legacyVal(i))
-			}
-		}
-		for s, sks := range perShard {
-			if len(sks) == 0 {
-				continue
-			}
-			err := engines[s].Apply(func(bt *btree.Tree) error {
-				for _, sk := range sks {
-					var err error
-					if del {
-						_, err = bt.Delete(sk)
-					} else {
-						err = bt.Put(sk, vals[string(sk)])
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+			sk := string(sub.Substitute(legacyKey(i)))
+			switch {
+			case !del:
+				model[sk] = string(legacyVal(i))
+			case i%7 == 0:
+				delete(model, sk)
 			}
 		}
 	}
@@ -112,10 +93,8 @@ func writeLegacyFullTree(t *testing.T, opts Options, n int) map[string]string {
 	for lo := 0; lo < n; lo += 448 {
 		commit(lo, min(lo+448, n), true)
 	}
-	for _, g := range engines {
-		if err := g.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return model
 }
@@ -149,47 +128,45 @@ func scanDigest(t *testing.T, tr *Tree) (int, [sha256.Size]byte) {
 }
 
 // pageFormats counts, per node format, the live pages of the (closed) tree at
-// opts, walking every shard's file from its root with the tree's own cipher.
+// opts, walking its file from the root with the tree's own cipher.
 func pageFormats(t *testing.T, opts Options) map[node.Format]int {
 	t.Helper()
-	_, _, nc, _, shards, err := opts.validate()
+	_, _, nc, _, err := opts.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := file.OpenConfig(opts.Path, opts.fileConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	root, err := st.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make(map[node.Format]int)
-	for i := 0; i < shards; i++ {
-		st, err := openShardStore(opts, i, shards)
+	if root == store.NoRoot {
+		return counts
+	}
+	for stack := []uint64{root}; len(stack) > 0; {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		sealed, err := st.ReadPage(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
-		root, err := st.Root()
+		page, err := nc.Open(id, sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if root == store.NoRoot {
-			continue
+		counts[node.FormatOf(page)]++
+		n, err := node.DecodeInPlace(page)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for stack := []uint64{root}; len(stack) > 0; {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			sealed, err := st.ReadPage(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			page, err := nc.Open(id, sealed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[node.FormatOf(page)]++
-			n, err := node.DecodeInPlace(page)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !n.Leaf {
-				for i := range n.Len() + 1 {
-					stack = append(stack, n.Child(i))
-				}
+		if !n.Leaf {
+			for i := range n.Len() + 1 {
+				stack = append(stack, n.Child(i))
 			}
 		}
 	}
@@ -206,18 +183,15 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		bucketed bool
-		shards   int
 	}{
-		{"hmac-1shard", false, 1},
-		{"hmac-3shards", false, 3},
-		{"bucketed64-1shard", true, 1},
-		{"bucketed64-3shards", true, 3},
+		{"hmac", false},
+		{"bucketed64", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "legacy.ekb")
-			opts := Options{MasterKey: bytes.Repeat([]byte{0x55}, 32), Path: path, Shards: tc.shards}
+			opts := Options{MasterKey: bytes.Repeat([]byte{0x55}, 32), Path: path}
 			if tc.bucketed {
-				opts = prefixFriendlyOpts(t, path, tc.shards)
+				opts = prefixFriendlyOpts(t, path)
 			}
 			opts.Order = 8 // small nodes: a few thousand keys make a deep tree
 			const n = 3000
@@ -302,7 +276,7 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 	// A header that deciphers but is neither the token-less nor the prefix
 	// form is a mismatch, as it always was.
 	master := bytes.Repeat([]byte{0x55}, 32)
-	_, sub, nc, _, _, err := Options{MasterKey: master}.validate()
+	_, sub, nc, _, err := Options{MasterKey: master}.validate()
 	if err != nil {
 		t.Fatal(err)
 	}

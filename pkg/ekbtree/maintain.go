@@ -16,8 +16,8 @@ const (
 	rotateRetryMax = 5 * time.Second
 )
 
-// vacuumPoll is how often the maintenance loop looks at each shard's garbage
-// when Options.AutoVacuum is set. A look is two counter loads per shard; the
+// vacuumPoll is how often the maintenance loop looks at the tree's garbage
+// when Options.AutoVacuum is set. A look is two counter loads; the
 // AutoVacuum threshold, not the poll, decides how often a pass runs.
 const vacuumPoll = time.Second
 
@@ -32,11 +32,11 @@ func (t *Tree) kickMaintain() {
 }
 
 // maintain is the tree's background maintenance: one goroutine per Tree.
-// Epoch advances (and Open, once) kick it to sweep every shard's old-epoch
-// pages back under the current derived key, retrying a failed sweep after a
-// back-off. With autoVacuum > 0 it also wakes every vacuumPoll, and in any
-// round runs Vacuum(0) on each shard whose garbage made since its last pass
-// is more than autoVacuum of its file. Re-seals and relocations are ordinary
+// Epoch advances (and Open, once) kick it to sweep the old-epoch pages back
+// under the current derived key, retrying a failed sweep after a back-off.
+// With autoVacuum > 0 it also wakes every vacuumPoll, and in any round runs
+// Vacuum(0) once the garbage made since the last pass is more than
+// autoVacuum of the file. Re-seals and relocations are ordinary
 // shadow-paged commits, so a crash at any byte of either leaves a normal
 // pre-or-post-commit state — no recovery protocol of their own. The loop
 // exits when the tree closes, after the round in flight.
@@ -48,9 +48,9 @@ func (t *Tree) maintain(autoVacuum float64) {
 		defer tick.Stop()
 		poll = tick.C
 	}
-	// left[i] is the garbage shard i's last pass left behind, so a layout
-	// already at its floor is not vacuumed again until as much is made anew.
-	left := make([]int64, len(t.shards))
+	// left is the garbage the last pass left behind, so a layout already at
+	// its floor is not vacuumed again until as much is made anew.
+	var left int64
 	var retry <-chan time.Time // fires when a rotation round is owed; nil once converged
 	delay := rotateRetryMin
 	for {
@@ -63,33 +63,29 @@ func (t *Tree) maintain(autoVacuum float64) {
 		case <-poll:
 			rotate = false
 		}
-		done, failed := true, false
-		for i, g := range t.shards {
-			if rotate {
-				d, err := g.Rotate()
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				failed = failed || err != nil
-				done = done && err == nil && d
+		var done bool
+		var err error
+		if rotate {
+			if done, err = t.eng.Rotate(); errors.Is(err, ErrClosed) {
+				return
 			}
-			if autoVacuum > 0 {
-				size, live := g.Space()
-				if float64(size-live-left[i]) > autoVacuum*float64(size) {
-					// A failed pass leaves a consistent layout, and the
-					// store's own failure reaches callers on their next write.
-					_ = g.Vacuum(0)
-					size, live = g.Space()
-					left[i] = size - live
-				}
+		}
+		if autoVacuum > 0 {
+			size, live := t.eng.Space()
+			if float64(size-live-left) > autoVacuum*float64(size) {
+				// A failed pass leaves a consistent layout, and the store's
+				// own failure reaches callers on their next write.
+				_ = t.eng.Vacuum(0)
+				size, live = t.eng.Space()
+				left = size - live
 			}
 		}
 		switch {
 		case !rotate:
+		case err != nil:
+			retry, delay = time.After(delay), min(2*delay, rotateRetryMax)
 		case done:
 			retry, delay = nil, rotateRetryMin
-		case failed:
-			retry, delay = time.After(delay), min(2*delay, rotateRetryMax)
 		default: // pages went stale behind the sweep: go again now
 			retry, delay = time.After(0), rotateRetryMin
 		}

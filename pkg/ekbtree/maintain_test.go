@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // vacuumCountingStore is a page store that counts the vacuum passes run on it.
@@ -22,33 +23,28 @@ func (s vacuumCountingStore) Vacuum(target int64) error {
 	return s.PageStore.Vacuum(target)
 }
 
-// TestAutoVacuum: a sharded Path tree with Options.AutoVacuum compacts its
-// own files. Churn — several generations of batched rewrites, then most keys
-// deleted one commit at a time — leaves the files several times their live
+// TestAutoVacuum: a file-backed tree with Options.AutoVacuum compacts its
+// own file. Churn — several generations of batched rewrites, then most keys
+// deleted one commit at a time — leaves the file several times its live
 // bytes; with no Vacuum call the footprint comes back within 1.5x of live,
 // every survivor reads back, an idle tree runs no further pass, and Close
 // does not wait on the idle loop. Reopened with a fraction below the garbage
 // its compacted layout cannot shed, the tree runs one pass and then none:
-// only garbage made since a shard's last pass counts.
+// only garbage made since the last pass counts.
 func TestAutoVacuum(t *testing.T) {
 	var passes atomic.Int64
 	path := filepath.Join(t.TempDir(), "av.ekb")
 	openCounted := func(autoVacuum float64) *Tree {
-		open := openShardStore
-		defer func() { openShardStore = open }()
-		openShardStore = func(opts Options, idx, total int) (store.PageStore, error) {
-			st, err := open(opts, idx, total)
-			if err != nil {
-				return nil, err
-			}
-			return vacuumCountingStore{st, &passes}, nil
+		st, err := file.OpenConfig(path, file.Config{Durability: DurabilityGrouped})
+		if err != nil {
+			t.Fatal(err)
 		}
 		return mustOpen(t, Options{
-			MasterKey: bytes.Repeat([]byte{0xA7}, 32), Path: path,
-			Shards: 2, Durability: DurabilityGrouped, AutoVacuum: autoVacuum,
+			MasterKey: bytes.Repeat([]byte{0xA7}, 32),
+			Store:     vacuumCountingStore{st, &passes}, AutoVacuum: autoVacuum,
 		})
 	}
-	// idle waits out one poll, for a shard still owed a pass to take it, and
+	// idle waits out one poll, for a pass still owed to run, and
 	// reports the passes run over the three polls after that.
 	idle := func() int64 {
 		time.Sleep(vacuumPoll + vacuumPoll/2)
@@ -120,7 +116,7 @@ func TestAutoVacuum(t *testing.T) {
 	}
 
 	// The compacted layout keeps some garbage at its floor (residue holes);
-	// a fraction well below it makes the first round vacuum each shard, and a
+	// a fraction well below it makes the first round vacuum, and a
 	// rule that counted all garbage rather than new garbage would go on
 	// vacuuming the floor at every poll after. Open kicks that first round,
 	// which may finish before Open's caller reads the count, so the count is

@@ -113,9 +113,7 @@ func TestMaterialOptionsKeepBaseConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Close()
-	// Under the shard matrix the page files live at path.shardN; shard 0's
-	// file exists in every layout.
-	if _, err := os.Stat(shardPath(path, 0, testDefaultShards)); err != nil {
+	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("tree file not created: %v", err)
 	}
 }

@@ -4,7 +4,7 @@ package ekbtree
 // mutex ACROSS every tree mutation, so its writers — however many goroutines
 // run them — commit one at a time and never exercise the multi-writer path.
 // This harness removes that serialization: N writer goroutines commit
-// concurrently, queuing for each shard's write turn, so their mutations are
+// concurrently, queuing for the write turn, so their mutations are
 // combined into shared commits and re-run alone when one of them fails.
 //
 // Ground truth without a serializing lock comes from two ingredients:
@@ -24,12 +24,10 @@ package ekbtree
 //     impossible observations, so they are immune to tick ties and
 //     bookkeeping races by construction.
 //
-// Writer-owned key groups are rewritten only by whole-group batches. A
-// sharded tree commits a batch per shard independently, so the atomicity
-// unit a scan may rely on is the per-shard SLICE of a group: every slice
-// must be fully absent or fully uniform, and each shard's single pin tick
-// must explain all of that shard's slices simultaneously. With one shard
-// this reduces exactly to whole-group atomicity under one global pin tick.
+// Writer-owned key groups are rewritten only by whole-group batches, and a
+// batch commits as one epoch, so every group a scan observes must be fully
+// absent or fully uniform, and the scan's one pin tick must explain every
+// group simultaneously.
 
 import (
 	"bytes"
@@ -40,8 +38,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/paper-repro/ekbtree/internal/keysub"
 )
 
 // cwVer is one version of a key (or one whole-group rewrite): the value or
@@ -215,18 +211,6 @@ func TestModelConcurrentWriters(t *testing.T) {
 			})
 		})
 	}
-	// Explicit shard matrix, so parallel per-shard commits face the harness
-	// even when EKBTREE_SHARDS leaves the suite default at one shard.
-	t.Run("shards=3", func(t *testing.T) {
-		runConcurrentWriters(t, Options{Shards: 3})
-	})
-	t.Run("file/grouped/shards=3", func(t *testing.T) {
-		runConcurrentWriters(t, Options{
-			Path:       filepath.Join(t.TempDir(), "model.ekb"),
-			Durability: DurabilityGrouped,
-			Shards:     3,
-		})
-	})
 	// Vacuum legs: a background compactor relocates live extents while the
 	// writers commit concurrently — the hardest traffic
 	// the vacuum's retry/skip machinery faces in-process.
@@ -234,13 +218,6 @@ func TestModelConcurrentWriters(t *testing.T) {
 		runConcurrentWriters(t, Options{
 			Path:       filepath.Join(t.TempDir(), "model.ekb"),
 			Durability: DurabilityGrouped,
-		}, vacuumLoop)
-	})
-	t.Run("vacuum/file/grouped/shards=3", func(t *testing.T) {
-		runConcurrentWriters(t, Options{
-			Path:       filepath.Join(t.TempDir(), "model.ekb"),
-			Durability: DurabilityGrouped,
-			Shards:     3,
 		}, vacuumLoop)
 	})
 }
@@ -284,27 +261,6 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 				subToPlain[string(sub.Substitute([]byte(k)))] = k
 			}
 		}
-	}
-
-	// Partition each group by the shard its substituted keys route to: the
-	// per-shard slice is the atomicity unit the scanners may rely on. With
-	// one shard every group has exactly one slice.
-	st0, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := keysub.NewShardRouter(st0.Shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	groupSlices := make([]map[int][]string, len(groups))
-	for gid, ks := range groups {
-		m := make(map[int][]string)
-		for _, k := range ks {
-			sh := router.Route(sub.Substitute([]byte(k)))
-			m[sh] = append(m[sh], k)
-		}
-		groupSlices[gid] = m
 	}
 
 	o := newCWOracle(len(groups))
@@ -455,36 +411,23 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 					return
 				}
 				c.Close()
-				// Each shard was pinned at one tick inside [lo, hi]; that one
-				// tick must explain every group slice living on the shard.
-				pinLo := make([]uint64, st0.Shards)
-				pinHi := make([]uint64, st0.Shards)
-				for sh := range pinLo {
-					pinLo[sh], pinHi[sh] = lo, hi
-				}
-				for g := range groups {
+				// The snapshot was pinned at one tick inside [lo, hi]; that
+				// one tick must explain every group.
+				pinLo, pinHi := lo, hi
+				for g, ks := range groups {
 					o.mu.Lock()
 					log := append([]cwVer(nil), o.grp[g]...)
 					o.mu.Unlock()
-					for sh, ks := range groupSlices[g] {
-						gLo, gHi, err := groupWindow(log, ks, g, seen)
-						if err != nil {
-							fail("scan: shard %d: %v", sh, err)
-							return
-						}
-						if gLo > pinLo[sh] {
-							pinLo[sh] = gLo
-						}
-						if gHi < pinHi[sh] {
-							pinHi[sh] = gHi
-						}
-					}
-				}
-				for sh := range pinLo {
-					if pinLo[sh] > pinHi[sh] {
-						fail("scan: no single pin tick explains shard %d's group slices (window [%d, %d] empties to [%d, %d])", sh, lo, hi, pinLo[sh], pinHi[sh])
+					gLo, gHi, err := groupWindow(log, ks, g, seen)
+					if err != nil {
+						fail("scan: %v", err)
 						return
 					}
+					pinLo, pinHi = max(pinLo, gLo), min(pinHi, gHi)
+				}
+				if pinLo > pinHi {
+					fail("scan: no single pin tick explains every group (window [%d, %d] empties to [%d, %d])", lo, hi, pinLo, pinHi)
+					return
 				}
 				for _, p := range pools {
 					for _, k := range p {

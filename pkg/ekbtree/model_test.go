@@ -8,18 +8,12 @@ package ekbtree
 // trees in all three durability modes, and is exercised under -race in CI.
 //
 // The central snapshot-isolation check: designated KEY GROUPS are only ever
-// written by batches that rewrite the WHOLE group to one value. The
-// atomicity unit is the per-shard SLICE of a group (for an unsharded tree,
-// the whole group): a cursor scan must observe each slice either fully
-// absent or fully uniform — a mixed slice is a half-applied commit — and,
-// per shard, there must exist a single commit sequence number S, within the
-// window the scan ran in, that explains every slice on that shard
-// simultaneously (each shard's snapshot is one pinned epoch; the cursor
-// chains one snapshot per shard, so there is no single cross-shard S). The
-// harness runs with whatever shard count the tree resolves — 1 by default,
-// 3 under the explicit sharded subtests and the EKBTREE_SHARDS matrix — so
-// the same oracle proves routing, the cross-shard cursor, and per-shard
-// commit semantics.
+// written by batches that rewrite the WHOLE group to one value, so the group
+// is the atomicity unit: a cursor scan must observe each group either fully
+// absent or fully uniform — a mixed group is a half-applied commit — and
+// there must exist a single commit sequence number S, within the window the
+// scan ran in, that explains every group simultaneously (the cursor's
+// snapshot is one pinned epoch).
 
 import (
 	"bytes"
@@ -32,8 +26,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"github.com/paper-repro/ekbtree/internal/keysub"
 )
 
 // modelVer is one committed version of a key: the commit sequence that wrote
@@ -149,9 +141,7 @@ func modelConfig(t *testing.T, fileBacked bool) modelCfg {
 }
 
 // TestModelConcurrency runs the harness over the default backend and over
-// file-backed trees in each durability mode, then over explicitly sharded
-// trees (Shards=3) so the routed write paths and the cross-shard cursor face
-// the oracle even when the environment doesn't set EKBTREE_SHARDS.
+// file-backed trees in each durability mode.
 func TestModelConcurrency(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		runModel(t, Options{}, false)
@@ -166,25 +156,11 @@ func TestModelConcurrency(t *testing.T) {
 			runModel(t, opts, true)
 		})
 	}
-	t.Run("shards=3", func(t *testing.T) {
-		runModel(t, Options{Shards: 3}, false)
-	})
-	t.Run("file/grouped/shards=3", func(t *testing.T) {
-		opts := Options{
-			Path:       filepath.Join(t.TempDir(), "model.ekb"),
-			Durability: DurabilityGrouped,
-			Shards:     3,
-		}
-		runModel(t, opts, true)
-	})
 	// Rotation legs: the epoch cipher with a budget tiny against the run's
 	// commit volume, so key epochs advance repeatedly mid-run and the
 	// background rotator re-seals pages while the oracle watches every read.
 	t.Run("rotate", func(t *testing.T) {
 		runModel(t, epochModelOpts(t, Options{}, 192), false)
-	})
-	t.Run("rotate/shards=3", func(t *testing.T) {
-		runModel(t, epochModelOpts(t, Options{Shards: 3}, 192), false)
 	})
 	t.Run("rotate/file/grouped", func(t *testing.T) {
 		opts := Options{
@@ -196,26 +172,14 @@ func TestModelConcurrency(t *testing.T) {
 	// Vacuum legs: a background compactor races the whole harness, so live
 	// relocation commits interleave with writers, readers, and pinned scans.
 	// Every leg relocates extents and truncates the page file, whether it is
-	// held in memory or on disk. Both shard counts run, so per-shard vacuums
-	// overlap per-shard commits.
+	// held in memory or on disk.
 	t.Run("vacuum", func(t *testing.T) {
 		runModel(t, Options{}, false, vacuumLoop)
-	})
-	t.Run("vacuum/shards=3", func(t *testing.T) {
-		runModel(t, Options{Shards: 3}, false, vacuumLoop)
 	})
 	t.Run("vacuum/file/grouped", func(t *testing.T) {
 		opts := Options{
 			Path:       filepath.Join(t.TempDir(), "model.ekb"),
 			Durability: DurabilityGrouped,
-		}
-		runModel(t, opts, true, vacuumLoop)
-	})
-	t.Run("vacuum/file/grouped/shards=3", func(t *testing.T) {
-		opts := Options{
-			Path:       filepath.Join(t.TempDir(), "model.ekb"),
-			Durability: DurabilityGrouped,
-			Shards:     3,
 		}
 		runModel(t, opts, true, vacuumLoop)
 	})
@@ -323,30 +287,6 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 		for _, k := range ks {
 			subToPlain[string(sub.Substitute([]byte(k)))] = k
 			groupOf[k] = g
-		}
-	}
-
-	// Partition each group into per-shard slices with the same router the
-	// façade uses: a shard's slice of a group commits as one epoch on that
-	// shard, so the slice — not the whole group — is the atomicity unit the
-	// scanners assert on. Unsharded trees have exactly one slice per group.
-	st0, err := tr.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := keysub.NewShardRouter(st0.Shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slices []groupSlice
-	for g, ks := range groups {
-		byShard := make(map[int][]string)
-		for _, k := range ks {
-			sh := router.Route(sub.Substitute([]byte(k)))
-			byShard[sh] = append(byShard[sh], k)
-		}
-		for sh, sks := range byShard {
-			slices = append(slices, groupSlice{group: g, shard: sh, keys: sks})
 		}
 	}
 
@@ -504,7 +444,7 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 		}(r)
 	}
 
-	// Scanners: full snapshot scans with the slice-atomicity and per-shard
+	// Scanners: full snapshot scans with the group-atomicity and
 	// single-explaining-S feasibility checks.
 	for s := 0; s < cfg.scanners; s++ {
 		readersWG.Add(1)
@@ -516,7 +456,7 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 					return
 				default:
 				}
-				if !modelScanCheck(t, tr, o, subToPlain, groupOf, slices, fail) {
+				if !modelScanCheck(tr, o, subToPlain, groupOf, groups, fail) {
 					return
 				}
 			}
@@ -591,17 +531,10 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	}
 }
 
-// groupSlice is one shard's slice of a key group: the set of the group's
-// keys that route to one shard, and therefore commit as one epoch there.
-type groupSlice struct {
-	group, shard int
-	keys         []string
-}
-
 // modelScanCheck runs one full cursor scan and validates it as a snapshot
-// (one pinned epoch per shard). It returns false if the harness should stop
-// (a failure was recorded).
-func modelScanCheck(t *testing.T, tr *Tree, o *modelOracle, subToPlain map[string]string, groupOf map[string]int, slices []groupSlice, fail func(string, ...interface{})) bool {
+// (one pinned epoch). It returns false if the harness should stop (a failure
+// was recorded).
+func modelScanCheck(tr *Tree, o *modelOracle, subToPlain map[string]string, groupOf map[string]int, groups [][]string, fail func(string, ...interface{})) bool {
 	lo := o.now()
 	c := tr.Cursor()
 	hi := o.now() // the snapshot's epoch was pinned somewhere in [lo, hi]
@@ -631,33 +564,21 @@ func modelScanCheck(t *testing.T, tr *Tree, o *modelOracle, subToPlain map[strin
 		return false
 	}
 
-	// Slice atomicity + per-shard feasibility: each shard's snapshot is one
-	// pinned epoch, so for every SHARD there must be one S in [lo, hi] that
-	// explains all of that shard's slices simultaneously. There is no single
-	// cross-shard S — that is the documented per-shard batch contract — but
-	// within a shard the old whole-group reasoning carries over unchanged,
-	// because every group rewrite rewrites each of its slices completely.
+	// Group atomicity + feasibility: the snapshot is one pinned epoch, so
+	// there must be one S in [lo, hi] that explains every group
+	// simultaneously. [wLo, wHi] narrows to the commit points consistent
+	// with every group seen so far.
 	o.mu.Lock()
 	groupLogs := make([][]uint64, len(o.groups))
 	for g := range o.groups {
 		groupLogs[g] = append([]uint64(nil), o.groups[g]...)
 	}
 	o.mu.Unlock()
-	type window struct{ lo, hi uint64 }
-	shardWin := make(map[int]*window)
-	winOf := func(shard int) *window {
-		w, ok := shardWin[shard]
-		if !ok {
-			w = &window{lo: lo, hi: hi}
-			shardWin[shard] = w
-		}
-		return w
-	}
-	for _, sl := range slices {
-		w := winOf(sl.shard)
+	wLo, wHi := lo, hi
+	for g, keys := range groups {
 		var vals []string
 		present := 0
-		for _, k := range sl.keys {
+		for _, k := range keys {
 			if v, ok := seen[k]; ok {
 				present++
 				vals = append(vals, v)
@@ -665,43 +586,37 @@ func modelScanCheck(t *testing.T, tr *Tree, o *modelOracle, subToPlain map[strin
 		}
 		switch {
 		case present == 0:
-			// All absent: the shard's snapshot predates the group's first
-			// rewrite.
-			if len(groupLogs[sl.group]) > 0 {
-				first := groupLogs[sl.group][0]
-				if first <= w.hi {
-					w.hi = min(w.hi, first-1)
-				}
+			// All absent: the snapshot predates the group's first rewrite.
+			if len(groupLogs[g]) > 0 {
+				wHi = min(wHi, groupLogs[g][0]-1)
 			}
-		case present != len(sl.keys):
-			fail("scan: group %d slice on shard %d half-applied: %d of %d keys present", sl.group, sl.shard, present, len(sl.keys))
+		case present != len(keys):
+			fail("scan: group %d half-applied: %d of %d keys present", g, present, len(keys))
 			return false
 		default:
 			for _, v := range vals[1:] {
 				if v != vals[0] {
-					fail("scan: group %d slice on shard %d torn: %q vs %q", sl.group, sl.shard, vals[0], v)
+					fail("scan: group %d torn: %q vs %q", g, vals[0], v)
 					return false
 				}
 			}
 			var gNum int
 			var s uint64
-			if _, err := fmt.Sscanf(vals[0], "g%d#%d", &gNum, &s); err != nil || gNum != sl.group {
-				fail("scan: group %d value %q malformed", sl.group, vals[0])
+			if _, err := fmt.Sscanf(vals[0], "g%d#%d", &gNum, &s); err != nil || gNum != g {
+				fail("scan: group %d value %q malformed", g, vals[0])
 				return false
 			}
-			w.lo = max(w.lo, s)
+			wLo = max(wLo, s)
 			// The observation stays valid until the group's next rewrite.
-			idx := sort.Search(len(groupLogs[sl.group]), func(i int) bool { return groupLogs[sl.group][i] > s })
-			if idx < len(groupLogs[sl.group]) {
-				w.hi = min(w.hi, groupLogs[sl.group][idx]-1)
+			idx := sort.Search(len(groupLogs[g]), func(i int) bool { return groupLogs[g][i] > s })
+			if idx < len(groupLogs[g]) {
+				wHi = min(wHi, groupLogs[g][idx]-1)
 			}
 		}
 	}
-	for shard, w := range shardWin {
-		if w.lo > w.hi {
-			fail("scan: no single commit point explains shard %d's slices (window [%d, %d] empties to [%d, %d])", shard, lo, hi, w.lo, w.hi)
-			return false
-		}
+	if wLo > wHi {
+		fail("scan: no single commit point explains every group (window [%d, %d] empties to [%d, %d])", lo, hi, wLo, wHi)
+		return false
 	}
 
 	// Pool keys: each observation individually valid in the scan window.

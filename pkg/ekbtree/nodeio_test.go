@@ -33,10 +33,8 @@ func TestCacheStatsCounters(t *testing.T) {
 	if s1.Cache.Evictions == 0 {
 		t.Error("no evictions recorded though the tree far exceeds the cache")
 	}
-	// CachePages caps each shard's cache; the aggregated Pages figure sums
-	// them (s1.Shards is 1 except under the EKBTREE_SHARDS matrix).
-	if s1.Cache.Pages > 4*s1.Shards {
-		t.Errorf("Pages = %d exceeds capacity 4 x %d shards", s1.Cache.Pages, s1.Shards)
+	if s1.Cache.Pages > 4 {
+		t.Errorf("Pages = %d exceeds capacity 4", s1.Cache.Pages)
 	}
 	// Hammer one key: the path pins itself in the cache and hits accumulate.
 	for i := 0; i < 10; i++ {
@@ -196,8 +194,7 @@ func TestCursorSingleDescent(t *testing.T) {
 // node cached, a Get allocates the value copy and nothing else, and a miss
 // nothing at all. The substituted key is cut from the substituter's pooled
 // chunk, one allocation per ~170 keys, which the per-run average rounds
-// away. The shard count does not matter once the tree is cached, so the
-// guard holds under the whole test matrix.
+// away.
 func TestGetAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
@@ -240,7 +237,7 @@ func TestGetAllocs(t *testing.T) {
 // costs nothing of its own; see TestGetAllocs).
 //
 // Each Get is measured twice:
-//   - with a cursor open, whose pin keeps the shard from ever reaching the
+//   - with a cursor open, whose pin keeps the engine from ever reaching the
 //     moment the cache's evicted views are recycled, so the free list runs dry
 //     and every page allocates its block;
 //   - in the steady state, nothing pinned between Gets, where the views one
@@ -256,7 +253,7 @@ func TestReadMissAllocs(t *testing.T) {
 		t.Skip("the race detector allocates")
 	}
 	cs := &countingStore{PageStore: file.NewMem()}
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xDA}, 32), CachePages: 1, Store: cs, Shards: 1})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xDA}, 32), CachePages: 1, Store: cs})
 	defer tr.Close()
 	key := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 'k'} }
 	b := tr.NewBatch()
@@ -401,12 +398,10 @@ func TestColdReadsShareNothing(t *testing.T) {
 // TestCursorAllocs guards the scan path's allocation budget: a range cursor
 // over one bucket of ~100 entries, every node cached. Opening and closing one
 // allocates the Cursor and nothing else: the bounds are cut from the
-// substituter's pooled chunk, and a one-bucket range pins one shard whatever
-// the shard count, whose snapshot and iterator live inside the Cursor.
-// Reading it through adds nothing, the iterator's path stack being inline
-// too. No slack: a second per-cursor allocation, a per-shard slice for a run
-// of one, or a stack on the heap again, is the regression this guards
-// against.
+// substituter's pooled chunk, and the snapshot and iterator live inside the
+// Cursor. Reading it through adds nothing, the iterator's path stack being
+// inline too. No slack: a second per-cursor allocation, or a stack on the
+// heap again, is the regression this guards against.
 func TestCursorAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
@@ -419,38 +414,36 @@ func TestCursorAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, Order: 16, CachePages: 4096, Shards: shards})
-		b := tr.NewBatch()
-		for i := 0; i < 5000; i++ { // 50 buckets of 100 keys
-			if err := b.Put([]byte{byte(i / 100 * 5), 0, byte(i % 100)}, []byte("value")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := b.Commit(); err != nil {
+	tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, Order: 16, CachePages: 4096})
+	defer tr.Close()
+	b := tr.NewBatch()
+	for i := 0; i < 5000; i++ { // 50 buckets of 100 keys
+		if err := b.Put([]byte{byte(i / 100 * 5), 0, byte(i % 100)}, []byte("value")); err != nil {
 			t.Fatal(err)
 		}
-		from, to := []byte{125, 0, 0}, []byte{125, 0, 99}
-		open := func() { tr.CursorRange(from, to).Close() }
-		scan := func() {
-			c := tr.CursorRange(from, to)
-			n := 0
-			for ok := c.First(); ok; ok = c.Next() {
-				n++
-			}
-			if err := c.Err(); err != nil || n != 100 {
-				t.Fatalf("one-bucket cursor read %d entries (%v), want 100", n, err)
-			}
-			c.Close()
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	from, to := []byte{125, 0, 0}, []byte{125, 0, 99}
+	open := func() { tr.CursorRange(from, to).Close() }
+	scan := func() {
+		c := tr.CursorRange(from, to)
+		n := 0
+		for ok := c.First(); ok; ok = c.Next() {
+			n++
 		}
-		scan() // the bucket's pages are cached from here on
-		if n := testing.AllocsPerRun(200, open); n != 1 {
-			t.Errorf("shards=%d: opening and closing a range cursor allocates %.1f times, want 1", shards, n)
+		if err := c.Err(); err != nil || n != 100 {
+			t.Fatalf("one-bucket cursor read %d entries (%v), want 100", n, err)
 		}
-		if n := testing.AllocsPerRun(200, scan); n != 1 {
-			t.Errorf("shards=%d: a cached one-bucket cursor scan allocates %.1f times, want 1", shards, n)
-		}
-		tr.Close()
+		c.Close()
+	}
+	scan() // the bucket's pages are cached from here on
+	if n := testing.AllocsPerRun(200, open); n != 1 {
+		t.Errorf("opening and closing a range cursor allocates %.1f times, want 1", n)
+	}
+	if n := testing.AllocsPerRun(200, scan); n != 1 {
+		t.Errorf("a cached one-bucket cursor scan allocates %.1f times, want 1", n)
 	}
 }
 
@@ -461,7 +454,7 @@ func TestCursorAllocs(t *testing.T) {
 // given, so the commit stages every op from two buffers and allocates nothing
 // of its own. The tree closes when tb's test ends.
 func batchCommitFixture(tb testing.TB) (commit func()) {
-	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0xD7}, 32), CachePages: 4096, Shards: 1})
+	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0xD7}, 32), CachePages: 4096})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -570,7 +563,7 @@ func cachedPutFixture(tb testing.TB) (put func()) {
 // TestPutAllocs guards a single Put's allocation budget the way
 // TestGetAllocs guards a Get's: cachedPutFixture's overwrite of one key with a
 // value of the same length but new bytes, at Async over a page file, with
-// every node cached. A writer that finds its shard's turn free allocates nothing for it:
+// every node cached. A writer that finds the write turn free allocates nothing for it:
 // the bound fails if the turn starts allocating per call, if the mutation's
 // closure escapes to the heap, if a commit grows a per-page record again, or
 // if the leaf's copy is allocated afresh instead of rebuilt in place.

@@ -22,9 +22,9 @@ type Durability = file.Durability
 
 const (
 	// DurabilityFull (the default) acknowledges a commit only after the
-	// group containing it is durably on disk. Writers that queue at a
-	// shard's write turn while a flush is in progress are combined into the
-	// next commit and share its two fsyncs.
+	// group containing it is durably on disk. Writers that queue at the
+	// write turn while a flush is in progress are combined into the next
+	// commit and share its two fsyncs.
 	DurabilityFull = file.Full
 	// DurabilityGrouped acknowledges commits as soon as they are applied in
 	// memory; the store flushes the accumulated group within 2ms. A crash
@@ -57,9 +57,7 @@ type Options struct {
 	Cipher cipher.NodeCipher
 	// Store is the backing page store. Nil means Path's file-backed store
 	// when Path is set, otherwise the same store over a fresh page file held
-	// in memory, at DurabilityAsync. Setting both Store and Path is invalid,
-	// as is combining Store with Shards > 1 (a single caller-provided store
-	// cannot back multiple shards).
+	// in memory, at DurabilityAsync. Setting both Store and Path is invalid.
 	Store store.PageStore
 	// Path opens (or creates) a crash-safe file-backed store at this path.
 	// Every commit — batch or single mutation — is shadow-paged and flushed
@@ -68,13 +66,13 @@ type Options struct {
 	// produced. Reopening requires the keys and configuration the file was
 	// written with, exactly as for any persistent store. On unix platforms
 	// the file is locked for exclusive use; a second open of the same path
-	// fails with ErrLocked. With Shards = N > 1, shard i's page file is
-	// Path+".shard<i>" and Path itself is not created.
+	// fails with ErrLocked. A Path beside which an earlier version left the
+	// files of a range-sharded tree (Path+".shard<i>") fails with
+	// ErrConfigMismatch and is not created.
 	Path string
 	// Durability selects what commits against Path wait for; see the
 	// Durability constants. The zero value is DurabilityFull. Setting it
-	// without Path is invalid. With multiple shards every shard store gets
-	// its own group-commit pipeline in this mode.
+	// without Path is invalid.
 	Durability Durability
 	// MaxUnflushed bounds the bytes of acknowledged-but-unflushed commit
 	// payload a Path store may accumulate per commit group. At the bound the
@@ -83,82 +81,67 @@ type Options struct {
 	// Because one full group can be mid-flush while the next fills, total
 	// unflushed memory can reach roughly twice this bound. Zero means the
 	// store default (4MB); negative, or setting it without Path, is invalid.
-	// The bound is per shard store.
 	MaxUnflushed int
 	// CachePages caps the decoded-node cache that serves repeated reads and
-	// batch staging, PER SHARD. Zero means DefaultCachePages; negative
-	// disables the cache entirely (every access re-reads, deciphers, and
-	// decodes).
+	// batch staging. Zero means DefaultCachePages; negative disables the
+	// cache entirely (every access re-reads, deciphers, and decodes).
 	CachePages int
-	// Shards range-partitions the substituted key space across this many
-	// independent single-shard engines; see the package's Sharding section.
-	// Zero or 1 means one shard (fully backward compatible — existing files
-	// open unchanged). The shard layout is sealed into every shard's header:
-	// reopening with a different count fails with ErrConfigMismatch.
-	// Negative, or > 1 combined with Store, is invalid.
-	Shards int
 	// MaxEpochAge bounds how many commits may publish after a Cursor pins
 	// its snapshot before the cursor's positioning calls (First, Seek, Next)
 	// fail with ErrSnapshotTooOld. An open cursor holds every pre-image
 	// superseded since its pin, so without a bound a hostile or forgotten
 	// long-lived cursor grows memory in proportion to write traffic; the cap
-	// converts that into a typed, retryable error. With multiple shards the
-	// bound applies per shard snapshot. Zero means unbounded; negative is
-	// invalid.
+	// converts that into a typed, retryable error. Zero means unbounded;
+	// negative is invalid.
 	MaxEpochAge int
-	// SealBudget is the soft per-epoch seal budget, PER SHARD: once a shard's
-	// key epoch has sealed this many pages, the next commit advances it to a
+	// SealBudget is the soft per-epoch seal budget: once the tree's key
+	// epoch has sealed this many pages, the next commit advances it to a
 	// fresh derived key and the background rotator re-seals the old epoch's
 	// pages. Zero means DefaultSealBudget; negative disables budget-driven
 	// rotation entirely — the epoch then advances only via AdvanceEpoch, and
-	// a shard that reaches the hard bound (see SealHardLimit) fails its
+	// a tree that reaches the hard bound (see SealHardLimit) fails its
 	// writes closed with ErrSealsExhausted.
 	SealBudget int64
-	// SealHardLimit is the per-epoch fail-closed seal bound, PER SHARD: a
-	// commit that would push the current epoch's counter past it fails with
+	// SealHardLimit is the per-epoch fail-closed seal bound: a commit that
+	// would push the current epoch's counter past it fails with
 	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
 	// engine default (2^32); values above 2^56 are clamped.
 	SealHardLimit uint64
-	// AutoVacuum, when above zero, has the tree compact a shard's file on
-	// its own, as Vacuum(0) would, once the garbage made since that shard's
-	// last pass (FileBytes − LiveBytes, from Space) is more than this
-	// fraction of the shard's file. The tree's maintenance loop checks every
-	// second; a check reads two counters per shard, so a tree with nothing
-	// to reclaim does no I/O. Zero disables it; it must be in [0, 1).
+	// AutoVacuum, when above zero, has the tree compact its file on its
+	// own, as Vacuum(0) would, once the garbage made since its last pass
+	// (FileBytes − LiveBytes, from Space) is more than this fraction of the
+	// file. The tree's maintenance loop checks every second; a check reads
+	// two counters, so a tree with nothing to reclaim does no I/O. Zero
+	// disables it; it must be in [0, 1).
 	AutoVacuum float64
 }
 
 // DefaultSealBudget is the per-epoch seal budget when Options.SealBudget is
-// zero: 2^30 page seals per shard before the key epoch rotates. Far below
-// any bound that matters cryptographically (counter nonces never repeat
-// within an epoch), it exists to keep the amount of ciphertext under any one
+// zero: 2^30 page seals before the key epoch rotates. Far below any bound
+// that matters cryptographically (counter nonces never repeat within an
+// epoch), it exists to keep the amount of ciphertext under any one
 // derived key bounded and the rotation machinery routinely exercised.
 const DefaultSealBudget = 1 << 30
-
-// MaxShards is the shard-count ceiling: the shard index rides in the
-// top byte of the 64-bit seal counter, partitioning the nonce space so shards
-// sharing one derived key can never collide.
-const MaxShards = 256
 
 // DefaultCachePages re-exports the engine's default decoded-node cache size.
 const DefaultCachePages = engine.DefaultCachePages
 
-// fileConfig is the pipeline configuration a Path tree's stores open with.
+// fileConfig is the pipeline configuration a Path tree's store opens with.
 func (o Options) fileConfig() file.Config {
 	return file.Config{Durability: o.Durability, MaxUnflushed: o.MaxUnflushed}
 }
 
 // validate checks opts and resolves the non-store layers, returning the
-// effective order, substituter, cipher, cache size, and shard count. All
-// validation of an Options value is consolidated here; errors wrap
-// ErrInvalidOptions. Stores are resolved per shard in Open.
-func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCipher, cachePages, shards int, err error) {
+// effective order, substituter, cipher, and cache size. All validation of an
+// Options value is consolidated here; errors wrap ErrInvalidOptions. The
+// store is resolved in Open.
+func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCipher, cachePages int, err error) {
 	order = o.Order
 	if order == 0 {
 		order = DefaultOrder
 	}
 	if order < 4 || order%2 != 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: order %d must be even and >= 4", ErrInvalidOptions, order)
+		return 0, nil, nil, 0, fmt.Errorf("%w: order %d must be even and >= 4", ErrInvalidOptions, order)
 	}
 	sub, nc = o.Substituter, o.Cipher
 	if sub == nil || nc == nil {
@@ -166,11 +149,11 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 		// the same Material a server opening this tree would be handed.
 		m, err := DeriveMaterial(o.MasterKey)
 		if err != nil {
-			return 0, nil, nil, 0, 0, err
+			return 0, nil, nil, 0, err
 		}
 		derived, err := m.Options(Options{})
 		if err != nil {
-			return 0, nil, nil, 0, 0, err
+			return 0, nil, nil, 0, err
 		}
 		if sub == nil {
 			sub = derived.Substituter
@@ -180,38 +163,20 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 		}
 	}
 	if o.Path == "" && (o.Durability != DurabilityFull || o.MaxUnflushed != 0) {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Durability and MaxUnflushed apply only to Path stores", ErrInvalidOptions)
+		return 0, nil, nil, 0, fmt.Errorf("%w: Durability and MaxUnflushed apply only to Path stores", ErrInvalidOptions)
 	}
 	if err := o.fileConfig().Validate(); err != nil {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+		return 0, nil, nil, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
 	if o.Store != nil && o.Path != "" {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Store and Path are mutually exclusive", ErrInvalidOptions)
+		return 0, nil, nil, 0, fmt.Errorf("%w: Store and Path are mutually exclusive", ErrInvalidOptions)
 	}
 	if o.MaxEpochAge < 0 {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative MaxEpochAge", ErrInvalidOptions)
+		return 0, nil, nil, 0, fmt.Errorf("%w: negative MaxEpochAge", ErrInvalidOptions)
 	}
 	// Written so that NaN, which fails every comparison, is refused too.
 	if !(o.AutoVacuum >= 0 && o.AutoVacuum < 1) {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: AutoVacuum %v must be in [0, 1)", ErrInvalidOptions, o.AutoVacuum)
-	}
-	shards = o.Shards
-	switch {
-	case shards < 0:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: negative Shards", ErrInvalidOptions)
-	case shards == 0:
-		// The documented default is 1. The test seam widens it only for
-		// configurations that resolve their own stores: a caller-provided
-		// Store is inherently single-shard.
-		shards = 1
-		if o.Store == nil {
-			shards = testDefaultShards
-		}
-	case shards > 1 && o.Store != nil:
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards > 1 requires per-shard stores (Path or default), not a single Store", ErrInvalidOptions)
-	}
-	if shards > MaxShards {
-		return 0, nil, nil, 0, 0, fmt.Errorf("%w: Shards %d exceeds %d, the nonce-partition limit", ErrInvalidOptions, shards, MaxShards)
+		return 0, nil, nil, 0, fmt.Errorf("%w: AutoVacuum %v must be in [0, 1)", ErrInvalidOptions, o.AutoVacuum)
 	}
 	cachePages = o.CachePages
 	switch {
@@ -220,5 +185,5 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	case cachePages < 0:
 		cachePages = 0
 	}
-	return order, sub, nc, cachePages, shards, nil
+	return order, sub, nc, cachePages, nil
 }

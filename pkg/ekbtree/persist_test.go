@@ -75,14 +75,10 @@ func TestFileBackendPersistence(t *testing.T) {
 	re2.Close()
 
 	// External damage to the file's structural metadata surfaces as
-	// ErrCorrupt. Under the shard matrix the page files live at path.shardN,
-	// so damage every candidate layout (shardPath is the identity for one
-	// shard).
+	// ErrCorrupt.
 	junk := filepath.Join(t.TempDir(), "junk.ekb")
-	for i := 0; i < testDefaultShards; i++ {
-		if err := os.WriteFile(shardPath(junk, i, testDefaultShards), bytes.Repeat([]byte{0x5F}, 2048), 0o600); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(junk, bytes.Repeat([]byte{0x5F}, 2048), 0o600); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := Open(Options{MasterKey: master, Order: 8, Path: junk}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Open of damaged file = %v, want ErrCorrupt", err)

@@ -16,8 +16,8 @@ import (
 // nonce it is asked to seal with, across every tree generation that shares
 // the recorder. Counter-derived nonces are only safe if no pair is EVER
 // reissued — not within one process, not across a clean close, not across a
-// crash — so a single duplicate anywhere in a test's whole multi-generation,
-// multi-shard history is a finding. (Page 0 goes through the random-nonce
+// crash — so a single duplicate anywhere in a test's whole multi-generation
+// history is a finding. (Page 0 goes through the random-nonce
 // header path in Seal and is deliberately outside the counter scheme.)
 type nonceRecorder struct {
 	inner *cipher.EpochAESGCM
@@ -99,18 +99,16 @@ func waitRotationDrained(t *testing.T, tr *Tree) {
 // the previous generation still held unflushed state — under a budget small
 // enough that epochs advance and the background rotator re-seals pages the
 // whole time. A shared nonceRecorder observes every (epoch, counter) sealed
-// across all generations and shards and must never see a pair twice: the
+// across all generations and must never see a pair twice: the
 // durable mark is reserved ahead of issue, so no crash point can make a
 // reopened tree re-walk nonces its predecessor already burned.
 func TestSealCounterDurabilityAcrossGenerations(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		shards int
-		file   bool
+		name string
+		file bool
 	}{
-		{"mem", 1, false},
-		{"file/shards=1", 1, true},
-		{"file/shards=3", 3, true},
+		{"mem", false},
+		{"file", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := newNonceRecorder(t, bytes.Repeat([]byte{0xA7}, 32))
@@ -131,11 +129,10 @@ func TestSealCounterDurabilityAcrossGenerations(t *testing.T) {
 					Substituter: sub,
 					Cipher:      rec,
 					Order:       8,
-					SealBudget:  16, // tiny: every generation crosses epochs on every shard
+					SealBudget:  16, // tiny: every generation crosses epochs
 				}
 				if tc.file {
 					opts.Path = p
-					opts.Shards = tc.shards
 				} else {
 					opts.Store = memStore
 				}
@@ -223,19 +220,17 @@ func TestSealCounterDurabilityAcrossGenerations(t *testing.T) {
 					t.Fatal(err)
 				}
 			} else {
-				// Fail-stop: image the page files while generation 2 is still
+				// Fail-stop: image the page file while generation 2 is still
 				// open — the moment of death — then abandon it. The image's
 				// pre-reserved mark must cover every counter generation 2 ever
 				// issued, even ones whose commits the crash threw away.
 				crash := filepath.Join(filepath.Dir(path), "crash.ekb")
-				for i := 0; i < tc.shards; i++ {
-					b, err := os.ReadFile(shardPath(path, i, tc.shards))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(shardPath(crash, i, tc.shards), b, 0o600); err != nil {
-						t.Fatal(err)
-					}
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(crash, b, 0o600); err != nil {
+					t.Fatal(err)
 				}
 				if err := tr.Close(); err != nil { // after the image: the "crash" already happened
 					t.Fatal(err)
@@ -255,7 +250,7 @@ func TestSealCounterDurabilityAcrossGenerations(t *testing.T) {
 				}
 			}
 
-			// The verdict: across every generation, shard, epoch advance, and
+			// The verdict: across every generation, epoch advance, and
 			// background re-seal, no (epoch, counter) nonce was issued twice.
 			// Every Put seals at least its leaf page, so the recorder must
 			// have witnessed at least one nonce per committed key.

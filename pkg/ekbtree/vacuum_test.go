@@ -15,7 +15,7 @@ import (
 // an 8-byte plaintext prefix (the bucketed scheme), so sequential key runs
 // produce long shared prefixes inside each node — the case prefix truncation
 // is built for.
-func prefixFriendlyOpts(t *testing.T, path string, shards int) Options {
+func prefixFriendlyOpts(t *testing.T, path string) Options {
 	t.Helper()
 	master := bytes.Repeat([]byte{0x55}, 32)
 	inner, err := keysub.NewHMAC(master, 16)
@@ -26,15 +26,15 @@ func prefixFriendlyOpts(t *testing.T, path string, shards int) Options {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Options{MasterKey: master, Substituter: sub, Path: path, Shards: shards}
+	return Options{MasterKey: master, Substituter: sub, Path: path}
 }
 
 // TestTreeVacuum is the façade-level vacuum contract: churn creates garbage
-// visible as Stats.FileBytes >> LiveBytes, Vacuum(0) reclaims it across all
-// shards, content is untouched, and the tree reopens cleanly afterwards.
+// visible as Stats.FileBytes >> LiveBytes, Vacuum(0) reclaims it, content is
+// untouched, and the tree reopens cleanly afterwards.
 func TestTreeVacuum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vac.ekb")
-	opts := prefixFriendlyOpts(t, path, 3)
+	opts := prefixFriendlyOpts(t, path)
 	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestTreeVacuum(t *testing.T) {
 	if after.FileBytes >= before.FileBytes {
 		t.Errorf("vacuum did not shrink: file %d -> %d", before.FileBytes, after.FileBytes)
 	}
-	// Allow each shard its compaction floor — a directory blob that can only
+	// Allow the compaction floor — a directory blob that can only
 	// descend into a hole that fits it whole, plus sub-page fragments — on
 	// top of half the garbage; the strict ratios are pinned by the
 	// store-level tests and the large soak tier, where scale dwarfs the floor.
