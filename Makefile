@@ -84,6 +84,10 @@ lint:
 # in one place, the chunk refill (subState.take), and cuts every result from
 # the chunk.
 	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
+# Say it once: the B-tree order is the sealed header's (a new tree takes
+# DefaultOrder, or the unexported test seam), and the unflushed bound is the
+# file store's Config. Neither is an Options field again.
+	@if git grep -nE '^\s+(Order|MaxUnflushed)\s' -- pkg/ekbtree/options.go; then echo "Options states neither the order (checkHeader reads the header's) nor MaxUnflushed (set file.Config.MaxUnflushed on a store passed as Options.Store)"; exit 1; fi
 
 # A read miss is one allocation at most: product code reads a page with
 # PageStore.ReadPageInto, into the block that will hold its view (or, in the
@@ -107,8 +111,10 @@ test:
 # race runs the whole suite under the race detector, then repeats the legs a
 # single run rarely loses:
 #  - background vacuum against concurrent committers (x10);
-#  - the fault sweeps (internal/faulttest) and commit-group walks: a flush
-#    places pages in map-iteration order, so every run meets a new layout;
+#  - the fault sweeps (internal/faulttest), commit-group walks and the
+#    directory checks at Open (a free list derived from the page map, and
+#    overlapping extents refused): a flush places pages in map-iteration
+#    order, so every run meets a new layout;
 #  - the sweeps above the store: rotation's re-seal commits, a Sync whose group
 #    raises the seal mark ahead of its pages, a whole tree whose background
 #    rotator interleaves differently every run, the rotator backing off over a
@@ -134,7 +140,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
-	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped' ./internal/store/file/
+	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
@@ -185,6 +191,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDirectory$$' -fuzztime $(FUZZTIME) ./internal/store/file/
 
 clean:
 	$(GO) clean ./...

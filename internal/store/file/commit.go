@@ -448,9 +448,9 @@ func markAhead(mark, durable store.SealMark) bool {
 // flip, one slot fsync. It reads the durable state fields without the lock —
 // the committer is their only writer — and returns the state to install.
 // Extents released by the group (overwritten page versions, freed pages, moved
-// pages' sources, the old directory) are recorded as free in the NEW directory
-// only, so nothing recycles them until the flip that made them garbage is
-// durable.
+// pages' sources, the old directory) are free only in the state the NEW
+// directory describes, so nothing recycles them until the flip that made them
+// garbage is durable.
 //
 // A group whose seal mark reserves nonces past the durable mark first makes
 // that mark durable with a header-only flip (see SetSealMark): the pages it is
@@ -546,20 +546,12 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 
 // flip commits next — whose pages, header, frontier and page bytes the caller
 // has set, with every page already written — over the durable state: one
-// directory blob holding next's pages and header and the free list (what
-// avail has left, the released extents, and the old directory's own), one
-// data fsync, the inactive meta slot, one slot fsync. It returns next
-// completed. steer places the directory as a vacuum flush does.
+// directory blob holding next's pages and header, one data fsync, the
+// inactive meta slot, one slot fsync. It returns next completed, its free list
+// what avail has left, the released extents and the old directory's own: the
+// gaps Open derives. steer places the directory as a vacuum flush does.
 func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nextID uint64, steer bool) (durableState, error) {
-	// Size the new directory before allocating its extent: the allocation can
-	// only shrink the free list (remove an entry, or split one — count
-	// unchanged), so counting the current avail plus everything released is an
-	// upper bound, and the blob is padded to the allocated size.
-	ubFree := avail.len() + len(released)
-	if s.dirExt.len > 0 {
-		ubFree++
-	}
-	dirLen := uint32(dirSize(len(next.pages), ubFree, len(next.meta)))
+	dirLen := uint32(dirSize(len(next.pages), len(next.meta)))
 	newEnd := next.fileEnd
 	var dirExt extent
 	if steer {
@@ -578,11 +570,9 @@ func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nex
 	} else {
 		dirExt = avail.allocExtent(&newEnd, dirLen)
 	}
-	newFree := avail.appendTo(make([]extent, 0, ubFree))
+	newFree := avail.appendTo(make([]extent, 0, avail.len()+len(released)+1))
 	newFree = append(newFree, released...)
-	if s.dirExt.len > 0 {
-		newFree = append(newFree, s.dirExt) // the old directory's own extent
-	}
+	newFree = append(newFree, s.dirExt) // the old directory's own extent
 	newFree = coalesce(newFree)
 	// Retreat the append frontier over a trailing free extent, so space freed
 	// at the end of the file is reclaimed rather than carried as a free entry
@@ -591,8 +581,8 @@ func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nex
 		newEnd = newFree[len(newFree)-1].off
 		newFree = newFree[:len(newFree)-1]
 	}
-	dir := make([]byte, dirExt.len)
-	serializeDir(dir, next.pages, newFree, next.meta, next.mark)
+	dir := make([]byte, dirLen)
+	serializeDir(dir, next.pages, next.meta, next.mark)
 	if _, err := s.f.WriteAt(dir, dirExt.off); err != nil {
 		return durableState{}, fmt.Errorf("file: write directory: %w", err)
 	}

@@ -2,6 +2,7 @@ package file
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -75,8 +76,8 @@ func (fi *freeIndex) add(e extent) {
 // len returns the number of indexed extents.
 func (fi *freeIndex) len() int { return fi.n }
 
-// appendTo appends every remaining extent to dst, for rebuilding the
-// persistent free list after a flush's allocations.
+// appendTo appends every remaining extent to dst, for rebuilding the free
+// list after a flush's allocations.
 func (fi *freeIndex) appendTo(dst []extent) []extent {
 	for _, b := range fi.buckets {
 		dst = append(dst, b...)
@@ -176,7 +177,7 @@ func (fi *freeIndex) allocExtent(end *int64, n uint32) extent {
 }
 
 // coalesce sorts extents by offset and merges adjacent ones, bounding
-// free-list (and therefore directory) growth.
+// free-list growth, as far as a merged length fits its uint32.
 func coalesce(exts []extent) []extent {
 	if len(exts) < 2 {
 		return exts
@@ -186,7 +187,7 @@ func coalesce(exts []extent) []extent {
 	out := exts[:1]
 	for _, e := range exts[1:] {
 		last := &out[len(out)-1]
-		if last.end() == e.off {
+		if last.end() == e.off && uint64(last.len)+uint64(e.len) <= math.MaxUint32 {
 			last.len += e.len
 		} else {
 			out = append(out, e)

@@ -15,8 +15,8 @@
 // Logical page IDs are stable for the life of a page — the B-tree layers
 // above reference children by logical ID — and the directory maps each
 // logical ID to the physical extent currently holding its bytes. The
-// directory blob also carries the persistent free-extent list and the
-// façade's sealed engine header.
+// directory blob also carries the façade's sealed engine header and the seal
+// mark, but no free space: Open derives that from the page map (freeGaps).
 //
 // # Shadow paging and group commit
 //
@@ -28,7 +28,7 @@
 // durable references), one new directory blob, one fsync, one meta-slot flip
 // with an incremented transaction ID, one more fsync. Extents released by a
 // group (old versions of overwritten pages, freed pages, the previous
-// directory) enter the free list recorded in the NEW directory, so they
+// directory) are free in the state the NEW directory describes, so they
 // become allocatable only after the flip that made them garbage is durable.
 // Until a group's flush is installed, reads are served from the in-memory
 // overlay, so callers always observe their own committed writes. The overlay
@@ -360,8 +360,8 @@ func OpenWithConfig(f File, cfg Config) (*Store, error) {
 // freshState is what initialize lays down: the empty directory and the slot
 // that points at it, at the head of the data region.
 func freshState() (dir []byte, slot slotData) {
-	dir = make([]byte, dirSize(0, 0, 0))
-	serializeDir(dir, nil, nil, nil, store.SealMark{})
+	dir = make([]byte, dirSize(0, 0))
+	serializeDir(dir, nil, nil, store.SealMark{})
 	return dir, slotData{
 		txid: 1, root: store.NoRoot, nextID: store.NoRoot + 1,
 		dir: extent{off: dataStart, len: uint32(len(dir))}, dirCRC: crc32.ChecksumIEEE(dir),
@@ -414,7 +414,11 @@ func loadState(f File, sd slotData, idx int) (*Store, error) {
 	if crc32.ChecksumIEEE(dir) != sd.dirCRC {
 		return nil, fmt.Errorf("%w: directory checksum mismatch", ErrCorrupt)
 	}
-	pages, free, meta, mark, err := parseDir(dir)
+	pages, meta, mark, err := parseDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	free, end, err := freeGaps(pages, sd.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -422,24 +426,12 @@ func loadState(f File, sd slotData, idx int) (*Store, error) {
 		f: f,
 		durableState: durableState{
 			pages: pages, free: free, header: header{root: sd.root, meta: meta, mark: mark},
-			txid: sd.txid, cur: idx, dirExt: sd.dir,
+			txid: sd.txid, cur: idx, dirExt: sd.dir, fileEnd: end,
 		},
 		nextID: sd.nextID,
 	}
-	s.fileEnd = s.dirExt.end()
 	for _, e := range pages {
 		s.pageBytes += int64(e.len)
-		if e.end() > s.fileEnd {
-			s.fileEnd = e.end()
-		}
-	}
-	for _, e := range free {
-		if e.end() > s.fileEnd {
-			s.fileEnd = e.end()
-		}
-	}
-	if s.fileEnd < dataStart {
-		s.fileEnd = dataStart
 	}
 	return s, nil
 }

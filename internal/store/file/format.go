@@ -1,9 +1,12 @@
 package file
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
 
 	"github.com/paper-repro/ekbtree/internal/store"
 )
@@ -15,7 +18,7 @@ const (
 	slotSize   = 48
 	dataStart  = 512
 	pageEntLen = 20 // id(8) + off(8) + len(4)
-	freeEntLen = 12 // off(8) + len(4)
+	freeEntLen = 12 // off(8) + len(4), in the free list older files store
 	markLen    = 16 // seal mark: epoch(4) + clean(4) + counter(8)
 )
 
@@ -59,17 +62,14 @@ func serializeSlot(sd slotData) []byte {
 }
 
 // dirSize returns the serialized directory size for the given entry counts.
-func dirSize(pageCount, freeCount, metaLen int) int {
-	return 4 + pageCount*pageEntLen + 4 + freeCount*freeEntLen + 4 + metaLen + markLen
+func dirSize(pageCount, metaLen int) int {
+	return 4 + pageCount*pageEntLen + 4 + 4 + metaLen + markLen
 }
 
-// serializeDir writes the directory into buf, which may be longer than the
-// exact encoding; the tail stays zero (padding is covered by the CRC and
-// ignored by parseDir). The seal mark rides after the meta blob: directories
-// written before the mark existed end at the meta, and parseDir reads their
-// (absent) mark as zero — epoch 0, nothing reserved — which is exactly the
-// state such a file was written in.
-func serializeDir(buf []byte, pages map[uint64]extent, free []extent, meta []byte, mark store.SealMark) {
+// serializeDir writes the directory into buf, exactly dirSize long. Its
+// free-list count is zero: Open derives free space (freeGaps), and the count
+// stays so that older builds read the file, as having none.
+func serializeDir(buf []byte, pages map[uint64]extent, meta []byte, mark store.SealMark) {
 	p := buf
 	binary.BigEndian.PutUint32(p, uint32(len(pages)))
 	p = p[4:]
@@ -79,13 +79,8 @@ func serializeDir(buf []byte, pages map[uint64]extent, free []extent, meta []byt
 		binary.BigEndian.PutUint32(p[16:], e.len)
 		p = p[pageEntLen:]
 	}
-	binary.BigEndian.PutUint32(p, uint32(len(free)))
+	binary.BigEndian.PutUint32(p, 0) // free-list count
 	p = p[4:]
-	for _, e := range free {
-		binary.BigEndian.PutUint64(p[0:], uint64(e.off))
-		binary.BigEndian.PutUint32(p[8:], e.len)
-		p = p[freeEntLen:]
-	}
 	binary.BigEndian.PutUint32(p, uint32(len(meta)))
 	copy(p[4:], meta)
 	p = p[4+len(meta):]
@@ -94,15 +89,18 @@ func serializeDir(buf []byte, pages map[uint64]extent, free []extent, meta []byt
 	binary.BigEndian.PutUint64(p[8:], mark.Counter)
 }
 
-func parseDir(b []byte) (pages map[uint64]extent, free []extent, meta []byte, mark store.SealMark, err error) {
+// parseDir decodes a directory, skipping the free list older files store. A
+// directory from before the seal mark ends at the meta, and its absent mark
+// reads as zero (epoch 0, nothing reserved): the state it was written in.
+func parseDir(b []byte) (pages map[uint64]extent, meta []byte, mark store.SealMark, err error) {
 	bad := func(what string) error { return fmt.Errorf("%w: directory %s", ErrCorrupt, what) }
 	if len(b) < 4 {
-		return nil, nil, nil, mark, bad("truncated")
+		return nil, nil, mark, bad("truncated")
 	}
 	pageCount := binary.BigEndian.Uint32(b)
 	b = b[4:]
 	if uint64(len(b)) < uint64(pageCount)*pageEntLen {
-		return nil, nil, nil, mark, bad("page table truncated")
+		return nil, nil, mark, bad("page table truncated")
 	}
 	pages = make(map[uint64]extent, pageCount)
 	for i := uint32(0); i < pageCount; i++ {
@@ -113,28 +111,21 @@ func parseDir(b []byte) (pages map[uint64]extent, free []extent, meta []byte, ma
 		b = b[pageEntLen:]
 	}
 	if len(b) < 4 {
-		return nil, nil, nil, mark, bad("truncated")
+		return nil, nil, mark, bad("truncated")
 	}
 	freeCount := binary.BigEndian.Uint32(b)
 	b = b[4:]
 	if uint64(len(b)) < uint64(freeCount)*freeEntLen {
-		return nil, nil, nil, mark, bad("free list truncated")
+		return nil, nil, mark, bad("free list truncated")
 	}
-	free = make([]extent, 0, freeCount)
-	for i := uint32(0); i < freeCount; i++ {
-		free = append(free, extent{
-			off: int64(binary.BigEndian.Uint64(b[0:])),
-			len: binary.BigEndian.Uint32(b[8:]),
-		})
-		b = b[freeEntLen:]
-	}
+	b = b[uint64(freeCount)*freeEntLen:]
 	if len(b) < 4 {
-		return nil, nil, nil, mark, bad("truncated")
+		return nil, nil, mark, bad("truncated")
 	}
 	metaLen := binary.BigEndian.Uint32(b)
 	b = b[4:]
 	if uint64(len(b)) < uint64(metaLen) {
-		return nil, nil, nil, mark, bad("meta truncated")
+		return nil, nil, mark, bad("meta truncated")
 	}
 	meta = append([]byte(nil), b[:metaLen]...)
 	b = b[metaLen:]
@@ -144,5 +135,35 @@ func parseDir(b []byte) (pages map[uint64]extent, free []extent, meta []byte, ma
 		mark.Clean = binary.BigEndian.Uint32(b[4:])
 		mark.Counter = binary.BigEndian.Uint64(b[8:])
 	}
-	return pages, free, meta, mark, nil
+	return pages, meta, mark, nil
+}
+
+// maxFileEnd (256 TiB) bounds the data region, and so what freeGaps derives.
+const maxFileEnd = 1 << 48
+
+// freeGaps derives the free list and the append frontier: every gap the pages
+// (a zero-length one covers nothing) and the directory leave between dataStart
+// and the end of the last of them, cut to uint32 lengths. Extents that overlap
+// or leave the data region are corrupt: a flush writes into free space.
+func freeGaps(pages map[uint64]extent, dir extent) (free []extent, end int64, err error) {
+	used := append(make([]extent, 0, len(pages)+1), dir)
+	for _, e := range pages {
+		if e.len > 0 {
+			used = append(used, e)
+		}
+	}
+	slices.SortFunc(used, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
+	end = dataStart
+	for _, e := range used {
+		if e.off < end || e.off > maxFileEnd-int64(e.len) {
+			return nil, 0, fmt.Errorf("%w: directory places an extent at %d, over another or outside the data region", ErrCorrupt, e.off)
+		}
+		for end < e.off {
+			n := uint32(min(e.off-end, math.MaxUint32))
+			free = append(free, extent{off: end, len: n})
+			end += int64(n)
+		}
+		end = e.end()
+	}
+	return free, end, nil
 }

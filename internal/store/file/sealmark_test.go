@@ -73,34 +73,20 @@ func TestSealMarkRidesCommitPipeline(t *testing.T) {
 
 func TestPreMarkDirectoryReadsZeroMark(t *testing.T) {
 	// A directory serialized without the trailing mark (what files written
-	// before the mark existed hold) must parse as the zero mark.
+	// before the mark existed hold, their free list still stored) must parse
+	// as the zero mark.
 	pages := map[uint64]extent{7: {off: dataStart, len: 32}}
 	free := []extent{{off: dataStart + 100, len: 64}}
-	meta := []byte("old header")
-	old := make([]byte, dirSize(len(pages), len(free), len(meta))-markLen)
-	serializeOldDir(old, pages, free, meta)
-	gotPages, gotFree, gotMeta, mark, err := parseDir(old)
+	gotPages, gotMeta, mark, err := parseDir(oldDir(pages, free, []byte("old header"), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mark != (store.SealMark{}) {
 		t.Fatalf("mark = %+v, want zero", mark)
 	}
-	if len(gotPages) != 1 || gotPages[7] != pages[7] || len(gotFree) != 1 || string(gotMeta) != "old header" {
+	if len(gotPages) != 1 || gotPages[7] != pages[7] || string(gotMeta) != "old header" {
 		t.Fatal("pre-mark directory did not round-trip")
 	}
-}
-
-// serializeOldDir writes the pre-mark directory layout (everything up to and
-// including the meta blob), reproducing what older versions persisted.
-func serializeOldDir(buf []byte, pages map[uint64]extent, free []extent, meta []byte) {
-	serializeDirPrefixInto(buf, pages, free, meta)
-}
-
-func serializeDirPrefixInto(buf []byte, pages map[uint64]extent, free []extent, meta []byte) {
-	full := make([]byte, len(buf)+markLen)
-	serializeDir(full, pages, free, meta, store.SealMark{})
-	copy(buf, full[:len(buf)])
 }
 
 func TestFreeIndexMatchesLinearBestFit(t *testing.T) {

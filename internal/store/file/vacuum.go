@@ -13,7 +13,7 @@ const vacuumBatchBytes = 1 << 20
 // allows). Implements store.Vacuumer.
 //
 // Vacuum asks, the committer moves: Vacuum only SELECTS pages, reading the
-// durable directory and free list under the read lock, and hands the next
+// durable page map and free list under the read lock, and hands the next
 // flush their IDs; the committer — the one goroutine that recycles and
 // truncates extents, so the one that can read an extent with no guard —
 // copies each page's durable extent as part of that flush. Every relocation

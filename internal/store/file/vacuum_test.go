@@ -88,8 +88,8 @@ func TestVacuumShrinksFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	fileAfter, liveAfter := s.Space()
-	// Live bytes stay essentially flat: page extents are untouched, only the
-	// directory blob — part of live bytes — may resize with free-list shape.
+	// Live bytes stay flat: vacuum moves page extents without resizing them,
+	// and the directory blob — part of live bytes — holds the same pages.
 	if drift := liveAfter - liveBefore; drift > liveBefore/8 || drift < -liveBefore/8 {
 		t.Errorf("vacuum drifted live bytes: %d -> %d", liveBefore, liveAfter)
 	}

@@ -49,7 +49,7 @@ func countingTree(t *testing.T, opts Options) (*Tree, *countingCipher) {
 }
 
 func TestBatchCommitApplies(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB2}, 32), Order: 8})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB2}, 32), order: 8})
 	defer tr.Close()
 	if err := tr.Put([]byte("pre"), []byte("existing")); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestBatchSealCount(t *testing.T) {
 	const n = 300
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
 
-	unbatched, cc1 := countingTree(t, Options{Order: 8})
+	unbatched, cc1 := countingTree(t, Options{order: 8})
 	defer unbatched.Close()
 	start := cc1.seals.Load()
 	for i := 0; i < n; i++ {
@@ -125,7 +125,7 @@ func TestBatchSealCount(t *testing.T) {
 	}
 	unbatchedSeals := cc1.seals.Load() - start
 
-	batched, cc2 := countingTree(t, Options{Order: 8})
+	batched, cc2 := countingTree(t, Options{order: 8})
 	defer batched.Close()
 	b := batched.NewBatch()
 	for i := 0; i < n; i++ {
@@ -165,7 +165,7 @@ func TestBatchSealCount(t *testing.T) {
 func TestBatchCleanPagesNotResealed(t *testing.T) {
 	const n = 200
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
-	tr, cc := countingTree(t, Options{Order: 8})
+	tr, cc := countingTree(t, Options{order: 8})
 	defer tr.Close()
 	for i := 0; i < n; i++ {
 		if err := tr.Put(key(i), []byte("value")); err != nil {
@@ -228,7 +228,7 @@ func TestBatchCleanPagesNotResealed(t *testing.T) {
 // of the value already stored must not seal or commit anything — on a
 // durable backend that is two fsyncs saved.
 func TestSingleNoOpPutSkipsCommit(t *testing.T) {
-	tr, cc := countingTree(t, Options{Order: 8})
+	tr, cc := countingTree(t, Options{order: 8})
 	defer tr.Close()
 	if err := tr.Put([]byte("k"), []byte("v")); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestCacheServesGets(t *testing.T) {
 			name, cachePages = "disabled", -1
 		}
 		t.Run(name, func(t *testing.T) {
-			tr, cc := countingTree(t, Options{Order: 8, CachePages: cachePages})
+			tr, cc := countingTree(t, Options{order: 8, CachePages: cachePages})
 			defer tr.Close()
 			for i := 0; i < 500; i++ {
 				if err := tr.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
@@ -329,7 +329,7 @@ func TestBatchSpentAndDiscard(t *testing.T) {
 func TestBatchCommitThenReopen(t *testing.T) {
 	master := bytes.Repeat([]byte{0xB4}, 32)
 	st := file.NewMem()
-	tr := mustOpen(t, Options{MasterKey: master, Order: 8, Store: st})
+	tr := mustOpen(t, Options{MasterKey: master, order: 8, Store: st})
 
 	b := tr.NewBatch()
 	const n = 150
@@ -343,7 +343,7 @@ func TestBatchCommitThenReopen(t *testing.T) {
 	}
 	// Do not Close: that would close the shared store. Drop the handle and
 	// reopen the same store.
-	tr2 := mustOpen(t, Options{MasterKey: master, Order: 8, Store: st})
+	tr2 := mustOpen(t, Options{MasterKey: master, order: 8, Store: st})
 	defer tr2.Close()
 	for i := 0; i < n; i++ {
 		k := []byte(fmt.Sprintf("persist%04d", i))
@@ -383,7 +383,7 @@ func TestBatchOnClosedTree(t *testing.T) {
 // to trigger merges and root collapses while staged, then verifies structure
 // and contents after commit.
 func TestBatchWithDeletesAndMerges(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB6}, 32), Order: 4})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB6}, 32), order: 4})
 	defer tr.Close()
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -435,7 +435,7 @@ func TestBatchWithDeletesAndMerges(t *testing.T) {
 func TestBatchSlabOwnership(t *testing.T) {
 	for _, order := range []int{DefaultOrder, 64} {
 		t.Run(fmt.Sprintf("order=%d", order), func(t *testing.T) {
-			tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB9}, 32), Order: order, CachePages: 1 << 14})
+			tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xB9}, 32), order: order, CachePages: 1 << 14})
 			defer tr.Close()
 			const n = 3000
 			want := make(map[string][]byte, n)

@@ -47,7 +47,7 @@ func (g *gateStore) CommitPages(writes map[uint64][]byte, root uint64, frees []u
 // the flush finished.
 func TestGetDoesNotWaitForCommit(t *testing.T) {
 	gs := newGateStore()
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC1}, 32), Order: 8, Store: gs})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC1}, 32), order: 8, Store: gs})
 	defer tr.Close()
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -144,7 +144,7 @@ func TestGetDoesNotWaitForCommit(t *testing.T) {
 // iterating only after the commit landed; a cursor opened after sees all of
 // it. The cursor can never observe a half-applied batch.
 func TestCursorSnapshotAcrossCommit(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC2}, 32), Order: 8})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC2}, 32), order: 8})
 	defer tr.Close()
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -207,7 +207,7 @@ func TestCursorSnapshotAcrossCommit(t *testing.T) {
 // must commit — the write turn serves writers in arrival order — and all of
 // its writes must be present afterwards.
 func TestLargeBatchNotStarvedBySmallPuts(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC6}, 32), Order: 8})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC6}, 32), order: 8})
 	defer tr.Close()
 	for i := 0; i < 400; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("seed%04d", i)), []byte("v")); err != nil {
@@ -272,7 +272,7 @@ func TestLargeBatchNotStarvedBySmallPuts(t *testing.T) {
 // monotonic under the same churn. Runs under -race in CI.
 func TestStatsCountersConcurrentReaders(t *testing.T) {
 	const cachePages = 8
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC3}, 32), Order: 8, CachePages: cachePages})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC3}, 32), order: 8, CachePages: cachePages})
 	defer tr.Close()
 	const n = 1500
 	for i := 0; i < n; i++ {

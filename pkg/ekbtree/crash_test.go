@@ -40,7 +40,7 @@ func TestTreeCrashAtEveryFileOp(t *testing.T) {
 			// The budget is tiny so that commits cross epochs by themselves,
 			// besides the forced advance among the steps.
 			open := func(st store.PageStore, rec *nonceRecorder) (*Tree, error) {
-				return Open(Options{Substituter: sub, Cipher: rec, Order: 8, SealBudget: 16, Store: st})
+				return Open(Options{Substituter: sub, Cipher: rec, order: 8, SealBudget: 16, Store: st})
 			}
 			const universe = 40
 			keyAt := func(i int) []byte { return []byte(fmt.Sprintf("crash-key-%04d", i)) }

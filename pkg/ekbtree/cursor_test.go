@@ -23,7 +23,7 @@ func mustOpen(t *testing.T, opts Options) *Tree {
 // checks the cursor visits every entry exactly once, in ascending
 // substituted-key order, agreeing with Scan.
 func TestCursorFullIteration(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA1}, 32), Order: 8})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA1}, 32), order: 8})
 	defer tr.Close()
 
 	const n = 768 // several levels' worth of leaves at order 8
@@ -109,7 +109,7 @@ func bucketedTree(t *testing.T) (*Tree, map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, Order: 4})
+	tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, order: 4})
 	subToPlain := make(map[string]string)
 	for a := byte('a'); a <= 'z'; a++ {
 		for b := byte('a'); b <= 'z'; b++ {
@@ -215,7 +215,7 @@ func TestCursorRangeClampsSeek(t *testing.T) {
 // cursors the Put inside the callback is invisible to the ongoing scan but
 // fully visible afterwards.
 func TestScanReentrancy(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA5}, 32), Order: 8})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA5}, 32), order: 8})
 	defer tr.Close()
 	for i := 0; i < 100; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
@@ -317,7 +317,7 @@ func TestCursorSurfacesOpenError(t *testing.T) {
 // tree; exercised under -race in CI. The cursor must never error, repeat, or
 // go backwards.
 func TestCursorConcurrentWithWrites(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA7}, 32), Order: 8})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xA7}, 32), order: 8})
 	defer tr.Close()
 	for i := 0; i < 2000; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("seed%05d", i)), []byte("v")); err != nil {
@@ -371,7 +371,7 @@ func TestCursorConcurrentWithWrites(t *testing.T) {
 // call with ErrSnapshotTooOld, while fresher cursors, Gets, and newly opened
 // cursors are untouched.
 func TestCursorMaxEpochAge(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x54}, 32), Order: 8, MaxEpochAge: 2})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0x54}, 32), order: 8, MaxEpochAge: 2})
 	defer tr.Close()
 	for i := 0; i < 10; i++ {
 		if err := tr.Put([]byte(fmt.Sprintf("k%02d", i)), []byte("v")); err != nil {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/paper-repro/ekbtree/internal/store/file"
 )
 
 // TestDurabilityOptionsValidation pins the Options contract for the pipeline
@@ -23,8 +25,6 @@ func TestDurabilityOptionsValidation(t *testing.T) {
 		{"durability without path", Options{MasterKey: master, Durability: DurabilityGrouped}},
 		{"durability with store", Options{MasterKey: master, Store: NewMemStore(), Durability: DurabilityAsync}},
 		{"unknown mode", Options{MasterKey: master, Path: path, Durability: Durability(99)}},
-		{"max unflushed without path", Options{MasterKey: master, MaxUnflushed: 1 << 20}},
-		{"negative max unflushed", Options{MasterKey: master, Path: path, Durability: DurabilityAsync, MaxUnflushed: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,12 +45,12 @@ func TestDurabilityModesEndToEnd(t *testing.T) {
 		name string
 		opts func(path string) Options
 	}{
-		{"full", func(p string) Options { return Options{MasterKey: master, Order: 8, Path: p} }},
+		{"full", func(p string) Options { return Options{MasterKey: master, order: 8, Path: p} }},
 		{"grouped", func(p string) Options {
-			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityGrouped}
+			return Options{MasterKey: master, order: 8, Path: p, Durability: DurabilityGrouped}
 		}},
 		{"async", func(p string) Options {
-			return Options{MasterKey: master, Order: 8, Path: p, Durability: DurabilityAsync}
+			return Options{MasterKey: master, order: 8, Path: p, Durability: DurabilityAsync}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,19 +100,22 @@ func TestDurabilityModesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMaxUnflushedEndToEnd drives an Async tree with a tiny MaxUnflushed
-// bound through enough writes to cross it many times: backpressure must
-// throttle, never deadlock or drop, and a close/reopen cycle preserves
-// everything.
+// TestMaxUnflushedEndToEnd drives an Async tree over a file store with a tiny
+// MaxUnflushed bound through enough writes to cross it many times:
+// backpressure must throttle, never deadlock or drop, and a close/reopen
+// cycle preserves everything.
 func TestMaxUnflushedEndToEnd(t *testing.T) {
 	master := bytes.Repeat([]byte{0xDA}, 32)
 	path := filepath.Join(t.TempDir(), "maxunflushed.ekb")
-	tr := mustOpen(t, Options{
-		MasterKey:    master,
-		Path:         path,
-		Durability:   DurabilityAsync,
-		MaxUnflushed: 4 << 10,
-	})
+	open := func() *Tree {
+		t.Helper()
+		st, err := file.OpenConfig(path, file.Config{Durability: file.Async, MaxUnflushed: 4 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mustOpen(t, Options{MasterKey: master, Store: st})
+	}
+	tr := open()
 	const n = 400
 	val := bytes.Repeat([]byte{0x5C}, 256) // ~100KB total: dozens of bound crossings
 	for i := 0; i < n; i++ {
@@ -126,7 +129,7 @@ func TestMaxUnflushedEndToEnd(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re := mustOpen(t, Options{MasterKey: master, Path: path, Durability: DurabilityAsync, MaxUnflushed: 4 << 10})
+	re := open()
 	defer re.Close()
 	for i := 0; i < n; i++ {
 		if v, ok, err := re.Get([]byte(fmt.Sprintf("bp%04d", i))); err != nil || !ok || !bytes.Equal(v, val) {
@@ -200,7 +203,7 @@ func TestLazyModesCrashSemantics(t *testing.T) {
 	t.Run("async", func(t *testing.T) {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "live.ekb")
-		tr, err := Open(Options{MasterKey: master, Order: 8, Path: path, Durability: DurabilityAsync})
+		tr, err := Open(Options{MasterKey: master, order: 8, Path: path, Durability: DurabilityAsync})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +223,7 @@ func TestLazyModesCrashSemantics(t *testing.T) {
 		}
 		openSnap := func(dst string) map[string]string {
 			t.Helper()
-			re, err := Open(Options{MasterKey: master, Order: 8, Path: dst})
+			re, err := Open(Options{MasterKey: master, order: 8, Path: dst})
 			if err != nil {
 				t.Fatalf("open crash snapshot %s: %v", dst, err)
 			}

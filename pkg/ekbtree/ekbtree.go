@@ -136,11 +136,11 @@ type Tree struct {
 
 // Open builds a tree from opts. Reopening an existing store requires the same
 // substituter and cipher keys it was written with: a wrong cipher key fails
-// with ErrWrongKey, a mismatched order or scheme, or a Path that holds a
-// range-sharded tree, with ErrConfigMismatch, and a structurally damaged file
-// (Path backend) with ErrCorrupt. Recovery of an interrupted commit needs no
-// replay: the file store's shadow-paged commit leaves the last durable state
-// directly readable.
+// with ErrWrongKey, a mismatched scheme, a header with no usable order, or a
+// Path that holds a range-sharded tree, with ErrConfigMismatch, and a
+// structurally damaged file (Path backend) with ErrCorrupt. Recovery of an
+// interrupted commit needs no replay: the file store's shadow-paged commit
+// leaves the last durable state directly readable.
 func Open(opts Options) (*Tree, error) {
 	order, sub, nc, cachePages, err := opts.validate()
 	if err != nil {
@@ -155,7 +155,7 @@ func Open(opts Options) (*Tree, error) {
 		if err := checkUnsharded(opts.Path); err != nil {
 			return nil, err
 		}
-		if st, err = file.OpenConfig(opts.Path, opts.fileConfig()); err != nil {
+		if st, err = file.OpenConfig(opts.Path, file.Config{Durability: opts.Durability}); err != nil {
 			return nil, engine.MapErr(err)
 		}
 	default:
@@ -167,7 +167,7 @@ func Open(opts Options) (*Tree, error) {
 		}
 		return nil, engine.MapErr(err)
 	}
-	if err := checkHeader(st, nc, sub, order); err != nil {
+	if order, err = checkHeader(st, nc, sub, order); err != nil {
 		return fail(err)
 	}
 	var sealBudget uint64 // stays 0 (no budget-driven advance) for a negative SealBudget
@@ -223,38 +223,46 @@ const metaPageID = store.NoRoot
 const encPrefixToken = " enc=prefix"
 
 // checkHeader validates an existing store's engine header against the opened
-// configuration, or writes one into a fresh store. The header is sealed with
-// the node cipher, so opening an existing store with the wrong key fails
-// here, fast and closed, instead of on the first Get. A shard file of a
-// range-sharded tree, whose header an earlier version sealed with a
-// " shards=<i>/<n>" suffix, matches neither accepted form and is refused.
+// configuration and returns the order it records, which the tree opens at; a
+// fresh store is given a header at newOrder. The header is sealed with the
+// node cipher, so opening an existing store with the wrong key fails here,
+// fast and closed, instead of on the first Get. A header with no order a tree
+// can have (none, odd, below 4), or a shard file's " shards=<i>/<n>" suffix
+// from an earlier, range-sharded version, is a mismatch.
 //
 // An existing header is accepted with or without the prefix token: a file
 // without it was written in the full-key page format, before prefix coding or
 // with the option that once selected it. Nothing has to be decided from that,
 // because the node decoder reads each page by its own flag byte; the header
 // is left as it is while the pages convert as they are rewritten.
-func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substituter, order int) error {
-	base := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", order, sub.Name(), nc.Name())
+func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substituter, newOrder int) (int, error) {
+	base := func(n int) string {
+		return fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", n, sub.Name(), nc.Name())
+	}
 	meta, err := st.Meta()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if len(meta) == 0 {
-		sealed, err := nc.Seal(metaPageID, []byte(base+encPrefixToken))
+		sealed, err := nc.Seal(metaPageID, []byte(base(newOrder)+encPrefixToken))
 		if err != nil {
-			return err
+			return 0, err
 		}
-		return st.SetMeta(sealed)
+		return newOrder, st.SetMeta(sealed)
 	}
 	got, err := nc.Open(metaPageID, meta)
 	if err != nil {
-		return fmt.Errorf("%w: cannot open store header: %v", ErrWrongKey, err)
+		return 0, fmt.Errorf("%w: cannot open store header: %v", ErrWrongKey, err)
 	}
-	if h := string(got); h != base && h != base+encPrefixToken {
-		return fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, base)
+	var order int
+	if _, err := fmt.Sscanf(string(got), "ekbtree/1 order=%d", &order); err != nil || order < 4 || order%2 != 0 {
+		return 0, fmt.Errorf("%w: store header %q records no order a tree can have", ErrConfigMismatch, got)
 	}
-	return nil
+	// The header rebuilt from its order also refuses any other spelling of it.
+	if h, want := string(got), base(order); h != want && h != want+encPrefixToken {
+		return 0, fmt.Errorf("%w: store was written with %q, opened with %q", ErrConfigMismatch, got, want)
+	}
+	return order, nil
 }
 
 // substituteKey maps a plaintext key to its substituted form, validating

@@ -3,7 +3,6 @@ package engine
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
@@ -67,8 +66,6 @@ type Engine struct {
 	// left behind, nil while a commit is using it. Only beginTxn and endTxn
 	// touch it, both under the turn.
 	ws *writeTxn
-
-	commits atomic.Uint64 // successfully published epochs, surfaced through Stats
 }
 
 // New builds an engine over cfg's store, seeding the epoch chain from the
@@ -251,7 +248,6 @@ func (g *Engine) commit(own func(tx *writeTxn) error, combine bool) (queued []*w
 	if err := g.es.finalize(e, tx, g.st.CommitPages(tx.writes, e.root, tx.frees)); err != nil {
 		return queued, true, err
 	}
-	g.commits.Add(1)
 	return queued, true, nil
 }
 
@@ -362,7 +358,7 @@ func (g *Engine) Stats() (Stats, error) {
 	out := Stats{
 		Keys: s.Keys, Nodes: s.Nodes, Height: s.Height,
 		Cache:   g.io.cacheStats(),
-		Commits: g.commits.Load(),
+		Commits: g.es.published.Load(),
 	}
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {

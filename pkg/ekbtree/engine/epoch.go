@@ -98,7 +98,7 @@ type epochs struct {
 	// published is current's seq. Epochs publish in seq order and none after
 	// a failure, so it also counts the commits published since open, and an
 	// epoch's seq is the count when it was published. Read lock-free by
-	// Snapshot.Age.
+	// Snapshot.Age and, as Stats.Commits, by Stats.
 	published atomic.Uint64
 }
 

@@ -236,7 +236,7 @@ func TestTxnPageTable(t *testing.T) {
 			}
 			defer before.Close()
 			rs.writes, rs.frees = nil, nil
-			commits := g.commits.Load()
+			commits := g.es.published.Load()
 
 			var id uint64
 			var got handed
@@ -254,7 +254,7 @@ func TestTxnPageTable(t *testing.T) {
 			}
 			e := g.es.current
 			if tc.noop {
-				if e != before.e || g.commits.Load() != commits || rs.writes != nil || rs.frees != nil {
+				if e != before.e || g.es.published.Load() != commits || rs.writes != nil || rs.frees != nil {
 					t.Fatalf("a transaction with nothing to commit published epoch %d, store writes %v frees %v", e.seq, rs.writes, rs.frees)
 				}
 			} else {

@@ -178,9 +178,9 @@ func TestOpenSentinels(t *testing.T) {
 	for _, opts := range []Options{
 		{},                              // no keys at all
 		{MasterKey: []byte("short")},    // short master key
-		{MasterKey: master, Order: 7},   // odd order
-		{MasterKey: master, Order: 2},   // tiny order
-		{MasterKey: master, Order: -10}, // negative order
+		{MasterKey: master, order: 7},   // odd order
+		{MasterKey: master, order: 2},   // tiny order
+		{MasterKey: master, order: -10}, // negative order
 	} {
 		if _, err := Open(opts); !errors.Is(err, ErrInvalidOptions) {
 			t.Errorf("Open(%+v) = %v, want ErrInvalidOptions", opts, err)
@@ -188,7 +188,7 @@ func TestOpenSentinels(t *testing.T) {
 	}
 
 	st := file.NewMem()
-	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st}); err != nil {
+	if _, err := Open(Options{MasterKey: master, order: 32, Store: st}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -206,20 +206,16 @@ func TestOpenSentinels(t *testing.T) {
 	if _, err := Open(Options{MasterKey: master, Cipher: nc, Store: st}); !errors.Is(err, ErrWrongKey) {
 		t.Errorf("Open with wrong cipher = %v, want ErrWrongKey", err)
 	}
-	// Wrong order: header deciphers but disagrees.
-	if _, err := Open(Options{MasterKey: master, Order: 8, Store: st}); !errors.Is(err, ErrConfigMismatch) {
-		t.Errorf("Open with mismatched order = %v, want ErrConfigMismatch", err)
-	}
 	// Wrong substituter (different width): header deciphers but disagrees.
 	sub, err := keysub.NewHMAC(master, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st, Substituter: sub}); !errors.Is(err, ErrConfigMismatch) {
+	if _, err := Open(Options{MasterKey: master, order: 32, Store: st, Substituter: sub}); !errors.Is(err, ErrConfigMismatch) {
 		t.Errorf("Open with mismatched substituter = %v, want ErrConfigMismatch", err)
 	}
 	// Matching config still opens.
-	if _, err := Open(Options{MasterKey: master, Order: 32, Store: st}); err != nil {
+	if _, err := Open(Options{MasterKey: master, order: 32, Store: st}); err != nil {
 		t.Errorf("Open with matching config failed: %v", err)
 	}
 }

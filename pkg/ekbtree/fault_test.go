@@ -128,7 +128,7 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 	// substituted keys).
 	expected := make([]map[string]string, len(steps)+1)
 	{
-		ref, err := Open(Options{MasterKey: master, Order: 8, Store: file.NewMem()})
+		ref, err := Open(Options{MasterKey: master, order: 8, Store: file.NewMem()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 					inner = st
 				}
 				fs := &faultStore{PageStore: inner, remaining: -1}
-				tr, err := Open(Options{MasterKey: master, Order: 8, Store: fs})
+				tr, err := Open(Options{MasterKey: master, order: 8, Store: fs})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,12 +202,12 @@ func TestTreeCommitAtomicityUnderStoreFaults(t *testing.T) {
 				// Reopen over the surviving store: the prefix state must be
 				// intact, and — commits being all-or-nothing — retrying the
 				// remaining steps must converge on the full final state.
-				reopen := Options{MasterKey: master, Order: 8, Store: inner}
+				reopen := Options{MasterKey: master, order: 8, Store: inner}
 				if backend == "file" {
 					if err := tr.Close(); err != nil {
 						t.Fatal(err)
 					}
-					reopen = Options{MasterKey: master, Order: 8, Path: path}
+					reopen = Options{MasterKey: master, order: 8, Path: path}
 				}
 				re, err := Open(reopen)
 				if err != nil {

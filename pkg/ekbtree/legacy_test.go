@@ -34,7 +34,7 @@ func writeLegacyFullTree(t *testing.T, opts Options, n int) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := file.OpenConfig(opts.Path, opts.fileConfig())
+	st, err := file.OpenConfig(opts.Path, file.Config{Durability: opts.Durability})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func pageFormats(t *testing.T, opts Options) map[node.Format]int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := file.OpenConfig(opts.Path, opts.fileConfig())
+	st, err := file.OpenConfig(opts.Path, file.Config{Durability: opts.Durability})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 			if tc.bucketed {
 				opts = prefixFriendlyOpts(t, path)
 			}
-			opts.Order = 8 // small nodes: a few thousand keys make a deep tree
+			opts.order = 8 // small nodes: a few thousand keys make a deep tree
 			const n = 3000
 			model := writeLegacyFullTree(t, opts, n)
 			if got := pageFormats(t, opts); got[node.FormatPrefix] != 0 || got[node.FormatFull] < n/8 {
@@ -204,11 +204,6 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 			wrongKey.MasterKey = bytes.Repeat([]byte{0x56}, 32)
 			if _, err := Open(wrongKey); !errors.Is(err, ErrWrongKey) {
 				t.Fatalf("Open with the wrong master key = %v, want ErrWrongKey", err)
-			}
-			otherOrder := opts
-			otherOrder.Order = 16
-			if _, err := Open(otherOrder); !errors.Is(err, ErrConfigMismatch) {
-				t.Fatalf("Open with another order = %v, want ErrConfigMismatch", err)
 			}
 
 			check := func(tr *Tree, when string) {

@@ -101,11 +101,11 @@ func TestMaterialOptionsKeepBaseConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "t.ekbt")
-	opts, err := m.Options(Options{Order: 8, Path: path, Durability: DurabilityGrouped})
+	opts, err := m.Options(Options{order: 8, Path: path, Durability: DurabilityGrouped})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Order != 8 || opts.Path != path || opts.Durability != DurabilityGrouped {
+	if opts.order != 8 || opts.Path != path || opts.Durability != DurabilityGrouped {
 		t.Fatalf("base config lost: %+v", opts)
 	}
 	tr, err := Open(opts)

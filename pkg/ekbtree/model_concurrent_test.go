@@ -234,7 +234,7 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	}
 	opts = epochModelOpts(t, opts, envSealBudget(t))
 	opts.Substituter = sub
-	opts.Order = 8
+	opts.order = 8
 	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -257,7 +257,7 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	if opts.Cipher == nil {
 		opts = epochModelOpts(t, opts, envSealBudget(t))
 	}
-	opts.Order = 8 // small pages: more splits, merges, and multi-page commits
+	opts.order = 8 // small pages: more splits, merges, and multi-page commits
 	tr, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

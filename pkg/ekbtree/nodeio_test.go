@@ -16,7 +16,7 @@ import (
 // TestCacheStatsCounters pins hit/miss accounting end to end through the
 // façade Stats surface.
 func TestCacheStatsCounters(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xD5}, 32), Order: 8, CachePages: 4})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xD5}, 32), order: 8, CachePages: 4})
 	defer tr.Close()
 	for i := 0; i < 300; i++ {
 		if err := tr.Put([]byte{byte(i >> 8), byte(i)}, []byte("v")); err != nil {
@@ -80,7 +80,7 @@ func TestSpaceReadsNoPages(t *testing.T) {
 		cs := &countingStore{PageStore: fs}
 		// The cache holds the whole tree, so one Stats walk reads every page
 		// and the next reads none.
-		return mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xD6}, 32), Order: 8, Store: cs, CachePages: 4096}), cs
+		return mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xD6}, 32), order: 8, Store: cs, CachePages: 4096}), cs
 	}
 	tr, _ := open()
 	b := tr.NewBatch()
@@ -146,7 +146,7 @@ func TestCursorSingleDescent(t *testing.T) {
 		cs := &countingStore{PageStore: file.NewMem()}
 		tr, err := Open(Options{
 			MasterKey:  bytes.Repeat([]byte{0xD4}, 32),
-			Order:      8,
+			order:      8,
 			Store:      cs,
 			CachePages: -1, // no node cache: every page read hits the store
 		})
@@ -337,7 +337,7 @@ func TestReadMissAllocs(t *testing.T) {
 // own copy — is a data race for -race to report, and a store copy deciphered
 // or decoded in place no longer authenticates in the readback at the end.
 func TestColdReadsShareNothing(t *testing.T) {
-	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xDB}, 32), Order: 8, CachePages: -1})
+	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xDB}, 32), order: 8, CachePages: -1})
 	defer tr.Close()
 	const keys = 400
 	key := func(i int) []byte { return []byte{byte(i >> 8), byte(i), 'k'} }
@@ -414,7 +414,7 @@ func TestCursorAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, Order: 16, CachePages: 4096})
+	tr := mustOpen(t, Options{Substituter: sub, Cipher: nc, order: 16, CachePages: 4096})
 	defer tr.Close()
 	b := tr.NewBatch()
 	for i := 0; i < 5000; i++ { // 50 buckets of 100 keys

@@ -10,7 +10,7 @@ import (
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 )
 
-// DefaultOrder is the default B-tree order (maximum children per node).
+// DefaultOrder is the B-tree order (maximum children per node) of a new tree.
 const DefaultOrder = 32
 
 // Durability selects what a commit against a file-backed tree (Options.Path)
@@ -39,14 +39,11 @@ const (
 // Options configures a tree. The zero value is invalid: either MasterKey or
 // both Substituter and Cipher must be set.
 //
-// The on-page node format is not an option. Every page is written with
-// prefix-coded keys; a file that holds full-key pages, from a version that
-// wrote them, opens as it is and converts as its pages are rewritten (see
-// checkHeader).
+// Neither the B-tree order (its sealed header's, DefaultOrder for a new tree)
+// nor the node format is an option. Every page is written with prefix-coded
+// keys; a file that holds full-key pages, from a version that wrote them,
+// opens as it is and converts as its pages are rewritten (see checkHeader).
 type Options struct {
-	// Order is the maximum number of children per node; it must be even and
-	// at least 4. Zero means DefaultOrder.
-	Order int
 	// MasterKey derives the substitution secret and the node-cipher key when
 	// Substituter or Cipher are unset. It must be at least 16 bytes.
 	MasterKey []byte
@@ -74,14 +71,6 @@ type Options struct {
 	// Durability constants. The zero value is DurabilityFull. Setting it
 	// without Path is invalid.
 	Durability Durability
-	// MaxUnflushed bounds the bytes of acknowledged-but-unflushed commit
-	// payload a Path store may accumulate per commit group. At the bound the
-	// store flushes the pending group at once, in every durability mode, and
-	// new commits BLOCK until it has flushed instead of growing the overlay.
-	// Because one full group can be mid-flush while the next fills, total
-	// unflushed memory can reach roughly twice this bound. Zero means the
-	// store default (4MB); negative, or setting it without Path, is invalid.
-	MaxUnflushed int
 	// CachePages caps the decoded-node cache that serves repeated reads and
 	// batch staging. Zero means DefaultCachePages; negative disables the
 	// cache entirely (every access re-reads, deciphers, and decodes).
@@ -114,6 +103,9 @@ type Options struct {
 	// two counters, so a tree with nothing to reclaim does no I/O. Zero
 	// disables it; it must be in [0, 1).
 	AutoVacuum float64
+	// order, a seam for this package's tests to force small nodes, is the
+	// order a new tree is built at: even and at least 4, zero DefaultOrder.
+	order int
 }
 
 // DefaultSealBudget is the per-epoch seal budget when Options.SealBudget is
@@ -126,17 +118,12 @@ const DefaultSealBudget = 1 << 30
 // DefaultCachePages re-exports the engine's default decoded-node cache size.
 const DefaultCachePages = engine.DefaultCachePages
 
-// fileConfig is the pipeline configuration a Path tree's store opens with.
-func (o Options) fileConfig() file.Config {
-	return file.Config{Durability: o.Durability, MaxUnflushed: o.MaxUnflushed}
-}
-
-// validate checks opts and resolves the non-store layers, returning the
-// effective order, substituter, cipher, and cache size. All validation of an
-// Options value is consolidated here; errors wrap ErrInvalidOptions. The
-// store is resolved in Open.
+// validate checks opts and resolves the non-store layers, returning the order
+// a new tree is built at, the substituter, cipher, and cache size. All
+// validation of an Options value is consolidated here; errors wrap
+// ErrInvalidOptions. The store is resolved in Open.
 func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCipher, cachePages int, err error) {
-	order = o.Order
+	order = o.order
 	if order == 0 {
 		order = DefaultOrder
 	}
@@ -162,10 +149,10 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 			nc = derived.Cipher
 		}
 	}
-	if o.Path == "" && (o.Durability != DurabilityFull || o.MaxUnflushed != 0) {
-		return 0, nil, nil, 0, fmt.Errorf("%w: Durability and MaxUnflushed apply only to Path stores", ErrInvalidOptions)
+	if o.Path == "" && o.Durability != DurabilityFull {
+		return 0, nil, nil, 0, fmt.Errorf("%w: Durability applies only to Path stores", ErrInvalidOptions)
 	}
-	if err := o.fileConfig().Validate(); err != nil {
+	if err := (file.Config{Durability: o.Durability}).Validate(); err != nil {
 		return 0, nil, nil, 0, fmt.Errorf("%w: %v", ErrInvalidOptions, err)
 	}
 	if o.Store != nil && o.Path != "" {

@@ -13,13 +13,14 @@ import (
 // TestFileBackendPersistence is the end-to-end durability test: a tree
 // written through Options.Path survives close and reopen with identical
 // content, reopening with the wrong master key fails closed with
-// ErrWrongKey, a mismatched configuration fails with ErrConfigMismatch, and
-// a file damaged from outside fails with ErrCorrupt.
+// ErrWrongKey, a reopen needs no order and keeps the one the header records,
+// a header recording no usable order fails with ErrConfigMismatch, and a
+// file damaged from outside fails with ErrCorrupt.
 func TestFileBackendPersistence(t *testing.T) {
 	master := bytes.Repeat([]byte{0xE7}, 32)
 	path := filepath.Join(t.TempDir(), "tree.ekb")
 
-	tr, err := Open(Options{MasterKey: master, Order: 8, Path: path})
+	tr, err := Open(Options{MasterKey: master, order: 8, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestFileBackendPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := Open(Options{MasterKey: master, Order: 8, Path: path})
+	re, err := Open(Options{MasterKey: master, order: 8, Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +61,50 @@ func TestFileBackendPersistence(t *testing.T) {
 	// Wrong master key: the sealed header fails authentication at Open, fast
 	// and closed — no page is ever deciphered under the wrong key.
 	wrong := bytes.Repeat([]byte{0xE8}, 32)
-	if _, err := Open(Options{MasterKey: wrong, Order: 8, Path: path}); !errors.Is(err, ErrWrongKey) {
+	if _, err := Open(Options{MasterKey: wrong, order: 8, Path: path}); !errors.Is(err, ErrWrongKey) {
 		t.Errorf("Open with wrong master key = %v, want ErrWrongKey", err)
 	}
-	// Mismatched order: header deciphers but records a different shape.
-	if _, err := Open(Options{MasterKey: master, Order: 16, Path: path}); !errors.Is(err, ErrConfigMismatch) {
-		t.Errorf("Open with mismatched order = %v, want ErrConfigMismatch", err)
-	}
-	// The failed opens above must not have disturbed the file.
-	re2, err := Open(Options{MasterKey: master, Order: 8, Path: path})
+	// The failed open above must not have disturbed the file, and the order is
+	// the header's: reopened with default options, the order-8 tree stays at
+	// order 8. More inserts split its nodes at 8 children, so no node holds
+	// more than 7 keys, where an order-32 tree would absorb them into the
+	// nodes it has.
+	re2, err := Open(Options{MasterKey: master, Path: path})
 	if err != nil {
-		t.Fatalf("reopen after rejected opens: %v", err)
+		t.Fatalf("reopen after a rejected open: %v", err)
 	}
-	re2.Close()
+	for i := 300; i < 1000; i++ {
+		if err := re2.Put([]byte(fmt.Sprintf("key-%03d", i)), []byte(fmt.Sprintf("val-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, err := re2.Stats(); err != nil || st.Keys != 950 || st.Keys > 7*st.Nodes {
+		t.Errorf("reopened with default options, then grown: %+v (%v); want 950 keys, at most 7 a node", st, err)
+	}
+	if err := re2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A header that names an order no tree can have, or none, is refused.
+	_, sub, nc, _, err := Options{MasterKey: master}.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, header := range []string{
+		fmt.Sprintf("ekbtree/1 order=7 keysub=%s cipher=%s enc=prefix", sub.Name(), nc.Name()),
+		fmt.Sprintf("ekbtree/1 keysub=%s cipher=%s enc=prefix", sub.Name(), nc.Name()),
+	} {
+		sealed, err := nc.Seal(metaPageID, []byte(header))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewMemStore()
+		if err := st.SetMeta(sealed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(Options{MasterKey: master, Store: st}); !errors.Is(err, ErrConfigMismatch) {
+			t.Errorf("Open over header %q = %v, want ErrConfigMismatch", header, err)
+		}
+	}
 
 	// External damage to the file's structural metadata surfaces as
 	// ErrCorrupt.
@@ -80,7 +112,7 @@ func TestFileBackendPersistence(t *testing.T) {
 	if err := os.WriteFile(junk, bytes.Repeat([]byte{0x5F}, 2048), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(Options{MasterKey: master, Order: 8, Path: junk}); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(Options{MasterKey: master, order: 8, Path: junk}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Open of damaged file = %v, want ErrCorrupt", err)
 	}
 }

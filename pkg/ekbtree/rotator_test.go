@@ -56,7 +56,7 @@ func TestRotatorBacksOffOnPersistentFailure(t *testing.T) {
 				}
 				rs := &refusingStore{countingStore: countingStore{PageStore: fs}}
 				// The cache holds the whole tree, so a sweep costs one read a page.
-				o.MasterKey, o.Order, o.Store, o.CachePages = bytes.Repeat([]byte{0x5E}, 32), 8, rs, 4096
+				o.MasterKey, o.order, o.Store, o.CachePages = bytes.Repeat([]byte{0x5E}, 32), 8, rs, 4096
 				return mustOpen(t, o), rs
 			}
 			tr, _ := open(Options{})

@@ -128,7 +128,7 @@ func TestSealCounterDurabilityAcrossGenerations(t *testing.T) {
 				opts := Options{
 					Substituter: sub,
 					Cipher:      rec,
-					Order:       8,
+					order:       8,
 					SealBudget:  16, // tiny: every generation crosses epochs
 				}
 				if tc.file {

@@ -115,7 +115,7 @@ func TestSubstitutionResultsAreNotKept(t *testing.T) {
 				if rs, ok := inner.(keysub.RangeSubstituter); ok {
 					sub = recordingRangeSub{rec, rs}
 				}
-				tr := mustOpen(t, Options{Substituter: sub, MasterKey: secret, Order: order, CachePages: 1 << 14})
+				tr := mustOpen(t, Options{Substituter: sub, MasterKey: secret, order: order, CachePages: 1 << 14})
 				defer tr.Close()
 				const n = 2000
 				key := func(i int) []byte { return fmt.Appendf(nil, "k%05d", i) }
