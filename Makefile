@@ -30,10 +30,15 @@ lint:
 # faulting file double is a second model, which is how three came to share
 # two holes. bench/ keeps its tracing decorators.
 	@if git grep -nE 'func \(.*\) WriteAt' -- '*_test.go' ':!bench'; then echo "a _test.go file declares a WriteAt method; fault a file with internal/faulttest instead"; exit 1; fi
-# Vacuum asks, the committer moves: the committer goroutine, the only one that
-# recycles or truncates extents, copies them. A file call in vacuum.go is a
-# read that has to be guarded against both again.
-	@if git grep -nE 's\.f\.(ReadAt|WriteAt|Truncate|Sync)\(' -- internal/store/file/vacuum.go; then echo "vacuum.go calls the backing file; hand the committer a page ID instead (group.moves)"; exit 1; fi
+# Vacuum asks, the committer chooses: vacuum.go chooses pages, purely, and
+# flushGroup copies them on the committer goroutine, the only one that
+# recycles or truncates extents. A file call in vacuum.go is a read that has to
+# be guarded against both again.
+	@if git grep -nE 's\.f\.(ReadAt|WriteAt|Truncate|Sync)\(' -- internal/store/file/vacuum.go; then echo "vacuum.go calls the backing file; choose pages there (pass.choose) and copy them in flushGroup"; exit 1; fi
+# A vacuum step names its pass and never a page: the flush that runs it chooses
+# from the durable state it replaces, so no selection can go stale and none is
+# re-checked.
+	@if git grep -nE 'vacuumQuietLocked|moves +map\[|relocate\(\[\]uint64' -- internal/store/file; then echo "a vacuum step enqueues its pass (relocate(pass{...})); flushGroup chooses the pages"; exit 1; fi
 # A served round trip allocates only what it hands back: the product builds
 # frames in buffers it reuses. The allocating wrappers are for bench/ and tests.
 	@if git grep -nE 'wire\.(ReadFrame|WriteFrame|EncodeRequest|EncodeOK)\(' -- cmd pkg ':!*_test.go'; then echo "build the frame in the connection's buffer instead (wire.Append*, wire.EndFrame, wire.ReadFrameInto)"; exit 1; fi
@@ -111,6 +116,9 @@ test:
 # race runs the whole suite under the race detector, then repeats the legs a
 # single run rarely loses:
 #  - background vacuum against concurrent committers (x10);
+#  - the vacuum flush's own contract: it never moves a page its group writes
+#    or frees, a Vacuum with nothing to do writes nothing, and two Vacuum
+#    calls at once take turns;
 #  - the fault sweeps (internal/faulttest), commit-group walks and the
 #    directory checks at Open (a free list derived from the page map, and
 #    overlapping extents refused): a flush places pages in map-iteration
@@ -118,7 +126,8 @@ test:
 #  - the sweeps above the store: rotation's re-seal commits, a Sync whose group
 #    raises the seal mark ahead of its pages, a whole tree whose background
 #    rotator interleaves differently every run, the rotator backing off over a
-#    store that refuses it, the same loop auto-vacuuming a churned tree, and
+#    store that refuses it, the same loop auto-vacuuming a churned tree (and
+#    keeping its floor when a pass overlaps commits), and
 #    the engine's one commit path (failed commits stay invisible, root moves
 #    commit like any other, and the turn holder combines queued writers:
 #    one epoch, each caller's own error, a store error for all, Close, and
@@ -140,8 +149,8 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
-	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumStaleSelectionIsDropped|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList' ./internal/store/file/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...

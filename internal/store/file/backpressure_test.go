@@ -109,14 +109,14 @@ func TestAsyncBackpressureBlocksEnqueue(t *testing.T) {
 	if got, err := s.ReadPage(idB); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("ReadPage under backpressure = (%d bytes, %v)", len(got), err)
 	}
-	// So does a vacuum step: a move has no payload, so it joins the full group
+	// So does a vacuum step: a pass has no payload, so it joins the full group
 	// at once (and then waits, like any vacuum step, for the group's flush).
 	vDone := make(chan error, 1)
 	go func() {
-		_, err := s.relocate([]uint64{idA}, false)
+		_, err := s.relocate(pass{target: dataStart})
 		vDone <- err
 	}()
-	tableChecks{t, s}.awaitMove(idA)
+	tableChecks{t, s}.awaitStep()
 
 	close(gf.gate) // release the flush; the backlog drains and C proceeds
 	select {

@@ -1,6 +1,7 @@
 package file
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -30,6 +31,11 @@ type header struct {
 	mark store.SealMark
 }
 
+// same reports whether h and o record the same root, meta and mark.
+func (h header) same(o header) bool {
+	return h.root == o.root && h.mark == o.mark && bytes.Equal(h.meta, o.meta)
+}
+
 // gpage is a group's one record for a page: its latest applied content, or
 // (freed) a tombstone for a page deleted from the state below the group. A
 // write assigns the record whole, so a page freed earlier in the group is live
@@ -47,26 +53,18 @@ type gpage struct {
 type group struct {
 	pages map[uint64]gpage // one record per page the group touched
 	header
-	// moves are the pages Vacuum asked this flush to relocate, by ID alone: the
-	// committer copies each one's durable extent itself (see flushGroup), so a
-	// move is no page record, adds nothing to bytes and is invisible to readers.
-	// The value marks a lift move, which may land ANYWHERE — the frontier
-	// included — instead of being dropped when no hole below fits. Vacuum's
-	// lift phase uses them to evacuate the live extent sitting directly above a
-	// hole, so the freed extent coalesces with that hole and downward packing
-	// can resume; termination then comes from Vacuum's per-round frontier check
-	// rather than the strictly-decreasing-offsets invariant.
-	moves map[uint64]bool
-	// vacuum marks a group that carries a vacuum step, even one whose moves are
-	// all dropped or that had none to begin with: the flush then steers its
-	// directory blob toward the front too, which is the only way the directory
-	// itself ever migrates out of the tail.
-	vacuum bool
+	// vacuum is the pass a vacuum step asked this flush to run, nil if none.
+	// The flush chooses the pass's pages and copies each one's durable extent
+	// itself (see flushGroup), so a step is no page record, adds nothing to
+	// bytes and is invisible to readers. The flush also steers its directory
+	// blob toward the front, which is the only way the directory itself ever
+	// migrates out of the tail.
+	vacuum *pass
 	// relocated counts the moves the flush performed and moveErr is the first
 	// error reading a move's durable extent (that move is skipped; the flush
 	// and the commits coalesced into it are unaffected). Written by the
 	// committer before done closes, read by Vacuum after — the channel
-	// publishes them — to decide whether another pass can still make progress.
+	// publishes them — to decide whether another step can still make progress.
 	relocated int
 	moveErr   error
 	bytes     int       // payload size, for backpressure
@@ -79,23 +77,19 @@ type group struct {
 	done chan struct{}
 }
 
-// change is one mutation of the applied state, as CommitPages, SetMeta,
-// SetSealMark and Vacuum's relocate each spell it. A nil root, meta or mark
-// keeps the applied one: CommitPages names its root, and the header-only
-// changes never read the root to restate it, so they cannot undo a root move
-// queued ahead of them. The group keeps the page buffers of writes themselves
-// (CommitPages' ownership contract), never the map. A vacuum step changes no
-// applied state at all: it names pages for the flush to move (see
-// group.moves).
+// change is one mutation of the applied state, as CommitPages, SetMeta and
+// SetSealMark each spell it. A nil root, meta or mark keeps the applied one:
+// CommitPages names its root, and the header-only changes never read the root
+// to restate it, so they cannot undo a root move queued ahead of them. The
+// group keeps the page buffers of writes themselves (CommitPages' ownership
+// contract), never the map. A vacuum step is no change: it changes no applied
+// state, and relocate sets the pending group's pass instead (group.vacuum).
 type change struct {
 	writes map[uint64][]byte
 	frees  []uint64
 	root   *uint64
 	meta   *[]byte
 	mark   *store.SealMark
-	vacuum bool     // a vacuum step: the flush steers its directory too
-	moves  []uint64 // ... and relocates these pages
-	lift   bool     // ... which may land anywhere
 }
 
 // appliedLocked is the header readers observe: that of the newest state —
@@ -139,15 +133,6 @@ func (s *Store) enqueueLocked(c change) *group {
 			done:   make(chan struct{}),
 		}
 		s.pending = g
-	}
-	if c.vacuum {
-		g.vacuum = true
-		if g.moves == nil {
-			g.moves = make(map[uint64]bool, len(c.moves))
-		}
-		for _, id := range c.moves {
-			g.moves[id] = c.lift
-		}
 	}
 	for id, p := range c.writes {
 		g.bytes += len(p) - len(g.pages[id].buf)
@@ -458,11 +443,13 @@ func markAhead(mark, durable store.SealMark) bool {
 // leave a page's nonce on the file above the mark a reopen resumes from. The
 // flip is installed at once, under the lock, as the durable state it is.
 //
-// The group's moves are carried out here, after its own records are placed.
-// This goroutine alone recycles and truncates extents, so the extent the
+// A vacuum step's pass is run here, after the group's own records are
+// placed: the pages are chosen from the durable state this flush replaces,
+// which only this goroutine changes, and none the group writes or frees. This
+// goroutine alone recycles and truncates extents too, so the extent the
 // durable directory gives for a page is stable for the whole flush and the
-// copy needs no guard; a page the group itself wrote or freed, or one no
-// longer in the directory, is a selection gone stale, and its move is dropped.
+// copy needs no guard. A vacuum flush that moves nothing, cannot lower its
+// directory and carries no other change skips its flip.
 func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 	if len(g.pages) > 0 && markAhead(g.mark, s.mark) {
 		// Everything durable but the mark's reservation: the clean epoch stays
@@ -503,45 +490,63 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 		pageBytes += int64(ext.len)
 		newPages[id] = ext
 	}
-	var buf []byte
-	for id, lift := range g.moves {
-		cur, durable := s.pages[id]
-		if _, touched := g.pages[id]; touched || !durable {
-			continue
-		}
-		// The copy is byte-identical to its source, so it only earns a write
-		// if it can land strictly below its current offset. Otherwise drop it
-		// — the durable bytes already stand, and dropping (rather than
-		// appending at the frontier) is what guarantees Vacuum's pack phase
-		// terminates: every performed move strictly decreases the sum of live
-		// extent offsets. Lift moves are the exception: they exist to evacuate
-		// the extent above a hole, so when nothing below fits they land via
-		// normal allocation — the frontier if need be — and Vacuum's per-round
-		// frontier check bounds them instead.
-		ext, fits := avail.allocBelow(cur.len, cur.off)
-		if !fits {
-			if !lift {
+	if p := g.vacuum; p != nil {
+		var buf []byte
+		for _, m := range p.choose(s.pages, s.free, g.pages) {
+			// The copy is byte-identical to its source, so it only earns a
+			// write if it can land strictly below its current offset. Otherwise
+			// the page stays — the durable bytes already stand, and staying
+			// (rather than appending at the frontier) is what guarantees
+			// Vacuum's pack phase terminates: every performed move strictly
+			// decreases the sum of live extent offsets. Lift moves are the
+			// exception: they exist to evacuate the extent above a hole, so
+			// when nothing below fits they land via normal allocation — the
+			// frontier if need be — and Vacuum's per-round frontier check
+			// bounds them instead.
+			ext, fits := avail.allocBelow(m.ext.len, m.ext.off)
+			if !fits {
+				if !p.lift {
+					continue
+				}
+				ext = avail.allocExtent(&newEnd, m.ext.len)
+			}
+			buf = slices.Grow(buf[:0], int(m.ext.len))[:m.ext.len]
+			if _, err := s.f.ReadAt(buf, m.ext.off); err != nil {
+				if g.moveErr == nil {
+					g.moveErr = fmt.Errorf("file: vacuum read page %d: %w", m.id, err)
+				}
+				avail.add(ext)
 				continue
 			}
-			ext = avail.allocExtent(&newEnd, cur.len)
-		}
-		buf = slices.Grow(buf[:0], int(cur.len))[:cur.len]
-		if _, err := s.f.ReadAt(buf, cur.off); err != nil {
-			if g.moveErr == nil {
-				g.moveErr = fmt.Errorf("file: vacuum read page %d: %w", id, err)
+			if _, err := s.f.WriteAt(buf, ext.off); err != nil {
+				return durableState{}, fmt.Errorf("file: write page %d: %w", m.id, err)
 			}
-			avail.add(ext)
-			continue
+			g.relocated++
+			pending = append(pending, m.ext)
+			newPages[m.id] = ext
 		}
-		if _, err := s.f.WriteAt(buf, ext.off); err != nil {
-			return durableState{}, fmt.Errorf("file: write page %d: %w", id, err)
+		if g.relocated == 0 && len(g.pages) == 0 && g.header.same(s.header) && !s.dirCanDescend() {
+			// Nothing would change: a Vacuum with nothing to do writes nothing.
+			return s.durableState, nil
 		}
-		g.relocated++
-		pending = append(pending, cur)
-		newPages[id] = ext
 	}
 	return s.flip(durableState{pages: newPages, header: g.header, fileEnd: newEnd, pageBytes: pageBytes},
-		avail, pending, nextID, g.vacuum)
+		avail, pending, nextID, g.vacuum != nil)
+}
+
+// dirCanDescend reports whether a hole strictly below the durable directory
+// could hold it, as a steered flip wants. The free list is sorted by offset.
+// The committer calls it without the lock, like flushGroup.
+func (s *Store) dirCanDescend() bool {
+	for _, e := range s.free {
+		if e.off >= s.dirExt.off {
+			return false
+		}
+		if e.len >= s.dirExt.len {
+			return true
+		}
+	}
+	return false
 }
 
 // flip commits next — whose pages, header, frontier and page bytes the caller

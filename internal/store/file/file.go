@@ -82,10 +82,10 @@
 // # Who touches the file
 //
 // After Open the committer goroutine is the file's only writer and the only
-// reader of extents it may itself recycle or truncate: Vacuum selects pages by
-// ID and the committer copies them. ReadPageInto, the one other reader,
-// resolves and reads a durable extent under the read side of the lock a flush
-// is installed under, and the tail is cut only after the install.
+// reader of extents it may itself recycle or truncate: Vacuum names a pass,
+// and the committer chooses the pages and copies them. ReadPageInto, the one
+// other reader, resolves and reads a durable extent under the read side of the
+// lock a flush is installed under, and the tail is cut only after the install.
 package file
 
 import (
@@ -241,6 +241,9 @@ type Store struct {
 	mu  sync.RWMutex
 	f   File
 	cfg Config
+
+	// vacuuming runs Vacuum calls one at a time: a group carries one pass.
+	vacuuming sync.Mutex
 
 	// The durable state, held once. After Open only the committer goroutine
 	// replaces it (under mu, when a flush's flip is durable), so the

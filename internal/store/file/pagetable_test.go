@@ -79,37 +79,37 @@ func (c tableChecks) commit(writes map[uint64]string, frees ...uint64) {
 	}
 }
 
-// move enqueues what Vacuum's relocate would — the pages' IDs as lift moves —
-// without forcing the flush.
-func (c tableChecks) move(ids ...uint64) {
+// step enqueues what Vacuum's relocate would, the pass alone, without forcing
+// the flush.
+func (c tableChecks) step(p pass) {
 	c.s.mu.Lock()
-	c.s.enqueueLocked(change{vacuum: true, moves: ids, lift: true})
+	c.s.enqueueLocked(change{}).vacuum = &p
 	c.s.mu.Unlock()
 }
 
-// moves asserts the pending group's moves and whether it steers its directory.
-func (c tableChecks) moves(when string, want map[uint64]bool, steers bool) {
+// steps asserts the pass the pending group carries (nil: none).
+func (c tableChecks) steps(when string, want *pass) {
 	c.t.Helper()
 	c.s.mu.RLock()
 	defer c.s.mu.RUnlock()
-	if g := c.s.pending; !reflect.DeepEqual(g.moves, want) || g.vacuum != steers {
-		c.t.Fatalf("%s: moves = %v, vacuum = %v, want %v, %v", when, g.moves, g.vacuum, want, steers)
+	if g := c.s.pending; !reflect.DeepEqual(g.vacuum, want) {
+		c.t.Fatalf("%s: vacuum = %v, want %v", when, g.vacuum, want)
 	}
 }
 
-// awaitMove returns once the pending group holds a move of id: a relocate
-// running on another goroutine has been admitted and now waits for its flush.
-func (c tableChecks) awaitMove(id uint64) {
+// awaitStep returns once the pending group carries a pass: a relocate running
+// on another goroutine has been admitted and now waits for its flush.
+func (c tableChecks) awaitStep() {
 	c.t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		c.s.mu.RLock()
-		_, ok := c.s.pending.moves[id]
+		ok := c.s.pending != nil && c.s.pending.vacuum != nil
 		c.s.mu.RUnlock()
 		if ok {
 			return
 		}
 		if time.Now().After(deadline) {
-			c.t.Fatalf("no move of page %d reached the pending group", id)
+			c.t.Fatal("no vacuum step reached the pending group")
 		}
 	}
 }
@@ -176,14 +176,14 @@ func TestGroupPageTable(t *testing.T) {
 		c.commit(map[uint64]string{d: "back"})
 		c.pending("a freed page rewritten is live again", d, &gpage{buf: []byte("back")}, 10)
 
-		c.moves("no vacuum step yet", nil, false)
-		c.move(e, f)
-		c.pending("a move leaves no page record and adds no bytes", e, nil, 10)
-		c.reads("a move is invisible to readers", map[uint64]string{e: "durable-e", f: "durable-f"})
+		c.steps("no vacuum step yet", nil)
+		c.step(pass{lift: true})
+		c.pending("a step leaves no page record and adds no bytes", e, nil, 10)
+		c.reads("a step is invisible to readers", map[uint64]string{e: "durable-e", f: "durable-f"})
 		c.commit(map[uint64]string{e: "new-e"}, f)
-		c.pending("a write beside a move of the same page", e, &gpage{buf: []byte("new-e")}, 15)
-		c.pending("a free beside a move of the same page", f, &gpage{freed: true}, 15)
-		c.moves("the group still steers its directory", map[uint64]bool{e: true, f: true}, true)
+		c.pending("a write beside a step", e, &gpage{buf: []byte("new-e")}, 15)
+		c.pending("a free beside a step", f, &gpage{freed: true}, 15)
+		c.steps("the group still carries its pass", &pass{lift: true})
 
 		want := map[uint64]string{a: "three!", b: "", d: "back", e: "new-e", f: ""}
 		c.reads("applied", want)
@@ -223,15 +223,9 @@ func TestGroupPageTable(t *testing.T) {
 		c.commit(map[uint64]string{z: "zz"})
 		c.commit(nil, z)
 		c.pending("born and freed above a held flush", z, nil, 4)
-		s.mu.RLock()
-		quiet := [...]bool{s.vacuumQuietLocked(e), s.vacuumQuietLocked(y), s.vacuumQuietLocked(d)}
-		s.mu.RUnlock()
-		if quiet != [...]bool{true, false, false} {
-			t.Fatalf("vacuumQuietLocked(durable only, flushing write, pending write) = %v", quiet)
-		}
-		c.move(e)
+		c.step(pass{lift: true})
 		c.commit(map[uint64]string{e: "e2"})
-		c.pending("move overwritten above a held flush", e, &gpage{buf: []byte("e2")}, 6)
+		c.pending("a write beside a step above a held flush", e, &gpage{buf: []byte("e2")}, 6)
 
 		want := map[uint64]string{x: "x2", y: "", z: "", d: "d2", e: "e2"}
 		c.reads("pending, then flushing, then durable", want)

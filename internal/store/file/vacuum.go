@@ -1,51 +1,60 @@
 package file
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
-// vacuumBatchBytes bounds the extents one relocation batch asks a flush to
-// copy, so a vacuum pass interleaves with foreground commits in modest slices
-// instead of moving the whole tail of the file in one group.
+// vacuumBatchBytes bounds the extents one vacuum flush copies, so a vacuum
+// pass interleaves with foreground commits in modest slices instead of moving
+// the whole tail of the file in one group.
 const vacuumBatchBytes = 1 << 20
+
+// liftPerHole is how many consecutive pages above one hole a lift flush
+// evacuates: one round then grows the merged hole by several page-heights,
+// and sub-page remainder holes migrate toward the frontier that much faster.
+const liftPerHole = 8
 
 // Vacuum relocates live page extents downward into free space and truncates
 // the file, until the durable file end is at or below target bytes or no
 // round can improve it further (target 0 compacts as far as the layout
-// allows). Implements store.Vacuumer.
+// allows). Implements store.Vacuumer. Vacuum calls on one store run one at a
+// time.
 //
-// Vacuum asks, the committer moves: Vacuum only SELECTS pages, reading the
-// durable page map and free list under the read lock, and hands the next
-// flush their IDs; the committer — the one goroutine that recycles and
-// truncates extents, so the one that can read an extent with no guard —
-// copies each page's durable extent as part of that flush. Every relocation
-// batch is thus an ordinary shadow-paged group commit whose copies are
-// byte-identical to their sources: a crash at any byte of it leaves exactly
-// the pre- or post-batch state — which are the same LOGICAL state — and
-// concurrent readers and writers proceed throughout, their commits coalescing
-// into the same groups. A selection the foreground overtakes is harmless: the
-// flush looks each ID up afresh and drops the move of a page its group wrote
-// or freed (the newer content wins and lands wherever its own write puts it)
-// or that is gone. Pages with an in-flight overlay write are not selected.
+// Vacuum asks, the committer chooses: each step enqueues only the pass it
+// wants, and the flush that carries it picks the pages (pass.choose) from the
+// durable page map and free list that flush replaces, then copies each
+// page's durable extent. The committer is the one goroutine that changes the
+// durable state, recycles and truncates extents, so what it chooses cannot
+// have gone stale and the copy needs no guard. Every step is thus an ordinary
+// shadow-paged group commit whose copies are byte-identical to their sources:
+// a crash at any byte of it leaves exactly the pre- or post-step state —
+// which are the same LOGICAL state — and concurrent readers and writers
+// proceed throughout, their commits coalescing into the same groups. A page
+// the flushing group itself writes or frees is never moved: the group's own
+// record wins.
 //
 // Each round has two phases. The PACK phase moves pages strictly downward
-// into holes that fit them; a move that cannot take its page toward the
-// front is dropped at flush time, so each performed relocation strictly
-// decreases the sum of live extent offsets and the phase terminates. Pack
-// alone can strand arbitrary free space, though: with size-diverse pages a
-// layout converges to holes each smaller than every page above them. The
-// LIFT phase breaks that deadlock by evacuating the live extent sitting
-// directly above the lowest holes to wherever normal allocation puts it —
-// the frontier included — so the freed extent coalesces with its hole into
-// one packing can use. Lift moves may grow the file transiently, and a round
-// can make real progress without yet lowering the durable frontier — merging
-// holes (fewer free extents) or migrating a sub-page remainder hole upward
-// toward the frontier where truncation finally swallows it (higher hole
-// offsets). The round loop therefore tracks the lexicographic progress
-// triple (frontier, free-extent count, -sum of free-extent offsets) and
-// stops after several consecutive rounds improve none of it; each component
-// is bounded, so the pass terminates, with a generous absolute round cap as
-// the backstop against a foreground write load that keeps reshaping the
-// layout mid-pass.
+// into holes that fit them; a page that no hole below takes stays put, so
+// each performed relocation strictly decreases the sum of live extent offsets
+// and the phase terminates. Pack alone can strand arbitrary free space,
+// though: with size-diverse pages a layout converges to holes each smaller
+// than every page above them. The LIFT phase breaks that deadlock by
+// evacuating the live extents sitting directly above the lowest holes to
+// wherever normal allocation puts them — the frontier included — so each
+// freed extent coalesces with its hole into one packing can use. Lift moves
+// may grow the file transiently, and a round can make real progress without
+// yet lowering the durable frontier — merging holes (fewer free extents) or
+// migrating a sub-page remainder hole upward toward the frontier where
+// truncation finally swallows it (higher hole offsets). The round loop
+// therefore tracks the lexicographic progress triple (frontier, free-extent
+// count, -sum of free-extent offsets) and stops after several consecutive
+// rounds improve none of it; each component is bounded, so the pass
+// terminates, with a generous absolute round cap as the backstop against a
+// foreground write load that keeps reshaping the layout mid-pass.
 func (s *Store) Vacuum(target int64) error {
+	s.vacuuming.Lock()
+	defer s.vacuuming.Unlock()
 	if target < dataStart {
 		target = dataStart
 	}
@@ -54,9 +63,9 @@ func (s *Store) Vacuum(target int64) error {
 	bestFree, bestHoleSum := int(^uint(0)>>1), int64(-1)
 	stale := 0
 	for round := 0; round < maxRounds; round++ {
-		// Pack: strictly-downward relocation until no batch improves.
+		// Pack: strictly-downward relocation until no step improves.
 		for {
-			moved, err := s.vacuumStep(target)
+			moved, err := s.packStep(target)
 			if err != nil {
 				return err
 			}
@@ -83,11 +92,11 @@ func (s *Store) Vacuum(target int64) error {
 				return nil // this layout's floor
 			}
 		}
-		lifted, err := s.liftStep()
+		lifted, err := s.relocate(pass{lift: true})
 		if err != nil {
 			return err
 		}
-		if !lifted {
+		if lifted == 0 {
 			return nil
 		}
 	}
@@ -109,161 +118,36 @@ func (s *Store) vacuumProgress() (end int64, nfree int, holeSum int64, err error
 	return s.fileEnd, len(s.free), holeSum, nil
 }
 
-// vacuumStep relocates one batch, reporting whether it moved anything (so
-// the caller knows another step could still help).
-func (s *Store) vacuumStep(target int64) (bool, error) {
-	// Select from the durable tail: the pages whose extents reach past target,
-	// highest offsets first — clearing the tail is what lets the frontier
-	// retreat and the truncate land. Pages with overlay state (pending/flushing
-	// writes or frees) are in flight and skipped.
-	s.mu.RLock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.RUnlock()
-		return false, err
-	}
-	if s.fileEnd <= target {
-		s.mu.RUnlock()
+// packStep runs one pack flush toward target, reporting whether it moved a
+// page or the directory (so another step could still help).
+func (s *Store) packStep(target int64) (bool, error) {
+	end, _ := s.Space()
+	if end <= target {
 		return false, nil
 	}
-	type cand struct { // a page and the extent it is selected at
-		id  uint64
-		ext extent
-	}
-	var cands []cand
-	for id, e := range s.pages {
-		if e.end() > target && s.vacuumQuietLocked(id) {
-			cands = append(cands, cand{id, e})
-		}
-	}
-	// No movable pages past target doesn't mean the tail is clear: the
-	// directory blob can still hold the frontier up. A page-less vacuum flush
-	// re-places the directory (flushGroup only ever lets it DESCEND) and
-	// retreats the frontier — but it's only worth a flush when the durable free
-	// list shows a hole the directory fits in strictly below its current
-	// extent; otherwise the flush would just shuffle the directory between
-	// equal-height holes forever.
-	dirDescend := false
-	for _, e := range s.free {
-		if e.len >= s.dirExt.len && e.off < s.dirExt.off {
-			dirDescend = true
-			break
-		}
-	}
-	frees := append([]extent(nil), s.free...)
-	preEnd := s.fileEnd
-	s.mu.RUnlock()
-
-	// Keep only candidates some durable free hole strictly below them can
-	// actually fit: sweep frees and candidates upward by offset, tracking the
-	// largest hole seen so far. Candidates may still compete for the same hole
-	// at flush time — losers are dropped there — but whenever this filter
-	// passes anything, the flush relocates at least one page, and a
-	// fully-compacted store never pays for a no-op flush.
-	sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off < cands[j].ext.off })
-	movable, fi, maxHole := cands[:0], 0, uint32(0)
-	for _, c := range cands {
-		for fi < len(frees) && frees[fi].off < c.ext.off {
-			if frees[fi].len > maxHole {
-				maxHole = frees[fi].len
-			}
-			fi++
-		}
-		if maxHole >= c.ext.len {
-			movable = append(movable, c)
-		}
-	}
-	cands = movable
-	if len(cands) == 0 && !dirDescend {
-		return false, nil
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ext.off > cands[j].ext.off })
-	var batch []uint64
-	total := 0
-	for _, c := range cands {
-		batch = append(batch, c.id)
-		if total += int(c.ext.len); total >= vacuumBatchBytes {
-			break
-		}
-	}
-
-	relocated, err := s.relocate(batch, false)
+	relocated, err := s.relocate(pass{target: target})
 	if err != nil || relocated > 0 {
 		return relocated > 0, err
 	}
-	end, _ := s.Space() // no page moved, but the directory may have
-	return end < preEnd, nil
+	after, _ := s.Space() // no page moved, but the directory may have
+	return after < end, nil
 }
 
-// liftStep relocates one batch of "stuck" pages — each the live extent
-// sitting directly above a free hole — to wherever allocation puts them
-// (allocBelow when something fits, the frontier otherwise), so each freed
-// extent coalesces with its hole and the pack phase gets holes it can use.
-// Reports whether it moved anything. Same discipline as vacuumStep:
-// durable-state selection under RLock, then relocate.
-func (s *Store) liftStep() (bool, error) {
-	s.mu.RLock()
-	if err := s.usableLocked(); err != nil {
-		s.mu.RUnlock()
-		return false, err
-	}
-	starts := make(map[int64]uint64, len(s.pages))
-	for id, e := range s.pages {
-		starts[e.off] = id
-	}
-	frees := append([]extent(nil), s.free...)
-	sort.Slice(frees, func(i, j int) bool { return frees[i].off < frees[j].off })
-	// Lowest holes first: the deepest merges unlock the most packing. A hole
-	// with no page directly above it sits under the directory, the frontier, or
-	// an in-flight extent — skip it; the directory re-places itself on every
-	// vacuum flush anyway. Walk up to a few consecutive pages above each hole
-	// so one round grows the merged hole by several page-heights — sub-page
-	// remainder holes migrate toward the frontier that much faster.
-	const liftPerHole = 8
-	var batch []uint64
-	total := 0
-	for _, f := range frees {
-		at := f.end()
-		for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
-			id, ok := starts[at]
-			if !ok || !s.vacuumQuietLocked(id) {
-				break
-			}
-			e := s.pages[id]
-			batch = append(batch, id)
-			total += int(e.len)
-			at = e.end()
-		}
-		if total >= vacuumBatchBytes {
-			break
-		}
-	}
-	s.mu.RUnlock()
-	if len(batch) == 0 {
-		return false, nil
-	}
-	relocated, err := s.relocate(batch, true)
-	return relocated > 0, err
-}
-
-// relocate is the second half of a vacuum step: it asks the next flush to move
-// the selected pages (lift lets a move land anywhere; an empty batch still
-// flushes a vacuum group, to re-place the directory), waits for that flush and
-// reports how many moves it performed. It reads and writes no page itself and
-// does not wait for group capacity — a move has no payload. The IDs need not
-// still be what selection saw: the flush drops whichever are stale (see
-// flushGroup), so there is nothing to re-validate here and nothing to retry.
+// relocate asks the next flush to run one vacuum pass, waits for that flush
+// and reports how many pages it moved. It reads and writes no page itself and
+// does not wait for group capacity — a pass has no payload.
 //
 // The error is the flush's, or else the first error the committer met reading
 // a page's durable extent; that one skipped a move and left the store up.
-func (s *Store) relocate(ids []uint64, lift bool) (relocated int, err error) {
+func (s *Store) relocate(p pass) (relocated int, err error) {
 	s.mu.Lock()
 	if err := s.usableLocked(); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	g := s.enqueueLocked(change{vacuum: true, moves: ids, lift: lift})
-	s.force = true // a relocation batch flushes now in every mode
+	g := s.enqueueLocked(change{}) // joins the pending group, or starts one
+	g.vacuum = &p
+	s.force = true // a vacuum step flushes now in every mode
 	s.mu.Unlock()
 	s.wake()
 	<-g.done
@@ -273,9 +157,83 @@ func (s *Store) relocate(ids []uint64, lift bool) (relocated int, err error) {
 	return g.relocated, g.moveErr
 }
 
-// vacuumQuietLocked reports whether id has no in-flight overlay state.
-// Callers hold s.mu (either mode).
-func (s *Store) vacuumQuietLocked(id uint64) bool {
-	_, ok := s.overlayLocked(id)
-	return !ok
+// pass is what one vacuum step asks of the flush that carries it: pack the
+// pages reaching past target toward the front, or lift.
+type pass struct {
+	lift   bool
+	target int64 // pack only
+}
+
+// move is a page a flush chose to relocate, at its durable extent.
+type move struct {
+	id  uint64
+	ext extent
+}
+
+// choose picks the pages a flush running p moves, in the order it tries them,
+// from the durable page map and its free list, which is sorted by offset
+// (coalesce and freeGaps both sort it). A page in skip — one the flushing
+// group writes or frees — is never chosen. Choosing is pure: it reads its
+// arguments and touches no file.
+//
+// Pack takes the pages that reach past the target and that some hole strictly
+// below could hold, highest first: clearing the tail is what lets the
+// frontier retreat and the truncate land. Lift takes up to liftPerHole pages
+// directly above each hole, lowest holes first, since the deepest merges
+// unlock the most packing; a hole with no page directly above it sits under
+// the directory or the frontier, and the directory re-places itself on every
+// vacuum flush anyway. Either stops at vacuumBatchBytes.
+func (p pass) choose(pages map[uint64]extent, free []extent, skip map[uint64]gpage) []move {
+	var batch []move
+	total := 0
+	if p.lift {
+		starts := make(map[int64]move, len(pages))
+		for id, e := range pages {
+			// A zero-length page shares its offset and ends where it starts.
+			if _, touched := skip[id]; !touched && e.len > 0 {
+				starts[e.off] = move{id, e}
+			}
+		}
+		for _, f := range free {
+			at := f.end()
+			for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
+				m, ok := starts[at]
+				if !ok {
+					break
+				}
+				batch = append(batch, m)
+				total += int(m.ext.len)
+				at = m.ext.end()
+			}
+			if total >= vacuumBatchBytes {
+				break
+			}
+		}
+		return batch
+	}
+	var cands []move
+	for id, e := range pages {
+		if _, touched := skip[id]; !touched && e.end() > p.target {
+			cands = append(cands, move{id, e})
+		}
+	}
+	// Sweep the holes and the candidates upward by offset, tracking the
+	// largest hole seen so far, then take the survivors from the top.
+	slices.SortFunc(cands, func(a, b move) int { return cmp.Compare(a.ext.off, b.ext.off) })
+	batch, fi, maxHole := cands[:0], 0, uint32(0)
+	for _, c := range cands {
+		for ; fi < len(free) && free[fi].off < c.ext.off; fi++ {
+			maxHole = max(maxHole, free[fi].len)
+		}
+		if maxHole >= c.ext.len {
+			batch = append(batch, c)
+		}
+	}
+	slices.Reverse(batch)
+	for i, c := range batch {
+		if total += int(c.ext.len); total >= vacuumBatchBytes {
+			return batch[:i+1]
+		}
+	}
+	return batch
 }

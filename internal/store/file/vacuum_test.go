@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -464,78 +464,150 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 		})
 }
 
-// TestVacuumStaleSelectionIsDropped hands relocate a selection the foreground
-// has overtaken in every way it can — a page freed since, one rewritten in the
-// pending group, one rewritten in a flush still in flight, an ID never
-// allocated — beside one page that is live and movable. Nothing is validated
-// up front and nothing retried: the flush moves the one page, drops the rest,
-// and every page reads its newest content throughout.
-func TestVacuumStaleSelectionIsDropped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stale.ekb")
-	gf := newGateSyncFile(t, path)
-	s, err := OpenWithConfig(gf, Config{Durability: Async})
+// TestVacuumNeverMovesItsGroupsPages: a vacuum flush chooses its pages from
+// the durable state it replaces, and never one its own group writes or frees.
+// For each pass, the group that carries it rewrites two of the pages the pass
+// would choose over the idle store and frees two more. The rewrites must read
+// their new bytes and the frees stay gone — a stale copy would undo either —
+// and the pages whose extents changed must be exactly the moves the flush
+// counted, all of them pages the group did not touch.
+func TestVacuumNeverMovesItsGroupsPages(t *testing.T) {
+	for _, p := range []pass{{target: dataStart}, {lift: true}} {
+		t.Run(fmt.Sprintf("lift=%v", p.lift), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "own.ekb")
+			s, err := OpenConfig(path, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := buildGarbage(t, s)
+			s.mu.RLock()
+			chosen := p.choose(s.pages, s.free, nil)
+			before := maps.Clone(s.pages)
+			s.mu.RUnlock()
+			if len(chosen) < 6 {
+				t.Fatalf("the pass chooses %d pages over the idle store, want at least 6", len(chosen))
+			}
+			want := snapshotState(t, s)
+			writes := make(map[uint64][]byte)
+			var frees []uint64
+			for i, m := range chosen[:4] {
+				if i%2 == 0 {
+					writes[m.id] = []byte(fmt.Sprintf("rewritten-%d", m.id))
+					want.pages[m.id] = string(writes[m.id])
+				} else {
+					frees = append(frees, m.id)
+					delete(want.pages, m.id)
+				}
+			}
+			s.mu.Lock()
+			g := s.enqueueLocked(change{writes: writes, frees: frees, root: &ids[0]})
+			g.vacuum = &p
+			s.mu.Unlock()
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if g.err != nil || g.moveErr != nil {
+				t.Fatalf("flush = %v, move error %v", g.err, g.moveErr)
+			}
+			if got := snapshotState(t, s); !reflect.DeepEqual(got, want) {
+				t.Fatal("the flush moved a page its own group wrote or freed")
+			}
+			moved := 0
+			s.mu.RLock()
+			for id, e := range s.pages {
+				_, written := writes[id]
+				if old, ok := before[id]; ok && !written && old != e {
+					moved++
+				}
+			}
+			s.mu.RUnlock()
+			if g.relocated == 0 || moved != g.relocated {
+				t.Fatalf("%d untouched pages changed extent, the flush counted %d moves", moved, g.relocated)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenConfig(path, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if got := snapshotState(t, re); !reflect.DeepEqual(got, want) {
+				t.Fatal("reopened state diverged")
+			}
+		})
+	}
+}
+
+// TestVacuumWithNothingToMoveWritesNothing: a vacuum flush that would move no
+// page, could not lower its directory and carries no other change skips its
+// flip, so a Vacuum over a layout it cannot improve leaves the transaction
+// ID where it was — an empty store, and one page in a tight file.
+func TestVacuumWithNothingToMoveWritesNothing(t *testing.T) {
+	s, err := OpenConfig(filepath.Join(t.TempDir(), "idle.ekb"), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := tableChecks{t, s}
-	// One page per flush lays them out front to back: the two pages whose
-	// extents become holes, then the page rewritten in the pending group (its
-	// stale extent would fit the second hole), then the movable one, half the
-	// size of either hole.
-	const freed, held, pend, live, never = 1, 2, 3, 4, 1 << 40
-	for id := uint64(freed); id <= live; id++ {
-		if _, err := s.Alloc(); err != nil {
+	defer s.Close()
+	vacuum := func(when string) {
+		t.Helper()
+		txid := s.Txid()
+		if err := s.Vacuum(0); err != nil {
 			t.Fatal(err)
 		}
-		n := 1000
-		if id == live {
-			n = 500
-		}
-		c.commit(map[uint64]string{id: strings.Repeat("o", n)})
-		if err := s.Sync(); err != nil {
-			t.Fatal(err)
+		if got := s.Txid(); got != txid {
+			t.Fatalf("%s: Vacuum(0) flushed %d times over a layout it cannot improve", when, got-txid)
 		}
 	}
-	c.commit(nil, freed)
-	if err := s.Sync(); err != nil {
+	vacuum("empty store")
+	id, err := s.Alloc()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Larger than all the free space below it: it lands on the frontier and no
-	// pack move can bring it down.
-	c.commit(map[uint64]string{held: strings.Repeat("h", 4000)})
-	release := parkFlush(t, s, gf)
-	c.commit(map[uint64]string{pend: "pend-new"})
+	if err := s.CommitPages(map[uint64][]byte{id: bytes.Repeat([]byte{7}, 300)}, id, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Vacuum(0); err != nil {
+		t.Fatal(err)
+	}
 	s.mu.RLock()
-	from := s.pages[live]
+	free := len(s.free)
 	s.mu.RUnlock()
+	if free != 0 {
+		t.Fatalf("a vacuumed one-page store keeps %d free extents, want a tight file", free)
+	}
+	vacuum("one page, tight")
+}
 
-	type result struct {
-		n   int
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		n, err := s.relocate([]uint64{freed, pend, held, never, live}, false)
-		done <- result{n, err}
-	}()
-	c.awaitMove(live)
-	want := map[uint64]string{freed: "", pend: "pend-new", held: strings.Repeat("h", 4000), never: "", live: strings.Repeat("o", 500)}
-	c.reads("moves enqueued above a held flush", want)
-	release()
-	if r := <-done; r.n != 1 || r.err != nil {
-		t.Fatalf("relocate = (%d, %v), want one page moved and no error", r.n, r.err)
-	}
-	s.mu.RLock()
-	to := s.pages[live]
-	s.mu.RUnlock()
-	if to.off >= from.off || to.len != from.len {
-		t.Fatalf("the live page went from %+v to %+v, want a lower offset", from, to)
-	}
-	c.reads("moved", want)
-	if err := s.Sync(); err != nil {
+// TestConcurrentVacuums: Vacuum calls on one store take turns, so two at once
+// over a churned store both succeed, compact it and change nothing logical.
+func TestConcurrentVacuums(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twovac.ekb")
+	s, err := OpenConfig(path, Config{Durability: Grouped})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c.reads("synced", want)
+	buildGarbage(t, s)
+	if err := s.Sync(); err != nil { // snapshotState lists the durable pages
+		t.Fatal(err)
+	}
+	pre := snapshotState(t, s)
+	fileBefore, _ := s.Space()
+	errs := make(chan error, 2)
+	for range 2 {
+		go func() { errs <- s.Vacuum(0) }()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := snapshotState(t, s); !reflect.DeepEqual(got, pre) {
+		t.Fatal("concurrent vacuums changed the logical state")
+	}
+	if fileAfter, _ := s.Space(); fileAfter >= fileBefore {
+		t.Fatalf("concurrent vacuums did not shrink the file: %d -> %d", fileBefore, fileAfter)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +616,64 @@ func TestVacuumStaleSelectionIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	tableChecks{t, re}.reads("reopened", want)
+	if got := snapshotState(t, re); !reflect.DeepEqual(got, pre) {
+		t.Fatal("reopened state diverged after concurrent vacuums")
+	}
+}
+
+// TestFreeListSortedAndCoalesced: the durable free list is sorted by offset
+// and has no two adjacent extents after every kind of flush — first writes,
+// overwrites, frees, a header alone, a raised seal mark's two flips, vacuum's
+// pack and lift steps — and at Open, which derives it. Vacuum's choice of
+// pages walks it in that order.
+func TestFreeListSortedAndCoalesced(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "free.ekb")
+	s, err := OpenConfig(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, st *Store) {
+		t.Helper()
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		for i := 1; i < len(st.free); i++ {
+			if prev, e := st.free[i-1], st.free[i]; prev.end() >= e.off {
+				t.Fatalf("%s: free extent %+v is followed by %+v", when, prev, e)
+			}
+		}
+	}
+	ids := buildGarbage(t, s)
+	check("churned", s)
+	if err := s.SetMeta([]byte("header alone")); err != nil {
+		t.Fatal(err)
+	}
+	check("a header alone", s)
+	if err := s.SetSealMark(store.SealMark{Epoch: 1, Counter: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitPages(map[uint64][]byte{ids[1]: []byte("under a raised mark")}, ids[0], []uint64{ids[2]}); err != nil {
+		t.Fatal(err)
+	}
+	check("a raised mark's two flips", s)
+	for _, p := range []pass{{target: dataStart}, {lift: true}, {target: dataStart}} {
+		if _, err := s.relocate(p); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("a vacuum step %+v", p), s)
+	}
+	if err := s.Vacuum(0); err != nil {
+		t.Fatal(err)
+	}
+	check("a whole vacuum", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenConfig(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("reopened", re)
 }
 
 // sickReadFile is a real file whose data-region reads fail while sick is set.

@@ -358,7 +358,7 @@ func (g *Engine) Stats() (Stats, error) {
 	out := Stats{
 		Keys: s.Keys, Nodes: s.Nodes, Height: s.Height,
 		Cache:   g.io.cacheStats(),
-		Commits: g.es.published.Load(),
+		Commits: g.Commits(),
 	}
 	out.CipherEpoch, out.Seals = g.SealState()
 	if out.PagesPendingReseal, err = g.PendingReseal(); err != nil {
@@ -367,6 +367,9 @@ func (g *Engine) Stats() (Stats, error) {
 	out.FileBytes, out.LiveBytes = g.Space()
 	return out, nil
 }
+
+// Commits reports how many commits have published since open. Lock-free.
+func (g *Engine) Commits() uint64 { return g.es.published.Load() }
 
 // Space reports the store's physical footprint; zeros once closed.
 func (g *Engine) Space() (fileBytes, liveBytes int64) {

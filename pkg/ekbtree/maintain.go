@@ -49,7 +49,9 @@ func (t *Tree) maintain(autoVacuum float64) {
 		poll = tick.C
 	}
 	// left is the garbage the last pass left behind, so a layout already at
-	// its floor is not vacuumed again until as much is made anew.
+	// its floor is not vacuumed again until as much is made anew. A pass that
+	// overlapped a commit keeps the old floor: what it left includes garbage
+	// made during the pass, which the next one can still reclaim.
 	var left int64
 	var retry <-chan time.Time // fires when a rotation round is owed; nil once converged
 	delay := rotateRetryMin
@@ -75,9 +77,12 @@ func (t *Tree) maintain(autoVacuum float64) {
 			if float64(size-live-left) > autoVacuum*float64(size) {
 				// A failed pass leaves a consistent layout, and the store's
 				// own failure reaches callers on their next write.
+				commits := t.eng.Commits()
 				_ = t.eng.Vacuum(0)
 				size, live = t.eng.Space()
-				left = size - live
+				if t.eng.Commits() == commits {
+					left = size - live
+				}
 			}
 		}
 		switch {

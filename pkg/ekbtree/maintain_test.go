@@ -138,3 +138,100 @@ func TestAutoVacuum(t *testing.T) {
 		t.Errorf("a layout at its floor was vacuumed %d more times over three polls", n)
 	}
 }
+
+// churnAfterPassStore is a vacuumCountingStore whose Vacuum, once armed, runs
+// churn after the real pass returns and hands its error to churned: garbage
+// made while the maintenance loop's pass was in flight, as a busy tree makes
+// it.
+type churnAfterPassStore struct {
+	vacuumCountingStore
+	armed   *atomic.Bool
+	churn   func() error
+	churned chan<- error
+}
+
+func (s churnAfterPassStore) Vacuum(target int64) error {
+	err := s.vacuumCountingStore.Vacuum(target)
+	if s.armed.CompareAndSwap(true, false) {
+		s.churned <- s.churn()
+	}
+	return err
+}
+
+// TestOverlappedPassKeepsVacuumFloor: a pass during which a commit published
+// leaves the auto-vacuum floor where it was. Here the commit deletes seven
+// keys in eight, so what the pass leaves behind is mostly garbage made after
+// it compacted; taken for the layout's floor, it would keep auto-vacuum off
+// until as much again is made. The next poll must vacuum it instead.
+func TestOverlappedPassKeepsVacuumFloor(t *testing.T) {
+	var passes atomic.Int64
+	var armed atomic.Bool
+	churned := make(chan error, 1)
+	const n, chunk = 1500, 256
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+	st, err := file.OpenConfig(filepath.Join(t.TempDir(), "floor.ekb"), file.Config{Durability: DurabilityGrouped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr *Tree
+	churn := func() error {
+		b := tr.NewBatch()
+		for i := 0; i < n; i++ {
+			if i%8 != 0 {
+				if err := b.Delete(key(i)); err != nil {
+					return err
+				}
+			}
+		}
+		if err := b.Commit(); err != nil {
+			return err
+		}
+		return tr.Sync()
+	}
+	tr = mustOpen(t, Options{
+		MasterKey:  bytes.Repeat([]byte{0xA7}, 32),
+		Store:      churnAfterPassStore{vacuumCountingStore{st, &passes}, &armed, churn, churned},
+		AutoVacuum: 0.15,
+	})
+	defer tr.Close()
+	write := func(gen int) {
+		t.Helper()
+		for lo := 0; lo < n; lo += chunk {
+			b := tr.NewBatch()
+			for i := lo; i < n && i < lo+chunk; i++ {
+				if err := b.Put(key(i), []byte(fmt.Sprintf("gen-%d-value-%06d", gen, i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	// The rewrite leaves the first generation's pages as garbage, well over
+	// AutoVacuum of the file, so the next poll runs the armed pass.
+	armed.Store(true)
+	write(1)
+	select {
+	case err := <-churned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * vacuumPoll):
+		t.Fatal("no vacuum pass ran over the rewritten tree")
+	}
+	after := passes.Load()
+	for deadline := time.Now().Add(5 * vacuumPoll); ; time.Sleep(20 * time.Millisecond) {
+		size, live := tr.Space()
+		if passes.Load() > after && size < live*3/2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the garbage made during a pass became the floor: file=%d live=%d, %d passes after it", size, live, passes.Load()-after)
+		}
+	}
+}
