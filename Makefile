@@ -39,6 +39,10 @@ lint:
 # from the durable state it replaces, so no selection can go stale and none is
 # re-checked.
 	@if git grep -nE 'vacuumQuietLocked|moves +map\[|relocate\(\[\]uint64' -- internal/store/file; then echo "a vacuum step enqueues its pass (relocate(pass{...})); flushGroup chooses the pages"; exit 1; fi
+# One writer, one install: a flush edits the durable page map in place as it
+# places each page, and flip installs the rest once the slot is durable. A map
+# copy or a durableState value in commit.go is a flush rebuilding the state.
+	@if git grep -nE 'make\(map\[uint64\]extent|durableState\{' -- internal/store/file/commit.go; then echo "commit.go rebuilds the durable state; edit s.pages in place in flushGroup and install the rest in flip"; exit 1; fi
 # A served round trip allocates only what it hands back: the product builds
 # frames in buffers it reuses. The allocating wrappers are for bench/ and tests.
 	@if git grep -nE 'wire\.(ReadFrame|WriteFrame|EncodeRequest|EncodeOK)\(' -- cmd pkg ':!*_test.go'; then echo "build the frame in the connection's buffer instead (wire.Append*, wire.EndFrame, wire.ReadFrameInto)"; exit 1; fi
@@ -115,7 +119,10 @@ test:
 
 # race runs the whole suite under the race detector, then repeats the legs a
 # single run rarely loses:
-#  - background vacuum against concurrent committers (x10);
+#  - background vacuum against concurrent committers (x10), and against
+#    writers and a reader that must never see a page's bytes change while a
+#    flush edits the page map (x50: a single run meets a copy's window only
+#    sometimes);
 #  - the vacuum flush's own contract: it never moves a page its group writes
 #    or frees, a Vacuum with nothing to do writes nothing, and two Vacuum
 #    calls at once take turns;
@@ -149,6 +156,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
+	$(GO) test -race -count=50 -run '^TestVacuumConcurrentWithCommits$$' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSharedNodesAreNeverAltered$$' ./internal/btree/

@@ -89,10 +89,11 @@ func BenchmarkFileCommitBatch64(b *testing.B) {
 }
 
 // BenchmarkFullCommitByPages measures a one-page Full commit on a store that
-// already holds 1 000, 10 000 or 100 000 pages. A flush copies the whole page
-// map and writes the whole directory, so its cost grows with the page count
-// and not with the page size, and small pages show it. Reports the directory
-// bytes each flush writes.
+// already holds 1 000, 10 000 or 100 000 pages. A flush edits the page map in
+// place but serialises and writes the whole directory, so its cost grows with
+// the page count and not with the page size, and small pages show it. Reports
+// the directory bytes each flush writes, and allocations, which do not grow
+// with the page count.
 func BenchmarkFullCommitByPages(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("pages=%d", n), func(b *testing.B) {
@@ -114,6 +115,7 @@ func BenchmarkFullCommitByPages(b *testing.B) {
 				b.Fatal(err)
 			}
 			one := map[uint64][]byte{store.NoRoot + 1: payload}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
 				if err := s.CommitPages(one, store.NoRoot, nil); err != nil {

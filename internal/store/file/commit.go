@@ -382,10 +382,9 @@ func (s *Store) drain() {
 		nextID := s.nextID
 		s.mu.Unlock()
 
-		ns, err := s.flushGroup(g, nextID)
+		err := s.flushGroup(g, nextID)
 
 		s.mu.Lock()
-		shrunk := err == nil && ns.fileEnd < s.fileEnd
 		if err != nil {
 			// Fail stop: the group's commits were already visible (and, off
 			// Full mode, acknowledged); rolling the applied state back would
@@ -395,28 +394,9 @@ func (s *Store) drain() {
 			// last durable flush.
 			s.failLocked(g, err)
 		} else {
-			s.durableState = ns
 			s.flushing = nil
 		}
 		s.mu.Unlock()
-		if shrunk {
-			// Physically release the tail the frontier retreated over. This
-			// runs strictly after the install above: any reader still inside
-			// ReadPageInto when the install took the lock had already
-			// finished, and readers admitted since resolve extents that all
-			// end at or below the new frontier — no ReadPageInto can be
-			// mid-read in the cut region, and the only other reader of
-			// extents is this goroutine.
-			// Correctness never depends on the truncate (the durable state
-			// ignores bytes past fileEnd), but a truncate error means a sick
-			// device, so it fail-stops the store like any flush error.
-			if terr := s.f.Truncate(ns.fileEnd); terr != nil {
-				err = fmt.Errorf("file: truncate to %d (%w): %v", ns.fileEnd, ErrFailed, terr)
-				s.mu.Lock()
-				s.failLocked(g, err)
-				s.mu.Unlock()
-			}
-		}
 		g.err = err
 		close(g.done) // after a failure, the next turn resolves pending's waiters
 	}
@@ -431,68 +411,69 @@ func markAhead(mark, durable store.SealMark) bool {
 // flushGroup turns one coalesced group into a single shadow-paged flush: all
 // pages to fresh extents, one directory blob, one data fsync, one meta-slot
 // flip, one slot fsync. It reads the durable state fields without the lock —
-// the committer is their only writer — and returns the state to install.
-// Extents released by the group (overwritten page versions, freed pages, moved
-// pages' sources, the old directory) are free only in the state the NEW
-// directory describes, so nothing recycles them until the flip that made them
-// garbage is durable.
+// the committer is their only writer — and edits the page map in place under
+// it, never across file I/O (see durableState). Extents released by the group
+// (overwritten page versions, freed pages, moved pages' sources, the old
+// directory) are free only in the state the NEW directory describes, so
+// nothing recycles them until the flip that made them garbage is durable.
 //
 // A group whose seal mark reserves nonces past the durable mark first makes
 // that mark durable with a header-only flip (see SetSealMark): the pages it is
 // about to write were sealed under the reservation, and a crash must never
-// leave a page's nonce on the file above the mark a reopen resumes from. The
-// flip is installed at once, under the lock, as the durable state it is.
+// leave a page's nonce on the file above the mark a reopen resumes from.
 //
 // A vacuum step's pass is run here, after the group's own records are
 // placed: the pages are chosen from the durable state this flush replaces,
-// which only this goroutine changes, and none the group writes or frees. This
-// goroutine alone recycles and truncates extents too, so the extent the
-// durable directory gives for a page is stable for the whole flush and the
-// copy needs no guard. A vacuum flush that moves nothing, cannot lower its
-// directory and carries no other change skips its flip.
-func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
+// which only this goroutine changes, and none the group writes or frees (the
+// entries it has edited). This goroutine alone recycles and truncates extents
+// too, so the extent the durable directory gives for a page is stable for the
+// whole flush and the copy needs no guard. A vacuum flush that moves nothing,
+// cannot lower its directory and carries no other change skips its flip.
+func (s *Store) flushGroup(g *group, nextID uint64) error {
 	if len(g.pages) > 0 && markAhead(g.mark, s.mark) {
 		// Everything durable but the mark's reservation: the clean epoch stays
 		// the durable one, since the re-seals that earned the group's are among
 		// the pages not yet written.
 		h := s.header
 		h.mark.Epoch, h.mark.Counter = g.mark.Epoch, g.mark.Counter
-		mid, err := s.flip(durableState{pages: s.pages, header: h, fileEnd: s.fileEnd, pageBytes: s.pageBytes},
-			newFreeIndex(s.free), nil, nextID, false)
-		if err != nil {
-			return durableState{}, err
+		if err := s.flip(h, newFreeIndex(s.free), nil, s.fileEnd, s.pageBytes, nextID, false); err != nil {
+			return err
 		}
-		s.mu.Lock()
-		s.durableState = mid
-		s.mu.Unlock()
-	}
-	newPages := make(map[uint64]extent, len(s.pages)+len(g.pages))
-	for id, e := range s.pages {
-		newPages[id] = e
 	}
 	avail := newFreeIndex(s.free)
-	newEnd, pageBytes := s.fileEnd, s.pageBytes
-	var pending []extent // extents that become free once this flush is durable
+	end, pageBytes := s.fileEnd, s.pageBytes
+	var released []extent // extents that become free once this flush is durable
+	// Placed in one lock section ahead of the writes: readers find every page
+	// the group writes or frees in the flushing overlay, which a failed flush
+	// leaves in place.
+	s.mu.Lock()
 	for id, p := range g.pages {
-		cur, durable := newPages[id]
-		if durable {
-			pending = append(pending, cur)
+		if cur, durable := s.pages[id]; durable {
+			released = append(released, cur)
 			pageBytes -= int64(cur.len)
 		}
 		if p.freed {
-			delete(newPages, id)
+			delete(s.pages, id)
 			continue
 		}
-		ext := avail.allocExtent(&newEnd, uint32(len(p.buf)))
-		if _, err := s.f.WriteAt(p.buf, ext.off); err != nil {
-			return durableState{}, fmt.Errorf("file: write page %d: %w", id, err)
-		}
+		ext := avail.allocExtent(&end, uint32(len(p.buf)))
 		pageBytes += int64(ext.len)
-		newPages[id] = ext
+		s.pages[id] = ext
+	}
+	s.mu.Unlock()
+	for id, p := range g.pages {
+		if p.freed {
+			continue
+		}
+		if _, err := s.f.WriteAt(p.buf, s.pages[id].off); err != nil {
+			return fmt.Errorf("file: write page %d: %w", id, err)
+		}
 	}
 	if p := g.vacuum; p != nil {
 		var buf []byte
-		for _, m := range p.choose(s.pages, s.free, g.pages) {
+		chosen := p.choose(s.pages, s.free, g.pages)
+		moved := chosen[:0] // the moves performed, at their new extents
+		for _, m := range chosen {
 			// The copy is byte-identical to its source, so it only earns a
 			// write if it can land strictly below its current offset. Otherwise
 			// the page stays — the durable bytes already stand, and staying
@@ -508,7 +489,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 				if !p.lift {
 					continue
 				}
-				ext = avail.allocExtent(&newEnd, m.ext.len)
+				ext = avail.allocExtent(&end, m.ext.len)
 			}
 			buf = slices.Grow(buf[:0], int(m.ext.len))[:m.ext.len]
 			if _, err := s.f.ReadAt(buf, m.ext.off); err != nil {
@@ -519,19 +500,24 @@ func (s *Store) flushGroup(g *group, nextID uint64) (durableState, error) {
 				continue
 			}
 			if _, err := s.f.WriteAt(buf, ext.off); err != nil {
-				return durableState{}, fmt.Errorf("file: write page %d: %w", m.id, err)
+				return fmt.Errorf("file: write page %d: %w", m.id, err)
 			}
-			g.relocated++
-			pending = append(pending, m.ext)
-			newPages[m.id] = ext
+			released = append(released, m.ext)
+			moved = append(moved, move{m.id, ext})
 		}
+		// Every copy has landed before the map points a reader at it.
+		s.mu.Lock()
+		for _, m := range moved {
+			s.pages[m.id] = m.ext
+		}
+		s.mu.Unlock()
+		g.relocated = len(moved)
 		if g.relocated == 0 && len(g.pages) == 0 && g.header.same(s.header) && !s.dirCanDescend() {
 			// Nothing would change: a Vacuum with nothing to do writes nothing.
-			return s.durableState, nil
+			return nil
 		}
 	}
-	return s.flip(durableState{pages: newPages, header: g.header, fileEnd: newEnd, pageBytes: pageBytes},
-		avail, pending, nextID, g.vacuum != nil)
+	return s.flip(g.header, avail, released, end, pageBytes, nextID, g.vacuum != nil)
 }
 
 // dirCanDescend reports whether a hole strictly below the durable directory
@@ -549,15 +535,15 @@ func (s *Store) dirCanDescend() bool {
 	return false
 }
 
-// flip commits next — whose pages, header, frontier and page bytes the caller
-// has set, with every page already written — over the durable state: one
-// directory blob holding next's pages and header, one data fsync, the
-// inactive meta slot, one slot fsync. It returns next completed, its free list
-// what avail has left, the released extents and the old directory's own: the
-// gaps Open derives. steer places the directory as a vacuum flush does.
-func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nextID uint64, steer bool) (durableState, error) {
-	dirLen := uint32(dirSize(len(next.pages), len(next.meta)))
-	newEnd := next.fileEnd
+// flip makes the page map, every page it names written, durable under h: one
+// directory blob, one data fsync, the inactive meta slot, one slot fsync. It
+// then installs the rest of the durable state in one lock section — end and
+// pageBytes as the caller's placements left them, and a free list of what
+// avail has left, the released extents and the old directory's own (the gaps
+// Open derives) — and truncates the tail the frontier retreated over. steer
+// places the directory as a vacuum flush does.
+func (s *Store) flip(h header, avail *freeIndex, released []extent, end, pageBytes int64, nextID uint64, steer bool) error {
+	dirLen := uint32(dirSize(len(s.pages), len(h.meta)))
 	var dirExt extent
 	if steer {
 		// A vacuum flush also steers its directory blob toward the front —
@@ -570,10 +556,10 @@ func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nex
 		if e, ok := avail.allocBelow(dirLen, s.dirExt.off); ok {
 			dirExt = e
 		} else {
-			dirExt = avail.allocExtent(&newEnd, dirLen)
+			dirExt = avail.allocExtent(&end, dirLen)
 		}
 	} else {
-		dirExt = avail.allocExtent(&newEnd, dirLen)
+		dirExt = avail.allocExtent(&end, dirLen)
 	}
 	newFree := avail.appendTo(make([]extent, 0, avail.len()+len(released)+1))
 	newFree = append(newFree, released...)
@@ -582,20 +568,20 @@ func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nex
 	// Retreat the append frontier over a trailing free extent, so space freed
 	// at the end of the file is reclaimed rather than carried as a free entry
 	// forever.
-	if len(newFree) > 0 && newFree[len(newFree)-1].end() == newEnd {
-		newEnd = newFree[len(newFree)-1].off
+	if len(newFree) > 0 && newFree[len(newFree)-1].end() == end {
+		end = newFree[len(newFree)-1].off
 		newFree = newFree[:len(newFree)-1]
 	}
 	dir := make([]byte, dirLen)
-	serializeDir(dir, next.pages, next.meta, next.mark)
+	serializeDir(dir, s.pages, h.meta, h.mark)
 	if _, err := s.f.WriteAt(dir, dirExt.off); err != nil {
-		return durableState{}, fmt.Errorf("file: write directory: %w", err)
+		return fmt.Errorf("file: write directory: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return durableState{}, fmt.Errorf("file: sync data: %w", err)
+		return fmt.Errorf("file: sync data: %w", err)
 	}
 	slot := serializeSlot(slotData{
-		txid: s.txid + 1, root: next.root, nextID: nextID,
+		txid: s.txid + 1, root: h.root, nextID: nextID,
 		dir: dirExt, dirCRC: crc32.ChecksumIEEE(dir),
 	})
 	slotOff := int64(slot0Off)
@@ -610,11 +596,29 @@ func (s *Store) flip(next durableState, avail *freeIndex, released []extent, nex
 	// then open a torn state. The drain loop fail-stops the store instead;
 	// reopening resolves the ambiguity by reading what's actually durable.
 	if _, err := s.f.WriteAt(slot, slotOff); err != nil {
-		return durableState{}, fmt.Errorf("file: write meta slot (%w): %v", ErrFailed, err)
+		return fmt.Errorf("file: write meta slot (%w): %v", ErrFailed, err)
 	}
 	if err := s.f.Sync(); err != nil {
-		return durableState{}, fmt.Errorf("file: sync meta slot (%w): %v", ErrFailed, err)
+		return fmt.Errorf("file: sync meta slot (%w): %v", ErrFailed, err)
 	}
-	next.free, next.txid, next.cur, next.dirExt, next.fileEnd = newFree, s.txid+1, 1-s.cur, dirExt, newEnd
-	return next, nil
+	s.mu.Lock()
+	shrunk := end < s.fileEnd
+	s.header, s.free, s.fileEnd, s.pageBytes = h, newFree, end, pageBytes
+	s.txid, s.cur, s.dirExt = s.txid+1, 1-s.cur, dirExt
+	s.mu.Unlock()
+	if shrunk {
+		// Physically release the tail the frontier retreated over. This runs
+		// strictly after the install above: any reader still inside
+		// ReadPageInto when the install took the lock had already finished,
+		// and readers admitted since resolve extents that all end at or below
+		// the new frontier — no ReadPageInto can be mid-read in the cut
+		// region, and the only other reader of extents is this goroutine.
+		// Correctness never depends on the truncate (the durable state ignores
+		// bytes past fileEnd), but a truncate error means a sick device, so it
+		// fail-stops the store like any flush error.
+		if err := s.f.Truncate(end); err != nil {
+			return fmt.Errorf("file: truncate to %d (%w): %v", end, ErrFailed, err)
+		}
+	}
+	return nil
 }

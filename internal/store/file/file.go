@@ -81,11 +81,14 @@
 //
 // # Who touches the file
 //
-// After Open the committer goroutine is the file's only writer and the only
-// reader of extents it may itself recycle or truncate: Vacuum names a pass,
-// and the committer chooses the pages and copies them. ReadPageInto, the one
-// other reader, resolves and reads a durable extent under the read side of the
-// lock a flush is installed under, and the tail is cut only after the install.
+// After Open the committer goroutine is the file's only writer, the durable
+// state's only writer, and the only reader of extents it may itself recycle or
+// truncate: Vacuum names a pass, and the committer chooses the pages and copies
+// them. ReadPageInto, the one other reader, resolves and reads a durable extent
+// under the read side of the lock the committer edits and installs under, and
+// the tail is cut only after the install. The page map may run ahead of the
+// slot, but only for pages the flushing overlay shadows and identical vacuum
+// copies.
 package file
 
 import (
@@ -217,9 +220,10 @@ type File interface {
 	Close() error
 }
 
-// durableState is exactly what the active meta slot on disk describes. A
-// flush computes the next one whole and the committer installs it with one
-// assignment once the slot flip is durable.
+// durableState is what the active meta slot on disk describes, changed only
+// by the committer: a flush edits pages in place, ahead of the slot only for
+// pages the flushing overlay shadows and for identical vacuum copies, and flip
+// installs the other fields in one lock section once the slot is durable.
 type durableState struct {
 	pages map[uint64]extent // logical page ID -> durable extent
 	free  []extent          // durably free extents, allocatable by the next flush
@@ -246,8 +250,8 @@ type Store struct {
 	vacuuming sync.Mutex
 
 	// The durable state, held once. After Open only the committer goroutine
-	// replaces it (under mu, when a flush's flip is durable), so the
-	// committer may read its fields without the lock during a flush.
+	// changes it, always under mu (see durableState), so the committer may
+	// read its fields without the lock during a flush.
 	durableState
 
 	// Applied state: what readers observe. Runs ahead of the durable state

@@ -317,8 +317,13 @@ func TestVacuumTarget(t *testing.T) {
 }
 
 // TestVacuumConcurrentWithCommits runs a vacuum loop against concurrent
-// writers and asserts nothing logically breaks: every committed write
-// remains readable with its final content.
+// writers and a reader, and asserts nothing logically breaks: every committed
+// write remains readable with its final content, and the reader never sees a
+// page's bytes change under a flush. A flush points the page map at a moved
+// page's new extent while the flush is still running, so the reader checks
+// ids[8:], which vacuum moves and nothing rewrites, byte for byte: a move
+// whose map edit ran ahead of its copy would hand it unwritten bytes. ids[:8]
+// must read as their pre-test content or some writer round's.
 func TestVacuumConcurrentWithCommits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vaccc.ekb")
 	s, err := OpenConfig(path, Config{Durability: Grouped})
@@ -328,6 +333,65 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 	ids := buildGarbage(t, s)
 
 	const rounds = 60
+	writerPage := func(i, r int) string {
+		return fmt.Sprintf("writer-%d-%d-%s", i, r, bytes.Repeat([]byte{0xCC}, 50))
+	}
+	fixed := make(map[uint64]string) // ids[8:] that buildGarbage left live
+	for _, id := range ids[8:] {
+		p, err := s.ReadPage(id)
+		if errors.Is(err, store.ErrNotFound) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixed[id] = string(p)
+	}
+	seen := make([]map[string]bool, 8) // what each of ids[:8] may read as
+	for i, id := range ids[:8] {
+		p, err := s.ReadPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[i] = map[string]bool{string(p): true}
+		for r := range rounds {
+			seen[i][writerPage(i, r)] = true
+		}
+	}
+
+	stop := make(chan struct{})
+	read := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 1024)
+		for {
+			select {
+			case <-stop:
+				read <- nil
+				return
+			default:
+			}
+			for id, want := range fixed {
+				n, err := s.ReadPageInto(id, buf)
+				if err == nil && string(buf[:n]) != want {
+					err = fmt.Errorf("page %d changed its bytes mid-vacuum", id)
+				}
+				if err != nil {
+					read <- err
+					return
+				}
+			}
+			for i, id := range ids[:8] {
+				n, err := s.ReadPageInto(id, buf)
+				if err == nil && !seen[i][string(buf[:n])] {
+					err = fmt.Errorf("page %d read as no write it was given", id)
+				}
+				if err != nil {
+					read <- err
+					return
+				}
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
 	wg.Add(2)
@@ -336,7 +400,7 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			w := make(map[uint64][]byte)
 			for i, id := range ids[:8] {
-				w[id] = []byte(fmt.Sprintf("writer-%d-%d-%s", i, r, bytes.Repeat([]byte{0xCC}, 50)))
+				w[id] = []byte(writerPage(i, r))
 			}
 			if err := s.CommitPages(w, ids[0], nil); err != nil {
 				errs <- err
@@ -354,6 +418,10 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case err := <-errs:
 		t.Fatal(err)
@@ -363,7 +431,7 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, id := range ids[:8] {
-		want := fmt.Sprintf("writer-%d-%d-%s", i, rounds-1, bytes.Repeat([]byte{0xCC}, 50))
+		want := writerPage(i, rounds-1)
 		got, err := s.ReadPage(id)
 		if err != nil {
 			t.Fatal(err)

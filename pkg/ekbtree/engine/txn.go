@@ -46,8 +46,8 @@ type writeTxn struct {
 	// encoded, for promoteTxn to cache.
 	held  []bool
 	views []*node.Node
-	// sealed and sw are sealDirty's parallel path: the page each worker
-	// sealed, by index into dirty, and the state the workers share.
+	// sealed and sw are sealDirty's: the page each sealer sealed, by index
+	// into dirty, and the state the sealers share.
 	sealed [][]byte
 	sw     sealWork
 	// spare holds the copies of the last commit, leaves then index nodes,
@@ -322,37 +322,32 @@ const sealParallelMin = 8
 
 // sealDirty encodes and seals the dirty pages into writes: page dirty[i] seals
 // under nonce (epoch, start+i) — counters bind to indices, not goroutines, so
-// the parallel path issues exactly the same nonces as the inline one. Seals
-// are independent pure-CPU work over a stateless cipher, so large commits fan
-// out across up to GOMAXPROCS worker goroutines pulling page indices from a
-// shared counter; small commits (or single-proc runs) seal inline. Either way
-// the scratch lives in the recycled workspace. A page the cache holds when
-// sealing begins also gets a view of its encoding, into views, for the cache
-// to keep; one it does not hold gets none, so a commit that writes more pages
-// than the cache keeps decodes none of them.
+// any number of sealers issues exactly the same nonces. Seals are independent
+// pure-CPU work over a stateless cipher, so the caller runs sealWorker itself,
+// and a large commit (on more than one CPU) adds helpers, up to GOMAXPROCS
+// sealers in all, pulling page indices from a shared counter. The scratch
+// lives in the recycled workspace. A page the cache holds when sealing begins
+// also gets a view of its encoding, into views, for the cache to keep; one it
+// does not hold gets none, so a commit that writes more pages than the cache
+// keeps decodes none of them.
 func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	sw := &tx.sw
 	sw.epoch, sw.start = epoch, start
-	tx.held = slices.Grow(tx.held[:0], len(tx.dirty))[:len(tx.dirty)]
-	tx.views = slices.Grow(tx.views[:0], len(tx.dirty))[:len(tx.dirty)]
+	n := len(tx.dirty)
+	tx.held = slices.Grow(tx.held[:0], n)[:n]
+	tx.views = slices.Grow(tx.views[:0], n)[:n]
+	tx.sealed = slices.Grow(tx.sealed[:0], n)[:n]
 	tx.io.cached(tx.dirty, tx.held)
-	workers := min(runtime.GOMAXPROCS(0), len(tx.dirty))
-	if len(tx.dirty) < sealParallelMin || workers < 2 {
-		for i, id := range tx.dirty {
-			page, err := tx.sealOne(i)
-			if err != nil {
-				return err
-			}
-			tx.writes[id] = page
-		}
-		return nil
-	}
-	tx.sealed = slices.Grow(tx.sealed[:0], len(tx.dirty))[:len(tx.dirty)]
 	sw.next.Store(0)
-	sw.wg.Add(workers)
-	for range workers {
+	sealers := 1
+	if n >= sealParallelMin {
+		sealers = min(runtime.GOMAXPROCS(0), n)
+	}
+	sw.wg.Add(sealers)
+	for range sealers - 1 {
 		go tx.sealWorker()
 	}
+	tx.sealWorker()
 	sw.wg.Wait()
 	err := sw.err
 	sw.err = nil
@@ -365,15 +360,8 @@ func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	return err
 }
 
-// sealOne seals page dirty[i] under its nonce, and sets views[i].
-func (tx *writeTxn) sealOne(i int) ([]byte, error) {
-	id := tx.dirty[i]
-	page, v, err := tx.io.seal(id, tx.pages[id].n, tx.sw.epoch, tx.sw.start+uint64(i), tx.held[i])
-	tx.views[i] = v
-	return page, err
-}
-
-// sealWorker seals pages for sealDirty until none is left or one fails.
+// sealWorker seals pages for sealDirty until none is left or one fails: page
+// dirty[i] under its nonce into sealed[i], and its view, if any, into views[i].
 func (tx *writeTxn) sealWorker() {
 	sw := &tx.sw
 	defer sw.wg.Done()
@@ -382,7 +370,9 @@ func (tx *writeTxn) sealWorker() {
 		if i >= len(tx.dirty) {
 			return
 		}
-		page, err := tx.sealOne(i)
+		id := tx.dirty[i]
+		page, v, err := tx.io.seal(id, tx.pages[id].n, sw.epoch, sw.start+uint64(i), tx.held[i])
+		tx.views[i] = v
 		if err != nil {
 			sw.mu.Lock()
 			if sw.err == nil {
