@@ -69,7 +69,9 @@ type group struct {
 	moveErr   error
 	bytes     int       // payload size, for backpressure
 	birth     time.Time // first enqueue, anchors the Grouped window
-	resolved  bool      // outcome already delivered (fail-stop path)
+	// resolved guards the pending group's waiters after a fail-stop: drain
+	// releases them once, and the group stays pending for the read path.
+	resolved bool
 	// err and done carry the flush outcome to everyone waiting on the group:
 	// Full-mode committers, Sync callers, Vacuum and Close. err is written
 	// before done is closed and read only after, so the channel publishes it.
@@ -187,14 +189,6 @@ func (s *Store) liveBelowPendingLocked(id uint64) bool {
 	}
 	_, ok := s.pages[id]
 	return ok
-}
-
-// failLocked fail-stops the store on g's flush error: every later mutation is
-// refused with err behind ErrFailed, and g's waiters are not resolved twice.
-func (s *Store) failLocked(g *group, err error) {
-	s.failed = true
-	s.ferr = err
-	g.resolved = true
 }
 
 // failedErrLocked is the error surfaced by everything refused after a flush
@@ -391,8 +385,9 @@ func (s *Store) drain() {
 			// un-happen reads. The failed group therefore STAYS in s.flushing
 			// so the read path keeps serving the applied state, pages and
 			// header alike, until the store is reopened, which recovers the
-			// last durable flush.
-			s.failLocked(g, err)
+			// last durable flush. Every later mutation is refused with err
+			// behind ErrFailed.
+			s.failed, s.ferr = true, err
 		} else {
 			s.flushing = nil
 		}

@@ -91,11 +91,13 @@ func checkUnsharded(path string) error {
 // Batch.Commit) builds its new pages as private copies, commits them to the
 // store, and atomically publishes a new EPOCH — a root pointer plus the
 // pre-images of every page the commit superseded. Get, Stats, and Cursor pin
-// the current epoch (an O(1) reference count), read lock-free against that
+// the current epoch (an O(1) count of pins), read lock-free against that
 // epoch's immutable node set, and release the pin when done; a Get issued
 // while a batch commit is flushing completes from the previous epoch without
-// waiting for the flush. Superseded pages and their cache entries are
-// reclaimed only once the last reader pinning an older epoch releases it.
+// waiting for the flush. A superseded epoch is reachable only from the pins
+// that hold it, so the garbage collector takes it and its pre-images once
+// they are released; the cache's evicted blocks are reused only at a moment
+// when no pin is held at all.
 //
 // Writers take TURNS: one writer holds the write turn from pinning the
 // newest published epoch to publishing its commit, so its transaction never

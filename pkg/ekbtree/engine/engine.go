@@ -218,7 +218,7 @@ func (g *Engine) commit(own func(tx *writeTxn) error, combine bool) (queued []*w
 	if err != nil {
 		return nil, false, err
 	}
-	defer g.es.release(base)
+	defer g.es.release()
 	tx := g.beginTxn(base)
 	defer g.endTxn(tx)
 	if err := own(tx); err != nil {
@@ -284,7 +284,7 @@ func (g *Engine) Get(sk []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	defer g.es.release(e)
+	defer g.es.release()
 	v, ok, err := btree.Lookup(e, e.root, sk)
 	if err != nil {
 		return nil, false, MapErr(err)
@@ -319,7 +319,7 @@ func (g *Engine) Snapshot() (Snapshot, error) {
 // Age reports how many commits have published since this snapshot was
 // pinned — the measure a MaxEpochAge bound cuts off. Lock-free.
 func (s *Snapshot) Age() uint64 {
-	return s.g.es.published.Load() - s.e.seq
+	return s.g.Commits() - s.e.seq
 }
 
 // Iter returns an in-order iterator over the snapshot, stopping before
@@ -338,7 +338,7 @@ func (s *Snapshot) Close() {
 		return
 	}
 	s.closed = true
-	s.g.es.release(s.e)
+	s.g.es.release()
 }
 
 // Stats reports the tree's shape, cache counters, commit counter, cipher
@@ -350,7 +350,7 @@ func (g *Engine) Stats() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	defer g.es.release(e)
+	defer g.es.release()
 	s, err := btree.StatsIn(e, e.root)
 	if err != nil {
 		return Stats{}, MapErr(err)
@@ -369,7 +369,7 @@ func (g *Engine) Stats() (Stats, error) {
 }
 
 // Commits reports how many commits have published since open. Lock-free.
-func (g *Engine) Commits() uint64 { return g.es.published.Load() }
+func (g *Engine) Commits() uint64 { return g.es.current.Load().seq }
 
 // Space reports the store's physical footprint; zeros once closed.
 func (g *Engine) Space() (fileBytes, liveBytes int64) {

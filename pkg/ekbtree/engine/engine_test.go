@@ -55,12 +55,13 @@ func (f *failingStore) CommitPages(writes map[uint64][]byte, root uint64, frees 
 	return errCommitRefused
 }
 
-// epochChainLen counts the engine's epoch chain, head to tail.
+// epochChainLen counts the epochs a reader pinning now walks: current and
+// every epoch linked after it.
 func epochChainLen(g *Engine) int {
 	g.es.mu.Lock()
 	defer g.es.mu.Unlock()
 	n := 0
-	for e := g.es.head; e != nil; e = e.next.Load() {
+	for e := g.es.current.Load(); e != nil; e = e.next.Load() {
 		n++
 	}
 	return n

@@ -18,10 +18,12 @@ import (
 // store) is still E's content.
 //
 // Epochs form a singly-linked chain, oldest to newest, published via atomic
-// next pointers so readers walk it without locks. An epoch's seq, root and
-// undo map are immutable from the moment it is linked (a commit builds the
-// epoch in writeTxn.seal and link numbers it); refs are guarded by the owning
-// epochs mutex. A linked epoch is pending until its commit finalizes, and then
+// next pointers so readers walk it without locks; nothing points back into
+// it, so an epoch older than current is reachable only from the pins that
+// hold it (see epochs.release). An epoch's seq, root and undo map are
+// immutable from the moment it is linked (a commit builds the epoch in
+// writeTxn.seal and link numbers it), but for current's undo, which release
+// drops. A linked epoch is pending until its commit finalizes, and then
 // published — or, if the store failed it, pending for good: its undo overlay
 // hides from older readers whatever the store applied of it.
 type epoch struct {
@@ -30,12 +32,9 @@ type epoch struct {
 	root uint64
 	// undo holds the pre-images of the pages that the commit CREATING this
 	// epoch rewrote or freed — i.e. those pages' content in every epoch older
-	// than this one. It is reclaimed (nilled) only after no reader pinned to
-	// an older epoch can remain (see epochs.reclaimLocked), so readers never
-	// observe the write.
+	// than this one, and so read only by pins older than this one.
 	undo map[uint64]*node.Node
 	next atomic.Pointer[epoch]
-	refs int // pinning readers; guarded by epochs.mu
 }
 
 // lookupUndo resolves page id as of this epoch against the undo overlays of
@@ -74,42 +73,42 @@ func (e *epoch) Read(id uint64) (*node.Node, error) {
 	return n, err
 }
 
-// epochs manages the epoch chain for one Tree: pinning, linking,
-// publication, and reclamation. The mutex guards only the chain bookkeeping
-// (refs, pins, head, current, err); it is never held across I/O, so pinning
-// and releasing are O(1) pauses even while a commit is flushing. Only the
-// turn holder links and finalizes, so at most one epoch is ever pending, the
-// one after current, and publication order is chain order.
+// epochs manages the epoch chain for one Tree: pinning, linking, publication,
+// and the one moment that reclaims. The mutex guards pins and err and orders
+// every flip of current against pins; it is never held across I/O, so
+// pinning and releasing are O(1) pauses even while a commit is flushing. Only
+// the turn holder links and finalizes, so at most one epoch is ever pending,
+// the one after current, and publication order is chain order.
 type epochs struct {
 	mu sync.Mutex
 	// pins counts the pins held on every epoch: readers, snapshots and the
-	// turn holder's base. A release that brings it to zero is the moment the
-	// cache's retired views can be recycled (see nodeIO.recycle).
+	// turn holder's base. The release that brings it to zero is the one moment
+	// that reclaims (see release).
 	pins int
 	// err is the first CommitPages error, and it stops the engine's writers
 	// for good, as the file store stops itself: the store may have applied
 	// the failed commit, so its epoch is never published, and link refuses
 	// every later commit with err. Readers go on at current until the store
 	// is reopened, and the cache recycles no block (see release).
-	err     error
-	current *epoch // newest PUBLISHED epoch; what new readers pin
-	head    *epoch // oldest epoch that may still have pinned readers
+	err error
+	// current is the newest PUBLISHED epoch, what new readers pin; it is
+	// stored under mu. Epochs publish in seq order and none after a failure,
+	// so current's seq counts the commits published since open, and an
+	// epoch's seq is the count when it was published: Snapshot.Age and
+	// Commits read it lock-free.
+	current atomic.Pointer[epoch]
 	closed  atomic.Bool
-	// published is current's seq. Epochs publish in seq order and none after
-	// a failure, so it also counts the commits published since open, and an
-	// epoch's seq is the count when it was published. Read lock-free by
-	// Snapshot.Age and, as Stats.Commits, by Stats.
-	published atomic.Uint64
 }
 
 // newEpochs seeds the chain with the store's current root as epoch 0.
 func newEpochs(io *nodeIO, root uint64) *epochs {
-	e := &epoch{io: io, seq: 0, root: root}
-	return &epochs{current: e, head: e}
+	es := &epochs{}
+	es.current.Store(&epoch{io: io, seq: 0, root: root})
+	return es
 }
 
-// pin takes a reference on the current epoch and returns it. Every pin must
-// be paired with exactly one release; until then the epoch's version stays
+// pin counts one more pin and returns the current epoch. Every pin must be
+// paired with exactly one release; until then the epoch's version stays
 // fully readable and its superseded pre-images stay in memory.
 func (es *epochs) pin() (*epoch, error) {
 	es.mu.Lock()
@@ -117,25 +116,28 @@ func (es *epochs) pin() (*epoch, error) {
 	if es.closed.Load() {
 		return nil, ErrClosed
 	}
-	e := es.current
-	e.refs++
 	es.pins++
-	return e, nil
+	return es.current.Load(), nil
 }
 
-// release drops a pin and reclaims any epochs no reader can need anymore. The
-// release that leaves the engine with no pins also recycles the views the
-// cache retired, under es.mu, so that no pin can start while it does — unless
-// a store commit has failed: the failed epoch stays linked after current, so
-// its undo overlay, which holds views the cache held, is never dropped, and
-// none of those views may ever be read over.
-func (es *epochs) release(e *epoch) {
+// release drops a pin. The release that leaves the engine with no pins is the
+// one moment that reclaims, and it holds es.mu so that no pin can start
+// meanwhile. No pin older than current remains and no new pin reads current's
+// undo overlay, so it drops that overlay; every older epoch was reachable only
+// from the pins now released, so the garbage collector takes it with its
+// overlay. And it recycles the views the cache retired — unless a store
+// commit has failed: the failed epoch stays linked after current, so its undo
+// overlay, which holds views the cache held, stays reachable from every pin
+// of current, and none of those views may ever be read over.
+func (es *epochs) release() {
 	es.mu.Lock()
 	defer es.mu.Unlock()
-	e.refs--
-	es.pins--
-	es.reclaimLocked()
-	if es.pins == 0 && es.err == nil {
+	if es.pins--; es.pins > 0 {
+		return
+	}
+	e := es.current.Load()
+	e.undo = nil
+	if es.err == nil {
 		e.io.recycle()
 	}
 }
@@ -156,8 +158,9 @@ func (es *epochs) link(e *epoch) error {
 	if es.closed.Load() {
 		return ErrClosed
 	}
-	e.seq = es.current.seq + 1
-	es.current.next.Store(e)
+	cur := es.current.Load()
+	e.seq = cur.seq + 1
+	cur.next.Store(e)
 	return nil
 }
 
@@ -175,25 +178,8 @@ func (es *epochs) finalize(e *epoch, tx *writeTxn, err error) error {
 		return err
 	}
 	e.io.promoteTxn(tx)
-	es.published.Store(e.seq)
-	es.current = e
-	es.reclaimLocked()
+	es.current.Store(e)
 	return nil
-}
-
-// reclaimLocked advances head past epochs with no pinned readers and drops
-// undo overlays that no remaining reader can reach: an epoch's undo is only
-// ever read by pins STRICTLY OLDER than it, so once head has advanced to an
-// epoch, that epoch's own undo (and everything before it) is garbage. Callers
-// hold es.mu; the happens-before edge through it guarantees no reader is
-// still walking a map this nils.
-func (es *epochs) reclaimLocked() {
-	for es.head != es.current && es.head.refs == 0 {
-		next := es.head.next.Load()
-		es.head.undo = nil
-		es.head = next
-	}
-	es.head.undo = nil
 }
 
 // close marks the chain closed, reporting whether this call was the one that

@@ -64,14 +64,15 @@ type CacheStats struct {
 //     and its materialised copies, which keep slices into the views it read
 //     and are emptied when the transaction ends (endTxn), before the pin is
 //     released;
-//   - the undo overlay of an epoch, until no pin older than it remains, and
+//   - the undo overlay of an epoch, while a pin older than it remains, and
 //     for good if the store failed the epoch's commit.
 //
 // A view that leaves the cache goes to the limbo (retire), and from there to
 // the free list only at a release that leaves the engine with no pins
 // (recycle): by then every reader and writer that could have found it in the
-// cache is gone, and every undo overlay is dropped. After a failed commit
-// nothing is recycled: that epoch's overlay is never dropped.
+// cache is gone, and no undo overlay is reachable from any pin. After a
+// failed commit nothing is recycled: that epoch's overlay stays reachable
+// from every pin of current.
 //
 // Locking: the ring, gen and the limbo are guarded by mu and touched only in
 // short critical sections — never across store I/O or cipher work. The
@@ -242,9 +243,10 @@ func (io *nodeIO) retire(id uint64, n *node.Node) {
 // with no pins, once no store commit has failed, which holds es.mu so that no
 // pin can start: every reader that found one of these views in the cache has
 // released its pin, every writer has emptied its transaction before releasing
-// its base, and reclaimLocked has dropped every undo overlay, so nothing else
-// can hold one. (A failed commit's epoch stays linked after current, and its
-// overlay is never dropped; see epochs.release.)
+// its base, and that release drops current's undo overlay while every older
+// one is reachable from no pin, so nothing else can hold one. (A failed
+// commit's epoch stays linked after current, and its overlay with it; see
+// epochs.release.)
 func (io *nodeIO) recycle() {
 	if !io.retiring.Load() {
 		return

@@ -256,9 +256,7 @@ func TestFailedCommitPreImagesAreNeverRecycled(t *testing.T) {
 	if err := enginePut(g, target, selfCheckingValue(target, 1)); !errors.Is(err, errCommitRefused) {
 		t.Fatalf("Put against failing store = %v, want the injected error", err)
 	}
-	g.es.mu.Lock()
-	failed := g.es.current.next.Load()
-	g.es.mu.Unlock()
+	failed := g.es.current.Load().next.Load()
 	sums := make(map[*node.Node]uint32)
 	for _, n := range failed.undo {
 		if sum, ok := viewSum(n); ok {

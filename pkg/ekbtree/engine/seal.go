@@ -233,7 +233,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer g.es.release(e)
+	defer g.es.release()
 	if e.root == store.NoRoot {
 		return nil, nil
 	}

@@ -79,7 +79,7 @@ func TestQueuedMutationsCommitAsOne(t *testing.T) {
 	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
 	putKeys(t, g, 200, "v1")
-	commits := g.es.published.Load()
+	commits := g.Commits()
 
 	deletes := []string{"k0003", "absent", "k0150", "k0003"}
 	deleted := make([]bool, len(deletes))
@@ -96,7 +96,7 @@ func TestQueuedMutationsCommitAsOne(t *testing.T) {
 			t.Fatalf("Apply %d: %v", i, err)
 		}
 	}
-	if got := g.es.published.Load() - commits; got != 1 {
+	if got := g.Commits() - commits; got != 1 {
 		t.Fatalf("%d combined mutations published %d epochs, want 1", len(rest)+1, got)
 	}
 	// Queued writers run in arrival order, which the test does not fix: the
@@ -147,7 +147,7 @@ func TestStoreErrorFailsEveryCombinedWriter(t *testing.T) {
 	g := newTestEngine(t, fs, 8)
 	defer g.Close()
 	putKeys(t, g, 200, "v1")
-	commits, published := fs.commits.Load(), g.es.published.Load()
+	commits, published := fs.commits.Load(), g.Commits()
 
 	keys := []string{"k0000", "k0050", "k0100", "k0150"}
 	var rest []func(*btree.Tree) error
@@ -163,7 +163,7 @@ func TestStoreErrorFailsEveryCombinedWriter(t *testing.T) {
 	if got := fs.commits.Load() - commits; got != 1 {
 		t.Fatalf("the combined writers reached the store %d times, want once", got)
 	}
-	if got := g.es.published.Load() - published; got != 0 {
+	if got := g.Commits() - published; got != 0 {
 		t.Fatalf("a failed combined commit published %d epochs", got)
 	}
 	g.io.invalidate()

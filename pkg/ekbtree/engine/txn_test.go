@@ -236,7 +236,7 @@ func TestTxnPageTable(t *testing.T) {
 			}
 			defer before.Close()
 			rs.writes, rs.frees = nil, nil
-			commits := g.es.published.Load()
+			commits := g.Commits()
 
 			var id uint64
 			var got handed
@@ -252,9 +252,9 @@ func TestTxnPageTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := g.es.current
+			e := g.es.current.Load()
 			if tc.noop {
-				if e != before.e || g.es.published.Load() != commits || rs.writes != nil || rs.frees != nil {
+				if e != before.e || g.Commits() != commits || rs.writes != nil || rs.frees != nil {
 					t.Fatalf("a transaction with nothing to commit published epoch %d, store writes %v frees %v", e.seq, rs.writes, rs.frees)
 				}
 			} else {
