@@ -93,6 +93,10 @@ lint:
 # in one place, the chunk refill (subState.take), and cuts every result from
 # the chunk.
 	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
+# Sealed pages come back: the cipher takes every page it seals from
+# pagebuf.Get, and the file store gives each one back once no reader can reach
+# it. A buffer made in cipher.go is a seal allocating its page again.
+	@if git grep -n 'make(\[\]byte' -- internal/cipher/cipher.go; then echo "take a sealed page's buffer from pagebuf.Get (see EpochAESGCM.SealEpoch); the store returns it with pagebuf.Put"; exit 1; fi
 # Say it once: the B-tree order is the sealed header's (a new tree takes
 # DefaultOrder, or the unexported test seam), and the unflushed bound is the
 # file store's Config. Neither is an Options field again.
@@ -157,7 +161,8 @@ test:
 #  - recycled blocks: a view's block handed to the next read miss while a
 #    Get, a cursor, a writer's transaction or a failed commit's undo overlay
 #    could still read it races with the free list's overwrite, and only some
-#    interleavings show it;
+#    interleavings show it; so does a sealed page the store gives back to
+#    pagebuf while a reader may still copy it from a commit group;
 #  - the wire's two ends over real sockets, where each run lands the
 #    responder's and the client's goroutines differently: a client's latched
 #    transport error and a pre-auth frame refused.
@@ -165,7 +170,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
 	$(GO) test -race -count=50 -run '^TestVacuumConcurrentWithCommits$$' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList' ./internal/store/file/
+	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList|TestReleasedPagesAreUnreachable' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...

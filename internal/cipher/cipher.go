@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"github.com/paper-repro/ekbtree/internal/pagebuf"
 )
 
 // ErrOpen is returned when a sealed page fails authentication or is
@@ -29,14 +31,17 @@ var ErrOpen = errors.New("cipher: page authentication failed")
 // for one. Implementations must be safe for concurrent use.
 type NodeCipher interface {
 	// Seal enciphers the façade's header for page ID 0 — the only page that
-	// must open before any epoch state is known — returning a fresh buffer.
+	// must open before any epoch state is known — returning a buffer the
+	// caller owns, which may come from pagebuf (the implementations here take
+	// every sealed page from pagebuf.Get, and the page store gives it back).
 	// Node pages go through SealEpoch. plaintext is the caller's and is reused
 	// once Seal (or SealEpoch) returns; implementations must not retain it.
 	Seal(pageID uint64, plaintext []byte) ([]byte, error)
 	// SealEpoch enciphers plaintext under key epoch's derived key using the
 	// deterministic nonce epoch(32-bit big-endian) || counter(64-bit
-	// big-endian), returning a fresh buffer. The caller must never reuse an
-	// (epoch, counter) pair.
+	// big-endian), returning a buffer the caller owns, which may come from
+	// pagebuf, as Seal's. The caller must never reuse an (epoch, counter)
+	// pair.
 	SealEpoch(pageID uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error)
 	// SealedEpoch reports the key epoch a sealed page was produced under
 	// (readable from the nonce prefix without deciphering), or false if the
@@ -176,8 +181,8 @@ func (c *EpochAESGCM) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cipher: epoch cipher requires SealEpoch for page %d", pageID)
 	}
 	nonceSize := c.raw.NonceSize()
-	out := make([]byte, nonceSize, nonceSize+len(plaintext)+c.raw.Overhead())
-	if _, err := rand.Read(out[:nonceSize]); err != nil {
+	out := pagebuf.Get(nonceSize + len(plaintext) + c.raw.Overhead())[:nonceSize]
+	if _, err := rand.Read(out); err != nil {
 		return nil, fmt.Errorf("cipher: nonce: %w", err)
 	}
 	return sealPage(c.raw, pageID, out, plaintext), nil
@@ -189,7 +194,7 @@ func (c *EpochAESGCM) SealEpoch(pageID uint64, epoch uint32, counter uint64, pla
 		return nil, err
 	}
 	nonceSize := aead.NonceSize()
-	out := make([]byte, nonceSize, nonceSize+len(plaintext)+aead.Overhead())
+	out := pagebuf.Get(nonceSize + len(plaintext) + aead.Overhead())[:nonceSize]
 	binary.BigEndian.PutUint32(out[:4], epoch)
 	binary.BigEndian.PutUint64(out[4:nonceSize], counter)
 	return sealPage(aead, pageID, out, plaintext), nil
@@ -235,10 +240,11 @@ func (p Plaintext) Seal(pageID uint64, plaintext []byte) ([]byte, error) {
 }
 
 func (Plaintext) SealEpoch(_ uint64, epoch uint32, counter uint64, plaintext []byte) ([]byte, error) {
-	out := make([]byte, plainNonceLen, plainNonceLen+len(plaintext))
+	out := pagebuf.Get(plainNonceLen + len(plaintext))
 	binary.BigEndian.PutUint32(out[:4], epoch)
-	binary.BigEndian.PutUint64(out[4:], counter)
-	return append(out, plaintext...), nil
+	binary.BigEndian.PutUint64(out[4:plainNonceLen], counter)
+	copy(out[plainNonceLen:], plaintext)
+	return out, nil
 }
 
 func (Plaintext) SealedEpoch(sealed []byte) (uint32, bool) {

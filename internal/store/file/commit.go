@@ -8,7 +8,9 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
+	"github.com/paper-repro/ekbtree/internal/pagebuf"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -124,7 +126,10 @@ func (s *Store) overlayLocked(id uint64) (gpage, bool) {
 
 // enqueueLocked merges one change into the pending group, creating it if this
 // is the first since the last take. The caller holds s.mu and has already
-// checked closed/failed and validated the request.
+// checked closed/failed and validated the request. A page record the change
+// supersedes or frees is reachable from no reader once it leaves the map —
+// readers copy overlay pages under the read lock — so its buffer goes back to
+// pagebuf here, unless it is the very buffer replacing it.
 func (s *Store) enqueueLocked(c change) *group {
 	g := s.pending
 	if g == nil {
@@ -137,12 +142,18 @@ func (s *Store) enqueueLocked(c change) *group {
 		s.pending = g
 	}
 	for id, p := range c.writes {
-		g.bytes += len(p) - len(g.pages[id].buf)
+		old := g.pages[id].buf
+		g.bytes += len(p) - len(old)
 		g.pages[id] = gpage{buf: p}
+		if unsafe.SliceData(old) != unsafe.SliceData(p) {
+			pagebuf.Put(old)
+		}
 	}
 	for _, id := range c.frees {
-		g.bytes -= len(g.pages[id].buf)
+		old := g.pages[id].buf
+		g.bytes -= len(old)
 		delete(g.pages, id)
+		pagebuf.Put(old)
 		// Only pages that exist below this group need a tombstone; a page
 		// born and freed within the group simply vanishes.
 		if s.liveBelowPendingLocked(id) {
@@ -392,6 +403,15 @@ func (s *Store) drain() {
 			s.flushing = nil
 		}
 		s.mu.Unlock()
+		if err == nil {
+			// The flush is installed and the group out of the read path: a
+			// reader that took the read lock since finds the durable extents,
+			// and one that held it before has finished copying. Nothing can
+			// reach the group's page buffers any more.
+			for _, p := range g.pages {
+				pagebuf.Put(p.buf)
+			}
+		}
 		g.err = err
 		close(g.done) // after a failure, the next turn resolves pending's waiters
 	}

@@ -89,6 +89,12 @@
 // the tail is cut only after the install. The page map may run ahead of the
 // slot, but only for pages the flushing overlay shadows and identical vacuum
 // copies.
+//
+// The page buffers CommitPages takes go back to pagebuf, for the next seal to
+// reuse, the moment no reader can reach them: a record a later commit of the
+// pending group supersedes or frees, under the lock it leaves the map in; a
+// flushed group's records, once the install has taken the group out of the
+// read path. A failed flush keeps its group, and so its buffers, in place.
 package file
 
 import (

@@ -2,17 +2,21 @@ package file
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/paper-repro/ekbtree/internal/faulttest"
+	"github.com/paper-repro/ekbtree/internal/pagebuf"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -668,6 +672,112 @@ func TestCommitPagesTakesOwnership(t *testing.T) {
 			check("synced")
 			if string(pa) != "page-a" || string(pb) != "page-b" || string(pc) != "page-c" {
 				t.Errorf("store altered a buffer it took: %q %q %q", pa, pb, pc)
+			}
+		})
+	}
+}
+
+// TestReleasedPagesAreUnreachable holds the store to when it gives a page
+// buffer back to pagebuf: only once no reader can reach it. Readers copy pages
+// out with ReadPageInto in a loop while a writer commits pages it takes from
+// pagebuf.Get, as the cipher does, superseding and freeing pages of the
+// pending group and flushing with Sync, so every buffer comes back through one
+// of the two ways the store returns them and is filled again by a later
+// commit. Each page spells out its ID and generation in every byte, so a read
+// of a buffer returned early (poisoned under the race detector, or holding a
+// later page) fails the check, and under -race also races with the write.
+func TestReleasedPagesAreUnreachable(t *testing.T) {
+	const pages, commits, readers = 24, 300, 2
+	fill := func(b []byte, id, gen uint64) {
+		binary.BigEndian.PutUint64(b, id)
+		binary.BigEndian.PutUint64(b[8:], gen)
+		for i := 16; i < len(b); i++ {
+			b[i] = byte(id*31 + gen*7 + uint64(i))
+		}
+	}
+	check := func(b []byte, id uint64) (uint64, error) {
+		if len(b) < 16 || binary.BigEndian.Uint64(b) != id {
+			return 0, fmt.Errorf("page %d reads %d bytes naming page %x", id, len(b), b[:min(len(b), 8)])
+		}
+		gen := binary.BigEndian.Uint64(b[8:])
+		for i := 16; i < len(b); i++ {
+			if b[i] != byte(id*31+gen*7+uint64(i)) {
+				return 0, fmt.Errorf("page %d generation %d: byte %d is %#x, not what was committed", id, gen, i, b[i])
+			}
+		}
+		return gen, nil
+	}
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, err := OpenConfig(filepath.Join(t.TempDir(), "released.ekb"), Config{Durability: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ids := make([]uint64, pages)
+			for i := range ids {
+				if ids[i], err = s.Alloc(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			errs := make(chan error, readers)
+			for r := range readers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					buf := make([]byte, 4096)
+					seen := make([]uint64, pages)
+					for i := r; !stop.Load(); i++ {
+						k := i % pages
+						n, err := s.ReadPageInto(ids[k], buf)
+						if errors.Is(err, store.ErrNotFound) {
+							continue // not written yet, or freed
+						}
+						if err == nil {
+							var gen uint64
+							if gen, err = check(buf[:n], ids[k]); err == nil && gen < seen[k] {
+								err = fmt.Errorf("page %d went back from generation %d to %d", ids[k], seen[k], gen)
+							}
+							seen[k] = gen
+						}
+						if err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			rng := rand.New(rand.NewPCG(uint64(mode), 46))
+			live := make([]bool, pages)
+			for gen := uint64(1); gen <= commits; gen++ {
+				writes := make(map[uint64][]byte)
+				for range 1 + rng.IntN(6) {
+					k := rng.IntN(pages)
+					b := pagebuf.Get(300 + rng.IntN(3000))
+					fill(b, ids[k], gen)
+					writes[ids[k]] = b
+					live[k] = true
+				}
+				var frees []uint64
+				if k := rng.IntN(pages); gen%5 == 0 && live[k] && writes[ids[k]] == nil {
+					frees, live[k] = append(frees, ids[k]), false
+				}
+				if err := s.CommitPages(writes, ids[0], frees); err != nil {
+					t.Fatal(err)
+				}
+				if gen%8 == 0 {
+					if err := s.Sync(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Error(err)
 			}
 		})
 	}

@@ -95,7 +95,10 @@ type PageStore interface {
 	// writes, records root as the root pointer, and releases the pages in
 	// frees, all as a single all-or-nothing commit. The store TAKES OWNERSHIP
 	// of the page buffers: it keeps the slices themselves, so the caller must
-	// not touch them after the call, whatever it returns. The writes map and
+	// not touch them after the call, whatever it returns, and it may give
+	// each one to pagebuf (pagebuf.Put) once no reader can reach it, for the
+	// next seal to reuse. A wrapping store that wants a page's bytes past the
+	// call copies them before passing it on. The writes map and
 	// the frees slice stay the caller's; the store does not keep them. IDs
 	// in frees that were never written are ignored (a page allocated and
 	// discarded within the same batch has nothing to release); a page ID must

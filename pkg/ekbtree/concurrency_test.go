@@ -92,7 +92,7 @@ func TestGetDoesNotWaitForCommit(t *testing.T) {
 			}
 		}
 		count := 0
-		err := tr.Scan(func(_, v []byte) bool {
+		err := walk(tr.Cursor(), func(_, v []byte) bool {
 			if string(v) != "old" {
 				err := fmt.Errorf("scan observed %q during in-flight commit", v)
 				readsDone <- err

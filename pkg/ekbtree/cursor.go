@@ -69,12 +69,12 @@ func (t *Tree) Cursor() *Cursor {
 }
 
 // CursorRange returns a cursor over the substituted range covering the
-// plaintext bounds [fromKey, toKey), snapshotted at this call. Bounds are
-// mapped exactly as in ScanRange: with a range-capable substituter (e.g. the
-// bucketed one) they expand to whole boundary buckets, so the cursor visits a
-// superset of the plaintext range; with a pure-PRF substituter they are
-// substituted pointwise and the range bears no relation to plaintext order.
-// A nil bound is unbounded on that side.
+// plaintext bounds [fromKey, toKey), snapshotted at this call. With a
+// range-capable substituter (e.g. the bucketed one) the bounds expand to
+// whole boundary buckets, so the cursor visits a superset of the plaintext
+// range; with a pure-PRF substituter they are substituted pointwise and the
+// range bears no relation to plaintext order. A nil bound is unbounded on
+// that side.
 func (t *Tree) CursorRange(fromKey, toKey []byte) *Cursor {
 	lo, hi := t.substituteBounds(fromKey, toKey)
 	c := &Cursor{t: t, lo: lo, hi: hi}

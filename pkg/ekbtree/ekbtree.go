@@ -26,11 +26,10 @@
 // as read-only for the duration of the call and is copied before anything the
 // engine retains; callers keep ownership and may reuse or mutate their
 // buffers as soon as the call returns. Get returns a fresh copy the caller
-// owns outright. Cursor.Key, Cursor.Value, and the slices passed to Scan
-// callbacks are zero-copy READ-ONLY views into the cursor's pinned snapshot:
-// they stay valid until the cursor is closed (for callbacks, for the duration
-// of the call), must never be mutated, and should be copied if retained
-// longer — see the Cursor type for the full contract.
+// owns outright. Cursor.Key and Cursor.Value are zero-copy READ-ONLY views
+// into the cursor's pinned snapshot: they stay valid until the cursor is
+// closed, must never be mutated, and should be copied if retained longer —
+// see the Cursor type for the full contract.
 //
 // # Errors
 //
@@ -344,47 +343,6 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		return false, err
 	}
 	return deleted, nil
-}
-
-// Scan visits every entry in ascending substituted-key order, stopping early
-// if fn returns false. With a pseudorandom substituter this order is
-// unrelated to plaintext order; with a bucketed substituter it follows
-// plaintext order at bucket granularity. The subKey passed to fn is the
-// substituted key — the plaintext key is not recoverable from the tree.
-//
-// Scan is a thin wrapper over Cursor, so it observes one point-in-time
-// snapshot of the tree: the epoch current when Scan begins. fn runs with no tree lock held and may
-// call any method of this Tree, including mutations — but mutations made
-// during the scan are not visible to it. The slices passed to fn are
-// read-only views into the snapshot, valid only for the duration of the
-// callback; fn copies what it retains.
-func (t *Tree) Scan(fn func(subKey, value []byte) bool) error {
-	return t.cursorScan(t.Cursor(), fn)
-}
-
-// ScanRange visits entries whose substituted keys fall in [fromKey, toKey) in
-// ascending substituted-key order. The bounds are plaintext keys, mapped as
-// in CursorRange: with a range-capable substituter (e.g. the bucketed one)
-// the traversal covers whole boundary buckets, so it visits a superset of the
-// plaintext range — every key in [fromKey, toKey) plus possibly others
-// sharing a boundary bucket. With a pure-PRF substituter the bounds are
-// substituted pointwise and the scanned interval bears no relation to
-// plaintext order. A nil bound is unbounded on that side.
-//
-// Like Scan, it iterates a point-in-time snapshot, and fn runs without any
-// tree lock held and may re-enter the Tree.
-func (t *Tree) ScanRange(fromKey, toKey []byte, fn func(subKey, value []byte) bool) error {
-	return t.cursorScan(t.CursorRange(fromKey, toKey), fn)
-}
-
-func (t *Tree) cursorScan(c *Cursor, fn func(subKey, value []byte) bool) error {
-	defer c.Close()
-	for ok := c.First(); ok; ok = c.Next() {
-		if !fn(c.Key(), c.Value()) {
-			return nil
-		}
-	}
-	return c.Err()
 }
 
 // Stats reports tree shape, cache counters, commit-pipeline and

@@ -89,7 +89,7 @@ func TestPutGetDeleteRoundTrip(t *testing.T) {
 }
 
 // TestRoundTripProperty is the headline property test: insert N random keys,
-// verify every one is retrievable and Scan visits exactly N entries in
+// verify every one is retrievable and a cursor visits exactly N entries in
 // ascending substituted-key order.
 func TestRoundTripProperty(t *testing.T) {
 	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x22}, 32), order: 8})
@@ -119,17 +119,17 @@ func TestRoundTripProperty(t *testing.T) {
 		}
 	}
 	var scanned [][]byte
-	if err := tr.Scan(func(sk, _ []byte) bool {
+	if err := walk(tr.Cursor(), func(sk, _ []byte) bool {
 		scanned = append(scanned, append([]byte(nil), sk...))
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(scanned) != n {
-		t.Fatalf("Scan visited %d entries, want %d", len(scanned), n)
+		t.Fatalf("a cursor visited %d entries, want %d", len(scanned), n)
 	}
 	if !sort.SliceIsSorted(scanned, func(i, j int) bool { return bytes.Compare(scanned[i], scanned[j]) < 0 }) {
-		t.Error("Scan not in ascending substituted-key order")
+		t.Error("a cursor walk is not in ascending substituted-key order")
 	}
 }
 
@@ -197,7 +197,7 @@ func TestNoPlaintextInStore(t *testing.T) {
 }
 
 // TestBucketedScanOrder checks that the order-preserving bucket substituter
-// makes Scan follow plaintext order when keys fall in distinct buckets.
+// makes a cursor follow plaintext order when keys fall in distinct buckets.
 func TestBucketedScanOrder(t *testing.T) {
 	inner, err := keysub.NewHMAC(bytes.Repeat([]byte{0x44}, 32), 16)
 	if err != nil {
@@ -234,35 +234,35 @@ func TestBucketedScanOrder(t *testing.T) {
 		}
 	}
 	var got [][]byte
-	if err := tr.Scan(func(sk, _ []byte) bool {
+	if err := walk(tr.Cursor(), func(sk, _ []byte) bool {
 		got = append(got, subToPlain[string(sk)])
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(plain) {
-		t.Fatalf("Scan visited %d, want %d", len(got), len(plain))
+		t.Fatalf("a cursor visited %d, want %d", len(got), len(plain))
 	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return bytes.Compare(got[i], got[j]) < 0 }) {
-		t.Error("bucketed Scan not in plaintext order")
+		t.Error("a bucketed cursor walk is not in plaintext order")
 	}
 	// A plaintext range scan works at bucket granularity: bounds expand to
 	// whole buckets, so the result is a superset of the plaintext range.
 	// Bounds in empty buckets ("c", "d" zero-pad to buckets holding no keys)
 	// give an exact result: all 26 "c?" keys.
 	var ranged [][]byte
-	if err := tr.ScanRange([]byte("c"), []byte("d"), func(sk, _ []byte) bool {
+	if err := walk(tr.CursorRange([]byte("c"), []byte("d")), func(sk, _ []byte) bool {
 		ranged = append(ranged, subToPlain[string(sk)])
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(ranged) != 26 {
-		t.Fatalf("ScanRange visited %d entries, want 26", len(ranged))
+		t.Fatalf("CursorRange visited %d entries, want 26", len(ranged))
 	}
 	for _, k := range ranged {
 		if k[0] != 'c' {
-			t.Errorf("ScanRange returned out-of-range key %q", k)
+			t.Errorf("CursorRange returned out-of-range key %q", k)
 		}
 	}
 }
@@ -299,7 +299,7 @@ func TestBucketedScanRangeSuperset(t *testing.T) {
 	}
 	// Bounds land inside occupied buckets "ab" and "ad".
 	got := map[string]bool{}
-	if err := tr.ScanRange([]byte("ab-3"), []byte("ad-7"), func(sk, _ []byte) bool {
+	if err := walk(tr.CursorRange([]byte("ab-3"), []byte("ad-7")), func(sk, _ []byte) bool {
 		got[subToPlain[string(sk)]] = true
 		return true
 	}); err != nil {
@@ -309,7 +309,7 @@ func TestBucketedScanRangeSuperset(t *testing.T) {
 		plain := subToPlain[k]
 		inRange := plain >= "ab-3" && plain < "ad-7"
 		if inRange && !got[plain] {
-			t.Errorf("in-range key %q dropped from ScanRange", plain)
+			t.Errorf("in-range key %q dropped from CursorRange", plain)
 		}
 		if got[plain] && (plain[:2] < "ab" || plain[:2] > "ad") {
 			t.Errorf("key %q outside boundary buckets visited", plain)

@@ -129,11 +129,14 @@ type waiter struct {
 // is what this and every later mutation returns.
 func (g *Engine) Apply(apply func(bt *btree.Tree) error) error {
 	return g.applyTxn(func(tx *writeTxn) error {
-		bt, err := btree.New(tx, g.deg)
-		if err != nil {
-			return err
+		if tx.bt == nil {
+			bt, err := btree.New(tx, g.deg)
+			if err != nil {
+				return err
+			}
+			tx.bt = bt // bound to the workspace, which outlives the transaction
 		}
-		return apply(bt)
+		return apply(tx.bt)
 	})
 }
 

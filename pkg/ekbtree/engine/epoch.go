@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,24 +34,35 @@ type epoch struct {
 	root uint64
 	// undo holds the pre-images of the pages that the commit CREATING this
 	// epoch rewrote or freed — i.e. those pages' content in every epoch older
-	// than this one, and so read only by pins older than this one.
-	undo map[uint64]*node.Node
+	// than this one, and so read only by pins older than this one — sorted by
+	// page ID.
+	undo []undoPage
 	next atomic.Pointer[epoch]
+}
+
+// undoPage is one pre-image of an undo overlay: page id's content before the
+// commit that created the overlay's epoch.
+type undoPage struct {
+	id uint64
+	n  *node.Node
 }
 
 // lookupUndo resolves page id as of this epoch against the undo overlays of
 // every later epoch, returning nil if no later commit touched the page (so
 // the current cache/store content is already this epoch's content). Safe to
 // call without locks: the chain is published through atomic next pointers and
-// undo maps are immutable while reachable from a pinned epoch.
+// undo overlays are immutable while reachable from a pinned epoch.
 func (e *epoch) lookupUndo(id uint64) *node.Node {
 	for f := e.next.Load(); f != nil; f = f.next.Load() {
-		if n, ok := f.undo[id]; ok {
-			return n
+		if i, ok := slices.BinarySearchFunc(f.undo, id, undoOrder); ok {
+			return f.undo[i].n
 		}
 	}
 	return nil
 }
+
+// undoOrder orders an undo overlay by page ID.
+func undoOrder(u undoPage, id uint64) int { return cmp.Compare(u.id, id) }
 
 // Read resolves page id as of this epoch, implementing btree.Reader; a pinned
 // *epoch is handed to the btree layer as is. The fetch-then-overlay order is

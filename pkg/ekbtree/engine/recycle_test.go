@@ -258,9 +258,9 @@ func TestFailedCommitPreImagesAreNeverRecycled(t *testing.T) {
 	}
 	failed := g.es.current.Load().next.Load()
 	sums := make(map[*node.Node]uint32)
-	for _, n := range failed.undo {
-		if sum, ok := viewSum(n); ok {
-			sums[n] = sum
+	for _, u := range failed.undo {
+		if sum, ok := viewSum(u.n); ok {
+			sums[u.n] = sum
 		}
 	}
 	if len(sums) == 0 {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
@@ -46,10 +47,14 @@ type writeTxn struct {
 	// encoded, for promoteTxn to cache.
 	held  []bool
 	views []*node.Node
-	// sealed and sw are sealDirty's: the page each sealer sealed, by index
-	// into dirty, and the state the sealers share.
+	// sealed, sw and sealer are sealDirty's: the page each sealer sealed, by
+	// index into dirty, the state the sealers share, and sealWorker bound to
+	// this workspace once, so starting a helper allocates no closure.
 	sealed [][]byte
 	sw     sealWork
+	sealer func()
+	// bt is Engine.Apply's B-tree over this workspace, built once.
+	bt *btree.Tree
 	// spare holds the copies of the last commit, leaves then index nodes,
 	// emptied (node.Node.Reset) for Edit to rebuild in place: at most as many
 	// of each as that commit made.
@@ -86,7 +91,9 @@ type txPage struct {
 }
 
 func newWriteTxn() *writeTxn {
-	return &writeTxn{pages: make(map[uint64]txPage), writes: make(map[uint64][]byte)}
+	tx := &writeTxn{pages: make(map[uint64]txPage), writes: make(map[uint64][]byte)}
+	tx.sealer = tx.sealWorker
+	return tx
 }
 
 // A finished transaction's workspace is recycled only if it touched at most
@@ -304,15 +311,16 @@ func (tx *writeTxn) seal() (*epoch, error) {
 	if err := tx.sealDirty(keyEpoch, start); err != nil {
 		return nil, err
 	}
-	e := &epoch{io: tx.io, root: tx.root, undo: make(map[uint64]*node.Node, len(tx.dirty)+len(tx.frees))}
+	undo := make([]undoPage, 0, len(tx.dirty)+len(tx.frees))
 	for _, ids := range [2][]uint64{tx.dirty, tx.frees} {
 		for _, id := range ids {
 			if pre := tx.pages[id].pre; pre != nil {
-				e.undo[id] = pre
+				undo = append(undo, undoPage{id, pre})
 			}
 		}
 	}
-	return e, nil
+	slices.SortFunc(undo, func(a, b undoPage) int { return undoOrder(a, b.id) })
+	return &epoch{io: tx.io, root: tx.root, undo: undo}, nil
 }
 
 // sealParallelMin is the dirty-page count below which fanning seals out
@@ -345,7 +353,7 @@ func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	}
 	sw.wg.Add(sealers)
 	for range sealers - 1 {
-		go tx.sealWorker()
+		go tx.sealer()
 	}
 	tx.sealWorker()
 	sw.wg.Wait()

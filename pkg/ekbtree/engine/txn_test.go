@@ -262,11 +262,11 @@ func TestTxnPageTable(t *testing.T) {
 					t.Fatal("no epoch published")
 				}
 				got.writes, got.frees = rs.writes, rs.frees
-				for id, pre := range e.undo {
-					if pre != mustRead(t, before.e, id) {
-						t.Errorf("undo[%d] is not the node the base epoch reads", id)
+				for _, u := range e.undo {
+					if u.n != mustRead(t, before.e, u.id) {
+						t.Errorf("undo[%d] is not the node the base epoch reads", u.id)
 					}
-					got.undo = append(got.undo, id)
+					got.undo = append(got.undo, u.id)
 				}
 			}
 			want := tc.want(id)

@@ -32,11 +32,8 @@ func TestClosedTree(t *testing.T) {
 	if _, err := tr.Delete([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delete after Close = %v, want ErrClosed", err)
 	}
-	if err := tr.Scan(func(_, _ []byte) bool { return true }); !errors.Is(err, ErrClosed) {
-		t.Errorf("Scan after Close = %v, want ErrClosed", err)
-	}
-	if err := tr.ScanRange(nil, nil, func(_, _ []byte) bool { return true }); !errors.Is(err, ErrClosed) {
-		t.Errorf("ScanRange after Close = %v, want ErrClosed", err)
+	if c := tr.CursorRange(nil, nil); c.First() || !errors.Is(c.Err(), ErrClosed) {
+		t.Errorf("CursorRange after Close: First found an entry or Err = %v, want ErrClosed", c.Err())
 	}
 	if _, err := tr.Stats(); !errors.Is(err, ErrClosed) {
 		t.Errorf("Stats after Close = %v, want ErrClosed", err)

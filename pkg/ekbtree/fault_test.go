@@ -67,7 +67,7 @@ func (fs *faultStore) CommitPages(writes map[uint64][]byte, root uint64, frees [
 func scanAll(t *testing.T, tr *Tree) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	if err := tr.Scan(func(sk, v []byte) bool {
+	if err := walk(tr.Cursor(), func(sk, v []byte) bool {
 		out[string(sk)] = string(v)
 		return true
 	}); err != nil {

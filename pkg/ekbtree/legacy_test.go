@@ -117,7 +117,7 @@ func modelDigest(model map[string]string) (int, [sha256.Size]byte) {
 func scanDigest(t *testing.T, tr *Tree) (int, [sha256.Size]byte) {
 	t.Helper()
 	n, h := 0, sha256.New()
-	if err := tr.Scan(func(sk, v []byte) bool {
+	if err := walk(tr.Cursor(), func(sk, v []byte) bool {
 		fmt.Fprintf(h, "%d:%s%d:%s", len(sk), sk, len(v), v)
 		n++
 		return true

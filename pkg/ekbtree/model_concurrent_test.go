@@ -497,7 +497,7 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	}
 	o.mu.Unlock()
 	got := make(map[string]string)
-	if err := tr.Scan(func(sk, v []byte) bool {
+	if err := walk(tr.Cursor(), func(sk, v []byte) bool {
 		got[subToPlain[string(sk)]] = string(v)
 		return true
 	}); err != nil {

@@ -492,7 +492,7 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	}
 	o.mu.Unlock()
 	got := make(map[string]string)
-	if err := tr.Scan(func(sk, v []byte) bool {
+	if err := walk(tr.Cursor(), func(sk, v []byte) bool {
 		got[subToPlain[string(sk)]] = string(v)
 		return true
 	}); err != nil {

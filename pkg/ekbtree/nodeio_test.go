@@ -512,11 +512,12 @@ func TestBatchCommitAllocs(t *testing.T) {
 	}
 	commit := batchCommitFixture(t)
 	commit()
-	// Measured 77 (go1.24, amd64; 135 while the cache kept the writer's
-	// copies and the views they slice into were never recycled, 198 before
-	// chunked substitution, 315 before one-allocation node copies and
-	// slab-staged values, 586 before copy-on-write) + 10 %.
-	const want = 85
+	// Measured 12 (go1.24, amd64; 76 while every seal allocated its page and
+	// the store dropped the flushed ones for the collector, 135 while the
+	// cache kept the writer's copies and the views they slice into were never
+	// recycled, 198 before chunked substitution, 315 before one-allocation
+	// node copies and slab-staged values, 586 before copy-on-write) + 10 %.
+	const want = 13
 	if n := testing.AllocsPerRun(100, commit); n > want {
 		t.Errorf("a cached 64-mutation batch allocates %.0f times, want <= %d", n, want)
 	} else {
@@ -565,18 +566,21 @@ func cachedPutFixture(tb testing.TB) (put func()) {
 // value of the same length but new bytes, at Async over a page file, with
 // every node cached. A writer that finds the write turn free allocates nothing for it:
 // the bound fails if the turn starts allocating per call, if the mutation's
-// closure escapes to the heap, if a commit grows a per-page record again, or
-// if the leaf's copy is allocated afresh instead of rebuilt in place.
+// closure escapes to the heap, if a commit grows a per-page record again, if
+// the leaf's copy is allocated afresh instead of rebuilt in place, or if the
+// sealed page is, instead of reused from the buffer a flush gave back.
 func TestPutAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
 	}
 	put := cachedPutFixture(t)
 	put() // the descent's pages are cached from here on
-	// Measured 6 (go1.24, amd64; 7 while the leaf's materialised copy was
-	// allocated afresh and cached, 8 while each epoch also listed the pages
-	// its commit touched, for optimistic validation).
-	const want = 6
+	// Measured 3 (go1.24, amd64): the key and value copy, the epoch and its
+	// undo overlay. 6 while the sealed page was a fresh buffer, the overlay a
+	// map and each transaction built its btree.Tree; 7 while the leaf's
+	// materialised copy was allocated afresh and cached, 8 while each epoch
+	// also listed the pages its commit touched, for optimistic validation.
+	const want = 3
 	if n := testing.AllocsPerRun(200, put); n > want {
 		t.Errorf("a cached Put allocates %.1f times, want <= %d", n, want)
 	} else {
