@@ -122,13 +122,19 @@ lint:
 # its copies with MaterializeInto, from the workspace's spares.
 	@if git grep -nwE 'Lend|lent|isLent' -- '*.go'; then echo "views are never lent: promoteTxn caches views of what a commit sealed, and writeTxn.Edit's copies never leave the transaction"; exit 1; fi
 	@if git grep -nF '.Materialize()' -- 'pkg/ekbtree/engine/*.go' ':!*_test.go'; then echo "writeTxn.Edit rebuilds a spare copy (MaterializeInto), and promoteTxn caches views of what a commit sealed, never a copy"; exit 1; fi
+# One model harness: concurrent writers that queue for the write turn and
+# share commits, checked against a tick-window oracle. An oracle that holds a
+# lock across tree mutations never reaches the turn, so it is a second,
+# weaker harness.
+	@if git grep -nE 'modelOracle|runModel\(|modelScanCheck|TestModelConcurrency\b' -- '*.go'; then echo "one model harness: pkg/ekbtree/model_test.go"; exit 1; fi
 
 test:
 	$(GO) test ./...
 
 # race runs the whole suite under the race detector, then repeats the legs a
 # single run rarely loses:
-#  - background vacuum against concurrent committers (x10), and against
+#  - background vacuum against concurrent committers (x10: the model
+#    harness's on-disk vacuum leg alone, not its in-memory one), and against
 #    writers and a reader that must never see a page's bytes change while a
 #    flush edits the page map (x50: a single run meets a copy's window only
 #    sometimes);
@@ -168,10 +174,10 @@ test:
 #    transport error and a pre-auth frame refused.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestModelConcurrentWriters/vacuum' ./pkg/ekbtree/
+	$(GO) test -race -count=10 -run '^TestModelConcurrentWriters$$/^vacuum$$/^file$$/^grouped$$' ./pkg/ekbtree/
 	$(GO) test -race -count=50 -run '^TestVacuumConcurrentWithCommits$$' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList|TestReleasedPagesAreUnreachable' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitOptimistically|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitLikeAnyOther|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/

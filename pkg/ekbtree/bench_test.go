@@ -492,7 +492,6 @@ func BenchmarkFileConcurrentIngest(b *testing.B) {
 				}
 				if commits := float64(st1.Commits - st0.Commits); commits > 0 {
 					b.ReportMetric(float64(b.N)/commits, "puts/commit")
-					b.ReportMetric(float64(st1.Conflicts-st0.Conflicts)/commits, "conflicts/commit")
 				}
 			})
 		}

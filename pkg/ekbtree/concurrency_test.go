@@ -268,8 +268,8 @@ func TestLargeBatchNotStarvedBySmallPuts(t *testing.T) {
 // Pages counters while readers, writers, and Stats callers run concurrently:
 // samples must be monotonic (hits/misses/evictions never go backwards),
 // Pages must respect the configured capacity, and traffic must actually be
-// counted. The commit counters (Commits/Conflicts/Retries) must be
-// monotonic under the same churn. Runs under -race in CI.
+// counted. The commit counter (Commits) must be monotonic under the same
+// churn. Runs under -race in CI.
 func TestStatsCountersConcurrentReaders(t *testing.T) {
 	const cachePages = 8
 	tr := mustOpen(t, Options{MasterKey: bytes.Repeat([]byte{0xC3}, 32), order: 8, CachePages: cachePages})
@@ -328,8 +328,8 @@ func TestStatsCountersConcurrentReaders(t *testing.T) {
 		if c.Pages > cachePages {
 			t.Fatalf("Pages = %d exceeds capacity %d", c.Pages, cachePages)
 		}
-		if s.Commits < lastCommit.Commits || s.Conflicts < lastCommit.Conflicts || s.Retries < lastCommit.Retries {
-			t.Fatalf("commit counters went backwards: %+v after %+v", s, lastCommit)
+		if s.Commits < lastCommit.Commits {
+			t.Fatalf("commit counter went backwards: %+v after %+v", s, lastCommit)
 		}
 		last, lastCommit = c, s
 		if c.Hits > 0 && c.Misses > 0 && c.Evictions > 0 && time.Now().Add(4500*time.Millisecond).After(deadline) {

@@ -200,7 +200,8 @@ func Open(opts Options) (*Tree, error) {
 
 // AdvanceEpoch forces the tree onto a fresh key epoch immediately,
 // regardless of the seal budget, and schedules the background rotator to
-// re-seal the superseded epochs' pages. This is the operator-driven "rotate
+// re-seal the superseded epochs' pages (the engine's OnEpochAdvance hook kicks
+// it, as for a budget-driven advance). This is the operator-driven "rotate
 // now": the new epoch's durable reservation is on disk when the call
 // returns — in every durability mode, so the call is also a Sync — while the
 // re-sealing itself proceeds in the background (watch
@@ -209,7 +210,6 @@ func (t *Tree) AdvanceEpoch() error {
 	if err := t.eng.AdvanceEpoch(); err != nil {
 		return err
 	}
-	t.kickMaintain()
 	return t.Sync()
 }
 

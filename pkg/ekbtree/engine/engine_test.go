@@ -155,10 +155,10 @@ func TestFailedCommitsStayInvisible(t *testing.T) {
 	}
 }
 
-// TestRootMovesCommitOptimistically: a commit that moves the root — the first
-// insert, every root split — is an ordinary optimistic commit. A lone writer
-// never conflicts, so loading a tree several levels deep re-executes nothing.
-func TestRootMovesCommitOptimistically(t *testing.T) {
+// TestRootMovesCommitLikeAnyOther: a commit that moves the root — the first
+// insert, every root split — takes the one commit path every other commit
+// does, so a lone writer loads a tree several levels deep with every key.
+func TestRootMovesCommitLikeAnyOther(t *testing.T) {
 	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
 	putKeys(t, g, 2000, "v")
@@ -168,9 +168,6 @@ func TestRootMovesCommitOptimistically(t *testing.T) {
 	}
 	if s.Keys != 2000 || s.Height < 4 {
 		t.Fatalf("Stats = %+v, want 2000 keys at least four levels deep", s)
-	}
-	if s.Conflicts != 0 {
-		t.Fatalf("a lone writer's load re-executed %d mutations, want 0", s.Conflicts)
 	}
 }
 

@@ -31,7 +31,7 @@ type Stats struct {
 	Commits uint64 `json:"commits"`
 	// Conflicts and Retries read 0: writers take turns, so no commit
 	// conflicts with another and none is re-executed for one. They are kept
-	// so that existing JSON clients go on decoding them.
+	// so that existing JSON clients go on decoding them; String omits them.
 	Conflicts uint64 `json:"conflicts"`
 	Retries   uint64 `json:"retries"`
 	// CipherEpoch is the key epoch new pages are sealed under.
@@ -69,10 +69,10 @@ func (s *Stats) UnmarshalJSON(b []byte) error {
 // String renders the stats in a compact single-line human-readable form.
 func (s Stats) String() string {
 	out := fmt.Sprintf(
-		"keys=%d nodes=%d height=%d cache{hits=%d misses=%d evictions=%d pages=%d} commits=%d conflicts=%d retries=%d",
+		"keys=%d nodes=%d height=%d cache{hits=%d misses=%d evictions=%d pages=%d} commits=%d",
 		s.Keys, s.Nodes, s.Height,
 		s.Cache.Hits, s.Cache.Misses, s.Cache.Evictions, s.Cache.Pages,
-		s.Commits, s.Conflicts, s.Retries,
+		s.Commits,
 	)
 	if s.CipherEpoch > 0 || s.Seals > 0 || s.PagesPendingReseal > 0 {
 		out += fmt.Sprintf(" epoch=%d seals=%d pending_reseal=%d",

@@ -1,19 +1,34 @@
 package ekbtree
 
-// Model-based randomized concurrency harness: concurrent Put / Delete /
-// Batch / Get / cursor-scan traffic runs against a mutex-guarded oracle that
-// records every committed version, and every observation the tree returns is
-// checked against the window of states in which it could legally have been
-// made. The harness runs over the default in-memory page file and over Path
-// trees in all three durability modes, and is exercised under -race in CI.
+// Model-based randomized concurrency harness. N writer goroutines commit
+// concurrently — single puts and deletes, whole-group batches and mixed
+// batches — so they queue for the write turn and share commits, while
+// readers Get and scanners pin whole-tree cursors. Every observation is
+// checked against an oracle of each key's versions. The harness runs over
+// the default in-memory page file, over Path trees in all three durability
+// modes, and with rotation and vacuum racing it, and runs under -race in CI.
 //
-// The central snapshot-isolation check: designated KEY GROUPS are only ever
-// written by batches that rewrite the WHOLE group to one value, so the group
-// is the atomicity unit: a cursor scan must observe each group either fully
-// absent or fully uniform — a mixed group is a half-applied commit — and
-// there must exist a single commit sequence number S, within the window the
-// scan ran in, that explains every group simultaneously (the cursor's
-// snapshot is one pinned epoch).
+// Ground truth without a serializing lock comes from two ingredients:
+//
+//  1. Disjoint key ownership. Writer w only ever writes keys (and key
+//     groups) it owns, so every key's version history is SEQUENTIAL even
+//     though commits to the shared tree are not. Different writers' keys
+//     share B-tree pages, and often commits, but the per-key semantics stay
+//     checkable.
+//
+//  2. A global tick counter. Each commit samples the counter before it
+//     starts (s) and bumps it after it returns (e): the commit's publish
+//     provably happened somewhere in the tick window [s, e] (e == 0 marks a
+//     commit still in flight, window open-ended). Readers sample the same
+//     counter around each Get or cursor pin and accept any observation that
+//     SOME tick in their window explains. The checks only reject provably
+//     impossible observations, so they are immune to tick ties and
+//     bookkeeping races by construction.
+//
+// Writer-owned key groups are rewritten only by whole-group batches, and a
+// batch commits as one epoch, so every group a scan observes must be fully
+// absent or fully uniform, and the scan's one pin tick must explain every
+// group simultaneously.
 
 import (
 	"bytes"
@@ -21,62 +36,84 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// modelVer is one committed version of a key: the commit sequence that wrote
-// it and the value (or tombstone) it left.
-type modelVer struct {
-	seq uint64
-	val string
-	del bool
+// tickVer is one version of a key (or one whole-group rewrite): the value or
+// tombstone plus the tick window [s, e] containing the commit's publish.
+// e == 0 means the commit has not returned yet.
+type tickVer struct {
+	s, e uint64
+	val  string
+	del  bool
 }
 
-// modelOracle serializes writers and records ground truth. Holding mu across
-// the tree mutation AND the bookkeeping makes each commit atomic in the
-// oracle's timeline; readers never take mu around tree operations — they
-// only sample seq before and after, so their checks are windows, not locks.
-type modelOracle struct {
-	mu     sync.Mutex
-	seq    uint64
-	hist   map[string][]modelVer
-	groups [][]uint64 // per group: seqs of its (whole-group) rewrites
+// tickOracle records per-key and per-group version histories under a mutex
+// held only around bookkeeping — never around tree operations.
+type tickOracle struct {
+	tick atomic.Uint64
+	mu   sync.Mutex
+	hist map[string][]tickVer
+	grp  [][]tickVer // per global group: its whole-group rewrites, in order
 }
 
-func newModelOracle(nGroups int) *modelOracle {
-	return &modelOracle{hist: make(map[string][]modelVer), groups: make([][]uint64, nGroups)}
+// modelOp is one staged mutation of a writer's commit.
+type modelOp struct {
+	key, val string
+	del      bool
 }
 
-func (o *modelOracle) now() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.seq
-}
-
-// commit runs apply (the tree mutation) under the oracle lock and, on
-// success, records the muts it returns as one atomic version bump. Both
-// callbacks receive the sequence number this commit will carry, so written
-// values can embed it. group >= 0 marks a whole-group rewrite.
-func (o *modelOracle) commit(apply func(seq uint64) error, muts func(seq uint64) map[string]modelVer, group int) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	seq := o.seq + 1
-	if err := apply(seq); err != nil {
-		return err
+// commit links one in-flight version per key ops touches (the last op on a
+// key wins, as in a batch) and, for g >= 0, one rewrite of group g, all
+// BEFORE apply starts, so a reader that observes the committed state
+// mid-flight finds it in the history. Once apply returns, every version's
+// window closes at the same tick. Only a key's owning writer appends to its
+// history, so each version is still the last when its window closes.
+func (o *tickOracle) commit(ops []modelOp, g int, apply func() error) error {
+	last := make(map[string]tickVer, len(ops))
+	s := o.tick.Load()
+	for _, op := range ops {
+		last[op.key] = tickVer{s: s, val: op.val, del: op.del}
 	}
-	o.seq = seq
-	for k, v := range muts(seq) {
-		v.seq = seq
+	o.mu.Lock()
+	for k, v := range last {
 		o.hist[k] = append(o.hist[k], v)
 	}
-	if group >= 0 {
-		o.groups[group] = append(o.groups[group], seq)
+	if g >= 0 {
+		o.grp[g] = append(o.grp[g], tickVer{s: s})
+	}
+	o.mu.Unlock()
+	if err := apply(); err != nil {
+		return err
+	}
+	e := o.tick.Add(1)
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for k := range last {
+		o.hist[k][len(o.hist[k])-1].e = e
+	}
+	if g >= 0 {
+		o.grp[g][len(o.grp[g])-1].e = e
 	}
 	return nil
+}
+
+// versions snapshots a key's history.
+func (o *tickOracle) versions(key string) []tickVer {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]tickVer(nil), o.hist[key]...)
+}
+
+// rewrites snapshots group g's rewrite log.
+func (o *tickOracle) rewrites(g int) []tickVer {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]tickVer(nil), o.grp[g]...)
 }
 
 // observation is what one Get (or one scanned entry) reported.
@@ -85,108 +122,131 @@ type observation struct {
 	val     string
 }
 
-// validObservation reports whether obs matches the key's state at SOME
-// commit sequence S in [lo, hi]: the latest version at lo, or any version
-// committed inside the window.
-func (o *modelOracle) validObservation(key string, obs observation, lo, hi uint64) bool {
-	o.mu.Lock()
-	h := append([]modelVer(nil), o.hist[key]...)
-	o.mu.Unlock()
-	match := func(v *modelVer) bool {
-		if v == nil || v.del {
-			return !obs.present
-		}
-		return obs.present && obs.val == v.val
+// feasibleAt reports whether version i of h could be the key's CURRENT
+// version at some tick in [lo, hi]: its publish may fall at or before hi
+// (impossible only when s > hi — the writer sampled s after the reader
+// sampled hi) and its successor's publish may fall after lo (impossible only
+// when the successor's commit returned before the reader sampled lo).
+func feasibleAt(h []tickVer, i int, lo, hi uint64) bool {
+	if h[i].s > hi {
+		return false
 	}
-	// State as of lo: latest version with seq <= lo.
-	var atLo *modelVer
-	for i := range h {
-		if h[i].seq <= lo {
-			atLo = &h[i]
+	if i+1 < len(h) {
+		next := h[i+1]
+		if next.e != 0 && next.e < lo {
+			return false
 		}
 	}
-	if match(atLo) {
+	return true
+}
+
+// validObservation reports whether obs is explainable by SOME tick in
+// [lo, hi] against the key's sequential history.
+func validObservation(h []tickVer, obs observation, lo, hi uint64) bool {
+	if obs.present {
+		for i := range h {
+			if !h[i].del && h[i].val == obs.val && feasibleAt(h, i, lo, hi) {
+				return true
+			}
+		}
+		return false
+	}
+	// Absent: before the first version ever published...
+	if len(h) == 0 || h[0].e == 0 || h[0].e >= lo {
 		return true
 	}
+	// ...or while a tombstone version was current.
 	for i := range h {
-		if h[i].seq > lo && h[i].seq <= hi && match(&h[i]) {
+		if h[i].del && feasibleAt(h, i, lo, hi) {
 			return true
 		}
 	}
 	return false
 }
 
-// modelCfg sizes one harness run.
-type modelCfg struct {
-	writers, readers, scanners int
-	commitsPerWriter           int
+const tickInf = ^uint64(0)
+
+// groupWindow returns the pin-tick interval inside which the group's
+// observed state is explainable. seen maps each group key to its scanned
+// value (absent keys missing). It fails on a half-applied or torn group.
+func groupWindow(log []tickVer, keys []string, g int, seen map[string]string) (loC, hiC uint64, err error) {
+	var vals []string
+	for _, k := range keys {
+		if v, ok := seen[k]; ok {
+			vals = append(vals, v)
+		}
+	}
+	switch {
+	case len(vals) == 0:
+		// Fully absent: the pin predates the first rewrite's publish.
+		if len(log) > 0 && log[0].e != 0 {
+			return 0, log[0].e, nil
+		}
+		return 0, tickInf, nil
+	case len(vals) != len(keys):
+		return 0, 0, fmt.Errorf("group %d half-applied: %d of %d keys present", g, len(vals), len(keys))
+	}
+	for _, v := range vals[1:] {
+		if v != vals[0] {
+			return 0, 0, fmt.Errorf("group %d torn: %q vs %q", g, vals[0], v)
+		}
+	}
+	var gid, n int
+	if _, e := fmt.Sscanf(vals[0], "g%d#%d", &gid, &n); e != nil || gid != g || n >= len(log) {
+		return 0, 0, fmt.Errorf("group %d value %q malformed", g, vals[0])
+	}
+	loC = log[n].s
+	hiC = tickInf
+	if n+1 < len(log) && log[n+1].e != 0 {
+		hiC = log[n+1].e
+	}
+	return loC, hiC, nil
 }
 
-func modelConfig(t *testing.T, fileBacked bool) modelCfg {
-	cfg := modelCfg{writers: 3, readers: 3, scanners: 2, commitsPerWriter: 2500}
-	if fileBacked {
-		cfg.commitsPerWriter = 700
-	}
-	if testing.Short() {
-		cfg.commitsPerWriter /= 8
-	}
+// modelWriters is how many writer goroutines every leg runs.
+const modelWriters = 4
+
+// modelCommits sizes one leg: commits per writer by backend and durability,
+// or EKBTREE_MODEL_OPS (commits across all writers) when it is set.
+func modelCommits(t *testing.T, opts Options) int {
+	t.Helper()
 	if env := os.Getenv("EKBTREE_MODEL_OPS"); env != "" {
 		n, err := strconv.Atoi(env)
-		if err != nil || n <= 0 {
+		if err != nil || n < modelWriters {
 			t.Fatalf("bad EKBTREE_MODEL_OPS %q", env)
 		}
-		cfg.commitsPerWriter = n / cfg.writers
+		return n / modelWriters
 	}
-	return cfg
+	commits := 1000
+	switch {
+	case opts.Path != "" && opts.Durability == DurabilityFull:
+		commits = 300
+	case opts.Path != "":
+		commits = 800
+	}
+	if testing.Short() {
+		commits /= 8
+	}
+	return commits
 }
 
-// TestModelConcurrency runs the harness over the default backend and over
-// file-backed trees in each durability mode.
-func TestModelConcurrency(t *testing.T) {
-	t.Run("default", func(t *testing.T) {
-		runModel(t, Options{}, false)
-	})
-	for _, d := range []Durability{DurabilityFull, DurabilityGrouped, DurabilityAsync} {
-		d := d
-		t.Run("file/"+d.String(), func(t *testing.T) {
-			opts := Options{
-				Path:       filepath.Join(t.TempDir(), "model.ekb"),
-				Durability: d,
-			}
-			runModel(t, opts, true)
-		})
+// modelSeed reads EKBTREE_MODEL_SEED, which seeds the writer and reader RNGs;
+// unset, the seed is the clock.
+func modelSeed(t *testing.T) int64 {
+	t.Helper()
+	env := os.Getenv("EKBTREE_MODEL_SEED")
+	if env == "" {
+		return time.Now().UnixNano()
 	}
-	// Rotation legs: the epoch cipher with a budget tiny against the run's
-	// commit volume, so key epochs advance repeatedly mid-run and the
-	// background rotator re-seals pages while the oracle watches every read.
-	t.Run("rotate", func(t *testing.T) {
-		runModel(t, epochModelOpts(t, Options{}, 192), false)
-	})
-	t.Run("rotate/file/grouped", func(t *testing.T) {
-		opts := Options{
-			Path:       filepath.Join(t.TempDir(), "model.ekb"),
-			Durability: DurabilityGrouped,
-		}
-		runModel(t, epochModelOpts(t, opts, 192), true)
-	})
-	// Vacuum legs: a background compactor races the whole harness, so live
-	// relocation commits interleave with writers, readers, and pinned scans.
-	// Every leg relocates extents and truncates the page file, whether it is
-	// held in memory or on disk.
-	t.Run("vacuum", func(t *testing.T) {
-		runModel(t, Options{}, false, vacuumLoop)
-	})
-	t.Run("vacuum/file/grouped", func(t *testing.T) {
-		opts := Options{
-			Path:       filepath.Join(t.TempDir(), "model.ekb"),
-			Durability: DurabilityGrouped,
-		}
-		runModel(t, opts, true, vacuumLoop)
-	})
+	n, err := strconv.ParseInt(env, 10, 64)
+	if err != nil {
+		t.Fatalf("bad EKBTREE_MODEL_SEED %q", env)
+	}
+	return n
 }
 
-// vacuumLoop is the background hook for the vacuum model legs: it compacts
-// the tree repeatedly while the harness runs, until the stop signal.
+// vacuumLoop is the background hook for the vacuum legs: it compacts the
+// tree repeatedly while the harness runs, until the stop signal.
 func vacuumLoop(tr *Tree, stop <-chan struct{}, fail func(string, ...interface{})) {
 	for {
 		select {
@@ -216,8 +276,7 @@ func epochModelOpts(t *testing.T, opts Options, budget int64) Options {
 
 // envSealBudget reads EKBTREE_SEAL_BUDGET, the CI rotation-smoke seam: a tiny
 // budget makes key epochs advance and the background rotator re-seal pages
-// continuously beneath the full concurrent oracle. Unset means 0, the default
-// budget.
+// continuously beneath the whole harness. Unset means 0, the default budget.
 func envSealBudget(t *testing.T) int64 {
 	t.Helper()
 	env := os.Getenv("EKBTREE_SEAL_BUDGET")
@@ -231,32 +290,60 @@ func envSealBudget(t *testing.T) int64 {
 	return n
 }
 
-// runModel drives one harness run. Any background hooks run alongside the
-// readers for the whole window between open and writer quiescence — the
-// vacuum legs use this to race compaction against the oracle.
-func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*Tree, <-chan struct{}, func(string, ...interface{}))) {
-	cfg := modelConfig(t, fileBacked)
-	seed := time.Now().UnixNano()
-	if env := os.Getenv("EKBTREE_MODEL_SEED"); env != "" {
-		n, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad EKBTREE_MODEL_SEED %q", env)
-		}
-		seed = n
+// TestModelConcurrentWriters runs the harness over the default in-memory
+// page file, over Path trees in each durability mode, with rotation, and
+// with vacuum.
+func TestModelConcurrentWriters(t *testing.T) {
+	onFile := func(t *testing.T, d Durability) Options {
+		return Options{Path: filepath.Join(t.TempDir(), "model.ekb"), Durability: d}
 	}
-	t.Logf("model seed %d (rerun with EKBTREE_MODEL_SEED=%d)", seed, seed)
+	t.Run("default", func(t *testing.T) {
+		runConcurrentWriters(t, Options{})
+	})
+	for _, d := range []Durability{DurabilityFull, DurabilityGrouped, DurabilityAsync} {
+		t.Run("file/"+d.String(), func(t *testing.T) {
+			runConcurrentWriters(t, onFile(t, d))
+		})
+	}
+	// Rotation legs: a seal budget tiny against the run's commit volume, so
+	// key epochs advance repeatedly mid-run and the background rotator
+	// re-seals pages beneath every check.
+	t.Run("rotate", func(t *testing.T) {
+		runConcurrentWriters(t, epochModelOpts(t, Options{}, 192))
+	})
+	t.Run("rotate/file/grouped", func(t *testing.T) {
+		runConcurrentWriters(t, epochModelOpts(t, onFile(t, DurabilityGrouped), 192))
+	})
+	// Vacuum legs: a background compactor relocates live extents and
+	// truncates the page file, in memory or on disk, while the writers
+	// commit concurrently and scans hold pins.
+	t.Run("vacuum/mem", func(t *testing.T) {
+		runConcurrentWriters(t, Options{}, vacuumLoop)
+	})
+	t.Run("vacuum/file/grouped", func(t *testing.T) {
+		runConcurrentWriters(t, onFile(t, DurabilityGrouped), vacuumLoop)
+	})
+}
 
-	// Explicit layers so the test can substitute keys itself and map scanned
-	// (substituted) keys back to plaintext. Legs that did not pick a seal
-	// budget of their own (see epochModelOpts) take EKBTREE_SEAL_BUDGET's.
-	sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xE1}, 32), 24)
+// runConcurrentWriters drives one leg. Any background hooks run alongside
+// the readers from open until the writers quiesce.
+func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, <-chan struct{}, func(string, ...interface{}))) {
+	commitsPerWriter := modelCommits(t, opts)
+	fileBacked := opts.Path != ""
+	seed := modelSeed(t)
+	t.Logf("model seed %d, %d writers x %d commits (rerun with EKBTREE_MODEL_SEED=%d)", seed, modelWriters, commitsPerWriter, seed)
+
+	// Explicit layers, so the test can substitute keys itself and map
+	// scanned (substituted) keys back to plaintext. A leg that picked a seal
+	// budget of its own keeps it; the others take EKBTREE_SEAL_BUDGET's.
+	sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xE5}, 32), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Substituter = sub
 	if opts.Cipher == nil {
 		opts = epochModelOpts(t, opts, envSealBudget(t))
 	}
+	opts.Substituter = sub
 	opts.order = 8 // small pages: more splits, merges, and multi-page commits
 	tr, err := Open(opts)
 	if err != nil {
@@ -264,37 +351,34 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	}
 	defer tr.Close()
 
-	// Key universe: a pool of individually-written keys plus group keys that
-	// only whole-group batches touch.
-	const nGroups, groupKeys, poolKeys = 5, 6, 40
-	var pool []string
-	for i := 0; i < poolKeys; i++ {
-		pool = append(pool, fmt.Sprintf("pool%03d", i))
-	}
-	groups := make([][]string, nGroups)
-	for g := range groups {
-		for i := 0; i < groupKeys; i++ {
-			groups[g] = append(groups[g], fmt.Sprintf("grp%d-%02d", g, i))
-		}
-	}
+	// Each writer owns a disjoint pool of individually-written keys and a
+	// disjoint set of whole-batch-rewritten groups.
+	const poolPerWriter, groupsPerWriter, groupKeys = 20, 2, 5
+	pools := make([][]string, modelWriters)
+	groups := make([][]string, modelWriters*groupsPerWriter)
 	subToPlain := make(map[string]string)
-	groupOf := make(map[string]int)
-	for _, k := range pool {
-		subToPlain[string(sub.Substitute([]byte(k)))] = k
-		groupOf[k] = -1
-	}
-	for g, ks := range groups {
-		for _, k := range ks {
+	for w := 0; w < modelWriters; w++ {
+		for i := 0; i < poolPerWriter; i++ {
+			k := fmt.Sprintf("w%d-k%03d", w, i)
+			pools[w] = append(pools[w], k)
 			subToPlain[string(sub.Substitute([]byte(k)))] = k
-			groupOf[k] = g
+		}
+		for g := 0; g < groupsPerWriter; g++ {
+			gid := w*groupsPerWriter + g
+			for i := 0; i < groupKeys; i++ {
+				k := fmt.Sprintf("w%dg%d-%02d", w, gid, i)
+				groups[gid] = append(groups[gid], k)
+				subToPlain[string(sub.Substitute([]byte(k)))] = k
+			}
 		}
 	}
 
-	o := newModelOracle(nGroups)
+	o := &tickOracle{hist: make(map[string][]tickVer), grp: make([][]tickVer, len(groups))}
 	var (
-		wg   sync.WaitGroup
-		stop = make(chan struct{})
-		errs = make(chan error, cfg.writers+cfg.readers+cfg.scanners)
+		wg        sync.WaitGroup
+		readersWG sync.WaitGroup
+		stop      = make(chan struct{})
+		errs      = make(chan error, modelWriters+8)
 	)
 	fail := func(format string, args ...interface{}) {
 		select {
@@ -303,100 +387,40 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 		}
 	}
 
-	// Writers: single puts and deletes over the pool, whole-group batches,
-	// and mixed atomic batches over the pool.
-	for w := 0; w < cfg.writers; w++ {
+	// Writers: genuinely parallel commits over owned keys. No lock spans a
+	// tree operation. Every value is unique to its key's history.
+	for w := 0; w < modelWriters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)))
-			for i := 0; i < cfg.commitsPerWriter; i++ {
+			rewrites := make([]int, groupsPerWriter)
+			for i := 0; i < commitsPerWriter; i++ {
+				var ops []modelOp
+				g, batch := -1, true
 				switch op := rng.Intn(100); {
-				case op < 40: // single put
-					k := pool[rng.Intn(len(pool))]
-					// Values carry the key and the commit seq, so every
-					// committed version is unique and self-describing.
-					err := o.commit(func(seq uint64) error {
-						return tr.Put([]byte(k), []byte(fmt.Sprintf("%s#%d", k, seq)))
-					}, func(seq uint64) map[string]modelVer {
-						return map[string]modelVer{k: {val: fmt.Sprintf("%s#%d", k, seq)}}
-					}, -1)
-					if err != nil {
-						fail("writer %d put: %v", w, err)
-						return
+				case op < 40: // single put of an owned key
+					k := pools[w][rng.Intn(poolPerWriter)]
+					ops, batch = []modelOp{{key: k, val: fmt.Sprintf("%s#%d", k, i)}}, false
+				case op < 55: // single delete of an owned key
+					ops, batch = []modelOp{{key: pools[w][rng.Intn(poolPerWriter)], del: true}}, false
+				case op < 80: // whole-group batch: the snapshot-isolation probe
+					r := rng.Intn(groupsPerWriter)
+					g = w*groupsPerWriter + r
+					val := fmt.Sprintf("g%d#%d", g, rewrites[r])
+					rewrites[r]++
+					for _, k := range groups[g] {
+						ops = append(ops, modelOp{key: k, val: val})
 					}
-				case op < 60: // single delete
-					k := pool[rng.Intn(len(pool))]
-					err := o.commit(func(uint64) error {
-						_, err := tr.Delete([]byte(k))
-						return err
-					}, func(uint64) map[string]modelVer {
-						return map[string]modelVer{k: {del: true}}
-					}, -1)
-					if err != nil {
-						fail("writer %d delete: %v", w, err)
-						return
+				default: // mixed batch over owned keys: repeats allowed, the last op on a key wins
+					for j, n := 0, 3+rng.Intn(8); j < n; j++ {
+						k := pools[w][rng.Intn(poolPerWriter)]
+						ops = append(ops, modelOp{key: k, val: fmt.Sprintf("%s#%d.%d", k, i, j), del: rng.Intn(4) == 0})
 					}
-				case op < 85: // whole-group batch: the snapshot-isolation probe
-					g := rng.Intn(nGroups)
-					err := o.commit(func(seq uint64) error {
-						b := tr.NewBatch()
-						val := fmt.Sprintf("g%d#%d", g, seq)
-						for _, k := range groups[g] {
-							if err := b.Put([]byte(k), []byte(val)); err != nil {
-								return err
-							}
-						}
-						return b.Commit()
-					}, func(seq uint64) map[string]modelVer {
-						m := make(map[string]modelVer)
-						val := fmt.Sprintf("g%d#%d", g, seq)
-						for _, k := range groups[g] {
-							m[k] = modelVer{val: val}
-						}
-						return m
-					}, g)
-					if err != nil {
-						fail("writer %d group batch: %v", w, err)
-						return
-					}
-				default: // mixed batch over the pool, applied atomically
-					n := 3 + rng.Intn(8)
-					type stagedOp struct {
-						k   string
-						del bool
-					}
-					var ops []stagedOp
-					for j := 0; j < n; j++ {
-						ops = append(ops, stagedOp{k: pool[rng.Intn(len(pool))], del: rng.Intn(4) == 0})
-					}
-					err := o.commit(func(seq uint64) error {
-						b := tr.NewBatch()
-						for _, op := range ops {
-							if op.del {
-								if err := b.Delete([]byte(op.k)); err != nil {
-									return err
-								}
-							} else if err := b.Put([]byte(op.k), []byte(fmt.Sprintf("%s#%d", op.k, seq))); err != nil {
-								return err
-							}
-						}
-						return b.Commit()
-					}, func(seq uint64) map[string]modelVer {
-						m := make(map[string]modelVer) // last op per key wins, as in the batch
-						for _, op := range ops {
-							if op.del {
-								m[op.k] = modelVer{del: true}
-							} else {
-								m[op.k] = modelVer{val: fmt.Sprintf("%s#%d", op.k, seq)}
-							}
-						}
-						return m
-					}, -1)
-					if err != nil {
-						fail("writer %d mixed batch: %v", w, err)
-						return
-					}
+				}
+				if err := o.commit(ops, g, func() error { return applyModelOps(tr, ops, batch) }); err != nil {
+					fail("writer %d commit %d: %v", w, i, err)
+					return
 				}
 				if fileBacked && rng.Intn(64) == 0 {
 					if err := tr.Sync(); err != nil {
@@ -408,16 +432,15 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 		}(w)
 	}
 
-	// Readers: every Get must match some state in the window it ran in.
-	allKeys := append(append([]string(nil), pool...), func() []string {
-		var ks []string
-		for _, g := range groups {
-			ks = append(ks, g...)
-		}
-		return ks
-	}()...)
-	var readersWG sync.WaitGroup
-	for r := 0; r < cfg.readers; r++ {
+	// Readers: every Get must be explainable at some tick in its window.
+	var allKeys []string
+	for _, p := range pools {
+		allKeys = append(allKeys, p...)
+	}
+	for _, g := range groups {
+		allKeys = append(allKeys, g...)
+	}
+	for r := 0; r < 3; r++ {
 		readersWG.Add(1)
 		go func(r int) {
 			defer readersWG.Done()
@@ -429,26 +452,69 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 				default:
 				}
 				k := allKeys[rng.Intn(len(allKeys))]
-				lo := o.now()
+				lo := o.tick.Load()
 				v, ok, err := tr.Get([]byte(k))
-				hi := o.now()
+				hi := o.tick.Load()
 				if err != nil {
 					fail("reader %d get %s: %v", r, k, err)
 					return
 				}
-				if !o.validObservation(k, observation{present: ok, val: string(v)}, lo, hi) {
-					fail("reader %d: Get(%s) = (%q, %v) matches no state in seq window [%d, %d]", r, k, v, ok, lo, hi)
+				if !validObservation(o.versions(k), observation{present: ok, val: string(v)}, lo, hi) {
+					fail("reader %d: Get(%s) = (%q, %v) impossible in tick window [%d, %d]", r, k, v, ok, lo, hi)
 					return
 				}
 			}
 		}(r)
 	}
 
-	// Scanners: full snapshot scans with the group-atomicity and
-	// single-explaining-S feasibility checks.
-	for s := 0; s < cfg.scanners; s++ {
+	// Scanners: snapshot scans in strictly ascending substituted-key order,
+	// with per-group atomicity and one pin tick that explains every group.
+	scan := func() error {
+		lo := o.tick.Load()
+		c := tr.Cursor()
+		hi := o.tick.Load() // pin happened in [lo, hi]
+		defer c.Close()
+		seen := make(map[string]string)
+		var prev []byte
+		for ok := c.First(); ok; ok = c.Next() {
+			sk := c.Key()
+			if prev != nil && bytes.Compare(sk, prev) <= 0 {
+				return fmt.Errorf("substituted key %x follows %x: not strictly ascending, or a duplicate", sk, prev)
+			}
+			prev = append(prev[:0], sk...)
+			plain, known := subToPlain[string(sk)]
+			if !known {
+				return fmt.Errorf("unknown substituted key %x", sk)
+			}
+			seen[plain] = string(c.Value())
+		}
+		if err := c.Err(); err != nil {
+			return err
+		}
+		pinLo, pinHi := lo, hi
+		for g, ks := range groups {
+			gLo, gHi, err := groupWindow(o.rewrites(g), ks, g, seen)
+			if err != nil {
+				return err
+			}
+			pinLo, pinHi = max(pinLo, gLo), min(pinHi, gHi)
+		}
+		if pinLo > pinHi {
+			return fmt.Errorf("no single pin tick explains every group (window [%d, %d] empties to [%d, %d])", lo, hi, pinLo, pinHi)
+		}
+		for _, p := range pools {
+			for _, k := range p {
+				v, present := seen[k]
+				if !validObservation(o.versions(k), observation{present: present, val: v}, lo, hi) {
+					return fmt.Errorf("pool key %s = (%q, %v) impossible in [%d, %d]", k, v, present, lo, hi)
+				}
+			}
+		}
+		return nil
+	}
+	for s := 0; s < 2; s++ {
 		readersWG.Add(1)
-		go func(s int) {
+		go func() {
 			defer readersWG.Done()
 			for {
 				select {
@@ -456,15 +522,39 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 					return
 				default:
 				}
-				if !modelScanCheck(tr, o, subToPlain, groupOf, groups, fail) {
+				if err := scan(); err != nil {
+					fail("scan: %v", err)
 					return
 				}
 			}
-		}(s)
+		}()
 	}
 
+	// Stats sampler: the commit counter must be monotonic while commits race.
+	readersWG.Add(1)
+	go func() {
+		defer readersWG.Done()
+		var last Stats
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s, err := tr.Stats()
+			if err != nil {
+				fail("stats: %v", err)
+				return
+			}
+			if s.Commits < last.Commits {
+				fail("Stats.Commits went backwards: %d after %d", s.Commits, last.Commits)
+				return
+			}
+			last = s
+		}
+	}()
+
 	for _, bg := range background {
-		bg := bg
 		readersWG.Add(1)
 		go func() {
 			defer readersWG.Done()
@@ -472,7 +562,7 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 		}()
 	}
 
-	wg.Wait() // writers done
+	wg.Wait()
 	close(stop)
 	readersWG.Wait()
 	select {
@@ -481,16 +571,14 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 	default:
 	}
 
-	// Quiescent end state: a final scan must match the oracle exactly.
+	// Quiescent end state: disjoint ownership makes the final value of every
+	// key deterministic — the last version in its sequential history.
 	final := make(map[string]string)
-	o.mu.Lock()
 	for k, h := range o.hist {
-		last := h[len(h)-1]
-		if !last.del {
+		if last := h[len(h)-1]; !last.del {
 			final[k] = last.val
 		}
 	}
-	o.mu.Unlock()
 	got := make(map[string]string)
 	if err := walk(tr.Cursor(), func(sk, v []byte) bool {
 		got[subToPlain[string(sk)]] = string(v)
@@ -506,129 +594,59 @@ func runModel(t *testing.T, opts Options, fileBacked bool, background ...func(*T
 			t.Fatalf("final state diverges at %s: tree %q, oracle %q", k, got[k], v)
 		}
 	}
-	if s, err := tr.Stats(); err != nil || s.Keys != len(final) {
-		t.Fatalf("final Stats = (%+v, %v), want %d keys", s, err, len(final))
-	}
 
-	// With an epoch cipher, rotation must converge once writers quiesce: the
-	// background rotator drains every old-epoch page, and Stats reports the
-	// backlog at zero.
-	if s, err := tr.Stats(); err == nil && (s.CipherEpoch > 0 || s.Seals > 0) {
+	// A live key is a committed put, so some store commit happened — shared
+	// with the writes queued alongside it, so there may be fewer commits than
+	// writes, but not none.
+	s, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Keys != len(final) {
+		t.Fatalf("Stats.Keys = %d, oracle %d", s.Keys, len(final))
+	}
+	if len(final) > 0 && s.Commits == 0 {
+		t.Fatalf("Stats.Commits = 0 with %d live keys", len(final))
+	}
+	t.Logf("commits=%d epoch=%d seals=%d", s.Commits, s.CipherEpoch, s.Seals)
+
+	// Rotation converges once writers quiesce: the background rotator drains
+	// every old-epoch page, and Stats reports the backlog at zero.
+	if s.CipherEpoch > 0 || s.Seals > 0 {
 		deadline := time.Now().Add(30 * time.Second)
-		for {
-			s, err := tr.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.PagesPendingReseal == 0 {
-				break
-			}
+		for s.PagesPendingReseal != 0 {
 			if time.Now().After(deadline) {
 				t.Fatalf("rotation never converged: %d pages still pending re-seal at epoch %d", s.PagesPendingReseal, s.CipherEpoch)
 			}
 			time.Sleep(20 * time.Millisecond)
+			if s, err = tr.Stats(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
-// modelScanCheck runs one full cursor scan and validates it as a snapshot
-// (one pinned epoch). It returns false if the harness should stop (a failure
-// was recorded).
-func modelScanCheck(tr *Tree, o *modelOracle, subToPlain map[string]string, groupOf map[string]int, groups [][]string, fail func(string, ...interface{})) bool {
-	lo := o.now()
-	c := tr.Cursor()
-	hi := o.now() // the snapshot's epoch was pinned somewhere in [lo, hi]
-	defer c.Close()
-	seen := make(map[string]string)
-	var prev []byte
-	for ok := c.First(); ok; ok = c.Next() {
-		sk := c.Key()
-		if prev != nil && bytes.Compare(sk, prev) <= 0 {
-			fail("scan: keys not strictly ascending")
-			return false
-		}
-		prev = append(prev[:0], sk...)
-		plain, known := subToPlain[string(sk)]
-		if !known {
-			fail("scan: unknown substituted key %x", sk)
-			return false
-		}
-		if _, dup := seen[plain]; dup {
-			fail("scan: duplicate key %s", plain)
-			return false
-		}
-		seen[plain] = string(c.Value())
+// applyModelOps commits ops as one Batch, or, for a lone op that is not a
+// batch, through Put or Delete.
+func applyModelOps(tr *Tree, ops []modelOp, batch bool) error {
+	switch op := ops[0]; {
+	case !batch && op.del:
+		_, err := tr.Delete([]byte(op.key))
+		return err
+	case !batch:
+		return tr.Put([]byte(op.key), []byte(op.val))
 	}
-	if err := c.Err(); err != nil {
-		fail("scan: %v", err)
-		return false
-	}
-
-	// Group atomicity + feasibility: the snapshot is one pinned epoch, so
-	// there must be one S in [lo, hi] that explains every group
-	// simultaneously. [wLo, wHi] narrows to the commit points consistent
-	// with every group seen so far.
-	o.mu.Lock()
-	groupLogs := make([][]uint64, len(o.groups))
-	for g := range o.groups {
-		groupLogs[g] = append([]uint64(nil), o.groups[g]...)
-	}
-	o.mu.Unlock()
-	wLo, wHi := lo, hi
-	for g, keys := range groups {
-		var vals []string
-		present := 0
-		for _, k := range keys {
-			if v, ok := seen[k]; ok {
-				present++
-				vals = append(vals, v)
-			}
+	b := tr.NewBatch()
+	for _, op := range ops {
+		var err error
+		if op.del {
+			err = b.Delete([]byte(op.key))
+		} else {
+			err = b.Put([]byte(op.key), []byte(op.val))
 		}
-		switch {
-		case present == 0:
-			// All absent: the snapshot predates the group's first rewrite.
-			if len(groupLogs[g]) > 0 {
-				wHi = min(wHi, groupLogs[g][0]-1)
-			}
-		case present != len(keys):
-			fail("scan: group %d half-applied: %d of %d keys present", g, present, len(keys))
-			return false
-		default:
-			for _, v := range vals[1:] {
-				if v != vals[0] {
-					fail("scan: group %d torn: %q vs %q", g, vals[0], v)
-					return false
-				}
-			}
-			var gNum int
-			var s uint64
-			if _, err := fmt.Sscanf(vals[0], "g%d#%d", &gNum, &s); err != nil || gNum != g {
-				fail("scan: group %d value %q malformed", g, vals[0])
-				return false
-			}
-			wLo = max(wLo, s)
-			// The observation stays valid until the group's next rewrite.
-			idx := sort.Search(len(groupLogs[g]), func(i int) bool { return groupLogs[g][i] > s })
-			if idx < len(groupLogs[g]) {
-				wHi = min(wHi, groupLogs[g][idx]-1)
-			}
+		if err != nil {
+			return err
 		}
 	}
-	if wLo > wHi {
-		fail("scan: no single commit point explains every group (window [%d, %d] empties to [%d, %d])", lo, hi, wLo, wHi)
-		return false
-	}
-
-	// Pool keys: each observation individually valid in the scan window.
-	for k, g := range groupOf {
-		if g >= 0 {
-			continue
-		}
-		v, present := seen[k]
-		if !o.validObservation(k, observation{present: present, val: v}, lo, hi) {
-			fail("scan: pool key %s = (%q, %v) matches no state in [%d, %d]", k, v, present, lo, hi)
-			return false
-		}
-	}
-	return true
+	return b.Commit()
 }

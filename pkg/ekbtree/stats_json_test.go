@@ -97,6 +97,13 @@ func TestStatsString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", str, part)
 		}
 	}
+	// Conflicts and Retries stay in the JSON shape only: writers take turns,
+	// so the string does not print two counters that always read 0.
+	for _, gone := range []string{"conflicts", "retries"} {
+		if strings.Contains(str, gone) {
+			t.Errorf("String() = %q names %q", str, gone)
+		}
+	}
 	// Epoch fields only render once the epoch machinery has state; a tree
 	// that has sealed nothing keeps its all-zero stats out of the string.
 	if strings.Contains(str, "epoch=") {
