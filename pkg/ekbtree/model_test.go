@@ -2,7 +2,8 @@ package ekbtree
 
 // Model-based randomized concurrency harness. N writer goroutines commit
 // concurrently — single puts and deletes, whole-group batches and mixed
-// batches — so they queue for the write turn and share commits, while
+// batches — so they queue for the write turn and share commits (with N = 1,
+// TestModelConcurrency's schedule, every commit publishes alone), while
 // readers Get and scanners pin whole-tree cursors. Every observation is
 // checked against an oracle of each key's versions. The harness runs over
 // the default in-memory page file, over Path trees in all three durability
@@ -203,19 +204,16 @@ func groupWindow(log []tickVer, keys []string, g int, seen map[string]string) (l
 	return loC, hiC, nil
 }
 
-// modelWriters is how many writer goroutines every leg runs.
-const modelWriters = 4
-
 // modelCommits sizes one leg: commits per writer by backend and durability,
 // or EKBTREE_MODEL_OPS (commits across all writers) when it is set.
-func modelCommits(t *testing.T, opts Options) int {
+func modelCommits(t *testing.T, opts Options, writers int) int {
 	t.Helper()
 	if env := os.Getenv("EKBTREE_MODEL_OPS"); env != "" {
 		n, err := strconv.Atoi(env)
-		if err != nil || n < modelWriters {
+		if err != nil || n < writers {
 			t.Fatalf("bad EKBTREE_MODEL_OPS %q", env)
 		}
-		return n / modelWriters
+		return n / writers
 	}
 	commits := 1000
 	switch {
@@ -290,48 +288,64 @@ func envSealBudget(t *testing.T) int64 {
 	return n
 }
 
-// TestModelConcurrentWriters runs the harness over the default in-memory
-// page file, over Path trees in each durability mode, with rotation, and
-// with vacuum.
+// TestModelConcurrentWriters runs every leg with four writers, so commits
+// queue for the write turn and share store commits. Its in-memory vacuum leg
+// is vacuum/mem: a leg named plain "vacuum" would also run under make race's
+// repeat pattern for vacuum/file/grouped, as a partial match.
 func TestModelConcurrentWriters(t *testing.T) {
+	runModelLegs(t, 4, "vacuum/mem")
+}
+
+// TestModelConcurrency runs every leg with one writer: each commit meets an
+// idle write turn and publishes alone, the schedule of a writer that never
+// contends, under the same readers, scanners and checks.
+func TestModelConcurrency(t *testing.T) {
+	runModelLegs(t, 1, "vacuum")
+}
+
+// runModelLegs runs the harness with the given number of writers over the
+// default in-memory page file, over Path trees in each durability mode, with
+// rotation, and with vacuum (the in-memory vacuum leg named memVacuum).
+func runModelLegs(t *testing.T, writers int, memVacuum string) {
 	onFile := func(t *testing.T, d Durability) Options {
 		return Options{Path: filepath.Join(t.TempDir(), "model.ekb"), Durability: d}
 	}
 	t.Run("default", func(t *testing.T) {
-		runConcurrentWriters(t, Options{})
+		runModelLeg(t, writers, Options{})
 	})
 	for _, d := range []Durability{DurabilityFull, DurabilityGrouped, DurabilityAsync} {
 		t.Run("file/"+d.String(), func(t *testing.T) {
-			runConcurrentWriters(t, onFile(t, d))
+			runModelLeg(t, writers, onFile(t, d))
 		})
 	}
 	// Rotation legs: a seal budget tiny against the run's commit volume, so
 	// key epochs advance repeatedly mid-run and the background rotator
 	// re-seals pages beneath every check.
 	t.Run("rotate", func(t *testing.T) {
-		runConcurrentWriters(t, epochModelOpts(t, Options{}, 192))
+		runModelLeg(t, writers, epochModelOpts(t, Options{}, 192))
 	})
 	t.Run("rotate/file/grouped", func(t *testing.T) {
-		runConcurrentWriters(t, epochModelOpts(t, onFile(t, DurabilityGrouped), 192))
+		runModelLeg(t, writers, epochModelOpts(t, onFile(t, DurabilityGrouped), 192))
 	})
 	// Vacuum legs: a background compactor relocates live extents and
 	// truncates the page file, in memory or on disk, while the writers
 	// commit concurrently and scans hold pins.
-	t.Run("vacuum/mem", func(t *testing.T) {
-		runConcurrentWriters(t, Options{}, vacuumLoop)
+	t.Run(memVacuum, func(t *testing.T) {
+		runModelLeg(t, writers, Options{}, vacuumLoop)
 	})
 	t.Run("vacuum/file/grouped", func(t *testing.T) {
-		runConcurrentWriters(t, onFile(t, DurabilityGrouped), vacuumLoop)
+		runModelLeg(t, writers, onFile(t, DurabilityGrouped), vacuumLoop)
 	})
 }
 
-// runConcurrentWriters drives one leg. Any background hooks run alongside
-// the readers from open until the writers quiesce.
-func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, <-chan struct{}, func(string, ...interface{}))) {
-	commitsPerWriter := modelCommits(t, opts)
+// runModelLeg drives one leg with the given number of writers. Any
+// background hooks run alongside the readers from open until the writers
+// quiesce.
+func runModelLeg(t *testing.T, writers int, opts Options, background ...func(*Tree, <-chan struct{}, func(string, ...interface{}))) {
+	commitsPerWriter := modelCommits(t, opts, writers)
 	fileBacked := opts.Path != ""
 	seed := modelSeed(t)
-	t.Logf("model seed %d, %d writers x %d commits (rerun with EKBTREE_MODEL_SEED=%d)", seed, modelWriters, commitsPerWriter, seed)
+	t.Logf("model seed %d, %d writers x %d commits (rerun with EKBTREE_MODEL_SEED=%d)", seed, writers, commitsPerWriter, seed)
 
 	// Explicit layers, so the test can substitute keys itself and map
 	// scanned (substituted) keys back to plaintext. A leg that picked a seal
@@ -354,10 +368,10 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 	// Each writer owns a disjoint pool of individually-written keys and a
 	// disjoint set of whole-batch-rewritten groups.
 	const poolPerWriter, groupsPerWriter, groupKeys = 20, 2, 5
-	pools := make([][]string, modelWriters)
-	groups := make([][]string, modelWriters*groupsPerWriter)
+	pools := make([][]string, writers)
+	groups := make([][]string, writers*groupsPerWriter)
 	subToPlain := make(map[string]string)
-	for w := 0; w < modelWriters; w++ {
+	for w := 0; w < writers; w++ {
 		for i := 0; i < poolPerWriter; i++ {
 			k := fmt.Sprintf("w%d-k%03d", w, i)
 			pools[w] = append(pools[w], k)
@@ -378,7 +392,7 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 		wg        sync.WaitGroup
 		readersWG sync.WaitGroup
 		stop      = make(chan struct{})
-		errs      = make(chan error, modelWriters+8)
+		errs      = make(chan error, writers+8)
 	)
 	fail := func(format string, args ...interface{}) {
 		select {
@@ -389,7 +403,7 @@ func runConcurrentWriters(t *testing.T, opts Options, background ...func(*Tree, 
 
 	// Writers: genuinely parallel commits over owned keys. No lock spans a
 	// tree operation. Every value is unique to its key's history.
-	for w := 0; w < modelWriters; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
