@@ -108,14 +108,22 @@ lint:
 	@if git grep -nE 'reclaimLocked|es\.head\b|es\.published\b|\brefs\b' -- pkg/ekbtree/engine ':!*_test.go'; then echo "the engine reclaims at one moment, the release that leaves no pins; see epochs.release"; exit 1; fi
 
 # A read miss is one allocation at most: product code reads a page with
-# PageStore.ReadPageInto, into the block that will hold its view (or, in the
-# rotator's staleness scan, into one reused buffer). ReadPage allocates a
-# buffer of its own; the stores implement it for bench/ and tests.
+# PageStore.ReadPageInto, into the block that will hold its view. ReadPage
+# allocates a buffer of its own; the stores implement it for bench/ and tests.
 	@if git grep -nE '\.ReadPage\(' -- cmd pkg internal ':!*_test.go' ':!internal/store'; then echo "read pages with ReadPageInto into memory the caller provides (a block from node.Blocks on a read miss); see nodeIO.fetch"; exit 1; fi
+# One page read: nodeIO.fetch reads, opens and decodes every page the engine
+# reads, and its view records the key epoch the page was sealed under. The
+# rotator's staleness scan reads that epoch from views (Node.SealedEpoch); a
+# second raw read is the scan reading every page twice.
+	@if git grep -n 'ReadPageInto(' -- cmd pkg internal ':!*_test.go' ':!internal/store' ':!pkg/ekbtree/engine/nodeio.go'; then echo "read pages through nodeIO.fetch; a view knows its seal's epoch (node.Node.SealedEpoch)"; exit 1; fi
 # ... and in the steady state none: every read path takes its block from the
 # free list (node.Blocks.Block), which allocates only when it has none of the
 # page's class. A block made with node.NewBlock bypasses recycling.
-	@if git grep -nF 'node.NewBlock(' -- '*.go' ':!*_test.go'; then echo "take a read miss's block from the free list (node.Blocks.Block), not node.NewBlock; see nodeIO.fetch"; exit 1; fi
+	@if git grep -nF 'node.NewBlock(' -- '*.go' ':!*_test.go'; then echo "take a read miss's block from the free list (node.Blocks.Block; its zero value is an empty list), not node.NewBlock; see nodeIO.fetch"; exit 1; fi
+# The free list keeps every block it is given: the views its blocks held,
+# which the cache and the limbo bound, bound it. A limit of its own drops
+# blocks the next miss allocates again.
+	@if git grep -nE 'NewBlocks' -- '*.go'; then echo "node.Blocks has no bound of its own; use its zero value (see the node.Blocks doc comment)"; exit 1; fi
 # The cache keeps views, a writer's copies stay in its transaction: a commit
 # caches views of the pages it sealed, and a copy is rebuilt for the next
 # commit, never cached. So no view is lent past its pin, and the engine makes

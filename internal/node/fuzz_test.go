@@ -30,7 +30,7 @@ func fuzzCanonical(t *testing.T, page []byte) {
 	room := blk.Page()
 	copy(room, page)
 	poison(room[len(page):])
-	inBlock, inBlockErr := blk.Decode(room[:len(page)])
+	inBlock, inBlockErr := blk.Decode(room[:len(page)], 0)
 
 	n, err := Decode(page)
 	views := []struct {

@@ -132,9 +132,11 @@ type Node struct {
 	// than the index of the block class a view was decoded in (see Blocks),
 	// 0 for any node not in a block; room is the object New cut a
 	// materialised node's arrays from (see MaterializeInto), noRoom for any
-	// other node.
+	// other node; epoch is the key epoch a view's page was sealed under (see
+	// Block.Decode), 0 in a materialised node.
 	class    uint8
 	room     roomKind
+	epoch    uint32
 	Keys     [][]byte // substituted search keys, strictly increasing
 	Values   [][]byte
 	Children []uint64 // page IDs; empty iff Leaf
@@ -289,36 +291,34 @@ func classFor(size int) int {
 func (b Block) Page() []byte { return b.page }
 
 // Decode is DecodeInPlace building the view in the block: page is what
-// deciphering Page in place left of it, and the view pins the whole block. A
-// cipher that returned a buffer of its own instead still decodes correctly,
-// only with the block's room spent for nothing.
-func (b Block) Decode(page []byte) (*Node, error) {
+// deciphering Page in place left of it, sealed under key epoch epoch, and
+// the view pins the whole block. A cipher that returned a buffer of its own
+// instead still decodes correctly, only with the block's room spent for
+// nothing.
+func (b Block) Decode(page []byte, epoch uint32) (*Node, error) {
 	n, err := decodeView(b.shell, page)
-	if err == nil && b.shell != nil {
-		n.class = b.class
+	if err == nil {
+		n.class, n.epoch = b.class, epoch
 	}
 	return n, err
 }
 
-// Blocks is a bounded free list of blocks, one list per block class: a read
-// miss takes its block here (Block), and a view that nothing can read any
-// more gives its block back (Recycle), so a cache that evicts as often as it
-// misses allocates nothing in the steady state. It holds at most max blocks
-// in all and max/8 of one class, so a surplus in one class cannot starve the
-// others; a block given back beyond either bound is left to the garbage
-// collector. A page larger than every class has a plain buffer, which is
-// never recycled. Safe for concurrent use.
-type Blocks struct {
-	mu       sync.Mutex
-	free     [len(blockClasses)][]*viewShell
-	n        int // blocks free in all
-	max, per int
-	reused   uint64
-}
+// SealedEpoch returns the epoch Block.Decode was given for view n, else 0.
+func (n *Node) SealedEpoch() uint32 { return n.epoch }
 
-// NewBlocks returns an empty free list of at most limit blocks.
-func NewBlocks(limit int) *Blocks {
-	return &Blocks{max: limit, per: max(1, limit/8)}
+// Blocks is a free list of blocks, one list per block class, and its zero
+// value is empty: a read miss takes its block here (Block), and a view that
+// nothing can read any more gives its block back (Recycle), so a cache that
+// evicts as often as it misses allocates nothing in the steady state. It
+// keeps every block: a class gains a new block only when its list is empty,
+// so the list never holds more of a class than were in use at once, which
+// the holders of the views (the engine's cache and limbo) bound. A page
+// larger than every class has a plain buffer, never recycled. Safe for
+// concurrent use.
+type Blocks struct {
+	mu     sync.Mutex
+	free   [len(blockClasses)][]*viewShell
+	reused uint64
 }
 
 // Block returns a block with room for a page of size bytes, as NewBlock
@@ -338,7 +338,7 @@ func (f *Blocks) Block(size int) Block {
 	}
 	shell := l[len(l)-1]
 	l[len(l)-1] = nil
-	f.free[c], f.n = l[:len(l)-1], f.n-1
+	f.free[c] = l[:len(l)-1]
 	f.reused++
 	f.mu.Unlock()
 	*shell = viewShell{}
@@ -354,8 +354,8 @@ func (f *Blocks) Reused() uint64 {
 }
 
 // Recycle gives view n's block back to the free list, and reports whether
-// the list took it. It refuses a node that is not a view in a block, a view
-// already given back, and a block its class or the list has no place for.
+// the list took it. It refuses a node that is not a view in a block and a
+// view already given back.
 //
 // The caller guarantees that nothing reads n, its page or side buffer, or
 // any key or value slice cut from them, ever again: from here on the block
@@ -369,19 +369,15 @@ func (f *Blocks) Recycle(n *Node) bool {
 	}
 	c := int(n.class - 1)
 	n.class = 0
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.free[c]) >= f.per || f.n >= f.max {
-		return false
-	}
 	// n is the Node at the head of its shell: the block was allocated as a
 	// pageBlock, whose first field the shell is.
 	shell := (*viewShell)(unsafe.Pointer(n))
 	if israce.Enabled {
 		poisonBlock(shell, blockClasses[c].roomOf(shell))
 	}
+	f.mu.Lock()
 	f.free[c] = append(f.free[c], shell)
-	f.n++
+	f.mu.Unlock()
 	return true
 }
 

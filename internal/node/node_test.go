@@ -621,7 +621,7 @@ func TestDecodeInPlace(t *testing.T) {
 			inBlock := testing.AllocsPerRun(100, func() {
 				b := NewBlock(len(saved))
 				copy(b.Page(), saved)
-				if v, err := b.Decode(b.Page()); err != nil || !nodesEqual(v, tt.n) {
+				if v, err := b.Decode(b.Page(), 0); err != nil || !nodesEqual(v, tt.n) {
 					t.Fatalf("Block.Decode = (%+v, %v)", v, err)
 				}
 			})
@@ -739,8 +739,13 @@ func TestMaterializeAllocs(t *testing.T) {
 // runtime's object header leave of the class, so a block wastes nothing
 // inside its class and never spills into the next. The classes ascend, and
 // NewBlock hands out a capacity-clipped room of the page's size in a block up
-// to the largest class and a plain buffer past it.
+// to the largest class and a plain buffer past it. A Node's class, room and
+// epoch sit in the padding after Leaf, so on a 64-bit platform the node, and
+// with it every block's view shell, is 160 bytes.
 func TestBlocksFillSizeClasses(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 160 {
+		t.Errorf("a Node is %d bytes, want 160", size)
+	}
 	const count = 64
 	keep := make([]*viewShell, count)
 	for i, c := range blockClasses {
@@ -779,9 +784,9 @@ func TestBlocksFillSizeClasses(t *testing.T) {
 // block of its class, and the view decoded in it again is exactly the new
 // page, although the old one rebuilt keys in the side buffer at rows where
 // the new one rebuilds them in place (a shell reused without clearing its
-// offset table would read those keys from the wrong buffer). The list takes
-// a view's block once, never a materialised node's or a plain buffer's, and
-// no more blocks of a class than its bound.
+// offset table would read those keys from the wrong buffer), and it reports
+// the epoch its Decode was given, not the old view's. The list takes a view's
+// block once, never a materialised node's or a plain buffer's.
 func TestBlocksRecycle(t *testing.T) {
 	leaf := func(value string, keys ...string) *Node {
 		n := New(true, len(keys))
@@ -795,7 +800,7 @@ func TestBlocksRecycle(t *testing.T) {
 	// block class.
 	wide := leaf("vvvvvvvvvv", "bucket-0001", "bucket-0002", "bucket-0003", "bucket-0004", "bucket-0005", "bucket-0006")
 	narrow := leaf("v", "a-000000001", "b-000000002", "c-000000003", "d-000000004", "e-000000005", "f-000000006")
-	decode := func(f *Blocks, n *Node) *Node {
+	decode := func(f *Blocks, n *Node, epoch uint32) *Node {
 		t.Helper()
 		page, err := n.EncodeFormat(FormatPrefix)
 		if err != nil {
@@ -803,9 +808,12 @@ func TestBlocksRecycle(t *testing.T) {
 		}
 		b := f.Block(len(page))
 		copy(b.Page(), page)
-		v, err := b.Decode(b.Page())
+		v, err := b.Decode(b.Page(), epoch)
 		if err != nil || !nodesEqual(v, n) {
 			t.Fatalf("Block.Decode = (%+v, %v), want %+v", v, err, n)
+		}
+		if got := v.SealedEpoch(); got != epoch {
+			t.Fatalf("the view reports epoch %d, want %d", got, epoch)
 		}
 		return v
 	}
@@ -815,32 +823,36 @@ func TestBlocksRecycle(t *testing.T) {
 		t.Fatalf("the two pages are in block classes %d and %d; the test needs one class", cw, cn)
 	}
 
-	f := NewBlocks(16) // two blocks a class
-	v := decode(f, wide)
+	var f Blocks
+	v := decode(&f, wide, 7)
 	if v.side == nil {
 		t.Fatal("the wide page decoded without side keys")
 	}
 	if !f.Recycle(v) || f.Recycle(v) {
 		t.Fatal("the list must take a view's block once")
 	}
-	if again := decode(f, narrow); again != v || f.Reused() != 1 {
+	if again := decode(&f, narrow, 3); again != v || f.Reused() != 1 {
 		t.Fatalf("the next block of the class is a new one (reused %d)", f.Reused())
 	}
 	if f.Recycle(wide) {
 		t.Error("the list took a materialised node")
 	}
+	if got := wide.SealedEpoch(); got != 0 {
+		t.Errorf("a materialised node reports epoch %d", got)
+	}
 	big := f.Block(blockClasses[len(blockClasses)-1].room + 1)
 	if big.shell != nil {
 		t.Fatal("a page larger than every class got a block")
 	}
-	if f.Recycle(&Node{page: big.Page()}) {
-		t.Error("the list took a view with a buffer of its own")
+	bigView, err := big.Decode(big.Page()[:copy(big.Page(), pw)], 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	views := []*Node{decode(f, wide), decode(f, wide), decode(f, wide)}
-	for i, v := range views {
-		if got := f.Recycle(v); got != (i < 2) {
-			t.Errorf("recycling block %d of a class with room for two: %v", i+1, got)
-		}
+	if got := bigView.SealedEpoch(); got != 5 {
+		t.Errorf("a view in a buffer of its own reports epoch %d, want 5", got)
+	}
+	if f.Recycle(bigView) {
+		t.Error("the list took a view with a buffer of its own")
 	}
 }
 

@@ -78,6 +78,50 @@ func BenchmarkGetParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkColdGetParallel measures cold Gets from 1, 2 and 8 goroutines per
+// CPU over a 50 000-key tree with a 64-page cache, so nearly every Get reads
+// pages from the store. With -benchmem it shows what a miss allocates when
+// readers overlap: a view evicted by one Get's descent is recycled only at a
+// release that leaves the tree with no pins, which readers that always
+// overlap never reach.
+func BenchmarkColdGetParallel(b *testing.B) {
+	tr, err := Open(Options{MasterKey: bytes.Repeat([]byte{0x99}, 32), CachePages: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	rng := rand.New(rand.NewSource(42))
+	keys := make([][]byte, 50_000)
+	value := make([]byte, 64)
+	for lo := 0; lo < len(keys); lo += 5_000 {
+		batch := tr.NewBatch()
+		for i := lo; i < lo+5_000; i++ {
+			keys[i] = benchKey(rng, i)
+			if err := batch.Put(keys[i], value); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := batch.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, perCPU := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("readers=%dxCPU", perCPU), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetParallelism(perCPU)
+			var seed atomic.Int64
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seed.Add(1)))
+				for pb.Next() {
+					if _, ok, err := tr.Get(keys[rng.Intn(len(keys))]); err != nil || !ok {
+						b.Fatalf("Get = (%v, %v)", ok, err)
+					}
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkCursorScan measures a full ordered scan of a 10k-key tree through
 // the snapshot Cursor API (the callback Scan is a ten-line loop over the same
 // cursor), touching Key and Value for every entry.

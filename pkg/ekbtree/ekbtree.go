@@ -51,6 +51,7 @@ import (
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/keysub"
 	"github.com/paper-repro/ekbtree/internal/node"
+	"github.com/paper-repro/ekbtree/internal/pagebuf"
 	"github.com/paper-repro/ekbtree/internal/store"
 	"github.com/paper-repro/ekbtree/internal/store/file"
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
@@ -249,7 +250,9 @@ func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substitute
 		if err != nil {
 			return 0, err
 		}
-		return newOrder, st.SetMeta(sealed)
+		err = st.SetMeta(sealed) // which copies it
+		pagebuf.Put(sealed)
+		return newOrder, err
 	}
 	got, err := nc.Open(metaPageID, meta)
 	if err != nil {

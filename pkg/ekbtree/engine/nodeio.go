@@ -39,7 +39,8 @@ type CacheStats struct {
 // most one allocation: the store tells the page's length, the free list
 // (node.Blocks) hands out a block with room for it, the store reads the page
 // into that room, and the deciphered page becomes a read-only view there
-// (node.Block.Decode).
+// (node.Block.Decode). It is the engine's one page read: a view records the
+// key epoch its page was sealed under, so the rotator's scan reads no page.
 //
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // eviction over small reference counts (see cacheSlot), shared by every
@@ -97,12 +98,13 @@ type nodeIO struct {
 	// promoted in the meantime.
 	gen uint64
 
-	// blocks is the free list every read miss takes its block from. limbo
-	// holds the views that left the cache until they can be recycled, at most
-	// cap(limbo); a view retired to a full limbo is left to the garbage
-	// collector. retiring reports a non-empty limbo without mu, so a release
-	// that finds it empty takes no further lock.
-	blocks   *node.Blocks
+	// blocks is the free list every view takes its block from, bounded by
+	// the cache and the limbo (see node.Blocks). limbo holds the views that
+	// left the cache until they can be recycled, at most cap(limbo); a view
+	// retired to a full limbo is left to the garbage collector. retiring
+	// reports a non-empty limbo without mu, so a release that finds it empty
+	// takes no further lock.
+	blocks   node.Blocks
 	limbo    []cacheSlot
 	retiring atomic.Bool
 
@@ -149,15 +151,13 @@ func (s *cacheSlot) touch() {
 }
 
 func newNodeIO(st store.PageStore, nc cipher.NodeCipher, maxCache int) *nodeIO {
-	// The free list holds blocks for half as many pages as the cache, and the
-	// limbo half as many views again. The floor keeps recycling going under a
-	// cache of a few pages, whose every Get evicts the whole descent.
-	free := max(128, maxCache/2)
-	io := &nodeIO{st: st, nc: nc, maxCache: maxCache, blocks: node.NewBlocks(free)}
+	io := &nodeIO{st: st, nc: nc, maxCache: maxCache}
 	if maxCache > 0 {
 		io.cacheIdx = make(map[uint64]int, maxCache)
 		io.slots = make([]cacheSlot, 0, maxCache)
-		io.limbo = make([]cacheSlot, 0, free/2)
+		// The floor keeps recycling going under a cache of a few pages,
+		// whose every Get evicts the whole descent.
+		io.limbo = make([]cacheSlot, 0, max(64, maxCache/4))
 	}
 	return io
 }
@@ -215,12 +215,14 @@ func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 		// The store copied the page into the block, which is this call's
 		// alone, so Open deciphers it in place and the view is built around
 		// it; the view is never written again, by this reader or any other
-		// that shares it, until recycle gives the block back.
+		// that shares it, until recycle gives the block back. Open consumes
+		// the page, so the view's epoch is read from its nonce first.
+		epoch, _ := io.nc.SealedEpoch(b.Page())
 		pt, err := io.nc.Open(id, b.Page())
 		if err != nil {
 			return nil, err
 		}
-		return b.Decode(pt)
+		return b.Decode(pt, epoch)
 	}
 }
 
@@ -292,7 +294,7 @@ func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64, vi
 		return page, nil, err
 	}
 	b := io.blocks.Block(len(pt))
-	v, err := b.Decode(b.Page()[:copy(b.Page(), pt)])
+	v, err := b.Decode(b.Page()[:copy(b.Page(), pt)], epoch)
 	return page, v, err
 }
 

@@ -194,8 +194,8 @@ func BenchmarkReadMiss(b *testing.B) {
 }
 
 // BenchmarkStaleScan is one rotation staleness scan over a 20 000-key tree
-// whose pages are all cached and all stale: a walk of the cached nodes plus
-// one store read per page into the scan's reused buffer.
+// whose pages are all cached and all stale: a walk of the cached views, each
+// of which reports the key epoch its page was sealed under.
 func BenchmarkStaleScan(b *testing.B) {
 	g, ids := benchEngine(b, 20000)
 	defer g.Close()

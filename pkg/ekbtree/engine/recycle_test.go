@@ -288,3 +288,131 @@ func TestFailedCommitPreImagesAreNeverRecycled(t *testing.T) {
 		t.Fatalf("Get(%q) after the cache turned over = (%x, %v, %v), want generation 0", target, v, ok, err)
 	}
 }
+
+// TestColdGetsKeepTheirBlocks: the free list keeps every block it is given,
+// so cold Gets from one reader allocate blocks only until the list holds as
+// many of each class as the cache, the limbo and one descent held at once.
+// Over a tree far larger than a 16-page cache, with values of many lengths so
+// that the pages spread over several block classes, every Get misses and
+// every release recycles what it evicted; the blocks made fresh (misses that
+// found no block of their class) stay within that working set however many
+// Gets run.
+func TestColdGetsKeepTheirBlocks(t *testing.T) {
+	const keys, gets = 3000, 10000
+	nc, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0x5E}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(Config{Store: file.NewMem(), Cipher: nc, Order: 8, CachePages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	key := func(i int) []byte { return fmt.Appendf(nil, "%016x", uint64(i)*0x9E3779B97F4A7C15) }
+	for lo := 0; lo < keys; lo += 500 {
+		err := g.Apply(func(bt *btree.Tree) error {
+			for i := lo; i < lo+500; i++ {
+				if err := bt.Put(key(i), bytes.Repeat([]byte{byte(i)}, i%173)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := g.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses, reused := g.io.misses.Load(), g.io.blocks.Reused()
+	rng := rand.New(rand.NewSource(11))
+	for range gets {
+		i := rng.Intn(keys)
+		if _, ok, err := g.Get(key(i)); err != nil || !ok {
+			t.Fatalf("Get(%x) = (%v, %v)", key(i), ok, err)
+		}
+	}
+	misses, reused = g.io.misses.Load()-misses, g.io.blocks.Reused()-reused
+	if misses < gets {
+		t.Fatalf("%d Gets missed %d times; the test needs cold reads", gets, misses)
+	}
+	bound := uint64(g.io.maxCache + cap(g.io.limbo) + stats.Height)
+	if fresh := misses - reused; fresh > bound {
+		t.Errorf("%d misses made %d blocks fresh, want at most %d (cache %d + limbo %d + a descent of %d)",
+			misses, fresh, bound, g.io.maxCache, cap(g.io.limbo), stats.Height)
+	} else {
+		t.Logf("%d misses over %d nodes made %d blocks fresh", misses, stats.Nodes, fresh)
+	}
+}
+
+// sealRefuser is a node cipher that refuses the seal after the next left
+// ones.
+type sealRefuser struct {
+	cipher.NodeCipher
+	left atomic.Int64
+}
+
+var errSealRefused = errors.New("injected: seal refused")
+
+func (c *sealRefuser) SealEpoch(id uint64, epoch uint32, counter uint64, pt []byte) ([]byte, error) {
+	if c.left.Add(-1) == -1 {
+		return nil, errSealRefused
+	}
+	return c.NodeCipher.SealEpoch(id, epoch, counter, pt)
+}
+
+// freeBlocks empties g's free list and returns how many blocks it held.
+func freeBlocks(g *Engine) int {
+	n := 0
+	for size := 1; size <= 8192; size += 32 {
+		for {
+			before := g.io.blocks.Reused()
+			g.io.blocks.Block(size)
+			if g.io.blocks.Reused() == before {
+				break
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestFailedSealGivesBackItsViews: a commit whose seal fails after others in
+// it succeeded gives the views those seals built, which no reader or cache
+// ever saw, back to the free list. The commit rewrites five cached leaves,
+// one sealer seals them in turn, and the fourth seal is refused.
+func TestFailedSealGivesBackItsViews(t *testing.T) {
+	nc := &sealRefuser{NodeCipher: cipher.Plaintext{}}
+	nc.left.Store(-1 << 62)
+	g := newCipherEngine(t, nc, file.NewMem(), 0, 0, nil)
+	defer g.Close()
+	key := func(i int) []byte { return fmt.Appendf(nil, "key-%04d", i) }
+	for i := range 200 {
+		epochPut(t, g, string(key(i)), "v")
+	}
+	var leaves [][]byte // keys 40 apart: at order 8, each in a leaf of its own
+	for i := 0; i < 200; i += 40 {
+		leaves = append(leaves, key(i))
+		if _, ok, err := g.Get(key(i)); err != nil || !ok {
+			t.Fatalf("Get(%s) = (%v, %v)", key(i), ok, err)
+		}
+	}
+	freeBlocks(g)
+	nc.left.Store(3)
+	err := g.Apply(func(bt *btree.Tree) error {
+		for _, k := range leaves {
+			if err := bt.Put(k, []byte("w")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, errSealRefused) {
+		t.Fatalf("the commit returned %v, want the refused seal", err)
+	}
+	if n := freeBlocks(g); n != 3 {
+		t.Errorf("the failed commit gave %d blocks back, want the 3 its seals decoded views in", n)
+	}
+}

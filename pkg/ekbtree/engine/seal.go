@@ -221,13 +221,13 @@ func (g *Engine) SealState() (epoch uint32, seals uint64) {
 const rotateBatch = 64
 
 // staleScan walks one pinned snapshot of the tree and returns the IDs of
-// every reachable page whose ON-DISK seal is older than target. Structure
-// comes from the epoch reader (decoded nodes, overlay-correct); staleness
-// comes from the raw store bytes — the cache cannot answer "what epoch sealed
-// this page", only the nonce prefix can. Pages freed mid-scan simply drop out
-// (ErrNotFound means a newer commit already released them, and new seals are
-// always current-epoch). Every page is read into one buffer, which grows only
-// when a page outgrows it, so the scan allocates per scan, not per page.
+// every reachable page whose view reports a seal older than target
+// (node.Node.SealedEpoch: the epoch its read took from the nonce prefix, or
+// its commit sealed it under). It never under-reports: a page a commit
+// rewrote after the pin is read as its pre-image, whose seal is no newer than
+// the page's, so the scan may report a page the commit just re-sealed, which
+// the re-seal then rewrites once more, or skips if it was freed. Rotate scans
+// again after every re-seal sweep.
 func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 	e, err := g.es.pin()
 	if err != nil {
@@ -238,16 +238,12 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 		return nil, nil
 	}
 	var stale []uint64
-	var buf []byte
 	stack := []uint64{e.root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n, err := e.Read(id)
 		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				continue
-			}
 			return nil, MapErr(err)
 		}
 		if !n.Leaf {
@@ -255,18 +251,7 @@ func (g *Engine) staleScan(target uint32) ([]uint64, error) {
 				stack = append(stack, n.Child(i))
 			}
 		}
-		size, err := g.st.ReadPageInto(id, buf)
-		for err == nil && size > len(buf) {
-			buf = make([]byte, max(size, 2*len(buf)))
-			size, err = g.st.ReadPageInto(id, buf)
-		}
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				continue
-			}
-			return nil, MapErr(err)
-		}
-		if sealed, ok := g.io.nc.SealedEpoch(buf[:size]); ok && sealed < target {
+		if n.SealedEpoch() < target {
 			stale = append(stale, id)
 		}
 	}

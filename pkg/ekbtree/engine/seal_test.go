@@ -266,33 +266,66 @@ func TestTamperedPageFailsClosed(t *testing.T) {
 	}
 }
 
-// TestStaleScanAfterInPlaceOpens: reading every page cold deciphers each one
-// in place, over the reader's own copy; the store's pages must still carry
-// their nonce prefix, which is all the rotator's stale scan looks at.
+// TestStaleScanAfterInPlaceOpens: the rotator's stale scan reads each page's
+// key epoch from its view, never from the store. Cold, every view is built
+// by a read miss, which takes the epoch from the nonce prefix before it
+// deciphers the page in place; warm, the scan is served from the cache, whose
+// views the commits that sealed the pages built. Either way the scan must
+// count every page once the epoch advances, and none once rotation has
+// re-sealed them all, and it reads a page from the store only on a miss.
 func TestStaleScanAfterInPlaceOpens(t *testing.T) {
-	st := file.NewMem()
-	g := newEpochEngine(t, st, 0, 0, nil)
-	defer g.Close()
-	for i := 0; i < 200; i++ {
-		epochPut(t, g, fmt.Sprintf("key-%04d", i), "v")
-	}
-	g.io.invalidate()
-	stats, err := g.Stats() // a cold walk: every page opened once
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AdvanceEpoch(); err != nil {
-		t.Fatal(err)
-	}
-	if pending, err := g.PendingReseal(); err != nil || pending != stats.Nodes {
-		t.Fatalf("PendingReseal = (%d, %v), want every one of the %d pages", pending, err, stats.Nodes)
-	}
-	for done := false; !done; {
-		if done, err = g.Rotate(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pending, _ := g.PendingReseal(); pending != 0 {
-		t.Fatalf("PendingReseal = %d after rotation", pending)
+	for _, warm := range []bool{false, true} {
+		t.Run(map[bool]string{false: "cold", true: "warm"}[warm], func(t *testing.T) {
+			g := newEpochEngine(t, file.NewMem(), 0, 0, nil)
+			defer g.Close()
+			for i := 0; i < 200; i++ {
+				epochPut(t, g, fmt.Sprintf("key-%04d", i), "v")
+			}
+			stats, err := g.Stats() // every page read once
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := func(want int) {
+				t.Helper()
+				if !warm {
+					g.io.invalidate()
+				}
+				misses := g.io.cacheStats().Misses
+				stale, err := g.staleScan(g.sa.currentEpoch())
+				if err != nil || len(stale) != want {
+					t.Fatalf("staleScan = (%d pages, %v), want %d of the %d pages", len(stale), err, want, stats.Nodes)
+				}
+				wantMisses := uint64(stats.Nodes)
+				if warm {
+					wantMisses = 0
+				}
+				if got := g.io.cacheStats().Misses - misses; got != wantMisses {
+					t.Fatalf("the scan missed %d times, want %d", got, wantMisses)
+				}
+			}
+			if err := g.AdvanceEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			scan(stats.Nodes)
+			for round := 0; ; round++ {
+				done, err := g.Rotate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if done {
+					break
+				}
+				if round == 10 { // a quiet tree converges in two
+					t.Fatal("rotation found stale pages after 10 re-seal sweeps")
+				}
+			}
+			scan(0)
+			if err := g.AdvanceEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			if pending, err := g.PendingReseal(); err != nil || pending != stats.Nodes {
+				t.Fatalf("PendingReseal = (%d, %v), want every one of the %d pages", pending, err, stats.Nodes)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/node"
+	"github.com/paper-repro/ekbtree/internal/pagebuf"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -337,7 +338,9 @@ const sealParallelMin = 8
 // lives in the recycled workspace. A page the cache holds when sealing begins
 // also gets a view of its encoding, into views, for the cache to keep; one it
 // does not hold gets none, so a commit that writes more pages than the cache
-// keeps decodes none of them.
+// keeps decodes none of them. If a seal fails, the pages and views the
+// others made, which nothing else has seen, go back to pagebuf and the free
+// list.
 func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	sw := &tx.sw
 	sw.epoch, sw.start = epoch, start
@@ -359,9 +362,14 @@ func (tx *writeTxn) sealDirty(epoch uint32, start uint64) error {
 	sw.wg.Wait()
 	err := sw.err
 	sw.err = nil
-	if err == nil {
-		for i, id := range tx.dirty {
+	for i, id := range tx.dirty {
+		if err == nil {
 			tx.writes[id] = tx.sealed[i]
+			continue
+		}
+		pagebuf.Put(tx.sealed[i])
+		if v := tx.views[i]; v != nil {
+			tx.io.blocks.Recycle(v)
 		}
 	}
 	clear(tx.sealed) // the store owns the pages now; the workspace must not pin them
@@ -380,7 +388,7 @@ func (tx *writeTxn) sealWorker() {
 		}
 		id := tx.dirty[i]
 		page, v, err := tx.io.seal(id, tx.pages[id].n, sw.epoch, sw.start+uint64(i), tx.held[i])
-		tx.views[i] = v
+		tx.sealed[i], tx.views[i] = page, v
 		if err != nil {
 			sw.mu.Lock()
 			if sw.err == nil {
@@ -389,6 +397,5 @@ func (tx *writeTxn) sealWorker() {
 			sw.mu.Unlock()
 			return
 		}
-		tx.sealed[i] = page
 	}
 }
