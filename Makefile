@@ -135,6 +135,11 @@ lint:
 # with one writer). An oracle that holds a lock across tree mutations never
 # reaches the turn, so it is a second, weaker harness.
 	@if git grep -nE 'modelOracle|runModel\(|modelScanCheck' -- '*.go'; then echo "one model harness: pkg/ekbtree/model_test.go"; exit 1; fi
+# One descent rule per B-tree mutation: Delete fills every child it enters
+# to t keys (rotate from a sibling, else merge), so a key met in an index node
+# always has a filled child to its left and is replaced by its predecessor.
+# A successor case, or a separate delete for index-node hits, is a second rule.
+	@if git grep -nE 'deleteInternal|minEntry|write3' -- internal/btree; then echo "delete fills the child it enters, and an index-node hit takes its predecessor (see the internal/btree package doc)"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -70,3 +70,43 @@ func BenchmarkGet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDeleteChurn measures one Delete of a random live key followed by
+// one Put of a fresh key, at a constant 50k keys, so every case of the delete
+// rule (fill, rotate, merge, predecessor) and the insert rule runs in
+// proportion. writes/op counts NodeStore.Write calls per Delete+Put; pages is
+// the live page count at the end.
+func BenchmarkDeleteChurn(b *testing.B) {
+	const size = 50_000
+	st := &countWrites{memNodes: newMemNodes()}
+	tr, err := New(st, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := benchKeys(size + b.N)
+	value := make([]byte, 64)
+	for _, k := range keys[:size] {
+		if err := tr.Put(k, value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// live holds the tree's keys; each op deletes a random one and puts a
+	// fresh key in its place.
+	live := append([][]byte(nil), keys[:size]...)
+	rng := rand.New(rand.NewSource(7))
+	st.writes = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := rng.Intn(size)
+		if ok, err := tr.Delete(live[j]); err != nil || !ok {
+			b.Fatalf("Delete = (%v, %v)", ok, err)
+		}
+		live[j] = keys[size+i]
+		if err := tr.Put(live[j], value); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.writes)/float64(b.N), "writes/op")
+	b.ReportMetric(float64(len(st.pages)), "pages")
+}

@@ -4,6 +4,14 @@
 // substituted bytes only and never observes a plaintext key. Persistence and
 // encipherment live behind NodeStore, so the same tree code runs over any
 // store/cipher combination.
+//
+// Each mutation descends from the root once, by one rule. Put splits a full
+// child before entering it and then searches the node again, which now holds
+// the raised separator. Delete fills a child to t keys before entering it:
+// a sibling that can spare an entry gives one through their separator
+// (rotate), the left sibling first, else the child merges with a sibling.
+// A key Delete meets in an index node is replaced by its predecessor once the
+// child to its left is filled, so every entry leaves the tree from a leaf.
 package btree
 
 import (
@@ -223,19 +231,7 @@ func (tr *Tree) insertNonFull(id uint64, n *node.Node, key, value []byte) error 
 			if err := tr.splitChild(id, n, i); err != nil {
 				return err
 			}
-			switch cmp := bytes.Compare(key, n.Keys[i]); {
-			case cmp == 0:
-				if bytes.Equal(n.Values[i], value) {
-					return nil
-				}
-				return tr.setValue(id, i, value)
-			case cmp > 0:
-				i++
-			}
-			childID = n.Children[i]
-			if c, err = tr.st.Read(childID); err != nil {
-				return err
-			}
+			continue // the split raised a separator into n; search n again.
 		}
 		id, n = childID, c
 	}
@@ -276,219 +272,186 @@ func (tr *Tree) Delete(key []byte) (bool, error) {
 	if root.Len() > 1 {
 		return true, nil
 	}
-	if root, err = tr.edit(rootID); err != nil {
+	if root, err = tr.edit(rootID); err != nil || len(root.Keys) > 0 {
 		return true, err
 	}
-	if len(root.Keys) == 0 {
-		if root.Leaf {
-			if err := tr.st.Free(rootID); err != nil {
-				return deleted, err
-			}
-			return deleted, tr.st.SetRoot(store.NoRoot)
-		}
-		if err := tr.st.Free(rootID); err != nil {
-			return deleted, err
-		}
-		return deleted, tr.st.SetRoot(root.Children[0])
+	if err := tr.st.Free(rootID); err != nil {
+		return true, err
 	}
-	return deleted, nil
+	next := store.NoRoot
+	if !root.Leaf {
+		next = root.Children[0]
+	}
+	return true, tr.st.SetRoot(next)
 }
 
-// delete removes key from the subtree rooted at n (page id). Except at the
-// root, n is guaranteed to hold at least t keys on entry.
+// delete removes key from the subtree rooted at n (page id) by one rule:
+// before descending into a child, fill it to at least t keys, so that every
+// node below the root it reaches can lose one. A key met in an index node
+// takes the rule one step further: once the child to its left is filled, the
+// key is replaced by its predecessor (that child's greatest entry), which is
+// then the key deleted below.
 func (tr *Tree) delete(id uint64, n *node.Node, key []byte) (bool, error) {
-	i, eq := n.Search(key)
-	if n.Leaf {
-		if !eq {
-			return false, nil
+	found := false // key is known to be in the subtree rooted at n
+	for {
+		i, eq := n.Search(key)
+		found = found || eq
+		if n.Leaf {
+			if !eq {
+				return false, nil
+			}
+			n, err := tr.edit(id)
+			if err != nil {
+				return false, err
+			}
+			n.Keys = removeBytes(n.Keys, i)
+			n.Values = removeBytes(n.Values, i)
+			return true, tr.st.Write(id, n)
 		}
-		n, err := tr.edit(id)
+		childID := n.Child(i)
+		c, err := tr.st.Read(childID)
 		if err != nil {
 			return false, err
 		}
-		n.Keys = removeBytes(n.Keys, i)
-		n.Values = removeBytes(n.Values, i)
-		return true, tr.st.Write(id, n)
-	}
-	if eq {
-		return true, tr.deleteInternal(id, i, key)
-	}
-	childID := n.Child(i)
-	c, err := tr.st.Read(childID)
-	if err != nil {
-		return false, err
-	}
-	if c.Len() < tr.t {
-		// Deleting an absent key must not restructure the tree: check the
-		// subtree read-only before borrowing or merging on the way down.
-		if _, ok, err := lookupFrom(tr.st, c, key); err != nil || !ok {
-			return false, err
+		if c.Len() < tr.t {
+			// Deleting an absent key must not restructure the tree: on a miss,
+			// check the subtree read-only before filling on the way down.
+			if !found {
+				if _, ok, err := lookupFrom(tr.st, c, key); err != nil || !ok {
+					return false, err
+				}
+				found = true
+			}
+			if n, err = tr.edit(id); err != nil {
+				return false, err
+			}
+			if err := tr.fill(id, n, i); err != nil {
+				return false, err
+			}
+			continue // fill rearranged n's keys and children; search n again.
 		}
-		if n, err = tr.edit(id); err != nil {
-			return false, err
+		if eq {
+			pk, pv, err := tr.maxEntry(childID)
+			if err != nil {
+				return false, err
+			}
+			if n, err = tr.edit(id); err != nil {
+				return false, err
+			}
+			n.Keys[i], n.Values[i] = pk, pv
+			if err := tr.st.Write(id, n); err != nil {
+				return false, err
+			}
+			key = pk
 		}
-		if err := tr.fill(id, n, i); err != nil {
-			return false, err
-		}
-		// fill rearranged n's keys and children; re-search from n.
-		return tr.delete(id, n, key)
+		id, n = childID, c
 	}
-	return tr.delete(childID, c, key)
 }
 
-// deleteInternal removes entry i (== key) from internal page id by replacing
-// it with its predecessor or successor, or merging its two children around it.
-func (tr *Tree) deleteInternal(id uint64, i int, key []byte) error {
-	n, err := tr.edit(id)
-	if err != nil {
-		return err
-	}
-	leftID := n.Children[i]
-	left, err := tr.st.Read(leftID)
-	if err != nil {
-		return err
-	}
-	if left.Len() >= tr.t {
-		pk, pv, err := tr.maxEntry(leftID)
-		if err != nil {
-			return err
-		}
-		n.Keys[i], n.Values[i] = pk, pv
-		if err := tr.st.Write(id, n); err != nil {
-			return err
-		}
-		_, err = tr.delete(leftID, left, pk)
-		return err
-	}
-	rightID := n.Children[i+1]
-	right, err := tr.st.Read(rightID)
-	if err != nil {
-		return err
-	}
-	if right.Len() >= tr.t {
-		sk, sv, err := tr.minEntry(rightID)
-		if err != nil {
-			return err
-		}
-		n.Keys[i], n.Values[i] = sk, sv
-		if err := tr.st.Write(id, n); err != nil {
-			return err
-		}
-		_, err = tr.delete(rightID, right, sk)
-		return err
-	}
-	if left, err = tr.edit(leftID); err != nil {
-		return err
-	}
-	if err := tr.merge(id, n, i, leftID, left, rightID, right); err != nil {
-		return err
-	}
-	_, err = tr.delete(leftID, left, key)
-	return err
-}
-
-// fill ensures the child at index i of p (the caller's private copy of page
-// pid) holds at least t keys, by borrowing from a sibling or merging with one.
+// fill brings the child at index i of p (the caller's private copy of page
+// pid) from t-1 keys to t or more: a sibling that can spare an entry gives
+// one through their separator (rotate), the left sibling asked first; when
+// neither can, the child merges with one of them.
 func (tr *Tree) fill(pid uint64, p *node.Node, i int) error {
-	childID := p.Children[i]
-	c, err := tr.st.Read(childID)
-	if err != nil {
-		return err
-	}
 	if i > 0 {
-		leftID := p.Children[i-1]
-		l, err := tr.st.Read(leftID)
+		l, err := tr.st.Read(p.Children[i-1])
 		if err != nil {
 			return err
 		}
 		if l.Len() >= tr.t {
-			// Rotate right: parent separator moves down, left sibling's
-			// maximum moves up.
-			if c, err = tr.edit(childID); err != nil {
-				return err
-			}
-			if l, err = tr.edit(leftID); err != nil {
-				return err
-			}
-			c.Keys = insertBytes(c.Keys, 0, p.Keys[i-1])
-			c.Values = insertBytes(c.Values, 0, p.Values[i-1])
-			last := len(l.Keys) - 1
-			p.Keys[i-1], p.Values[i-1] = l.Keys[last], l.Values[last]
-			l.Keys, l.Values = l.Keys[:last], l.Values[:last]
-			if !c.Leaf {
-				c.Children = insertID(c.Children, 0, l.Children[len(l.Children)-1])
-				l.Children = l.Children[:len(l.Children)-1]
-			}
-			return tr.write3(leftID, l, childID, c, pid, p)
+			return tr.rotate(pid, p, i-1, false)
 		}
 	}
-	if i < len(p.Keys) {
-		rightID := p.Children[i+1]
-		r, err := tr.st.Read(rightID)
-		if err != nil {
-			return err
-		}
-		if r.Len() >= tr.t {
-			// Rotate left: parent separator moves down, right sibling's
-			// minimum moves up.
-			if c, err = tr.edit(childID); err != nil {
-				return err
-			}
-			if r, err = tr.edit(rightID); err != nil {
-				return err
-			}
-			c.Keys = append(c.Keys, p.Keys[i])
-			c.Values = append(c.Values, p.Values[i])
-			p.Keys[i], p.Values[i] = r.Keys[0], r.Values[0]
-			r.Keys, r.Values = r.Keys[1:], r.Values[1:]
-			if !c.Leaf {
-				c.Children = append(c.Children, r.Children[0])
-				r.Children = r.Children[1:]
-			}
-			return tr.write3(rightID, r, childID, c, pid, p)
-		}
-		if c, err = tr.edit(childID); err != nil {
-			return err
-		}
-		return tr.merge(pid, p, i, childID, c, rightID, r)
+	if i == len(p.Keys) {
+		return tr.merge(pid, p, i-1)
 	}
-	leftID := p.Children[i-1]
-	if _, err := tr.st.Read(leftID); err != nil {
-		return err
-	}
-	l, err := tr.edit(leftID)
+	r, err := tr.st.Read(p.Children[i+1])
 	if err != nil {
 		return err
 	}
-	return tr.merge(pid, p, i-1, leftID, l, childID, c)
+	if r.Len() >= tr.t {
+		return tr.rotate(pid, p, i, true)
+	}
+	return tr.merge(pid, p, i)
 }
 
-// merge folds the separator p.Keys[i] and the child at i+1 into the child at
-// i, freeing the right child. Both children hold t-1 keys on entry; p and
-// left are the caller's private copies, right is only read, so it may be a
-// view and is read through its accessors.
-func (tr *Tree) merge(pid uint64, p *node.Node, i int, leftID uint64, left *node.Node, rightID uint64, right *node.Node) error {
-	left.Keys = append(left.Keys, p.Keys[i])
-	left.Values = append(left.Values, p.Values[i])
-	for j := range right.Len() {
-		left.Keys = append(left.Keys, right.Key(j))
-		left.Values = append(left.Values, right.Value(j))
+// rotate moves one entry through separator j of p (the caller's private copy
+// of page pid), from one of the two children either side of it to the other:
+// toLeft, the right child's least entry goes up, the separator goes down to
+// the end of the left child, and the right child's first child follows it;
+// otherwise the mirror image, from the left child's greatest entry. Each child
+// gains or loses one key; p keeps its count.
+func (tr *Tree) rotate(pid uint64, p *node.Node, j int, toLeft bool) error {
+	lid, rid := p.Children[j], p.Children[j+1]
+	l, err := tr.edit(lid)
+	if err != nil {
+		return err
+	}
+	r, err := tr.edit(rid)
+	if err != nil {
+		return err
+	}
+	// from and to index the entries facing the separator in the giving and
+	// the taking child; cfrom and cto the children beside them.
+	src, dst := l, r
+	from, to, cfrom, cto := len(l.Keys)-1, 0, len(l.Children)-1, 0
+	if toLeft {
+		src, dst = r, l
+		from, to, cfrom, cto = 0, len(l.Keys), 0, len(l.Children)
+	}
+	dst.Keys = insertBytes(dst.Keys, to, p.Keys[j])
+	dst.Values = insertBytes(dst.Values, to, p.Values[j])
+	p.Keys[j], p.Values[j] = src.Keys[from], src.Values[from]
+	src.Keys = removeBytes(src.Keys, from)
+	src.Values = removeBytes(src.Values, from)
+	if !src.Leaf {
+		dst.Children = insertID(dst.Children, cto, src.Children[cfrom])
+		src.Children = removeID(src.Children, cfrom)
+	}
+	if err := tr.st.Write(lid, l); err != nil {
+		return err
+	}
+	if err := tr.st.Write(rid, r); err != nil {
+		return err
+	}
+	return tr.st.Write(pid, p)
+}
+
+// merge folds separator j of p (the caller's private copy of page pid) and
+// the child right of it into the child left of it, freeing the right child.
+// Both children hold t-1 keys on entry. The right child is only read, so it
+// may be a view and is read through its accessors.
+func (tr *Tree) merge(pid uint64, p *node.Node, j int) error {
+	lid, rid := p.Children[j], p.Children[j+1]
+	left, err := tr.edit(lid)
+	if err != nil {
+		return err
+	}
+	right, err := tr.st.Read(rid)
+	if err != nil {
+		return err
+	}
+	left.Keys = append(left.Keys, p.Keys[j])
+	left.Values = append(left.Values, p.Values[j])
+	for k := range right.Len() {
+		left.Keys = append(left.Keys, right.Key(k))
+		left.Values = append(left.Values, right.Value(k))
 	}
 	if !left.Leaf {
-		for j := range right.Len() + 1 {
-			left.Children = append(left.Children, right.Child(j))
+		for k := range right.Len() + 1 {
+			left.Children = append(left.Children, right.Child(k))
 		}
 	}
-	p.Keys = removeBytes(p.Keys, i)
-	p.Values = removeBytes(p.Values, i)
-	p.Children = removeID(p.Children, i+1)
-	if err := tr.st.Write(leftID, left); err != nil {
+	p.Keys = removeBytes(p.Keys, j)
+	p.Values = removeBytes(p.Values, j)
+	p.Children = removeID(p.Children, j+1)
+	if err := tr.st.Write(lid, left); err != nil {
 		return err
 	}
 	if err := tr.st.Write(pid, p); err != nil {
 		return err
 	}
-	return tr.st.Free(rightID)
+	return tr.st.Free(rid)
 }
 
 // maxEntry returns the greatest key/value in the subtree rooted at id.
@@ -504,30 +467,6 @@ func (tr *Tree) maxEntry(id uint64) ([]byte, []byte, error) {
 		}
 		id = n.Child(n.Len())
 	}
-}
-
-// minEntry returns the least key/value in the subtree rooted at id.
-func (tr *Tree) minEntry(id uint64) ([]byte, []byte, error) {
-	for {
-		n, err := tr.st.Read(id)
-		if err != nil {
-			return nil, nil, err
-		}
-		if n.Leaf {
-			return n.Key(0), n.Value(0), nil
-		}
-		id = n.Child(0)
-	}
-}
-
-func (tr *Tree) write3(idA uint64, a *node.Node, idB uint64, b *node.Node, idC uint64, c *node.Node) error {
-	if err := tr.st.Write(idA, a); err != nil {
-		return err
-	}
-	if err := tr.st.Write(idB, b); err != nil {
-		return err
-	}
-	return tr.st.Write(idC, c)
 }
 
 func insertBytes(s [][]byte, i int, v []byte) [][]byte {

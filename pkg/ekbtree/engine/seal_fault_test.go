@@ -105,10 +105,13 @@ func TestRotationCommitAtomicityUnderFaults(t *testing.T) {
 				t.Fatalf("%s: engine over fault store: %v", f, err)
 			}
 			defer g.Close() // may fail on a dead store; the file state is what matters
-			for {
+			for round := 0; ; round++ {
 				done, err := g.Rotate()
 				if err != nil || done {
 					return err
+				}
+				if round == 10 { // a quiet tree converges in two
+					t.Fatalf("%s: rotation found stale pages after 10 re-seal sweeps", f)
 				}
 			}
 		},
@@ -133,13 +136,16 @@ func TestRotationCommitAtomicityUnderFaults(t *testing.T) {
 				t.Fatalf("%s: engine over survivor: %v", tag, err)
 			}
 			checkContent(g2, tag)
-			for {
+			for round := 0; ; round++ {
 				done, err := g2.Rotate()
 				if err != nil {
 					t.Fatalf("%s: retried rotation: %v", tag, err)
 				}
 				if done {
 					break
+				}
+				if round == 10 { // a quiet tree converges in two
+					t.Fatalf("%s: retried rotation found stale pages after 10 re-seal sweeps", tag)
 				}
 			}
 			if pending, err := g2.PendingReseal(); err != nil || pending != 0 {

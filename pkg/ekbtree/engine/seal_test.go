@@ -193,13 +193,16 @@ func TestAdvanceEpochForcesRotationTarget(t *testing.T) {
 	if pending == 0 {
 		t.Fatalf("no pages pending re-seal after forced advance")
 	}
-	for {
+	for round := 0; ; round++ {
 		done, err := g.Rotate()
 		if err != nil {
 			t.Fatalf("Rotate: %v", err)
 		}
 		if done {
 			break
+		}
+		if round == 10 { // a quiet tree converges in two
+			t.Fatal("rotation found stale pages after 10 re-seal sweeps")
 		}
 	}
 	if pending, _ = g.PendingReseal(); pending != 0 {
