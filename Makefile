@@ -93,6 +93,16 @@ lint:
 # in one place, the chunk refill (subState.take), and cuts every result from
 # the chunk.
 	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
+# A steady-state flush makes no garbage: flushGroup and flip rebuild the free
+# index, the released list, the next free list, the directory and the slot
+# in the committer's scratch (Store.scratch), whose directory buffer only
+# dirBuffer remakes. A byte or extent slice made in commit.go is a flush
+# allocating its directory or an extent list again.
+	@if git grep -nE 'make\(\[\](byte|extent)|var [a-zA-Z]+ \[\]extent' -- internal/store/file/commit.go; then echo "reuse the committer's scratch (Store.scratch: freeIndex.reset, released, free, dir through dirBuffer, slot) instead of a slice per flush"; exit 1; fi
+# A batch stages into the tree's scratch: its op slice and slab chunks go back
+# to the tree when Commit or Discard returns, and Batch.refill is the one
+# place batch.go makes a chunk, kept by the scratch while it has room.
+	@if [ "$$(git grep -c 'make(\[\]byte' -- pkg/ekbtree/batch.go)" != "pkg/ekbtree/batch.go:1" ]; then git grep -n 'make(\[\]byte' -- pkg/ekbtree/batch.go; echo "take slab chunks through Batch.refill, which reuses the tree's scratch (Tree.scratch)"; exit 1; fi
 # Sealed pages come back: the cipher takes every page it seals from
 # pagebuf.Get, and the file store gives each one back once no reader can reach
 # it. A buffer made in cipher.go is a seal allocating its page again.
@@ -191,7 +201,7 @@ race:
 	$(GO) test -race -count=50 -run '^TestVacuumConcurrentWithCommits$$' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList|TestReleasedPagesAreUnreachable' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitLikeAnyOther|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
-	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
+	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestRecycledSlabIsUnreachable|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/
 

@@ -451,6 +451,10 @@ type indexRoom struct {
 	kids [viewRoom + 1]uint64
 }
 
+// CopyBytes is the most a node New allocated with its arrays takes: what
+// one copy kept for reuse holds.
+const CopyBytes = int(unsafe.Sizeof(indexRoom{}))
+
 // roomKind names the object a materialised node was allocated in.
 type roomKind uint8
 

@@ -92,8 +92,9 @@ func BenchmarkFileCommitBatch64(b *testing.B) {
 // already holds 1 000, 10 000 or 100 000 pages. A flush edits the page map in
 // place but serialises and writes the whole directory, so its cost grows with
 // the page count and not with the page size, and small pages show it. Reports
-// the directory bytes each flush writes, and allocations, which do not grow
-// with the page count.
+// the directory bytes each flush writes, and allocations and bytes allocated,
+// which do not grow with the page count: the directory is serialized into the
+// committer's kept buffer.
 func BenchmarkFullCommitByPages(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("pages=%d", n), func(b *testing.B) {

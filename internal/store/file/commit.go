@@ -10,6 +10,8 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/paper-repro/ekbtree/internal/israce"
+	"github.com/paper-repro/ekbtree/internal/keep"
 	"github.com/paper-repro/ekbtree/internal/pagebuf"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
@@ -54,6 +56,7 @@ type gpage struct {
 // flushed groups, never part of one.
 type group struct {
 	pages map[uint64]gpage // one record per page the group touched
+	room  int              // the most pages the map held before this group
 	header
 	// vacuum is the pass a vacuum step asked this flush to run, nil if none.
 	// The flush chooses the pass's pages and copies each one's durable extent
@@ -125,7 +128,8 @@ func (s *Store) overlayLocked(id uint64) (gpage, bool) {
 }
 
 // enqueueLocked merges one change into the pending group, creating it if this
-// is the first since the last take. The caller holds s.mu and has already
+// is the first since the last take, over the page map the last flushed group
+// left (keepPages) when there is one. The caller holds s.mu and has already
 // checked closed/failed and validated the request. A page record the change
 // supersedes or frees is reachable from no reader once it leaves the map —
 // readers copy overlay pages under the read lock — so its buffer goes back to
@@ -133,8 +137,15 @@ func (s *Store) overlayLocked(id uint64) (gpage, bool) {
 func (s *Store) enqueueLocked(c change) *group {
 	g := s.pending
 	if g == nil {
+		pages, room := s.spare, s.spareRoom
+		s.spare, s.spareRoom = nil, 0
+		if pages == nil {
+			pages = make(map[uint64]gpage, len(c.writes))
+		}
+		clear(pages) // a kept map is empty, or poisoned under the race detector
 		g = &group{
-			pages:  make(map[uint64]gpage, len(c.writes)),
+			pages:  pages,
+			room:   room,
 			header: s.appliedLocked(),
 			birth:  time.Now(),
 			done:   make(chan struct{}),
@@ -272,7 +283,7 @@ func (s *Store) Sync() error {
 // and blocks until both resolve, returning the first error. It is the shared
 // barrier body of Sync and Close.
 func (s *Store) flushOutstandingLocked() error {
-	var waits []*group
+	waits := make([]*group, 0, 2)
 	if s.flushing != nil {
 		waits = append(waits, s.flushing)
 	}
@@ -407,14 +418,57 @@ func (s *Store) drain() {
 			// The flush is installed and the group out of the read path: a
 			// reader that took the read lock since finds the durable extents,
 			// and one that held it before has finished copying. Nothing can
-			// reach the group's page buffers any more.
+			// reach the group's page buffers, or its map, any more.
 			for _, p := range g.pages {
 				pagebuf.Put(p.buf)
 			}
+			s.keepPages(g)
 		}
 		g.err = err
 		close(g.done) // after a failure, the next turn resolves pending's waiters
 	}
+}
+
+// scratch is what the committer keeps from flush to flush, so that a
+// steady-state flush builds its free-extent index, its released list, the
+// next free list, its directory and its slot in memory it already has. Each
+// slice, list and map is kept by the write path's one rule, keep.Room. Only
+// the committer goroutine touches it.
+type scratch struct {
+	avail    freeIndex // the flush's index of the durable free list
+	released []extent  // the extents the flush frees
+	free     []extent  // the free list before the durable one; flip builds the next in it
+	dir      []byte    // the last directory; flip serializes the next in it
+	slot     [slotSize]byte
+}
+
+// poisonPage is the record a kept group map holds under the race detector.
+var poisonPage = gpage{buf: bytes.Repeat([]byte{0xA5}, 64)}
+
+// keepPages keeps the page map of g, a group whose flush is installed and
+// whose buffers are back in pagebuf, for the next pending group, unless the
+// most pages it has held (over every group that used it) is more than
+// keep.Room allows for g's: Go maps never shrink and clear() walks their
+// capacity, so a map a bulk flush grew is dropped by the first group that
+// uses less than a keep.Slack-th of it. Under the race detector every record
+// is overwritten with poison instead of cleared, so a reader the install
+// missed races with the write and copies poison, not a page.
+func (s *Store) keepPages(g *group) {
+	m, room := g.pages, max(g.room, len(g.pages))
+	g.pages = nil
+	if room > keep.Room(len(m), int(unsafe.Sizeof(gpage{}))) {
+		return
+	}
+	if israce.Enabled {
+		for id := range m {
+			m[id] = poisonPage
+		}
+	} else {
+		clear(m)
+	}
+	s.mu.Lock()
+	s.spare, s.spareRoom = m, room
+	s.mu.Unlock()
 }
 
 // markAhead reports whether mark reserves nonces past durable: a later epoch,
@@ -445,19 +499,22 @@ func markAhead(mark, durable store.SealMark) bool {
 // whole flush and the copy needs no guard. A vacuum flush that moves nothing,
 // cannot lower its directory and carries no other change skips its flip.
 func (s *Store) flushGroup(g *group, nextID uint64) error {
+	sc := &s.scratch
+	avail := &sc.avail
 	if len(g.pages) > 0 && markAhead(g.mark, s.mark) {
 		// Everything durable but the mark's reservation: the clean epoch stays
 		// the durable one, since the re-seals that earned the group's are among
 		// the pages not yet written.
 		h := s.header
 		h.mark.Epoch, h.mark.Counter = g.mark.Epoch, g.mark.Counter
-		if err := s.flip(h, newFreeIndex(s.free), nil, s.fileEnd, s.pageBytes, nextID, false); err != nil {
+		avail.reset(s.free)
+		if err := s.flip(h, avail, nil, s.fileEnd, s.pageBytes, nextID, false); err != nil {
 			return err
 		}
 	}
-	avail := newFreeIndex(s.free)
+	avail.reset(s.free)
 	end, pageBytes := s.fileEnd, s.pageBytes
-	var released []extent // extents that become free once this flush is durable
+	released := sc.released[:0] // extents that become free once this flush is durable
 	// Placed in one lock section ahead of the writes: readers find every page
 	// the group writes or frees in the flushing overlay, which a failed flush
 	// leaves in place.
@@ -532,7 +589,9 @@ func (s *Store) flushGroup(g *group, nextID uint64) error {
 			return nil
 		}
 	}
-	return s.flip(g.header, avail, released, end, pageBytes, nextID, g.vacuum != nil)
+	err := s.flip(g.header, avail, released, end, pageBytes, nextID, g.vacuum != nil)
+	sc.released = reuse(released, len(released))
+	return err
 }
 
 // dirCanDescend reports whether a hole strictly below the durable directory
@@ -556,8 +615,11 @@ func (s *Store) dirCanDescend() bool {
 // pageBytes as the caller's placements left them, and a free list of what
 // avail has left, the released extents and the old directory's own (the gaps
 // Open derives) — and truncates the tail the frontier retreated over. steer
-// places the directory as a vacuum flush does.
+// places the directory as a vacuum flush does. The new free list is built in
+// the array of the list the durable one replaced, and the directory and the
+// slot in the scratch's buffers, so a steady-state flip allocates nothing.
 func (s *Store) flip(h header, avail *freeIndex, released []extent, end, pageBytes int64, nextID uint64, steer bool) error {
+	sc := &s.scratch
 	dirLen := uint32(dirSize(len(s.pages), len(h.meta)))
 	var dirExt extent
 	if steer {
@@ -576,7 +638,7 @@ func (s *Store) flip(h header, avail *freeIndex, released []extent, end, pageByt
 	} else {
 		dirExt = avail.allocExtent(&end, dirLen)
 	}
-	newFree := avail.appendTo(make([]extent, 0, avail.len()+len(released)+1))
+	newFree := avail.appendTo(sc.free[:0])
 	newFree = append(newFree, released...)
 	newFree = append(newFree, s.dirExt) // the old directory's own extent
 	newFree = coalesce(newFree)
@@ -587,17 +649,17 @@ func (s *Store) flip(h header, avail *freeIndex, released []extent, end, pageByt
 		end = newFree[len(newFree)-1].off
 		newFree = newFree[:len(newFree)-1]
 	}
-	dir := make([]byte, dirLen)
-	serializeDir(dir, s.pages, h.meta, h.mark)
-	if _, err := s.f.WriteAt(dir, dirExt.off); err != nil {
+	sc.dir = dirBuffer(sc.dir, int(dirLen))
+	serializeDir(sc.dir, s.pages, h.meta, h.mark)
+	if _, err := s.f.WriteAt(sc.dir, dirExt.off); err != nil {
 		return fmt.Errorf("file: write directory: %w", err)
 	}
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("file: sync data: %w", err)
 	}
-	slot := serializeSlot(slotData{
+	slot := serializeSlot(sc.slot[:], slotData{
 		txid: s.txid + 1, root: h.root, nextID: nextID,
-		dir: dirExt, dirCRC: crc32.ChecksumIEEE(dir),
+		dir: dirExt, dirCRC: crc32.ChecksumIEEE(sc.dir),
 	})
 	slotOff := int64(slot0Off)
 	if s.cur == 0 {
@@ -618,9 +680,13 @@ func (s *Store) flip(h header, avail *freeIndex, released []extent, end, pageByt
 	}
 	s.mu.Lock()
 	shrunk := end < s.fileEnd
+	old := s.free
 	s.header, s.free, s.fileEnd, s.pageBytes = h, newFree, end, pageBytes
 	s.txid, s.cur, s.dirExt = s.txid+1, 1-s.cur, dirExt
 	s.mu.Unlock()
+	// Readers of the free list read it under the lock, so the old one is the
+	// committer's again: the next flip builds in it.
+	sc.free = reuse(old, len(newFree))
 	if shrunk {
 		// Physically release the tail the frontier retreated over. This runs
 		// strictly after the install above: any reader still inside

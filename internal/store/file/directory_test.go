@@ -62,7 +62,7 @@ func installDirectory(t *testing.T, f File, dir []byte, off int64) {
 	}
 	for _, slotOff := range []int64{slot0Off, slot1Off} {
 		sd.txid++
-		if _, err := f.WriteAt(serializeSlot(sd), slotOff); err != nil {
+		if _, err := f.WriteAt(serializeSlot(make([]byte, slotSize), sd), slotOff); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
+
+	"github.com/paper-repro/ekbtree/internal/keep"
 )
 
 // extent is a contiguous byte range in the data region.
@@ -15,7 +18,7 @@ type extent struct {
 
 func (e extent) end() int64 { return e.off + int64(e.len) }
 
-// freeIndex is a size-bucketed view of the free-extent list, built once per
+// freeIndex is a size-bucketed view of the free-extent list, rebuilt each
 // flush. Bucket b holds extents whose length has bit-length b+1 (i.e. len in
 // [2^b, 2^(b+1))), so finding a fitting extent probes the request's own
 // bucket and then the first non-empty larger one, instead of best-fit
@@ -23,12 +26,24 @@ func (e extent) end() int64 { return e.off + int64(e.len) }
 // before this existed). Within the request's own bucket the scan is still
 // best-fit, but candidates there are already within 2x of the request, so
 // fragmentation behavior matches the old scan where it mattered: steady-state
-// workloads keep reusing recycled same-size extents exactly. The buckets are
-// cut from one array (see newFreeIndex).
+// workloads keep reusing recycled same-size extents exactly. The store keeps
+// one index and rebuilds it in the arrays it already has (see reset).
 type freeIndex struct {
 	buckets  [32][]extent
 	n        int
 	nonEmpty uint32 // bit b set iff buckets[b] is non-empty
+}
+
+// extentBytes is the size of an extent, for keep.Room.
+const extentBytes = int(unsafe.Sizeof(extent{}))
+
+// reuse empties l for the next flush, or drops it when it has more room than
+// keep.Room allows for used extents.
+func reuse(l []extent, used int) []extent {
+	if cap(l) > keep.Room(used, extentBytes) {
+		return nil
+	}
+	return l[:0]
 }
 
 func bucketOf(n uint32) int {
@@ -38,13 +53,14 @@ func bucketOf(n uint32) int {
 	return bits.Len32(n) - 1
 }
 
-// newFreeIndex indexes free, keeping each bucket's extents in list order. It
-// counts the extents per bucket first and cuts every bucket from one backing
-// array, each clipped to its count, so the buckets cost one allocation, not
-// one growing slice each; only a bucket that alloc's remainders later grow
-// past its cut reallocates.
-func newFreeIndex(free []extent) *freeIndex {
-	fi := &freeIndex{}
+// reset indexes free, keeping each bucket's extents in list order, in the
+// arrays the index already has: a bucket with room for its count is refilled
+// in place, and the buckets without are cut from one new array, each clipped
+// to its count. A fresh index thus costs one allocation and a steady-state
+// flush none; a bucket that alloc's remainders grow past its room
+// reallocates, and keeps the larger array for the next flush. An index with
+// more room than keep.Room allows for free drops it all first.
+func (fi *freeIndex) reset(free []extent) {
 	var counts [len(fi.buckets)]int
 	total := 0
 	for _, e := range free {
@@ -53,14 +69,31 @@ func newFreeIndex(free []extent) *freeIndex {
 			total++
 		}
 	}
-	all := make([]extent, total)
-	for b, c := range counts {
-		fi.buckets[b], all = all[:0:c], all[c:]
+	room := 0
+	for _, b := range fi.buckets {
+		room += cap(b)
 	}
+	if room > keep.Room(total, extentBytes) {
+		fi.buckets = [len(fi.buckets)][]extent{}
+	}
+	need := 0
+	for b, c := range counts {
+		if cap(fi.buckets[b]) < c {
+			need += c
+		}
+	}
+	all := make([]extent, need)
+	for b, c := range counts {
+		if cap(fi.buckets[b]) < c {
+			fi.buckets[b], all = all[:0:c], all[c:]
+		} else {
+			fi.buckets[b] = fi.buckets[b][:0]
+		}
+	}
+	fi.n, fi.nonEmpty = 0, 0
 	for _, e := range free {
 		fi.add(e)
 	}
-	return fi
 }
 
 func (fi *freeIndex) add(e extent) {

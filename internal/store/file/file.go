@@ -94,7 +94,11 @@
 // reuse, the moment no reader can reach them: a record a later commit of the
 // pending group supersedes or frees, under the lock it leaves the map in; a
 // flushed group's records, once the install has taken the group out of the
-// read path. A failed flush keeps its group, and so its buffers, in place.
+// read path. That group's page map then becomes the next pending group's
+// (keepPages), and the committer rebuilds the free index, the released list
+// and the free list in arrays it keeps and serializes the directory into a
+// buffer it keeps, so a steady-state flush allocates only its group. A failed flush
+// keeps its group, and so its buffers, in place.
 package file
 
 import (
@@ -266,6 +270,14 @@ type Store struct {
 	pending  *group // accumulating write-set, flushed next
 	flushing *group // write-set currently being flushed, nil when idle
 
+	// spare is the page map of the last group whose flush was installed,
+	// emptied for the next pending group, and spareRoom the most pages it has
+	// held (see keepPages); nil and 0 if none.
+	spare     map[uint64]gpage
+	spareRoom int
+	// scratch is the committer's alone, like the durable state's writes.
+	scratch scratch
+
 	force  bool // flush pending now, regardless of mode or window (Sync, Close, Vacuum)
 	failed bool
 	ferr   error // first flush error, behind ErrFailed
@@ -398,7 +410,7 @@ func initialize(f File, cfg Config) (*Store, error) {
 	if _, err := f.WriteAt(dir, slot.dir.off); err != nil {
 		return nil, fmt.Errorf("file: init directory: %w", err)
 	}
-	if _, err := f.WriteAt(serializeSlot(slot), slot0Off); err != nil {
+	if _, err := f.WriteAt(serializeSlot(make([]byte, slotSize), slot), slot0Off); err != nil {
 		return nil, fmt.Errorf("file: init slot: %w", err)
 	}
 	if err := f.Sync(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/paper-repro/ekbtree/internal/keep"
 	"github.com/paper-repro/ekbtree/internal/store"
 )
 
@@ -49,8 +50,10 @@ func parseSlot(b []byte) (slotData, bool) {
 	}, true
 }
 
-func serializeSlot(sd slotData) []byte {
-	b := make([]byte, slotSize)
+// serializeSlot encodes sd into b, which has room for slotSize bytes, and
+// returns the slot.
+func serializeSlot(b []byte, sd slotData) []byte {
+	b = b[:slotSize]
 	binary.BigEndian.PutUint64(b[0:], sd.txid)
 	binary.BigEndian.PutUint64(b[8:], sd.root)
 	binary.BigEndian.PutUint64(b[16:], sd.nextID)
@@ -64,6 +67,18 @@ func serializeSlot(sd slotData) []byte {
 // dirSize returns the serialized directory size for the given entry counts.
 func dirSize(pageCount, metaLen int) int {
 	return 4 + pageCount*pageEntLen + 4 + 4 + metaLen + markLen
+}
+
+// dirBuffer returns buf cut to n bytes for the next directory. A buffer with
+// more room than keep.Room allows for n is dropped, and one with too little
+// grows as append grows a slice, so a directory that gains a page at a time
+// does not remake its buffer at every flush. It is the one place a flush
+// makes its directory buffer.
+func dirBuffer(buf []byte, n int) []byte {
+	if cap(buf) > keep.Room(n, 1) {
+		buf = nil
+	}
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // serializeDir writes the directory into buf, exactly dirSize long. Its

@@ -43,13 +43,20 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	return copy(f.buf[off:], p), nil
 }
 
-// Truncate cuts or zero-extends the file to size. A cut copies what is kept
-// into a buffer of its own, so the tail's memory goes back to the runtime.
+// Truncate cuts or zero-extends the file to size. A cut that keeps less than
+// half the buffer copies what is kept into a buffer of its own, so the tail's
+// memory goes back to the runtime; a smaller cut keeps the buffer, whose tail
+// the next extension zeroes, so a flush that retreats the frontier by a few
+// pages does not copy the whole file.
 func (f *memFile) Truncate(size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if size < int64(len(f.buf)) {
+	switch {
+	case size >= int64(len(f.buf)):
+	case size < int64(cap(f.buf)/2):
 		f.buf = append([]byte(nil), f.buf[:size]...)
+	default:
+		f.buf = f.buf[:size]
 	}
 	f.extendLocked(size)
 	return nil

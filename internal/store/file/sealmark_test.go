@@ -140,12 +140,22 @@ func TestFreeIndexMatchesLinearBestFit(t *testing.T) {
 	}
 }
 
+// newFreeIndex is a fresh index of free.
+func newFreeIndex(free []extent) *freeIndex {
+	fi := new(freeIndex)
+	fi.reset(free)
+	return fi
+}
+
 // TestFreeIndexBuildsInOneArray pins newFreeIndex against the index built by
 // adding the extents one at a time, as it once was: the same extents in every
 // bucket in the same order, so every allocation — and so every page's place
-// in the file — comes out the same, with the whole build one allocation for
-// the index and one for the array its buckets are cut from. A bucket that
-// alloc's remainders grow past its cut must not spill into the next.
+// in the file — comes out the same, with the whole build one allocation: the
+// array its buckets are cut from (the store keeps the index itself, and the
+// fresh one here stays on the stack). A bucket that
+// alloc's remainders grow past its cut must not spill into the next. Reset
+// over the same list, the used index rebuilds in the arrays it has: the same
+// buckets, and no allocation.
 func TestFreeIndexBuildsInOneArray(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	var free []extent
@@ -180,8 +190,20 @@ func TestFreeIndexBuildsInOneArray(t *testing.T) {
 	if a, b := fi.appendTo(nil), ref.appendTo(nil); !slices.Equal(a, b) || endA != endB {
 		t.Fatalf("after the allocations: %+v (end %d), want %+v (end %d)", a, endA, b, endB)
 	}
-	if n := testing.AllocsPerRun(100, func() { newFreeIndex(free) }); n != 2 {
-		t.Errorf("newFreeIndex allocates %.0f times, want 2", n)
+	if n := testing.AllocsPerRun(100, func() { newFreeIndex(free) }); n != 1 {
+		t.Errorf("newFreeIndex allocates %.0f times, want 1", n)
+	}
+	fresh := newFreeIndex(free)
+	if n := testing.AllocsPerRun(100, func() { fi.reset(free) }); n != 0 {
+		t.Errorf("resetting a used index allocates %.0f times, want 0", n)
+	}
+	for b := range fi.buckets {
+		if !slices.Equal(fi.buckets[b], fresh.buckets[b]) {
+			t.Fatalf("reset bucket %d = %+v, want %+v", b, fi.buckets[b], fresh.buckets[b])
+		}
+	}
+	if fi.n != fresh.n || fi.nonEmpty != fresh.nonEmpty {
+		t.Fatalf("reset counts %d extents in %b, want %d in %b", fi.n, fi.nonEmpty, fresh.n, fresh.nonEmpty)
 	}
 }
 

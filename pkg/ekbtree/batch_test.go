@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/paper-repro/ekbtree/internal/cipher"
 	"github.com/paper-repro/ekbtree/internal/store/file"
@@ -551,5 +554,233 @@ func TestBatchSlabOwnership(t *testing.T) {
 			want = kept
 			check(tr.Cursor(), "after a discard")
 		})
+	}
+}
+
+// refuseOnce is a NodeCipher that refuses one seal once armed, which fails
+// the transaction sealing it before it reaches the store.
+type refuseOnce struct {
+	cipher.NodeCipher
+	armed atomic.Bool
+}
+
+var errSealRefused = errors.New("seal refused")
+
+func (c *refuseOnce) SealEpoch(id uint64, epoch uint32, counter uint64, pt []byte) ([]byte, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		return nil, errSealRefused
+	}
+	return c.NodeCipher.SealEpoch(id, epoch, counter, pt)
+}
+
+// gatedStore is a PageStore whose next CommitPages, once a gate is set,
+// reports that it entered and waits for the gate to close: the commit holds
+// the write turn meanwhile, so writers queue behind it.
+type gatedStore struct {
+	PageStore
+	gate    atomic.Pointer[chan struct{}]
+	entered chan struct{}
+}
+
+func (s *gatedStore) CommitPages(writes map[uint64][]byte, root uint64, frees []uint64) error {
+	if g := s.gate.Swap(nil); g != nil {
+		s.entered <- struct{}{}
+		<-*g
+	}
+	return s.PageStore.CommitPages(writes, root, frees)
+}
+
+// queuedWriters counts the goroutines queued for an engine's write turn: those
+// whose innermost frame outside the runtime is the engine's applyTxn, waiting
+// on a channel to be handed a transaction or the turn.
+func queuedWriters() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		hdr, body, _ := bytes.Cut(g, []byte("\n"))
+		if !bytes.Contains(hdr, []byte("[chan receive")) {
+			continue
+		}
+		for _, frame := range bytes.Split(body, []byte("\n")) {
+			if bytes.HasPrefix(frame, []byte("runtime.")) || bytes.HasPrefix(frame, []byte("\t")) {
+				continue
+			}
+			if bytes.Contains(frame, []byte("engine.(*Engine).applyTxn(")) {
+				n++
+			}
+			break
+		}
+	}
+	return n
+}
+
+// TestRecycledSlabIsUnreachable holds a Batch to when its slab and op slice go
+// back to the tree: once Commit or Discard returns, after any replay, and not
+// before. A Cursor and an engine Snapshot opened over a populated tree are
+// held across 150 later batches, the cursor read half before and half after
+// them, and both must read exactly the contents they pinned.
+// Each round also parks one batch's commit in the store while three more
+// batches queue behind it, and refuses the next seal: the turn holder after
+// it seals all three as one transaction, the refusal fails that transaction
+// before the store, and each batch is applied again alone from its staged ops.
+// A batch that recycled its scratch before the replay would replay cleared
+// ops, and under the race detector the recycled chunks are overwritten with a
+// fixed pattern, so any reader left holding one races with the overwrite.
+// Every value names its key and generation, so a torn or stale read shows.
+func TestRecycledSlabIsUnreachable(t *testing.T) {
+	gcm, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0xBA}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := NewHMACSubstituter(bytes.Repeat([]byte{0xBB}, 32), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := &refuseOnce{NodeCipher: gcm}
+	st := &gatedStore{PageStore: NewMemStore(), entered: make(chan struct{})}
+	tr := mustOpen(t, Options{Store: st, Cipher: nc, Substituter: sub, CachePages: 1 << 12})
+	defer tr.Close()
+
+	const keys, rounds = 2000, 30 // five batches a round
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+	value := func(i, gen int) []byte {
+		v := fmt.Appendf(nil, "k%05d/g%d/", i, gen)
+		return append(v, bytes.Repeat([]byte{byte('a' + (i+gen)%26)}, (i*7+gen)%90)...)
+	}
+	model := make(map[string]string, keys) // value by key
+	// stage fills a batch with 64 ops over the keys of one residue class, so
+	// batches of different classes commit in any order to the same result.
+	stage := func(class, gen int) *Batch {
+		b := tr.NewBatch()
+		for j := range 64 {
+			i := (gen*97+j*4)%keys/4*4 + class
+			k := key(i)
+			if (i+gen)%9 == 0 {
+				if err := b.Delete(k); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, string(k))
+				continue
+			}
+			v := value(i, gen)
+			if err := b.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+			model[string(k)] = string(v)
+		}
+		return b
+	}
+	for gen := range 8 {
+		for class := range 4 {
+			if err := stage(class, gen*4+class).Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pinned := maps.Clone(model)
+
+	cur := tr.Cursor()
+	defer cur.Close()
+	snap, err := tr.eng.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	read := make(map[string]string, len(pinned))
+	// take records the cursor's entry; every value starts with its key.
+	take := func(v []byte) {
+		k, _, ok := bytes.Cut(v, []byte("/"))
+		if !ok {
+			t.Fatalf("the pinned cursor reads value %.24q", v)
+		}
+		if _, dup := read[string(k)]; dup {
+			t.Fatalf("the pinned cursor reads %s twice", k)
+		}
+		read[string(k)] = string(v)
+	}
+	ok := cur.First()
+	for ; ok && len(read) < len(pinned)/2; ok = cur.Next() {
+		take(cur.Value())
+	}
+
+	gen := 100
+	for range rounds {
+		// A plain batch, which takes the scratch the last one gave back.
+		if err := stage(gen%4, gen).Commit(); err != nil {
+			t.Fatal(err)
+		}
+		gen++
+		// One batch parks in CommitPages holding the turn; three more queue.
+		gate := make(chan struct{})
+		st.gate.Store(&gate)
+		lead := stage(0, gen)
+		leadErr := make(chan error, 1)
+		go func() { leadErr <- lead.Commit() }()
+		<-st.entered
+		queued := []*Batch{stage(1, gen+1), stage(2, gen+2), stage(3, gen+3)}
+		errs := make([]error, len(queued))
+		var wg sync.WaitGroup
+		for i, b := range queued {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = b.Commit()
+			}()
+		}
+		for deadline := time.Now().Add(10 * time.Second); queuedWriters() < len(queued); {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d batches queued for the write turn", queuedWriters(), len(queued))
+			}
+			runtime.Gosched()
+		}
+		nc.armed.Store(true)
+		close(gate)
+		if err := <-leadErr; err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		// The refusal failed the three batches' one transaction, and each
+		// was applied again alone: no batch saw it.
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if nc.armed.Load() {
+			t.Fatal("no seal met the refusal")
+		}
+		gen += 4
+	}
+
+	for ; ok; ok = cur.Next() {
+		take(cur.Value())
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(read, pinned) {
+		t.Errorf("the cursor pinned before the batches read %d entries, not the %d it pinned", len(read), len(pinned))
+	}
+	it := snap.Iter(nil)
+	it.Seek(nil)
+	n := 0
+	for _, v, ok := it.Next(); ok; _, v, ok = it.Next() {
+		k, _, _ := bytes.Cut(v, []byte("/"))
+		if pinned[string(k)] != string(v) {
+			t.Fatalf("the pinned snapshot reads %.24q for %s, want %.24q", v, k, pinned[string(k)])
+		}
+		n++
+	}
+	if err := it.Err(); err != nil || n != len(pinned) {
+		t.Fatalf("the pinned snapshot reads %d entries (%v), want %d", n, err, len(pinned))
+	}
+	for i := range keys {
+		k := key(i)
+		v, ok, err := tr.Get(k)
+		want, live := model[string(k)]
+		if err != nil || ok != live || string(v) != want {
+			t.Fatalf("Get(%s) = (%.24q, %v, %v), want %.24q", k, v, ok, err, want)
+		}
 	}
 }

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
@@ -126,6 +127,9 @@ type Tree struct {
 	// maxEpochAge bounds cursor snapshot age; 0 = unbounded. See
 	// Options.MaxEpochAge.
 	maxEpochAge uint64
+	// scratch is the staging memory the tree lends its next Batch; nil while
+	// a batch holds it (see Batch).
+	scratch atomic.Pointer[batchScratch]
 
 	// The maintenance loop's plumbing (see maintain). kick holds at most one
 	// pending kick — a round rotates to convergence per kick, so kicks absorb

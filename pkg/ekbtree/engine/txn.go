@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
+	"github.com/paper-repro/ekbtree/internal/keep"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/pagebuf"
 	"github.com/paper-repro/ekbtree/internal/store"
@@ -138,10 +139,12 @@ func (g *Engine) endTxn(tx *writeTxn) {
 }
 
 // keepCopies empties every private copy in the page table and adds the ones
-// Edit can rebuild to the spare lists, which it then cuts to the number of
-// leaves and index nodes the transaction made: a list never outgrows one
-// commit's copies, and so never workspaceKeep. A copy is private to its one
-// record, so none is kept twice.
+// Edit can rebuild to the spare lists, which it then cuts to what keep.Room
+// allows for the leaves and index nodes the transaction made: the copies a
+// commit edits vary from one commit to the next, and a list cut to the last
+// count would allocate the difference again at every rise. A list never
+// outgrows one commit's copies, and so never workspaceKeep. A copy is private
+// to its one record, so none is kept twice.
 func (tx *writeTxn) keepCopies() {
 	var made [2]int
 	for _, p := range tx.pages {
@@ -155,9 +158,9 @@ func (tx *writeTxn) keepCopies() {
 		}
 	}
 	for k, l := range tx.spare {
-		if len(l) > made[k] {
-			clear(l[made[k]:])
-			tx.spare[k] = l[:made[k]]
+		if n := keep.Room(made[k], node.CopyBytes); len(l) > n {
+			clear(l[n:])
+			tx.spare[k] = l[:n]
 		}
 	}
 }
