@@ -340,6 +340,7 @@ func (c *conn) handleBatch(b []byte, m *wire.BatchCommit) []byte {
 	if err := batch.Commit(); err != nil {
 		return appendEngineErr(b, err)
 	}
+	c.srv.release.batched()
 	return wire.AppendOK(b)
 }
 

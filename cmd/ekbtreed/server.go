@@ -53,6 +53,8 @@ type server struct {
 	drainOnce sync.Once
 	drainDone chan struct{}
 	drainErr  error
+
+	release *releaser // gives back a batch load's heap once it is over
 }
 
 func newServer(ln net.Listener, reg *registry, cfg serverConfig) *server {
@@ -71,6 +73,7 @@ func newServer(ln net.Listener, reg *registry, cfg serverConfig) *server {
 		dummyAuthKey: dummy,
 		conns:        make(map[*conn]struct{}),
 		drainDone:    make(chan struct{}),
+		release:      newReleaser(),
 	}
 }
 
@@ -150,6 +153,7 @@ func (s *server) drain() error {
 		// Bounded: every connection's I/O now has an absolute deadline, so
 		// even a wedged peer unblocks its handler by then.
 		s.wg.Wait()
+		s.release.stop()
 		s.drainErr = s.reg.closeAll()
 		s.cfg.logf("drain complete")
 		close(s.drainDone)
