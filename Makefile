@@ -95,10 +95,10 @@ lint:
 	@if [ "$$(git grep -cE 'make\(\[\]byte' -- internal/keysub/keysub.go)" != "internal/keysub/keysub.go:1" ]; then git grep -nE 'make\(\[\]byte' -- internal/keysub/keysub.go; echo "cut substitution results from the pooled chunk (subState.take), not from a buffer of their own"; exit 1; fi
 # A steady-state flush makes no garbage: flushGroup and flip rebuild the free
 # index, the released list, the next free list, the directory and the slot
-# in the committer's scratch (Store.scratch), whose directory buffer only
-# dirBuffer remakes. A byte or extent slice made in commit.go is a flush
+# in the committer's scratch (Store.scratch), whose byte buffers only
+# keptBuffer remakes. A byte or extent slice made in commit.go is a flush
 # allocating its directory or an extent list again.
-	@if git grep -nE 'make\(\[\](byte|extent)|var [a-zA-Z]+ \[\]extent' -- internal/store/file/commit.go; then echo "reuse the committer's scratch (Store.scratch: freeIndex.reset, released, free, dir through dirBuffer, slot) instead of a slice per flush"; exit 1; fi
+	@if git grep -nE 'make\(\[\](byte|extent)|var [a-zA-Z]+ \[\]extent' -- internal/store/file/commit.go; then echo "reuse the committer's scratch (Store.scratch: freeIndex.reset, released, free, dir and page through keptBuffer, slot) instead of a slice per flush"; exit 1; fi
 # A batch stages into the tree's scratch: its op slice and slab chunks go back
 # to the tree when Commit or Discard returns, and Batch.refill is the one
 # place batch.go makes a chunk, kept by the scratch while it has room.
@@ -161,9 +161,12 @@ test:
 #    writers and a reader that must never see a page's bytes change while a
 #    flush edits the page map (x50: a single run meets a copy's window only
 #    sometimes);
-#  - the vacuum flush's own contract: it never moves a page its group writes
-#    or frees, a Vacuum with nothing to do writes nothing, and two Vacuum
-#    calls at once take turns;
+#  - the vacuum flush's own contract, which every flush now keeps, since every
+#    flush packs pages from the tail into the holes in front: it never moves a
+#    page its group writes or frees, a Vacuum with nothing to do writes nothing,
+#    two Vacuum calls at once take turns, flushes pay down a rewritten store's
+#    garbage, a flush that fills every hole moves nothing, and a flush that
+#    writes and packs is atomic under faults;
 #  - the fault sweeps (internal/faulttest), commit-group walks and the
 #    directory checks at Open (a free list derived from the page map, and
 #    overlapping extents refused): a flush places pages in map-iteration
@@ -199,7 +202,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^TestModelConcurrentWriters$$/^vacuum$$/^file$$/^grouped$$' ./pkg/ekbtree/
 	$(GO) test -race -count=50 -run '^TestVacuumConcurrentWithCommits$$' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList|TestReleasedPagesAreUnreachable' ./internal/store/file/
+	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestFlushesPayDownGarbage|TestFlushThatFillsEveryHoleMovesNothing|TestPayDownAtomicityUnderFaults|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList|TestReleasedPagesAreUnreachable' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitLikeAnyOther|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestRecycledSlabIsUnreachable|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...

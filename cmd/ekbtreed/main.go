@@ -62,7 +62,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.tree.SealBudget, "seal-budget", 0, "per-epoch page-seal budget before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
 	fs.IntVar(&o.srv.maxConns, "max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
 	fs.DurationVar(&o.srv.drainTimeout, "drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
-	fs.Float64Var(&o.tree.AutoVacuum, "auto-vacuum", 0, "compact a tenant's file online once the garbage made since its last compaction exceeds this fraction of its size, e.g. 0.5 (0 = disabled)")
+	fs.Float64Var(&o.tree.AutoVacuum, "auto-vacuum", 0, "compact a tenant's file online once the garbage made since its last compaction exceeds this fraction of its size, e.g. 0.5 (0 = disabled); every flush already packs as many bytes as it writes, which keeps a file under steady writes within about one flush of its live bytes, so this is for what writes leave, such as a large delete")
 	fs.StringVar(&o.provision, "provision", "", "provision tenant NAME into -tenants and exit")
 	fs.StringVar(&o.masterHex, "master-hex", "", "tenant master key (hex) for -provision")
 	if err := fs.Parse(args); err != nil {

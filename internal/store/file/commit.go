@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 	"time"
 	"unsafe"
 
@@ -58,12 +57,13 @@ type group struct {
 	pages map[uint64]gpage // one record per page the group touched
 	room  int              // the most pages the map held before this group
 	header
-	// vacuum is the pass a vacuum step asked this flush to run, nil if none.
-	// The flush chooses the pass's pages and copies each one's durable extent
-	// itself (see flushGroup), so a step is no page record, adds nothing to
-	// bytes and is invisible to readers. The flush also steers its directory
-	// blob toward the front, which is the only way the directory itself ever
-	// migrates out of the tail.
+	// vacuum is the pass a vacuum step asked this flush to run, nil if none,
+	// in which case the flush packs as much as it wrote. The flush chooses
+	// the pass's pages and copies each one's durable extent itself (see
+	// flushGroup), so a step is no page record, adds nothing to bytes and is
+	// invisible to readers. The flush also steers its directory blob toward
+	// the front, which is the only way the directory itself ever migrates
+	// out of the tail.
 	vacuum *pass
 	// relocated counts the moves the flush performed and moveErr is the first
 	// error reading a move's durable extent (that move is skipped; the flush
@@ -438,8 +438,11 @@ type scratch struct {
 	avail    freeIndex // the flush's index of the durable free list
 	released []extent  // the extents the flush frees
 	free     []extent  // the free list before the durable one; flip builds the next in it
-	dir      []byte    // the last directory; flip serializes the next in it
+	dir      []byte    // the durable directory; flip serializes the next in it
 	slot     [slotSize]byte
+	holes    []extent // the holes the flush's pages left, by offset (pass.choose)
+	moves    []move   // the pages the flush moves (pass.choose)
+	page     []byte   // a moved page's bytes, between its two extents
 }
 
 // poisonPage is the record a kept group map holds under the race detector.
@@ -491,12 +494,15 @@ func markAhead(mark, durable store.SealMark) bool {
 // about to write were sealed under the reservation, and a crash must never
 // leave a page's nonce on the file above the mark a reopen resumes from.
 //
-// A vacuum step's pass is run here, after the group's own records are
-// placed: the pages are chosen from the durable state this flush replaces,
-// which only this goroutine changes, and none the group writes or frees (the
-// entries it has edited). This goroutine alone recycles and truncates extents
-// too, so the extent the durable directory gives for a page is stable for the
-// whole flush and the copy needs no guard. A vacuum flush that moves nothing,
+// Every flush packs, after the group's own records are placed: it runs the
+// pass a vacuum step asked for, or else pays down the garbage flushes make by
+// packing as many bytes as the group wrote, and at least one page, from the
+// tail into the holes the group's pages left. The pages are chosen from the
+// durable state this flush replaces, which only this goroutine changes, and
+// none the group writes or frees (the entries it has edited). This goroutine
+// alone recycles and truncates extents too, so the extent the durable
+// directory gives for a page is stable for the whole flush and the copy needs
+// no guard. A vacuum flush that moves nothing,
 // cannot lower its directory and carries no other change skips its flip.
 func (s *Store) flushGroup(g *group, nextID uint64) error {
 	sc := &s.scratch
@@ -515,6 +521,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) error {
 	avail.reset(s.free)
 	end, pageBytes := s.fileEnd, s.pageBytes
 	released := sc.released[:0] // extents that become free once this flush is durable
+	written := 0                // the bytes of the group's own pages
 	// Placed in one lock section ahead of the writes: readers find every page
 	// the group writes or frees in the flushing overlay, which a failed flush
 	// leaves in place.
@@ -530,6 +537,7 @@ func (s *Store) flushGroup(g *group, nextID uint64) error {
 		}
 		ext := avail.allocExtent(&end, uint32(len(p.buf)))
 		pageBytes += int64(ext.len)
+		written += int(ext.len)
 		s.pages[id] = ext
 	}
 	s.mu.Unlock()
@@ -541,53 +549,54 @@ func (s *Store) flushGroup(g *group, nextID uint64) error {
 			return fmt.Errorf("file: write page %d: %w", id, err)
 		}
 	}
-	if p := g.vacuum; p != nil {
-		var buf []byte
-		chosen := p.choose(s.pages, s.free, g.pages)
-		moved := chosen[:0] // the moves performed, at their new extents
-		for _, m := range chosen {
-			// The copy is byte-identical to its source, so it only earns a
-			// write if it can land strictly below its current offset. Otherwise
-			// the page stays — the durable bytes already stand, and staying
-			// (rather than appending at the frontier) is what guarantees
-			// Vacuum's pack phase terminates: every performed move strictly
-			// decreases the sum of live extent offsets. Lift moves are the
-			// exception: they exist to evacuate the extent above a hole, so
-			// when nothing below fits they land via normal allocation — the
-			// frontier if need be — and Vacuum's per-round frontier check
-			// bounds them instead.
-			ext, fits := avail.allocBelow(m.ext.len, m.ext.off)
-			if !fits {
-				if !p.lift {
-					continue
-				}
-				ext = avail.allocExtent(&end, m.ext.len)
-			}
-			buf = slices.Grow(buf[:0], int(m.ext.len))[:m.ext.len]
-			if _, err := s.f.ReadAt(buf, m.ext.off); err != nil {
-				if g.moveErr == nil {
-					g.moveErr = fmt.Errorf("file: vacuum read page %d: %w", m.id, err)
-				}
-				avail.add(ext)
+	// Pay down as many bytes as the group wrote, unless a Vacuum step asked.
+	p := pass{budget: max(written, 1)}
+	if g.vacuum != nil {
+		p = *g.vacuum
+	}
+	chosen := p.choose(sc.dir, pageBytes, avail, g.pages, sc)
+	moved := chosen[:0] // the moves performed, at their new extents
+	for _, m := range chosen {
+		// The copy is byte-identical to its source, so it only earns a write
+		// if it can land strictly below its current offset. Otherwise the
+		// page stays — the durable bytes already stand, and staying (rather
+		// than appending at the frontier) is what guarantees packing
+		// terminates: every performed move strictly decreases the sum of live
+		// extent offsets. Lift moves are the exception: they exist to evacuate
+		// the extent above a hole, so when nothing below fits they land via
+		// normal allocation — the frontier if need be — and Vacuum's per-round
+		// frontier check bounds them instead.
+		ext, fits := avail.allocBelow(m.ext.len, m.ext.off)
+		if !fits {
+			if !p.lift {
 				continue
 			}
-			if _, err := s.f.WriteAt(buf, ext.off); err != nil {
-				return fmt.Errorf("file: write page %d: %w", m.id, err)
+			ext = avail.allocExtent(&end, m.ext.len)
+		}
+		sc.page = keptBuffer(sc.page, int(m.ext.len))
+		if _, err := s.f.ReadAt(sc.page, m.ext.off); err != nil {
+			if g.moveErr == nil {
+				g.moveErr = fmt.Errorf("file: vacuum read page %d: %w", m.id, err)
 			}
-			released = append(released, m.ext)
-			moved = append(moved, move{m.id, ext})
+			avail.add(ext)
+			continue
 		}
-		// Every copy has landed before the map points a reader at it.
-		s.mu.Lock()
-		for _, m := range moved {
-			s.pages[m.id] = m.ext
+		if _, err := s.f.WriteAt(sc.page, ext.off); err != nil {
+			return fmt.Errorf("file: write page %d: %w", m.id, err)
 		}
-		s.mu.Unlock()
-		g.relocated = len(moved)
-		if g.relocated == 0 && len(g.pages) == 0 && g.header.same(s.header) && !s.dirCanDescend() {
-			// Nothing would change: a Vacuum with nothing to do writes nothing.
-			return nil
-		}
+		released = append(released, m.ext)
+		moved = append(moved, move{m.id, ext})
+	}
+	// Every copy has landed before the map points a reader at it.
+	s.mu.Lock()
+	for _, m := range moved {
+		s.pages[m.id] = m.ext
+	}
+	s.mu.Unlock()
+	g.relocated = len(moved)
+	if g.vacuum != nil && g.relocated == 0 && len(g.pages) == 0 && g.header.same(s.header) && !s.dirCanDescend() {
+		// Nothing would change: a Vacuum with nothing to do writes nothing.
+		return nil
 	}
 	err := s.flip(g.header, avail, released, end, pageBytes, nextID, g.vacuum != nil)
 	sc.released = reuse(released, len(released))
@@ -649,7 +658,7 @@ func (s *Store) flip(h header, avail *freeIndex, released []extent, end, pageByt
 		end = newFree[len(newFree)-1].off
 		newFree = newFree[:len(newFree)-1]
 	}
-	sc.dir = dirBuffer(sc.dir, int(dirLen))
+	sc.dir = keptBuffer(sc.dir, int(dirLen))
 	serializeDir(sc.dir, s.pages, h.meta, h.mark)
 	if _, err := s.f.WriteAt(sc.dir, dirExt.off); err != nil {
 		return fmt.Errorf("file: write directory: %w", err)

@@ -38,9 +38,9 @@ type freeIndex struct {
 const extentBytes = int(unsafe.Sizeof(extent{}))
 
 // reuse empties l for the next flush, or drops it when it has more room than
-// keep.Room allows for used extents.
-func reuse(l []extent, used int) []extent {
-	if cap(l) > keep.Room(used, extentBytes) {
+// keep.Room allows for used entries.
+func reuse[T any](l []T, used int) []T {
+	if cap(l) > keep.Room(used, int(unsafe.Sizeof(*new(T)))) {
 		return nil
 	}
 	return l[:0]

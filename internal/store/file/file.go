@@ -83,10 +83,12 @@
 //
 // After Open the committer goroutine is the file's only writer, the durable
 // state's only writer, and the only reader of extents it may itself recycle or
-// truncate: Vacuum names a pass, and the committer chooses the pages and copies
-// them. ReadPageInto, the one other reader, resolves and reads a durable extent
-// under the read side of the lock the committer edits and installs under, and
-// the tail is cut only after the install. The page map may run ahead of the
+// truncate: every flush packs pages from the tail into the holes in front, a
+// Vacuum step only names the pass its flush runs instead, and the committer
+// chooses the pages and copies them. ReadPageInto, the one other reader,
+// resolves and reads a durable extent under the read side of the lock the
+// committer edits and installs under, and the tail is cut only after the
+// install. The page map may run ahead of the
 // slot, but only for pages the flushing overlay shadows and identical vacuum
 // copies.
 //
@@ -405,7 +407,8 @@ func initialize(f File, cfg Config) (*Store, error) {
 			pages: make(map[uint64]extent), header: header{root: slot.root},
 			txid: slot.txid, dirExt: slot.dir, fileEnd: slot.dir.end(),
 		},
-		nextID: slot.nextID,
+		nextID:  slot.nextID,
+		scratch: scratch{dir: dir},
 	}
 	if _, err := f.WriteAt(dir, slot.dir.off); err != nil {
 		return nil, fmt.Errorf("file: init directory: %w", err)
@@ -453,7 +456,8 @@ func loadState(f File, sd slotData, idx int) (*Store, error) {
 			pages: pages, free: free, header: header{root: sd.root, meta: meta, mark: mark},
 			txid: sd.txid, cur: idx, dirExt: sd.dir, fileEnd: end,
 		},
-		nextID: sd.nextID,
+		nextID:  sd.nextID,
+		scratch: scratch{dir: dir},
 	}
 	for _, e := range pages {
 		s.pageBytes += int64(e.len)

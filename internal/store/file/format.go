@@ -69,12 +69,12 @@ func dirSize(pageCount, metaLen int) int {
 	return 4 + pageCount*pageEntLen + 4 + 4 + metaLen + markLen
 }
 
-// dirBuffer returns buf cut to n bytes for the next directory. A buffer with
-// more room than keep.Room allows for n is dropped, and one with too little
-// grows as append grows a slice, so a directory that gains a page at a time
-// does not remake its buffer at every flush. It is the one place a flush
-// makes its directory buffer.
-func dirBuffer(buf []byte, n int) []byte {
+// keptBuffer returns buf cut to n bytes for its next use: the next directory,
+// or the next page a flush moves. A buffer with more room than keep.Room
+// allows for n is dropped, and one with too little grows as append grows a
+// slice, so a directory that gains a page at a time does not remake its
+// buffer at every flush. It is the one place a flush makes a byte buffer.
+func keptBuffer(buf []byte, n int) []byte {
 	if cap(buf) > keep.Room(n, 1) {
 		buf = nil
 	}
@@ -113,18 +113,15 @@ func parseDir(b []byte) (pages map[uint64]extent, meta []byte, mark store.SealMa
 		return nil, nil, mark, bad("truncated")
 	}
 	pageCount := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint64(len(b)) < uint64(pageCount)*pageEntLen {
+	if uint64(len(b)-4) < uint64(pageCount)*pageEntLen {
 		return nil, nil, mark, bad("page table truncated")
 	}
-	pages = make(map[uint64]extent, pageCount)
-	for i := uint32(0); i < pageCount; i++ {
-		pages[binary.BigEndian.Uint64(b[0:])] = extent{
-			off: int64(binary.BigEndian.Uint64(b[8:])),
-			len: binary.BigEndian.Uint32(b[16:]),
-		}
-		b = b[pageEntLen:]
+	t := pageTable(b)
+	pages = make(map[uint64]extent, t.len())
+	for i := range t.len() {
+		pages[t.id(i)] = t.ext(i)
 	}
+	b = b[4+len(t):]
 	if len(b) < 4 {
 		return nil, nil, mark, bad("truncated")
 	}
@@ -151,6 +148,27 @@ func parseDir(b []byte) (pages map[uint64]extent, meta []byte, mark store.SealMa
 		mark.Counter = binary.BigEndian.Uint64(b[8:])
 	}
 	return pages, meta, mark, nil
+}
+
+// table is a directory's page table: its entries, in the order they are
+// stored. Walking a directory's bytes is several times faster than walking the
+// map it was serialized from, which is why the committer chooses the pages a
+// flush moves from its copy of the durable directory (pass.choose).
+type table []byte
+
+// pageTable is the page table of dir, a directory whose table is whole.
+func pageTable(dir []byte) table {
+	return dir[4 : 4+int(binary.BigEndian.Uint32(dir))*pageEntLen]
+}
+
+func (t table) len() int { return len(t) / pageEntLen }
+
+// id and ext are entry i's page ID and extent.
+func (t table) id(i int) uint64 { return binary.BigEndian.Uint64(t[i*pageEntLen:]) }
+
+func (t table) ext(i int) extent {
+	b := t[i*pageEntLen:]
+	return extent{off: int64(binary.BigEndian.Uint64(b[8:])), len: binary.BigEndian.Uint32(b[16:])}
 }
 
 // maxFileEnd (256 TiB) bounds the data region, and so what freeGaps derives.

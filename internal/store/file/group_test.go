@@ -792,13 +792,25 @@ func TestReleasedPagesAreUnreachable(t *testing.T) {
 // so the count does not grow with the page count: the same bound holds at
 // both sizes. The pages are not pagebuf's (a
 // 64-byte buffer is no size class), so the count is the store's alone. It
-// fails if a flush makes its directory blob or an extent slice again.
+// fails if a flush makes its directory blob or an extent slice again. A third
+// leg rewrites every page of the 10 000 once more in one flush first, so that
+// the first generation is a hole in front of the second and every flush after
+// it also packs 64 pages from the tail into that hole: the choice (pass.choose)
+// and the copies run out of the same kept scratch.
 func TestFlushAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("the race detector allocates")
 	}
-	for _, n := range []int{1_000, 10_000} {
-		t.Run(fmt.Sprintf("pages=%d", n), func(t *testing.T) {
+	for _, leg := range []struct {
+		n       int
+		rewrite bool
+	}{{1_000, false}, {10_000, false}, {10_000, true}} {
+		n := leg.n
+		name := fmt.Sprintf("pages=%d", n)
+		if leg.rewrite {
+			name += ",packing"
+		}
+		t.Run(name, func(t *testing.T) {
 			s := NewMem()
 			defer s.Close()
 			payload := bytes.Repeat([]byte{7}, 64)
@@ -811,11 +823,17 @@ func TestFlushAllocs(t *testing.T) {
 				}
 				writes[ids[i]] = payload
 			}
-			if err := s.CommitPages(writes, ids[0], nil); err != nil {
-				t.Fatal(err)
+			gens := 1
+			if leg.rewrite {
+				gens = 2
 			}
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
+			for range gens {
+				if err := s.CommitPages(writes, ids[0], nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			clear(writes)
 			next := 0
@@ -840,10 +858,16 @@ func TestFlushAllocs(t *testing.T) {
 			// free list, directory blob and slot, grew a fresh page map for the
 			// group, and copied the page file whenever the frontier retreated.
 			const want = 2
+			fileBefore, _ := s.Space()
 			if got := testing.AllocsPerRun(50, flush); got > want {
 				t.Errorf("a 64-page flush over %d pages allocates %.0f times, want <= %d", n, got, want)
 			} else {
 				t.Logf("a 64-page flush over %d pages allocates %.0f times", n, got)
+			}
+			// Each of the 51 flushes packs up to 64 pages out of the tail: at
+			// least half of them, whichever way the pages were placed.
+			if fileAfter, _ := s.Space(); leg.rewrite && fileBefore-fileAfter < 51*32*64 {
+				t.Errorf("the packing flushes cut the file by %d bytes, want at least %d, 32 pages a flush", fileBefore-fileAfter, 51*32*64)
 			}
 		})
 	}

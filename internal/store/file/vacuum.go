@@ -2,6 +2,8 @@ package file
 
 import (
 	"cmp"
+	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -19,7 +21,8 @@ const liftPerHole = 8
 // the file, until the durable file end is at or below target bytes or no
 // round can improve it further (target 0 compacts as far as the layout
 // allows). Implements store.Vacuumer. Vacuum calls on one store run one at a
-// time.
+// time. Every flush packs as much as it writes anyway (flushGroup); Vacuum is
+// for the garbage no later flush paid down and for what only lift clears.
 //
 // Vacuum asks, the committer chooses: each step enqueues only the pass it
 // wants, and the flush that carries it picks the pages (pass.choose) from the
@@ -157,11 +160,15 @@ func (s *Store) relocate(p pass) (relocated int, err error) {
 	return g.relocated, g.moveErr
 }
 
-// pass is what one vacuum step asks of the flush that carries it: pack the
-// pages reaching past target toward the front, or lift.
+// pass is what a flush's vacuum step asks of it: pack the pages reaching past
+// target toward the front, or lift, moving up to budget bytes and always at
+// least one page. A Vacuum step names its pass (relocate), and every other
+// flush packs on its own: it pays down the garbage it makes with at most the
+// bytes it writes (see flushGroup).
 type pass struct {
 	lift   bool
 	target int64 // pack only
+	budget int   // zero means vacuumBatchBytes
 }
 
 // move is a page a flush chose to relocate, at its durable extent.
@@ -171,10 +178,14 @@ type move struct {
 }
 
 // choose picks the pages a flush running p moves, in the order it tries them,
-// from the durable page map and its free list, which is sorted by offset
-// (coalesce and freeGaps both sort it). A page in skip — one the flushing
-// group writes or frees — is never chosen. Choosing is pure: it reads its
-// arguments and touches no file.
+// from dir, the durable directory, and the holes avail has left once the
+// flushing group's own pages are placed; pageBytes is the pages' summed
+// length. A page in skip — one the flushing group writes or frees — is never
+// chosen, so what dir says of every other page is what the page map says.
+// With no hole left it chooses nothing and reads no page. Choosing touches no
+// file, and it builds its answer in the committer's scratch (sc.holes,
+// sc.moves), kept by keep.Room, so a steady-state flush's choice allocates
+// nothing; the answer lives until the next choice.
 //
 // Pack takes the pages that reach past the target and that some hole strictly
 // below could hold, highest first: clearing the tail is what lets the
@@ -182,58 +193,162 @@ type move struct {
 // directly above each hole, lowest holes first, since the deepest merges
 // unlock the most packing; a hole with no page directly above it sits under
 // the directory or the frontier, and the directory re-places itself on every
-// vacuum flush anyway. Either stops at vacuumBatchBytes.
-func (p pass) choose(pages map[uint64]extent, free []extent, skip map[uint64]gpage) []move {
+// vacuum flush anyway. Either stops at the budget.
+func (p pass) choose(dir []byte, pageBytes int64, avail *freeIndex, skip map[uint64]gpage, sc *scratch) []move {
+	pages := pageTable(dir)
+	n := pages.len()
+	if avail.len() == 0 || n == 0 {
+		return nil
+	}
+	budget := p.budget
+	if budget == 0 {
+		budget = vacuumBatchBytes
+	}
+	holes := avail.appendTo(sc.holes[:0])
+	slices.SortFunc(holes, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 	var batch []move
-	total := 0
 	if p.lift {
-		starts := make(map[int64]move, len(pages))
-		for id, e := range pages {
-			// A zero-length page shares its offset and ends where it starts.
-			if _, touched := skip[id]; !touched && e.len > 0 {
-				starts[e.off] = move{id, e}
-			}
+		batch = lift(pages, holes, skip, sc.moves[:0], budget)
+		sc.moves = reuse(batch, len(batch))
+	} else {
+		// The holes take no more than they hold. The heap pack builds holds
+		// about budget/mean pages, mean the mean page length: it is grown to
+		// that at once rather than by doubling, and kept by that count, so a
+		// flush whose choice came up short keeps the room the next one needs.
+		room := 0
+		for _, h := range holes {
+			room += int(h.len)
 		}
-		for _, f := range free {
-			at := f.end()
-			for n := 0; n < liftPerHole && total < vacuumBatchBytes; n++ {
-				m, ok := starts[at]
-				if !ok {
-					break
-				}
-				batch = append(batch, m)
-				total += int(m.ext.len)
-				at = m.ext.end()
-			}
-			if total >= vacuumBatchBytes {
+		budget = max(min(budget, room), 1)
+		need := min(budget/max(int(pageBytes)/n, 1)+1, n)
+		batch = pack(pages, holes, skip, slices.Grow(sc.moves[:0], need), p.target, budget)
+		sc.moves = reuse(batch, need)
+	}
+	sc.holes = reuse(holes, len(holes))
+	return batch
+}
+
+// lift appends to batch the pages directly above each hole of holes, which
+// is sorted by offset.
+func lift(pages table, holes []extent, skip map[uint64]gpage, batch []move, budget int) []move {
+	starts := make(map[int64]move, pages.len())
+	for i := range pages.len() {
+		id, e := pages.id(i), pages.ext(i)
+		// A zero-length page shares its offset and ends where it starts.
+		if _, touched := skip[id]; !touched && e.len > 0 {
+			starts[e.off] = move{id, e}
+		}
+	}
+	total := 0
+	for _, f := range holes {
+		at := f.end()
+		for n := 0; n < liftPerHole && total < budget; n++ {
+			m, ok := starts[at]
+			if !ok {
 				break
 			}
+			batch = append(batch, m)
+			total += int(m.ext.len)
+			at = m.ext.end()
 		}
-		return batch
-	}
-	var cands []move
-	for id, e := range pages {
-		if _, touched := skip[id]; !touched && e.end() > p.target {
-			cands = append(cands, move{id, e})
-		}
-	}
-	// Sweep the holes and the candidates upward by offset, tracking the
-	// largest hole seen so far, then take the survivors from the top.
-	slices.SortFunc(cands, func(a, b move) int { return cmp.Compare(a.ext.off, b.ext.off) })
-	batch, fi, maxHole := cands[:0], 0, uint32(0)
-	for _, c := range cands {
-		for ; fi < len(free) && free[fi].off < c.ext.off; fi++ {
-			maxHole = max(maxHole, free[fi].len)
-		}
-		if maxHole >= c.ext.len {
-			batch = append(batch, c)
-		}
-	}
-	slices.Reverse(batch)
-	for i, c := range batch {
-		if total += int(c.ext.len); total >= vacuumBatchBytes {
-			return batch[:i+1]
+		if total >= budget {
+			break
 		}
 	}
 	return batch
+}
+
+// pack appends to batch the highest pages ending past target that a hole
+// strictly below could hold, highest first: budget bytes of them, but at
+// least one page. It overwrites the lengths of holes, which is sorted by
+// offset: each becomes the longest at or below its offset, so the holes below
+// a page are one search away.
+func pack(pages table, holes []extent, skip map[uint64]gpage, batch []move, target int64, budget int) []move {
+	// lowest[b] is the offset of the lowest hole at least 1<<b long, so one
+	// lookup settles whether a hole below a page fits it for most pages: a
+	// page of [1<<b, 2<<b) bytes fits none at or below lowest[b] and fits the
+	// one at lowest[b+1]. Only a page between the two is searched for.
+	var lowest [34]int64
+	b := 0
+	for i := range holes {
+		if i > 0 {
+			holes[i].len = max(holes[i].len, holes[i-1].len)
+		}
+		for ; uint64(holes[i].len) >= 1<<b; b++ {
+			lowest[b] = holes[i].off
+		}
+	}
+	for ; b < len(lowest); b++ {
+		lowest[b] = math.MaxInt64
+	}
+	// batch is a min-heap by offset of the highest candidates seen: the
+	// fewest whose lengths reach the budget, so a lower candidate enters only
+	// while they fall short of it.
+	total := 0
+	for i := range pages.len() {
+		e := pages.ext(i)
+		if e.len == 0 || e.end() <= target || total >= budget && e.off <= batch[0].ext.off {
+			continue
+		}
+		c := bits.Len32(e.len) - 1
+		if e.off <= lowest[c] {
+			continue
+		}
+		id := pages.id(i)
+		if _, touched := skip[id]; touched {
+			continue
+		}
+		if e.off <= lowest[c+1] {
+			below, _ := slices.BinarySearchFunc(holes, e.off, func(h extent, off int64) int { return cmp.Compare(h.off, off) })
+			if holes[below-1].len < e.len {
+				continue
+			}
+		}
+		batch = pushMove(batch, move{id, e})
+		for total += int(e.len); len(batch) > 1 && total-int(batch[0].ext.len) >= budget; {
+			total -= int(batch[0].ext.len)
+			batch = popMove(batch)
+		}
+	}
+	if total > budget && len(batch) > 1 {
+		batch = popMove(batch) // the lowest took the batch over the budget
+	}
+	slices.SortFunc(batch, func(a, b move) int { return cmp.Compare(b.ext.off, a.ext.off) })
+	return batch
+}
+
+// pushMove and popMove keep h a min-heap by offset, as container/heap does
+// but without boxing each move.
+func pushMove(h []move, m move) []move {
+	h = append(h, m)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up].ext.off <= h[i].ext.off {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	return h
+}
+
+func popMove(h []move) []move {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].ext.off < h[c].ext.off {
+			c++
+		}
+		if h[i].ext.off <= h[c].ext.off {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return h
 }

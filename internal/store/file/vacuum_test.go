@@ -549,7 +549,7 @@ func TestVacuumNeverMovesItsGroupsPages(t *testing.T) {
 			}
 			ids := buildGarbage(t, s)
 			s.mu.RLock()
-			chosen := p.choose(s.pages, s.free, nil)
+			chosen := p.choose(s.scratch.dir, s.pageBytes, newFreeIndex(s.free), nil, &scratch{})
 			before := maps.Clone(s.pages)
 			s.mu.RUnlock()
 			if len(chosen) < 6 {

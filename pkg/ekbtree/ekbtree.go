@@ -377,6 +377,12 @@ func (t *Tree) Space() (fileBytes, liveBytes int64) {
 // runs concurrently with reads and writes, never changes tree contents, and a
 // crash at any byte of it leaves a normal pre-or-post-batch state — no
 // recovery protocol, and re-running Vacuum after a crash simply converges.
+//
+// Every commit's flush already packs about as many bytes as it writes this
+// way, so a tree under steady writes stays within about one flush of its live
+// bytes. Vacuum is for what writes leave: garbage no later flush paid down,
+// such as a large delete, and holes smaller than every page behind them,
+// which only its lift rounds clear.
 func (t *Tree) Vacuum(target int64) error {
 	if target < 0 {
 		return fmt.Errorf("%w: negative vacuum target", ErrInvalidOptions)

@@ -212,10 +212,43 @@ func TestOverlappedPassKeepsVacuumFloor(t *testing.T) {
 		}
 	}
 	write(0)
-	// The rewrite leaves the first generation's pages as garbage, well over
-	// AutoVacuum of the file, so the next poll runs the armed pass.
-	armed.Store(true)
 	write(1)
+	// The armed pass runs at the first poll that finds garbage over
+	// AutoVacuum of the file. A rewrite does not leave a fixed amount of it:
+	// a generation placed in the holes in front of the last one frees the
+	// tail, which its flush truncates, and every flush packs pages into the
+	// holes the ones before it left. Deleting the first half of the keys in
+	// tree order does: it frees their leaves and leaves the others where
+	// they are, all over the file, and no flush follows it to pack the holes.
+	var inOrder []int
+	c := tr.Cursor()
+	for ok := c.First(); ok; ok = c.Next() {
+		var gen, i int
+		if _, err := fmt.Sscanf(string(c.Value()), "gen-%d-value-%06d", &gen, &i); err != nil {
+			t.Fatal(err)
+		}
+		inOrder = append(inOrder, i)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	b := tr.NewBatch()
+	for _, i := range inOrder[:n/2] {
+		if err := b.Delete(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if size, live := tr.Space(); armed.Load() && float64(size-live) <= 0.3*float64(size) {
+		t.Fatalf("deleting half the keys left garbage of %.3f of the file (file=%d live=%d), want over 0.3",
+			float64(size-live)/float64(size), size, live)
+	}
 	select {
 	case err := <-churned:
 		if err != nil {

@@ -102,6 +102,13 @@ type Options struct {
 	// file. The tree's maintenance loop checks every second; a check reads
 	// two counters, so a tree with nothing to reclaim does no I/O. Zero
 	// disables it; it must be in [0, 1).
+	//
+	// Every flush of a file-backed tree already moves as many bytes as it
+	// writes from the end of the file into holes nearer the front, so steady
+	// writes keep the file within about one flush of its live bytes with
+	// AutoVacuum off. What is left to a pass is the garbage the writes
+	// stopped short of paying down, such as a large delete with nothing
+	// written after it, and holes smaller than every page behind them.
 	AutoVacuum float64
 	// order, a seam for this package's tests to force small nodes, is the
 	// order a new tree is built at: even and at least 4, zero DefaultOrder.
