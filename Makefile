@@ -86,6 +86,13 @@ lint:
 # scans nodes but never edits one (btree.go edits the copies Edit
 # materialises), so none of its code indexes the fields.
 	@if git grep -nE '\.(Keys|Values|Children)(\[|\)|\.\.\.)|range .*\.(Keys|Values|Children)\b' -- internal/btree/iter.go internal/btree/read.go 'pkg/ekbtree/engine/*.go' ':!*_test.go'; then echo "read a node on a read path through Len, Key, Value, Child and Search; a view's fields are empty"; exit 1; fi
+# The page is the node: a version-2 page holds its keys in a stride array, so
+# a view reads them by arithmetic on the page. A per-key offset table, or a
+# side buffer for keys rebuilt outside the page, is a second view layout.
+	@if git grep -nE 'inSide|\[viewRoom\]entry|^\s+side\s' -- internal/node; then echo "a view answers from its page and header fields (node.Node: page, nkeys, width, vals); no offset table or side buffer"; exit 1; fi
+# One format written: the tree writes version-2 pages, and only bench/'s
+# replay and the tests that build an older file's pages ask for version 1.
+	@if git grep -nE 'NodeFormat:\s*node\.Format(Prefix|Full)' -- '*.go' ':!bench' ':!*_test.go'; then echo "product code writes node.FormatStride (the zero value); version-1 pages are only read, by transcoding"; exit 1; fi
 # One node constructor: every node the write path builds comes from node.New
 # (Materialize included), which allocates a node and its arrays as one object.
 	@if git grep -nF '&node.Node{' -- '*.go' ':!*_test.go' ':!internal/node'; then echo "build a node with node.New, not a composite literal"; exit 1; fi
@@ -247,6 +254,7 @@ FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/node/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePrefixTruncated$$' -fuzztime $(FUZZTIME) ./internal/node/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime $(FUZZTIME) ./internal/node/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/keysub/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubstituteRange$$' -fuzztime $(FUZZTIME) ./internal/keysub/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./pkg/ekbtree/wire/

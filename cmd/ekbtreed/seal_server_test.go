@@ -9,16 +9,40 @@ import (
 	"testing"
 	"time"
 
+	"github.com/paper-repro/ekbtree/internal/store"
+	"github.com/paper-repro/ekbtree/internal/store/file"
 	"github.com/paper-repro/ekbtree/pkg/ekbtree"
+	"github.com/paper-repro/ekbtree/pkg/ekbtree/engine"
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/wire"
 )
 
 // TestSealsExhaustedOverWire forces the fail-closed path end to end: a tenant
-// tree with rotation disabled and a tiny hard seal bound must start refusing
-// writes with CodeSealsExhausted over the wire, while reads keep serving.
+// tree with rotation disabled whose epoch has 12 seals left before the hard
+// bound must start refusing writes with CodeSealsExhausted over the wire,
+// while reads keep serving. The tenant's file is made before the server opens
+// it, its seal mark recorded 12 counters short of the engine's default bound,
+// where the tree resumes issuing.
 func TestSealsExhaustedOverWire(t *testing.T) {
 	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, SealBudget: -1, SealHardLimit: 12})
+		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, SealBudget: -1})
+	path := filepath.Join(ts.dataDir, "alice.ekbt")
+	tr, err := ekbtree.Open(ekbtree.Options{MasterKey: masterAlice, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := file.OpenConfig(path, file.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetSealMark(store.SealMark{Counter: engine.DefaultHardSealLimit - 12}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 	c := ts.dial(t, "alice")
 
 	if err := c.Put([]byte("first"), []byte("v")); err != nil {

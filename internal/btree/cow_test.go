@@ -148,7 +148,7 @@ func (m *cowNodes) shape() (root uint64, live int) { return m.root, len(m.nodes)
 func (m *cowNodes) commit() {
 	for id := range m.private {
 		if m.views {
-			page, err := m.nodes[id].EncodeFormat(node.FormatPrefix)
+			page, err := m.nodes[id].EncodeFormat(node.FormatStride)
 			if err != nil {
 				m.t.Fatal(err)
 			}

@@ -34,8 +34,10 @@ type Substituter interface {
 	// one cannot reach another, so a caller that keeps many results should
 	// copy them rather than pin the arrays they were cut from.
 	Substitute(key []byte) []byte
-	// Width returns the length in bytes of substituted keys, or -1 if the
-	// width varies with the input.
+	// Width returns the length in bytes of every substituted key. It must
+	// be positive: a tree stores its keys in fixed-width node pages, so its
+	// Open refuses a substituter whose Width is not, and a write whose
+	// substituted key is of another length fails.
 	Width() int
 	// Name identifies the scheme, e.g. for diagnostics and persistence.
 	Name() string

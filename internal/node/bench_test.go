@@ -28,7 +28,7 @@ var (
 
 func BenchmarkEncode(b *testing.B) {
 	n := benchNode()
-	for _, f := range []Format{FormatFull, FormatPrefix} {
+	for _, f := range []Format{FormatStride, FormatPrefix, FormatFull} {
 		b.Run(f.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(n.EncodedSizeFormat(f)))
@@ -50,7 +50,7 @@ func BenchmarkEncode(b *testing.B) {
 
 func BenchmarkDecode(b *testing.B) {
 	n := benchNode()
-	for _, f := range []Format{FormatFull, FormatPrefix} {
+	for _, f := range []Format{FormatStride, FormatPrefix, FormatFull} {
 		b.Run(f.String(), func(b *testing.B) {
 			page, err := n.EncodeFormat(f)
 			if err != nil {
@@ -67,14 +67,15 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeInPlace is the engine's miss path. The decoder consumes its
-// page, so every iteration refills one scratch buffer first; that copy is
-// inside the timing and allocates nothing, so the gap to BenchmarkDecode — a
-// page-sized allocation and a materialised node — is the price of the copying
-// entry.
+// BenchmarkDecodeInPlace is the engine's miss path: for a stride page the
+// view, for a version-1 page the parse a transcode starts with. The decoder
+// adopts its page, so every iteration refills one scratch buffer first; that
+// copy is inside the timing and allocates nothing, so the gap to
+// BenchmarkDecode — a page-sized allocation and a materialised node — is the
+// price of the copying entry.
 func BenchmarkDecodeInPlace(b *testing.B) {
 	n := benchNode()
-	for _, f := range []Format{FormatFull, FormatPrefix} {
+	for _, f := range []Format{FormatStride, FormatPrefix, FormatFull} {
 		b.Run(f.String(), func(b *testing.B) {
 			page, err := n.EncodeFormat(f)
 			if err != nil {
@@ -97,7 +98,7 @@ func BenchmarkDecodeInPlace(b *testing.B) {
 // node and as the view a read miss makes of its page.
 func BenchmarkSearch(b *testing.B) {
 	n := benchNode()
-	page, err := n.EncodeFormat(FormatPrefix)
+	page, err := n.EncodeFormat(FormatStride)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,54 +3,52 @@
 // plaintext keys never reach this layer — and are serialized to a compact
 // binary page that the cipher layer seals before it touches the store.
 //
-// Page layout (all integers big-endian):
+// Page layout, version 2, the one the tree writes (all integers big-endian):
 //
 //	magic    byte    0xEB
-//	version  byte    0x01
-//	flags    byte    bit0 = leaf, bit1 = prefix-truncated keys
+//	version  byte    0x02
+//	flags    byte    bit0 = leaf
 //	nkeys    uint16
-//	keys     full:   nkeys × (uint16 len, bytes)
-//	         prefix: nkeys × (uint16 shared, uint16 suffixLen, suffix bytes)
-//	values   nkeys × (uint32 len, bytes)
+//	width    uint16  every key's length (0 on a page with no keys)
+//	keys     nkeys × width bytes, one stride array
+//	ends     nkeys × uint32: where value i ends in the value area (value i
+//	         starts where value i-1 ends, value 0 at 0)
+//	values   the value area, every value back to back
 //	children (nkeys+1) × uint64   (internal nodes only)
 //
-// In prefix form each key stores only the bytes after its longest common
-// prefix with the PREVIOUS key on the page. Substituted keys in one node
-// share long bucket prefixes (the substitution is order-preserving), so this
-// is real density: fatter fanout, shallower trees, fewer seals per lookup.
-// The truncation is canonical — shared must be exactly the longest common
-// prefix, so every accepted page re-encodes byte-for-byte — and a decoder
-// that predates the flag rejects prefix pages outright (unknown flag bit),
-// never misreading them.
+// Substitution makes every search key a token of one width
+// (keysub.Substituter.Width), so key i is simply the width bytes at i ×
+// width: the page IS the node. A read-only view answers Len, Key, Value,
+// Child and Search by arithmetic on the page and four header fields, and
+// decoding a page only validates it (lengths, value ends that never run
+// backwards and end exactly at the value area's end, no unknown flag), so an
+// accepted page re-encodes byte for byte. The encoder refuses a node whose
+// keys differ in length.
 //
-// Prefix is the one form the tree writes. Full pages are what a file written
-// before prefix coding existed (or with the full-key option, since removed)
-// holds, so the decoder keeps reading them — each page by its own flag byte,
-// which is why one file may hold both forms while commits and re-seals
-// rewrite the old pages — and the full encoder stays as the reference the
-// tests build such pages with.
+// Version 1 is what files written before version 2 hold, and they are read
+// forever: magic, 0x01, flags (bit0 leaf, bit1 prefix), nkeys, then keys as
+// nkeys × (uint16 len, bytes) — or, prefix-truncated, nkeys × (uint16 shared,
+// uint16 suffixLen, suffix) against the previous key, canonically — values as
+// nkeys × (uint32 len, bytes), and children as above. Its parser builds a
+// materialised node, which the engine re-encodes as version 2 (transcoding on
+// read), so every node it caches is a view and commits and re-seals convert
+// a file page by page. The version-1 encoders stay as the reference the
+// tests and the benchmark's replay build such pages with. A decoder that
+// predates version 2 rejects its pages (unknown version), never misreading
+// them.
 //
-// A Node takes one of two forms. The tree builds and edits materialised
-// nodes, whose entries sit in the exported Keys, Values and Children slices.
-// There is one decoder, and the page it is handed IS the node it returns: a
-// read-only view that answers Len, Key, Value, Child and Search from the
-// deciphered page itself and an offset table kept in the node's own
-// allocation, with the three slices left empty. A fetched page costs one
-// allocation at most on its way from the store to a searchable node: a block
-// holds the view, its offset table and room for the page together, sized to
-// fill one of the runtime's size classes, the page is read and deciphered in
-// that room, and Block.Decode builds the view there. A read path takes its
-// blocks from a Blocks free list, which allocates one (NewBlock) only when it
-// has none of the page's class, and whose blocks come back from views that
-// nothing can read any more (Blocks.Recycle). DecodeInPlace is the same
-// decoder over a buffer the caller already holds, at one allocation beside
-// it; children are read from the page bytes when asked for. Whoever hands a
-// page to the decoder gives the buffer up. Materialize turns any node
-// into a private, mutable copy, and Decode is the decoder over a clone,
-// materialised, for a caller that must keep its page. Every materialised node
-// comes from New, which at the default order allocates the node and its
-// arrays as one object, so a copy costs one allocation too, and none when
-// MaterializeInto rebuilds a copy nothing reads any more (Reset) in place.
+// A Node takes one of two forms: the tree builds and edits materialised
+// nodes, whose entries sit in the exported Keys, Values and Children slices,
+// and a view leaves them empty. A fetched page costs one allocation at most
+// on its way to a view: a block holds the view and room for the page, sized
+// to fill one of the runtime's size classes; the page is read and deciphered
+// in that room, and Block.Decode makes the view there. Blocks come from a
+// free list (Blocks), which allocates one only when it has none of the
+// page's class, and go back to it from views nothing can read any more.
+// Materialize turns any node into a private, mutable copy; every
+// materialised node comes from New, which at the default order allocates the
+// node and its arrays as one object, and MaterializeInto rebuilds a copy
+// nothing reads any more (Reset) in place.
 package node
 
 import (
@@ -67,13 +65,15 @@ import (
 )
 
 const (
-	magic   = 0xEB
-	version = 0x01
+	magic     = 0xEB
+	versionV1 = 0x01 // length-prefixed keys, whole or prefix-truncated
+	version   = 0x02 // a stride array of fixed-width keys
 
 	flagLeaf   = 1 << 0
-	flagPrefix = 1 << 1
+	flagPrefix = 1 << 1 // version 1 only
 
-	headerSize    = 5 // magic + version + flags + nkeys
+	headerSize    = 5 // version 1: magic + version + flags + nkeys
+	strideHeader  = 7 // version 2: version 1's header + width
 	prefixHdrSize = 4 // a prefix key record's (shared, suffixLen) header
 
 	// MaxKeyLen and MaxValueLen bound entry sizes as encodable limits.
@@ -84,23 +84,27 @@ const (
 // ErrDecode is returned when a page does not decode to a valid node.
 var ErrDecode = errors.New("node: malformed page")
 
-// Format names an on-page key encoding. FormatPrefix, the one the tree
-// writes, is the zero value; the decoder accepts both, dispatching on each
-// page's flag byte (the package comment says why full pages still exist).
+// Format names a page encoding. FormatStride, version 2 and the one the tree
+// writes, is the zero value; the version-1 forms are what older files hold
+// (see the package comment).
 type Format byte
 
 const (
-	// FormatPrefix stores each key as (shared, suffix) against the previous
-	// key on the page.
-	FormatPrefix Format = iota
-	// FormatFull stores every key whole — the original page layout, which
-	// old files still hold. The write path never encodes it; its encoder is
-	// the reference the tests build such pages with.
+	// FormatStride is version 2: fixed-width keys in one stride array.
+	FormatStride Format = iota
+	// FormatPrefix is version 1 with each key stored as (shared, suffix)
+	// against the previous key on the page: what files written before
+	// version 2 hold.
+	FormatPrefix
+	// FormatFull is version 1 with every key stored whole: what files
+	// written before prefix coding hold.
 	FormatFull
 )
 
 func (f Format) String() string {
 	switch f {
+	case FormatStride:
+		return "stride"
 	case FormatPrefix:
 		return "prefix"
 	case FormatFull:
@@ -109,10 +113,13 @@ func (f Format) String() string {
 	return fmt.Sprintf("Format(%d)", byte(f))
 }
 
-// FormatOf reports which key encoding a page uses, from its flag byte. It
-// does not validate the page; malformed pages still fail to decode.
+// FormatOf reports which encoding a page uses, from its version and flag
+// bytes. It does not validate the page; malformed pages still fail to decode.
 func FormatOf(page []byte) Format {
-	if len(page) >= headerSize && page[2]&flagPrefix != 0 {
+	switch {
+	case len(page) >= 2 && page[1] == version:
+		return FormatStride
+	case len(page) >= headerSize && page[2]&flagPrefix != 0:
 		return FormatPrefix
 	}
 	return FormatFull
@@ -141,102 +148,68 @@ type Node struct {
 	Values   [][]byte
 	Children []uint64 // page IDs; empty iff Leaf
 
-	// A view's state; page is nil in a materialised node.
-	page []byte  // the deciphered page, its keys rebuilt in place
-	side []byte  // keys that share more than prefixHdrSize bytes with the previous key
-	ents []entry // where entry i's key and value lie
-	kids int     // offset of the child array in page; len(page) in a leaf
+	// A view's page, nil in a materialised node, and what its header says:
+	// nkeys keys of width bytes from strideHeader on, the value area at vals,
+	// its nkeys ends just before it.
+	page  []byte
+	nkeys uint16
+	width uint16
+	vals  uint32
 }
 
-// entry is a view's offset-table row for one key and its value.
-type entry struct {
-	key    uint32 // offset of the key in page, or in side when inSide
-	val    uint32 // offset of the value in page; its uint32 length precedes it
-	klen   uint16
-	inSide bool
-}
-
-// viewRoom is the entry count a node carries inside its own allocation: a
-// view's offset table, and a materialised node's header and child arrays (see
-// New). A full node at the default order (31 keys) fits, with room for the
-// one entry a materialised node may gain; a node with more keys takes further
-// allocations for its arrays.
-const viewRoom = 32
-
-// viewShell is a view and its offset table, allocated as one object.
-type viewShell struct {
-	Node
-	tab [viewRoom]entry
-}
-
-// newView returns a view with an offset table of nkeys rows, built in v when
-// v is not nil and in a fresh allocation otherwise. A table of more than
-// viewRoom rows is allocated beside the node.
-func newView(v *viewShell, nkeys int) (*Node, []entry) {
-	switch {
-	case nkeys <= viewRoom:
-		if v == nil {
-			v = new(viewShell)
-		}
-		return &v.Node, v.tab[:nkeys:nkeys]
-	case v == nil:
-		return new(Node), make([]entry, nkeys)
-	default:
-		return &v.Node, make([]entry, nkeys)
-	}
-}
-
-// Block is a page's way from the store to a view in one allocation: a view
-// shell, its offset table and room for the page. The caller reads the sealed
-// page into Page, deciphers it there, and hands what that yields to Decode,
-// once. The view then owns the block, until its holder gives it back to a
-// free list (Blocks.Recycle) for another page. A page too large for the
-// biggest block gets a buffer of its own, and Decode is then DecodeInPlace
-// over it: the node is a second allocation, and nothing is recycled.
+// Block is a page's way from the store to a view in one allocation: a node
+// and room for the page. The caller reads the sealed page into Page,
+// deciphers it there, and hands what that yields to Decode, once. The view
+// then owns the block, until its holder gives it back to a free list
+// (Blocks.Recycle) for another page. A page too large for the biggest block
+// gets a buffer of its own, and Decode then allocates the node: a second
+// allocation, and nothing is recycled.
 type Block struct {
-	shell *viewShell // nil when the page has a buffer of its own
+	shell *Node // nil when the page has a buffer of its own
 	page  []byte
 	class uint8 // Node.class of the view Decode builds
 }
 
-// pageBlock is a view shell followed by its page's room, R a byte array.
+// pageBlock is a node followed by its page's room, R a byte array.
 type pageBlock[R any] struct {
-	viewShell
+	Node
 	room R
 }
 
 // blockClass is one block size: its room in bytes, its allocator, and the
-// room of a shell it allocated.
+// room of a node it allocated.
 type blockClass struct {
 	room   int
-	alloc  func() (*viewShell, []byte)
-	roomOf func(*viewShell) []byte
+	alloc  func() (*Node, []byte)
+	roomOf func(*Node) []byte
 }
 
 // class returns the block class whose room is R.
 func class[R any]() blockClass {
 	var r R
-	roomOf := func(v *viewShell) []byte {
-		b := (*pageBlock[R])(unsafe.Pointer(v))
+	roomOf := func(n *Node) []byte {
+		b := (*pageBlock[R])(unsafe.Pointer(n))
 		return unsafe.Slice((*byte)(unsafe.Pointer(&b.room)), unsafe.Sizeof(b.room))
 	}
-	return blockClass{int(unsafe.Sizeof(r)), func() (*viewShell, []byte) {
+	return blockClass{int(unsafe.Sizeof(r)), func() (*Node, []byte) {
 		b := new(pageBlock[R])
-		return &b.viewShell, roomOf(&b.viewShell)
+		return &b.Node, roomOf(&b.Node)
 	}, roomOf}
 }
 
-// blockOverhead is what a block spends beyond its room: the view shell, and
-// the eight-byte header the runtime keeps inside every object over 512 bytes
+// blockOverhead is what a block spends beyond its room: the node, and the
+// eight-byte header the runtime keeps inside every object over 512 bytes
 // that holds pointers.
-const blockOverhead = 8 + unsafe.Sizeof(viewShell{})
+const blockOverhead = 8 + unsafe.Sizeof(Node{})
 
 // blockClasses are the blocks by size, each filling one of the runtime's size
 // classes exactly (the class less blockOverhead is its room): every class
-// from the smallest with room for an empty page up to 8 KiB, so a block
+// from the smallest over 512 bytes (below that the runtime keeps no object
+// header, and no page worth a block is so small) up to 8 KiB, so a block
 // wastes no more than the gap to the next class, as a plain buffer of the
 // page's size would. TestBlocksFillSizeClasses holds them to it.
 var blockClasses = [...]blockClass{
+	class[[576 - blockOverhead]byte](),
 	class[[640 - blockOverhead]byte](),
 	class[[704 - blockOverhead]byte](),
 	class[[768 - blockOverhead]byte](),
@@ -290,13 +263,15 @@ func classFor(size int) int {
 // Page returns the room the page is read into: size bytes, capacity-clipped.
 func (b Block) Page() []byte { return b.page }
 
-// Decode is DecodeInPlace building the view in the block: page is what
-// deciphering Page in place left of it, sealed under key epoch epoch, and
-// the view pins the whole block. A cipher that returned a buffer of its own
+// Decode makes the view of a version-2 page in the block: page is what
+// deciphering Page in place left of it, sealed under key epoch epoch, and the
+// view pins the whole block. It only validates the page, and allocates
+// nothing; a version-1 page is refused (ErrDecode), its reader transcoding it
+// first (see the package comment). A cipher that returned a buffer of its own
 // instead still decodes correctly, only with the block's room spent for
 // nothing.
 func (b Block) Decode(page []byte, epoch uint32) (*Node, error) {
-	n, err := decodeView(b.shell, page)
+	n, err := decodeStride(b.shell, page)
 	if err == nil {
 		n.class, n.epoch = b.class, epoch
 	}
@@ -317,14 +292,14 @@ func (n *Node) SealedEpoch() uint32 { return n.epoch }
 // concurrent use.
 type Blocks struct {
 	mu     sync.Mutex
-	free   [len(blockClasses)][]*viewShell
+	free   [len(blockClasses)][]*Node
 	reused uint64
 }
 
 // Block returns a block with room for a page of size bytes, as NewBlock
 // does, but takes a free block of the page's class when there is one. A
-// recycled block's view shell is cleared, since the decoder relies on a
-// zeroed offset table; its room is not, the caller reading the page over it.
+// recycled block's node is cleared; its room is not, the caller reading the
+// page over it.
 func (f *Blocks) Block(size int) Block {
 	c := classFor(size)
 	if c < 0 {
@@ -341,7 +316,7 @@ func (f *Blocks) Block(size int) Block {
 	f.free[c] = l[:len(l)-1]
 	f.reused++
 	f.mu.Unlock()
-	*shell = viewShell{}
+	*shell = Node{}
 	return Block{shell: shell, page: blockClasses[c].roomOf(shell)[:size:size], class: uint8(c + 1)}
 }
 
@@ -357,40 +332,42 @@ func (f *Blocks) Reused() uint64 {
 // the list took it. It refuses a node that is not a view in a block and a
 // view already given back.
 //
-// The caller guarantees that nothing reads n, its page or side buffer, or
-// any key or value slice cut from them, ever again: from here on the block
-// is the next Block caller's, who reads another page over it. Under the
-// race detector the room and the offset table are first overwritten with a
-// fixed pattern, so a reader the caller missed reads garbage, and races with
-// the write, rather than reading the next page's bytes unnoticed.
+// The caller guarantees that nothing reads n, its page, or any key or value
+// slice cut from it, ever again: from here on the block is the next Block
+// caller's, who reads another page over it. Under the race detector the room
+// is first overwritten with a fixed pattern, so a reader the caller missed
+// reads garbage, and races with the write, rather than reading the next
+// page's bytes unnoticed.
 func (f *Blocks) Recycle(n *Node) bool {
 	if n.class == 0 {
 		return false
 	}
 	c := int(n.class - 1)
 	n.class = 0
-	// n is the Node at the head of its shell: the block was allocated as a
-	// pageBlock, whose first field the shell is.
-	shell := (*viewShell)(unsafe.Pointer(n))
+	f.put(c, n)
+	return true
+}
+
+// Release gives back a block that holds no view: one whose page nothing
+// reads any more, because Decode refused it or its reader transcoded it into
+// another block. A plain buffer is left to the collector.
+func (f *Blocks) Release(b Block) {
+	if b.shell != nil {
+		f.put(int(b.class-1), b.shell)
+	}
+}
+
+// put adds the block whose node is shell, of class c, to the free list.
+func (f *Blocks) put(c int, shell *Node) {
 	if israce.Enabled {
-		poisonBlock(shell, blockClasses[c].roomOf(shell))
+		room := blockClasses[c].roomOf(shell)
+		for i := range room {
+			room[i] = 0xA5
+		}
 	}
 	f.mu.Lock()
 	f.free[c] = append(f.free[c], shell)
 	f.mu.Unlock()
-	return true
-}
-
-// poisonBlock overwrites a recycled block's room and offset table with a fixed
-// pattern that decodes to nothing: every offset lies past any page, and
-// every key claims the side buffer.
-func poisonBlock(shell *viewShell, room []byte) {
-	for i := range room {
-		room[i] = 0xA5
-	}
-	for i := range shell.tab {
-		shell.tab[i] = entry{key: 0xA5A5A5A5, val: 0xA5A5A5A5, klen: 0xA5A5, inSide: true}
-	}
 }
 
 // Recyclable reports whether n is a view in a block: one Recycle would take,
@@ -402,7 +379,7 @@ func (n *Node) Len() int {
 	if n.page == nil {
 		return len(n.Keys)
 	}
-	return len(n.ents)
+	return int(n.nkeys)
 }
 
 // Key returns key i. A view's keys are capacity-clipped, so appending to one
@@ -411,13 +388,9 @@ func (n *Node) Key(i int) []byte {
 	if n.page == nil {
 		return n.Keys[i]
 	}
-	e := &n.ents[i]
-	buf := n.page
-	if e.inSide {
-		buf = n.side
-	}
-	end := e.key + uint32(e.klen)
-	return buf[e.key:end:end]
+	w := int(n.width)
+	keys := n.page[strideHeader : strideHeader+int(n.nkeys)*w]
+	return keys[i*w : (i+1)*w : (i+1)*w]
 }
 
 // Value returns value i, capacity-clipped in a view like Key.
@@ -425,9 +398,12 @@ func (n *Node) Value(i int) []byte {
 	if n.page == nil {
 		return n.Values[i]
 	}
-	off := n.ents[i].val
-	end := off + binary.BigEndian.Uint32(n.page[off-4:])
-	return n.page[off:end:end]
+	ends, vals := n.page[int(n.vals)-4*int(n.nkeys):n.vals], n.page[n.vals:]
+	end, start := binary.BigEndian.Uint32(ends[4*i:]), uint32(0)
+	if i > 0 {
+		start = binary.BigEndian.Uint32(ends[4*i-4:])
+	}
+	return vals[start:end:end]
 }
 
 // Child returns the page ID of child i, for i in [0, Len()] of an index node.
@@ -435,21 +411,31 @@ func (n *Node) Child(i int) uint64 {
 	if n.page == nil {
 		return n.Children[i]
 	}
-	return binary.BigEndian.Uint64(n.page[n.kids+8*i:])
+	if n.Leaf {
+		panic("node: a leaf has no children")
+	}
+	kids := n.page[len(n.page)-8*(int(n.nkeys)+1):]
+	return binary.BigEndian.Uint64(kids[8*i:])
 }
 
 // leafRoom and indexRoom are a materialised node and the arrays its slices
-// are cut from, allocated as one object: room for viewRoom entries, so a full
+// are cut from, allocated as one object: room for nodeRoom entries, so a full
 // node at the default order plus the one entry a split or insert adds.
 type leafRoom struct {
 	Node
-	hdrs [2 * viewRoom][]byte // Keys, then Values
+	hdrs [2 * nodeRoom][]byte // Keys, then Values
 }
 
 type indexRoom struct {
 	leafRoom
-	kids [viewRoom + 1]uint64
+	kids [nodeRoom + 1]uint64
 }
+
+// nodeRoom is the entry count a materialised node carries inside its own
+// allocation (see New). A full node at the default order (31 keys) fits, with
+// room for the one entry a materialised node may gain; a node with more keys
+// takes further allocations for its arrays.
+const nodeRoom = 32
 
 // CopyBytes is the most a node New allocated with its arrays takes: what
 // one copy kept for reuse holds.
@@ -468,7 +454,7 @@ const (
 // arrays of its room, which must hold them, and returns n.
 func (n *Node) cut() *Node {
 	r := (*leafRoom)(unsafe.Pointer(n))
-	n.Keys, n.Values = r.hdrs[:0:viewRoom], r.hdrs[viewRoom:viewRoom:2*viewRoom]
+	n.Keys, n.Values = r.hdrs[:0:nodeRoom], r.hdrs[nodeRoom:nodeRoom:2*nodeRoom]
 	n.Children = nil
 	if !n.Leaf && n.room == inIndex {
 		n.Children = (*indexRoom)(unsafe.Pointer(n)).kids[:0]
@@ -479,12 +465,12 @@ func (n *Node) cut() *Node {
 // New returns an empty materialised node with room for n entries (and, in an
 // index node, n+1 children) before any of its slices regrows. Keys and Values
 // are cut from one array, each clipped to its own capacity so growing one
-// never runs into the other. For n up to viewRoom the node and its arrays are
-// one allocation sized for viewRoom, whatever n is; a larger n (a tree of a
+// never runs into the other. For n up to nodeRoom the node and its arrays are
+// one allocation sized for nodeRoom, whatever n is; a larger n (a tree of a
 // larger order) takes the node, the header array and the child array
 // separately. Every node the tree builds comes from here.
 func New(leaf bool, n int) *Node {
-	if n > viewRoom {
+	if n > nodeRoom {
 		hdrs := make([][]byte, 2*n)
 		c := &Node{Leaf: leaf, Keys: hdrs[:0:n], Values: hdrs[n : n : 2*n]}
 		if !leaf {
@@ -530,7 +516,7 @@ func (n *Node) Reset() bool {
 // does, and c is left as it was.
 func (n *Node) MaterializeInto(c *Node) *Node {
 	k := n.Len()
-	if c == nil || c.room == noRoom || k >= viewRoom || !n.Leaf && c.room != inIndex {
+	if c == nil || c.room == noRoom || k >= nodeRoom || !n.Leaf && c.room != inIndex {
 		c = New(n.Leaf, k+1)
 	} else {
 		c.Leaf = n.Leaf
@@ -552,12 +538,36 @@ func (n *Node) MaterializeInto(c *Node) *Node {
 // Search returns the index of the first key >= key, and whether that key is
 // an exact match. Keys are strictly increasing, so the binary search may stop
 // at the first equal probe; it is written out because every level of every
-// descent runs it, and sort.Search pays a closure call a probe.
+// descent runs it, and sort.Search pays a closure call a probe. A view's
+// probe is a slice of its stride array.
 func (n *Node) Search(key []byte) (int, bool) {
-	lo, hi := 0, n.Len()
+	if n.page == nil {
+		return search(n.Keys, key)
+	}
+	w := int(n.width)
+	keys := n.page[strideHeader : strideHeader+int(n.nkeys)*w]
+	lo, hi := 0, int(n.nkeys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch c := bytes.Compare(n.Key(mid), key); {
+		off := mid * w
+		switch c := bytes.Compare(keys[off:off+w], key); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return lo, false
+}
+
+// search is Search over a materialised node's keys.
+func search(keys [][]byte, key []byte) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := bytes.Compare(keys[mid], key); {
 		case c == 0:
 			return mid, true
 		case c < 0:
@@ -570,10 +580,7 @@ func (n *Node) Search(key []byte) (int, bool) {
 }
 
 func commonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
@@ -582,22 +589,32 @@ func commonPrefixLen(a, b []byte) int {
 }
 
 // EncodedSizeFormat returns the exact size in bytes of EncodeFormat(f)'s
-// output.
+// output (for FormatStride, when the keys are of one width).
 func (n *Node) EncodedSizeFormat(f Format) int {
-	size := headerSize
+	if f == FormatStride && n.page != nil {
+		return len(n.page)
+	}
+	nkeys := n.Len()
+	size := headerSize + 4*nkeys
+	if f == FormatStride {
+		size = strideHeader + 4*nkeys
+		if nkeys > 0 {
+			size += nkeys * len(n.Key(0))
+		}
+	}
 	var prev []byte
-	for i := range n.Len() {
-		k := n.Key(i)
-		if f == FormatPrefix {
+	for i := range nkeys {
+		switch k := n.Key(i); f {
+		case FormatPrefix:
 			size += prefixHdrSize + len(k) - commonPrefixLen(prev, k)
 			prev = k
-		} else {
+		case FormatFull:
 			size += 2 + len(k)
 		}
-		size += 4 + len(n.Value(i))
+		size += len(n.Value(i))
 	}
 	if !n.Leaf {
-		size += 8 * (n.Len() + 1)
+		size += 8 * (nkeys + 1)
 	}
 	return size
 }
@@ -611,10 +628,16 @@ func (n *Node) EncodeFormat(f Format) ([]byte, error) {
 // AppendEncodeFormat appends the node's page in the given format to dst and
 // returns the extended buffer, so a caller sealing page after page can encode
 // into one reused scratch. dst is grown at most once, up front. A view
-// encodes as well as a materialised node does.
+// encodes as well as a materialised node does; in FormatStride its page is
+// the encoding, copied as it is. A node that has no page in the format — in
+// FormatStride, one whose keys differ in length or whose values overflow the
+// 32-bit ends — is refused with an error before anything is written.
 func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
-	if f != FormatFull && f != FormatPrefix {
+	if f != FormatStride && f != FormatFull && f != FormatPrefix {
 		return nil, fmt.Errorf("node: unknown format %d", byte(f))
+	}
+	if n.page != nil && f == FormatStride {
+		return append(dst, n.page...), nil
 	}
 	if n.page == nil {
 		// A view is well-formed by construction; a materialised node holds
@@ -633,40 +656,66 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 	if nkeys > 1<<16-1 {
 		return nil, fmt.Errorf("node: too many keys: %d", nkeys)
 	}
+	width, area := 0, uint64(0)
+	if nkeys > 0 {
+		width = len(n.Key(0))
+	}
+	for i := range nkeys {
+		switch k, v := n.Key(i), n.Value(i); {
+		case len(k) > MaxKeyLen:
+			return nil, fmt.Errorf("node: key too long: %d", len(k))
+		case f == FormatStride && len(k) != width:
+			return nil, fmt.Errorf("node: key %d is %d bytes where key 0 is %d: a page holds keys of one width", i, len(k), width)
+		case int64(len(v)) > MaxValueLen:
+			return nil, fmt.Errorf("node: value too long: %d", len(v))
+		default:
+			area += uint64(len(v))
+		}
+	}
+	if f == FormatStride && area > math.MaxUint32 {
+		return nil, fmt.Errorf("node: values of more than %d bytes", uint64(math.MaxUint32))
+	}
 	buf := slices.Grow(dst, n.EncodedSizeFormat(f))
 	flags := byte(0)
 	if n.Leaf {
 		flags |= flagLeaf
 	}
-	if f == FormatPrefix {
-		flags |= flagPrefix
+	switch f {
+	case FormatStride:
+		buf = append(buf, magic, version, flags, byte(nkeys>>8), byte(nkeys), byte(width>>8), byte(width))
+	case FormatPrefix:
+		buf = append(buf, magic, versionV1, flags|flagPrefix, byte(nkeys>>8), byte(nkeys))
+	default:
+		buf = append(buf, magic, versionV1, flags, byte(nkeys>>8), byte(nkeys))
 	}
-	buf = append(buf, magic, version, flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(nkeys))
 	var prev []byte
 	for i := range nkeys {
 		k := n.Key(i)
-		if len(k) > MaxKeyLen {
-			return nil, fmt.Errorf("node: key too long: %d", len(k))
-		}
-		if f == FormatPrefix {
+		switch f {
+		case FormatPrefix:
 			shared := commonPrefixLen(prev, k)
 			buf = binary.BigEndian.AppendUint16(buf, uint16(shared))
 			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)-shared))
-			buf = append(buf, k[shared:]...)
-			prev = k
-		} else {
+			k, prev = k[shared:], k
+		case FormatFull:
 			buf = binary.BigEndian.AppendUint16(buf, uint16(len(k)))
-			buf = append(buf, k...)
+		}
+		buf = append(buf, k...)
+	}
+	end := uint32(0)
+	for i := range nkeys {
+		if v := n.Value(i); f == FormatStride {
+			end += uint32(len(v))
+			buf = binary.BigEndian.AppendUint32(buf, end)
+		} else {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
+			buf = append(buf, v...)
 		}
 	}
 	for i := range nkeys {
-		v := n.Value(i)
-		if int64(len(v)) > MaxValueLen {
-			return nil, fmt.Errorf("node: value too long: %d", len(v))
+		if f == FormatStride { // the values follow all the ends
+			buf = append(buf, n.Value(i)...)
 		}
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(v)))
-		buf = append(buf, v...)
 	}
 	if !n.Leaf {
 		for i := range nkeys + 1 {
@@ -676,39 +725,73 @@ func (n *Node) AppendEncodeFormat(dst []byte, f Format) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeInPlace parses a page produced by EncodeFormat, dispatching on the
-// page's flag byte, and ADOPTS the buffer: the page is the node. It returns a
-// read-only view (see Node) whose one allocation holds the node and, for up to
-// viewRoom keys, its offset table; read into a Block, the same page decodes
-// with no allocation beyond the block's. Values and full-format keys lie in
-// the page where they were written, and a prefix-coded key that shares at most
-// four bytes with its predecessor is rebuilt over its own four-byte (shared,
-// suffixLen) record header, so it too lies in the page. Only keys that share
-// more — wide bucket prefixes — are rebuilt in one side buffer, sized exactly
-// by the pre-scan: the one further allocation a page can cost.
-//
-// Ownership: the caller hands the page over and must neither read nor write
-// it afterwards. The view pins the whole buffer for as long as it, or any key
-// or value slice taken from it (materialised copies included), is reachable.
-// A view built in a block (Block.Decode) is the exception: whoever holds it
-// may give the block back to a free list (Blocks.Recycle) once nothing reads
-// the view or any slice taken from it. A rejected page's
-// buffer is worth nothing — record headers may already have been overwritten
-// — and nobody retains it.
-//
-// Prefix pages are held to canonical truncation: shared must be exactly the
-// longest common prefix with the reconstructed previous key. Over-sharing
-// (shared longer than the previous key) and under-sharing (a suffix whose
-// first byte still matches the previous key at that position) both reject,
-// so an accepted page re-encodes byte-for-byte in its own format. A page of
-// 4 GiB or more, which no page store can hold, is rejected too: the offset
-// table is 32-bit.
-func DecodeInPlace(page []byte) (*Node, error) { return decodeView(nil, page) }
+// DecodeInPlace parses a page produced by EncodeFormat and ADOPTS the buffer:
+// the caller must neither read nor write it afterwards, and the node pins it
+// while the node or any key or value slice taken from it is reachable (a view
+// built in a block is given back with Blocks.Recycle). A version-2 page
+// becomes a read-only view of it, one allocation (none in a Block). A
+// version-1 page becomes a materialised node whose values and whole keys lie
+// in the page and whose prefix keys are rebuilt in one arena: the parser the
+// engine transcodes an older file's pages with. Either way an accepted page
+// re-encodes byte for byte in its own format: prefix pages are held to exact
+// truncation, shared being the longest common prefix with the previous key.
+// A page of 4 GiB or more, which no page store can hold, is rejected too.
+func DecodeInPlace(page []byte) (*Node, error) {
+	if FormatOf(page) == FormatStride {
+		return decodeStride(nil, page)
+	}
+	return decodeV1(page)
+}
 
-// decodeView is the decoder behind DecodeInPlace and Block.Decode: it builds
-// the view in shell, or in an allocation of its own when shell is nil.
-func decodeView(shell *viewShell, page []byte) (*Node, error) {
-	if len(page) < headerSize || page[0] != magic || page[1] != version || uint64(len(page)) > math.MaxUint32 {
+// decodeStride validates a version-2 page and makes the view of it in n, or
+// in an allocation of its own when n is nil (and the page is valid).
+func decodeStride(n *Node, page []byte) (*Node, error) {
+	if len(page) < strideHeader || page[0] != magic || page[1] != version || page[2]&^flagLeaf != 0 ||
+		uint64(len(page)) > math.MaxUint32 {
+		return nil, ErrDecode
+	}
+	leaf := page[2]&flagLeaf != 0
+	nkeys := int(binary.BigEndian.Uint16(page[3:]))
+	width := int(binary.BigEndian.Uint16(page[5:]))
+	if nkeys == 0 && width != 0 {
+		// The encoder writes width 0 on an empty page, so anything else
+		// would not re-encode byte for byte.
+		return nil, ErrDecode
+	}
+	// At most 65535 keys of 65535 bytes: the sums fit an int64.
+	ends := int64(strideHeader) + int64(nkeys)*int64(width)
+	vals := ends + 4*int64(nkeys)
+	fixed := vals
+	if !leaf {
+		fixed += 8 * int64(nkeys+1)
+	}
+	if int64(len(page)) < fixed {
+		return nil, ErrDecode
+	}
+	area := uint64(int64(len(page)) - fixed)
+	prev := uint32(0)
+	for off := int(ends); off < int(vals); off += 4 {
+		end := binary.BigEndian.Uint32(page[off:])
+		if end < prev {
+			return nil, ErrDecode
+		}
+		prev = end
+	}
+	if uint64(prev) != area {
+		return nil, ErrDecode
+	}
+	if n == nil {
+		n = new(Node)
+	}
+	n.Leaf, n.page = leaf, page
+	n.nkeys, n.width, n.vals = uint16(nkeys), uint16(width), uint32(vals)
+	return n, nil
+}
+
+// decodeV1 parses a version-1 page, full or prefix-truncated, into a
+// materialised node (see DecodeInPlace).
+func decodeV1(page []byte) (*Node, error) {
+	if len(page) < headerSize || page[0] != magic || page[1] != versionV1 || uint64(len(page)) > math.MaxUint32 {
 		return nil, ErrDecode
 	}
 	flags := page[2]
@@ -719,126 +802,101 @@ func decodeView(shell *viewShell, page []byte) (*Node, error) {
 	}
 	prefix := flags&flagPrefix != 0
 	nkeys := int(binary.BigEndian.Uint16(page[3:5]))
-
-	// Pre-scan the prefix records (cheap: skips suffix bytes). It front-loads
-	// the length arithmetic, leaving the decode loop free of bounds failures,
-	// and sizes the side buffer for the keys that cannot be rebuilt in place.
-	// The side buffer is at most 65535 keys of 65535 bytes, so its offsets fit
-	// the table's 32 bits.
-	var side []byte
+	// Every key record takes its header and every value its 4-byte length,
+	// so a page too short for nkeys of them is refused before anything is
+	// sized by nkeys.
+	keyHdr := 2
 	if prefix {
-		sideCap, prevLen := 0, 0
-		scan := page[headerSize:]
-		for i := 0; i < nkeys; i++ {
-			if len(scan) < prefixHdrSize {
-				return nil, ErrDecode
-			}
-			shared := int(binary.BigEndian.Uint16(scan))
-			slen := int(binary.BigEndian.Uint16(scan[2:]))
-			scan = scan[prefixHdrSize:]
-			if len(scan) < slen || shared > prevLen || (i == 0 && shared != 0) {
-				return nil, ErrDecode
-			}
-			prevLen = shared + slen
-			if prevLen > MaxKeyLen {
-				// Reconstructed key would exceed the encodable bound.
-				return nil, ErrDecode
-			}
-			if shared > prefixHdrSize {
-				sideCap += prevLen
-			}
-			scan = scan[slen:]
-		}
-		if sideCap > 0 {
-			side = make([]byte, 0, sideCap)
-		}
+		keyHdr = prefixHdrSize
 	}
-
-	n, ents := newView(shell, nkeys)
-	n.Leaf = flags&flagLeaf != 0
-	n.page, n.ents = page, ents
+	if nkeys > (len(page)-headerSize)/(keyHdr+4) {
+		return nil, ErrDecode
+	}
+	n := New(flags&flagLeaf != 0, nkeys)
+	// Prefix keys are rebuilt one after another in arena, sized for keys of
+	// the first one's width but at most twice the page (append grows it past
+	// that for keys that share more); each key's slot in Keys holds arena up
+	// to its end until the last, when they are cut from wherever arena ended
+	// up.
+	var arena, prev []byte
+	if prefix && nkeys > 0 {
+		// In int64, so that the product cannot overflow a 32-bit int.
+		first := int64(binary.BigEndian.Uint16(page[headerSize+2:]))
+		arena = make([]byte, 0, min(int64(nkeys)*first, 2*int64(len(page)), math.MaxInt))
+	}
 	off := headerSize
-	var prev []byte
-	for i := range ents {
-		e := &ents[i]
+	for range nkeys {
 		if prefix {
-			// Bounds were proven by the pre-scan; only canonicality remains.
+			if len(page)-off < prefixHdrSize {
+				return nil, ErrDecode
+			}
 			shared := int(binary.BigEndian.Uint16(page[off:]))
 			slen := int(binary.BigEndian.Uint16(page[off+2:]))
-			end := off + prefixHdrSize + slen
-			suffix := page[off+prefixHdrSize : end]
+			off += prefixHdrSize
+			if len(page)-off < slen || shared > len(prev) || shared+slen > MaxKeyLen {
+				// Over-truncated (shared beyond the previous key, the first
+				// key's included), or a key past the encodable bound.
+				return nil, ErrDecode
+			}
+			suffix := page[off : off+slen]
 			if shared < len(prev) && slen > 0 && suffix[0] == prev[shared] {
 				// Under-truncated: the canonical encoder would have shared
 				// one more byte.
 				return nil, ErrDecode
 			}
-			if shared <= prefixHdrSize {
-				// The shared bytes fit in the record header just parsed: the
-				// key is rebuilt where it lies. prev ends before this record,
-				// so the copy never overlaps its source.
-				start := off + prefixHdrSize - shared
-				copy(page[start:], prev[:shared])
-				e.key = uint32(start)
-			} else {
-				// side never outgrows the capacity the pre-scan gave it, so
-				// earlier keys' bytes stay where the table says they are.
-				e.key, e.inSide = uint32(len(side)), true
-				side = append(side, prev[:shared]...)
-				side = append(side, suffix...)
-				n.side = side
-			}
-			e.klen = uint16(shared + slen)
-			off = end
-		} else {
-			if len(page)-off < 2 {
-				return nil, ErrDecode
-			}
-			klen := int(binary.BigEndian.Uint16(page[off:]))
-			off += 2
-			if len(page)-off < klen {
-				return nil, ErrDecode
-			}
-			e.key, e.klen = uint32(off), uint16(klen)
-			off += klen
+			start := len(arena)
+			arena = append(append(arena, prev[:shared]...), suffix...)
+			prev = arena[start:]
+			n.Keys = append(n.Keys, arena)
+			off += slen
+			continue
 		}
-		prev = n.Key(i)
-	}
-	for i := range ents {
-		if len(page)-off < 4 {
+		if len(page)-off < 2 || len(page)-off-2 < int(binary.BigEndian.Uint16(page[off:])) {
 			return nil, ErrDecode
 		}
+		end := off + 2 + int(binary.BigEndian.Uint16(page[off:]))
+		n.Keys = append(n.Keys, page[off+2:end:end])
+		off = end
+	}
+	if prefix {
+		start := 0
+		for i, k := range n.Keys {
+			end := len(k)
+			n.Keys[i], start = arena[start:end:end], end
+		}
+	}
+	for range nkeys {
 		// Compare as uint64 so a length >= 2^31 returns ErrDecode on 32-bit
 		// platforms instead of panicking on a negative slice bound.
-		vlen := binary.BigEndian.Uint32(page[off:])
-		off += 4
-		if uint64(len(page)-off) < uint64(vlen) {
+		if len(page)-off < 4 || uint64(len(page)-off-4) < uint64(binary.BigEndian.Uint32(page[off:])) {
 			return nil, ErrDecode
 		}
-		ents[i].val = uint32(off)
-		off += int(vlen)
+		end := off + 4 + int(binary.BigEndian.Uint32(page[off:]))
+		n.Values = append(n.Values, page[off+4:end:end])
+		off = end
 	}
-	rest := len(page) - off
-	n.kids = len(page)
 	if !n.Leaf {
-		n.kids = off
-		rest -= 8 * (nkeys + 1)
+		if len(page)-off != 8*(nkeys+1) {
+			return nil, ErrDecode
+		}
+		for ; off < len(page); off += 8 {
+			n.Children = append(n.Children, binary.BigEndian.Uint64(page[off:]))
+		}
 	}
-	if rest != 0 {
+	if off != len(page) {
 		return nil, ErrDecode
 	}
 	return n, nil
 }
 
 // Decode is DecodeInPlace over a private copy of the page, materialised: the
-// returned node owns fresh buffers, holds its entries in Keys, Values and
-// Children, and does not alias the page, which stays the caller's, untouched,
-// whether or not it decodes. It costs the copy and Materialize's allocations
-// more than DecodeInPlace; a caller that owns its buffer and only reads the
-// node (the engine's read path) should hand the buffer over instead.
+// node holds its entries in Keys, Values and Children and does not alias the
+// page, which stays the caller's, untouched. A caller that owns its buffer
+// and only reads the node should hand the buffer over instead.
 func Decode(page []byte) (*Node, error) {
-	v, err := DecodeInPlace(bytes.Clone(page))
-	if err != nil {
-		return nil, err
+	n, err := DecodeInPlace(bytes.Clone(page))
+	if err != nil || n.page == nil {
+		return n, err
 	}
-	return v.Materialize(), nil
+	return n.Materialize(), nil
 }

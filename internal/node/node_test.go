@@ -82,24 +82,34 @@ func nodesEqual(a, b *Node) bool {
 	return true
 }
 
+// TestEncodeRejectsMalformedNodes: a node that has no page in a format is
+// refused with an error and no page, in every format — and in version 2, a
+// node whose keys differ in length.
 func TestEncodeRejectsMalformedNodes(t *testing.T) {
 	tests := []struct {
-		name string
-		n    *Node
+		name       string
+		n          *Node
+		strideOnly bool
 	}{
-		{"keys/values mismatch", &Node{Leaf: true, Keys: [][]byte{[]byte("k")}}},
-		{"leaf with children", &Node{Leaf: true, Children: []uint64{1}}},
+		{"keys/values mismatch", &Node{Leaf: true, Keys: [][]byte{[]byte("k")}}, false},
+		{"leaf with children", &Node{Leaf: true, Children: []uint64{1}}, false},
 		{"internal children mismatch", &Node{
 			Keys: [][]byte{[]byte("k")}, Values: [][]byte{[]byte("v")}, Children: []uint64{1},
-		}},
+		}, false},
 		{"oversized key", &Node{
 			Leaf: true, Keys: [][]byte{make([]byte, MaxKeyLen+1)}, Values: [][]byte{{}},
-		}},
+		}, false},
+		{"keys of two widths", &Node{
+			Leaf: true, Keys: [][]byte{[]byte("ab"), []byte("abc")}, Values: [][]byte{{}, {}},
+		}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := tt.n.EncodeFormat(FormatFull); err == nil {
-				t.Error("Encode accepted malformed node")
+			for _, f := range []Format{FormatStride, FormatPrefix, FormatFull} {
+				page, err := tt.n.AppendEncodeFormat(nil, f)
+				if refused := err != nil && page == nil; refused != (f == FormatStride || !tt.strideOnly) {
+					t.Errorf("%v: Encode = (%x, %v)", f, page, err)
+				}
 			}
 		})
 	}
@@ -130,6 +140,35 @@ func TestDecodeRejectsMalformedPages(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Decode(tt.page); !errors.Is(err, ErrDecode) {
 				t.Errorf("Decode = %v, want ErrDecode", err)
+			}
+		})
+	}
+}
+
+// TestDecodeSizesByThePage: a version-1 header that claims more keys than
+// its page has room for is refused before anything is sized by the claim,
+// and a prefix page's key arena is sized by the page, never by the first
+// suffix length alone. A 9-byte page claiming 65535 keys with a 65535-byte
+// first suffix once asked for a 4 GiB arena.
+func TestDecodeSizesByThePage(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		page []byte
+	}{
+		{"prefix", []byte{magic, versionV1, flagLeaf | flagPrefix, 0xFF, 0xFF, 0x00, 0x00, 0xFF, 0xFF}},
+		{"full", []byte{magic, versionV1, flagLeaf, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00}},
+		{"one key, long first suffix", []byte{magic, versionV1, flagLeaf | flagPrefix, 0x00, 0x01, 0x00, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x00}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Decode(tt.page)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrDecode) {
+				t.Errorf("Decode = %v, want ErrDecode", err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 4<<10 {
+				t.Errorf("Decode of a %d-byte page allocated %d bytes", len(tt.page), got)
 			}
 		})
 	}
@@ -221,40 +260,76 @@ func TestPrefixFormatRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrefixEncodingShrinksPages is the density claim behind the one format
-// the tree writes, made where the two encoders still meet: the leaves of a
-// 4 000-key tree under the 64-bit bucketed substituter (sequential user IDs,
-// so neighbours share the 8-byte bucket prefix), encoded both ways.
-func TestPrefixEncodingShrinksPages(t *testing.T) {
-	inner, err := keysub.NewHMAC(bytes.Repeat([]byte{0x55}, 32), 16)
+// TestStrideEncodingDensity is the density claim behind the one format the
+// tree writes, made where the encoders still meet: the full leaves of a
+// 4 000-key tree, 100-byte values, under the two substituters the benchmark
+// uses — HMAC at 24 bytes, and the 16-bit bucketed scheme over it with the
+// benchmark's key shape (a 16-bit bucket, then random bytes) — take no more
+// bytes as version-2 pages than as prefix-coded version-1 pages. A prefix
+// record pays four bytes of header to save the bytes a key shares with its
+// left neighbour, which random tokens rarely make up. The trade goes the
+// other way under a 64-bit bucket over sequential user IDs, whose
+// neighbours share their 8-byte bucket prefix; no benchmark workload and no
+// ekbtreed tenant has such keys, and the test logs what it costs.
+func TestStrideEncodingDensity(t *testing.T) {
+	inner, err := keysub.NewHMAC(bytes.Repeat([]byte{0x55}, 32), 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := keysub.NewBucketed(inner, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type entry struct{ k, v []byte }
-	entries := make([]entry, 4000)
-	for i := range entries {
-		entries[i] = entry{sub.Substitute([]byte(fmt.Sprintf("user%08d", i))), []byte(fmt.Sprintf("payload-%d", i))}
-	}
-	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].k, entries[j].k) < 0 })
-	const perLeaf = 31 // a full leaf at the default order
-	var full, prefix int
-	for lo := 0; lo < len(entries); lo += perLeaf {
-		leaf := &Node{Leaf: true}
-		for _, e := range entries[lo:min(lo+perLeaf, len(entries))] {
-			leaf.Keys, leaf.Values = append(leaf.Keys, e.k), append(leaf.Values, e.v)
+	bucketed := func(bits int) keysub.Substituter {
+		t.Helper()
+		sub, err := keysub.NewBucketed(inner, bits)
+		if err != nil {
+			t.Fatal(err)
 		}
-		full += leaf.EncodedSizeFormat(FormatFull)
-		prefix += leaf.EncodedSizeFormat(FormatPrefix)
+		return sub
 	}
-	// Anything under 10% means truncation is not engaging on shared buckets.
-	if prefix*10 > full*9 {
-		t.Fatalf("prefix leaves take %d bytes, full leaves %d: want prefix <= 0.9 x full", prefix, full)
+	random := func(i int) []byte {
+		k := binary.BigEndian.AppendUint16(nil, uint16(i%16)<<12)
+		return binary.BigEndian.AppendUint64(k, uint64(i)*0x9E3779B97F4A7C15)
 	}
-	t.Logf("leaf bytes: full=%d prefix=%d (%.1f%% saved)", full, prefix, 100*(1-float64(prefix)/float64(full)))
+	sequential := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
+	for _, tc := range []struct {
+		name  string
+		sub   keysub.Substituter
+		key   func(int) []byte
+		trade bool // the stated trade: prefix pages are denser
+	}{
+		{"hmac-24", inner, random, false},
+		{"bucketed-16", bucketed(16), random, false},
+		{"bucketed-64, sequential IDs", bucketed(64), sequential, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const keys, perLeaf = 4000, 31 // a full leaf at the default order
+			type entry struct{ k, v []byte }
+			entries := make([]entry, keys)
+			for i := range entries {
+				entries[i] = entry{tc.sub.Substitute(tc.key(i)), make([]byte, 100)}
+			}
+			sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].k, entries[j].k) < 0 })
+			var prefix, stride int
+			for lo := 0; lo < len(entries); lo += perLeaf {
+				leaf := &Node{Leaf: true}
+				for _, e := range entries[lo:min(lo+perLeaf, len(entries))] {
+					leaf.Keys, leaf.Values = append(leaf.Keys, e.k), append(leaf.Values, e.v)
+				}
+				page, err := leaf.EncodeFormat(FormatStride)
+				if err != nil || len(page) != leaf.EncodedSizeFormat(FormatStride) {
+					t.Fatalf("stride page of %d bytes, EncodedSizeFormat %d: %v", len(page), leaf.EncodedSizeFormat(FormatStride), err)
+				}
+				stride += len(page)
+				prefix += leaf.EncodedSizeFormat(FormatPrefix)
+			}
+			perKey := float64(stride-prefix) / keys
+			t.Logf("leaf bytes: prefix=%d stride=%d (%+.2f B a key)", prefix, stride, perKey)
+			if !tc.trade && stride > prefix {
+				t.Fatalf("stride leaves take %d bytes, prefix leaves %d: want stride <= prefix", stride, prefix)
+			}
+			if tc.trade && stride <= prefix {
+				t.Errorf("the wide-bucket case is no longer a trade (stride %d <= prefix %d): update the README", stride, prefix)
+			}
+		})
+	}
 }
 
 // TestPrefixDecodeRejectsNonCanonical pins the fail-closed rules of the
@@ -377,7 +452,8 @@ func TestSearch(t *testing.T) {
 // TestSearchMatchesReference checks the hand-rolled binary search against
 // sort.Search for every present and absent key of nodes of every size up to
 // well past a default-order node's 31 keys, the empty node included, on the
-// materialised node and on its view (in both page formats).
+// materialised node, on its view and on the nodes its version-1 pages decode
+// to.
 func TestSearchMatchesReference(t *testing.T) {
 	for size := 0; size <= 70; size++ {
 		n := &Node{Leaf: true}
@@ -386,7 +462,7 @@ func TestSearchMatchesReference(t *testing.T) {
 			n.Values = append(n.Values, nil)
 		}
 		forms := []*Node{n}
-		for _, f := range []Format{FormatFull, FormatPrefix} {
+		for _, f := range []Format{FormatStride, FormatFull, FormatPrefix} {
 			page, err := n.EncodeFormat(f)
 			if err != nil {
 				t.Fatal(err)
@@ -415,7 +491,7 @@ func TestSearchMatchesReference(t *testing.T) {
 // rather than overwrite Values[0].
 func TestDecodeHeaderIsolation(t *testing.T) {
 	n := &Node{Leaf: true, Keys: [][]byte{[]byte("a"), []byte("b")}, Values: [][]byte{[]byte("v1"), []byte("v2")}}
-	for _, f := range []Format{FormatFull, FormatPrefix} {
+	for _, f := range []Format{FormatStride, FormatFull, FormatPrefix} {
 		page, err := n.EncodeFormat(f)
 		if err != nil {
 			t.Fatal(err)
@@ -439,7 +515,7 @@ func TestAppendEncodeFormat(t *testing.T) {
 		Values:   [][]byte{[]byte("vb"), []byte("vd")},
 		Children: []uint64{1, 2, 3},
 	}
-	for _, f := range []Format{FormatFull, FormatPrefix} {
+	for _, f := range []Format{FormatStride, FormatFull, FormatPrefix} {
 		want, err := n.EncodeFormat(f)
 		if err != nil {
 			t.Fatal(err)
@@ -473,20 +549,21 @@ func within(s, buf []byte) bool {
 	return false
 }
 
-// TestDecodeInPlace pins the in-place contract: the page that was handed in
-// is the node, a view whose Keys, Values and Children stay empty and whose
-// keys and values lie in the page (no arena). It costs one allocation, or two
-// when keys sharing more than the four bytes of their record header take the
-// side buffer or the node has more keys than a view's own offset table holds.
-// Every slice is clipped so an append never reaches a neighbor, and
-// re-encoding the view or its materialised copy reproduces the original
-// bytes, compared against a saved copy, since the decoder rewrites the page.
+// TestDecodeInPlace pins the in-place contract for both versions. A
+// version-2 page is the node: a view whose Keys, Values and Children stay
+// empty and whose keys and values lie in the page, at one allocation, and
+// none beyond the block's when read into a Block. A version-1 page becomes a
+// materialised node, the parser the engine transcodes with: its values and
+// whole keys lie in the page and its prefix keys in one arena, at one
+// allocation for the node and its arrays (three past a copy's room) and one
+// for the arena, sized for keys of one width (keys of varying widths regrow
+// it, here twice); Block.Decode refuses it. Every slice is clipped so an append
+// never reaches a neighbor, and re-encoding the node or its materialised copy
+// reproduces the original bytes, compared against a saved copy.
 func TestDecodeInPlace(t *testing.T) {
-	// Keys as the workloads make them: neighbors share 0-4 bytes, so every one
-	// is rebuilt over its own record header.
-	short := func(leaf bool) *Node {
+	build := func(leaf bool, keys []string) *Node {
 		n := &Node{Leaf: leaf}
-		for _, k := range []string{"", "a", "ab-1", "ab-2", "abc-x", "abc-y", "b", "bucket"} {
+		for _, k := range keys {
 			n.Keys = append(n.Keys, []byte(k))
 			n.Values = append(n.Values, []byte("value-of-"+k))
 		}
@@ -497,6 +574,14 @@ func TestDecodeInPlace(t *testing.T) {
 		}
 		return n
 	}
+	// Keys as a prefix page's neighbours share 0-4 bytes.
+	short := func(leaf bool) *Node {
+		return build(leaf, []string{"", "a", "ab-1", "ab-2", "abc-x", "abc-y", "b", "bucket"})
+	}
+	// Keys of one width, as substitution makes them.
+	fixed := func(leaf bool) *Node {
+		return build(leaf, []string{"aa-001", "aa-002", "ab-000", "b0-117", "b1-000", "zz-999"})
+	}
 	// A 64-bit bucketed prefix: every key but the first shares eight bytes or
 	// more with its predecessor.
 	wide := &Node{Leaf: true}
@@ -505,27 +590,31 @@ func TestDecodeInPlace(t *testing.T) {
 		wide.Keys = append(wide.Keys, k)
 		wide.Values = append(wide.Values, []byte{byte(i), byte(i)})
 	}
-	// An index node of an order-64 tree, full: its offset table spills.
+	// An index node of an order-64 tree, full: more entries than a copy's
+	// room.
 	big := &Node{Children: []uint64{1 << 40}}
-	for i := 0; i < 2*viewRoom-1; i++ {
+	for i := 0; i < 2*nodeRoom-1; i++ {
 		big.Keys = append(big.Keys, []byte{byte(i), 'k'})
 		big.Values = append(big.Values, []byte{byte(i)})
 		big.Children = append(big.Children, uint64(i)<<20)
 	}
 
 	tests := []struct {
-		name       string
-		n          *Node
-		f          Format
-		allocs     float64 // DecodeInPlace's count, exactly
-		sideBuffer bool    // keys 1.. are rebuilt outside the page
+		name   string
+		n      *Node
+		f      Format
+		allocs float64 // DecodeInPlace's count, exactly
 	}{
-		{"full leaf", short(true), FormatFull, 1, false},
-		{"full index", short(false), FormatFull, 1, false},
-		{"prefix leaf", short(true), FormatPrefix, 1, false},
-		{"prefix index", short(false), FormatPrefix, 1, false},
-		{"prefix leaf, wide shared prefix", wide, FormatPrefix, 2, true},
-		{"prefix index, more keys than a view's table", big, FormatPrefix, 2, false},
+		{"stride leaf", fixed(true), FormatStride, 1},
+		{"stride index", fixed(false), FormatStride, 1},
+		{"stride index, more keys than a copy's room", big, FormatStride, 1},
+		{"full leaf", short(true), FormatFull, 1},
+		{"full index", short(false), FormatFull, 1},
+		{"prefix leaf", short(true), FormatPrefix, 4},
+		{"prefix index", short(false), FormatPrefix, 4},
+		{"prefix leaf, keys of one width", fixed(true), FormatPrefix, 2},
+		{"prefix leaf, wide shared prefix", wide, FormatPrefix, 2},
+		{"prefix index, more keys than a copy's room", big, FormatPrefix, 4},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -533,32 +622,25 @@ func TestDecodeInPlace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tt.sideBuffer {
-				// The real encoder must have produced shared > 4 on every key
-				// but the first, or the case does not test what it says.
-				rest := saved[headerSize:]
-				for i := range tt.n.Keys {
-					shared := int(binary.BigEndian.Uint16(rest))
-					slen := int(binary.BigEndian.Uint16(rest[2:]))
-					if (i > 0) != (shared > prefixHdrSize) {
-						t.Fatalf("key %d encoded with shared=%d", i, shared)
-					}
-					rest = rest[prefixHdrSize+slen:]
-				}
+			if FormatOf(saved) != tt.f {
+				t.Fatalf("FormatOf = %v, want %v", FormatOf(saved), tt.f)
 			}
 			page := bytes.Clone(saved)
 			got, err := DecodeInPlace(page)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Keys != nil || got.Values != nil || got.Children != nil {
-				t.Fatalf("DecodeInPlace filled the materialised fields: %d keys, %d values, %d children", len(got.Keys), len(got.Values), len(got.Children))
+			view := tt.f == FormatStride
+			if (got.Keys == nil && got.Values == nil && got.Children == nil) != view {
+				t.Fatalf("DecodeInPlace of a %v page filled the materialised fields: %d keys, %d values, %d children", tt.f, len(got.Keys), len(got.Values), len(got.Children))
 			}
 			if !nodesEqual(got, tt.n) {
 				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got.Materialize(), tt.n)
 			}
 			for i := range got.Len() {
-				if inPage := within(got.Key(i), page); inPage == (tt.sideBuffer && i > 0) {
+				// A prefix key is rebuilt outside the page, every other key lies
+				// in it, and so does every value.
+				if inPage := within(got.Key(i), page); inPage == (tt.f == FormatPrefix && len(got.Key(i)) > 0) {
 					t.Errorf("key %d lies in the page: %v", i, inPage)
 				}
 				if !within(got.Value(i), page) {
@@ -567,18 +649,18 @@ func TestDecodeInPlace(t *testing.T) {
 			}
 			reenc, err := got.EncodeFormat(tt.f)
 			if err != nil || !bytes.Equal(reenc, saved) {
-				t.Errorf("re-encoding the view = (%x, %v)\nwant %x", reenc, err, saved)
+				t.Errorf("re-encoding the decoded node = (%x, %v)\nwant %x", reenc, err, saved)
 			}
 			for i := range got.Len() {
 				_ = append(got.Key(i), 0xEE)
 				_ = append(got.Value(i), 0xEE)
 			}
 			if !nodesEqual(got, tt.n) {
-				t.Errorf("an append to a key or value of the view reached a neighbor")
+				t.Errorf("an append to a key or value of the decoded node reached a neighbor")
 			}
 
-			// The materialised copy is the view's entries in the exported
-			// fields, and editing it leaves the view alone.
+			// The materialised copy is the node's entries in the exported
+			// fields, and editing it leaves the node alone.
 			m := got.Materialize()
 			if len(m.Keys) != len(tt.n.Keys) || len(m.Values) != len(tt.n.Values) || len(m.Children) != len(tt.n.Children) || !nodesEqual(m, tt.n) {
 				t.Fatalf("Materialize = %+v, want %+v", m, tt.n)
@@ -593,12 +675,12 @@ func TestDecodeInPlace(t *testing.T) {
 				m.Children = append(m.Children[:0], 7, 7)
 			}
 			if !nodesEqual(got, tt.n) {
-				t.Errorf("editing the materialised copy changed the view")
+				t.Errorf("editing the materialised copy changed the decoded node")
 			}
 
-			// The decoder rewrites the page, so each measured run decodes a copy
-			// made into a buffer that already exists. Decode pays the copy and
-			// Materialize's allocations on top (see TestMaterializeAllocs).
+			// Each measured run decodes into a buffer that already exists.
+			// Decode pays the copy on top, and for a view Materialize's
+			// allocations (see TestMaterializeAllocs).
 			scratch := make([]byte, len(saved))
 			inPlace := testing.AllocsPerRun(100, func() {
 				copy(scratch, saved)
@@ -611,34 +693,37 @@ func TestDecodeInPlace(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			materialize := materializeAllocs(tt.n)
-			if inPlace != tt.allocs || copying != inPlace+1+materialize {
-				t.Errorf("DecodeInPlace allocates %.0f times (want %.0f), Decode %.0f (want %.0f more)", inPlace, tt.allocs, copying, 1+materialize)
+			want := inPlace + 1
+			if view {
+				want += materializeAllocs(tt.n)
 			}
-			// Read into a Block, the page costs the block and nothing for
-			// the view: the count DecodeInPlace has over a buffer that
-			// already exists, with the buffer's allocation included.
+			if inPlace != tt.allocs || copying != want {
+				t.Errorf("DecodeInPlace allocates %.0f times (want %.0f), Decode %.0f (want %.0f)", inPlace, tt.allocs, copying, want)
+			}
+			// Read into a Block, a version-2 page costs the block and nothing
+			// for the view; a version-1 page is refused there.
 			inBlock := testing.AllocsPerRun(100, func() {
 				b := NewBlock(len(saved))
 				copy(b.Page(), saved)
-				if v, err := b.Decode(b.Page(), 0); err != nil || !nodesEqual(v, tt.n) {
-					t.Fatalf("Block.Decode = (%+v, %v)", v, err)
+				v, err := b.Decode(b.Page(), 0)
+				if view && (err != nil || !nodesEqual(v, tt.n)) || !view && !errors.Is(err, ErrDecode) {
+					t.Fatalf("Block.Decode of a %v page = (%+v, %v)", tt.f, v, err)
 				}
 			})
-			if inBlock != tt.allocs {
-				t.Errorf("a page read into a Block allocates %.0f times with the block, want %.0f", inBlock, tt.allocs)
+			if inBlock != 1 {
+				t.Errorf("a page read into a Block allocates %.0f times with the block, want 1", inBlock)
 			}
 		})
 	}
 }
 
 // materializeAllocs is what Materialize costs for n: one allocation while n
-// and the entry it has room to gain fit viewRoom (a full node at the default
+// and the entry it has room to gain fit nodeRoom (a full node at the default
 // order, 31 keys, does), else the node, its header array and, in an index
 // node, its child array.
 func materializeAllocs(n *Node) float64 {
 	switch {
-	case n.Len()+1 <= viewRoom:
+	case n.Len()+1 <= nodeRoom:
 		return 1
 	case n.Leaf:
 		return 2
@@ -681,7 +766,7 @@ func TestMaterializeAllocs(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			src := build(tt.leaf, tt.keys)
-			page, err := src.EncodeFormat(FormatPrefix)
+			page, err := src.EncodeFormat(FormatStride)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -709,7 +794,7 @@ func TestMaterializeAllocs(t *testing.T) {
 			// A reused copy is rebuilt in place for nothing while its room
 			// holds the node; past that, the copy costs what Materialize's does.
 			reused := 0.0
-			if tt.keys >= viewRoom {
+			if tt.keys >= nodeRoom {
 				reused = tt.allocs
 			}
 			for _, from := range []*Node{src, view} {
@@ -735,19 +820,25 @@ func TestMaterializeAllocs(t *testing.T) {
 }
 
 // TestBlocksFillSizeClasses: every block class is one object that fills a
-// runtime size class exactly, its room being what the view shell and the
-// runtime's object header leave of the class, so a block wastes nothing
-// inside its class and never spills into the next. The classes ascend, and
-// NewBlock hands out a capacity-clipped room of the page's size in a block up
-// to the largest class and a plain buffer past it. A Node's class, room and
-// epoch sit in the padding after Leaf, so on a 64-bit platform the node, and
-// with it every block's view shell, is 160 bytes.
+// runtime size class exactly, its room being what the node and the runtime's
+// object header leave of the class, so a block wastes nothing inside its
+// class and never spills into the next. The classes ascend, from the first
+// class over 512 bytes, and NewBlock hands out a capacity-clipped room of the
+// page's size in a block up to the largest class and a plain buffer past it.
+// A Node's class, room and epoch sit in the padding after Leaf, and a view's
+// header fields in 8 bytes after its page, so on a 64-bit platform the node,
+// and with it every block's overhead beside the runtime's header, is 112
+// bytes: the room of every class is 432 bytes more than when a view carried a
+// 32-row offset table, 384 bytes of it the table.
 func TestBlocksFillSizeClasses(t *testing.T) {
-	if size := unsafe.Sizeof(Node{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 160 {
-		t.Errorf("a Node is %d bytes, want 160", size)
+	if size := unsafe.Sizeof(Node{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 112 {
+		t.Errorf("a Node is %d bytes, want 112", size)
+	}
+	if first := blockClasses[0].room + int(blockOverhead); first != 576 {
+		t.Errorf("the smallest block fills the %d-byte class, want 576, the first over 512 bytes", first)
 	}
 	const count = 64
-	keep := make([]*viewShell, count)
+	keep := make([]*Node, count)
 	for i, c := range blockClasses {
 		if i > 0 && c.room <= blockClasses[i-1].room {
 			t.Fatalf("block class %d has room %d after room %d", i, c.room, blockClasses[i-1].room)
@@ -782,11 +873,10 @@ func TestBlocksFillSizeClasses(t *testing.T) {
 
 // TestBlocksRecycle: a block given back to a Blocks free list is the next
 // block of its class, and the view decoded in it again is exactly the new
-// page, although the old one rebuilt keys in the side buffer at rows where
-// the new one rebuilds them in place (a shell reused without clearing its
-// offset table would read those keys from the wrong buffer), and it reports
-// the epoch its Decode was given, not the old view's. The list takes a view's
-// block once, never a materialised node's or a plain buffer's.
+// page, of another width and key count than the old one, and it reports the
+// epoch its Decode was given, not the old view's. The list takes a view's
+// block once, never a materialised node's or a plain buffer's, and takes back
+// a block that holds no view (Release) as the next of its class too.
 func TestBlocksRecycle(t *testing.T) {
 	leaf := func(value string, keys ...string) *Node {
 		n := New(true, len(keys))
@@ -795,14 +885,12 @@ func TestBlocksRecycle(t *testing.T) {
 		}
 		return n
 	}
-	// Every key of wide shares more than prefixHdrSize bytes with the one
-	// before it; no key of narrow does. The values put both pages in one
-	// block class.
+	// The values put both pages in one block class.
 	wide := leaf("vvvvvvvvvv", "bucket-0001", "bucket-0002", "bucket-0003", "bucket-0004", "bucket-0005", "bucket-0006")
-	narrow := leaf("v", "a-000000001", "b-000000002", "c-000000003", "d-000000004", "e-000000005", "f-000000006")
+	narrow := leaf("vvvvvvvvvvvvvvvvvvvv", "a-01", "b-02", "c-03", "d-04", "e-05")
 	decode := func(f *Blocks, n *Node, epoch uint32) *Node {
 		t.Helper()
-		page, err := n.EncodeFormat(FormatPrefix)
+		page, err := n.EncodeFormat(FormatStride)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -817,17 +905,14 @@ func TestBlocksRecycle(t *testing.T) {
 		}
 		return v
 	}
-	pw, _ := wide.EncodeFormat(FormatPrefix)
-	pn, _ := narrow.EncodeFormat(FormatPrefix)
+	pw, _ := wide.EncodeFormat(FormatStride)
+	pn, _ := narrow.EncodeFormat(FormatStride)
 	if cw, cn := classFor(len(pw)), classFor(len(pn)); cw < 0 || cw != cn {
 		t.Fatalf("the two pages are in block classes %d and %d; the test needs one class", cw, cn)
 	}
 
 	var f Blocks
 	v := decode(&f, wide, 7)
-	if v.side == nil {
-		t.Fatal("the wide page decoded without side keys")
-	}
 	if !f.Recycle(v) || f.Recycle(v) {
 		t.Fatal("the list must take a view's block once")
 	}
@@ -839,6 +924,11 @@ func TestBlocksRecycle(t *testing.T) {
 	}
 	if got := wide.SealedEpoch(); got != 0 {
 		t.Errorf("a materialised node reports epoch %d", got)
+	}
+	unused := f.Block(len(pw))
+	f.Release(unused)
+	if again := f.Block(len(pw)); again.shell != unused.shell || f.Reused() != 2 {
+		t.Fatalf("a released block is not the next of its class (reused %d)", f.Reused())
 	}
 	big := f.Block(blockClasses[len(blockClasses)-1].room + 1)
 	if big.shell != nil {
@@ -854,6 +944,7 @@ func TestBlocksRecycle(t *testing.T) {
 	if f.Recycle(bigView) {
 		t.Error("the list took a view with a buffer of its own")
 	}
+	f.Release(big)
 }
 
 // TestMaterializeIntoRebuildsInPlace: a copy New made is emptied by Reset —
@@ -873,7 +964,7 @@ func TestMaterializeIntoRebuildsInPlace(t *testing.T) {
 	index.Keys, index.Values = append(index.Keys, []byte("m"), []byte("t")), append(index.Values, nil, nil)
 	index.Children = append(index.Children, 1, 2, 3)
 	viewOf := func(n *Node) *Node {
-		page, err := n.EncodeFormat(FormatPrefix)
+		page, err := n.EncodeFormat(FormatStride)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -936,7 +1027,7 @@ func TestMaterializeIntoRebuildsInPlace(t *testing.T) {
 	if viewOf(leaf).Reset() {
 		t.Error("Reset took a view")
 	}
-	if New(true, viewRoom+1).Reset() {
+	if New(true, nodeRoom+1).Reset() {
 		t.Error("Reset took a node whose arrays are separate")
 	}
 }

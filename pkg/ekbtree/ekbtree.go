@@ -189,8 +189,8 @@ func Open(opts Options) (*Tree, error) {
 		kick: make(chan struct{}, 1), stop: make(chan struct{}), stopped: make(chan struct{}),
 	}
 	t.eng, err = engine.New(engine.Config{
-		Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatPrefix,
-		SealBudget: sealBudget, HardSealLimit: opts.SealHardLimit,
+		Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatStride,
+		SealBudget: sealBudget, HardSealLimit: opts.sealHardLimit,
 		OnEpochAdvance: func(uint32) { t.kickMaintain() },
 	})
 	if err != nil {
@@ -224,8 +224,10 @@ const metaPageID = store.NoRoot
 
 // encPrefixToken is the header suffix a fresh store is given. It dates from
 // when the node format was a per-tree choice and full-key trees recorded no
-// token; it is still written so that a build from that time opens a new file
-// with the prefix decoder or refuses it, never misreads it.
+// token, and it is still written so that the header a build from that time
+// expects is unchanged. The header records no page format: every page
+// carries its own version, and a build that predates version 2 refuses those
+// pages (node.ErrDecode) rather than misreading them.
 const encPrefixToken = " enc=prefix"
 
 // checkHeader validates an existing store's engine header against the opened
@@ -274,7 +276,9 @@ func checkHeader(st store.PageStore, nc cipher.NodeCipher, sub keysub.Substitute
 }
 
 // substituteKey maps a plaintext key to its substituted form, validating
-// that it fits the page encoding. The result is used in place: a Substituter
+// that it fits the page encoding: at most node.MaxKeyLen bytes, and as wide
+// as the substituter's Width, since a page holds keys of one width. The
+// result is used in place: a Substituter
 // may cut it from a chunk shared with other results (HMAC does), so what the
 // tree keeps of it, a Put's or a staged op's key, is copied first
 // (appendEntry), and a Get or a Delete only reads it.
@@ -282,6 +286,9 @@ func (t *Tree) substituteKey(key []byte) ([]byte, error) {
 	sk := t.sub.Substitute(key)
 	if len(sk) > node.MaxKeyLen {
 		return nil, fmt.Errorf("%w: substituted key is %d bytes, limit %d", ErrTooLarge, len(sk), node.MaxKeyLen)
+	}
+	if w := t.sub.Width(); len(sk) != w {
+		return nil, fmt.Errorf("%w: substituter %s returned a %d-byte key, its width is %d", ErrInvalidOptions, t.sub.Name(), len(sk), w)
 	}
 	return sk, nil
 }

@@ -42,7 +42,9 @@ func TestSnapshotSurvivesCopyOnWriteCommits(t *testing.T) {
 	const keys, perTxn = 600, 48
 	g := newTestEngine(t, file.NewMem(), 8)
 	defer g.Close()
-	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+	// Keys of one width, as substitution makes them: a key born below sorts
+	// just before key(i), after key(i-1).
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d.", i)) }
 	want := make(map[string]string, keys)
 	err := g.Apply(func(bt *btree.Tree) error {
 		for i := 0; i < keys; i++ {
@@ -286,20 +288,19 @@ func TestRecycledWorkspaceIsEmpty(t *testing.T) {
 	}
 }
 
-// viewBytes returns the page and side buffer a decoded view reads, and false
-// for a materialised node. They are unexported fields of node.Node, read by
+// viewBytes returns the page a decoded view reads, and false for a
+// materialised node. It is an unexported field of node.Node, read by
 // reflection so that the node package grows no method for a test alone.
-func viewBytes(n *node.Node) (page, side []byte, ok bool) {
-	v := reflect.ValueOf(n).Elem()
-	page, side = v.FieldByName("page").Bytes(), v.FieldByName("side").Bytes()
-	return page, side, page != nil
+func viewBytes(n *node.Node) (page []byte, ok bool) {
+	page = reflect.ValueOf(n).Elem().FieldByName("page").Bytes()
+	return page, page != nil
 }
 
 // viewSum checksums what a view reads, and reports false for a materialised
 // node.
 func viewSum(n *node.Node) (uint32, bool) {
-	page, side, ok := viewBytes(n)
-	return crc32.Update(crc32.ChecksumIEEE(page), crc32.IEEETable, side), ok
+	page, ok := viewBytes(n)
+	return crc32.ChecksumIEEE(page), ok
 }
 
 // viewRecorder is a transaction as the btree layer sees it, recording every
@@ -322,7 +323,7 @@ func (r viewRecorder) Read(id uint64) (*node.Node, error) {
 // TestCachedViewsAreNeverWritten is the copy-on-write guard for views. A view
 // is the page a read miss deciphered, or the page a commit sealed, and every
 // reader, every transaction's pre-image and every snapshot's undo overlay
-// shares it, so nothing may write into its page or side buffer: not Edit,
+// shares it, so nothing may write into its page: not Edit,
 // which materialises a copy over the same key and value bytes (rebuilding a
 // copy the last commit made), not Write or promotion, and not eviction. Over
 // randomized Put, Delete, batch and re-seal transactions on a cache far
@@ -435,7 +436,7 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 					}
 				}
 				for _, s := range slots {
-					page, side, ok := viewBytes(s.n)
+					page, ok := viewBytes(s.n)
 					if !ok {
 						t.Fatalf("%s: the cache holds page %d materialised", when, s.id)
 					}
@@ -451,8 +452,8 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantPage, wantSide, _ := viewBytes(fresh)
-					if !bytes.Equal(page, wantPage) || !bytes.Equal(side, wantSide) {
+					wantPage, _ := viewBytes(fresh)
+					if !bytes.Equal(page, wantPage) {
 						t.Fatalf("%s: the cached view of page %d differs from a fresh decode of the store's page", when, s.id)
 					}
 					sum, _ := viewSum(s.n)
@@ -570,7 +571,7 @@ func TestCachedViewsAreNeverWritten(t *testing.T) {
 // whole, and drops every other cached page just before sealing begins, as a
 // small cache would have evicted it. Afterwards no slot may hold a
 // materialised node; every page the commit wrote that the cache held when
-// sealing began must be cached as a view whose page and side bytes equal a
+// sealing began must be cached as a view whose page bytes equal a
 // fresh decode of the store's page; and no page it wrote that the cache did
 // not hold may be cached, a new page included.
 func TestCommitCachesViews(t *testing.T) {
@@ -592,7 +593,7 @@ func TestCommitCachesViews(t *testing.T) {
 		cached := maps.Clone(g.io.cacheIdx)
 		g.io.mu.Unlock()
 		for _, s := range slots {
-			if _, _, ok := viewBytes(s.n); !ok {
+			if _, ok := viewBytes(s.n); !ok {
 				t.Fatalf("%s: the cache holds page %d as a materialised node", when, s.id)
 			}
 		}
@@ -684,9 +685,9 @@ func TestCommitCachesViews(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		page, side, _ := viewBytes(slots[idx].n)
-		wantPage, wantSide, _ := viewBytes(fresh)
-		if !bytes.Equal(page, wantPage) || !bytes.Equal(side, wantSide) {
+		page, _ := viewBytes(slots[idx].n)
+		wantPage, _ := viewBytes(fresh)
+		if !bytes.Equal(page, wantPage) {
 			t.Fatalf("the cached view of page %d differs from a fresh decode of the store's page", id)
 		}
 		viewed++

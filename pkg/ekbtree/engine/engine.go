@@ -26,11 +26,12 @@ type Config struct {
 	// CachePages caps the decoded-node cache; 0 disables it.
 	CachePages int
 	// NodeFormat is the page format every node is encoded with before
-	// sealing. The zero value, node.FormatPrefix, is what the façade passes
-	// for every tree; node.FormatFull is set only by tests that build the
-	// pages of a legacy file. Reads dispatch on each page's flag byte, so
-	// whatever form the store already holds is read as it is and rewritten
-	// in this one.
+	// sealing. The zero value, node.FormatStride (version 2), is what the
+	// façade passes for every tree; the version-1 forms are set only by tests
+	// that build the pages of an older file and by the benchmark's replay. A
+	// read transcodes a version-1 page into a view of its version-2 form, so
+	// whatever form the store already holds is read as it is, cached as
+	// version 2, and rewritten in this one.
 	NodeFormat node.Format
 
 	// SealBudget is the soft per-epoch seal budget: once an epoch has issued

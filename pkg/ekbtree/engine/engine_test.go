@@ -191,7 +191,7 @@ func TestSnapshotAge(t *testing.T) {
 		t.Fatalf("fresh snapshot age = %d, want 0", got)
 	}
 	for i := 0; i < 3; i++ {
-		if err := enginePut(g, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := enginePut(g, []byte(fmt.Sprintf("k%03d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestSnapshotAge(t *testing.T) {
 		t.Fatalf("snapshot age after 3 commits = %d, want 3", got)
 	}
 	fs.armed.Store(true)
-	if err := enginePut(g, []byte("k0"), []byte("v2")); !errors.Is(err, errCommitRefused) {
+	if err := enginePut(g, []byte("k000"), []byte("v2")); !errors.Is(err, errCommitRefused) {
 		t.Fatalf("put against failing store = %v, want injected error", err)
 	}
 	fs.armed.Store(false)

@@ -39,8 +39,11 @@ type CacheStats struct {
 // most one allocation: the store tells the page's length, the free list
 // (node.Blocks) hands out a block with room for it, the store reads the page
 // into that room, and the deciphered page becomes a read-only view there
-// (node.Block.Decode). It is the engine's one page read: a view records the
-// key epoch its page was sealed under, so the rotator's scan reads no page.
+// (node.Block.Decode, which only validates a version-2 page). A version-1
+// page, from a file written before version 2, is transcoded into a second
+// block on the way, so the cache holds views of version-2 pages only. It is
+// the engine's one page read: a view records the key epoch its page was
+// sealed under, so the rotator's scan reads no page.
 //
 // On top of the codec it keeps a bounded cache of decoded nodes with clock
 // eviction over small reference counts (see cacheSlot), shared by every
@@ -82,9 +85,10 @@ type nodeIO struct {
 	st store.PageStore
 	nc cipher.NodeCipher
 	// fmt is the page format every seal encodes with (Config.NodeFormat:
-	// prefix, but for tests building legacy pages). Reads dispatch on each
-	// page's flag byte, so a store holding pages of the other form is read as
-	// it is and converts page by page as commits and re-seals rewrite it.
+	// version 2, but for the tests and the benchmark replay that build
+	// version-1 pages). A read transcodes a version-1 page into a view of its
+	// version-2 form, so a store holding older pages is read as it is and
+	// converts page by page as commits and re-seals rewrite it.
 	fmt node.Format
 
 	mu       sync.Mutex
@@ -196,7 +200,9 @@ func (io *nodeIO) ReadShared(id uint64) (*node.Node, error) {
 // fetch reads, deciphers and decodes page id in one node.Block from the free
 // list. The block is sized by the store's answer to a length query; when a
 // commit changed the page's length before the read, the read answers the new
-// length instead, and the page is read again into a block of that size.
+// length instead, and the page is read again into a block of that size. A
+// version-1 page, which only a file written before version 2 holds, is
+// transcoded (see transcode), so that every view is of a version-2 page.
 func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 	size, err := io.st.ReadPageInto(id, nil)
 	if err != nil {
@@ -222,8 +228,33 @@ func (io *nodeIO) fetch(id uint64) (*node.Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		if node.FormatOf(pt) != node.FormatStride {
+			return io.transcode(id, b, pt, epoch)
+		}
 		return b.Decode(pt, epoch)
 	}
+}
+
+// transcode makes the view of version-1 page id, deciphered in block b as
+// pt: it parses the page into a materialised node, encodes that node as
+// version 2 into a second block from the free list and decodes the view
+// there, with the page's sealed epoch, and gives b back. The file keeps the
+// version-1 page until a commit or a re-seal rewrites it; until then every
+// miss on it pays the parse, the node and its key arena, where a version-2
+// miss pays nothing beyond its block.
+func (io *nodeIO) transcode(id uint64, b node.Block, pt []byte, epoch uint32) (*node.Node, error) {
+	defer io.blocks.Release(b)
+	m, err := node.DecodeInPlace(pt)
+	if err != nil {
+		return nil, err
+	}
+	v := io.blocks.Block(m.EncodedSizeFormat(node.FormatStride))
+	page, err := m.AppendEncodeFormat(v.Page()[:0], node.FormatStride)
+	if err != nil {
+		io.blocks.Release(v)
+		return nil, fmt.Errorf("%w: page %d has no version-2 form: %v", node.ErrDecode, id, err)
+	}
+	return v.Decode(page, epoch)
 }
 
 // countHit records a node read served from a transaction's page table.
@@ -275,9 +306,10 @@ var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 // reused. A page that would seal to more than 4 GiB — a leaf holding a value
 // near node.MaxValueLen — is refused with ErrTooLarge before the cipher sees
 // it: no page store extent can hold it, nor the decoder read it back. With
-// view set, seal also returns the page as the cache keeps it: the encoding,
-// copied into a block from the free list and decoded there, as a read miss
-// of the page would decode it.
+// view set, seal also returns the page as the cache keeps it: the version-2
+// encoding, copied into a block from the free list and decoded there, as a
+// read miss of the page would decode it. Decoding it only validates the
+// page.
 func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64, view bool) ([]byte, *node.Node, error) {
 	scratch := encodeScratch.Get().(*[]byte)
 	defer encodeScratch.Put(scratch)
@@ -292,6 +324,14 @@ func (io *nodeIO) seal(id uint64, n *node.Node, epoch uint32, counter uint64, vi
 	page, err := io.nc.SealEpoch(id, epoch, counter, pt)
 	if err != nil || !view {
 		return page, nil, err
+	}
+	if io.fmt != node.FormatStride {
+		// A version-1 page: the view is of the page a read would transcode
+		// it to.
+		if pt, err = n.AppendEncodeFormat(pt[:0], node.FormatStride); err != nil {
+			return page, nil, err
+		}
+		*scratch = pt
 	}
 	b := io.blocks.Block(len(pt))
 	v, err := b.Decode(b.Page()[:copy(b.Page(), pt)], epoch)

@@ -2,11 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"github.com/paper-repro/ekbtree/internal/btree"
 	"github.com/paper-repro/ekbtree/internal/cipher"
+	"github.com/paper-repro/ekbtree/internal/israce"
 	"github.com/paper-repro/ekbtree/internal/node"
 	"github.com/paper-repro/ekbtree/internal/store"
 	"github.com/paper-repro/ekbtree/internal/store/file"
@@ -209,4 +213,223 @@ func BenchmarkStaleScan(b *testing.B) {
 		scans++
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(scans*len(ids)), "ns/page")
+}
+
+// keepOpen is a page store whose Close leaves it open, so that a second
+// engine can open what a first one wrote.
+type keepOpen struct{ store.PageStore }
+
+func (keepOpen) Close() error { return nil }
+
+// TestLegacyPagesAreCachedAsViews: an engine over a store of version-1 pages
+// (written by an engine configured with node.FormatPrefix, as every file
+// before version 2 was) caches every page it reads as a recyclable view of
+// the page's version-2 encoding, holding the old page's entries and its
+// sealed epoch. A legacy miss, with the free list stocked, allocates twice:
+// the node the version-1 page parses to and its key arena, both garbage once
+// the view is made, where a version-2 miss allocates nothing. Once the pages
+// are rewritten, here by a re-seal, the engine reads version 2 only.
+func TestLegacyPagesAreCachedAsViews(t *testing.T) {
+	nc, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0x1E}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := keepOpen{file.NewMem()}
+	open := func(f node.Format) *Engine {
+		g, err := New(Config{Store: st, Cipher: nc, Order: 32, CachePages: 1 << 12, NodeFormat: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	const keys = 3000
+	key := func(i int) []byte {
+		return binary.BigEndian.AppendUint64(bytes.Repeat([]byte{0x4B}, 16), uint64(i)*0x9E3779B97F4A7C15)
+	}
+	old := open(node.FormatPrefix)
+	for lo := 0; lo < keys; lo += 64 {
+		err := old.Apply(func(bt *btree.Tree) error {
+			for i := lo; i < min(lo+64, keys); i++ {
+				if err := bt.Put(key(i), fmt.Appendf(nil, "value-%d", i)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// ids walks the tree from the root through g's reads, and checks each
+	// page it reads against the store: its format, and the view's entries
+	// against the page's own.
+	ids := func(g *Engine, want node.Format) []uint64 {
+		t.Helper()
+		root, err := st.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := []uint64{root}
+		for i := 0; i < len(all); i++ {
+			v, err := g.io.ReadShared(all[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := st.ReadPage(all[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			epoch, _ := nc.SealedEpoch(sealed)
+			pt, err := nc.Open(all[i], sealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := node.Decode(pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := node.FormatOf(pt); got != want {
+				t.Fatalf("page %d is %v, want %v", all[i], got, want)
+			}
+			if !v.Recyclable() || v.SealedEpoch() != epoch || !sameNode(v, m) {
+				t.Fatalf("page %d is cached as %+v (recyclable %v, epoch %d of %d), want a view of %+v", all[i], v.Materialize(), v.Recyclable(), v.SealedEpoch(), epoch, m)
+			}
+			if enc, err := v.EncodeFormat(node.FormatStride); err != nil || node.FormatOf(enc) != node.FormatStride {
+				t.Fatalf("the view of page %d encodes as (%x, %v)", all[i], enc, err)
+			}
+			if !v.Leaf {
+				for c := range v.Len() + 1 {
+					all = append(all, v.Child(c))
+				}
+			}
+		}
+		return all
+	}
+	// missAllocs is what one miss allocates, round robin over the tree's
+	// pages, each view's block going back to the free list as a view evicted
+	// with no pins does.
+	missAllocs := func(g *Engine, pages []uint64) float64 {
+		t.Helper()
+		fetch := func(id uint64) {
+			v, err := g.io.fetch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.io.blocks.Recycle(v)
+		}
+		for _, id := range pages { // a block of every class the pages need
+			fetch(id)
+		}
+		i := 0
+		return testing.AllocsPerRun(len(pages), func() { fetch(pages[i%len(pages)]); i++ })
+	}
+
+	g := open(node.FormatStride)
+	defer g.Close()
+	pages := ids(g, node.FormatPrefix)
+	for i := range keys {
+		if v, ok, err := g.Get(key(i)); err != nil || !ok || string(v) != fmt.Sprintf("value-%d", i) {
+			t.Fatalf("Get(key %d) = (%q, %v, %v)", i, v, ok, err)
+		}
+	}
+	legacy := missAllocs(g, pages)
+	if err := g.AdvanceEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = g.Rotate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.io.invalidate()
+	pages = ids(g, node.FormatStride)
+	current := missAllocs(g, pages)
+	t.Logf("allocations a miss: %.2f on a version-1 page, %.2f on a version-2 page, over %d pages", legacy, current, len(pages))
+	if !israce.Enabled && (legacy != 2 || current != 0) {
+		t.Errorf("a miss allocates %.2f times on a version-1 page (want 2) and %.2f on a version-2 page (want 0)", legacy, current)
+	}
+}
+
+// blockBytes is what the block holding view n, which a read miss made, takes
+// from the heap, as node.NewBlock sizes blocks: the Go size class, 576 bytes
+// at least, that holds the sealed page (the view's page and the cipher's
+// overhead) beside the node and the runtime's 8-byte header. append rounds a
+// new slice's capacity up to that size class.
+func blockBytes(n *node.Node, overhead int) int {
+	page, _ := viewBytes(n)
+	need := len(page) + overhead + 8 + int(unsafe.Sizeof(node.Node{}))
+	return max(576, cap(append([]byte(nil), make([]byte, need)...)))
+}
+
+// TestCachedViewFootprint bounds what the cache spends on a byte of page. A
+// tree of 20 000 random 24-byte keys (HMAC's width) with 100-byte values,
+// loaded from a fixed seed in 64-key commits under the tree's cipher, is
+// read back whole by one cursor scan after the cache is emptied, so every
+// view is a read miss's: the blocks the cached views hold, over the
+// plaintext bytes of their pages, must stay at or below footprintBound,
+// 1.145 rounded up. When a view carried an offset table in its block, beside
+// prefix-coded pages, the same tree read 1.297.
+func TestCachedViewFootprint(t *testing.T) {
+	const keys, footprintBound = 20000, 1.15
+	nc, err := cipher.NewEpochAESGCM(bytes.Repeat([]byte{0xF0}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(Config{Store: file.NewMem(), Cipher: nc, Order: 32, CachePages: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	rng := rand.New(rand.NewSource(52))
+	for lo := 0; lo < keys; lo += 64 {
+		err := g.Apply(func(bt *btree.Tree) error {
+			for range min(64, keys-lo) {
+				k, v := make([]byte, 24), make([]byte, 100)
+				rng.Read(k)
+				rng.Read(v)
+				if err := bt.Put(k, v); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.io.invalidate()
+	snap, err := g.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := snap.Iter(nil)
+	it.Seek(nil)
+	n := 0
+	for _, _, ok := it.Next(); ok; _, _, ok = it.Next() {
+		n++
+	}
+	snap.Close()
+	if err := it.Err(); err != nil || n != keys {
+		t.Fatalf("the scan read %d entries (%v), want %d", n, err, keys)
+	}
+	g.io.mu.Lock()
+	slots := append([]cacheSlot(nil), g.io.slots...)
+	g.io.mu.Unlock()
+	blocks, pages := 0, 0
+	for _, s := range slots {
+		if !s.n.Recyclable() {
+			t.Fatalf("page %d is cached outside a block", s.id)
+		}
+		blocks += blockBytes(s.n, nc.Overhead())
+		pages += s.n.EncodedSizeFormat(node.FormatStride)
+	}
+	ratio := float64(blocks) / float64(pages)
+	t.Logf("%d cached views: %d B of blocks for %d B of pages, %.3f", len(slots), blocks, pages, ratio)
+	if ratio > footprintBound {
+		t.Errorf("the cache spends %.3f bytes a byte of page, want at most %.2f", ratio, footprintBound)
+	}
 }

@@ -95,7 +95,7 @@ func TestSealMarkPrecedesPagesUnderFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 24; i++ {
-			epochPut(t, g, fmt.Sprintf("base-%04d", i), "v")
+			epochPut(t, g, fmt.Sprintf("base-epoch-%04d", i), "v")
 		}
 		if err := g.Close(); err != nil {
 			t.Fatal(err)

@@ -70,7 +70,7 @@ func TestSealMarkOutrunsIssuedCounters(t *testing.T) {
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 50; i++ {
-		epochPut(t, g, fmt.Sprintf("k%d", i), "v")
+		epochPut(t, g, fmt.Sprintf("k%02d", i), "v")
 	}
 	mark, err := st.SealMark()
 	if err != nil {
@@ -177,7 +177,7 @@ func TestAdvanceEpochForcesRotationTarget(t *testing.T) {
 	g := newEpochEngine(t, st, 0, 0, nil)
 	defer g.Close()
 	for i := 0; i < 20; i++ {
-		epochPut(t, g, fmt.Sprintf("k%d", i), "v")
+		epochPut(t, g, fmt.Sprintf("k%02d", i), "v")
 	}
 	if err := g.AdvanceEpoch(); err != nil {
 		t.Fatalf("AdvanceEpoch: %v", err)
@@ -214,7 +214,7 @@ func TestCounterMonotonicAcrossReopen(t *testing.T) {
 	st := file.NewMem()
 	g := newEpochEngine(t, st, 0, 0, nil)
 	for i := 0; i < 10; i++ {
-		epochPut(t, g, fmt.Sprintf("k%d", i), "v")
+		epochPut(t, g, fmt.Sprintf("k%02d", i), "v")
 	}
 	markBefore, err := st.SealMark()
 	if err != nil {

@@ -81,7 +81,7 @@ func TestQueuedMutationsCommitAsOne(t *testing.T) {
 	putKeys(t, g, 200, "v1")
 	commits := g.Commits()
 
-	deletes := []string{"k0003", "absent", "k0150", "k0003"}
+	deletes := []string{"k0003", "k-abs", "k0150", "k0003"}
 	deleted := make([]bool, len(deletes))
 	var rest []func(*btree.Tree) error
 	for i, k := range deletes {
@@ -91,7 +91,7 @@ func TestQueuedMutationsCommitAsOne(t *testing.T) {
 		})
 	}
 	rest = append(rest, put("k0042", "v2"))
-	for i, err := range combine(t, g, func() {}, put("new", "v2"), rest...) {
+	for i, err := range combine(t, g, func() {}, put("k-new", "v2"), rest...) {
 		if err != nil {
 			t.Fatalf("Apply %d: %v", i, err)
 		}
@@ -104,7 +104,7 @@ func TestQueuedMutationsCommitAsOne(t *testing.T) {
 	if deleted[1] || !deleted[2] || deleted[0] == deleted[3] {
 		t.Fatalf("Delete results %v for %v: want absent false, k0150 true, k0003 true once", deleted, deletes)
 	}
-	for k, want := range map[string]string{"new": "v2", "k0042": "v2", "k0004": "v1", "k0003": "", "k0150": ""} {
+	for k, want := range map[string]string{"k-new": "v2", "k0042": "v2", "k0004": "v1", "k0003": "", "k0150": ""} {
 		v, ok, err := g.Get([]byte(k))
 		if err != nil || ok != (want != "") || string(v) != want {
 			t.Fatalf("Get(%s) = (%q, %v, %v), want %q", k, v, ok, err, want)
@@ -183,7 +183,7 @@ func TestCloseFailsQueuedWriters(t *testing.T) {
 	closed := make(chan error, 1)
 	var rest []func(*btree.Tree) error
 	for i := range 6 {
-		rest = append(rest, put(fmt.Sprintf("q%d", i), "v"))
+		rest = append(rest, put(fmt.Sprintf("q%04d", i), "v"))
 	}
 	errs := combine(t, g, func() {
 		go func() { closed <- g.Close() }()

@@ -72,6 +72,49 @@ func TestErrTooLarge(t *testing.T) {
 	b.Discard()
 }
 
+// lyingSub is a Substituter whose keys are as long as the plaintext keys,
+// whatever Width says; width -1 is what one of varying width would report.
+type lyingSub struct{ width int }
+
+func (s lyingSub) Substitute(key []byte) []byte { return bytes.Clone(key) }
+func (s lyingSub) Width() int                   { return s.width }
+func (s lyingSub) Name() string                 { return "lying" }
+
+// TestSubstituterMustHaveFixedWidth: node pages hold keys of one width, so
+// Open refuses a substituter whose Width is not positive, and a write whose
+// substituted key is not Width bytes fails before it stages anything, with
+// ErrInvalidOptions both times, instead of a commit failing at its encode.
+func TestSubstituterMustHaveFixedWidth(t *testing.T) {
+	nc, err := NewEpochAESGCMCipher(bytes.Repeat([]byte{0xC9}, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{-1, 0} {
+		if _, err := Open(Options{Substituter: lyingSub{w}, Cipher: nc}); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("Open with a substituter of width %d = %v, want ErrInvalidOptions", w, err)
+		}
+	}
+	tr := mustOpen(t, Options{Substituter: lyingSub{4}, Cipher: nc})
+	defer tr.Close()
+	if err := tr.Put([]byte("four"), []byte("v")); err != nil {
+		t.Fatalf("Put of a 4-byte key under width 4 = %v", err)
+	}
+	if err := tr.Put([]byte("three"), []byte("v")); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("Put of a 5-byte key under width 4 = %v, want ErrInvalidOptions", err)
+	}
+	if _, err := tr.Delete([]byte("abc")); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("Delete of a 3-byte key under width 4 = %v, want ErrInvalidOptions", err)
+	}
+	b := tr.NewBatch()
+	if err := b.Put([]byte("fives"), []byte("v")); !errors.Is(err, ErrInvalidOptions) {
+		t.Errorf("Batch.Put of a 5-byte key under width 4 = %v, want ErrInvalidOptions", err)
+	}
+	b.Discard()
+	if v, ok, err := tr.Get([]byte("four")); err != nil || !ok || string(v) != "v" {
+		t.Errorf("Get(four) = (%q, %v, %v), want the value put", v, ok, err)
+	}
+}
+
 // hugeOverhead is a page cipher that, once armed, reports a ciphertext
 // overhead that puts every sealed page past 4 GiB, so the page-size limit can
 // be driven without allocating a 4 GiB value.

@@ -12,7 +12,8 @@ import (
 // swap a layer. These aliases re-export the contracts through the façade;
 // any external type with the matching method set satisfies them.
 type (
-	// Substituter maps plaintext search keys to substituted search keys.
+	// Substituter maps plaintext search keys to substituted search keys,
+	// every one Width bytes long; Open refuses a Width that is not positive.
 	Substituter = keysub.Substituter
 	// NodeCipher seals and opens serialized node pages under engine-allocated
 	// (epoch, counter) nonces; see the six-method contract it aliases.

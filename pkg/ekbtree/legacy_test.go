@@ -19,16 +19,17 @@ import (
 func legacyKey(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 func legacyVal(i int) []byte { return []byte(fmt.Sprintf("payload-%d", i)) }
 
-// writeLegacyFullTree lays down the page file a tree written with the
-// removed full-key option (or before prefix coding existed) consists of: a
-// header with no " enc=prefix" token, sealed by the real cipher, and every
-// node page encoded node.FormatFull by an engine configured the way Open
-// configures it. The header string is spelled out here, not shared with
-// checkHeader, so that this test pins the bytes old files actually carry.
-// Keys [0, n) go in as 64-key commits, then every 7th is deleted, so the
-// legacy pages have been through splits and merges. It returns the model:
-// substituted key -> value.
-func writeLegacyFullTree(t *testing.T, opts Options, n int) map[string]string {
+// writeLegacyTree lays down the page file an older build wrote, its every
+// node page a version-1 page of format f, encoded by an engine configured the
+// way Open configures it. A full-key tree (the removed full-key option, or a
+// build before prefix coding existed) has a header with no " enc=prefix"
+// token; a prefix tree, what every build before version 2 wrote, has the
+// token. Both headers are sealed by the real cipher and spelled out here, not
+// shared with checkHeader, so that this test pins the bytes old files
+// actually carry. Keys [0, n) go in as 64-key commits, then every 7th is
+// deleted, so the legacy pages have been through splits and merges. It
+// returns the model: substituted key -> value.
+func writeLegacyTree(t *testing.T, opts Options, n int, f node.Format) map[string]string {
 	t.Helper()
 	order, sub, nc, cachePages, err := opts.validate()
 	if err != nil {
@@ -39,6 +40,9 @@ func writeLegacyFullTree(t *testing.T, opts Options, n int) map[string]string {
 		t.Fatal(err)
 	}
 	header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s", order, sub.Name(), nc.Name())
+	if f == node.FormatPrefix {
+		header += " enc=prefix"
+	}
 	sealed, err := nc.Seal(metaPageID, []byte(header))
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +51,7 @@ func writeLegacyFullTree(t *testing.T, opts Options, n int) map[string]string {
 		t.Fatal(err)
 	}
 	g, err := engine.New(engine.Config{
-		Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: node.FormatFull,
+		Store: st, Cipher: nc, Order: order, CachePages: cachePages, NodeFormat: f,
 		SealBudget: DefaultSealBudget,
 	})
 	if err != nil {
@@ -177,9 +181,46 @@ func pageFormats(t *testing.T, opts Options) map[node.Format]int {
 // token-less header — what the removed full-key option wrote — needs no option
 // to open. It reads back and scans exactly, takes a batch that splits and
 // merges nodes among the old pages, survives a reopen holding pages of both
-// forms, and once an epoch advance has had every page re-sealed holds prefix
-// pages only. The header check still fails closed on everything else.
+// versions, and once an epoch advance has had every page re-sealed holds
+// version-2 pages only. The header check still fails closed on everything
+// else.
 func TestLegacyFullFormatFileOpens(t *testing.T) {
+	legacyFileOpens(t, node.FormatFull)
+
+	// A header that deciphers but is neither the token-less nor the prefix
+	// form is a mismatch, as it always was.
+	master := bytes.Repeat([]byte{0x55}, 32)
+	_, sub, nc, _, err := Options{MasterKey: master}.validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewMemStore()
+	header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s enc=full", DefaultOrder, sub.Name(), nc.Name())
+	sealed, err := nc.Seal(metaPageID, []byte(header))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SetMeta(sealed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{MasterKey: master, Store: st}); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("Open over an unknown header token = %v, want ErrConfigMismatch", err)
+	}
+}
+
+// TestLegacyPrefixFormatFileOpens is TestLegacyFullFormatFileOpens over the
+// file every build before version 2 wrote: prefix-coded pages under a header
+// with the " enc=prefix" token. Its pages are read by transcoding (the
+// engine's TestLegacyPagesAreCachedAsViews holds what the cache keeps of
+// them), and AdvanceEpoch with a drained re-seal leaves version-2 pages only.
+func TestLegacyPrefixFormatFileOpens(t *testing.T) {
+	legacyFileOpens(t, node.FormatPrefix)
+}
+
+// legacyFileOpens is the body of the legacy-file tests: a file of version-1
+// pages of format f, written under HMAC and under a 64-bit bucketed
+// substituter, opens, reads back, takes writes and converts.
+func legacyFileOpens(t *testing.T, f node.Format) {
 	for _, tc := range []struct {
 		name     string
 		bucketed bool
@@ -195,9 +236,9 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 			}
 			opts.order = 8 // small nodes: a few thousand keys make a deep tree
 			const n = 3000
-			model := writeLegacyFullTree(t, opts, n)
-			if got := pageFormats(t, opts); got[node.FormatPrefix] != 0 || got[node.FormatFull] < n/8 {
-				t.Fatalf("legacy helper wrote pages %v, want full-format only", got)
+			model := writeLegacyTree(t, opts, n, f)
+			if got := pageFormats(t, opts); len(got) != 1 || got[f] < n/8 {
+				t.Fatalf("legacy helper wrote pages %v, want %v only", got, f)
 			}
 
 			wrongKey := opts
@@ -248,12 +289,12 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 				t.Fatal(err)
 			}
 			mixed := pageFormats(t, opts)
-			if mixed[node.FormatPrefix] == 0 {
-				t.Fatalf("the batch rewrote no page in prefix form: %v", mixed)
+			if mixed[node.FormatStride] == 0 {
+				t.Fatalf("the batch rewrote no page in version-2 form: %v", mixed)
 			}
 
 			tr = mustOpen(t, opts)
-			check(tr, "reopened with pages of both forms")
+			check(tr, "reopened with pages of both versions")
 			if err := tr.AdvanceEpoch(); err != nil {
 				t.Fatal(err)
 			}
@@ -262,29 +303,9 @@ func TestLegacyFullFormatFileOpens(t *testing.T) {
 			if err := tr.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := pageFormats(t, opts); got[node.FormatFull] != 0 || got[node.FormatPrefix] == 0 {
-				t.Fatalf("pages after AdvanceEpoch and a drained re-seal: %v (were %v), want prefix only", got, mixed)
+			if got := pageFormats(t, opts); len(got) != 1 || got[node.FormatStride] == 0 {
+				t.Fatalf("pages after AdvanceEpoch and a drained re-seal: %v (were %v), want version 2 only", got, mixed)
 			}
 		})
-	}
-
-	// A header that deciphers but is neither the token-less nor the prefix
-	// form is a mismatch, as it always was.
-	master := bytes.Repeat([]byte{0x55}, 32)
-	_, sub, nc, _, err := Options{MasterKey: master}.validate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := NewMemStore()
-	header := fmt.Sprintf("ekbtree/1 order=%d keysub=%s cipher=%s enc=full", DefaultOrder, sub.Name(), nc.Name())
-	sealed, err := nc.Seal(metaPageID, []byte(header))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetMeta(sealed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(Options{MasterKey: master, Store: st}); !errors.Is(err, ErrConfigMismatch) {
-		t.Fatalf("Open over an unknown header token = %v, want ErrConfigMismatch", err)
 	}
 }

@@ -40,14 +40,19 @@ const (
 // both Substituter and Cipher must be set.
 //
 // Neither the B-tree order (its sealed header's, DefaultOrder for a new tree)
-// nor the node format is an option. Every page is written with prefix-coded
-// keys; a file that holds full-key pages, from a version that wrote them,
-// opens as it is and converts as its pages are rewritten (see checkHeader).
+// nor the node format is an option. Every page is written as version 2, its
+// keys in one fixed-width stride array, which is why the substituter must be
+// of fixed width. A file that holds version-1 pages (prefix-coded or full
+// keys), from a version that wrote them, opens as it is: those pages are
+// transcoded when read and converted as they are rewritten.
 type Options struct {
 	// MasterKey derives the substitution secret and the node-cipher key when
 	// Substituter or Cipher are unset. It must be at least 16 bytes.
 	MasterKey []byte
-	// Substituter overrides the derived HMAC substituter.
+	// Substituter overrides the derived HMAC substituter. It must be of
+	// fixed width: Open refuses one whose Width is not positive, and a write
+	// whose substituted key is not Width bytes long fails, with
+	// ErrInvalidOptions.
 	Substituter keysub.Substituter
 	// Cipher overrides the derived AES-256-GCM node cipher. Any NodeCipher
 	// runs under the same seal budgets, epochs and rotation as the derived one.
@@ -88,14 +93,9 @@ type Options struct {
 	// fresh derived key and the background rotator re-seals the old epoch's
 	// pages. Zero means DefaultSealBudget; negative disables budget-driven
 	// rotation entirely — the epoch then advances only via AdvanceEpoch, and
-	// a tree that reaches the hard bound (see SealHardLimit) fails its
-	// writes closed with ErrSealsExhausted.
+	// a tree whose epoch reaches 2^32 seals fails its writes closed with
+	// ErrSealsExhausted instead of risking nonce reuse.
 	SealBudget int64
-	// SealHardLimit is the per-epoch fail-closed seal bound: a commit that
-	// would push the current epoch's counter past it fails with
-	// ErrSealsExhausted instead of risking nonce reuse. Zero means the
-	// engine default (2^32); values above 2^56 are clamped.
-	SealHardLimit uint64
 	// AutoVacuum, when above zero, has the tree compact its file on its
 	// own, as Vacuum(0) would, once the garbage made since its last pass
 	// (FileBytes − LiveBytes, from Space) is more than this fraction of the
@@ -113,6 +113,11 @@ type Options struct {
 	// order, a seam for this package's tests to force small nodes, is the
 	// order a new tree is built at: even and at least 4, zero DefaultOrder.
 	order int
+	// sealHardLimit, a seam for this package's tests to reach the
+	// fail-closed bound in a few commits, is the per-epoch seal count at
+	// which writes fail with ErrSealsExhausted: zero means the engine's
+	// default (2^32), and values above 2^56 are clamped.
+	sealHardLimit uint64
 }
 
 // DefaultSealBudget is the per-epoch seal budget when Options.SealBudget is
@@ -155,6 +160,9 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 		if nc == nil {
 			nc = derived.Cipher
 		}
+	}
+	if w := sub.Width(); w <= 0 {
+		return 0, nil, nil, 0, fmt.Errorf("%w: substituter %s has width %d; node pages need keys of one width", ErrInvalidOptions, sub.Name(), w)
 	}
 	if o.Path == "" && o.Durability != DurabilityFull {
 		return 0, nil, nil, 0, fmt.Errorf("%w: Durability applies only to Path stores", ErrInvalidOptions)

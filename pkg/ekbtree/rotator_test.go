@@ -43,7 +43,7 @@ func TestRotatorBacksOffOnPersistentFailure(t *testing.T) {
 		{"store refuses commits", func(int) Options { return Options{} }, true},
 		// No budget-driven advance, and an epoch too small to re-seal the tree in.
 		{"seal hard limit reached mid-rotation", func(nodes int) Options {
-			return Options{SealBudget: -1, SealHardLimit: uint64(nodes / 2)}
+			return Options{SealBudget: -1, sealHardLimit: uint64(nodes / 2)}
 		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
