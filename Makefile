@@ -46,9 +46,11 @@ lint:
 # A served round trip allocates only what it hands back: the product builds
 # frames in buffers it reuses. The allocating wrappers are for bench/ and tests.
 	@if git grep -nE 'wire\.(ReadFrame|WriteFrame|EncodeRequest|EncodeOK)\(' -- cmd pkg ':!*_test.go'; then echo "build the frame in the connection's buffer instead (wire.Append*, wire.EndFrame, wire.ReadFrameInto)"; exit 1; fi
-# Maintenance lives in the library (pkg/ekbtree/maintain.go): a server that
-# starts a timer of its own grows a second loop a library user never gets.
-	@if git grep -nE 'time\.(NewTicker|Tick)\(' -- cmd ':!*_test.go'; then echo "cmd/ starts a ticker; put background work in the tree's maintain loop and pass its policy through ekbtree.Options"; exit 1; fi
+# Nothing polls: the tree's one background loop (pkg/ekbtree/maintain.go)
+# rotates when an epoch advance kicks it, every flush packs, and Vacuum runs
+# when a caller asks. A ticker in the library or a server is a poll coming
+# back; tests and bench/ may keep their own.
+	@if git grep -nE 'time\.(NewTicker|Tick)\(' -- '*.go' ':!*_test.go' ':!bench'; then echo "a ticker outside tests and bench/; background work is the rotator, kicked by epoch advances (maintain.go), and compaction is Tree.Vacuum on request"; exit 1; fi
 # A seal-counter reservation records a mark and nothing more: the file store
 # makes the mark durable ahead of the pages sealed under it, so a Sync here
 # would flush the whole pending group once per reservation.
@@ -181,13 +183,11 @@ test:
 #  - the sweeps above the store: rotation's re-seal commits, a Sync whose group
 #    raises the seal mark ahead of its pages, a whole tree whose background
 #    rotator interleaves differently every run, the rotator backing off over a
-#    store that refuses it, the same loop auto-vacuuming a churned tree (and
-#    keeping its floor when a pass overlaps commits), and
-#    the engine's one commit path (failed commits stay invisible, root moves
-#    commit like any other, and the turn holder combines queued writers:
-#    one epoch, each caller's own error, a store error for all, Close, and
-#    never two CommitPages in flight beside epoch advances, rotation and
-#    vacuum);
+#    store that refuses it, and the engine's one commit path (failed commits
+#    stay invisible, root moves commit like any other, and the turn holder
+#    combines queued writers: one epoch, each caller's own error, a store
+#    error for all, Close, and never two CommitPages in flight beside epoch
+#    advances, rotation and vacuum);
 #  - copy-on-write nodes: a transaction that altered a shared node in place,
 #    an in-place decoder that saw a shared buffer, a commit that cached a copy
 #    its workspace rebuilds, or anything that wrote into a cached view's page,
@@ -210,7 +210,7 @@ race:
 	$(GO) test -race -count=10 -run '^TestModelConcurrentWriters$$/^vacuum$$/^file$$/^grouped$$' ./pkg/ekbtree/
 	$(GO) test -race -count=50 -run '^TestVacuumConcurrentWithCommits$$' ./internal/store/file/
 	$(GO) test -race -count=5 -run 'FaultSweeps|AtomicityUnderFaults|TestGroupPageTable|TestAppliedHeaderThroughOverlays|TestInitCrashLeavesFreshFile|TestTransientFaultFailStops|TestVacuumNeverMovesItsGroupsPages|TestVacuumWithNothingToMoveWritesNothing|TestConcurrentVacuums|TestFlushesPayDownGarbage|TestFlushThatFillsEveryHoleMovesNothing|TestPayDownAtomicityUnderFaults|TestOpenRefusesOverlappingExtents|TestOldLayoutDirectoryDerivesStoredFreeList|TestFlushedDirectoryStoresNoFreeList|TestReleasedPagesAreUnreachable' ./internal/store/file/
-	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitLikeAnyOther|TestAutoVacuum|TestOverlappedPassKeepsVacuumFloor|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
+	$(GO) test -race -count=5 -run 'TestRotationCommitAtomicityUnderFaults|TestSealMarkPrecedesPagesUnderFaults|TestSealReservationDoesNotFlush|TestTreeCrashAtEveryFileOp|TestRotatorBacksOffOnPersistentFailure|TestFailedCommitsStayInvisible|TestRootMovesCommitLikeAnyOther|TestQueuedMutationsCommitAsOne|TestQueuedErrorStaysItsOwn|TestStoreErrorFailsEveryCombinedWriter|TestCloseFailsQueuedWriters|TestCommitPagesNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/
 	$(GO) test -race -count=5 -run '^TestSnapshotSurvivesCopyOnWriteCommits$$|TestCachedViewsAreNeverWritten|TestCommitCachesViews|TestTxnPageTable|TestRecycledWorkspaceIsEmpty|TestBatchSlabOwnership|TestRecycledSlabIsUnreachable|TestSubstitutionResultsAreNotKept|TestResultsNeverOverlap' ./pkg/ekbtree/engine/ ./pkg/ekbtree/ ./internal/keysub/
 	$(GO) test -race -count=5 -run 'TestColdReadsShareNothing|TestHotLeafBeatsColdIndexNode|TestRecycledBlocksAreUnreachable|TestFailedCommitPreImagesAreNeverRecycled' ./pkg/ekbtree/...
 	$(GO) test -race -count=5 -run 'TestClientLatchesTransportErrors|TestPreAuthFramesAllocateLittle' ./pkg/ekbtree/wire/ ./cmd/ekbtreed/

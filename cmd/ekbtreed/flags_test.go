@@ -43,9 +43,8 @@ func TestParseFlagsAccepted(t *testing.T) {
 		{"async", []string{"-durability", "async"}, func(o *options) {
 			o.tree.Durability = ekbtree.DurabilityAsync
 		}},
-		{"server flags", []string{"-max-conns", "0", "-drain-timeout", "3s", "-auto-vacuum", "0.3"}, func(o *options) {
+		{"server flags", []string{"-max-conns", "0", "-drain-timeout", "3s"}, func(o *options) {
 			o.srv = serverConfig{maxConns: 0, drainTimeout: 3 * time.Second}
-			o.tree.AutoVacuum = 0.3
 		}},
 		{"provision", []string{"-provision", "alice", "-master-hex", "abcd"}, func(o *options) {
 			o.provision, o.masterHex = "alice", "abcd"
@@ -70,6 +69,9 @@ func TestParseFlagsAccepted(t *testing.T) {
 // TestParseFlagsRejected: every validation main used to exit on is an error
 // naming the flag. -shards went with range sharding; a command line that
 // still sets it is refused, whatever the count, never run as one tree.
+// -auto-vacuum went with automatic compaction; a server started with it, at
+// any value, fails at startup rather than run without the compaction it was
+// asked for.
 func TestParseFlagsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		args    []string
@@ -79,9 +81,10 @@ func TestParseFlagsRejected(t *testing.T) {
 		{[]string{"-shards", "-2"}, "flag provided but not defined: -shards"},
 		{[]string{"-shards", "300"}, "flag provided but not defined: -shards"},
 		{[]string{"-max-epoch-age", "-1"}, "-max-epoch-age -1 must be >= 0"},
-		{[]string{"-auto-vacuum", "1"}, "-auto-vacuum 1 must be in [0, 1)"},
-		{[]string{"-auto-vacuum", "-0.1"}, "-auto-vacuum -0.1 must be in [0, 1)"},
-		{[]string{"-auto-vacuum", "NaN"}, "-auto-vacuum NaN must be in [0, 1)"},
+		{[]string{"-auto-vacuum", "0.3"}, "flag provided but not defined: -auto-vacuum"},
+		{[]string{"-auto-vacuum", "1"}, "flag provided but not defined: -auto-vacuum"},
+		{[]string{"-auto-vacuum", "-0.1"}, "flag provided but not defined: -auto-vacuum"},
+		{[]string{"-auto-vacuum", "NaN"}, "flag provided but not defined: -auto-vacuum"},
 		{[]string{"-durability", "eventual"}, `unknown -durability "eventual" (want full, grouped, or async)`},
 		{[]string{"-max-conns", "-1"}, "-max-conns -1 must be >= 0"},
 		{[]string{"-drain-timeout", "-1s"}, "-drain-timeout -1s must be >= 0"},

@@ -13,7 +13,7 @@
 //
 // The tree flags fill one ekbtree.Options every tenant tree opens with, and
 // background work is the tree's own: each re-seals pages under fresh key
-// epochs and, with -auto-vacuum, compacts its files in its own loop.
+// epochs. A tenant's file is compacted when its client sends the Vacuum op.
 //
 // Usage:
 //
@@ -62,7 +62,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.tree.SealBudget, "seal-budget", 0, "per-epoch page-seal budget before the cipher key epoch rotates (0 = library default, negative = disable rotation)")
 	fs.IntVar(&o.srv.maxConns, "max-conns", 1024, "maximum concurrent connections (0 = unlimited)")
 	fs.DurationVar(&o.srv.drainTimeout, "drain-timeout", 10*time.Second, "how long a drain waits for in-flight work")
-	fs.Float64Var(&o.tree.AutoVacuum, "auto-vacuum", 0, "compact a tenant's file online once the garbage made since its last compaction exceeds this fraction of its size, e.g. 0.5 (0 = disabled); every flush already packs as many bytes as it writes, which keeps a file under steady writes within about one flush of its live bytes, so this is for what writes leave, such as a large delete")
 	fs.StringVar(&o.provision, "provision", "", "provision tenant NAME into -tenants and exit")
 	fs.StringVar(&o.masterHex, "master-hex", "", "tenant master key (hex) for -provision")
 	if err := fs.Parse(args); err != nil {
@@ -73,10 +72,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.tree.MaxEpochAge < 0 {
 		return options{}, fmt.Errorf("-max-epoch-age %d must be >= 0", o.tree.MaxEpochAge)
-	}
-	// Written so that NaN, which fails every comparison, is refused too.
-	if !(o.tree.AutoVacuum >= 0 && o.tree.AutoVacuum < 1) {
-		return options{}, fmt.Errorf("-auto-vacuum %v must be in [0, 1)", o.tree.AutoVacuum)
 	}
 	if o.srv.maxConns < 0 {
 		return options{}, fmt.Errorf("-max-conns %d must be >= 0", o.srv.maxConns)

@@ -31,7 +31,7 @@ func startTestServer(t *testing.T, masters map[string][]byte, mut ...func(*serve
 }
 
 // startTestServerTree is startTestServer with an explicit tree configuration
-// (epoch-age bound, durability, auto-vacuum).
+// (epoch-age bound, durability, seal budget).
 func startTestServerTree(t *testing.T, masters map[string][]byte, tcfg ekbtree.Options, mut ...func(*serverConfig)) *testServer {
 	t.Helper()
 	dataDir := t.TempDir()

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/paper-repro/ekbtree/pkg/ekbtree"
 	"github.com/paper-repro/ekbtree/pkg/ekbtree/wire"
@@ -105,41 +104,6 @@ func TestWireVacuum(t *testing.T) {
 	bare := ts.dialAuthed(t, "alice")
 	if err := bare.Vacuum(0); !wire.IsCode(err, wire.CodeBadRequest) {
 		t.Fatalf("Vacuum before Open = %v, want CodeBadRequest", err)
-	}
-}
-
-// TestAutoVacuum proves -auto-vacuum end to end: with a garbage threshold
-// passed through to the tenant tree, a churned tenant's files shrink with no
-// client issuing any Vacuum — and the data survives.
-func TestAutoVacuum(t *testing.T) {
-	ts := startTestServerTree(t, map[string][]byte{"alice": masterAlice},
-		ekbtree.Options{Durability: ekbtree.DurabilityGrouped, AutoVacuum: 0.15})
-	c := ts.dial(t, "alice")
-
-	const n, keep = 1500, 8
-	churnTenant(t, c, "alice", n, keep)
-
-	// The sweep may already have fired mid-churn, so there is no reliable
-	// "before" footprint to compare against. The sweep's contract is the
-	// steady state it converges to: without it the deletes leave the file
-	// several times live size, so a footprint within 1.5x of live proves a
-	// compaction ran.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := clientStats(t, c)
-		if st.FileBytes > 0 && st.FileBytes < st.LiveBytes*3/2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("auto-vacuum never converged: file=%d live=%d", st.FileBytes, st.LiveBytes)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	for i := 0; i < n; i += keep {
-		v, ok, err := c.Get(tkey("alice", i))
-		if err != nil || !ok || string(v) != fmt.Sprintf("gen-3-%s", tval("alice", i)) {
-			t.Fatalf("Get(%d) after auto-vacuum = (%q, %v, %v)", i, v, ok, err)
-		}
 	}
 }
 

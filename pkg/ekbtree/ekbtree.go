@@ -196,7 +196,7 @@ func Open(opts Options) (*Tree, error) {
 	if err != nil {
 		return fail(err)
 	}
-	go t.maintain(opts.AutoVacuum)
+	go t.maintain()
 	// An initial kick drains any epochs a previous run advanced but never
 	// finished re-sealing (e.g. a crash mid-rotation).
 	t.kickMaintain()
@@ -389,7 +389,9 @@ func (t *Tree) Space() (fileBytes, liveBytes int64) {
 // way, so a tree under steady writes stays within about one flush of its live
 // bytes. Vacuum is for what writes leave: garbage no later flush paid down,
 // such as a large delete, and holes smaller than every page behind them,
-// which only its lift rounds clear.
+// which only its lift rounds clear. The tree never runs it on its own: call
+// it after a bulk delete, or when Space shows more garbage than the caller
+// will keep.
 func (t *Tree) Vacuum(target int64) error {
 	if target < 0 {
 		return fmt.Errorf("%w: negative vacuum target", ErrInvalidOptions)

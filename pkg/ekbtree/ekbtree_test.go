@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"math"
 	mrand "math/rand"
 	"os"
 	"path/filepath"
@@ -31,10 +30,6 @@ func TestOpenValidation(t *testing.T) {
 		{"tiny order", Options{MasterKey: master, order: 2}, true},
 		{"short master key", Options{MasterKey: []byte("short")}, true},
 		{"no keys at all", Options{}, true},
-		{"auto-vacuum", Options{MasterKey: master, AutoVacuum: 0.5}, false},
-		{"auto-vacuum negative", Options{MasterKey: master, AutoVacuum: -0.1}, true},
-		{"auto-vacuum whole file", Options{MasterKey: master, AutoVacuum: 1}, true},
-		{"auto-vacuum NaN", Options{MasterKey: master, AutoVacuum: math.NaN()}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

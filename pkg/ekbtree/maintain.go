@@ -16,11 +16,6 @@ const (
 	rotateRetryMax = 5 * time.Second
 )
 
-// vacuumPoll is how often the maintenance loop looks at the tree's garbage
-// when Options.AutoVacuum is set. A look is two counter loads; the
-// AutoVacuum threshold, not the poll, decides how often a pass runs.
-const vacuumPoll = time.Second
-
 // kickMaintain schedules a rotation round. Non-blocking: a round rotates to
 // convergence per kick, so a kick that finds one already pending is subsumed
 // by it.
@@ -31,62 +26,29 @@ func (t *Tree) kickMaintain() {
 	}
 }
 
-// maintain is the tree's background maintenance: one goroutine per Tree.
-// Epoch advances (and Open, once) kick it to sweep the old-epoch pages back
-// under the current derived key, retrying a failed sweep after a back-off.
-// With autoVacuum > 0 it also wakes every vacuumPoll, and in any round runs
-// Vacuum(0) once the garbage made since the last pass is more than
-// autoVacuum of the file. Re-seals and relocations are ordinary
-// shadow-paged commits, so a crash at any byte of either leaves a normal
-// pre-or-post-commit state — no recovery protocol of their own. The loop
-// exits when the tree closes, after the round in flight.
-func (t *Tree) maintain(autoVacuum float64) {
+// maintain is the tree's background rotator: one goroutine per Tree. Epoch
+// advances (and Open, once) kick it to sweep the old-epoch pages back under
+// the current derived key, retrying a failed sweep after a back-off.
+// Re-seals are ordinary shadow-paged commits, so a crash at any byte of one
+// leaves a normal pre-or-post-commit state — no recovery protocol of their
+// own. Compaction is not its job: every flush packs, and Vacuum reclaims what
+// writes leave when a caller asks. The loop exits when the tree closes, after
+// the round in flight.
+func (t *Tree) maintain() {
 	defer close(t.stopped)
-	var poll <-chan time.Time
-	if autoVacuum > 0 {
-		tick := time.NewTicker(vacuumPoll)
-		defer tick.Stop()
-		poll = tick.C
-	}
-	// left is the garbage the last pass left behind, so a layout already at
-	// its floor is not vacuumed again until as much is made anew. A pass that
-	// overlapped a commit keeps the old floor: what it left includes garbage
-	// made during the pass, which the next one can still reclaim.
-	var left int64
 	var retry <-chan time.Time // fires when a rotation round is owed; nil once converged
 	delay := rotateRetryMin
 	for {
-		rotate := true
 		select {
 		case <-t.stop:
 			return
 		case <-t.kick: // a fresh epoch is what lifts an exhausted one: sweep now
 		case <-retry:
-		case <-poll:
-			rotate = false
 		}
-		var done bool
-		var err error
-		if rotate {
-			if done, err = t.eng.Rotate(); errors.Is(err, ErrClosed) {
-				return
-			}
-		}
-		if autoVacuum > 0 {
-			size, live := t.eng.Space()
-			if float64(size-live-left) > autoVacuum*float64(size) {
-				// A failed pass leaves a consistent layout, and the store's
-				// own failure reaches callers on their next write.
-				commits := t.eng.Commits()
-				_ = t.eng.Vacuum(0)
-				size, live = t.eng.Space()
-				if t.eng.Commits() == commits {
-					left = size - live
-				}
-			}
-		}
+		done, err := t.eng.Rotate()
 		switch {
-		case !rotate:
+		case errors.Is(err, ErrClosed):
+			return
 		case err != nil:
 			retry, delay = time.After(delay), min(2*delay, rotateRetryMax)
 		case done:

@@ -66,8 +66,8 @@ func (cs *countingStore) ReadPageInto(id uint64, buf []byte) (int, error) {
 	return n, err
 }
 
-// TestSpaceReadsNoPages pins what lets a monitor (the tree's own auto-vacuum
-// check) poll the footprint: on a cold 5 000-key tree Space reads no page and
+// TestSpaceReadsNoPages pins what lets a monitor (a caller deciding when to
+// Vacuum) poll the footprint: on a cold 5 000-key tree Space reads no page and
 // moves no cache counter, where Stats — which reports the same two figures —
 // walks every node to get them.
 func TestSpaceReadsNoPages(t *testing.T) {

@@ -45,6 +45,12 @@ const (
 // of fixed width. A file that holds version-1 pages (prefix-coded or full
 // keys), from a version that wrote them, opens as it is: those pages are
 // transcoded when read and converted as they are rewritten.
+//
+// Nor is compaction. Every flush of a file-backed tree moves as many bytes as
+// it writes from the end of the file into holes nearer the front, so steady
+// writes keep the file within about one flush of its live bytes; what writes
+// leave, such as a large delete with nothing written after it, stays until a
+// caller runs Tree.Vacuum.
 type Options struct {
 	// MasterKey derives the substitution secret and the node-cipher key when
 	// Substituter or Cipher are unset. It must be at least 16 bytes.
@@ -96,20 +102,6 @@ type Options struct {
 	// a tree whose epoch reaches 2^32 seals fails its writes closed with
 	// ErrSealsExhausted instead of risking nonce reuse.
 	SealBudget int64
-	// AutoVacuum, when above zero, has the tree compact its file on its
-	// own, as Vacuum(0) would, once the garbage made since its last pass
-	// (FileBytes − LiveBytes, from Space) is more than this fraction of the
-	// file. The tree's maintenance loop checks every second; a check reads
-	// two counters, so a tree with nothing to reclaim does no I/O. Zero
-	// disables it; it must be in [0, 1).
-	//
-	// Every flush of a file-backed tree already moves as many bytes as it
-	// writes from the end of the file into holes nearer the front, so steady
-	// writes keep the file within about one flush of its live bytes with
-	// AutoVacuum off. What is left to a pass is the garbage the writes
-	// stopped short of paying down, such as a large delete with nothing
-	// written after it, and holes smaller than every page behind them.
-	AutoVacuum float64
 	// order, a seam for this package's tests to force small nodes, is the
 	// order a new tree is built at: even and at least 4, zero DefaultOrder.
 	order int
@@ -175,10 +167,6 @@ func (o Options) validate() (order int, sub keysub.Substituter, nc cipher.NodeCi
 	}
 	if o.MaxEpochAge < 0 {
 		return 0, nil, nil, 0, fmt.Errorf("%w: negative MaxEpochAge", ErrInvalidOptions)
-	}
-	// Written so that NaN, which fails every comparison, is refused too.
-	if !(o.AutoVacuum >= 0 && o.AutoVacuum < 1) {
-		return 0, nil, nil, 0, fmt.Errorf("%w: AutoVacuum %v must be in [0, 1)", ErrInvalidOptions, o.AutoVacuum)
 	}
 	cachePages = o.CachePages
 	switch {
