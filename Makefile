@@ -51,6 +51,10 @@ lint:
 # when a caller asks. A ticker in the library or a server is a poll coming
 # back; tests and bench/ may keep their own.
 	@if git grep -nE 'time\.(NewTicker|Tick)\(' -- '*.go' ':!*_test.go' ':!bench'; then echo "a ticker outside tests and bench/; background work is the rotator, kicked by epoch advances (maintain.go), and compaction is Tree.Vacuum on request"; exit 1; fi
+# Vacuum takes no target: from the wire op down to the store, compaction is
+# one call that goes as far as the layout allows. A target file size had no
+# caller; a bound on compaction, if one comes back, is an I/O budget.
+	@if git grep -nE 'Vacuum\([a-zA-Z]+ u?int64\)|Target +uint64|target +int64|target: *dataStart|negative vacuum target' -- '*.go' ':!bench'; then echo "Vacuum takes no target: compaction is one call with no parameter (store.Vacuumer, Tree.Vacuum, wire.Vacuum)"; exit 1; fi
 # A seal-counter reservation records a mark and nothing more: the file store
 # makes the mark durable ahead of the pages sealed under it, so a Sync here
 # would flush the whole pending group once per reservation.

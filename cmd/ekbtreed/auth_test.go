@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,17 +114,33 @@ func TestAuthFailurePaths(t *testing.T) {
 func TestHandshakeProtocolErrors(t *testing.T) {
 	ts := startTestServer(t, map[string][]byte{"alice": masterAlice})
 
-	// Wrong protocol version.
-	nc := rawDial(t, ts.addr)
-	if err := wire.WriteFrame(nc, wire.EncodeRequest(&wire.Hello{Version: 99, Tenant: "alice"})); err != nil {
-		t.Fatal(err)
+	// A protocol version other than wire.ProtocolVersion — 1, whose Vacuum
+	// carried a target, 0, or one from the future — is refused naming the
+	// version, the connection closed, and the tenant's tree left unopened.
+	for _, v := range []uint64{1, 0, 99} {
+		nc := rawDial(t, ts.addr)
+		if err := wire.WriteFrame(nc, wire.EncodeRequest(&wire.Hello{Version: v, Tenant: "alice"})); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = wire.DecodeResponse(payload)
+		var we *wire.Error
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest || !strings.Contains(we.Msg, fmt.Sprintf("version %d", v)) {
+			t.Fatalf("Hello at version %d: %v, want CodeBadRequest naming the version", v, err)
+		}
+		if _, err := wire.ReadFrame(nc); err == nil {
+			t.Fatalf("connection survived a Hello at version %d", v)
+		}
 	}
-	payload, err := wire.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.DecodeResponse(payload); !wire.IsCode(err, wire.CodeBadRequest) {
-		t.Fatalf("bad version: %v, want CodeBadRequest", err)
+	ten := ts.srv.reg.lookup("alice")
+	ten.mu.Lock()
+	open := ten.tree != nil
+	ten.mu.Unlock()
+	if open {
+		t.Fatal("a refused Hello opened the tenant's tree")
 	}
 
 	// A data op before Hello.
@@ -130,7 +148,7 @@ func TestHandshakeProtocolErrors(t *testing.T) {
 	if err := wire.WriteFrame(nc2, wire.EncodeRequest(&wire.Put{Key: []byte("k"), Value: []byte("v")})); err != nil {
 		t.Fatal(err)
 	}
-	payload, err = wire.ReadFrame(nc2)
+	payload, err := wire.ReadFrame(nc2)
 	if err != nil {
 		t.Fatal(err)
 	}

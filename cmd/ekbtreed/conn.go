@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -296,13 +295,7 @@ func (c *conn) dispatch(b []byte, req wire.Request) []byte {
 		}
 		return wire.AppendOK(b)
 	case *wire.Vacuum:
-		// A wire target past int64 is indistinguishable from "already
-		// satisfied": clamp instead of erroring.
-		target := int64(math.MaxInt64)
-		if m.Target <= math.MaxInt64 {
-			target = int64(m.Target)
-		}
-		if err := c.tree.Vacuum(target); err != nil {
+		if err := c.tree.Vacuum(); err != nil {
 			return appendEngineErr(b, err)
 		}
 		return wire.AppendOK(b)

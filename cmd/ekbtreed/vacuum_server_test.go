@@ -76,7 +76,7 @@ func TestWireVacuum(t *testing.T) {
 		t.Fatalf("churn created too little garbage: file=%d live=%d", before.FileBytes, before.LiveBytes)
 	}
 
-	if err := c.Vacuum(0); err != nil {
+	if err := c.Vacuum(); err != nil {
 		t.Fatalf("Vacuum: %v", err)
 	}
 	after := clientStats(t, c)
@@ -95,14 +95,9 @@ func TestWireVacuum(t *testing.T) {
 		t.Fatalf("deleted key resurfaced after vacuum: ok=%v err=%v", ok, err)
 	}
 
-	// A satisfied target is a no-op, and a second pass converges.
-	if err := c.Vacuum(uint64(after.FileBytes) * 2); err != nil {
-		t.Fatalf("satisfied-target Vacuum: %v", err)
-	}
-
 	// Vacuum requires Open, like every other data-plane op.
 	bare := ts.dialAuthed(t, "alice")
-	if err := bare.Vacuum(0); !wire.IsCode(err, wire.CodeBadRequest) {
+	if err := bare.Vacuum(); !wire.IsCode(err, wire.CodeBadRequest) {
 		t.Fatalf("Vacuum before Open = %v, want CodeBadRequest", err)
 	}
 }
@@ -112,7 +107,7 @@ func TestVacuumOpString(t *testing.T) {
 	if got := wire.OpVacuum.String(); got != "Vacuum" {
 		t.Fatalf("OpVacuum.String() = %q", got)
 	}
-	m := &wire.Vacuum{Target: 42}
+	m := &wire.Vacuum{}
 	if got := fmt.Sprintf("%T", m); got != "*wire.Vacuum" {
 		t.Fatalf("unexpected type %s", got)
 	}

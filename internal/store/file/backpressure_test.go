@@ -113,7 +113,7 @@ func TestAsyncBackpressureBlocksEnqueue(t *testing.T) {
 	// at once (and then waits, like any vacuum step, for the group's flush).
 	vDone := make(chan error, 1)
 	go func() {
-		_, err := s.relocate(pass{target: dataStart})
+		_, err := s.relocate(pass{budget: vacuumBatchBytes})
 		vDone <- err
 	}()
 	tableChecks{t, s}.awaitStep()

@@ -129,7 +129,7 @@ func BenchmarkFullCommitByPages(b *testing.B) {
 	}
 }
 
-// BenchmarkVacuum runs one Vacuum(0) over a fresh copy of a churned store. It
+// BenchmarkVacuum runs one Vacuum() over a fresh copy of a churned store. It
 // reports the flushes the pass took (its Txid delta), the file's size over its
 // live bytes after it, and the gap between the two in bytes, which file/live's
 // printed digits round away. The churn: 6 000 pages of 200–3 000 B, then 300
@@ -158,7 +158,7 @@ func BenchmarkVacuum(b *testing.B) {
 		}
 		txid := s.Txid()
 		b.StartTimer()
-		if err := s.Vacuum(0); err != nil {
+		if err := s.Vacuum(); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

@@ -621,7 +621,7 @@ func TestTransientFaultFailStops(t *testing.T) {
 			}},
 		{"vacuum",
 			func(t *testing.T, s *Store) []uint64 { return buildGarbage(t, s) },
-			func(s *Store, _ []uint64) error { return s.Vacuum(0) }},
+			func(s *Store, _ []uint64) error { return s.Vacuum() }},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -681,7 +681,7 @@ func TestTransientFaultFailStops(t *testing.T) {
 					refused(tag, "SetMeta", fs.SetMeta([]byte("nope")))
 					refused(tag, "SetSealMark", fs.SetSealMark(store.SealMark{Epoch: 9}))
 					refused(tag, "Sync", fs.Sync())
-					refused(tag, "Vacuum", fs.Vacuum(0))
+					refused(tag, "Vacuum", fs.Vacuum())
 					if f.Ops() != ops {
 						t.Fatalf("%s: a refused call reached the device (%d operations since the fault)", tag, f.Ops()-ops)
 					}

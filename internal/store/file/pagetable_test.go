@@ -177,13 +177,13 @@ func TestGroupPageTable(t *testing.T) {
 		c.pending("a freed page rewritten is live again", d, &gpage{buf: []byte("back")}, 10)
 
 		c.steps("no vacuum step yet", nil)
-		c.step(pass{lift: true})
+		c.step(pass{lift: true, budget: vacuumBatchBytes})
 		c.pending("a step leaves no page record and adds no bytes", e, nil, 10)
 		c.reads("a step is invisible to readers", map[uint64]string{e: "durable-e", f: "durable-f"})
 		c.commit(map[uint64]string{e: "new-e"}, f)
 		c.pending("a write beside a step", e, &gpage{buf: []byte("new-e")}, 15)
 		c.pending("a free beside a step", f, &gpage{freed: true}, 15)
-		c.steps("the group still carries its pass", &pass{lift: true})
+		c.steps("the group still carries its pass", &pass{lift: true, budget: vacuumBatchBytes})
 
 		want := map[uint64]string{a: "three!", b: "", d: "back", e: "new-e", f: ""}
 		c.reads("applied", want)
@@ -223,7 +223,7 @@ func TestGroupPageTable(t *testing.T) {
 		c.commit(map[uint64]string{z: "zz"})
 		c.commit(nil, z)
 		c.pending("born and freed above a held flush", z, nil, 4)
-		c.step(pass{lift: true})
+		c.step(pass{lift: true, budget: vacuumBatchBytes})
 		c.commit(map[uint64]string{e: "e2"})
 		c.pending("a write beside a step above a held flush", e, &gpage{buf: []byte("e2")}, 6)
 

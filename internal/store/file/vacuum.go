@@ -18,11 +18,10 @@ const vacuumBatchBytes = 1 << 20
 const liftPerHole = 8
 
 // Vacuum relocates live page extents downward into free space and truncates
-// the file, until the durable file end is at or below target bytes or no
-// round can improve it further (target 0 compacts as far as the layout
-// allows). Implements store.Vacuumer. Vacuum calls on one store run one at a
-// time. Every flush packs as much as it writes anyway (flushGroup); Vacuum is
-// for the garbage no later flush paid down and for what only lift clears.
+// the file, until no round can improve it further. Implements store.Vacuumer.
+// Vacuum calls on one store run one at a time. Every flush packs as much as
+// it writes anyway (flushGroup); Vacuum is for the garbage no later flush
+// paid down and for what only lift clears.
 //
 // Vacuum asks, the committer chooses: each step enqueues only the pass it
 // wants, and the flush that carries it picks the pages (pass.choose) from the
@@ -55,33 +54,29 @@ const liftPerHole = 8
 // rounds improve none of it; each component is bounded, so the pass
 // terminates, with a generous absolute round cap as the backstop against a
 // foreground write load that keeps reshaping the layout mid-pass.
-func (s *Store) Vacuum(target int64) error {
+func (s *Store) Vacuum() error {
 	s.vacuuming.Lock()
 	defer s.vacuuming.Unlock()
-	if target < dataStart {
-		target = dataStart
-	}
 	const maxRounds = 256
 	bestEnd := int64(1)<<62 - 1
 	bestFree, bestHoleSum := int(^uint(0)>>1), int64(-1)
 	stale := 0
 	for round := 0; round < maxRounds; round++ {
-		// Pack: strictly-downward relocation until no step improves.
+		// Pack: strictly-downward relocation until a flush moves neither a
+		// page nor the directory.
 		for {
-			moved, err := s.packStep(target)
+			before, _ := s.Space()
+			relocated, err := s.relocate(pass{budget: vacuumBatchBytes})
 			if err != nil {
 				return err
 			}
-			if !moved {
+			if after, _ := s.Space(); relocated == 0 && after >= before {
 				break
 			}
 		}
 		end, nfree, holeSum, err := s.vacuumProgress()
 		if err != nil {
 			return err
-		}
-		if end <= target {
-			return nil
 		}
 		switch {
 		case end < bestEnd:
@@ -95,7 +90,7 @@ func (s *Store) Vacuum(target int64) error {
 				return nil // this layout's floor
 			}
 		}
-		lifted, err := s.relocate(pass{lift: true})
+		lifted, err := s.relocate(pass{lift: true, budget: vacuumBatchBytes})
 		if err != nil {
 			return err
 		}
@@ -119,21 +114,6 @@ func (s *Store) vacuumProgress() (end int64, nfree int, holeSum int64, err error
 		holeSum += f.off
 	}
 	return s.fileEnd, len(s.free), holeSum, nil
-}
-
-// packStep runs one pack flush toward target, reporting whether it moved a
-// page or the directory (so another step could still help).
-func (s *Store) packStep(target int64) (bool, error) {
-	end, _ := s.Space()
-	if end <= target {
-		return false, nil
-	}
-	relocated, err := s.relocate(pass{target: target})
-	if err != nil || relocated > 0 {
-		return relocated > 0, err
-	}
-	after, _ := s.Space() // no page moved, but the directory may have
-	return after < end, nil
 }
 
 // relocate asks the next flush to run one vacuum pass, waits for that flush
@@ -160,15 +140,14 @@ func (s *Store) relocate(p pass) (relocated int, err error) {
 	return g.relocated, g.moveErr
 }
 
-// pass is what a flush's vacuum step asks of it: pack the pages reaching past
-// target toward the front, or lift, moving up to budget bytes and always at
-// least one page. A Vacuum step names its pass (relocate), and every other
-// flush packs on its own: it pays down the garbage it makes with at most the
-// bytes it writes (see flushGroup).
+// pass is what a flush's vacuum step asks of it: pack pages toward the front,
+// or lift, moving up to budget bytes. A pack always moves at least one page.
+// A Vacuum step names its pass (relocate), and every other flush packs on its
+// own: it pays down the garbage it makes with at most the bytes it writes
+// (see flushGroup).
 type pass struct {
 	lift   bool
-	target int64 // pack only
-	budget int   // zero means vacuumBatchBytes
+	budget int
 }
 
 // move is a page a flush chose to relocate, at its durable extent.
@@ -187,28 +166,24 @@ type move struct {
 // sc.moves), kept by keep.Room, so a steady-state flush's choice allocates
 // nothing; the answer lives until the next choice.
 //
-// Pack takes the pages that reach past the target and that some hole strictly
-// below could hold, highest first: clearing the tail is what lets the
-// frontier retreat and the truncate land. Lift takes up to liftPerHole pages
-// directly above each hole, lowest holes first, since the deepest merges
-// unlock the most packing; a hole with no page directly above it sits under
-// the directory or the frontier, and the directory re-places itself on every
-// vacuum flush anyway. Either stops at the budget.
+// Pack takes the pages that some hole strictly below could hold, highest
+// first: clearing the tail is what lets the frontier retreat and the truncate
+// land. Lift takes up to liftPerHole pages directly above each hole, lowest
+// holes first, since the deepest merges unlock the most packing; a hole with
+// no page directly above it sits under the directory or the frontier, and the
+// directory re-places itself on every vacuum flush anyway. Either stops at
+// the budget.
 func (p pass) choose(dir []byte, pageBytes int64, avail *freeIndex, skip map[uint64]gpage, sc *scratch) []move {
 	pages := pageTable(dir)
 	n := pages.len()
 	if avail.len() == 0 || n == 0 {
 		return nil
 	}
-	budget := p.budget
-	if budget == 0 {
-		budget = vacuumBatchBytes
-	}
 	holes := avail.appendTo(sc.holes[:0])
 	slices.SortFunc(holes, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 	var batch []move
 	if p.lift {
-		batch = lift(pages, holes, skip, sc.moves[:0], budget)
+		batch = lift(pages, holes, skip, sc.moves[:0], p.budget)
 		sc.moves = reuse(batch, len(batch))
 	} else {
 		// The holes take no more than they hold. The heap pack builds holds
@@ -219,9 +194,9 @@ func (p pass) choose(dir []byte, pageBytes int64, avail *freeIndex, skip map[uin
 		for _, h := range holes {
 			room += int(h.len)
 		}
-		budget = max(min(budget, room), 1)
+		budget := max(min(p.budget, room), 1)
 		need := min(budget/max(int(pageBytes)/n, 1)+1, n)
-		batch = pack(pages, holes, skip, slices.Grow(sc.moves[:0], need), p.target, budget)
+		batch = pack(pages, holes, skip, slices.Grow(sc.moves[:0], need), budget)
 		sc.moves = reuse(batch, need)
 	}
 	sc.holes = reuse(holes, len(holes))
@@ -258,12 +233,12 @@ func lift(pages table, holes []extent, skip map[uint64]gpage, batch []move, budg
 	return batch
 }
 
-// pack appends to batch the highest pages ending past target that a hole
-// strictly below could hold, highest first: budget bytes of them, but at
-// least one page. It overwrites the lengths of holes, which is sorted by
-// offset: each becomes the longest at or below its offset, so the holes below
-// a page are one search away.
-func pack(pages table, holes []extent, skip map[uint64]gpage, batch []move, target int64, budget int) []move {
+// pack appends to batch the highest pages that a hole strictly below could
+// hold, highest first: budget bytes of them, but at least one page. It
+// overwrites the lengths of holes, which is sorted by offset: each becomes
+// the longest at or below its offset, so the holes below a page are one
+// search away.
+func pack(pages table, holes []extent, skip map[uint64]gpage, batch []move, budget int) []move {
 	// lowest[b] is the offset of the lowest hole at least 1<<b long, so one
 	// lookup settles whether a hole below a page fits it for most pages: a
 	// page of [1<<b, 2<<b) bytes fits none at or below lowest[b] and fits the
@@ -287,7 +262,7 @@ func pack(pages table, holes []extent, skip map[uint64]gpage, batch []move, targ
 	total := 0
 	for i := range pages.len() {
 		e := pages.ext(i)
-		if e.len == 0 || e.end() <= target || total >= budget && e.off <= batch[0].ext.off {
+		if e.len == 0 || total >= budget && e.off <= batch[0].ext.off {
 			continue
 		}
 		c := bits.Len32(e.len) - 1

@@ -84,7 +84,7 @@ func TestVacuumShrinksFile(t *testing.T) {
 		t.Fatalf("churn did not create enough garbage: file=%d live=%d", fileBefore, liveBefore)
 	}
 
-	if err := s.Vacuum(0); err != nil {
+	if err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	fileAfter, liveAfter := s.Space()
@@ -123,14 +123,6 @@ func TestVacuumShrinksFile(t *testing.T) {
 	defer re.Close()
 	if got := snapshotState(t, re); !reflect.DeepEqual(got, pre) {
 		t.Fatal("reopened state diverged after vacuum")
-	}
-	// Vacuum with nothing to reclaim is a cheap no-op.
-	before, _ := re.Space()
-	if err := re.Vacuum(before); err != nil {
-		t.Fatal(err)
-	}
-	if after, _ := re.Space(); after != before {
-		t.Errorf("target-satisfied vacuum moved the frontier: %d -> %d", before, after)
 	}
 }
 
@@ -180,7 +172,7 @@ func TestVacuumLiftUnsticksFragmentedLayout(t *testing.T) {
 		t.Fatalf("fixture created too little garbage: file=%d live=%d", fileBefore, liveBefore)
 	}
 
-	if err := s.Vacuum(0); err != nil {
+	if err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	fileAfter, liveAfter := s.Space()
@@ -264,7 +256,7 @@ func TestSpaceMatchesDirectory(t *testing.T) {
 	commit("frees", nil, []uint64{ids[3], ids[9], ids[17], ids[30], ids[39]})
 	commit("a freed page written again, beside a write and a free", map[uint64][]byte{ids[9]: page(9, 9), ids[10]: page(10, 9)}, []uint64{ids[11]})
 	fileChurned, _ := s.Space()
-	if err := s.Vacuum(0); err != nil {
+	if err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	check("after vacuum")
@@ -284,36 +276,6 @@ func TestSpaceMatchesDirectory(t *testing.T) {
 		t.Fatalf("live bytes %d after reopen, %d before close", live, liveBefore)
 	}
 	commit("first flush after reopen", map[uint64][]byte{ids[0]: page(0, 10)}, []uint64{ids[1]})
-}
-
-// TestVacuumTarget verifies vacuum treats target as a stopping bound: it
-// makes real progress toward it but does not keep compacting a store whose
-// frontier already satisfies it. Target is best-effort from above — the
-// directory blob can only descend into a single hole that fits it whole, so
-// the pass may stall a directory-sized allowance short of the target.
-func TestVacuumTarget(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "vactgt.ekb")
-	s, err := OpenConfig(path, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	buildGarbage(t, s)
-	fileBefore, liveBefore := s.Space()
-	target := liveBefore + (fileBefore-liveBefore)/2
-	if err := s.Vacuum(target); err != nil {
-		t.Fatal(err)
-	}
-	fileAfter, _ := s.Space()
-	if fileAfter >= fileBefore {
-		t.Errorf("targeted vacuum made no progress: %d -> %d", fileBefore, fileAfter)
-	}
-	s.mu.RLock()
-	allow := int64(s.dirExt.len) + 1024
-	s.mu.RUnlock()
-	if fileAfter > target+allow {
-		t.Errorf("vacuum stopped at %d, target %d (+%d allowance)", fileAfter, target, allow)
-	}
 }
 
 // TestVacuumConcurrentWithCommits runs a vacuum loop against concurrent
@@ -411,7 +373,7 @@ func TestVacuumConcurrentWithCommits(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for r := 0; r < 10; r++ {
-			if err := s.Vacuum(0); err != nil {
+			if err := s.Vacuum(); err != nil {
 				errs <- err
 				return
 			}
@@ -489,7 +451,7 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 				t.Fatalf("%s: open with fault file: %v", f, err)
 			}
 			defer fs.Close()
-			return fs.Vacuum(0)
+			return fs.Vacuum()
 		},
 		func(tag, work string, fired bool, verr error) {
 			re, err := OpenConfig(work, Config{})
@@ -516,7 +478,7 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 			}
 			// Retry converges: a clean vacuum after the crash still compacts,
 			// and the state still matches.
-			if err := re.Vacuum(0); err != nil {
+			if err := re.Vacuum(); err != nil {
 				t.Fatalf("%s: vacuum retry: %v", tag, err)
 			}
 			if got := snapshotState(t, re); !reflect.DeepEqual(got, pre) {
@@ -540,7 +502,7 @@ func TestVacuumAtomicityUnderFaults(t *testing.T) {
 // and the pages whose extents changed must be exactly the moves the flush
 // counted, all of them pages the group did not touch.
 func TestVacuumNeverMovesItsGroupsPages(t *testing.T) {
-	for _, p := range []pass{{target: dataStart}, {lift: true}} {
+	for _, p := range []pass{{budget: vacuumBatchBytes}, {lift: true, budget: vacuumBatchBytes}} {
 		t.Run(fmt.Sprintf("lift=%v", p.lift), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "own.ekb")
 			s, err := OpenConfig(path, Config{})
@@ -620,11 +582,11 @@ func TestVacuumWithNothingToMoveWritesNothing(t *testing.T) {
 	vacuum := func(when string) {
 		t.Helper()
 		txid := s.Txid()
-		if err := s.Vacuum(0); err != nil {
+		if err := s.Vacuum(); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.Txid(); got != txid {
-			t.Fatalf("%s: Vacuum(0) flushed %d times over a layout it cannot improve", when, got-txid)
+			t.Fatalf("%s: Vacuum flushed %d times over a layout it cannot improve", when, got-txid)
 		}
 	}
 	vacuum("empty store")
@@ -635,7 +597,7 @@ func TestVacuumWithNothingToMoveWritesNothing(t *testing.T) {
 	if err := s.CommitPages(map[uint64][]byte{id: bytes.Repeat([]byte{7}, 300)}, id, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Vacuum(0); err != nil {
+	if err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.RLock()
@@ -663,7 +625,7 @@ func TestConcurrentVacuums(t *testing.T) {
 	fileBefore, _ := s.Space()
 	errs := make(chan error, 2)
 	for range 2 {
-		go func() { errs <- s.Vacuum(0) }()
+		go func() { errs <- s.Vacuum() }()
 	}
 	for range 2 {
 		if err := <-errs; err != nil {
@@ -723,13 +685,13 @@ func TestFreeListSortedAndCoalesced(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("a raised mark's two flips", s)
-	for _, p := range []pass{{target: dataStart}, {lift: true}, {target: dataStart}} {
+	for _, p := range []pass{{budget: vacuumBatchBytes}, {lift: true, budget: vacuumBatchBytes}, {budget: vacuumBatchBytes}} {
 		if _, err := s.relocate(p); err != nil {
 			t.Fatal(err)
 		}
 		check(fmt.Sprintf("a vacuum step %+v", p), s)
 	}
-	if err := s.Vacuum(0); err != nil {
+	if err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	check("a whole vacuum", s)
@@ -778,7 +740,7 @@ func TestVacuumReadErrorSkipsMove(t *testing.T) {
 	fileBefore, _ := s.Space()
 
 	sf.sick.Store(true)
-	if err := s.Vacuum(0); !errors.Is(err, syscall.EIO) {
+	if err := s.Vacuum(); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Vacuum over a device that cannot read = %v, want EIO", err)
 	}
 	if err := s.CommitPages(nil, ids[0], nil); err != nil {
@@ -800,7 +762,7 @@ func TestVacuumReadErrorSkipsMove(t *testing.T) {
 	if covered != region {
 		t.Fatalf("pages, free list and directory cover %d of the data region's %d bytes: a skipped move kept its extent", covered, region)
 	}
-	if err := s.Vacuum(0); err != nil {
+	if err := s.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	if fileAfter, _ := s.Space(); fileAfter >= fileBefore {

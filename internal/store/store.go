@@ -144,11 +144,11 @@ type PageStore interface {
 }
 
 // Vacuumer is the PageStore's compaction. Vacuum relocates live data toward
-// the front of the backing storage and releases the tail, until the footprint
-// is at or below target bytes or no further improvement is possible; it runs
-// concurrently with reads and commits and never changes the logical state.
+// the front of the backing storage and releases the tail, until no further
+// improvement is possible; it runs concurrently with reads and commits and
+// never changes the logical state.
 type Vacuumer interface {
-	Vacuum(target int64) error
+	Vacuum() error
 }
 
 // Spacer is the PageStore's physical footprint: fileBytes is the total
@@ -311,7 +311,7 @@ func (m *Mem) Close() error {
 
 func (m *Mem) Space() (fileBytes, liveBytes int64) { return 0, 0 }
 
-func (m *Mem) Vacuum(target int64) error { return nil }
+func (m *Mem) Vacuum() error { return nil }
 
 // Len returns the number of live pages.
 func (m *Mem) Len() int {

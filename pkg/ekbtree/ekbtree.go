@@ -376,12 +376,11 @@ func (t *Tree) Space() (fileBytes, liveBytes int64) {
 	return t.eng.Space()
 }
 
-// Vacuum compacts the backing store down toward target bytes: live page
+// Vacuum compacts the backing store as far as its layout allows: live page
 // extents relocate toward the front of the file and the tail is physically
-// truncated, until the footprint is at or below target or no batch can
-// improve it further (0 compacts as far as the layout allows). Every
-// relocation batch rides the ordinary shadow-paged commit pipeline, so vacuum
-// runs concurrently with reads and writes, never changes tree contents, and a
+// truncated, until no batch can improve it further. Every relocation batch
+// rides the ordinary shadow-paged commit pipeline, so vacuum runs
+// concurrently with reads and writes, never changes tree contents, and a
 // crash at any byte of it leaves a normal pre-or-post-batch state — no
 // recovery protocol, and re-running Vacuum after a crash simply converges.
 //
@@ -392,11 +391,8 @@ func (t *Tree) Space() (fileBytes, liveBytes int64) {
 // which only its lift rounds clear. The tree never runs it on its own: call
 // it after a bulk delete, or when Space shows more garbage than the caller
 // will keep.
-func (t *Tree) Vacuum(target int64) error {
-	if target < 0 {
-		return fmt.Errorf("%w: negative vacuum target", ErrInvalidOptions)
-	}
-	return t.eng.Vacuum(target)
+func (t *Tree) Vacuum() error {
+	return t.eng.Vacuum()
 }
 
 // Sync blocks until every write acknowledged before the call is durable on

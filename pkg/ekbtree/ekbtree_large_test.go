@@ -138,7 +138,7 @@ func TestLargeIngestSoak(t *testing.T) {
 			}
 			batchNo++
 			if batchNo%vacEvery == 0 {
-				if err := tr.Vacuum(0); err != nil {
+				if err := tr.Vacuum(); err != nil {
 					t.Fatalf("mid-ingest vacuum: %v", err)
 				}
 			}
@@ -149,7 +149,7 @@ func TestLargeIngestSoak(t *testing.T) {
 			}
 		}
 	}
-	if err := tr.Vacuum(0); err != nil {
+	if err := tr.Vacuum(); err != nil {
 		t.Fatalf("final vacuum: %v", err)
 	}
 	if err := tr.Sync(); err != nil {

@@ -383,14 +383,14 @@ func (g *Engine) Space() (fileBytes, liveBytes int64) {
 	return g.st.Space()
 }
 
-// Vacuum compacts the backing store toward target bytes. It runs
+// Vacuum compacts the backing store as far as its layout allows. It runs
 // concurrently with reads and writes — relocations ride the store's ordinary
 // commit pipeline — and never changes tree contents.
-func (g *Engine) Vacuum(target int64) error {
+func (g *Engine) Vacuum() error {
 	if g.es.isClosed() {
 		return ErrClosed
 	}
-	return MapErr(g.st.Vacuum(target))
+	return MapErr(g.st.Vacuum())
 }
 
 // Sync blocks until every write acknowledged before the call is durable on

@@ -225,7 +225,7 @@ func (o *overlapStore) CommitPages(writes map[uint64][]byte, root uint64, frees 
 // CommitPages calls on one store never overlap, because an engine's writers
 // take turns and the holder's one call is the engine's group commit. Eight
 // writers run beside a goroutine that loops AdvanceEpoch, Rotate and
-// Vacuum(0), in every durability mode.
+// Vacuum, in every durability mode.
 func TestCommitPagesNeverOverlap(t *testing.T) {
 	const writers, per = 8, 50
 	for _, mode := range []file.Durability{file.Full, file.Grouped, file.Async} {
@@ -257,7 +257,7 @@ func TestCommitPagesNeverOverlap(t *testing.T) {
 						maintained <- err
 						return
 					}
-					if err := g.Vacuum(0); err != nil {
+					if err := g.Vacuum(); err != nil {
 						maintained <- err
 						return
 					}

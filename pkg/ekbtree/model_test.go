@@ -252,7 +252,7 @@ func vacuumLoop(tr *Tree, stop <-chan struct{}, fail func(string, ...interface{}
 			return
 		case <-time.After(2 * time.Millisecond):
 		}
-		if err := tr.Vacuum(0); err != nil {
+		if err := tr.Vacuum(); err != nil {
 			fail("background vacuum: %v", err)
 			return
 		}

@@ -2,7 +2,6 @@ package ekbtree
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -30,7 +29,7 @@ func prefixFriendlyOpts(t *testing.T, path string) Options {
 }
 
 // TestTreeVacuum is the façade-level vacuum contract: churn creates garbage
-// visible as Stats.FileBytes >> LiveBytes, Vacuum(0) reclaims it, content is
+// visible as Stats.FileBytes >> LiveBytes, Vacuum reclaims it, content is
 // untouched, and the tree reopens cleanly afterwards.
 func TestTreeVacuum(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "vac.ekb")
@@ -73,7 +72,7 @@ func TestTreeVacuum(t *testing.T) {
 	if before.FileBytes < before.LiveBytes*5/4 {
 		t.Fatalf("churn created too little garbage: file=%d live=%d", before.FileBytes, before.LiveBytes)
 	}
-	if err := tr.Vacuum(0); err != nil {
+	if err := tr.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	after, err := tr.Stats()
@@ -107,18 +106,6 @@ func TestTreeVacuum(t *testing.T) {
 	if got := scanAll(t, re); !reflect.DeepEqual(got, want) {
 		t.Fatal("reopened tree diverged after vacuum")
 	}
-
-	// Negative targets are rejected; a generous satisfied target is a no-op.
-	if err := re.Vacuum(-1); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("Vacuum(-1) = %v, want ErrInvalidOptions", err)
-	}
-	st, err := re.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Vacuum(2 * st.FileBytes); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestMemoryTreeHasAPageFile: a tree with neither Path nor Store runs the
@@ -136,7 +123,7 @@ func TestWrappedStoreKeepsSpaceAndVacuum(t *testing.T) {
 }
 
 // checkFootprintAndVacuum churns a tree opened with opts: after a Sync its
-// Stats report FileBytes >= LiveBytes > 0, and Vacuum(0) lowers the file
+// Stats report FileBytes >= LiveBytes > 0, and Vacuum lowers the file
 // size with every survivor reading back.
 func checkFootprintAndVacuum(t *testing.T, opts Options) {
 	tr := mustOpen(t, opts)
@@ -167,11 +154,11 @@ func checkFootprintAndVacuum(t *testing.T, opts Options) {
 		t.Fatal(err)
 	}
 	before, _ := tr.Space()
-	if err := tr.Vacuum(0); err != nil {
+	if err := tr.Vacuum(); err != nil {
 		t.Fatal(err)
 	}
 	if after, _ := tr.Space(); after >= before {
-		t.Errorf("Vacuum(0) left the file at %d bytes, was %d", after, before)
+		t.Errorf("Vacuum left the file at %d bytes, was %d", after, before)
 	}
 	for i := 0; i < 2000; i++ {
 		if v, ok, err := tr.Get(key(i)); err != nil || ok != (i%4 == 0) || (ok && string(v) != "v") {

@@ -244,11 +244,10 @@ func (c *Client) Sync() error {
 	return err
 }
 
-// Vacuum compacts the tenant tree's backing files online until their total
-// size is at or below target bytes, or as far as the layout allows for 0. It
-// returns when the pass completes; other connections' traffic proceeds
-// throughout.
-func (c *Client) Vacuum(target uint64) error {
-	_, err := c.do(&Vacuum{Target: target})
+// Vacuum compacts the tenant tree's backing files online, as far as their
+// layout allows. It returns when the pass completes; other connections'
+// traffic proceeds throughout.
+func (c *Client) Vacuum() error {
+	_, err := c.do(&Vacuum{})
 	return err
 }

@@ -105,7 +105,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		&CursorClose{Cursor: 1 << 40},
 		&Stats{},
 		&Sync{},
-		&Vacuum{Target: 1 << 40},
+		&Vacuum{},
 	} {
 		f.Add(EncodeRequest(req))
 	}

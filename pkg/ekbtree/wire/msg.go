@@ -111,7 +111,7 @@ func DecodeRequest(payload []byte) (Request, error) {
 	case OpSync:
 		req = &Sync{}
 	case OpVacuum:
-		req = new(Vacuum).dec(&d)
+		req = &Vacuum{}
 	default:
 		return nil, errorf("unknown opcode 0x%02x", payload[0])
 	}
@@ -313,14 +313,10 @@ type Sync struct{}
 func (*Sync) op() Op                { return OpSync }
 func (m *Sync) enc(b []byte) []byte { return b }
 
-// Vacuum compacts the tenant tree's backing files online until their total
-// size is at or below Target bytes or no further batch improves it (0 =
-// compact as far as the layout allows). Reads and writes on other connections
-// proceed throughout. OK body: empty.
-type Vacuum struct {
-	Target uint64
-}
+// Vacuum compacts the tenant tree's backing files online until no further
+// batch improves them. Reads and writes on other connections proceed
+// throughout. OK body: empty.
+type Vacuum struct{}
 
-func (*Vacuum) op() Op                   { return OpVacuum }
-func (m *Vacuum) enc(b []byte) []byte    { return appendUvarint(b, m.Target) }
-func (m *Vacuum) dec(d *decoder) Request { m.Target = d.uvarint(); return m }
+func (*Vacuum) op() Op                { return OpVacuum }
+func (m *Vacuum) enc(b []byte) []byte { return b }

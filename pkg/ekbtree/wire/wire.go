@@ -68,8 +68,9 @@ import (
 const MaxFrame = 4 << 20
 
 // ProtocolVersion is the protocol revision spoken by this package. A server
-// rejects a Hello carrying a different version with CodeBadRequest.
-const ProtocolVersion = 1
+// rejects a Hello carrying a different version with CodeBadRequest, so client
+// and server upgrade together. Version 2 gave Vacuum an empty body.
+const ProtocolVersion = 2
 
 // ChallengeSize is the size of the random authentication challenge.
 const ChallengeSize = 32

@@ -84,7 +84,6 @@ func TestRequestRoundTrip(t *testing.T) {
 		&Stats{},
 		&Sync{},
 		&Vacuum{},
-		&Vacuum{Target: 1 << 40},
 	}
 	for _, req := range reqs {
 		payload := EncodeRequest(req)
@@ -134,6 +133,9 @@ func TestDecodeRequestRejectsMalformed(t *testing.T) {
 		"trailing garbage":    append(EncodeRequest(&Sync{}), 0x00),
 		"bad bool":            {byte(OpCursorOpen), 0x02},
 		"batch length beyond": {byte(OpBatchCommit), 0xff, 0xff, 0xff, 0xff, 0x7f},
+		// Protocol 1's Vacuum carried a uvarint target (here 1 << 40), which
+		// protocol 2 dropped: it must not pass for a Vacuum.
+		"protocol-1 vacuum": {byte(OpVacuum), 0x80, 0x80, 0x80, 0x80, 0x80, 0x20},
 	}
 	for name, payload := range cases {
 		if _, err := DecodeRequest(payload); !errors.Is(err, ErrMalformed) {
